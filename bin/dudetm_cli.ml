@@ -300,576 +300,76 @@ let torture_cmd =
 
 (* ------------------------------- check -------------------------------- *)
 
+(* One table-driven command: a flag per campaign (explore by default),
+   the mutant table, and one option per coordinate of the replay grammar. *)
 let check_cmd =
-  let open Dudetm_check in
-  let system =
-    Arg.(
-      value & opt string "all"
-      & info [ "s"; "system" ] ~docv:"SYSTEM"
-          ~doc:
-            (Printf.sprintf "System to check: all, or one of %s."
-               (String.concat ", " Check.sut_names)))
-  in
-  let workload =
-    Arg.(
-      value & opt string "all"
-      & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-          ~doc:"Checker workload: counter, overlap, counter1, or all.")
-  in
-  let threads = Arg.(value & opt int 3 & info [ "threads" ] ~doc:"Worker threads.") in
-  let txs =
-    Arg.(
-      value & opt (some int) None
-      & info [ "txs" ]
-          ~doc:
-            "Transactions per thread (default 2); with --shards, cross-shard \
-             transfers driven (default 10).")
-  in
-  let deep =
-    Arg.(value & flag & info [ "deep" ] ~doc:"Use the deep exploration budget.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Use the bounded tier-1 budget, ignoring DUDETM_CHECK_* environment knobs.")
-  in
-  let crash_budget =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-budget" ]
-          ~doc:"Crash boundaries to explore under the default schedule (0 = budget default).")
-  in
-  let sched_seeds =
-    Arg.(
-      value & opt int (-1)
-      & info [ "sched-seeds" ] ~doc:"Random-preemption seeds to try (-1 = budget default).")
-  in
-  let mutate =
-    let faults =
-      [
-        ("none", Config.No_fault);
-        ("early-durable", Config.Early_durable_publish);
-        ("unfenced-reproduce", Config.Unfenced_reproduce);
-        ("skip-crc-verify", Config.Skip_crc_verify);
-        ("skip-recovery-journal", Config.Skip_recovery_journal);
-        ("skip-fragment-gate", Config.Skip_fragment_gate);
-        ("skip-batch-seal", Config.Skip_batch_seal);
-        ("skip-quorum-gate", Config.Skip_quorum_gate);
-        ("skip-handoff-seal", Config.Skip_handoff_seal);
-        ("skip-snapshot-validate", Config.Skip_snapshot_validate);
-        ("skip-admission-gate", Config.Skip_admission_gate);
-      ]
-    in
+  let module Check = Dudetm_check.Check in
+  let campaign =
     Arg.(
       value
-      & opt (enum faults) Config.No_fault
-      & info [ "mutate" ] ~docv:"FAULT"
+      & vflag "explore"
+          (List.filter_map
+             (fun (name, doc) -> if name = "explore" then None else Some (name, info [ name ] ~doc))
+             Check.campaign_docs))
+  in
+  let mutate =
+    let names = List.map (fun (f, name, _) -> (name, f)) Check.mutants in
+    Arg.(
+      value
+      & opt (enum (("none", Config.No_fault) :: names)) Config.No_fault
+      & info [ "mutate" ] ~docv:"MUTANT"
           ~doc:
-            "Seed a deliberate bug into DudeTM (checker self-validation): none, \
-             early-durable, unfenced-reproduce, skip-crc-verify, \
-             skip-recovery-journal, skip-fragment-gate (Reproduce replays \
-             cross-shard fragments without waiting for sibling durability; \
-             caught by --shards), skip-batch-seal (group commit publishes \
-             durability at batch seal instead of after the record's fence; \
-             caught by --batch), skip-quorum-gate (replication acknowledges \
-             at the primary-local seal instead of the quorum watermark; caught \
-             by --replica), skip-handoff-seal (migration flips key-range \
-             ownership without sealing the handoff record and the new \
-             partition descriptor; caught by --migrate), or \
-             skip-snapshot-validate (read-only snapshots extend their epoch \
-             past a concurrent commit without revalidating the read-set; \
-             caught by --snapshot), or skip-admission-gate (the serving \
-             front end never sheds and releases write replies at commit \
-             instead of the durable watermark; caught by --serve).")
+            ("Seed a deliberate bug (checker self-validation); each is caught by one campaign: "
+            ^ String.concat ", "
+                (List.map (fun (_, name, c) -> Printf.sprintf "%s (%s)" name c) Check.mutants)
+            ^ "."))
   in
-  let batch =
+  let budget =
     Arg.(
-      value & flag
-      & info [ "batch" ]
-          ~doc:
-            "Run the batch-boundary crash campaign instead: drive the pipelined \
-             combine/flush group commit with small batches, cut power at every \
-             persist boundary (including mid-pipeline, between a batch's seal \
-             and its record fence), re-attach, and require the recovered state \
-             to be exactly the acknowledged durable prefix — then re-crash the \
-             recovered engine (two deep) and verify again.")
+      value
+      & vflag None
+          [
+            ( Some Check.Quick,
+              info [ "quick" ] ~doc:"Use the bounded budget, ignoring DUDETM_CHECK_*." );
+            (Some Check.Deep, info [ "deep" ] ~doc:"Use the deep exploration budget.");
+          ])
   in
-  let replica =
-    Arg.(
-      value & flag
-      & info [ "replica" ]
-          ~doc:
-            "Run the replicated-durability failover campaign instead: ship the \
-             redo log to K replicas over simulated links (clean, faulty and \
-             partitioned scenarios), kill the primary at sampled persist \
-             boundaries, promote a replica, and require every quorum-acked \
-             transaction to survive with the promoted image exactly the \
-             durable-prefix model state.")
-  in
-  let replica_count =
-    Arg.(
-      value & opt int Dudetm_check.Check.default_replica_count
-      & info [ "replicas" ] ~docv:"K" ~doc:"With --replica: replica count.")
-  in
-  let replica_scenario =
-    Arg.(
-      value & opt (some string) None
-      & info [ "scenario" ] ~docv:"SCENARIO"
-          ~doc:
-            "With --replica: restrict the sweep to one link scenario (clean, \
-             faulty, or partition); combine with --crash-at to replay one \
-             exact primary kill.")
-  in
-  let shards =
-    Arg.(
-      value & flag
-      & info [ "shards" ]
-          ~doc:
-            "Run the sharded cross-commit campaign instead: drive cross-shard \
-             transfers over a multi-region instance, cut power at sampled persist \
-             boundaries of every shard's device, re-attach, and require every \
-             transfer to be all-or-nothing and every vector-watermark \
-             acknowledgement to survive.")
-  in
-  let shard_count =
-    Arg.(
-      value & opt int Dudetm_check.Check.default_shard_count
-      & info [ "shard-count" ] ~doc:"With --shards: independent regions to create.")
-  in
-  let migrate =
-    Arg.(
-      value & flag
-      & info [ "migrate" ]
-          ~doc:
-            "Run the live-migration crash campaign instead: reshard a multi-region \
-             instance 4->8 under traffic (double-write window, sealed handoff \
-             record, atomic descriptor flip), cut power at sampled persist \
-             boundaries on every device — including between recovery's own \
-             handoff seals (two deep) — re-attach, complete the resharding, and \
-             require every key on exactly one shard with no acknowledged write \
-             lost and every moved range recycled.")
-  in
-  let snapshot =
-    Arg.(
-      value & flag
-      & info [ "snapshot" ]
-          ~doc:
-            "Run the snapshot-read crash campaign instead: pair-writer \
-             transactions (both slots of a pair always equal) against a \
-             concurrent read-only snapshot reader in volatile and \
-             durable-only mode, power cuts at sampled persist boundaries \
-             while durable reads run; every completed read-set must be \
-             consistent (never torn across a writer's commit) and every \
-             durable-mode value must survive recovery.")
-  in
-  let serve =
-    Arg.(
-      value & flag
-      & info [ "serve" ]
-          ~doc:
-            "Run the serving front-end crash campaign instead: closed-loop \
-             client sessions drive pair writes through the bounded queue, \
-             admission gate and durable-watermark acker of the multi-tenant \
-             front end; power cuts mid-burst at sampled persist boundaries \
-             must lose no acknowledged request and half-apply no \
-             unacknowledged one (acked-prefix oracle).")
-  in
-  let media =
-    Arg.(
-      value & flag
-      & info [ "media" ]
-          ~doc:
-            "Run the media-fault campaign instead: inject seeded bit rot, poison, and \
-             stuck lines into the persisted image after crashes, scrub, recover, and \
-             require every corruption to be repaired or reported — never silent.")
-  in
-  let media_faults =
-    Arg.(
-      value & opt (some string) None
-      & info [ "faults" ] ~docv:"MIX"
-          ~doc:"With --media and --media-seed: replay one exact case with this fault mix \
-                (heap or mixed).")
-  in
-  let media_seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "media-seed" ] ~docv:"SEED"
-          ~doc:"With --media and --faults: the fault-injection seed of the case to replay.")
-  in
-  let media_seeds =
-    Arg.(
-      value & opt int Dudetm_check.Check.default_media_seeds
-      & info [ "media-seeds" ] ~doc:"Fault-injection seeds the --media campaign sweeps.")
-  in
-  let evict =
-    Arg.(
-      value & opt float 0.0
-      & info [ "evict" ] ~docv:"FRACTION"
-          ~doc:
-            "Cache-eviction adversary: each dirty line independently leaks into the \
-             persisted image with this probability at every power cut (0 disables).")
-  in
-  let evict_seed =
-    Arg.(value & opt int 1 & info [ "evict-seed" ] ~doc:"RNG seed for --evict.")
-  in
-  let sched =
-    Arg.(
-      value & opt (some string) None
-      & info [ "sched" ] ~docv:"SCHED"
-          ~doc:
-            "Replay one exact case under this schedule (default, seed:N, or \
-             prefix:c0,c1,...) instead of exploring.")
-  in
-  let crash_at =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-at" ]
-          ~doc:"With --sched (or alone): cut power at this persist boundary (0 = none).")
-  in
-  let recovery =
-    Arg.(
-      value & flag
-      & info [ "recovery" ]
-          ~doc:
-            "Run the nested-crash recovery campaign instead: cut power at sampled \
-             persist boundaries inside attach and scrub (and, two deep, inside the \
-             recovery of a crashed recovery) and require every leg to converge to the \
-             uninterrupted recovery's durable ID, heap state, and report.")
-  in
-  let leg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "leg" ] ~docv:"LEG"
-          ~doc:
-            "With --recovery: replay one exact nested-crash case whose first \
-             recovery-time cut lands in this leg (attach or scrub); combine with \
-             --crash-at, --crash2 and --crash3.")
-  in
-  let crash2 =
-    Arg.(
-      value & opt int 0
-      & info [ "crash2" ]
-          ~doc:
-            "With --recovery --leg: boundary cut inside that recovery leg (0 = none). \
-             With --batch: second power cut, counted after the first recovery. \
-             With --migrate: second cut, counted from the first re-attach on.")
-  in
-  let crash3 =
-    Arg.(
-      value & opt int 0
-      & info [ "crash3" ]
-          ~doc:"With --recovery --leg: boundary cut inside the second recovery (0 = none).")
-  in
-  let rec_seeds =
-    Arg.(
-      value & opt int 0
-      & info [ "rec-seeds" ]
-          ~doc:"With --recovery: first-crash points to sweep (0 = budget default).")
-  in
-  let daemons =
-    Arg.(
-      value & flag
-      & info [ "daemons" ]
-          ~doc:
-            "Run the daemon fault-injection sweep instead: Persist and Reproduce \
-             workers raise seeded transient faults and are restarted by the \
-             supervisor; runs must still drain and recover exactly, moving only the \
-             restart/backoff counters.")
-  in
-  let daemon_seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "daemon-seed" ] ~docv:"SEED"
-          ~doc:"With --daemons: replay the single case with this seed (combine with \
-                --crash-at).")
-  in
-  let fault_rate =
-    Arg.(
-      value & opt float Dudetm_check.Check.default_daemon_rate
-      & info [ "fault-rate" ] ~docv:"RATE"
-          ~doc:"With --daemons: per-opportunity transient-fault probability.")
+  let args =
+    List.fold_left
+      (fun acc (flag, doc) ->
+        let names =
+          match flag with "system" -> [ "s"; flag ] | "workload" -> [ "w"; flag ] | f -> [ f ]
+        in
+        Term.(
+          const (fun l v -> match v with Some v -> (flag, v) :: l | None -> l)
+          $ acc
+          $ Arg.(value & opt (some string) None & info names ~docv:"VALUE" ~doc)))
+      (Term.const []) Check.coordinates
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print progress.") in
-  let run system workload threads txs deep quick crash_budget sched_seeds fault sched
-      crash_at batch replica replica_count replica_scenario shards shard_count migrate
-      snapshot serve media media_faults media_seed media_seeds evict_frac evict_seed
-      recovery leg crash2 crash3 rec_seeds daemons daemon_seed fault_rate verbose =
-    let log = if verbose then fun s -> Printf.printf "  %s\n%!" s else fun _ -> () in
-    let opt n = if n > 0 then Some n else None in
-    let txs_or d = Option.value txs ~default:d in
-    if replica then begin
-      match
-        let scenario =
-          Option.map Check.replica_scenario_of_string replica_scenario
-        in
-        Check.check_replica ~fault ~nreplicas:replica_count
-          ~txs:(txs_or Check.default_replica_txs)
-          ~log ?scenario ?only_crash:(opt crash_at) ()
-      with
-      | Check.Replica_pass { runs; boundaries } ->
-        Printf.printf
-          "replica campaign: PASS (%d runs, %d primary persist boundaries)\n" runs
-          boundaries;
-        `Ok ()
-      | Check.Replica_fail rf ->
-        Printf.printf "replica campaign: FAIL: %s\n  replay: %s\n" rf.Check.rf_reason
-          (Check.replica_replay_line rf);
-        `Error (false, "replicated-durability failover check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if batch then begin
-      match
-        Check.check_batch ~fault
-          ~txs:(txs_or Check.default_batch_txs)
-          ~log ?only_crash:(opt crash_at) ?only_crash2:(opt crash2) ()
-      with
-      | Check.Batch_pass { runs; boundaries } ->
-        Printf.printf "batch campaign: PASS (%d runs, %d persist boundaries cut)\n" runs
-          boundaries;
-        `Ok ()
-      | Check.Batch_fail bt ->
-        Printf.printf "batch campaign: FAIL: %s\n  replay: %s\n" bt.Check.bt_reason
-          (Check.batch_replay_line bt);
-        `Error (false, "batch-boundary crash check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if shards then begin
-      match
-        Check.check_shards ~fault ~nshards:shard_count
-          ~txs:(txs_or Check.default_shard_txs) ~log ?only_crash:(opt crash_at) ()
-      with
-      | Check.Shard_pass { runs; boundaries } ->
-        Printf.printf "shard campaign: PASS (%d runs, %d persist boundaries cut)\n" runs
-          boundaries;
-        `Ok ()
-      | Check.Shard_fail shf ->
-        Printf.printf "shard campaign: FAIL: %s\n  replay: %s\n" shf.Check.shf_reason
-          (Check.shard_replay_line shf);
-        `Error (false, "sharded cross-commit check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if migrate then begin
-      match
-        Check.check_migrate ~fault ~log ?only_crash:(opt crash_at)
-          ?only_crash2:(opt crash2) ()
-      with
-      | Check.Migrate_pass { runs; boundaries } ->
-        Printf.printf "migrate campaign: PASS (%d runs, %d persist boundaries cut)\n"
-          runs boundaries;
-        `Ok ()
-      | Check.Migrate_fail mg ->
-        Printf.printf "migrate campaign: FAIL: %s\n  replay: %s\n" mg.Check.mg_reason
-          (Check.migrate_replay_line mg);
-        `Error (false, "live-migration crash check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if snapshot then begin
-      match
-        Check.check_snapshot ~fault
-          ~txs:(txs_or Check.default_snapshot_txs)
-          ~log ?only_crash:(opt crash_at) ()
-      with
-      | Check.Snapshot_pass { runs; boundaries; reads } ->
-        Printf.printf
-          "snapshot campaign: PASS (%d runs, %d persist boundaries, %d snapshot reads)\n"
-          runs boundaries reads;
-        `Ok ()
-      | Check.Snapshot_fail sn ->
-        Printf.printf "snapshot campaign: FAIL: %s\n  replay: %s\n" sn.Check.sn_reason
-          (Check.snapshot_replay_line sn);
-        `Error (false, "snapshot-read crash check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if serve then begin
-      match
-        Check.check_serve ~fault
-          ~txs:(txs_or Check.default_serve_txs)
-          ~log ?only_crash:(opt crash_at) ()
-      with
-      | Check.Serve_pass { runs; boundaries; acked; shed } ->
-        Printf.printf
-          "serve campaign: PASS (%d runs, %d persist boundaries, %d acked requests, %d \
-           shed)\n"
-          runs boundaries acked shed;
-        `Ok ()
-      | Check.Serve_fail sv ->
-        Printf.printf "serve campaign: FAIL: %s\n  replay: %s\n" sv.Check.sv_reason
-          (Check.serve_replay_line sv);
-        `Error (false, "serving front-end crash check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if recovery then begin
-      match
-        let budget =
-          let b =
-            if quick then Check.smoke_recovery_budget else Check.quick_recovery_budget
-          in
-          {
-            b with
-            Check.rec_seeds = (if rec_seeds > 0 then rec_seeds else b.Check.rec_seeds);
-          }
-        in
-        let leg = Option.map Check.leg_of_string leg in
-        Check.check_recovery ~fault ~budget ~log ?leg ?crash:(opt crash_at)
-          ?crash2:(opt crash2) ?crash3:(opt crash3) ()
-      with
-      | Check.Recovery_pass { runs; boundaries } ->
-        Printf.printf
-          "recovery campaign: PASS (%d runs, %d recovery-time boundaries cut)\n" runs
-          boundaries;
-        `Ok ()
-      | Check.Recovery_fail rf ->
-        Printf.printf "recovery campaign: FAIL: %s\n  replay: %s\n" rf.Check.rcf_reason
-          (Check.recovery_replay_line rf);
-        `Error (false, "nested-crash recovery check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if daemons then begin
-      match
-        Check.check_daemons
-          ?seeds:(if quick then Some 2 else None)
-          ~rate:fault_rate ~log ?only_seed:daemon_seed ?crash:(opt crash_at) ()
-      with
-      | Check.Daemon_pass { runs; faults; restarts } ->
-        Printf.printf
-          "daemon campaign: PASS (%d runs, %d faults injected, %d restarts, state \
-           exact)\n"
-          runs faults restarts;
-        `Ok ()
-      | Check.Daemon_fail df ->
-        Printf.printf "daemon campaign: FAIL: %s\n  replay: %s\n" df.Check.df_reason
-          (Check.daemon_replay_line df);
-        `Error (false, "daemon fault-injection check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else if media then begin
-      match
-        let mode = Option.map Check.media_mode_of_string media_faults in
-        let crash = if crash_at > 0 then Some crash_at else None in
-        Check.check_media ~fault ~seeds:media_seeds ~log ?mode ?media_seed ?crash ()
-      with
-      | Check.Media_pass { runs; injected } ->
-        Printf.printf "media campaign: PASS (%d runs, %d faults injected, all detected)\n"
-          runs injected;
-        `Ok ()
-      | Check.Media_fail mf ->
-        Printf.printf "media campaign: FAIL: %s\n  replay: %s\n" mf.Check.mf_reason
-          (Check.media_replay_line mf);
-        `Error (false, "media-fault check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
-    end
-    else
-      let evict = if evict_frac > 0.0 then Some (evict_frac, evict_seed) else None in
-      match
-        let suts =
-          if system = "all" then
-            List.map (fun n -> Check.sut_of_name ~fault n) Check.sut_names
-          else [ Check.sut_of_name ~fault system ]
-        in
-        let check_one sut =
-          let txs = txs_or 2 in
-          let wls =
-            if workload = "all" then Check.workloads_for sut ~threads ~txs
-            else [ Check.workload_of_name ~threads ~txs workload ]
-          in
-          let replaying = sched <> None || crash_at > 0 in
-          if replaying then begin
-            let spec =
-              match sched with Some s -> Check.sched_of_string s | None -> Check.Default
-            in
-            let crash = if crash_at > 0 then Some crash_at else None in
-            List.fold_left
-              (fun acc wl ->
-                match Check.replay ?evict sut wl ~sched:spec ~crash with
-                | None ->
-                  Printf.printf "%s/%s sched=%s crash=%d: PASS\n" sut.Check.sut_name
-                    wl.Check.wl_name (Check.sched_to_string spec) crash_at;
-                  acc
-                | Some reason ->
-                  Printf.printf "%s/%s sched=%s crash=%d: FAIL: %s\n" sut.Check.sut_name
-                    wl.Check.wl_name (Check.sched_to_string spec) crash_at reason;
-                  1)
-              0 wls
-          end
-          else begin
-            let budget =
-              if deep then Check.deep_budget
-              else if quick then Check.quick_budget
-              else Check.tier1_budget ()
-            in
-            let budget =
-              {
-                budget with
-                Check.crash_sites =
-                  (if crash_budget > 0 then crash_budget else budget.Check.crash_sites);
-                sched_seeds =
-                  (if sched_seeds >= 0 then sched_seeds else budget.Check.sched_seeds);
-              }
-            in
-            match Check.check_system ~budget ~log ?evict sut wls with
-            | Check.Pass { runs; sites } ->
-              Printf.printf "%s: PASS (%d runs, %d crash boundaries covered)\n%!"
-                sut.Check.sut_name runs sites;
-              0
-            | Check.Fail f ->
-              Printf.printf "%s: FAIL: %s\n  replay: %s\n%!" sut.Check.sut_name
-                f.Check.f_reason (Check.replay_line f);
-              1
-          end
-        in
-        List.fold_left (fun acc sut -> acc + check_one sut) 0 suts
-      with
-      | 0 -> `Ok ()
-      | _ -> `Error (false, "consistency check failed")
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Config.Invalid_config msg -> `Error (false, msg)
+  let run campaign mutant budget verbose args =
+    let log = if verbose then fun s -> Printf.printf "  %s\n%!" s else ignore in
+    let budget = match budget with Some b -> b | None -> Check.budget_of_env () in
+    match
+      List.fold_left
+        (fun failed a ->
+          let r = Check.run ~log ~budget ~mutant campaign a in
+          Printf.printf "%s\n%!" (Check.summary r);
+          failed || match r with Check.Fail _ -> true | Check.Pass _ -> false)
+        false (Check.expand campaign args)
+    with
+    | false -> `Ok ()
+    | true -> `Error (false, campaign ^ " campaign failed")
+    | exception (Invalid_argument msg | Config.Invalid_config msg) -> `Error (true, msg)
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Systematic crash-consistency checking: enumerate power cuts at every persist \
-          boundary and explore thread schedules, verifying recovery against a state-machine \
-          oracle.  With --media, a media-fault campaign: seeded bit rot, poison, and stuck \
-          lines injected post-crash must always be repaired or reported.  With \
-          --recovery, a nested-crash campaign: power cuts inside attach and scrub (two \
-          deep) must converge to the uninterrupted recovery.  With --daemons, a \
-          fault-injection sweep over supervised pipeline daemons.  With --shards, a \
-          sharded cross-commit campaign: power cuts during cross-shard transfers must \
-          leave every transfer all-or-nothing under the recovery vote.  With --batch, \
-          a batch-boundary campaign: power cuts at every boundary of the pipelined \
-          group commit (including mid-pipeline) and re-crashed recoveries must \
-          preserve exactly the acknowledged durable prefix.  With --replica, a \
-          replicated-durability campaign: kill the primary while the redo log ships \
-          to quorum replicas over hostile links, promote, and require every \
-          quorum-acked transaction to survive.  With --migrate, a live-migration \
-          campaign: power cuts during a 4->8 resharding (double-write window, \
-          sealed handoff record, atomic descriptor flip) must leave every key on \
-          exactly one shard with no acknowledged write lost.  With --snapshot, a \
-          snapshot-read campaign: read-only snapshot readers run in volatile and \
-          durable-only mode against pair writers through power cuts; read-sets \
-          must never tear and durable-mode values must survive recovery.  With \
-          --serve, a serving front-end campaign: client sessions drive requests \
-          through the bounded queue, admission gate and durable-watermark acker; \
-          power cuts mid-burst must lose no acknowledged request and half-apply \
-          no unacknowledged one.")
-    Term.(
-      ret
-        (const run $ system $ workload $ threads $ txs $ deep $ quick $ crash_budget
-       $ sched_seeds $ mutate $ sched $ crash_at $ batch $ replica $ replica_count
-       $ replica_scenario $ shards $ shard_count $ migrate $ snapshot $ serve $ media
-       $ media_faults $ media_seed $ media_seeds $ evict $ evict_seed $ recovery
-       $ leg $ crash2 $ crash3 $ rec_seeds $ daemons $ daemon_seed $ fault_rate
-       $ verbose))
+         "Crash-consistency campaigns: power cuts at persist boundaries (and schedules, media \
+          faults, daemon faults) judged by each campaign's oracle.  Without a campaign flag, \
+          explore the systems x workloads x schedules.  A failure prints a replay line; \
+          passing it back replays exactly that case.")
+    Term.(ret (const run $ campaign $ mutate $ budget $ verbose $ args))
 
 (* ------------------------------- shard -------------------------------- *)
 

@@ -10,7 +10,240 @@ module Dude_ptm = Dudetm_baselines.Dude_ptm
 module Mnemosyne = Dudetm_baselines.Mnemosyne
 module Nvml = Dudetm_baselines.Nvml
 
+(* ------------------------------------------------------------------ *)
+(* Campaign kernel                                                    *)
+(* ------------------------------------------------------------------ *)
+
 exception Crash_now
+
+exception Failed of string
+
+let fail reason = raise (Failed reason)
+
+let judge = function None -> () | Some reason -> fail reason
+
+type budget = Smoke | Quick | Scaled of int | Deep
+
+let budget_of_env () =
+  if Sys.getenv_opt "DUDETM_CHECK_DEEP" = Some "1" then Deep
+  else
+    match Option.bind (Sys.getenv_opt "DUDETM_CHECK_BUDGET") int_of_string_opt with
+    | Some m when m > 1 -> Scaled m
+    | _ -> Scaled 1
+
+(* Power cuts per clean run for the cut-sweep campaigns. *)
+let cut_sites = function Deep -> 600 | Scaled m -> 60 * m | Smoke | Quick -> 60
+
+type params = (string * string) list
+
+let param p k =
+  match List.assoc_opt k p with Some v -> v | None -> invalid_arg ("Check: missing --" ^ k)
+
+let int_param p k = int_of_string (param p k)
+
+let set k v p = (k, v) :: List.remove_assoc k p
+
+let mutants =
+  [
+    (Config.Early_durable_publish, "early-durable", "explore");
+    (Config.Unfenced_reproduce, "unfenced-reproduce", "explore");
+    (Config.Skip_crc_verify, "skip-crc-verify", "media");
+    (Config.Skip_recovery_journal, "skip-recovery-journal", "recovery");
+    (Config.Skip_fragment_gate, "skip-fragment-gate", "shards");
+    (Config.Skip_batch_seal, "skip-batch-seal", "batch");
+    (Config.Skip_quorum_gate, "skip-quorum-gate", "replica");
+    (Config.Skip_handoff_seal, "skip-handoff-seal", "migrate");
+    (Config.Skip_snapshot_validate, "skip-snapshot-validate", "snapshot");
+    (Config.Skip_admission_gate, "skip-admission-gate", "serve");
+  ]
+
+let mutant_name f =
+  match List.find_opt (fun (g, _, _) -> g = f) mutants with Some (_, n, _) -> n | None -> "none"
+
+let mutant_of_name n =
+  match List.find_opt (fun (_, m, _) -> m = n) mutants with
+  | Some (f, _, _) -> f
+  | None when n = "none" -> Config.No_fault
+  | None -> invalid_arg ("Check: unknown mutant " ^ n)
+
+type failure = {
+  campaign : string;
+  mutant : Config.fault;
+  params : params;
+  cuts : int list;
+  reason : string;
+}
+
+type 'sys ctx = {
+  devices : 'sys -> Nvm.t array;
+  mutant : Config.fault;
+  vector : int list;
+  mutable lives : int list;  (* boundaries of each finished life, latest first *)
+  mutable armed : Nvm.t array;
+  mutable sites : int;
+  mutable tallies : (string * int) list;
+}
+
+(* Counters in first-seen order, e.g. the serve campaign's acked requests. *)
+let add_tally tallies (k, n) =
+  if List.mem_assoc k tallies then
+    List.map (fun (k', m) -> (k', if k' = k then m + n else m)) tallies
+  else tallies @ [ (k, n) ]
+
+let tally ctx k n = ctx.tallies <- add_tally ctx.tallies (k, n)
+
+let disarm ctx =
+  if Array.length ctx.armed > 0 then begin
+    Array.iter (fun n -> Nvm.set_persist_hook n None) ctx.armed;
+    ctx.armed <- [||];
+    ctx.lives <- ctx.sites :: ctx.lives
+  end
+
+(* Start the next life of the system: the persist hook on every device of
+   [sys] counts boundaries, runs [sample] (a watermark read at the
+   boundary captures exactly what was acknowledged when the power goes
+   out), and cuts power at this life's entry of the cut vector. *)
+let arm ?(sample = ignore) ctx sys =
+  disarm ctx;
+  let cut = Option.value (List.nth_opt ctx.vector (List.length ctx.lives)) ~default:0 in
+  let devs = ctx.devices sys in
+  ctx.sites <- 0;
+  ctx.armed <- devs;
+  let hook () =
+    ctx.sites <- ctx.sites + 1;
+    sample ();
+    if ctx.sites = cut then raise Crash_now
+  in
+  Array.iter (fun n -> Nvm.set_persist_hook n (Some hook)) devs
+
+(* [Some v] when [f] completed, [None] when the power was cut; engine
+   failures become the run's verdict.  The life is always disarmed. *)
+let guard ?(what = "engine") ctx f =
+  match f () with
+  | v ->
+    disarm ctx;
+    Some v
+  | exception Crash_now ->
+    disarm ctx;
+    None
+  | exception (Failed _ as e) ->
+    disarm ctx;
+    raise e
+  | exception Sched.Deadlock msg ->
+    disarm ctx;
+    fail ("deadlock: " ^ msg)
+  | exception e ->
+    disarm ctx;
+    fail (what ^ " raised " ^ Printexc.to_string e)
+
+(* Up to [n] boundaries out of [1..s], always covering both ends. *)
+let sample_sites ~s ~n =
+  if s <= 0 || n <= 0 then []
+  else if s <= n then List.init s (fun i -> i + 1)
+  else if n = 1 then [ 1 ]
+  else List.sort_uniq compare (List.init n (fun i -> 1 + (i * (s - 1) / (n - 1))))
+
+type point = {
+  at : params;
+  prefix : int list;
+  single : int -> int list;
+  deep : (int * int) option;
+}
+
+let point ?(prefix = []) ?deep ~single at = { at; prefix; single; deep }
+
+(* A coordinate is fixed (always present, with a default), a sweep
+   dimension (absent: swept, each value reported separately for [Each]),
+   or a case coordinate that selects the replay of one case. *)
+type kind = Fixed of string | Each of string list | Sweep | Case
+
+type coord = { flag : string; kind : kind; valid : string -> bool }
+
+type ('sys, 'obs) campaign = {
+  name : string;
+  doc : string;
+  coords : coord list;
+  depth : int;
+  devices : 'sys -> Nvm.t array;
+  run : 'sys ctx -> params -> 'obs;
+  oracle : params -> 'obs -> string option;
+  plan : budget -> params -> (params -> int list -> int) -> point Seq.t;
+  post : (string * int) list -> string option;
+  shrink : (params -> (int list * string) option) -> failure -> failure;
+}
+
+type report = {
+  campaign : string;
+  given : params;
+  runs : int;
+  boundaries : int;
+  tallies : (string * int) list;
+}
+
+type result = Pass of report | Fail of failure
+
+exception Found of failure
+
+let case c ~mutant at vector =
+  let ctx =
+    { devices = c.devices; mutant; vector; lives = []; armed = [||]; sites = 0; tallies = [] }
+  in
+  let verdict = try c.oracle at (c.run ctx at) with Failed reason -> Some reason in
+  disarm ctx;
+  (verdict, List.rev ctx.lives, ctx.tallies)
+
+let sweep ?(log = ignore) c ~mutant ~given points =
+  let runs = ref 0 and boundaries = ref 0 and tallies = ref [] in
+  let exec at vector =
+    incr runs;
+    let verdict, lives, ts = case c ~mutant at vector in
+    tallies := List.fold_left add_tally !tallies ts;
+    match verdict with
+    | Some reason -> raise (Found { campaign = c.name; mutant; params = at; cuts = vector; reason })
+    | None -> lives
+  in
+  let count at vector =
+    Option.value (List.nth_opt (exec at vector) (List.length vector)) ~default:0
+  in
+  let show at = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) at) in
+  match
+    Seq.iter
+      (fun pt ->
+        let c0 = count pt.at pt.prefix in
+        boundaries := !boundaries + c0;
+        let ks = pt.single c0 in
+        log
+          (Printf.sprintf "%s %s: %d boundaries, cutting at %d" c.name (show pt.at) c0
+             (List.length ks));
+        List.iter (fun k -> ignore (exec pt.at (pt.prefix @ [ k ]))) ks;
+        Option.iter
+          (fun (n1, n2) ->
+            List.iter
+              (fun k1 ->
+                let v1 = pt.prefix @ [ k1 ] in
+                let c1 = count pt.at v1 in
+                log
+                  (Printf.sprintf "%s %s: two deep after cut %d, %d boundaries" c.name
+                     (show pt.at) k1 c1);
+                List.iter (fun k2 -> ignore (exec pt.at (v1 @ [ k2 ]))) (sample_sites ~s:c1 ~n:n2))
+              (sample_sites ~s:c0 ~n:n1))
+          pt.deep)
+      (points count)
+  with
+  | () -> (
+    match c.post !tallies with
+    | None ->
+      Pass
+        { campaign = c.name; given; runs = !runs; boundaries = !boundaries; tallies = !tallies }
+    | Some reason -> Fail { campaign = c.name; mutant; params = given; cuts = []; reason })
+  | exception Found f -> Fail f
+
+(* First failure under [at]: its clean run, then ascending cuts. *)
+let first_failing c ~mutant ~scan at =
+  let ascending _ = Seq.return (point at ~single:(fun s -> List.init (min s scan) succ)) in
+  match sweep c ~mutant ~given:at ascending with
+  | Pass _ -> None
+  | Fail f -> Some (f.cuts, f.reason)
 
 (* ------------------------------------------------------------------ *)
 (* Systems under test                                                 *)
@@ -18,13 +251,7 @@ exception Crash_now
 
 type recovered = { rec_durable : int option; rec_peek : int -> int64 }
 
-type instance = {
-  ptm : Ptm.t;
-  inst_nvm : Nvm.t;
-  recover : unit -> recovered;
-}
-
-type sut = { sut_name : string; sut_static : bool; fresh : unit -> instance }
+type instance = { ptm : Ptm.t; nvm : Nvm.t; recover : unit -> recovered }
 
 (* Small layouts keep a single checked run in the low milliseconds: the
    budgets below run hundreds of them. *)
@@ -49,124 +276,88 @@ let dude_cfg ~combine ~fault =
     fault;
   }
 
-let fault_suffix = function
-  | Config.No_fault -> ""
-  | Config.Early_durable_publish -> "+early-durable"
-  | Config.Unfenced_reproduce -> "+unfenced-reproduce"
-  | Config.Skip_crc_verify -> "+skip-crc-verify"
-  | Config.Skip_recovery_journal -> "+skip-recovery-journal"
-  | Config.Skip_fragment_gate -> "+skip-fragment-gate"
-  | Config.Skip_batch_seal -> "+skip-batch-seal"
-  | Config.Skip_quorum_gate -> "+skip-quorum-gate"
-  | Config.Skip_handoff_seal -> "+skip-handoff-seal"
-  | Config.Skip_snapshot_validate -> "+skip-snapshot-validate"
-  | Config.Skip_admission_gate -> "+skip-admission-gate"
-
-let dude_like name (ptm_of_cfg, attach_of_cfg) ?(fault = Config.No_fault) () =
-  let cfg = dude_cfg ~combine:(name = "dude-combine") ~fault in
-  let fresh () =
-    let p, _t = ptm_of_cfg cfg in
-    let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-    {
-      ptm = p;
-      inst_nvm = nvm;
-      recover =
-        (fun () ->
-          let p2, _t2, report = attach_of_cfg cfg nvm in
-          { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek });
-    }
+let stm_instance cfg =
+  let p, _ = Dude_ptm.Stm.ptm cfg in
+  let nvm = Option.get p.Ptm.nvm in
+  let recover () =
+    let p2, _, report = Dude_ptm.Stm.attach_ptm cfg nvm in
+    { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
   in
-  { sut_name = name ^ fault_suffix fault; sut_static = false; fresh }
+  { ptm = p; nvm; recover }
 
-let stm_ctor = ((fun cfg -> Dude_ptm.Stm.ptm cfg), fun cfg nvm -> Dude_ptm.Stm.attach_ptm cfg nvm)
-
-let htm_ctor =
-  ((fun cfg -> Dude_ptm.Htm_based.ptm cfg), fun cfg nvm -> Dude_ptm.Htm_based.attach_ptm cfg nvm)
-
-let dude ?fault () = dude_like "dude" stm_ctor ?fault ()
-
-let dude_combine ?fault () = dude_like "dude-combine" stm_ctor ?fault ()
-
-let dude_htm () = dude_like "dude-htm" htm_ctor ()
-
-let mnemosyne () =
-  let cfg =
-    {
-      Mnemosyne.default_config with
-      Mnemosyne.heap_size = 1 lsl 16;
-      nthreads = 3;
-      log_size = 1 lsl 13;
-      seed = 7;
-    }
+let htm_instance cfg =
+  let p, _ = Dude_ptm.Htm_based.ptm cfg in
+  let nvm = Option.get p.Ptm.nvm in
+  let recover () =
+    let p2, _, report = Dude_ptm.Htm_based.attach_ptm cfg nvm in
+    { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
   in
-  let fresh () =
-    let m = Mnemosyne.create cfg in
-    let p = Mnemosyne.ptm_of m in
-    {
-      ptm = p;
-      inst_nvm = Mnemosyne.nvm m;
-      recover =
-        (fun () ->
-          ignore (Mnemosyne.recover m);
-          { rec_durable = None; rec_peek = p.Ptm.peek });
-    }
-  in
-  { sut_name = "mnemosyne"; sut_static = false; fresh }
+  { ptm = p; nvm; recover }
 
-let nvml () =
-  let cfg =
-    {
-      Nvml.default_config with
-      Nvml.heap_size = 1 lsl 16;
-      nthreads = 3;
-      log_size = 1 lsl 13;
-      seed = 7;
-    }
-  in
-  let fresh () =
-    let n = Nvml.create cfg in
-    let p = Nvml.ptm_of n in
-    {
-      ptm = p;
-      inst_nvm = Nvml.nvm n;
-      recover =
-        (fun () ->
-          ignore (Nvml.recover n);
-          { rec_durable = None; rec_peek = p.Ptm.peek });
-    }
-  in
-  { sut_name = "nvml"; sut_static = true; fresh }
+let no_durable p = { rec_durable = None; rec_peek = p.Ptm.peek }
 
-let sut_names = [ "dude"; "dude-combine"; "dude-htm"; "mnemosyne"; "nvml" ]
+let mnemosyne_instance () =
+  let m =
+    Mnemosyne.create
+      {
+        Mnemosyne.default_config with
+        Mnemosyne.heap_size = 1 lsl 16;
+        nthreads = 3;
+        log_size = 1 lsl 13;
+        seed = 7;
+      }
+  in
+  let p = Mnemosyne.ptm_of m in
+  let recover () =
+    ignore (Mnemosyne.recover m);
+    no_durable p
+  in
+  { ptm = p; nvm = Mnemosyne.nvm m; recover }
 
-let sut_of_name ?fault name =
-  match name with
-  | "dude" -> dude ?fault ()
-  | "dude-combine" -> dude_combine ?fault ()
-  | "dude-htm" -> dude_htm ()
-  | "mnemosyne" -> mnemosyne ()
-  | "nvml" -> nvml ()
-  | s -> invalid_arg ("Check.sut_of_name: unknown system " ^ s)
+let nvml_instance () =
+  let n =
+    Nvml.create
+      {
+        Nvml.default_config with
+        Nvml.heap_size = 1 lsl 16;
+        nthreads = 3;
+        log_size = 1 lsl 13;
+        seed = 7;
+      }
+  in
+  let p = Nvml.ptm_of n in
+  let recover () =
+    ignore (Nvml.recover n);
+    no_durable p
+  in
+  { ptm = p; nvm = Nvml.nvm n; recover }
+
+(* Mutants seed bugs into the software-TM DudeTM variants only. *)
+let systems =
+  [
+    ("dude", fun fault -> stm_instance (dude_cfg ~combine:false ~fault));
+    ("dude-combine", fun fault -> stm_instance (dude_cfg ~combine:true ~fault));
+    ("dude-htm", fun _ -> htm_instance (dude_cfg ~combine:false ~fault:Config.No_fault));
+    ("mnemosyne", fun _ -> mnemosyne_instance ());
+    ("nvml", fun _ -> nvml_instance ());
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* Workloads                                                          *)
+(* Counter-family workloads                                           *)
 (* ------------------------------------------------------------------ *)
 
 type workload = {
-  wl_name : string;
   threads : int;
   txs_per_thread : int;
-  wl_static : bool;
   wl_wset : int list option;
   tx_body : Ptm.tx -> unit;
-  wl_root : int;
   check_state : peek:(int -> int64) -> k:int -> string option;
 }
 
 (* Counter family: transaction number i (in serialization order) always
-   writes the root counter to i, so the whole durable state is a function
-   of the recovered counter alone — which transaction ran on which thread
-   never matters. *)
+   writes the root counter (address 0) to i, so the whole durable state is
+   a function of the recovered counter alone — which transaction ran on
+   which thread never matters. *)
 let slot_addr j = 8 + (8 * j)
 
 let slot_check ~slots ~stamp ~peek ~k =
@@ -184,181 +375,65 @@ let slot_check ~slots ~stamp ~peek ~k =
   done;
   !bad
 
-let counter_family name ~slots ~stamp ~threads ~txs =
+let counter_family ~slots ~stamp ~threads ~txs =
   {
-    wl_name = name;
     threads;
     txs_per_thread = txs;
-    wl_static = false;
     wl_wset = None;
     tx_body =
       (fun tx ->
         let c1 = 1 + Int64.to_int (tx.Ptm.read 0) in
         List.iter (fun j -> tx.Ptm.write (slot_addr j) (Int64.of_int c1)) (stamp c1);
         tx.Ptm.write 0 (Int64.of_int c1));
-    wl_root = 0;
     check_state = (fun ~peek ~k -> slot_check ~slots ~stamp ~peek ~k);
   }
 
-let counter ~threads ~txs =
-  let slots = 8 in
-  counter_family "counter" ~slots ~stamp:(fun i -> [ i mod slots ]) ~threads ~txs
-
-let overlap ~threads ~txs =
-  let slots = 5 in
-  counter_family "overlap" ~slots
-    ~stamp:(fun i -> [ i mod slots; (i + 1) mod slots ])
-    ~threads ~txs
-
-let counter1 ~threads ~txs =
-  {
-    wl_name = "counter1";
-    threads;
-    txs_per_thread = txs;
-    wl_static = true;
-    wl_wset = Some [ 0 ];
-    tx_body =
-      (fun tx ->
-        let c1 = 1 + Int64.to_int (tx.Ptm.read 0) in
-        tx.Ptm.write 0 (Int64.of_int c1));
-    wl_root = 0;
-    check_state = (fun ~peek:_ ~k:_ -> None);
-  }
+let counter ~threads ~txs = counter_family ~slots:8 ~stamp:(fun i -> [ i mod 8 ]) ~threads ~txs
 
 let workload_of_name ~threads ~txs = function
   | "counter" -> counter ~threads ~txs
-  | "overlap" -> overlap ~threads ~txs
-  | "counter1" -> counter1 ~threads ~txs
-  | s -> invalid_arg ("Check.workload_of_name: unknown workload " ^ s)
-
-let workloads_for sut ~threads ~txs =
-  if sut.sut_static then [ counter1 ~threads ~txs ]
-  else [ counter ~threads ~txs; overlap ~threads ~txs ]
-
-(* ------------------------------------------------------------------ *)
-(* Budgets                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type budget = {
-  crash_sites : int;
-  sched_seeds : int;
-  crash_sites_per_seed : int;
-  exhaustive_runs : int;
-  exhaustive_depth : int;
-}
-
-let base_budget =
-  {
-    crash_sites = 40;
-    sched_seeds = 3;
-    crash_sites_per_seed = 8;
-    exhaustive_runs = 24;
-    exhaustive_depth = 6;
-  }
-
-let deep_budget =
-  {
-    crash_sites = 400;
-    sched_seeds = 12;
-    crash_sites_per_seed = 40;
-    exhaustive_runs = 300;
-    exhaustive_depth = 10;
-  }
-
-let quick_budget = base_budget
-
-let tier1_budget () =
-  if Sys.getenv_opt "DUDETM_CHECK_DEEP" = Some "1" then deep_budget
-  else
-    match Option.bind (Sys.getenv_opt "DUDETM_CHECK_BUDGET") int_of_string_opt with
-    | Some m when m > 1 ->
-      {
-        crash_sites = base_budget.crash_sites * m;
-        sched_seeds = base_budget.sched_seeds;
-        crash_sites_per_seed = base_budget.crash_sites_per_seed * m;
-        exhaustive_runs = base_budget.exhaustive_runs * m;
-        exhaustive_depth = base_budget.exhaustive_depth + 2;
-      }
-    | _ -> base_budget
+  (* Adversarial: every transaction stamps two overlapping slots. *)
+  | "overlap" -> counter_family ~slots:5 ~stamp:(fun i -> [ i mod 5; (i + 1) mod 5 ]) ~threads ~txs
+  (* Single cell with a declared write set: the only workload expressible
+     as a static transaction (NVML). *)
+  | "counter1" ->
+    {
+      threads;
+      txs_per_thread = txs;
+      wl_wset = Some [ 0 ];
+      tx_body = (fun tx -> tx.Ptm.write 0 (Int64.of_int (1 + Int64.to_int (tx.Ptm.read 0))));
+      check_state = (fun ~peek:_ ~k:_ -> None);
+    }
+  | s -> invalid_arg ("Check: unknown workload " ^ s)
 
 (* ------------------------------------------------------------------ *)
-(* One checked run                                                    *)
+(* One workload life and the crash oracle                             *)
 (* ------------------------------------------------------------------ *)
-
-type sched_spec = Default | Seed of int | Prefix of int list
-
-let sched_to_string = function
-  | Default -> "default"
-  | Seed n -> Printf.sprintf "seed:%d" n
-  | Prefix l -> "prefix:" ^ String.concat "," (List.map string_of_int l)
-
-let sched_of_string s =
-  let bad () = invalid_arg ("Check.sched_of_string: " ^ s) in
-  if s = "default" then Default
-  else
-    match String.index_opt s ':' with
-    | None -> bad ()
-    | Some i -> (
-      let kind = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match kind with
-      | "seed" -> ( match int_of_string_opt rest with Some n -> Seed n | None -> bad ())
-      | "prefix" ->
-        if rest = "" then Prefix []
-        else
-          Prefix
-            (List.map
-               (fun c -> match int_of_string_opt c with Some n -> n | None -> bad ())
-               (String.split_on_char ',' rest))
-      | _ -> bad ())
-
-let strategy_of = function
-  | Default -> Sched.min_clock
-  | Seed n -> Sched.random_priority ~seed:n
-  | Prefix l ->
-    let arr = Array.of_list l in
-    Sched.Choice
-      (fun ~step ~candidates:_ -> if step < Array.length arr then arr.(step) else 0)
 
 type outcome = {
-  oc_sites : int;
-  oc_crashed : bool;
-  oc_deadlock : string option;
-  oc_committed : int;
-  oc_acked : int;
-  oc_last_tid : int;
-  oc_monitor : string option;
-  oc_survivors : int list;
-  oc_recov : recovered;
+  wl : workload;
+  quiescent : bool;
+  committed : int;
+  acked : int;
+  last_tid : int;
+  monitor : string option;
+  recov : recovered;
+  note : string;  (* appended to a failure: what the adversary did *)
 }
 
-(* Run the workload once under [strategy].  [crash = Some k] cuts power at
-   the [k]-th persist boundary; [crash = None] runs to quiescence.  Either
-   way the device then loses all volatile state and the system recovers.
-   [evict = Some (fraction, seed)] leaks a seeded random subset of dirty
-   cache lines into the persisted image at the power cut — the surviving
-   lines are recorded in the outcome, so (fraction, seed) makes the
-   eviction exactly replayable. *)
-let run_once ?evict ~sut ~wl ~strategy ~crash () =
-  let inst = sut.fresh () in
+(* Run [wl] on [inst] under [strategy] as one life (power cut at the life's
+   entry of the cut vector), then the device loses all volatile state and
+   the system recovers.  [evict = Some (fraction, seed)] leaks a seeded
+   random subset of dirty cache lines into the persisted image at the
+   power cut; the surviving lines are named in the outcome's note. *)
+let workload_life ?evict ?(strategy = Sched.min_clock) ctx ~quiescent ~wl inst =
   let p = inst.ptm in
-  let sites = ref 0 in
-  let crashed = ref false in
-  let acked = ref 0 in
-  let monitor_err = ref None in
-  let committed = ref 0 in
+  let acked = ref 0 and monitor = ref None and committed = ref 0 in
+  let note_acked d = if d > !acked then acked := d in
+  (* Armed only now: device formatting happens before any transaction
+     exists, so its persists are not crash candidates. *)
+  arm ctx inst.nvm ~sample:(fun () -> note_acked (p.Ptm.durable_id ()));
   let main () =
-    (* Installed only now: device formatting during [fresh] happens before
-       any transaction exists, so its persists are not crash candidates. *)
-    Nvm.set_persist_hook inst.inst_nvm
-      (Some
-         (fun () ->
-           incr sites;
-           (* Sampling the durable ID at the boundary captures exactly what
-              was acknowledged when the power goes out. *)
-           let d = p.Ptm.durable_id () in
-           if d > !acked then acked := d;
-           match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
     p.Ptm.start ();
     let last_d = ref 0 in
     ignore
@@ -367,14 +442,12 @@ let run_once ?evict ~sut ~wl ~strategy ~crash () =
              while true do
                let d = p.Ptm.durable_id () in
                let l = p.Ptm.last_tid () in
-               if d < !last_d && !monitor_err = None then
-                 monitor_err :=
-                   Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-               if d > l && !monitor_err = None then
-                 monitor_err :=
-                   Some (Printf.sprintf "durable id %d ahead of last issued tid %d" d l);
+               if d < !last_d && !monitor = None then
+                 monitor := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
+               if d > l && !monitor = None then
+                 monitor := Some (Printf.sprintf "durable id %d ahead of last issued tid %d" d l);
                if d > !last_d then last_d := d;
-               if d > !acked then acked := d;
+               note_acked d;
                Sched.advance 100
              done
            with Sched.Killed -> ()));
@@ -393,347 +466,231 @@ let run_once ?evict ~sut ~wl ~strategy ~crash () =
     p.Ptm.drain ();
     p.Ptm.stop ()
   in
-  let deadlock = ref None in
-  (try ignore (Sched.run ~strategy main) with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> deadlock := Some ("deadlock: " ^ msg)
-  | e -> deadlock := Some ("engine raised " ^ Printexc.to_string e));
+  ignore (guard ctx (fun () -> Sched.run ~strategy main));
   (* Nothing ran since the cut, so this still reads the pre-crash value. *)
-  let d = p.Ptm.durable_id () in
-  if d > !acked then acked := d;
+  note_acked (p.Ptm.durable_id ());
   let last_tid = p.Ptm.last_tid () in
-  Nvm.set_persist_hook inst.inst_nvm None;
-  (match evict with
-  | Some (fraction, seed) ->
-    Nvm.crash ~evict_fraction:fraction ~rng:(Rng.create seed) inst.inst_nvm
-  | None -> Nvm.crash inst.inst_nvm);
-  let survivors = Nvm.last_crash_survivors inst.inst_nvm in
-  let recov =
-    try inst.recover ()
-    with e ->
-      deadlock := Some ("recovery raised " ^ Printexc.to_string e);
-      { rec_durable = None; rec_peek = (fun _ -> 0L) }
+  let note =
+    match evict with
+    | None ->
+      Nvm.crash inst.nvm;
+      ""
+    | Some (fraction, seed) -> (
+      Nvm.crash ~evict_fraction:fraction ~rng:(Rng.create seed) inst.nvm;
+      match Nvm.last_crash_survivors inst.nvm with
+      | [] -> " (no dirty lines survived the cut)"
+      | l -> " (surviving lines: " ^ String.concat "," (List.map string_of_int l) ^ ")")
   in
+  let recov = try inst.recover () with e -> fail ("recovery raised " ^ Printexc.to_string e) in
   {
-    oc_sites = !sites;
-    oc_crashed = !crashed;
-    oc_deadlock = !deadlock;
-    oc_committed = !committed;
-    oc_acked = !acked;
-    oc_last_tid = last_tid;
-    oc_monitor = !monitor_err;
-    oc_survivors = survivors;
-    oc_recov = recov;
+    wl;
+    quiescent;
+    committed = !committed;
+    acked = !acked;
+    last_tid;
+    monitor = !monitor;
+    recov;
+    note;
   }
 
-let verify ~wl ~quiescent (o : outcome) =
-  match o.oc_deadlock with
+(* After every recovery: atomicity (the image is the model state of some
+   commit prefix k), durability of everything acknowledged, durable-ID
+   sanity, agreement with recovery's own durable ID, and no loss at
+   quiescence.  Torn log records are covered implicitly: a recovery that
+   accepts one replays garbage and fails the model check. *)
+let verify o =
+  match o.monitor with
   | Some m -> Some m
   | None -> (
-    match o.oc_monitor with
-    | Some m -> Some m
-    | None -> (
-      let peek = o.oc_recov.rec_peek in
-      let k = Int64.to_int (peek wl.wl_root) in
-      if k < 0 then Some (Printf.sprintf "recovered counter is negative: %d" k)
-        (* A transaction can be mid-acknowledgment per thread, so the
-           recovered counter may exceed the last *observed* issued ID by at
-           most the thread count. *)
-      else if k > o.oc_last_tid + wl.threads then
-        Some
-          (Printf.sprintf "recovered counter %d beyond issued ids (last tid %d)" k
-             o.oc_last_tid)
-      else if k < o.oc_acked then
-        Some
-          (Printf.sprintf
-             "durability lost: durable id %d was acknowledged, recovery found only %d"
-             o.oc_acked k)
-      else
-        match o.oc_recov.rec_durable with
-        | Some d when d <> k ->
+    let peek = o.recov.rec_peek in
+    let k = Int64.to_int (peek 0) in
+    if k < 0 then Some (Printf.sprintf "recovered counter is negative: %d" k)
+      (* A transaction can be mid-acknowledgment per thread, so the
+         recovered counter may exceed the last *observed* issued ID by at
+         most the thread count. *)
+    else if k > o.last_tid + o.wl.threads then
+      Some (Printf.sprintf "recovered counter %d beyond issued ids (last tid %d)" k o.last_tid)
+    else if k < o.acked then
+      Some
+        (Printf.sprintf "durability lost: durable id %d was acknowledged, recovery found only %d"
+           o.acked k)
+    else
+      match o.recov.rec_durable with
+      | Some d when d <> k ->
+        Some (Printf.sprintf "recovery reports durable id %d but the data image shows %d" d k)
+      | _ ->
+        if o.quiescent && k <> o.committed then
           Some
-            (Printf.sprintf "recovery reports durable id %d but the data image shows %d" d k)
-        | _ ->
-          if quiescent && k <> o.oc_committed then
-            Some
-              (Printf.sprintf "quiescent crash lost transactions: committed %d, recovered %d"
-                 o.oc_committed k)
-          else wl.check_state ~peek ~k))
+            (Printf.sprintf "quiescent crash lost transactions: committed %d, recovered %d"
+               o.committed k)
+        else o.wl.check_state ~peek ~k)
 
-let run_and_verify ?evict ~sut ~wl ~spec ~crash () =
-  let o = run_once ?evict ~sut ~wl ~strategy:(strategy_of spec) ~crash () in
-  (verify ~wl ~quiescent:(crash = None && evict = None) o, o)
-
-let replay ?evict sut wl ~sched ~crash = fst (run_and_verify ?evict ~sut ~wl ~spec:sched ~crash ())
-
-let count_sites sut wl ~sched =
-  (run_once ~sut ~wl ~strategy:(strategy_of sched) ~crash:None ()).oc_sites
+let verify_noted o = Option.map (fun r -> r ^ o.note) (verify o)
 
 (* ------------------------------------------------------------------ *)
-(* Exploration                                                        *)
+(* explore: systems x workloads x schedules                           *)
 (* ------------------------------------------------------------------ *)
 
-type failure = {
-  f_system : string;
-  f_workload : string;
-  f_threads : int;
-  f_txs : int;
-  f_sched : sched_spec;
-  f_crash : int option;
-  f_evict : (float * int) option;
-  f_survivors : int list;
-  f_reason : string;
+type explore_budget = {
+  crash_sites : int;
+  sched_seeds : int;
+  crash_sites_per_seed : int;
+  exhaustive_runs : int;
+  exhaustive_depth : int;
 }
 
-type report = Pass of { runs : int; sites : int } | Fail of failure
+let explore_budget = function
+  | Smoke ->
+    {
+      crash_sites = 25;
+      sched_seeds = 2;
+      crash_sites_per_seed = 6;
+      exhaustive_runs = 12;
+      exhaustive_depth = 5;
+    }
+  | Quick | Scaled 1 ->
+    {
+      crash_sites = 40;
+      sched_seeds = 3;
+      crash_sites_per_seed = 8;
+      exhaustive_runs = 24;
+      exhaustive_depth = 6;
+    }
+  | Scaled m ->
+    {
+      crash_sites = 40 * m;
+      sched_seeds = 3;
+      crash_sites_per_seed = 8 * m;
+      exhaustive_runs = 24 * m;
+      exhaustive_depth = 8;
+    }
+  | Deep ->
+    {
+      crash_sites = 400;
+      sched_seeds = 12;
+      crash_sites_per_seed = 40;
+      exhaustive_runs = 300;
+      exhaustive_depth = 10;
+    }
 
-let replay_line f =
-  (* "dude+early-durable" round-trips as --system dude --mutate early-durable *)
-  let system, mutate =
-    match String.index_opt f.f_system '+' with
-    | None -> (f.f_system, "")
-    | Some i ->
-      ( String.sub f.f_system 0 i,
-        " --mutate " ^ String.sub f.f_system (i + 1) (String.length f.f_system - i - 1) )
+(* Scheduling decisions (step, candidates, choice) of the last run under a
+   scripted prefix: the bounded DFS branches on them. *)
+let decisions = ref []
+
+(* "default" (min-clock order), "seed:N" (seeded random preemption) or
+   "prefix:c0,c1,..." (scripted decision-point choices, then default). *)
+let strategy_of s =
+  let bad () = invalid_arg ("Check: bad schedule " ^ s) in
+  let num n = match int_of_string_opt n with Some n -> n | None -> bad () in
+  match String.split_on_char ':' s with
+  | [ "default" ] -> Sched.min_clock
+  | [ "seed"; n ] -> Sched.random_priority ~seed:(num n)
+  | [ "prefix"; l ] ->
+    let arr = Array.of_list (if l = "" then [] else List.map num (String.split_on_char ',' l)) in
+    decisions := [];
+    Sched.Choice
+      (fun ~step ~candidates ->
+        let c = if step < Array.length arr then arr.(step) else 0 in
+        decisions := (step, candidates, c) :: !decisions;
+        c)
+  | _ -> bad ()
+
+let valid_sched s = match strategy_of s with _ -> true | exception Invalid_argument _ -> false
+
+let evict_of at =
+  let f = float_of_string (param at "evict") in
+  if f > 0. then Some (f, int_param at "evict-seed") else None
+
+let explore_run ctx at =
+  let wl =
+    workload_of_name ~threads:(int_param at "threads") ~txs:(int_param at "txs")
+      (param at "workload")
   in
-  Printf.sprintf "dudetm check --system %s%s --workload %s --threads %d --txs %d --sched %s%s%s%s"
-    system mutate f.f_workload f.f_threads f.f_txs (sched_to_string f.f_sched)
-    (match f.f_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (match f.f_evict with
-    | None -> ""
-    | Some (fr, seed) -> Printf.sprintf " --evict %g --evict-seed %d" fr seed)
-    (match (f.f_evict, f.f_survivors) with
-    | Some _, [] -> "  # no dirty lines survived the cut"
-    | Some _, l ->
-      "  # surviving lines: " ^ String.concat "," (List.map string_of_int l)
-    | None, _ -> "")
+  let evict = evict_of at in
+  let strategy = strategy_of (param at "sched") in
+  let inst = (List.assoc (param at "system") systems) ctx.mutant in
+  workload_life ?evict ~strategy ctx ~quiescent:(ctx.vector = [] && evict = None) ~wl inst
 
-(* Up to [n] boundaries out of [1..s], always covering both ends. *)
-let sample_sites ~s ~n =
-  if s <= 0 || n <= 0 then []
-  else if s <= n then List.init s (fun i -> i + 1)
-  else if n = 1 then [ 1 ]
-  else
-    List.sort_uniq compare (List.init n (fun i -> 1 + (i * (s - 1) / (n - 1))))
-
-(* First failing case under one schedule: the quiescent run first (it also
-   counts boundaries), then crash boundaries in ascending order. *)
-let first_failing ?evict ~sut ~wl ~spec ~max_sites ~sample ~runs ~sites_total () =
-  incr runs;
-  let err0, o0 = run_and_verify ?evict ~sut ~wl ~spec ~crash:None () in
-  sites_total := !sites_total + o0.oc_sites;
-  match err0 with
-  | Some r -> Some (None, r)
-  | None ->
-    let site_list =
-      if sample then sample_sites ~s:o0.oc_sites ~n:max_sites
-      else List.init (min o0.oc_sites max_sites) (fun i -> i + 1)
-    in
-    List.fold_left
-      (fun found k ->
-        match found with
-        | Some _ -> found
-        | None -> (
-          incr runs;
-          match replay ?evict sut wl ~sched:spec ~crash:(Some k) with
-          | Some r -> Some (Some k, r)
-          | None -> None))
-      None site_list
-
-let shrink ?evict ~sut ~wl ~spec ~crash ~reason ~runs ~sites_total () =
-  let scan = 120 in
-  let best = ref (wl, spec, crash, reason) in
-  (* A default-schedule reproduction beats any seed. *)
-  (if spec <> Default then
-     match
-       first_failing ?evict ~sut ~wl ~spec:Default ~max_sites:scan ~sample:false ~runs
-         ~sites_total ()
-     with
-     | Some (c, r) -> best := (wl, Default, c, r)
-     | None -> ());
-  (* Fewest transactions per thread. *)
-  let bwl, bspec, _, _ = !best in
-  (try
-     for txs = 1 to bwl.txs_per_thread - 1 do
-       let wl' = { bwl with txs_per_thread = txs } in
-       match
-         first_failing ?evict ~sut ~wl:wl' ~spec:bspec ~max_sites:scan ~sample:false ~runs
-           ~sites_total ()
-       with
-       | Some (c, r) ->
-         best := (wl', bspec, c, r);
-         raise Exit
-       | None -> ()
-     done
-   with Exit -> ());
-  (* Earliest failing crash boundary (ascending scans above already are). *)
-  let bwl, bspec, bcrash, _ = !best in
-  (match bcrash with
-  | Some k when k > 1 ->
-    (try
-       for k' = 1 to min (k - 1) scan do
-         incr runs;
-         match replay ?evict sut bwl ~sched:bspec ~crash:(Some k') with
-         | Some r ->
-           best := (bwl, bspec, Some k', r);
-           raise Exit
-         | None -> ()
-       done
-     with Exit -> ())
-  | _ -> ());
-  !best
-
-let fail_of ~sut ?evict ?(survivors = []) (wl, spec, crash, reason) =
-  {
-    f_system = sut.sut_name;
-    f_workload = wl.wl_name;
-    f_threads = wl.threads;
-    f_txs = wl.txs_per_thread;
-    f_sched = spec;
-    f_crash = crash;
-    f_evict = evict;
-    f_survivors = survivors;
-    f_reason = reason;
-  }
-
-let take n l =
-  let rec go n = function x :: tl when n > 0 -> x :: go (n - 1) tl | _ -> [] in
-  go n l
+let take n l = List.filteri (fun i _ -> i < n) l
 
 (* Bounded exhaustive DFS over the first [exhaustive_depth] scheduling
    decision points.  Every explored schedule runs to quiescence and then
    loses power, so the oracle additionally proves no committed transaction
-   is lost under any of these interleavings. *)
-let explore ~sut ~wl ~budget ~runs ~sites_total =
-  let stack = ref [ [] ] in
-  let count = ref 0 in
-  let result = ref None in
-  while !stack <> [] && !count < budget.exhaustive_runs && !result = None do
+   is lost under any of these interleavings.  Children are pushed once the
+   parent's run has logged its decisions. *)
+let dfs_points b at =
+  let stack = ref [ [] ] and count = ref 0 in
+  let rec next () =
     match !stack with
-    | [] -> ()
-    | prefix :: rest ->
+    | prefix :: rest when !count < b.exhaustive_runs ->
       stack := rest;
       incr count;
-      incr runs;
-      let arr = Array.of_list prefix in
-      let dlog = ref [] in
-      let strategy =
-        Sched.Choice
-          (fun ~step ~candidates ->
-            let c = if step < Array.length arr then arr.(step) else 0 in
-            if step < budget.exhaustive_depth then dlog := (step, candidates, c) :: !dlog;
-            c)
-      in
-      let o = run_once ~sut ~wl ~strategy ~crash:None () in
-      sites_total := !sites_total + o.oc_sites;
-      (match verify ~wl ~quiescent:true o with
-      | Some r -> result := Some (wl, Prefix prefix, None, r)
-      | None ->
-        let taken = List.sort compare !dlog in
-        let chosen = List.map (fun (_, _, c) -> c) taken in
-        let plen = List.length prefix in
-        List.iter
-          (fun (step, candidates, _) ->
-            if step >= plen then
-              for c = candidates - 1 downto 1 do
-                stack := (take step chosen @ [ c ]) :: !stack
-              done)
-          taken)
-  done;
-  !result
+      let sched = "prefix:" ^ String.concat "," (List.map string_of_int prefix) in
+      Seq.Cons
+        ( point (set "sched" sched at) ~single:(fun _ -> []),
+          fun () ->
+            let taken =
+              List.sort compare (List.filter (fun (s, _, _) -> s < b.exhaustive_depth) !decisions)
+            in
+            let chosen = List.map (fun (_, _, c) -> c) taken in
+            List.iter
+              (fun (step, candidates, _) ->
+                if step >= List.length prefix then
+                  for c = candidates - 1 downto 1 do
+                    stack := (take step chosen @ [ c ]) :: !stack
+                  done)
+              taken;
+            next () )
+    | _ -> Seq.Nil
+  in
+  next
 
-let check_system ?(budget = tier1_budget ()) ?(log = fun _ -> ()) ?evict sut wls =
-  let runs = ref 0 in
-  let sites_total = ref 0 in
-  let failure = ref None in
-  let note wl what = log (Printf.sprintf "%s/%s: %s" sut.sut_name wl.wl_name what) in
-  List.iter
-    (fun wl ->
-      if !failure = None then begin
-        note wl
-          (Printf.sprintf "crash sweep, default schedule (up to %d boundaries)"
-             budget.crash_sites);
-        (match
-           first_failing ?evict ~sut ~wl ~spec:Default ~max_sites:budget.crash_sites
-             ~sample:true ~runs ~sites_total ()
-         with
-        | Some (c, r) -> failure := Some (wl, Default, c, r)
-        | None ->
-          (try
-             for seed = 1 to budget.sched_seeds do
-               note wl (Printf.sprintf "crash sweep, random schedule seed %d" seed);
-               match
-                 first_failing ?evict ~sut ~wl ~spec:(Seed seed)
-                   ~max_sites:budget.crash_sites_per_seed ~sample:true ~runs ~sites_total ()
-               with
-               | Some (c, r) ->
-                 failure := Some (wl, Seed seed, c, r);
-                 raise Exit
-               | None -> ()
-             done
-           with Exit -> ());
-          if !failure = None && evict = None then begin
-            note wl
-              (Printf.sprintf "exhaustive schedule exploration (%d runs, depth %d)"
-                 budget.exhaustive_runs budget.exhaustive_depth);
-            match explore ~sut ~wl ~budget ~runs ~sites_total with
-            | Some (wl', spec, c, r) -> failure := Some (wl', spec, c, r)
-            | None -> ()
-          end)
-      end)
-    wls;
-  match !failure with
-  | None -> Pass { runs = !runs; sites = !sites_total }
-  | Some (wl, spec, crash, reason) ->
-    note wl (Printf.sprintf "FAILED (%s); shrinking" reason);
-    let bwl, bspec, bcrash, breason =
-      shrink ?evict ~sut ~wl ~spec ~crash ~reason ~runs ~sites_total ()
-    in
-    (* Rerun the shrunk case once to record which dirty lines leaked: the
-       failure one-liner then pins down the eviction exactly. *)
-    let survivors =
-      match evict with
-      | None -> []
-      | Some _ ->
-        incr runs;
-        (snd (run_and_verify ?evict ~sut ~wl:bwl ~spec:bspec ~crash:bcrash ())).oc_survivors
-    in
-    Fail (fail_of ~sut ?evict ~survivors (bwl, bspec, bcrash, breason))
+(* Per workload: a crash sweep under the default schedule, then under
+   seeded random preemption, then (without the eviction adversary) the
+   bounded DFS. *)
+let explore_plan budget at _count =
+  let b = explore_budget budget in
+  let wls =
+    match List.assoc_opt "workload" at with
+    | Some w -> [ w ]
+    | None -> if param at "system" = "nvml" then [ "counter1" ] else [ "counter"; "overlap" ]
+  in
+  Seq.concat_map
+    (fun w ->
+      let at = set "workload" w at in
+      let pt sched n = point (set "sched" sched at) ~single:(fun s -> sample_sites ~s ~n) in
+      Seq.append
+        (List.to_seq
+           (pt "default" b.crash_sites
+           :: List.init b.sched_seeds (fun i ->
+                  pt (Printf.sprintf "seed:%d" (i + 1)) b.crash_sites_per_seed)))
+        (if evict_of at = None then dfs_points b at else Seq.empty))
+    (List.to_seq wls)
+
+(* Shrink to the default schedule if it reproduces, then to the fewest
+   transactions per thread, then to the earliest failing boundary; each
+   probe is a clean run plus an ascending scan of cuts. *)
+let explore_shrink first f =
+  let retry f at =
+    Option.map (fun (cuts, reason) -> { f with params = at; cuts; reason }) (first at)
+  in
+  let f =
+    if param f.params "sched" = "default" then f
+    else Option.value (retry f (set "sched" "default" f.params)) ~default:f
+  in
+  let rec fewer txs =
+    if txs >= int_param f.params "txs" then f
+    else
+      match retry f (set "txs" (string_of_int txs) f.params) with
+      | Some g -> g
+      | None -> fewer (txs + 1)
+  in
+  let f = fewer 1 in
+  match f.cuts with [ k ] when k > 1 -> Option.value (retry f f.params) ~default:f | _ -> f
 
 (* ------------------------------------------------------------------ *)
-(* Media-fault campaign                                               *)
+(* media: seeded media faults after the power cut                     *)
 (* ------------------------------------------------------------------ *)
-
-type media_mode = Heap_rot | Mixed
-
-let media_mode_to_string = function Heap_rot -> "heap" | Mixed -> "mixed"
-
-let media_mode_of_string = function
-  | "heap" -> Heap_rot
-  | "mixed" -> Mixed
-  | s -> invalid_arg ("Check.media_mode_of_string: unknown fault mix " ^ s)
-
-type media_failure = {
-  mf_mode : media_mode;
-  mf_seed : int;
-  mf_crash : int option;
-  mf_fault : Config.fault;
-  mf_faults : string;
-  mf_reason : string;
-}
-
-type media_report = Media_pass of { runs : int; injected : int } | Media_fail of media_failure
-
-let media_replay_line mf =
-  Printf.sprintf "dudetm check --media%s --media-seed %d --faults %s%s  # injected: %s"
-    (match mf.mf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    mf.mf_seed (media_mode_to_string mf.mf_mode)
-    (match mf.mf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    mf.mf_faults
 
 (* Live state of the [counter] workload lives in bytes [0, 72) of the heap
    (the root counter plus 8 slots), so a flip there always corrupts
@@ -770,233 +727,116 @@ let inject_ring_rot cfg nvm rng ~chosen ~descrs =
     let plen = Bytes.length first.Plog.payload in
     let start = first.Plog.end_off - Plog.record_overhead - plen in
     let j = Rng.int rng (max 1 plen) in
-    let off =
-      base + Plog.header_size + ((start + 16 + j) mod Plog.data_capacity t)
-    in
+    let off = base + Plog.header_size + ((start + 16 + j) mod Plog.data_capacity t) in
     let bit = Rng.int rng 8 in
     Nvm.inject_fault nvm (Nvm.Bit_rot { off; bit });
     descrs := Printf.sprintf "rot(plog%d:rec%d+%d.%d)" r first.Plog.seq j bit :: !descrs
   | _ -> inject_heap_rot nvm rng ~chosen ~descrs
 
-(* Inject 1-3 seeded faults into the persisted image at the crash point.
-   Poison is injected last so the ring pre-scans above never trip over a
-   line poisoned by an earlier draw. *)
+(* Inject 1-3 seeded faults into the persisted image at the crash point:
+   heap rot only ("heap"), or heap rot, ring rot, poison and stuck lines
+   ("mixed").  Poison is injected last so the ring pre-scans above never
+   trip over a line poisoned by an earlier draw. *)
 let inject_faults cfg nvm ~mode ~seed ~descrs =
   let rng = Rng.create (0x6d656469 lxor seed) in
   let chosen = Hashtbl.create 8 in
   let n = 1 + Rng.int rng 3 in
   let poisons = ref [] in
   for _ = 1 to n do
-    match mode with
-    | Heap_rot -> inject_heap_rot nvm rng ~chosen ~descrs
-    | Mixed -> (
-      match Rng.int rng 4 with
-      | 0 -> inject_heap_rot nvm rng ~chosen ~descrs
-      | 1 -> inject_ring_rot cfg nvm rng ~chosen ~descrs
-      | 2 ->
-        let line = Rng.int rng (Nvm.size nvm / Nvm.line_size nvm) in
-        poisons := line :: !poisons;
-        descrs := Printf.sprintf "poison(line:%d)" line :: !descrs
-      | _ ->
-        let line = Rng.int rng (cfg.Config.heap_size / Nvm.line_size nvm) in
-        Nvm.inject_fault nvm (Nvm.Stuck_line { line });
-        descrs := Printf.sprintf "stuck(line:%d)" line :: !descrs)
+    match if mode = "heap" then 0 else Rng.int rng 4 with
+    | 0 -> inject_heap_rot nvm rng ~chosen ~descrs
+    | 1 -> inject_ring_rot cfg nvm rng ~chosen ~descrs
+    | 2 ->
+      let line = Rng.int rng (Nvm.size nvm / Nvm.line_size nvm) in
+      poisons := line :: !poisons;
+      descrs := Printf.sprintf "poison(line:%d)" line :: !descrs
+    | _ ->
+      let line = Rng.int rng (cfg.Config.heap_size / Nvm.line_size nvm) in
+      Nvm.inject_fault nvm (Nvm.Stuck_line { line });
+      descrs := Printf.sprintf "stuck(line:%d)" line :: !descrs
   done;
   List.iter (fun line -> Nvm.inject_fault nvm (Nvm.Poison { line })) !poisons;
   n
 
-(* One campaign run: run the workload (optionally cutting power mid-way),
-   inject seeded media faults into what survived, scrub, then recover.  The
-   oracle is "never silently wrong": the recovered state must either verify
-   like any crash run, or the damage must have been *reported* — by the
-   scrub (non-clean report) or by recovery itself (corrupted records /
-   quarantined lines).  Undetected corruption that changes visible state is
-   the only way to fail. *)
-let media_case ~fault ~mode ~seed ~crash ~runs ~injected =
-  let cfg = dude_cfg ~combine:false ~fault in
-  let wl = counter ~threads:3 ~txs:4 in
-  let descrs = ref [] in
-  let reported = ref false in
-  let fresh () =
-    let p, _t = Dude_ptm.Stm.ptm cfg in
-    let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-    {
-      ptm = p;
-      inst_nvm = nvm;
-      recover =
-        (fun () ->
-          injected := !injected + inject_faults cfg nvm ~mode ~seed ~descrs;
-          let sr = Scrub.scrub ~repair:true ~probe_stuck:true cfg nvm in
-          if not (Scrub.clean sr) then reported := true;
-          if sr.Scrub.ckpt = `Fatal then
-            (* Both checkpoint slots destroyed: the instance is lost, but
-               loudly — that counts as reported, never as silent. *)
-            { rec_durable = Some 0; rec_peek = (fun _ -> 0L) }
-          else begin
-            let p2, _t2, report = Dude_ptm.Stm.attach_ptm cfg nvm in
-            if report.Dudetm.corrupted_records > 0 || report.Dudetm.quarantined_lines > 0
-            then reported := true;
-            { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
-          end);
-    }
+(* Run the workload (optionally cutting power mid-way), inject seeded media
+   faults into what survived, scrub, then recover.  The oracle is "never
+   silently wrong": the recovered state must either verify like any crash
+   run, or the damage must have been *reported* — by the scrub (non-clean
+   report) or by recovery itself (corrupted records / quarantined lines). *)
+let media_run ctx at =
+  let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
+  let inst = stm_instance cfg in
+  let descrs = ref [] and reported = ref false in
+  let recover () =
+    tally ctx "faults injected"
+      (inject_faults cfg inst.nvm ~mode:(param at "faults") ~seed:(int_param at "media-seed")
+         ~descrs);
+    let sr = Scrub.scrub ~repair:true ~probe_stuck:true cfg inst.nvm in
+    if not (Scrub.clean sr) then reported := true;
+    if sr.Scrub.ckpt = `Fatal then
+      (* Both checkpoint slots destroyed: the instance is lost, but
+         loudly — that counts as reported, never as silent. *)
+      { rec_durable = Some 0; rec_peek = (fun _ -> 0L) }
+    else begin
+      let p2, _, report = Dude_ptm.Stm.attach_ptm cfg inst.nvm in
+      if report.Dudetm.corrupted_records > 0 || report.Dudetm.quarantined_lines > 0 then
+        reported := true;
+      { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
+    end
   in
-  let sut = { sut_name = "dude" ^ fault_suffix fault; sut_static = false; fresh } in
-  incr runs;
-  let o = run_once ~sut ~wl ~strategy:Sched.min_clock ~crash () in
-  match verify ~wl ~quiescent:false o with
-  | Some reason when not !reported ->
-    Some
-      {
-        mf_mode = mode;
-        mf_seed = seed;
-        mf_crash = crash;
-        mf_fault = fault;
-        mf_faults = String.concat " " (List.rev !descrs);
-        mf_reason = reason;
-      }
+  let o =
+    workload_life ctx ~quiescent:false ~wl:(counter ~threads:3 ~txs:4) { inst with recover }
+  in
+  (o, !reported, String.concat " " (List.rev !descrs))
+
+let media_oracle _ (o, reported, injected) =
+  match verify o with
+  | Some reason when not reported -> Some (Printf.sprintf "%s (injected: %s)" reason injected)
   | _ -> None
 
-let default_media_seeds = 6
-
-let check_media ?(fault = Config.No_fault) ?(seeds = default_media_seeds) ?(log = fun _ -> ())
-    ?mode ?media_seed ?crash () =
-  let runs = ref 0 in
-  let injected = ref 0 in
-  match (mode, media_seed) with
-  | Some mode, Some seed -> (
-    (* Exact replay of one failure one-liner. *)
-    match media_case ~fault ~mode ~seed ~crash ~runs ~injected with
-    | Some mf -> Media_fail mf
-    | None -> Media_pass { runs = !runs; injected = !injected })
-  | _ ->
-    (* Boundary count under the campaign schedule, measured once, gives a
-       deterministic seed-derived crash point for the mid-run cases. *)
-    let sut0 = dude ~fault () in
-    let wl0 = counter ~threads:3 ~txs:4 in
-    let sites = count_sites sut0 wl0 ~sched:Default in
-    let result = ref None in
-    let seed = ref 1 in
-    while !result = None && !seed <= seeds do
-      let s = !seed in
-      log (Printf.sprintf "media: seed %d, heap rot at quiescence" s);
-      result := media_case ~fault ~mode:Heap_rot ~seed:s ~crash:None ~runs ~injected;
-      if !result = None then begin
-        log (Printf.sprintf "media: seed %d, mixed faults at quiescence" s);
-        result := media_case ~fault ~mode:Mixed ~seed:s ~crash:None ~runs ~injected
-      end;
-      if !result = None then begin
-        let k = 1 + (s * 7919 mod max 1 sites) in
-        log (Printf.sprintf "media: seed %d, mixed faults at crash boundary %d" s k);
-        result := media_case ~fault ~mode:Mixed ~seed:s ~crash:(Some k) ~runs ~injected
-      end;
-      incr seed
-    done;
-    (match !result with
-    | None -> Media_pass { runs = !runs; injected = !injected }
-    | Some mf -> Media_fail mf)
+(* Per seed: heap rot at quiescence, mixed faults at quiescence, and mixed
+   faults at a seed-derived crash boundary. *)
+let media_plan budget _ _ =
+  let seeds = match budget with Smoke -> 2 | _ -> 6 in
+  Seq.concat_map
+    (fun s ->
+      let at mode = [ ("media-seed", string_of_int s); ("faults", mode) ] in
+      List.to_seq
+        [
+          point (at "heap") ~single:(fun _ -> []);
+          point (at "mixed") ~single:(fun c -> [ 1 + (s * 7919 mod max 1 c) ]);
+        ])
+    (Seq.init seeds succ)
 
 (* ------------------------------------------------------------------ *)
-(* Nested-crash recovery campaign                                     *)
+(* recovery: power cuts inside attach and scrub                       *)
 (* ------------------------------------------------------------------ *)
-
-type recovery_leg = Attach_leg | Scrub_leg
-
-let leg_to_string = function Attach_leg -> "attach" | Scrub_leg -> "scrub"
-
-let leg_of_string = function
-  | "attach" -> Attach_leg
-  | "scrub" -> Scrub_leg
-  | s -> invalid_arg ("Check.leg_of_string: unknown recovery leg " ^ s)
 
 type recovery_budget = {
-  rec_seeds : int;
-  rec_attach_sites : int;
-  rec_scrub_sites : int;
-  rec_deep_points : int;
-  rec_deep_sites : int;
+  rec_seeds : int;  (* seed-derived first-crash boundaries (plus quiescence) *)
+  rec_attach_sites : int;  (* boundaries cut inside attach (all, up to this) *)
+  rec_scrub_sites : int;  (* sampled boundaries cut inside the scrub *)
+  rec_deep_points : int;  (* first-recovery cuts that get a nested sweep *)
+  rec_deep_sites : int;  (* sampled boundaries inside the second recovery *)
 }
 
-let quick_recovery_budget =
-  { rec_seeds = 4; rec_attach_sites = 60; rec_scrub_sites = 32; rec_deep_points = 2; rec_deep_sites = 4 }
-
-let smoke_recovery_budget =
-  { rec_seeds = 1; rec_attach_sites = 16; rec_scrub_sites = 8; rec_deep_points = 1; rec_deep_sites = 2 }
-
-type recovery_failure = {
-  rcf_fault : Config.fault;
-  rcf_crash : int option;
-  rcf_leg : recovery_leg;
-  rcf_crash2 : int option;
-  rcf_crash3 : int option;
-  rcf_reason : string;
-}
-
-type recovery_report =
-  | Recovery_pass of { runs : int; boundaries : int }
-  | Recovery_fail of recovery_failure
-
-let recovery_replay_line rcf =
-  Printf.sprintf "dudetm check --recovery%s%s --leg %s%s%s"
-    (match rcf.rcf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    (match rcf.rcf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (leg_to_string rcf.rcf_leg)
-    (match rcf.rcf_crash2 with None -> "" | Some k -> Printf.sprintf " --crash2 %d" k)
-    (match rcf.rcf_crash3 with None -> "" | Some k -> Printf.sprintf " --crash3 %d" k)
-
-let recovery_workload () = counter ~threads:3 ~txs:4
-
-(* Deterministically rebuild the crashed device image the recovery legs
-   operate on: run the campaign workload under the default schedule, cut
-   power at boundary [crash] (None: at quiescence), and hand the crashed
-   device back *without* recovering it.  [attach] mutates the device, so
-   every leg below starts from its own fresh image. *)
-let crashed_image ~cfg ~wl ~crash =
-  let nvm_ref = ref None in
-  let fresh () =
-    let p, _t = Dude_ptm.Stm.ptm cfg in
-    let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-    nvm_ref := Some nvm;
+let recovery_budget = function
+  | Smoke | Quick ->
     {
-      ptm = p;
-      inst_nvm = nvm;
-      recover = (fun () -> { rec_durable = None; rec_peek = (fun _ -> 0L) });
+      rec_seeds = 1;
+      rec_attach_sites = 16;
+      rec_scrub_sites = 8;
+      rec_deep_points = 1;
+      rec_deep_sites = 2;
     }
-  in
-  let sut = { sut_name = "dude-recovery"; sut_static = false; fresh } in
-  let o = run_once ~sut ~wl ~strategy:Sched.min_clock ~crash () in
-  (Option.get !nvm_ref, o)
-
-(* Run one recovery step with the persist hook armed.  [crash = Some k]
-   cuts power at the [k]-th persist boundary *inside the step* (the device
-   then loses its volatile state, exactly like a mid-run power cut);
-   [None] just counts boundaries.  Recovery runs outside [Sched.run], so
-   only the NVM hook is involved. *)
-let recovery_step nvm ~crash f =
-  let sites = ref 0 in
-  Nvm.set_persist_hook nvm
-    (Some
-       (fun () ->
-         incr sites;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
-  match f () with
-  | () ->
-    Nvm.set_persist_hook nvm None;
-    `Completed !sites
-  | exception Crash_now ->
-    Nvm.set_persist_hook nvm None;
-    Nvm.crash nvm;
-    `Cut
-  | exception e ->
-    Nvm.set_persist_hook nvm None;
-    `Raised e
-
-let run_leg cfg nvm = function
-  | Attach_leg -> ignore (Dude_ptm.Stm.attach_ptm cfg nvm)
-  | Scrub_leg -> ignore (Scrub.scrub ~repair:true ~probe_stuck:true cfg nvm)
+  | Scaled _ | Deep ->
+    {
+      rec_seeds = 4;
+      rec_attach_sites = 60;
+      rec_scrub_sites = 32;
+      rec_deep_points = 2;
+      rec_deep_sites = 4;
+    }
 
 let report_to_string (r : Dudetm.recovery_report) =
   Printf.sprintf
@@ -1004,339 +844,141 @@ let report_to_string (r : Dudetm.recovery_report) =
     r.Dudetm.durable r.Dudetm.replayed_txs r.Dudetm.discarded_txs r.Dudetm.discarded_records
     r.Dudetm.corrupted_records r.Dudetm.quarantined_lines
 
-(* One nested-crash scenario on a fresh deterministic image: cut the
-   workload at [crash], cut the named recovery leg at boundary [crash2],
-   optionally cut the *recovery of that crashed recovery* at [crash3], and
-   require the final uninterrupted attach to converge to [baseline] — the
-   verdict an uninterrupted recovery of the same image produces — and to
-   recover state that passes the normal crash oracle. *)
-let recovery_case ~fault ~crash ~leg ~crash2 ~crash3 ~baseline ~runs =
-  let cfg = dude_cfg ~combine:false ~fault in
-  let wl = recovery_workload () in
-  incr runs;
-  let nvm, o = crashed_image ~cfg ~wl ~crash in
-  let fail reason =
+(* Uninterrupted recovery verdict per (mutant, first cut): the reference
+   every interrupted recovery of the same image must converge to. *)
+let baselines = Hashtbl.create 8
+
+(* Life 0 runs the workload and cuts it at crash-at (0: quiescence) without
+   recovering.  Life 1 runs the named leg — attach, or the offline scrub
+   with repair and stuck-line probes — cut at crash2; every cut life is
+   followed by another attach life (cut at crash3), and the first attach
+   that completes gives the final verdict.  It must equal the baseline
+   field for field and pass the crash oracle. *)
+let recovery_run ctx at =
+  let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
+  let crash = Option.value (List.nth_opt ctx.vector 0) ~default:0 in
+  let image ctx =
+    let inst = stm_instance cfg in
+    let o =
+      workload_life ctx ~quiescent:(crash = 0) ~wl:(counter ~threads:3 ~txs:4)
+        { inst with recover = (fun () -> no_durable inst.ptm) }
+    in
+    (inst.nvm, o)
+  in
+  let baseline =
+    match Hashtbl.find_opt baselines (ctx.mutant, crash) with
+    | Some b -> b
+    | None ->
+      (* Its own context: the baseline image's life is not a life of this run. *)
+      let nvm, _ = image { ctx with vector = [ crash ]; lives = []; armed = [||]; tallies = [] } in
+      let b =
+        match Dude_ptm.Stm.attach_ptm cfg nvm with
+        | _, _, r -> r
+        | exception e -> fail ("uninterrupted attach raised " ^ Printexc.to_string e)
+      in
+      Hashtbl.add baselines (ctx.mutant, crash) b;
+      b
+  in
+  let nvm, o = image ctx in
+  let rec life leg =
+    arm ctx nvm;
+    match
+      guard ~what:leg ctx (fun () ->
+          if leg = "attach" then Some (Dude_ptm.Stm.attach_ptm cfg nvm)
+          else (ignore (Scrub.scrub ~repair:true ~probe_stuck:true cfg nvm); None))
+    with
+    | Some (Some (p2, _, report)) -> (p2, report)
+    | Some None -> life "attach"
+    | None ->
+      Nvm.crash nvm;
+      life "attach"
+  in
+  let p2, report = life (param at "leg") in
+  let recov = { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek } in
+  (report, baseline, { o with recov })
+
+let recovery_oracle _ (report, baseline, o) =
+  if report <> baseline then
     Some
-      {
-        rcf_fault = fault;
-        rcf_crash = crash;
-        rcf_leg = leg;
-        rcf_crash2 = crash2;
-        rcf_crash3 = crash3;
-        rcf_reason = reason;
-      }
-  in
-  match o.oc_deadlock with
-  | Some m -> fail m
-  | None -> (
-    let cuts =
-      (match crash2 with None -> [] | Some k -> [ (leg, k) ])
-      @ match crash3 with None -> [] | Some k -> [ (Attach_leg, k) ]
-    in
-    let cut_err =
-      List.fold_left
-        (fun err (l, k) ->
-          match err with
-          | Some _ -> err
-          | None -> (
-            match recovery_step nvm ~crash:(Some k) (fun () -> run_leg cfg nvm l) with
-            | `Cut | `Completed _ -> None
-            | `Raised e ->
-              Some
-                (Printf.sprintf "%s cut at boundary %d raised %s" (leg_to_string l) k
-                   (Printexc.to_string e))))
-        None cuts
-    in
-    match cut_err with
-    | Some reason -> fail reason
-    | None -> (
-      match Dude_ptm.Stm.attach_ptm cfg nvm with
-      | exception e -> fail ("final attach raised " ^ Printexc.to_string e)
-      | p2, _t2, report ->
-        if report <> baseline then
-          fail
-            (Printf.sprintf "recovery verdict diverged: interrupted %s, uninterrupted %s"
-               (report_to_string report) (report_to_string baseline))
-        else
-          let o =
-            {
-              o with
-              oc_recov = { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek };
-            }
-          in
-          (match verify ~wl ~quiescent:(crash = None) o with
-          | Some reason -> fail reason
-          | None -> None)))
+      (Printf.sprintf "recovery verdict diverged: interrupted %s, uninterrupted %s"
+         (report_to_string report) (report_to_string baseline))
+  else verify o
 
-(* Baseline verdict and per-leg boundary count for one crash point, each
-   measured on its own fresh image. *)
-let recovery_baseline ~fault ~crash ~runs =
-  let cfg = dude_cfg ~combine:false ~fault in
-  let wl = recovery_workload () in
-  incr runs;
-  let nvm, _ = crashed_image ~cfg ~wl ~crash in
-  let baseline = ref None in
-  match
-    recovery_step nvm ~crash:None (fun () ->
-        let _, _, report = Dude_ptm.Stm.attach_ptm cfg nvm in
-        baseline := Some report)
-  with
-  | `Completed b -> Ok (Option.get !baseline, b)
-  | `Cut -> assert false
-  | `Raised e -> Error ("uninterrupted attach raised " ^ Printexc.to_string e)
-
-let count_leg_boundaries ~fault ~crash ~leg ~pre ~runs =
-  let cfg = dude_cfg ~combine:false ~fault in
-  let wl = recovery_workload () in
-  incr runs;
-  let nvm, _ = crashed_image ~cfg ~wl ~crash in
-  let pre_err =
-    match pre with
-    | None -> None
-    | Some (l, k) -> (
-      match recovery_step nvm ~crash:(Some k) (fun () -> run_leg cfg nvm l) with
-      | `Cut | `Completed _ -> None
-      | `Raised e -> Some (Printexc.to_string e))
-  in
-  match pre_err with
-  | Some e -> Error e
-  | None -> (
-    match recovery_step nvm ~crash:None (fun () -> run_leg cfg nvm leg) with
-    | `Completed b -> Ok b
-    | `Cut -> assert false
-    | `Raised e -> Error (leg_to_string leg ^ " raised " ^ Printexc.to_string e))
-
-(* The scrub leg has far more boundaries than the attach leg (the
-   stuck-line probe sweep touches every heap line), so it is sampled; the
-   first boundaries are always included because they cover the probes of
-   the workload's live lines — the exact window the
-   [Skip_recovery_journal] mutant corrupts. *)
-let scrub_sites ~s ~n = List.sort_uniq compare (sample_sites ~s ~n @ sample_sites ~s:(min s 8) ~n:8)
-
-let check_recovery ?(fault = Config.No_fault) ?(budget = quick_recovery_budget)
-    ?(log = fun _ -> ()) ?leg ?crash ?crash2 ?crash3 () =
-  let runs = ref 0 in
-  let boundaries = ref 0 in
-  match leg with
-  | Some leg -> (
-    (* Exact replay of one failure one-liner. *)
-    match recovery_baseline ~fault ~crash ~runs with
-    | Error reason ->
-      Recovery_fail
-        { rcf_fault = fault; rcf_crash = crash; rcf_leg = leg; rcf_crash2 = crash2;
-          rcf_crash3 = crash3; rcf_reason = reason }
-    | Ok (baseline, _) -> (
-      match recovery_case ~fault ~crash ~leg ~crash2 ~crash3 ~baseline ~runs with
-      | Some rcf -> Recovery_fail rcf
-      | None -> Recovery_pass { runs = !runs; boundaries = !boundaries }))
-  | None ->
-    let sut0 = dude ~fault () in
-    let wl0 = recovery_workload () in
-    let sites = count_sites sut0 wl0 ~sched:Default in
-    runs := !runs + 1;
-    let crash_points =
-      None :: List.init budget.rec_seeds (fun i -> Some (1 + ((i + 1) * 7919 mod max 1 sites)))
-    in
-    let result = ref None in
-    let fail_with ~crash ~leg ~crash2 ~crash3 reason =
-      result :=
-        Some
-          { rcf_fault = fault; rcf_crash = crash; rcf_leg = leg; rcf_crash2 = crash2;
-            rcf_crash3 = crash3; rcf_reason = reason }
-    in
-    let point_name = function None -> "quiescence" | Some k -> Printf.sprintf "boundary %d" k in
-    List.iter
-      (fun crash ->
-        if !result = None then
-          match recovery_baseline ~fault ~crash ~runs with
-          | Error reason -> fail_with ~crash ~leg:Attach_leg ~crash2:None ~crash3:None reason
-          | Ok (baseline, attach_b) ->
-            List.iter
-              (fun leg ->
-                if !result = None then begin
-                  let b =
-                    if leg = Attach_leg then Ok attach_b
-                    else count_leg_boundaries ~fault ~crash ~leg ~pre:None ~runs
-                  in
-                  match b with
-                  | Error reason -> fail_with ~crash ~leg ~crash2:None ~crash3:None reason
-                  | Ok b ->
-                    boundaries := !boundaries + b;
-                    let k2s =
-                      match leg with
-                      | Attach_leg -> sample_sites ~s:b ~n:budget.rec_attach_sites
-                      | Scrub_leg -> scrub_sites ~s:b ~n:budget.rec_scrub_sites
-                    in
-                    log
-                      (Printf.sprintf "recovery: power cut at %s, %s leg: %d of %d boundaries"
-                         (point_name crash) (leg_to_string leg) (List.length k2s) b);
-                    List.iter
-                      (fun k2 ->
-                        if !result = None then
-                          match
-                            recovery_case ~fault ~crash ~leg ~crash2:(Some k2) ~crash3:None
-                              ~baseline ~runs
-                          with
-                          | Some rcf -> result := Some rcf
-                          | None -> ())
-                      k2s;
-                    (* Two deep: crash the recovery of a crashed recovery. *)
-                    if !result = None then
-                      List.iter
-                        (fun k2 ->
-                          if !result = None then
-                            match
-                              count_leg_boundaries ~fault ~crash ~leg:Attach_leg
-                                ~pre:(Some (leg, k2)) ~runs
-                            with
-                            | Error reason ->
-                              fail_with ~crash ~leg ~crash2:(Some k2) ~crash3:None reason
-                            | Ok b2 ->
-                              List.iter
-                                (fun k3 ->
-                                  if !result = None then
-                                    match
-                                      recovery_case ~fault ~crash ~leg ~crash2:(Some k2)
-                                        ~crash3:(Some k3) ~baseline ~runs
-                                    with
-                                    | Some rcf -> result := Some rcf
-                                    | None -> ())
-                                (sample_sites ~s:b2 ~n:budget.rec_deep_sites))
-                        (sample_sites ~s:(List.length k2s) ~n:budget.rec_deep_points
-                        |> List.map (fun i -> List.nth k2s (i - 1)))
-                end)
-              [ Attach_leg; Scrub_leg ])
-      crash_points;
-    (match !result with
-    | None -> Recovery_pass { runs = !runs; boundaries = !boundaries }
-    | Some rcf -> Recovery_fail rcf)
+(* Quiescence plus seed-derived first cuts; per leg every (attach) or a
+   sample of (scrub) recovery-time boundaries, then two deep.  The scrub
+   leg has far more boundaries than attach (the stuck-line probe sweep
+   touches every heap line), so it is sampled; its first boundaries are
+   always included because they cover the probes of the workload's live
+   lines — the exact window the [Skip_recovery_journal] mutant corrupts. *)
+let recovery_plan budget at count =
+  let b = recovery_budget budget in
+  let sites = count (set "leg" "attach" at) [] in
+  Seq.concat_map
+    (fun crash ->
+      List.to_seq
+        [
+          point ~prefix:[ crash ]
+            ~deep:(b.rec_deep_points, b.rec_deep_sites)
+            ~single:(fun s -> sample_sites ~s ~n:b.rec_attach_sites)
+            (set "leg" "attach" at);
+          point ~prefix:[ crash ]
+            ~deep:(b.rec_deep_points, b.rec_deep_sites)
+            ~single:(fun s ->
+              List.sort_uniq compare
+                (sample_sites ~s ~n:b.rec_scrub_sites @ sample_sites ~s:(min s 8) ~n:8))
+            (set "leg" "scrub" at);
+        ])
+    (List.to_seq (0 :: List.init b.rec_seeds (fun i -> 1 + ((i + 1) * 7919 mod max 1 sites))))
 
 (* ------------------------------------------------------------------ *)
-(* Daemon fault-injection campaign                                    *)
+(* daemons: supervised Persist/Reproduce restarts                     *)
 (* ------------------------------------------------------------------ *)
-
-type daemon_failure = { df_seed : int; df_crash : int option; df_rate : float; df_reason : string }
-
-type daemon_report =
-  | Daemon_pass of { runs : int; faults : int; restarts : int }
-  | Daemon_fail of daemon_failure
-
-let daemon_replay_line df =
-  Printf.sprintf "dudetm check --daemons --daemon-seed %d --fault-rate %g%s" df.df_seed df.df_rate
-    (match df.df_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-let default_daemon_rate = 0.25
 
 (* Transient Persist/Reproduce worker failures must be invisible: with the
    supervisor restarting crashed daemons from their persistent positions,
    every run must still satisfy the ordinary crash oracle (and a quiescent
-   run must still drain completely) — only the restart counters may move.
-   The sweep is vacuous if no daemon ever restarted, so that fails too. *)
-let check_daemons ?(seeds = 4) ?(rate = default_daemon_rate) ?(log = fun _ -> ()) ?only_seed
-    ?crash () =
-  let runs = ref 0 in
-  let faults = ref 0 in
-  let restarts = ref 0 in
-  let result = ref None in
-  let one ~seed ~crash =
-    let cfg =
-      {
-        (dude_cfg ~combine:false ~fault:Config.No_fault) with
-        Config.daemon_fault_rate = rate;
-        seed = 7 + seed;
-      }
-    in
-    let counters = ref [] in
-    let fresh () =
-      let p, _t = Dude_ptm.Stm.ptm cfg in
-      let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-      {
-        ptm = p;
-        inst_nvm = nvm;
-        recover =
-          (fun () ->
-            counters := p.Ptm.counters ();
-            let p2, _t2, report = Dude_ptm.Stm.attach_ptm cfg nvm in
-            { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek });
-      }
-    in
-    let sut = { sut_name = "dude+daemon-faults"; sut_static = false; fresh } in
-    let wl = recovery_workload () in
-    incr runs;
-    let o = run_once ~sut ~wl ~strategy:Sched.min_clock ~crash () in
-    let count k = match List.assoc_opt k !counters with Some v -> v | None -> 0 in
-    faults := !faults + count "daemon_faults";
-    restarts := !restarts + count "daemon_restarts";
-    (match verify ~wl ~quiescent:(crash = None) o with
-    | Some reason ->
-      result := Some { df_seed = seed; df_crash = crash; df_rate = rate; df_reason = reason }
-    | None -> ());
-    o.oc_sites
+   run must still drain completely) — only the restart counters may move. *)
+let daemons_run ctx at =
+  let seed = int_param at "daemon-seed" in
+  let cfg =
+    {
+      (dude_cfg ~combine:false ~fault:ctx.mutant) with
+      Config.daemon_fault_rate = float_of_string (param at "fault-rate");
+      seed = 7 + seed;
+    }
   in
-  (match only_seed with
-  | Some seed -> ignore (one ~seed ~crash)
-  | None ->
-    let s = ref 1 in
-    while !result = None && !s <= seeds do
-      log (Printf.sprintf "daemons: seed %d, faults at rate %g, run to quiescence" !s rate);
-      let sites = one ~seed:!s ~crash:None in
-      if !result = None then begin
-        let k = 1 + (!s * 7919 mod max 1 sites) in
-        log (Printf.sprintf "daemons: seed %d, power cut at boundary %d" !s k);
-        ignore (one ~seed:!s ~crash:(Some k))
-      end;
-      incr s
-    done;
-    if !result = None && !restarts = 0 then
-      result :=
-        Some
-          {
-            df_seed = 0;
-            df_crash = None;
-            df_rate = rate;
-            df_reason = "vacuous sweep: no daemon restart was ever exercised";
-          });
-  match !result with
-  | None -> Daemon_pass { runs = !runs; faults = !faults; restarts = !restarts }
-  | Some df -> Daemon_fail df
+  let inst = stm_instance cfg in
+  let recover () =
+    let counters = inst.ptm.Ptm.counters () in
+    let count k = Option.value (List.assoc_opt k counters) ~default:0 in
+    tally ctx "faults injected" (count "daemon_faults");
+    tally ctx "restarts" (count "daemon_restarts");
+    inst.recover ()
+  in
+  workload_life ctx ~quiescent:(ctx.vector = []) ~wl:(counter ~threads:3 ~txs:4)
+    { inst with recover }
+
+let daemons_plan budget at _ =
+  Seq.map
+    (fun s ->
+      point
+        (set "daemon-seed" (string_of_int s) at)
+        ~single:(fun c -> [ 1 + (s * 7919 mod max 1 c) ]))
+    (Seq.init (match budget with Smoke | Quick -> 2 | _ -> 4) succ)
+
+(* A sweep in which no daemon ever restarted proves nothing. *)
+let daemons_post tallies =
+  if Option.value (List.assoc_opt "restarts" tallies) ~default:0 = 0 then
+    Some "vacuous sweep: no daemon restart was ever exercised"
+  else None
 
 (* ------------------------------------------------------------------ *)
-(* Sharded cross-commit campaign                                      *)
+(* shards: cross-shard transfers across independent devices           *)
 (* ------------------------------------------------------------------ *)
 
 module Shard = Dudetm_shard.Shard.Make (Dudetm_tm.Tinystm)
 
-type shard_failure = {
-  shf_fault : Config.fault;
-  shf_nshards : int;
-  shf_txs : int;
-  shf_crash : int option;
-  shf_reason : string;
-}
-
-type shard_report = Shard_pass of { runs : int; boundaries : int } | Shard_fail of shard_failure
-
-let shard_replay_line shf =
-  Printf.sprintf "dudetm check --shards%s --shard-count %d --txs %d%s"
-    (match shf.shf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    shf.shf_nshards shf.shf_txs
-    (match shf.shf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-let default_shard_count = 3
-
-let default_shard_txs = 10
-
-let shard_sites_budget () =
-  let base = 60 in
-  if Sys.getenv_opt "DUDETM_CHECK_DEEP" = Some "1" then base * 10
-  else
-    match Option.bind (Sys.getenv_opt "DUDETM_CHECK_BUDGET") int_of_string_opt with
-    | Some m when m > 1 -> base * m
-    | _ -> base
+let shard_devices sh = Array.init (Shard.nshards sh) (Shard.nvm sh)
 
 (* Word layout inside every shard's root block (mirrors test_shard.ml):
    0       balance — cross-shard transfers preserve the global sum
@@ -1350,88 +992,28 @@ let shb_pair p = 16 + (8 * p)
 
 let shb_initial = 1_000L
 
-(* The all-or-nothing + watermark oracle over a drained or recovered
-   instance.  Both sides of every transfer wrote the same pairwise stamp,
-   so the sides must agree; every transfer preserved the sum over shards
-   whose seeding transaction (tid 1) is durable; and nothing the effective
-   watermark acknowledged before the cut may be missing afterwards. *)
-let shard_oracle ~nshards ~acked_frontier ~acked_eff sh =
-  let peek s off = Shard.Engine.heap_read_u64 (Shard.engine sh s) off in
-  let bad = ref None in
-  for a = 0 to nshards - 1 do
-    for b = a + 1 to nshards - 1 do
-      let sa = peek a (shb_pair b) and sb = peek b (shb_pair a) in
-      if sa <> sb && !bad = None then
-        bad :=
-          Some
-            (Printf.sprintf "partial cross-shard tx: pair stamp %d<->%d is %Ld vs %Ld" a b sa
-               sb)
-    done
-  done;
-  let sum = ref 0L and seeded = ref 0 in
-  for s = 0 to nshards - 1 do
-    sum := Int64.add !sum (peek s shb_balance);
-    if Shard.Engine.durable_id (Shard.engine sh s) >= 1 then incr seeded
-  done;
-  let want = Int64.mul shb_initial (Int64.of_int !seeded) in
-  if !sum <> want && !bad = None then
-    bad :=
-      Some
-        (Printf.sprintf "balance sum %Ld, model says %Ld for %d durable seeds" !sum want
-           !seeded);
-  if Shard.global_frontier sh < acked_frontier && !bad = None then
-    bad :=
-      Some
-        (Printf.sprintf "acked cross tx lost: recovered frontier %d < acknowledged %d"
-           (Shard.global_frontier sh) acked_frontier);
-  for s = 0 to nshards - 1 do
-    let d = Shard.Engine.durable_id (Shard.engine sh s) in
-    if d < acked_eff.(s) && !bad = None then
-      bad :=
-        Some
-          (Printf.sprintf "acked tx lost on shard %d: durable %d < acknowledged %d" s d
-             acked_eff.(s))
-  done;
-  !bad
-
-(* One run: sequential mixed transfers + local bumps, power cut at persist
-   boundary [crash] counted across every shard's device ([None]: clean
-   stop).  The vector watermark is sampled at each boundary — exactly what
-   had been acknowledged when the power went out.  Returns the oracle
-   verdict and the boundary count. *)
-let shard_run ~fault ~nshards ~txs ~crash =
-  let cfg = dude_cfg ~combine:false ~fault in
-  let sh = Shard.create ~nshards cfg in
-  let sites = ref 0 in
-  let acked_frontier = ref 0 in
-  let acked_eff = Array.make nshards 0 in
-  let hook () =
-    incr sites;
-    let f = Shard.global_frontier sh in
-    if f > !acked_frontier then acked_frontier := f;
-    Array.iteri (fun s e -> if e > acked_eff.(s) then acked_eff.(s) <- e)
-      (Shard.effective_vector sh);
-    match crash with Some k when !sites = k -> raise Crash_now | _ -> ()
+(* Sequential mixed transfers and local bumps, one power cut counted
+   across every shard's device.  The vector watermark is sampled at each
+   boundary — exactly what had been acknowledged when the power went out. *)
+let shards_run ctx at =
+  let nshards = int_param at "shard-count" and txs = int_param at "txs" in
+  if nshards < 2 then invalid_arg "Check: --shards needs at least two shards";
+  let sh = Shard.create ~nshards (dude_cfg ~combine:false ~fault:ctx.mutant) in
+  let acked_frontier = ref 0 and acked_eff = Array.make nshards 0 in
+  let sample () =
+    acked_frontier := max !acked_frontier (Shard.global_frontier sh);
+    Array.iteri (fun s e -> acked_eff.(s) <- max acked_eff.(s) e) (Shard.effective_vector sh)
   in
-  let disarm () =
-    for s = 0 to nshards - 1 do
-      Nvm.set_persist_hook (Shard.nvm sh s) None
-    done
-  in
-  let crashed = ref false in
-  let err = ref None in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let completed =
+    guard ctx (fun () ->
+        Sched.run (fun () ->
             Shard.start sh;
             for s = 0 to nshards - 1 do
               ignore
                 (Shard.atomically sh ~thread:0 ~shards:[ s ] (fun tx ->
                      Shard.write tx ~shard:s shb_balance shb_initial))
             done;
-            for s = 0 to nshards - 1 do
-              Nvm.set_persist_hook (Shard.nvm sh s) (Some hook)
-            done;
+            arm ctx ~sample sh;
             for k = 1 to txs do
               let a = k mod nshards and b = (k + 1) mod nshards in
               (* Bloat [b]'s next flush record first.  Persist drains a
@@ -1456,119 +1038,68 @@ let shard_run ~fault ~nshards ~txs ~crash =
                      Shard.write tx ~shard:a (shb_pair b) (Int64.of_int k);
                      Shard.write tx ~shard:b (shb_pair a) (Int64.of_int k)))
             done;
-            disarm ();
+            disarm ctx;
             Shard.stop sh))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("engine raised " ^ Printexc.to_string e));
-  disarm ();
-  let verdict =
-    match !err with
-    | Some _ -> !err
-    | None ->
-      if not !crashed then shard_oracle ~nshards ~acked_frontier:!acked_frontier ~acked_eff sh
-      else begin
-        for s = 0 to nshards - 1 do
-          Nvm.crash (Shard.nvm sh s)
-        done;
-        match Shard.attach ~nshards (Shard.config sh) (Array.init nshards (Shard.nvm sh)) with
-        | sh2, _report ->
-          shard_oracle ~nshards ~acked_frontier:!acked_frontier ~acked_eff sh2
-        | exception e -> Some ("recovery raised " ^ Printexc.to_string e)
-      end
   in
-  (verdict, !sites)
+  let recovered =
+    if completed <> None then sh
+    else begin
+      Array.iter Nvm.crash (shard_devices sh);
+      match Shard.attach ~nshards (Shard.config sh) (shard_devices sh) with
+      | sh2, _ -> sh2
+      | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
+    end
+  in
+  (recovered, !acked_frontier, acked_eff)
 
-let check_shards ?(fault = Config.No_fault) ?(nshards = default_shard_count)
-    ?(txs = default_shard_txs) ?(log = fun _ -> ()) ?only_crash () =
-  if nshards < 2 then invalid_arg "Check.check_shards: need at least two shards";
-  let fail ~crash reason =
-    Shard_fail
-      { shf_fault = fault; shf_nshards = nshards; shf_txs = txs; shf_crash = crash;
-        shf_reason = reason }
-  in
-  match only_crash with
-  | Some k -> (
-    match shard_run ~fault ~nshards ~txs ~crash:(Some k) with
-    | Some reason, _ -> fail ~crash:(Some k) reason
-    | None, sites -> Shard_pass { runs = 1; boundaries = sites })
-  | None -> (
-    log (Printf.sprintf "shards: %d shards, %d cross txs, clean run" nshards txs);
-    match shard_run ~fault ~nshards ~txs ~crash:None with
-    | Some reason, _ -> fail ~crash:None reason
-    | None, total ->
-      let budget = shard_sites_budget () in
-      (* Enumerate every boundary when the budget covers them; otherwise an
-         evenly-spread sample (ascending, so the first hit is the earliest
-         failing boundary in the sampled set). *)
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
-        (Printf.sprintf "shards: %d persist boundaries, cutting power at %d of them" total
-           (List.length picks));
-      let runs = ref 1 in
-      let result = ref None in
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match shard_run ~fault ~nshards ~txs ~crash:(Some k) with
-            | Some reason, _ -> result := Some (fail ~crash:(Some k) reason)
-            | None, _ -> ()
-          end)
-        picks;
-      match !result with
-      | Some f -> f
-      | None -> Shard_pass { runs = !runs; boundaries = total })
+(* All-or-nothing and watermark oracle.  Both sides of every transfer
+   wrote the same pairwise stamp, so the sides must agree; every transfer
+   preserved the sum over shards whose seeding transaction (tid 1) is
+   durable; and nothing the effective watermark acknowledged before the
+   cut may be missing afterwards. *)
+let shards_oracle _ (sh, acked_frontier, acked_eff) =
+  let nshards = Shard.nshards sh in
+  let peek s off = Shard.Engine.heap_read_u64 (Shard.engine sh s) off in
+  let bad = ref None in
+  let report r = if !bad = None then bad := Some r in
+  for a = 0 to nshards - 1 do
+    for b = a + 1 to nshards - 1 do
+      let sa = peek a (shb_pair b) and sb = peek b (shb_pair a) in
+      if sa <> sb then
+        report (Printf.sprintf "partial cross-shard tx: pair stamp %d<->%d is %Ld vs %Ld" a b sa sb)
+    done
+  done;
+  let sum = ref 0L and seeded = ref 0 in
+  for s = 0 to nshards - 1 do
+    sum := Int64.add !sum (peek s shb_balance);
+    if Shard.Engine.durable_id (Shard.engine sh s) >= 1 then incr seeded
+  done;
+  let want = Int64.mul shb_initial (Int64.of_int !seeded) in
+  if !sum <> want then
+    report
+      (Printf.sprintf "balance sum %Ld, model says %Ld for %d durable seeds" !sum want !seeded);
+  if Shard.global_frontier sh < acked_frontier then
+    report
+      (Printf.sprintf "acked cross tx lost: recovered frontier %d < acknowledged %d"
+         (Shard.global_frontier sh) acked_frontier);
+  for s = 0 to nshards - 1 do
+    let d = Shard.Engine.durable_id (Shard.engine sh s) in
+    if d < acked_eff.(s) then
+      report
+        (Printf.sprintf "acked tx lost on shard %d: durable %d < acknowledged %d" s d
+           acked_eff.(s))
+  done;
+  !bad
+
+(* A clean run, then cuts at a sample of its boundaries. *)
+let cut_plan ?deep budget at _ =
+  let n = cut_sites budget in
+  let deep = Option.map (fun d -> (max 3 (n / d), max 3 (n / d))) deep in
+  Seq.return (point at ?deep ~single:(fun s -> sample_sites ~s ~n))
 
 (* ------------------------------------------------------------------ *)
-(* Batch-boundary crash campaign (pipelined group commit)             *)
+(* batch: pipelined group commit, re-crashed recovery                 *)
 (* ------------------------------------------------------------------ *)
-
-(* The batch campaign drives the *combined* persist path — the combiner /
-   flusher pipeline — with small groups and a short deadline, so a run of
-   a few dozen transactions crosses many sealed-batch boundaries, and cuts
-   power at every persist boundary the devices see.  Because the combiner
-   seals batch [k+1] while the flusher's record for batch [k] is still in
-   flight, the sweep necessarily lands cuts mid-pipeline: after a seal but
-   before the matching NVM append.  The [Skip_batch_seal] mutant publishes
-   durability at seal time, so exactly those cuts expose it.
-
-   The two-deep leg re-crashes a recovery: cut at boundary [k1], attach,
-   keep committing on the recovered engine, cut again at boundary [k2] of
-   the second life, attach again.  A recovery that mends the torn batch by
-   writing state it never re-fences would survive the first cut and lose
-   data at the second. *)
-
-type batch_failure = {
-  bt_fault : Config.fault;
-  bt_txs : int;
-  bt_crash : int option;  (* first power cut (persist boundary) *)
-  bt_crash2 : int option;  (* second cut, counted after recovery *)
-  bt_reason : string;
-}
-
-type batch_report =
-  | Batch_pass of { runs : int; boundaries : int }
-  | Batch_fail of batch_failure
-
-let batch_replay_line bt =
-  Printf.sprintf "dudetm check --batch%s --txs %d%s%s"
-    (match bt.bt_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    bt.bt_txs
-    (match bt.bt_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (match bt.bt_crash2 with None -> "" | Some k -> Printf.sprintf " --crash2 %d" k)
-
-let default_batch_txs = 12
-
-let batch_sites_budget = shard_sites_budget
 
 (* Small groups, a short deadline and a tiny adaptive bound: every few
    transactions seal a batch, so deadline-, size- and drain-triggered
@@ -1582,269 +1113,111 @@ let batch_cfg ~fault =
     batch_deadline = 512;
   }
 
-(* One life of the engine: run [txs] transactions per thread of the
-   [counter] workload on [p], cutting power at the [crash]-th persist
-   boundary.  Samples the durable watermark at every boundary (exactly
-   what was acknowledged when the power went out) and checks it never
-   regresses.  Returns (verdict-so-far, sites, acked, crashed). *)
-let batch_leg ~(wl : workload) ~txs ~crash (p : Ptm.t) nvm =
-  let sites = ref 0 in
-  let acked = ref 0 in
-  let last_d = ref 0 in
-  let err = ref None in
-  Nvm.set_persist_hook nvm
-    (Some
-       (fun () ->
-         incr sites;
-         let d = p.Ptm.durable_id () in
-         if d < !last_d && !err = None then
-           err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-         if d > !last_d then last_d := d;
-         if d > !acked then acked := d;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
-  let crashed = ref false in
-  let committed = ref 0 in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            p.Ptm.start ();
-            let done_workers = ref 0 in
-            for th = 0 to wl.threads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "batch-worker-%d" th) (fun () ->
-                     for _ = 1 to txs do
-                       match p.Ptm.atomically ~thread:th wl.tx_body with
-                       | Some ((), tid) -> if tid > 0 then incr committed
-                       | None -> ()
-                     done;
-                     incr done_workers))
-            done;
-            Sched.wait_until ~label:"batch workers done" (fun () ->
-                !done_workers = wl.threads);
-            p.Ptm.drain ();
-            p.Ptm.stop ()))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("engine raised " ^ Printexc.to_string e));
-  let d = p.Ptm.durable_id () in
-  if d > !acked then acked := d;
-  Nvm.set_persist_hook nvm None;
-  (!err, !sites, !acked, !crashed, !committed)
+type batch_obs = {
+  b_acked : int;
+  b_quiescent : bool;
+  b_committed : int;
+  b_durable : int;
+  b_peek : int -> int64;
+}
 
 (* Durable-prefix oracle after an attach: the recovered counter is a
    commit count [k]; nothing acknowledged may be missing, recovery's own
    durable report must match the data image, and every slot must hold the
-   last write the first [k] transactions made to it ([slot_check]). *)
-let batch_oracle ~(wl : workload) ~acked ~quiescent ~committed ~durable
-    ~(peek : int -> int64) =
-  let k = Int64.to_int (peek wl.wl_root) in
+   last write the first [k] transactions made to it. *)
+let batch_oracle at o =
+  let k = Int64.to_int (o.b_peek 0) in
   if k < 0 then Some (Printf.sprintf "recovered counter is negative: %d" k)
-  else if k < acked then
+  else if k < o.b_acked then
     Some
-      (Printf.sprintf
-         "durability lost: durable id %d was acknowledged, recovery found only %d" acked k)
-  else
-    match durable with
-    | Some d when d <> k ->
-      Some
-        (Printf.sprintf "recovery reports durable id %d but the data image shows %d" d k)
-    | _ ->
-      if quiescent && k <> committed then
-        Some
-          (Printf.sprintf "quiescent stop lost transactions: committed %d, recovered %d"
-             committed k)
-      else wl.check_state ~peek ~k
+      (Printf.sprintf "durability lost: durable id %d was acknowledged, recovery found only %d"
+         o.b_acked k)
+  else if o.b_durable <> k then
+    Some (Printf.sprintf "recovery reports durable id %d but the data image shows %d" o.b_durable k)
+  else if o.b_quiescent && k <> o.b_committed then
+    Some
+      (Printf.sprintf "quiescent stop lost transactions: committed %d, recovered %d"
+         o.b_committed k)
+  else (counter ~threads:3 ~txs:(int_param at "txs")).check_state ~peek:o.b_peek ~k
 
-(* One full batch-campaign run: first life, attach, optional second life,
-   attach again.  [crash = None] is the clean-engine control (runs to
-   quiescence, then loses power).  Returns (verdict, boundaries of the
-   first life, boundaries of the second life). *)
-let batch_run ~fault ~txs ~crash ~crash2 =
-  let cfg = batch_cfg ~fault in
+(* The combiner seals batch k+1 while the flusher's record for batch k is
+   still in flight, so the sweep lands cuts mid-pipeline: after a seal but
+   before the matching NVM append.  Two deep: cut the first life, attach,
+   keep committing on the recovered engine and cut its second life — a
+   recovery that mends the torn batch by writing state it never re-fences
+   survives the first cut and loses data at the second. *)
+let batch_run ctx at =
+  let txs = int_param at "txs" in
+  let cfg = batch_cfg ~fault:ctx.mutant in
   let wl = counter ~threads:cfg.Config.nthreads ~txs in
-  let p, _t = Dude_ptm.Stm.ptm cfg in
-  let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-  let err1, sites1, acked1, crashed1, committed1 = batch_leg ~wl ~txs ~crash p nvm in
-  match err1 with
-  | Some reason -> (Some reason, sites1, 0)
-  | None -> (
+  let p1, _ = Dude_ptm.Stm.ptm cfg in
+  let nvm = Option.get p1.Ptm.nvm in
+  let life (p : Ptm.t) =
+    let acked = ref 0 and last_d = ref 0 and err = ref None and committed = ref 0 in
+    arm ctx nvm ~sample:(fun () ->
+        let d = p.Ptm.durable_id () in
+        if d < !last_d && !err = None then
+          err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
+        last_d := max !last_d d;
+        acked := max !acked d);
+    let completed =
+      guard ctx (fun () ->
+          Sched.run (fun () ->
+              p.Ptm.start ();
+              let done_workers = ref 0 in
+              for th = 0 to wl.threads - 1 do
+                ignore
+                  (Sched.spawn (Printf.sprintf "batch-worker-%d" th) (fun () ->
+                       for _ = 1 to txs do
+                         match p.Ptm.atomically ~thread:th wl.tx_body with
+                         | Some ((), tid) -> if tid > 0 then incr committed
+                         | None -> ()
+                       done;
+                       incr done_workers))
+              done;
+              Sched.wait_until ~label:"batch workers done" (fun () -> !done_workers = wl.threads);
+              p.Ptm.drain ();
+              p.Ptm.stop ()))
+    in
+    judge !err;
+    acked := max !acked (p.Ptm.durable_id ());
     Nvm.crash nvm;
     match Dude_ptm.Stm.attach_ptm cfg nvm with
-    | exception e -> (Some ("recovery raised " ^ Printexc.to_string e), sites1, 0)
-    | p2, _t2, report -> (
-      let verdict1 =
-        batch_oracle ~wl ~acked:acked1 ~quiescent:(not crashed1) ~committed:committed1
-          ~durable:(Some report.Dudetm.durable) ~peek:p2.Ptm.peek
-      in
-      match verdict1 with
-      | Some reason -> (Some reason, sites1, 0)
-      | None ->
-        if not crashed1 then (None, sites1, 0)
-        else begin
-          (* Second life: the recovered engine must itself survive a cut. *)
-          let err2, sites2, acked2, crashed2, committed2 =
-            batch_leg ~wl ~txs ~crash:crash2 p2 nvm
-          in
-          match err2 with
-          | Some reason -> (Some reason, sites1, sites2)
-          | None -> (
-            Nvm.crash nvm;
-            match Dude_ptm.Stm.attach_ptm cfg nvm with
-            | exception e -> (Some ("re-recovery raised " ^ Printexc.to_string e), sites1, sites2)
-            | p3, _t3, report2 ->
-              ( batch_oracle ~wl ~acked:acked2 ~quiescent:(not crashed2)
-                  ~committed:(report.Dudetm.durable + committed2)
-                  ~durable:(Some report2.Dudetm.durable) ~peek:p3.Ptm.peek,
-                sites1,
-                sites2 ))
-        end))
-
-let check_batch ?(fault = Config.No_fault) ?(txs = default_batch_txs)
-    ?(log = fun _ -> ()) ?only_crash ?only_crash2 () =
-  let fail ~crash ~crash2 reason =
-    Batch_fail
-      { bt_fault = fault; bt_txs = txs; bt_crash = crash; bt_crash2 = crash2;
-        bt_reason = reason }
+    | p2, _, report ->
+      ( p2,
+        {
+          b_acked = !acked;
+          b_quiescent = completed <> None;
+          b_committed = !committed;
+          b_durable = report.Dudetm.durable;
+          b_peek = p2.Ptm.peek;
+        } )
+    | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
   in
-  match only_crash with
-  | Some k -> (
-    match batch_run ~fault ~txs ~crash:(Some k) ~crash2:only_crash2 with
-    | Some reason, _, _ -> fail ~crash:(Some k) ~crash2:only_crash2 reason
-    | None, s1, s2 -> Batch_pass { runs = 1; boundaries = s1 + s2 })
-  | None -> (
-    log (Printf.sprintf "batch: pipelined combine, %d txs x %d threads, clean run" txs
-           (batch_cfg ~fault).Config.nthreads);
-    match batch_run ~fault ~txs ~crash:None ~crash2:None with
-    | Some reason, _, _ -> fail ~crash:None ~crash2:None reason
-    | None, total, _ ->
-      let budget = batch_sites_budget () in
-      let runs = ref 1 in
-      let result = ref None in
-      (* Single-cut sweep: every boundary when the budget covers them,
-         otherwise an evenly-spread ascending sample. *)
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
-        (Printf.sprintf "batch: %d persist boundaries, cutting power at %d of them" total
-           (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match batch_run ~fault ~txs ~crash:(Some k) ~crash2:None with
-            | Some reason, _, _ -> result := Some (fail ~crash:(Some k) ~crash2:None reason)
-            | None, _, _ -> ()
-          end)
-        picks;
-      (* Two-deep sweep: re-crash the recovered engine.  A handful of
-         first cuts, each probed at a spread of second-life boundaries. *)
-      if !result = None then begin
-        let n1 = max 3 (budget / 15) in
-        let firsts = sample_sites ~s:total ~n:n1 in
-        log
-          (Printf.sprintf "batch: two-deep, re-crashing recovery after %d first cuts"
-             (List.length firsts));
-        List.iter
-          (fun k1 ->
-            if !result = None then begin
-              incr runs;
-              match batch_run ~fault ~txs ~crash:(Some k1) ~crash2:None with
-              | Some reason, _, _ ->
-                result := Some (fail ~crash:(Some k1) ~crash2:None reason)
-              | None, _, total2 ->
-                List.iter
-                  (fun k2 ->
-                    if !result = None then begin
-                      incr runs;
-                      match batch_run ~fault ~txs ~crash:(Some k1) ~crash2:(Some k2) with
-                      | Some reason, _, _ ->
-                        result := Some (fail ~crash:(Some k1) ~crash2:(Some k2) reason)
-                      | None, _, _ -> ()
-                    end)
-                  (sample_sites ~s:total2 ~n:(max 3 (budget / 15)))
-            end)
-          firsts
-      end;
-      match !result with
-      | Some f -> f
-      | None -> Batch_pass { runs = !runs; boundaries = total })
+  let p2, o1 = life p1 in
+  if o1.b_quiescent then o1
+  else begin
+    judge (batch_oracle at o1);
+    let _, o2 = life p2 in
+    { o2 with b_committed = o1.b_durable + o2.b_committed }
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Replicated-durability failover campaign                            *)
+(* replica: primary killed, replica promoted                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The replica campaign runs a full Replica cluster (one primary plus K
-   followers behind simulated links), cuts power at sampled persist
-   boundaries of the *primary's* device, and fails over.  Because the
-   ship hook hangs off the Persist daemon, those boundaries land cuts at
-   every interesting replication point: record persisted but frame not
-   yet sent, frames in flight, acks in flight, mid-retransmit (faulty
-   links), and mid-catch-up (healed partition).  The promoted state must
-   cover everything the quorum watermark ever acknowledged and be exactly
-   the model state for the recovered commit count.
-
-   The [Skip_quorum_gate] mutant acknowledges at the primary-local seal;
-   cuts with frames still in flight leave every replica short of the
-   "acked" watermark, which promotion exposes as lost durability. *)
+(* Cuts land at persist boundaries of the *primary's* device.  Because the
+   ship hook hangs off the Persist daemon, they cover every interesting
+   replication point: record persisted but frame not yet sent, frames in
+   flight, acks in flight, mid-retransmit (faulty links), and mid-catch-up
+   (healed partition).  The [Skip_quorum_gate] mutant acknowledges at the
+   primary-local seal; cuts with frames still in flight leave every
+   replica short of the "acked" watermark, which promotion exposes. *)
 
 module Rep = Dudetm_replica.Replica.Make (Dudetm_tm.Tinystm)
 module Link = Dudetm_replica.Link
 
-type replica_scenario = Rclean | Rfaulty | Rpartition
-
-let replica_scenario_to_string = function
-  | Rclean -> "clean"
-  | Rfaulty -> "faulty"
-  | Rpartition -> "partition"
-
-let replica_scenario_of_string = function
-  | "clean" -> Rclean
-  | "faulty" -> Rfaulty
-  | "partition" -> Rpartition
-  | s -> invalid_arg ("Check.replica_scenario_of_string: unknown scenario " ^ s)
-
-type replica_failure = {
-  rf_fault : Config.fault;
-  rf_nreplicas : int;
-  rf_txs : int;
-  rf_scenario : replica_scenario;
-  rf_crash : int option;
-  rf_reason : string;
-}
-
-type replica_report =
-  | Replica_pass of { runs : int; boundaries : int }
-  | Replica_fail of replica_failure
-
-let replica_replay_line rf =
-  Printf.sprintf "dudetm check --replica%s --replicas %d --txs %d --scenario %s%s"
-    (match rf.rf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    rf.rf_nreplicas rf.rf_txs
-    (replica_scenario_to_string rf.rf_scenario)
-    (match rf.rf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-let default_replica_count = 3
-
-let default_replica_txs = 10
-
-(* Counter workload at the engine level (same model as [counter]): tx
-   number i stamps slot (i mod 8) and writes the root to i, so the whole
-   durable state is a function of the recovered counter alone. *)
-let replica_slots = 8
-
-let replica_stamp i = [ i mod replica_slots ]
-
-let replica_tx tx =
-  let c1 = 1 + Int64.to_int (Rep.Engine.read tx 0) in
-  List.iter (fun j -> Rep.Engine.write tx (slot_addr j) (Int64.of_int c1)) (replica_stamp c1);
-  Rep.Engine.write tx 0 (Int64.of_int c1)
+let replica_scenarios = [ "clean"; "faulty"; "partition" ]
 
 let replica_faults =
   {
@@ -1856,43 +1229,35 @@ let replica_faults =
     corrupt = 0.03;
   }
 
-(* One full campaign run: drive the cluster, optionally cut power at the
-   [crash]-th primary persist boundary, fail over, check the oracle.
-   Returns (verdict, primary persist boundaries seen). *)
-let replica_run ~fault ~nreplicas ~txs ~scenario ~crash =
-  let cfg = { (batch_cfg ~fault) with Config.plog_size = 1 lsl 14 } in
+let replica_tx tx =
+  let c1 = 1 + Int64.to_int (Rep.Engine.read tx 0) in
+  Rep.Engine.write tx (slot_addr (c1 mod 8)) (Int64.of_int c1);
+  Rep.Engine.write tx 0 (Int64.of_int c1)
+
+let replica_run ctx at =
+  let nreplicas = int_param at "replicas" and txs = int_param at "txs" in
+  let scenario = param at "scenario" in
+  let cfg = { (batch_cfg ~fault:ctx.mutant) with Config.plog_size = 1 lsl 14 } in
   let link =
     {
       Link.default_config with
-      Link.faults = (match scenario with Rfaulty -> replica_faults | _ -> Link.no_faults);
+      Link.faults = (if scenario = "faulty" then replica_faults else Link.no_faults);
       seed = cfg.Config.seed;
     }
   in
-  let rcfg = { (Rep.default_config ~nreplicas ()) with Rep.link } in
-  let c = Rep.create ~rcfg cfg in
+  let c = Rep.create ~rcfg:{ (Rep.default_config ~nreplicas ()) with Rep.link } cfg in
   let prim = Rep.primary c in
-  let prim_nvm = Rep.Engine.nvm prim in
-  let sites = ref 0 in
-  let last_d = ref 0 in
-  let err = ref None in
-  Nvm.set_persist_hook prim_nvm
-    (Some
-       (fun () ->
-         incr sites;
-         let d = Rep.Engine.durable_id prim in
-         if d < !last_d && !err = None then
-           err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-         if d > !last_d then last_d := d;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
-  let crashed = ref false in
-  let committed = ref 0 in
-  let drained_quorum = ref false in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let last_d = ref 0 and err = ref None and committed = ref 0 and drained_quorum = ref false in
+  arm ctx prim ~sample:(fun () ->
+      let d = Rep.Engine.durable_id prim in
+      if d < !last_d && !err = None then
+        err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
+      last_d := max !last_d d);
+  let completed =
+    guard ~what:"cluster" ctx (fun () ->
+        Sched.run (fun () ->
             Rep.start c;
-            (match scenario with
-            | Rpartition ->
+            if scenario = "partition" then
               (* Partition the last replica mid-run, heal it later: crash
                  points before the heal exercise quorum-minus-one, points
                  after it exercise retransmit-driven catch-up. *)
@@ -1903,8 +1268,7 @@ let replica_run ~fault ~nreplicas ~txs ~scenario ~crash =
                        Rep.set_partitioned c (nreplicas - 1) true;
                        Sched.advance 400_000;
                        Rep.set_partitioned c (nreplicas - 1) false
-                     with Sched.Killed -> ()))
-            | _ -> ());
+                     with Sched.Killed -> ()));
             let done_workers = ref 0 in
             for th = 0 to cfg.Config.nthreads - 1 do
               ignore
@@ -1927,118 +1291,61 @@ let replica_run ~fault ~nreplicas ~txs ~scenario ~crash =
             | Rep.Degraded_quorum _ -> ());
             Rep.sync_followers c;
             Rep.stop c))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("cluster raised " ^ Printexc.to_string e));
-  Nvm.set_persist_hook prim_nvm None;
+  in
+  judge !err;
   (* The watermark is monotone, so its value now is its value at the cut:
      exactly what was ever acknowledged as quorum-durable. *)
   let acked = Rep.acked c in
-  match !err with
-  | Some reason -> (Some reason, !sites)
-  | None -> (
-    match Rep.promote c with
-    | exception e -> (Some ("promotion raised " ^ Printexc.to_string e), !sites)
-    | eng, prom ->
-      let peek a = Rep.Engine.heap_read_u64 eng a in
-      let k = Int64.to_int (peek 0) in
-      let durable = prom.Rep.report.Dudetm.durable in
-      (* With K = 1 the quorum is the primary alone (q = ⌈2/2⌉ = 1): acks
-         promise primary-local durability only — PR 6 semantics — so
-         failover makes no no-loss promise and only the prefix-consistency
-         checks apply.  Any larger cluster needs at least one replica ack,
-         and then no quorum-acked transaction may be lost. *)
-      let quorum_loss_guarded = Rep.quorum_needed ~nreplicas > 1 in
-      let reason =
-        if quorum_loss_guarded && acked > prom.Rep.quorum_prefix then
-          Some
-            (Printf.sprintf
-               "acked watermark %d passed the quorum prefix %d (candidates %s)" acked
-               prom.Rep.quorum_prefix
-               (String.concat ","
-                  (Array.to_list (Array.map string_of_int prom.Rep.candidates))))
-        else if quorum_loss_guarded && durable < acked then
-          Some
-            (Printf.sprintf
-               "durability lost: watermark %d was quorum-acked, promotion recovered only %d"
-               acked durable)
-        else if k <> durable then
-          Some
-            (Printf.sprintf "promotion reports durable id %d but the data image shows %d"
-               durable k)
-        else if (not !crashed) && !drained_quorum && k <> !committed then
-          Some
-            (Printf.sprintf "quiescent stop lost transactions: committed %d, promoted %d"
-               !committed k)
-        else slot_check ~slots:replica_slots ~stamp:replica_stamp ~peek ~k
-      in
-      (reason, !sites))
+  match Rep.promote c with
+  | eng, prom ->
+    (acked, prom, Rep.Engine.heap_read_u64 eng, completed <> None && !drained_quorum, !committed)
+  | exception e -> fail ("promotion raised " ^ Printexc.to_string e)
 
-let check_replica ?(fault = Config.No_fault) ?(nreplicas = default_replica_count)
-    ?(txs = default_replica_txs) ?(log = fun _ -> ()) ?scenario ?only_crash () =
-  let fail ~scenario ~crash reason =
-    Replica_fail
-      { rf_fault = fault; rf_nreplicas = nreplicas; rf_txs = txs; rf_scenario = scenario;
-        rf_crash = crash; rf_reason = reason }
+(* No quorum-acked transaction lost, the watermark never past the quorum
+   prefix, and the promoted image exactly the model state of the recovered
+   commit count.  With K = 1 the quorum is the primary alone, so acks
+   promise primary-local durability only and failover makes no no-loss
+   promise: only the prefix-consistency checks apply. *)
+let replica_oracle at (acked, prom, peek, quiescent, committed) =
+  let k = Int64.to_int (peek 0) in
+  let durable = prom.Rep.report.Dudetm.durable in
+  let guarded = Rep.quorum_needed ~nreplicas:(int_param at "replicas") > 1 in
+  if guarded && acked > prom.Rep.quorum_prefix then
+    Some
+      (Printf.sprintf "acked watermark %d passed the quorum prefix %d (candidates %s)" acked
+         prom.Rep.quorum_prefix
+         (String.concat "," (Array.to_list (Array.map string_of_int prom.Rep.candidates))))
+  else if guarded && durable < acked then
+    Some
+      (Printf.sprintf "durability lost: watermark %d was quorum-acked, promotion recovered only %d"
+         acked durable)
+  else if k <> durable then
+    Some (Printf.sprintf "promotion reports durable id %d but the data image shows %d" durable k)
+  else if quiescent && k <> committed then
+    Some (Printf.sprintf "quiescent stop lost transactions: committed %d, promoted %d" committed k)
+  else slot_check ~slots:8 ~stamp:(fun i -> [ i mod 8 ]) ~peek ~k
+
+(* Per link scenario, the site budget split across the scenarios swept. *)
+let replica_plan budget at _ =
+  let scenarios =
+    match List.assoc_opt "scenario" at with Some s -> [ s ] | None -> replica_scenarios
   in
-  match (scenario, only_crash) with
-  | Some sc, Some k -> (
-    match replica_run ~fault ~nreplicas ~txs ~scenario:sc ~crash:(Some k) with
-    | Some reason, _ -> fail ~scenario:sc ~crash:(Some k) reason
-    | None, s -> Replica_pass { runs = 1; boundaries = s })
-  | _ ->
-    let scenarios =
-      match scenario with Some sc -> [ sc ] | None -> [ Rclean; Rfaulty; Rpartition ]
-    in
-    let budget = max 4 (shard_sites_budget () / List.length scenarios) in
-    let runs = ref 0 in
-    let boundaries = ref 0 in
-    let result = ref None in
-    List.iter
-      (fun sc ->
-        if !result = None then begin
-          log
-            (Printf.sprintf "replica: scenario %s, K=%d, %d txs x %d threads, quiescent run"
-               (replica_scenario_to_string sc)
-               nreplicas txs
-               (batch_cfg ~fault:Config.No_fault).Config.nthreads);
-          incr runs;
-          match replica_run ~fault ~nreplicas ~txs ~scenario:sc ~crash:None with
-          | Some reason, _ -> result := Some (fail ~scenario:sc ~crash:None reason)
-          | None, total ->
-            boundaries := !boundaries + total;
-            let picks = sample_sites ~s:total ~n:budget in
-            log
-              (Printf.sprintf "replica: %d primary persist boundaries, killing at %d of them"
-                 total (List.length picks));
-            List.iter
-              (fun k ->
-                if !result = None then begin
-                  incr runs;
-                  match replica_run ~fault ~nreplicas ~txs ~scenario:sc ~crash:(Some k) with
-                  | Some reason, _ -> result := Some (fail ~scenario:sc ~crash:(Some k) reason)
-                  | None, _ -> ()
-                end)
-              picks
-        end)
-      scenarios;
-    match !result with
-    | Some f -> f
-    | None -> Replica_pass { runs = !runs; boundaries = !boundaries }
+  let n = max 4 (cut_sites budget / List.length scenarios) in
+  Seq.map
+    (fun sc -> point (set "scenario" sc at) ~single:(fun s -> sample_sites ~s ~n))
+    (List.to_seq scenarios)
 
 (* ------------------------------------------------------------------ *)
-(* Live-migration (resharding) crash campaign                         *)
+(* migrate: live 4->8 resharding under traffic                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The migrate campaign drives a live 4->8 resharding: 8 engines, an
-   8-bucket partition initially owned by shards 0-3 (two buckets each),
-   and four migrations handing every odd bucket to a fresh shard 4-7 —
-   each under application traffic that keeps landing increments inside
-   and outside the moving range, so cuts fall in the double-write window,
-   between the flip's three seals, and mid-cleanup.  Power is cut at
-   persist boundaries counted across all eight devices (the handoff
-   journal's own seals are boundaries too).
+(* 8 engines, an 8-bucket partition initially owned by shards 0-3 (two
+   buckets each), and four migrations handing every odd bucket to a fresh
+   shard 4-7 — each under application traffic that keeps landing
+   increments inside and outside the moving range, so cuts fall in the
+   double-write window, between the flip's three seals, and mid-cleanup.
+   Boundaries are counted across all eight devices (the handoff journal's
+   own seals are boundaries too).
 
    The per-key model tracks a commit count and, at every boundary, how
    many of each key's commits were acknowledged under the sampled vector
@@ -2048,46 +1355,23 @@ let check_replica ?(fault = Config.No_fault) ?(nreplicas = default_replica_count
    after the completed schedule it must equal the commit count exactly,
    with every moved range's source slots recycled to zero.
 
-   The two-deep leg re-arms the hooks before the first re-attach, so the
-   second cut can land inside recovery itself — between the roll-forward
-   seals of a half-flipped handoff — and the third attach must still
-   converge.  The [Skip_handoff_seal] mutant flips volatile routing
-   without sealing the handoff record or the new descriptor; any cut
-   after the first flip recovers the stale descriptor, routes the moved
-   range back to the source, and loses the destination's acknowledged
-   writes — which the oracle reports. *)
+   The second life is armed before the first re-attach, so its cut can
+   land inside recovery itself — between the roll-forward seals of a
+   half-flipped handoff — and the third attach must still converge.  The
+   [Skip_handoff_seal] mutant flips volatile routing without sealing the
+   handoff record or the new descriptor; any cut after the first flip
+   recovers the stale descriptor, routes the moved range back to the
+   source, and loses the destination's acknowledged writes. *)
 
 module Mig = Dudetm_shard.Migrate.Make (Dudetm_tm.Tinystm)
 module Handoff = Dudetm_shard.Handoff
 module Partition = Dudetm_workloads.Partition
 
-type migrate_failure = {
-  mg_fault : Config.fault;
-  mg_crash : int option;  (* first power cut (persist boundary) *)
-  mg_crash2 : int option;  (* second cut, counted from the re-attach on *)
-  mg_reason : string;
-}
-
-type migrate_report =
-  | Migrate_pass of { runs : int; boundaries : int }
-  | Migrate_fail of migrate_failure
-
-let migrate_replay_line mg =
-  Printf.sprintf "dudetm check --migrate%s%s%s"
-    (match mg.mg_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    (match mg.mg_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (match mg.mg_crash2 with None -> "" | Some k -> Printf.sprintf " --crash2 %d" k)
-
 let migrate_nshards = 8
 
 let migrate_nkeys = 16
 
-(* 8 buckets over keys [0, 16): bucket [b] covers keys {2b, 2b+1}.  The
-   schedule hands every odd bucket to a fresh shard. *)
+(* Bucket [b] covers keys {2b, 2b+1}. *)
 let mg_initial_owners = [| 0; 0; 1; 1; 2; 2; 3; 3 |]
 
 let mg_final_owners = [| 0; 4; 1; 5; 2; 6; 3; 7 |]
@@ -2106,15 +1390,6 @@ type mg_model = {
   mg_emax : int array;
 }
 
-let mg_model () =
-  {
-    mg_committed = Array.make migrate_nkeys 0;
-    mg_acked = Array.make migrate_nkeys 0;
-    mg_pending = Array.init migrate_nkeys (fun _ -> Queue.create ());
-    mg_fmax = 0;
-    mg_emax = Array.make migrate_nshards 0;
-  }
-
 (* Unacknowledged commits are void once the power is cut: their tids/gtids
    can be reissued by the next life, so leaving them queued would let a
    second-life watermark satisfy a first-life ack. *)
@@ -2123,9 +1398,9 @@ let mg_void_pending model = Array.iter Queue.clear model.mg_pending
 (* One increment through the router; records the commit and its ack. *)
 let mg_bump mig model ~thread k =
   match Mig.apply mig ~thread ~key:k (fun v -> Int64.add v 1L) with
-  | Some (_, ack) ->
+  | Some (_, ack) -> (
     model.mg_committed.(k) <- model.mg_committed.(k) + 1;
-    (match ack with
+    match ack with
     | Mig.Sh.Ack_local { shard; tid } -> Queue.push (Mg_local (shard, tid)) model.mg_pending.(k)
     | Mig.Sh.Ack_cross { gtid } -> Queue.push (Mg_cross gtid) model.mg_pending.(k)
     | Mig.Sh.Ack_read_only -> ())
@@ -2135,7 +1410,7 @@ let mg_bump mig model ~thread k =
    everything acknowledged and never exceed the commit count; [final]
    additionally demands the completed-resharding fixpoint: final owners,
    exact counts, and every non-owner slot recycled to zero. *)
-let mg_oracle ~final sh mig model =
+let mg_oracle ~final (sh, mig, model) =
   let peek s k = Mig.Sh.Engine.heap_read_u64 (Mig.Sh.engine sh s) (mg_slot k) in
   let bad = ref None in
   let report r = if !bad = None then bad := Some r in
@@ -2144,12 +1419,12 @@ let mg_oracle ~final sh mig model =
     let v = Int64.to_int (peek o k) in
     if v < model.mg_acked.(k) then
       report
-        (Printf.sprintf "acked write lost: key %d on owner shard %d is %d, %d were acked"
-           k o v model.mg_acked.(k));
+        (Printf.sprintf "acked write lost: key %d on owner shard %d is %d, %d were acked" k o v
+           model.mg_acked.(k));
     if v > model.mg_committed.(k) then
       report
-        (Printf.sprintf "phantom write: key %d on owner shard %d is %d, only %d committed"
-           k o v model.mg_committed.(k))
+        (Printf.sprintf "phantom write: key %d on owner shard %d is %d, only %d committed" k o v
+           model.mg_committed.(k))
   done;
   if final then begin
     let owners = Partition.owners (Mig.partition mig) in
@@ -2167,8 +1442,7 @@ let mg_oracle ~final sh mig model =
       for s = 0 to migrate_nshards - 1 do
         if s <> o && peek s k <> 0L then
           report
-            (Printf.sprintf
-               "unreachable extent: shard %d still holds %Ld for key %d (owner %d)" s
+            (Printf.sprintf "unreachable extent: shard %d still holds %Ld for key %d (owner %d)" s
                (peek s k) k o)
       done
     done
@@ -2226,8 +1500,7 @@ let mg_complete mig model =
     while not (Mig.cleanup_step ~chunk:4 mig ~thread:0) do
       ()
     done
-  | Some _ -> ()
-  | None -> ());
+  | Some _ | None -> ());
   let owners = Partition.owners (Mig.partition mig) in
   List.iter
     (fun (src, dst, b) ->
@@ -2237,219 +1510,114 @@ let mg_complete mig model =
     mg_bump mig model ~thread:(k mod 3) k
   done
 
-(* One full campaign run: first life (cut at boundary [crash], counted
-   across all devices), attach with hooks re-armed (so [crash2] can land
-   inside recovery itself), completion life, attach after any second cut,
-   completion again, final oracle.  Returns (verdict, first-life sites,
-   second-count sites). *)
-let migrate_run ~fault ~crash ~crash2 =
-  let cfg = dude_cfg ~combine:false ~fault in
+(* First life: the schedule, cut at crash-at.  Second life, armed before
+   the re-attach: attach and completion, cut at crash2.  After a second
+   cut, an unarmed attach and completion.  Each attach is judged by the
+   mid-recovery oracle; the returned state by the final one. *)
+let migrate_run ctx _ =
+  let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
   let part =
     Partition.buckets ~nshards:migrate_nshards ~lo:0L ~hi:(Int64.of_int migrate_nkeys)
       ~owners:mg_initial_owners
   in
   let sh = Mig.Sh.create ~nshards:migrate_nshards cfg in
   let mig = Mig.create sh ~part ~nkeys:migrate_nkeys ~slot_of:mg_slot in
-  let model = mg_model () in
-  let sites = ref 0 in
-  let cut_at = ref crash in
+  let nvms = Array.init migrate_nshards (Mig.Sh.nvm sh) in
+  let model =
+    {
+      mg_committed = Array.make migrate_nkeys 0;
+      mg_acked = Array.make migrate_nkeys 0;
+      mg_pending = Array.init migrate_nkeys (fun _ -> Queue.create ());
+      mg_fmax = 0;
+      mg_emax = Array.make migrate_nshards 0;
+    }
+  in
   let cur_sh = ref sh in
-  let hook () =
-    incr sites;
-    let shh = !cur_sh in
-    let f = Mig.Sh.global_frontier shh in
+  let sample () =
+    let f = Mig.Sh.global_frontier !cur_sh in
     if f > model.mg_fmax then model.mg_fmax <- f;
     Array.iteri
-      (fun s e -> if e > model.mg_emax.(s) then model.mg_emax.(s) <- e)
-      (Mig.Sh.effective_vector shh);
+      (fun s e -> model.mg_emax.(s) <- max model.mg_emax.(s) e)
+      (Mig.Sh.effective_vector !cur_sh);
     for k = 0 to migrate_nkeys - 1 do
       let q = model.mg_pending.(k) in
-      let go = ref true in
-      while !go && not (Queue.is_empty q) do
-        let sat =
-          match Queue.peek q with
-          | Mg_local (s, tid) -> model.mg_emax.(s) >= tid
-          | Mg_cross g -> model.mg_fmax >= g
-        in
-        if sat then begin
-          ignore (Queue.pop q);
-          model.mg_acked.(k) <- model.mg_acked.(k) + 1
-        end
-        else go := false
+      let satisfied = function
+        | Mg_local (s, tid) -> model.mg_emax.(s) >= tid
+        | Mg_cross g -> model.mg_fmax >= g
+      in
+      while (not (Queue.is_empty q)) && satisfied (Queue.peek q) do
+        ignore (Queue.pop q);
+        model.mg_acked.(k) <- model.mg_acked.(k) + 1
       done
-    done;
-    match !cut_at with Some c when !sites = c -> raise Crash_now | _ -> ()
+    done
   in
-  let nvms = Array.init migrate_nshards (Mig.Sh.nvm sh) in
-  let arm () = Array.iter (fun n -> Nvm.set_persist_hook n (Some hook)) nvms in
-  let disarm () = Array.iter (fun n -> Nvm.set_persist_hook n None) nvms in
-  let crashed = ref false in
-  let err = ref None in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            Mig.Sh.start sh;
-            arm ();
-            mg_schedule mig model;
-            disarm ();
-            Mig.Sh.stop sh))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("engine raised " ^ Printexc.to_string e));
-  disarm ();
-  let sites1 = !sites in
-  match !err with
-  | Some reason -> (Some reason, sites1, 0)
-  | None ->
-    if not !crashed then (mg_oracle ~final:true sh mig model, sites1, 0)
-    else begin
-      mg_void_pending model;
-      Array.iter Nvm.crash nvms;
-      sites := 0;
-      cut_at := crash2;
-      arm ();
-      (* Attach with hooks armed: the second cut may land between the
-         handoff journal's own recovery seals. *)
-      let attach_once () =
-        let sh2, _rep = Mig.Sh.attach ~nshards:migrate_nshards cfg nvms in
-        cur_sh := sh2;
-        let mig2, _resume = Mig.attach sh2 ~nkeys:migrate_nkeys ~slot_of:mg_slot in
-        (sh2, mig2)
-      in
-      let complete_life sh2 mig2 =
+  let crash () =
+    mg_void_pending model;
+    Array.iter Nvm.crash nvms
+  in
+  let attach () =
+    let sh2, _ = Mig.Sh.attach ~nshards:migrate_nshards cfg nvms in
+    cur_sh := sh2;
+    let mig2, _ = Mig.attach sh2 ~nkeys:migrate_nkeys ~slot_of:mg_slot in
+    judge (mg_oracle ~final:false (sh2, mig2, model));
+    mg_rebase sh2 mig2 model;
+    (sh2, mig2)
+  in
+  let complete (sh2, mig2) =
+    Sched.run (fun () ->
+        Mig.Sh.start sh2;
+        mg_complete mig2 model;
+        disarm ctx;
+        Mig.Sh.stop sh2)
+  in
+  let first =
+    guard ctx (fun () ->
         Sched.run (fun () ->
-            Mig.Sh.start sh2;
-            mg_complete mig2 model;
-            disarm ();
-            Mig.Sh.stop sh2)
-      in
-      let final_life () =
-        (* No further cuts: attach once more and finish the schedule. *)
-        mg_void_pending model;
-        disarm ();
-        Array.iter Nvm.crash nvms;
-        match attach_once () with
-        | exception e -> Some ("re-recovery raised " ^ Printexc.to_string e)
-        | sh3, mig3 -> (
-          match mg_oracle ~final:false sh3 mig3 model with
-          | Some r -> Some r
-          | None -> (
-            mg_rebase sh3 mig3 model;
-            match Sched.run (fun () ->
-                      Mig.Sh.start sh3;
-                      mg_complete mig3 model;
-                      Mig.Sh.stop sh3)
-            with
-            | _ -> mg_oracle ~final:true sh3 mig3 model
-            | exception Sched.Deadlock msg -> Some ("deadlock after re-recovery: " ^ msg)
-            | exception e -> Some ("re-recovered engine raised " ^ Printexc.to_string e)))
-      in
-      match attach_once () with
-      | exception Crash_now -> (final_life (), sites1, !sites)
-      | exception e -> (Some ("recovery raised " ^ Printexc.to_string e), sites1, !sites)
-      | sh2, mig2 -> (
-        match mg_oracle ~final:false sh2 mig2 model with
-        | Some r -> (Some r, sites1, !sites)
-        | None -> (
-          mg_rebase sh2 mig2 model;
-          match complete_life sh2 mig2 with
-          | _ -> (mg_oracle ~final:true sh2 mig2 model, sites1, !sites)
-          | exception Crash_now -> (final_life (), sites1, !sites)
-          | exception Sched.Deadlock msg -> (Some ("deadlock: " ^ msg), sites1, !sites)
-          | exception e ->
-            (Some ("recovered engine raised " ^ Printexc.to_string e), sites1, !sites)))
-    end
-
-let check_migrate ?(fault = Config.No_fault) ?(log = fun _ -> ()) ?only_crash ?only_crash2 ()
-    =
-  let fail ~crash ~crash2 reason =
-    Migrate_fail { mg_fault = fault; mg_crash = crash; mg_crash2 = crash2; mg_reason = reason }
+            Mig.Sh.start sh;
+            arm ctx ~sample sh;
+            mg_schedule mig model;
+            disarm ctx;
+            Mig.Sh.stop sh))
   in
-  match only_crash with
-  | Some k -> (
-    match migrate_run ~fault ~crash:(Some k) ~crash2:only_crash2 with
-    | Some reason, _, _ -> fail ~crash:(Some k) ~crash2:only_crash2 reason
-    | None, s1, s2 -> Migrate_pass { runs = 1; boundaries = s1 + s2 })
-  | None -> (
-    log
-      (Printf.sprintf "migrate: live 4->8 resharding, %d shards, %d keys, clean run"
-         migrate_nshards migrate_nkeys);
-    match migrate_run ~fault ~crash:None ~crash2:None with
-    | Some reason, _, _ -> fail ~crash:None ~crash2:None reason
-    | None, total, _ ->
-      let budget = shard_sites_budget () in
-      let runs = ref 1 in
-      let result = ref None in
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
+  if first <> None then (sh, mig, model)
+  else begin
+    crash ();
+    arm ctx ~sample sh;
+    let second () =
+      let s = attach () in
+      ignore (complete s);
+      s
+    in
+    match guard ~what:"recovered engine" ctx second with
+    | Some (sh2, mig2) -> (sh2, mig2, model)
+    | None ->
+      (* No further cuts: attach once more and finish the schedule. *)
+      crash ();
+      let sh3, mig3 =
+        try attach () with
+        | Failed _ as e -> raise e
+        | e -> fail ("re-recovery raised " ^ Printexc.to_string e)
       in
-      log
-        (Printf.sprintf "migrate: %d persist boundaries, cutting power at %d of them" total
-           (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match migrate_run ~fault ~crash:(Some k) ~crash2:None with
-            | Some reason, _, _ -> result := Some (fail ~crash:(Some k) ~crash2:None reason)
-            | None, _, _ -> ()
-          end)
-        picks;
-      (* Two-deep: a handful of first cuts, each re-cut at a spread of
-         boundaries counted from the re-attach on — recovery's own handoff
-         seals included. *)
-      if !result = None then begin
-        let n1 = max 3 (budget / 20) in
-        let firsts = sample_sites ~s:total ~n:n1 in
-        log
-          (Printf.sprintf "migrate: two-deep, re-cutting recovery after %d first cuts"
-             (List.length firsts));
-        List.iter
-          (fun k1 ->
-            if !result = None then begin
-              incr runs;
-              match migrate_run ~fault ~crash:(Some k1) ~crash2:None with
-              | Some reason, _, _ ->
-                result := Some (fail ~crash:(Some k1) ~crash2:None reason)
-              | None, _, total2 ->
-                List.iter
-                  (fun k2 ->
-                    if !result = None then begin
-                      incr runs;
-                      match migrate_run ~fault ~crash:(Some k1) ~crash2:(Some k2) with
-                      | Some reason, _, _ ->
-                        result := Some (fail ~crash:(Some k1) ~crash2:(Some k2) reason)
-                      | None, _, _ -> ()
-                    end)
-                  (sample_sites ~s:total2 ~n:(max 3 (budget / 20)))
-            end)
-          firsts
-      end;
-      match !result with
-      | Some f -> f
-      | None -> Migrate_pass { runs = !runs; boundaries = total })
+      (match complete (sh3, mig3) with
+      | _ -> ()
+      | exception Sched.Deadlock msg -> fail ("deadlock after re-recovery: " ^ msg)
+      | exception e -> fail ("re-recovered engine raised " ^ Printexc.to_string e));
+      (sh3, mig3, model)
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot-read crash campaign                                       *)
+(* snapshot: read-only snapshots across power cuts                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The snapshot campaign runs pair-writer transactions — every commit
-   writes the {e same} value to both slots of one pair — against a
-   concurrent read-only snapshot reader alternating volatile and
-   durable-only mode, and cuts power at sampled persist boundaries while
-   the durable reads run.  Two oracles:
-
-   - {b consistency}: every completed snapshot read-set satisfies
-     [va = vb].  A reader spanning a writer's commit must either retry
-     (validated extension) or see none of its writes; the
-     [Skip_snapshot_validate] mutant slides the epoch forward without
-     revalidating and returns one old and one new half of a pair.
-   - {b durable prefix}: a durable-mode read of value [v] proves that [v]
-     transactions on that pair were durable when the read completed, so
-     after the cut recovery must find at least [v] on that pair — and
-     never more than were committed. *)
+(* Pair-writer transactions — every commit writes the same value to both
+   slots of one pair — against a concurrent read-only snapshot reader
+   alternating volatile and durable-only mode.  Every completed read-set
+   must satisfy va = vb: a reader whose epoch extension spans a writer's
+   commit must retry or see none of its writes (the
+   [Skip_snapshot_validate] mutant slides the epoch forward without
+   revalidating and tears).  A durable-mode read of value v proves v
+   transactions on that pair were durable, so recovery must find at least
+   v — and never more than were committed. *)
 
 let snapshot_npairs = 4
 
@@ -2457,63 +1625,25 @@ let sn_slot_a p = 8 + (16 * p)
 
 let sn_slot_b p = sn_slot_a p + 8
 
-let default_snapshot_txs = 12
-
-let snapshot_sites_budget = shard_sites_budget
-
-type snapshot_failure = {
-  sn_fault : Config.fault;
-  sn_txs : int;
-  sn_crash : int option;  (* power cut (persist boundary) *)
-  sn_reason : string;
-}
-
-type snapshot_report =
-  | Snapshot_pass of { runs : int; boundaries : int; reads : int }
-  | Snapshot_fail of snapshot_failure
-
-let snapshot_replay_line sn =
-  Printf.sprintf "dudetm check --snapshot%s --txs %d%s"
-    (match sn.sn_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    sn.sn_txs
-    (match sn.sn_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-(* One full run on the pipelined-combine config (short deadline: durable
-   pin waits stay bounded, and a short run still crosses many persist
-   boundaries): writers on threads [0 .. n-2], the snapshot reader on the
-   last thread, power cut at the [crash]-th boundary, attach, oracle.
-   Returns (verdict, boundaries, completed snapshot reads). *)
-let snapshot_run ~fault ~txs ~crash =
-  let cfg = batch_cfg ~fault in
+let snapshot_run ctx at =
+  let txs = int_param at "txs" in
+  let cfg = batch_cfg ~fault:ctx.mutant in
   let nthreads = cfg.Config.nthreads in
   let nwriters = nthreads - 1 in
-  let p, _t = Dude_ptm.Stm.ptm cfg in
-  let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-  let sites = ref 0 in
-  let last_d = ref 0 in
-  let err = ref None in
+  let p, _ = Dude_ptm.Stm.ptm cfg in
+  let nvm = Option.get p.Ptm.nvm in
+  let last_d = ref 0 and err = ref None in
   let report r = if !err = None then err := Some r in
-  Nvm.set_persist_hook nvm
-    (Some
-       (fun () ->
-         incr sites;
-         let d = p.Ptm.durable_id () in
-         if d < !last_d then
-           report (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-         if d > !last_d then last_d := d;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
+  arm ctx nvm ~sample:(fun () ->
+      let d = p.Ptm.durable_id () in
+      if d < !last_d then report (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
+      last_d := max !last_d d);
   let committed = Array.make snapshot_npairs 0 in
   (* Per pair: the largest value a completed durable-mode read returned. *)
   let durable_seen = Array.make snapshot_npairs 0 in
-  let reads = ref 0 in
-  let crashed = ref false in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let completed =
+    guard ctx (fun () ->
+        Sched.run (fun () ->
             p.Ptm.start ();
             let writers_done = ref 0 in
             for th = 0 to nwriters - 1 do
@@ -2527,7 +1657,7 @@ let snapshot_run ~fault ~txs ~crash =
                              tx.Ptm.write (sn_slot_a pair) v;
                              tx.Ptm.write (sn_slot_b pair) v)
                        with
-                       | Some ((), _tid) -> committed.(pair) <- committed.(pair) + 1
+                       | Some ((), _) -> committed.(pair) <- committed.(pair) + 1
                        | None -> ()
                      done;
                      incr writers_done))
@@ -2544,28 +1674,25 @@ let snapshot_run ~fault ~txs ~crash =
                         extension — which must revalidate the recorded [a]
                         (and restart), or tear. *)
                      match
-                       p.Ptm.atomically_ro ~durable:!durable ~thread:(nthreads - 1)
-                         (fun tx ->
-                           let va =
-                             Array.init snapshot_npairs (fun q -> tx.Ptm.read (sn_slot_a q))
+                       p.Ptm.atomically_ro ~durable:!durable ~thread:(nthreads - 1) (fun tx ->
+                           let read slot =
+                             Array.init snapshot_npairs (fun q -> tx.Ptm.read (slot q))
                            in
-                           let vb =
-                             Array.init snapshot_npairs (fun q -> tx.Ptm.read (sn_slot_b q))
-                           in
+                           let va = read sn_slot_a in
+                           let vb = read sn_slot_b in
                            (va, vb))
                      with
                      | Some ((va, vb), epoch) ->
-                       incr reads;
+                       tally ctx "snapshot reads" 1;
                        for q = 0 to snapshot_npairs - 1 do
                          if va.(q) <> vb.(q) then
                            report
                              (Printf.sprintf
-                                "torn snapshot read-set: pair %d is %Ld/%Ld at epoch %d \
-                                 (%s mode)"
-                                q va.(q) vb.(q) epoch
+                                "torn snapshot read-set: pair %d is %Ld/%Ld at epoch %d (%s mode)" q
+                                va.(q) vb.(q) epoch
                                 (if !durable then "durable" else "volatile"));
-                         if !durable && Int64.to_int va.(q) > durable_seen.(q) then
-                           durable_seen.(q) <- Int64.to_int va.(q)
+                         if !durable then
+                           durable_seen.(q) <- max durable_seen.(q) (Int64.to_int va.(q))
                        done
                      | None -> ()
                    done;
@@ -2574,106 +1701,47 @@ let snapshot_run ~fault ~txs ~crash =
                 !writers_done = nwriters && !reader_done);
             p.Ptm.drain ();
             p.Ptm.stop ()))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> report ("deadlock: " ^ msg)
-  | e -> report ("engine raised " ^ Printexc.to_string e));
-  Nvm.set_persist_hook nvm None;
-  match !err with
-  | Some reason -> (Some reason, !sites, !reads)
-  | None -> (
-    Nvm.crash nvm;
-    match Dude_ptm.Stm.attach_ptm cfg nvm with
-    | exception e -> (Some ("recovery raised " ^ Printexc.to_string e), !sites, !reads)
-    | p2, _t2, _report ->
-      let verdict = ref None in
-      let fail r = if !verdict = None then verdict := Some r in
-      for pr = 0 to snapshot_npairs - 1 do
-        let ra = Int64.to_int (p2.Ptm.peek (sn_slot_a pr)) in
-        let rb = Int64.to_int (p2.Ptm.peek (sn_slot_b pr)) in
-        if ra <> rb then fail (Printf.sprintf "recovered pair %d is torn: %d/%d" pr ra rb);
-        if ra < durable_seen.(pr) then
-          fail
-            (Printf.sprintf
-               "durable-mode snapshot read lost: pair %d read %d, recovery found %d" pr
-               durable_seen.(pr) ra);
-        if ra > committed.(pr) then
-          fail
-            (Printf.sprintf "phantom writes: pair %d recovered %d, only %d committed" pr ra
-               committed.(pr));
-        if (not !crashed) && ra <> committed.(pr) then
-          fail
-            (Printf.sprintf "quiescent stop lost writes: pair %d is %d, committed %d" pr ra
-               committed.(pr))
-      done;
-      (!verdict, !sites, !reads))
-
-let check_snapshot ?(fault = Config.No_fault) ?(txs = default_snapshot_txs)
-    ?(log = fun _ -> ()) ?only_crash () =
-  let fail ~crash reason =
-    Snapshot_fail { sn_fault = fault; sn_txs = txs; sn_crash = crash; sn_reason = reason }
   in
-  match only_crash with
-  | Some k -> (
-    match snapshot_run ~fault ~txs ~crash:(Some k) with
-    | Some reason, _, _ -> fail ~crash:(Some k) reason
-    | None, s, r -> Snapshot_pass { runs = 1; boundaries = s; reads = r })
-  | None -> (
-    log
-      (Printf.sprintf "snapshot: %d pair-writers x %d txs + mixed-mode reader, clean run"
-         ((batch_cfg ~fault).Config.nthreads - 1)
-         txs);
-    match snapshot_run ~fault ~txs ~crash:None with
-    | Some reason, _, _ -> fail ~crash:None reason
-    | None, total, reads0 ->
-      let budget = snapshot_sites_budget () in
-      let runs = ref 1 in
-      let reads = ref reads0 in
-      let result = ref None in
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
-        (Printf.sprintf
-           "snapshot: %d persist boundaries, cutting power at %d of them under durable \
-            readers"
-           total (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match snapshot_run ~fault ~txs ~crash:(Some k) with
-            | Some reason, _, _ -> result := Some (fail ~crash:(Some k) reason)
-            | None, _, r -> reads := !reads + r
-          end)
-        picks;
-      match !result with
-      | Some f -> f
-      | None -> Snapshot_pass { runs = !runs; boundaries = total; reads = !reads })
+  judge !err;
+  Nvm.crash nvm;
+  match Dude_ptm.Stm.attach_ptm cfg nvm with
+  | p2, _, _ -> (p2.Ptm.peek, committed, durable_seen, completed <> None)
+  | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
+
+let snapshot_oracle _ (peek, committed, durable_seen, quiescent) =
+  let verdict = ref None in
+  let fail r = if !verdict = None then verdict := Some r in
+  for pr = 0 to snapshot_npairs - 1 do
+    let ra = Int64.to_int (peek (sn_slot_a pr)) and rb = Int64.to_int (peek (sn_slot_b pr)) in
+    if ra <> rb then fail (Printf.sprintf "recovered pair %d is torn: %d/%d" pr ra rb);
+    if ra < durable_seen.(pr) then
+      fail
+        (Printf.sprintf "durable-mode snapshot read lost: pair %d read %d, recovery found %d" pr
+           durable_seen.(pr) ra);
+    if ra > committed.(pr) then
+      fail
+        (Printf.sprintf "phantom writes: pair %d recovered %d, only %d committed" pr ra
+           committed.(pr));
+    if quiescent && ra <> committed.(pr) then
+      fail
+        (Printf.sprintf "quiescent stop lost writes: pair %d is %d, committed %d" pr ra
+           committed.(pr))
+  done;
+  !verdict
 
 (* ------------------------------------------------------------------ *)
-(* Serving front-end crash campaign                                   *)
+(* serve: the serving front end, acked-prefix oracle                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The serve campaign drives the full front end — bounded queue,
-   admission gate, DRR dispatch, durable-watermark acker — with one
-   closed-loop client session per pair and cuts power mid-burst at
-   sampled persist boundaries across both shard devices.  Each write of
-   value [v] to pair [p] stamps both slots of the pair, values are dense
-   increments, and the client records [acked.(p) = v] only after its
-   reply arrives.  The acked-prefix oracle after re-attach:
-
-   - {b no half-applied request}: both slots of every pair agree
-     (a torn pair means a request was applied in part);
-   - {b no acked request lost}: the recovered value covers [acked.(p)] —
-     a reply is a durability promise.  The [Skip_admission_gate] mutant
-     releases write replies at commit instead of the durable watermark,
-     so a cut in the commit-to-persist window fails exactly this check;
-   - {b no phantom}: the recovered value never exceeds the largest value
-     the client ever submitted;
-   - {b quiescent exactness}: with no cut, every pair recovers to
-     exactly [txs]. *)
+(* One closed-loop client session per pair drives dense increments
+   through the bounded queue, admission gate, DRR dispatch and
+   durable-watermark acker; each write of value v stamps both slots of its
+   pair, and the client records v as acked only once its reply arrives.
+   After re-attach: no half-applied request (both slots agree), no acked
+   request lost (a reply is a durability promise — the
+   [Skip_admission_gate] mutant releases replies at commit instead of the
+   durable watermark), no phantom beyond the largest submitted value, and
+   with no cut every pair at exactly txs. *)
 
 module Srv = Dudetm_serve.Serve.Make (Dudetm_tm.Tinystm)
 module Serve = Dudetm_serve.Serve
@@ -2683,10 +1751,6 @@ let serve_nshards = 2
 let serve_ntenants = 2
 
 let serve_npairs = 4
-
-let default_serve_txs = 10
-
-let serve_sites_budget = shard_sites_budget
 
 (* Pair [p] lives on shard [p mod serve_nshards]; its two slots sit past
    the root word at a stride that keeps pairs on one shard apart. *)
@@ -2724,74 +1788,34 @@ let serve_app =
         if Int64.equal a b then a else -1L);
   }
 
-type serve_failure = {
-  sv_fault : Config.fault;
-  sv_txs : int;
-  sv_crash : int option;  (* power cut (persist boundary) *)
-  sv_reason : string;
-}
-
-type serve_report =
-  | Serve_pass of { runs : int; boundaries : int; acked : int; shed : int }
-  | Serve_fail of serve_failure
-
-let serve_replay_line sv =
-  Printf.sprintf "dudetm check --serve%s --txs %d%s"
-    (match sv.sv_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    sv.sv_txs
-    (match sv.sv_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-(* One full run: the front end over [serve_nshards] fresh devices, one
-   closed-loop client per pair submitting dense increments (retrying the
-   same value after a shed or abort), a power cut at the [crash]-th
-   persist boundary counted across all devices, re-attach, oracle.
-   Returns (verdict, boundaries, acked total, shed total). *)
-let serve_run ~fault ~txs ~crash =
+let serve_run ctx at =
+  let txs = int_param at "txs" in
   let cfg =
-    Dudetm_serve.Serve_load.engine_cfg ~fault
+    Dudetm_serve.Serve_load.engine_cfg ~fault:ctx.mutant
       ~workers:serve_scfg.Serve.workers_per_shard ()
   in
   let sh = Srv.Sh.create ~nshards:serve_nshards cfg in
-  let nvms = Array.init serve_nshards (fun s -> Srv.Sh.nvm sh s) in
-  let sites = ref 0 in
   let err = ref None in
   let report r = if !err = None then err := Some r in
-  Array.iter
-    (fun nvm ->
-      Nvm.set_persist_hook nvm
-        (Some
-           (fun () ->
-             incr sites;
-             match crash with Some k when !sites = k -> raise Crash_now | _ -> ())))
-    nvms;
+  arm ctx sh;
   let srv = Srv.create ~scfg:serve_scfg ~app:serve_app ~ntenants:serve_ntenants sh in
   let acked = Array.make serve_npairs 0 in
   let submitted = Array.make serve_npairs 0 in
   let shed = ref 0 in
-  let crashed = ref false in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let completed =
+    guard ctx (fun () ->
+        Sched.run (fun () ->
             Srv.start srv;
             let clients_done = ref 0 in
             for p = 0 to serve_npairs - 1 do
               ignore
-                (Sched.spawn
-                   (Printf.sprintf "serve-client-%d" p)
-                   (fun () ->
+                (Sched.spawn (Printf.sprintf "serve-client-%d" p) (fun () ->
                      let tenant = p mod serve_ntenants in
                      let key = Int64.of_int p in
                      let wd =
-                       Srv.make_desc ~tenant ~session:p
-                         (Serve.Write { key; payload = 0L })
+                       Srv.make_desc ~tenant ~session:p (Serve.Write { key; payload = 0L })
                      in
-                     let rd =
-                       Srv.make_desc ~tenant ~session:p (Serve.Read { key })
-                     in
+                     let rd = Srv.make_desc ~tenant ~session:p (Serve.Read { key }) in
                      for v = 1 to txs do
                        submitted.(p) <- v;
                        let payload = Int64.of_int v in
@@ -2816,99 +1840,396 @@ let serve_run ~fault ~txs ~crash =
                          if Srv.submit srv rd then
                            match Srv.await rd with
                            | Serve.R_value r when Int64.equal r (-1L) ->
-                             report
-                               (Printf.sprintf "torn in-flight read of pair %d" p)
+                             report (Printf.sprintf "torn in-flight read of pair %d" p)
                            | _ -> ()
                        end
                      done;
                      incr clients_done))
             done;
-            Sched.wait_until ~label:"serve clients done" (fun () ->
-                !clients_done = serve_npairs);
+            Sched.wait_until ~label:"serve clients done" (fun () -> !clients_done = serve_npairs);
             Srv.stop srv))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> report ("deadlock: " ^ msg)
-  | e -> report ("engine raised " ^ Printexc.to_string e));
-  Array.iter (fun nvm -> Nvm.set_persist_hook nvm None) nvms;
-  let acked_total = Array.fold_left ( + ) 0 acked in
-  match !err with
-  | Some reason -> (Some reason, !sites, acked_total, !shed)
-  | None -> (
-    Array.iter Nvm.crash nvms;
-    match Srv.Sh.attach ~nshards:serve_nshards cfg nvms with
-    | exception e ->
-      (Some ("recovery raised " ^ Printexc.to_string e), !sites, acked_total, !shed)
-    | sh2, _recovery ->
-      let verdict = ref None in
-      let fail r = if !verdict = None then verdict := Some r in
-      for p = 0 to serve_npairs - 1 do
-        let e = Srv.Sh.engine sh2 (sv_shard_of p) in
-        let ra = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_a p)) in
-        let rb = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_b p)) in
-        if ra <> rb then
-          fail
-            (Printf.sprintf "half-applied request: pair %d recovered %d/%d" p ra rb);
-        if ra < acked.(p) then
-          fail
-            (Printf.sprintf
-               "acked request lost: pair %d acked %d, recovery found %d" p acked.(p)
-               ra);
-        if ra > submitted.(p) then
-          fail
-            (Printf.sprintf "phantom request: pair %d recovered %d, submitted %d" p
-               ra submitted.(p));
-        if (not !crashed) && ra <> txs then
-          fail
-            (Printf.sprintf "quiescent stop lost requests: pair %d is %d, expected %d"
-               p ra txs)
-      done;
-      (!verdict, !sites, acked_total, !shed))
-
-let check_serve ?(fault = Config.No_fault) ?(txs = default_serve_txs)
-    ?(log = fun _ -> ()) ?only_crash () =
-  let fail ~crash reason =
-    Serve_fail { sv_fault = fault; sv_txs = txs; sv_crash = crash; sv_reason = reason }
   in
-  match only_crash with
-  | Some k -> (
-    match serve_run ~fault ~txs ~crash:(Some k) with
-    | Some reason, _, _, _ -> fail ~crash:(Some k) reason
-    | None, s, a, sd -> Serve_pass { runs = 1; boundaries = s; acked = a; shed = sd })
-  | None -> (
-    log
-      (Printf.sprintf
-         "serve: %d closed-loop clients x %d reqs over %d shards x %d tenants, clean run"
-         serve_npairs txs serve_nshards serve_ntenants);
-    match serve_run ~fault ~txs ~crash:None with
-    | Some reason, _, _, _ -> fail ~crash:None reason
-    | None, total, acked0, shed0 ->
-      let budget = serve_sites_budget () in
-      let runs = ref 1 in
-      let acked = ref acked0 in
-      let shed = ref shed0 in
-      let result = ref None in
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
+  tally ctx "acked requests" (Array.fold_left ( + ) 0 acked);
+  tally ctx "shed" !shed;
+  judge !err;
+  let nvms = Array.init serve_nshards (Srv.Sh.nvm sh) in
+  Array.iter Nvm.crash nvms;
+  match Srv.Sh.attach ~nshards:serve_nshards cfg nvms with
+  | sh2, _ -> (sh2, acked, submitted, completed <> None)
+  | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
+
+let serve_oracle at (sh2, acked, submitted, quiescent) =
+  let txs = int_param at "txs" in
+  let verdict = ref None in
+  let fail r = if !verdict = None then verdict := Some r in
+  for p = 0 to serve_npairs - 1 do
+    let e = Srv.Sh.engine sh2 (sv_shard_of p) in
+    let ra = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_a p)) in
+    let rb = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_b p)) in
+    if ra <> rb then fail (Printf.sprintf "half-applied request: pair %d recovered %d/%d" p ra rb);
+    if ra < acked.(p) then
+      fail
+        (Printf.sprintf "acked request lost: pair %d acked %d, recovery found %d" p acked.(p)
+           ra);
+    if ra > submitted.(p) then
+      fail
+        (Printf.sprintf "phantom request: pair %d recovered %d, submitted %d" p ra
+           submitted.(p));
+    if quiescent && ra <> txs then
+      fail (Printf.sprintf "quiescent stop lost requests: pair %d is %d, expected %d" p ra txs)
+  done;
+  !verdict
+
+(* ------------------------------------------------------------------ *)
+(* The campaign table and the replay grammar                          *)
+(* ------------------------------------------------------------------ *)
+
+let no_post _ = None
+
+let no_shrink _ f = f
+
+let one_dev n = [| n |]
+
+let int_ok v = match int_of_string_opt v with Some n -> n >= 0 | None -> false
+
+let float_ok v = Option.is_some (float_of_string_opt v)
+
+let one_of l v = List.mem v l
+
+let coord ?(valid = int_ok) flag kind = { flag; kind; valid }
+
+type t = Campaign : ('sys, 'obs) campaign -> t
+
+let campaigns =
+  [
+    Campaign
+      {
+        name = "explore";
+        doc = "";
+        coords =
+          [
+            coord "system" (Each (List.map fst systems)) ~valid:(fun s -> List.mem_assoc s systems);
+            coord "workload" Sweep ~valid:(one_of [ "counter"; "overlap"; "counter1" ]);
+            coord "threads" (Fixed "3");
+            coord "txs" (Fixed "2");
+            coord "sched" Case ~valid:valid_sched;
+            coord "evict" (Fixed "0") ~valid:float_ok;
+            coord "evict-seed" (Fixed "1");
+          ];
+        depth = 1;
+        devices = one_dev;
+        run = explore_run;
+        oracle = (fun _ -> verify_noted);
+        plan = explore_plan;
+        post = no_post;
+        shrink = explore_shrink;
+      };
+    Campaign
+      {
+        name = "media";
+        doc =
+          "Inject seeded bit rot, poison and stuck lines into the persisted image after \
+           crashes, scrub, recover: every corruption must be repaired or reported.";
+        coords =
+          [
+            coord "system" (Fixed "dude") ~valid:(( = ) "dude");
+            coord "media-seed" Case;
+            coord "faults" Case ~valid:(one_of [ "heap"; "mixed" ]);
+          ];
+        depth = 1;
+        devices = one_dev;
+        run = media_run;
+        oracle = media_oracle;
+        plan = media_plan;
+        post = no_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "recovery";
+        doc =
+          "Cut power inside attach and scrub, and inside the recovery of a crashed \
+           recovery: every leg must converge to the uninterrupted recovery.";
+        coords = [ coord "leg" Case ~valid:(one_of [ "attach"; "scrub" ]) ];
+        depth = 3;
+        devices = one_dev;
+        run = recovery_run;
+        oracle = recovery_oracle;
+        plan = recovery_plan;
+        post = no_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "daemons";
+        doc =
+          "Inject seeded transient Persist/Reproduce faults: supervised restarts may move \
+           only the restart counters, never the recovered state.";
+        coords = [ coord "daemon-seed" Case; coord "fault-rate" (Fixed "0.25") ~valid:float_ok ];
+        depth = 1;
+        devices = one_dev;
+        run = daemons_run;
+        oracle = (fun _ -> verify);
+        plan = daemons_plan;
+        post = daemons_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "shards";
+        doc =
+          "Cut power during cross-shard transfers on every shard's device: every transfer \
+           must be all-or-nothing and every vector-watermark acknowledgement must survive.";
+        coords = [ coord "shard-count" (Fixed "3"); coord "txs" (Fixed "10") ];
+        depth = 1;
+        devices = shard_devices;
+        run = shards_run;
+        oracle = shards_oracle;
+        plan = cut_plan ?deep:None;
+        post = no_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "batch";
+        doc =
+          "Cut power at the boundaries of the pipelined group commit, then re-crash the \
+           recovered engine: recovery must be exactly the acknowledged durable prefix.";
+        coords = [ coord "txs" (Fixed "12") ];
+        depth = 2;
+        devices = one_dev;
+        run = batch_run;
+        oracle = batch_oracle;
+        plan = cut_plan ~deep:15;
+        post = no_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "replica";
+        doc =
+          "Kill the primary while the redo log ships to K replicas over clean, faulty and \
+           partitioned links, promote: no quorum-acked transaction may be lost.";
+        coords =
+          [
+            coord "replicas" (Fixed "3");
+            coord "txs" (Fixed "10");
+            coord "scenario" Sweep ~valid:(one_of replica_scenarios);
+          ];
+        depth = 1;
+        devices = (fun prim -> [| Rep.Engine.nvm prim |]);
+        run = replica_run;
+        oracle = replica_oracle;
+        plan = replica_plan;
+        post = no_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "migrate";
+        doc =
+          "Cut power during a live 4->8 resharding, and inside recovery's own handoff \
+           seals: every key on exactly one shard, no acknowledged write lost.";
+        coords = [];
+        depth = 2;
+        devices = (fun sh -> Array.init migrate_nshards (Mig.Sh.nvm sh));
+        run = migrate_run;
+        oracle = (fun _ -> mg_oracle ~final:true);
+        plan = cut_plan ~deep:20;
+        post = no_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "snapshot";
+        doc =
+          "Run volatile and durable snapshot readers against pair writers through power \
+           cuts: read-sets never tear, durable-mode values survive recovery.";
+        coords = [ coord "txs" (Fixed "12") ];
+        depth = 1;
+        devices = one_dev;
+        run = snapshot_run;
+        oracle = snapshot_oracle;
+        plan = cut_plan ?deep:None;
+        post = no_post;
+        shrink = no_shrink;
+      };
+    Campaign
+      {
+        name = "serve";
+        doc =
+          "Drive requests through the serving front end's queue, admission gate and \
+           durable-watermark acker through power cuts: no acknowledged request lost.";
+        coords = [ coord "txs" (Fixed "10") ];
+        depth = 1;
+        devices = (fun sh -> Array.init serve_nshards (Srv.Sh.nvm sh));
+        run = serve_run;
+        oracle = serve_oracle;
+        plan = cut_plan ?deep:None;
+        post = no_post;
+        shrink = no_shrink;
+      };
+  ]
+
+let campaign_docs = List.map (fun (Campaign c) -> (c.name, c.doc)) campaigns
+
+let coordinates =
+  [
+    ( "system",
+      "explore: one system (dude, dude-combine, dude-htm, mnemosyne, nvml); all if absent. \
+       media: dude." );
+    ("workload", "explore: counter, overlap or counter1; every applicable one if absent.");
+    ("threads", "explore: worker threads.");
+    ( "txs",
+      "Transactions per thread (explore, batch, replica, snapshot), cross-shard transfers \
+       (shards) or requests per session (serve)." );
+    ("sched", "explore: schedule of the case to replay: default, seed:N or prefix:c0,c1,...");
+    ( "evict",
+      "explore: each dirty line leaks into the persisted image with this probability at \
+       every power cut (0 disables)." );
+    ("evict-seed", "explore: RNG seed of the eviction adversary.");
+    ("media-seed", "media: fault-injection seed of the case to replay.");
+    ("faults", "media: fault mix of the case to replay (heap or mixed).");
+    ("leg", "recovery: the recovery step the case cuts (attach or scrub).");
+    ("daemon-seed", "daemons: seed of the case to replay.");
+    ("fault-rate", "daemons: per-opportunity transient-fault probability.");
+    ("shard-count", "shards: independent regions.");
+    ("replicas", "replica: replica count K.");
+    ("scenario", "replica: link scenario (clean, faulty or partition); all if absent.");
+    ( "crash-at",
+      "Replay: cut power at this persist boundary of the first life (0: run to quiescence)." );
+    ( "crash2",
+      "Replay: cut at this boundary of the second life, counted after the first cut (batch, \
+       migrate; recovery: inside the leg)." );
+    ("crash3", "Replay (recovery): cut at this boundary of the attach after the cut leg.");
+  ]
+
+let cut_flags = [ "crash-at"; "crash2"; "crash3" ]
+
+let find name =
+  match List.find_opt (fun (Campaign c) -> c.name = name) campaigns with
+  | Some c -> c
+  | None -> invalid_arg ("Check: unknown campaign " ^ name)
+
+(* The one grammar: every coordinate must be declared by the campaign; a
+   cut or a case coordinate selects the replay of exactly one case, which
+   then needs every sweep and case coordinate; otherwise the given sweep
+   coordinates restrict the sweep. *)
+let coordinate c args =
+  List.iter
+    (fun (k, v) ->
+      match List.find_opt (fun co -> co.flag = k) c.coords with
+      | Some co ->
+        if not (co.valid v) then invalid_arg (Printf.sprintf "--%s %s: invalid value" k v)
+      | None -> (
+        match List.find_index (( = ) k) cut_flags with
+        | Some i when i < c.depth ->
+          if not (int_ok v) then invalid_arg (Printf.sprintf "--%s %s: not a boundary" k v)
+        | _ -> invalid_arg (Printf.sprintf "--%s is not a coordinate of the %s campaign" k c.name)))
+    args;
+  let vector =
+    List.init c.depth (fun i ->
+        Option.fold ~none:0 ~some:int_of_string (List.assoc_opt (List.nth cut_flags i) args))
+  in
+  let last = List.fold_left max (-1) (List.mapi (fun i k -> if k > 0 then i else -1) vector) in
+  let vector = List.filteri (fun i _ -> i <= last) vector in
+  let replay =
+    List.exists (fun f -> List.mem_assoc f args) cut_flags
+    || List.exists (fun co -> co.kind = Case && List.mem_assoc co.flag args) c.coords
+  in
+  let at =
+    List.filter_map
+      (fun co ->
+        match (List.assoc_opt co.flag args, co.kind) with
+        | Some v, _ | None, Fixed v -> Some (co.flag, v)
+        | None, _ when replay ->
+          invalid_arg (Printf.sprintf "replaying one %s case needs --%s" c.name co.flag)
+        | None, _ -> None)
+      c.coords
+  in
+  (at, if replay then Some vector else None)
+
+let expand name args =
+  let (Campaign c) = find name in
+  match coordinate c args with
+  | _, Some _ -> [ args ]
+  | _, None -> (
+    match
+      List.find_opt
+        (fun co ->
+          (match co.kind with Each _ -> true | _ -> false) && not (List.mem_assoc co.flag args))
+        c.coords
+    with
+    | Some { flag; kind = Each choices; _ } -> List.map (fun v -> args @ [ (flag, v) ]) choices
+    | _ -> [ args ])
+
+let run ?(log = ignore) ?(budget = budget_of_env ()) ?(mutant = Config.No_fault) name args =
+  let (Campaign c) = find name in
+  match coordinate c args with
+  | at, Some vector -> (
+    let verdict, lives, tallies = case c ~mutant at vector in
+    if List.length lives < List.length vector then
+      invalid_arg
         (Printf.sprintf
-           "serve: %d persist boundaries across %d devices, cutting power at %d of them \
-            mid-burst"
-           total serve_nshards (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match serve_run ~fault ~txs ~crash:(Some k) with
-            | Some reason, _, _, _ -> result := Some (fail ~crash:(Some k) reason)
-            | None, _, a, sd ->
-              acked := !acked + a;
-              shed := !shed + sd
-          end)
-        picks;
-      match !result with
-      | Some f -> f
-      | None ->
-        Serve_pass { runs = !runs; boundaries = total; acked = !acked; shed = !shed })
+           "--%s names a boundary of a life that never ran: the cut before it did not fire"
+           (List.nth cut_flags (List.length vector - 1)));
+    match verdict with
+    | Some reason -> Fail { campaign = c.name; mutant; params = at; cuts = vector; reason }
+    | None ->
+      let boundaries = List.fold_left ( + ) 0 lives in
+      Pass { campaign = c.name; given = at; runs = 1; boundaries; tallies })
+  | at, None -> (
+    match sweep ~log c ~mutant ~given:at (c.plan budget at) with
+    | Fail f -> Fail (c.shrink (first_failing c ~mutant ~scan:120) f)
+    | Pass r -> Pass r)
+
+let replay_line (f : failure) =
+  let (Campaign c) = find f.campaign in
+  let flag k v = Printf.sprintf " --%s %s" k v in
+  String.concat ""
+    ((if c.name = "explore" then "dudetm check" else "dudetm check --" ^ c.name)
+     :: (if f.mutant = Config.No_fault then "" else flag "mutate" (mutant_name f.mutant))
+     :: List.filter_map
+          (fun co -> Option.map (flag co.flag) (List.assoc_opt co.flag f.params))
+          c.coords
+    @
+    (* A clean-run failure still names one case: "--crash-at 0" unless a
+       case coordinate already does. *)
+    if f.cuts = [] && not (List.exists (fun co -> co.kind = Case) c.coords) then
+      [ flag "crash-at" "0" ]
+    else
+      List.mapi
+        (fun i k -> if k > 0 then flag (List.nth cut_flags i) (string_of_int k) else "")
+        f.cuts)
+
+let parse_replay line =
+  let line = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
+  let rec go name mutant args = function
+    | [] -> (name, mutant, List.rev args)
+    | ("dudetm" | "check") :: rest -> go name mutant args rest
+    | "--mutate" :: m :: rest -> go name (mutant_of_name m) args rest
+    | f :: rest when List.exists (fun (n, _) -> f = "--" ^ n) campaign_docs ->
+      go (String.sub f 2 (String.length f - 2)) mutant args rest
+    | f :: v :: rest when String.starts_with ~prefix:"--" f ->
+      go name mutant ((String.sub f 2 (String.length f - 2), v) :: args) rest
+    | w :: _ -> invalid_arg ("Check: cannot parse replay word " ^ w)
+  in
+  go "explore" Config.No_fault [] (List.filter (( <> ) "") (String.split_on_char ' ' line))
+
+let summary = function
+  | Fail f ->
+    Printf.sprintf "%s campaign: FAIL: %s\n  replay: %s" f.campaign f.reason (replay_line f)
+  | Pass r ->
+    let (Campaign c) = find r.campaign in
+    let named =
+      List.filter_map
+        (fun co ->
+          match co.kind with
+          | Fixed _ | Case -> None
+          | Each _ | Sweep ->
+            Option.map (Printf.sprintf "%s %s: " co.flag) (List.assoc_opt co.flag r.given))
+        c.coords
+    in
+    Printf.sprintf "%s campaign: PASS (%s%d runs, %d boundaries%s)" r.campaign
+      (String.concat "" named) r.runs r.boundaries
+      (String.concat "" (List.map (fun (k, n) -> Printf.sprintf ", %d %s" n k) r.tallies))

@@ -1,706 +1,117 @@
-(** Systematic crash-consistency and schedule exploration.
+(** Crash-consistency campaigns over one kernel.
 
-    The checker runs any {!Dudetm_baselines.Ptm_intf.t} system (DudeTM in
-    its variants, Mnemosyne, NVML) against small {e counter-family}
-    workloads whose entire durable state is a deterministic function of the
-    recovered commit counter, then tries to break the system two ways:
+    A {e campaign} is one record: its [name]; the [devices] of a system
+    instance; [run], which executes the lives of the system under a {e cut
+    vector}; the [oracle], which judges the recovered state; and the
+    [plan], the sweep.  The kernel alone arms the
+    {!Dudetm_nvm.Nvm.set_persist_hook} over the device set: the hook fires
+    at every persist boundary — when a persist ordering is issued and after
+    each cache line reaches the persisted image — so a cut lands between
+    any two line flushes, torn persists included.  Each life counts its
+    boundaries and cuts power at its entry of the cut vector (0: the life
+    runs uncut); [Crash_now], scheduler deadlocks and engine exceptions are
+    caught by the kernel and become the run's verdict.
 
-    - {b Crash enumeration}: the simulated NVM fires a hook at every
-      persist boundary — once when a persist ordering is issued and once
-      after each cache line reaches the persisted image (see
-      {!Dudetm_nvm.Nvm.set_persist_hook}).  A first run counts the
-      boundaries; subsequent runs cut power at chosen boundaries, so
-      crashes land between any two line flushes (torn persists included),
-      recover, and check the oracle.
-    - {b Schedule exploration}: the scheduler's strategy interface
-      ({!Dudetm_sim.Sched.strategy}) is driven either by seeded random
-      preemption or by a bounded exhaustive DFS over the first scheduling
-      decision points, each explored schedule ending in a full-power-loss
-      crash after quiescence.
+    The plan is a sequence of points (parameter settings).  Per point, a
+    clean run counts the boundaries of the life to be cut, single cuts land
+    at a sample of them, and a two-deep point also re-cuts a sample of
+    first cuts at boundaries counted after each.  The first oracle
+    violation stops the sweep and becomes the one {!failure} record, whose
+    {!replay_line} parses back ({!parse_replay}) into the same coordinate.
 
-    The oracle checks, after every recovery:
-    - {b atomicity}: the recovered state equals the model state for {e some}
-      commit prefix [k] (no torn transaction is ever visible);
-    - {b durability of acknowledged transactions}: [k] covers every
-      durable ID the system ever reported before the crash;
-    - {b durable-ID sanity}: the reported durable ID never regresses and
-      never passes the last issued transaction ID (sampled by a monitor
-      thread during the run);
-    - {b recovery agreement}: when the system reports a recovered durable
-      ID (DudeTM's attach), it matches the recovered state;
-    - {b no loss at quiescence}: a crash after [drain] recovers every
-      committed transaction.
-
-    Torn log records are covered implicitly: a recovery that accepts one
-    replays garbage and fails the atomicity check.
-
-    Failures are shrunk to a minimal [(workload, schedule, crash point)]
-    triple and printed as a replayable [dudetm check ...] one-liner. *)
-
-exception Crash_now
-(** Raised from the persist hook to cut power at an exact boundary. *)
-
-(** {1 Systems under test} *)
-
-type recovered = {
-  rec_durable : int option;
-      (** durable ID the system's own recovery reports; [None] when the
-          system has no recovery-time durable ID *)
-  rec_peek : int -> int64;  (** read the recovered data image *)
-}
-
-type instance = {
-  ptm : Dudetm_baselines.Ptm_intf.t;
-  inst_nvm : Dudetm_nvm.Nvm.t;
-  recover : unit -> recovered;
-      (** called once, after {!Dudetm_nvm.Nvm.crash}, with the hook
-          cleared *)
-}
-
-type sut = {
-  sut_name : string;
-  sut_static : bool;  (** only static-transaction workloads apply *)
-  fresh : unit -> instance;  (** a brand-new system on a fresh device *)
-}
-
-val dude : ?fault:Dudetm_core.Config.fault -> unit -> sut
-(** DudeTM over the software TM.  [fault] seeds a deliberate ordering bug
-    (see {!Dudetm_core.Config.fault}) for checker self-validation. *)
-
-val dude_combine : ?fault:Dudetm_core.Config.fault -> unit -> sut
-(** DudeTM with cross-transaction combination and compression. *)
-
-val dude_htm : unit -> sut
-(** DudeTM over the simulated HTM (with global-lock fallback). *)
-
-val mnemosyne : unit -> sut
-
-val nvml : unit -> sut
-
-val sut_of_name : ?fault:Dudetm_core.Config.fault -> string -> sut
-(** ["dude" | "dude-combine" | "dude-htm" | "mnemosyne" | "nvml"]; raises
-    [Invalid_argument] otherwise.  [fault] only applies to DudeTM. *)
-
-val sut_names : string list
-
-(** {1 Workloads} *)
-
-type workload = {
-  wl_name : string;
-  threads : int;
-  txs_per_thread : int;
-  wl_static : bool;  (** write set is declarable up front *)
-  wl_wset : int list option;  (** declared write set for static systems *)
-  tx_body : Dudetm_baselines.Ptm_intf.tx -> unit;
-  wl_root : int;  (** address of the commit counter *)
-  check_state : peek:(int -> int64) -> k:int -> string option;
-      (** [None] when the image is exactly the model state after [k]
-          commits; [Some reason] otherwise *)
-}
-
-val counter : threads:int -> txs:int -> workload
-(** Each transaction reads the root counter [c], stamps slot
-    [(c+1) mod slots] with [c+1] and writes the root back — the state after
-    [k] commits depends only on [k]. *)
-
-val overlap : threads:int -> txs:int -> workload
-(** Adversarial variant: every transaction stamps {e two} overlapping
-    slots, so consecutive transactions write intersecting sets. *)
-
-val counter1 : threads:int -> txs:int -> workload
-(** Single-cell counter with declared write set [[root]] — the only
-    workload expressible as a static transaction (NVML). *)
-
-val workload_of_name : threads:int -> txs:int -> string -> workload
-(** ["counter" | "overlap" | "counter1"]. *)
-
-val workloads_for : sut -> threads:int -> txs:int -> workload list
-(** The workloads applicable to a system (static systems only get
-    {!counter1}). *)
+    The ten campaigns, each validated by a seeded mutant ({!mutants}):
+    - [explore] — systems (DudeTM variants, Mnemosyne, NVML) × counter
+      workloads × schedules (default, seeded random preemption, bounded
+      DFS); shrinks failures.
+    - [media] — seeded bit rot, poison and stuck lines after the cut;
+      never silently wrong.
+    - [recovery] — cuts inside attach and scrub, three deep.
+    - [daemons] — supervised Persist/Reproduce restarts under injected
+      faults.
+    - [shards], [batch] (two deep), [replica], [migrate] (two deep),
+      [snapshot], [serve] — the layered protocols. *)
 
 (** {1 Budgets} *)
 
-type budget = {
-  crash_sites : int;  (** crash boundaries explored under the default schedule *)
+type budget =
+  | Smoke  (** the bounded numbers of the test suite *)
+  | Quick  (** [dudetm check --quick]: the base numbers, environment ignored *)
+  | Scaled of int  (** the base numbers times [n] *)
+  | Deep  (** [dudetm check --deep] *)
+
+val budget_of_env : unit -> budget
+(** The one reader of the budget environment: [DUDETM_CHECK_DEEP=1] gives
+    [Deep], [DUDETM_CHECK_BUDGET=n] gives [Scaled n], otherwise [Scaled 1]. *)
+
+type explore_budget = {
+  crash_sites : int;  (** cuts under the default schedule *)
   sched_seeds : int;  (** random-preemption seeds *)
   crash_sites_per_seed : int;
   exhaustive_runs : int;  (** bounded-DFS schedule explorations *)
   exhaustive_depth : int;  (** decision points eligible for branching *)
 }
 
-val tier1_budget : unit -> budget
-(** The bounded budget used by [dune runtest].  Environment knobs:
-    [DUDETM_CHECK_BUDGET=n] multiplies the exploration counts by [n];
-    [DUDETM_CHECK_DEEP=1] switches to {!deep_budget}. *)
+val explore_budget : budget -> explore_budget
 
-val deep_budget : budget
-(** The budget behind [dudetm check --deep]. *)
+(** {1 Mutants and failures} *)
 
-val quick_budget : budget
-(** The bounded tier-1 numbers with environment knobs ignored
-    ([dudetm check --quick]). *)
+val mutants : (Dudetm_core.Config.fault * string * string) list
+(** Every seeded mutant with its CLI name and the campaign that must catch
+    it. *)
 
-(** {1 Checking} *)
-
-type sched_spec =
-  | Default  (** min-clock discrete-event order *)
-  | Seed of int  (** seeded random preemption *)
-  | Prefix of int list  (** scripted decision-point choices, then default *)
-
-val sched_to_string : sched_spec -> string
-
-val sched_of_string : string -> sched_spec
-(** Inverse of {!sched_to_string} (["default"], ["seed:N"],
-    ["prefix:c0,c1,..."]); raises [Invalid_argument] on junk. *)
+type params = (string * string) list
+(** Coordinates by flag name, e.g. [("txs", "10")]. *)
 
 type failure = {
-  f_system : string;
-  f_workload : string;
-  f_threads : int;
-  f_txs : int;
-  f_sched : sched_spec;
-  f_crash : int option;  (** crash boundary; [None]: power loss after quiescence *)
-  f_evict : (float * int) option;
-      (** cache-eviction adversary in force: (fraction, RNG seed) — each
-          dirty line independently leaked into the persisted image with
-          this probability at the power cut *)
-  f_survivors : int list;
-      (** the dirty lines that actually leaked in the failing run (makes
-          the eviction exactly replayable together with the seed) *)
-  f_reason : string;
+  campaign : string;
+  mutant : Dudetm_core.Config.fault;
+  params : params;
+  cuts : int list;  (** the cut vector: crash-at, crash2, crash3 *)
+  reason : string;
 }
 
-type report = Pass of { runs : int; sites : int } | Fail of failure
+type report = {
+  campaign : string;
+  given : params;
+  runs : int;
+  boundaries : int;  (** summed over the clean runs of every point *)
+  tallies : (string * int) list;  (** campaign counters, e.g. acked requests *)
+}
+
+type result = Pass of report | Fail of failure
+
+(** {1 Running campaigns} *)
+
+val campaign_docs : (string * string) list
+(** Campaign names with a one-line description; [explore] is the
+    default campaign. *)
+
+val coordinates : (string * string) list
+(** Every coordinate flag of the grammar with its description. *)
+
+val expand : string -> params -> params list
+(** The separately reported sweeps a request stands for: [explore]
+    without [system] runs once per system. *)
+
+val run :
+  ?log:(string -> unit) ->
+  ?budget:budget ->
+  ?mutant:Dudetm_core.Config.fault ->
+  string ->
+  params ->
+  result
+(** [run campaign args] sweeps the campaign, or replays exactly one case
+    when [args] hold a cut ([crash-at], [crash2], [crash3]) or a case
+    coordinate (such as [sched] or [leg]); a replay needs every sweep and
+    case coordinate.  A coordinate the campaign does not declare, or a
+    deeper cut whose life never ran, raises [Invalid_argument]. *)
 
 val replay_line : failure -> string
-(** The deterministically replayable [dudetm check ...] one-liner. *)
+(** The replayable [dudetm check ...] one-liner. *)
 
-val check_system :
-  ?budget:budget -> ?log:(string -> unit) -> ?evict:float * int -> sut -> workload list -> report
-(** Run the full exploration.  [evict] runs every crash under the
-    cache-eviction adversary: a seeded random subset of dirty lines
-    survives each power cut ({!Dudetm_nvm.Nvm.crash}).  On the first
-    oracle violation the failing case is shrunk (default schedule
-    preferred, then fewest transactions, then earliest crash boundary)
-    before being reported. *)
+val parse_replay : string -> string * Dudetm_core.Config.fault * params
+(** Campaign, mutant and coordinates of a {!replay_line}. *)
 
-val replay :
-  ?evict:float * int -> sut -> workload -> sched:sched_spec -> crash:int option -> string option
-(** Re-run one exact case; [Some reason] if the oracle still fails. *)
-
-val count_sites : sut -> workload -> sched:sched_spec -> int
-(** Number of crash boundaries one run of this case passes through. *)
-
-(** {1 Media-fault campaign}
-
-    Beyond clean power cuts, the campaign attacks the {e media}: after a
-    crash (or at quiescence) it injects seeded faults —
-    {!Dudetm_nvm.Nvm.fault} bit rot, poisoned lines, stuck lines — into
-    the persisted image, runs the offline scrub
-    ({!Dudetm_scrub.Scrub.scrub}), recovers, and holds the system to a
-    single obligation: {b never silently wrong}.  Each run must either
-    recover state that passes the normal crash oracle, or the damage must
-    have been {e reported} — a non-clean scrub report, or corrupted
-    records / quarantined lines in the recovery report.  Undetected
-    corruption of visible state is the only failure.
-
-    Heap bit rot is confined to the workload's live bytes so detection is
-    deterministic, and ring rot never targets the last sealed record of a
-    ring (indistinguishable from a torn tail, which is silently and
-    correctly discarded).  The campaign validates itself against the
-    seeded {!Dudetm_core.Config.Skip_crc_verify} mutant, whose skipped
-    checksum audit lets heap rot through unreported. *)
-
-type media_mode =
-  | Heap_rot  (** 1-3 distinct bit flips in the live heap bytes *)
-  | Mixed  (** 1-3 faults drawn from heap rot, ring rot, poison, stuck *)
-
-val media_mode_to_string : media_mode -> string
-
-val media_mode_of_string : string -> media_mode
-(** ["heap" | "mixed"]; raises [Invalid_argument] otherwise. *)
-
-type media_failure = {
-  mf_mode : media_mode;
-  mf_seed : int;  (** fault-injection RNG seed *)
-  mf_crash : int option;  (** crash boundary; [None]: faults at quiescence *)
-  mf_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  mf_faults : string;  (** human-readable list of the injected faults *)
-  mf_reason : string;
-}
-
-type media_report =
-  | Media_pass of { runs : int; injected : int }
-  | Media_fail of media_failure
-
-val media_replay_line : media_failure -> string
-(** The replayable [dudetm check --media ...] one-liner. *)
-
-val check_media :
-  ?fault:Dudetm_core.Config.fault ->
-  ?seeds:int ->
-  ?log:(string -> unit) ->
-  ?mode:media_mode ->
-  ?media_seed:int ->
-  ?crash:int ->
-  unit ->
-  media_report
-(** Run the campaign: for each seed in [1..seeds] (default
-    {!default_media_seeds}), heap rot at quiescence, mixed faults at
-    quiescence, and mixed faults at a seed-derived crash boundary.
-    Passing both [mode] and [media_seed] (with optional [crash]) replays
-    exactly one case instead. *)
-
-val default_media_seeds : int
-
-(** {1 Nested-crash recovery campaign}
-
-    Recovery must itself be crash-consistent: [attach] and the offline
-    scrub order every destructive recovery-time write behind the intent
-    journal ({!Dudetm_core.Rjournal}), so a power cut at {e any} persist
-    boundary inside them, followed by a fresh [attach], converges to the
-    same durable ID, heap state and recovery report as an uninterrupted
-    recovery of the same image.
-
-    The campaign enumerates exactly that: for each first power cut (at
-    quiescence plus seed-derived mid-run boundaries), it measures the
-    uninterrupted recovery verdict as the baseline, then re-arms the
-    persist hook {e during} recovery — cutting power inside [attach] (all
-    boundaries) and inside [Scrub.scrub ~repair:true ~probe_stuck:true]
-    (sampled boundaries, always including the probes of the workload's
-    live lines) — and goes two deep by also cutting the recovery of a
-    crashed recovery.  Every leg ends in an uninterrupted attach that must
-    reproduce the baseline verdict field-for-field and pass the normal
-    crash oracle.
-
-    The campaign validates itself against the seeded
-    {!Dudetm_core.Config.Skip_recovery_journal} mutant: without the
-    journal, a cut between a scrub probe's pattern write and its restore
-    leaves garbage in live heap bytes that no log record repairs. *)
-
-type recovery_leg = Attach_leg | Scrub_leg
-
-val leg_to_string : recovery_leg -> string
-
-val leg_of_string : string -> recovery_leg
-(** ["attach" | "scrub"]; raises [Invalid_argument] otherwise. *)
-
-type recovery_budget = {
-  rec_seeds : int;  (** seed-derived first-crash boundaries (plus quiescence) *)
-  rec_attach_sites : int;  (** boundaries cut inside [attach] (all, up to this) *)
-  rec_scrub_sites : int;  (** sampled boundaries cut inside the scrub *)
-  rec_deep_points : int;  (** first-recovery cuts that get a nested sweep *)
-  rec_deep_sites : int;  (** sampled boundaries inside the second recovery *)
-}
-
-val quick_recovery_budget : recovery_budget
-(** Behind [dudetm check --recovery]. *)
-
-val smoke_recovery_budget : recovery_budget
-(** The bounded tier-1 numbers. *)
-
-type recovery_failure = {
-  rcf_fault : Dudetm_core.Config.fault;
-  rcf_crash : int option;  (** first power cut; [None]: at quiescence *)
-  rcf_leg : recovery_leg;  (** which recovery step was cut *)
-  rcf_crash2 : int option;  (** boundary cut inside that step *)
-  rcf_crash3 : int option;  (** boundary cut inside the second recovery *)
-  rcf_reason : string;
-}
-
-type recovery_report =
-  | Recovery_pass of { runs : int; boundaries : int }
-  | Recovery_fail of recovery_failure
-
-val recovery_replay_line : recovery_failure -> string
-(** The replayable [dudetm check --recovery ...] one-liner. *)
-
-val check_recovery :
-  ?fault:Dudetm_core.Config.fault ->
-  ?budget:recovery_budget ->
-  ?log:(string -> unit) ->
-  ?leg:recovery_leg ->
-  ?crash:int ->
-  ?crash2:int ->
-  ?crash3:int ->
-  unit ->
-  recovery_report
-(** Run the campaign.  Passing [leg] (with optional [crash], [crash2],
-    [crash3]) replays exactly one nested-crash case instead. *)
-
-(** {1 Daemon fault-injection campaign}
-
-    With {!Dudetm_core.Config.daemon_fault_rate} armed, Persist and
-    Reproduce workers raise seeded transient faults mid-pipeline and the
-    supervisor restarts them from their persistent positions with capped
-    exponential backoff.  The sweep holds such runs to the ordinary crash
-    oracle — quiescent runs must still drain completely and lose nothing,
-    mid-run power cuts must still recover exactly — so injected failures
-    may move only the restart/backoff counters, never the recovered
-    state.  A sweep in which no daemon ever restarted is reported as
-    vacuous (and fails). *)
-
-type daemon_failure = {
-  df_seed : int;
-  df_crash : int option;
-  df_rate : float;
-  df_reason : string;
-}
-
-type daemon_report =
-  | Daemon_pass of { runs : int; faults : int; restarts : int }
-  | Daemon_fail of daemon_failure
-
-val daemon_replay_line : daemon_failure -> string
-
-val default_daemon_rate : float
-
-val check_daemons :
-  ?seeds:int ->
-  ?rate:float ->
-  ?log:(string -> unit) ->
-  ?only_seed:int ->
-  ?crash:int ->
-  unit ->
-  daemon_report
-(** For each seed: a quiescent run and a mid-run power cut, both with
-    faults injected at [rate].  [only_seed] (with optional [crash])
-    replays a single case. *)
-
-(** {1 Sharded cross-commit campaign}
-
-    Cross-shard transactions must be all-or-nothing across {e independent}
-    persistent devices: the campaign drives mixed cross-shard transfers and
-    single-shard transactions over a small {!Dudetm_shard.Shard} instance,
-    cuts power at every persist boundary of every shard's device (budget
-    permitting), re-attaches, and checks that
-
-    - no partial cross-shard transaction survives recovery — both sides of
-      every transfer wrote the same pairwise stamp, so the sides must
-      agree, and the balance sum over durably-seeded shards is preserved;
-    - nothing acknowledged by the effective vector watermark before the
-      cut is missing afterwards (per-shard durable IDs and the global
-      cross-shard frontier).
-
-    The campaign validates itself against the seeded
-    {!Dudetm_core.Config.Skip_fragment_gate} mutant, whose Reproduce
-    daemons replay cross-shard fragments without waiting for the sibling
-    fragments to be durable. *)
-
-type shard_failure = {
-  shf_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  shf_nshards : int;
-  shf_txs : int;  (** cross-shard transfers driven *)
-  shf_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  shf_reason : string;
-}
-
-type shard_report =
-  | Shard_pass of { runs : int; boundaries : int }
-  | Shard_fail of shard_failure
-
-val shard_replay_line : shard_failure -> string
-(** The replayable [dudetm check --shards ...] one-liner. *)
-
-val default_shard_count : int
-
-val default_shard_txs : int
-
-val check_shards :
-  ?fault:Dudetm_core.Config.fault ->
-  ?nshards:int ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  unit ->
-  shard_report
-(** Run the campaign: one clean run to quiescence counts the persist
-    boundaries, then power cuts at each of them (all when the budget —
-    scaled by [DUDETM_CHECK_BUDGET] / [DUDETM_CHECK_DEEP] — covers the
-    count, an evenly-spread ascending sample otherwise).  [only_crash]
-    replays exactly one boundary instead. *)
-
-(** {1 Batch-boundary crash campaign}
-
-    [dudetm check --batch] drives the {e pipelined combined} persist path
-    — the combiner/flusher two-stage group commit — with small groups and
-    a short deadline, and cuts power at every persist boundary of a short
-    multi-threaded counter run.  Because the combiner seals batch [k+1]
-    while the flusher's record for batch [k] is still in flight, the
-    sweep necessarily lands cuts {e mid-pipeline}: after a seal but
-    before the matching NVM append.  The oracle is the durable prefix:
-    the recovered commit count covers everything the durable watermark
-    ever acknowledged, recovery's reported durable ID matches the data
-    image, and every slot holds the last write the recovered prefix made
-    to it (last-write-per-key).
-
-    The two-deep leg re-crashes a recovery: cut at boundary [k1], attach,
-    keep committing on the recovered engine, cut again at boundary [k2]
-    of the second life, attach again, re-verify.
-
-    The campaign validates itself against the seeded
-    {!Dudetm_core.Config.Skip_batch_seal} mutant, which publishes
-    durability when a batch is sealed instead of when its record is
-    appended and fenced. *)
-
-type batch_failure = {
-  bt_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  bt_txs : int;  (** transactions per thread, per life *)
-  bt_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  bt_crash2 : int option;
-      (** second cut (boundaries counted after the first recovery) *)
-  bt_reason : string;
-}
-
-type batch_report =
-  | Batch_pass of { runs : int; boundaries : int }
-  | Batch_fail of batch_failure
-
-val batch_replay_line : batch_failure -> string
-(** The replayable [dudetm check --batch ...] one-liner. *)
-
-val default_batch_txs : int
-
-val check_batch :
-  ?fault:Dudetm_core.Config.fault ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  ?only_crash2:int ->
-  unit ->
-  batch_report
-(** Run the campaign: a clean pipelined run counts persist boundaries,
-    then a single-cut sweep over them, then the two-deep re-crash sweep —
-    all bounded by the [DUDETM_CHECK_BUDGET]-scaled site budget.
-    [only_crash] (optionally with [only_crash2]) replays exactly one
-    case instead. *)
-
-(** {1 Replicated-durability failover campaign}
-
-    [dudetm check --replica] drives a {!Dudetm_replica.Replica} cluster —
-    one primary plus K replicas behind simulated links — through the
-    counter workload, kills the primary (power cut at sampled persist
-    boundaries of the primary's device, which lands cuts at ship, ack and
-    mid-retransmit points because shipping hangs off the persist path),
-    promotes a replica, and verifies:
-
-    - {b no quorum-acked transaction lost}: the promoted durable ID covers
-      the acked watermark at the cut, and the watermark never passed the
-      quorum prefix;
-    - {b durable-prefix state}: the promoted image is exactly the model
-      state after the recovered commit count (the differential oracle);
-    - {b quiescence}: a run that drained to [Quorum] and stopped cleanly
-      promotes every committed transaction.
-
-    Three link scenarios: [clean], [faulty] (seeded drop / duplicate /
-    reorder / delay / corrupt), and [partition] (one replica partitioned
-    mid-run, healed later — crash points cover both the partition window
-    and catch-up-after-heal).  The campaign validates itself against the
-    seeded {!Dudetm_core.Config.Skip_quorum_gate} mutant, which
-    acknowledges at the primary-local seal while frames are still in
-    flight. *)
-
-type replica_scenario = Rclean | Rfaulty | Rpartition
-
-val replica_scenario_to_string : replica_scenario -> string
-
-val replica_scenario_of_string : string -> replica_scenario
-(** ["clean" | "faulty" | "partition"]; raises [Invalid_argument]
-    otherwise. *)
-
-type replica_failure = {
-  rf_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  rf_nreplicas : int;
-  rf_txs : int;  (** transactions per thread *)
-  rf_scenario : replica_scenario;
-  rf_crash : int option;
-      (** failing primary persist boundary; [None]: the quiescent run *)
-  rf_reason : string;
-}
-
-type replica_report =
-  | Replica_pass of { runs : int; boundaries : int }
-  | Replica_fail of replica_failure
-
-val replica_replay_line : replica_failure -> string
-(** The replayable [dudetm check --replica ...] one-liner. *)
-
-val default_replica_count : int
-
-val default_replica_txs : int
-
-val check_replica :
-  ?fault:Dudetm_core.Config.fault ->
-  ?nreplicas:int ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?scenario:replica_scenario ->
-  ?only_crash:int ->
-  unit ->
-  replica_report
-(** Run the campaign: per scenario, one quiescent run counts the primary's
-    persist boundaries, then primary kills at an evenly-spread sample of
-    them (the [DUDETM_CHECK_BUDGET]-scaled site budget, split across
-    scenarios).  [scenario] restricts the sweep; [scenario] plus
-    [only_crash] replays exactly one case. *)
-
-(** {1 Live-migration (resharding) crash campaign}
-
-    [dudetm check --migrate] drives a live 4->8 resharding — 8 engines, an
-    8-bucket partition initially owned by shards 0-3, four migrations each
-    handing an odd bucket to a fresh shard 4-7 — under application traffic
-    that keeps landing increments inside and outside the moving range, and
-    cuts power at persist boundaries counted across every device, so cuts
-    fall inside the double-write window, between the flip's three handoff
-    seals, and mid-cleanup.  After each cut the shards re-attach, the
-    handoff journal votes roll-back or roll-forward, the schedule is
-    completed, and the oracle verifies:
-
-    - {b routing}: the persisted partition descriptor unseals (CRC + shard
-      count) and routes every key to exactly one shard;
-    - {b no acked write lost}: each key's value at its descriptor-routed
-      owner covers everything the sampled vector watermark acknowledged,
-      and never exceeds the commit count;
-    - {b convergence}: the completed schedule reaches the final owner
-      table with exact counts and every moved range's source slots
-      recycled to zero (no unreachable heap extents).
-
-    The two-deep leg re-arms the crash hooks before the first re-attach,
-    so the second cut can land between recovery's own handoff seals; the
-    third attach must still converge.  The campaign validates itself
-    against the seeded {!Dudetm_core.Config.Skip_handoff_seal} mutant,
-    which flips volatile routing without sealing the handoff record or
-    the new descriptor. *)
-
-type migrate_failure = {
-  mg_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  mg_crash : int option;
-      (** failing persist boundary; [None]: the quiescent run *)
-  mg_crash2 : int option;
-      (** second cut, counted from the first re-attach on *)
-  mg_reason : string;
-}
-
-type migrate_report =
-  | Migrate_pass of { runs : int; boundaries : int }
-  | Migrate_fail of migrate_failure
-
-val migrate_replay_line : migrate_failure -> string
-(** The replayable [dudetm check --migrate ...] one-liner. *)
-
-val check_migrate :
-  ?fault:Dudetm_core.Config.fault ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  ?only_crash2:int ->
-  unit ->
-  migrate_report
-(** Run the campaign: one clean resharding run counts the persist
-    boundaries, then power cuts at an evenly-spread sample of them (the
-    [DUDETM_CHECK_BUDGET]-scaled site budget), then the two-deep sweep.
-    [only_crash] (optionally with [only_crash2]) replays exactly one
-    case. *)
-
-(** {1 Snapshot-read crash campaign}
-
-    [dudetm check --snapshot] runs pair-writer transactions — every
-    commit writes the {e same} value to both slots of one pair — against
-    a concurrent read-only snapshot reader alternating volatile and
-    durable-only mode on the pipelined group-commit engine, and cuts
-    power at sampled persist boundaries while the durable reads run.
-    Two oracles:
-
-    - {b consistency}: every completed snapshot read-set satisfies
-      [va = vb].  A reader whose epoch extension spans a writer's commit
-      must either retry (validated extension) or see none of its writes;
-      the {!Dudetm_core.Config.Skip_snapshot_validate} mutant slides the
-      epoch forward without revalidating and returns one old and one new
-      half of a pair — a torn read-set.
-    - {b durable prefix}: a durable-mode read of value [v] proves [v]
-      transactions on that pair were durable when the read completed, so
-      recovery after the cut must find at least [v] on that pair — and
-      never more than were committed. *)
-
-type snapshot_failure = {
-  sn_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  sn_txs : int;  (** transactions per writer thread *)
-  sn_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  sn_reason : string;
-}
-
-type snapshot_report =
-  | Snapshot_pass of { runs : int; boundaries : int; reads : int }
-  | Snapshot_fail of snapshot_failure
-
-val snapshot_replay_line : snapshot_failure -> string
-(** The replayable [dudetm check --snapshot ...] one-liner. *)
-
-val default_snapshot_txs : int
-
-val check_snapshot :
-  ?fault:Dudetm_core.Config.fault ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  unit ->
-  snapshot_report
-(** Run the campaign: a clean run (readers active throughout) counts the
-    persist boundaries, then power cuts at an evenly-spread sample of
-    them (the [DUDETM_CHECK_BUDGET]-scaled site budget).  [only_crash]
-    replays exactly one case. *)
-
-(** {1 Serving front-end crash campaign}
-
-    [dudetm check --serve] drives the full serving front end
-    ({!Dudetm_serve.Serve}: bounded request queue, hysteresis admission
-    gate, deficit-round-robin dispatch, durable-watermark acker) with one
-    closed-loop client session per key pair over a 2-shard engine, and
-    cuts power mid-burst at sampled persist boundaries counted across
-    both devices.  Every write of value [v] stamps both slots of its
-    pair; values are dense increments; a client records [v] as {e acked}
-    only once its reply arrives.  The acked-prefix oracle after
-    re-attach:
-
-    - {b no half-applied request}: both slots of every pair agree;
-    - {b no acked request lost}: the recovered value covers the largest
-      acked value — a reply is a durability promise.  The
-      {!Dudetm_core.Config.Skip_admission_gate} mutant releases write
-      replies at commit instead of the durable watermark, so a cut in
-      the commit-to-persist window fails exactly this check;
-    - {b no phantom}: the recovered value never exceeds the largest
-      submitted value;
-    - {b quiescent exactness}: with no cut, every pair recovers to
-      exactly [txs]. *)
-
-type serve_failure = {
-  sv_fault : Dudetm_core.Config.fault;  (** seeded mutant in force *)
-  sv_txs : int;  (** requests per client session *)
-  sv_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  sv_reason : string;
-}
-
-type serve_report =
-  | Serve_pass of { runs : int; boundaries : int; acked : int; shed : int }
-  | Serve_fail of serve_failure
-
-val serve_replay_line : serve_failure -> string
-(** The replayable [dudetm check --serve ...] one-liner. *)
-
-val default_serve_txs : int
-
-val check_serve :
-  ?fault:Dudetm_core.Config.fault ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  unit ->
-  serve_report
-(** Run the campaign: a clean run (shedding and gate transitions active —
-    the campaign queue is deliberately small) counts the persist
-    boundaries, then power cuts at an evenly-spread sample of them (the
-    [DUDETM_CHECK_BUDGET]-scaled site budget).  [only_crash] replays
-    exactly one boundary. *)
+val summary : result -> string
+(** The line [dudetm check] prints: [<campaign> campaign: PASS (...)] or
+    [<campaign> campaign: FAIL: <reason>] plus the replay line. *)

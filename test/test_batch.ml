@@ -332,20 +332,19 @@ let test_pipeline_overlap_in_trace () =
 (* ---------------------- batch crash campaign --------------------------- *)
 
 let test_check_batch_clean () =
-  match Check.check_batch ~txs:4 () with
-  | Check.Batch_pass { runs; boundaries } ->
-    check Alcotest.bool "swept a real boundary count" true (boundaries > 20);
-    check Alcotest.bool "ran the sweep" true (runs > 20)
-  | Check.Batch_fail f ->
-    Alcotest.failf "clean engine failed the batch campaign: %s (replay: %s)"
-      f.Check.bt_reason (Check.batch_replay_line f)
+  match Check.run ~budget:Check.Smoke "batch" [ ("txs", "4") ] with
+  | Check.Pass r ->
+    check Alcotest.bool "swept a real boundary count" true (r.Check.boundaries > 20);
+    check Alcotest.bool "ran the sweep" true (r.Check.runs > 20)
+  | Check.Fail f ->
+    Alcotest.failf "clean engine failed the batch campaign: %s (replay: %s)" f.Check.reason
+      (Check.replay_line f)
 
 let test_check_batch_catches_skip_seal () =
-  match Check.check_batch ~fault:Config.Skip_batch_seal ~txs:4 () with
-  | Check.Batch_pass _ ->
-    Alcotest.fail "Skip_batch_seal mutant survived the batch campaign"
-  | Check.Batch_fail f ->
-    let line = Check.batch_replay_line f in
+  match Check.run ~budget:Check.Smoke ~mutant:Config.Skip_batch_seal "batch" [ ("txs", "4") ] with
+  | Check.Pass _ -> Alcotest.fail "Skip_batch_seal mutant survived the batch campaign"
+  | Check.Fail f ->
+    let line = Check.replay_line f in
     let has_substring hay needle =
       let nh = String.length hay and nn = String.length needle in
       let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

@@ -1,136 +1,157 @@
-(* Tier-1 smoke for the systematic crash/schedule checker (lib/check), plus
-   the mutation self-test: the checker must stay quiet on the real engine and
-   both baselines, and must catch both deliberately seeded ordering bugs. *)
+(* Tier-1 smoke for the campaign kernel (lib/check): the explorer stays
+   quiet on the real engine and both baselines; every row of the mutant
+   table is caught, replays from its printed one-liner, and passes on the
+   real engine; and the replay grammar rejects partial or foreign
+   coordinates instead of falling back to a sweep. *)
 
 module Check = Dudetm_check.Check
 module Config = Dudetm_core.Config
 
-(* A small explicit budget so runtest stays fast; the env-sensitive
-   [tier1_budget] is exercised separately below. *)
-let smoke_budget : Check.budget =
-  {
-    crash_sites = 25;
-    sched_seeds = 2;
-    crash_sites_per_seed = 6;
-    exhaustive_runs = 12;
-    exhaustive_depth = 5;
-  }
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
-let expect_pass name sut =
-  let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
-  match Check.check_system ~budget:smoke_budget sut wls with
-  | Check.Pass { runs; sites } ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: explored some runs" name)
-      true
-      (runs > 0 && sites > 0)
+let run ?mutant campaign args = Check.run ~budget:Check.Smoke ?mutant campaign args
+
+let expect_pass campaign args =
+  match run campaign args with
+  | Check.Pass r -> r
   | Check.Fail f ->
-    Alcotest.failf "%s: checker found a violation: %s\n  replay: %s" name
-      f.Check.f_reason (Check.replay_line f)
+    Alcotest.failf "%s: checker found a violation: %s\n  replay: %s" campaign f.Check.reason
+      (Check.replay_line f)
 
-let test_clean_dude () = expect_pass "dude" (Check.dude ())
+let test_clean system () =
+  let r = expect_pass "explore" [ ("system", system) ] in
+  Alcotest.(check bool) (system ^ ": explored some runs") true
+    (r.Check.runs > 0 && r.Check.boundaries > 0)
 
-let test_clean_combine () = expect_pass "dude-combine" (Check.dude_combine ())
+(* One row of the mutant table: the campaign catches the mutant at smoke
+   budget; the printed one-liner names the mutant and parses back into a
+   replay of exactly that coordinate, which reproduces the same reason
+   twice (determinism); and the real engine passes that coordinate —
+   guarding against oracle false positives.  A row that passed all of
+   this is remembered, so tests sharing a row run it once. *)
+let verified_rows = Hashtbl.create 10
 
-let test_clean_htm () = expect_pass "dude-htm" (Check.dude_htm ())
-
-let test_clean_mnemosyne () = expect_pass "mnemosyne" (Check.mnemosyne ())
-
-let test_clean_nvml () = expect_pass "nvml" (Check.nvml ())
-
-(* Mutation self-test: a checker that cannot catch a seeded ordering bug is
-   not checking anything.  Each fault must (1) produce a Fail, and (2) shrink
-   to a triple that deterministically fails again when replayed. *)
-let expect_caught name fault =
-  let sut = Check.dude ~fault () in
-  let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
-  match Check.check_system ~budget:smoke_budget sut wls with
-  | Check.Pass _ -> Alcotest.failf "%s: seeded bug escaped the checker" name
+let check_row fault =
+  let _, name, campaign = List.find (fun (f, _, _) -> f = fault) Check.mutants in
+  let args = if campaign = "explore" then [ ("system", "dude") ] else [] in
+  match run ~mutant:fault campaign args with
+  | Check.Pass _ -> Alcotest.failf "%s escaped the %s campaign" name campaign
   | Check.Fail f ->
     let line = Check.replay_line f in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: replay line names the mutant" name)
-      true
-      (String.length line > 0);
-    (* Re-run the shrunk triple: it must fail again, deterministically. *)
-    let wl =
-      Check.workload_of_name ~threads:f.Check.f_threads ~txs:f.Check.f_txs
-        f.Check.f_workload
+    Alcotest.(check bool) (name ^ ": replay line names the mutant") true
+      (contains line ("--mutate " ^ name));
+    let c, m, coord = Check.parse_replay line in
+    Alcotest.(check string) (name ^ ": replay line names the campaign") campaign c;
+    let replay () =
+      match run ~mutant:m c coord with
+      | Check.Fail g ->
+        Alcotest.(check (list int)) (name ^ ": replay cuts at the same coordinate") f.Check.cuts
+          g.Check.cuts;
+        g.Check.reason
+      | Check.Pass _ -> Alcotest.failf "%s: %s did not reproduce" name line
     in
-    (match Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash with
-    | Some _reason -> ()
-    | None ->
-      Alcotest.failf "%s: shrunk triple did not reproduce (%s)" name line);
-    (* And twice more: same triple, same verdict (determinism). *)
-    let r1 = Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash in
-    let r2 = Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash in
-    Alcotest.(check (option string)) (name ^ ": replay is deterministic") r1 r2
+    Alcotest.(check string) (name ^ ": replay reproduces the reason") f.Check.reason (replay ());
+    Alcotest.(check string) (name ^ ": replay is deterministic") f.Check.reason (replay ());
+    (match run c coord with
+    | Check.Pass _ -> ()
+    | Check.Fail g ->
+      Alcotest.failf "%s: real engine fails the mutant's coordinate: %s" name g.Check.reason);
+    Hashtbl.replace verified_rows fault f;
+    f
 
-let test_mutant_early_durable () =
-  expect_caught "early-durable" Config.Early_durable_publish
+let mutant_row fault =
+  match Hashtbl.find_opt verified_rows fault with Some f -> f | None -> check_row fault
 
-let test_mutant_unfenced_reproduce () =
-  expect_caught "unfenced-reproduce" Config.Unfenced_reproduce
+let test_mutant_early_durable () = ignore (mutant_row Config.Early_durable_publish)
 
-(* The unmutated engine must pass the exact schedules/crash points that
-   expose the mutants — guards against oracle false positives. *)
+let test_mutant_unfenced_reproduce () = ignore (mutant_row Config.Unfenced_reproduce)
+
+(* The whole table: one row per seeded mutant, each caught by the
+   campaign the table names. *)
+let test_mutant_table () =
+  Alcotest.(check int) "ten mutants" 10 (List.length Check.mutants);
+  Alcotest.(check int) "distinct names" 10
+    (List.length (List.sort_uniq compare (List.map (fun (_, n, _) -> n) Check.mutants)));
+  List.iter (fun (f, _, _) -> ignore (mutant_row f)) Check.mutants
+
+(* The explorer's replays pass on the real engine at the exact schedules
+   and crash points that expose both ordering mutants. *)
 let test_mutant_sites_clean_on_real_engine () =
-  let sut = Check.dude () in
   List.iter
     (fun fault ->
-      let mutant = Check.dude ~fault () in
-      let wls = Check.workloads_for mutant ~threads:3 ~txs:2 in
-      match Check.check_system ~budget:smoke_budget mutant wls with
-      | Check.Pass _ -> Alcotest.fail "seeded bug escaped the checker"
-      | Check.Fail f ->
-        let wl =
-          Check.workload_of_name ~threads:f.Check.f_threads
-            ~txs:f.Check.f_txs f.Check.f_workload
-        in
-        (match
-           Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash
-         with
-        | None -> ()
-        | Some reason ->
-          Alcotest.failf "real engine fails the mutant's triple: %s" reason))
+      let f = mutant_row fault in
+      Alcotest.(check string) "explorer failure" "explore" f.Check.campaign)
     [ Config.Early_durable_publish; Config.Unfenced_reproduce ]
 
-(* sched_spec round-trips through its textual form (the replay one-liner
-   depends on this). *)
+(* Schedules round-trip through the replay grammar; junk is rejected. *)
 let test_sched_spec_roundtrip () =
   List.iter
-    (fun s ->
-      let s' = Check.sched_of_string (Check.sched_to_string s) in
-      Alcotest.(check string)
-        "sched round-trip"
-        (Check.sched_to_string s)
-        (Check.sched_to_string s'))
-    [ Check.Default; Check.Seed 42; Check.Prefix [ 1; 0; 2 ]; Check.Prefix [] ]
+    (fun sched ->
+      let f =
+        {
+          Check.campaign = "explore";
+          mutant = Config.No_fault;
+          params = [ ("system", "dude"); ("workload", "counter"); ("sched", sched) ];
+          cuts = [ 3 ];
+          reason = "";
+        }
+      in
+      let c, _, coord = Check.parse_replay (Check.replay_line f) in
+      Alcotest.(check string) "campaign" "explore" c;
+      let got k = List.assoc_opt k coord in
+      Alcotest.(check (option string)) "sched round-trip" (Some sched) (got "sched");
+      Alcotest.(check (option string)) "cut round-trip" (Some "3") (got "crash-at"))
+    [ "default"; "seed:42"; "prefix:1,0,2"; "prefix:" ];
+  match run "explore" [ ("system", "dude"); ("workload", "counter"); ("sched", "sometimes") ] with
+  | _ -> Alcotest.fail "junk schedule accepted"
+  | exception Invalid_argument _ -> ()
 
-(* tier1_budget honours the DUDETM_CHECK_BUDGET multiplier. *)
+(* The one budget reader honours DUDETM_CHECK_BUDGET. *)
 let test_budget_knob () =
-  let base = Check.quick_budget in
+  let base = Check.explore_budget Check.Quick in
   Unix.putenv "DUDETM_CHECK_BUDGET" "2";
-  let scaled = Check.tier1_budget () in
+  let scaled = Check.explore_budget (Check.budget_of_env ()) in
   Unix.putenv "DUDETM_CHECK_BUDGET" "";
-  Alcotest.(check int) "crash sites scaled" (base.Check.crash_sites * 2)
-    scaled.Check.crash_sites;
-  Alcotest.(check int) "exhaustive runs scaled"
-    (base.Check.exhaustive_runs * 2) scaled.Check.exhaustive_runs;
-  let plain = Check.tier1_budget () in
-  Alcotest.(check int) "knob cleared" base.Check.crash_sites
-    plain.Check.crash_sites
+  Alcotest.(check int) "crash sites scaled" (base.Check.crash_sites * 2) scaled.Check.crash_sites;
+  Alcotest.(check int) "exhaustive runs scaled" (base.Check.exhaustive_runs * 2)
+    scaled.Check.exhaustive_runs;
+  Alcotest.(check bool) "knob cleared" true (Check.budget_of_env () = Check.Scaled 1)
 
-(* count_sites and replay agree on the crash-boundary space: replaying at a
-   boundary beyond the count is still well-defined (no crash fires). *)
+(* A replay at a boundary beyond the run's count is well-defined: no cut
+   fires and the run is judged as quiescent. *)
 let test_replay_past_last_site () =
-  let sut = Check.dude () in
-  let wl = Check.counter ~threads:2 ~txs:1 in
-  let sites = Check.count_sites sut wl ~sched:Check.Default in
+  let at k =
+    [
+      ("system", "dude");
+      ("workload", "counter");
+      ("threads", "2");
+      ("txs", "1");
+      ("sched", "default");
+      ("crash-at", k);
+    ]
+  in
+  let sites = (expect_pass "explore" (at "0")).Check.boundaries in
   Alcotest.(check bool) "some sites" true (sites > 0);
-  match Check.replay sut wl ~sched:Check.Default ~crash:(Some (sites + 10)) with
-  | None -> ()
-  | Some reason -> Alcotest.failf "quiescent run past last site failed: %s" reason
+  ignore (expect_pass "explore" (at (string_of_int (sites + 10))))
+
+let rejected ?mutant what campaign args =
+  match run ?mutant campaign args with
+  | _ -> Alcotest.failf "%s: accepted instead of rejected" what
+  | exception Invalid_argument _ -> ()
+
+(* A partial replay coordinate never falls back to a sweep. *)
+let test_replay_needs_scenario () =
+  rejected ~mutant:Config.Skip_quorum_gate "replica kill without --scenario" "replica"
+    [ ("crash-at", "4") ]
+
+let test_crash2_needs_crash_at () =
+  rejected "--crash2 without --crash-at" "batch" [ ("crash2", "3") ]
+
+let test_foreign_coordinates () =
+  rejected "--leg/--scenario on shards" "shards" [ ("leg", "attach"); ("scenario", "faulty") ]
 
 (* -------------------------------------------------------------------- *)
 (* Media-fault campaign                                                   *)
@@ -139,31 +160,11 @@ let test_replay_past_last_site () =
 (* The clean engine under seeded corruption: every run either recovers
    fully or the loss is reported — never silently wrong data. *)
 let test_media_clean_engine () =
-  match Check.check_media ~seeds:2 () with
-  | Check.Media_pass { runs; injected } ->
-    Alcotest.(check bool) "campaign ran and injected faults" true
-      (runs > 0 && injected > 0)
-  | Check.Media_fail mf ->
-    Alcotest.failf "clean engine failed the media campaign: %s\n  %s"
-      mf.Check.mf_reason
-      (Check.media_replay_line mf)
+  let r = expect_pass "media" [] in
+  Alcotest.(check bool) "campaign ran and injected faults" true
+    (r.Check.runs > 0 && List.assoc "faults injected" r.Check.tallies > 0)
 
-(* The seeded detection-bypass mutant (CRC verification skipped) must be
-   caught: corruption then reaches recovered state with nothing reported. *)
-let test_media_mutant_skip_crc () =
-  match Check.check_media ~fault:Config.Skip_crc_verify ~seeds:3 () with
-  | Check.Media_pass _ ->
-    Alcotest.fail "skip-crc-verify mutant escaped the media campaign"
-  | Check.Media_fail mf ->
-    (* The recorded failure replays deterministically. *)
-    (match
-       Check.check_media ~fault:Config.Skip_crc_verify ~mode:mf.Check.mf_mode
-         ~media_seed:mf.Check.mf_seed ?crash:mf.Check.mf_crash ()
-     with
-    | Check.Media_fail _ -> ()
-    | Check.Media_pass _ ->
-      Alcotest.failf "media failure did not replay: %s"
-        (Check.media_replay_line mf))
+let test_media_mutant_skip_crc () = ignore (mutant_row Config.Skip_crc_verify)
 
 (* -------------------------------------------------------------------- *)
 (* Sharded cross-commit campaign                                          *)
@@ -172,74 +173,41 @@ let test_media_mutant_skip_crc () =
 (* The real engine survives power cuts at every sampled persist boundary
    during cross-shard commits: no partial transfer, nothing acked lost. *)
 let test_shards_clean_engine () =
-  match Check.check_shards () with
-  | Check.Shard_pass { runs; boundaries } ->
-    Alcotest.(check bool) "campaign explored boundaries" true
-      (runs > 1 && boundaries > 0)
-  | Check.Shard_fail shf ->
-    Alcotest.failf "clean engine failed the shard campaign: %s\n  %s"
-      shf.Check.shf_reason
-      (Check.shard_replay_line shf)
+  let r = expect_pass "shards" [] in
+  Alcotest.(check bool) "campaign explored boundaries" true
+    (r.Check.runs > 1 && r.Check.boundaries > 0)
 
-(* With the fragment gate skipped, Reproduce replays a cross-shard fragment
-   before its sibling is durable — some power cut must expose a partial
-   transfer.  The recorded boundary replays deterministically, and its
-   one-liner carries the mutant flag. *)
+(* With the fragment gate skipped, some power cut must expose a partial
+   transfer. *)
 let test_shards_mutant_skip_fragment_gate () =
-  match Check.check_shards ~fault:Config.Skip_fragment_gate () with
-  | Check.Shard_pass _ ->
-    Alcotest.fail "skip-fragment-gate mutant escaped the shard campaign"
-  | Check.Shard_fail shf ->
-    let line = Check.shard_replay_line shf in
-    let contains s sub =
-      let n = String.length sub in
-      let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-      go 0
-    in
-    Alcotest.(check bool)
-      "replay line names the mutant" true
-      (contains line "--mutate skip-fragment-gate");
-    (match shf.Check.shf_crash with
-    | None -> Alcotest.fail "mutant should fail at a crash boundary, not the clean run"
-    | Some k ->
-      (match
-         Check.check_shards ~fault:Config.Skip_fragment_gate ~nshards:shf.Check.shf_nshards
-           ~txs:shf.Check.shf_txs ~only_crash:k ()
-       with
-      | Check.Shard_fail _ -> ()
-      | Check.Shard_pass _ -> Alcotest.failf "shard failure did not replay: %s" line));
-    (* The real engine passes the exact boundary that exposes the mutant. *)
-    (match
-       Check.check_shards ~nshards:shf.Check.shf_nshards ~txs:shf.Check.shf_txs
-         ?only_crash:shf.Check.shf_crash ()
-     with
-    | Check.Shard_pass _ -> ()
-    | Check.Shard_fail f ->
-      Alcotest.failf "real engine fails the mutant's boundary: %s" f.Check.shf_reason)
+  let f = mutant_row Config.Skip_fragment_gate in
+  Alcotest.(check bool) "fails at a crash boundary, not the clean run" true (f.Check.cuts <> [])
 
 let suite =
   [
-    Alcotest.test_case "clean: dude" `Quick test_clean_dude;
-    Alcotest.test_case "clean: dude-combine" `Quick test_clean_combine;
-    Alcotest.test_case "clean: dude-htm" `Quick test_clean_htm;
-    Alcotest.test_case "clean: mnemosyne" `Quick test_clean_mnemosyne;
-    Alcotest.test_case "clean: nvml" `Quick test_clean_nvml;
-    Alcotest.test_case "mutant caught: early durable publish" `Quick
-      test_mutant_early_durable;
-    Alcotest.test_case "mutant caught: unfenced reproduce" `Quick
-      test_mutant_unfenced_reproduce;
+    Alcotest.test_case "clean: dude" `Quick (test_clean "dude");
+    Alcotest.test_case "clean: dude-combine" `Quick (test_clean "dude-combine");
+    Alcotest.test_case "clean: dude-htm" `Quick (test_clean "dude-htm");
+    Alcotest.test_case "clean: mnemosyne" `Quick (test_clean "mnemosyne");
+    Alcotest.test_case "clean: nvml" `Quick (test_clean "nvml");
+    Alcotest.test_case "mutant caught: early durable publish" `Quick test_mutant_early_durable;
+    Alcotest.test_case "mutant caught: unfenced reproduce" `Quick test_mutant_unfenced_reproduce;
     Alcotest.test_case "mutant triples pass on real engine" `Quick
       test_mutant_sites_clean_on_real_engine;
+    Alcotest.test_case "mutant table: caught, replayed, passed by the real engine" `Slow
+      test_mutant_table;
     Alcotest.test_case "sched spec round-trip" `Quick test_sched_spec_roundtrip;
     Alcotest.test_case "budget env knob" `Quick test_budget_knob;
-    Alcotest.test_case "replay past last site is quiescent" `Quick
-      test_replay_past_last_site;
-    Alcotest.test_case "media campaign: clean engine never silently wrong"
-      `Quick test_media_clean_engine;
+    Alcotest.test_case "replay past last site is quiescent" `Quick test_replay_past_last_site;
+    Alcotest.test_case "grammar: replica replay needs --scenario" `Quick test_replay_needs_scenario;
+    Alcotest.test_case "grammar: --crash2 needs a fired --crash-at" `Quick
+      test_crash2_needs_crash_at;
+    Alcotest.test_case "grammar: undeclared coordinates rejected" `Quick test_foreign_coordinates;
+    Alcotest.test_case "media campaign: clean engine never silently wrong" `Quick
+      test_media_clean_engine;
     Alcotest.test_case "media campaign: skip-crc-verify mutant caught" `Quick
       test_media_mutant_skip_crc;
-    Alcotest.test_case "shard campaign: clean engine all-or-nothing" `Slow
-      test_shards_clean_engine;
+    Alcotest.test_case "shard campaign: clean engine all-or-nothing" `Slow test_shards_clean_engine;
     Alcotest.test_case "shard campaign: skip-fragment-gate mutant caught" `Slow
       test_shards_mutant_skip_fragment_gate;
   ]

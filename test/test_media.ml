@@ -18,67 +18,53 @@ let contains haystack needle =
 let evict_fractions = [ 0.0; 0.25; 0.5; 1.0 ]
 
 let test_evict_sweep_replay () =
-  let sut = Check.dude () in
-  let wl = Check.counter ~threads:3 ~txs:2 in
   List.iter
     (fun fraction ->
       List.iter
         (fun crash ->
           match
-            Check.replay ~evict:(fraction, 11) sut wl ~sched:Check.Default ~crash
+            Check.run "explore"
+              [
+                ("system", "dude");
+                ("workload", "counter");
+                ("sched", "default");
+                ("evict", string_of_float fraction);
+                ("evict-seed", "11");
+                ("crash-at", string_of_int crash);
+              ]
           with
-          | None -> ()
-          | Some reason ->
-            Alcotest.failf "evict %.2f crash %s: %s" fraction
-              (match crash with None -> "quiescent" | Some k -> string_of_int k)
-              reason)
-        [ None; Some 1; Some 5; Some 9 ])
+          | Check.Pass _ -> ()
+          | Check.Fail f -> Alcotest.failf "evict %.2f crash %d: %s" fraction crash f.Check.reason)
+        [ 0; 1; 5; 9 ])
     evict_fractions
 
 let test_evict_full_campaign () =
-  (* One full (small-budget) campaign at a non-trivial fraction: every
-     crash site, scheduled and randomized orders, survivors recorded. *)
-  let budget : Check.budget =
-    {
-      Check.crash_sites = 8;
-      sched_seeds = 2;
-      crash_sites_per_seed = 4;
-      exhaustive_runs = 0;
-      exhaustive_depth = 0;
-    }
-  in
-  let sut = Check.dude () in
-  let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
-  match Check.check_system ~budget ~evict:(0.5, 7) sut wls with
-  | Check.Pass { runs; _ } -> Alcotest.(check bool) "ran" true (runs > 0)
+  (* One full smoke campaign at a non-trivial fraction: every crash site,
+     scheduled and randomized orders, survivors recorded. *)
+  match
+    Check.run ~budget:Check.Smoke "explore"
+      [ ("system", "dude"); ("evict", "0.5"); ("evict-seed", "7") ]
+  with
+  | Check.Pass r -> Alcotest.(check bool) "ran" true (r.Check.runs > 0)
   | Check.Fail f ->
-    Alcotest.failf "evict campaign failed: %s\n  %s" f.Check.f_reason
-      (Check.replay_line f)
+    Alcotest.failf "evict campaign failed: %s\n  %s" f.Check.reason (Check.replay_line f)
 
 let test_evict_failure_carries_survivors () =
   (* A mutant that the eviction adversary catches must report the evict
-     knob and the surviving lines in its replay record. *)
-  let budget : Check.budget =
-    {
-      Check.crash_sites = 25;
-      sched_seeds = 2;
-      crash_sites_per_seed = 6;
-      exhaustive_runs = 0;
-      exhaustive_depth = 0;
-    }
-  in
-  (* Note the fraction: at 1.0 every dirty line is written back at the
-     cut, which masks a missing persist fence; 0.5 loses some lines. *)
-  let sut = Check.dude ~fault:Config.Early_durable_publish () in
-  let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
-  match Check.check_system ~budget ~evict:(0.5, 3) sut wls with
+     knob and the surviving lines in its replay record.  Note the
+     fraction: at 1.0 every dirty line is written back at the cut, which
+     masks a missing persist fence; 0.5 loses some lines. *)
+  match
+    Check.run ~budget:Check.Smoke ~mutant:Config.Early_durable_publish "explore"
+      [ ("system", "dude"); ("evict", "0.5"); ("evict-seed", "3") ]
+  with
   | Check.Pass _ -> Alcotest.fail "early-durable mutant escaped the eviction sweep"
   | Check.Fail f ->
-    (match f.Check.f_evict with
-    | Some (fr, seed) ->
-      Alcotest.(check (float 0.0)) "fraction recorded" 0.5 fr;
-      Alcotest.(check int) "seed recorded" 3 seed
-    | None -> Alcotest.fail "failure record lost the evict knob");
+    let got k = List.assoc_opt k f.Check.params in
+    Alcotest.(check (option string)) "fraction recorded" (Some "0.5") (got "evict");
+    Alcotest.(check (option string)) "seed recorded" (Some "3") (got "evict-seed");
+    Alcotest.(check bool) "reason names the surviving lines" true
+      (contains f.Check.reason "surviving lines" || contains f.Check.reason "no dirty lines");
     Alcotest.(check bool) "replay line names the adversary" true
       (contains (Check.replay_line f) "--evict 0.5")
 

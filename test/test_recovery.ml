@@ -193,38 +193,32 @@ let test_double_scrub_idempotent () =
 (* ------------------------------------------------------------------ *)
 
 let test_recovery_campaign_smoke () =
-  match Check.check_recovery ~budget:Check.smoke_recovery_budget () with
-  | Check.Recovery_pass { runs; boundaries } ->
-    Alcotest.(check bool) "explored runs" true (runs > 10);
-    Alcotest.(check bool) "counted boundaries" true (boundaries > 0)
-  | Check.Recovery_fail rcf ->
-    Alcotest.failf "nested-crash campaign failed: %s\n  %s" rcf.Check.rcf_reason
-      (Check.recovery_replay_line rcf)
+  match Check.run ~budget:Check.Smoke "recovery" [] with
+  | Check.Pass r ->
+    Alcotest.(check bool) "explored runs" true (r.Check.runs > 10);
+    Alcotest.(check bool) "counted boundaries" true (r.Check.boundaries > 0)
+  | Check.Fail f ->
+    Alcotest.failf "nested-crash campaign failed: %s\n  %s" f.Check.reason (Check.replay_line f)
 
 let test_recovery_campaign_catches_mutant () =
-  match
-    Check.check_recovery ~fault:Config.Skip_recovery_journal
-      ~budget:Check.smoke_recovery_budget ()
-  with
-  | Check.Recovery_pass _ ->
-    Alcotest.fail "skip-recovery-journal mutant escaped the nested-crash campaign"
-  | Check.Recovery_fail rcf ->
+  match Check.run ~budget:Check.Smoke ~mutant:Config.Skip_recovery_journal "recovery" [] with
+  | Check.Pass _ -> Alcotest.fail "skip-recovery-journal mutant escaped the nested-crash campaign"
+  | Check.Fail f ->
     Alcotest.(check bool) "replay line names the mutant" true
-      (contains (Check.recovery_replay_line rcf) "--mutate skip-recovery-journal")
+      (contains (Check.replay_line f) "--mutate skip-recovery-journal")
 
 (* ------------------------------------------------------------------ *)
 (* Supervised daemons                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_daemon_fault_sweep () =
-  match Check.check_daemons ~seeds:2 () with
-  | Check.Daemon_pass { runs; faults; restarts } ->
-    Alcotest.(check bool) "ran" true (runs > 0);
-    Alcotest.(check bool) "faults injected" true (faults > 0);
-    Alcotest.(check bool) "daemons restarted" true (restarts > 0)
-  | Check.Daemon_fail df ->
-    Alcotest.failf "daemon fault sweep failed: %s\n  %s" df.Check.df_reason
-      (Check.daemon_replay_line df)
+  match Check.run ~budget:Check.Smoke "daemons" [] with
+  | Check.Pass r ->
+    Alcotest.(check bool) "ran" true (r.Check.runs > 0);
+    Alcotest.(check bool) "faults injected" true (List.assoc "faults injected" r.Check.tallies > 0);
+    Alcotest.(check bool) "daemons restarted" true (List.assoc "restarts" r.Check.tallies > 0)
+  | Check.Fail f ->
+    Alcotest.failf "daemon fault sweep failed: %s\n  %s" f.Check.reason (Check.replay_line f)
 
 let test_daemon_restarts_counted () =
   let cfg = { small_cfg with Config.daemon_fault_rate = 0.3 } in

@@ -533,28 +533,26 @@ let test_link_transfer_zero_alloc_when_disabled () =
 (* ----------------------------- campaign ---------------------------------- *)
 
 let test_campaign_clean () =
-  match Check.check_replica ~txs:6 () with
-  | Check.Replica_pass { runs; boundaries } ->
-    check Alcotest.bool "swept multiple runs" true (runs > 10 && boundaries > 0)
-  | Check.Replica_fail rf ->
-    Alcotest.failf "campaign failed: %s (replay: %s)" rf.Check.rf_reason
-      (Check.replica_replay_line rf)
+  match Check.run ~budget:Check.Smoke "replica" [ ("txs", "6") ] with
+  | Check.Pass r ->
+    check Alcotest.bool "swept multiple runs" true (r.Check.runs > 10 && r.Check.boundaries > 0)
+  | Check.Fail f ->
+    Alcotest.failf "campaign failed: %s (replay: %s)" f.Check.reason (Check.replay_line f)
 
 let test_campaign_catches_skip_quorum_gate () =
-  match Check.check_replica ~fault:Config.Skip_quorum_gate ~txs:6 () with
-  | Check.Replica_pass _ ->
-    Alcotest.fail "campaign missed the Skip_quorum_gate mutant"
-  | Check.Replica_fail rf ->
-    check Alcotest.bool "failure is attributed to a primary kill" true
-      (rf.Check.rf_crash <> None);
-    let line = Check.replica_replay_line rf in
+  match
+    Check.run ~budget:Check.Smoke ~mutant:Config.Skip_quorum_gate "replica" [ ("txs", "6") ]
+  with
+  | Check.Pass _ -> Alcotest.fail "campaign missed the Skip_quorum_gate mutant"
+  | Check.Fail f ->
+    check Alcotest.bool "failure is attributed to a primary kill" true (f.Check.cuts <> []);
+    let line = Check.replay_line f in
     let has needle =
       let n = String.length needle and l = String.length line in
       let rec go i = i + n <= l && (String.sub line i n = needle || go (i + 1)) in
       go 0
     in
-    check Alcotest.bool "replay line pins the mutant" true
-      (has "--mutate skip-quorum-gate");
+    check Alcotest.bool "replay line pins the mutant" true (has "--mutate skip-quorum-gate");
     check Alcotest.bool "replay line pins the crash site" true (has "--crash-at")
 
 let suite =
