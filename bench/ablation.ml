@@ -29,7 +29,12 @@ let ablation_persist_threads ~scale =
   Printf.printf "%-18s %12s %16s\n" "persist threads" "throughput" "producer blocks";
   List.iter
     (fun p ->
-      let cfg = { (dude_config ()) with Config.persist_threads = p } in
+      let cfg =
+        {
+          (dude_config ()) with
+          Config.persist = Config.Per_thread { daemons = p; min_entries = 16; max_entries = 128 };
+        }
+      in
       let bench = { (bptree_bench ()) with ntxs = int_of_float (8000.0 *. scale) } in
       let ptm, d = B.Dude_ptm.Stm.ptm cfg in
       let r = run_bench ptm bench in

@@ -18,9 +18,7 @@ let run_one ~group ~compress =
   let cfg =
     {
       (dude_config ()) with
-      Config.group_size = group;
-      combine = true;
-      compress;
+      Config.persist = Config.Combined { group; compress };
       plog_size = 1 lsl 23;
       vlog_capacity = 1 lsl 18;
     }

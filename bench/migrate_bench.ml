@@ -38,7 +38,6 @@ let cfg =
   {
     Config.default with
     Config.heap_size = 1 lsl 18;
-    root_size = 4096;
     nthreads = 5;
     vlog_capacity = 1 lsl 12;
     plog_size = 1 lsl 17;

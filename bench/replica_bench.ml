@@ -36,9 +36,7 @@ let cfg =
     nthreads = 4;
     vlog_capacity = 1 lsl 14;
     plog_size = 1 lsl 20;
-    group_size = 8;
-    combine = true;
-    compress = true;
+    persist = Config.Combined { group = 8; compress = true };
     seed = 11;
   }
 

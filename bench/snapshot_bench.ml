@@ -54,14 +54,12 @@ let cfg =
   {
     Config.default with
     Config.heap_size = 1 lsl 18;
-    root_size = 4096;
     nthreads = nreaders + nwriters;
     pmem = Dudetm_nvm.Pmem_config.pcm;
     vlog_capacity = 1 lsl 10;
     plog_size = 1 lsl 16;
     meta_size = 1 lsl 13;
-    combine = true;
-    group_size = 8;
+    persist = Config.Combined { group = 8; compress = false };
     seed = 17;
   }
 

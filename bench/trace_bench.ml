@@ -1,9 +1,10 @@
 (* Trace-driven profile of the pipeline (extension beyond the paper's
    figures): run the canonical KV workload under cycle-accurate tracing at
    1 and 16 GB/s, print where each pipeline stage spends its cycles, emit
-   the machine-readable BENCH_trace.json summary, and compare per-phase
-   p50 cycles against the checked-in baseline — the simulation is
-   deterministic, so any drift is a real change, and >25% is a failure. *)
+   the machine-readable BENCH_trace.json summary, and compare every
+   phase's exact span count and total cycles against the checked-in
+   baseline — the simulation is deterministic, so any drift is a real
+   change and fails the run. *)
 
 open Dudetm_harness.Harness
 module Trace = Dudetm_trace.Trace
@@ -23,35 +24,23 @@ let profile ~bandwidth =
   Trace.disable ();
   (r, phases, accts, summary, violations)
 
-let p50_of phases key =
-  List.find_opt (fun p -> p.Trace.ph_cat ^ "." ^ p.Trace.ph_name = key) phases
-  |> Option.map (fun p -> p.Trace.ph_p50)
-
 let baseline_path () =
   match Sys.getenv_opt "DUDETM_TRACE_BASELINE" with
   | Some p -> p
   | None -> Filename.concat "bench" "trace_baseline.tsv"
 
-(* Baseline format: one "phase<TAB>p50" line per phase; '#' comments. *)
+(* Baseline format: one "phase<TAB>count<TAB>total cycles" line per phase
+   of the 1 GB/s run, in profile order; '#' comments.  The same line
+   format is what the gate prints for the current profile. *)
+let phase_line p =
+  Printf.sprintf "%s.%s\t%d\t%d" p.Trace.ph_cat p.Trace.ph_name p.Trace.ph_count
+    p.Trace.ph_total
+
 let load_baseline path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-        close_in ic;
-        Some (List.rev acc)
-      | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go acc
-        else
-          (match String.split_on_char '\t' line with
-          | [ phase; p50 ] -> go ((phase, int_of_string p50) :: acc)
-          | _ -> go acc)
-    in
-    go []
-  end
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.map String.trim
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
 
 let utilization accts total =
   List.map
@@ -92,36 +81,37 @@ let run ?scale:(_ = 1.0) () =
     exit 1
   end;
   write_artifact "BENCH_trace.json" summary;
-  (* Per-phase p50 regression gate against the checked-in baseline (1 GB/s
-     run).  p50s are log2-bucket lower bounds, so any bucket move is a 2x
-     change and trips the 25% threshold — deterministic, not flaky. *)
-  match load_baseline (baseline_path ()) with
-  | None ->
-    Printf.printf "trace baseline %s not found; skipping regression check\n"
-      (baseline_path ())
-  | Some base ->
-    let failures = ref 0 in
+  (* Exact per-phase gate against the checked-in baseline (1 GB/s run): the
+     simulation is deterministic, so the profile must reproduce every
+     phase's span count and total cycles.  A missing baseline fails too —
+     a gate that cannot read its reference has checked nothing. *)
+  let path = baseline_path () in
+  match load_baseline path with
+  | exception Sys_error e ->
+    Printf.printf
+      "trace regression check: FAIL: cannot read baseline (%s); run from the repo root or \
+       set DUDETM_TRACE_BASELINE\n"
+      e;
+    exit 1
+  | base ->
+    let current = List.map phase_line ph1 in
     List.iter
-      (fun (key, base_p50) ->
-        match p50_of ph1 key with
-        | None ->
-          Printf.printf "REGRESSION %-24s gone from profile (baseline p50 %d)\n" key
-            base_p50;
-          incr failures
-        | Some p50 ->
-          if float_of_int p50 > 1.25 *. float_of_int base_p50 then begin
-            Printf.printf "REGRESSION %-24s p50 %d > baseline %d (+%.0f%%)\n" key p50
-              base_p50
-              (100.0 *. (float_of_int p50 /. float_of_int (max 1 base_p50) -. 1.0));
-            incr failures
-          end
-          else Printf.printf "ok         %-24s p50 %d (baseline %d)\n" key p50 base_p50)
+      (fun l ->
+        Printf.printf "%s %s\n" (if List.mem l base then "ok        " else "REGRESSION") l)
+      current;
+    List.iter
+      (fun l -> if not (List.mem l current) then Printf.printf "MISSING    %s\n" l)
       base;
-    if !failures > 0 then begin
-      Printf.printf "trace regression check: %d phase(s) regressed >25%%\n" !failures;
+    if current <> base then begin
+      Printf.printf
+        "trace regression check: FAIL: the 1 GB/s profile differs from %s (lines: phase, \
+         count, total cycles)\n"
+        path;
       exit 1
     end
-    else Printf.printf "trace regression check: all phases within 25%% of baseline\n"
+    else
+      Printf.printf "trace regression check: all %d phases match %s exactly\n"
+        (List.length base) path
 
 let tiny () =
   Trace.enable ~capacity:4096 ();

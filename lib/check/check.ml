@@ -259,15 +259,13 @@ let dude_cfg ~combine ~fault =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
-    root_size = 4096;
     nthreads = 3;
     vlog_capacity = 256;
     plog_size = 1 lsl 13;
     meta_size = 8192;
-    group_size = (if combine then 2 else 1);
-    combine;
-    compress = combine;
-    persist_threads = 1;
+    persist =
+      (if combine then Config.Combined { group = 2; compress = true }
+       else Config.default.Config.persist);
     reproduce_batch = 4;
     (* checkpoint early and often: ring recycling is where Reproduce
        ordering bugs become observable *)
@@ -1101,15 +1099,13 @@ let cut_plan ?deep budget at _ =
 (* batch: pipelined group commit, re-crashed recovery                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Small groups, a short deadline and a tiny adaptive bound: every few
+(* Groups of four transactions and a short deadline: every few
    transactions seal a batch, so deadline-, size- and drain-triggered
    batches all occur within one short run. *)
 let batch_cfg ~fault =
   {
     (dude_cfg ~combine:true ~fault) with
-    Config.group_size = 4;
-    batch_min_entries = 2;
-    batch_max_entries = 16;
+    Config.persist = Config.Combined { group = 4; compress = true };
     batch_deadline = 512;
   }
 

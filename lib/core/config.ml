@@ -20,9 +20,12 @@ let () =
     | Invalid_config msg -> Some (Printf.sprintf "Invalid_config %S" msg)
     | _ -> None)
 
+type persist =
+  | Per_thread of { daemons : int; min_entries : int; max_entries : int }
+  | Combined of { group : int; compress : bool }
+
 type t = {
   heap_size : int;
-  root_size : int;
   nthreads : int;
   mode : mode;
   pmem : Dudetm_nvm.Pmem_config.t;
@@ -31,26 +34,16 @@ type t = {
   vlog_capacity : int;
   plog_size : int;
   meta_size : int;
-  group_size : int;
-  combine : bool;
-  compress : bool;
-  persist_threads : int;
-  batch_min_entries : int;
-  batch_max_entries : int;
+  persist : persist;
   batch_deadline : int;
   reproduce_batch : int;
   checkpoint_records : int;
-  tm_costs : Dudetm_tm.Tm_intf.costs;
   log_append_cost : int;
   flush_cost_per_entry : int;
   compress_cost_per_byte : float;
   reproduce_cost_per_entry : int;
-  crc_extent : int;
-  badline_capacity : int;
   drain_budget : int;
   daemon_fault_rate : float;
-  daemon_backoff_base : int;
-  daemon_backoff_cap : int;
   bp_hwm_fraction : float;
   bp_wait_budget : int;
   pmalloc_wait_budget : int;
@@ -59,10 +52,15 @@ type t = {
   fault : fault;
 }
 
+let root_size = 4096
+
+let crc_extent = 512
+
+let badline_capacity = 64
+
 let default =
   {
     heap_size = 16 * 1024 * 1024;
-    root_size = 4096;
     nthreads = 4;
     mode = Async;
     pmem = Dudetm_nvm.Pmem_config.default;
@@ -71,26 +69,16 @@ let default =
     vlog_capacity = 1 lsl 17;
     plog_size = 1 lsl 21;
     meta_size = 1 lsl 17;
-    group_size = 1;
-    combine = false;
-    compress = false;
-    persist_threads = 1;
-    batch_min_entries = 16;
-    batch_max_entries = 128;
+    persist = Per_thread { daemons = 1; min_entries = 16; max_entries = 128 };
     batch_deadline = 4000;
     reproduce_batch = 64;
     checkpoint_records = 8;
-    tm_costs = Dudetm_tm.Tm_intf.default_costs;
     log_append_cost = 80;
     flush_cost_per_entry = 6;
     compress_cost_per_byte = 2.0;
     reproduce_cost_per_entry = 24;
-    crc_extent = 512;
-    badline_capacity = 64;
     drain_budget = 200_000_000;
     daemon_fault_rate = 0.0;
-    daemon_backoff_base = 200;
-    daemon_backoff_cap = 100_000;
     bp_hwm_fraction = 0.75;
     bp_wait_budget = 2_000_000;
     pmalloc_wait_budget = 1_000_000;
@@ -99,13 +87,7 @@ let default =
     fault = No_fault;
   }
 
-let with_mode mode t = { t with mode }
-
-let with_pmem pmem t = { t with pmem }
-
-let plog_regions t = if t.combine then t.persist_threads else t.nthreads
-
-let heap_base _ = 0
+let plog_regions t = match t.persist with Per_thread _ -> t.nthreads | Combined _ -> 1
 
 let meta_base t = t.heap_size
 
@@ -115,11 +97,11 @@ let line_align t n =
 
 let crcdir_base t = t.heap_size + t.meta_size
 
-let crcdir_size t = line_align t (t.heap_size / t.crc_extent * 8)
+let crcdir_size t = line_align t (t.heap_size / crc_extent * 8)
 
 let badline_base t = crcdir_base t + crcdir_size t
 
-let badline_size t = line_align t ((3 + t.badline_capacity) * 8)
+let badline_size t = line_align t ((3 + badline_capacity) * 8)
 
 let rjournal_base t = badline_base t + badline_size t
 
@@ -151,40 +133,34 @@ let validate t =
     if not (f >= 0.0 && f <= 1.0) then fail (name ^ " must be within [0, 1]")
   in
   if t.heap_size <= 0 || t.heap_size land 4095 <> 0 then fail "heap_size must be a positive multiple of 4096";
-  if t.root_size < 8 || t.root_size > t.heap_size then fail "bad root_size";
   if t.nthreads < 1 then fail "nthreads < 1";
   if t.vlog_capacity < 16 then fail "vlog_capacity too small";
   if t.plog_size < 4096 then fail "plog_size too small";
   if t.meta_size < 4096 then fail "meta_size too small";
-  if t.group_size < 1 then fail "group_size < 1";
-  if t.persist_threads < 1 then fail "persist_threads < 1";
-  if t.combine && t.persist_threads <> 1 then
-    fail "cross-transaction combination requires a single persist thread";
-  if (not t.combine) && t.compress then fail "compression requires combination";
-  if t.batch_min_entries < 1 then fail "batch_min_entries < 1";
-  if t.batch_max_entries < t.batch_min_entries then
-    fail "batch_max_entries below batch_min_entries";
+  (match t.persist with
+  | Per_thread { daemons; min_entries; max_entries } ->
+    if daemons < 1 then fail "persist daemons < 1";
+    if min_entries < 1 then fail "min_entries < 1";
+    if max_entries < min_entries then fail "max_entries below min_entries";
+    if t.fault = Skip_batch_seal then
+      fail "Skip_batch_seal seeds a bug in the pipelined (combined) persist path"
+  | Combined { group; _ } ->
+    if group < 1 then fail "group < 1";
+    if t.mode = Sync then fail "Sync mode flushes per transaction; combination needs Async");
   if t.batch_deadline < 1 then fail "batch_deadline < 1";
-  if t.fault = Skip_batch_seal && not t.combine then
-    fail "Skip_batch_seal seeds a bug in the pipelined (combine) persist path";
   if t.reproduce_batch < 1 then fail "reproduce_batch < 1";
   if t.checkpoint_records < 1 then fail "checkpoint_records < 1";
   let line = t.pmem.Dudetm_nvm.Pmem_config.line_size in
-  if t.crc_extent < line || t.crc_extent mod line <> 0 then
+  (* [crc_extent] divides every heap size, a multiple of 4096 *)
+  if crc_extent mod line <> 0 then
     fail "crc_extent must be a positive multiple of the NVM line size";
-  if t.heap_size mod t.crc_extent <> 0 then fail "crc_extent must divide heap_size";
-  if t.badline_capacity < 1 then fail "badline_capacity < 1";
   if t.drain_budget < 1 then fail "drain_budget < 1";
   fraction "daemon_fault_rate" t.daemon_fault_rate;
   fraction "bp_hwm_fraction" t.bp_hwm_fraction;
-  if t.daemon_backoff_base < 1 then fail "daemon_backoff_base < 1";
-  if t.daemon_backoff_cap < t.daemon_backoff_base then
-    fail "daemon_backoff_cap below daemon_backoff_base";
   if t.bp_wait_budget < 0 then fail "bp_wait_budget < 0";
   if t.pmalloc_wait_budget < 0 then fail "pmalloc_wait_budget < 0";
   if t.ack_timeout < 1 then fail "ack_timeout < 1";
   if nvm_size t land 4095 <> 0 then fail "nvm_size not page-aligned";
-  (match t.shadow_frames with
+  match t.shadow_frames with
   | Some f when f < 2 -> fail "shadow_frames < 2"
-  | _ -> ());
-  if t.mode = Sync && t.combine then fail "Sync mode flushes per transaction; combination needs Async"
+  | _ -> ()

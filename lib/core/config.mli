@@ -63,7 +63,7 @@ type fault =
           mid-pipeline crash — batch [k] durable, batch [k+1]
           sealed-but-unflushed — loses acknowledged transactions.
           Validates the batch-boundary campaign ([dudetm check --batch]).
-          Requires [combine]. *)
+          Requires the {!Combined} persist policy. *)
   | Skip_quorum_gate
       (** The replication layer acknowledges a transaction at the
           {e primary-local} durable watermark instead of the quorum vector
@@ -96,9 +96,36 @@ type fault =
           loses acknowledged requests.  Validates the serving campaign
           ([dudetm check --serve]). *)
 
+(** How the Persist step moves volatile logs into persistent rings.  Each
+    constructor carries only what its Persist loop reads; both loops also
+    flush a short batch once it has aged [batch_deadline] cycles. *)
+type persist =
+  | Per_thread of {
+      daemons : int;
+          (** Persist daemons; daemon [p] serves the vlogs [i] with
+              [i mod daemons = p] (Section 3.3's ablation: one is enough) *)
+      min_entries : int;
+          (** floor of the adaptive per-record entry bound: a daemon never
+              waits for fewer entries than this before the deadline *)
+      max_entries : int;
+          (** hard cap on entries per persisted log record; bounds both the
+              single-flush channel occupancy (the commit-latency tail) and
+              the volatile state lost by a crash mid-batch *)
+    }
+      (** one persistent ring per Perform thread; each record is a run of
+          whole transactions from one volatile log, cut at the adaptive
+          entry bound *)
+  | Combined of {
+      group : int;  (** transactions per sealed record (Figure 3's sweep) *)
+      compress : bool;  (** LZ-compress each combined record *)
+    }
+      (** a single ring: a combiner merges every volatile log in global ID
+          order, combines writes across [group] transactions
+          (Section 3.3) and seals one record per group; a second daemon
+          flushes sealed records while the next group combines *)
+
 type t = {
   heap_size : int;  (** bytes of persistent data heap *)
-  root_size : int;  (** reserved root block at heap offset 0 *)
   nthreads : int;  (** Perform threads *)
   mode : mode;
   pmem : Dudetm_nvm.Pmem_config.t;
@@ -107,32 +134,17 @@ type t = {
   vlog_capacity : int;  (** volatile log entries per thread *)
   plog_size : int;  (** bytes per persistent log ring *)
   meta_size : int;
-  group_size : int;  (** transactions per persist group *)
-  combine : bool;  (** cross-transaction write combination *)
-  compress : bool;  (** LZ-compress combined groups before flushing *)
-  persist_threads : int;
-  batch_min_entries : int;
-      (** floor of the adaptive per-record entry bound: the Persist daemon
-          never waits for fewer entries than this before the deadline *)
-  batch_max_entries : int;
-      (** hard cap on entries per persisted log record; bounds both the
-          single-flush channel occupancy (the commit-latency tail) and the
-          volatile state lost by a crash mid-batch *)
+  persist : persist;
   batch_deadline : int;
       (** max simulated cycles an open batch may age before it is flushed
           regardless of size; group commit never delays a transaction's
           durability by more than this *)
   reproduce_batch : int;  (** transactions applied per reproduce round *)
   checkpoint_records : int;  (** checkpoint + recycle every N completed log records *)
-  tm_costs : Dudetm_tm.Tm_intf.costs;
   log_append_cost : int;  (** cycles per [dtmWrite] log append *)
   flush_cost_per_entry : int;  (** persist-thread CPU work per entry *)
   compress_cost_per_byte : float;
   reproduce_cost_per_entry : int;
-  crc_extent : int;
-      (** bytes of heap covered per CRC-directory entry; must be a multiple
-          of the NVM line size and divide [heap_size] *)
-  badline_capacity : int;  (** max remappable stuck lines *)
   drain_budget : int;
       (** simulated cycles {!Dudetm.drain} may consume before raising
           [Drain_stalled] with a daemon-state diagnostic *)
@@ -141,10 +153,6 @@ type t = {
           suffers an injected transient failure at a work-unit boundary;
           the supervisor restarts it from its persistent position.  0.0 in
           production; used by the daemon fault-injection campaign. *)
-  daemon_backoff_base : int;
-      (** simulated cycles of supervisor backoff after the first daemon
-          restart; doubles per consecutive failure *)
-  daemon_backoff_cap : int;  (** upper bound on supervisor backoff *)
   bp_hwm_fraction : float;
       (** ring-occupancy fraction beyond which Perform threads are
           throttled (bounded wait) before starting new transactions *)
@@ -166,18 +174,21 @@ type t = {
 
 val default : t
 (** 4-thread, 16 MiB heap, async mode, 1 GB/s / 1000-cycle NVM, no
-    paging, no combination — the paper's base configuration scaled to
-    simulator-friendly sizes. *)
+    paging, one per-thread Persist daemon with entry bounds 16..128 — the
+    paper's base configuration scaled to simulator-friendly sizes. *)
 
-val with_mode : mode -> t -> t
+val root_size : int
+(** Bytes of the reserved root block at heap offset 0 (never allocated). *)
 
-val with_pmem : Dudetm_nvm.Pmem_config.t -> t -> t
+val crc_extent : int
+(** Bytes of heap covered per CRC-directory entry. *)
+
+val badline_capacity : int
+(** Max remappable stuck lines in the persistent bad-line table. *)
 
 val plog_regions : t -> int
 (** Number of persistent log rings: one per Perform thread, or a single
-    merged ring when combination groups transactions across threads. *)
-
-val heap_base : t -> int
+    merged ring under {!Combined}. *)
 
 val meta_base : t -> int
 
@@ -211,6 +222,6 @@ val nvm_size : t -> int
 (** Total device size implied by the layout (line-aligned). *)
 
 val validate : t -> unit
-(** Raise {!Invalid_config} for inconsistent configurations (e.g.
-    combination with several persist threads, heap not page-aligned,
-    non-positive budgets, fractions outside [0, 1]). *)
+(** Raise {!Invalid_config} for inconsistent configurations (e.g. Sync
+    mode under {!Combined}, an entry bound below its floor, heap not
+    page-aligned, non-positive budgets, fractions outside [0, 1]). *)

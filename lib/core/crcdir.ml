@@ -4,28 +4,20 @@ module Checksum = Dudetm_log.Checksum
 type t = {
   nvm : Nvm.t;
   base : int;  (* directory base on the device *)
-  extent : int;  (* heap bytes per entry *)
   n : int;  (* number of entries *)
 }
 
 let n_extents t = t.n
 
-let extent_size t = t.extent
-
-let extent_of_addr t addr = addr / t.extent
-
 let slot_off t i = t.base + (i * 8)
 
 let compute_latest t i =
-  let b = Nvm.load_bytes t.nvm (i * t.extent) t.extent in
+  let b = Nvm.load_bytes t.nvm (i * Config.crc_extent) Config.crc_extent in
   Checksum.crc32_bytes b
 
 let compute_persisted t i =
-  let b = Nvm.persisted_bytes t.nvm (i * t.extent) t.extent in
+  let b = Nvm.persisted_bytes t.nvm (i * Config.crc_extent) Config.crc_extent in
   Checksum.crc32_bytes b
-
-let stored_crc t i =
-  Int64.to_int32 (Nvm.load_u64 t.nvm (slot_off t i))
 
 let stored_crc_persisted t i =
   Int64.to_int32 (Nvm.persisted_u64 t.nvm (slot_off t i))
@@ -39,8 +31,6 @@ let update t extents =
     List.iter (fun i -> set_slot t i (compute_latest t i)) extents;
     Nvm.persist_ranges t.nvm (List.map (fun i -> (slot_off t i, 8)) extents)
 
-let update_unpersisted t extents = List.iter (fun i -> set_slot t i (compute_latest t i)) extents
-
 let verify_extent t i =
   match compute_persisted t i with
   | exception Nvm.Media_error _ -> `Poisoned
@@ -50,19 +40,13 @@ let verify_extent t i =
     | stored -> if crc = stored then `Ok else `Mismatch)
 
 let attach nvm cfg =
-  let extent = cfg.Config.crc_extent in
-  {
-    nvm;
-    base = Config.crcdir_base cfg;
-    extent;
-    n = cfg.Config.heap_size / extent;
-  }
+  { nvm; base = Config.crcdir_base cfg; n = cfg.Config.heap_size / Config.crc_extent }
 
 let format nvm cfg =
   let t = attach nvm cfg in
   (* A fresh heap is zero-filled, so every entry holds the CRC of one
      all-zero extent — compute it once. *)
-  let zero = Checksum.crc32_bytes (Bytes.make t.extent '\000') in
+  let zero = Checksum.crc32_bytes (Bytes.make Config.crc_extent '\000') in
   for i = 0 to t.n - 1 do
     set_slot t i zero
   done;

@@ -23,22 +23,11 @@ val attach : Dudetm_nvm.Nvm.t -> Config.t -> t
 
 val n_extents : t -> int
 
-val extent_size : t -> int
-
-val extent_of_addr : t -> int -> int
-(** Extent index covering heap byte address [addr]. *)
-
 val update : t -> int list -> unit
 (** [update t extents] recomputes the listed extents' CRCs from the
     device's latest image and persists the touched slots under a single
     persist ordering.  Called at checkpoint time, when Reproduce has
     already persisted those extents (latest = persisted there). *)
-
-val update_unpersisted : t -> int list -> unit
-(** Like {!update} but leaves the slots for the caller's next persist
-    ordering (recovery replay batches them with the replayed data). *)
-
-val stored_crc : t -> int -> int32
 
 val compute_latest : t -> int -> int32
 (** CRC of the extent's current latest-image content. *)

@@ -45,6 +45,78 @@ type shipment = {
   ship_payload : bytes;
 }
 
+(* Split a committed entry run into (tid, entries-including-end-mark)
+   groups. *)
+let split_txs entries =
+  let rec go cur acc = function
+    | [] ->
+      assert (cur = []);
+      List.rev acc
+    | (Log_entry.Tx_end { tid } as e) :: rest -> go [] ((tid, List.rev (e :: cur)) :: acc) rest
+    | e :: rest -> go (e :: cur) acc rest
+  in
+  go [] [] entries
+
+(* The replay-item rule, shared by the live Persist path, engine recovery
+   and the offline scrub: a per-thread record replays transaction by
+   transaction; a combined record is one unit over its contiguous ID range,
+   because its last-write-wins body cannot be split back into
+   transactions. *)
+let record_items cfg ~tids entries =
+  match (cfg.Config.persist, tids) with
+  | Config.Per_thread _, _ -> List.map (fun (tid, es) -> (tid, tid, es)) (split_txs entries)
+  | Config.Combined _, [] -> []
+  | Config.Combined _, first :: _ -> [ (first, List.fold_left max first tids, entries) ]
+
+let scan_items cfg records ~ckpt_upto =
+  let all_tids = Hashtbl.create 1024 in
+  let items =
+    List.concat_map
+      (fun (record : Plog.record) ->
+        let entries = Log_entry.decode_payload record.Plog.payload in
+        let tids = Log_entry.tids entries in
+        List.iter (fun tid -> Hashtbl.replace all_tids tid ()) tids;
+        record_items cfg ~tids entries)
+      records
+  in
+  (* Durable ID: largest contiguous extension of the checkpoint. *)
+  let d = ref ckpt_upto in
+  while Hashtbl.mem all_tids (!d + 1) do
+    incr d
+  done;
+  (List.sort compare items, all_tids, !d)
+
+(* Redo one replay item's entries onto the device: home stores (queued in
+   [ranges] for the caller's persist ordering, their CRC extents marked in
+   [extents]), allocator replay, and the cross-shard frontier raised to
+   the highest sealed global ID.  Returns the new frontier.  Shared by
+   Reproduce and recovery replay. *)
+let redo_entries nvm alloc ~extents ~ranges ~frontier entries =
+  List.fold_left
+    (fun frontier e ->
+      match e with
+      | Log_entry.Write { addr; value } ->
+        Nvm.store_u64 nvm addr value;
+        ranges := (addr, 8) :: !ranges;
+        Hashtbl.replace extents (addr / Config.crc_extent) ();
+        Hashtbl.replace extents ((addr + 7) / Config.crc_extent) ();
+        frontier
+      | Log_entry.Alloc { off; len } ->
+        Alloc.reserve alloc ~off ~len;
+        frontier
+      | Log_entry.Free { off; len } ->
+        Alloc.free alloc ~off ~len;
+        frontier
+      | Log_entry.Cross { gtid; _ } -> max frontier gtid
+      | Log_entry.Tx_end _ -> frontier)
+    frontier entries
+
+(* Supervisor backoff after the first daemon restart, doubling per
+   consecutive failure up to the cap (simulated cycles). *)
+let backoff_base = 200
+
+let backoff_cap = 100_000
+
 module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   type view = Flat of Mem.t | Paged of Shadow.t
 
@@ -66,8 +138,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      still has to write it to NVM.  Lives in [t] so a combiner restart
      never re-seals (or drops) a batch already handed to the flusher. *)
   type prepared_batch = {
-    pb_lo : int;
-    pb_hi : int;
     pb_entries : Log_entry.t list;  (* combined, end marks included *)
     pb_payload : bytes;
   }
@@ -182,7 +252,14 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let build cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator ~repro_alloc =
     let applied_cell = ref tid_base in
     let view = make_view cfg nvm applied_cell in
-    let tm = Tm.create ~costs:cfg.Config.tm_costs ~seed:cfg.Config.seed (store_of_view view) in
+    let tm = Tm.create ~costs:Tm_intf.default_costs ~seed:cfg.Config.seed (store_of_view view) in
+    (* The per-thread cutter's adaptive bound starts at its cap; combined
+       persist cuts at [group] and never reads it. *)
+    let bound =
+      match cfg.Config.persist with
+      | Config.Per_thread p -> p.max_entries
+      | Config.Combined _ -> 0
+    in
     {
       cfg;
       nvm;
@@ -216,8 +293,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       flush_started_at = -1;
       batch_open_at = Array.make cfg.Config.nthreads (-1);
       staged_open_at = -1;
-      batch_bound = cfg.Config.batch_max_entries;
-      batch_ewma = float_of_int cfg.Config.batch_max_entries;
+      batch_bound = bound;
+      batch_ewma = float_of_int bound;
       durable_waiters = 0;
       drain_pace = 0.0;
       repro_ranges = ref [];
@@ -244,7 +321,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           Plog.format nvm ~base:(Config.plog_base cfg i) ~size:cfg.Config.plog_size)
     in
     let allocator =
-      Alloc.create ~base:cfg.Config.root_size ~size:(cfg.Config.heap_size - cfg.Config.root_size)
+      Alloc.create ~base:Config.root_size ~size:(cfg.Config.heap_size - Config.root_size)
     in
     let repro_alloc = Alloc.copy allocator in
     let ckpt =
@@ -268,8 +345,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     List.iter
       (fun l ->
         let off = l * ls in
-        if off + ls > t.cfg.Config.root_size && off < t.cfg.Config.heap_size then begin
-          let off = max off t.cfg.Config.root_size in
+        if off + ls > Config.root_size && off < t.cfg.Config.heap_size then begin
+          let off = max off Config.root_size in
           let len = min (t.cfg.Config.heap_size - off) ls in
           try Alloc.reserve t.allocator ~off ~len with Invalid_argument _ -> ()
         end)
@@ -302,9 +379,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       | exception Daemon_fault _ ->
         Stats.incr t.stats "daemon_restarts";
         Trace.instant ~cat:"daemon" "restart" !failures;
-        let base = t.cfg.Config.daemon_backoff_base in
-        let cap = t.cfg.Config.daemon_backoff_cap in
-        let ceiling = min cap (base lsl min !failures 20) in
+        let ceiling = min backoff_cap (backoff_base lsl min !failures 20) in
         let half = max 1 ((ceiling + 1) / 2) in
         let wait = half + Rng.int t.fault_rng half in
         incr failures;
@@ -371,17 +446,22 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     | None -> ()
     | Some f -> f { ship_seq = seq; ship_lo = lo; ship_hi = hi; ship_payload = payload }
 
+  (* The region whose queue head is the next replay item, or -1 if its
+     turn has not come.  Transaction IDs are unique across regions, so at
+     most one queue matches.  Allocation-free: replay-gate predicates poll
+     it on every scheduler pass. *)
+  let next_region t =
+    let target = applied t + 1 in
+    let r = ref (-1) in
+    for i = 0 to Array.length t.queues - 1 do
+      let q = t.queues.(i) in
+      if (not (Queue.is_empty q)) && (Queue.peek q).lo = target then r := i
+    done;
+    !r
+
   (* The next queued replay item, if its turn has come (pure: no pop). *)
   let peek_next_item t =
-    let target = applied t + 1 in
-    let found = ref None in
-    Array.iter
-      (fun q ->
-        match Queue.peek_opt q with
-        | Some it when it.lo = target -> found := Some it
-        | _ -> ())
-      t.queues;
-    !found
+    match next_region t with -1 -> None | r -> Some (Queue.peek t.queues.(r))
 
   (* Highest cross-shard global ID sealed into an item's entries (0 when
      the item carries no fragment).  Gating on the max is enough: fragment
@@ -426,37 +506,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Persist step                                                        *)
   (* ------------------------------------------------------------------ *)
 
-  (* Split a committed entry run into (tid, entries-including-end-mark)
-     groups. *)
-  let split_txs entries =
-    let rec go cur acc = function
-      | [] ->
-        assert (cur = []);
-        List.rev acc
-      | (Log_entry.Tx_end { tid } as e) :: rest ->
-        go [] ((tid, List.rev (e :: cur)) :: acc) rest
-      | e :: rest -> go (e :: cur) acc rest
-    in
-    go [] [] entries
-
-  let queue_items t region entries (record : Plog.record) =
-    let groups = split_txs entries in
-    let n = List.length groups in
-    List.iteri
-      (fun idx (tid, es) ->
-        Queue.push
-          {
-            lo = tid;
-            hi = tid;
-            entries = es;
-            region;
-            end_off = record.Plog.end_off;
-            rec_next_seq = record.Plog.seq + 1;
-            last_of_record = idx = n - 1;
-          }
-          t.queues.(region))
-      groups
-
   (* ------------------------------------------------------------------ *)
   (* Bounded adaptive group commit                                       *)
   (*                                                                     *)
@@ -471,15 +520,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* per-record overhead without ever exceeding the cap.                  *)
   (* ------------------------------------------------------------------ *)
 
-  let batch_cap t = max 1 (min t.batch_bound t.cfg.Config.batch_max_entries)
-
   (* Fold one observed backlog into the adaptive bound. *)
-  let note_batch_fill t pending =
+  let note_batch_fill t ~min_entries ~max_entries pending =
     let alpha = 0.25 in
     t.batch_ewma <- ((1.0 -. alpha) *. t.batch_ewma) +. (alpha *. float_of_int pending);
     let b = int_of_float (ceil t.batch_ewma) in
-    t.batch_bound <-
-      max t.cfg.Config.batch_min_entries (min b t.cfg.Config.batch_max_entries);
+    t.batch_bound <- max min_entries (min b max_entries);
     stat_max t.stats "batch_bound_hwm" t.batch_bound
 
   (* Fold one NVM record write into the measured drain rate (cycles per
@@ -493,6 +539,58 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         (if t.drain_pace <= 0.0 then per
          else (0.75 *. t.drain_pace) +. (0.25 *. per))
     end
+
+  (* Append one sealed record to ring [region] and publish it: the NVM
+     write, the drain-pace sample, the flush counters, the record's replay
+     items, the durable-ID advance and the replication tap.  Serves the
+     per-thread flush, the combined flusher and follower ingest.  A
+     [shipped] record was already fenced and published by the primary's
+     Persist step: no mutant guard applies to it, and it opens no
+     [persist.flush] span of its own. *)
+  let commit_record ?(shipped = false) t region payload entries =
+    let plog = t.plogs.(region) in
+    let fault = t.cfg.Config.fault in
+    let append () =
+      (* Seeded mutant (checker self-test only): skip the record's persist
+         fence, so the durable ID published below covers a record still
+         sitting in the cache — a crash loses transactions the application
+         already acknowledged. *)
+      Plog.append ~persist:(shipped || fault <> Config.Early_durable_publish) plog payload
+    in
+    let t_io = Sched.now () in
+    t.flush_started_at <- t_io;
+    let record = if shipped then append () else Trace.span ~cat:"persist" "flush" append in
+    t.flush_started_at <- -1;
+    note_drain_pace t ~entries:(List.length entries) ~cycles:(Sched.now () - t_io);
+    Stats.incr t.stats "flush_records";
+    Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
+    stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
+    let tids = Log_entry.tids entries in
+    let items = record_items t.cfg ~tids entries in
+    let n = List.length items in
+    List.iteri
+      (fun idx (lo, hi, entries) ->
+        Queue.push
+          {
+            lo;
+            hi;
+            entries;
+            region;
+            end_off = record.Plog.end_off;
+            rec_next_seq = record.Plog.seq + 1;
+            last_of_record = idx = n - 1;
+          }
+          t.queues.(region))
+      items;
+    (* Under the Skip_batch_seal mutant the combiner already published
+       these IDs at seal time. *)
+    if shipped || fault <> Config.Skip_batch_seal then note_flushed t tids;
+    match tids with
+    | [] -> ()
+    | first :: _ ->
+      let lo = List.fold_left min first tids in
+      let hi = List.fold_left max first tids in
+      ship t ~seq:record.Plog.seq ~lo ~hi ~payload
 
   (* Flush the longest prefix of whole transactions from thread [i]'s
      volatile log that fits the adaptive entry bound and the persistent
@@ -508,7 +606,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       let budget () = Plog.free_space plog - Plog.record_overhead - 1 in
       (* Find the cut: last tx boundary within the entry cap and byte
          budget, but always at least one whole transaction. *)
-      let cap = batch_cap t in
+      let cap = t.batch_bound in
       let find_cut bytes_avail =
         let pos = ref hd and cut = ref hd and size = ref 0 and n = ref 0 in
         let first_tx_done = ref false in
@@ -561,43 +659,16 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
             let cut = find_cut (budget ()) in
             assert (cut > hd);
             let entries = List.init (cut - hd) (fun k -> Vlog.get vlog (hd + k)) in
-            let tids = Log_entry.tids entries in
             stat_max t.stats "batch_hwm_entries" (List.length entries);
             Sched.advance (t.cfg.Config.flush_cost_per_entry * List.length entries);
-            let payload = Log_entry.encode_payload entries in
-            (* Seeded mutant (checker self-test only): skip the record's persist
-               fence, so the durable ID published below covers a record still
-               sitting in the cache — a crash loses transactions the
-               application already acknowledged. *)
-            let t_io = Sched.now () in
-            let record =
-              Trace.span ~cat:"persist" "flush" (fun () ->
-                  Plog.append
-                    ~persist:(t.cfg.Config.fault <> Config.Early_durable_publish)
-                    plog payload)
-            in
-            note_drain_pace t ~entries:(List.length entries)
-              ~cycles:(Sched.now () - t_io);
-            Stats.incr t.stats "flush_records";
-            Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
-            stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
-            queue_items t i entries record;
+            commit_record t i (Log_entry.encode_payload entries) entries;
             Vlog.consume_to vlog cut;
-            note_flushed t tids;
-            (match tids with
-            | [] -> ()
-            | first :: _ ->
-              let lo = List.fold_left min first tids in
-              let hi = List.fold_left max first tids in
-              ship t ~seq:record.Plog.seq ~lo ~hi ~payload);
             true)
     end
 
-  let persist_plain_loop t p =
+  let persist_plain_loop t p ~daemons ~min_entries ~max_entries =
     let mine =
-      List.filter
-        (fun i -> i mod t.cfg.Config.persist_threads = p)
-        (List.init t.cfg.Config.nthreads (fun i -> i))
+      List.filter (fun i -> i mod daemons = p) (List.init t.cfg.Config.nthreads (fun i -> i))
     in
     let pending i = Vlog.committed t.vlogs.(i) - Vlog.head t.vlogs.(i) in
     let has_data i = pending i > 0 in
@@ -622,7 +693,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       let urgent = t.durable_waiters > 0 || t.draining || t.stop_flag in
       let ripe i =
         has_data i
-        && (pending i >= batch_cap t || urgent
+        && (pending i >= t.batch_bound || urgent
            || (t.batch_open_at.(i) >= 0 && now - t.batch_open_at.(i) >= deadline))
       in
       (* Fullest vlog first: the producer closest to blocking on a full
@@ -645,10 +716,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
               let n = pending i in
               if flush_thread t i ~wait_space:false then begin
                 Stats.incr t.stats
-                  (if n >= batch_cap t then "batch_size_flushes"
+                  (if n >= t.batch_bound then "batch_size_flushes"
                    else if urgent then "batch_drain_flushes"
                    else "batch_deadline_flushes");
-                note_batch_fill t n;
+                note_batch_fill t ~min_entries ~max_entries n;
                 Some i
               end
               else None)
@@ -684,7 +755,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Combined mode is a two-stage pipeline over two daemons:
 
        combiner ("persist-0")      merges all volatile logs into batches of
-                                   up to [group_size] transactions in
+                                   up to [group] transactions in
                                    global ID order, combines (and
                                    optionally compresses) each batch and
                                    seals it onto [t.prepared];
@@ -700,7 +771,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      -nobody work without adding overlap. *)
   let max_prepared = 2
 
-  let persist_combined_loop t =
+  let persist_combined_loop t ~group ~compress =
     let staging = t.staging in
     let builder = Combine.builder () in
     let drain_vlogs () =
@@ -747,7 +818,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           Stats.add t.stats "combine_writes_out" cstats.Combine.writes_out;
           stat_max t.stats "batch_hwm_entries" cstats.Combine.entries_in;
           let payload =
-            if t.cfg.Config.compress then
+            if compress then
               Trace.span ~cat:"persist" "compress" (fun () ->
                   let body = Log_entry.encode_list combined in
                   Sched.advance
@@ -772,9 +843,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
               Trace.instant ~cat:"persist" "pipe_overlap" hidden
             end
           end;
-          Queue.push
-            { pb_lo = lo; pb_hi = hi; pb_entries = combined; pb_payload = payload }
-            t.prepared;
+          Queue.push { pb_entries = combined; pb_payload = payload } t.prepared;
           List.iter (fun k -> Hashtbl.remove staging (lo + k)) (List.init take (fun k -> k));
           (* Seeded mutant (checker self-test only): acknowledge the batch
              at seal time — its record has not reached NVM, so a crash in
@@ -808,9 +877,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         Sched.yield ();
         loop ()
       end
-      else if avail >= t.cfg.Config.group_size then begin
+      else if avail >= group then begin
         Stats.incr t.stats "batch_size_flushes";
-        seal_batch t.cfg.Config.group_size;
+        seal_batch group;
         loop ()
       end
       else if deadline_hit || waiter_hit || tail_hit then begin
@@ -853,33 +922,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         let need = Plog.record_overhead + Bytes.length pb.pb_payload in
         Sched.wait_until ~label:"plog space (combined)" (fun () ->
             Plog.free_space t.plogs.(0) >= need);
-        t.flush_started_at <- Sched.now ();
-        let record =
-          Trace.span ~cat:"persist" "flush" (fun () ->
-              Plog.append
-                ~persist:(t.cfg.Config.fault <> Config.Early_durable_publish)
-                t.plogs.(0) pb.pb_payload)
-        in
-        note_drain_pace t ~entries:(List.length pb.pb_entries)
-          ~cycles:(Sched.now () - t.flush_started_at);
-        t.flush_started_at <- -1;
-        Stats.incr t.stats "flush_records";
-        Stats.add t.stats "flush_payload_bytes" (Bytes.length pb.pb_payload);
-        stat_max t.stats "plog_hwm_bytes" (Plog.used_space t.plogs.(0));
-        Queue.push
-          {
-            lo = pb.pb_lo;
-            hi = pb.pb_hi;
-            entries = pb.pb_entries;
-            region = 0;
-            end_off = record.Plog.end_off;
-            rec_next_seq = record.Plog.seq + 1;
-            last_of_record = true;
-          }
-          t.queues.(0);
-        if t.cfg.Config.fault <> Config.Skip_batch_seal then
-          note_flushed t (List.init (pb.pb_hi - pb.pb_lo + 1) (fun k -> pb.pb_lo + k));
-        ship t ~seq:record.Plog.seq ~lo:pb.pb_lo ~hi:pb.pb_hi ~payload:pb.pb_payload;
+        commit_record t 0 pb.pb_payload pb.pb_entries;
         loop ()
       end
       else if t.stop_flag && t.combiner_done then ()
@@ -947,21 +990,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     t.checkpointed <- t.persisted_data
 
   let pop_next_item t =
-    let target = applied t + 1 in
-    let found = ref None in
-    Array.iter
-      (fun q ->
-        match Queue.peek_opt q with
-        | Some it when it.lo = target -> found := Some (q, it)
-        | _ -> ())
-      t.queues;
-    match !found with
-    | Some (q, it) ->
-      ignore (Queue.pop q);
-      it
-    | None ->
+    match next_region t with
+    | -1 ->
       invalid_arg
-        (Printf.sprintf "Dudetm reproduce: transaction %d durable but not queued" target)
+        (Printf.sprintf "Dudetm reproduce: transaction %d durable but not queued"
+           (applied t + 1))
+    | r -> Queue.pop t.queues.(r)
 
   (* Apply one item's stores and allocator replay atomically, then publish
      the applied watermark.  Persisting is the caller's job: a reproduce
@@ -971,20 +1005,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let apply_item t it ranges =
     let n = List.length it.entries in
     Sched.advance (t.cfg.Config.reproduce_cost_per_entry * n);
-    List.iter
-      (fun e ->
-        match e with
-        | Log_entry.Write { addr; value } ->
-          Nvm.store_u64 t.nvm addr value;
-          ranges := (addr, 8) :: !ranges;
-          Hashtbl.replace t.dirty_extents (addr / t.cfg.Config.crc_extent) ();
-          Hashtbl.replace t.dirty_extents ((addr + 7) / t.cfg.Config.crc_extent) ()
-        | Log_entry.Alloc { off; len } -> Alloc.reserve t.repro_alloc ~off ~len
-        | Log_entry.Free { off; len } -> Alloc.free t.repro_alloc ~off ~len
-        | Log_entry.Cross { gtid; _ } ->
-          if gtid > t.cross_frontier then t.cross_frontier <- gtid
-        | Log_entry.Tx_end _ -> ())
-      it.entries;
+    t.cross_frontier <-
+      redo_entries t.nvm t.repro_alloc ~extents:t.dirty_extents ~ranges
+        ~frontier:t.cross_frontier it.entries;
     set_applied t it.hi;
     if it.last_of_record then
       t.pending_recycle <- (it.region, it.end_off, it.rec_next_seq) :: t.pending_recycle
@@ -1043,20 +1066,22 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     (match t.cfg.Config.mode with
     | Config.Sync -> ()
     | Config.Async | Config.Inf ->
-      if t.cfg.Config.combine then begin
+      match t.cfg.Config.persist with
+      | Config.Combined { group; compress } ->
         ignore
           (Sched.spawn ~daemon:true "persist-0" (fun () ->
-               supervise t (fun () -> persist_combined_loop t)));
+               supervise t (fun () -> persist_combined_loop t ~group ~compress)));
         ignore
           (Sched.spawn ~daemon:true "persist-flush" (fun () ->
                supervise t (fun () -> persist_flush_loop t)))
-      end
-      else
-        for p = 0 to t.cfg.Config.persist_threads - 1 do
+      | Config.Per_thread { daemons; min_entries; max_entries } ->
+        for p = 0 to daemons - 1 do
           ignore
             (Sched.spawn ~daemon:true
                (Printf.sprintf "persist-%d" p)
-               (fun () -> supervise t (fun () -> persist_plain_loop t p)))
+               (fun () ->
+                 supervise t (fun () ->
+                     persist_plain_loop t p ~daemons ~min_entries ~max_entries)))
         done);
     ignore
       (Sched.spawn ~daemon:true "reproduce" (fun () ->
@@ -1141,28 +1166,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           (Printf.sprintf
              "Dudetm.ingest_record: batch [%d,%d] breaks the contiguous durable prefix at %d"
              lo hi t.durable);
-      let plog = t.plogs.(0) in
-      if Plog.free_space plog < Plog.record_overhead + Bytes.length payload + 1 then
+      if Plog.free_space t.plogs.(0) < Plog.record_overhead + Bytes.length payload + 1 then
         (* Ring full (replay gated or Reproduce behind): the caller keeps
            the frame buffered and retries once recycling frees space. *)
         false
       else begin
-        let record = Plog.append plog payload in
-        Queue.push
-          {
-            lo;
-            hi;
-            entries;
-            region = 0;
-            end_off = record.Plog.end_off;
-            rec_next_seq = record.Plog.seq + 1;
-            last_of_record = true;
-          }
-          t.queues.(0);
-        note_flushed t tids;
-        Stats.incr t.stats "flush_records";
-        Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
-        stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
+        commit_record ~shipped:true t 0 payload entries;
         true
       end
 
@@ -1258,7 +1267,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     match Alloc.alloc t.allocator n with
     | Some off -> Some off
     | None ->
-      let could_ever_fit = n <= t.cfg.Config.heap_size - t.cfg.Config.root_size in
+      let could_ever_fit = n <= t.cfg.Config.heap_size - Config.root_size in
       let budget = t.cfg.Config.pmalloc_wait_budget in
       if budget <= 0 || (not (Sched.running ())) || not could_ever_fit then None
       else begin
@@ -1597,36 +1606,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       Array.fold_left (fun acc (_, s) -> acc + s.Plog.quarantined_lines) 0 attached
     in
     if corrupted_records > 0 then Nvm.note_media_detected nvm corrupted_records;
-    (* Collect replay items from every surviving record. *)
-    let all_items = ref [] in
-    let all_tids = Hashtbl.create 1024 in
-    let fragments = ref [] in
-    Array.iter
-      (fun (_, scan) ->
-        List.iter
-        (fun (record : Plog.record) ->
-          let entries = Log_entry.decode_payload record.Plog.payload in
-          let tids = Log_entry.tids entries in
-          List.iter (fun tid -> Hashtbl.replace all_tids tid ()) tids;
-          fragments := List.rev_append (Log_entry.cross_seals entries) !fragments;
-          if cfg.Config.combine then begin
-            match tids with
-            | [] -> ()
-            | first :: _ ->
-              let hi = List.fold_left max first tids in
-              all_items := (first, hi, entries) :: !all_items
-          end
-          else
-            List.iter
-              (fun (tid, es) -> all_items := (tid, tid, es) :: !all_items)
-              (split_txs entries))
-        scan.Plog.records)
-      attached;
-    (* Durable ID: largest contiguous extension of the checkpoint. *)
-    let d = ref c in
-    while Hashtbl.mem all_tids (!d + 1) do
-      incr d
-    done;
+    let items, all_tids, d =
+      scan_items cfg
+        (List.concat_map (fun (_, scan) -> scan.Plog.records) (Array.to_list attached))
+        ~ckpt_upto:c
+    in
+    let fragments = List.concat_map (fun (_, _, es) -> Log_entry.cross_seals es) items in
     {
       p_cfg = cfg;
       p_nvm = nvm;
@@ -1639,10 +1624,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       p_plogs = plogs;
       p_corrupted = corrupted_records;
       p_quarantined = quarantined_lines;
-      p_items = List.sort compare !all_items;
+      p_items = items;
       p_all_tids = all_tids;
-      p_durable = !d;
-      p_fragments = List.sort compare !fragments;
+      p_durable = d;
+      p_fragments = List.sort compare fragments;
     }
 
   let attach_commit ?durable_cut p =
@@ -1707,23 +1692,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     (* Replay in transaction-ID order. *)
     let ranges = ref [] in
     let replayed_extents = Hashtbl.create 64 in
-    let frontier = ref p.p_frontier in
-    List.iter
-      (fun (_, _, entries) ->
-        List.iter
-          (fun e ->
-            match e with
-            | Log_entry.Write { addr; value } ->
-              Nvm.store_u64 nvm addr value;
-              ranges := (addr, 8) :: !ranges;
-              Hashtbl.replace replayed_extents (addr / cfg.Config.crc_extent) ();
-              Hashtbl.replace replayed_extents ((addr + 7) / cfg.Config.crc_extent) ()
-            | Log_entry.Alloc { off; len } -> Alloc.reserve repro_alloc ~off ~len
-            | Log_entry.Free { off; len } -> Alloc.free repro_alloc ~off ~len
-            | Log_entry.Cross { gtid; _ } -> if gtid > !frontier then frontier := gtid
-            | Log_entry.Tx_end _ -> ())
-          entries)
-      keep;
+    let frontier =
+      List.fold_left
+        (fun frontier (_, _, entries) ->
+          redo_entries nvm repro_alloc ~extents:replayed_extents ~ranges ~frontier entries)
+        p.p_frontier keep
+    in
     Nvm.persist_ranges nvm !ranges;
     (* Reproduce may have written these same extents after the last
        checkpoint without refreshing their directory entries (that happens
@@ -1732,7 +1706,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let crcdir = Crcdir.attach nvm cfg in
     Crcdir.update crcdir (Hashtbl.fold (fun e () acc -> e :: acc) replayed_extents []);
     Checkpoint.write ckpt
-      { Checkpoint.reproduced_upto = d; cross_frontier = !frontier;
+      { Checkpoint.reproduced_upto = d; cross_frontier = frontier;
         free_extents = Alloc.extents repro_alloc };
     Array.iter
       (fun plog -> Plog.recycle_to plog ~end_off:(Plog.tail_off plog) ~next_seq:(Plog.next_seq plog))
@@ -1750,7 +1724,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     shun_bad_lines t;
     t.persisted_data <- d;
     t.checkpointed <- d;
-    t.cross_frontier <- !frontier;
+    t.cross_frontier <- frontier;
     ( t,
       {
         durable = verdict.Rjournal.v_durable;

@@ -84,6 +84,19 @@ type shipment = {
     the wire unit.  A follower ingesting the payload reproduces a
     byte-identical record at the same sequence number in its own ring. *)
 
+val scan_items :
+  Config.t ->
+  Dudetm_log.Plog.record list ->
+  ckpt_upto:int ->
+  (int * int * Dudetm_log.Log_entry.t list) list * (int, unit) Hashtbl.t * int
+(** [scan_items cfg records ~ckpt_upto] turns surviving ring records into
+    replay items [(lo, hi, entries)], sorted: one per transaction under
+    {!Config.Per_thread}, one per record under {!Config.Combined} (the
+    rule the live Persist step queues by).  Also returns every transaction
+    ID the records carry and the durable ID: the largest contiguous
+    extension of the checkpoint [ckpt_upto].  Engine recovery and the
+    offline scrub both filter replay through it. *)
+
 module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   type t
 

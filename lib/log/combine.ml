@@ -5,10 +5,6 @@ type stats = {
   entries_out : int;
 }
 
-let saved_fraction s =
-  if s.writes_in = 0 then 0.0
-  else 1.0 -. (float_of_int s.writes_out /. float_of_int s.writes_in)
-
 (* Incremental builder: one open batch.  The hash table holds the
    last-written value per address; [order] remembers first-occurrence
    address order so sealing is deterministic.  Sealing drains the builder,

@@ -16,9 +16,6 @@ type stats = {
   entries_out : int;
 }
 
-val saved_fraction : stats -> float
-(** Fraction of write entries eliminated, [1 - out/in] (0 if no writes). *)
-
 val combine : Log_entry.t list -> Log_entry.t list * stats
 (** [combine group] returns the combined entry list — deduplicated writes
     (first-occurrence address order, each carrying its final value),

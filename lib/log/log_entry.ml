@@ -20,8 +20,6 @@ let encoded_size = function
   | Tx_end _ -> 9
   | Cross _ -> 25
 
-let write_size = 17
-
 let encode_into buf pos = function
   | Write { addr; value } ->
     Bytes.set buf pos 'W';

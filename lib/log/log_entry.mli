@@ -27,9 +27,6 @@ val equal : t -> t -> bool
 val encoded_size : t -> int
 (** Size of the binary encoding in bytes (tag byte + fields). *)
 
-val write_size : int
-(** [encoded_size] of a [Write] — the dominant term in NVM log traffic. *)
-
 val encode_list : t list -> bytes
 (** Serialize entries back-to-back (the persistent-log record payload). *)
 

@@ -272,8 +272,6 @@ let recycle_to t ~end_off ~next_seq =
   Trace.instant ~cat:"plog" "recycle" end_off;
   Trace.counter ~cat:"plog" "used" (used_space t)
 
-let head_off t = t.head
-
 let tail_off t = t.tail
 
 let next_seq (t : t) = t.seq

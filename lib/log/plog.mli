@@ -87,8 +87,6 @@ val recycle_to : t -> end_off:int -> next_seq:int -> unit
     have been reproduced to their home locations and may be overwritten.
     Persists the header (the only persist ordering Reproduce needs). *)
 
-val head_off : t -> int
-
 val tail_off : t -> int
 
 val next_seq : t -> int

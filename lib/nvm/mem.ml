@@ -35,7 +35,3 @@ let set_bytes t off b = Bytes.blit b 0 t off (Bytes.length b)
 let blit ~src ~src_off ~dst ~dst_off ~len = Bytes.blit src src_off dst dst_off len
 
 let fill t off len c = Bytes.fill t off len c
-
-let equal_range a b off len =
-  let rec go i = i >= len || (Bytes.get a (off + i) = Bytes.get b (off + i) && go (i + 1)) in
-  go 0

@@ -35,8 +35,5 @@ val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 
 val fill : t -> int -> int -> char -> unit
 
-val equal_range : t -> t -> int -> int -> bool
-(** [equal_range a b off len] compares the given range of two images. *)
-
 val check_aligned : int -> unit
 (** Raise [Invalid_argument] unless the address is 8-byte aligned. *)

@@ -8,10 +8,6 @@ let default = { persist_latency = 1000; bandwidth_gbps = 1.0; line_size = 64 }
 
 let pcm = { default with persist_latency = 3500 }
 
-let with_bandwidth bw t = { t with bandwidth_gbps = bw }
-
-let with_latency l t = { t with persist_latency = l }
-
 let pp ppf t =
   Format.fprintf ppf "{latency=%dcyc; bw=%.1fGB/s; line=%dB}" t.persist_latency
     t.bandwidth_gbps t.line_size

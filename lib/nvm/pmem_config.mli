@@ -17,8 +17,4 @@ val default : t
 val pcm : t
 (** 3500-cycle latency variant. *)
 
-val with_bandwidth : float -> t -> t
-
-val with_latency : int -> t -> t
-
 val pp : Format.formatter -> t -> unit

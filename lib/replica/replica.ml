@@ -99,8 +99,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let create ?rcfg cfg =
     let rcfg = match rcfg with Some r -> r | None -> default_config () in
     if rcfg.nreplicas < 1 then invalid_arg "Replica.create: nreplicas < 1";
-    if not cfg.Config.combine then
-      invalid_arg "Replica.create: the wire unit is the combined group-commit record";
+    (match cfg.Config.persist with
+    | Config.Combined _ -> ()
+    | Config.Per_thread _ ->
+      invalid_arg "Replica.create: the wire unit is the combined group-commit record");
     let prim = Engine.create ~nvm_label:"primary" cfg in
     let reps =
       Array.init rcfg.nreplicas (fun i ->
@@ -475,10 +477,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Durability waits (bounded; poll — never a wait_until deadlock)      *)
   (* ------------------------------------------------------------------ *)
-
-  let replica_lag t =
-    let d = Engine.durable_id t.prim in
-    Array.map (fun r -> d - r.acked_hi) t.reps
 
   let diagnostic t =
     let d = Engine.durable_id t.prim in

@@ -86,7 +86,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
 
   val create : ?rcfg:config -> Dudetm_core.Config.t -> t
   (** Build the primary (device ["primary"]) and K followers (devices
-      ["replica<i>"]) plus 2K directed links.  Requires [cfg.combine]
+      ["replica<i>"]) plus 2K directed links.  Requires [Config.Combined]
       (the wire unit is the combined group-commit record). *)
 
   val start : t -> unit
@@ -177,10 +177,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
 
   val quorum_needed : nreplicas:int -> int
   (** Pure helper: quorum size for a K-replica cluster. *)
-
-  val replica_lag : t -> int array
-  (** Per replica: primary durable ID minus the replica's acked durable
-      ID. *)
 
   val diagnostic : t -> string
   (** The [Replica_lag]-style one-line cluster diagnostic. *)

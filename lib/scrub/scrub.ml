@@ -64,46 +64,15 @@ let clear_poison nvm =
    engine recovery: keep (lo, hi] ranges extending the checkpoint
    contiguously up to the recomputed durable ID. *)
 let live_items cfg scans ~ckpt_upto =
-  let all_items = ref [] in
-  let all_tids = Hashtbl.create 256 in
-  Array.iter
-    (fun (scan : Plog.scan) ->
-      List.iter
-        (fun (record : Plog.record) ->
-          let entries = Log_entry.decode_payload record.Plog.payload in
-          let tids = Log_entry.tids entries in
-          List.iter (fun tid -> Hashtbl.replace all_tids tid ()) tids;
-          match tids with
-          | [] -> ()
-          | first :: _ ->
-            if cfg.Config.combine then begin
-              let hi = List.fold_left max first tids in
-              all_items := (first, hi, entries) :: !all_items
-            end
-            else begin
-              (* split per transaction *)
-              let cur = ref [] in
-              List.iter
-                (fun e ->
-                  cur := e :: !cur;
-                  match e with
-                  | Log_entry.Tx_end { tid } ->
-                    all_items := (tid, tid, List.rev !cur) :: !all_items;
-                    cur := []
-                  | _ -> ())
-                entries
-            end)
-        scan.Plog.records)
-    scans;
-  let d = ref ckpt_upto in
-  while Hashtbl.mem all_tids (!d + 1) do
-    incr d
-  done;
-  List.filter (fun (lo, hi, _) -> lo > ckpt_upto && hi <= !d) (List.sort compare !all_items)
+  let records =
+    List.concat_map (fun (scan : Plog.scan) -> scan.Plog.records) (Array.to_list scans)
+  in
+  let items, _, d = Dudetm_core.Dudetm.scan_items cfg records ~ckpt_upto in
+  List.filter (fun (lo, hi, _) -> lo > ckpt_upto && hi <= d) items
 
 (* Per-extent live writes: addr -> value maps in replay order (later
    transactions win), keyed by the extent each write lands in. *)
-let live_writes_by_extent cfg items =
+let live_writes_by_extent items =
   let by_extent : (int, (int * int64) list ref) Hashtbl.t = Hashtbl.create 64 in
   let add extent w =
     match Hashtbl.find_opt by_extent extent with
@@ -116,9 +85,9 @@ let live_writes_by_extent cfg items =
         (fun e ->
           match e with
           | Log_entry.Write { addr; value } ->
-            add (addr / cfg.Config.crc_extent) (addr, value);
-            if (addr + 7) / cfg.Config.crc_extent <> addr / cfg.Config.crc_extent then
-              add ((addr + 7) / cfg.Config.crc_extent) (addr, value)
+            add (addr / Config.crc_extent) (addr, value);
+            if (addr + 7) / Config.crc_extent <> addr / Config.crc_extent then
+              add ((addr + 7) / Config.crc_extent) (addr, value)
           | _ -> ())
         entries)
     items;
@@ -209,7 +178,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
       Checkpoint.attach nvm ~base:(Config.meta_base cfg) ~size:cfg.Config.meta_size
     in
     let items = live_items cfg scans ~ckpt_upto:state.Checkpoint.reproduced_upto in
-    let by_extent = live_writes_by_extent cfg items in
+    let by_extent = live_writes_by_extent items in
     let crcdir = Crcdir.attach nvm cfg in
     let stuck_remapped = ref 0 in
     let table_full = ref false in

@@ -191,8 +191,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       raise (Descriptor_in_flight "reply: descriptor owned by the pipeline");
     d.rep
 
-  let op_of d = d.op
-
   let tenant_of d = d.tenant
 
   let latency d = d.t_reply - d.t_submit

@@ -112,8 +112,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   val reply : desc -> reply
   (** Raises {!Descriptor_in_flight} while the pipeline owns it. *)
 
-  val op_of : desc -> op
-
   val tenant_of : desc -> int
 
   val latency : desc -> int

@@ -36,21 +36,17 @@ type result = {
   r_counters : (string * int) list;
 }
 
-(* Enough engine threads for the dispatcher workers; combine on, smallish
-   rings so ring pressure is reachable by a bench-sized burst. *)
+(* Enough engine threads for the dispatcher workers; combined persist in
+   groups of 4, smallish rings so ring pressure is reachable by a bench-sized burst. *)
 let engine_cfg ?(fault = Config.No_fault) ~workers () =
   {
     Config.default with
     Config.heap_size = 1 lsl 18;
-    root_size = 4096;
     nthreads = max 2 workers;
     vlog_capacity = 1 lsl 10;
     plog_size = 1 lsl 14;
     meta_size = 1 lsl 13;
-    combine = true;
-    group_size = 4;
-    batch_min_entries = 2;
-    batch_max_entries = 16;
+    persist = Config.Combined { group = 4; compress = false };
     batch_deadline = 512;
     seed = 7;
     fault;

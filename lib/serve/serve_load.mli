@@ -35,8 +35,8 @@ type result = {
 
 val engine_cfg :
   ?fault:Dudetm_core.Config.fault -> workers:int -> unit -> Dudetm_core.Config.t
-(** The leg engine configuration: combine-mode persist pipeline with
-    bench-sized rings (so ring pressure is reachable), [max 2 workers]
+(** The leg engine configuration: the combined persist pipeline (groups of
+    4 transactions) with bench-sized rings (so ring pressure is reachable), [max 2 workers]
     Perform threads per shard. *)
 
 val run :

@@ -181,8 +181,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let stats t = t.stats
 
-  let last_cross_gtid t = t.next_gtid
-
   (* ------------------------------------------------------------------ *)
   (* Transactions                                                        *)
   (* ------------------------------------------------------------------ *)
@@ -370,10 +368,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let durable_vector t =
     advance_frontier t;
     Array.map Engine.durable_id t.engines
-
-  let effective_durable t s =
-    advance_frontier t;
-    pure_effective t s
 
   let effective_vector t =
     advance_frontier t;

@@ -51,7 +51,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   type ack =
     | Ack_read_only
     | Ack_local of { shard : int; tid : int }
-        (** durable once [effective_durable shard >= tid] *)
+        (** durable once the shard's {!effective_vector} entry reaches
+            [tid] *)
     | Ack_cross of { gtid : int }  (** durable once [global_frontier >= gtid] *)
 
   type recovery = {
@@ -104,7 +105,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       shard's engine).  Takes no quiesce handshake — a snapshot owns no
       stripes and cannot conflict with the cross-shard path.  With
       [~durable:true] the snapshot epoch pins at the shard's entry of the
-      {e vector} watermark ({!effective_durable}), so every value read is
+      {e vector} watermark ({!effective_vector}), so every value read is
       crash-safe even against the cross-shard recovery vote.  Returns the
       result and the snapshot epoch (an engine transaction ID on that
       shard); [None] if [f] called {!abort}.  Calling {!write},
@@ -126,19 +127,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   val durable_vector : t -> int array
   (** Per-shard engine durable IDs. *)
 
-  val effective_durable : t -> int -> int
-  (** Acknowledgeable durable ID of one shard (cut below its first
-      fragment beyond the frontier). *)
-
   val effective_vector : t -> int array
+  (** Acknowledgeable durable ID of each shard (cut below its first
+      fragment beyond the frontier). *)
 
   val global_frontier : t -> int
   (** GF: every cross-shard transaction at or below it is fully durable. *)
-
-  val last_cross_gtid : t -> int
-  (** The largest gtid drawn so far; [global_frontier t >=
-      last_cross_gtid t] means every cross-shard transaction committed so
-      far is fully durable (the migration flip's durability gate). *)
 
   val wait_durable : t -> ack -> unit
   (** Block until the acknowledgement is crash-safe under the vector

@@ -61,12 +61,21 @@ let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000
   if cross_pct < 0 || cross_pct > 100 then
     invalid_arg "Shard_bench.run: cross_pct must be in [0, 100]";
   let cfg = shard_cfg ~workers ~bandwidth ~persist_latency in
+  let persist =
+    match cfg.Config.persist with
+    | Config.Per_thread p ->
+      Config.Per_thread
+        {
+          p with
+          min_entries = Option.value batch_min ~default:p.min_entries;
+          max_entries = Option.value batch_max ~default:p.max_entries;
+        }
+    | combined -> combined
+  in
   let cfg =
     {
       cfg with
-      Config.batch_min_entries =
-        Option.value batch_min ~default:cfg.Config.batch_min_entries;
-      batch_max_entries = Option.value batch_max ~default:cfg.Config.batch_max_entries;
+      Config.persist;
       batch_deadline = Option.value batch_deadline ~default:cfg.Config.batch_deadline;
     }
   in

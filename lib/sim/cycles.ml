@@ -9,7 +9,3 @@ let to_us c = float_of_int c /. (ghz *. 1e3)
 let to_seconds c = float_of_int c /. per_second
 
 let per_byte_of_gbps bw = per_second /. (bw *. 1e9)
-
-let of_bytes_at_gbps bw n =
-  if n <= 0 then 0
-  else max 1 (int_of_float (ceil (float_of_int n *. per_byte_of_gbps bw)))

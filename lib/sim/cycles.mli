@@ -22,7 +22,3 @@ val to_seconds : int -> float
 val per_byte_of_gbps : float -> float
 (** [per_byte_of_gbps bw] is the number of cycles needed to move one byte
     over a channel of [bw] GB/s (decimal gigabytes, as the paper uses). *)
-
-val of_bytes_at_gbps : float -> int -> int
-(** [of_bytes_at_gbps bw n] is the cycle cost of moving [n] bytes at
-    [bw] GB/s, rounded up, and at least 1 for [n > 0]. *)

@@ -21,8 +21,6 @@ let transfer t ~now ~bytes ~latency =
   let finish = start + max latency bw_cycles in
   max 0 (finish - now)
 
-let busy_until t = t.free_at
-
 let reset t =
   t.free_at <- 0;
   t.total_bytes <- 0

@@ -23,9 +23,6 @@ val transfer : t -> now:int -> bytes:int -> latency:int -> int
     [max now free_at + max latency (bytes * cpb)], with the channel itself
     busy only for the bandwidth component. *)
 
-val busy_until : t -> int
-(** Time at which the channel becomes free. *)
-
 val reset : t -> unit
 (** Forget all bookings (used when restarting an experiment). *)
 

@@ -256,8 +256,6 @@ let now () = perform_default Now 0
 
 let self () = fst (perform_default Self (0, "<main>"))
 
-let self_name () = snd (perform_default Self (0, "<main>"))
-
 let spawn ?(daemon = false) name f =
   try Effect.perform (Spawn (daemon, name, f))
   with Effect.Unhandled _ -> invalid_arg "Sched.spawn outside a simulation"

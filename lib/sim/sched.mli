@@ -83,9 +83,6 @@ val now : unit -> int
 val self : unit -> int
 (** Id of the calling thread (0 outside {!run}). *)
 
-val self_name : unit -> string
-(** Name of the calling thread (["<main>"] outside {!run}). *)
-
 val global_now : unit -> int
 (** High-water mark of simulated time across all threads so far. *)
 

@@ -193,8 +193,6 @@ let clock = last_tid
 
 let stats tm = tm.stats
 
-let lock_table tm = tm.locks
-
 (* --- Read-only snapshot fast path (lib/tm/snapshot.ml) --- *)
 
 type ro = Snapshot.ro

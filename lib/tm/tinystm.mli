@@ -22,9 +22,6 @@ val create_with_bits :
 val clock : t -> int
 (** Current value of the global version clock (equals {!last_tid}). *)
 
-val lock_table : t -> Lock_table.t
-(** Exposed for white-box tests. *)
-
 val snapshot_handle : t -> Snapshot.handle
 (** The clock/lock-table plumbing {!Snapshot} snapshots read through;
     [run_ro] is [Snapshot.run (snapshot_handle tm)].  Exposed for the

@@ -127,7 +127,9 @@ let test_builder_reuse () =
 
 (* ------------------- per-batch watermark advance ----------------------- *)
 
-let batch_cfg ?(combine = false) ?(group_size = 1) () =
+let max_entries = 8
+
+let batch_cfg ?(persist = Config.Per_thread { daemons = 1; min_entries = 2; max_entries }) () =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
@@ -136,12 +138,8 @@ let batch_cfg ?(combine = false) ?(group_size = 1) () =
     plog_size = 1 lsl 13;
     meta_size = 8192;
     checkpoint_records = 2;
-    batch_min_entries = 2;
-    batch_max_entries = 8;
+    persist;
     batch_deadline = 300;
-    combine;
-    compress = combine;
-    group_size;
     seed = 5;
   }
 
@@ -189,9 +187,9 @@ let test_watermark_per_batch () =
         incr advances;
         (* Per-batch advance: one record covers at most the entry bound,
            and the smallest transaction here writes 3 entries. *)
-        if d - !last > cfg.Config.batch_max_entries then
+        if d - !last > max_entries then
           Alcotest.failf "watermark jumped %d transactions, batches hold at most %d"
-            (d - !last) cfg.Config.batch_max_entries
+            (d - !last) max_entries
       end;
       last := d)
     samples;
@@ -263,9 +261,8 @@ let test_bursty_deadline_respects_bound () =
          D.stop t));
   let st = D.stats t in
   let hwm = Stats.get st "batch_hwm_entries" in
-  if hwm > cfg.Config.batch_max_entries then
-    Alcotest.failf "a batch held %d entries, bound is %d" hwm
-      cfg.Config.batch_max_entries;
+  if hwm > max_entries then
+    Alcotest.failf "a batch held %d entries, bound is %d" hwm max_entries;
   check Alcotest.bool "deadline-triggered batches occurred" true
     (Stats.get st "batch_deadline_flushes" > 0);
   check Alcotest.bool "size-triggered batches occurred" true
@@ -282,7 +279,7 @@ let test_pipeline_overlap_in_trace () =
     (fun () ->
       let cfg =
         {
-          (batch_cfg ~combine:true ~group_size:6 ()) with
+          (batch_cfg ~persist:(Config.Combined { group = 6; compress = true }) ()) with
           Config.pmem =
             (* A slow channel stretches each record's NVM write so the
                combiner demonstrably seals the next batch under it. *)

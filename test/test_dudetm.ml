@@ -15,8 +15,7 @@ let check = Alcotest.check
 exception Crashed
 
 let small_cfg ?(nthreads = 3) ?(mode = Config.Async) ?(vlog_capacity = 512)
-    ?(plog_size = 1 lsl 14) ?(combine = false) ?(compress = false) ?(group_size = 1)
-    ?shadow_frames () =
+    ?(plog_size = 1 lsl 14) ?(persist = Config.default.Config.persist) ?shadow_frames () =
   {
     Config.default with
     Config.heap_size = 1 lsl 20;
@@ -24,9 +23,7 @@ let small_cfg ?(nthreads = 3) ?(mode = Config.Async) ?(vlog_capacity = 512)
     mode;
     vlog_capacity;
     plog_size;
-    combine;
-    compress;
-    group_size;
+    persist;
     shadow_frames;
   }
 
@@ -302,7 +299,7 @@ let prop_crash_consistency_combined =
     QCheck2.Gen.(tup3 (int_range 500 400_000) (float_range 0.0 1.0) (int_range 0 10_000))
     (fun (cycles, evict, seed) ->
       let cfg =
-        small_cfg ~combine:true ~compress:true ~group_size:8 ~plog_size:(1 lsl 16) ()
+        small_cfg ~persist:(Config.Combined { group = 8; compress = true }) ~plog_size:(1 lsl 16) ()
       in
       let _, t2, report = crash_at ~cfg ~cycles ~evict ~seed in
       verify_counter_state t2 report;

@@ -152,8 +152,11 @@ let test_combined_group_sizes () =
   List.iter
     (fun group ->
       let cfg =
-        { base_cfg with Config.combine = true; compress = true; group_size = group;
-          plog_size = 1 lsl 16 }
+        {
+          base_cfg with
+          Config.persist = Config.Combined { group; compress = true };
+          plog_size = 1 lsl 16;
+        }
       in
       let t, _ = run_fixed cfg ~txs_per_thread:100 in
       check Alcotest.int64
@@ -164,17 +167,62 @@ let test_combined_group_sizes () =
         300 (D.durable_id t))
     [ 2; 16; 128 ]
 
+let per_thread ~daemons = Config.Per_thread { daemons; min_entries = 4; max_entries = 16 }
+
+let combined ~compress = Config.Combined { group = 4; compress }
+
+(* Golden persist-policy runs: one fixed workload under every Persist
+   policy, pinned to its exact durable ID, record and payload counts, batch
+   cut reasons and NVM persisted bytes.  The simulator is deterministic, so
+   any drift is a behaviour change in the Persist step. *)
+let test_persist_policy_golden () =
+  List.iter
+    (fun (name, cfg, golden) ->
+      let t, _ = run_fixed cfg ~txs_per_thread:100 in
+      let g = Dudetm_sim.Stats.get (D.stats t) in
+      check
+        Alcotest.(list int)
+        (name ^ ": durable, records, payload bytes, size/deadline/drain flushes, NVM bytes")
+        golden
+        [
+          D.durable_id t; g "flush_records"; g "flush_payload_bytes"; g "batch_size_flushes";
+          g "batch_deadline_flushes"; g "batch_drain_flushes";
+          Nvm.persisted_write_bytes (D.nvm t);
+        ])
+    [
+      ( "per-thread, 1 daemon",
+        { base_cfg with Config.persist = per_thread ~daemons:1 },
+        [ 300; 110; 13010; 81; 29; 0; 39058 ] );
+      ( "per-thread, 2 daemons",
+        { base_cfg with Config.persist = per_thread ~daemons:2 },
+        [ 300; 113; 13013; 78; 34; 1; 39189 ] );
+      ( "combined group 4",
+        { base_cfg with Config.persist = combined ~compress:false },
+        [ 300; 76; 9168; 74; 1; 1; 32056 ] );
+      ( "combined group 4, compressed",
+        { base_cfg with Config.persist = combined ~compress:true },
+        [ 300; 76; 4750; 74; 1; 1; 27638 ] );
+      ("sync", { base_cfg with Config.mode = Config.Sync }, [ 300; 300; 13200; 0; 0; 0; 47592 ]);
+    ]
+
 let test_config_validation () =
   let reject msg cfg = Alcotest.check_raises msg (Invalid_argument "dummy") (fun () ->
       try Config.validate cfg
       with Config.Invalid_config _ -> raise (Invalid_argument "dummy"))
   in
+  let bounds min_entries max_entries =
+    Config.Per_thread { daemons = 1; min_entries; max_entries }
+  in
   reject "unaligned heap" { base_cfg with Config.heap_size = 12345 };
-  reject "combine with many persist threads"
-    { base_cfg with Config.combine = true; persist_threads = 2 };
-  reject "compress without combine" { base_cfg with Config.compress = true };
   reject "sync with combine"
-    { base_cfg with Config.mode = Config.Sync; combine = true; group_size = 4 };
+    { base_cfg with Config.mode = Config.Sync; persist = combined ~compress:false };
+  reject "Skip_batch_seal with per-thread persist"
+    { base_cfg with Config.fault = Config.Skip_batch_seal };
+  reject "group below one"
+    { base_cfg with Config.persist = Config.Combined { group = 0; compress = false } };
+  reject "entry cap below floor" { base_cfg with Config.persist = bounds 8 4 };
+  reject "entry floor below one" { base_cfg with Config.persist = bounds 0 4 };
+  reject "zero persist daemons" { base_cfg with Config.persist = per_thread ~daemons:0 };
   reject "zero threads" { base_cfg with Config.nthreads = 0 };
   Config.validate base_cfg (* the base must be valid *)
 
@@ -201,6 +249,7 @@ let suite =
       test_paged_shadow_pipeline_and_recovery;
     Alcotest.test_case "combined group sizes" `Quick test_combined_group_sizes;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "golden persist-policy runs" `Quick test_persist_policy_golden;
     Alcotest.test_case "bad thread index rejected" `Quick test_bad_thread_index_rejected;
     Alcotest.test_case "attach with wrong config rejected" `Quick
       test_attach_wrong_size_rejected;

@@ -76,7 +76,6 @@ let test_drain_watchdog_raises () =
     {
       Config.default with
       Config.heap_size = 1 lsl 16;
-      root_size = 4096;
       nthreads = 1;
       vlog_capacity = 256;
       plog_size = 1 lsl 13;
@@ -112,7 +111,6 @@ let test_drain_watchdog_quiet_on_healthy_engine () =
     {
       Config.default with
       Config.heap_size = 1 lsl 16;
-      root_size = 4096;
       nthreads = 1;
       vlog_capacity = 256;
       plog_size = 1 lsl 13;

@@ -31,7 +31,6 @@ let cfg =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
-    root_size = 4096;
     nthreads = 2;
     vlog_capacity = 256;
     plog_size = 1 lsl 14;

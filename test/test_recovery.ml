@@ -21,7 +21,6 @@ let small_cfg =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
-    root_size = 4096;
     nthreads = 2;
     vlog_capacity = 256;
     plog_size = 1 lsl 13;
@@ -133,8 +132,6 @@ let test_invalid_config () =
   in
   reject "negative daemon fault rate" { small_cfg with Config.daemon_fault_rate = -0.1 };
   reject "fault rate above one" { small_cfg with Config.daemon_fault_rate = 1.5 };
-  reject "backoff cap below base"
-    { small_cfg with Config.daemon_backoff_base = 1000; daemon_backoff_cap = 10 };
   reject "hwm fraction above one" { small_cfg with Config.bp_hwm_fraction = 1.5 };
   reject "negative throttle budget" { small_cfg with Config.bp_wait_budget = -1 };
   reject "negative pmalloc budget" { small_cfg with Config.pmalloc_wait_budget = -1 };

@@ -27,15 +27,11 @@ let cfg ?(nthreads = 2) ?(ack_timeout = 2_000_000) ?(fault = Config.No_fault) ()
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
-    root_size = 4096;
     nthreads;
     vlog_capacity = 256;
     plog_size = 1 lsl 14;
     meta_size = 8192;
-    group_size = 4;
-    combine = true;
-    compress = true;
-    persist_threads = 1;
+    persist = Config.Combined { group = 4; compress = true };
     reproduce_batch = 4;
     checkpoint_records = 2;
     seed = 7;
@@ -169,7 +165,7 @@ let test_quorum_math () =
 let test_create_validates () =
   check Alcotest.bool "combine required" true
     (try
-       ignore (Rep.create { (cfg ()) with Config.combine = false; compress = false });
+       ignore (Rep.create { (cfg ()) with Config.persist = Config.default.Config.persist });
        false
      with Invalid_argument _ -> true);
   check Alcotest.bool "ack_timeout validated" true

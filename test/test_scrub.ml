@@ -19,7 +19,6 @@ let scfg =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
-    root_size = 4096;
     nthreads = 2;
     vlog_capacity = 256;
     plog_size = 1 lsl 13;
@@ -66,7 +65,7 @@ let test_undamaged_image_nothing_lost () =
   check Alcotest.int "no reformatted rings" 0 r.Scrub.rings_reformatted;
   check Alcotest.int "no ring corruption" 0 r.Scrub.ring_corrupted_records;
   check Alcotest.int "every extent audited"
-    (scfg.Config.heap_size / scfg.Config.crc_extent)
+    (scfg.Config.heap_size / Config.crc_extent)
     r.Scrub.extents_checked;
   (* Recovery after the scrub works and agrees with the image. *)
   let t2, report = D.attach scfg nvm in
@@ -131,7 +130,7 @@ let test_unreconstructible_loss_reported () =
   Nvm.crash nvm;
   Nvm.inject_fault nvm (Nvm.Bit_rot { off = 3000; bit = 2 });
   let r = Scrub.scrub scfg nvm in
-  check Alcotest.(list int) "lost extent reported" [ 3000 / scfg.Config.crc_extent ]
+  check Alcotest.(list int) "lost extent reported" [ 3000 / Config.crc_extent ]
     r.Scrub.bad_extents;
   check Alcotest.int "nothing falsely repaired" 0 r.Scrub.extents_repaired;
   check Alcotest.bool "not a clean report" false (Scrub.clean r)

@@ -12,7 +12,7 @@ let check = Alcotest.check
 
 exception Crashed
 
-let small_cfg ?(nthreads = 3) ?(combine = false) ?(fault = Config.No_fault) () =
+let small_cfg ?(nthreads = 3) ?(fault = Config.No_fault) () =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
@@ -20,7 +20,6 @@ let small_cfg ?(nthreads = 3) ?(combine = false) ?(fault = Config.No_fault) () =
     vlog_capacity = 256;
     plog_size = 1 lsl 13;
     meta_size = 8192;
-    combine;
     checkpoint_records = 2;
     seed = 7;
     fault;

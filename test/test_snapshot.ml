@@ -176,7 +176,6 @@ let mig_cfg =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
-    root_size = 4096;
     nthreads = 3;
     vlog_capacity = 256;
     plog_size = 1 lsl 14;
@@ -281,15 +280,11 @@ let rep_cfg =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
-    root_size = 4096;
     nthreads = 2;
     vlog_capacity = 256;
     plog_size = 1 lsl 14;
     meta_size = 8192;
-    group_size = 4;
-    combine = true;
-    compress = true;
-    persist_threads = 1;
+    persist = Config.Combined { group = 4; compress = true };
     reproduce_batch = 4;
     checkpoint_records = 2;
     seed = 7;
