@@ -1,9 +1,10 @@
 (* Command-line driver: run any benchmark workload on any evaluated system
-   with custom parameters, or run randomized crash-recovery torture.
+   with custom parameters, profile it, or run the crash-consistency
+   campaigns.
 
      dune exec bin/dudetm_cli.exe -- run --workload hashtable --system dude
      dune exec bin/dudetm_cli.exe -- run -w tpcc-tree -s mnemosyne -n 2000 --threads 8
-     dune exec bin/dudetm_cli.exe -- torture --rounds 100
+     dune exec bin/dudetm_cli.exe -- check --quick
      dune exec bin/dudetm_cli.exe -- layout *)
 
 open Cmdliner
@@ -237,66 +238,6 @@ let trace_cmd =
       ret
         (const run $ workload $ system $ ntxs $ threads $ bandwidth $ latency $ ring
        $ export $ out))
-
-(* ------------------------------ torture ------------------------------- *)
-
-exception Crashed
-
-let torture_round cfg seed =
-  let rng = Rng.create seed in
-  let crash_cycles = 1_000 + Rng.int rng 500_000 in
-  let evict = Rng.float rng in
-  let t = D.create cfg in
-  let slots = 128 in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       ignore
-                         (D.atomically t ~thread:th (fun tx ->
-                              let c = D.read tx 0 in
-                              let c1 = Int64.add c 1L in
-                              D.write tx (8 + (8 * (Int64.to_int c1 mod slots))) c1;
-                              D.write tx 0 c1))
-                     done))
-            done;
-            Sched.advance crash_cycles;
-            raise Crashed))
-   with Crashed -> ());
-  Nvm.crash ~evict_fraction:evict ~rng (D.nvm t);
-  let t2, report = D.attach cfg (D.nvm t) in
-  let d = report.Dudetm_core.Dudetm.durable in
-  if D.heap_read_u64 t2 0 <> Int64.of_int d then
-    failwith (Printf.sprintf "round %d: counter != durable id %d" seed d);
-  (crash_cycles, evict, d)
-
-let torture_cmd =
-  let rounds = Arg.(value & opt int 50 & info [ "rounds" ] ~doc:"Crash rounds to run.") in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print each round.") in
-  let run rounds verbose =
-    let cfg =
-      {
-        Config.default with
-        Config.heap_size = 1 lsl 20;
-        nthreads = 3;
-        vlog_capacity = 1024;
-        plog_size = 1 lsl 14;
-      }
-    in
-    for seed = 1 to rounds do
-      let cycles, evict, d = torture_round cfg seed in
-      if verbose then
-        Printf.printf "round %3d: crash@%-7d evict=%.2f durable=%d OK\n%!" seed cycles evict d
-    done;
-    Printf.printf "torture: %d randomized crash/recovery rounds, all consistent\n" rounds
-  in
-  Cmd.v
-    (Cmd.info "torture" ~doc:"Randomized crash-point injection with recovery verification.")
-    Term.(const run $ rounds $ verbose)
 
 (* ------------------------------- check -------------------------------- *)
 
@@ -558,6 +499,8 @@ let serve_cmd =
 
 (* ------------------------------- scrub -------------------------------- *)
 
+exception Crashed
+
 let scrub_cmd =
   let module Scrub = Dudetm_scrub.Scrub in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault-injection RNG seed.") in
@@ -696,7 +639,6 @@ let () =
           [
             run_cmd;
             trace_cmd;
-            torture_cmd;
             check_cmd;
             shard_cmd;
             serve_cmd;

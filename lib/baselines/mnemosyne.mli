@@ -10,7 +10,14 @@
     instrumentation overhead, and flushing log lines with [CLFLUSH]
     invalidates them, charged as a cache-refill penalty.
 
-    Transactions are durable at commit: [durable_id = last_tid]. *)
+    Transactions are durable at commit: [durable_id = last_tid].
+
+    The STM underneath is {!Dudetm_tm.Stm_kernel}'s write-back path — the
+    same versioned-lock protocol, commit-time locking and retry loop as
+    {!Dudetm_tm.Tinystm_wb}; this module adds only the instrumentation
+    costs and the synchronous log persist.  A transaction whose redo
+    record cannot fit the log region raises [Invalid_argument] before it
+    locks anything. *)
 
 type config = {
   heap_size : int;

@@ -92,11 +92,14 @@ let atomically_impl t ~thread ~wset f =
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
   let wset = List.sort_uniq compare wset in
+  let n = List.length wset in
+  (* Reject an undo record the log region cannot hold before taking any
+     lock, so the failure leaves every stripe free. *)
+  if 16 + (16 * n) > t.cfg.log_size then invalid_arg "Nvml: write set exceeds log region";
   let stripes = List.sort_uniq compare (List.map (Lock_table.stripe_of_addr t.locks) wset) in
   let held = acquire_locks t ~uid stripes in
   (* Undo-log all old values at once: one persist ordering (the static-
      transaction trick that makes NVML competitive, Section 2.2). *)
-  let n = List.length wset in
   let record = Bytes.create (16 + (16 * n)) in
   Bytes.set_int64_le record 0 (Int64.of_int uid);
   Bytes.set_int64_le record 8 (Int64.of_int n);
@@ -105,7 +108,6 @@ let atomically_impl t ~thread ~wset f =
       Bytes.set_int64_le record (16 + (16 * i)) (Int64.of_int addr);
       Bytes.set_int64_le record (24 + (16 * i)) (Nvm.load_u64 t.nvm addr))
     wset;
-  if Bytes.length record > t.cfg.log_size then invalid_arg "Nvml: write set exceeds log region";
   let lb = log_base t thread in
   Trace.span_begin ~cat:"persist" "undo_log";
   Nvm.store_bytes t.nvm lb record;

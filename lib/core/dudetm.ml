@@ -180,26 +180,22 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable durable_waiters : int;  (* threads blocked in [wait_durable] *)
     mutable drain_pace : float;  (* measured NVM drain cost, cycles/entry *)
     repro_ranges : (int * int) list ref;  (* applied but not yet persisted *)
-    (* Cross-shard replay gate, installed by the sharding layer: Reproduce
-       may apply transaction [tid] only once the gate admits it (all
-       sibling fragments of every cross-shard transaction at or below it
-       are durable on their own shards).  [None]: single-region instance,
-       no gating. *)
-    mutable cross_gate : (int -> bool) option;
     mutable cross_frontier : int;  (* max replayed cross-shard gtid *)
     (* Durable-only snapshot watermark, installed by layers that gate
        durability beyond the local device (shard effective IDs, replication
        quorum).  Thunk returns an engine-space tid; [None]: the local
        durable ID.  Must be a pure read — snapshot readers poll it. *)
     mutable ro_watermark : (unit -> int) option;
-    (* Replication taps, installed by lib/replica.  [ship_hook] fires on
-       the Persist daemon right after a log record's NVM persist completes
-       (the batch is sealed locally); [replay_gate] stops a follower's
-       Reproduce from applying a transaction the cluster has not
-       quorum-acked yet, so promotion can still truncate to the quorum
-       prefix (replayed state cannot be un-replayed). *)
+    (* Replication tap, installed by lib/replica: fires on the Persist
+       daemon right after a log record's NVM persist completes (the batch
+       is sealed locally). *)
     mutable ship_hook : (shipment -> unit) option;
-    mutable replay_gate : (int -> bool) option;
+    (* Replay gate over the next replay item, installed by the layer that
+       owns a cross-engine durability rule: the sharding layer holds back
+       a cross-shard fragment until every sibling is durable, a follower
+       holds back what the cluster has not quorum-acked (replayed state
+       cannot be un-replayed).  No engine has both.  [None]: no gating. *)
+    mutable replay_gate : (item -> bool) option;
     fault_rng : Rng.t;  (* injected transient daemon failures *)
     (* Front-end context supplement, installed by layers above the engine
        (the serving front end): folded into the [Drain_stalled] diagnostic
@@ -298,7 +294,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       durable_waiters = 0;
       drain_pace = 0.0;
       repro_ranges = ref [];
-      cross_gate = None;
       cross_frontier = 0;
       ro_watermark = None;
       ship_hook = None;
@@ -423,8 +418,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         (fun () -> Sched.wait_until ~label:"durable id" (fun () -> t.durable >= tid))
     end
 
-  let set_cross_gate t gate = t.cross_gate <- gate
-
   let cross_frontier t = t.cross_frontier
 
   let set_ro_watermark t wm = t.ro_watermark <- wm
@@ -463,20 +456,19 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let peek_next_item t =
     match next_region t with -1 -> None | r -> Some (Queue.peek t.queues.(r))
 
+  let item_hi it = it.hi
+
   (* Highest cross-shard global ID sealed into an item's entries (0 when
      the item carries no fragment).  Gating on the max is enough: fragment
      admissibility is monotone in the global ID. *)
-  let item_gate_gtid it =
+  let item_cross_gtid it =
     List.fold_left
       (fun acc e -> match e with Log_entry.Cross { gtid; _ } -> max acc gtid | _ -> acc)
       0 it.entries
 
-  (* May Reproduce apply the next transaction?  The gate predicate is pure
-     (it only reads sibling shards' durable counters), so it is safe inside
-     [Sched.wait_until] conditions.  The gate keys on the global ID read
-     from the pending item's own [Cross] seal — the log record is the
-     source of truth, so a fragment can never slip past the gate before the
-     sharding layer has registered its sibling set. *)
+  (* May Reproduce apply the next transaction?  The replay gate is pure
+     (it only reads sibling shards' durable counters or a quorum
+     watermark), so it is safe inside [Sched.wait_until] conditions. *)
   let can_apply t =
     t.durable > applied t
     (* Under the Skip_batch_seal mutant the durable ID runs ahead of the
@@ -485,21 +477,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        crashing the daemon — the campaign must catch the mutant as a
        durability violation at a power cut, not as an engine exception. *)
     && (t.cfg.Config.fault <> Config.Skip_batch_seal || peek_next_item t <> None)
-    && (match t.cross_gate with
-       | Some gate when t.cfg.Config.fault <> Config.Skip_fragment_gate -> (
-         match peek_next_item t with
-         | Some it ->
-           let g = item_gate_gtid it in
-           g = 0 || gate g
-         | None -> true)
-       | _ -> true)
-    (* Follower-side quorum replay gate: never apply past what the cluster
-       has acknowledged, so the promotion-time durable cut stays above the
-       checkpoint floor.  Pure (reads a watermark cell owned by the
-       replication layer), so it is safe inside [Sched.wait_until]. *)
     && (match t.replay_gate with
        | Some gate -> (
-         match peek_next_item t with Some it -> gate it.hi | None -> true)
+         match peek_next_item t with Some it -> gate it | None -> true)
        | None -> true)
 
   (* ------------------------------------------------------------------ *)

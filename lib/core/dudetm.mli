@@ -278,15 +278,27 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       sharding layer once the body has finished and the set of shards
       actually written is known. *)
 
-  val set_cross_gate : t -> (int -> bool) option -> unit
-  (** Install the cross-shard replay gate: when the next replay item
-      carries a [Cross] seal, Reproduce applies it only once [gate gtid]
-      holds for the item's highest sealed global ID (i.e. every cross-shard
-      transaction at or below it is durable on all its shards).  The global
-      ID comes from the log record itself, so a fragment can never be
-      applied before the sharding layer knows its sibling set.  The
-      predicate must be pure — it runs inside scheduler wait conditions.
-      Ignored under the [Skip_fragment_gate] fault mutant. *)
+  type item
+  (** A unit of Reproduce work: one transaction of a plain record, or one
+      whole combined record. *)
+
+  val item_hi : item -> int
+  (** The item's last transaction ID. *)
+
+  val item_cross_gtid : item -> int
+  (** The highest cross-shard global ID sealed into the item's [Cross]
+      entries, or 0 when it carries no fragment.  Read from the log record
+      itself, so a fragment can never pass a gate keyed on it before the
+      sharding layer knows its sibling set. *)
+
+  val set_replay_gate : t -> (item -> bool) option -> unit
+  (** Install the replay gate: Reproduce applies the next item only once
+      the predicate admits it.  The sharding layer gates a fragment on
+      {!item_cross_gtid} (every cross-shard transaction at or below it
+      durable on all its shards); a follower gates on {!item_hi} (at or
+      below the cluster's acknowledged watermark, which keeps the
+      checkpoint floor below any legal promotion-time durable cut).  The
+      predicate must be pure — it runs inside scheduler wait conditions. *)
 
   val cross_frontier : t -> int
   (** Highest cross-shard global transaction ID this region has replayed
@@ -325,13 +337,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   (** Ask a follower's Reproduce daemon to checkpoint what is applied and
       exit.  No drain: the replay gate may legitimately hold back a
       never-acknowledged suffix forever. *)
-
-  val set_replay_gate : t -> (int -> bool) option -> unit
-  (** Install the follower's quorum replay gate: Reproduce applies the next
-      item only if [gate hi] holds for the item's last transaction ID.
-      Keeping replay at or below the cluster's acknowledged watermark keeps
-      the checkpoint floor below any legal promotion-time durable cut.  The
-      predicate must be pure — it runs inside scheduler wait conditions. *)
 
   (** {1 Degraded mode} *)
 

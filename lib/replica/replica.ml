@@ -463,7 +463,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Array.iter
       (fun r ->
         let cell = r.known_acked in
-        Engine.set_replay_gate r.eng (Some (fun tid -> tid <= !cell));
+        Engine.set_replay_gate r.eng (Some (fun it -> Engine.item_hi it <= !cell));
         Engine.start_follower r.eng;
         ignore
           (Sched.spawn ~daemon:true

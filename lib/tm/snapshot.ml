@@ -20,22 +20,11 @@
 
 module Sched = Dudetm_sim.Sched
 module Stats = Dudetm_sim.Stats
-module Rng = Dudetm_sim.Rng
 module Trace = Dudetm_trace.Trace
-
-exception Retry
-
-type handle = {
-  h_load : int -> int64;
-  h_locks : Lock_table.t;
-  h_clock : unit -> int;
-  h_costs : Tm_intf.costs;
-  h_stats : Stats.t;
-  h_rng : Rng.t;
-}
+module K = Stm_kernel
 
 type ro = {
-  h : handle;
+  tm : K.t;
   pin : (unit -> int) option;
   validate_ext : bool;
   mutable epoch : int;
@@ -43,37 +32,26 @@ type ro = {
   mutable active : bool;
 }
 
-let begin_ro ?pin ?(validate_extension = true) h =
-  Sched.advance h.h_costs.Tm_intf.begin_cost;
+let begin_ro ?pin ?(validate_extension = true) (tm : K.t) =
+  Sched.advance tm.costs.Tm_intf.begin_cost;
   let epoch =
     match pin with
-    | Some w -> min (w ()) (h.h_clock ())
-    | None -> h.h_clock ()
+    | Some w -> min (w ()) tm.clock
+    | None -> tm.clock
   in
   Trace.instant ~cat:"snapshot" "begin" epoch;
-  Stats.incr h.h_stats "snapshot_begins";
-  { h; pin; validate_ext = validate_extension; epoch; reads = []; active = true }
+  Stats.incr tm.stats "snapshot_begins";
+  { tm; pin; validate_ext = validate_extension; epoch; reads = []; active = true }
 
 let epoch ro = ro.epoch
 
 let read_set_size ro = List.length ro.reads
 
-(* A read-set entry is still valid if its stripe carries the version we
-   observed.  An owned stripe always invalidates: snapshots own nothing,
-   so a writer got there. *)
-let validate ro =
-  List.for_all
-    (fun (stripe, v) ->
-      match Lock_table.read_word ro.h.h_locks stripe with
-      | Lock_table.Version cur -> cur = v
-      | Lock_table.Owned _ -> false)
-    ro.reads
-
 let restart ro =
-  Stats.incr ro.h.h_stats "snapshot_retries";
+  Stats.incr ro.tm.stats "snapshot_retries";
   Trace.instant ~cat:"snapshot" "retry" ro.epoch;
   ro.active <- false;
-  raise Retry
+  raise K.Retry
 
 (* Slide the epoch forward far enough to admit a stripe at version [need].
    Fresh-epoch snapshots extend to the current clock; pinned snapshots
@@ -83,7 +61,7 @@ let restart ro =
    by [validate_ext = false]) is the seeded bug that omits exactly this
    step and lets a reader carry values from two different epochs. *)
 let extend ro ~need =
-  Stats.incr ro.h.h_stats "snapshot_extends";
+  Stats.incr ro.tm.stats "snapshot_extends";
   Trace.instant ~cat:"snapshot" "extend" need;
   (match ro.pin with
   | None -> ()
@@ -92,44 +70,45 @@ let extend ro ~need =
       Sched.wait_until ~label:"snapshot durable pin" (fun () -> w () >= need));
   let target =
     match ro.pin with
-    | None -> ro.h.h_clock ()
-    | Some w -> min (w ()) (ro.h.h_clock ())
+    | None -> ro.tm.clock
+    | Some w -> min (w ()) ro.tm.clock
   in
-  if ro.validate_ext && not (validate ro) then restart ro;
+  if ro.validate_ext && not (K.valid ro.tm ~held:[] ro.reads) then restart ro;
   if target > ro.epoch then ro.epoch <- target
 
 let read ro addr =
   if not ro.active then invalid_arg "Snapshot.read: snapshot not active";
-  Sched.advance ro.h.h_costs.Tm_intf.read_cost;
-  Stats.incr ro.h.h_stats "snapshot_reads";
-  Trace.sample ~cat:"snapshot" "read" ro.h.h_costs.Tm_intf.read_cost;
-  let stripe = Lock_table.stripe_of_addr ro.h.h_locks addr in
+  let tm = ro.tm in
+  Sched.advance tm.costs.Tm_intf.read_cost;
+  Stats.incr tm.stats "snapshot_reads";
+  Trace.sample ~cat:"snapshot" "read" tm.costs.Tm_intf.read_cost;
+  let stripe = Lock_table.stripe_of_addr tm.locks addr in
   let rec go () =
-    match Lock_table.read_word ro.h.h_locks stripe with
-    | Lock_table.Owned _ ->
+    let v = K.version tm stripe in
+    if v < 0 then begin
       (* A writer holds the stripe (store may carry uncommitted data).
          Wait for the release — bounded by that writer's commit/abort —
          without touching the lock word ourselves. *)
-      Sched.wait_until ~label:"snapshot stripe owned" (fun () ->
-          match Lock_table.read_word ro.h.h_locks stripe with
-          | Lock_table.Owned _ -> false
-          | Lock_table.Version _ -> true);
+      Sched.wait_until ~label:"snapshot stripe owned" (fun () -> K.version tm stripe >= 0);
       go ()
-    | Lock_table.Version v when v <= ro.epoch ->
-      let value = ro.h.h_load addr in
+    end
+    else if v <= ro.epoch then begin
+      let value = tm.store.Tm_intf.load addr in
       (* The load may yield (paged shadow access costs, swap-in waits), so
          re-check the lock word afterwards: if a writer slipped in, the
          loaded value may be newer than the recorded version — retry the
          read rather than record a lie. *)
-      (match Lock_table.read_word ro.h.h_locks stripe with
-      | Lock_table.Version v2 when v2 = v ->
+      if K.version tm stripe = v then begin
         ro.reads <- (stripe, v) :: ro.reads;
         value
-      | _ -> go ())
-    | Lock_table.Version v ->
+      end
+      else go ()
+    end
+    else begin
       extend ro ~need:v;
       (* Extension may have yielded (durable pin): re-examine the stripe. *)
       go ()
+    end
   in
   go ()
 
@@ -143,35 +122,12 @@ let finish ro =
   ro.active <- false;
   ro.epoch
 
-let run ?pin ?validate_extension ?(on_retry = fun () -> ()) h f =
-  let rec attempt round =
-    Trace.span_begin ~cat:"snapshot" "ro";
-    let ro = begin_ro ?pin ?validate_extension h in
-    match f ro with
-    | result ->
+let run ?pin ?validate_extension ?on_retry tm f =
+  K.run ?on_retry tm K.Snapshot
+    ~start:(begin_ro ?pin ?validate_extension)
+    ~finish:(fun ro ->
       let final = finish ro in
-      Stats.incr h.h_stats "snapshot_commits";
-      Trace.span_end ~cat:"snapshot" "ro";
-      Some (result, final)
-    | exception Retry ->
-      on_retry ();
-      Trace.span_end ~cat:"snapshot" "ro";
-      (* Same randomized capped backoff as the write path. *)
-      let cap = min 4096 (64 lsl min round 10) in
-      let pause = 64 + Rng.int h.h_rng cap in
-      Stats.incr h.h_stats "backoffs";
-      Stats.add h.h_stats "backoff_cycles" pause;
-      Sched.advance pause;
-      attempt (round + 1)
-    | exception Tm_intf.User_abort ->
-      ro.active <- false;
-      on_retry ();
-      Trace.span_end ~cat:"snapshot" "ro";
-      None
-    | exception e ->
-      ro.active <- false;
-      on_retry ();
-      Trace.span_end ~cat:"snapshot" "ro";
-      raise e
-  in
-  attempt 0
+      Stats.incr ro.tm.stats "snapshot_commits";
+      final)
+    ~abandon:(fun ro -> ro.active <- false)
+    f

@@ -17,35 +17,21 @@
       by a transaction at or below the watermark at the moment of the
       read, i.e. state that survives a power cut — possibly stale.
 
-    The module is expressed over a {!handle} rather than a concrete TM so
-    the lock-table/clock plumbing stays in one place;
-    [Tinystm.snapshot_handle] builds one. *)
-
-exception Retry
-(** Internal: the snapshot could not extend (a concurrent commit
-    invalidated the read-set).  Absorbed by {!run}, which restarts the
-    body at a fresh epoch after a randomized backoff. *)
-
-type handle = {
-  h_load : int -> int64;  (** direct word load from the shadow store *)
-  h_locks : Lock_table.t;
-  h_clock : unit -> int;  (** the global version clock *)
-  h_costs : Tm_intf.costs;
-  h_stats : Dudetm_sim.Stats.t;
-  h_rng : Dudetm_sim.Rng.t;
-}
+    The snapshot reads through the {!Stm_kernel} state of the TM it runs
+    on (lock table, clock, costs, stats and backoff RNG), so it needs no
+    view of its own; its restart is the kernel's retry loop. *)
 
 type ro
 (** A running read-only snapshot. *)
 
-val begin_ro : ?pin:(unit -> int) -> ?validate_extension:bool -> handle -> ro
+val begin_ro : ?pin:(unit -> int) -> ?validate_extension:bool -> Stm_kernel.t -> ro
 (** Open a snapshot.  [pin] selects durable-only mode; [validate_extension]
     (default [true]) exists only so the seeded [Skip_snapshot_validate]
     mutant can omit the read-set revalidation on extension. *)
 
 val read : ro -> int -> int64
 (** Read a word at the snapshot's epoch, extending it (validated) when the
-    word committed later.  May raise {!Retry} — use {!run}. *)
+    word committed later.  May raise {!Stm_kernel.Retry} — use {!run}. *)
 
 val epoch : ro -> int
 (** Current epoch; monotone within a snapshot. *)
@@ -64,7 +50,7 @@ val run :
   ?pin:(unit -> int) ->
   ?validate_extension:bool ->
   ?on_retry:(unit -> unit) ->
-  handle ->
+  Stm_kernel.t ->
   (ro -> 'a) ->
   ('a * int) option
 (** Run a snapshot body with automatic restart on failed extension.

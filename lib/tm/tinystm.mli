@@ -10,9 +10,13 @@
     The transaction ID returned by {!commit} is the commit timestamp drawn
     from the global clock, so IDs of write transactions are contiguous and
     conflicting transactions' ID order matches their lock hand-off order —
-    the invariant DudeTM's Reproduce step replays by. *)
+    the invariant DudeTM's Reproduce step replays by.
 
-include Tm_intf.S
+    The versioned-lock protocol itself (validation, commit, retry) is
+    {!Stm_kernel}'s; this module is its write-through access mode.  Its
+    state {e is} the kernel state, so {!Snapshot} runs on it directly. *)
+
+include Tm_intf.S with type t = Stm_kernel.t
 
 val create_with_bits :
   ?costs:Tm_intf.costs -> ?seed:int -> bits:int -> Tm_intf.store -> t
@@ -21,8 +25,3 @@ val create_with_bits :
 
 val clock : t -> int
 (** Current value of the global version clock (equals {!last_tid}). *)
-
-val snapshot_handle : t -> Snapshot.handle
-(** The clock/lock-table plumbing {!Snapshot} snapshots read through;
-    [run_ro] is [Snapshot.run (snapshot_handle tm)].  Exposed for the
-    snapshot property tests. *)

@@ -8,11 +8,9 @@
     into the DudeTM functor unchanged (the out-of-the-box-TM claim,
     exercised by the ablation benchmark).
 
-    The cost model adds the per-read write-set probe that write-back access
-    cannot avoid. *)
+    The cost model adds the per-read write-set probe (18 cycles) that
+    write-back access cannot avoid.  The buffer, commit-time locking,
+    validation and retry are {!Stm_kernel}'s write-back path, shared with
+    the Mnemosyne baseline; snapshots run on the same kernel state. *)
 
 include Tm_intf.S
-
-val create_wb : ?costs:Tm_intf.costs -> ?seed:int -> ?redirect_cost:int -> Tm_intf.store -> t
-(** [redirect_cost] (default 18 cycles) is the write-set hash probe added
-    to every read. *)

@@ -268,6 +268,50 @@ let test_mnemosyne_truncation_then_recovery () =
   check Alcotest.int "all transactions committed" 300 committed;
   check Alcotest.bool "post-truncation state intact" true !ok
 
+(* ------------------- oversized transactions (both) ------------------- *)
+
+(* A transaction whose log record cannot fit the per-thread log region is
+   rejected with [Invalid_argument] before it takes any lock or draws a
+   commit version: a later transaction on the same stripes must still
+   commit promptly, and the durable ID must keep up with the last commit. *)
+let oversized_leaves_no_locks (ptm : Ptm.t) =
+  let big = List.init 200 (fun i -> 8 * i) in
+  let wset addrs = if ptm.Ptm.requires_static then Some addrs else None in
+  let follow_up = ref false in
+  let rejected = ref false in
+  ignore
+    (Sched.run (fun () ->
+         ptm.Ptm.start ();
+         ignore (ptm.Ptm.atomically ~thread:0 ?wset:(wset [ 0 ]) (fun tx -> tx.Ptm.write 0 1L));
+         (match
+            ptm.Ptm.atomically ~thread:0 ?wset:(wset big) (fun tx ->
+                List.iter (fun a -> tx.Ptm.write a 7L) big)
+          with
+         | _ -> ()
+         | exception Invalid_argument _ -> rejected := true);
+         (* A stripe the rejected transaction wrote: a daemon, so a lock
+            left behind shows up as an unfinished follow-up, not a hang. *)
+         ignore
+           (Sched.spawn ~daemon:true "follow-up" (fun () ->
+                ignore
+                  (ptm.Ptm.atomically ~thread:1 ?wset:(wset [ 8 ]) (fun tx ->
+                       tx.Ptm.write 8 2L));
+                follow_up := true));
+         Sched.advance 5_000_000));
+  let name = ptm.Ptm.name in
+  check Alcotest.bool (name ^ ": oversized transaction rejected") true !rejected;
+  check Alcotest.bool (name ^ ": follow-up on its stripe committed") true !follow_up;
+  check Alcotest.int (name ^ ": two commits, contiguous IDs") 2 (ptm.Ptm.last_tid ());
+  check Alcotest.int (name ^ ": durable ID reaches the last commit") 2 (ptm.Ptm.durable_id ());
+  check Alcotest.int64 (name ^ ": rejected writes never applied") 0L (ptm.Ptm.peek 16)
+
+let test_oversized_tx_rejected_before_locking () =
+  oversized_leaves_no_locks
+    (B.Mnemosyne.ptm
+       { B.Mnemosyne.default_config with B.Mnemosyne.heap_size = heap; log_size = 2048 });
+  oversized_leaves_no_locks
+    (B.Nvml.ptm { B.Nvml.default_config with B.Nvml.heap_size = heap; log_size = 2048 })
+
 let suite =
   [
     Alcotest.test_case "all systems agree on the counter" `Quick test_all_systems_agree;
@@ -285,4 +329,6 @@ let suite =
       test_nvml_recovery_rolls_back_inflight;
     Alcotest.test_case "mnemosyne: truncation then recovery" `Quick
       test_mnemosyne_truncation_then_recovery;
+    Alcotest.test_case "oversized transaction rejected before locking" `Quick
+      test_oversized_tx_rejected_before_locking;
   ]

@@ -528,8 +528,7 @@ let test_extension_never_backwards () =
          for i = 1 to 3 do
            ignore (Tinystm.run tm (fun tx -> Tinystm.write tx 64 (Int64.of_int i)))
          done;
-         let h = Tinystm.snapshot_handle tm in
-         let ro = Snapshot.begin_ro h in
+         let ro = Snapshot.begin_ro tm in
          check Alcotest.int "epoch starts at the clock" 3 (Snapshot.epoch ro);
          check Alcotest.int64 "snapshot reads the committed value" 3L (Snapshot.read ro 64);
          check Alcotest.int "read-set recorded" 1 (Snapshot.read_set_size ro);

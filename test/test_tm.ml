@@ -1,5 +1,6 @@
 (* Transactional-memory tests: lock table, TinySTM serializability and
-   rollback, HTM conflicts/capacity/fallback. *)
+   rollback, HTM conflicts/capacity/fallback, and exact golden contended
+   runs of every versioned-lock TM. *)
 
 module Lock_table = Dudetm_tm.Lock_table
 module Tinystm = Dudetm_tm.Tinystm
@@ -9,6 +10,7 @@ module Tm_intf = Dudetm_tm.Tm_intf
 module Sched = Dudetm_sim.Sched
 module Rng = Dudetm_sim.Rng
 module Stats = Dudetm_sim.Stats
+module B = Dudetm_baselines
 
 let check = Alcotest.check
 
@@ -374,6 +376,142 @@ let test_htm_tid_conflicts_ablation () =
   check Alcotest.int "modified hardware: disjoint txs never abort" 0 (run_with false);
   check Alcotest.bool "stock hardware: counter conflicts abort" true (run_with true > 0)
 
+(* ------------------ golden contended runs (exact) --------------------- *)
+
+(* Fixed-seed contended runs whose counters, final clock and simulated end
+   cycle are pinned exactly: the versioned-lock protocol (validation,
+   commit-time locking, backoff draws) may be restructured, but no
+   scheduling point or RNG draw may move. *)
+
+let golden_keys =
+  [ "commits"; "aborts"; "backoffs"; "backoff_cycles"; "snapshot_retries"; "snapshot_extends" ]
+
+let golden_row stats ~clock ~cycles =
+  List.map (fun k -> (k, Stats.get stats k)) golden_keys
+  @ [ ("clock", clock); ("end_cycle", cycles) ]
+
+(* Four writers each bump a shared counter and one of eight slot pairs
+   (both halves always written equal); [readers] snapshot readers check
+   and sum every pair, the odd ones pinned to a watermark that trails the
+   clock. *)
+let contended_run (module Tm : TM) ~readers =
+  let mem = Bytes.make 8192 '\000' in
+  let tm = Tm.create ~seed:7 (Tm_intf.mem_store mem) in
+  let watermark = ref 0 in
+  let cycles =
+    Sched.run (fun () ->
+        ignore
+          (Sched.spawn ~daemon:true "watermark" (fun () ->
+               while true do
+                 Sched.advance 700;
+                 watermark := Tm.last_tid tm
+               done));
+        for w = 0 to 3 do
+          ignore
+            (Sched.spawn (Printf.sprintf "w%d" w) (fun () ->
+                 let rng = Rng.create (100 + w) in
+                 for _ = 1 to 60 do
+                   let p = 16 * Rng.int rng 8 in
+                   ignore
+                     (Tm.run tm (fun tx ->
+                          let c = Tm.read tx 0 in
+                          let v = Tm.read tx (64 + p) in
+                          Sched.advance 50;
+                          Tm.write tx (64 + p) (Int64.add v 1L);
+                          Tm.write tx (72 + p) (Int64.add v 1L);
+                          Tm.write tx 0 (Int64.add c 1L)))
+                 done))
+        done;
+        for r = 0 to readers - 1 do
+          ignore
+            (Sched.spawn (Printf.sprintf "r%d" r) (fun () ->
+                 let pin = if r mod 2 = 1 then Some (fun () -> !watermark) else None in
+                 for _ = 1 to 40 do
+                   match
+                     Tm.run_ro ?pin tm (fun ro ->
+                         let sum = ref 0L in
+                         for i = 0 to 7 do
+                           let a = Tm.ro_read ro (64 + (16 * i)) in
+                           Sched.advance 30;
+                           let b = Tm.ro_read ro (72 + (16 * i)) in
+                           if a <> b then Alcotest.failf "torn pair %d: %Ld vs %Ld" i a b;
+                           sum := Int64.add !sum a
+                         done;
+                         !sum)
+                   with
+                   | Some _ -> ()
+                   | None -> Alcotest.fail "snapshot aborted"
+                 done))
+        done)
+  in
+  check Alcotest.int64 "every write transaction committed once" 240L (Bytes.get_int64_le mem 0);
+  golden_row (Tm.stats tm) ~clock:(Tm.last_tid tm) ~cycles
+
+let mnemosyne_run () =
+  let cfg =
+    { B.Mnemosyne.default_config with B.Mnemosyne.heap_size = 1 lsl 20; log_size = 1 lsl 10 }
+  in
+  let t = B.Mnemosyne.create cfg in
+  let ptm = B.Mnemosyne.ptm_of t in
+  let cycles =
+    Sched.run (fun () ->
+        for w = 0 to 3 do
+          ignore
+            (Sched.spawn (Printf.sprintf "w%d" w) (fun () ->
+                 let rng = Rng.create (200 + w) in
+                 for _ = 1 to 50 do
+                   let p = 4096 + (16 * Rng.int rng 8) in
+                   ignore
+                     (ptm.B.Ptm_intf.atomically ~thread:w (fun tx ->
+                          let c = tx.B.Ptm_intf.read 4096 in
+                          let v = tx.B.Ptm_intf.read (64 + p) in
+                          tx.B.Ptm_intf.write (64 + p) (Int64.add v 1L);
+                          tx.B.Ptm_intf.write 4096 (Int64.add c 1L)))
+                 done))
+        done)
+  in
+  let counters = ptm.B.Ptm_intf.counters () in
+  let get k = Option.value ~default:0 (List.assoc_opt k counters) in
+  List.map (fun k -> (k, get k)) [ "commits"; "aborts"; "reads"; "writes"; "log_truncations" ]
+  @ [ ("clock", ptm.B.Ptm_intf.last_tid ());
+      ("durable", ptm.B.Ptm_intf.durable_id ());
+      ("end_cycle", cycles) ]
+
+let golden_runs =
+  [
+    ( "tinystm",
+      (fun () -> contended_run (module Tinystm) ~readers:0),
+      [ ("commits", 240); ("aborts", 345); ("backoffs", 345); ("backoff_cycles", 365781);
+        ("snapshot_retries", 0); ("snapshot_extends", 0); ("clock", 240);
+        ("end_cycle", 325094) ] );
+    ( "tinystm-wb",
+      (fun () -> contended_run (module Tinystm_wb) ~readers:0),
+      [ ("commits", 240); ("aborts", 260); ("backoffs", 260); ("backoff_cycles", 275190);
+        ("snapshot_retries", 0); ("snapshot_extends", 0); ("clock", 240);
+        ("end_cycle", 321169) ] );
+    ( "snapshots over tinystm",
+      (fun () -> contended_run (module Tinystm) ~readers:4),
+      [ ("commits", 240); ("aborts", 436); ("backoffs", 504); ("backoff_cycles", 419142);
+        ("snapshot_retries", 68); ("snapshot_extends", 278); ("clock", 240);
+        ("end_cycle", 332328) ] );
+    ( "snapshots over tinystm-wb",
+      (fun () -> contended_run (module Tinystm_wb) ~readers:4),
+      [ ("commits", 240); ("aborts", 304); ("backoffs", 313); ("backoff_cycles", 341525);
+        ("snapshot_retries", 9); ("snapshot_extends", 98); ("clock", 240);
+        ("end_cycle", 321642) ] );
+    ( "mnemosyne",
+      mnemosyne_run,
+      [ ("commits", 200); ("aborts", 787); ("reads", 1456); ("writes", 934);
+        ("log_truncations", 8); ("clock", 200); ("durable", 200); ("end_cycle", 757593) ] );
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, run, expected) ->
+      Alcotest.test_case ("golden contended run: " ^ name) `Quick (fun () ->
+          check Alcotest.(list (pair string int)) name expected (run ())))
+    golden_runs
+
 let suite =
   [
     Alcotest.test_case "lock table acquire/release" `Quick test_lock_table_acquire_release;
@@ -398,3 +536,4 @@ let suite =
       Alcotest.test_case "htm: tx-ID counter conflict ablation" `Quick
         test_htm_tid_conflicts_ablation;
     ]
+  @ golden_tests
