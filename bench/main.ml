@@ -5,62 +5,47 @@
    runs one Bechamel micro-benchmark per table/figure over scaled-down
    instances, reporting wall-clock cost of the harness itself.
 
+   The gated experiments record ledger rows and gates: after the selected
+   experiments run, the rows go to BENCH_ledger.tsv, every gate is
+   reported, and the run exits 1 if any gate failed.
+
      dune exec bench/main.exe                    # everything
      dune exec bench/main.exe -- fig2 table3     # selected experiments
      dune exec bench/main.exe -- --scale 0.25    # quicker, smaller runs
      dune exec bench/main.exe -- --full          # adds the 100k group to fig3
      dune exec bench/main.exe -- --bechamel      # Bechamel micro-bench mode *)
 
-let experiments scale full =
-  [
-    ("fig2", fun () -> Fig2.run ~scale ());
-    ("table1", fun () -> Table1.run ~scale ());
-    ("table2", fun () -> Table2.run ~scale ());
-    ("table3", fun () -> Table3.run ~scale ());
-    ("fig3", fun () -> Fig3.run ~full ());
-    ("fig4", fun () -> Fig4.run ~scale ());
-    ("fig5", fun () -> Fig5.run ~scale ());
-    ("table4", fun () -> Table4.run ~scale ());
-    ("ablation", fun () -> Ablation.run ~scale ());
-    ("ycsb", fun () -> Ycsb_bench.run ~scale ());
-    ("recovery", fun () -> Recovery_bench.run ~scale ());
-    ("trace", fun () -> Trace_bench.run ~scale ());
-    ("shard", fun () -> Shard_bench.run ~scale ());
-    ("persist", fun () -> Persist_bench.run ~scale ());
-    ("replica", fun () -> Replica_bench.run ~scale ());
-    ("migrate", fun () -> Migrate_bench.run ~scale ());
-    ("snapshot", fun () -> Snapshot_bench.run ~scale ());
-    ("serve", fun () -> Serve_bench.run ~scale ());
-  ]
+module Ledger = Dudetm_harness.Harness.Ledger
 
-let bechamel_tests =
+(* Every experiment: its name, its full run, and the scaled-down instance
+   Bechamel times. *)
+let experiments scale full ledger =
   [
-    ("fig2", Fig2.tiny);
-    ("table1", Table1.tiny);
-    ("table2", Table2.tiny);
-    ("table3", Table3.tiny);
-    ("fig3", Fig3.tiny);
-    ("fig4", Fig4.tiny);
-    ("fig5", Fig5.tiny);
-    ("table4", Table4.tiny);
-    ("ablation", Ablation.tiny);
-    ("ycsb", Ycsb_bench.tiny);
-    ("recovery", Recovery_bench.tiny);
-    ("trace", Trace_bench.tiny);
-    ("shard", Shard_bench.tiny);
-    ("persist", Persist_bench.tiny);
-    ("replica", Replica_bench.tiny);
-    ("migrate", Migrate_bench.tiny);
-    ("snapshot", Snapshot_bench.tiny);
-    ("serve", Serve_bench.tiny);
+    ("fig2", (fun () -> Fig2.run ~scale ()), Fig2.tiny);
+    ("table1", (fun () -> Table1.run ~scale ()), Table1.tiny);
+    ("table2", (fun () -> Table2.run ~scale ()), Table2.tiny);
+    ("table3", (fun () -> Table3.run ~scale ()), Table3.tiny);
+    ("fig3", (fun () -> Fig3.run ~full ()), Fig3.tiny);
+    ("fig4", (fun () -> Fig4.run ~scale ()), Fig4.tiny);
+    ("fig5", (fun () -> Fig5.run ~scale ()), Fig5.tiny);
+    ("table4", (fun () -> Table4.run ~scale ()), Table4.tiny);
+    ("ablation", (fun () -> Ablation.run ~scale ()), Ablation.tiny);
+    ("ycsb", (fun () -> Ycsb_bench.run ~scale ()), Ycsb_bench.tiny);
+    ("recovery", (fun () -> Recovery_bench.run ~scale ()), Recovery_bench.tiny);
+    ("trace", (fun () -> Trace_bench.run ~scale ledger), Trace_bench.tiny);
+    ("shard", (fun () -> Shard_bench.run ~scale ledger), Shard_bench.tiny);
+    ("replica", (fun () -> Replica_bench.run ~scale ledger), Replica_bench.tiny);
+    ("migrate", (fun () -> Migrate_bench.run ~scale ledger), Migrate_bench.tiny);
+    ("snapshot", (fun () -> Snapshot_bench.run ~scale ledger), Snapshot_bench.tiny);
+    ("serve", (fun () -> Serve_bench.run ~scale ledger), Serve_bench.tiny);
   ]
 
 let run_bechamel () =
   let open Bechamel in
   let tests =
     List.map
-      (fun (name, f) -> Test.make ~name (Staged.stage f))
-      bechamel_tests
+      (fun (name, _, tiny) -> Test.make ~name (Staged.stage tiny))
+      (experiments 1.0 false (Ledger.create ()))
   in
   let grouped = Test.make_grouped ~name:"dudetm" ~fmt:"%s/%s" tests in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -104,20 +89,27 @@ let () =
   parse args;
   if !bechamel then run_bechamel ()
   else begin
-    let exps = experiments !scale !full in
+    let ledger = Ledger.create () in
+    let exps = experiments !scale !full ledger in
     let wanted =
       if !selected = [] then exps
       else
         List.map
           (fun name ->
-            match List.assoc_opt name exps with
-            | Some f -> (name, f)
+            match List.find_opt (fun (n, _, _) -> n = name) exps with
+            | Some e -> e
             | None ->
               Printf.eprintf "unknown experiment %S (have: %s)\n" name
-                (String.concat ", " (List.map fst exps));
+                (String.concat ", " (List.map (fun (n, _, _) -> n) exps));
               exit 2)
           (List.rev !selected)
     in
-    List.iter (fun (_, f) -> f ()) wanted;
-    print_newline ()
+    List.iter (fun (_, run, _) -> run ()) wanted;
+    print_newline ();
+    Ledger.write ledger "BENCH_ledger.tsv";
+    let gates = Ledger.check ledger in
+    List.iter
+      (fun (line, ok) -> Printf.printf "%s %s\n" (if ok then "gate ok  " else "GATE FAIL") line)
+      gates;
+    if List.exists (fun (_, ok) -> not ok) gates then exit 1
   end

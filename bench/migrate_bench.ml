@@ -11,7 +11,7 @@
    mean of the pre- and post-resharding windows.
 
    Gate: windows below 60% of steady-state must cover at most 20% of the
-   run, and no transaction may fail to commit.  Emits BENCH_migrate.json. *)
+   run, and no transaction may fail to commit. *)
 
 open Dudetm_harness.Harness
 module Sched = Dudetm_sim.Sched
@@ -20,6 +20,7 @@ module Stats = Dudetm_sim.Stats
 module Config = Dudetm_core.Config
 module Partition = Dudetm_workloads.Partition
 module Mig = Dudetm_shard.Migrate.Make (Dudetm_tm.Tinystm)
+module L = Ledger
 
 let nshards = 8
 
@@ -59,9 +60,6 @@ type result = {
   g_double_writes : int;
   g_copy_txs : int;
 }
-
-let ktps ~txs ~cycles =
-  if cycles = 0 then 0.0 else float_of_int txs /. (Cycles.to_us cycles /. 1000.0)
 
 (* One full run: warm traffic, the four migrations under traffic, post
    traffic.  [warm] shapes the steady segments; workers run until the
@@ -169,7 +167,7 @@ let run_resharding ~warm () =
       g_copy_txs = Stats.get stats "migrate_copy_txs";
     } )
 
-let run ?(scale = 1.0) () =
+let run ?(scale = 1.0) led =
   let warm = max 300_000 (int_of_float (float_of_int canonical_warm *. scale)) in
   section
     (Printf.sprintf
@@ -187,40 +185,22 @@ let run ?(scale = 1.0) () =
      %s\n"
     g.g_committed g.g_failed g.g_double_writes g.g_copy_txs
     (String.concat ";" (Array.to_list (Array.map string_of_int final_owners)));
-  let row_json (t, k) = Printf.sprintf {|    {"cycle": %d, "ktps": %.1f}|} t k in
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"migrate-reshard\",\n  \"shards\": %d,\n  \"keys\": %d,\n  \
-       \"threads\": %d,\n  \"committed\": %d,\n  \"failed\": %d,\n  \"steady_ktps\": \
-       %.1f,\n  \"min_window_ktps\": %.1f,\n  \"dip_fraction\": %.3f,\n  \
-       \"converge_cycles\": %d,\n  \"converge_us\": %.3f,\n  \"double_writes\": %d,\n  \
-       \"copy_txs\": %d,\n  \"windows\": [\n%s\n  ]\n}\n"
-      nshards nkeys
-      (cfg.Config.nthreads - 1)
-      g.g_committed g.g_failed g.g_steady_ktps g.g_min_ktps g.g_dip_fraction g.g_converge
-      (Cycles.to_us g.g_converge)
-      g.g_double_writes g.g_copy_txs
-      (String.concat ",\n" (List.map row_json g.g_windows))
-  in
-  write_artifact "BENCH_migrate.json" json;
-  let deep_dip = g.g_min_ktps < 0.6 *. g.g_steady_ktps in
-  if g.g_failed > 0 then begin
-    Printf.printf "MIGRATION COMMIT FAILURES: %d transactions failed during resharding\n"
-      g.g_failed;
-    exit 1
-  end
-  else if g.g_dip_fraction > 0.20 then begin
-    Printf.printf
-      "MIGRATION DIP REGRESSION: throughput below 60%% of steady-state for %.1f%% of \
-       the run (> 20%%)\n"
-      (g.g_dip_fraction *. 100.0);
-    exit 1
-  end
-  else
-    Printf.printf
-      "resharding dip check: %s60%% dips cover %.1f%% of the run (<= 20%%), zero failed \
-       commits\n"
-      (if deep_dip then "transient " else "no ")
-      (g.g_dip_fraction *. 100.0)
+  let scenario = "migrate/4to8" in
+  L.add led ~scenario ~layer:"param"
+    (L.ints "count" [ ("shards", nshards); ("keys", nkeys); ("threads", cfg.Config.nthreads - 1) ]);
+  L.add led ~scenario ~layer:"bench"
+    ([
+       ("committed", "txs", L.Int g.g_committed); ("failed", "txs", L.Int g.g_failed);
+       ("cycles", "cycles", L.Int g.g_cycles); ("steady_ktps", "ktps", L.Float g.g_steady_ktps);
+       ("min_window_ktps", "ktps", L.Float g.g_min_ktps);
+       ("dip_fraction", "frac", L.Float g.g_dip_fraction);
+       ("converge_cycles", "cycles", L.Int g.g_converge);
+       ("converge_us", "us", L.Float (Cycles.to_us g.g_converge));
+     ]
+    @ List.map (fun (t, k) -> (Printf.sprintf "window_ktps@%d" t, "ktps", L.Float k)) g.g_windows);
+  L.add led ~scenario ~layer:"shard"
+    (L.ints "count" [ ("double_writes", g.g_double_writes); ("copy_txs", g.g_copy_txs) ]);
+  L.gate led ~scenario ~layer:"bench" "failed" (L.Exactly 0.0);
+  L.gate led ~scenario ~layer:"bench" "dip_fraction" (L.At_most 0.20)
 
 let tiny () = ignore (run_resharding ~warm:100_000 ())

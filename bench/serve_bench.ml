@@ -16,12 +16,13 @@
      submitted requests with a typed Overloaded reply (otherwise the
      sweep never actually stressed admission control).
 
-   Emits BENCH_serve.json with, per point, throughput, shed counts, gate
-   transitions, percentiles and the full log2 latency histograms. *)
+   Records, per point, throughput, shed counts, gate transitions,
+   percentiles and the full log2 latency histograms as ledger rows. *)
 
 open Dudetm_harness.Harness
 module SL = Dudetm_serve.Serve_load
 module Stats = Dudetm_sim.Stats
+module L = Ledger
 
 let ntenants = 4
 
@@ -86,90 +87,77 @@ let run_points ~nshards ~reqs =
         (100.0 *. shed_frac r)
         (p r.SL.r_lat_write 99.0) (p r.SL.r_lat_read 99.0) r.SL.r_gate_trips)
     points;
-  (cal, capacity, points)
+  (capacity, points)
 
-let point_json ~nshards ~capacity { pt_frac; pt = r } =
-  Printf.sprintf
-    {|    {"shards": %d, "capacity_ktps": %.1f, "fraction": %.2f, "offered_ktps": %.1f, "achieved_ktps": %.1f, "done": %d, "shed": %d, "aborted": %d, "blocked": %d, "gate_trips": %d, "gate_untrips": %d, "queue_depth_hwm": %d, "write_p50": %d, "write_p95": %d, "write_p99": %d, "read_p50": %d, "read_p95": %d, "read_p99": %d, "write_histogram": %s, "read_histogram": %s}|}
-    nshards capacity pt_frac r.SL.r_offered_ktps r.SL.r_achieved_ktps r.SL.r_done
-    r.SL.r_shed r.SL.r_aborted r.SL.r_blocked r.SL.r_gate_trips r.SL.r_gate_untrips
-    r.SL.r_depth_hwm
-    (p r.SL.r_lat_write 50.0)
-    (p r.SL.r_lat_write 95.0)
-    (p r.SL.r_lat_write 99.0)
-    (p r.SL.r_lat_read 50.0)
-    (p r.SL.r_lat_read 95.0)
-    (p r.SL.r_lat_read 99.0)
-    (histogram_json r.SL.r_lat_write)
-    (histogram_json r.SL.r_lat_read)
+let record_point led ~nshards { pt_frac; pt = r } =
+  let scenario = Printf.sprintf "serve/n=%d/%.2fxC" nshards pt_frac in
+  L.add led ~scenario ~layer:"bench"
+    [
+      ("offered_ktps", "ktps", L.Float r.SL.r_offered_ktps);
+      ("achieved_ktps", "ktps", L.Float r.SL.r_achieved_ktps);
+      ("shed_frac", "frac", L.Float (shed_frac r));
+    ];
+  (* Percentiles, then the sparse log2 histogram keyed by bucket floor. *)
+  let latency kind lat =
+    L.ints "cycles" (List.map (fun q -> (Printf.sprintf "%s_p%g" kind q, p lat q)) [ 50.0; 95.0; 99.0 ])
+    @ L.ints "count"
+        (List.map
+           (fun (b, c) -> (Printf.sprintf "%s_hist[%d]" kind (1 lsl b), c))
+           (Stats.Latency.log2_histogram lat))
+  in
+  L.add led ~scenario ~layer:"serve"
+    (L.ints "count"
+       [
+         ("done", r.SL.r_done); ("shed", r.SL.r_shed); ("aborted", r.SL.r_aborted);
+         ("blocked", r.SL.r_blocked); ("gate_trips", r.SL.r_gate_trips);
+         ("gate_untrips", r.SL.r_gate_untrips); ("queue_depth_hwm", r.SL.r_depth_hwm);
+       ]
+    @ latency "write" r.SL.r_lat_write
+    @ latency "read" r.SL.r_lat_read)
 
-let run ?(scale = 1.0) () =
+let run ?(scale = 1.0) led =
   let reqs = max 60 (int_of_float (300.0 *. scale)) in
   section
     (Printf.sprintf
        "Serving front end: latency vs offered load, %d tenants, sessions scaled \
         with shard count, open-loop sweep to 1.5x capacity"
        ntenants);
-  let legs_json = ref [] in
-  let gate_failures = ref [] in
+  L.add led ~scenario:"serve" ~layer:"param"
+    (L.ints "count" [ ("tenants", ntenants); ("reqs_per_session", reqs) ]);
   List.iter
     (fun nshards ->
-      let _cal, capacity, points = run_points ~nshards ~reqs in
+      let capacity, points = run_points ~nshards ~reqs in
       let find frac =
         List.find (fun pp -> Float.abs (pp.pt_frac -. frac) < 1e-9) points
       in
       let base = (find 0.3).pt and target = (find target_fraction).pt in
       let base_p99 = p base.SL.r_lat_write 99.0 in
       let target_p99 = p target.SL.r_lat_write 99.0 in
-      let slo = int_of_float (slo_multiple *. float_of_int (max 1 base_p99)) in
-      if target.SL.r_shed > 0 then
-        gate_failures :=
-          Printf.sprintf "%d shards: %d requests shed at the %.1fxC target load"
-            nshards target.SL.r_shed target_fraction
-          :: !gate_failures;
-      if target_p99 > slo then
-        gate_failures :=
-          Printf.sprintf
-            "%d shards: write p99 %d at %.1fxC exceeds the SLO %d (%.0fx light-load p99 \
-             %d)"
-            nshards target_p99 target_fraction slo slo_multiple base_p99
-          :: !gate_failures;
-      let knee_points =
-        List.filter (fun pp -> shed_frac pp.pt >= knee_shed_fraction) points
-      in
-      if knee_points = [] then
-        gate_failures :=
-          Printf.sprintf
-            "%d shards: no sweep point shed >= %.0f%% — the curve never reached the knee"
-            nshards (100.0 *. knee_shed_fraction)
-          :: !gate_failures
-      else
+      let scenario = Printf.sprintf "serve/n=%d" nshards in
+      let slo_ratio = float_of_int target_p99 /. float_of_int (max 1 base_p99) in
+      let max_shed = List.fold_left (fun m pp -> max m (shed_frac pp.pt)) 0.0 points in
+      L.add led ~scenario ~layer:"bench"
+        [
+          ("capacity_ktps", "ktps", L.Float capacity);
+          ("sessions_per_tenant", "count", L.Int (sessions_for nshards));
+          ("target_write_p99_over_light", "x", L.Float slo_ratio);
+          ("max_shed_frac", "frac", L.Float max_shed);
+        ];
+      List.iter (record_point led ~nshards) points;
+      L.gate led
+        ~scenario:(Printf.sprintf "%s/%.2fxC" scenario target_fraction)
+        ~layer:"serve" "shed" (L.Exactly 0.0);
+      L.gate led ~scenario ~layer:"bench" "target_write_p99_over_light"
+        (L.At_most slo_multiple);
+      L.gate led ~scenario ~layer:"bench" "max_shed_frac" (L.At_least knee_shed_fraction);
+      match List.find_opt (fun pp -> shed_frac pp.pt >= knee_shed_fraction) points with
+      | Some knee ->
         Printf.printf
           "  knee: shedding >= %.0f%% from %.2fxC on; target %.1fxC p99 %d within SLO %d\n"
-          (100.0 *. knee_shed_fraction)
-          (List.hd knee_points).pt_frac target_fraction target_p99 slo;
-      legs_json := !legs_json @ List.map (point_json ~nshards ~capacity) points)
-    [ 1; 8 ];
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"serve\",\n  \"tenants\": %d,\n  \"sessions_per_tenant\": \
-       \"2 * max 2 shards\",\n  \"reqs_per_session\": %d,\n  \"target_fraction\": \
-       %.2f,\n  \"gate\": \
-       \"at %.1fxC: shed == 0 and write p99 <= %.0fx the 0.3xC p99; some sweep point \
-       sheds >= %.0f%% (knee reached)\",\n  \"points\": [\n%s\n  ]\n}\n"
-      ntenants reqs target_fraction target_fraction slo_multiple
-      (100.0 *. knee_shed_fraction)
-      (String.concat ",\n" !legs_json)
-  in
-  write_artifact "BENCH_serve.json" json;
-  match !gate_failures with
-  | [] ->
-    Printf.printf
-      "serve gate: p99 SLO held at the target load and the sweep reached the shedding \
-       knee\n"
-  | fs ->
-    List.iter (fun f -> Printf.printf "SERVE GATE FAILURE: %s\n" f) fs;
-    exit 1
+          (100.0 *. knee_shed_fraction) knee.pt_frac target_fraction target_p99
+          (int_of_float (slo_multiple *. float_of_int (max 1 base_p99)))
+      | None -> ())
+    [ 1; 8 ]
 
 let tiny () =
   ignore

@@ -16,16 +16,16 @@
    reads; and a post-drain RO burst must move zero redo-log entries, zero
    persist-daemon records/bytes, zero engine transaction IDs and zero
    device-persisted bytes — the snapshot path is invisible to the
-   pipeline.  Emits BENCH_snapshot.json. *)
+   pipeline. *)
 
 open Dudetm_harness.Harness
 module Sched = Dudetm_sim.Sched
-module Cycles = Dudetm_sim.Cycles
 module Rng = Dudetm_sim.Rng
 module Stats = Dudetm_sim.Stats
 module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module Sh = Dudetm_shard.Shard.Make (Dudetm_tm.Tinystm)
+module L = Ledger
 
 let nslots = 4096 (* per shard *)
 
@@ -47,6 +47,8 @@ let write_pace = 600 (* extra cycles between one writer's update txs *)
 
 let canonical_run = 1_500_000 (* measured cycles per leg *)
 
+let ro_burst_txs = 200
+
 (* PCM-class persist latency with write combining: the regime the paper
    targets, and the one where the commit-to-durable lag that a write-path
    durable read must absorb is real rather than negligible. *)
@@ -64,79 +66,57 @@ let cfg =
   }
 
 type leg = {
-  l_mode : string;  (* "rw" | "ro" *)
-  l_durable : bool;
   l_read_txs : int;
   l_write_txs : int;
   l_read_ktps : float;
   l_aborts : int;
   l_snapshot_retries : int;
+  l_burst : (string * string * int) list;  (* (metric, layer, delta) of the RO burst *)
 }
 
-(* Sum an engine counter across every shard. *)
+(* One read transaction's body: [reads_per_tx] random slots of shard [s]. *)
+let reads rng s tx =
+  for _ = 1 to reads_per_tx do
+    ignore (Sh.read tx ~shard:s (slot (Rng.int rng nslots)))
+  done
+
+(* Sum a per-shard quantity across every shard. *)
+let over_shards ~nshards f = List.fold_left (fun acc s -> acc + f s) 0 (List.init nshards Fun.id)
+
 let engine_stat sh ~nshards key =
-  let total = ref 0 in
-  for s = 0 to nshards - 1 do
-    total := !total + Stats.get (Sh.Engine.stats (Sh.engine sh s)) key
-  done;
-  !total
+  over_shards ~nshards (fun s -> Stats.get (Sh.Engine.stats (Sh.engine sh s)) key)
 
 let tm_stat sh ~nshards key =
-  let total = ref 0 in
-  for s = 0 to nshards - 1 do
-    total :=
-      !total + Stats.get (Dudetm_tm.Tinystm.stats (Sh.Engine.tm (Sh.engine sh s))) key
-  done;
-  !total
-
-let device_bytes sh ~nshards =
-  let total = ref 0 in
-  for s = 0 to nshards - 1 do
-    total := !total + Nvm.persisted_write_bytes (Sh.nvm sh s)
-  done;
-  !total
+  over_shards ~nshards (fun s ->
+      Stats.get (Dudetm_tm.Tinystm.stats (Sh.Engine.tm (Sh.engine sh s))) key)
 
 (* The post-drain burst: [n] snapshot transactions in each mode must leave
-   every pipeline-side counter exactly where it was. *)
-let assert_ro_invisible sh ~nshards ~n =
+   every pipeline-side counter exactly where it was.  Returns how far each
+   counter moved. *)
+let ro_burst sh ~nshards ~n =
   (* Let the device bandwidth queues finish accounting bytes that were
      issued before the burst: [persisted_write_bytes] counts completions,
      which lag issue time. *)
   Sched.advance 2_000_000;
-  let keys = [ "txs"; "log_entries"; "flush_records"; "flush_payload_bytes" ] in
-  let before = List.map (fun k -> (k, engine_stat sh ~nshards k)) keys in
-  let ro_before = engine_stat sh ~nshards "ro_txs" in
-  let dev_before = device_bytes sh ~nshards in
+  let counters () =
+    List.map
+      (fun k -> (k, "engine", engine_stat sh ~nshards k))
+      [ "txs"; "log_entries"; "flush_records"; "flush_payload_bytes"; "ro_txs" ]
+    @ [
+        ( "persisted_bytes",
+          "nvm",
+          over_shards ~nshards (fun s -> Nvm.persisted_write_bytes (Sh.nvm sh s)) );
+      ]
+  in
+  let before = counters () in
   let rng = Rng.create 99 in
   for i = 0 to n - 1 do
     let s = Rng.int rng nshards in
-    match
-      Sh.atomically_ro ~durable:(i land 1 = 1) sh ~thread:0 ~shard:s (fun tx ->
-          for _ = 1 to reads_per_tx do
-            ignore (Sh.read tx ~shard:s (slot (Rng.int rng nslots)))
-          done)
-    with
+    match Sh.atomically_ro ~durable:(i land 1 = 1) sh ~thread:0 ~shard:s (reads rng s) with
     | Some _ -> ()
     | None -> failwith "snapshot burst aborted"
   done;
-  List.iter
-    (fun (k, v0) ->
-      let v1 = engine_stat sh ~nshards k in
-      if v1 <> v0 then begin
-        Printf.printf "SNAPSHOT LEAK: %d RO transactions moved %s by %d\n" n k (v1 - v0);
-        exit 1
-      end)
-    before;
-  let dev_after = device_bytes sh ~nshards in
-  if dev_after <> dev_before then begin
-    Printf.printf "SNAPSHOT LEAK: %d RO transactions persisted %d device bytes\n" n
-      (dev_after - dev_before);
-    exit 1
-  end;
-  if engine_stat sh ~nshards "ro_txs" - ro_before <> n then begin
-    Printf.printf "SNAPSHOT MISCOUNT: ro_txs did not advance by %d\n" n;
-    exit 1
-  end
+  List.map2 (fun (k, layer, v0) (_, _, v1) -> (k, layer, v1 - v0)) before (counters ())
 
 (* One leg: [nreaders] closed-loop reader threads via [mode] for
    [run_cycles], against the fixed-rate background update stream, then
@@ -149,6 +129,7 @@ let run_leg ~nshards ~mode ~durable ~run_cycles ~check_invisible () =
   let stop_writers = ref false in
   let done_workers = ref 0 in
   let nworkers = nreaders + nwriters in
+  let burst = ref [] in
   ignore
     (Sched.run (fun () ->
          Sh.start sh;
@@ -180,21 +161,11 @@ let run_leg ~nshards ~mode ~durable ~run_cycles ~check_invisible () =
                   while Sched.now () < run_cycles do
                     let s = Rng.int rng nshards in
                     if mode = "ro" then (
-                      match
-                        Sh.atomically_ro ~durable sh ~thread:th ~shard:s (fun tx ->
-                            for _ = 1 to reads_per_tx do
-                              ignore (Sh.read tx ~shard:s (slot (Rng.int rng nslots)))
-                            done)
-                      with
+                      match Sh.atomically_ro ~durable sh ~thread:th ~shard:s (reads rng s) with
                       | Some _ -> incr read_txs
                       | None -> ())
                     else begin
-                      (match
-                         Sh.atomically sh ~thread:th ~shards:[ s ] (fun tx ->
-                             for _ = 1 to reads_per_tx do
-                               ignore (Sh.read tx ~shard:s (slot (Rng.int rng nslots)))
-                             done)
-                       with
+                      (match Sh.atomically sh ~thread:th ~shards:[ s ] (reads rng s) with
                       | Some _ -> incr read_txs
                       | None -> ());
                       if durable then
@@ -217,30 +188,32 @@ let run_leg ~nshards ~mode ~durable ~run_cycles ~check_invisible () =
          Sh.stop sh;
          (* Daemons are stopped: any device byte the burst persists is the
             snapshot path's own doing. *)
-         if check_invisible then assert_ro_invisible sh ~nshards ~n:200));
+         if check_invisible then burst := ro_burst sh ~nshards ~n:ro_burst_txs));
   {
-    l_mode = mode;
-    l_durable = durable;
     l_read_txs = !read_txs;
     l_write_txs = !write_txs;
-    l_read_ktps =
-      (if run_cycles = 0 then 0.0
-       else float_of_int !read_txs /. (Cycles.to_us run_cycles /. 1000.0));
+    l_read_ktps = ktps ~txs:!read_txs ~cycles:run_cycles;
     l_aborts = tm_stat sh ~nshards "aborts";
     l_snapshot_retries = tm_stat sh ~nshards "snapshot_retries";
+    l_burst = !burst;
   }
 
 let speedup num den = if den.l_read_ktps <= 0.0 then 0.0 else num.l_read_ktps /. den.l_read_ktps
 
-let run ?(scale = 1.0) () =
+let run ?(scale = 1.0) led =
   let run_cycles = max 300_000 (int_of_float (float_of_int canonical_run *. scale)) in
   section
     (Printf.sprintf
        "Snapshot fast path: read-mostly mix, %d reads/tx, %d readers + %d background \
         updaters, volatile + crash-safe reads"
        reads_per_tx nreaders nwriters);
-  let legs_json = ref [] in
-  let gate_failures = ref [] in
+  L.add led ~scenario:"snapshot" ~layer:"param"
+    (L.ints "count"
+       [
+         ("reads_per_tx", reads_per_tx); ("writes_per_tx", writes_per_tx); ("readers", nreaders);
+         ("background_updaters", nwriters);
+       ]
+    @ [ ("run_cycles", "cycles", L.Int run_cycles) ]);
   List.iter
     (fun nshards ->
       let leg ~mode ~durable ~check_invisible =
@@ -250,65 +223,44 @@ let run ?(scale = 1.0) () =
       let rw_d = leg ~mode:"rw" ~durable:true ~check_invisible:false in
       let ro_v = leg ~mode:"ro" ~durable:false ~check_invisible:false in
       let ro_d = leg ~mode:"ro" ~durable:true ~check_invisible:true in
+      let scenario = Printf.sprintf "snapshot/n=%d" nshards in
       Printf.printf "%d shard%s:\n" nshards (if nshards = 1 then "" else "s");
       Printf.printf "  %-28s %12s %10s %9s %9s\n" "read path" "read ktps" "read txs"
         "aborts" "ro-retry";
       List.iter
-        (fun (name, l) ->
+        (fun (name, leg, l) ->
           Printf.printf "  %-28s %12s %10d %9d %9d\n" name (pp_ktps l.l_read_ktps)
-            l.l_read_txs l.l_aborts l.l_snapshot_retries)
+            l.l_read_txs l.l_aborts l.l_snapshot_retries;
+          let scenario = scenario ^ "/" ^ leg in
+          L.add led ~scenario ~layer:"bench"
+            [
+              ("read_ktps", "ktps", L.Float l.l_read_ktps);
+              ("read_txs", "txs", L.Int l.l_read_txs); ("write_txs", "txs", L.Int l.l_write_txs);
+            ];
+          L.add led ~scenario ~layer:"tm"
+            (L.ints "count" [ ("aborts", l.l_aborts); ("snapshot_retries", l.l_snapshot_retries) ]))
         [
-          ("write path, volatile", rw_v);
-          ("write path + durable wait", rw_d);
-          ("snapshot, volatile", ro_v);
-          ("snapshot, durable pin", ro_d);
+          ("write path, volatile", "rw-volatile", rw_v);
+          ("write path + durable wait", "rw-durable", rw_d);
+          ("snapshot, volatile", "ro-volatile", ro_v);
+          ("snapshot, durable pin", "ro-durable", ro_d);
         ];
       let sv = speedup ro_v rw_v and sd = speedup ro_d rw_d in
       Printf.printf "  volatile speedup %.2fx, crash-safe-read speedup %.2fx\n" sv sd;
-      if sd < 5.0 then
-        gate_failures :=
-          Printf.sprintf
-            "%d shards: crash-safe snapshot reads only %.2fx the write-path recipe (< 5x)"
-            nshards sd
-          :: !gate_failures;
-      if sv < 1.0 then
-        gate_failures :=
-          Printf.sprintf "%d shards: volatile snapshot reads regressed (%.2fx < 1x)"
-            nshards sv
-          :: !gate_failures;
-      let leg_json (l : leg) =
-        Printf.sprintf
-          {|    {"shards": %d, "path": "%s", "durable": %b, "read_ktps": %.1f, "read_txs": %d, "write_txs": %d, "tm_aborts": %d, "snapshot_retries": %d}|}
-          nshards l.l_mode l.l_durable l.l_read_ktps l.l_read_txs l.l_write_txs l.l_aborts
-          l.l_snapshot_retries
-      in
-      legs_json :=
-        !legs_json
-        @ List.map leg_json [ rw_v; rw_d; ro_v; ro_d ]
-        @ [
-            Printf.sprintf
-              {|    {"shards": %d, "volatile_speedup": %.2f, "durable_speedup": %.2f}|}
-              nshards sv sd;
-          ])
-    [ 1; 8 ];
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"snapshot-ro\",\n  \"reads_per_tx\": %d,\n  \
-       \"writes_per_tx\": %d,\n  \"readers\": %d,\n  \"background_updaters\": %d,\n  \
-       \"run_cycles\": %d,\n  \"gate\": \"durable_speedup >= 5.0 and volatile_speedup \
-       >= 1.0 and RO moves no pipeline counters\",\n  \"legs\": [\n%s\n  ]\n}\n"
-      reads_per_tx writes_per_tx nreaders nwriters run_cycles
-      (String.concat ",\n" !legs_json)
-  in
-  write_artifact "BENCH_snapshot.json" json;
-  match !gate_failures with
-  | [] ->
-    Printf.printf
-      "snapshot gate: crash-safe reads >= 5x, volatile reads >= 1x, RO invisible to the \
-       pipeline\n"
-  | fs ->
-    List.iter (fun f -> Printf.printf "SNAPSHOT GATE FAILURE: %s\n" f) fs;
-    exit 1
+      L.add led ~scenario ~layer:"bench"
+        [ ("volatile_speedup", "x", L.Float sv); ("durable_speedup", "x", L.Float sd) ];
+      L.gate led ~scenario ~layer:"bench" "durable_speedup" (L.At_least 5.0);
+      L.gate led ~scenario ~layer:"bench" "volatile_speedup" (L.At_least 1.0);
+      (* The burst runs [ro_burst_txs] snapshot transactions after the
+         drain: only [ro_txs] may move, by exactly that many. *)
+      let scenario = scenario ^ "/ro-burst" in
+      List.iter
+        (fun (metric, layer, delta) ->
+          L.add led ~scenario ~layer [ (metric, "delta", L.Int delta) ];
+          L.gate led ~scenario ~layer metric
+            (L.Exactly (if metric = "ro_txs" then float_of_int ro_burst_txs else 0.0)))
+        ro_d.l_burst)
+    [ 1; 8 ]
 
 let tiny () =
   ignore (run_leg ~nshards:1 ~mode:"ro" ~durable:false ~run_cycles:120_000 ~check_invisible:false ())

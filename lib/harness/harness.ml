@@ -291,24 +291,10 @@ let hr = String.make 78 '-'
 let section title =
   Printf.printf "\n%s\n%s\n%s\n" hr title hr
 
+let ktps ~txs ~cycles =
+  if cycles = 0 then 0.0 else float_of_int txs /. (Cycles.to_us cycles /. 1000.0)
+
 let pp_ktps v = if v >= 1000.0 then Printf.sprintf "%.2f MTPS" (v /. 1000.0) else Printf.sprintf "%.1f KTPS" v
-
-let write_artifact path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* Sparse log2 histogram as a JSON array of [lower_bound_cycles, count]
-   pairs — the full latency distribution behind the percentile summary, so
-   bench artifacts can plot the shape at each offered-load point. *)
-let histogram_json r =
-  let pairs =
-    List.map
-      (fun (b, c) -> Printf.sprintf "[%d,%d]" (1 lsl b) c)
-      (Stats.Latency.log2_histogram r)
-  in
-  "[" ^ String.concat "," pairs ^ "]"
 
 let pp_commit_latency r =
   let p q = Stats.Latency.percentile r.commit_latency q in
@@ -316,3 +302,73 @@ let pp_commit_latency r =
 
 let report_commit_latency label r =
   Printf.printf "  commit latency %-24s %s\n%!" label (pp_commit_latency r)
+
+(* ------------------------------ ledger ------------------------------- *)
+
+module Ledger = struct
+  type value = Int of int | Float of float
+
+  type bound = At_least of float | At_most of float | Exactly of float
+
+  type t = {
+    mutable rows : (string * string * string * string * value) list;  (* newest first *)
+    mutable gates : ((string * string * string) * bound) list;
+    values : (string * string * string, value) Hashtbl.t;
+  }
+
+  let create () = { rows = []; gates = []; values = Hashtbl.create 256 }
+
+  let add t ~scenario ~layer metrics =
+    List.iter
+      (fun (metric, unit_, value) ->
+        let key = (scenario, layer, metric) in
+        if Hashtbl.mem t.values key then
+          invalid_arg (Printf.sprintf "Ledger.add: duplicate row %s %s %s" scenario layer metric);
+        Hashtbl.add t.values key value;
+        t.rows <- (scenario, layer, metric, unit_, value) :: t.rows)
+      metrics
+
+  let ints unit_ metrics = List.map (fun (metric, v) -> (metric, unit_, Int v)) metrics
+
+  let gate t ~scenario ~layer metric bound =
+    t.gates <- ((scenario, layer, metric), bound) :: t.gates
+
+  (* The shortest %g rendering that reads back to the same bits, so the
+     committed golden is exact without 17-digit noise on every value. *)
+  let cell = function
+    | Int i -> string_of_int i
+    | Float x ->
+      let rec go p =
+        let s = Printf.sprintf "%.*g" p x in
+        if p >= 17 || Int64.bits_of_float (float_of_string s) = Int64.bits_of_float x then s
+        else go (p + 1)
+      in
+      go 15
+
+  let check t =
+    List.rev_map
+      (fun (((scenario, layer, metric) as key), bound) ->
+        let want, holds =
+          match bound with
+          | At_least b -> (Printf.sprintf ">= %g" b, fun v -> v >= b)
+          | At_most b -> (Printf.sprintf "<= %g" b, fun v -> v <= b)
+          | Exactly b -> (Printf.sprintf "= %g" b, fun v -> v = b)
+        in
+        let name = String.concat " " [ scenario; layer; metric ] in
+        match Hashtbl.find_opt t.values key with
+        | None -> (Printf.sprintf "%s: no such row (want %s)" name want, false)
+        | Some v ->
+          let x = match v with Int i -> float_of_int i | Float x -> x in
+          (Printf.sprintf "%s = %s (want %s)" name (cell v) want, holds x))
+      t.gates
+
+  let write t path =
+    if t.rows <> [] then begin
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "scenario\tlayer\tmetric\tvalue\tunit\n";
+          List.iter
+            (fun (s, l, m, u, v) -> Printf.fprintf oc "%s\t%s\t%s\t%s\t%s\n" s l m (cell v) u)
+            (List.rev t.rows));
+      Printf.printf "wrote %s (%d rows)\n" path (List.length t.rows)
+    end
+end

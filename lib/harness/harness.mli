@@ -105,17 +105,10 @@ val run_bench :
 
 val section : string -> unit
 
+val ktps : txs:int -> cycles:int -> float
+(** Thousands of transactions per simulated second; 0 over 0 cycles. *)
+
 val pp_ktps : float -> string
-
-val write_artifact : string -> string -> unit
-(** Write a machine-readable benchmark artifact (the BENCH_*.json files CI
-    uploads) and print the one-line "wrote ..." notice. *)
-
-val histogram_json : Dudetm_sim.Stats.Latency.r -> string
-(** Sparse log2 latency histogram as a JSON array of
-    [[lower_bound_cycles, count]] pairs, in increasing bound order — the
-    full distribution behind the percentile summary, embedded per
-    offered-load point in [BENCH_serve.json]. *)
 
 val pp_commit_latency : result -> string
 (** ["p50 .. / p95 .. / p99 .. cyc"] over {!result.commit_latency}. *)
@@ -123,3 +116,43 @@ val pp_commit_latency : result -> string
 val report_commit_latency : string -> result -> unit
 (** One-line commit-latency percentile report, used by every bench
     experiment. *)
+
+(** {1 Bench ledger}
+
+    Every gated bench reports its numbers as rows [(scenario, layer,
+    metric, value, unit)] and its pass/fail criteria as gates over those
+    rows.  The simulation is deterministic, so every row is exact and the
+    committed golden [bench/ledger.tsv] is diffed exactly.  Host-dependent
+    values (wall time) are printed, never recorded as rows. *)
+module Ledger : sig
+  type value = Int of int | Float of float
+
+  type bound = At_least of float | At_most of float | Exactly of float
+
+  type t
+
+  val create : unit -> t
+
+  val add : t -> scenario:string -> layer:string -> (string * string * value) list -> unit
+  (** [add t ~scenario ~layer [(metric, unit, value); ...]] appends rows in
+      order.  Raises [Invalid_argument] on a duplicate [(scenario, layer,
+      metric)] key. *)
+
+  val ints : string -> (string * int) list -> (string * string * value) list
+  (** [ints unit [(metric, v); ...]]: integer rows that share one unit. *)
+
+  val gate : t -> scenario:string -> layer:string -> string -> bound -> unit
+  (** Declare that the named row must satisfy [bound]. *)
+
+  val cell : value -> string
+  (** The TSV rendering: an int in decimal, a float as the shortest [%g]
+      that reads back to the same bits. *)
+
+  val check : t -> (string * bool) list
+  (** Every declared gate, in declaration order, as a one-line report and
+      whether it held.  A gate naming a row that was never added fails. *)
+
+  val write : t -> string -> unit
+  (** Write the rows, in the order they were added, as TSV under a header
+      line; nothing when no row was added. *)
+end

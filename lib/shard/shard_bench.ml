@@ -27,6 +27,7 @@ type result = {
   sb_cycles : int;
   sb_ktps : float;
   sb_commit_latency : Stats.Latency.r;
+  sb_engine : (string * int) list;
 }
 
 let nkeys = 4096
@@ -53,6 +54,21 @@ let shard_cfg ~workers ~bandwidth ~persist_latency =
         persist_latency;
       };
   }
+
+(* Persist-side engine counters: summed over shards, except the batch
+   high-water marks, which take the maximum. *)
+let engine_counters sh ~nshards =
+  let engines = List.init nshards (Sh.engine sh) in
+  let over f combine = List.fold_left (fun acc e -> combine acc (f e)) 0 engines in
+  let stat k e = Stats.get (Sh.Engine.stats e) k in
+  (("vlog_producer_blocks", over Sh.Engine.vlog_producer_blocks ( + ))
+  :: List.map
+       (fun k -> (k, over (stat k) ( + )))
+       [
+         "bp_throttle_events"; "bp_throttle_cycles"; "flush_records"; "batch_size_flushes";
+         "batch_deadline_flushes"; "batch_drain_flushes"; "pace_events"; "pace_cycles";
+       ])
+  @ List.map (fun k -> (k, over (stat k) max)) [ "batch_hwm_entries"; "batch_bound_hwm" ]
 
 let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000)
     ?(workers = 8) ?(think = 50) ?batch_min ?batch_max ?batch_deadline ~nshards
@@ -137,20 +153,6 @@ let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000
          Sh.drain sh;
          stop_ := Sched.now ();
          Sh.stop sh));
-  if Sys.getenv_opt "DUDETM_SB_DEBUG" <> None then
-    for s = 0 to nshards - 1 do
-      let e = Sh.engine sh s in
-      let st = Sh.Engine.stats e in
-      Printf.eprintf "shard %d: producer_blocks=%d" s (Sh.Engine.vlog_producer_blocks e);
-      List.iter
-        (fun k -> Printf.eprintf " %s=%d" k (Stats.get st k))
-        [
-          "bp_throttle_events"; "bp_throttle_cycles"; "flush_records";
-          "batch_size_flushes"; "batch_deadline_flushes"; "batch_drain_flushes";
-          "batch_hwm_entries"; "batch_bound_hwm"; "pace_events"; "pace_cycles";
-        ];
-      Printf.eprintf "\n"
-    done;
   let cycles = !stop_ - !start in
   {
     sb_nshards = nshards;
@@ -162,13 +164,9 @@ let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000
       (if cycles = 0 then 0.0
        else float_of_int ntxs_run /. Cycles.to_seconds cycles /. 1e3);
     sb_commit_latency = commit_latency;
+    sb_engine = engine_counters sh ~nshards;
   }
 
 let pp_commit_latency r =
   let p q = Stats.Latency.percentile r.sb_commit_latency q in
   Printf.sprintf "p50 %d / p95 %d / p99 %d cyc" (p 50.0) (p 95.0) (p 99.0)
-
-let tail_ratio r =
-  let p q = Stats.Latency.percentile r.sb_commit_latency q in
-  let p50 = p 50.0 in
-  if p50 = 0 then 0.0 else float_of_int (p 99.0) /. float_of_int p50

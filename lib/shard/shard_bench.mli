@@ -22,6 +22,11 @@ type result = {
   sb_commit_latency : Dudetm_sim.Stats.Latency.r;
       (** per-transaction commit latency (begin to commit return, think
           time excluded), simulated cycles *)
+  sb_engine : (string * int) list;
+      (** persist-side engine counters after the run: vlog producer blocks,
+          backpressure throttling, flush records by cause (size, deadline,
+          drain), drain pacing — summed over shards — and the batch
+          high-water marks, maxed over shards *)
 }
 
 val run :
@@ -47,12 +52,8 @@ val run :
     [\[0, 100\]]. *)
 
 (** Defaults for the batch knobs come from {!Dudetm_core.Config.default};
-    the persist bench sweeps them to map the batching latency/throughput
-    trade-off. *)
+    the shard bench sweeps them at one shard to map the batching
+    latency/throughput trade-off. *)
 
 val pp_commit_latency : result -> string
 (** ["p50 %d / p95 %d / p99 %d cyc"]. *)
-
-val tail_ratio : result -> float
-(** Commit-latency p99/p50 — the tail-amplification metric the bounded
-    group commit exists to control (0 when p50 is 0). *)

@@ -27,4 +27,5 @@ let () =
       ("replica", Test_replica.suite);
       ("snapshot", Test_snapshot.suite);
       ("serve", Test_serve.suite);
+      ("ledger", Test_ledger.suite);
     ]
