@@ -290,8 +290,8 @@ let check_cmd =
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print progress.") in
   let run campaign mutant budget verbose args =
     let log = if verbose then fun s -> Printf.printf "  %s\n%!" s else ignore in
-    let budget = match budget with Some b -> b | None -> Check.budget_of_env () in
     match
+      let budget = match budget with Some b -> b | None -> Check.budget_of_env () in
       List.fold_left
         (fun failed a ->
           let r = Check.run ~log ~budget ~mutant campaign a in

@@ -24,12 +24,18 @@ let judge = function None -> () | Some reason -> fail reason
 
 type budget = Smoke | Quick | Scaled of int | Deep
 
+(* Unset or empty selects the default; any other value must be valid. *)
 let budget_of_env () =
-  if Sys.getenv_opt "DUDETM_CHECK_DEEP" = Some "1" then Deep
-  else
-    match Option.bind (Sys.getenv_opt "DUDETM_CHECK_BUDGET") int_of_string_opt with
-    | Some m when m > 1 -> Scaled m
-    | _ -> Scaled 1
+  let env var ~expect ok =
+    match Sys.getenv_opt var with
+    | None | Some "" -> None
+    | Some v when ok v -> Some v
+    | Some v -> invalid_arg (Printf.sprintf "%s=%S: expected %s" var v expect)
+  in
+  let positive v = match int_of_string_opt v with Some m -> m > 0 | None -> false in
+  let deep = env "DUDETM_CHECK_DEEP" ~expect:"0 or 1" (fun v -> v = "0" || v = "1") in
+  let scale = env "DUDETM_CHECK_BUDGET" ~expect:"a positive integer" positive in
+  if deep = Some "1" then Deep else Scaled (Option.fold ~none:1 ~some:int_of_string scale)
 
 (* Power cuts per clean run for the cut-sweep campaigns. *)
 let cut_sites = function Deep -> 600 | Scaled m -> 60 * m | Smoke | Quick -> 60
@@ -119,22 +125,12 @@ let arm ?(sample = ignore) ctx sys =
 (* [Some v] when [f] completed, [None] when the power was cut; engine
    failures become the run's verdict.  The life is always disarmed. *)
 let guard ?(what = "engine") ctx f =
-  match f () with
-  | v ->
-    disarm ctx;
-    Some v
-  | exception Crash_now ->
-    disarm ctx;
-    None
-  | exception (Failed _ as e) ->
-    disarm ctx;
-    raise e
-  | exception Sched.Deadlock msg ->
-    disarm ctx;
-    fail ("deadlock: " ^ msg)
-  | exception e ->
-    disarm ctx;
-    fail (what ^ " raised " ^ Printexc.to_string e)
+  match Fun.protect ~finally:(fun () -> disarm ctx) f with
+  | v -> Some v
+  | exception Crash_now -> None
+  | exception (Failed _ as e) -> raise e
+  | exception Sched.Deadlock msg -> fail ("deadlock: " ^ msg)
+  | exception e -> fail (what ^ " raised " ^ Printexc.to_string e)
 
 (* Up to [n] boundaries out of [1..s], always covering both ends. *)
 let sample_sites ~s ~n =
@@ -159,14 +155,14 @@ type kind = Fixed of string | Each of string list | Sweep | Case
 
 type coord = { flag : string; kind : kind; valid : string -> bool }
 
-type ('sys, 'obs) campaign = {
+(* [run] executes the lives of one case and returns its verdict. *)
+type 'sys campaign = {
   name : string;
   doc : string;
   coords : coord list;
   depth : int;
   devices : 'sys -> Nvm.t array;
-  run : 'sys ctx -> params -> 'obs;
-  oracle : params -> 'obs -> string option;
+  run : 'sys ctx -> params -> string option;
   plan : budget -> params -> (params -> int list -> int) -> point Seq.t;
   post : (string * int) list -> string option;
   shrink : (params -> (int list * string) option) -> failure -> failure;
@@ -188,7 +184,7 @@ let case c ~mutant at vector =
   let ctx =
     { devices = c.devices; mutant; vector; lives = []; armed = [||]; sites = 0; tallies = [] }
   in
-  let verdict = try c.oracle at (c.run ctx at) with Failed reason -> Some reason in
+  let verdict = try c.run ctx at with Failed reason -> Some reason in
   disarm ctx;
   (verdict, List.rev ctx.lives, ctx.tallies)
 
@@ -246,6 +242,53 @@ let first_failing c ~mutant ~scan at =
   | Fail f -> Some (f.cuts, f.reason)
 
 (* ------------------------------------------------------------------ *)
+(* The life scaffold                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Fibers [name-0 .. name-(n-1)] each run [work i k] for k = 1..txs;
+   [watch], given their completion, may spawn a fiber that follows them
+   and returns its own.  Returns once all have finished. *)
+let workers ?(watch = fun _ () -> true) name n ~txs work =
+  let finished = ref 0 in
+  for i = 0 to n - 1 do
+    ignore
+      (Sched.spawn (Printf.sprintf "%s-%d" name i) (fun () ->
+           for k = 1 to txs do
+             work i k
+           done;
+           incr finished))
+  done;
+  let watched = watch (fun () -> !finished = n) in
+  Sched.wait_until ~label:(name ^ "s done") (fun () -> !finished = n && watched ())
+
+(* A durable-ID sampler: the largest ID seen and the first regression. *)
+let monotone () =
+  let top = ref 0 and regressed = ref None in
+  let sample d =
+    if d < !top && !regressed = None then
+      regressed := Some (Printf.sprintf "durable id regressed from %d to %d" !top d);
+    if d > !top then top := d
+  in
+  (top, regressed, sample)
+
+(* Power off every device, then recover; a raising recovery is the verdict. *)
+let recover ?(crash = fun n -> Nvm.crash n) devs attach =
+  Array.iter crash devs;
+  try attach () with
+  | Failed _ as e -> raise e
+  | e -> fail ("recovery raised " ^ Printexc.to_string e)
+
+(* The recovered image judged against the history, then recovery's own
+   durable report against the cut the image shows on stream 0. *)
+let judge_image ?(who = "recovery") ?durable h ~read =
+  let cut, verdict = History.check h ~read in
+  let k = History.position cut 0 in
+  match (verdict, durable) with
+  | None, Some d when d <> k ->
+    (cut, Some (Printf.sprintf "%s reports durable id %d but the data image shows %d" who d k))
+  | _ -> (cut, verdict)
+
+(* ------------------------------------------------------------------ *)
 (* Systems under test                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -274,25 +317,20 @@ let dude_cfg ~combine ~fault =
     fault;
   }
 
-let stm_instance cfg =
-  let p, _ = Dude_ptm.Stm.ptm cfg in
+let dude_instance ptm attach cfg =
+  let p, _ = ptm cfg in
   let nvm = Option.get p.Ptm.nvm in
   let recover () =
-    let p2, _, report = Dude_ptm.Stm.attach_ptm cfg nvm in
+    let p2, _, report = attach cfg nvm in
     { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
   in
   { ptm = p; nvm; recover }
 
-let htm_instance cfg =
-  let p, _ = Dude_ptm.Htm_based.ptm cfg in
-  let nvm = Option.get p.Ptm.nvm in
-  let recover () =
-    let p2, _, report = Dude_ptm.Htm_based.attach_ptm cfg nvm in
-    { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
-  in
-  { ptm = p; nvm; recover }
+let stm_instance = dude_instance Dude_ptm.Stm.ptm Dude_ptm.Stm.attach_ptm
 
-let no_durable p = { rec_durable = None; rec_peek = p.Ptm.peek }
+(* Mnemosyne and NVML recover in place and report no durable ID. *)
+let baseline_instance ptm nvm recover =
+  { ptm; nvm; recover = (fun () -> recover (); { rec_durable = None; rec_peek = ptm.Ptm.peek }) }
 
 let mnemosyne_instance () =
   let m =
@@ -305,12 +343,7 @@ let mnemosyne_instance () =
         seed = 7;
       }
   in
-  let p = Mnemosyne.ptm_of m in
-  let recover () =
-    ignore (Mnemosyne.recover m);
-    no_durable p
-  in
-  { ptm = p; nvm = Mnemosyne.nvm m; recover }
+  baseline_instance (Mnemosyne.ptm_of m) (Mnemosyne.nvm m) (fun () -> ignore (Mnemosyne.recover m))
 
 let nvml_instance () =
   let n =
@@ -323,19 +356,17 @@ let nvml_instance () =
         seed = 7;
       }
   in
-  let p = Nvml.ptm_of n in
-  let recover () =
-    ignore (Nvml.recover n);
-    no_durable p
-  in
-  { ptm = p; nvm = Nvml.nvm n; recover }
+  baseline_instance (Nvml.ptm_of n) (Nvml.nvm n) (fun () -> ignore (Nvml.recover n))
 
 (* Mutants seed bugs into the software-TM DudeTM variants only. *)
 let systems =
   [
     ("dude", fun fault -> stm_instance (dude_cfg ~combine:false ~fault));
     ("dude-combine", fun fault -> stm_instance (dude_cfg ~combine:true ~fault));
-    ("dude-htm", fun _ -> htm_instance (dude_cfg ~combine:false ~fault:Config.No_fault));
+    ( "dude-htm",
+      fun _ ->
+        dude_instance Dude_ptm.Htm_based.ptm Dude_ptm.Htm_based.attach_ptm
+          (dude_cfg ~combine:false ~fault:Config.No_fault) );
     ("mnemosyne", fun _ -> mnemosyne_instance ());
     ("nvml", fun _ -> nvml_instance ());
   ]
@@ -344,186 +375,97 @@ let systems =
 (* Counter-family workloads                                           *)
 (* ------------------------------------------------------------------ *)
 
-type workload = {
-  threads : int;
-  txs_per_thread : int;
-  wl_wset : int list option;
-  tx_body : Ptm.tx -> unit;
-  check_state : peek:(int -> int64) -> k:int -> string option;
-}
+(* Counter family: transaction number i (in serialization order) writes i
+   to the root counter (address 0) and to its stamped slots j (address
+   8 + 8j), so i is its position on stream 0 and the durable ID that
+   acknowledges it, and every value it writes is unique to it. *)
+let stamp8 i = [ i mod 8 ]
 
-(* Counter family: transaction number i (in serialization order) always
-   writes the root counter (address 0) to i, so the whole durable state is
-   a function of the recovered counter alone — which transaction ran on
-   which thread never matters. *)
-let slot_addr j = 8 + (8 * j)
+let counter_tx h ~worker ~stamp read write =
+  let c1 = 1 + Int64.to_int (read 0) in
+  let v = Int64.of_int c1 in
+  let ws = List.map (fun j -> (8 + (8 * j), v)) (stamp c1) @ [ (0, v) ] in
+  List.iter (fun (a, v) -> write a v) ws;
+  History.attempt h ~worker ~ack:(History.At (0, c1)) ~pos:(fun _ -> c1)
+    (List.map (fun (a, v) -> ((0, a), v)) ws)
 
-let slot_check ~slots ~stamp ~peek ~k =
-  let expect = Array.make slots 0 in
-  for i = 1 to k do
-    List.iter (fun j -> expect.(j) <- i) (stamp i)
-  done;
-  let bad = ref None in
-  for j = slots - 1 downto 0 do
-    let got = Int64.to_int (peek (slot_addr j)) in
-    if got <> expect.(j) then
-      bad :=
-        Some
-          (Printf.sprintf "slot %d holds %d, model says %d after %d commits" j got expect.(j) k)
-  done;
-  !bad
+let ptm_counter h (p : Ptm.t) ?wset ~stamp th =
+  let body tx = counter_tx h ~worker:th ~stamp tx.Ptm.read tx.Ptm.write in
+  match p.Ptm.atomically ~thread:th ?wset body with
+  | Some _ -> History.commit h ~worker:th ()
+  | None -> History.abandon h ~worker:th
 
-let counter_family ~slots ~stamp ~threads ~txs =
-  {
-    threads;
-    txs_per_thread = txs;
-    wl_wset = None;
-    tx_body =
-      (fun tx ->
-        let c1 = 1 + Int64.to_int (tx.Ptm.read 0) in
-        List.iter (fun j -> tx.Ptm.write (slot_addr j) (Int64.of_int c1)) (stamp c1);
-        tx.Ptm.write 0 (Int64.of_int c1));
-    check_state = (fun ~peek ~k -> slot_check ~slots ~stamp ~peek ~k);
-  }
-
-let counter ~threads ~txs = counter_family ~slots:8 ~stamp:(fun i -> [ i mod 8 ]) ~threads ~txs
-
-let workload_of_name ~threads ~txs = function
-  | "counter" -> counter ~threads ~txs
+(* Stamps and declared write set of each explore workload. *)
+let workload_of_name = function
+  | "counter" -> (stamp8, None)
   (* Adversarial: every transaction stamps two overlapping slots. *)
-  | "overlap" -> counter_family ~slots:5 ~stamp:(fun i -> [ i mod 5; (i + 1) mod 5 ]) ~threads ~txs
-  (* Single cell with a declared write set: the only workload expressible
-     as a static transaction (NVML). *)
-  | "counter1" ->
-    {
-      threads;
-      txs_per_thread = txs;
-      wl_wset = Some [ 0 ];
-      tx_body = (fun tx -> tx.Ptm.write 0 (Int64.of_int (1 + Int64.to_int (tx.Ptm.read 0))));
-      check_state = (fun ~peek:_ ~k:_ -> None);
-    }
+  | "overlap" -> ((fun i -> [ i mod 5; (i + 1) mod 5 ]), None)
+  (* The root counter alone, with a declared write set: the only workload
+     expressible as a static transaction (NVML). *)
+  | "counter1" -> ((fun _ -> []), Some [ 0 ])
   | s -> invalid_arg ("Check: unknown workload " ^ s)
 
 (* ------------------------------------------------------------------ *)
 (* One workload life and the crash oracle                             *)
 (* ------------------------------------------------------------------ *)
 
-type outcome = {
-  wl : workload;
-  quiescent : bool;
-  committed : int;
-  acked : int;
-  last_tid : int;
-  monitor : string option;
-  recov : recovered;
-  note : string;  (* appended to a failure: what the adversary did *)
-}
-
-(* Run [wl] on [inst] under [strategy] as one life (power cut at the life's
-   entry of the cut vector), then the device loses all volatile state and
-   the system recovers.  [evict = Some (fraction, seed)] leaks a seeded
-   random subset of dirty cache lines into the persisted image at the
-   power cut; the surviving lines are named in the outcome's note. *)
-let workload_life ?evict ?(strategy = Sched.min_clock) ctx ~quiescent ~wl inst =
+(* Run [threads] counter workers of [txs] transactions each on [inst]
+   under [strategy] as one life (power cut at the life's entry of the cut
+   vector), then the device loses all volatile state and the system
+   recovers.  [evict = Some (fraction, seed)] leaks a seeded random subset
+   of dirty cache lines into the persisted image at the power cut; a
+   failure names the surviving lines.  The verdict: durable-ID sanity,
+   then the history — atomicity, durability of everything acknowledged
+   (everything, at quiescence) — then recovery's own durable ID against
+   the image.  Torn log records are covered implicitly: a recovery that
+   accepts one replays garbage, which no cut of the history explains. *)
+let workload_life ?evict ?(strategy = Sched.min_clock) ?(stamp = stamp8) ?wset ctx ~quiescent
+    ~threads ~txs inst =
   let p = inst.ptm in
-  let acked = ref 0 and monitor = ref None and committed = ref 0 in
-  let note_acked d = if d > !acked then acked := d in
+  let h = History.create () in
+  let _, monitor, sample = monotone () in
   (* Armed only now: device formatting happens before any transaction
      exists, so its persists are not crash candidates. *)
-  arm ctx inst.nvm ~sample:(fun () -> note_acked (p.Ptm.durable_id ()));
+  arm ctx inst.nvm ~sample:(fun () -> History.observe h 0 (p.Ptm.durable_id ()));
   let main () =
     p.Ptm.start ();
-    let last_d = ref 0 in
     ignore
       (Sched.spawn ~daemon:true "check-monitor" (fun () ->
            try
              while true do
                let d = p.Ptm.durable_id () in
                let l = p.Ptm.last_tid () in
-               if d < !last_d && !monitor = None then
-                 monitor := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
+               sample d;
                if d > l && !monitor = None then
                  monitor := Some (Printf.sprintf "durable id %d ahead of last issued tid %d" d l);
-               if d > !last_d then last_d := d;
-               note_acked d;
+               History.observe h 0 d;
                Sched.advance 100
              done
            with Sched.Killed -> ()));
-    let done_workers = ref 0 in
-    for th = 0 to wl.threads - 1 do
-      ignore
-        (Sched.spawn (Printf.sprintf "check-worker-%d" th) (fun () ->
-             for _ = 1 to wl.txs_per_thread do
-               match p.Ptm.atomically ~thread:th ?wset:wl.wl_wset wl.tx_body with
-               | Some ((), tid) -> if tid > 0 then incr committed
-               | None -> ()
-             done;
-             incr done_workers))
-    done;
-    Sched.wait_until ~label:"check workers done" (fun () -> !done_workers = wl.threads);
+    workers "check-worker" threads ~txs (fun th _ -> ptm_counter h p ?wset ~stamp th);
     p.Ptm.drain ();
     p.Ptm.stop ()
   in
   ignore (guard ctx (fun () -> Sched.run ~strategy main));
   (* Nothing ran since the cut, so this still reads the pre-crash value. *)
-  note_acked (p.Ptm.durable_id ());
-  let last_tid = p.Ptm.last_tid () in
-  let note =
+  History.observe h 0 (p.Ptm.durable_id ());
+  if quiescent then History.quiesce h;
+  let crash n =
     match evict with
-    | None ->
-      Nvm.crash inst.nvm;
-      ""
-    | Some (fraction, seed) -> (
-      Nvm.crash ~evict_fraction:fraction ~rng:(Rng.create seed) inst.nvm;
-      match Nvm.last_crash_survivors inst.nvm with
-      | [] -> " (no dirty lines survived the cut)"
-      | l -> " (surviving lines: " ^ String.concat "," (List.map string_of_int l) ^ ")")
+    | None -> Nvm.crash n
+    | Some (fraction, seed) -> Nvm.crash ~evict_fraction:fraction ~rng:(Rng.create seed) n
   in
-  let recov = try inst.recover () with e -> fail ("recovery raised " ^ Printexc.to_string e) in
-  {
-    wl;
-    quiescent;
-    committed = !committed;
-    acked = !acked;
-    last_tid;
-    monitor = !monitor;
-    recov;
-    note;
-  }
-
-(* After every recovery: atomicity (the image is the model state of some
-   commit prefix k), durability of everything acknowledged, durable-ID
-   sanity, agreement with recovery's own durable ID, and no loss at
-   quiescence.  Torn log records are covered implicitly: a recovery that
-   accepts one replays garbage and fails the model check. *)
-let verify o =
-  match o.monitor with
-  | Some m -> Some m
-  | None -> (
-    let peek = o.recov.rec_peek in
-    let k = Int64.to_int (peek 0) in
-    if k < 0 then Some (Printf.sprintf "recovered counter is negative: %d" k)
-      (* A transaction can be mid-acknowledgment per thread, so the
-         recovered counter may exceed the last *observed* issued ID by at
-         most the thread count. *)
-    else if k > o.last_tid + o.wl.threads then
-      Some (Printf.sprintf "recovered counter %d beyond issued ids (last tid %d)" k o.last_tid)
-    else if k < o.acked then
-      Some
-        (Printf.sprintf "durability lost: durable id %d was acknowledged, recovery found only %d"
-           o.acked k)
-    else
-      match o.recov.rec_durable with
-      | Some d when d <> k ->
-        Some (Printf.sprintf "recovery reports durable id %d but the data image shows %d" d k)
-      | _ ->
-        if o.quiescent && k <> o.committed then
-          Some
-            (Printf.sprintf "quiescent crash lost transactions: committed %d, recovered %d"
-               o.committed k)
-        else o.wl.check_state ~peek ~k)
-
-let verify_noted o = Option.map (fun r -> r ^ o.note) (verify o)
+  let recov = recover ~crash [| inst.nvm |] inst.recover in
+  let note =
+    match (evict, Nvm.last_crash_survivors inst.nvm) with
+    | None, _ -> ""
+    | Some _, [] -> " (no dirty lines survived the cut)"
+    | Some _, l -> " (surviving lines: " ^ String.concat "," (List.map string_of_int l) ^ ")"
+  in
+  (match !monitor with
+  | Some _ as m -> m
+  | None -> snd (judge_image ?durable:recov.rec_durable h ~read:(fun (_, a) -> recov.rec_peek a)))
+  |> Option.map (fun r -> r ^ note)
 
 (* ------------------------------------------------------------------ *)
 (* explore: systems x workloads x schedules                           *)
@@ -537,7 +479,7 @@ type explore_budget = {
   exhaustive_depth : int;
 }
 
-let explore_budget = function
+let rec explore_budget = function
   | Smoke ->
     {
       crash_sites = 25;
@@ -546,21 +488,14 @@ let explore_budget = function
       exhaustive_runs = 12;
       exhaustive_depth = 5;
     }
-  | Quick | Scaled 1 ->
-    {
-      crash_sites = 40;
-      sched_seeds = 3;
-      crash_sites_per_seed = 8;
-      exhaustive_runs = 24;
-      exhaustive_depth = 6;
-    }
+  | Quick -> explore_budget (Scaled 1)
   | Scaled m ->
     {
       crash_sites = 40 * m;
       sched_seeds = 3;
       crash_sites_per_seed = 8 * m;
       exhaustive_runs = 24 * m;
-      exhaustive_depth = 8;
+      exhaustive_depth = (if m = 1 then 6 else 8);
     }
   | Deep ->
     {
@@ -600,16 +535,13 @@ let evict_of at =
   if f > 0. then Some (f, int_param at "evict-seed") else None
 
 let explore_run ctx at =
-  let wl =
-    workload_of_name ~threads:(int_param at "threads") ~txs:(int_param at "txs")
-      (param at "workload")
-  in
+  let stamp, wset = workload_of_name (param at "workload") in
+  let threads = int_param at "threads" and txs = int_param at "txs" in
   let evict = evict_of at in
   let strategy = strategy_of (param at "sched") in
   let inst = (List.assoc (param at "system") systems) ctx.mutant in
-  workload_life ?evict ~strategy ctx ~quiescent:(ctx.vector = [] && evict = None) ~wl inst
-
-let take n l = List.filteri (fun i _ -> i < n) l
+  workload_life ?evict ~strategy ~stamp ?wset ctx ~quiescent:(ctx.vector = [] && evict = None)
+    ~threads ~txs inst
 
 (* Bounded exhaustive DFS over the first [exhaustive_depth] scheduling
    decision points.  Every explored schedule runs to quiescence and then
@@ -635,7 +567,7 @@ let dfs_points b at =
               (fun (step, candidates, _) ->
                 if step >= List.length prefix then
                   for c = candidates - 1 downto 1 do
-                    stack := (take step chosen @ [ c ]) :: !stack
+                    stack := (List.filteri (fun i _ -> i < step) chosen @ [ c ]) :: !stack
                   done)
               taken;
             next () )
@@ -782,14 +714,9 @@ let media_run ctx at =
       { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
     end
   in
-  let o =
-    workload_life ctx ~quiescent:false ~wl:(counter ~threads:3 ~txs:4) { inst with recover }
-  in
-  (o, !reported, String.concat " " (List.rev !descrs))
-
-let media_oracle _ (o, reported, injected) =
-  match verify o with
-  | Some reason when not reported -> Some (Printf.sprintf "%s (injected: %s)" reason injected)
+  match workload_life ctx ~quiescent:false ~threads:3 ~txs:4 { inst with recover } with
+  | Some reason when not !reported ->
+    Some (Printf.sprintf "%s (injected: %s)" reason (String.concat " " (List.rev !descrs)))
   | _ -> None
 
 (* Per seed: heap rot at quiescence, mixed faults at quiescence, and mixed
@@ -846,61 +773,57 @@ let report_to_string (r : Dudetm.recovery_report) =
    every interrupted recovery of the same image must converge to. *)
 let baselines = Hashtbl.create 8
 
-(* Life 0 runs the workload and cuts it at crash-at (0: quiescence) without
-   recovering.  Life 1 runs the named leg — attach, or the offline scrub
-   with repair and stuck-line probes — cut at crash2; every cut life is
+(* Life 0 runs the workload and cuts it at crash-at (0: quiescence).  Its
+   recovery is life 1, the named leg — attach, or the offline scrub with
+   repair and stuck-line probes — cut at crash2; every cut life is
    followed by another attach life (cut at crash3), and the first attach
    that completes gives the final verdict.  It must equal the baseline
    field for field and pass the crash oracle. *)
 let recovery_run ctx at =
   let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
   let crash = Option.value (List.nth_opt ctx.vector 0) ~default:0 in
-  let image ctx =
+  let image ctx attach =
     let inst = stm_instance cfg in
-    let o =
-      workload_life ctx ~quiescent:(crash = 0) ~wl:(counter ~threads:3 ~txs:4)
-        { inst with recover = (fun () -> no_durable inst.ptm) }
-    in
-    (inst.nvm, o)
+    workload_life ctx ~quiescent:(crash = 0) ~threads:3 ~txs:4
+      { inst with recover = (fun () -> attach inst.nvm) }
+  in
+  let final = ref None in
+  let recovered ((p2 : Ptm.t), _, report) =
+    final := Some report;
+    { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
   in
   let baseline =
     match Hashtbl.find_opt baselines (ctx.mutant, crash) with
     | Some b -> b
     | None ->
       (* Its own context: the baseline image's life is not a life of this run. *)
-      let nvm, _ = image { ctx with vector = [ crash ]; lives = []; armed = [||]; tallies = [] } in
-      let b =
-        match Dude_ptm.Stm.attach_ptm cfg nvm with
-        | _, _, r -> r
-        | exception e -> fail ("uninterrupted attach raised " ^ Printexc.to_string e)
-      in
+      ignore
+        (image { ctx with vector = [ crash ]; lives = []; armed = [||]; tallies = [] } (fun nvm ->
+             recovered (Dude_ptm.Stm.attach_ptm cfg nvm)));
+      let b = Option.get !final in
       Hashtbl.add baselines (ctx.mutant, crash) b;
       b
   in
-  let nvm, o = image ctx in
-  let rec life leg =
+  let rec life nvm leg =
     arm ctx nvm;
     match
       guard ~what:leg ctx (fun () ->
           if leg = "attach" then Some (Dude_ptm.Stm.attach_ptm cfg nvm)
           else (ignore (Scrub.scrub ~repair:true ~probe_stuck:true cfg nvm); None))
     with
-    | Some (Some (p2, _, report)) -> (p2, report)
-    | Some None -> life "attach"
+    | Some (Some r) -> recovered r
+    | Some None -> life nvm "attach"
     | None ->
       Nvm.crash nvm;
-      life "attach"
+      life nvm "attach"
   in
-  let p2, report = life (param at "leg") in
-  let recov = { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek } in
-  (report, baseline, { o with recov })
-
-let recovery_oracle _ (report, baseline, o) =
-  if report <> baseline then
+  let verdict = image ctx (fun nvm -> life nvm (param at "leg")) in
+  match !final with
+  | Some report when report <> baseline ->
     Some
       (Printf.sprintf "recovery verdict diverged: interrupted %s, uninterrupted %s"
          (report_to_string report) (report_to_string baseline))
-  else verify o
+  | _ -> verdict
 
 (* Quiescence plus seed-derived first cuts; per leg every (attach) or a
    sample of (scrub) recovery-time boundaries, then two deep.  The scrub
@@ -953,8 +876,7 @@ let daemons_run ctx at =
     tally ctx "restarts" (count "daemon_restarts");
     inst.recover ()
   in
-  workload_life ctx ~quiescent:(ctx.vector = []) ~wl:(counter ~threads:3 ~txs:4)
-    { inst with recover }
+  workload_life ctx ~quiescent:(ctx.vector = []) ~threads:3 ~txs:4 { inst with recover }
 
 let daemons_plan budget at _ =
   Seq.map
@@ -974,7 +896,9 @@ let daemons_post tallies =
 (* shards: cross-shard transfers across independent devices           *)
 (* ------------------------------------------------------------------ *)
 
-module Shard = Dudetm_shard.Shard.Make (Dudetm_tm.Tinystm)
+(* The migration layer's sharded instance: both campaigns share its types. *)
+module Mig = Dudetm_shard.Migrate.Make (Dudetm_tm.Tinystm)
+module Shard = Mig.Sh
 
 let shard_devices sh = Array.init (Shard.nshards sh) (Shard.nvm sh)
 
@@ -990,28 +914,52 @@ let shb_pair p = 16 + (8 * p)
 
 let shb_initial = 1_000L
 
+(* Vector-watermark acknowledgements in the history: watermark [s] is
+   shard [s]'s effective ID, watermark [nshards] the frontier. *)
+let shard_ack nshards = function
+  | Shard.Ack_local { shard; tid } -> History.At (shard, tid)
+  | Shard.Ack_cross { gtid } -> History.At (nshards, gtid)
+  | Shard.Ack_read_only -> History.Never
+
+let observe_vector h sh =
+  History.observe h (Shard.nshards sh) (Shard.global_frontier sh);
+  Array.iteri (History.observe h) (Shard.effective_vector sh)
+
 (* Sequential mixed transfers and local bumps, one power cut counted
-   across every shard's device.  The vector watermark is sampled at each
-   boundary — exactly what had been acknowledged when the power went out. *)
+   across every shard's device.  Each shard is a stream of the history,
+   positioned by this sequential driver; a transfer is one cross-stream
+   transaction.  The vector watermark sampled at each boundary is what
+   was acknowledged when the power went out: recovery may not fall below
+   it, on the frontier or on any shard's durable ID. *)
 let shards_run ctx at =
   let nshards = int_param at "shard-count" and txs = int_param at "txs" in
   if nshards < 2 then invalid_arg "Check: --shards needs at least two shards";
   let sh = Shard.create ~nshards (dude_cfg ~combine:false ~fault:ctx.mutant) in
-  let acked_frontier = ref 0 and acked_eff = Array.make nshards 0 in
-  let sample () =
-    acked_frontier := max !acked_frontier (Shard.global_frontier sh);
-    Array.iteri (fun s e -> acked_eff.(s) <- max acked_eff.(s) e) (Shard.effective_vector sh)
+  let h = History.create () and next = Array.make nshards 0 in
+  let tx ~thread shards body =
+    let run tx =
+      let ws = ref [] in
+      body
+        (fun s a v ->
+          ws := ((s, a), v) :: !ws;
+          Shard.write tx ~shard:s a v)
+        (fun s a -> Shard.read tx ~shard:s a);
+      History.attempt h ~worker:0 ~pos:(fun s -> next.(s) + 1) (List.rev !ws)
+    in
+    match Shard.atomically sh ~thread ~shards run with
+    | Some ((), ack) ->
+      List.iter (fun s -> next.(s) <- next.(s) + 1) shards;
+      History.commit h ~worker:0 ~ack:(shard_ack nshards ack) ()
+    | None -> History.abandon h ~worker:0
   in
   let completed =
     guard ctx (fun () ->
         Sched.run (fun () ->
             Shard.start sh;
             for s = 0 to nshards - 1 do
-              ignore
-                (Shard.atomically sh ~thread:0 ~shards:[ s ] (fun tx ->
-                     Shard.write tx ~shard:s shb_balance shb_initial))
+              tx ~thread:0 [ s ] (fun write _ -> write s shb_balance shb_initial)
             done;
-            arm ctx ~sample sh;
+            arm ctx ~sample:(fun () -> observe_vector h sh) sh;
             for k = 1 to txs do
               let a = k mod nshards and b = (k + 1) mod nshards in
               (* Bloat [b]'s next flush record first.  Persist drains a
@@ -1020,74 +968,44 @@ let shards_run ctx at =
                  no skew — record size does: [b]'s fence lands well after
                  [a]'s tiny fragment record is durable (and applicable),
                  opening the window the replay gate must cover. *)
-              ignore
-                (Shard.atomically sh ~thread:(k mod 3) ~shards:[ b ] (fun tx ->
-                     for i = 0 to 63 do
-                       Shard.write tx ~shard:b (1024 + (8 * i)) (Int64.of_int (k + i))
-                     done;
-                     Shard.write tx ~shard:b shb_local
-                       (Int64.add (Shard.read tx ~shard:b shb_local) 1L)));
-              ignore
-                (Shard.atomically sh ~thread:(k mod 3) ~shards:[ a; b ] (fun tx ->
-                     let ba = Shard.read tx ~shard:a shb_balance in
-                     let bb = Shard.read tx ~shard:b shb_balance in
-                     Shard.write tx ~shard:a shb_balance (Int64.sub ba 5L);
-                     Shard.write tx ~shard:b shb_balance (Int64.add bb 5L);
-                     Shard.write tx ~shard:a (shb_pair b) (Int64.of_int k);
-                     Shard.write tx ~shard:b (shb_pair a) (Int64.of_int k)))
+              tx ~thread:(k mod 3) [ b ] (fun write read ->
+                  for i = 0 to 63 do
+                    write b (1024 + (8 * i)) (Int64.of_int (k + i))
+                  done;
+                  write b shb_local (Int64.add (read b shb_local) 1L));
+              tx ~thread:(k mod 3) [ a; b ] (fun write read ->
+                  let ba = read a shb_balance in
+                  let bb = read b shb_balance in
+                  write a shb_balance (Int64.sub ba 5L);
+                  write b shb_balance (Int64.add bb 5L);
+                  write a (shb_pair b) (Int64.of_int k);
+                  write b (shb_pair a) (Int64.of_int k))
             done;
             disarm ctx;
             Shard.stop sh))
   in
-  let recovered =
+  if completed <> None then History.quiesce h;
+  let sh =
     if completed <> None then sh
-    else begin
-      Array.iter Nvm.crash (shard_devices sh);
-      match Shard.attach ~nshards (Shard.config sh) (shard_devices sh) with
-      | sh2, _ -> sh2
-      | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
-    end
+    else
+      recover (shard_devices sh) (fun () ->
+          fst (Shard.attach ~nshards (Shard.config sh) (shard_devices sh)))
   in
-  (recovered, !acked_frontier, acked_eff)
-
-(* All-or-nothing and watermark oracle.  Both sides of every transfer
-   wrote the same pairwise stamp, so the sides must agree; every transfer
-   preserved the sum over shards whose seeding transaction (tid 1) is
-   durable; and nothing the effective watermark acknowledged before the
-   cut may be missing afterwards. *)
-let shards_oracle _ (sh, acked_frontier, acked_eff) =
-  let nshards = Shard.nshards sh in
-  let peek s off = Shard.Engine.heap_read_u64 (Shard.engine sh s) off in
-  let bad = ref None in
-  let report r = if !bad = None then bad := Some r in
-  for a = 0 to nshards - 1 do
-    for b = a + 1 to nshards - 1 do
-      let sa = peek a (shb_pair b) and sb = peek b (shb_pair a) in
-      if sa <> sb then
-        report (Printf.sprintf "partial cross-shard tx: pair stamp %d<->%d is %Ld vs %Ld" a b sa sb)
-    done
-  done;
-  let sum = ref 0L and seeded = ref 0 in
-  for s = 0 to nshards - 1 do
-    sum := Int64.add !sum (peek s shb_balance);
-    if Shard.Engine.durable_id (Shard.engine sh s) >= 1 then incr seeded
-  done;
-  let want = Int64.mul shb_initial (Int64.of_int !seeded) in
-  if !sum <> want then
-    report
-      (Printf.sprintf "balance sum %Ld, model says %Ld for %d durable seeds" !sum want !seeded);
-  if Shard.global_frontier sh < acked_frontier then
-    report
+  let durable s = Shard.Engine.durable_id (Shard.engine sh s) and acked = History.watermark h in
+  match History.check h ~read:(fun (s, a) -> Shard.Engine.heap_read_u64 (Shard.engine sh s) a) with
+  | _, (Some _ as v) -> v
+  | _ when Shard.global_frontier sh < acked nshards ->
+    Some
       (Printf.sprintf "acked cross tx lost: recovered frontier %d < acknowledged %d"
-         (Shard.global_frontier sh) acked_frontier);
-  for s = 0 to nshards - 1 do
-    let d = Shard.Engine.durable_id (Shard.engine sh s) in
-    if d < acked_eff.(s) then
-      report
-        (Printf.sprintf "acked tx lost on shard %d: durable %d < acknowledged %d" s d
-           acked_eff.(s))
-  done;
-  !bad
+         (Shard.global_frontier sh) (acked nshards))
+  | _ ->
+    List.init nshards Fun.id
+    |> List.find_map (fun s ->
+           if durable s >= acked s then None
+           else
+             Some
+               (Printf.sprintf "acked tx lost on shard %d: durable %d < acknowledged %d" s
+                  (durable s) (acked s)))
 
 (* A clean run, then cuts at a sample of its boundaries. *)
 let cut_plan ?deep budget at _ =
@@ -1109,94 +1027,45 @@ let batch_cfg ~fault =
     batch_deadline = 512;
   }
 
-type batch_obs = {
-  b_acked : int;
-  b_quiescent : bool;
-  b_committed : int;
-  b_durable : int;
-  b_peek : int -> int64;
-}
-
-(* Durable-prefix oracle after an attach: the recovered counter is a
-   commit count [k]; nothing acknowledged may be missing, recovery's own
-   durable report must match the data image, and every slot must hold the
-   last write the first [k] transactions made to it. *)
-let batch_oracle at o =
-  let k = Int64.to_int (o.b_peek 0) in
-  if k < 0 then Some (Printf.sprintf "recovered counter is negative: %d" k)
-  else if k < o.b_acked then
-    Some
-      (Printf.sprintf "durability lost: durable id %d was acknowledged, recovery found only %d"
-         o.b_acked k)
-  else if o.b_durable <> k then
-    Some (Printf.sprintf "recovery reports durable id %d but the data image shows %d" o.b_durable k)
-  else if o.b_quiescent && k <> o.b_committed then
-    Some
-      (Printf.sprintf "quiescent stop lost transactions: committed %d, recovered %d"
-         o.b_committed k)
-  else (counter ~threads:3 ~txs:(int_param at "txs")).check_state ~peek:o.b_peek ~k
-
 (* The combiner seals batch k+1 while the flusher's record for batch k is
    still in flight, so the sweep lands cuts mid-pipeline: after a seal but
    before the matching NVM append.  Two deep: cut the first life, attach,
-   keep committing on the recovered engine and cut its second life — a
-   recovery that mends the torn batch by writing state it never re-fences
-   survives the first cut and loses data at the second. *)
+   rebase the history on the recovered cut, keep committing on the
+   recovered engine and cut its second life — a recovery that mends the
+   torn batch by writing state it never re-fences survives the first cut
+   and loses data at the second. *)
 let batch_run ctx at =
   let txs = int_param at "txs" in
   let cfg = batch_cfg ~fault:ctx.mutant in
-  let wl = counter ~threads:cfg.Config.nthreads ~txs in
   let p1, _ = Dude_ptm.Stm.ptm cfg in
   let nvm = Option.get p1.Ptm.nvm in
+  let h = History.create () in
   let life (p : Ptm.t) =
-    let acked = ref 0 and last_d = ref 0 and err = ref None and committed = ref 0 in
-    arm ctx nvm ~sample:(fun () ->
-        let d = p.Ptm.durable_id () in
-        if d < !last_d && !err = None then
-          err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-        last_d := max !last_d d;
-        acked := max !acked d);
+    let acked, regressed, sample = monotone () in
+    arm ctx nvm ~sample:(fun () -> sample (p.Ptm.durable_id ()));
     let completed =
       guard ctx (fun () ->
           Sched.run (fun () ->
               p.Ptm.start ();
-              let done_workers = ref 0 in
-              for th = 0 to wl.threads - 1 do
-                ignore
-                  (Sched.spawn (Printf.sprintf "batch-worker-%d" th) (fun () ->
-                       for _ = 1 to txs do
-                         match p.Ptm.atomically ~thread:th wl.tx_body with
-                         | Some ((), tid) -> if tid > 0 then incr committed
-                         | None -> ()
-                       done;
-                       incr done_workers))
-              done;
-              Sched.wait_until ~label:"batch workers done" (fun () -> !done_workers = wl.threads);
+              workers "batch-worker" cfg.Config.nthreads ~txs (fun th _ ->
+                  ptm_counter h p ~stamp:stamp8 th);
               p.Ptm.drain ();
               p.Ptm.stop ()))
     in
-    judge !err;
-    acked := max !acked (p.Ptm.durable_id ());
-    Nvm.crash nvm;
-    match Dude_ptm.Stm.attach_ptm cfg nvm with
-    | p2, _, report ->
-      ( p2,
-        {
-          b_acked = !acked;
-          b_quiescent = completed <> None;
-          b_committed = !committed;
-          b_durable = report.Dudetm.durable;
-          b_peek = p2.Ptm.peek;
-        } )
-    | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
+    judge !regressed;
+    History.observe h 0 (max !acked (p.Ptm.durable_id ()));
+    if completed <> None then History.quiesce h;
+    let p2, _, report = recover [| nvm |] (fun () -> Dude_ptm.Stm.attach_ptm cfg nvm) in
+    let cut, verdict =
+      judge_image ~durable:report.Dudetm.durable h ~read:(fun (_, a) -> p2.Ptm.peek a)
+    in
+    judge verdict;
+    History.truncate h cut;
+    (p2, completed <> None)
   in
-  let p2, o1 = life p1 in
-  if o1.b_quiescent then o1
-  else begin
-    judge (batch_oracle at o1);
-    let _, o2 = life p2 in
-    { o2 with b_committed = o1.b_durable + o2.b_committed }
-  end
+  let p2, quiescent = life p1 in
+  if not quiescent then ignore (life p2);
+  None
 
 (* ------------------------------------------------------------------ *)
 (* replica: primary killed, replica promoted                          *)
@@ -1225,11 +1094,12 @@ let replica_faults =
     corrupt = 0.03;
   }
 
-let replica_tx tx =
-  let c1 = 1 + Int64.to_int (Rep.Engine.read tx 0) in
-  Rep.Engine.write tx (slot_addr (c1 mod 8)) (Int64.of_int c1);
-  Rep.Engine.write tx 0 (Int64.of_int c1)
-
+(* The primary runs the counter family.  No quorum-acked transaction may
+   be lost, the watermark may never pass the quorum prefix, and the
+   promoted image must be the replay of a cut of the history.  With K = 1
+   the quorum is the primary alone, so acks promise primary-local
+   durability only and failover makes no no-loss promise: only the
+   prefix-consistency checks apply. *)
 let replica_run ctx at =
   let nreplicas = int_param at "replicas" and txs = int_param at "txs" in
   let scenario = param at "scenario" in
@@ -1243,12 +1113,9 @@ let replica_run ctx at =
   in
   let c = Rep.create ~rcfg:{ (Rep.default_config ~nreplicas ()) with Rep.link } cfg in
   let prim = Rep.primary c in
-  let last_d = ref 0 and err = ref None and committed = ref 0 and drained_quorum = ref false in
-  arm ctx prim ~sample:(fun () ->
-      let d = Rep.Engine.durable_id prim in
-      if d < !last_d && !err = None then
-        err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-      last_d := max !last_d d);
+  let h = History.create () and drained_quorum = ref false in
+  let _, regressed, sample = monotone () in
+  arm ctx prim ~sample:(fun () -> sample (Rep.Engine.durable_id prim));
   let completed =
     guard ~what:"cluster" ctx (fun () ->
         Sched.run (fun () ->
@@ -1265,61 +1132,40 @@ let replica_run ctx at =
                        Sched.advance 400_000;
                        Rep.set_partitioned c (nreplicas - 1) false
                      with Sched.Killed -> ()));
-            let done_workers = ref 0 in
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "replica-worker-%d" th) (fun () ->
-                     for i = 1 to txs do
-                       match Rep.Engine.atomically prim ~thread:th replica_tx with
-                       | Some (_, tid) when tid > 0 ->
-                         incr committed;
-                         (* Exercise the bounded quorum wait on a sample of
-                            commits; the rest stay decoupled. *)
-                         if i mod 4 = 0 then ignore (Rep.wait_acked c tid)
-                       | _ -> ()
-                     done;
-                     incr done_workers))
-            done;
-            Sched.wait_until ~label:"replica workers done" (fun () ->
-                !done_workers = cfg.Config.nthreads);
-            (match Rep.drain c with
-            | Rep.Quorum -> drained_quorum := true
-            | Rep.Degraded_quorum _ -> ());
+            workers "replica-worker" cfg.Config.nthreads ~txs (fun th i ->
+                match
+                  Rep.Engine.atomically prim ~thread:th (fun tx ->
+                      counter_tx h ~worker:th ~stamp:stamp8 (Rep.Engine.read tx)
+                        (Rep.Engine.write tx))
+                with
+                | Some (_, tid) ->
+                  History.commit h ~worker:th ();
+                  (* Exercise the bounded quorum wait on a sample of
+                     commits; the rest stay decoupled. *)
+                  if tid > 0 && i mod 4 = 0 then ignore (Rep.wait_acked c tid)
+                | None -> History.abandon h ~worker:th);
+            drained_quorum := Rep.drain c = Rep.Quorum;
             Rep.sync_followers c;
             Rep.stop c))
   in
-  judge !err;
+  judge !regressed;
   (* The watermark is monotone, so its value now is its value at the cut:
      exactly what was ever acknowledged as quorum-durable. *)
   let acked = Rep.acked c in
+  let guarded = Rep.quorum_needed ~nreplicas > 1 in
+  if guarded then History.observe h 0 acked;
+  if completed <> None && !drained_quorum then History.quiesce h;
   match Rep.promote c with
-  | eng, prom ->
-    (acked, prom, Rep.Engine.heap_read_u64 eng, completed <> None && !drained_quorum, !committed)
   | exception e -> fail ("promotion raised " ^ Printexc.to_string e)
-
-(* No quorum-acked transaction lost, the watermark never past the quorum
-   prefix, and the promoted image exactly the model state of the recovered
-   commit count.  With K = 1 the quorum is the primary alone, so acks
-   promise primary-local durability only and failover makes no no-loss
-   promise: only the prefix-consistency checks apply. *)
-let replica_oracle at (acked, prom, peek, quiescent, committed) =
-  let k = Int64.to_int (peek 0) in
-  let durable = prom.Rep.report.Dudetm.durable in
-  let guarded = Rep.quorum_needed ~nreplicas:(int_param at "replicas") > 1 in
-  if guarded && acked > prom.Rep.quorum_prefix then
+  | _, prom when guarded && acked > prom.Rep.quorum_prefix ->
     Some
       (Printf.sprintf "acked watermark %d passed the quorum prefix %d (candidates %s)" acked
          prom.Rep.quorum_prefix
          (String.concat "," (Array.to_list (Array.map string_of_int prom.Rep.candidates))))
-  else if guarded && durable < acked then
-    Some
-      (Printf.sprintf "durability lost: watermark %d was quorum-acked, promotion recovered only %d"
-         acked durable)
-  else if k <> durable then
-    Some (Printf.sprintf "promotion reports durable id %d but the data image shows %d" durable k)
-  else if quiescent && k <> committed then
-    Some (Printf.sprintf "quiescent stop lost transactions: committed %d, promoted %d" committed k)
-  else slot_check ~slots:8 ~stamp:(fun i -> [ i mod 8 ]) ~peek ~k
+  | eng, prom ->
+    snd
+      (judge_image ~who:"promotion" ~durable:prom.Rep.report.Dudetm.durable h
+         ~read:(fun (_, a) -> Rep.Engine.heap_read_u64 eng a))
 
 (* Per link scenario, the site budget split across the scenarios swept. *)
 let replica_plan budget at _ =
@@ -1343,13 +1189,14 @@ let replica_plan budget at _ =
    Boundaries are counted across all eight devices (the handoff journal's
    own seals are boundaries too).
 
-   The per-key model tracks a commit count and, at every boundary, how
-   many of each key's commits were acknowledged under the sampled vector
-   watermark (local acks against the per-shard effective IDs, window
-   double-writes against the global frontier).  After recovery the value
-   at the key's descriptor-routed owner must sit in [acked, committed];
-   after the completed schedule it must equal the commit count exactly,
-   with every moved range's source slots recycled to zero.
+   Each key is a stream of the history: its increments are positioned by
+   the value they write and acknowledged under the vector watermark
+   sampled at the cut (local acks against the per-shard effective IDs,
+   window double-writes against the global frontier).  After every attach
+   the value at the key's descriptor-routed owner must be the replay of a
+   cut keeping every acknowledged increment, and the history rebases on
+   that cut; after the completed schedule every increment counts, and
+   every moved range's source slots are recycled to zero.
 
    The second life is armed before the first re-attach, so its cut can
    land inside recovery itself — between the roll-forward seals of a
@@ -1359,7 +1206,6 @@ let replica_plan budget at _ =
    recovers the stale descriptor, routes the moved range back to the
    source, and loses the destination's acknowledged writes. *)
 
-module Mig = Dudetm_shard.Migrate.Make (Dudetm_tm.Tinystm)
 module Handoff = Dudetm_shard.Handoff
 module Partition = Dudetm_workloads.Partition
 
@@ -1376,94 +1222,51 @@ let mg_moves = List.init 4 (fun m -> (m, 4 + m, (2 * m) + 1))
 
 let mg_slot k = 8 * k
 
-type mg_ack = Mg_local of int * int | Mg_cross of int
+(* One increment through the router, recorded at the value it writes. *)
+let mg_bump h mig ~thread k =
+  let bump v =
+    let v = Int64.add v 1L in
+    History.attempt h ~worker:0 ~pos:(fun _ -> Int64.to_int v) [ ((k, 0), v) ];
+    v
+  in
+  match Mig.apply mig ~thread ~key:k bump with
+  | Some (_, ack) -> History.commit h ~worker:0 ~ack:(shard_ack migrate_nshards ack) ()
+  | None -> History.abandon h ~worker:0
 
-type mg_model = {
-  mg_committed : int array;
-  mg_acked : int array;  (* running max of the satisfied ack prefix *)
-  mg_pending : mg_ack Queue.t array;  (* per key, in commit order *)
-  mutable mg_fmax : int;
-  mg_emax : int array;
-}
+let mg_peek sh s k = Shard.Engine.heap_read_u64 (Shard.engine sh s) (mg_slot k)
 
-(* Unacknowledged commits are void once the power is cut: their tids/gtids
-   can be reissued by the next life, so leaving them queued would let a
-   second-life watermark satisfy a first-life ack. *)
-let mg_void_pending model = Array.iter Queue.clear model.mg_pending
+(* Every key read at its descriptor-routed owner. *)
+let mg_read sh mig (k, _) = mg_peek sh (Mig.owner mig k) k
 
-(* One increment through the router; records the commit and its ack. *)
-let mg_bump mig model ~thread k =
-  match Mig.apply mig ~thread ~key:k (fun v -> Int64.add v 1L) with
-  | Some (_, ack) -> (
-    model.mg_committed.(k) <- model.mg_committed.(k) + 1;
-    match ack with
-    | Mig.Sh.Ack_local { shard; tid } -> Queue.push (Mg_local (shard, tid)) model.mg_pending.(k)
-    | Mig.Sh.Ack_cross { gtid } -> Queue.push (Mg_cross gtid) model.mg_pending.(k)
-    | Mig.Sh.Ack_read_only -> ())
-  | None -> ()
-
-(* The value the descriptor-routed owner holds for every key must cover
-   everything acknowledged and never exceed the commit count; [final]
-   additionally demands the completed-resharding fixpoint: final owners,
-   exact counts, and every non-owner slot recycled to zero. *)
-let mg_oracle ~final (sh, mig, model) =
-  let peek s k = Mig.Sh.Engine.heap_read_u64 (Mig.Sh.engine sh s) (mg_slot k) in
-  let bad = ref None in
-  let report r = if !bad = None then bad := Some r in
-  for k = 0 to migrate_nkeys - 1 do
-    let o = Mig.owner mig k in
-    let v = Int64.to_int (peek o k) in
-    if v < model.mg_acked.(k) then
-      report
-        (Printf.sprintf "acked write lost: key %d on owner shard %d is %d, %d were acked" k o v
-           model.mg_acked.(k));
-    if v > model.mg_committed.(k) then
-      report
-        (Printf.sprintf "phantom write: key %d on owner shard %d is %d, only %d committed" k o v
-           model.mg_committed.(k))
-  done;
-  if final then begin
-    let owners = Partition.owners (Mig.partition mig) in
-    if owners <> mg_final_owners then
-      report
-        (Printf.sprintf "resharding did not converge: owners %s"
-           (String.concat ";" (Array.to_list (Array.map string_of_int owners))));
-    for k = 0 to migrate_nkeys - 1 do
-      let o = Mig.owner mig k in
-      let v = Int64.to_int (peek o k) in
-      if v <> model.mg_committed.(k) then
-        report
-          (Printf.sprintf "quiescent stop lost writes: key %d is %d, committed %d" k v
-             model.mg_committed.(k));
-      for s = 0 to migrate_nshards - 1 do
-        if s <> o && peek s k <> 0L then
-          report
-            (Printf.sprintf "unreachable extent: shard %d still holds %Ld for key %d (owner %d)" s
-               (peek s k) k o)
-      done
-    done
-  end;
-  !bad
-
-(* A crash discards every commit past the durable cut, so once the
-   mid-recovery oracle has bounded the recovered values the model rebases
-   on them: they are the baseline the completion life builds on. *)
-let mg_rebase sh mig model =
-  for k = 0 to migrate_nkeys - 1 do
-    let o = Mig.owner mig k in
-    let v = Int64.to_int (Mig.Sh.Engine.heap_read_u64 (Mig.Sh.engine sh o) (mg_slot k)) in
-    model.mg_committed.(k) <- v;
-    if model.mg_acked.(k) > v then model.mg_acked.(k) <- v
-  done
+(* The completed-resharding fixpoint: final owners, and every non-owner
+   slot recycled to zero. *)
+let mg_converged sh mig =
+  let owners = Partition.owners (Mig.partition mig) in
+  let stray k s =
+    let o = Mig.owner mig k and v = mg_peek sh s k in
+    if s = o || v = 0L then None
+    else
+      Some
+        (Printf.sprintf "unreachable extent: shard %d still holds %Ld for key %d (owner %d)" s v
+           k o)
+  in
+  if owners <> mg_final_owners then
+    Some
+      (Printf.sprintf "resharding did not converge: owners %s"
+         (String.concat ";" (Array.to_list (Array.map string_of_int owners))))
+  else
+    List.find_map
+      (fun k -> List.find_map (stray k) (List.init migrate_nshards Fun.id))
+      (List.init migrate_nkeys Fun.id)
 
 (* The deterministic resharding schedule under traffic: per move, a full
    round of increments, then chunked copy interleaved with double-writes
    in the moving range and traffic outside it, the flip, a post-flip
    commit routed to the new owner, and chunked cleanup under traffic. *)
-let mg_schedule mig model =
+let mg_schedule h mig =
   let round () =
     for k = 0 to migrate_nkeys - 1 do
-      mg_bump mig model ~thread:(k mod 3) k
+      mg_bump h mig ~thread:(k mod 3) k
     done
   in
   List.iter
@@ -1474,15 +1277,15 @@ let mg_schedule mig model =
       let fin = ref false in
       while not !fin do
         fin := Mig.copy_step ~chunk:1 mig ~thread:0;
-        mg_bump mig model ~thread:1 kin;
-        mg_bump mig model ~thread:2 kout
+        mg_bump h mig ~thread:1 kin;
+        mg_bump h mig ~thread:2 kout
       done;
       Mig.flip mig;
-      mg_bump mig model ~thread:0 ((2 * b) + 1);
+      mg_bump h mig ~thread:0 ((2 * b) + 1);
       let fin = ref false in
       while not !fin do
         fin := Mig.cleanup_step ~chunk:2 mig ~thread:0;
-        mg_bump mig model ~thread:1 kout
+        mg_bump h mig ~thread:1 kout
       done)
     mg_moves;
   round ()
@@ -1490,7 +1293,7 @@ let mg_schedule mig model =
 (* After a re-attach: finish any pending cleanup, re-run every move the
    descriptor still shows unfinished, then one more round to prove the
    recovered instance routes and commits. *)
-let mg_complete mig model =
+let mg_complete h mig =
   (match Mig.migrating mig with
   | Some (_, Handoff.Cleanup) ->
     while not (Mig.cleanup_step ~chunk:4 mig ~thread:0) do
@@ -1503,103 +1306,87 @@ let mg_complete mig model =
       if owners.(b) = src then Mig.migrate ~chunk:1 mig ~thread:0 ~src ~dst ~blo:b ~bhi:(b + 1))
     mg_moves;
   for k = 0 to migrate_nkeys - 1 do
-    mg_bump mig model ~thread:(k mod 3) k
+    mg_bump h mig ~thread:(k mod 3) k
   done
 
 (* First life: the schedule, cut at crash-at.  Second life, armed before
    the re-attach: attach and completion, cut at crash2.  After a second
-   cut, an unarmed attach and completion.  Each attach is judged by the
-   mid-recovery oracle; the returned state by the final one. *)
+   cut, an unarmed attach and completion.  Every attach is judged by the
+   history; the returned state also by the fixpoint. *)
 let migrate_run ctx _ =
   let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
   let part =
     Partition.buckets ~nshards:migrate_nshards ~lo:0L ~hi:(Int64.of_int migrate_nkeys)
       ~owners:mg_initial_owners
   in
-  let sh = Mig.Sh.create ~nshards:migrate_nshards cfg in
+  let sh = Shard.create ~nshards:migrate_nshards cfg in
   let mig = Mig.create sh ~part ~nkeys:migrate_nkeys ~slot_of:mg_slot in
-  let nvms = Array.init migrate_nshards (Mig.Sh.nvm sh) in
-  let model =
-    {
-      mg_committed = Array.make migrate_nkeys 0;
-      mg_acked = Array.make migrate_nkeys 0;
-      mg_pending = Array.init migrate_nkeys (fun _ -> Queue.create ());
-      mg_fmax = 0;
-      mg_emax = Array.make migrate_nshards 0;
-    }
-  in
-  let cur_sh = ref sh in
-  let sample () =
-    let f = Mig.Sh.global_frontier !cur_sh in
-    if f > model.mg_fmax then model.mg_fmax <- f;
-    Array.iteri
-      (fun s e -> model.mg_emax.(s) <- max model.mg_emax.(s) e)
-      (Mig.Sh.effective_vector !cur_sh);
-    for k = 0 to migrate_nkeys - 1 do
-      let q = model.mg_pending.(k) in
-      let satisfied = function
-        | Mg_local (s, tid) -> model.mg_emax.(s) >= tid
-        | Mg_cross g -> model.mg_fmax >= g
-      in
-      while (not (Queue.is_empty q)) && satisfied (Queue.peek q) do
-        ignore (Queue.pop q);
-        model.mg_acked.(k) <- model.mg_acked.(k) + 1
-      done
-    done
-  in
+  let nvms = Array.init migrate_nshards (Shard.nvm sh) in
+  let h = History.create () in
+  (* The vector watermark of the live instance: per-shard effective IDs,
+     then the frontier. *)
+  let live = ref (Some sh) in
+  let sample () = Option.iter (observe_vector h) !live in
   let crash () =
-    mg_void_pending model;
+    live := None;
     Array.iter Nvm.crash nvms
   in
   let attach () =
-    let sh2, _ = Mig.Sh.attach ~nshards:migrate_nshards cfg nvms in
-    cur_sh := sh2;
+    let sh2, _ = Shard.attach ~nshards:migrate_nshards cfg nvms in
     let mig2, _ = Mig.attach sh2 ~nkeys:migrate_nkeys ~slot_of:mg_slot in
-    judge (mg_oracle ~final:false (sh2, mig2, model));
-    mg_rebase sh2 mig2 model;
+    let cut, verdict = History.check h ~read:(mg_read sh2 mig2) in
+    judge verdict;
+    History.truncate h cut;
+    live := Some sh2;
     (sh2, mig2)
   in
   let complete (sh2, mig2) =
     Sched.run (fun () ->
-        Mig.Sh.start sh2;
-        mg_complete mig2 model;
+        Shard.start sh2;
+        mg_complete h mig2;
         disarm ctx;
-        Mig.Sh.stop sh2)
+        Shard.stop sh2)
   in
   let first =
     guard ctx (fun () ->
         Sched.run (fun () ->
-            Mig.Sh.start sh;
+            Shard.start sh;
             arm ctx ~sample sh;
-            mg_schedule mig model;
+            mg_schedule h mig;
             disarm ctx;
-            Mig.Sh.stop sh))
+            Shard.stop sh))
   in
-  if first <> None then (sh, mig, model)
-  else begin
-    crash ();
-    arm ctx ~sample sh;
-    let second () =
-      let s = attach () in
-      ignore (complete s);
-      s
-    in
-    match guard ~what:"recovered engine" ctx second with
-    | Some (sh2, mig2) -> (sh2, mig2, model)
-    | None ->
-      (* No further cuts: attach once more and finish the schedule. *)
+  let sh, mig =
+    if first <> None then (sh, mig)
+    else begin
       crash ();
-      let sh3, mig3 =
-        try attach () with
-        | Failed _ as e -> raise e
-        | e -> fail ("re-recovery raised " ^ Printexc.to_string e)
+      arm ctx ~sample sh;
+      let second () =
+        let s = attach () in
+        ignore (complete s);
+        s
       in
-      (match complete (sh3, mig3) with
-      | _ -> ()
-      | exception Sched.Deadlock msg -> fail ("deadlock after re-recovery: " ^ msg)
-      | exception e -> fail ("re-recovered engine raised " ^ Printexc.to_string e));
-      (sh3, mig3, model)
-  end
+      match guard ~what:"recovered engine" ctx second with
+      | Some s -> s
+      | None ->
+        (* No further cuts: attach once more and finish the schedule. *)
+        crash ();
+        let s =
+          try attach () with
+          | Failed _ as e -> raise e
+          | e -> fail ("re-recovery raised " ^ Printexc.to_string e)
+        in
+        (match complete s with
+        | _ -> ()
+        | exception Sched.Deadlock msg -> fail ("deadlock after re-recovery: " ^ msg)
+        | exception e -> fail ("re-recovered engine raised " ^ Printexc.to_string e));
+        s
+    end
+  in
+  History.quiesce h;
+  match History.check h ~read:(mg_read sh mig) with
+  | _, (Some _ as v) -> v
+  | _, None -> mg_converged sh mig
 
 (* ------------------------------------------------------------------ *)
 (* snapshot: read-only snapshots across power cuts                    *)
@@ -1607,13 +1394,13 @@ let migrate_run ctx _ =
 
 (* Pair-writer transactions — every commit writes the same value to both
    slots of one pair — against a concurrent read-only snapshot reader
-   alternating volatile and durable-only mode.  Every completed read-set
-   must satisfy va = vb: a reader whose epoch extension spans a writer's
-   commit must retry or see none of its writes (the
-   [Skip_snapshot_validate] mutant slides the epoch forward without
-   revalidating and tears).  A durable-mode read of value v proves v
-   transactions on that pair were durable, so recovery must find at least
-   v — and never more than were committed. *)
+   alternating volatile and durable-only mode.  Each pair is a stream of
+   the history, positioned by the values its writes count.  Every
+   completed read-set must be the replay of a cut, so va = vb: a reader
+   whose epoch extension spans a writer's commit must retry or see none of
+   its writes (the [Skip_snapshot_validate] mutant slides the epoch
+   forward without revalidating and tears).  A durable-mode read proves
+   its cut durable, so recovery must keep it. *)
 
 let snapshot_npairs = 4
 
@@ -1628,102 +1415,62 @@ let snapshot_run ctx at =
   let nwriters = nthreads - 1 in
   let p, _ = Dude_ptm.Stm.ptm cfg in
   let nvm = Option.get p.Ptm.nvm in
-  let last_d = ref 0 and err = ref None in
-  let report r = if !err = None then err := Some r in
-  arm ctx nvm ~sample:(fun () ->
-      let d = p.Ptm.durable_id () in
-      if d < !last_d then report (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-      last_d := max !last_d d);
-  let committed = Array.make snapshot_npairs 0 in
-  (* Per pair: the largest value a completed durable-mode read returned. *)
-  let durable_seen = Array.make snapshot_npairs 0 in
+  let h = History.create () in
+  let _, regressed, sample = monotone () in
+  arm ctx nvm ~sample:(fun () -> sample (p.Ptm.durable_id ()));
+  let pair_writes q va vb = [ ((q, sn_slot_a q), va); ((q, sn_slot_b q), vb) ] in
+  let write th i =
+    let pair = (th + (nwriters * i)) mod snapshot_npairs in
+    match
+      p.Ptm.atomically ~thread:th (fun tx ->
+          let v = Int64.add (tx.Ptm.read (sn_slot_a pair)) 1L in
+          tx.Ptm.write (sn_slot_a pair) v;
+          tx.Ptm.write (sn_slot_b pair) v;
+          History.attempt h ~worker:th ~pos:(fun _ -> Int64.to_int v) (pair_writes pair v v))
+    with
+    | Some _ -> History.commit h ~worker:th ()
+    | None -> History.abandon h ~worker:th
+  in
+  let reader writers_done =
+    let reader_done = ref false in
+    ignore
+      (Sched.spawn "snapshot-reader" (fun () ->
+           let durable = ref false in
+           while not (writers_done ()) do
+             durable := not !durable;
+             (* All [a] halves first, then all [b] halves: a writer
+                committing pair [q] anywhere in between bumps both stripes
+                past the epoch, so the [b] read triggers an extension —
+                which must revalidate the recorded [a] (and restart), or
+                tear. *)
+             match
+               p.Ptm.atomically_ro ~durable:!durable ~thread:(nthreads - 1) (fun tx ->
+                   let read slot = Array.init snapshot_npairs (fun q -> tx.Ptm.read (slot q)) in
+                   let va = read sn_slot_a in
+                   let vb = read sn_slot_b in
+                   (va, vb))
+             with
+             | Some ((va, vb), epoch) ->
+               tally ctx "snapshot reads" 1;
+               History.read h ~epoch ~durable:!durable
+                 (List.concat (List.init snapshot_npairs (fun q -> pair_writes q va.(q) vb.(q))))
+             | None -> ()
+           done;
+           reader_done := true));
+    fun () -> !reader_done
+  in
   let completed =
     guard ctx (fun () ->
         Sched.run (fun () ->
             p.Ptm.start ();
-            let writers_done = ref 0 in
-            for th = 0 to nwriters - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "snapshot-writer-%d" th) (fun () ->
-                     for i = 1 to txs do
-                       let pair = (th + (nwriters * i)) mod snapshot_npairs in
-                       match
-                         p.Ptm.atomically ~thread:th (fun tx ->
-                             let v = Int64.add (tx.Ptm.read (sn_slot_a pair)) 1L in
-                             tx.Ptm.write (sn_slot_a pair) v;
-                             tx.Ptm.write (sn_slot_b pair) v)
-                       with
-                       | Some ((), _) -> committed.(pair) <- committed.(pair) + 1
-                       | None -> ()
-                     done;
-                     incr writers_done))
-            done;
-            let reader_done = ref false in
-            ignore
-              (Sched.spawn "snapshot-reader" (fun () ->
-                   let durable = ref false in
-                   while !writers_done < nwriters do
-                     durable := not !durable;
-                     (* All [a] halves first, then all [b] halves: a writer
-                        committing pair [q] anywhere in between bumps both
-                        stripes past the epoch, so the [b] read triggers an
-                        extension — which must revalidate the recorded [a]
-                        (and restart), or tear. *)
-                     match
-                       p.Ptm.atomically_ro ~durable:!durable ~thread:(nthreads - 1) (fun tx ->
-                           let read slot =
-                             Array.init snapshot_npairs (fun q -> tx.Ptm.read (slot q))
-                           in
-                           let va = read sn_slot_a in
-                           let vb = read sn_slot_b in
-                           (va, vb))
-                     with
-                     | Some ((va, vb), epoch) ->
-                       tally ctx "snapshot reads" 1;
-                       for q = 0 to snapshot_npairs - 1 do
-                         if va.(q) <> vb.(q) then
-                           report
-                             (Printf.sprintf
-                                "torn snapshot read-set: pair %d is %Ld/%Ld at epoch %d (%s mode)" q
-                                va.(q) vb.(q) epoch
-                                (if !durable then "durable" else "volatile"));
-                         if !durable then
-                           durable_seen.(q) <- max durable_seen.(q) (Int64.to_int va.(q))
-                       done
-                     | None -> ()
-                   done;
-                   reader_done := true));
-            Sched.wait_until ~label:"snapshot workers done" (fun () ->
-                !writers_done = nwriters && !reader_done);
+            workers "snapshot-writer" nwriters ~txs ~watch:reader write;
             p.Ptm.drain ();
             p.Ptm.stop ()))
   in
-  judge !err;
-  Nvm.crash nvm;
-  match Dude_ptm.Stm.attach_ptm cfg nvm with
-  | p2, _, _ -> (p2.Ptm.peek, committed, durable_seen, completed <> None)
-  | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
-
-let snapshot_oracle _ (peek, committed, durable_seen, quiescent) =
-  let verdict = ref None in
-  let fail r = if !verdict = None then verdict := Some r in
-  for pr = 0 to snapshot_npairs - 1 do
-    let ra = Int64.to_int (peek (sn_slot_a pr)) and rb = Int64.to_int (peek (sn_slot_b pr)) in
-    if ra <> rb then fail (Printf.sprintf "recovered pair %d is torn: %d/%d" pr ra rb);
-    if ra < durable_seen.(pr) then
-      fail
-        (Printf.sprintf "durable-mode snapshot read lost: pair %d read %d, recovery found %d" pr
-           durable_seen.(pr) ra);
-    if ra > committed.(pr) then
-      fail
-        (Printf.sprintf "phantom writes: pair %d recovered %d, only %d committed" pr ra
-           committed.(pr));
-    if quiescent && ra <> committed.(pr) then
-      fail
-        (Printf.sprintf "quiescent stop lost writes: pair %d is %d, committed %d" pr ra
-           committed.(pr))
-  done;
-  !verdict
+  judge !regressed;
+  if completed <> None then History.quiesce h;
+  let p2, _, _ = recover [| nvm |] (fun () -> Dude_ptm.Stm.attach_ptm cfg nvm) in
+  snd (History.check h ~read:(fun (_, a) -> p2.Ptm.peek a))
 
 (* ------------------------------------------------------------------ *)
 (* serve: the serving front end, acked-prefix oracle                  *)
@@ -1732,12 +1479,12 @@ let snapshot_oracle _ (peek, committed, durable_seen, quiescent) =
 (* One closed-loop client session per pair drives dense increments
    through the bounded queue, admission gate, DRR dispatch and
    durable-watermark acker; each write of value v stamps both slots of its
-   pair, and the client records v as acked only once its reply arrives.
-   After re-attach: no half-applied request (both slots agree), no acked
-   request lost (a reply is a durability promise — the
+   pair, and its reply is its acknowledgement.  Each pair is a stream of
+   the history: a request in flight is its client's unreturned attempt.
+   After re-attach the image must be the replay of a cut keeping every
+   replied request (a reply is a durability promise — the
    [Skip_admission_gate] mutant releases replies at commit instead of the
-   durable watermark), no phantom beyond the largest submitted value, and
-   with no cut every pair at exactly txs. *)
+   durable watermark), and with no cut every request counts. *)
 
 module Srv = Dudetm_serve.Serve.Make (Dudetm_tm.Tinystm)
 module Serve = Dudetm_serve.Serve
@@ -1791,98 +1538,63 @@ let serve_run ctx at =
       ~workers:serve_scfg.Serve.workers_per_shard ()
   in
   let sh = Srv.Sh.create ~nshards:serve_nshards cfg in
-  let err = ref None in
-  let report r = if !err = None then err := Some r in
   arm ctx sh;
   let srv = Srv.create ~scfg:serve_scfg ~app:serve_app ~ntenants:serve_ntenants sh in
-  let acked = Array.make serve_npairs 0 in
-  let submitted = Array.make serve_npairs 0 in
-  let shed = ref 0 in
+  let h = History.create () and acked = ref 0 and shed = ref 0 in
+  let desc p op = Srv.make_desc ~tenant:(p mod serve_ntenants) ~session:p op in
+  let descs op = Array.init serve_npairs (fun p -> desc p (op (Int64.of_int p))) in
+  let wds = descs (fun key -> Serve.Write { key; payload = 0L }) in
+  let rds = descs (fun key -> Serve.Read { key }) in
+  let client p v =
+    let key = Int64.of_int p and payload = Int64.of_int v in
+    History.attempt h ~worker:p ~pos:(fun _ -> v)
+      [ ((p, sv_slot_a p), payload); ((p, sv_slot_b p), payload) ];
+    let rec attempt () =
+      Srv.set_op wds.(p) (Serve.Write { key; payload });
+      if not (Srv.submit srv wds.(p)) then begin
+        incr shed;
+        Sched.advance 2_000;
+        attempt ()
+      end
+      else
+        match Srv.await wds.(p) with
+        | Serve.R_executed _ ->
+          incr acked;
+          History.commit h ~worker:p ~ack:History.Acked ()
+        | Serve.R_aborted -> attempt ()
+        | _ -> fail "write reply of unexpected shape"
+    in
+    attempt ();
+    (* Opportunistic snapshot read: the pair must never be torn in flight
+       either. *)
+    if v land 3 = 0 then begin
+      Srv.set_op rds.(p) (Serve.Read { key });
+      if Srv.submit srv rds.(p) then
+        match Srv.await rds.(p) with
+        | Serve.R_value r when Int64.equal r (-1L) ->
+          fail (Printf.sprintf "torn in-flight read of pair %d" p)
+        | _ -> ()
+    end
+  in
   let completed =
     guard ctx (fun () ->
         Sched.run (fun () ->
             Srv.start srv;
-            let clients_done = ref 0 in
-            for p = 0 to serve_npairs - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "serve-client-%d" p) (fun () ->
-                     let tenant = p mod serve_ntenants in
-                     let key = Int64.of_int p in
-                     let wd =
-                       Srv.make_desc ~tenant ~session:p (Serve.Write { key; payload = 0L })
-                     in
-                     let rd = Srv.make_desc ~tenant ~session:p (Serve.Read { key }) in
-                     for v = 1 to txs do
-                       submitted.(p) <- v;
-                       let payload = Int64.of_int v in
-                       let rec attempt () =
-                         Srv.set_op wd (Serve.Write { key; payload });
-                         if not (Srv.submit srv wd) then begin
-                           incr shed;
-                           Sched.advance 2_000;
-                           attempt ()
-                         end
-                         else
-                           match Srv.await wd with
-                           | Serve.R_executed _ -> acked.(p) <- v
-                           | Serve.R_aborted -> attempt ()
-                           | _ -> report "write reply of unexpected shape"
-                       in
-                       attempt ();
-                       (* Opportunistic snapshot read: the pair must never
-                          be torn in flight either. *)
-                       if v land 3 = 0 then begin
-                         Srv.set_op rd (Serve.Read { key });
-                         if Srv.submit srv rd then
-                           match Srv.await rd with
-                           | Serve.R_value r when Int64.equal r (-1L) ->
-                             report (Printf.sprintf "torn in-flight read of pair %d" p)
-                           | _ -> ()
-                       end
-                     done;
-                     incr clients_done))
-            done;
-            Sched.wait_until ~label:"serve clients done" (fun () -> !clients_done = serve_npairs);
+            workers "serve-client" serve_npairs ~txs client;
             Srv.stop srv))
   in
-  tally ctx "acked requests" (Array.fold_left ( + ) 0 acked);
+  tally ctx "acked requests" !acked;
   tally ctx "shed" !shed;
-  judge !err;
+  if completed <> None then History.quiesce h;
   let nvms = Array.init serve_nshards (Srv.Sh.nvm sh) in
-  Array.iter Nvm.crash nvms;
-  match Srv.Sh.attach ~nshards:serve_nshards cfg nvms with
-  | sh2, _ -> (sh2, acked, submitted, completed <> None)
-  | exception e -> fail ("recovery raised " ^ Printexc.to_string e)
-
-let serve_oracle at (sh2, acked, submitted, quiescent) =
-  let txs = int_param at "txs" in
-  let verdict = ref None in
-  let fail r = if !verdict = None then verdict := Some r in
-  for p = 0 to serve_npairs - 1 do
-    let e = Srv.Sh.engine sh2 (sv_shard_of p) in
-    let ra = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_a p)) in
-    let rb = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_b p)) in
-    if ra <> rb then fail (Printf.sprintf "half-applied request: pair %d recovered %d/%d" p ra rb);
-    if ra < acked.(p) then
-      fail
-        (Printf.sprintf "acked request lost: pair %d acked %d, recovery found %d" p acked.(p)
-           ra);
-    if ra > submitted.(p) then
-      fail
-        (Printf.sprintf "phantom request: pair %d recovered %d, submitted %d" p ra
-           submitted.(p));
-    if quiescent && ra <> txs then
-      fail (Printf.sprintf "quiescent stop lost requests: pair %d is %d, expected %d" p ra txs)
-  done;
-  !verdict
+  let sh2 = recover nvms (fun () -> fst (Srv.Sh.attach ~nshards:serve_nshards cfg nvms)) in
+  snd
+    (History.check h ~read:(fun (p, a) ->
+         Srv.Engine.heap_read_u64 (Srv.Sh.engine sh2 (sv_shard_of p)) a))
 
 (* ------------------------------------------------------------------ *)
 (* The campaign table and the replay grammar                          *)
 (* ------------------------------------------------------------------ *)
-
-let no_post _ = None
-
-let no_shrink _ f = f
 
 let one_dev n = [| n |]
 
@@ -1894,177 +1606,83 @@ let one_of l v = List.mem v l
 
 let coord ?(valid = int_ok) flag kind = { flag; kind; valid }
 
-type t = Campaign : ('sys, 'obs) campaign -> t
+type t = Campaign : 'sys campaign -> t
+
+(* One life deep, no post-check and no shrinking unless given. *)
+let campaign ?(doc = "") ?(coords = []) ?(depth = 1) ?(post = fun _ -> None)
+    ?(shrink = fun _ f -> f) ~devices name run plan =
+  Campaign { name; doc; coords; depth; devices; run; plan; post; shrink }
 
 let campaigns =
   [
-    Campaign
-      {
-        name = "explore";
-        doc = "";
-        coords =
-          [
-            coord "system" (Each (List.map fst systems)) ~valid:(fun s -> List.mem_assoc s systems);
-            coord "workload" Sweep ~valid:(one_of [ "counter"; "overlap"; "counter1" ]);
-            coord "threads" (Fixed "3");
-            coord "txs" (Fixed "2");
-            coord "sched" Case ~valid:valid_sched;
-            coord "evict" (Fixed "0") ~valid:float_ok;
-            coord "evict-seed" (Fixed "1");
-          ];
-        depth = 1;
-        devices = one_dev;
-        run = explore_run;
-        oracle = (fun _ -> verify_noted);
-        plan = explore_plan;
-        post = no_post;
-        shrink = explore_shrink;
-      };
-    Campaign
-      {
-        name = "media";
-        doc =
-          "Inject seeded bit rot, poison and stuck lines into the persisted image after \
-           crashes, scrub, recover: every corruption must be repaired or reported.";
-        coords =
-          [
-            coord "system" (Fixed "dude") ~valid:(( = ) "dude");
-            coord "media-seed" Case;
-            coord "faults" Case ~valid:(one_of [ "heap"; "mixed" ]);
-          ];
-        depth = 1;
-        devices = one_dev;
-        run = media_run;
-        oracle = media_oracle;
-        plan = media_plan;
-        post = no_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "recovery";
-        doc =
-          "Cut power inside attach and scrub, and inside the recovery of a crashed \
-           recovery: every leg must converge to the uninterrupted recovery.";
-        coords = [ coord "leg" Case ~valid:(one_of [ "attach"; "scrub" ]) ];
-        depth = 3;
-        devices = one_dev;
-        run = recovery_run;
-        oracle = recovery_oracle;
-        plan = recovery_plan;
-        post = no_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "daemons";
-        doc =
-          "Inject seeded transient Persist/Reproduce faults: supervised restarts may move \
-           only the restart counters, never the recovered state.";
-        coords = [ coord "daemon-seed" Case; coord "fault-rate" (Fixed "0.25") ~valid:float_ok ];
-        depth = 1;
-        devices = one_dev;
-        run = daemons_run;
-        oracle = (fun _ -> verify);
-        plan = daemons_plan;
-        post = daemons_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "shards";
-        doc =
-          "Cut power during cross-shard transfers on every shard's device: every transfer \
-           must be all-or-nothing and every vector-watermark acknowledgement must survive.";
-        coords = [ coord "shard-count" (Fixed "3"); coord "txs" (Fixed "10") ];
-        depth = 1;
-        devices = shard_devices;
-        run = shards_run;
-        oracle = shards_oracle;
-        plan = cut_plan ?deep:None;
-        post = no_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "batch";
-        doc =
-          "Cut power at the boundaries of the pipelined group commit, then re-crash the \
-           recovered engine: recovery must be exactly the acknowledged durable prefix.";
-        coords = [ coord "txs" (Fixed "12") ];
-        depth = 2;
-        devices = one_dev;
-        run = batch_run;
-        oracle = batch_oracle;
-        plan = cut_plan ~deep:15;
-        post = no_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "replica";
-        doc =
-          "Kill the primary while the redo log ships to K replicas over clean, faulty and \
-           partitioned links, promote: no quorum-acked transaction may be lost.";
-        coords =
-          [
-            coord "replicas" (Fixed "3");
-            coord "txs" (Fixed "10");
-            coord "scenario" Sweep ~valid:(one_of replica_scenarios);
-          ];
-        depth = 1;
-        devices = (fun prim -> [| Rep.Engine.nvm prim |]);
-        run = replica_run;
-        oracle = replica_oracle;
-        plan = replica_plan;
-        post = no_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "migrate";
-        doc =
-          "Cut power during a live 4->8 resharding, and inside recovery's own handoff \
-           seals: every key on exactly one shard, no acknowledged write lost.";
-        coords = [];
-        depth = 2;
-        devices = (fun sh -> Array.init migrate_nshards (Mig.Sh.nvm sh));
-        run = migrate_run;
-        oracle = (fun _ -> mg_oracle ~final:true);
-        plan = cut_plan ~deep:20;
-        post = no_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "snapshot";
-        doc =
-          "Run volatile and durable snapshot readers against pair writers through power \
-           cuts: read-sets never tear, durable-mode values survive recovery.";
-        coords = [ coord "txs" (Fixed "12") ];
-        depth = 1;
-        devices = one_dev;
-        run = snapshot_run;
-        oracle = snapshot_oracle;
-        plan = cut_plan ?deep:None;
-        post = no_post;
-        shrink = no_shrink;
-      };
-    Campaign
-      {
-        name = "serve";
-        doc =
-          "Drive requests through the serving front end's queue, admission gate and \
-           durable-watermark acker through power cuts: no acknowledged request lost.";
-        coords = [ coord "txs" (Fixed "10") ];
-        depth = 1;
-        devices = (fun sh -> Array.init serve_nshards (Srv.Sh.nvm sh));
-        run = serve_run;
-        oracle = serve_oracle;
-        plan = cut_plan ?deep:None;
-        post = no_post;
-        shrink = no_shrink;
-      };
+    campaign "explore" explore_run explore_plan ~devices:one_dev ~shrink:explore_shrink
+      ~coords:
+        [
+          coord "system" (Each (List.map fst systems)) ~valid:(fun s -> List.mem_assoc s systems);
+          coord "workload" Sweep ~valid:(one_of [ "counter"; "overlap"; "counter1" ]);
+          coord "threads" (Fixed "3");
+          coord "txs" (Fixed "2");
+          coord "sched" Case ~valid:valid_sched;
+          coord "evict" (Fixed "0") ~valid:float_ok;
+          coord "evict-seed" (Fixed "1");
+        ];
+    campaign "media" media_run media_plan ~devices:one_dev
+      ~doc:
+        "Inject seeded bit rot, poison and stuck lines into the persisted image after crashes, \
+         scrub, recover: every corruption must be repaired or reported."
+      ~coords:
+        [
+          coord "system" (Fixed "dude") ~valid:(( = ) "dude");
+          coord "media-seed" Case;
+          coord "faults" Case ~valid:(one_of [ "heap"; "mixed" ]);
+        ];
+    campaign "recovery" recovery_run recovery_plan ~devices:one_dev ~depth:3
+      ~doc:
+        "Cut power inside attach and scrub, and inside the recovery of a crashed recovery: \
+         every leg must converge to the uninterrupted recovery."
+      ~coords:[ coord "leg" Case ~valid:(one_of [ "attach"; "scrub" ]) ];
+    campaign "daemons" daemons_run daemons_plan ~devices:one_dev ~post:daemons_post
+      ~doc:
+        "Inject seeded transient Persist/Reproduce faults: supervised restarts may move only \
+         the restart counters, never the recovered state."
+      ~coords:[ coord "daemon-seed" Case; coord "fault-rate" (Fixed "0.25") ~valid:float_ok ];
+    campaign "shards" shards_run (cut_plan ?deep:None) ~devices:shard_devices
+      ~doc:
+        "Cut power during cross-shard transfers on every shard's device: every transfer must \
+         be all-or-nothing and every vector-watermark acknowledgement must survive."
+      ~coords:[ coord "shard-count" (Fixed "3"); coord "txs" (Fixed "10") ];
+    campaign "batch" batch_run (cut_plan ~deep:15) ~devices:one_dev ~depth:2
+      ~doc:
+        "Cut power at the boundaries of the pipelined group commit, then re-crash the \
+         recovered engine: recovery must be exactly the acknowledged durable prefix."
+      ~coords:[ coord "txs" (Fixed "12") ];
+    campaign "replica" replica_run replica_plan
+      ~devices:(fun prim -> [| Rep.Engine.nvm prim |])
+      ~doc:
+        "Kill the primary while the redo log ships to K replicas over clean, faulty and \
+         partitioned links, promote: no quorum-acked transaction may be lost."
+      ~coords:
+        [
+          coord "replicas" (Fixed "3");
+          coord "txs" (Fixed "10");
+          coord "scenario" Sweep ~valid:(one_of replica_scenarios);
+        ];
+    campaign "migrate" migrate_run (cut_plan ~deep:20) ~depth:2
+      ~devices:(fun sh -> Array.init migrate_nshards (Shard.nvm sh))
+      ~doc:
+        "Cut power during a live 4->8 resharding, and inside recovery's own handoff seals: \
+         every key on exactly one shard, no acknowledged write lost.";
+    campaign "snapshot" snapshot_run (cut_plan ?deep:None) ~devices:one_dev
+      ~doc:
+        "Run volatile and durable snapshot readers against pair writers through power cuts: \
+         read-sets never tear, durable-mode values survive recovery."
+      ~coords:[ coord "txs" (Fixed "12") ];
+    campaign "serve" serve_run (cut_plan ?deep:None)
+      ~devices:(fun sh -> Array.init serve_nshards (Srv.Sh.nvm sh))
+      ~doc:
+        "Drive requests through the serving front end's queue, admission gate and \
+         durable-watermark acker through power cuts: no acknowledged request lost."
+      ~coords:[ coord "txs" (Fixed "10") ];
   ]
 
 let campaign_docs = List.map (fun (Campaign c) -> (c.name, c.doc)) campaigns

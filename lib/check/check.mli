@@ -1,35 +1,36 @@
-(** Crash-consistency campaigns over one kernel.
+(** Crash-consistency campaigns over one kernel and one oracle.
 
     A {e campaign} is one record: its [name]; the [devices] of a system
     instance; [run], which executes the lives of the system under a {e cut
-    vector}; the [oracle], which judges the recovered state; and the
-    [plan], the sweep.  The kernel alone arms the
-    {!Dudetm_nvm.Nvm.set_persist_hook} over the device set: the hook fires
-    at every persist boundary — when a persist ordering is issued and after
-    each cache line reaches the persisted image — so a cut lands between
-    any two line flushes, torn persists included.  Each life counts its
-    boundaries and cuts power at its entry of the cut vector (0: the life
-    runs uncut); [Crash_now], scheduler deadlocks and engine exceptions are
-    caught by the kernel and become the run's verdict.
+    vector} and returns their verdict; and the [plan], the sweep.  The
+    kernel alone arms the {!Dudetm_nvm.Nvm.set_persist_hook} over the
+    device set: the hook fires at every persist boundary — when a persist
+    ordering is issued and after each cache line reaches the persisted
+    image — so a cut lands between any two line flushes, torn persists
+    included.  Each life counts its boundaries and cuts power at its entry
+    of the cut vector (0: the life runs uncut); [Crash_now], scheduler
+    deadlocks and engine exceptions become the run's verdict.
+
+    Every campaign records its commits into a {!History} and judges each
+    recovered image by {!History.check}: the image must be the replay of a
+    downward-closed cut of the history, holding every acknowledged
+    transaction and nothing but committed ones and each worker's last
+    unreturned attempt.  Beside it stay only checks that do not judge
+    recovered state: recovery's durable report against the image, the
+    recovery verdict against the uninterrupted baseline, the replica
+    watermark against the quorum prefix, durable-ID monotonicity, media's
+    "reported" relaxation, migrate's convergence and daemons' post-check.
 
     The plan is a sequence of points (parameter settings).  Per point, a
     clean run counts the boundaries of the life to be cut, single cuts land
     at a sample of them, and a two-deep point also re-cuts a sample of
-    first cuts at boundaries counted after each.  The first oracle
-    violation stops the sweep and becomes the one {!failure} record, whose
-    {!replay_line} parses back ({!parse_replay}) into the same coordinate.
-
-    The ten campaigns, each validated by a seeded mutant ({!mutants}):
-    - [explore] — systems (DudeTM variants, Mnemosyne, NVML) × counter
-      workloads × schedules (default, seeded random preemption, bounded
-      DFS); shrinks failures.
-    - [media] — seeded bit rot, poison and stuck lines after the cut;
-      never silently wrong.
-    - [recovery] — cuts inside attach and scrub, three deep.
-    - [daemons] — supervised Persist/Reproduce restarts under injected
-      faults.
-    - [shards], [batch] (two deep), [replica], [migrate] (two deep),
-      [snapshot], [serve] — the layered protocols. *)
+    first cuts at boundaries counted after each.  The first violation stops
+    the sweep and becomes the one {!failure}, whose {!replay_line} parses
+    back ({!parse_replay}) into the same coordinate.  Ten campaigns, each
+    validated by a seeded mutant ({!mutants}): [explore] (systems × counter
+    workloads × schedules; shrinks), [media], [recovery] (three deep),
+    [daemons], [shards], [batch] and [migrate] (two deep), [replica],
+    [snapshot] and [serve]. *)
 
 (** {1 Budgets} *)
 
@@ -41,7 +42,8 @@ type budget =
 
 val budget_of_env : unit -> budget
 (** The one reader of the budget environment: [DUDETM_CHECK_DEEP=1] gives
-    [Deep], [DUDETM_CHECK_BUDGET=n] gives [Scaled n], otherwise [Scaled 1]. *)
+    [Deep], [DUDETM_CHECK_BUDGET=n] gives [Scaled n], unset or empty
+    variables [Scaled 1]; any other value raises [Invalid_argument]. *)
 
 type explore_budget = {
   crash_sites : int;  (** cuts under the default schedule *)

@@ -66,16 +66,7 @@ module Latency = struct
       float_of_int !sum /. float_of_int r.len
     end
 
-  let log2_bucket v =
-    if v <= 1 then 0
-    else begin
-      let b = ref 0 and v = ref v in
-      while !v > 1 do
-        b := !b + 1;
-        v := !v lsr 1
-      done;
-      !b
-    end
+  let log2_bucket = Dudetm_trace.Trace.bucket_of
 
   let log2_histogram r =
     let counts = Array.make 63 0 in

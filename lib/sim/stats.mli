@@ -34,7 +34,7 @@ module Latency : sig
 
   val log2_bucket : int -> int
   (** Bucket index for one sample: 0 for values [<= 1], else
-      [floor (log2 v)]. *)
+      [floor (log2 v)] — the trace's own {!Dudetm_trace.Trace.bucket_of}. *)
 
   val log2_histogram : r -> (int * int) list
   (** Sparse log2 histogram of the recorded samples: [(bucket, count)]

@@ -117,6 +117,10 @@ val instant_at : ts:int -> tid:int -> cat:string -> string -> int -> unit
 
 (** {1 Reading back} *)
 
+val bucket_of : int -> int
+(** The log₂ histogram bucket of one sample: 0 for values [<= 1], else
+    [floor (log2 v)] (at most 62).  Shared with {!Dudetm_sim.Stats.Latency}. *)
+
 type phase = {
   ph_cat : string;
   ph_name : string;

@@ -120,6 +120,30 @@ let test_budget_knob () =
     scaled.Check.exhaustive_runs;
   Alcotest.(check bool) "knob cleared" true (Check.budget_of_env () = Check.Scaled 1)
 
+(* A malformed knob is an error naming its variable, never a silent
+   default; set-but-empty is the default. *)
+let test_budget_knob_malformed () =
+  let rejects var v =
+    Unix.putenv var v;
+    let r = try Ok (Check.budget_of_env ()) with Invalid_argument msg -> Error msg in
+    Unix.putenv var "";
+    match r with
+    | Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s=%s: error names the variable" var v) true
+        (contains msg var)
+    | Ok _ -> Alcotest.failf "%s=%s accepted" var v
+  in
+  List.iter (rejects "DUDETM_CHECK_BUDGET") [ "2x"; "0"; "-3" ];
+  List.iter (rejects "DUDETM_CHECK_DEEP") [ "true"; "2" ];
+  Unix.putenv "DUDETM_CHECK_DEEP" "1";
+  let deep = Check.budget_of_env () in
+  Unix.putenv "DUDETM_CHECK_DEEP" "0";
+  let not_deep = Check.budget_of_env () in
+  Unix.putenv "DUDETM_CHECK_DEEP" "";
+  Alcotest.(check bool) "DEEP=1 is deep" true (deep = Check.Deep);
+  Alcotest.(check bool) "DEEP=0 is the default" true (not_deep = Check.Scaled 1);
+  Alcotest.(check bool) "empty is the default" true (Check.budget_of_env () = Check.Scaled 1)
+
 (* A replay at a boundary beyond the run's count is well-defined: no cut
    fires and the run is judged as quiescent. *)
 let test_replay_past_last_site () =
@@ -198,6 +222,8 @@ let suite =
       test_mutant_table;
     Alcotest.test_case "sched spec round-trip" `Quick test_sched_spec_roundtrip;
     Alcotest.test_case "budget env knob" `Quick test_budget_knob;
+    Alcotest.test_case "budget env knob: malformed values rejected" `Quick
+      test_budget_knob_malformed;
     Alcotest.test_case "replay past last site is quiescent" `Quick test_replay_past_last_site;
     Alcotest.test_case "grammar: replica replay needs --scenario" `Quick test_replay_needs_scenario;
     Alcotest.test_case "grammar: --crash2 needs a fired --crash-at" `Quick

@@ -2,7 +2,8 @@
    and through the volatile TinySTM upper bound must produce identical
    observable results — durability must never change what transactions
    compute.  And after a crash, the recovered state must be exactly the
-   durable prefix of the committed history (prefix-consistent subset).
+   durable prefix of the committed history, judged by the crash
+   campaigns' history oracle.
 
    The operation generator is deliberately reusable: [gen_ops] produces a
    seeded random op list for one thread over its own key range, and
@@ -20,6 +21,7 @@ module B = Dudetm_baselines
 module W = Dudetm_workloads
 module Ptm = B.Ptm_intf
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
+module History = Dudetm_check.History
 
 let check = Alcotest.check
 
@@ -177,8 +179,9 @@ let test_crash_recovery_prefix () =
   List.iter
     (fun (seed, crash_cycles, evict) ->
       let ptm, d = B.Dude_ptm.Stm.ptm dude_cfg in
-      (* (tid, key, value) for every committed write, all threads. *)
-      let writes = ref [] in
+      (* Every committed write, all threads: a history over the tid order
+         with one location per key. *)
+      let h = History.create () and tids = ref [] in
       (try
          ignore
            (Sched.run (fun () ->
@@ -202,7 +205,12 @@ let test_crash_recovery_prefix () =
                                   if Rng.bool rng then W.Kv.insert_tx kv tx ~key ~value
                                   else W.Kv.update_tx kv tx ~key ~value)
                             with
-                           | Some (true, tid) -> writes := (tid, key, value) :: !writes
+                           | Some (true, tid) ->
+                             tids := tid :: !tids;
+                             History.attempt h ~worker:th ~ack:(History.At (0, tid))
+                               ~pos:(fun _ -> tid)
+                               [ ((0, Int64.to_int key), value) ];
+                             History.commit h ~worker:th ()
                            | Some (false, _) | None -> ());
                            Sched.advance 40
                          done))
@@ -215,32 +223,21 @@ let test_crash_recovery_prefix () =
       let durable = report.Dudetm_core.Dudetm.durable in
       check Alcotest.bool "some transactions were durable" true (durable > 0);
       check Alcotest.bool "some commits were still in flight" true
-        (List.exists (fun (tid, _, _) -> tid > durable) !writes);
-      (* Model: last committed write per key within the durable prefix. *)
-      let model = Hashtbl.create 64 in
-      List.iter
-        (fun (tid, key, value) ->
-          if tid <= durable then
-            match Hashtbl.find_opt model key with
-            | Some (tid0, _) when tid0 > tid -> ()
-            | _ -> Hashtbl.replace model key (tid, value))
-        !writes;
+        (List.exists (fun tid -> tid > durable) !tids);
+      (* The durable prefix is acknowledged: the image must be the replay
+         of a cut holding all of it and nothing past it. *)
+      History.observe h 0 durable;
       let kv2 = W.Kv.attach ~desc:desc_addr ptm2 W.Kv.Hash in
-      let keys =
-        List.sort_uniq compare (List.map (fun (_, k, _) -> k) !writes)
+      let read (_, key) =
+        Option.value (W.Kv.peek_lookup kv2 ~key:(Int64.of_int key)) ~default:0L
       in
-      List.iter
-        (fun key ->
-          let expected = Option.map snd (Hashtbl.find_opt model key) in
-          let got = W.Kv.peek_lookup kv2 ~key in
-          if got <> expected then
-            Alcotest.failf
-              "seed %d: key %Ld recovered to %s, durable prefix says %s (durable=%d)" seed
-              key
-              (match got with Some v -> Int64.to_string v | None -> "absent")
-              (match expected with Some v -> Int64.to_string v | None -> "absent")
-              durable)
-        keys)
+      match History.check h ~read with
+      | _, Some reason -> Alcotest.failf "seed %d (durable=%d): %s" seed durable reason
+      | cut, None ->
+        check Alcotest.bool
+          (Printf.sprintf "seed %d: nothing past the durable prefix" seed)
+          true
+          (History.position cut 0 <= durable))
     [ (700, 400_000, 0.4); (701, 650_000, 0.7); (702, 900_000, 0.0) ]
 
 let suite =

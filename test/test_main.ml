@@ -15,6 +15,7 @@ let () =
       ("workloads", Test_workloads.suite);
       ("kv", Test_kv.suite);
       ("check", Test_check.suite);
+      ("history", Test_history.suite);
       ("scrub", Test_scrub.suite);
       ("media", Test_media.suite);
       ("recovery", Test_recovery.suite);
