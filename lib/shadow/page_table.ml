@@ -59,3 +59,7 @@ let clock_victim t ~skip =
     end
   in
   go 0
+
+let has_victim t ~skip =
+  let rec go f = f < frames t && ((t.frame_to_page.(f) >= 0 && not (skip f)) || go (f + 1)) in
+  go 0

@@ -33,3 +33,7 @@ val clock_victim : t -> skip:(int -> bool) -> int option
 (** Next mapped frame under the clock hand with [skip frame = false]; the
     hand advances past examined frames.  [None] if every mapped frame is
     skipped. *)
+
+val has_victim : t -> skip:(int -> bool) -> bool
+(** Whether {!clock_victim} would find a frame, without moving the hand: a
+    pure read, safe inside a [Sched.wait_until] predicate. *)

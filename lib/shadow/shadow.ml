@@ -120,7 +120,7 @@ let fault_in t page =
             (* Every mapped frame is pinned: wait for an unpin. *)
             Sched.wait_until ~label:"shadow: all frames pinned" (fun () ->
                 Page_table.free_frame t.pt <> None
-                || Page_table.clock_victim t.pt ~skip:(fun f -> t.refcount.(f) > 0) <> None);
+                || Page_table.has_victim t.pt ~skip:(fun f -> t.refcount.(f) > 0));
           acquire ()
       end
   in

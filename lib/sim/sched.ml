@@ -4,11 +4,8 @@ exception Killed
 module Trace = Dudetm_trace.Trace
 
 type _ Effect.t +=
-  | Advance : int -> unit Effect.t
+  | Yield : unit Effect.t
   | Wait : (unit -> bool) * string -> unit Effect.t
-  | Spawn : bool * string * (unit -> unit) -> int Effect.t
-  | Now : int Effect.t
-  | Self : (int * string) Effect.t
 
 type state =
   | Not_started of (unit -> unit)
@@ -23,16 +20,26 @@ type thread = {
   daemon : bool;
   mutable clock : int;
   mutable state : state;
+  mutable slot : int;  (* index in the run heap or in the waiter array *)
 }
 
 type strategy =
   | Min_clock
   | Choice of (step:int -> candidates:int -> int)
 
+(* Every live thread is in exactly one place: running, [held] (it has just
+   advanced and is not yet back in the heap), the run heap (Not_started or
+   Paused, a binary min-heap on (clock, id)), or the waiter array. *)
 type sched = {
-  mutable threads : thread list;  (* in spawn order; ids are positions *)
-  mutable rev_new : thread list;  (* threads spawned since last loop pass *)
-  mutable next_id : int;
+  mutable all : thread array;  (* every thread ever spawned; ids are positions *)
+  mutable nthreads : int;
+  mutable heap : thread array;
+  mutable hlen : int;
+  mutable waiters : thread array;
+  mutable ready : bool array;  (* ready.(i): waiters.(i)'s predicate at this pick *)
+  mutable wlen : int;
+  mutable running : thread;  (* [nobody] between resumes and while predicates run *)
+  mutable held : thread;  (* [nobody] when no thread is held *)
   mutable live_non_daemon : int;
   mutable watermark : int;
   mutable steps : int;  (* decision points (>= 2 runnable) so far *)
@@ -40,22 +47,106 @@ type sched = {
   trace : bool;
 }
 
+(* The placeholder for "no thread": [now]/[self] read its clock and id (both
+   0) outside any thread, and [advance] leaves its clock alone. *)
+let nobody = { id = 0; name = "main"; daemon = true; clock = 0; state = Finished; slot = -1 }
+
 (* The simulation is single-OS-thread by construction, so one global current
    scheduler is safe and keeps the public API free of a [t] parameter. *)
 let current : sched option ref = ref None
 
-(* [finish] runs on the scheduler's own stack (retc/exnc/kill_daemons), where
-   the Now/Self effects are unhandled — trace events here must carry the
-   thread's clock and id explicitly. *)
+let less a b = a.clock < b.clock || (a.clock = b.clock && a.id < b.id)
+
+let grow arr len fill =
+  if len < Array.length arr then arr else Array.append arr (Array.make (max 8 len) fill)
+
+(* ---- the run heap ---- *)
+
+let set_heap s i t =
+  s.heap.(i) <- t;
+  t.slot <- i
+
+let rec sift_up s i t =
+  let p = (i - 1) / 2 in
+  if i > 0 && less t s.heap.(p) then begin
+    set_heap s i s.heap.(p);
+    sift_up s p t
+  end
+  else set_heap s i t
+
+let rec sift_down s i t =
+  let l = (2 * i) + 1 in
+  if l >= s.hlen then set_heap s i t
+  else begin
+    let c = if l + 1 < s.hlen && less s.heap.(l + 1) s.heap.(l) then l + 1 else l in
+    if less s.heap.(c) t then begin
+      set_heap s i s.heap.(c);
+      sift_down s c t
+    end
+    else set_heap s i t
+  end
+
+let heap_push s t =
+  s.heap <- grow s.heap s.hlen nobody;
+  s.hlen <- s.hlen + 1;
+  sift_up s (s.hlen - 1) t
+
+(* Put [t] where heap slot [i] was, in one sift. *)
+let heap_replace s i t =
+  if i > 0 && less t s.heap.((i - 1) / 2) then sift_up s i t else sift_down s i t
+
+let heap_remove s i =
+  s.hlen <- s.hlen - 1;
+  let last = s.heap.(s.hlen) in
+  s.heap.(s.hlen) <- nobody;
+  if i < s.hlen then heap_replace s i last
+
+(* ---- the waiter array ---- *)
+
+let add_waiter s t =
+  s.waiters <- grow s.waiters s.wlen nobody;
+  s.ready <- grow s.ready s.wlen false;
+  s.waiters.(s.wlen) <- t;
+  t.slot <- s.wlen;
+  s.wlen <- s.wlen + 1
+
+let remove_waiter s t =
+  s.wlen <- s.wlen - 1;
+  let last = s.waiters.(s.wlen) in
+  s.waiters.(t.slot) <- last;
+  last.slot <- t.slot;
+  s.waiters.(s.wlen) <- nobody
+
+(* [finish] runs on the scheduler's own stack (retc/exnc/kill_daemons):
+   trace events here carry the thread's clock and id explicitly. *)
 let finish s t =
-  if t.state <> Finished then begin
+  match t.state with
+  | Finished -> ()
+  | _ ->
     t.state <- Finished;
     Trace.instant_at ~ts:t.clock ~tid:t.id ~cat:"sched" "finish" 0;
     if not t.daemon then s.live_non_daemon <- s.live_non_daemon - 1
+
+(* A predicate runs with no thread current, so [now]/[self] read 0 in it. *)
+let wait s t pred label k =
+  s.running <- nobody;
+  if pred () then begin
+    s.running <- t;
+    Effect.Deep.continue k ()
+  end
+  else begin
+    t.state <- Waiting { pred; label; k };
+    add_waiter s t
   end
 
 let handler s t =
   let open Effect.Deep in
+  let yielded =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        t.state <- Paused k;
+        s.held <- t)
+  in
   {
     retc = (fun () -> finish s t);
     exnc =
@@ -68,111 +159,101 @@ let handler s t =
           finish s t;
           raise e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
-        | Advance n ->
-          Some
-            (fun (k : (a, unit) continuation) ->
-              t.clock <- t.clock + max 0 n;
-              t.state <- Paused k)
-        | Wait (pred, label) ->
-          Some
-            (fun k ->
-              if pred () then continue k ()
-              else t.state <- Waiting { pred; label; k })
-        | Spawn (daemon, name, f) ->
-          Some
-            (fun k ->
-              let id = s.next_id in
-              s.next_id <- id + 1;
-              let nt = { id; name; daemon; clock = t.clock; state = Not_started f } in
-              Trace.note_thread ~tid:id name;
-              Trace.instant_at ~ts:t.clock ~tid:t.id ~cat:"sched" "spawn" id;
-              s.rev_new <- nt :: s.rev_new;
-              if not daemon then s.live_non_daemon <- s.live_non_daemon + 1;
-              continue k id)
-        | Now -> Some (fun k -> continue k t.clock)
-        | Self -> Some (fun k -> continue k (t.id, t.name))
+        | Yield -> yielded
+        | Wait (pred, label) -> Some (fun k -> wait s t pred label k)
         | _ -> None);
   }
 
-let absorb_new s =
-  if s.rev_new <> [] then begin
-    s.threads <- s.threads @ List.rev s.rev_new;
-    s.rev_new <- []
-  end
+(* Poll every waiter's predicate once, caching it in [ready]; return the
+   ready waiter with the least (clock, id), or [nobody]. *)
+let poll s =
+  let best = ref nobody in
+  for i = 0 to s.wlen - 1 do
+    let t = s.waiters.(i) in
+    let r = match t.state with Waiting { pred; _ } -> pred () | _ -> assert false in
+    s.ready.(i) <- r;
+    if r && (!best == nobody || less t !best) then best := t
+  done;
+  !best
 
 (* A blocked thread whose predicate is still false has its clock dragged up
    to the winning clock, modelling time passing while it polls. *)
 let drag_waiters s w =
-  List.iter
-    (fun t ->
-      match t.state with
-      | Waiting { pred; _ } when not (pred ()) ->
-        if t.clock < w.clock then t.clock <- w.clock
-      | _ -> ())
-    s.threads
+  for i = 0 to s.wlen - 1 do
+    if not s.ready.(i) then begin
+      let t = s.waiters.(i) in
+      if t.clock < w.clock then t.clock <- w.clock
+    end
+  done
 
-let runnable t =
-  match t.state with
-  | Not_started _ | Paused _ -> true
-  | Waiting { pred; _ } -> pred ()
-  | Running | Finished -> false
+let min_of a b = if b == nobody || (a != nobody && less a b) then a else b
+
+(* Every runnable thread, sorted by (clock, id). *)
+let candidates s =
+  let acc = ref (if s.held == nobody then [] else [ s.held ]) in
+  for i = 0 to s.hlen - 1 do
+    acc := s.heap.(i) :: !acc
+  done;
+  for i = 0 to s.wlen - 1 do
+    if s.ready.(i) then acc := s.waiters.(i) :: !acc
+  done;
+  Array.of_list (List.sort (fun a b -> compare (a.clock, a.id) (b.clock, b.id)) !acc)
 
 (* Pick the next thread to resume.  Min_clock takes the runnable thread with
    the smallest (clock, id) — conservative discrete-event order.  A Choice
    strategy is consulted at every decision point (>= 2 runnable threads)
    with the candidates sorted in that same order, so index 0 degenerates to
-   Min_clock and any other index is a legal preemption. *)
+   Min_clock and any other index is a legal preemption.  The winner leaves
+   its heap slot or waiter slot, and a held thread that lost goes back into
+   the heap (in the winner's slot when that was the heap's). *)
 let pick s =
-  let best =
+  let first_ready = poll s in
+  let w =
     match s.strategy with
     | Min_clock ->
-      let best = ref None in
-      List.iter
-        (fun t ->
-          if runnable t then
-            match !best with
-            | None -> best := Some t
-            | Some b -> if t.clock < b.clock then best := Some t)
-        s.threads;
-      !best
+      min_of s.held (min_of (if s.hlen > 0 then s.heap.(0) else nobody) first_ready)
     | Choice choose -> (
-      match List.filter runnable s.threads with
-      | [] -> None
-      | [ t ] -> Some t
-      | cands ->
-        let sorted =
-          List.sort (fun a b -> compare (a.clock, a.id) (b.clock, b.id)) cands
-        in
-        let n = List.length sorted in
+      match candidates s with
+      | [||] -> nobody
+      | [| t |] -> t
+      | sorted ->
+        let n = Array.length sorted in
         let step = s.steps in
         s.steps <- step + 1;
         let i = choose ~step ~candidates:n in
-        let i = if i < 0 || i >= n then 0 else i in
-        Some (List.nth sorted i))
+        sorted.(if i < 0 || i >= n then 0 else i))
   in
-  (match best with Some w -> drag_waiters s w | None -> ());
-  best
+  if w != nobody then begin
+    drag_waiters s w;
+    let held = s.held in
+    s.held <- nobody;
+    if w != held then
+      match w.state with
+      | Waiting _ ->
+        remove_waiter s w;
+        if held != nobody then heap_push s held
+      | _ -> if held != nobody then heap_replace s w.slot held else heap_remove s w.slot
+  end;
+  w
 
 let resume s t =
   if t.clock > s.watermark then s.watermark <- t.clock;
   if s.trace then
     Printf.eprintf "[sched %10d] resume %d:%s\n%!" t.clock t.id t.name;
-  match t.state with
-  | Not_started f ->
-    t.state <- Running;
-    Effect.Deep.match_with f () (handler s t)
-  | Paused k ->
-    t.state <- Running;
-    Effect.Deep.continue k ()
-  | Waiting { k; _ } ->
-    t.state <- Running;
-    Effect.Deep.continue k ()
-  | Running | Finished -> assert false
+  let st = t.state in
+  t.state <- Running;
+  s.running <- t;
+  (match st with
+  | Not_started f -> Effect.Deep.match_with f () (handler s t)
+  | Paused k | Waiting { k; _ } -> Effect.Deep.continue k ()
+  | Running | Finished -> assert false);
+  s.running <- nobody
 
 let blocked_report s =
-  s.threads
+  Array.sub s.all 0 s.nthreads
+  |> Array.to_list
   |> List.filter_map (fun t ->
          match t.state with
          | Waiting { label; _ } ->
@@ -180,17 +261,20 @@ let blocked_report s =
          | _ -> None)
   |> String.concat "; "
 
+(* In spawn order; threads spawned by a daemon's cleanup are never run. *)
 let kill_daemons s =
-  List.iter
-    (fun t ->
-      match t.state with
-      | Not_started _ -> finish s t
-      | Paused k | Waiting { k; _ } ->
-        t.state <- Running;
-        (try Effect.Deep.discontinue k Killed with Killed -> ());
-        finish s t
-      | Running | Finished -> ())
-    s.threads
+  for i = 0 to s.nthreads - 1 do
+    let t = s.all.(i) in
+    match t.state with
+    | Not_started _ -> finish s t
+    | Paused k | Waiting { k; _ } ->
+      t.state <- Running;
+      s.running <- t;
+      (try Effect.Deep.discontinue k Killed with Killed -> ());
+      s.running <- nobody;
+      finish s t
+    | Running | Finished -> ()
+  done
 
 let min_clock = Min_clock
 
@@ -204,11 +288,20 @@ let random_priority ~seed =
 
 let run ?(trace = false) ?(strategy = Min_clock) main =
   if !current <> None then invalid_arg "Sched.run: nested simulations are not supported";
+  let t0 =
+    { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main; slot = -1 }
+  in
   let s =
     {
-      threads = [];
-      rev_new = [];
-      next_id = 1;
+      all = [| t0 |];
+      nthreads = 1;
+      heap = [||];
+      hlen = 0;
+      waiters = [||];
+      ready = [||];
+      wlen = 0;
+      running = nobody;
+      held = nobody;
       live_non_daemon = 1;
       watermark = 0;
       steps = 0;
@@ -216,22 +309,19 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
       trace;
     }
   in
-  let t0 = { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main } in
-  s.threads <- [ t0 ];
+  heap_push s t0;
   current := Some s;
   let release () = current := None in
   (try
      let rec loop () =
-       absorb_new s;
-       if s.live_non_daemon > 0 then
-         match pick s with
-         | Some t ->
-           resume s t;
-           loop ()
-         | None -> raise (Deadlock (blocked_report s))
+       if s.live_non_daemon > 0 then begin
+         let t = pick s in
+         if t == nobody then raise (Deadlock (blocked_report s));
+         resume s t;
+         loop ()
+       end
      in
      loop ();
-     absorb_new s;
      kill_daemons s
    with e ->
      release ();
@@ -239,10 +329,13 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
   release ();
   s.watermark
 
-let perform_default : 'a. 'a Effect.t -> 'a -> 'a =
- fun eff default -> try Effect.perform eff with Effect.Unhandled _ -> default
-
-let advance n = perform_default (Advance n) ()
+let advance n =
+  match !current with
+  | Some s when s.running != nobody ->
+    let t = s.running in
+    t.clock <- t.clock + max 0 n;
+    Effect.perform Yield
+  | _ -> ()
 
 let yield () = advance 1
 
@@ -252,22 +345,33 @@ let wait_until ?(label = "?") pred =
     if not (pred ()) then
       raise (Deadlock (Printf.sprintf "wait_until %S outside a simulation" label))
 
-let now () = perform_default Now 0
+let now () = match !current with None -> 0 | Some s -> s.running.clock
 
-let self () = fst (perform_default Self (0, "<main>"))
+let self () = match !current with None -> 0 | Some s -> s.running.id
 
 let spawn ?(daemon = false) name f =
-  try Effect.perform (Spawn (daemon, name, f))
-  with Effect.Unhandled _ -> invalid_arg "Sched.spawn outside a simulation"
+  match !current with
+  | Some s when s.running != nobody ->
+    let parent = s.running in
+    let id = s.nthreads in
+    let t = { id; name; daemon; clock = parent.clock; state = Not_started f; slot = -1 } in
+    s.all <- grow s.all id nobody;
+    s.all.(id) <- t;
+    s.nthreads <- id + 1;
+    Trace.note_thread ~tid:id name;
+    Trace.instant_at ~ts:parent.clock ~tid:parent.id ~cat:"sched" "spawn" id;
+    if not daemon then s.live_non_daemon <- s.live_non_daemon + 1;
+    heap_push s t;
+    id
+  | _ -> invalid_arg "Sched.spawn outside a simulation"
 
 let global_now () = match !current with None -> 0 | Some s -> s.watermark
 
 let running () = !current <> None
 
 (* Hand the tracer our deterministic clock and thread identity.  Both fall
-   back to 0/"main" outside a simulation, so tracing recovery paths that run
+   back to 0/"main" outside a thread, so tracing recovery paths that run
    before [Sched.run] stays safe (their spans just have zero duration). *)
 let () =
-  Trace.set_time_source
-    ~now:(fun () -> now ())
-    ~self:(fun () -> perform_default Self (0, "main"))
+  Trace.set_time_source ~now ~self:(fun () ->
+      match !current with None -> (0, "main") | Some s -> (s.running.id, s.running.name))

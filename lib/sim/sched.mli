@@ -11,11 +11,22 @@
     {!wait_until}.  A thread is charged simulated time explicitly via
     {!advance}; while blocked, its clock tracks global simulated time so
     waiting is charged as busy-polling, which is how the paper's
-    implementation waits too. *)
+    implementation waits too.
+
+    {b Cost model.}  Runnable threads sit in a binary min-heap on
+    [(clock, id)], so a resume costs O(log n) heap work — none when the
+    thread that just advanced still has the least [(clock, id)].  Blocked
+    threads sit in a waiter array: each scheduling decision polls every
+    waiter's predicate exactly once, caches the answer, and drags the
+    not-ready waiters' clocks in a second, predicate-free pass.  A pick
+    therefore costs one poll per waiter, and the number of times a
+    predicate runs depends on the schedule; this is why predicates must be
+    pure (see {!wait_until}). *)
 
 exception Deadlock of string
 (** Raised when no thread can make progress: every live non-daemon thread is
-    blocked on a false predicate.  The payload lists the blocked threads. *)
+    blocked on a false predicate.  The payload lists the blocked threads in
+    spawn order. *)
 
 (** {1 Scheduling strategies}
 
@@ -73,15 +84,22 @@ val yield : unit -> unit
 
 val wait_until : ?label:string -> (unit -> bool) -> unit
 (** [wait_until p] blocks the calling thread until [p ()] is true.  [p] must
-    be a pure read of shared state.  While blocked, the thread's clock
-    follows simulated time.  Outside {!run}, returns immediately if [p ()]
-    holds and raises {!Deadlock} otherwise. *)
+    be a pure read of shared state: it is evaluated once when called and
+    then exactly once per scheduling decision while blocked, and the
+    scheduler acts on that one cached answer, so a predicate with a side
+    effect changes the simulation.  [p] runs with no thread current:
+    {!now} and {!self} read 0 inside it, {!advance} is a no-op and {!spawn}
+    raises.  While blocked, the thread's clock follows simulated time.
+    Outside {!run}, returns immediately if [p ()] holds and raises
+    {!Deadlock} otherwise. *)
 
 val now : unit -> int
-(** Current local clock of the calling thread (0 outside {!run}). *)
+(** Current local clock of the calling thread (0 outside {!run} and inside
+    a {!wait_until} predicate).  A plain read: it performs no effect. *)
 
 val self : unit -> int
-(** Id of the calling thread (0 outside {!run}). *)
+(** Id of the calling thread (0 outside {!run} and inside a {!wait_until}
+    predicate).  A plain read: it performs no effect. *)
 
 val global_now : unit -> int
 (** High-water mark of simulated time across all threads so far. *)

@@ -47,6 +47,27 @@ let test_pt_clock_victim_skips () =
   | None -> ()
   | Some _ -> Alcotest.fail "all skipped should yield None"
 
+let test_pt_has_victim_keeps_hand () =
+  (* [has_victim] is the pinned-frames wait predicate: polling it any number
+     of times must leave the next [clock_victim] choice unchanged. *)
+  let fill () =
+    let pt = Page_table.create ~pages:16 ~frames:3 in
+    List.iter (fun f -> Page_table.map pt ~page:f ~frame:f) [ 0; 1; 2 ];
+    pt
+  in
+  let polled = fill () and fresh = fill () in
+  let skip f = f = 0 in
+  for _ = 1 to 5 do
+    check Alcotest.bool "a victim exists" true (Page_table.has_victim polled ~skip)
+  done;
+  check Alcotest.bool "all pinned: no victim" false
+    (Page_table.has_victim polled ~skip:(fun _ -> true));
+  check
+    Alcotest.(option int)
+    "next victim unchanged by polling"
+    (Page_table.clock_victim fresh ~skip)
+    (Page_table.clock_victim polled ~skip)
+
 (* ------------------------------ shadow ------------------------------- *)
 
 let make_shadow ?(frames = 4) ?(mode = Shadow.Software) ?(applied = ref max_int) () =
@@ -178,6 +199,8 @@ let suite =
     Alcotest.test_case "page table map/unmap" `Quick test_pt_map_unmap;
     Alcotest.test_case "page table rejects double mapping" `Quick test_pt_double_map_rejected;
     Alcotest.test_case "clock victim skips pinned" `Quick test_pt_clock_victim_skips;
+    Alcotest.test_case "has_victim polls without moving the hand" `Quick
+      test_pt_has_victim_keeps_hand;
     Alcotest.test_case "fault-in copies NVM content" `Quick test_shadow_reads_nvm_content;
     Alcotest.test_case "shadow stores never reach NVM" `Quick test_shadow_store_never_reaches_nvm;
     Alcotest.test_case "eviction discards dirty pages" `Quick test_shadow_eviction_discards;

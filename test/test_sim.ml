@@ -112,6 +112,223 @@ let test_outside_run_fallbacks () =
   Sched.wait_until ~label:"true" (fun () -> true);
   check Alcotest.bool "running is false" false (Sched.running ())
 
+let test_predicates_read_zero () =
+  (* Predicates run with no thread current: both the first evaluation inside
+     [wait_until] and every later poll by the scheduler read 0. *)
+  let flag = ref false and seen = ref [] in
+  ignore
+    (Sched.run (fun () ->
+         ignore
+           (Sched.spawn "waiter" (fun () ->
+                Sched.advance 50;
+                Sched.wait_until ~label:"flag" (fun () ->
+                    seen := (Sched.now (), Sched.self ()) :: !seen;
+                    !flag)));
+         Sched.advance 100;
+         flag := true));
+  check Alcotest.bool "polled more than once" true (List.length !seen >= 2);
+  List.iter (check Alcotest.(pair int int) "now/self in a predicate" (0, 0)) !seen
+
+let test_killed_daemon_reads_own_clock () =
+  let cleanup = ref (-1, -1) in
+  ignore
+    (Sched.run (fun () ->
+         ignore
+           (Sched.spawn ~daemon:true "d" (fun () ->
+                try
+                  Sched.advance 500;
+                  Sched.wait_until ~label:"forever" (fun () -> false)
+                with Sched.Killed -> cleanup := (Sched.now (), Sched.self ())));
+         Sched.advance 100));
+  check Alcotest.(pair int int) "cleanup sees the daemon's clock and id" (500, 1) !cleanup
+
+let test_deadlock_report_spawn_order () =
+  (* The waiters block in the order main, b, c, a; the report is by id. *)
+  let never = fun () -> false in
+  Alcotest.check_raises "report in spawn order"
+    (Sched.Deadlock
+       "0:main waiting on end; 1:a waiting on x; 2:b waiting on y; 3:c waiting on z")
+    (fun () ->
+      ignore
+        (Sched.run (fun () ->
+             List.iter
+               (fun (name, k, label) ->
+                 ignore
+                   (Sched.spawn name (fun () ->
+                        Sched.advance k;
+                        Sched.wait_until ~label never)))
+               [ ("a", 30, "x"); ("b", 10, "y"); ("c", 20, "z") ];
+             Sched.wait_until ~label:"end" never)))
+
+(* ---- differential test: Sched against a linear-scan reference ---- *)
+
+type op = Adv of int | Incr of int | Wait_ge of int * int | Spawn of bool * op list
+
+let rec show_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Adv k -> Printf.sprintf "adv %d" k
+         | Incr c -> Printf.sprintf "incr c%d" c
+         | Wait_ge (c, v) -> Printf.sprintf "wait c%d>=%d" c v
+         | Spawn (d, body) ->
+           Printf.sprintf "%s [%s]" (if d then "daemon" else "spawn") (show_ops body))
+       ops)
+
+let gen_prog =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun k -> Adv k) (int_range (-1) 12);
+        map (fun c -> Incr c) (int_bound 2);
+        map2 (fun c v -> Wait_ge (c, v)) (int_bound 2) (int_bound 2);
+      ]
+  in
+  fix
+    (fun self depth ->
+      let op =
+        if depth = 0 then leaf
+        else
+          frequency [ (4, leaf); (1, map2 (fun d b -> Spawn (d, b)) bool (self (depth - 1))) ]
+      in
+      list_size (int_range 0 8) op)
+    3
+
+let label c v = Printf.sprintf "c%d>=%d" c v
+
+(* The program on the real scheduler; every resume logs (self, now). *)
+let run_sched strategy prog =
+  let counters = Array.make 3 0 and log = ref [] in
+  let note () = log := (Sched.self (), Sched.now ()) :: !log in
+  let rec exec ops =
+    List.iter
+      (function
+        | Adv k ->
+          Sched.advance k;
+          note ()
+        | Incr c -> counters.(c) <- counters.(c) + 1
+        | Wait_ge (c, v) ->
+          Sched.wait_until ~label:(label c v) (fun () -> counters.(c) >= v);
+          note ()
+        | Spawn (daemon, body) ->
+          ignore
+            (Sched.spawn ~daemon "f" (fun () ->
+                 note ();
+                 exec body)))
+      ops
+  in
+  let outcome =
+    try Ok (Sched.run ~strategy (fun () -> note (); exec prog))
+    with Sched.Deadlock r -> Error r
+  in
+  (List.rev !log, outcome)
+
+(* The reference: scan every thread for the least (clock, id), evaluate
+   each predicate twice (to pick, then to drag), sort the candidates for a
+   Choice strategy. *)
+type rstate = Fresh | Paused | Blocked of int * int | Done
+
+type rthread = {
+  rid : int;
+  daemon : bool;
+  mutable clock : int;
+  mutable code : op list;
+  mutable st : rstate;
+}
+
+let run_reference strategy prog =
+  let counters = Array.make 3 0 and log = ref [] in
+  let threads = ref [] and live = ref 0 and watermark = ref 0 and steps = ref 0 in
+  let add daemon clock code =
+    threads := !threads @ [ { rid = List.length !threads; daemon; clock; code; st = Fresh } ];
+    if not daemon then incr live
+  in
+  let ready t =
+    match t.st with Fresh | Paused -> true | Blocked (c, v) -> counters.(c) >= v | Done -> false
+  in
+  let rec exec t =
+    match t.code with
+    | [] ->
+      t.st <- Done;
+      if not t.daemon then decr live
+    | op :: rest -> (
+      t.code <- rest;
+      match op with
+      | Adv k ->
+        t.clock <- t.clock + max 0 k;
+        t.st <- Paused
+      | Incr c ->
+        counters.(c) <- counters.(c) + 1;
+        exec t
+      | Wait_ge (c, v) ->
+        if counters.(c) >= v then begin
+          log := (t.rid, t.clock) :: !log;
+          exec t
+        end
+        else t.st <- Blocked (c, v)
+      | Spawn (daemon, body) ->
+        add daemon t.clock body;
+        exec t)
+  in
+  let less a b = (a.clock, a.rid) < (b.clock, b.rid) in
+  let report () =
+    List.filter_map
+      (fun t ->
+        match t.st with
+        | Blocked (c, v) ->
+          Some
+            (Printf.sprintf "%d:%s waiting on %s" t.rid (if t.rid = 0 then "main" else "f")
+               (label c v))
+        | _ -> None)
+      !threads
+    |> String.concat "; "
+  in
+  let rec loop () =
+    if !live = 0 then Ok !watermark
+    else
+      let cands = List.filter ready !threads in
+      let pick =
+        match (strategy, cands) with
+        | _, [] -> None
+        | Sched.Min_clock, c :: cs ->
+          Some (List.fold_left (fun b t -> if less t b then t else b) c cs)
+        | Sched.Choice _, [ c ] -> Some c
+        | Sched.Choice choose, _ ->
+          let sorted = List.sort (fun a b -> compare (a.clock, a.rid) (b.clock, b.rid)) cands in
+          let n = List.length sorted in
+          let i = choose ~step:!steps ~candidates:n in
+          incr steps;
+          Some (List.nth sorted (if i < 0 || i >= n then 0 else i))
+      in
+      match pick with
+      | None -> Error (report ())
+      | Some w ->
+        List.iter
+          (fun t ->
+            match t.st with
+            | Blocked _ when (not (ready t)) && t.clock < w.clock -> t.clock <- w.clock
+            | _ -> ())
+          !threads;
+        watermark := max !watermark w.clock;
+        log := (w.rid, w.clock) :: !log;
+        exec w;
+        loop ()
+  in
+  add false 0 prog;
+  let outcome = loop () in
+  (List.rev !log, outcome)
+
+let prop_sched_matches_reference =
+  QCheck2.Test.make ~name:"sched: resume log and final time match a linear-scan reference"
+    ~count:300
+    ~print:(fun (prog, seed) -> Printf.sprintf "seed %d: [%s]" seed (show_ops prog))
+    QCheck2.Gen.(pair gen_prog (int_bound 1000))
+    (fun (prog, seed) ->
+      List.for_all
+        (fun strategy -> run_sched strategy prog = run_reference strategy prog)
+        [ Sched.min_clock; Sched.random_priority ~seed ])
+
 let test_rng_bounds () =
   let rng = Rng.create 1 in
   for _ = 1 to 10_000 do
@@ -190,6 +407,12 @@ let suite =
     Alcotest.test_case "thread exceptions propagate" `Quick test_exception_propagates;
     Alcotest.test_case "simulation is deterministic" `Quick test_determinism;
     Alcotest.test_case "helpers degrade gracefully outside run" `Quick test_outside_run_fallbacks;
+    Alcotest.test_case "now/self read 0 inside predicates" `Quick test_predicates_read_zero;
+    Alcotest.test_case "killed daemon's cleanup reads its own clock" `Quick
+      test_killed_daemon_reads_own_clock;
+    Alcotest.test_case "deadlock report lists waiters in spawn order" `Quick
+      test_deadlock_report_spawn_order;
+    QCheck_alcotest.to_alcotest prop_sched_matches_reference;
     Alcotest.test_case "rng int bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
