@@ -5,6 +5,7 @@ type t = {
   nvm : Nvm.t;
   base : int;  (* directory base on the device *)
   n : int;  (* number of entries *)
+  extent : bytes;  (* scratch: the extent being checksummed *)
 }
 
 let n_extents t = t.n
@@ -12,12 +13,12 @@ let n_extents t = t.n
 let slot_off t i = t.base + (i * 8)
 
 let compute_latest t i =
-  let b = Nvm.load_bytes t.nvm (i * Config.crc_extent) Config.crc_extent in
-  Checksum.crc32_bytes b
+  Nvm.load_into t.nvm (i * Config.crc_extent) t.extent;
+  Checksum.crc32_bytes t.extent
 
 let compute_persisted t i =
-  let b = Nvm.persisted_bytes t.nvm (i * Config.crc_extent) Config.crc_extent in
-  Checksum.crc32_bytes b
+  Nvm.persisted_into t.nvm (i * Config.crc_extent) t.extent;
+  Checksum.crc32_bytes t.extent
 
 let stored_crc_persisted t i =
   Int64.to_int32 (Nvm.persisted_u64 t.nvm (slot_off t i))
@@ -40,7 +41,12 @@ let verify_extent t i =
     | stored -> if crc = stored then `Ok else `Mismatch)
 
 let attach nvm cfg =
-  { nvm; base = Config.crcdir_base cfg; n = cfg.Config.heap_size / Config.crc_extent }
+  {
+    nvm;
+    base = Config.crcdir_base cfg;
+    n = cfg.Config.heap_size / Config.crc_extent;
+    extent = Bytes.create Config.crc_extent;
+  }
 
 let format nvm cfg =
   let t = attach nvm cfg in

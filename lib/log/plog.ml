@@ -77,12 +77,15 @@ let format nvm ~base ~size =
   persist_header t;
   t
 
-let frame_crc ~len ~seq payload =
-  let hdr = Bytes.create 16 in
-  Bytes.set_int64_le hdr 0 (Int64.of_int len);
-  Bytes.set_int64_le hdr 8 (Int64.of_int seq);
-  let c = Checksum.crc32_bytes hdr in
-  Checksum.crc32 ~init:c payload 0 (Bytes.length payload)
+(* Encode [len] and [seq] into bytes 0..16 of [frame] and return the
+   record CRC: those 16 bytes checksummed in place, chained over the
+   payload.  On a frame read back from the ring this re-encodes the decoded
+   fields, so a flip of bit 63 (which [Int64.to_int] drops) checksums as
+   the decoded value. *)
+let frame_crc frame ~len ~seq payload =
+  Bytes.set_int64_le frame 0 (Int64.of_int len);
+  Bytes.set_int64_le frame 8 (Int64.of_int seq);
+  Checksum.crc32 ~init:(Checksum.crc32 frame 0 16) payload 0 (Bytes.length payload)
 
 (* How far past a corrupted record the scan searches for the next valid
    frame, in records: bounds the seq gap a resync will accept so stale
@@ -113,7 +116,7 @@ let probe_frame t ~off ~min_seq =
         match read_wrapped t (off + record_overhead) len with
         | exception Nvm.Media_error _ -> None
         | payload ->
-          if frame_crc ~len ~seq payload <> crc then None
+          if frame_crc frame ~len ~seq payload <> crc then None
           else Some { seq; payload; end_off = off + record_overhead + len }
       end
 
@@ -160,7 +163,7 @@ let salvage_next_seq t =
       if len >= 0 && len <= t.dcap - record_overhead && seq > !best then begin
         match read_wrapped t (off + record_overhead) len with
         | exception Nvm.Media_error _ -> ()
-        | payload -> if frame_crc ~len ~seq payload = crc then best := seq
+        | payload -> if frame_crc frame ~len ~seq payload = crc then best := seq
       end
   done;
   !best + 1
@@ -245,10 +248,8 @@ let append ?(persist = true) t payload =
   let len = Bytes.length payload in
   let total = record_overhead + len in
   if total > free_space t then invalid_arg "Plog.append: no space";
-  let crc = frame_crc ~len ~seq:t.seq payload in
   let frame = Bytes.create total in
-  Bytes.set_int64_le frame 0 (Int64.of_int len);
-  Bytes.set_int64_le frame 8 (Int64.of_int t.seq);
+  let crc = frame_crc frame ~len ~seq:t.seq payload in
   Bytes.set_int64_le frame 16 (Int64.of_int32 crc);
   Bytes.blit payload 0 frame record_overhead len;
   write_wrapped t t.tail frame;

@@ -28,7 +28,7 @@ let set_u64 t addr v =
   check_aligned addr;
   Bytes.set_int64_le t addr v
 
-let get_bytes t off len = Bytes.sub t off len
+let get_into t off dst = Bytes.blit t off dst 0 (Bytes.length dst)
 
 let set_bytes t off b = Bytes.blit b 0 t off (Bytes.length b)
 

@@ -27,7 +27,9 @@ val get_u64 : t -> int -> int64
 
 val set_u64 : t -> int -> int64 -> unit
 
-val get_bytes : t -> int -> int -> bytes
+val get_into : t -> int -> bytes -> unit
+(** [get_into t off dst] copies [Bytes.length dst] bytes at [off] into
+    [dst]. *)
 
 val set_bytes : t -> int -> bytes -> unit
 

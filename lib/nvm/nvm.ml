@@ -223,9 +223,14 @@ let store_u8 t addr v =
   Mem.set_u8 t.latest addr v;
   mark_dirty t addr 1
 
+let load_into t off dst =
+  check_poison_load t off (Bytes.length dst);
+  Mem.get_into t.latest off dst
+
 let load_bytes t off len =
-  check_poison_load t off len;
-  Mem.get_bytes t.latest off len
+  let b = Bytes.create len in
+  load_into t off b;
+  b
 
 let store_bytes t off b =
   Mem.set_bytes t.latest off b;
@@ -319,9 +324,14 @@ let persisted_u64 t addr =
   check_poison_media t addr 8;
   Mem.get_u64 t.persisted addr
 
+let persisted_into t off dst =
+  check_poison_media t off (Bytes.length dst);
+  Mem.get_into t.persisted off dst
+
 let persisted_bytes t off len =
-  check_poison_media t off len;
-  Mem.get_bytes t.persisted off len
+  let b = Bytes.create len in
+  persisted_into t off b;
+  b
 
 let persisted_bytes_equal t off b =
   let len = Bytes.length b in

@@ -107,6 +107,14 @@ val load_u8 : t -> int -> int
 val store_u8 : t -> int -> int -> unit
 
 val load_bytes : t -> int -> int -> bytes
+(** [load_bytes t off len] is a fresh buffer filled by {!load_into}. *)
+
+val load_into : t -> int -> bytes -> unit
+(** [load_into t off dst] fills all of [dst] with the latest image at
+    [\[off, off + Bytes.length dst)], as a CPU load would see it: a dirty
+    line is served from the cache, so only a poisoned {e clean} line raises
+    {!Media_error} (before [dst] is touched).  Lets a caller reuse one
+    buffer per read. *)
 
 val store_bytes : t -> int -> bytes -> unit
 
@@ -159,8 +167,14 @@ val persisted_u64 : t -> int -> int64
     Raises {!Media_error} on a poisoned line. *)
 
 val persisted_bytes : t -> int -> int -> bytes
-(** Read a persisted byte range (scrub and checksum audits).  Raises
-    {!Media_error} if any covered line is poisoned. *)
+(** Read a persisted byte range (scrub and checksum audits): a fresh buffer
+    filled by {!persisted_into}. *)
+
+val persisted_into : t -> int -> bytes -> unit
+(** [persisted_into t off dst] fills all of [dst] with the persisted image
+    at [\[off, off + Bytes.length dst)].  Raises {!Media_error} (before
+    [dst] is touched) if any covered line is poisoned, dirty or not: the
+    read goes to the media. *)
 
 val persisted_bytes_equal : t -> int -> bytes -> bool
 (** [persisted_bytes_equal t off b] checks the persisted image against [b]. *)

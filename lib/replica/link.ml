@@ -25,14 +25,22 @@ type config = {
 
 let default_config = { latency = 20_000; bandwidth_gbps = 10.0; faults = no_faults; seed = 1 }
 
+type frame = { deliver_at : int; stamp : int; payload : bytes }
+
+let no_frame = { deliver_at = 0; stamp = 0; payload = Bytes.empty }
+
 type t = {
   label : string;
   cfg : config;
   channel : Resource.t;
   rng : Rng.t;
-  (* Deliverable frames, sorted by (deliver_at, stamp).  The stamp breaks
-     same-cycle ties in send order, so delivery is deterministic. *)
-  mutable queue : (int * int * bytes) list;
+  (* In-flight frames: a binary min-heap on (deliver_at, stamp) in
+     [heap.(0 .. size - 1)]; slots past [size] hold [no_frame], so a
+     delivered frame is not retained.  Stamps count sends and are unique,
+     so the order is total: same-cycle frames leave in send order and
+     delivery is deterministic, faults included. *)
+  mutable heap : frame array;
+  mutable size : int;
   mutable next_stamp : int;
   mutable partitioned : bool;
   stats : Stats.t;
@@ -44,21 +52,52 @@ let create ~label cfg =
     cfg;
     channel = Resource.create_gbps cfg.bandwidth_gbps;
     rng = Rng.create (cfg.seed lxor Hashtbl.hash label lxor 0x11fa57);
-    queue = [];
+    heap = Array.make 16 no_frame;
+    size = 0;
     next_stamp = 0;
     partitioned = false;
     stats = Stats.create ();
   }
 
-let insert t at b =
+let before a b = a.deliver_at < b.deliver_at || (a.deliver_at = b.deliver_at && a.stamp < b.stamp)
+
+let rec sift_up h i f =
+  let p = (i - 1) / 2 in
+  if i > 0 && before f h.(p) then begin
+    h.(i) <- h.(p);
+    sift_up h p f
+  end
+  else h.(i) <- f
+
+let rec sift_down h n i f =
+  let l = (2 * i) + 1 in
+  if l >= n then h.(i) <- f
+  else begin
+    let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
+    if before h.(c) f then begin
+      h.(i) <- h.(c);
+      sift_down h n c f
+    end
+    else h.(i) <- f
+  end
+
+let insert t deliver_at payload =
   t.next_stamp <- t.next_stamp + 1;
-  let stamp = t.next_stamp in
-  let rec ins = function
-    | [] -> [ (at, stamp, b) ]
-    | ((a, s, _) as hd) :: tl when (a, s) <= (at, stamp) -> hd :: ins tl
-    | rest -> (at, stamp, b) :: rest
-  in
-  t.queue <- ins t.queue
+  if t.size = Array.length t.heap then begin
+    let h = Array.make (2 * t.size) no_frame in
+    Array.blit t.heap 0 h 0 t.size;
+    t.heap <- h
+  end;
+  t.size <- t.size + 1;
+  sift_up t.heap (t.size - 1) { deliver_at; stamp = t.next_stamp; payload }
+
+let pop t =
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
+  t.heap.(t.size) <- no_frame;
+  if t.size > 0 then sift_down t.heap t.size 0 last;
+  top
 
 let send t b =
   Stats.incr t.stats "frames_sent";
@@ -110,17 +149,16 @@ let send t b =
   end
 
 let recv t =
-  match t.queue with
-  | (at, _, b) :: tl when at <= Sched.now () ->
-    t.queue <- tl;
+  if t.size > 0 && t.heap.(0).deliver_at <= Sched.now () then begin
     Stats.incr t.stats "frames_delivered";
-    Some b
-  | _ -> None
+    Some (pop t).payload
+  end
+  else None
 
 let set_partitioned t p = t.partitioned <- p
 
 let partitioned t = t.partitioned
 
-let in_flight t = List.length t.queue
+let in_flight t = t.size
 
 let stats t = t.stats

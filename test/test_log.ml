@@ -158,6 +158,56 @@ let prop_crc_chaining =
       let chained = Checksum.crc32 ~init:c1 (Bytes.of_string b) 0 (String.length b) in
       whole = chained)
 
+(* The classic one-table bytewise CRC-32 over boxed [Int32]: the reference
+   the slicing-by-8 kernel must equal bit for bit. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let ref_crc32 ~init b off len =
+  let c = ref (Int32.lognot init) in
+  for i = off to off + len - 1 do
+    let idx =
+      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xffl)
+    in
+    c := Int32.logxor ref_table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.lognot !c
+
+(* Short lengths (every length 0..15) come up often, longer ones cover
+   every tail length 0..7 after the 8-byte steps; [off] is unaligned and
+   [init] ranges over all of int32, negative included. *)
+let prop_crc_matches_bytewise =
+  QCheck2.Test.make ~name:"crc32: slicing-by-8 equals the bytewise kernel" ~count:2000
+    QCheck2.Gen.(
+      let* len = oneof [ int_range 0 15; int_range 0 2048 ] in
+      let* off = int_range 0 15 in
+      let* slack = int_range 0 7 in
+      let* init = oneof [ return 0l; int32 ] in
+      let+ s = string_size (return (off + len + slack)) in
+      (Bytes.of_string s, off, len, init))
+    (fun (b, off, len, init) -> Checksum.crc32 ~init b off len = ref_crc32 ~init b off len)
+
+let test_crc_bounds () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (off, len) ->
+      check Alcotest.bool
+        (Printf.sprintf "off %d len %d rejected" off len)
+        true
+        (match Checksum.crc32 b off len with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ (-1, 4); (0, -1); (0, 17); (9, 8); (17, 0); (16, 1); (min_int, 8) ];
+  check Alcotest.int32 "empty range at the end is the empty CRC" 0l (Checksum.crc32 b 16 0)
+
 (* ----------------------------- combine ------------------------------- *)
 
 let replay entries =
@@ -278,6 +328,8 @@ let suite =
     Alcotest.test_case "crc32 check vector" `Quick test_crc_known_value;
     Alcotest.test_case "crc32 detects corruption" `Quick test_crc_detects_flip;
     QCheck_alcotest.to_alcotest prop_crc_chaining;
+    QCheck_alcotest.to_alcotest prop_crc_matches_bytewise;
+    Alcotest.test_case "crc32 rejects out-of-range off/len" `Quick test_crc_bounds;
     Alcotest.test_case "combine: last writer wins" `Quick test_combine_last_writer_wins;
     Alcotest.test_case "combine preserves allocation order" `Quick test_combine_preserves_alloc_order;
     QCheck_alcotest.to_alcotest prop_combine_replay_equivalent;

@@ -210,6 +210,62 @@ let test_mem_alignment () =
     (Invalid_argument "Mem: unaligned 64-bit access at 0x3") (fun () ->
       ignore (Mem.get_u64 m 3))
 
+(* The in-place readers read what the allocating ones do, over a device
+   whose latest and persisted images differ. *)
+let prop_into_matches_bytes =
+  QCheck2.Test.make ~name:"nvm: load_into/persisted_into equal load_bytes/persisted_bytes"
+    ~count:200
+    QCheck2.Gen.(
+      tup3
+        (list_size (int_range 1 30) (tup3 (int_range 0 4000) (string_size (int_range 1 90)) bool))
+        (int_range 0 4096) (int_range 0 600))
+    (fun (ops, off, len) ->
+      let d = device () in
+      List.iter
+        (fun (at, s, do_persist) ->
+          let at = min at (4096 - String.length s) in
+          Nvm.store_bytes d at (Bytes.of_string s);
+          if do_persist then Nvm.persist d ~off:at ~len:(String.length s))
+        ops;
+      let len = min len (4096 - off) in
+      let latest = Bytes.make len '?' and persisted = Bytes.make len '?' in
+      Nvm.load_into d off latest;
+      Nvm.persisted_into d off persisted;
+      Bytes.equal latest (Nvm.load_bytes d off len)
+      && Bytes.equal persisted (Nvm.persisted_bytes d off len))
+
+(* A load is served from the cache for a dirty line, so only a poisoned
+   clean line fails it; a persisted read goes to the media and fails on any
+   poisoned line.  A failed read leaves the buffer untouched. *)
+let test_into_poison_rules () =
+  let d = device () in
+  let ls = Nvm.line_size d in
+  Nvm.inject_fault d (Nvm.Poison { line = 1 });
+  Nvm.inject_fault d (Nvm.Poison { line = 3 });
+  Nvm.store_u64 d (3 * ls) 5L (* line 3 dirty, line 1 clean *);
+  let buf = Bytes.make (2 * ls) '?' in
+  let untouched () =
+    check Alcotest.string "buffer untouched" (String.make (2 * ls) '?') (Bytes.to_string buf)
+  in
+  Alcotest.check_raises "load_into: poisoned clean line raises" (Nvm.Media_error ls) (fun () ->
+      Nvm.load_into d 0 buf);
+  untouched ();
+  Alcotest.check_raises "load_bytes agrees" (Nvm.Media_error ls) (fun () ->
+      ignore (Nvm.load_bytes d 0 (2 * ls)));
+  Nvm.load_into d (3 * ls) buf;
+  check Alcotest.int64 "load_into: poisoned dirty line served from cache" 5L
+    (Bytes.get_int64_le buf 0);
+  check Alcotest.bool "load_bytes agrees" true
+    (Bytes.equal buf (Nvm.load_bytes d (3 * ls) (2 * ls)));
+  Bytes.fill buf 0 (2 * ls) '?';
+  Alcotest.check_raises "persisted_into: poisoned dirty line raises" (Nvm.Media_error (3 * ls))
+    (fun () -> Nvm.persisted_into d (3 * ls) buf);
+  untouched ();
+  Alcotest.check_raises "persisted_into: poisoned clean line raises" (Nvm.Media_error ls)
+    (fun () -> Nvm.persisted_into d ls buf);
+  Alcotest.check_raises "persisted_bytes agrees" (Nvm.Media_error (3 * ls)) (fun () ->
+      ignore (Nvm.persisted_bytes d (3 * ls) (2 * ls)))
+
 let prop_persist_crash_prefix =
   (* Any interleaving of stores/persists followed by a crash leaves the
      persisted image equal to replaying only the persisted prefix. *)
@@ -266,4 +322,6 @@ let suite =
     Alcotest.test_case "crash survivors recorded" `Quick test_crash_survivors_recorded;
     Alcotest.test_case "unaligned access rejected" `Quick test_mem_alignment;
     QCheck_alcotest.to_alcotest prop_persist_crash_prefix;
+    QCheck_alcotest.to_alcotest prop_into_matches_bytes;
+    Alcotest.test_case "in-place readers keep the poison rules" `Quick test_into_poison_rules;
   ]

@@ -104,33 +104,51 @@ let test_wire_crc_rejects_any_flip () =
 
 (* ------------------------------- link ----------------------------------- *)
 
-let link_fault_run () =
+(* [n] sends at time 0, then drain.  After every send and every poll the
+   link's [in_flight] must equal its own sent - dropped + duplicated -
+   delivered.  Also returns each delivery as (recv clock, payload digest). *)
+let link_fault_run ?(corrupt = 0.0) ?(n = 200) () =
   let faults =
     { Link.drop = 0.2; duplicate = 0.2; reorder = 0.3; delay = 0.1; delay_cycles = 5_000;
-      corrupt = 0.0 }
+      corrupt }
   in
   let l =
     Link.create ~label:"test-link"
       { Link.latency = 1_000; bandwidth_gbps = 10.0; faults; seed = 42 }
   in
-  let received = ref [] in
-  ignore
-    (Sched.run (fun () ->
-         for i = 1 to 200 do
-           Link.send l (Bytes.make 32 (Char.chr (i land 0xff)))
-         done;
-         while Link.in_flight l > 0 do
-           match Link.recv l with
-           | Some b -> received := Bytes.get b 0 :: !received
-           | None -> Sched.advance 500
-         done));
   let st = Link.stats l in
   let g k = Stats.get st k in
-  (List.rev !received, g "frames_sent", g "frames_dropped", g "frames_duplicated",
-   g "frames_delivered", g "frames_reordered", g "frames_delayed")
+  let unbalanced = ref 0 in
+  let balanced () =
+    if
+      Link.in_flight l
+      <> g "frames_sent" - g "frames_dropped" + g "frames_duplicated" - g "frames_delivered"
+    then incr unbalanced
+  in
+  let received = ref [] and deliveries = ref [] in
+  ignore
+    (Sched.run (fun () ->
+         for i = 1 to n do
+           Link.send l (Bytes.make 32 (Char.chr (i land 0xff)));
+           balanced ()
+         done;
+         while Link.in_flight l > 0 do
+           (match Link.recv l with
+           | Some b ->
+             received := Bytes.get b 0 :: !received;
+             deliveries :=
+               (Sched.now (), String.sub (Digest.to_hex (Digest.bytes b)) 0 8) :: !deliveries
+           | None -> Sched.advance 500);
+           balanced ()
+         done));
+  check Alcotest.int "steps where in_flight <> sent - dropped + duplicated - delivered" 0
+    !unbalanced;
+  ( (List.rev !received, g "frames_sent", g "frames_dropped", g "frames_duplicated",
+     g "frames_delivered", g "frames_reordered", g "frames_delayed"),
+    List.rev !deliveries )
 
 let test_link_faults_deterministic () =
-  let recv1, sent, dropped, duplicated, delivered, reordered, delayed = link_fault_run () in
+  let (recv1, sent, dropped, duplicated, delivered, reordered, delayed), _ = link_fault_run () in
   check Alcotest.int "every send counted" 200 sent;
   check Alcotest.bool "some frames dropped" true (dropped > 0);
   check Alcotest.bool "some frames duplicated" true (duplicated > 0);
@@ -139,8 +157,28 @@ let test_link_faults_deterministic () =
   check Alcotest.int "delivered = sent - dropped + duplicated"
     (sent - dropped + duplicated) delivered;
   (* Same seed, same schedule: the faulted stream replays exactly. *)
-  let recv2, _, _, _, _, _, _ = link_fault_run () in
-  check Alcotest.bool "fault stream is deterministic" true (recv1 = recv2)
+  let (recv2, _, _, _, _, _, _), _ = link_fault_run () in
+  check Alcotest.bool "fault stream is deterministic" true (recv1 = recv2);
+  (* Delivery order pinned exactly, corruption included: the recv clock and
+     payload digest of every frame, in delivery order. *)
+  let _, deliveries = link_fault_run ~corrupt:0.1 ~n:48 () in
+  check
+    Alcotest.(list (pair int string))
+    "pinned delivery sequence"
+    [
+    (1000, "e05ba795"); (1500, "b3d5717c"); (1500, "03248497"); (1500, "890bd687");
+    (1500, "ac622084"); (1500, "1bbc197d"); (1500, "6d2ba2c9"); (1500, "0357f629");
+    (1500, "70a4f054"); (1500, "78c01349"); (1500, "6126dd91"); (1500, "6b798010");
+    (1500, "06d61f29"); (1500, "f34d105e"); (1500, "777f9ed5"); (1500, "d934479f");
+    (1500, "e35e96c6"); (1500, "c6feb25f"); (1500, "8d4ad7ae"); (1500, "837cb442");
+    (1500, "49a68385"); (1500, "33ed1418"); (1500, "99a447d7"); (1500, "5089a2ee");
+    (2500, "b3d5717c"); (2500, "0357f629"); (2500, "6b798010"); (2500, "c6feb25f");
+    (2500, "8d4ad7ae"); (2500, "49a68385"); (4500, "cb81c010"); (4500, "af2f6c17");
+    (4500, "961240ce"); (4500, "84a06b3c"); (4500, "5ac0462f"); (4500, "b77de0aa");
+    (4500, "18d86af9"); (4500, "fdef47e3"); (6500, "46393a95"); (6500, "188444e4");
+    (6500, "7646ca47"); (6500, "3b5875e7"); (9500, "0d1ab50d"); (9500, "76fa143f");
+    ]
+    deliveries
 
 let test_link_partition_drops () =
   let l = Link.create ~label:"p" fast_link in

@@ -7,6 +7,7 @@ module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module Checkpoint = Dudetm_core.Checkpoint
 module Crcdir = Dudetm_core.Crcdir
+module Checksum = Dudetm_log.Checksum
 module Badline = Dudetm_core.Badline
 module Plog = Dudetm_log.Plog
 module Log_entry = Dudetm_log.Log_entry
@@ -174,6 +175,41 @@ let test_report_only_mode () =
   check Alcotest.int "report-only clears nothing" 0 r.Scrub.poison_cleared;
   check Alcotest.bool "poison still present" true (Nvm.is_poisoned nvm ~line:100)
 
+(* [Crcdir.update] seals each listed extent's latest image, and
+   [verify_extent] classifies an extent against its persisted entry. *)
+let test_crcdir_seal_and_verify () =
+  let nvm = quiescent_image () in
+  let dir = Crcdir.attach nvm scfg in
+  let ext = Config.crc_extent in
+  let stored e =
+    Int64.to_int32 (Nvm.persisted_u64 nvm (Config.crcdir_base scfg + (8 * e)))
+  in
+  let e1 = 5 and e2 = 9 in
+  Nvm.store_bytes nvm ((e1 * ext) + 3) (Bytes.of_string "fresh extent bytes");
+  Nvm.store_u64 nvm (e2 * ext) 0x1234L;
+  Crcdir.update dir [ e1; e2 ];
+  List.iter
+    (fun e ->
+      let want = Checksum.crc32_bytes (Nvm.load_bytes nvm (e * ext) ext) in
+      check Alcotest.int32 (Printf.sprintf "extent %d sealed from its latest image" e) want
+        (stored e);
+      check Alcotest.int32 "compute_latest agrees" want (Crcdir.compute_latest dir e))
+    [ e1; e2 ];
+  (* The sealed extents are still dirty: their persisted content is stale. *)
+  check Alcotest.bool "unpersisted extent mismatches" true (Crcdir.verify_extent dir e1 = `Mismatch);
+  Nvm.persist nvm ~off:(e1 * ext) ~len:ext;
+  check Alcotest.bool "persisted extent verifies" true (Crcdir.verify_extent dir e1 = `Ok);
+  check Alcotest.int32 "compute_persisted agrees"
+    (Checksum.crc32_bytes (Nvm.persisted_bytes nvm (e1 * ext) ext))
+    (Crcdir.compute_persisted dir e1);
+  Nvm.inject_fault nvm (Nvm.Bit_rot { off = (e1 * ext) + 100; bit = 2 });
+  check Alcotest.bool "rotten extent mismatches" true (Crcdir.verify_extent dir e1 = `Mismatch);
+  let line_of off = off / Nvm.line_size nvm in
+  Nvm.inject_fault nvm (Nvm.Poison { line = line_of ((e2 * ext) + ext - 1) });
+  check Alcotest.bool "poisoned extent" true (Crcdir.verify_extent dir e2 = `Poisoned);
+  Nvm.inject_fault nvm (Nvm.Poison { line = line_of (Config.crcdir_base scfg + (8 * 20)) });
+  check Alcotest.bool "poisoned directory slot" true (Crcdir.verify_extent dir 20 = `Poisoned)
+
 let suite =
   [
     Alcotest.test_case "undamaged image loses nothing" `Quick
@@ -188,4 +224,6 @@ let suite =
     Alcotest.test_case "double checkpoint loss is fatal" `Quick test_both_slots_lost_is_fatal;
     Alcotest.test_case "stuck line remapped persistently" `Quick test_stuck_line_remapped;
     Alcotest.test_case "report-only mode" `Quick test_report_only_mode;
+    Alcotest.test_case "crcdir seals latest images and verifies extents" `Quick
+      test_crcdir_seal_and_verify;
   ]
