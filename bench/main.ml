@@ -31,7 +31,7 @@ let experiments scale full ledger =
     ("table4", (fun () -> Table4.run ~scale ()), Table4.tiny);
     ("ablation", (fun () -> Ablation.run ~scale ()), Ablation.tiny);
     ("ycsb", (fun () -> Ycsb_bench.run ~scale ()), Ycsb_bench.tiny);
-    ("recovery", (fun () -> Recovery_bench.run ~scale ()), Recovery_bench.tiny);
+    ("recovery", (fun () -> Recovery_bench.run ~scale ledger), Recovery_bench.tiny);
     ("trace", (fun () -> Trace_bench.run ~scale ledger), Trace_bench.tiny);
     ("shard", (fun () -> Shard_bench.run ~scale ledger), Shard_bench.tiny);
     ("replica", (fun () -> Replica_bench.run ~scale ledger), Replica_bench.tiny);

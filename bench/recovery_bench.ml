@@ -7,7 +7,12 @@
    stalling Reproduce — modelled here by growing the persistent rings and
    crashing earlier or later in the run) and measure the simulated cycles
    the recovery scan + replay would cost, derived from the replayed entry
-   counts and the same per-entry costs Reproduce is charged. *)
+   counts and the same per-entry costs Reproduce is charged.
+
+   Every simulated number of a crash point is a ledger row: the recovery
+   report's counters (layer "engine") and the persist orderings and bytes
+   recovery itself issues while replaying, checkpointing and journalling
+   (layer "nvm").  Host wall time is printed, never a row. *)
 
 open Dudetm_harness.Harness
 module Sched = Dudetm_sim.Sched
@@ -16,6 +21,7 @@ module Cycles = Dudetm_sim.Cycles
 module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
+module L = Ledger
 
 exception Crashed
 
@@ -52,20 +58,36 @@ let run_point ~crash_cycles =
             Sched.advance crash_cycles;
             raise Crashed))
    with Crashed -> ());
-  Nvm.crash (D.nvm t);
+  let nvm = D.nvm t in
+  Nvm.crash nvm;
+  let ops0 = Nvm.persist_ops nvm and bytes0 = Nvm.persisted_write_bytes nvm in
   let wall0 = Sys.time () in
-  let _, report = D.attach cfg (D.nvm t) in
+  let _, report = D.attach cfg nvm in
   let wall = Sys.time () -. wall0 in
-  (report, wall)
+  (report, Nvm.persist_ops nvm - ops0, Nvm.persisted_write_bytes nvm - bytes0, wall)
 
-let run ?(scale = 1.0) () =
+let run ?(scale = 1.0) led =
   section "Recovery cost vs durable log backlog (extension experiment)";
   Printf.printf "%-16s %10s %10s %12s %16s\n" "crash at" "durable" "replayed" "discarded"
     "recovery wall";
   List.iter
     (fun cycles ->
       let cycles = int_of_float (float_of_int cycles *. scale) in
-      let report, wall = run_point ~crash_cycles:cycles in
+      let report, persist_ops, persist_bytes, wall = run_point ~crash_cycles:cycles in
+      let r = report in
+      let scenario = Printf.sprintf "recovery/crash=%d" cycles in
+      L.add led ~scenario ~layer:"engine"
+        (L.ints "txs"
+           [
+             ("durable", r.Dudetm_core.Dudetm.durable);
+             ("replayed_txs", r.replayed_txs);
+             ("discarded_txs", r.discarded_txs);
+           ]
+        @ L.ints "records"
+            [ ("discarded_records", r.discarded_records); ("corrupted_records", r.corrupted_records) ]
+        @ [ ("quarantined_lines", "lines", L.Int r.quarantined_lines) ]);
+      L.add led ~scenario ~layer:"nvm"
+        [ ("persist_ops", "ops", L.Int persist_ops); ("persist_bytes", "bytes", L.Int persist_bytes) ];
       Printf.printf "%-16s %10d %10d %12d %13.1f ms\n%!"
         (Printf.sprintf "%.2f ms" (Cycles.to_us cycles /. 1000.0))
         report.Dudetm_core.Dudetm.durable report.Dudetm_core.Dudetm.replayed_txs
