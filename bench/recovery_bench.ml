@@ -84,10 +84,16 @@ let run ?(scale = 1.0) led =
              ("discarded_txs", r.discarded_txs);
            ]
         @ L.ints "records"
-            [ ("discarded_records", r.discarded_records); ("corrupted_records", r.corrupted_records) ]
+            [
+              ("discarded_records", r.discarded_records);
+              ("corrupted_records", r.corrupted_records);
+            ]
         @ [ ("quarantined_lines", "lines", L.Int r.quarantined_lines) ]);
       L.add led ~scenario ~layer:"nvm"
-        [ ("persist_ops", "ops", L.Int persist_ops); ("persist_bytes", "bytes", L.Int persist_bytes) ];
+        [
+          ("persist_ops", "ops", L.Int persist_ops);
+          ("persist_bytes", "bytes", L.Int persist_bytes);
+        ];
       Printf.printf "%-16s %10d %10d %12d %13.1f ms\n%!"
         (Printf.sprintf "%.2f ms" (Cycles.to_us cycles /. 1000.0))
         report.Dudetm_core.Dudetm.durable report.Dudetm_core.Dudetm.replayed_txs

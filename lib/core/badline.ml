@@ -1,5 +1,5 @@
 module Nvm = Dudetm_nvm.Nvm
-module Checksum = Dudetm_log.Checksum
+module Image = Dudetm_log.Sealed.Image
 
 type t = {
   nvm : Nvm.t;
@@ -10,23 +10,14 @@ type t = {
 
 let magic = 0x4244554445424144L  (* "BDUDEBAD" *)
 
-(* On-device image: magic u64 | count u64 | line[capacity] u64 | crc u64,
-   CRC over everything before it. *)
-let image_size capacity = (3 + capacity) * 8
-
-let encode t =
-  let b = Bytes.make (image_size t.capacity) '\000' in
-  Bytes.set_int64_le b 0 magic;
-  Bytes.set_int64_le b 8 (Int64.of_int (List.length t.lines));
-  List.iteri (fun i l -> Bytes.set_int64_le b (16 + (i * 8)) (Int64.of_int l)) t.lines;
-  let crc_off = Bytes.length b - 8 in
-  Bytes.set_int64_le b crc_off (Int64.of_int32 (Checksum.crc32 b 0 crc_off));
-  b
-
+(* On-device image: the Sealed.Image [magic | count | line[capacity] |
+   crc], (3 + capacity) * 8 bytes; unused line words are zero. *)
 let persist_table t =
-  let b = encode t in
-  Nvm.store_bytes t.nvm t.base b;
-  Nvm.persist t.nvm ~off:t.base ~len:(Bytes.length b)
+  let w = Array.make (2 + t.capacity) 0L in
+  w.(0) <- magic;
+  w.(1) <- Int64.of_int (List.length t.lines);
+  List.iteri (fun i l -> w.(2 + i) <- Int64.of_int l) t.lines;
+  Image.write t.nvm ~off:t.base w
 
 let format nvm cfg =
   let t =
@@ -36,27 +27,16 @@ let format nvm cfg =
   t
 
 (* A corrupt or poisoned table reformats empty: losing remap entries only
-   costs future re-detection of the stuck lines, never data. *)
+   costs future re-detection of the stuck lines, never data.  The table is
+   read from the media image, not the cache. *)
 let attach nvm cfg =
   let base = Config.badline_base cfg in
   let capacity = Config.badline_capacity in
-  let sz = image_size capacity in
-  match Nvm.persisted_bytes nvm base sz with
-  | exception Nvm.Media_error _ -> (format nvm cfg, false)
-  | b ->
-    let crc_off = sz - 8 in
-    if
-      Bytes.get_int64_le b 0 <> magic
-      || Int64.to_int32 (Bytes.get_int64_le b crc_off) <> Checksum.crc32 b 0 crc_off
-    then (format nvm cfg, false)
-    else begin
-      let n = Int64.to_int (Bytes.get_int64_le b 8) in
-      if n < 0 || n > capacity then (format nvm cfg, false)
-      else begin
-        let lines = List.init n (fun i -> Int64.to_int (Bytes.get_int64_le b (16 + (i * 8)))) in
-        ({ nvm; base; capacity; lines = List.sort compare lines }, true)
-      end
-    end
+  match Image.read ~persisted:true nvm ~off:base ~words:(2 + capacity) with
+  | Some w when w.(0) = magic && w.(1) >= 0L && w.(1) <= Int64.of_int capacity ->
+    let lines = List.init (Int64.to_int w.(1)) (fun i -> Int64.to_int w.(2 + i)) in
+    ({ nvm; base; capacity; lines = List.sort compare lines }, true)
+  | _ -> (format nvm cfg, false)
 
 let mem t l = List.mem l t.lines
 

@@ -4,9 +4,11 @@
     write probe that reads back stale), the line's address is recorded
     here and the heap allocator thereafter refuses to hand out space
     covering it — remapping future allocations away from the bad media.
-    The table is a small checksummed array in its own NVM region; a
-    corrupt table reformats empty (losing only remap entries, which
-    re-detection restores — never data). *)
+    The table is a {!Dudetm_log.Sealed.Image}
+    [magic | count | line\[capacity\] | crc], (3 + capacity) * 8 bytes, in
+    its own NVM region, rewritten whole on every add; a corrupt table
+    reformats empty (losing only remap entries, which re-detection
+    restores — never data). *)
 
 type t
 
@@ -14,9 +16,9 @@ val format : Dudetm_nvm.Nvm.t -> Config.t -> t
 (** Initialize an empty table and persist it. *)
 
 val attach : Dudetm_nvm.Nvm.t -> Config.t -> t * bool
-(** Re-open the table from the persisted image.  Returns [false] when the
-    stored table failed validation (bad magic/CRC/count or poisoned) and
-    was reformatted empty. *)
+(** Re-open the table from the media (persisted) image, not the cache.
+    Returns [false] when the stored table failed validation (bad
+    magic/CRC/count or poisoned) and was reformatted empty. *)
 
 val add : t -> int -> bool
 (** Record one bad line and persist the table.  Returns [false] when the

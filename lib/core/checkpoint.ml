@@ -1,5 +1,4 @@
-module Nvm = Dudetm_nvm.Nvm
-module Checksum = Dudetm_log.Checksum
+module Twin = Dudetm_log.Sealed.Twin
 
 type state = {
   reproduced_upto : int;
@@ -7,123 +6,52 @@ type state = {
   free_extents : (int * int) list;
 }
 
-type t = {
-  nvm : Nvm.t;
-  base : int;
-  slot_size : int;
-  mutable next_seq : int;
-  mutable next_slot : int;  (* 0 or 1 *)
-}
+type t = { twin : Twin.t; max_extents : int }
 
-(* Slot layout: seq u64, reproduced_upto u64, cross_frontier u64,
-   n_extents u64, n_extents * (off u64, len u64), crc u64.  CRC covers
-   everything before it. *)
-let slot_overhead = 40
+(* The meta block is a {!Twin} of two [size / 2] slots.  Record words:
+   reproduced_upto, cross_frontier, then (off, len) per free extent, so a
+   slot record is 40 + 16n bytes for n extents. *)
+let max_extents_of ~size = (Twin.max_words ~slot_size:(size / 2) - 2) / 2
 
-let max_extents_of_slot slot_size = (slot_size - slot_overhead) / 16
-
-let encode state ~seq ~slot_size =
-  let exts = state.free_extents in
-  let n = List.length exts in
-  if slot_overhead + (16 * n) > slot_size then
+let words_of ~max_extents st =
+  if List.length st.free_extents > max_extents then
     invalid_arg "Checkpoint: free list exceeds slot capacity";
-  let b = Bytes.make (slot_overhead + (16 * n)) '\000' in
-  Bytes.set_int64_le b 0 (Int64.of_int seq);
-  Bytes.set_int64_le b 8 (Int64.of_int state.reproduced_upto);
-  Bytes.set_int64_le b 16 (Int64.of_int state.cross_frontier);
-  Bytes.set_int64_le b 24 (Int64.of_int n);
+  let w = Array.make (2 + (2 * List.length st.free_extents)) 0L in
+  w.(0) <- Int64.of_int st.reproduced_upto;
+  w.(1) <- Int64.of_int st.cross_frontier;
   List.iteri
     (fun i (off, len) ->
-      Bytes.set_int64_le b (32 + (16 * i)) (Int64.of_int off);
-      Bytes.set_int64_le b (40 + (16 * i)) (Int64.of_int len))
-    exts;
-  let crc = Checksum.crc32 b 0 (Bytes.length b - 8) in
-  Bytes.set_int64_le b (Bytes.length b - 8) (Int64.of_int32 crc);
-  b
+      w.(2 + (2 * i)) <- Int64.of_int off;
+      w.(3 + (2 * i)) <- Int64.of_int len)
+    st.free_extents;
+  w
 
-let decode_raw nvm ~slot_base ~slot_size =
-  let head = Nvm.load_bytes nvm slot_base 32 in
-  let seq = Int64.to_int (Bytes.get_int64_le head 0) in
-  let upto = Int64.to_int (Bytes.get_int64_le head 8) in
-  let frontier = Int64.to_int (Bytes.get_int64_le head 16) in
-  let n = Int64.to_int (Bytes.get_int64_le head 24) in
-  if n < 0 || slot_overhead + (16 * n) > slot_size then None
-  else begin
-    let total = slot_overhead + (16 * n) in
-    let b = Nvm.load_bytes nvm slot_base total in
-    let crc = Int64.to_int32 (Bytes.get_int64_le b (total - 8)) in
-    if Checksum.crc32 b 0 (total - 8) <> crc then None
-    else begin
-      let exts = ref [] in
-      for i = n - 1 downto 0 do
-        exts :=
-          ( Int64.to_int (Bytes.get_int64_le b (32 + (16 * i))),
-            Int64.to_int (Bytes.get_int64_le b (40 + (16 * i))) )
-          :: !exts
-      done;
-      Some (seq, { reproduced_upto = upto; cross_frontier = frontier; free_extents = !exts })
-    end
-  end
+let state_of w =
+  let int i = Int64.to_int w.(i) in
+  let n = (Array.length w - 2) / 2 in
+  {
+    reproduced_upto = int 0;
+    cross_frontier = int 1;
+    free_extents = List.init n (fun i -> (int (2 + (2 * i)), int (3 + (2 * i))));
+  }
 
-let decode nvm ~slot_base ~slot_size =
-  match decode_raw nvm ~slot_base ~slot_size with
-  | exception Nvm.Media_error _ -> None  (* a poisoned slot is just an invalid slot *)
-  | r -> r
+let check_size fn ~size =
+  if max_extents_of ~size < 1 then invalid_arg ("Checkpoint." ^ fn ^ ": meta block too small")
 
-let slot_base t i = t.base + (i * t.slot_size)
-
-let write_slot t slot state ~seq =
-  let b = encode state ~seq ~slot_size:t.slot_size in
-  Nvm.store_bytes t.nvm (slot_base t slot) b;
-  Nvm.persist t.nvm ~off:(slot_base t slot) ~len:(Bytes.length b)
-
-let format nvm ~base ~size state =
-  if size < 2 * (slot_overhead + 16) then invalid_arg "Checkpoint.format: meta block too small";
-  let t = { nvm; base; slot_size = size / 2; next_seq = 2; next_slot = 0 } in
-  (* Write both slots so attach always finds a valid one even if the first
-     real checkpoint tears. *)
-  write_slot t 0 state ~seq:0;
-  write_slot t 1 state ~seq:1;
-  t
+let format nvm ~base ~size st =
+  check_size "format" ~size;
+  let max_extents = max_extents_of ~size in
+  { twin = Twin.format nvm ~base ~slot_size:(size / 2) (words_of ~max_extents st); max_extents }
 
 let attach nvm ~base ~size =
-  if size < 2 * (slot_overhead + 16) then invalid_arg "Checkpoint.attach: meta block too small";
-  let slot_size = size / 2 in
-  let s0 = decode nvm ~slot_base:base ~slot_size in
-  let s1 = decode nvm ~slot_base:(base + slot_size) ~slot_size in
-  match (s0, s1) with
-  | None, None -> invalid_arg "Checkpoint.attach: no valid checkpoint"
-  | Some (seq, st), None ->
-    ({ nvm; base; slot_size; next_seq = seq + 1; next_slot = 1 }, st)
-  | None, Some (seq, st) ->
-    ({ nvm; base; slot_size; next_seq = seq + 1; next_slot = 0 }, st)
-  | Some (q0, st0), Some (q1, st1) ->
-    if q0 > q1 then ({ nvm; base; slot_size; next_seq = q0 + 1; next_slot = 1 }, st0)
-    else ({ nvm; base; slot_size; next_seq = q1 + 1; next_slot = 0 }, st1)
+  check_size "attach" ~size;
+  match Twin.attach nvm ~base ~slot_size:(size / 2) with
+  | Some (twin, w) when Array.length w >= 2 ->
+    ({ twin; max_extents = max_extents_of ~size }, state_of w)
+  | _ -> invalid_arg "Checkpoint.attach: no valid checkpoint"
 
-let write t state =
-  write_slot t t.next_slot state ~seq:t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.next_slot <- 1 - t.next_slot
+let write t st = Twin.write t.twin (words_of ~max_extents:t.max_extents st)
 
-let max_extents t = max_extents_of_slot t.slot_size
+let max_extents t = t.max_extents
 
-let scrub ?(repair = true) nvm ~base ~size =
-  let slot_size = size / 2 in
-  let s0 = decode nvm ~slot_base:base ~slot_size in
-  let s1 = decode nvm ~slot_base:(base + slot_size) ~slot_size in
-  match (s0, s1) with
-  | Some _, Some _ -> `Ok
-  | None, None -> `Fatal
-  | good ->
-    (* One slot damaged: rewrite it from the survivor with an older seq so
-       the survivor stays the one recovery picks. *)
-    if repair then begin
-      let t = { nvm; base; slot_size; next_seq = 0; next_slot = 0 } in
-      (match good with
-      | Some (seq, st), None -> write_slot t 1 st ~seq:(max 0 (seq - 1))
-      | None, Some (seq, st) -> write_slot t 0 st ~seq:(max 0 (seq - 1))
-      | _ -> assert false);
-      `Repaired
-    end
-    else `Degraded
+let scrub ?repair nvm ~base ~size = Twin.scrub ?repair nvm ~base ~slot_size:(size / 2)

@@ -2,9 +2,12 @@
 
     Records the Reproduce watermark ([reproduced_upto]: every transaction
     with ID at or below it has its data persisted in the heap) together with
-    the allocator free list as of that transaction.  Written alternately to
-    two slots, each sealed with a sequence number and CRC, so a crash during
-    a checkpoint write leaves the previous checkpoint intact. *)
+    the allocator free list as of that transaction.  The meta block is a
+    {!Dudetm_log.Sealed.Twin} of two [size / 2] slots: each write goes to
+    the older slot under the next sequence number, so a crash during a
+    checkpoint write leaves the previous checkpoint intact.  A slot record
+    is [seq | len | reproduced_upto | cross_frontier | (off, len)*n | crc],
+    40 + 16n bytes for n free extents — its persist cost. *)
 
 type state = {
   reproduced_upto : int;
@@ -38,8 +41,7 @@ val scrub :
   base:int ->
   size:int ->
   [ `Ok | `Repaired | `Degraded | `Fatal ]
-(** Audit both slots without attaching.  [`Ok]: both valid.  One slot
-    invalid (torn, bit-rotted or poisoned): with [repair] (default) the
-    damaged slot is rewritten from the survivor with an older sequence
-    number and the result is [`Repaired]; without, [`Degraded].  [`Fatal]:
-    neither slot validates — the instance cannot recover. *)
+(** {!Dudetm_log.Sealed.Twin.scrub} of the meta block: [`Ok], [`Repaired]
+    (one damaged slot rewritten from the survivor), [`Degraded] (the same
+    without [repair]) or [`Fatal] — neither slot validates and the instance
+    cannot recover. *)

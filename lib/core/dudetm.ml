@@ -1258,16 +1258,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
            always makes progress. *)
         Stats.incr t.stats "pmalloc_waits";
         Trace.span_begin ~cat:"perform" "pmalloc_wait";
-        let step = max 1 (budget / 32) in
-        let elapsed = ref 0 in
         let result = ref None in
-        while !result = None && !elapsed < budget && not t.stop_flag do
-          let d = min step (budget - !elapsed) in
-          Sched.advance d;
-          elapsed := !elapsed + d;
-          result := Alloc.alloc t.allocator n
-        done;
-        Stats.add t.stats "pmalloc_wait_cycles" !elapsed;
+        let got elapsed =
+          if elapsed > 0 then result := Alloc.alloc t.allocator n;
+          !result <> None || t.stop_flag
+        in
+        let elapsed = Sched.poll ~budget ~step:(max 1 (budget / 32)) got in
+        Stats.add t.stats "pmalloc_wait_cycles" elapsed;
         Trace.span_end ~cat:"perform" "pmalloc_wait";
         !result
       end
@@ -1325,16 +1322,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
          a throttled transaction far more wait than the pressure lasted
          (the old 62.5k-cycle step WAS the commit-latency tail). *)
       let budget = t.cfg.Config.bp_wait_budget in
-      let step = max 1 (min (budget / 32) 1_000) in
-      let elapsed = ref 0 in
-      while
-        ring_pressure t && (not t.stop_flag) && (not t.draining) && !elapsed < budget
-      do
-        let d = min step (budget - !elapsed) in
-        Sched.advance d;
-        elapsed := !elapsed + d
-      done;
-      Stats.add t.stats "bp_throttle_cycles" !elapsed;
+      let elapsed =
+        Sched.poll ~budget ~step:(max 1 (min (budget / 32) 1_000)) (fun _ ->
+            not (ring_pressure t && (not t.stop_flag) && not t.draining))
+      in
+      Stats.add t.stats "bp_throttle_cycles" elapsed;
       Trace.span_end ~cat:"perform" "bp_throttle"
     end
 
@@ -1563,13 +1555,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        to prove the nested-crash campaign catches exactly this.) *)
     let use_journal = cfg.Config.fault <> Config.Skip_recovery_journal in
     let rjournal = Rjournal.attach nvm ~base:(Config.rjournal_base cfg) in
-    (match Rjournal.read rjournal with
-    | Rjournal.Probe { line; original } when use_journal ->
-      let ls = Nvm.line_size nvm in
-      Nvm.store_u64 nvm (line * ls) original;
-      Nvm.persist nvm ~off:(line * ls) ~len:8;
-      Rjournal.write rjournal Rjournal.Idle
-    | _ -> ());
+    if use_journal then Rjournal.undo_probe rjournal;
     let ckpt, state = Checkpoint.attach nvm ~base:(Config.meta_base cfg) ~size:cfg.Config.meta_size in
     let c = state.Checkpoint.reproduced_upto in
     let repro_alloc = Alloc.restore state.Checkpoint.free_extents in

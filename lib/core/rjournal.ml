@@ -1,74 +1,5 @@
 module Nvm = Dudetm_nvm.Nvm
-module Checksum = Dudetm_log.Checksum
-
-(* ------------------------------------------------------------------ *)
-(* Generic double-slot CRC-sealed record machinery                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared by the recovery intent journal below and the shard-migration
-   handoff journal (lib/shard/handoff.ml).  Each 128-byte slot holds
-   seq u64 | kind u64 | len u64 | payload (len <= 12 u64s) | crc u64, the
-   CRC32 covering everything before it.  Writers alternate slots with a
-   monotone sequence number, so a torn write simply leaves the twin — the
-   previous sealed record — in force. *)
-module Slots = struct
-  let slot_size = 128
-
-  let max_payload = 12
-
-  let encode ~seq ~kind payload =
-    let len = Array.length payload in
-    if len > max_payload then invalid_arg "Rjournal.Slots: payload too long";
-    let used = 24 + (8 * len) + 8 in
-    let b = Bytes.make used '\000' in
-    Bytes.set_int64_le b 0 (Int64.of_int seq);
-    Bytes.set_int64_le b 8 (Int64.of_int kind);
-    Bytes.set_int64_le b 16 (Int64.of_int len);
-    Array.iteri (fun i w -> Bytes.set_int64_le b (24 + (8 * i)) w) payload;
-    let crc = Checksum.crc32 b 0 (used - 8) in
-    Bytes.set_int64_le b (used - 8) (Int64.of_int32 crc);
-    b
-
-  let write nvm ~base ~slot ~seq ~kind payload =
-    let b = encode ~seq ~kind payload in
-    let off = base + (slot * slot_size) in
-    Nvm.store_bytes nvm off b;
-    Nvm.persist nvm ~off ~len:(Bytes.length b)
-
-  let read_raw nvm ~slot_base =
-    let b = Nvm.load_bytes nvm slot_base slot_size in
-    let len = Int64.to_int (Bytes.get_int64_le b 16) in
-    if len < 0 || len > max_payload then None
-    else begin
-      let used = 24 + (8 * len) + 8 in
-      let crc = Int64.to_int32 (Bytes.get_int64_le b (used - 8)) in
-      if Checksum.crc32 b 0 (used - 8) <> crc then None
-      else
-        let seq = Int64.to_int (Bytes.get_int64_le b 0) in
-        let kind = Int64.to_int (Bytes.get_int64_le b 8) in
-        let payload = Array.init len (fun i -> Bytes.get_int64_le b (24 + (8 * i))) in
-        Some (seq, kind, payload)
-    end
-
-  let read nvm ~base ~slot =
-    match read_raw nvm ~slot_base:(base + (slot * slot_size)) with
-    | exception Nvm.Media_error _ -> None  (* a poisoned slot is just an invalid slot *)
-    | r -> r
-
-  (* Newest valid record and the slot it lives in; [None] when both slots
-     are torn or poisoned (nothing was ever sealed). *)
-  let newest nvm ~base =
-    match (read nvm ~base ~slot:0, read nvm ~base ~slot:1) with
-    | None, None -> None
-    | Some (seq, kind, p), None -> Some (seq, kind, p, 0)
-    | None, Some (seq, kind, p) -> Some (seq, kind, p, 1)
-    | Some (q0, k0, p0), Some (q1, k1, p1) ->
-      if q0 > q1 then Some (q0, k0, p0, 0) else Some (q1, k1, p1, 1)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Recovery intent journal                                             *)
-(* ------------------------------------------------------------------ *)
+module Twin = Dudetm_log.Sealed.Twin
 
 type verdict = {
   v_durable : int;
@@ -84,72 +15,70 @@ type intent =
   | Replay of verdict
   | Probe of { line : int; original : int64 }
 
-type t = {
-  nvm : Nvm.t;
-  base : int;
-  mutable next_seq : int;
-  mutable next_slot : int;  (* 0 or 1 *)
-  mutable current : intent;
-}
+type t = { nvm : Nvm.t; twin : Twin.t; mutable current : intent }
 
-let kind_of = function Idle -> 0 | Replay _ -> 1 | Probe _ -> 2
+(* A Twin of two 128-byte slots, so the slots never share a cache line.
+   Record words: the intent's kind, then its fields — 32 + 8k bytes for k
+   fields. *)
+let slot_size = 128
 
-let payload_of = function
-  | Idle -> [||]
+let words_of = function
+  | Idle -> [| 0L |]
   | Replay v ->
-    [|
-      Int64.of_int v.v_durable;
-      Int64.of_int v.v_replayed_txs;
-      Int64.of_int v.v_discarded_txs;
-      Int64.of_int v.v_discarded_records;
-      Int64.of_int v.v_corrupted_records;
-      Int64.of_int v.v_quarantined_lines;
-    |]
-  | Probe { line; original } -> [| Int64.of_int line; original |]
+    Array.map Int64.of_int
+      [|
+        1;
+        v.v_durable;
+        v.v_replayed_txs;
+        v.v_discarded_txs;
+        v.v_discarded_records;
+        v.v_corrupted_records;
+        v.v_quarantined_lines;
+      |]
+  | Probe { line; original } -> [| 2L; Int64.of_int line; original |]
 
-let intent_of ~kind payload =
-  let word i = if i < Array.length payload then payload.(i) else 0L in
+let intent_of w =
+  let word i = if i < Array.length w then w.(i) else 0L in
   let int i = Int64.to_int (word i) in
-  match kind with
+  match int 0 with
   | 0 -> Some Idle
   | 1 ->
     Some
       (Replay
          {
-           v_durable = int 0;
-           v_replayed_txs = int 1;
-           v_discarded_txs = int 2;
-           v_discarded_records = int 3;
-           v_corrupted_records = int 4;
-           v_quarantined_lines = int 5;
+           v_durable = int 1;
+           v_replayed_txs = int 2;
+           v_discarded_txs = int 3;
+           v_discarded_records = int 4;
+           v_corrupted_records = int 5;
+           v_quarantined_lines = int 6;
          })
-  | 2 -> Some (Probe { line = int 0; original = word 1 })
+  | 2 -> Some (Probe { line = int 1; original = word 2 })
   | _ -> None
 
-let write_slot t slot intent ~seq =
-  Slots.write t.nvm ~base:t.base ~slot ~seq ~kind:(kind_of intent) (payload_of intent)
-
 let format nvm ~base =
-  let t = { nvm; base; next_seq = 2; next_slot = 0; current = Idle } in
-  write_slot t 0 Idle ~seq:0;
-  write_slot t 1 Idle ~seq:1;
-  t
+  { nvm; twin = Twin.format nvm ~base ~slot_size (words_of Idle); current = Idle }
 
 let attach nvm ~base =
-  match Slots.newest nvm ~base with
+  match Twin.attach nvm ~base ~slot_size with
+  | Some (twin, w) -> (
+    match intent_of w with Some current -> { nvm; twin; current } | None -> format nvm ~base)
   | None ->
     (* Both slots torn or poisoned: no intent can have been sealed, so the
        only safe reading is "no recovery in progress".  Self-heal. *)
     format nvm ~base
-  | Some (seq, kind, payload, slot) -> (
-    match intent_of ~kind payload with
-    | Some it -> { nvm; base; next_seq = seq + 1; next_slot = 1 - slot; current = it }
-    | None -> format nvm ~base)
 
 let read t = t.current
 
 let write t intent =
-  write_slot t t.next_slot intent ~seq:t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.next_slot <- 1 - t.next_slot;
+  Twin.write t.twin (words_of intent);
   t.current <- intent
+
+let undo_probe t =
+  match t.current with
+  | Probe { line; original } ->
+    let off = line * Nvm.line_size t.nvm in
+    Nvm.store_u64 t.nvm off original;
+    Nvm.persist t.nvm ~off ~len:8;
+    write t Idle
+  | Idle | Replay _ -> ()

@@ -16,38 +16,11 @@
       A re-attach after a crash mid-recovery adopts the sealed verdict, so
       the recovery report converges no matter where the crash landed.
 
-    The journal is a double-slot record exactly like {!Checkpoint}: each
-    write goes to the older slot with an incremented sequence number and a
-    CRC32 seal, so a torn intent write simply leaves the previous intent
-    in force.
-
-    The double-slot machinery itself is exposed as {!Slots} so other
-    multi-step PM protocols (the shard-migration handoff journal) can seal
-    their own intents with the same torn-write discipline. *)
-
-(** Generic double-slot CRC-sealed records: 128-byte slots holding
-    [seq | kind | len | payload | crc], written alternately with a monotone
-    sequence so the newest valid slot wins and a torn write falls back to
-    its twin. *)
-module Slots : sig
-  val slot_size : int
-  (** 128: slots never share a cache line. *)
-
-  val max_payload : int
-  (** Payload words per record (12). *)
-
-  val write :
-    Dudetm_nvm.Nvm.t -> base:int -> slot:int -> seq:int -> kind:int -> int64 array -> unit
-  (** Seal and persist one record into [slot] (0 or 1) at [base]. *)
-
-  val read : Dudetm_nvm.Nvm.t -> base:int -> slot:int -> (int * int * int64 array) option
-  (** [(seq, kind, payload)] of a valid slot; [None] when torn or
-      poisoned. *)
-
-  val newest : Dudetm_nvm.Nvm.t -> base:int -> (int * int * int64 array * int) option
-  (** Newest valid record [(seq, kind, payload, slot)] across both slots;
-      [None] when neither decodes. *)
-end
+    The journal is a {!Dudetm_log.Sealed.Twin} of two 128-byte slots, like
+    {!Checkpoint}: each write goes to the older slot under the next
+    sequence number, so a torn intent write leaves the previous intent in
+    force.  A slot record is [seq | len | kind | fields | crc], 32 + 8k
+    bytes for an intent of k fields. *)
 
 type verdict = {
   v_durable : int;  (** durable transaction ID recovery converged on *)
@@ -80,3 +53,8 @@ val read : t -> intent
 
 val write : t -> intent -> unit
 (** Seal [intent] into the older slot and persist it before returning. *)
+
+val undo_probe : t -> unit
+(** If the sealed intent is a {!Probe} (a scrub crashed mid-probe), restore
+    and persist the probed line's original word, then seal {!Idle}; a
+    no-op otherwise.  Run before anything trusts the heap. *)

@@ -59,17 +59,11 @@ let persist_wrapped t off len =
     Nvm.persist t.nvm ~off:(data_base t) ~len:(len - first)
   end
 
-(* Header layout: magic u64, head u64, head_seq u64, crc u64 (over the
-   first 24 bytes) — the CRC lets recovery distinguish a corrupted header
-   from an unformatted region. *)
+(* Header: the Sealed.Image [magic | head | head_seq | crc], 32 bytes,
+   rewritten at every recycle — the CRC lets recovery distinguish a
+   corrupted header from an unformatted region. *)
 let persist_header t =
-  let b = Bytes.create 32 in
-  Bytes.set_int64_le b 0 magic;
-  Bytes.set_int64_le b 8 (Int64.of_int t.head);
-  Bytes.set_int64_le b 16 (Int64.of_int t.head_seq);
-  Bytes.set_int64_le b 24 (Int64.of_int32 (Checksum.crc32 b 0 24));
-  Nvm.store_bytes t.nvm t.base b;
-  Nvm.persist t.nvm ~off:t.base ~len:32
+  Sealed.Image.write t.nvm ~off:t.base [| magic; Int64.of_int t.head; Int64.of_int t.head_seq |]
 
 let format nvm ~base ~size =
   if size <= header_size + record_overhead then invalid_arg "Plog.format: region too small";
@@ -138,13 +132,9 @@ let lines_of_range t ~lo ~hi acc =
   end
 
 let read_header nvm base =
-  match Nvm.load_bytes nvm base 32 with
-  | exception Nvm.Media_error _ -> None
-  | b ->
-    if Bytes.get_int64_le b 0 <> magic then None
-    else if Int64.to_int32 (Bytes.get_int64_le b 24) <> Checksum.crc32 b 0 24 then None
-    else
-      Some (Int64.to_int (Bytes.get_int64_le b 8), Int64.to_int (Bytes.get_int64_le b 16))
+  match Sealed.Image.read nvm ~off:base ~words:3 with
+  | Some [| m; head; head_seq |] when m = magic -> Some (Int64.to_int head, Int64.to_int head_seq)
+  | _ -> None
 
 (* A lost header loses the head cursor, and with it every record in the
    ring.  To keep the ring usable we reformat it — but new appends must

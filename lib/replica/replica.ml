@@ -509,6 +509,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Trace.instant ~cat:"replica" "degraded" t.acked_watermark;
     Degraded_quorum msg
 
+  let poll_step t = max 64 (t.rcfg.link.Link.latency / 2)
+
   (* Poll the watermark with a bounded budget.  [Sched.wait_until] is off
      the table: "watermark reached OR timeout" is a time-based predicate,
      and when every replica is partitioned nothing else would advance this
@@ -516,11 +518,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      [Sched.advance] always makes progress and lets the ack/retransmit
      daemons run underneath. *)
   let poll_acked t tid =
-    let deadline = Sched.now () + t.cfg.Config.ack_timeout in
-    let step = max 64 (t.rcfg.link.Link.latency / 2) in
-    while t.acked_watermark < tid && Sched.now () < deadline do
-      Sched.advance (min step (deadline - Sched.now ()))
-    done;
+    ignore
+      (Sched.poll ~budget:t.cfg.Config.ack_timeout ~step:(poll_step t) (fun _ ->
+           t.acked_watermark >= tid));
     t.acked_watermark >= tid
 
   let wait_acked t tid =
@@ -552,11 +552,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       (not (reachable r))
       || (Engine.durable_id r.eng >= target && Engine.applied_id r.eng >= target)
     in
-    let deadline = Sched.now () + t.cfg.Config.ack_timeout in
-    let step = max 64 (t.rcfg.link.Link.latency / 2) in
-    while (not (Array.for_all caught_up t.reps)) && Sched.now () < deadline do
-      Sched.advance (min step (deadline - Sched.now ()))
-    done
+    ignore
+      (Sched.poll ~budget:t.cfg.Config.ack_timeout ~step:(poll_step t) (fun _ ->
+           Array.for_all caught_up t.reps))
 
   let stop t =
     ignore (drain t);

@@ -124,13 +124,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
      campaign can prove it catches exactly this. *)
   let use_journal = cfg.Config.fault <> Config.Skip_recovery_journal in
   let rjournal = Rjournal.attach nvm ~base:(Config.rjournal_base cfg) in
-  (match Rjournal.read rjournal with
-  | Rjournal.Probe { line; original } when use_journal ->
-    let ls = Nvm.line_size nvm in
-    Nvm.store_u64 nvm (line * ls) original;
-    Nvm.persist nvm ~off:(line * ls) ~len:8;
-    Rjournal.write rjournal Rjournal.Idle
-  | _ -> ());
+  if use_journal then Rjournal.undo_probe rjournal;
   let poison_cleared = if repair then clear_poison nvm else 0 in
   if poison_cleared > 0 then begin
     Nvm.note_media_detected nvm poison_cleared;

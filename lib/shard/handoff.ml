@@ -1,22 +1,22 @@
-(* The migration coordinator's persistent state: two double-slot
-   CRC-sealed records in device 0's handoff-journal region
-   (Config.hjournal_base), written with the Rjournal.Slots torn-write
-   discipline — each seal goes to the older slot with a monotone sequence
-   number, so a power cut mid-write leaves the previous record in force.
+(* The migration coordinator's persistent state: two Sealed.Twin records
+   in device 0's handoff-journal region (Config.hjournal_base), each a pair
+   of 128-byte slots.  A seal goes to the older slot under the next
+   sequence number, so a power cut mid-write leaves the previous record in
+   force.  Word 0 of each record is its kind.
 
    - The *descriptor record* (base + 256) holds the authoritative
-     partition descriptor — Partition.seal words plus the handoff epoch
-     that sealed them.  Attach validates its CRC and shard count and
+     partition descriptor — the handoff epoch that sealed it, then the
+     Partition.seal words.  Attach validates its CRC and shard count and
      raises Partition.Invalid_partition rather than ever routing on a
      stale or corrupt mapping.
-   - The *handoff record* (base + 0) holds the in-progress migration
-     {src; dst; range; epoch; phase}.  Its phase tells a recovering
-     instance whether to roll the migration back (Copy: the source is
-     still the sole authority) or forward (Flip/Cleanup: reseal the
-     flipped descriptor idempotently and finish recycling the range). *)
+   - The *handoff record* (base + 0) holds the in-progress migration's
+     phase as its kind, then {src; dst; range; epoch}.  The phase tells a
+     recovering instance whether to roll the migration back (Copy: the
+     source is still the sole authority) or forward (Flip/Cleanup: reseal
+     the flipped descriptor idempotently and finish recycling the
+     range). *)
 
-module Nvm = Dudetm_nvm.Nvm
-module Slots = Dudetm_core.Rjournal.Slots
+module Twin = Dudetm_log.Sealed.Twin
 module Partition = Dudetm_workloads.Partition
 
 type phase = Copy | Flip | Cleanup
@@ -24,153 +24,83 @@ type phase = Copy | Flip | Cleanup
 type plan = { src : int; dst : int; blo : int; bhi : int; epoch : int }
 
 type t = {
-  nvm : Nvm.t;
-  hbase : int;  (* handoff record *)
-  dbase : int;  (* descriptor record *)
-  mutable hseq : int;
-  mutable hslot : int;
-  mutable dseq : int;
-  mutable dslot : int;
+  handoff : Twin.t;
+  descriptor : Twin.t;
   mutable state : (plan * phase) option;
   mutable part : Partition.t;
   mutable epoch : int;
 }
 
-let descriptor_off = 2 * Slots.slot_size
+let slot_size = 128
+
+let descriptor_off = 2 * slot_size
 
 (* Handoff kinds are the phase; the descriptor record uses its own kind. *)
 let k_idle = 0
 
-let k_copy = 1
-
-let k_flip = 2
-
-let k_cleanup = 3
-
 let k_desc = 9
 
-let kind_of_phase = function Copy -> k_copy | Flip -> k_flip | Cleanup -> k_cleanup
+let kind_of_phase = function Copy -> 1 | Flip -> 2 | Cleanup -> 3
 
-let phase_of_kind = function
-  | k when k = k_copy -> Some Copy
-  | k when k = k_flip -> Some Flip
-  | k when k = k_cleanup -> Some Cleanup
+let phase_of_kind = function 1 -> Some Copy | 2 -> Some Flip | 3 -> Some Cleanup | _ -> None
+
+let handoff_words state =
+  Array.map Int64.of_int
+    (match state with
+    | None -> [| k_idle |]
+    | Some (pl, ph) -> [| kind_of_phase ph; pl.src; pl.dst; pl.blo; pl.bhi; pl.epoch |])
+
+(* [Some state] of a handoff record, [None] for one no seal writes. *)
+let state_of w =
+  match Array.map Int64.to_int w with
+  | [| k |] when k = k_idle -> Some None
+  | [| k; src; dst; blo; bhi; epoch |] ->
+    Option.map (fun ph -> Some ({ src; dst; blo; bhi; epoch }, ph)) (phase_of_kind k)
   | _ -> None
 
-let plan_payload pl =
-  [|
-    Int64.of_int pl.src;
-    Int64.of_int pl.dst;
-    Int64.of_int pl.blo;
-    Int64.of_int pl.bhi;
-    Int64.of_int pl.epoch;
-  |]
-
-let plan_of payload =
-  let int i = Int64.to_int payload.(i) in
-  { src = int 0; dst = int 1; blo = int 2; bhi = int 3; epoch = int 4 }
-
-let desc_payload part ~epoch =
-  Array.append [| Int64.of_int epoch |] (Partition.seal part)
+let descriptor_words part ~epoch =
+  Array.append [| Int64.of_int k_desc; Int64.of_int epoch |] (Partition.seal part)
 
 let invalid msg = raise (Partition.Invalid_partition ("Partition: " ^ msg))
 
-(* ------------------------------------------------------------------ *)
-(* Sealing                                                             *)
-(* ------------------------------------------------------------------ *)
-
 let seal_handoff t state =
-  let kind, payload =
-    match state with
-    | None -> (k_idle, [||])
-    | Some (pl, ph) -> (kind_of_phase ph, plan_payload pl)
-  in
-  Slots.write t.nvm ~base:t.hbase ~slot:t.hslot ~seq:t.hseq ~kind payload;
-  t.hseq <- t.hseq + 1;
-  t.hslot <- 1 - t.hslot;
+  Twin.write t.handoff (handoff_words state);
   t.state <- state
 
 let seal_descriptor t part ~epoch =
-  Slots.write t.nvm ~base:t.dbase ~slot:t.dslot ~seq:t.dseq ~kind:k_desc
-    (desc_payload part ~epoch);
-  t.dseq <- t.dseq + 1;
-  t.dslot <- 1 - t.dslot;
+  Twin.write t.descriptor (descriptor_words part ~epoch);
   t.part <- part;
   t.epoch <- epoch
 
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
-
 let format nvm ~base ~part ~epoch =
-  let t =
-    {
-      nvm;
-      hbase = base;
-      dbase = base + descriptor_off;
-      hseq = 0;
-      hslot = 0;
-      dseq = 0;
-      dslot = 0;
-      state = None;
-      part;
-      epoch;
-    }
-  in
   (* Descriptor first: routing authority exists before any handoff state
      could reference it. *)
-  let dp = desc_payload part ~epoch in
-  Slots.write nvm ~base:t.dbase ~slot:0 ~seq:0 ~kind:k_desc dp;
-  Slots.write nvm ~base:t.dbase ~slot:1 ~seq:1 ~kind:k_desc dp;
-  t.dseq <- 2;
-  Slots.write nvm ~base:t.hbase ~slot:0 ~seq:0 ~kind:k_idle [||];
-  Slots.write nvm ~base:t.hbase ~slot:1 ~seq:1 ~kind:k_idle [||];
-  t.hseq <- 2;
-  t
+  let descriptor =
+    Twin.format nvm ~base:(base + descriptor_off) ~slot_size (descriptor_words part ~epoch)
+  in
+  let handoff = Twin.format nvm ~base ~slot_size (handoff_words None) in
+  { handoff; descriptor; state = None; part; epoch }
 
 let attach nvm ~base ~nshards =
-  let dbase = base + descriptor_off in
-  match Slots.newest nvm ~base:dbase with
+  match Twin.attach nvm ~base:(base + descriptor_off) ~slot_size with
   | None -> invalid "no valid partition descriptor record (both slots torn or corrupt)"
-  | Some (dseq, kind, payload, dslot) ->
-    if kind <> k_desc || Array.length payload < 2 then
+  | Some (descriptor, w) ->
+    if Array.length w < 3 || w.(0) <> Int64.of_int k_desc then
       invalid "descriptor record has the wrong shape";
-    let epoch = Int64.to_int payload.(0) in
-    let part =
-      Partition.unseal ~expect_nshards:nshards
-        (Array.sub payload 1 (Array.length payload - 1))
+    let part = Partition.unseal ~expect_nshards:nshards (Array.sub w 2 (Array.length w - 2)) in
+    let handoff, state =
+      match Twin.attach nvm ~base ~slot_size with
+      | None ->
+        (* Both handoff slots torn: no handoff was ever sealed (or the seal
+           itself was cut mid-write before either slot was valid, which can
+           only happen at format time).  Self-heal to Idle. *)
+        (Twin.format nvm ~base ~slot_size (handoff_words None), None)
+      | Some (handoff, w) -> (
+        match state_of w with
+        | Some state -> (handoff, state)
+        | None -> invalid "handoff record has an unknown phase")
     in
-    let t =
-      {
-        nvm;
-        hbase = base;
-        dbase;
-        hseq = 0;
-        hslot = 0;
-        dseq = dseq + 1;
-        dslot = 1 - dslot;
-        state = None;
-        part;
-        epoch;
-      }
-    in
-    (match Slots.newest nvm ~base with
-    | None ->
-      (* Both handoff slots torn: no handoff was ever sealed (or the seal
-         itself was cut mid-write before either slot was valid, which can
-         only happen at format time).  Self-heal to Idle. *)
-      Slots.write nvm ~base ~slot:0 ~seq:0 ~kind:k_idle [||];
-      Slots.write nvm ~base ~slot:1 ~seq:1 ~kind:k_idle [||];
-      t.hseq <- 2
-    | Some (hseq, kind, payload, hslot) ->
-      t.hseq <- hseq + 1;
-      t.hslot <- 1 - hslot;
-      if kind = k_idle then t.state <- None
-      else
-        (match phase_of_kind kind with
-        | Some ph when Array.length payload >= 5 -> t.state <- Some (plan_of payload, ph)
-        | _ -> invalid "handoff record has an unknown phase"));
-    t
+    { handoff; descriptor; state; part; epoch = Int64.to_int w.(1) }
 
 let state t = t.state
 

@@ -1,8 +1,8 @@
 (** Persistent coordinator state for live shard migration.
 
-    Two double-slot CRC-sealed records (the {!Dudetm_core.Rjournal.Slots}
-    torn-write discipline) in device 0's handoff-journal region at
-    {!Dudetm_core.Config.hjournal_base}:
+    Two {!Dudetm_log.Sealed.Twin} records (pairs of 128-byte CRC-sealed
+    slots, 32 + 8k bytes for k fields) in device 0's handoff-journal
+    region at {!Dudetm_core.Config.hjournal_base}:
 
     - the {e partition descriptor} record — the authoritative
       {!Dudetm_workloads.Partition} mapping plus the handoff epoch that

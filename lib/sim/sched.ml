@@ -339,6 +339,15 @@ let advance n =
 
 let yield () = advance 1
 
+let poll ~budget ~step ready =
+  let elapsed = ref 0 in
+  while (not (ready !elapsed)) && !elapsed < budget do
+    let d = min step (budget - !elapsed) in
+    advance d;
+    elapsed := !elapsed + d
+  done;
+  !elapsed
+
 let wait_until ?(label = "?") pred =
   try Effect.perform (Wait (pred, label))
   with Effect.Unhandled _ ->

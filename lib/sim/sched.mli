@@ -82,6 +82,15 @@ val advance : int -> unit
 val yield : unit -> unit
 (** [yield ()] is [advance 1]: the minimal preemption point. *)
 
+val poll : budget:int -> step:int -> (int -> bool) -> int
+(** [poll ~budget ~step ready] is a bounded wait by advancing: while
+    [ready elapsed] is false and fewer than [budget] cycles are spent, it
+    {!advance}s by [step] (the last step clipped to the budget).  [ready]
+    gets the cycles spent so far and is evaluated before every step and
+    once after the last.  Returns the cycles spent.  Unlike a time-based
+    {!wait_until} predicate, this always makes progress, even when every
+    other thread is blocked too. *)
+
 val wait_until : ?label:string -> (unit -> bool) -> unit
 (** [wait_until p] blocks the calling thread until [p ()] is true.  [p] must
     be a pure read of shared state: it is evaluated once when called and

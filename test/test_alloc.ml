@@ -163,6 +163,47 @@ let test_checkpoint_capacity () =
     (Invalid_argument "Checkpoint: free list exceeds slot capacity") (fun () ->
       Checkpoint.write t (state 1 too_many))
 
+(* One flipped bit anywhere in the newest checkpoint slot must leave the
+   newest or the previous checkpoint readable — the twin slot exists for
+   exactly this — and neither attach nor scrub may raise.  Bits 58 and 62
+   of a length word once wrapped the slot bounds check negative.  The slot
+   is found by diffing the persisted image around the write, so the test
+   does not depend on the slot layout. *)
+let test_checkpoint_bit_flip_falls_back () =
+  let size = 8192 in
+  let prev = state 4 [ (0, 64); (256, 64); (1024, 64) ] in
+  let next = state 9 [ (64, 8); (512, 32); (2048, 64) ] in
+  let fresh () =
+    let nvm = device () in
+    let t = Checkpoint.format nvm ~base:0 ~size prev in
+    let before = Nvm.persisted_bytes nvm 0 size in
+    Checkpoint.write t next;
+    (nvm, before)
+  in
+  let nvm, before = fresh () in
+  let after = Nvm.persisted_bytes nvm 0 size in
+  let changed =
+    List.filter (fun i -> Bytes.get before i <> Bytes.get after i) (List.init size Fun.id)
+  in
+  let first = List.hd changed and last = List.fold_left max 0 changed in
+  let slot_base = if first < size / 2 then 0 else size / 2 in
+  for word = slot_base / 8 to last / 8 do
+    List.iter
+      (fun bit ->
+        let nvm, _ = fresh () in
+        Nvm.inject_fault nvm (Nvm.Bit_rot { off = (8 * word) + (bit / 8); bit = bit mod 8 });
+        let where = Printf.sprintf "word %d bit %d" word bit in
+        (match Checkpoint.attach nvm ~base:0 ~size with
+        | _, st ->
+          check Alcotest.bool (where ^ ": newest or previous") true (st = next || st = prev)
+        | exception e -> Alcotest.failf "%s: attach raised %s" where (Printexc.to_string e));
+        match Checkpoint.scrub ~repair:false nvm ~base:0 ~size with
+        | `Ok | `Degraded -> ()
+        | `Repaired | `Fatal -> Alcotest.failf "%s: scrub lost both slots" where
+        | exception e -> Alcotest.failf "%s: scrub raised %s" where (Printexc.to_string e))
+      [ 0; 31; 58; 62 ]
+  done
+
 let suite =
   [
     Alcotest.test_case "alloc basics" `Quick test_alloc_basic;
@@ -178,4 +219,6 @@ let suite =
     Alcotest.test_case "torn checkpoint falls back" `Quick
       test_checkpoint_torn_write_recovers_previous;
     Alcotest.test_case "checkpoint capacity limit" `Quick test_checkpoint_capacity;
+    Alcotest.test_case "checkpoint bit flip falls back to its twin" `Quick
+      test_checkpoint_bit_flip_falls_back;
   ]

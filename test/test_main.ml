@@ -6,6 +6,7 @@ let () =
       ("log", Test_log.suite);
       ("lz", Test_lz.suite);
       ("plog", Test_plog.suite);
+      ("sealed", Test_sealed.suite);
       ("tm", Test_tm.suite);
       ("shadow", Test_shadow.suite);
       ("alloc", Test_alloc.suite);

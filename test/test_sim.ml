@@ -396,9 +396,33 @@ let test_cycles_conversions () =
   check Alcotest.bool "1 GB/s is ~3.4 cycles per byte" true
     (abs_float (Cycles.per_byte_of_gbps 1.0 -. 3.4) < 0.01)
 
+(* [poll] steps by [step], clips the last step to the budget, asks the
+   predicate before every step and once after the last, and stops at the
+   first yes. *)
+let test_poll_bounded () =
+  let run ~budget ~step ~ready_at =
+    let asked = ref [] and spent = ref 0 in
+    ignore
+      (Sched.run (fun () ->
+           spent :=
+             Sched.poll ~budget ~step (fun e ->
+                 asked := (e, Sched.now ()) :: !asked;
+                 e >= ready_at)));
+    (!spent, List.rev !asked)
+  in
+  let asked = Alcotest.(pair int (list (pair int int))) in
+  Alcotest.check asked "budget spent, last step clipped"
+    (25, [ (0, 0); (10, 10); (20, 20); (25, 25) ])
+    (run ~budget:25 ~step:10 ~ready_at:max_int);
+  Alcotest.check asked "stops at the first yes" (20, [ (0, 0); (10, 10); (20, 20) ])
+    (run ~budget:100 ~step:10 ~ready_at:15);
+  Alcotest.check asked "no budget, no step" (0, [ (0, 0) ])
+    (run ~budget:0 ~step:10 ~ready_at:max_int)
+
 let suite =
   [
     Alcotest.test_case "single thread accumulates time" `Quick test_single_thread_time;
+    Alcotest.test_case "poll: bounded stepping wait" `Quick test_poll_bounded;
     Alcotest.test_case "min-clock scheduling order" `Quick test_min_clock_order;
     Alcotest.test_case "wait_until wakes on predicate" `Quick test_wait_until_wakes;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detected;
