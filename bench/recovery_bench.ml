@@ -73,8 +73,7 @@ let run ?(scale = 1.0) led =
   List.iter
     (fun cycles ->
       let cycles = int_of_float (float_of_int cycles *. scale) in
-      let report, persist_ops, persist_bytes, wall = run_point ~crash_cycles:cycles in
-      let r = report in
+      let r, persist_ops, persist_bytes, wall = run_point ~crash_cycles:cycles in
       let scenario = Printf.sprintf "recovery/crash=%d" cycles in
       L.add led ~scenario ~layer:"engine"
         (L.ints "txs"
@@ -96,8 +95,7 @@ let run ?(scale = 1.0) led =
         ];
       Printf.printf "%-16s %10d %10d %12d %13.1f ms\n%!"
         (Printf.sprintf "%.2f ms" (Cycles.to_us cycles /. 1000.0))
-        report.Dudetm_core.Dudetm.durable report.Dudetm_core.Dudetm.replayed_txs
-        report.Dudetm_core.Dudetm.discarded_txs (wall *. 1e3))
+        r.durable r.replayed_txs r.discarded_txs (wall *. 1e3))
     [ 50_000; 200_000; 800_000; 3_200_000 ]
 
 let tiny () = ignore (run_point ~crash_cycles:20_000)
