@@ -422,7 +422,6 @@ let test_poll_bounded () =
 let suite =
   [
     Alcotest.test_case "single thread accumulates time" `Quick test_single_thread_time;
-    Alcotest.test_case "poll: bounded stepping wait" `Quick test_poll_bounded;
     Alcotest.test_case "min-clock scheduling order" `Quick test_min_clock_order;
     Alcotest.test_case "wait_until wakes on predicate" `Quick test_wait_until_wakes;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detected;
@@ -446,4 +445,5 @@ let suite =
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "latency percentiles" `Quick test_latency_percentiles;
     Alcotest.test_case "cycle conversions" `Quick test_cycles_conversions;
+    Alcotest.test_case "poll: bounded stepping wait" `Quick test_poll_bounded;
   ]
