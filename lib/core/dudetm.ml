@@ -207,6 +207,19 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable draining : bool;
     mutable started : bool;
     stats : Stats.t;
+    (* Wake conditions of the daemons' and callers' waits, and the [~on]
+       list of each wait, built once here (see [Sched.wait_until]). *)
+    wake_stop : Sched.cond;  (* [stop_flag] or [draining] set *)
+    wake_persist : Sched.cond array;  (* per Persist daemon: a commit into one of its vlogs *)
+    wake_flush : Sched.cond;  (* a sealed batch queued, or the combiner exited *)
+    wake_seal : Sched.cond;  (* a sealed batch left [prepared] *)
+    wake_durable : Sched.cond;  (* [durable] advanced *)
+    wake_repro : Sched.cond;  (* a record was published: queued, durable, ring used *)
+    persist_on : Sched.cond list array;
+    flush_on : Sched.cond list;
+    seal_on : Sched.cond list;
+    durable_on : Sched.cond list;
+    mutable repro_on : Sched.cond list;  (* plus the replay gate's conds *)
   }
 
   (* A transaction body runs against either a full TM transaction or a
@@ -256,6 +269,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       | Config.Per_thread p -> p.max_entries
       | Config.Combined _ -> 0
     in
+    let daemons =
+      match cfg.Config.persist with Config.Per_thread p -> p.daemons | Config.Combined _ -> 1
+    in
+    let wake_stop = Sched.cond () and wake_flush = Sched.cond () in
+    let wake_seal = Sched.cond () and wake_durable = Sched.cond () in
+    let wake_repro = Sched.cond () in
+    let wake_persist = Array.init daemons (fun _ -> Sched.cond ()) in
     {
       cfg;
       nvm;
@@ -305,6 +325,17 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       draining = false;
       started = false;
       stats = Stats.create ();
+      wake_stop;
+      wake_persist;
+      wake_flush;
+      wake_seal;
+      wake_durable;
+      wake_repro;
+      persist_on = Array.map (fun c -> [ c; wake_stop ]) wake_persist;
+      flush_on = [ wake_flush; wake_stop ];
+      seal_on = [ wake_seal; wake_stop ];
+      durable_on = [ wake_durable ];
+      repro_on = [ wake_repro; wake_stop ];
     }
 
   let create ?(nvm_label = "nvm") cfg =
@@ -395,11 +426,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* ------------------------------------------------------------------ *)
 
   let note_flushed t tids =
+    let before = t.durable in
     List.iter (fun tid -> Hashtbl.replace t.flushed_set tid ()) tids;
     while Hashtbl.mem t.flushed_set (t.durable + 1) do
       Hashtbl.remove t.flushed_set (t.durable + 1);
       t.durable <- t.durable + 1
-    done
+    done;
+    if t.durable > before then Sched.signal t.wake_durable
 
   let durable_id t = t.durable
 
@@ -415,7 +448,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       t.durable_waiters <- t.durable_waiters + 1;
       Fun.protect
         ~finally:(fun () -> t.durable_waiters <- t.durable_waiters - 1)
-        (fun () -> Sched.wait_until ~label:"durable id" (fun () -> t.durable >= tid))
+        (fun () ->
+          Sched.wait_until ~on:t.durable_on ~label:"durable id" (fun () -> t.durable >= tid))
     end
 
   let cross_frontier t = t.cross_frontier
@@ -432,7 +466,15 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let set_ship_hook t hook = t.ship_hook <- hook
 
-  let set_replay_gate t gate = t.replay_gate <- gate
+  let wake_durable t = t.wake_durable
+
+  (* Reproduce's wait list is built here, once: the gate comes with the
+     conds of the state it reads.  Before [start] only, so a parked
+     Reproduce never holds a stale list. *)
+  let set_replay_gate t ~on gate =
+    if t.started then invalid_arg "Dudetm.set_replay_gate: engine already started";
+    t.replay_gate <- gate;
+    t.repro_on <- t.wake_repro :: t.wake_stop :: on
 
   let ship t ~seq ~lo ~hi ~payload =
     match t.ship_hook with
@@ -565,6 +607,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     (* Under the Skip_batch_seal mutant the combiner already published
        these IDs at seal time. *)
     if shipped || fault <> Config.Skip_batch_seal then note_flushed t tids;
+    Sched.signal t.wake_repro;
     match tids with
     | [] -> ()
     | first :: _ ->
@@ -724,7 +767,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           loop ()
         end
         else begin
-          Sched.wait_until ~label:"persist: waiting for logs" (fun () ->
+          Sched.wait_until ~on:t.persist_on.(p) ~label:"persist: waiting for logs" (fun () ->
               t.stop_flag || List.exists has_data mine);
           Sched.yield ();
           loop ()
@@ -824,6 +867,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
             end
           end;
           Queue.push { pb_entries = combined; pb_payload = payload } t.prepared;
+          Sched.signal t.wake_flush;
           List.iter (fun k -> Hashtbl.remove staging (lo + k)) (List.init take (fun k -> k));
           (* Seeded mutant (checker self-test only): acknowledge the batch
              at seal time — its record has not reached NVM, so a crash in
@@ -852,7 +896,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         (t.draining || t.stop_flag) && avail > 0 && last_tid t < t.next_flush + avail
       in
       if Queue.length t.prepared >= max_prepared then begin
-        Sched.wait_until ~label:"persist: pipeline full" (fun () ->
+        Sched.wait_until ~on:t.seal_on ~label:"persist: pipeline full" (fun () ->
             Queue.length t.prepared < max_prepared || t.stop_flag);
         Sched.yield ();
         loop ()
@@ -871,8 +915,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         seal_batch avail;
         loop ()
       end
-      else if t.stop_flag && avail = 0 && Hashtbl.length staging = 0 then
-        t.combiner_done <- true
+      else if t.stop_flag && avail = 0 && Hashtbl.length staging = 0 then begin
+        t.combiner_done <- true;
+        Sched.signal t.wake_flush
+      end
       else if avail > 0 then begin
         (* An open batch below the group size: age it toward the deadline
            by advancing simulated time (a time-based wait_until predicate
@@ -881,7 +927,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         loop ()
       end
       else begin
-        Sched.wait_until ~label:"persist: waiting for group" (fun () ->
+        Sched.wait_until ~on:t.persist_on.(0) ~label:"persist: waiting for group" (fun () ->
             t.stop_flag || t.draining
             || Array.exists (fun v -> Vlog.committed v > Vlog.head v) t.vlogs);
         Sched.yield ();
@@ -899,6 +945,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       maybe_fault t "persist-flush";
       if not (Queue.is_empty t.prepared) then begin
         let pb = Queue.pop t.prepared in
+        Sched.signal t.wake_seal;
         let need = Plog.record_overhead + Bytes.length pb.pb_payload in
         Sched.wait_until ~label:"plog space (combined)" (fun () ->
             Plog.free_space t.plogs.(0) >= need);
@@ -907,7 +954,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       end
       else if t.stop_flag && t.combiner_done then ()
       else begin
-        Sched.wait_until ~label:"flush: waiting for sealed batch" (fun () ->
+        Sched.wait_until ~on:t.flush_on ~label:"flush: waiting for sealed batch" (fun () ->
             (not (Queue.is_empty t.prepared)) || (t.stop_flag && t.combiner_done));
         Sched.yield ();
         loop ()
@@ -1024,7 +1071,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         if t.pending_recycle <> [] || t.checkpointed < t.persisted_data then do_checkpoint t
       end
       else begin
-        Sched.wait_until ~label:"reproduce: waiting for durable" (fun () ->
+        Sched.wait_until ~on:t.repro_on ~label:"reproduce: waiting for durable" (fun () ->
             t.stop_flag
             || can_apply t
             || (t.pending_recycle <> [] && plog_pressure t));
@@ -1101,10 +1148,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      persist daemon only flushes a partial trailing group once draining is
      set, and a cross-shard replay gate on one region can require exactly
      that trailing flush on a sibling. *)
-  let begin_drain t = t.draining <- true
+  let begin_drain t =
+    t.draining <- true;
+    Sched.signal t.wake_stop
 
   let drain t =
-    t.draining <- true;
+    begin_drain t;
     let deadline = Sched.global_now () + t.cfg.Config.drain_budget in
     let drained () =
       let last = last_tid t in
@@ -1120,7 +1169,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let stop t =
     drain t;
-    t.stop_flag <- true
+    t.stop_flag <- true;
+    Sched.signal t.wake_stop
 
   (* ------------------------------------------------------------------ *)
   (* Follower mode (replicated durability, lib/replica)                  *)
@@ -1167,7 +1217,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      the Reproduce daemon to checkpoint what is applied and exit. *)
   let stop_follower t =
     t.draining <- true;
-    t.stop_flag <- true
+    t.stop_flag <- true;
+    Sched.signal t.wake_stop
 
   (* ------------------------------------------------------------------ *)
   (* Perform step: the transaction API                                   *)
@@ -1423,6 +1474,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         | Some (gtid, mask) -> Vlog.append vlog (Log_entry.Cross { gtid; mask; tid })
         | None -> ());
         Vlog.append_end vlog ~tid;
+        Sched.signal t.wake_persist.(thread mod Array.length t.wake_persist);
         (match t.view with
         | Flat _ -> ()
         | Paged sh ->

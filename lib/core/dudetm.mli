@@ -250,6 +250,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   val wait_durable : t -> int -> unit
   (** Block until [durable_id t >= tid]. *)
 
+  val wake_durable : t -> Dudetm_sim.Sched.cond
+  (** Signalled each time {!durable_id} advances: a layer whose wait (or
+      replay gate) reads this engine's durable ID names it in [~on]. *)
+
   val set_ro_watermark : t -> (unit -> int) option -> unit
   (** Install the watermark durable-only snapshots pin at, in engine tid
       space.  Layers that gate durability beyond the local device use
@@ -291,14 +295,18 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       itself, so a fragment can never pass a gate keyed on it before the
       sharding layer knows its sibling set. *)
 
-  val set_replay_gate : t -> (item -> bool) option -> unit
+  val set_replay_gate : t -> on:Dudetm_sim.Sched.cond list -> (item -> bool) option -> unit
   (** Install the replay gate: Reproduce applies the next item only once
       the predicate admits it.  The sharding layer gates a fragment on
       {!item_cross_gtid} (every cross-shard transaction at or below it
       durable on all its shards); a follower gates on {!item_hi} (at or
       below the cluster's acknowledged watermark, which keeps the
       checkpoint floor below any legal promotion-time durable cut).  The
-      predicate must be pure — it runs inside scheduler wait conditions. *)
+      predicate must be pure — it runs inside scheduler wait conditions —
+      and [on] must hold a cond signalled on every change to the state it
+      reads (Reproduce parks on them: the [~on] contract of
+      {!Dudetm_sim.Sched.wait_until}).  Raises [Invalid_argument] once the
+      engine is started. *)
 
   val cross_frontier : t -> int
   (** Highest cross-shard global transaction ID this region has replayed

@@ -61,6 +61,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     down : Link.t;  (* primary -> replica: Batch / Watermark frames *)
     up : Link.t;  (* replica -> primary: cumulative Ack frames *)
     known_acked : int ref;  (* replica side: replay-gate watermark *)
+    wake_acked : Sched.cond;  (* replica side: [known_acked] rose *)
     pendingq : (int, shipped) Hashtbl.t;  (* replica side: out-of-order, by lo *)
     mutable deferred : shipped option;  (* next in line, awaiting ring space *)
     mutable ingested_seq : int;  (* replica side: last ring seq ingested *)
@@ -117,6 +118,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
               Link.create ~label:(Printf.sprintf "ack:%s" label)
                 { rcfg.link with Link.seed = rcfg.link.Link.seed + (2 * i) + 1 };
             known_acked = ref 0;
+            wake_acked = Sched.cond ();
             pendingq = Hashtbl.create 64;
             deferred = None;
             ingested_seq = -1;
@@ -400,14 +402,19 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         pump t r
       | None -> ())
 
+  let learn_acked r acked =
+    if acked > !(r.known_acked) then begin
+      r.known_acked := acked;
+      Sched.signal r.wake_acked
+    end
+
   let on_frame t r b =
     match Wire.decode b with
     | None -> Stats.incr t.stats "crc_rejected"
-    | Some (Wire.Watermark { acked }) ->
-      if acked > !(r.known_acked) then r.known_acked := acked
+    | Some (Wire.Watermark { acked }) -> learn_acked r acked
     | Some (Wire.Ack _) -> ()
     | Some (Wire.Batch { seq; lo; hi; acked; payload }) ->
-      if acked > !(r.known_acked) then r.known_acked := acked;
+      learn_acked r acked;
       let d = Engine.durable_id r.eng in
       if hi <= d then begin
         (* Dedup by batch sequence: already sealed here; re-ack so a lost
@@ -463,7 +470,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Array.iter
       (fun r ->
         let cell = r.known_acked in
-        Engine.set_replay_gate r.eng (Some (fun it -> Engine.item_hi it <= !cell));
+        Engine.set_replay_gate r.eng ~on:[ r.wake_acked ]
+          (Some (fun it -> Engine.item_hi it <= !cell));
         Engine.start_follower r.eng;
         ignore
           (Sched.spawn ~daemon:true

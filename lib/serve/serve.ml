@@ -93,6 +93,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable rep : reply;
     mutable t_submit : int;
     mutable t_reply : int;
+    replied_on : Sched.cond list;  (* signalled when the reply is filled in *)
   }
 
   type t = {
@@ -113,6 +114,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     stats : Stats.t;
     tenant_done : int array;
     tenant_shed : int array;
+    (* per shard: signalled by an accepted request, or by [stop] *)
+    dispatch_on : Sched.cond list array;
+    (* per shard: signalled when a committed write joins [pending] *)
+    ack_on : Sched.cond list array;
   }
 
   let shed_total t = Array.fold_left ( + ) 0 t.tenant_shed
@@ -145,6 +150,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         stats = Stats.create ();
         tenant_done = Array.make ntenants 0;
         tenant_shed = Array.make ntenants 0;
+        dispatch_on = Array.init nshards (fun _ -> [ Sched.cond () ]);
+        ack_on = Array.init nshards (fun _ -> [ Sched.cond () ]);
       }
     in
     (* Fold front-end state into every region's Drain_stalled diagnostic:
@@ -178,6 +185,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       rep = R_pending;
       t_submit = 0;
       t_reply = 0;
+      replied_on = [ Sched.cond () ];
     }
 
   let set_op d op =
@@ -199,11 +207,15 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let key_of = function Write { key; _ } -> key | Read { key; _ } -> key
 
+  (* Wake the threads parked on an [~on] list. *)
+  let wake on = List.iter Sched.signal on
+
   let finish t d rep =
     Trace.span_begin ~cat:"serve" "reply";
     d.rep <- rep;
     d.t_reply <- Sched.global_now ();
     d.owner <- By_session;
+    wake d.replied_on;
     t.in_flight <- t.in_flight - 1;
     t.tenant_done.(d.tenant) <- t.tenant_done.(d.tenant) + 1;
     Stats.incr t.stats "replies";
@@ -239,6 +251,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     else begin
       d.owner <- By_pipeline;
       Queue.push d t.queues.(shard).(d.tenant);
+      wake t.dispatch_on.(shard);
       t.depth <- t.depth + 1;
       if t.depth > t.depth_hwm then t.depth_hwm <- t.depth;
       t.in_flight <- t.in_flight + 1;
@@ -248,7 +261,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     end
 
   let await d =
-    Sched.wait_until ~label:"serve reply" (fun () ->
+    Sched.wait_until ~on:d.replied_on ~label:"serve reply" (fun () ->
         d.owner = By_session && d.rep <> R_pending);
     d.rep
 
@@ -285,7 +298,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         else (
           match ack with
           | Sh.Ack_read_only -> finish t d (executed_of shard ack)
-          | ack -> Queue.push (d, ack) t.pending.(shard))
+          | ack ->
+            Queue.push (d, ack) t.pending.(shard);
+            wake t.ack_on.(shard))
       | None -> finish t d R_aborted));
     Trace.span_end ~cat:"serve" "dispatch"
 
@@ -303,7 +318,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let deficit = Array.make t.ntenants 0 in
     while not t.stopping do
       if shard_depth t shard = 0 then
-        Sched.wait_until ~label:"serve dispatch" (fun () ->
+        Sched.wait_until ~on:t.dispatch_on.(shard) ~label:"serve dispatch" (fun () ->
             t.stopping || shard_depth t shard > 0)
       else begin
         let progressed = ref false in
@@ -330,7 +345,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      so the pending queue is already sorted and each wait is monotone. *)
   let acker t ~shard () =
     while true do
-      Sched.wait_until ~label:"serve ack" (fun () ->
+      Sched.wait_until ~on:t.ack_on.(shard) ~label:"serve ack" (fun () ->
           not (Queue.is_empty t.pending.(shard)));
       let d, ack = Queue.peek t.pending.(shard) in
       Sh.wait_durable t.sh ack;
@@ -368,6 +383,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let stop t =
     drain t;
     t.stopping <- true;
+    Array.iter wake t.dispatch_on;
     Sh.stop t.sh
 
   (* -------------------------- sessions ------------------------------ *)

@@ -56,6 +56,17 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     reg : (int, frag_set) Hashtbl.t;  (* gtid -> sibling set, > frontier *)
     mutable frontier : int;  (* GF: all sets <= this are fully durable *)
     stats : Stats.t;
+    (* Wake conditions and the [~on] list of each wait, built once. *)
+    wake_blocked : Sched.cond array;  (* per shard: a quiesce released it *)
+    wake_cross : Sched.cond;  (* the cross lock was released *)
+    wake_quiesce : Sched.cond;  (* some shard's in-flight count reached 0 *)
+    wake_reg : Sched.cond;  (* a sibling set was sealed into [reg] *)
+    blocked_on : Sched.cond list array;
+    cross_on : Sched.cond list;
+    quiesce_on : Sched.cond list;
+    (* Everything GF and the effective IDs read: the registry and every
+       engine's durable ID. *)
+    frontier_on : Sched.cond list;
   }
 
   type tx = {
@@ -105,19 +116,16 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      the contiguity cascade of an earlier incomplete set), so nothing at or
      above it may be acknowledged yet. *)
   let pure_effective t s =
-    let gf = pure_frontier t in
-    Hashtbl.fold
-      (fun g v acc ->
-        match v with
-        | Pending -> acc
-        | Sealed { frags; _ } ->
-          if g > gf then
-            List.fold_left
-              (fun acc (s', tid) -> if s' = s then min acc (tid - 1) else acc)
-              acc frags
-          else acc)
-      t.reg
-      (Engine.durable_id t.engines.(s))
+    let acc = ref (Engine.durable_id t.engines.(s)) in
+    (* The registry holds exactly the gtids in (frontier, next_gtid], and
+       GF >= frontier: the sets beyond GF are the live ones. *)
+    for g = pure_frontier t + 1 to t.next_gtid do
+      match Hashtbl.find t.reg g with
+      | Pending -> ()
+      | Sealed { frags; _ } ->
+        List.iter (fun (s', tid) -> if s' = s && tid - 1 < !acc then acc := tid - 1) frags
+    done;
+    !acc
 
   (* ------------------------------------------------------------------ *)
   (* Construction                                                        *)
@@ -130,7 +138,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     if t.cfg.Config.fault <> Config.Skip_fragment_gate then
       Array.iter
         (fun e ->
-          Engine.set_replay_gate e
+          Engine.set_replay_gate e ~on:t.frontier_on
             (Some
                (fun it ->
                  let g = Engine.item_cross_gtid it in
@@ -152,6 +160,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       invalid_arg "Shard: nshards must be within [1, 60] (fragment masks are int bitsets)"
 
   let build cfg ~nshards engines =
+    let wake_blocked = Array.init nshards (fun _ -> Sched.cond ()) in
+    let wake_cross = Sched.cond () and wake_quiesce = Sched.cond () in
+    let wake_reg = Sched.cond () in
     let t =
       {
         cfg;
@@ -164,6 +175,14 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         reg = Hashtbl.create 64;
         frontier = 0;
         stats = Stats.create ();
+        wake_blocked;
+        wake_cross;
+        wake_quiesce;
+        wake_reg;
+        blocked_on = Array.map (fun c -> [ c ]) wake_blocked;
+        cross_on = [ wake_cross ];
+        quiesce_on = [ wake_quiesce ];
+        frontier_on = wake_reg :: Array.to_list (Array.map Engine.wake_durable engines);
       }
     in
     install_gates t;
@@ -230,9 +249,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      the quiesce honest: a cross transaction proceeds only once every
      in-flight single-shard transaction on a touched region has finished. *)
   let run_single t ~thread s f =
-    Sched.wait_until ~label:"shard blocked" (fun () -> not t.blocked.(s));
+    Sched.wait_until ~on:t.blocked_on.(s) ~label:"shard blocked" (fun () -> not t.blocked.(s));
     t.active.(s) <- t.active.(s) + 1;
-    Fun.protect ~finally:(fun () -> t.active.(s) <- t.active.(s) - 1) @@ fun () ->
+    Fun.protect ~finally:(fun () ->
+        t.active.(s) <- t.active.(s) - 1;
+        if t.active.(s) = 0 then Sched.signal t.wake_quiesce)
+    @@ fun () ->
     let tx =
       { sh = t; dtxs = Array.make t.nshards None; shards_mask = 1 lsl s;
         written_mask = 0; gtid = 0 }
@@ -256,15 +278,20 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      gtids stay dense and the frontier never waits on a hole. *)
   let run_cross t ~thread shards f =
     let mask = List.fold_left (fun m s -> m lor (1 lsl s)) 0 shards in
-    Sched.wait_until ~label:"shard cross lock" (fun () -> not t.cross_lock);
+    Sched.wait_until ~on:t.cross_on ~label:"shard cross lock" (fun () -> not t.cross_lock);
     t.cross_lock <- true;
     List.iter (fun s -> t.blocked.(s) <- true) shards;
     Fun.protect
       ~finally:(fun () ->
-        List.iter (fun s -> t.blocked.(s) <- false) shards;
-        t.cross_lock <- false)
+        List.iter
+          (fun s ->
+            t.blocked.(s) <- false;
+            Sched.signal t.wake_blocked.(s))
+          shards;
+        t.cross_lock <- false;
+        Sched.signal t.wake_cross)
     @@ fun () ->
-    Sched.wait_until ~label:"shard quiesce"
+    Sched.wait_until ~on:t.quiesce_on ~label:"shard quiesce"
       (fun () -> List.for_all (fun s -> t.active.(s) = 0) shards);
     Stats.incr t.stats "cross_txs";
     let tx =
@@ -312,7 +339,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
          and acknowledgement watermark) treated gtid as not-yet-durable. *)
       if tx.gtid > 0 then begin
         let fs = List.filter (fun (s, _) -> tx.written_mask land (1 lsl s) <> 0) !frags in
-        Hashtbl.replace t.reg tx.gtid (Sealed { mask = tx.written_mask; frags = fs })
+        Hashtbl.replace t.reg tx.gtid (Sealed { mask = tx.written_mask; frags = fs });
+        Sched.signal t.wake_reg
       end;
       let ack =
         if tx.gtid > 0 then Ack_cross { gtid = tx.gtid }
@@ -384,10 +412,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let wait_durable t = function
     | Ack_read_only -> ()
     | Ack_local { shard; tid } ->
-      Sched.wait_until ~label:"shard durable" (fun () -> pure_effective t shard >= tid);
+      Sched.wait_until ~on:t.frontier_on ~label:"shard durable" (fun () ->
+          pure_effective t shard >= tid);
       advance_frontier t
     | Ack_cross { gtid } ->
-      Sched.wait_until ~label:"shard cross durable" (fun () -> pure_frontier t >= gtid);
+      Sched.wait_until ~on:t.frontier_on ~label:"shard cross durable" (fun () ->
+          pure_frontier t >= gtid);
       advance_frontier t
 
   (* ------------------------------------------------------------------ *)

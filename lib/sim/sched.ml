@@ -1,18 +1,8 @@
 exception Deadlock of string
 exception Killed
+exception Lost_wakeup of string
 
 module Trace = Dudetm_trace.Trace
-
-type _ Effect.t +=
-  | Yield : unit Effect.t
-  | Wait : (unit -> bool) * string -> unit Effect.t
-
-type state =
-  | Not_started of (unit -> unit)
-  | Running
-  | Paused of (unit, unit) Effect.Deep.continuation
-  | Waiting of { pred : unit -> bool; label : string; k : (unit, unit) Effect.Deep.continuation }
-  | Finished
 
 type thread = {
   id : int;
@@ -21,7 +11,35 @@ type thread = {
   mutable clock : int;
   mutable state : state;
   mutable slot : int;  (* index in the run heap or in the waiter array *)
+  mutable parked : int;  (* picks done when it parked; -1 when not parked *)
+  mutable park_seq : int;  (* stamp of its current park in its conds' entries *)
 }
+
+and state =
+  | Not_started of (unit -> unit)
+  | Running
+  | Paused of (unit, unit) Effect.Deep.continuation
+  | Waiting of {
+      pred : unit -> bool;
+      label : string;
+      on : cond list;
+      k : (unit, unit) Effect.Deep.continuation;
+    }
+  | Finished
+
+(* The threads parked on a cond, each stamped with the [park_seq] of the
+   park that put it there.  An entry whose thread has since been woken
+   (through another cond) or parked again is stale: [signal] skips it and
+   [park] compacts it away before growing the arrays. *)
+and cond = {
+  mutable n : int;
+  mutable parkers : thread array;
+  mutable stamps : int array;
+}
+
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Wait : (unit -> bool) * string * cond list -> unit Effect.t
 
 type strategy =
   | Min_clock
@@ -29,7 +47,8 @@ type strategy =
 
 (* Every live thread is in exactly one place: running, [held] (it has just
    advanced and is not yet back in the heap), the run heap (Not_started or
-   Paused, a binary min-heap on (clock, id)), or the waiter array. *)
+   Paused, a binary min-heap on (clock, id)), the waiter array, or parked
+   on its conds (Waiting with [parked >= 0]). *)
 type sched = {
   mutable all : thread array;  (* every thread ever spawned; ids are positions *)
   mutable nthreads : int;
@@ -43,17 +62,33 @@ type sched = {
   mutable live_non_daemon : int;
   mutable watermark : int;
   mutable steps : int;  (* decision points (>= 2 runnable) so far *)
+  mutable picks : int;  (* picks that resumed a thread so far *)
+  (* The drag stack: (pick, winner clock) entries, clocks strictly
+     decreasing, so the first entry after pick p holds the largest winner
+     clock of every pick after p.  Under Min_clock it holds one entry. *)
+  mutable drag_pick : int array;
+  mutable drag_clock : int array;
+  mutable dlen : int;
+  mutable nparked : int;
+  mutable parks : int;  (* parks so far: the next park's stamp *)
   strategy : strategy;
   trace : bool;
 }
 
 (* The placeholder for "no thread": [now]/[self] read its clock and id (both
    0) outside any thread, and [advance] leaves its clock alone. *)
-let nobody = { id = 0; name = "main"; daemon = true; clock = 0; state = Finished; slot = -1 }
+let nobody =
+  { id = 0; name = "main"; daemon = true; clock = 0; state = Finished; slot = -1;
+    parked = -1; park_seq = 0 }
 
 (* The simulation is single-OS-thread by construction, so one global current
    scheduler is safe and keeps the public API free of a [t] parameter. *)
 let current : sched option ref = ref None
+
+(* Set by the test runner only: see [audit_parked]. *)
+let audit = ref false
+
+let audit_wakeups on = audit := on
 
 let less a b = a.clock < b.clock || (a.clock = b.clock && a.id < b.id)
 
@@ -117,6 +152,108 @@ let remove_waiter s t =
   last.slot <- t.slot;
   s.waiters.(s.wlen) <- nobody
 
+(* ---- parking ---- *)
+
+let cond () = { n = 0; parkers = [||]; stamps = [||] }
+
+let live_entry c i =
+  let t = c.parkers.(i) in
+  t.parked >= 0 && t.park_seq = c.stamps.(i)
+
+let add_entry c t =
+  if c.n = Array.length c.parkers then begin
+    let live = ref 0 in
+    for i = 0 to c.n - 1 do
+      if live_entry c i then begin
+        c.parkers.(!live) <- c.parkers.(i);
+        c.stamps.(!live) <- c.stamps.(i);
+        incr live
+      end
+    done;
+    Array.fill c.parkers !live (c.n - !live) nobody;
+    c.n <- !live;
+    if c.n = Array.length c.parkers then begin
+      let size = max 2 (2 * c.n) in
+      c.parkers <- Array.append c.parkers (Array.make (size - c.n) nobody);
+      c.stamps <- Array.append c.stamps (Array.make (size - c.n) 0)
+    end
+  end;
+  c.parkers.(c.n) <- t;
+  c.stamps.(c.n) <- t.park_seq;
+  c.n <- c.n + 1
+
+let rec add_entries t = function
+  | [] -> ()
+  | c :: on ->
+    add_entry c t;
+    add_entries t on
+
+(* [t] leaves the polling set until one of [on] is signalled; the picks it
+   misses are the ones after [s.picks]. *)
+let park (s : sched) t on =
+  s.parks <- s.parks + 1;
+  t.park_seq <- s.parks;
+  t.parked <- s.picks;
+  s.nparked <- s.nparked + 1;
+  add_entries t on
+
+(* The largest winner clock of the picks after [p], or [min_int]. *)
+let missed_drag s p =
+  let lo = ref 0 and hi = ref s.dlen in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if s.drag_pick.(mid) > p then hi := mid else lo := mid + 1
+  done;
+  if !lo < s.dlen then s.drag_clock.(!lo) else min_int
+
+(* Give a parked thread the drag of every pick it missed, exactly as if it
+   had been polled (false) and dragged at each of them. *)
+let settle s t =
+  let c = missed_drag s t.parked in
+  if t.clock < c then t.clock <- c;
+  t.parked <- -1;
+  s.nparked <- s.nparked - 1
+
+let signal c =
+  if c.n > 0 then begin
+    let n = c.n in
+    c.n <- 0;
+    for i = 0 to n - 1 do
+      (match !current with
+      | Some s when live_entry c i ->
+        let t = c.parkers.(i) in
+        settle s t;
+        add_waiter s t
+      | _ -> ());
+      c.parkers.(i) <- nobody
+    done
+  end
+
+(* Record this pick's winner clock on the drag stack. *)
+let push_drag s clock =
+  s.picks <- s.picks + 1;
+  if s.nparked = 0 then s.dlen <- 0
+  else
+    while s.dlen > 0 && s.drag_clock.(s.dlen - 1) <= clock do
+      s.dlen <- s.dlen - 1
+    done;
+  s.drag_pick <- grow s.drag_pick s.dlen 0;
+  s.drag_clock <- grow s.drag_clock s.dlen 0;
+  s.drag_pick.(s.dlen) <- s.picks;
+  s.drag_clock.(s.dlen) <- clock;
+  s.dlen <- s.dlen + 1
+
+(* The self-check the test runner turns on: a parked predicate that holds
+   at a pick means a state change that skipped its [signal]. *)
+let audit_parked s =
+  for i = 0 to s.nthreads - 1 do
+    let t = s.all.(i) in
+    if t.parked >= 0 then
+      match t.state with
+      | Waiting { pred; label; _ } -> if pred () then raise (Lost_wakeup label)
+      | _ -> ()
+  done
+
 (* [finish] runs on the scheduler's own stack (retc/exnc/kill_daemons):
    trace events here carry the thread's clock and id explicitly. *)
 let finish s t =
@@ -128,15 +265,15 @@ let finish s t =
     if not t.daemon then s.live_non_daemon <- s.live_non_daemon - 1
 
 (* A predicate runs with no thread current, so [now]/[self] read 0 in it. *)
-let wait s t pred label k =
+let wait s t pred label on k =
   s.running <- nobody;
   if pred () then begin
     s.running <- t;
     Effect.Deep.continue k ()
   end
   else begin
-    t.state <- Waiting { pred; label; k };
-    add_waiter s t
+    t.state <- Waiting { pred; label; on; k };
+    match on with [] -> add_waiter s t | _ -> park s t on
   end
 
 let handler s t =
@@ -162,7 +299,7 @@ let handler s t =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
         | Yield -> yielded
-        | Wait (pred, label) -> Some (fun k -> wait s t pred label k)
+        | Wait (pred, label, on) -> Some (fun k -> wait s t pred label on k)
         | _ -> None);
   }
 
@@ -179,12 +316,19 @@ let poll s =
   !best
 
 (* A blocked thread whose predicate is still false has its clock dragged up
-   to the winning clock, modelling time passing while it polls. *)
+   to the winning clock, modelling time passing while it polls; one that
+   waits on conds then parks.  Downwards, so [remove_waiter]'s swap only
+   moves an already visited waiter. *)
 let drag_waiters s w =
-  for i = 0 to s.wlen - 1 do
+  for i = s.wlen - 1 downto 0 do
     if not s.ready.(i) then begin
       let t = s.waiters.(i) in
-      if t.clock < w.clock then t.clock <- w.clock
+      if t.clock < w.clock then t.clock <- w.clock;
+      match t.state with
+      | Waiting { on = _ :: _ as on; _ } ->
+        remove_waiter s t;
+        park s t on
+      | _ -> ()
     end
   done
 
@@ -209,6 +353,7 @@ let candidates s =
    its heap slot or waiter slot, and a held thread that lost goes back into
    the heap (in the winner's slot when that was the heap's). *)
 let pick s =
+  if !audit then audit_parked s;
   let first_ready = poll s in
   let w =
     match s.strategy with
@@ -226,6 +371,7 @@ let pick s =
         sorted.(if i < 0 || i >= n then 0 else i))
   in
   if w != nobody then begin
+    push_drag s w.clock;
     drag_waiters s w;
     let held = s.held in
     s.held <- nobody;
@@ -265,6 +411,7 @@ let blocked_report s =
 let kill_daemons s =
   for i = 0 to s.nthreads - 1 do
     let t = s.all.(i) in
+    if t.parked >= 0 then settle s t;
     match t.state with
     | Not_started _ -> finish s t
     | Paused k | Waiting { k; _ } ->
@@ -289,7 +436,8 @@ let random_priority ~seed =
 let run ?(trace = false) ?(strategy = Min_clock) main =
   if !current <> None then invalid_arg "Sched.run: nested simulations are not supported";
   let t0 =
-    { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main; slot = -1 }
+    { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main; slot = -1;
+      parked = -1; park_seq = 0 }
   in
   let s =
     {
@@ -305,13 +453,26 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
       live_non_daemon = 1;
       watermark = 0;
       steps = 0;
+      picks = 0;
+      drag_pick = [||];
+      drag_clock = [||];
+      dlen = 0;
+      nparked = 0;
+      parks = 0;
       strategy;
       trace;
     }
   in
   heap_push s t0;
   current := Some s;
-  let release () = current := None in
+  (* Threads still parked when a run fails keep stale entries in their
+     conds: unmark them so a later [signal] skips them. *)
+  let release () =
+    for i = 0 to s.nthreads - 1 do
+      s.all.(i).parked <- -1
+    done;
+    current := None
+  in
   (try
      let rec loop () =
        if s.live_non_daemon > 0 then begin
@@ -348,8 +509,8 @@ let poll ~budget ~step ready =
   done;
   !elapsed
 
-let wait_until ?(label = "?") pred =
-  try Effect.perform (Wait (pred, label))
+let wait_until ?(on = []) ?(label = "?") pred =
+  try Effect.perform (Wait (pred, label, on))
   with Effect.Unhandled _ ->
     if not (pred ()) then
       raise (Deadlock (Printf.sprintf "wait_until %S outside a simulation" label))
@@ -363,7 +524,10 @@ let spawn ?(daemon = false) name f =
   | Some s when s.running != nobody ->
     let parent = s.running in
     let id = s.nthreads in
-    let t = { id; name; daemon; clock = parent.clock; state = Not_started f; slot = -1 } in
+    let t =
+      { id; name; daemon; clock = parent.clock; state = Not_started f; slot = -1;
+        parked = -1; park_seq = 0 }
+    in
     s.all <- grow s.all id nobody;
     s.all.(id) <- t;
     s.nthreads <- id + 1;

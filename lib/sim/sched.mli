@@ -16,12 +16,31 @@
     {b Cost model.}  Runnable threads sit in a binary min-heap on
     [(clock, id)], so a resume costs O(log n) heap work — none when the
     thread that just advanced still has the least [(clock, id)].  Blocked
-    threads sit in a waiter array: each scheduling decision polls every
-    waiter's predicate exactly once, caches the answer, and drags the
-    not-ready waiters' clocks in a second, predicate-free pass.  A pick
-    therefore costs one poll per waiter, and the number of times a
-    predicate runs depends on the schedule; this is why predicates must be
-    pure (see {!wait_until}). *)
+    threads either sit in a waiter array or are {e parked} on the
+    {!cond}s they named with [~on].  Each scheduling decision polls every
+    waiter in the array exactly once, caches the answer, and drags the
+    not-ready waiters' clocks in a second, predicate-free pass.  The array
+    holds only the waiters without [~on] and the parked threads a
+    {!signal} woke since the last pick; a woken waiter whose predicate is
+    still false parks again.  So a pick costs one poll per such waiter, and
+    the number of times a predicate runs depends on the schedule and on
+    the signals; this is why predicates must be pure (see {!wait_until}).
+    A parked thread costs nothing per pick: when it is woken (or the run
+    ends) it gets, in one step, the clock drag of every pick it missed —
+    the largest winner clock among them, read from a stack of
+    [(pick, winner clock)] entries with strictly decreasing clocks (one
+    entry under {!Min_clock}, whose winner clocks never decrease).
+    Parking and signalling allocate nothing in steady state.
+
+    {b The [~on] contract.}  A waiter that names conds must be woken by
+    them: every change to state its predicate reads that can make the
+    predicate true must {!signal} one of its conds before the next
+    scheduling decision.  Extra signals are harmless (the woken thread is
+    polled once and parks again); a missing one leaves the thread parked
+    on a true predicate — a lost wakeup, which the test runner's
+    {!audit_wakeups} self-check reports as {!Lost_wakeup}.  A predicate
+    that reads {!global_now} (or anything else that changes without a
+    signal) must not use [~on]. *)
 
 exception Deadlock of string
 (** Raised when no thread can make progress: every live non-daemon thread is
@@ -91,16 +110,47 @@ val poll : budget:int -> step:int -> (int -> bool) -> int
     {!wait_until} predicate, this always makes progress, even when every
     other thread is blocked too. *)
 
-val wait_until : ?label:string -> (unit -> bool) -> unit
+type cond
+(** A wake condition: the set of threads parked on it.  Create one per
+    piece of shared state a wait reads (a queue, a counter, a flag) when
+    the object that owns the state is created. *)
+
+val cond : unit -> cond
+
+val signal : cond -> unit
+(** [signal c] moves every thread parked on [c] back to the waiter array;
+    the next scheduling decision polls them.  Call it right after each
+    change that can make a predicate waiting on [c] true.  A no-op when
+    nothing is parked on [c]. *)
+
+val wait_until : ?on:cond list -> ?label:string -> (unit -> bool) -> unit
 (** [wait_until p] blocks the calling thread until [p ()] is true.  [p] must
     be a pure read of shared state: it is evaluated once when called and
-    then exactly once per scheduling decision while blocked, and the
-    scheduler acts on that one cached answer, so a predicate with a side
-    effect changes the simulation.  [p] runs with no thread current:
-    {!now} and {!self} read 0 inside it, {!advance} is a no-op and {!spawn}
-    raises.  While blocked, the thread's clock follows simulated time.
+    then exactly once per scheduling decision while it sits in the waiter
+    array, and the scheduler acts on that one cached answer, so a
+    predicate with a side effect changes the simulation.  [p] runs with no
+    thread current: {!now} and {!self} read 0 inside it, {!advance} is a
+    no-op and {!spawn} raises.  While blocked, the thread's clock follows
+    simulated time.
+
+    With [~on] (build the list once, with the conds, not per call) a
+    false predicate parks the thread instead of leaving it in the waiter
+    array, and only a {!signal} of one of the conds brings it back: see
+    the [~on] contract above.  Parking never changes the schedule — the
+    order of resumes and every clock are the same as without [~on].
+
     Outside {!run}, returns immediately if [p ()] holds and raises
     {!Deadlock} otherwise. *)
+
+exception Lost_wakeup of string
+(** Raised by the {!audit_wakeups} self-check, with the waiter's label. *)
+
+val audit_wakeups : bool -> unit
+(** Turn the lost-wakeup self-check on or off (off by default; the test
+    runner turns it on).  While on, every scheduling decision evaluates
+    the predicate of every parked thread and raises {!Lost_wakeup} if one
+    holds.  The check only reads state, so it never changes a decision;
+    it costs what polling every parked waiter would. *)
 
 val now : unit -> int
 (** Current local clock of the calling thread (0 outside {!run} and inside

@@ -1,3 +1,7 @@
+(* Every parked waiter's predicate is re-checked at every pick: a state
+   change that skips its [Sched.signal] fails the test that made it. *)
+let () = Dudetm_sim.Sched.audit_wakeups true
+
 let () =
   Alcotest.run "dudetm"
     [

@@ -242,6 +242,34 @@ let test_recover_and_continue () =
   check Alcotest.int "fresh gtids continue after recovery" (before + 6)
     (Sh.global_frontier sh2)
 
+(* A single-shard transaction arriving while a cross-shard transaction
+   quiesces its shard waits (parked on the shard's wake condition) until
+   the quiesce is released, then runs. *)
+let test_single_waits_out_quiesce () =
+  let sh = Sh.create ~nshards:2 (small_cfg ()) in
+  let cross_end = ref 0 and single_start = ref (-1) and single_done = ref false in
+  ignore
+    (Sched.run (fun () ->
+         Sh.start sh;
+         ignore
+           (Sched.spawn "single" (fun () ->
+                Sched.advance 10;
+                ignore
+                  (Sh.atomically sh ~thread:1 ~shards:[ 0 ] (fun tx ->
+                       single_start := Sched.now ();
+                       Sh.write tx ~shard:0 local_off 1L));
+                single_done := true));
+         ignore
+           (Sh.atomically sh ~thread:0 ~shards:[ 0; 1 ] (fun tx ->
+                Sched.advance 1_000;
+                Sh.write tx ~shard:0 balance_off 1L;
+                Sh.write tx ~shard:1 balance_off 1L));
+         cross_end := Sched.now ();
+         Sched.wait_until ~label:"single done" (fun () -> !single_done);
+         Sh.stop sh));
+  check Alcotest.bool "the single-shard body ran after the quiesce" true
+    (!single_start >= !cross_end)
+
 let suite =
   [
     Alcotest.test_case "basic cross-shard commit" `Quick test_basic_commit;
@@ -250,4 +278,6 @@ let suite =
     Alcotest.test_case "undeclared shard rejected" `Quick test_undeclared_shard_rejected;
     Alcotest.test_case "crash all-or-nothing" `Slow test_crash_all_or_nothing;
     Alcotest.test_case "recover and continue" `Slow test_recover_and_continue;
+    Alcotest.test_case "single-shard tx waits out a cross quiesce" `Quick
+      test_single_waits_out_quiesce;
   ]

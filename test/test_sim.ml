@@ -197,9 +197,13 @@ let gen_prog =
 
 let label c v = Printf.sprintf "c%d>=%d" c v
 
-(* The program on the real scheduler; every resume logs (self, now). *)
-let run_sched strategy prog =
+(* The program on the real scheduler; every resume logs (self, now).  With
+   [parked], every wait parks on its counter's cond and every increment
+   signals it. *)
+let run_sched ?(parked = false) strategy prog =
   let counters = Array.make 3 0 and log = ref [] in
+  let conds = Array.init 3 (fun _ -> Sched.cond ()) in
+  let on = Array.map (fun c -> if parked then [ c ] else []) conds in
   let note () = log := (Sched.self (), Sched.now ()) :: !log in
   let rec exec ops =
     List.iter
@@ -207,9 +211,11 @@ let run_sched strategy prog =
         | Adv k ->
           Sched.advance k;
           note ()
-        | Incr c -> counters.(c) <- counters.(c) + 1
+        | Incr c ->
+          counters.(c) <- counters.(c) + 1;
+          Sched.signal conds.(c)
         | Wait_ge (c, v) ->
-          Sched.wait_until ~label:(label c v) (fun () -> counters.(c) >= v);
+          Sched.wait_until ~on:on.(c) ~label:(label c v) (fun () -> counters.(c) >= v);
           note ()
         | Spawn (daemon, body) ->
           ignore
@@ -326,7 +332,9 @@ let prop_sched_matches_reference =
     QCheck2.Gen.(pair gen_prog (int_bound 1000))
     (fun (prog, seed) ->
       List.for_all
-        (fun strategy -> run_sched strategy prog = run_reference strategy prog)
+        (fun strategy ->
+          let reference = run_reference strategy prog in
+          run_sched strategy prog = reference && run_sched ~parked:true strategy prog = reference)
         [ Sched.min_clock; Sched.random_priority ~seed ])
 
 let test_rng_bounds () =
@@ -419,6 +427,35 @@ let test_poll_bounded () =
   Alcotest.check asked "no budget, no step" (0, [ (0, 0) ])
     (run ~budget:0 ~step:10 ~ready_at:max_int)
 
+(* A state change without its signal leaves a parked waiter on a true
+   predicate; the audit names it at the next pick. *)
+let test_lost_wakeup_audited () =
+  Sched.audit_wakeups true;
+  let c = Sched.cond () and flag = ref false in
+  Alcotest.check_raises "unsignalled change is reported" (Sched.Lost_wakeup "flag")
+    (fun () ->
+      ignore
+        (Sched.run (fun () ->
+             ignore
+               (Sched.spawn "waiter" (fun () ->
+                    Sched.wait_until ~on:[ c ] ~label:"flag" (fun () -> !flag)));
+             Sched.advance 10;
+             flag := true;
+             Sched.advance 10)));
+  flag := false;
+  let woke_at = ref 0 in
+  ignore
+    (Sched.run (fun () ->
+         ignore
+           (Sched.spawn "waiter" (fun () ->
+                Sched.wait_until ~on:[ c ] ~label:"flag" (fun () -> !flag);
+                woke_at := Sched.now ()));
+         Sched.advance 10;
+         flag := true;
+         Sched.signal c;
+         Sched.advance 10));
+  check Alcotest.int "a signalled waiter wakes, dragged to the setter's clock" 10 !woke_at
+
 let suite =
   [
     Alcotest.test_case "single thread accumulates time" `Quick test_single_thread_time;
@@ -446,4 +483,6 @@ let suite =
     Alcotest.test_case "latency percentiles" `Quick test_latency_percentiles;
     Alcotest.test_case "cycle conversions" `Quick test_cycles_conversions;
     Alcotest.test_case "poll: bounded stepping wait" `Quick test_poll_bounded;
+    Alcotest.test_case "lost wakeup: unsignalled change is audited" `Quick
+      test_lost_wakeup_audited;
   ]
