@@ -254,15 +254,16 @@ let check_cmd =
              Check.campaign_docs))
   in
   let mutate =
-    let names = List.map (fun (f, name, _) -> (name, f)) Check.mutants in
+    let module Inject = Dudetm_sim.Inject in
+    let names = List.map (fun (f, name, _) -> (name, f)) Inject.catalogue in
     Arg.(
       value
-      & opt (enum (("none", Config.No_fault) :: names)) Config.No_fault
+      & opt (enum (("none", Inject.No_fault) :: names)) Inject.No_fault
       & info [ "mutate" ] ~docv:"MUTANT"
           ~doc:
             ("Seed a deliberate bug (checker self-validation); each is caught by one campaign: "
             ^ String.concat ", "
-                (List.map (fun (_, name, c) -> Printf.sprintf "%s (%s)" name c) Check.mutants)
+                (List.map (fun (_, name, c) -> Printf.sprintf "%s (%s)" name c) Inject.catalogue)
             ^ "."))
   in
   let budget =

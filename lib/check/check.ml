@@ -1,6 +1,7 @@
 module Nvm = Dudetm_nvm.Nvm
 module Rng = Dudetm_sim.Rng
 module Sched = Dudetm_sim.Sched
+module Inject = Dudetm_sim.Inject
 module Plog = Dudetm_log.Plog
 module Config = Dudetm_core.Config
 module Dudetm = Dudetm_core.Dudetm
@@ -49,32 +50,9 @@ let int_param p k = int_of_string (param p k)
 
 let set k v p = (k, v) :: List.remove_assoc k p
 
-let mutants =
-  [
-    (Config.Early_durable_publish, "early-durable", "explore");
-    (Config.Unfenced_reproduce, "unfenced-reproduce", "explore");
-    (Config.Skip_crc_verify, "skip-crc-verify", "media");
-    (Config.Skip_recovery_journal, "skip-recovery-journal", "recovery");
-    (Config.Skip_fragment_gate, "skip-fragment-gate", "shards");
-    (Config.Skip_batch_seal, "skip-batch-seal", "batch");
-    (Config.Skip_quorum_gate, "skip-quorum-gate", "replica");
-    (Config.Skip_handoff_seal, "skip-handoff-seal", "migrate");
-    (Config.Skip_snapshot_validate, "skip-snapshot-validate", "snapshot");
-    (Config.Skip_admission_gate, "skip-admission-gate", "serve");
-  ]
-
-let mutant_name f =
-  match List.find_opt (fun (g, _, _) -> g = f) mutants with Some (_, n, _) -> n | None -> "none"
-
-let mutant_of_name n =
-  match List.find_opt (fun (_, m, _) -> m = n) mutants with
-  | Some (f, _, _) -> f
-  | None when n = "none" -> Config.No_fault
-  | None -> invalid_arg ("Check: unknown mutant " ^ n)
-
 type failure = {
   campaign : string;
-  mutant : Config.fault;
+  mutant : Inject.mutant;
   params : params;
   cuts : int list;
   reason : string;
@@ -82,7 +60,7 @@ type failure = {
 
 type 'sys ctx = {
   devices : 'sys -> Nvm.t array;
-  mutant : Config.fault;
+  mutant : Inject.mutant;
   vector : int list;
   mutable lives : int list;  (* boundaries of each finished life, latest first *)
   mutable armed : Nvm.t array;
@@ -180,11 +158,12 @@ type result = Pass of report | Fail of failure
 
 exception Found of failure
 
+(* The case's lives run with its mutant armed, and only they. *)
 let case c ~mutant at vector =
   let ctx =
     { devices = c.devices; mutant; vector; lives = []; armed = [||]; sites = 0; tallies = [] }
   in
-  let verdict = try c.run ctx at with Failed reason -> Some reason in
+  let verdict = try Inject.with_ ~mutant (fun () -> c.run ctx at) with Failed reason -> Some reason in
   disarm ctx;
   (verdict, List.rev ctx.lives, ctx.tallies)
 
@@ -298,7 +277,7 @@ type instance = { ptm : Ptm.t; nvm : Nvm.t; recover : unit -> recovered }
 
 (* Small layouts keep a single checked run in the low milliseconds: the
    budgets below run hundreds of them. *)
-let dude_cfg ~combine ~fault =
+let dude_cfg ~combine =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
@@ -314,7 +293,6 @@ let dude_cfg ~combine ~fault =
        ordering bugs become observable *)
     checkpoint_records = 2;
     seed = 7;
-    fault;
   }
 
 let dude_instance ptm attach cfg =
@@ -358,17 +336,19 @@ let nvml_instance () =
   in
   baseline_instance (Nvml.ptm_of n) (Nvml.nvm n) (fun () -> ignore (Nvml.recover n))
 
-(* Mutants seed bugs into the software-TM DudeTM variants only. *)
+(* Mutants seed bugs into the software-TM DudeTM variants only: the
+   other systems live their whole lives disarmed ([false]). *)
 let systems =
   [
-    ("dude", fun fault -> stm_instance (dude_cfg ~combine:false ~fault));
-    ("dude-combine", fun fault -> stm_instance (dude_cfg ~combine:true ~fault));
+    ("dude", (true, fun () -> stm_instance (dude_cfg ~combine:false)));
+    ("dude-combine", (true, fun () -> stm_instance (dude_cfg ~combine:true)));
     ( "dude-htm",
-      fun _ ->
-        dude_instance Dude_ptm.Htm_based.ptm Dude_ptm.Htm_based.attach_ptm
-          (dude_cfg ~combine:false ~fault:Config.No_fault) );
-    ("mnemosyne", fun _ -> mnemosyne_instance ());
-    ("nvml", fun _ -> nvml_instance ());
+      ( false,
+        fun () ->
+          dude_instance Dude_ptm.Htm_based.ptm Dude_ptm.Htm_based.attach_ptm
+            (dude_cfg ~combine:false) ) );
+    ("mnemosyne", (false, mnemosyne_instance));
+    ("nvml", (false, nvml_instance));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -539,9 +519,12 @@ let explore_run ctx at =
   let threads = int_param at "threads" and txs = int_param at "txs" in
   let evict = evict_of at in
   let strategy = strategy_of (param at "sched") in
-  let inst = (List.assoc (param at "system") systems) ctx.mutant in
-  workload_life ?evict ~strategy ~stamp ?wset ctx ~quiescent:(ctx.vector = [] && evict = None)
-    ~threads ~txs inst
+  let seeded, instance = List.assoc (param at "system") systems in
+  let life () =
+    workload_life ?evict ~strategy ~stamp ?wset ctx ~quiescent:(ctx.vector = [] && evict = None)
+      ~threads ~txs (instance ())
+  in
+  if seeded then life () else Inject.with_ ~mutant:No_fault life
 
 (* Bounded exhaustive DFS over the first [exhaustive_depth] scheduling
    decision points.  Every explored schedule runs to quiescence and then
@@ -694,7 +677,7 @@ let inject_faults cfg nvm ~mode ~seed ~descrs =
    run, or the damage must have been *reported* — by the scrub (non-clean
    report) or by recovery itself (corrupted records / quarantined lines). *)
 let media_run ctx at =
-  let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
+  let cfg = dude_cfg ~combine:false in
   let inst = stm_instance cfg in
   let descrs = ref [] and reported = ref false in
   let recover () =
@@ -780,7 +763,7 @@ let baselines = Hashtbl.create 8
    that completes gives the final verdict.  It must equal the baseline
    field for field and pass the crash oracle. *)
 let recovery_run ctx at =
-  let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
+  let cfg = dude_cfg ~combine:false in
   let crash = Option.value (List.nth_opt ctx.vector 0) ~default:0 in
   let image ctx attach =
     let inst = stm_instance cfg in
@@ -860,15 +843,9 @@ let recovery_plan budget at count =
    every run must still satisfy the ordinary crash oracle (and a quiescent
    run must still drain completely) — only the restart counters may move. *)
 let daemons_run ctx at =
+  Inject.with_ ~daemon_fault_rate:(float_of_string (param at "fault-rate")) @@ fun () ->
   let seed = int_param at "daemon-seed" in
-  let cfg =
-    {
-      (dude_cfg ~combine:false ~fault:ctx.mutant) with
-      Config.daemon_fault_rate = float_of_string (param at "fault-rate");
-      seed = 7 + seed;
-    }
-  in
-  let inst = stm_instance cfg in
+  let inst = stm_instance { (dude_cfg ~combine:false) with Config.seed = 7 + seed } in
   let recover () =
     let counters = inst.ptm.Ptm.counters () in
     let count k = Option.value (List.assoc_opt k counters) ~default:0 in
@@ -934,7 +911,7 @@ let observe_vector h sh =
 let shards_run ctx at =
   let nshards = int_param at "shard-count" and txs = int_param at "txs" in
   if nshards < 2 then invalid_arg "Check: --shards needs at least two shards";
-  let sh = Shard.create ~nshards (dude_cfg ~combine:false ~fault:ctx.mutant) in
+  let sh = Shard.create ~nshards (dude_cfg ~combine:false) in
   let h = History.create () and next = Array.make nshards 0 in
   let tx ~thread shards body =
     let run tx =
@@ -1020,9 +997,9 @@ let cut_plan ?deep budget at _ =
 (* Groups of four transactions and a short deadline: every few
    transactions seal a batch, so deadline-, size- and drain-triggered
    batches all occur within one short run. *)
-let batch_cfg ~fault =
+let batch_cfg =
   {
-    (dude_cfg ~combine:true ~fault) with
+    (dude_cfg ~combine:true) with
     Config.persist = Config.Combined { group = 4; compress = true };
     batch_deadline = 512;
   }
@@ -1036,7 +1013,7 @@ let batch_cfg ~fault =
    and loses data at the second. *)
 let batch_run ctx at =
   let txs = int_param at "txs" in
-  let cfg = batch_cfg ~fault:ctx.mutant in
+  let cfg = batch_cfg in
   let p1, _ = Dude_ptm.Stm.ptm cfg in
   let nvm = Option.get p1.Ptm.nvm in
   let h = History.create () in
@@ -1103,7 +1080,7 @@ let replica_faults =
 let replica_run ctx at =
   let nreplicas = int_param at "replicas" and txs = int_param at "txs" in
   let scenario = param at "scenario" in
-  let cfg = { (batch_cfg ~fault:ctx.mutant) with Config.plog_size = 1 lsl 14 } in
+  let cfg = { batch_cfg with Config.plog_size = 1 lsl 14 } in
   let link =
     {
       Link.default_config with
@@ -1314,7 +1291,7 @@ let mg_complete h mig =
    cut, an unarmed attach and completion.  Every attach is judged by the
    history; the returned state also by the fixpoint. *)
 let migrate_run ctx _ =
-  let cfg = dude_cfg ~combine:false ~fault:ctx.mutant in
+  let cfg = dude_cfg ~combine:false in
   let part =
     Partition.buckets ~nshards:migrate_nshards ~lo:0L ~hi:(Int64.of_int migrate_nkeys)
       ~owners:mg_initial_owners
@@ -1410,7 +1387,7 @@ let sn_slot_b p = sn_slot_a p + 8
 
 let snapshot_run ctx at =
   let txs = int_param at "txs" in
-  let cfg = batch_cfg ~fault:ctx.mutant in
+  let cfg = batch_cfg in
   let nthreads = cfg.Config.nthreads in
   let nwriters = nthreads - 1 in
   let p, _ = Dude_ptm.Stm.ptm cfg in
@@ -1533,10 +1510,7 @@ let serve_app =
 
 let serve_run ctx at =
   let txs = int_param at "txs" in
-  let cfg =
-    Dudetm_serve.Serve_load.engine_cfg ~fault:ctx.mutant
-      ~workers:serve_scfg.Serve.workers_per_shard ()
-  in
+  let cfg = Dudetm_serve.Serve_load.engine_cfg ~workers:serve_scfg.Serve.workers_per_shard () in
   let sh = Srv.Sh.create ~nshards:serve_nshards cfg in
   arm ctx sh;
   let srv = Srv.create ~scfg:serve_scfg ~app:serve_app ~ntenants:serve_ntenants sh in
@@ -1777,7 +1751,7 @@ let expand name args =
     | Some { flag; kind = Each choices; _ } -> List.map (fun v -> args @ [ (flag, v) ]) choices
     | _ -> [ args ])
 
-let run ?(log = ignore) ?(budget = budget_of_env ()) ?(mutant = Config.No_fault) name args =
+let run ?(log = ignore) ?(budget = budget_of_env ()) ?(mutant = Inject.No_fault) name args =
   let (Campaign c) = find name in
   match coordinate c args with
   | at, Some vector -> (
@@ -1802,7 +1776,7 @@ let replay_line (f : failure) =
   let flag k v = Printf.sprintf " --%s %s" k v in
   String.concat ""
     ((if c.name = "explore" then "dudetm check" else "dudetm check --" ^ c.name)
-     :: (if f.mutant = Config.No_fault then "" else flag "mutate" (mutant_name f.mutant))
+     :: (if f.mutant = No_fault then "" else flag "mutate" (Inject.name f.mutant))
      :: List.filter_map
           (fun co -> Option.map (flag co.flag) (List.assoc_opt co.flag f.params))
           c.coords
@@ -1821,14 +1795,14 @@ let parse_replay line =
   let rec go name mutant args = function
     | [] -> (name, mutant, List.rev args)
     | ("dudetm" | "check") :: rest -> go name mutant args rest
-    | "--mutate" :: m :: rest -> go name (mutant_of_name m) args rest
+    | "--mutate" :: m :: rest -> go name (Inject.of_name m) args rest
     | f :: rest when List.exists (fun (n, _) -> f = "--" ^ n) campaign_docs ->
       go (String.sub f 2 (String.length f - 2)) mutant args rest
     | f :: v :: rest when String.starts_with ~prefix:"--" f ->
       go name mutant ((String.sub f 2 (String.length f - 2), v) :: args) rest
     | w :: _ -> invalid_arg ("Check: cannot parse replay word " ^ w)
   in
-  go "explore" Config.No_fault [] (List.filter (( <> ) "") (String.split_on_char ' ' line))
+  go "explore" Inject.No_fault [] (List.filter (( <> ) "") (String.split_on_char ' ' line))
 
 let summary = function
   | Fail f ->

@@ -27,7 +27,8 @@
     first cuts at boundaries counted after each.  The first violation stops
     the sweep and becomes the one {!failure}, whose {!replay_line} parses
     back ({!parse_replay}) into the same coordinate.  Ten campaigns, each
-    validated by a seeded mutant ({!mutants}): [explore] (systems × counter
+    validated by a seeded mutant ({!Dudetm_sim.Inject.catalogue}), which
+    {!run} arms for the lives of each case and only for them: [explore] (systems × counter
     workloads × schedules; shrinks), [media], [recovery] (three deep),
     [daemons], [shards], [batch] and [migrate] (two deep), [replica],
     [snapshot] and [serve]. *)
@@ -55,18 +56,14 @@ type explore_budget = {
 
 val explore_budget : budget -> explore_budget
 
-(** {1 Mutants and failures} *)
-
-val mutants : (Dudetm_core.Config.fault * string * string) list
-(** Every seeded mutant with its CLI name and the campaign that must catch
-    it. *)
+(** {1 Failures} *)
 
 type params = (string * string) list
 (** Coordinates by flag name, e.g. [("txs", "10")]. *)
 
 type failure = {
   campaign : string;
-  mutant : Dudetm_core.Config.fault;
+  mutant : Dudetm_sim.Inject.mutant;
   params : params;
   cuts : int list;  (** the cut vector: crash-at, crash2, crash3 *)
   reason : string;
@@ -98,20 +95,23 @@ val expand : string -> params -> params list
 val run :
   ?log:(string -> unit) ->
   ?budget:budget ->
-  ?mutant:Dudetm_core.Config.fault ->
+  ?mutant:Dudetm_sim.Inject.mutant ->
   string ->
   params ->
   result
 (** [run campaign args] sweeps the campaign, or replays exactly one case
     when [args] hold a cut ([crash-at], [crash2], [crash3]) or a case
     coordinate (such as [sched] or [leg]); a replay needs every sweep and
-    case coordinate.  A coordinate the campaign does not declare, or a
-    deeper cut whose life never ran, raises [Invalid_argument]. *)
+    case coordinate.  Each case runs inside {!Dudetm_sim.Inject.with_}
+    [~mutant] (explore keeps [dude-htm], [mnemosyne] and [nvml] disarmed;
+    daemons also arms its [fault-rate]), so nothing stays armed after
+    [run] returns or raises.  A coordinate the campaign does not declare,
+    or a deeper cut whose life never ran, raises [Invalid_argument]. *)
 
 val replay_line : failure -> string
 (** The replayable [dudetm check ...] one-liner. *)
 
-val parse_replay : string -> string * Dudetm_core.Config.fault * params
+val parse_replay : string -> string * Dudetm_sim.Inject.mutant * params
 (** Campaign, mutant and coordinates of a {!replay_line}. *)
 
 val summary : result -> string

@@ -1,18 +1,5 @@
 type mode = Async | Sync | Inf
 
-type fault =
-  | No_fault
-  | Early_durable_publish
-  | Unfenced_reproduce
-  | Skip_crc_verify
-  | Skip_recovery_journal
-  | Skip_fragment_gate
-  | Skip_batch_seal
-  | Skip_quorum_gate
-  | Skip_handoff_seal
-  | Skip_snapshot_validate
-  | Skip_admission_gate
-
 exception Invalid_config of string
 
 let () =
@@ -43,13 +30,11 @@ type t = {
   compress_cost_per_byte : float;
   reproduce_cost_per_entry : int;
   drain_budget : int;
-  daemon_fault_rate : float;
   bp_hwm_fraction : float;
   bp_wait_budget : int;
   pmalloc_wait_budget : int;
   ack_timeout : int;
   seed : int;
-  fault : fault;
 }
 
 let root_size = 4096
@@ -78,13 +63,11 @@ let default =
     compress_cost_per_byte = 2.0;
     reproduce_cost_per_entry = 24;
     drain_budget = 200_000_000;
-    daemon_fault_rate = 0.0;
     bp_hwm_fraction = 0.75;
     bp_wait_budget = 2_000_000;
     pmalloc_wait_budget = 1_000_000;
     ack_timeout = 2_000_000;
     seed = 42;
-    fault = No_fault;
   }
 
 let plog_regions t = match t.persist with Per_thread _ -> t.nthreads | Combined _ -> 1
@@ -129,9 +112,6 @@ let nvm_size t =
 
 let validate t =
   let fail msg = raise (Invalid_config ("Config: " ^ msg)) in
-  let fraction name f =
-    if not (f >= 0.0 && f <= 1.0) then fail (name ^ " must be within [0, 1]")
-  in
   if t.heap_size <= 0 || t.heap_size land 4095 <> 0 then fail "heap_size must be a positive multiple of 4096";
   if t.nthreads < 1 then fail "nthreads < 1";
   if t.vlog_capacity < 16 then fail "vlog_capacity too small";
@@ -142,7 +122,7 @@ let validate t =
     if daemons < 1 then fail "persist daemons < 1";
     if min_entries < 1 then fail "min_entries < 1";
     if max_entries < min_entries then fail "max_entries below min_entries";
-    if t.fault = Skip_batch_seal then
+    if Dudetm_sim.Inject.armed Skip_batch_seal then
       fail "Skip_batch_seal seeds a bug in the pipelined (combined) persist path"
   | Combined { group; _ } ->
     if group < 1 then fail "group < 1";
@@ -155,8 +135,8 @@ let validate t =
   if crc_extent mod line <> 0 then
     fail "crc_extent must be a positive multiple of the NVM line size";
   if t.drain_budget < 1 then fail "drain_budget < 1";
-  fraction "daemon_fault_rate" t.daemon_fault_rate;
-  fraction "bp_hwm_fraction" t.bp_hwm_fraction;
+  if not (t.bp_hwm_fraction >= 0.0 && t.bp_hwm_fraction <= 1.0) then
+    fail "bp_hwm_fraction must be within [0, 1]";
   if t.bp_wait_budget < 0 then fail "bp_wait_budget < 0";
   if t.pmalloc_wait_budget < 0 then fail "pmalloc_wait_budget < 0";
   if t.ack_timeout < 1 then fail "ack_timeout < 1";

@@ -24,78 +24,6 @@ type mode =
               (DUDETM-Sync) *)
   | Inf  (** decoupled with unbounded volatile log buffers (DUDETM-Inf) *)
 
-(** Deliberately seeded crash-ordering bugs, used {e only} to validate the
-    systematic crash checker ([lib/check]): a checker that cannot detect
-    these mutants proves nothing about the real engine.  Production
-    configurations always use [No_fault]. *)
-type fault =
-  | No_fault
-  | Early_durable_publish
-      (** Persist step publishes the durable ID {e before} the log record's
-          persist fence: a crash in the window loses acknowledged
-          transactions. *)
-  | Unfenced_reproduce
-      (** Reproduce skips the persist fence on reproduced data before the
-          checkpoint watermark advances: a crash after the checkpoint loses
-          heap data the recovery believes is already home. *)
-  | Skip_crc_verify
-      (** Scrub skips re-verifying heap extents against the CRC directory:
-          media corruption of checkpointed heap data goes undetected and
-          wrong values are silently served after recovery.  Validates the
-          media-fault campaign ([dudetm check --media]). *)
-  | Skip_recovery_journal
-      (** [attach] and [Scrub.scrub] skip the recovery intent journal:
-          recovery-time NVM writes (stuck-line probes, replay verdicts) are
-          no longer ordered behind a sealed intent, so a crash in the middle
-          of recovery can leave a probe pattern in live data or a diverging
-          recovery report.  Validates the nested-crash campaign
-          ([dudetm check --recovery]). *)
-  | Skip_fragment_gate
-      (** Reproduce ignores the cross-shard replay gate and applies a
-          cross-shard fragment before its sibling fragments are durable on
-          their shards: a crash in the window can leave a partial
-          cross-shard transaction surviving recovery.  Validates the
-          sharded crash campaign ([dudetm check --shards]). *)
-  | Skip_batch_seal
-      (** The pipelined Persist stage publishes a batch's durable IDs when
-          the batch is {e sealed} (combined, CRC'd and queued for flushing)
-          instead of when its log record's NVM persist completes: a
-          mid-pipeline crash — batch [k] durable, batch [k+1]
-          sealed-but-unflushed — loses acknowledged transactions.
-          Validates the batch-boundary campaign ([dudetm check --batch]).
-          Requires the {!Combined} persist policy. *)
-  | Skip_quorum_gate
-      (** The replication layer acknowledges a transaction at the
-          {e primary-local} durable watermark instead of the quorum vector
-          watermark: a primary death while the sealed batch is still in
-          flight to the replicas loses acknowledged transactions on
-          failover.  Validates the replicated-durability campaign
-          ([dudetm check --replica]). *)
-  | Skip_handoff_seal
-      (** The live-migration coordinator flips key-range ownership in
-          volatile routing {e without} sealing the handoff record and the
-          new partition descriptor first: a power cut after the flip makes
-          recovery read the stale descriptor, route the migrated range back
-          to the source shard, and lose every write acknowledged on the new
-          owner.  Validates the migration campaign
-          ([dudetm check --migrate]). *)
-  | Skip_snapshot_validate
-      (** Read-only snapshot transactions skip the lock-table revalidation
-          when extending their epoch past a concurrent commit: a reader
-          that spans a writer's commit can return values from {e two}
-          different epochs (a torn read-set) — e.g. one half of an
-          invariant-preserving pair update.  Validates the snapshot
-          campaign ([dudetm check --snapshot]). *)
-  | Skip_admission_gate
-      (** The serving front end ([lib/serve]) runs with its admission gate
-          stubbed out: overload is never shed (the bounded request queue
-          grows without limit) and write acknowledgements are released at
-          {e commit} instead of at the shard's durable watermark — the
-          gate is the one component that both admits requests and releases
-          replies against the acked prefix.  A power cut mid-burst then
-          loses acknowledged requests.  Validates the serving campaign
-          ([dudetm check --serve]). *)
-
 (** How the Persist step moves volatile logs into persistent rings.  Each
     constructor carries only what its Persist loop reads; both loops also
     flush a short batch once it has aged [batch_deadline] cycles. *)
@@ -148,11 +76,6 @@ type t = {
   drain_budget : int;
       (** simulated cycles {!Dudetm.drain} may consume before raising
           [Drain_stalled] with a daemon-state diagnostic *)
-  daemon_fault_rate : float;
-      (** probability (seeded via [seed]) that a Persist/Reproduce daemon
-          suffers an injected transient failure at a work-unit boundary;
-          the supervisor restarts it from its persistent position.  0.0 in
-          production; used by the daemon fault-injection campaign. *)
   bp_hwm_fraction : float;
       (** ring-occupancy fraction beyond which Perform threads are
           throttled (bounded wait) before starting new transactions *)
@@ -169,7 +92,6 @@ type t = {
           [Degraded_quorum] — never an unbounded block behind a partitioned
           replica *)
   seed : int;
-  fault : fault;  (** seeded checker-validation bug; [No_fault] in production *)
 }
 
 val default : t
@@ -224,4 +146,6 @@ val nvm_size : t -> int
 val validate : t -> unit
 (** Raise {!Invalid_config} for inconsistent configurations (e.g. Sync
     mode under {!Combined}, an entry bound below its floor, heap not
-    page-aligned, non-positive budgets, fractions outside [0, 1]). *)
+    page-aligned, non-positive budgets, fractions outside [0, 1], a
+    per-thread persist policy while {!Dudetm_sim.Inject.Skip_batch_seal}
+    is armed). *)

@@ -4,6 +4,7 @@ module Shadow = Dudetm_shadow.Shadow
 module Sched = Dudetm_sim.Sched
 module Stats = Dudetm_sim.Stats
 module Rng = Dudetm_sim.Rng
+module Inject = Dudetm_sim.Inject
 module Log_entry = Dudetm_log.Log_entry
 module Vlog = Dudetm_log.Vlog
 module Plog = Dudetm_log.Plog
@@ -22,7 +23,7 @@ exception Read_only_violation = Tm_intf.Read_only_violation
 
 exception Daemon_fault of string
 
-type recovery_report = {
+type recovery_report = Rjournal.report = {
   durable : int;
   replayed_txs : int;
   discarded_txs : int;
@@ -387,7 +388,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      (or in NVM), so a restart resumes from the persistent position without
      duplicating or dropping work. *)
   let maybe_fault t name =
-    let rate = t.cfg.Config.daemon_fault_rate in
+    let rate = Inject.daemon_fault_rate () in
     if rate > 0.0 && Rng.float t.fault_rng < rate then begin
       Stats.incr t.stats "daemon_faults";
       raise (Daemon_fault name)
@@ -518,7 +519,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        [pop_next_item] asserts does not hold; wait for the item instead of
        crashing the daemon — the campaign must catch the mutant as a
        durability violation at a power cut, not as an engine exception. *)
-    && (t.cfg.Config.fault <> Config.Skip_batch_seal || peek_next_item t <> None)
+    && ((not (Inject.armed Skip_batch_seal)) || peek_next_item t <> None)
     && (match t.replay_gate with
        | Some gate -> (
          match peek_next_item t with Some it -> gate it | None -> true)
@@ -571,13 +572,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      [persist.flush] span of its own. *)
   let commit_record ?(shipped = false) t region payload entries =
     let plog = t.plogs.(region) in
-    let fault = t.cfg.Config.fault in
     let append () =
       (* Seeded mutant (checker self-test only): skip the record's persist
          fence, so the durable ID published below covers a record still
          sitting in the cache — a crash loses transactions the application
          already acknowledged. *)
-      Plog.append ~persist:(shipped || fault <> Config.Early_durable_publish) plog payload
+      Plog.append ~persist:(shipped || not (Inject.armed Early_durable_publish)) plog payload
     in
     let t_io = Sched.now () in
     t.flush_started_at <- t_io;
@@ -606,7 +606,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       items;
     (* Under the Skip_batch_seal mutant the combiner already published
        these IDs at seal time. *)
-    if shipped || fault <> Config.Skip_batch_seal then note_flushed t tids;
+    if shipped || not (Inject.armed Skip_batch_seal) then note_flushed t tids;
     Sched.signal t.wake_repro;
     match tids with
     | [] -> ()
@@ -872,7 +872,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           (* Seeded mutant (checker self-test only): acknowledge the batch
              at seal time — its record has not reached NVM, so a crash in
              the pipeline window loses acknowledged transactions. *)
-          if t.cfg.Config.fault = Config.Skip_batch_seal then
+          if Inject.armed Skip_batch_seal then
             note_flushed t (List.init take (fun k -> lo + k));
           t.next_flush <- hi + 1;
           t.staged_open_at <- -1)
@@ -977,7 +977,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      (checker self-test only) skips the fence. *)
   let flush_reproduced t =
     if !(t.repro_ranges) <> [] then begin
-      if t.cfg.Config.fault <> Config.Unfenced_reproduce then
+      if not (Inject.armed Unfenced_reproduce) then
         Nvm.persist_ranges t.nvm !(t.repro_ranges);
       t.repro_ranges := []
     end;
@@ -1520,7 +1520,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let pin =
       if durable then Some (fun () -> ro_watermark t - t.tid_base) else None
     in
-    let validate_extension = t.cfg.Config.fault <> Config.Skip_snapshot_validate in
     Trace.span_begin ~cat:"perform" "ro_tx";
     let attempt : tx option ref = ref None in
     let cleanup () =
@@ -1528,7 +1527,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       attempt := None
     in
     match
-      Tm.run_ro ?pin ~validate_extension ~on_retry:cleanup t.tm (fun ro ->
+      Tm.run_ro ?pin ~on_retry:cleanup t.tm (fun ro ->
           let dtx =
             {
               t;
@@ -1605,7 +1604,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        pattern a crashed scrub left in the heap — before trusting a single
        heap byte.  (The Skip_recovery_journal mutant bypasses the journal
        to prove the nested-crash campaign catches exactly this.) *)
-    let use_journal = cfg.Config.fault <> Config.Skip_recovery_journal in
+    let use_journal = not (Inject.armed Skip_recovery_journal) in
     let rjournal = Rjournal.attach nvm ~base:(Config.rjournal_base cfg) in
     if use_journal then Rjournal.undo_probe rjournal;
     let ckpt, state = Checkpoint.attach nvm ~base:(Config.meta_base cfg) ~size:cfg.Config.meta_size in
@@ -1678,8 +1677,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let replayed_txs =
       List.fold_left (fun acc (lo, hi, _) -> acc + (hi - lo + 1)) 0 keep
     in
-    let corrupted_records = p.p_corrupted in
-    let quarantined_lines = p.p_quarantined in
     let rjournal = p.p_rjournal in
     let use_journal = p.p_use_journal in
     let ckpt = p.p_ckpt in
@@ -1692,19 +1689,17 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        replayed transactions).  Then seal this attach's verdict before the
        replay below mutates anything. *)
     let verdict =
-      let fresh =
-        {
-          Rjournal.v_durable = d;
-          v_replayed_txs = replayed_txs;
-          v_discarded_txs = discarded_txs;
-          v_discarded_records = discarded_records;
-          v_corrupted_records = corrupted_records;
-          v_quarantined_lines = quarantined_lines;
-        }
-      in
       match Rjournal.read rjournal with
-      | Rjournal.Replay v when use_journal && v.Rjournal.v_durable = d -> v
-      | _ -> fresh
+      | Rjournal.Replay v when use_journal && v.durable = d -> v
+      | _ ->
+        {
+          durable = d;
+          replayed_txs;
+          discarded_txs;
+          discarded_records;
+          corrupted_records = p.p_corrupted;
+          quarantined_lines = p.p_quarantined;
+        }
     in
     if use_journal then Rjournal.write rjournal (Rjournal.Replay verdict);
     (* Replay in transaction-ID order. *)
@@ -1732,7 +1727,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     (* The verdict stays sealed: clearing it here would open a window (a
        crash right after the clear persists) where a re-attach sees the
        recycled rings and reports zero replayed transactions.  The
-       [v_durable = d] guard above retires it naturally once new
+       [durable = d] guard above retires it naturally once new
        transactions advance the durable ID. *)
     let badlines, _ = Badline.attach nvm cfg in
     let t =
@@ -1743,15 +1738,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     t.persisted_data <- d;
     t.checkpointed <- d;
     t.cross_frontier <- frontier;
-    ( t,
-      {
-        durable = verdict.Rjournal.v_durable;
-        replayed_txs = verdict.Rjournal.v_replayed_txs;
-        discarded_txs = verdict.Rjournal.v_discarded_txs;
-        discarded_records = verdict.Rjournal.v_discarded_records;
-        corrupted_records = verdict.Rjournal.v_corrupted_records;
-        quarantined_lines = verdict.Rjournal.v_quarantined_lines;
-      } )
+    (t, verdict)
 
   let attach cfg nvm = attach_commit (attach_prepare cfg nvm)
 

@@ -51,26 +51,16 @@ exception Daemon_fault of string
     worker from its persistent position with capped exponential backoff —
     it escapes only if a fault fires outside any supervised daemon. *)
 
-type recovery_report = {
-  durable : int;  (** recovered durable ID: state equals this prefix *)
-  replayed_txs : int;  (** durable transactions replayed from logs *)
-  discarded_txs : int;  (** flushed but non-durable transactions dropped:
-                            their logs landed beyond a gap left by a log
-                            that never made it, so they were never
-                            acknowledged and are abandoned (Section 3.5) *)
-  discarded_records : int;  (** log records abandoned for that reason; torn
-                                records are additionally rejected by their
-                                checksums during the scan *)
-  corrupted_records : int;  (** once-sealed records destroyed by media
-                                faults: mid-ring CRC failures bridged by
-                                the tolerant ring scan, plus rings whose
-                                header was lost.  Transactions above the
-                                resulting gap are abandoned (counted in
-                                [discarded_txs]) — reported, never
-                                silently served *)
-  quarantined_lines : int;  (** distinct device lines covered by corrupted
-                                record bytes *)
+type recovery_report = Rjournal.report = {
+  durable : int;
+  replayed_txs : int;
+  discarded_txs : int;
+  discarded_records : int;
+  corrupted_records : int;
+  quarantined_lines : int;
 }
+(** The recovery verdict, as sealed in the recovery journal; see
+    {!Rjournal.report} for each counter. *)
 
 type shipment = {
   ship_seq : int;  (** the record's ring sequence number: the replication

@@ -1,18 +1,18 @@
 module Nvm = Dudetm_nvm.Nvm
 module Twin = Dudetm_log.Sealed.Twin
 
-type verdict = {
-  v_durable : int;
-  v_replayed_txs : int;
-  v_discarded_txs : int;
-  v_discarded_records : int;
-  v_corrupted_records : int;
-  v_quarantined_lines : int;
+type report = {
+  durable : int;
+  replayed_txs : int;
+  discarded_txs : int;
+  discarded_records : int;
+  corrupted_records : int;
+  quarantined_lines : int;
 }
 
 type intent =
   | Idle
-  | Replay of verdict
+  | Replay of report
   | Probe of { line : int; original : int64 }
 
 type t = { nvm : Nvm.t; twin : Twin.t; mutable current : intent }
@@ -28,12 +28,12 @@ let words_of = function
     Array.map Int64.of_int
       [|
         1;
-        v.v_durable;
-        v.v_replayed_txs;
-        v.v_discarded_txs;
-        v.v_discarded_records;
-        v.v_corrupted_records;
-        v.v_quarantined_lines;
+        v.durable;
+        v.replayed_txs;
+        v.discarded_txs;
+        v.discarded_records;
+        v.corrupted_records;
+        v.quarantined_lines;
       |]
   | Probe { line; original } -> [| 2L; Int64.of_int line; original |]
 
@@ -46,12 +46,12 @@ let intent_of w =
     Some
       (Replay
          {
-           v_durable = int 1;
-           v_replayed_txs = int 2;
-           v_discarded_txs = int 3;
-           v_discarded_records = int 4;
-           v_corrupted_records = int 5;
-           v_quarantined_lines = int 6;
+           durable = int 1;
+           replayed_txs = int 2;
+           discarded_txs = int 3;
+           discarded_records = int 4;
+           corrupted_records = int 5;
+           quarantined_lines = int 6;
          })
   | 2 -> Some (Probe { line = int 1; original = word 2 })
   | _ -> None

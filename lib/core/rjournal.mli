@@ -22,18 +22,32 @@
     force.  A slot record is [seq | len | kind | fields | crc], 32 + 8k
     bytes for an intent of k fields. *)
 
-type verdict = {
-  v_durable : int;  (** durable transaction ID recovery converged on *)
-  v_replayed_txs : int;
-  v_discarded_txs : int;
-  v_discarded_records : int;
-  v_corrupted_records : int;
-  v_quarantined_lines : int;
+(** What recovery converged on ({!Dudetm.recovery_report} is this
+    record). *)
+type report = {
+  durable : int;  (** recovered durable ID: state equals this prefix *)
+  replayed_txs : int;  (** durable transactions replayed from logs *)
+  discarded_txs : int;  (** flushed but non-durable transactions dropped:
+                            their logs landed beyond a gap left by a log
+                            that never made it, so they were never
+                            acknowledged and are abandoned (Section 3.5) *)
+  discarded_records : int;  (** log records abandoned for that reason; torn
+                                records are additionally rejected by their
+                                checksums during the scan *)
+  corrupted_records : int;  (** once-sealed records destroyed by media
+                                faults: mid-ring CRC failures bridged by
+                                the tolerant ring scan, plus rings whose
+                                header was lost.  Transactions above the
+                                resulting gap are abandoned (counted in
+                                [discarded_txs]) — reported, never
+                                silently served *)
+  quarantined_lines : int;  (** distinct device lines covered by corrupted
+                                record bytes *)
 }
 
 type intent =
   | Idle  (** no recovery in progress *)
-  | Replay of verdict
+  | Replay of report
       (** attach sealed this verdict before mutating; adopt it on re-attach *)
   | Probe of { line : int; original : int64 }
       (** scrub is probing [line]; restore [original] before trusting the

@@ -166,7 +166,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let recompute t =
     let d = Engine.durable_id t.prim in
     let wm =
-      if t.cfg.Config.fault = Config.Skip_quorum_gate then d
+      if Dudetm_sim.Inject.armed Skip_quorum_gate then d
       else begin
         let need = acks_needed t in
         if need = 0 then d

@@ -122,7 +122,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
      word; undo that first, before any audit trusts the heap.  The
      Skip_recovery_journal mutant bypasses the journal so the nested-crash
      campaign can prove it catches exactly this. *)
-  let use_journal = cfg.Config.fault <> Config.Skip_recovery_journal in
+  let use_journal = not (Dudetm_sim.Inject.armed Skip_recovery_journal) in
   let rjournal = Rjournal.attach nvm ~base:(Config.rjournal_base cfg) in
   if use_journal then Rjournal.undo_probe rjournal;
   let poison_cleared = if repair then clear_poison nvm else 0 in
@@ -184,7 +184,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
        [Skip_crc_verify] the directory audit is skipped wholesale, so heap
        bit rot sails through recovery and wrong data is served silently —
        exactly what [dudetm check --media] must catch. *)
-    if cfg.Config.fault <> Config.Skip_crc_verify then
+    if not (Dudetm_sim.Inject.armed Skip_crc_verify) then
       for e = 0 to Crcdir.n_extents crcdir - 1 do
         incr checked;
         match Crcdir.verify_extent crcdir e with

@@ -101,7 +101,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     app : app;
     cfg : config;
     ntenants : int;
-    mutant : bool;  (* Skip_admission_gate: never shed, ack at commit *)
     gate : Admission.t;
     (* queues.(shard).(tenant): accepted requests awaiting dispatch *)
     queues : desc Queue.t array array;
@@ -122,6 +121,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let shed_total t = Array.fold_left ( + ) 0 t.tenant_shed
 
+  (* Skip_admission_gate: never shed, ack at commit. *)
+  let mutant () = Dudetm_sim.Inject.armed Skip_admission_gate
+
   let create ?(scfg = default_config) ~app ~ntenants sh =
     validate_config scfg;
     if ntenants < 1 then raise (Invalid_serve_config "Serve: ntenants < 1");
@@ -137,7 +139,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         app;
         cfg = scfg;
         ntenants;
-        mutant = ecfg.Config.fault = Config.Skip_admission_gate;
         gate = Admission.create ~trip:scfg.trip_depth ~untrip:scfg.untrip_depth;
         queues =
           Array.init nshards (fun _ ->
@@ -235,7 +236,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        reopens from depth alone even if the write mix dries up. *)
     let gate_state = Admission.observe t.gate ~depth:t.depth ~pressure in
     let shed =
-      if t.mutant then false
+      if mutant () then false
       else if t.depth >= t.cfg.queue_capacity then true
       else is_write && gate_state = Admission.Shedding
     in
@@ -290,7 +291,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
             t.app.write tx ~shard ~key ~payload)
       with
       | Some ((), ack) ->
-        if t.mutant then
+        if mutant () then
           (* BUG (Skip_admission_gate): acknowledge at commit, before the
              log record's NVM persist — a crash here loses an acked
              request. *)

@@ -38,7 +38,7 @@ type result = {
 
 (* Enough engine threads for the dispatcher workers; combined persist in
    groups of 4, smallish rings so ring pressure is reachable by a bench-sized burst. *)
-let engine_cfg ?(fault = Config.No_fault) ~workers () =
+let engine_cfg ~workers () =
   {
     Config.default with
     Config.heap_size = 1 lsl 18;
@@ -49,7 +49,6 @@ let engine_cfg ?(fault = Config.No_fault) ~workers () =
     persist = Config.Combined { group = 4; compress = false };
     batch_deadline = 512;
     seed = 7;
-    fault;
   }
 
 (* Key -> heap byte offset on its shard.  Keys are globally unique small
@@ -65,10 +64,10 @@ let app_of_mix mix =
     read = (fun tx ~shard ~key -> Srv.Sh.read tx ~shard (slot_of_key key));
   }
 
-let run ?scfg ?(theta = 0.99) ?(ro_permille = 500) ?(fault = Config.No_fault)
-    ?(seed = 11) ?tenant_reqs ~nshards ~ntenants ~sessions ~reqs ~mode () =
+let run ?scfg ?(theta = 0.99) ?(ro_permille = 500) ?(seed = 11) ~nshards ~ntenants ~sessions
+    ~reqs ~mode () =
   let scfg = match scfg with Some c -> c | None -> Serve.default_config in
-  let cfg = engine_cfg ~fault ~workers:scfg.Serve.workers_per_shard () in
+  let cfg = engine_cfg ~workers:scfg.Serve.workers_per_shard () in
   let keys_per_tenant = 1 lsl 10 in
   if ntenants * keys_per_tenant * 8 + 64 > cfg.Config.heap_size then
     invalid_arg "Serve_load.run: keyspace exceeds the shard heap";
@@ -103,9 +102,6 @@ let run ?scfg ?(theta = 0.99) ?(ro_permille = 500) ?(fault = Config.No_fault)
     if Tenant_mix.is_read mix ~tenant rng then Serve.Read { key }
     else Serve.Write { key; payload = Rng.next_int64 rng }
   in
-  let reqs_of tenant =
-    match tenant_reqs with Some f -> f tenant | None -> reqs
-  in
   let elapsed =
     Sched.run (fun () ->
         Srv.start srv;
@@ -121,7 +117,7 @@ let run ?scfg ?(theta = 0.99) ?(ro_permille = 500) ?(fault = Config.No_fault)
                    let sess = Srv.session srv ~tenant ~sid:s in
                    (match mode with
                    | Closed { think } ->
-                     Srv.run_closed sess rng ~reqs:(reqs_of tenant) ~think
+                     Srv.run_closed sess rng ~reqs ~think
                        ~gen:(gen tenant) ~on_reply
                    | Open { ktps } ->
                      (* Total offered rate [ktps] split evenly over every
@@ -132,7 +128,7 @@ let run ?scfg ?(theta = 0.99) ?(ro_permille = 500) ?(fault = Config.No_fault)
                          (float_of_int total_sessions *. Cycles.per_second
                          /. (ktps *. 1000.0))
                      in
-                     Srv.run_open sess rng ~reqs:(reqs_of tenant)
+                     Srv.run_open sess rng ~reqs
                        ~mean_gap:(max 1 mean_gap) ~gen:(gen tenant) ~on_reply);
                    blocked := !blocked + Srv.session_blocked sess;
                    incr sessions_done))

@@ -33,8 +33,7 @@ type result = {
   r_counters : (string * int) list;
 }
 
-val engine_cfg :
-  ?fault:Dudetm_core.Config.fault -> workers:int -> unit -> Dudetm_core.Config.t
+val engine_cfg : workers:int -> unit -> Dudetm_core.Config.t
 (** The leg engine configuration: the combined persist pipeline (groups of
     4 transactions) with bench-sized rings (so ring pressure is reachable), [max 2 workers]
     Perform threads per shard. *)
@@ -43,9 +42,7 @@ val run :
   ?scfg:Serve.config ->
   ?theta:float ->
   ?ro_permille:int ->
-  ?fault:Dudetm_core.Config.fault ->
   ?seed:int ->
-  ?tenant_reqs:(int -> int) ->
   nshards:int ->
   ntenants:int ->
   sessions:int ->
@@ -54,6 +51,5 @@ val run :
   unit ->
   result
 (** Run one leg to completion (every session issues its request count,
-    then the front end drains and stops).  [tenant_reqs] overrides the
-    per-session request count per tenant (skewed-tenant experiments).
-    Deterministic for a given [seed]. *)
+    then the front end drains and stops).  Deterministic for a given
+    [seed]. *)

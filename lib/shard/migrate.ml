@@ -55,7 +55,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable last_cleanup : Sh.ack option;
   }
 
-  let sealing t = (Sh.config t.sh).Config.fault <> Config.Skip_handoff_seal
+  let sealing () = not (Dudetm_sim.Inject.armed Skip_handoff_seal)
 
   let in_plan t (pl : Handoff.plan) k =
     let b = Partition.bucket_of t.part (Int64.of_int k) in
@@ -229,7 +229,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       if owners.(b) <> src then invalid_arg "Migrate: range not owned by source"
     done;
     let pl = { Handoff.src; dst; blo; bhi; epoch = Handoff.epoch t.hj + 1 } in
-    if sealing t then Handoff.seal_handoff t.hj (Some (pl, Handoff.Copy));
+    if sealing () then Handoff.seal_handoff t.hj (Some (pl, Handoff.Copy));
     t.window <- Some pl;
     t.copy_next <- 0;
     t.last_window_gtid <- 0;
@@ -295,7 +295,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       let part' =
         Partition.with_owner t.part ~blo:pl.blo ~bhi:pl.bhi ~owner:pl.dst
       in
-      if sealing t then begin
+      if sealing () then begin
         Handoff.seal_handoff t.hj (Some (pl, Handoff.Flip));
         Handoff.seal_descriptor t.hj part' ~epoch:pl.epoch;
         Handoff.seal_handoff t.hj (Some (pl, Handoff.Cleanup))
@@ -318,7 +318,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
            leave stale source slots no recovery would ever recycle. *)
         (match t.last_cleanup with Some a -> Sh.wait_durable t.sh a | None -> ());
         t.last_cleanup <- None;
-        if sealing t then Handoff.seal_handoff t.hj None;
+        if sealing () then Handoff.seal_handoff t.hj None;
         t.cleanup <- None;
         Stats.incr (Sh.stats t.sh) "migrations_completed";
         true

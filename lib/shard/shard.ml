@@ -135,7 +135,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      transaction at or below its global ID is durable on all its shards.
      The [Skip_fragment_gate] mutant installs no gate. *)
   let install_gates t =
-    if t.cfg.Config.fault <> Config.Skip_fragment_gate then
+    if not (Dudetm_sim.Inject.armed Skip_fragment_gate) then
       Array.iter
         (fun e ->
           Engine.set_replay_gate e ~on:t.frontier_on

@@ -303,7 +303,7 @@ let stats tm = tm.stats
 
 type ro = tx
 
-let run_ro ?pin ?validate_extension:_ ?on_retry tm f =
+let run_ro ?pin ?on_retry tm f =
   match run ?on_retry tm f with
   | None -> None
   | Some (v, _tid) ->

@@ -26,13 +26,12 @@ module K = Stm_kernel
 type ro = {
   tm : K.t;
   pin : (unit -> int) option;
-  validate_ext : bool;
   mutable epoch : int;
   mutable reads : (int * int) list;  (* (stripe, observed version) *)
   mutable active : bool;
 }
 
-let begin_ro ?pin ?(validate_extension = true) (tm : K.t) =
+let begin_ro ?pin (tm : K.t) =
   Sched.advance tm.costs.Tm_intf.begin_cost;
   let epoch =
     match pin with
@@ -41,7 +40,7 @@ let begin_ro ?pin ?(validate_extension = true) (tm : K.t) =
   in
   Trace.instant ~cat:"snapshot" "begin" epoch;
   Stats.incr tm.stats "snapshot_begins";
-  { tm; pin; validate_ext = validate_extension; epoch; reads = []; active = true }
+  { tm; pin; epoch; reads = []; active = true }
 
 let epoch ro = ro.epoch
 
@@ -57,9 +56,9 @@ let restart ro =
    Fresh-epoch snapshots extend to the current clock; pinned snapshots
    first wait for the watermark to reach [need] (durability always catches
    up — the group-commit deadline bounds the wait), then extend to it.
-   Extension revalidates the read-set; [Skip_snapshot_validate] (modelled
-   by [validate_ext = false]) is the seeded bug that omits exactly this
-   step and lets a reader carry values from two different epochs. *)
+   Extension revalidates the read-set; the seeded [Skip_snapshot_validate]
+   mutant omits exactly this step and lets a reader carry values from two
+   different epochs. *)
 let extend ro ~need =
   Stats.incr ro.tm.stats "snapshot_extends";
   Trace.instant ~cat:"snapshot" "extend" need;
@@ -73,7 +72,8 @@ let extend ro ~need =
     | None -> ro.tm.clock
     | Some w -> min (w ()) ro.tm.clock
   in
-  if ro.validate_ext && not (K.valid ro.tm ~held:[] ro.reads) then restart ro;
+  if not (Dudetm_sim.Inject.armed Skip_snapshot_validate || K.valid ro.tm ~held:[] ro.reads) then
+    restart ro;
   if target > ro.epoch then ro.epoch <- target
 
 let read ro addr =
@@ -122,9 +122,9 @@ let finish ro =
   ro.active <- false;
   ro.epoch
 
-let run ?pin ?validate_extension ?on_retry tm f =
+let run ?pin ?on_retry tm f =
   K.run ?on_retry tm K.Snapshot
-    ~start:(begin_ro ?pin ?validate_extension)
+    ~start:(begin_ro ?pin)
     ~finish:(fun ro ->
       let final = finish ro in
       Stats.incr ro.tm.stats "snapshot_commits";

@@ -24,10 +24,8 @@
 type ro
 (** A running read-only snapshot. *)
 
-val begin_ro : ?pin:(unit -> int) -> ?validate_extension:bool -> Stm_kernel.t -> ro
-(** Open a snapshot.  [pin] selects durable-only mode; [validate_extension]
-    (default [true]) exists only so the seeded [Skip_snapshot_validate]
-    mutant can omit the read-set revalidation on extension. *)
+val begin_ro : ?pin:(unit -> int) -> Stm_kernel.t -> ro
+(** Open a snapshot.  [pin] selects durable-only mode. *)
 
 val read : ro -> int -> int64
 (** Read a word at the snapshot's epoch, extending it (validated) when the
@@ -48,7 +46,6 @@ val finish : ro -> int
 
 val run :
   ?pin:(unit -> int) ->
-  ?validate_extension:bool ->
   ?on_retry:(unit -> unit) ->
   Stm_kernel.t ->
   (ro -> 'a) ->

@@ -94,7 +94,6 @@ module type S = sig
 
   val run_ro :
     ?pin:(unit -> int) ->
-    ?validate_extension:bool ->
     ?on_retry:(unit -> unit) ->
     t ->
     (ro -> 'a) ->
@@ -104,8 +103,7 @@ module type S = sig
       read-set is consistent at, or [None] if [f] called {!ro_abort}.
       [pin] caps the epoch at an externally supplied watermark (the
       durable-only mode: reads observing newer state wait for the
-      watermark to catch up).  [validate_extension = false] is reserved
-      for the seeded [Skip_snapshot_validate] checker mutant. *)
+      watermark to catch up). *)
 
   val ro_read : ro -> int -> int64
 

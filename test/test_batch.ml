@@ -338,7 +338,7 @@ let test_check_batch_clean () =
       (Check.replay_line f)
 
 let test_check_batch_catches_skip_seal () =
-  match Check.run ~budget:Check.Smoke ~mutant:Config.Skip_batch_seal "batch" [ ("txs", "4") ] with
+  match Check.run ~budget:Check.Smoke ~mutant:Dudetm_sim.Inject.Skip_batch_seal "batch" [ ("txs", "4") ] with
   | Check.Pass _ -> Alcotest.fail "Skip_batch_seal mutant survived the batch campaign"
   | Check.Fail f ->
     let line = Check.replay_line f in
@@ -354,7 +354,7 @@ let test_check_batch_catches_skip_seal () =
 
 let test_skip_batch_seal_needs_combine () =
   match
-    Config.validate { Config.default with Config.fault = Config.Skip_batch_seal }
+    Dudetm_sim.Inject.with_ ~mutant:Skip_batch_seal (fun () -> Config.validate Config.default)
   with
   | () -> Alcotest.fail "Skip_batch_seal accepted without the combined persist path"
   | exception Config.Invalid_config _ -> ()

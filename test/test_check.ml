@@ -5,7 +5,7 @@
    coordinates instead of falling back to a sweep. *)
 
 module Check = Dudetm_check.Check
-module Config = Dudetm_core.Config
+module Inject = Dudetm_sim.Inject
 
 let contains s sub =
   let n = String.length sub in
@@ -14,8 +14,8 @@ let contains s sub =
 
 let run ?mutant campaign args = Check.run ~budget:Check.Smoke ?mutant campaign args
 
-let expect_pass campaign args =
-  match run campaign args with
+let expect_pass ?mutant campaign args =
+  match run ?mutant campaign args with
   | Check.Pass r -> r
   | Check.Fail f ->
     Alcotest.failf "%s: checker found a violation: %s\n  replay: %s" campaign f.Check.reason
@@ -35,7 +35,7 @@ let test_clean system () =
 let verified_rows = Hashtbl.create 10
 
 let check_row fault =
-  let _, name, campaign = List.find (fun (f, _, _) -> f = fault) Check.mutants in
+  let _, name, campaign = List.find (fun (f, _, _) -> f = fault) Inject.catalogue in
   let args = if campaign = "explore" then [ ("system", "dude") ] else [] in
   match run ~mutant:fault campaign args with
   | Check.Pass _ -> Alcotest.failf "%s escaped the %s campaign" name campaign
@@ -65,17 +65,17 @@ let check_row fault =
 let mutant_row fault =
   match Hashtbl.find_opt verified_rows fault with Some f -> f | None -> check_row fault
 
-let test_mutant_early_durable () = ignore (mutant_row Config.Early_durable_publish)
+let test_mutant_early_durable () = ignore (mutant_row Inject.Early_durable_publish)
 
-let test_mutant_unfenced_reproduce () = ignore (mutant_row Config.Unfenced_reproduce)
+let test_mutant_unfenced_reproduce () = ignore (mutant_row Inject.Unfenced_reproduce)
 
 (* The whole table: one row per seeded mutant, each caught by the
    campaign the table names. *)
 let test_mutant_table () =
-  Alcotest.(check int) "ten mutants" 10 (List.length Check.mutants);
+  Alcotest.(check int) "ten mutants" 10 (List.length Inject.catalogue);
   Alcotest.(check int) "distinct names" 10
-    (List.length (List.sort_uniq compare (List.map (fun (_, n, _) -> n) Check.mutants)));
-  List.iter (fun (f, _, _) -> ignore (mutant_row f)) Check.mutants
+    (List.length (List.sort_uniq compare (List.map (fun (_, n, _) -> n) Inject.catalogue)));
+  List.iter (fun (f, _, _) -> ignore (mutant_row f)) Inject.catalogue
 
 (* The explorer's replays pass on the real engine at the exact schedules
    and crash points that expose both ordering mutants. *)
@@ -84,7 +84,7 @@ let test_mutant_sites_clean_on_real_engine () =
     (fun fault ->
       let f = mutant_row fault in
       Alcotest.(check string) "explorer failure" "explore" f.Check.campaign)
-    [ Config.Early_durable_publish; Config.Unfenced_reproduce ]
+    [ Inject.Early_durable_publish; Inject.Unfenced_reproduce ]
 
 (* Schedules round-trip through the replay grammar; junk is rejected. *)
 let test_sched_spec_roundtrip () =
@@ -93,7 +93,7 @@ let test_sched_spec_roundtrip () =
       let f =
         {
           Check.campaign = "explore";
-          mutant = Config.No_fault;
+          mutant = Inject.No_fault;
           params = [ ("system", "dude"); ("workload", "counter"); ("sched", sched) ];
           cuts = [ 3 ];
           reason = "";
@@ -168,7 +168,7 @@ let rejected ?mutant what campaign args =
 
 (* A partial replay coordinate never falls back to a sweep. *)
 let test_replay_needs_scenario () =
-  rejected ~mutant:Config.Skip_quorum_gate "replica kill without --scenario" "replica"
+  rejected ~mutant:Inject.Skip_quorum_gate "replica kill without --scenario" "replica"
     [ ("crash-at", "4") ]
 
 let test_crash2_needs_crash_at () =
@@ -188,7 +188,7 @@ let test_media_clean_engine () =
   Alcotest.(check bool) "campaign ran and injected faults" true
     (r.Check.runs > 0 && List.assoc "faults injected" r.Check.tallies > 0)
 
-let test_media_mutant_skip_crc () = ignore (mutant_row Config.Skip_crc_verify)
+let test_media_mutant_skip_crc () = ignore (mutant_row Inject.Skip_crc_verify)
 
 (* -------------------------------------------------------------------- *)
 (* Sharded cross-commit campaign                                          *)
@@ -204,8 +204,63 @@ let test_shards_clean_engine () =
 (* With the fragment gate skipped, some power cut must expose a partial
    transfer. *)
 let test_shards_mutant_skip_fragment_gate () =
-  let f = mutant_row Config.Skip_fragment_gate in
+  let f = mutant_row Inject.Skip_fragment_gate in
   Alcotest.(check bool) "fails at a crash boundary, not the clean run" true (f.Check.cuts <> [])
+
+(* -------------------------------------------------------------------- *)
+(* Fault-injection scope                                                  *)
+(* -------------------------------------------------------------------- *)
+
+let disarmed what =
+  Alcotest.(check bool) (what ^ ": no mutant armed") true
+    (List.for_all (fun (m, _, _) -> not (Inject.armed m)) Inject.catalogue
+    && Inject.armed Inject.No_fault);
+  Alcotest.(check (float 0.)) (what ^ ": fault rate 0") 0. (Inject.daemon_fault_rate ())
+
+(* [with_] restores the previous settings on return and on an exception,
+   and a failing campaign leaves nothing armed behind it. *)
+let test_inject_scoped () =
+  disarmed "initially";
+  let inner =
+    Inject.with_ ~mutant:Inject.Skip_batch_seal ~daemon_fault_rate:0.5 (fun () ->
+        Inject.with_ ~mutant:Inject.Skip_quorum_gate (fun () ->
+            (Inject.armed Inject.Skip_quorum_gate, Inject.daemon_fault_rate ())))
+  in
+  Alcotest.(check (pair bool (float 0.))) "nested: mutant replaced, rate kept" (true, 0.5) inner;
+  disarmed "after with_ returns";
+  (match
+     Inject.with_ ~mutant:Inject.Skip_crc_verify ~daemon_fault_rate:0.25 (fun () ->
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "with_ swallowed the exception"
+  | exception Failure _ -> ());
+  disarmed "after with_ raises";
+  List.iter
+    (fun r ->
+      match Inject.with_ ~daemon_fault_rate:r (fun () -> Alcotest.fail "body ran") with
+      | () -> ()
+      | exception Invalid_argument _ -> ())
+    [ -0.1; 1.5; Float.nan ];
+  disarmed "after a rejected rate";
+  (match
+     run ~mutant:Inject.Early_durable_publish "explore"
+       [
+         ("system", "dude");
+         ("workload", "counter");
+         ("threads", "3");
+         ("txs", "1");
+         ("sched", "default");
+         ("evict", "0");
+         ("evict-seed", "1");
+       ]
+   with
+  | Check.Fail _ -> ()
+  | Check.Pass _ -> Alcotest.fail "early-durable escaped its replay");
+  disarmed "after a failing campaign"
+
+(* Explore seeds its mutant into the software-TM DudeTM variants only. *)
+let test_unseeded_system_disarmed () =
+  ignore (expect_pass ~mutant:Inject.Early_durable_publish "explore" [ ("system", "dude-htm") ])
 
 let suite =
   [
@@ -236,4 +291,6 @@ let suite =
     Alcotest.test_case "shard campaign: clean engine all-or-nothing" `Slow test_shards_clean_engine;
     Alcotest.test_case "shard campaign: skip-fragment-gate mutant caught" `Slow
       test_shards_mutant_skip_fragment_gate;
+    Alcotest.test_case "inject: nothing stays armed" `Quick test_inject_scoped;
+    Alcotest.test_case "explore: dude-htm stays unmutated" `Quick test_unseeded_system_disarmed;
   ]

@@ -216,8 +216,8 @@ let test_config_validation () =
   reject "unaligned heap" { base_cfg with Config.heap_size = 12345 };
   reject "sync with combine"
     { base_cfg with Config.mode = Config.Sync; persist = combined ~compress:false };
-  reject "Skip_batch_seal with per-thread persist"
-    { base_cfg with Config.fault = Config.Skip_batch_seal };
+  Dudetm_sim.Inject.with_ ~mutant:Skip_batch_seal (fun () ->
+      reject "Skip_batch_seal with per-thread persist" base_cfg);
   reject "group below one"
     { base_cfg with Config.persist = Config.Combined { group = 0; compress = false } };
   reject "entry cap below floor" { base_cfg with Config.persist = bounds 8 4 };

@@ -55,7 +55,7 @@ let test_evict_failure_carries_survivors () =
      fraction: at 1.0 every dirty line is written back at the cut, which
      masks a missing persist fence; 0.5 loses some lines. *)
   match
-    Check.run ~budget:Check.Smoke ~mutant:Config.Early_durable_publish "explore"
+    Check.run ~budget:Check.Smoke ~mutant:Dudetm_sim.Inject.Early_durable_publish "explore"
       [ ("system", "dude"); ("evict", "0.5"); ("evict-seed", "3") ]
   with
   | Check.Pass _ -> Alcotest.fail "early-durable mutant escaped the eviction sweep"

@@ -71,12 +71,12 @@ let test_rjournal_roundtrip () =
   Alcotest.(check bool) "fresh journal idle" true (Rjournal.read j = Rjournal.Idle);
   let v =
     {
-      Rjournal.v_durable = 5;
-      v_replayed_txs = 2;
-      v_discarded_txs = 1;
-      v_discarded_records = 1;
-      v_corrupted_records = 0;
-      v_quarantined_lines = 0;
+      Rjournal.durable = 5;
+      replayed_txs = 2;
+      discarded_txs = 1;
+      discarded_records = 1;
+      corrupted_records = 0;
+      quarantined_lines = 0;
     }
   in
   Rjournal.write j (Rjournal.Replay v);
@@ -94,12 +94,12 @@ let test_rjournal_torn_slot () =
   let j = Rjournal.format nvm ~base in
   let v =
     {
-      Rjournal.v_durable = 9;
-      v_replayed_txs = 3;
-      v_discarded_txs = 0;
-      v_discarded_records = 0;
-      v_corrupted_records = 0;
-      v_quarantined_lines = 0;
+      Rjournal.durable = 9;
+      replayed_txs = 3;
+      discarded_txs = 0;
+      discarded_records = 0;
+      corrupted_records = 0;
+      quarantined_lines = 0;
     }
   in
   Rjournal.write j (Rjournal.Replay v);
@@ -130,8 +130,13 @@ let test_invalid_config () =
     | exception Config.Invalid_config m ->
       Alcotest.(check bool) (msg ^ ": message labelled") true (contains m "Config:")
   in
-  reject "negative daemon fault rate" { small_cfg with Config.daemon_fault_rate = -0.1 };
-  reject "fault rate above one" { small_cfg with Config.daemon_fault_rate = 1.5 };
+  (* The injected daemon fault rate is checked where it is armed. *)
+  List.iter
+    (fun r ->
+      match Dudetm_sim.Inject.with_ ~daemon_fault_rate:r ignore with
+      | () -> Alcotest.failf "daemon fault rate %g accepted" r
+      | exception Invalid_argument _ -> ())
+    [ -0.1; 1.5 ];
   reject "hwm fraction above one" { small_cfg with Config.bp_hwm_fraction = 1.5 };
   reject "negative throttle budget" { small_cfg with Config.bp_wait_budget = -1 };
   reject "negative pmalloc budget" { small_cfg with Config.pmalloc_wait_budget = -1 };
@@ -198,7 +203,7 @@ let test_recovery_campaign_smoke () =
     Alcotest.failf "nested-crash campaign failed: %s\n  %s" f.Check.reason (Check.replay_line f)
 
 let test_recovery_campaign_catches_mutant () =
-  match Check.run ~budget:Check.Smoke ~mutant:Config.Skip_recovery_journal "recovery" [] with
+  match Check.run ~budget:Check.Smoke ~mutant:Dudetm_sim.Inject.Skip_recovery_journal "recovery" [] with
   | Check.Pass _ -> Alcotest.fail "skip-recovery-journal mutant escaped the nested-crash campaign"
   | Check.Fail f ->
     Alcotest.(check bool) "replay line names the mutant" true
@@ -218,8 +223,8 @@ let test_daemon_fault_sweep () =
     Alcotest.failf "daemon fault sweep failed: %s\n  %s" f.Check.reason (Check.replay_line f)
 
 let test_daemon_restarts_counted () =
-  let cfg = { small_cfg with Config.daemon_fault_rate = 0.3 } in
-  let t = D.create cfg in
+  Dudetm_sim.Inject.with_ ~daemon_fault_rate:0.3 @@ fun () ->
+  let t = D.create small_cfg in
   ignore
     (Sched.run (fun () ->
          D.start t;

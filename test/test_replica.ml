@@ -23,7 +23,7 @@ module E = Rep.Engine
 let check = Alcotest.check
 
 (* Small cluster layout, same shape as the checker's engine configs. *)
-let cfg ?(nthreads = 2) ?(ack_timeout = 2_000_000) ?(fault = Config.No_fault) () =
+let cfg ?(nthreads = 2) ?(ack_timeout = 2_000_000) () =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
@@ -35,7 +35,6 @@ let cfg ?(nthreads = 2) ?(ack_timeout = 2_000_000) ?(fault = Config.No_fault) ()
     reproduce_batch = 4;
     checkpoint_records = 2;
     seed = 7;
-    fault;
     ack_timeout;
   }
 
@@ -575,7 +574,7 @@ let test_campaign_clean () =
 
 let test_campaign_catches_skip_quorum_gate () =
   match
-    Check.run ~budget:Check.Smoke ~mutant:Config.Skip_quorum_gate "replica" [ ("txs", "6") ]
+    Check.run ~budget:Check.Smoke ~mutant:Dudetm_sim.Inject.Skip_quorum_gate "replica" [ ("txs", "6") ]
   with
   | Check.Pass _ -> Alcotest.fail "campaign missed the Skip_quorum_gate mutant"
   | Check.Fail f ->

@@ -172,12 +172,12 @@ let test_record_lengths () =
   journal
     (Rjournal.Replay
        {
-         Rjournal.v_durable = 1;
-         v_replayed_txs = 1;
-         v_discarded_txs = 0;
-         v_discarded_records = 0;
-         v_corrupted_records = 0;
-         v_quarantined_lines = 0;
+         Rjournal.durable = 1;
+         replayed_txs = 1;
+         discarded_txs = 0;
+         discarded_records = 0;
+         corrupted_records = 0;
+         quarantined_lines = 0;
        })
     6;
   let nvm = filled () in

@@ -252,10 +252,10 @@ let test_mutant_never_sheds () =
     }
   in
   let r =
-    SL.run ~scfg ~fault:Config.Skip_admission_gate ~seed:11 ~nshards:1
-      ~ntenants:2 ~sessions:2 ~reqs:40
-      ~mode:(SL.Open { ktps = 50000.0 })
-      ()
+    Dudetm_sim.Inject.with_ ~mutant:Skip_admission_gate (fun () ->
+        SL.run ~scfg ~seed:11 ~nshards:1 ~ntenants:2 ~sessions:2 ~reqs:40
+          ~mode:(SL.Open { ktps = 50000.0 })
+          ())
   in
   check Alcotest.int "mutant sheds nothing" 0 r.SL.r_shed;
   check Alcotest.bool

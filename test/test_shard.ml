@@ -12,7 +12,7 @@ let check = Alcotest.check
 
 exception Crashed
 
-let small_cfg ?(nthreads = 3) ?(fault = Config.No_fault) () =
+let small_cfg ?(nthreads = 3) () =
   {
     Config.default with
     Config.heap_size = 1 lsl 16;
@@ -22,7 +22,6 @@ let small_cfg ?(nthreads = 3) ?(fault = Config.No_fault) () =
     meta_size = 8192;
     checkpoint_records = 2;
     seed = 7;
-    fault;
   }
 
 (* Word layout inside every shard's root block:
@@ -168,8 +167,8 @@ let test_undeclared_shard_rejected () =
 (* Run a mixed workload and cut power at persist boundary [crash_at]
    (counted across all shard devices); [None] runs to a clean stop.
    Returns the instance, the boundary count and whether it crashed. *)
-let run_until_crash ?(fault = Config.No_fault) ~nshards ~txs ~crash_at () =
-  let cfg = small_cfg ~fault () in
+let run_until_crash ~nshards ~txs ~crash_at () =
+  let cfg = small_cfg () in
   let sh = Sh.create ~nshards cfg in
   let sites = ref 0 in
   let hook () =

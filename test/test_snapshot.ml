@@ -476,6 +476,8 @@ let tear_b = 320
    each epoch; with it, the extension restarts the snapshot and the second
    attempt is consistent. *)
 let run_tear ~validate =
+  Dudetm_sim.Inject.with_ ~mutant:(if validate then No_fault else Skip_snapshot_validate)
+  @@ fun () ->
   let store = Tm_intf.mem_store (Bytes.make 1024 '\000') in
   let result = ref None in
   ignore
@@ -494,7 +496,7 @@ let run_tear ~validate =
                 | None -> Alcotest.fail "tear writer aborted"));
          let first = ref true in
          result :=
-           Tinystm.run_ro ~validate_extension:validate tm (fun ro ->
+           Tinystm.run_ro tm (fun ro ->
                let va = Tinystm.ro_read ro tear_a in
                if !first then begin
                  first := false;
