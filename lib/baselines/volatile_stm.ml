@@ -8,9 +8,10 @@ module Trace = Dudetm_trace.Trace
 exception Volatile_oom
 
 module Engine (Tm : Tm_intf.S) = struct
-  let make ~name ~heap_size ~root_size ~nthreads ~tm_create =
+  let make ~name ~heap_size ~nthreads ~tm_create =
     let mem = Mem.create heap_size in
     let tm = tm_create { Tm_intf.load = Mem.get_u64 mem; store = Mem.set_u64 mem } in
+    let root_size = Dudetm_core.Config.root_size in
     let allocator = Alloc.create ~base:root_size ~size:(heap_size - root_size) in
     let atomically : 'a. thread:int -> ?wset:int list -> (Ptm_intf.tx -> 'a) -> ('a * int) option =
       fun ~thread:_ ?wset:_ f ->
@@ -81,13 +82,11 @@ end
 module Stm_engine = Engine (Dudetm_tm.Tinystm)
 module Htm_engine = Engine (Dudetm_tm.Htm)
 
-let ptm ?(name = "Volatile-STM") ?(heap_size = 16 * 1024 * 1024) ?(root_size = 4096)
-    ?(nthreads = 4) ?(tm_costs = Tm_intf.default_costs) ?(seed = 42) () =
-  Stm_engine.make ~name ~heap_size ~root_size ~nthreads
-    ~tm_create:(Dudetm_tm.Tinystm.create ~costs:tm_costs ~seed)
+let ptm ?(name = "Volatile-STM") ?(heap_size = 16 * 1024 * 1024) ?(nthreads = 4) ?(seed = 42) ()
+    =
+  Stm_engine.make ~name ~heap_size ~nthreads ~tm_create:(Dudetm_tm.Tinystm.create ~seed)
 
-let ptm_htm ?(name = "Volatile-HTM") ?(heap_size = 16 * 1024 * 1024) ?(root_size = 4096)
-    ?(nthreads = 4) ?(tm_costs = Tm_intf.default_costs) ?(seed = 42) ?(tid_conflicts = false)
-    () =
-  Htm_engine.make ~name ~heap_size ~root_size ~nthreads
-    ~tm_create:(Dudetm_tm.Htm.create_htm ~costs:tm_costs ~seed ~tid_conflicts)
+let ptm_htm ?(name = "Volatile-HTM") ?(heap_size = 16 * 1024 * 1024) ?(nthreads = 4) ?(seed = 42)
+    ?(tid_conflicts = false) () =
+  Htm_engine.make ~name ~heap_size ~nthreads
+    ~tm_create:(Dudetm_tm.Htm.create_htm ~seed ~tid_conflicts)

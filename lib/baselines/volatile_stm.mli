@@ -6,9 +6,7 @@
 val ptm :
   ?name:string ->
   ?heap_size:int ->
-  ?root_size:int ->
   ?nthreads:int ->
-  ?tm_costs:Dudetm_tm.Tm_intf.costs ->
   ?seed:int ->
   unit ->
   Ptm_intf.t
@@ -18,9 +16,7 @@ val ptm :
 val ptm_htm :
   ?name:string ->
   ?heap_size:int ->
-  ?root_size:int ->
   ?nthreads:int ->
-  ?tm_costs:Dudetm_tm.Tm_intf.costs ->
   ?seed:int ->
   ?tid_conflicts:bool ->
   unit ->

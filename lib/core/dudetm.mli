@@ -45,9 +45,9 @@ exception Read_only_violation
     [Dudetm_tm.Tm_intf.Read_only_violation].) *)
 
 exception Daemon_fault of string
-(** Injected transient Persist/Reproduce worker failure (seeded via
-    {!Config.daemon_fault_rate}; never raised in production
-    configurations).  Handled by the daemon supervisor, which restarts the
+(** Injected transient Persist/Reproduce worker failure (at
+    {!Dudetm_sim.Inject.daemon_fault_rate}, armed only by the checker and
+    the tests; never raised in production).  Handled by the daemon supervisor, which restarts the
     worker from its persistent position with capped exponential backoff —
     it escapes only if a fault fires outside any supervised daemon. *)
 

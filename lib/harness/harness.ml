@@ -21,7 +21,7 @@ let pmem ?(latency = 1000) ?(bandwidth = 1.0) () =
   { Pmem_config.default with Pmem_config.persist_latency = latency; bandwidth_gbps = bandwidth }
 
 let dude_config ?(mode = Config.Async) ?(nthreads = 4) ?(latency = 1000) ?(bandwidth = 1.0)
-    ?shadow_frames ?(shadow_mode = Dudetm_shadow.Shadow.Software) ?(heap = heap_size) () =
+    ?shadow_frames ?(heap = heap_size) () =
   {
     Config.default with
     Config.heap_size = heap;
@@ -29,7 +29,6 @@ let dude_config ?(mode = Config.Async) ?(nthreads = 4) ?(latency = 1000) ?(bandw
     mode;
     pmem = pmem ~latency ~bandwidth ();
     shadow_frames;
-    shadow_mode;
   }
 
 type system = Dude | Dude_inf | Dude_sync | Dude_sync_pcm | Volatile | Mnemosyne | Nvml

@@ -26,7 +26,6 @@ val dude_config :
   ?latency:int ->
   ?bandwidth:float ->
   ?shadow_frames:int ->
-  ?shadow_mode:Dudetm_shadow.Shadow.mode ->
   ?heap:int ->
   unit ->
   Dudetm_core.Config.t

@@ -246,7 +246,7 @@ let append ?(persist = true) t payload =
   (* The CRC seals the record: one persist ordering makes the whole group
      of transactions durable, torn writes fail validation on recovery.
      [persist:false] skips that fence and exists only for the seeded
-     checker-validation mutant (Config.Early_durable_publish). *)
+     checker-validation mutant (Inject.Early_durable_publish). *)
   if persist then persist_wrapped t t.tail total;
   let r = { seq = t.seq; payload; end_off = t.tail + total } in
   t.tail <- t.tail + total;

@@ -78,9 +78,9 @@ val append : ?persist:bool -> t -> bytes -> record
     must check {!free_space} ([record_overhead + length]) first; appending
     without space raises [Invalid_argument].  [persist] (default true)
     exists only for the seeded checker-validation mutant
-    ({!Dudetm_core.Config.fault}): [false] leaves the record volatile, so a
-    durable ID covering it is published before the record's persist
-    fence. *)
+    ({!Dudetm_sim.Inject.Early_durable_publish}): [false] leaves the
+    record volatile, so a durable ID covering it is published before the
+    record's persist fence. *)
 
 val recycle_to : t -> end_off:int -> next_seq:int -> unit
 (** Advance the persistent head past all records before [end_off]: they

@@ -46,14 +46,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       max_retained = 4096;
     }
 
-  (* A sealed batch retained (in DRAM) for retransmission. *)
-  type shipped = {
-    sp_seq : int;
-    sp_lo : int;
-    sp_hi : int;
-    sp_payload : bytes;
-  }
-
   (* One follower plus the primary's view of it. *)
   type rep = {
     idx : int;
@@ -62,8 +54,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     up : Link.t;  (* replica -> primary: cumulative Ack frames *)
     known_acked : int ref;  (* replica side: replay-gate watermark *)
     wake_acked : Sched.cond;  (* replica side: [known_acked] rose *)
-    pendingq : (int, shipped) Hashtbl.t;  (* replica side: out-of-order, by lo *)
-    mutable deferred : shipped option;  (* next in line, awaiting ring space *)
+    pendingq : (int, Dudetm.shipment) Hashtbl.t;  (* replica side: out-of-order, by lo *)
+    mutable deferred : Dudetm.shipment option;  (* next in line, awaiting ring space *)
     mutable ingested_seq : int;  (* replica side: last ring seq ingested *)
     mutable last_acked : int;  (* replica side: durable ID last ack'd *)
     mutable reack : bool;  (* replica side: saw a dup; re-send the ack *)
@@ -79,7 +71,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     rcfg : config;
     prim : Engine.t;
     reps : rep array;
-    shipments : shipped Queue.t;  (* retained until acked by every replica *)
+    shipments : Dudetm.shipment Queue.t;  (* retained in DRAM until acked by every replica *)
     mutable acked_watermark : int;  (* quorum watermark, monotone *)
     mutable last_broadcast : int;
     mutable last_broadcast_at : int;
@@ -192,7 +184,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     in
     let rec prune () =
       match Queue.peek_opt t.shipments with
-      | Some s when s.sp_hi <= min_hi ->
+      | Some s when s.Dudetm.ship_hi <= min_hi ->
         ignore (Queue.pop t.shipments);
         prune ()
       | _ -> ()
@@ -220,11 +212,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       (Wire.encode
          (Wire.Batch
             {
-              seq = s.sp_seq;
-              lo = s.sp_lo;
-              hi = s.sp_hi;
+              seq = s.Dudetm.ship_seq;
+              lo = s.Dudetm.ship_lo;
+              hi = s.Dudetm.ship_hi;
               acked = t.acked_watermark;
-              payload = s.sp_payload;
+              payload = s.Dudetm.ship_payload;
             }))
 
   (* Bounded retention: the retransmit queue may not outgrow
@@ -242,7 +234,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         Stats.incr t.stats "retention_drops";
         Array.iter
           (fun r ->
-            if (not r.cut_off) && r.acked_hi < s.sp_hi then begin
+            if (not r.cut_off) && r.acked_hi < s.Dudetm.ship_hi then begin
               r.cut_off <- true;
               Stats.incr t.stats "replicas_cut_off";
               Trace.instant ~cat:"replica" "cut_off" r.idx;
@@ -251,22 +243,14 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
                   (Printf.sprintf
                      "Replica_lag: replica %d cut off at acked=%d — batch [%d,%d] \
                       dropped by the %d-batch retransmit retention; resync required"
-                     r.idx r.acked_hi s.sp_lo s.sp_hi cap)
+                     r.idx r.acked_hi s.Dudetm.ship_lo s.Dudetm.ship_hi cap)
             end)
           t.reps
       done
 
-  let on_ship t (sh : Dudetm.shipment) =
+  let on_ship t s =
     Trace.span ~cat:"replica" "ship" @@ fun () ->
     recompute t;
-    let s =
-      {
-        sp_seq = sh.Dudetm.ship_seq;
-        sp_lo = sh.Dudetm.ship_lo;
-        sp_hi = sh.Dudetm.ship_hi;
-        sp_payload = sh.Dudetm.ship_payload;
-      }
-    in
     Queue.push s t.shipments;
     enforce_retention t;
     Stats.incr t.stats "batches_shipped";
@@ -290,7 +274,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           match Queue.peek_opt t.shipments with
           | None -> false
           | Some _ ->
-            Queue.fold (fun acc s -> acc || s.sp_hi > r.acked_hi) false t.shipments
+            Queue.fold (fun acc s -> acc || s.Dudetm.ship_hi > r.acked_hi) false t.shipments
         in
         if not behind then begin
           r.retries <- 0;
@@ -304,7 +288,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           (try
              Queue.iter
                (fun s ->
-                 if s.sp_hi > r.acked_hi then begin
+                 if s.Dudetm.ship_hi > r.acked_hi then begin
                    if !sent >= t.rcfg.window then raise Exit;
                    send_batch t r s;
                    incr sent
@@ -378,17 +362,17 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let rec pump t r =
     let d = Engine.durable_id r.eng in
     match r.deferred with
-    | Some s when s.sp_hi <= d ->
+    | Some s when s.Dudetm.ship_hi <= d ->
       (* A duplicate slipped in line; drop it. *)
       r.deferred <- None;
       pump t r
     | Some s ->
       if
         Trace.span ~cat:"replica" "apply" (fun () ->
-            Engine.ingest_record r.eng s.sp_payload)
+            Engine.ingest_record r.eng s.Dudetm.ship_payload)
       then begin
         r.deferred <- None;
-        if s.sp_seq > r.ingested_seq then r.ingested_seq <- s.sp_seq;
+        if s.Dudetm.ship_seq > r.ingested_seq then r.ingested_seq <- s.Dudetm.ship_seq;
         Stats.incr t.stats "batches_applied";
         pump t r
       end
@@ -423,7 +407,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         r.reack <- true
       end
       else begin
-        let s = { sp_seq = seq; sp_lo = lo; sp_hi = hi; sp_payload = payload } in
+        let s = { Dudetm.ship_seq = seq; ship_lo = lo; ship_hi = hi; ship_payload = payload } in
         if lo > d + 1 then begin
           Stats.incr t.stats "ooo_frames";
           Hashtbl.replace r.pendingq lo s

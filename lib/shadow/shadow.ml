@@ -170,18 +170,4 @@ let clear t =
   Array.fill t.touching_id 0 t.npages 0;
   Mem.fill t.dram 0 (Mem.size t.dram) '\000'
 
-let preload_all t =
-  if t.cfg.frames < t.npages then invalid_arg "Shadow.preload_all: shadow smaller than NVM";
-  for page = 0 to t.npages - 1 do
-    match Page_table.frame_of t.pt page with
-    | Some _ -> ()
-    | None -> (
-      match Page_table.free_frame t.pt with
-      | Some frame ->
-        Mem.set_bytes t.dram (frame * t.page_size)
-          (Nvm.load_bytes t.nvm (page * t.page_size) t.page_size);
-        Page_table.map t.pt ~page ~frame
-      | None -> assert false)
-  done
-
 let stats t = t.stats

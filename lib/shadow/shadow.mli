@@ -77,10 +77,5 @@ val clear : t -> unit
 
 (** {1 Maintenance and statistics} *)
 
-val preload_all : t -> unit
-(** Fault every page in without charging simulated time — only valid when
-    [frames >= pages]; used to model the shadow = NVM size configuration
-    where steady state has no paging. *)
-
 val stats : t -> Dudetm_sim.Stats.t
 (** Counters: ["faults"], ["evictions"], ["shootdowns"], ["swapin_waits"]. *)

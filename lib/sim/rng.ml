@@ -19,10 +19,6 @@ let int t bound =
   (* [to_int] keeps the low 63 bits; mask the sign bit off explicitly. *)
   Int64.to_int (next_int64 t) land max_int mod bound
 
-let int_in t lo hi =
-  if lo > hi then invalid_arg "Rng.int_in: lo > hi";
-  lo + int t (hi - lo + 1)
-
 let float t =
   let bits53 = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bits53 *. (1.0 /. 9007199254740992.0)

@@ -72,7 +72,6 @@ type sched = {
   mutable nparked : int;
   mutable parks : int;  (* parks so far: the next park's stamp *)
   strategy : strategy;
-  trace : bool;
 }
 
 (* The placeholder for "no thread": [now]/[self] read its clock and id (both
@@ -386,8 +385,6 @@ let pick s =
 
 let resume s t =
   if t.clock > s.watermark then s.watermark <- t.clock;
-  if s.trace then
-    Printf.eprintf "[sched %10d] resume %d:%s\n%!" t.clock t.id t.name;
   let st = t.state in
   t.state <- Running;
   s.running <- t;
@@ -433,7 +430,7 @@ let random_priority ~seed =
       let rng = Rng.create ((seed * 0x3C6EF372) lxor (step * 0x9E3779B9) lxor seed) in
       Rng.int rng candidates)
 
-let run ?(trace = false) ?(strategy = Min_clock) main =
+let run ?(strategy = Min_clock) main =
   if !current <> None then invalid_arg "Sched.run: nested simulations are not supported";
   let t0 =
     { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main; slot = -1;
@@ -460,7 +457,6 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
       nparked = 0;
       parks = 0;
       strategy;
-      trace;
     }
   in
   heap_push s t0;

@@ -75,7 +75,7 @@ val random_priority : seed:int -> strategy
     [(seed, step)]), so the same seed always yields the same schedule and
     the strategy value can be reused across runs. *)
 
-val run : ?trace:bool -> ?strategy:strategy -> (unit -> unit) -> int
+val run : ?strategy:strategy -> (unit -> unit) -> int
 (** [run main] executes [main] as the first logical thread, scheduling it and
     everything it {!spawn}s until all non-daemon threads finish; remaining
     daemon threads are then cancelled.  Returns the final simulated time in

@@ -26,7 +26,6 @@ and t = {
   store : Tm_intf.store;
   costs : Tm_intf.costs;
   capacity_lines : int;
-  read_capacity_lines : int;
   max_retries : int;
   tid_conflicts : bool;
   mutable clock : int;
@@ -37,13 +36,15 @@ and t = {
   rng : Rng.t;
 }
 
+(* L2-assisted read tracking: read-set lines before a capacity abort. *)
+let read_capacity_lines = 8192
+
 let create_htm ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(capacity_lines = 448)
-    ?(read_capacity_lines = 8192) ?(max_retries = 5) ?(tid_conflicts = false) store =
+    ?(max_retries = 5) ?(tid_conflicts = false) store =
   {
     store;
     costs;
     capacity_lines;
-    read_capacity_lines;
     max_retries;
     tid_conflicts;
     clock = 0;
@@ -120,7 +121,7 @@ let read tx addr =
     let line = line_of_addr addr in
     if not (Hashtbl.mem tx.reads line) then begin
       Hashtbl.add tx.reads line ();
-      if Hashtbl.length tx.reads > tx.tm.read_capacity_lines then
+      if Hashtbl.length tx.reads > read_capacity_lines then
         hw_abort tx "capacity_aborts"
     end;
     match Hashtbl.find_opt tx.wbuf addr with

@@ -20,14 +20,14 @@ val create_htm :
   ?costs:Tm_intf.costs ->
   ?seed:int ->
   ?capacity_lines:int ->
-  ?read_capacity_lines:int ->
   ?max_retries:int ->
   ?tid_conflicts:bool ->
   Tm_intf.store ->
   t
 (** Full-control constructor.  Defaults: 448 write lines (≈ Haswell L1
-    write-set capacity), 8192 read lines (L2-assisted read tracking), 5
-    retries before the lock fallback, [tid_conflicts = false]. *)
+    write-set capacity), 5 retries before the lock fallback,
+    [tid_conflicts = false].  The read set holds 8192 lines (L2-assisted
+    read tracking). *)
 
 exception Capacity
 (** Internal: the transaction outgrew the hardware buffers.  Absorbed by

@@ -483,9 +483,9 @@ let json_escape s =
   Buffer.contents b
 
 (* 3.4 GHz simulated core: cycles per microsecond. *)
-let default_cycles_per_us = 3400.
+let cycles_per_us = 3400.
 
-let to_chrome_json ?(cycles_per_us = default_cycles_per_us) () =
+let to_chrome_json () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
   let first = ref true in

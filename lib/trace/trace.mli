@@ -201,11 +201,11 @@ val open_span_count : unit -> int
 
 (** {1 Export} *)
 
-val to_chrome_json : ?cycles_per_us:float -> unit -> string
+val to_chrome_json : unit -> string
 (** The retained event window as Chrome [trace_event] JSON (the
     ["traceEvents"] array format understood by [chrome://tracing] and
-    Perfetto).  Timestamps are converted to microseconds at
-    [cycles_per_us] (default 3400, the simulated 3.4 GHz core). *)
+    Perfetto).  Timestamps are converted to microseconds at 3400 cycles
+    per microsecond, the simulated 3.4 GHz core. *)
 
 val summary_json : ?total_cycles:int -> unit -> string
 (** Machine-readable profile summary: per-phase count/total/max/p50/p99,

@@ -63,8 +63,8 @@ let stock_update ~qty s_qty =
 
 (* ------------------------------- setup ------------------------------- *)
 
-let setup ptm ~storage ?(districts = 10) ?(items = 1000) ?(customers = 300)
-    ?(expected_orders = 65536) () =
+let setup ptm ~storage ?(items = 1000) ?(customers = 300) ?(expected_orders = 65536) () =
+  let districts = 10 in
   let static = ptm.Ptm.requires_static in
   if static && storage = Kv.Tree then
     invalid_arg "Tpcc: tree storage is not available on static-transaction systems";

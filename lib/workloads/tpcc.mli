@@ -17,7 +17,6 @@ type t
 val setup :
   Dudetm_baselines.Ptm_intf.t ->
   storage:Kv.kind ->
-  ?districts:int ->
   ?items:int ->
   ?customers:int ->
   ?expected_orders:int ->

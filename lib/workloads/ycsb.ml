@@ -6,28 +6,27 @@ type t = {
   tree : Bptree_app.t;
   zipf : Zipf.t;
   read_fraction : float;
-  key_stride : int;
 }
 
-let key_of t rank = Int64.of_int (1 + (rank * t.key_stride))
+let key_of rank = Int64.of_int (1 + rank)
 
-let setup ptm ~records ~theta ?(read_fraction = 0.5) ?(key_stride = 1) () =
+let setup ptm ~records ~theta ?(read_fraction = 0.5) () =
   if records < 1 then invalid_arg "Ycsb.setup";
   let tree = Bptree_app.create ptm in
-  let t = { ptm; tree; zipf = Zipf.create ~n:records ~theta; read_fraction; key_stride } in
+  let t = { ptm; tree; zipf = Zipf.create ~n:records ~theta; read_fraction } in
   (* Load in shuffled order so the tree is not pathologically built by
      ascending insertion. *)
   let order = Array.init records (fun i -> i) in
   let rng = Rng.create 7 in
   Rng.shuffle rng order;
   Array.iter
-    (fun rank -> Bptree_app.insert tree ~thread:0 ~key:(key_of t rank) ~value:(Int64.of_int rank))
+    (fun rank -> Bptree_app.insert tree ~thread:0 ~key:(key_of rank) ~value:(Int64.of_int rank))
     order;
   t
 
 let transaction t ~thread ~rng =
   let rank = Zipf.sample t.zipf rng in
-  let key = key_of t rank in
+  let key = key_of rank in
   if Rng.float rng < t.read_fraction then ignore (Bptree_app.lookup t.tree ~thread ~key)
   else
     ignore (Bptree_app.update t.tree ~thread ~key ~value:(Int64.logand (Rng.next_int64 rng) 0xFFFFFFFL))
@@ -35,7 +34,7 @@ let transaction t ~thread ~rng =
 let update_only t ~thread ~rng =
   let rank = Zipf.sample t.zipf rng in
   ignore
-    (Bptree_app.update t.tree ~thread ~key:(key_of t rank)
+    (Bptree_app.update t.tree ~thread ~key:(key_of rank)
        ~value:(Int64.logand (Rng.next_int64 rng) 0xFFFFFFFL))
 
 (* Standard YCSB core-workload operation mixes. *)
@@ -66,11 +65,11 @@ let insert_key t ~thread counter =
   let n = Zipf.n t.zipf in
   let k = 1 + n + (thread * 1_000_000) + !counter in
   incr counter;
-  Int64.of_int (k * t.key_stride)
+  Int64.of_int k
 
 let mixed_transaction t mix ~thread ~rng ~insert_counter =
   let u = Rng.float rng in
-  let key () = key_of t (Zipf.sample t.zipf rng) in
+  let key () = key_of (Zipf.sample t.zipf rng) in
   let value () = Int64.logand (Rng.next_int64 rng) 0xFFFFFFL in
   let outcome =
     if u < mix.reads then
@@ -84,7 +83,7 @@ let mixed_transaction t mix ~thread ~rng ~insert_counter =
             ~value:(value ()))
     else if u < mix.reads +. mix.updates +. mix.inserts +. mix.scans then begin
       let lo = key () in
-      let hi = Int64.add lo (Int64.of_int (t.key_stride * (1 + Rng.int rng 100))) in
+      let hi = Int64.add lo (Int64.of_int (1 + Rng.int rng 100)) in
       t.ptm.Ptm.atomically ~thread (fun tx ->
           ignore (Bptree_app.fold_range_tx t.tree tx ~lo ~hi ~init:0 ~f:(fun acc _ _ -> acc + 1)))
     end
@@ -100,7 +99,7 @@ let mixed_transaction t mix ~thread ~rng ~insert_counter =
 
 let transaction_tid t ~thread ~rng =
   let rank = Zipf.sample t.zipf rng in
-  let key = key_of t rank in
+  let key = key_of rank in
   let read_only = Rng.float rng < t.read_fraction in
   let value = Int64.logand (Rng.next_int64 rng) 0xFFFFFFL in
   match

@@ -13,11 +13,9 @@ val setup :
   records:int ->
   theta:float ->
   ?read_fraction:float ->
-  ?key_stride:int ->
   unit ->
   t
-(** [key_stride] spaces keys apart (default 1); the swap-overhead sweep
-    uses a large stride so the working set spans many pages. *)
+(** Loads keys [1..records]. *)
 
 val transaction : t -> thread:int -> rng:Dudetm_sim.Rng.t -> unit
 
