@@ -136,7 +136,7 @@ let test_invalid_config () =
       match Dudetm_sim.Inject.with_ ~daemon_fault_rate:r ignore with
       | () -> Alcotest.failf "daemon fault rate %g accepted" r
       | exception Invalid_argument _ -> ())
-    [ -0.1; 1.5 ];
+    [ -0.1; 1.5; Float.nan ];
   reject "hwm fraction above one" { small_cfg with Config.bp_hwm_fraction = 1.5 };
   reject "negative throttle budget" { small_cfg with Config.bp_wait_budget = -1 };
   reject "negative pmalloc budget" { small_cfg with Config.pmalloc_wait_budget = -1 };
