@@ -163,7 +163,9 @@ let case c ~mutant at vector =
   let ctx =
     { devices = c.devices; mutant; vector; lives = []; armed = [||]; sites = 0; tallies = [] }
   in
-  let verdict = try Inject.with_ ~mutant (fun () -> c.run ctx at) with Failed reason -> Some reason in
+  let verdict =
+    try Inject.with_ ~mutant (fun () -> c.run ctx at) with Failed reason -> Some reason
+  in
   disarm ctx;
   (verdict, List.rev ctx.lives, ctx.tallies)
 

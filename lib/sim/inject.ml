@@ -46,7 +46,8 @@ let daemon_fault_rate () = !rate
 let with_ ?mutant ?daemon_fault_rate f =
   Option.iter
     (fun r ->
-      if not (r >= 0.0 && r <= 1.0) then invalid_arg "Inject: daemon_fault_rate must be within [0, 1]")
+      if not (r >= 0.0 && r <= 1.0) then
+        invalid_arg "Inject: daemon_fault_rate must be within [0, 1]")
     daemon_fault_rate;
   let m0 = !current and r0 = !rate in
   Option.iter (( := ) current) mutant;
