@@ -9,7 +9,8 @@
 # mutant row must be caught as "<campaign> campaign: FAIL".  With
 # --update the rows' lines in bench/check_golden.txt are rewritten from
 # this run instead of compared.  Exit status 1 when any row misbehaves or
-# differs.
+# differs.  Each row's wall seconds go to stderr, never into the golden,
+# so a log shows what a change did to campaign host cost.
 set -u
 cd "$(dirname "$0")/.."
 golden=bench/check_golden.txt
@@ -60,10 +61,13 @@ while IFS='|' read -r row_key args budget; do
   mutant=${row_key#*/}
   mutate=()
   [ "$mutant" = clean ] || mutate=(--mutate "$mutant")
+  start=$EPOCHREALTIME
   # shellcheck disable=SC2086
   out=$(DUDETM_CHECK_BUDGET=$budget timeout 600 "$cli" check $args "${mutate[@]}" 2>&1)
   code=$?
   echo "$out"
+  awk -v k="$row_key" -v a="$start" -v b="$EPOCHREALTIME" \
+    'BEGIN { printf "%s: %.2f s wall\n", k, b - a }' >&2
   if [ "$mutant" = clean ]; then
     [ "$code" -eq 0 ] || { echo "$row_key: clean campaign failed"; status=1; }
   elif [ "$code" -eq 0 ]; then

@@ -86,9 +86,17 @@ let frame_crc frame ~len ~seq payload =
    frames from long-dead laps are never mistaken for live records. *)
 let max_resync_gap = 64
 
-(* Validate a candidate frame at monotone offset [off]: its length must fit
-   the remaining ring space, its seq must sit in (last_seq, last_seq +
-   max_resync_gap], and the payload CRC must match.  Reads that hit
+(* A frame [scanned] bytes past the head is plausible when its length fits
+   the remaining ring space and its seq sits in [min_seq, min_seq +
+   max_resync_gap]. *)
+let fields_in_range t ~scanned ~len ~seq ~min_seq =
+  len >= 0
+  && scanned + record_overhead + len <= t.dcap
+  && seq >= min_seq
+  && seq <= min_seq + max_resync_gap
+
+(* Validate a candidate frame at monotone offset [off]: its len and seq
+   must be in range and the payload CRC must match.  Reads that hit
    poisoned lines count as invalid. *)
 let probe_frame t ~off ~min_seq =
   let scanned = off - t.head in
@@ -100,12 +108,7 @@ let probe_frame t ~off ~min_seq =
       let len = Int64.to_int (Bytes.get_int64_le frame 0) in
       let seq = Int64.to_int (Bytes.get_int64_le frame 8) in
       let crc = Int64.to_int32 (Bytes.get_int64_le frame 16) in
-      if
-        len < 0
-        || scanned + record_overhead + len > t.dcap
-        || seq < min_seq
-        || seq > min_seq + max_resync_gap
-      then None
+      if not (fields_in_range t ~scanned ~len ~seq ~min_seq) then None
       else begin
         match read_wrapped t (off + record_overhead) len with
         | exception Nvm.Media_error _ -> None
@@ -113,6 +116,39 @@ let probe_frame t ~off ~min_seq =
           if frame_crc frame ~len ~seq payload <> crc then None
           else Some { seq; payload; end_off = off + record_overhead + len }
       end
+
+(* {!fields_in_range} on the len and seq fields of the frame at data-area
+   slot [s], read in place into [fields] (16 bytes) without allocating.
+   [false] implies [probe_frame] rejects the frame: a poisoned read here is
+   a poisoned frame read, and otherwise both see the same bytes.  The
+   caller guarantees [s + 16 <= dcap]. *)
+let fields_plausible t fields ~s ~scanned ~min_seq =
+  match Nvm.load_into t.nvm (data_base t + s) fields with
+  | exception Nvm.Media_error _ -> false
+  | () ->
+    let len = Int64.to_int (Bytes.get_int64_le fields 0) in
+    let seq = Int64.to_int (Bytes.get_int64_le fields 8) in
+    fields_in_range t ~scanned ~len ~seq ~min_seq
+
+(* The first valid frame at a monotone offset in [from, head + dcap -
+   record_overhead], searched byte by byte.  Most offsets hold payload or
+   zeroes, so each is first prechecked with {!fields_plausible}; only an
+   offset whose len and seq fields would wrap the ring end skips the
+   precheck and takes the full wrapped probe.  Verdicts are those of
+   [probe_frame] at every offset. *)
+let resync t ~from ~min_seq =
+  let limit = t.head + t.dcap - record_overhead in
+  let fields = Bytes.create 16 in
+  let rec go off s =
+    if off > limit then None
+    else if s + 16 <= t.dcap && not (fields_plausible t fields ~s ~scanned:(off - t.head) ~min_seq)
+    then go (off + 1) (s + 1)
+    else
+      match probe_frame t ~off ~min_seq with
+      | Some r -> Some (off, r)
+      | None -> go (off + 1) (if s + 1 = t.dcap then 0 else s + 1)
+  in
+  go from (from mod t.dcap)
 
 (* Distinct device lines covered by monotone data-area range [lo, hi). *)
 let lines_of_range t ~lo ~hi acc =
@@ -188,16 +224,7 @@ let attach_scan nvm ~base ~size =
            mid-ring.  Search forward for the next valid frame with a later
            seq; finding one proves the invalid bytes were a once-sealed
            record (or records) damaged in place — quarantine the gap. *)
-        let found = ref None in
-        let off = ref (t.tail + 1) in
-        let limit = t.head + t.dcap - record_overhead in
-        while !found = None && !off <= limit do
-          (match probe_frame t ~off:!off ~min_seq:(t.seq + 1) with
-          | Some r -> found := Some (!off, r)
-          | None -> ());
-          incr off
-        done;
-        (match !found with
+        (match resync t ~from:(t.tail + 1) ~min_seq:(t.seq + 1) with
         | None -> continue := false
         | Some (at, r) ->
           corrupted := !corrupted + (r.seq - t.seq);

@@ -2,10 +2,11 @@ type t = (string, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 16
 
+(* [find] with a handler, not [find_opt]: a hit allocates no option. *)
 let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t name with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.add t name r;
     r
@@ -16,7 +17,7 @@ let add t name n =
 
 let incr t name = add t name 1
 
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+let get t name = match Hashtbl.find t name with r -> !r | exception Not_found -> 0
 
 let reset t = Hashtbl.reset t
 

@@ -3,7 +3,11 @@
     Every aligned 64-bit word of the transactional address space hashes to a
     stripe.  A stripe's lock word is either a commit {e version} (timestamp
     of the last transaction that wrote it) or {e owned} by a running
-    transaction identified by a unique attempt id. *)
+    transaction identified by a unique attempt id.
+
+    Stripes are allocated in chunks on the first write into them; an
+    untouched stripe reads as version 0, free, exactly as a zero-filled flat
+    table would. *)
 
 type t
 
@@ -12,7 +16,9 @@ type word =
   | Owned of int  (** locked by the attempt with this uid *)
 
 val create : ?bits:int -> unit -> t
-(** [create ~bits ()] makes a table of [2^bits] stripes (default 20). *)
+(** [create ~bits ()] makes a table of [2^bits] stripes (default 20).  It
+    costs [max 1 (2^bits / 4096)] words up front; each chunk of
+    [min 4096 2^bits] stripes is allocated when first written. *)
 
 val stripes : t -> int
 
@@ -21,6 +27,16 @@ val stripe_of_addr : t -> int -> int
 
 val read_word : t -> int -> word
 (** [read_word t stripe]. *)
+
+(** {!read_word} split in two for hot readers, which allocate no {!word}: *)
+
+val version : t -> int -> int
+(** [version t stripe] is the stripe's version if it is free, or [-1] if
+    it is owned. *)
+
+val owner : t -> int -> int
+(** [owner t stripe] is the uid owning the stripe, or [-1] if it is
+    free. *)
 
 val acquire : t -> stripe:int -> uid:int -> int option
 (** Try to lock the stripe for attempt [uid].  Returns [Some v] (the

@@ -37,10 +37,7 @@ let create ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(bits = 20) store =
   }
 
 (* The stripe's committed version, or -1 while an attempt owns it. *)
-let version t stripe =
-  match Lock_table.read_word t.locks stripe with
-  | Lock_table.Version v -> v
-  | Lock_table.Owned _ -> -1
+let version t stripe = Lock_table.version t.locks stripe
 
 let rec held_version held stripe =
   match held with
@@ -59,9 +56,8 @@ let rec held_version held stripe =
 let rec valid t ~held = function
   | [] -> true
   | (stripe, v) :: rest ->
-    (match Lock_table.read_word t.locks stripe with
-    | Lock_table.Version cur -> cur = v
-    | Lock_table.Owned _ -> held_version held stripe = v)
+    (let cur = Lock_table.version t.locks stripe in
+     if cur >= 0 then cur = v else held_version held stripe = v)
     && valid t ~held rest
 
 (* Draw the next commit version: contiguous across write transactions. *)
@@ -117,14 +113,14 @@ let user_abort tx =
 (* Lock a stripe for this attempt (a no-op if we hold it already); [false]
    if another attempt owns it. *)
 let lock tx stripe =
-  match Lock_table.read_word tx.tm.locks stripe with
-  | Lock_table.Owned uid -> uid = tx.uid
-  | Lock_table.Version _ -> (
+  let owner = Lock_table.owner tx.tm.locks stripe in
+  if owner >= 0 then owner = tx.uid
+  else
     match Lock_table.acquire tx.tm.locks ~stripe ~uid:tx.uid with
     | Some prev ->
       tx.held <- (stripe, prev) :: tx.held;
       true
-    | None -> false)
+    | None -> false
 
 let rec lock_all tx = function [] -> true | stripe :: rest -> lock tx stripe && lock_all tx rest
 
@@ -134,10 +130,10 @@ let rec lock_all tx = function [] -> true | stripe :: rest -> lock tx stripe && 
 let read tx addr =
   let tm = tx.tm in
   let stripe = Lock_table.stripe_of_addr tm.locks addr in
-  match Lock_table.read_word tm.locks stripe with
-  | Lock_table.Owned uid when uid = tx.uid -> tm.store.Tm_intf.load addr
-  | Lock_table.Owned _ -> conflict tx
-  | Lock_table.Version v ->
+  let v = Lock_table.version tm.locks stripe in
+  if v < 0 then
+    if Lock_table.owner tm.locks stripe = tx.uid then tm.store.Tm_intf.load addr else conflict tx
+  else
     let value = tm.store.Tm_intf.load addr in
     if v > tx.rv then
       if valid tm ~held:tx.held tx.reads then tx.rv <- tm.clock else conflict tx;

@@ -126,6 +126,35 @@ let test_midring_corruption_quarantined () =
   check Alcotest.bool "damaged lines quarantined" true (scan.Plog.quarantined_lines >= 1);
   check Alcotest.bool "header intact" false scan.Plog.header_lost
 
+let test_resync_across_ring_end () =
+  (* After mid-ring damage the scan searches byte by byte for the next
+     valid frame.  Put that frame's 24-byte header across the ring end at
+     every split (k header bytes before the end), so the search must read
+     it wrapped and may not reject it early. *)
+  let size = Plog.header_size + 512 in
+  for k = 1 to Plog.record_overhead do
+    let nvm = device () in
+    let t = Plog.format nvm ~base:0 ~size in
+    let dcap = Plog.data_capacity t in
+    let filler = Plog.append t (Bytes.make (dcap - k - 56) 'f') in
+    Plog.recycle_to t ~end_off:filler.Plog.end_off ~next_seq:(filler.Plog.seq + 1);
+    let doomed = Plog.append t (payload "doomed!!") in
+    let straddler = Plog.append t (payload "straddler") in
+    let after = Plog.append t (payload "after") in
+    check Alcotest.int
+      (Printf.sprintf "k=%d: header starts k bytes before the ring end" k)
+      (dcap - k)
+      (straddler.Plog.end_off - Plog.record_overhead - Bytes.length straddler.Plog.payload);
+    Nvm.inject_fault nvm (Nvm.Bit_rot { off = payload_byte_off t doomed 3; bit = 2 });
+    Nvm.crash nvm;
+    let _, scan = Plog.attach_scan nvm ~base:0 ~size in
+    check Alcotest.(list int)
+      (Printf.sprintf "k=%d: resync finds the straddling record" k)
+      [ straddler.Plog.seq; after.Plog.seq ]
+      (List.map (fun (r : Plog.record) -> r.Plog.seq) scan.Plog.records);
+    check Alcotest.int (Printf.sprintf "k=%d: one record lost" k) 1 scan.Plog.corrupted_records
+  done
+
 let test_last_record_corruption_is_torn_tail () =
   (* Damage to the LAST sealed record is indistinguishable from a torn
      tail: it is discarded like one, without being counted as corruption. *)
@@ -257,6 +286,7 @@ let suite =
       test_crash_before_header_persist_keeps_old_head;
     Alcotest.test_case "mid-ring corruption quarantined" `Quick
       test_midring_corruption_quarantined;
+    Alcotest.test_case "resync across the ring end" `Quick test_resync_across_ring_end;
     Alcotest.test_case "last-record damage treated as torn tail" `Quick
       test_last_record_corruption_is_torn_tail;
     Alcotest.test_case "poisoned record quarantined" `Quick test_poisoned_record_quarantined;

@@ -43,6 +43,78 @@ let test_lock_table_stripe_mapping () =
   in
   check Alcotest.bool "addresses spread over stripes" true (List.length distinct > 100)
 
+(* The chunked table against a flat reference array, the layout it
+   replaced: the same verdict and word at every stripe, through read_word,
+   version and owner, under any sequence of acquire, release_to and reads,
+   for tables below, at and above one chunk.  A stripe drawn as [-1] is
+   the last stripe of the table. *)
+let prop_lock_table_matches_flat =
+  QCheck2.Test.make ~name:"lock table: chunked agrees with a flat array" ~count:200
+    QCheck2.Gen.(
+      tup2 (oneofl [ 1; 4; 12; 13; 20 ])
+        (list_size (int_range 1 300)
+           (tup3 (int_range 0 2)
+              (frequency [ (6, int_bound ((1 lsl 20) - 1)); (1, return (-1)) ])
+              (int_bound 1_000_000))))
+    (fun (bits, ops) ->
+      let t = Lock_table.create ~bits () in
+      let n = 1 lsl bits in
+      let flat = Array.make n 0 in
+      let agree s =
+        let w = flat.(s) in
+        let free = w land 1 = 0 in
+        Lock_table.read_word t s
+        = (if free then Lock_table.Version (w lsr 1) else Lock_table.Owned (w lsr 1))
+        && Lock_table.version t s = (if free then w lsr 1 else -1)
+        && Lock_table.owner t s = if free then -1 else w lsr 1
+      in
+      let touched = ref [ 0; n - 1 ] in
+      List.for_all
+        (fun (op, s, v) ->
+          let s = if s < 0 then n - 1 else s land (n - 1) in
+          touched := s :: !touched;
+          match op with
+          | 0 ->
+            let expected =
+              if flat.(s) land 1 = 1 then None
+              else begin
+                let prev = flat.(s) lsr 1 in
+                flat.(s) <- (v lsl 1) lor 1;
+                Some prev
+              end
+            in
+            Lock_table.acquire t ~stripe:s ~uid:v = expected && agree s
+          | 1 ->
+            Lock_table.release_to t ~stripe:s ~version:v;
+            flat.(s) <- v lsl 1;
+            agree s
+          | _ -> agree s)
+        ops
+      && List.for_all agree !touched)
+
+(* A fresh table costs its chunk slots only; the first write into a chunk
+   materialises exactly that chunk, and neither a second write into it nor
+   a read of an absent chunk allocates. *)
+let test_lock_table_allocates_on_write () =
+  let t = Lock_table.create () in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let fresh = words () in
+  check Alcotest.bool
+    (Printf.sprintf "fresh table holds chunk slots only (%d words)" fresh)
+    true
+    (fresh <= ((1 lsl 20) / 4096) + 16);
+  check Alcotest.bool "untouched stripe reads free at version 0" true
+    (Lock_table.read_word t ((1 lsl 20) - 1) = Lock_table.Version 0);
+  check Alcotest.int "reads materialise nothing" fresh (words ());
+  Lock_table.release_to t ~stripe:12345 ~version:3;
+  check Alcotest.int "one write materialises one chunk" (fresh + 4096 + 1) (words ());
+  check Alcotest.bool "same-chunk acquire succeeds" true
+    (Lock_table.acquire t ~stripe:(12345 lxor 1) ~uid:9 = Some 0);
+  check Alcotest.int "a second write into the chunk allocates nothing" (fresh + 4096 + 1)
+    (words ());
+  check Alcotest.bool "the written stripe keeps its version" true
+    (Lock_table.read_word t 12345 = Lock_table.Version 3)
+
 (* --------------------------- generic TM tests ------------------------ *)
 
 let mem_tm (type t) (module Tm : Tm_intf.S with type t = t) ?costs () =
@@ -516,6 +588,9 @@ let suite =
   [
     Alcotest.test_case "lock table acquire/release" `Quick test_lock_table_acquire_release;
     Alcotest.test_case "lock table stripe mapping" `Quick test_lock_table_stripe_mapping;
+    QCheck_alcotest.to_alcotest prop_lock_table_matches_flat;
+    Alcotest.test_case "lock table allocates chunks on first write" `Quick
+      test_lock_table_allocates_on_write;
   ]
   @ tm_tests "tinystm" (module Tinystm)
   @ tm_tests "tinystm-wb" (module Tinystm_wb)
