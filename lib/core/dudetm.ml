@@ -232,9 +232,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     t : t;
     thread : int;
     tm_tx : txh;
-    touched : (int, unit) Hashtbl.t;  (* pinned shadow pages *)
+    (* Pinned shadow pages and pages written (for touching IDs), each page
+       once, newest first.  A transaction touches a handful of pages, so a
+       [List.mem] scan dedupes them without a per-attempt hash table. *)
     mutable touched_list : int list;
-    wrote : (int, unit) Hashtbl.t;  (* pages written (for touching IDs) *)
     mutable wrote_list : int list;
     mutable allocs : (int * int) list;  (* this attempt's pmallocs *)
     mutable frees : (int * int) list;  (* deferred pfrees *)
@@ -253,7 +254,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     match cfg.Config.shadow_frames with
     | None ->
       let mem = Mem.create cfg.Config.heap_size in
-      Mem.set_bytes mem 0 (Nvm.load_bytes nvm 0 cfg.Config.heap_size);
+      Nvm.load_into_mem nvm 0 mem ~dst_off:0 ~len:cfg.Config.heap_size;
       Flat mem
     | Some frames ->
       let scfg = Shadow.default_config cfg.Config.shadow_mode ~frames in
@@ -1230,9 +1231,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     (match dtx.t.view with
     | Flat _ -> ()
     | Paged sh -> List.iter (fun page -> Shadow.unpin sh (page_addr sh page)) dtx.touched_list);
-    Hashtbl.reset dtx.touched;
     dtx.touched_list <- [];
-    Hashtbl.reset dtx.wrote;
     dtx.wrote_list <- []
 
   let touch dtx addr ~wrote =
@@ -1240,15 +1239,14 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     | Flat _ -> ()
     | Paged sh ->
       let page = Shadow.page_of sh addr in
-      if not (Hashtbl.mem dtx.touched page) then begin
-        Hashtbl.add dtx.touched page ();
-        dtx.touched_list <- page :: dtx.touched_list;
-        Shadow.pin sh addr
+      (* Record the page only once it is pinned: a fault that raises
+         (a poisoned line) must leave nothing for [unpin_all] to undo. *)
+      if not (List.mem page dtx.touched_list) then begin
+        Shadow.pin sh addr;
+        dtx.touched_list <- page :: dtx.touched_list
       end;
-      if wrote && not (Hashtbl.mem dtx.wrote page) then begin
-        Hashtbl.add dtx.wrote page ();
+      if wrote && not (List.mem page dtx.wrote_list) then
         dtx.wrote_list <- page :: dtx.wrote_list
-      end
 
   let read dtx addr =
     touch dtx addr ~wrote:false;
@@ -1441,9 +1439,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
               t;
               thread;
               tm_tx = Rw tm_tx;
-              touched = Hashtbl.create 8;
               touched_list = [];
-              wrote = Hashtbl.create 8;
               wrote_list = [];
               allocs = [];
               frees = [];
@@ -1533,9 +1529,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
               t;
               thread;
               tm_tx = Snap ro;
-              touched = Hashtbl.create 8;
               touched_list = [];
-              wrote = Hashtbl.create 8;
               wrote_list = [];
               allocs = [];
               frees = [];

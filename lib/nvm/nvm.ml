@@ -232,6 +232,10 @@ let load_bytes t off len =
   load_into t off b;
   b
 
+let load_into_mem t off dst ~dst_off ~len =
+  check_poison_load t off len;
+  Mem.blit ~src:t.latest ~src_off:off ~dst ~dst_off ~len
+
 let store_bytes t off b =
   Mem.set_bytes t.latest off b;
   if Bytes.length b > 0 then mark_dirty t off (Bytes.length b)

@@ -116,6 +116,14 @@ val load_into : t -> int -> bytes -> unit
     {!Media_error} (before [dst] is touched).  Lets a caller reuse one
     buffer per read. *)
 
+val load_into_mem : t -> int -> Mem.t -> dst_off:int -> len:int -> unit
+(** [load_into_mem t off dst ~dst_off ~len] copies the latest image at
+    [\[off, off + len)] straight into [dst] at [dst_off], with
+    {!load_into}'s poison contract: a poisoned {e clean} line raises
+    {!Media_error} before [dst] is touched.  One blit, no intermediate
+    buffer: the shadow's page fault and the flat view's initial heap copy
+    use it. *)
+
 val store_bytes : t -> int -> bytes -> unit
 
 (** {1 Persistence} *)

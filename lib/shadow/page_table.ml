@@ -35,7 +35,10 @@ let map t ~page ~frame =
   if t.frame_to_page.(frame) >= 0 then invalid_arg "Page_table.map: frame in use";
   t.page_to_frame.(page) <- frame;
   t.frame_to_page.(frame) <- page;
-  t.free <- List.filter (fun f -> f <> frame) t.free;
+  (t.free <-
+     match t.free with
+     | f :: rest when f = frame -> rest
+     | free -> List.filter (fun f -> f <> frame) free);
   t.resident <- t.resident + 1
 
 let unmap_frame t frame =

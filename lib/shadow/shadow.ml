@@ -64,6 +64,8 @@ let create cfg ~nvm ~applied_id =
 
 let config t = t.cfg
 
+let page_table t = t.pt
+
 let page_of t addr = addr lsr t.cfg.page_bits
 
 let copy_cost t = int_of_float (ceil (float_of_int t.page_size *. t.cfg.copy_cycles_per_byte))
@@ -111,8 +113,8 @@ let fault_in t page =
         match Page_table.free_frame t.pt with
         | Some frame ->
           (* No yield from here to [map]: the claim is atomic. *)
-          Mem.set_bytes t.dram (frame * t.page_size)
-            (Nvm.load_bytes t.nvm (page * t.page_size) t.page_size);
+          Nvm.load_into_mem t.nvm (page * t.page_size) t.dram ~dst_off:(frame * t.page_size)
+            ~len:t.page_size;
           Page_table.map t.pt ~page ~frame;
           frame
         | None ->

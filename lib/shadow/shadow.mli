@@ -11,6 +11,13 @@
     until Reproduce has applied at least that transaction to the NVM home
     locations.
 
+    A fault copies the page from NVM straight into its frame
+    ({!Dudetm_nvm.Nvm.load_into_mem}): one blit, no page buffer.  A
+    poisoned clean line in the page raises {!Dudetm_nvm.Nvm.Media_error}
+    before the frame is claimed, so nothing is mapped and a retry after
+    repair faults normally; a dirty line over poison is served from the
+    cache.
+
     Two paging cost models are provided:
     - {e Software}: every access pays a page-table lookup (two memory
       references) plus a reference-count CAS; faults are cheap.
@@ -43,12 +50,18 @@ val create : config -> nvm:Dudetm_nvm.Nvm.t -> applied_id:(unit -> int) -> t
 
 val config : t -> config
 
+val page_table : t -> Page_table.t
+(** The frame mapping, for inspection ({!Page_table.resident},
+    {!Page_table.free_frame}); map and unmap only through [t]. *)
+
 val page_of : t -> int -> int
 (** Logical page number of a byte address. *)
 
 (** {1 Data access (used by the TM store)} *)
 
 val load_u64 : t -> int -> int64
+(** Faults the page in if necessary (may raise
+    {!Dudetm_nvm.Nvm.Media_error}, see above). *)
 
 val store_u64 : t -> int -> int64 -> unit
 (** Writes the shadow page only.  Faults the page in if necessary. *)
@@ -58,7 +71,9 @@ val store_u64 : t -> int -> int64 -> unit
 val pin : t -> int -> unit
 (** [pin t addr] increments the reference count of [addr]'s page, faulting
     it in first.  A pinned page cannot be evicted.  DudeTM pins every page
-    a transaction touches until its touching IDs are settled. *)
+    a transaction touches until its touching IDs are settled; the engine
+    keeps an attempt's pinned and written pages as two short lists, and
+    neither {!unpin} nor {!set_touching} depends on their order. *)
 
 val unpin : t -> int -> unit
 

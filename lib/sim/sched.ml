@@ -91,8 +91,17 @@ let audit_wakeups on = audit := on
 
 let less a b = a.clock < b.clock || (a.clock = b.clock && a.id < b.id)
 
+(* The first [len] slots of [arr] in a fresh array of [size] slots, the
+   rest [fill]: one allocation, where [Array.append] of a fresh filler
+   makes two. *)
+let resized arr len size fill =
+  let a = Array.make size fill in
+  Array.blit arr 0 a 0 len;
+  a
+
 let grow arr len fill =
-  if len < Array.length arr then arr else Array.append arr (Array.make (max 8 len) fill)
+  let n = Array.length arr in
+  if len < n then arr else resized arr n (n + max 8 len) fill
 
 (* ---- the run heap ---- *)
 
@@ -173,8 +182,8 @@ let add_entry c t =
     c.n <- !live;
     if c.n = Array.length c.parkers then begin
       let size = max 2 (2 * c.n) in
-      c.parkers <- Array.append c.parkers (Array.make (size - c.n) nobody);
-      c.stamps <- Array.append c.stamps (Array.make (size - c.n) 0)
+      c.parkers <- resized c.parkers c.n size nobody;
+      c.stamps <- resized c.stamps c.n size 0
     end
   end;
   c.parkers.(c.n) <- t;

@@ -148,6 +148,35 @@ let test_paged_shadow_pipeline_and_recovery () =
   check Alcotest.int "all durable after drain" 360 report.Dudetm_core.Dudetm.durable;
   check Alcotest.int64 "recovered state" 360L (D.heap_read_u64 t2 0)
 
+let test_paged_poisoned_read () =
+  (* A read that faults in a page over a poisoned clean line surfaces the
+     media error, in a snapshot and in a read-write attempt alike; the
+     failed fault leaves no pin for the attempt's cleanup to undo, and once
+     the line is rewritten the same reads succeed. *)
+  let cfg = { base_cfg with Config.shadow_frames = Some 16 } in
+  let t = D.create cfg in
+  let nvm = D.nvm t in
+  let ls = Nvm.line_size nvm in
+  let addr = 5 * 4096 in
+  let bad = addr / ls in
+  Nvm.inject_fault nvm (Nvm.Poison { line = bad });
+  let ro () = D.atomically_ro t ~thread:0 (fun tx -> D.read tx addr) in
+  let rw () = D.atomically t ~thread:0 (fun tx -> D.read tx addr) in
+  let run read =
+    let r = ref None in
+    ignore (Sched.run (fun () -> r := Option.map fst (read ())));
+    !r
+  in
+  List.iter
+    (fun (name, read) ->
+      Alcotest.check_raises name (Nvm.Media_error (bad * ls)) (fun () -> ignore (run read)))
+    [ ("snapshot read raises", ro); ("read-write read raises", rw) ];
+  for w = 0 to (ls / 8) - 1 do
+    Nvm.store_u64 nvm ((bad * ls) + (w * 8)) 7L
+  done;
+  Nvm.persist_all nvm;
+  check Alcotest.(list (option int64)) "both reads after repair" [ Some 7L; Some 7L ] [ run ro; run rw ]
+
 let test_combined_group_sizes () =
   List.iter
     (fun group ->
@@ -247,6 +276,7 @@ let suite =
     Alcotest.test_case "repeated crash chain" `Quick test_repeated_crash_chain;
     Alcotest.test_case "paged shadow pipeline and recovery" `Quick
       test_paged_shadow_pipeline_and_recovery;
+    Alcotest.test_case "paged read of a poisoned line raises" `Quick test_paged_poisoned_read;
     Alcotest.test_case "combined group sizes" `Quick test_combined_group_sizes;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "golden persist-policy runs" `Quick test_persist_policy_golden;

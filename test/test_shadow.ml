@@ -194,6 +194,56 @@ let test_concurrent_fault_single_mapping () =
          done));
   Array.iter (fun v -> check Alcotest.int64 "all threads read the same value" 17L v) results
 
+let test_poisoned_fault_maps_nothing () =
+  (* A fault whose page holds a poisoned clean line raises before the frame
+     is claimed, and a repaired line faults in normally; a dirty line over
+     poison is served from the cache. *)
+  let sh, nvm, _ = make_shadow () in
+  let ls = Nvm.line_size nvm in
+  let pt = Shadow.page_table sh in
+  ignore (Shadow.load_u64 sh 0);
+  Nvm.store_u64 nvm 4096 11L;
+  Nvm.persist_all nvm;
+  let bad = (4096 / ls) + 1 in
+  Nvm.inject_fault nvm (Nvm.Poison { line = bad });
+  let resident = Page_table.resident pt and free = Page_table.free_frame pt in
+  Alcotest.check_raises "clean poisoned line raises" (Nvm.Media_error (bad * ls)) (fun () ->
+      ignore (Shadow.load_u64 sh 4096));
+  check Alcotest.int "nothing mapped" resident (Page_table.resident pt);
+  check Alcotest.(option int) "free frame unclaimed" free (Page_table.free_frame pt);
+  check Alcotest.(option int) "page not resident" None (Page_table.frame_of pt 1);
+  (* Repair: rewrite the whole line and flush it. *)
+  for w = 0 to (ls / 8) - 1 do
+    Nvm.store_u64 nvm ((bad * ls) + (w * 8)) 22L
+  done;
+  Nvm.persist_all nvm;
+  check Alcotest.int64 "retry after repair" 22L (Shadow.load_u64 sh (bad * ls));
+  check Alcotest.int64 "rest of the page intact" 11L (Shadow.load_u64 sh 4096);
+  let dirty = (2 * 4096 / ls) + 3 in
+  Nvm.inject_fault nvm (Nvm.Poison { line = dirty });
+  Nvm.store_u64 nvm (dirty * ls) 33L;
+  check Alcotest.int64 "dirty line over poison served from the cache" 33L
+    (Shadow.load_u64 sh (dirty * ls))
+
+let test_fault_allocation_guard () =
+  (* A fault copies NVM straight into its frame: 100 faults (16 pages cycled
+     through 4 frames, so every access misses) must not allocate a page
+     buffer each. *)
+  let sh, _, _ = make_shadow ~frames:4 () in
+  ignore (Shadow.load_u64 sh 0);
+  let faults0 = Stats.get (Shadow.stats sh) "faults" in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  for i = 1 to 100 do
+    ignore (Shadow.load_u64 sh (i mod 16 * 4096))
+  done;
+  let per_fault = (words () -. before) /. 100. in
+  check Alcotest.int "every access faulted" 100 (Stats.get (Shadow.stats sh) "faults" - faults0);
+  if per_fault >= 64. then Alcotest.failf "%.1f words allocated per fault (limit 64)" per_fault
+
 let suite =
   [
     Alcotest.test_case "page table map/unmap" `Quick test_pt_map_unmap;
@@ -213,4 +263,6 @@ let suite =
       test_hardware_shootdown_accounting;
     Alcotest.test_case "concurrent faults agree on one mapping" `Quick
       test_concurrent_fault_single_mapping;
+    Alcotest.test_case "poisoned fault maps nothing" `Quick test_poisoned_fault_maps_nothing;
+    Alcotest.test_case "faults allocate no page buffer" `Quick test_fault_allocation_guard;
   ]
