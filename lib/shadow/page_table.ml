@@ -33,13 +33,13 @@ let resident t = t.resident
 let map t ~page ~frame =
   if t.page_to_frame.(page) >= 0 then invalid_arg "Page_table.map: page already resident";
   if t.frame_to_page.(frame) >= 0 then invalid_arg "Page_table.map: frame in use";
-  t.page_to_frame.(page) <- frame;
-  t.frame_to_page.(frame) <- page;
-  (t.free <-
-     match t.free with
-     | f :: rest when f = frame -> rest
-     | free -> List.filter (fun f -> f <> frame) free);
-  t.resident <- t.resident + 1
+  match t.free with
+  | f :: rest when f = frame ->
+    t.page_to_frame.(page) <- frame;
+    t.frame_to_page.(frame) <- page;
+    t.free <- rest;
+    t.resident <- t.resident + 1
+  | _ -> invalid_arg "Page_table.map: frame is not free_frame"
 
 let unmap_frame t frame =
   let page = t.frame_to_page.(frame) in

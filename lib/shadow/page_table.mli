@@ -21,13 +21,14 @@ val resident : t -> int
 (** Number of mapped frames. *)
 
 val map : t -> page:int -> frame:int -> unit
-(** Requires [page] unmapped and [frame] free. *)
+(** Requires [page] unmapped and [frame] the frame {!free_frame} returns,
+    which it claims. *)
 
 val unmap_frame : t -> int -> unit
 (** Release the frame's mapping (page becomes non-resident, frame free). *)
 
 val free_frame : t -> int option
-(** Some frame with no mapping, if any. *)
+(** The next frame {!map} claims (one with no mapping), if any. *)
 
 val clock_victim : t -> skip:(int -> bool) -> int option
 (** Next mapped frame under the clock hand with [skip frame = false]; the

@@ -64,8 +64,6 @@ let create cfg ~nvm ~applied_id =
 
 let config t = t.cfg
 
-let page_table t = t.pt
-
 let page_of t addr = addr lsr t.cfg.page_bits
 
 let copy_cost t = int_of_float (ceil (float_of_int t.page_size *. t.cfg.copy_cycles_per_byte))
@@ -156,6 +154,8 @@ let unpin t addr =
   | None -> invalid_arg "Shadow.unpin: page not resident"
 
 let pinned_pages t = Array.fold_left (fun acc r -> if r > 0 then acc + 1 else acc) 0 t.refcount
+
+let resident t = Page_table.resident t.pt
 
 let set_touching t ~page ~tid =
   if tid > t.touching_id.(page) then t.touching_id.(page) <- tid

@@ -50,10 +50,6 @@ val create : config -> nvm:Dudetm_nvm.Nvm.t -> applied_id:(unit -> int) -> t
 
 val config : t -> config
 
-val page_table : t -> Page_table.t
-(** The frame mapping, for inspection ({!Page_table.resident},
-    {!Page_table.free_frame}); map and unmap only through [t]. *)
-
 val page_of : t -> int -> int
 (** Logical page number of a byte address. *)
 
@@ -78,6 +74,9 @@ val pin : t -> int -> unit
 val unpin : t -> int -> unit
 
 val pinned_pages : t -> int
+
+val resident : t -> int
+(** Number of pages mapped to frames. *)
 
 val set_touching : t -> page:int -> tid:int -> unit
 (** Record that transaction [tid] is the most recent writer of [page]
