@@ -53,13 +53,18 @@ let workload_conv = Arg.conv (workload_of_string, fun ppf b -> Fmt.string ppf b.
 
 let system_conv = Arg.conv (system_of_string, fun ppf s -> Fmt.string ppf (H.system_name s))
 
-let run_cmd =
-  let workload =
-    Arg.(
-      required
-      & opt (some workload_conv) None
-      & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc:"Benchmark workload to run.")
-  in
+(* What [run] and [trace] share: the workload (whose flag each command
+   declares itself), the system and the machine flags, checked and built
+   into one bench and one system. *)
+type setup = {
+  bench : H.bench;
+  ptm : Dudetm_baselines.Ptm_intf.t;
+  threads : int;
+  bandwidth : float;
+  latency : int;
+}
+
+let setup_term workload =
   let system =
     Arg.(
       value & opt system_conv H.Dude
@@ -75,18 +80,42 @@ let run_cmd =
   let latency =
     Arg.(value & opt int 1000 & info [ "latency" ] ~doc:"Persist latency, cycles.")
   in
+  let setup workload system ntxs threads bandwidth latency =
+    if system = H.Nvml && not workload.H.static_ok then
+      Error "NVML only supports the hash-based (static) workloads"
+    else
+      Ok
+        {
+          bench = (if ntxs > 0 then { workload with H.ntxs } else workload);
+          ptm = H.make_system ~nthreads:threads ~latency ~bandwidth system;
+          threads;
+          bandwidth;
+          latency;
+        }
+  in
+  Term.(const setup $ workload $ system $ ntxs $ threads $ bandwidth $ latency)
+
+let print_header s (r : H.result) =
+  Printf.printf "%s on %s: %d transactions, %d threads, %.1f GB/s, %d-cycle persists\n"
+    s.bench.H.bname s.ptm.Dudetm_baselines.Ptm_intf.name r.H.ntxs_run s.threads s.bandwidth
+    s.latency
+
+let run_cmd =
+  let workload =
+    Arg.(
+      required
+      & opt (some workload_conv) None
+      & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc:"Benchmark workload to run.")
+  in
   let counters =
     Arg.(value & flag & info [ "counters" ] ~doc:"Print all system counters afterwards.")
   in
-  let run workload system ntxs threads bandwidth latency counters =
-    if system = H.Nvml && not workload.H.static_ok then
-      `Error (false, "NVML only supports the hash-based (static) workloads")
-    else begin
-      let bench = if ntxs > 0 then { workload with H.ntxs } else workload in
-      let ptm = H.make_system ~nthreads:threads ~latency ~bandwidth system in
-      let r = H.run_bench ptm bench in
-      Printf.printf "%s on %s: %d transactions, %d threads, %.1f GB/s, %d-cycle persists\n"
-        bench.H.bname ptm.Dudetm_baselines.Ptm_intf.name r.H.ntxs_run threads bandwidth latency;
+  let run setup counters =
+    match setup with
+    | Error msg -> `Error (false, msg)
+    | Ok s ->
+      let r = H.run_bench s.ptm s.bench in
+      print_header s r;
       Printf.printf "  throughput:       %s\n" (H.pp_ktps r.H.ktps);
       Printf.printf "  cycles per tx:    %.0f (wall, all threads)\n" r.H.cycles_per_tx;
       Printf.printf "  writes per tx:    %.1f\n"
@@ -98,11 +127,10 @@ let run_cmd =
         List.iter (fun (k, v) -> Printf.printf "    %-28s %d\n" k v) r.H.counters
       end;
       `Ok ()
-    end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload on one system and report throughput.")
-    Term.(ret (const run $ workload $ system $ ntxs $ threads $ bandwidth $ latency $ counters))
+    Term.(ret (const run $ setup_term workload $ counters))
 
 (* ------------------------------- trace --------------------------------- *)
 
@@ -119,21 +147,6 @@ let trace_cmd =
       value
       & opt workload_conv (H.kv_bench ())
       & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc:"Workload to profile (default kv).")
-  in
-  let system =
-    Arg.(
-      value & opt system_conv H.Dude
-      & info [ "s"; "system" ] ~docv:"SYSTEM" ~doc:"Durable-transaction system.")
-  in
-  let ntxs =
-    Arg.(value & opt int 0 & info [ "n"; "txs" ] ~doc:"Transactions to run (0 = default).")
-  in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"Perform threads.") in
-  let bandwidth =
-    Arg.(value & opt float 1.0 & info [ "bandwidth" ] ~doc:"NVM write bandwidth, GB/s.")
-  in
-  let latency =
-    Arg.(value & opt int 1000 & info [ "latency" ] ~doc:"Persist latency, cycles.")
   in
   let ring =
     Arg.(
@@ -156,19 +169,15 @@ let trace_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Output file for --export (default dudetm_trace.json / dudetm_summary.json).")
   in
-  let run workload system ntxs threads bandwidth latency ring export out =
-    if system = H.Nvml && not workload.H.static_ok then
-      `Error (false, "NVML only supports the hash-based (static) workloads")
-    else begin
-      let bench = if ntxs > 0 then { workload with H.ntxs } else workload in
-      let ptm = H.make_system ~nthreads:threads ~latency ~bandwidth system in
+  let run setup ring export out =
+    match setup with
+    | Error msg -> `Error (false, msg)
+    | Ok s ->
       Trace.enable ~capacity:ring ();
-      let r = H.run_bench ptm bench in
+      let r = H.run_bench s.ptm s.bench in
       Trace.disable ();
       let total_cycles = r.H.run_cycles in
-      Printf.printf "%s on %s: %d transactions, %d threads, %.1f GB/s, %d-cycle persists\n"
-        bench.H.bname ptm.Dudetm_baselines.Ptm_intf.name r.H.ntxs_run threads bandwidth
-        latency;
+      print_header s r;
       Printf.printf "  throughput:  %s    wall cycles: %d\n\n" (H.pp_ktps r.H.ktps)
         total_cycles;
       Printf.printf "  %-24s %9s %14s %7s %9s %9s %9s\n" "phase" "count" "cycles" "%wall"
@@ -226,7 +235,6 @@ let trace_cmd =
       | vs ->
         List.iter (fun v -> Printf.printf "  trace violation: %s\n" v) vs;
         `Error (false, "trace self-validation failed")
-    end
   in
   Cmd.v
     (Cmd.info "trace"
@@ -234,10 +242,7 @@ let trace_cmd =
          "Profile a workload with cycle-accurate tracing: per-phase cycle attribution \
           (Perform / Persist / Reproduce / TM), NVM channel utilization per daemon, and \
           optional Chrome trace_event export.")
-    Term.(
-      ret
-        (const run $ workload $ system $ ntxs $ threads $ bandwidth $ latency $ ring
-       $ export $ out))
+    Term.(ret (const run $ setup_term workload $ ring $ export $ out))
 
 (* ------------------------------- check -------------------------------- *)
 

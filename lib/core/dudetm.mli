@@ -18,7 +18,11 @@
 
     Dirty volatile data is never written to NVM home locations directly;
     the redo log is the only channel, so CPU-cache evictions of shadow data
-    can never break crash consistency. *)
+    can never break crash consistency.
+
+    The functor holds Perform.  Persist, Reproduce and recovery are the
+    modules {!Persist}, {!Reproduce} and {!Recovery} over the shared
+    {!Engine_state} record; {!Make} re-exports their entry points. *)
 
 exception Pmem_exhausted
 (** [pmalloc] found no free extent large enough. *)
@@ -197,8 +201,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       or [pfree] inside [f] raises {!Read_only_violation}.
 
       [durable = true] selects durable-only mode: the epoch is pinned at
-      {!ro_watermark} (local durable ID, or the installed shard/quorum
-      watermark), so every value read was already crash-surviving at the
+      the watermark installed by {!set_ro_watermark} (or the local durable
+      ID), so every value read was already crash-surviving at the
       moment of the read; a read observing newer state waits — bounded by
       the group-commit deadline — for durability to catch up.  Fresh-epoch
       mode ([durable = false], the default) may observe committed state
@@ -252,16 +256,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       durable), the replication layer its quorum watermark.  The thunk
       must be a pure read — snapshot readers poll it from scheduler wait
       conditions.  [None] restores the default (the local durable ID). *)
-
-  val ro_watermark : t -> int
-  (** The watermark durable-only snapshots currently pin at. *)
-
-  val set_drain_context : t -> (unit -> string) option -> unit
-  (** Install a front-end context supplement appended to the
-      {!Drain_stalled} diagnostic (the serving layer reports its queue
-      depth, shed counts and admission-gate state) so an operator can
-      distinguish "engine stalled" from "front end overloaded".  The thunk
-      must be a pure read.  [None] removes it. *)
 
   (** {1 Cross-shard transactions (sharding layer hooks)} *)
 
@@ -370,8 +364,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
 
   val drain_diagnostic : t -> string
   (** The diagnostic string {!drain} would raise with right now: pipeline
-      watermarks, ring occupancy, daemon counters, plus any installed
-      {!set_drain_context} supplement.  For tests and operator tooling. *)
+      watermarks, ring occupancy and daemon counters.  For tests and
+      operator tooling. *)
 
   val stats : t -> Dudetm_sim.Stats.t
   (** ["txs"], ["log_entries"], ["flush_records"], ["flush_payload_bytes"],

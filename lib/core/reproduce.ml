@@ -1,0 +1,193 @@
+(* The Reproduce step (Section 3.4): one background daemon replays
+   durable records onto the home NVM locations in transaction-ID order,
+   persists the reproduced data, checkpoints the allocator and watermark,
+   and recycles the rings. *)
+
+open Engine_state
+
+(* Redo one replay item's entries onto the device: home stores (queued in
+   [ranges] for the caller's persist ordering, their CRC extents marked in
+   [extents]), allocator replay, and the cross-shard frontier raised to
+   the highest sealed global ID.  Returns the new frontier.  Shared by
+   Reproduce and recovery replay. *)
+let redo_entries nvm alloc ~extents ~ranges ~frontier entries =
+  List.fold_left
+    (fun frontier e ->
+      match e with
+      | Log_entry.Write { addr; value } ->
+        Nvm.store_u64 nvm addr value;
+        ranges := (addr, 8) :: !ranges;
+        Hashtbl.replace extents (addr / Config.crc_extent) ();
+        Hashtbl.replace extents ((addr + 7) / Config.crc_extent) ();
+        frontier
+      | Log_entry.Alloc { off; len } ->
+        Alloc.reserve alloc ~off ~len;
+        frontier
+      | Log_entry.Free { off; len } ->
+        Alloc.free alloc ~off ~len;
+        frontier
+      | Log_entry.Cross { gtid; _ } -> max frontier gtid
+      | Log_entry.Tx_end _ -> frontier)
+    frontier entries
+
+(* Highest cross-shard global ID sealed into an item's entries (0 when
+   the item carries no fragment).  Gating on the max is enough: fragment
+   admissibility is monotone in the global ID. *)
+let item_cross_gtid it =
+  List.fold_left
+    (fun acc e -> match e with Log_entry.Cross { gtid; _ } -> max acc gtid | _ -> acc)
+    0 it.entries
+
+(* Reproduce's wait list is built here, once: the gate comes with the
+   conds of the state it reads.  Before [start] only, so a parked
+   Reproduce never holds a stale list. *)
+let set_replay_gate t ~on gate =
+  if t.started then invalid_arg "Dudetm.set_replay_gate: engine already started";
+  t.replay_gate <- gate;
+  t.repro_on <- t.wake_repro :: t.wake_stop :: on
+
+(* The region whose queue head is the next replay item, or -1 if its
+   turn has not come.  Transaction IDs are unique across regions, so at
+   most one queue matches.  Allocation-free: replay-gate predicates poll
+   it on every scheduler pass. *)
+let next_region t =
+  let target = applied t + 1 in
+  let r = ref (-1) in
+  for i = 0 to Array.length t.queues - 1 do
+    let q = t.queues.(i) in
+    if (not (Queue.is_empty q)) && (Queue.peek q).lo = target then r := i
+  done;
+  !r
+
+(* The next queued replay item, if its turn has come (pure: no pop). *)
+let peek_next_item t =
+  match next_region t with -1 -> None | r -> Some (Queue.peek t.queues.(r))
+
+(* May Reproduce apply the next transaction?  The replay gate is pure
+   (it only reads sibling shards' durable counters or a quorum
+   watermark), so it is safe inside [Sched.wait_until] conditions. *)
+let can_apply t =
+  t.durable > applied t
+  (* Under the Skip_batch_seal mutant the durable ID runs ahead of the
+     flushed records, so the "durable implies queued" invariant that
+     [pop_next_item] asserts does not hold; wait for the item instead of
+     crashing the daemon — the campaign must catch the mutant as a
+     durability violation at a power cut, not as an engine exception. *)
+  && ((not (Inject.armed Skip_batch_seal)) || peek_next_item t <> None)
+  && (match t.replay_gate with
+     | Some gate -> (
+       match peek_next_item t with Some it -> gate it | None -> true)
+     | None -> true)
+
+(* Recycling is due early once some ring runs below a quarter free. *)
+let recycle_pressure t =
+  t.pending_recycle <> []
+  && Array.exists (fun p -> Plog.free_space p < Plog.data_capacity p / 4) t.plogs
+
+(* Persist every reproduced-but-unpersisted heap range and advance the
+   persisted-data watermark.  The ranges live in [t] so a daemon restart
+   between applying items and persisting them cannot drop the fence: the
+   restarted daemon (or the checkpoint below) still flushes them before
+   any checkpoint covers the applied IDs.  The Unfenced_reproduce mutant
+   (checker self-test only) skips the fence. *)
+let flush_reproduced t =
+  if !(t.repro_ranges) <> [] then begin
+    if not (Inject.armed Unfenced_reproduce) then
+      Nvm.persist_ranges t.nvm !(t.repro_ranges);
+    t.repro_ranges := []
+  end;
+  t.persisted_data <- applied t
+
+let do_checkpoint t =
+  Trace.span ~cat:"reproduce" "checkpoint" @@ fun () ->
+  (* A daemon restart may have left applied items whose data persist is
+     still pending; fence them before the checkpoint can cover them. *)
+  flush_reproduced t;
+  (* Refresh the CRC directory for every heap extent this checkpoint
+     covers.  Reproduce has already persisted those extents (the round's
+     persist_ranges precedes the checkpoint), so latest = persisted there
+     and the recomputed CRCs seal exactly the checkpointed content. *)
+  let extents = Hashtbl.fold (fun e () acc -> e :: acc) t.dirty_extents [] in
+  Hashtbl.reset t.dirty_extents;
+  Crcdir.update t.crcdir extents;
+  Checkpoint.write t.ckpt
+    {
+      Checkpoint.reproduced_upto = t.persisted_data;
+      cross_frontier = t.cross_frontier;
+      free_extents = Alloc.extents t.repro_alloc;
+    };
+  (* Recycle each ring up to its furthest completed record. *)
+  let per_region = Hashtbl.create 8 in
+  List.iter
+    (fun (region, end_off, seq) ->
+      match Hashtbl.find_opt per_region region with
+      | Some (e, _) when e >= end_off -> ()
+      | _ -> Hashtbl.replace per_region region (end_off, seq))
+    t.pending_recycle;
+  Hashtbl.iter
+    (fun region (end_off, next_seq) ->
+      Plog.recycle_to t.plogs.(region) ~end_off ~next_seq)
+    per_region;
+  t.pending_recycle <- [];
+  t.checkpointed <- t.persisted_data
+
+let pop_next_item t =
+  match next_region t with
+  | -1 ->
+    invalid_arg
+      (Printf.sprintf "Dudetm reproduce: transaction %d durable but not queued"
+         (applied t + 1))
+  | r -> Queue.pop t.queues.(r)
+
+(* Apply one item's stores and allocator replay atomically, then publish
+   the applied watermark.  Persisting is the caller's job: a reproduce
+   round applies a whole batch of items under a single persist ordering,
+   which is what keeps one background thread ahead of many Perform
+   threads. *)
+let apply_item t it ranges =
+  let n = List.length it.entries in
+  Sched.advance (t.cfg.Config.reproduce_cost_per_entry * n);
+  t.cross_frontier <-
+    redo_entries t.nvm t.repro_alloc ~extents:t.dirty_extents ~ranges
+      ~frontier:t.cross_frontier it.entries;
+  t.applied_cell := it.hi;
+  if it.last_of_record then
+    t.pending_recycle <- (it.region, it.end_off, it.rec_next_seq) :: t.pending_recycle
+
+let round t =
+  Trace.span ~cat:"reproduce" "replay" @@ fun () ->
+  let batch = ref 0 in
+  while can_apply t && !batch < t.cfg.Config.reproduce_batch do
+    maybe_fault t "reproduce";
+    apply_item t (pop_next_item t) t.repro_ranges;
+    incr batch
+  done;
+  (* One persist ordering covers the whole round's reproduced data. *)
+  if !batch > 0 then flush_reproduced t
+
+let loop t =
+  let rec loop () =
+    maybe_fault t "reproduce";
+    if can_apply t then begin
+      round t;
+      if List.length t.pending_recycle >= t.cfg.Config.checkpoint_records || recycle_pressure t
+      then do_checkpoint t;
+      loop ()
+    end
+    else if t.stop_flag then begin
+      (* Quiesced — or stopped while a cross-shard fragment is still
+         gated on a sibling shard; either way checkpoint what is applied
+         and exit (the gated suffix replays at the next attach). *)
+      if t.pending_recycle <> [] || t.checkpointed < t.persisted_data then do_checkpoint t
+    end
+    else begin
+      Sched.wait_until ~on:t.repro_on ~label:"reproduce: waiting for durable" (fun () ->
+          t.stop_flag || can_apply t || recycle_pressure t);
+      if (not (can_apply t)) && recycle_pressure t then do_checkpoint t;
+      Sched.yield ();
+      loop ()
+    end
+  in
+  loop ()
+
+let spawn t = spawn_daemon t "reproduce" loop

@@ -97,15 +97,15 @@ let flag_plain = 'P'
 
 let flag_compressed = 'C'
 
+let frame_payload ?compressed body =
+  match compressed with
+  | Some comp when Bytes.length comp < Bytes.length body ->
+    Bytes.cat (Bytes.make 1 flag_compressed) comp
+  | Some _ | None -> Bytes.cat (Bytes.make 1 flag_plain) body
+
 let encode_payload ?(compress = false) entries =
   let body = encode_list entries in
-  if compress then begin
-    let comp = Lz.compress body in
-    if Bytes.length comp < Bytes.length body then
-      Bytes.cat (Bytes.make 1 flag_compressed) comp
-    else Bytes.cat (Bytes.make 1 flag_plain) body
-  end
-  else Bytes.cat (Bytes.make 1 flag_plain) body
+  frame_payload ?compressed:(if compress then Some (Lz.compress body) else None) body
 
 let decode_payload payload =
   if Bytes.length payload < 1 then invalid_arg "Log_entry.decode_payload: empty payload";

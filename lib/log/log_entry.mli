@@ -40,6 +40,12 @@ val tids : t list -> int list
 val cross_seals : t list -> (int * int * int) list
 (** [(gtid, mask, tid)] of all [Cross] seals, in order of appearance. *)
 
+val frame_payload : ?compressed:bytes -> bytes -> bytes
+(** [frame_payload ?compressed body] frames an already-encoded body
+    ({!encode_list}) as a persistent-record payload: a one-byte plain /
+    LZ-compressed flag followed by [compressed] when it is shorter than
+    [body], else by [body] itself. *)
+
 val encode_payload : ?compress:bool -> t list -> bytes
 (** Serialize entries as a persistent-record payload: a one-byte plain /
     LZ-compressed flag followed by the body.  With [compress] the body is

@@ -133,42 +133,26 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         (Invalid_serve_config
            "Serve: workers_per_shard exceeds the engine's Perform threads");
     let nshards = Sh.nshards sh in
-    let t =
-      {
-        sh;
-        app;
-        cfg = scfg;
-        ntenants;
-        gate = Admission.create ~trip:scfg.trip_depth ~untrip:scfg.untrip_depth;
-        queues =
-          Array.init nshards (fun _ ->
-              Array.init ntenants (fun _ -> Queue.create ()));
-        pending = Array.init nshards (fun _ -> Queue.create ());
-        depth = 0;
-        depth_hwm = 0;
-        in_flight = 0;
-        stopping = false;
-        stats = Stats.create ();
-        tenant_done = Array.make ntenants 0;
-        tenant_shed = Array.make ntenants 0;
-        dispatch_on = Array.init nshards (fun _ -> [ Sched.cond () ]);
-        ack_on = Array.init nshards (fun _ -> [ Sched.cond () ]);
-      }
-    in
-    (* Fold front-end state into every region's Drain_stalled diagnostic:
-       "engine stalled" and "front end overloaded" must be tellable
-       apart from the exception payload alone. *)
-    let ctx () =
-      Printf.sprintf "frontend: queue_depth=%d in_flight=%d shed=%d gate=%s"
-        t.depth t.in_flight (shed_total t)
-        (match Admission.state t.gate with
-        | Admission.Open -> "open"
-        | Admission.Shedding -> "shedding")
-    in
-    for s = 0 to nshards - 1 do
-      Engine.set_drain_context (Sh.engine sh s) (Some ctx)
-    done;
-    t
+    {
+      sh;
+      app;
+      cfg = scfg;
+      ntenants;
+      gate = Admission.create ~trip:scfg.trip_depth ~untrip:scfg.untrip_depth;
+      queues =
+        Array.init nshards (fun _ ->
+            Array.init ntenants (fun _ -> Queue.create ()));
+      pending = Array.init nshards (fun _ -> Queue.create ());
+      depth = 0;
+      depth_hwm = 0;
+      in_flight = 0;
+      stopping = false;
+      stats = Stats.create ();
+      tenant_done = Array.make ntenants 0;
+      tenant_shed = Array.make ntenants 0;
+      dispatch_on = Array.init nshards (fun _ -> [ Sched.cond () ]);
+      ack_on = Array.init nshards (fun _ -> [ Sched.cond () ]);
+    }
 
   let engine_pressure t =
     let n = Sh.nshards t.sh in
@@ -369,17 +353,25 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
            (acker t ~shard))
     done
 
+  (* Front-end state folded into every [Drain_stalled] diagnostic that
+     leaves [drain]: "engine stalled" and "front end overloaded" must be
+     tellable apart from the exception payload alone. *)
+  let stalled t diag =
+    Dudetm_core.Dudetm.Drain_stalled
+      (Printf.sprintf "%s frontend: queue_depth=%d in_flight=%d shed=%d gate=%s" diag
+         t.depth t.in_flight (shed_total t)
+         (match Admission.state t.gate with
+         | Admission.Open -> "open"
+         | Admission.Shedding -> "shedding"))
+
   let drain t =
     let deadline =
       Sched.global_now () + (Sh.config t.sh).Config.drain_budget
     in
     Sched.wait_until ~label:"serve drain" (fun () ->
         t.in_flight = 0 || Sched.global_now () >= deadline);
-    if t.in_flight <> 0 then
-      raise
-        (Dudetm_core.Dudetm.Drain_stalled
-           (Engine.drain_diagnostic (Sh.engine t.sh 0)));
-    Sh.drain t.sh
+    if t.in_flight <> 0 then raise (stalled t (Engine.drain_diagnostic (Sh.engine t.sh 0)));
+    try Sh.drain t.sh with Dudetm_core.Dudetm.Drain_stalled diag -> raise (stalled t diag)
 
   let stop t =
     drain t;

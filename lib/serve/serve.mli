@@ -74,10 +74,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   (** {1 Lifecycle} *)
 
   val create : ?scfg:config -> app:app -> ntenants:int -> Sh.t -> t
-  (** Build the front end over a created/attached sharded instance; also
-      installs a drain-context supplement on every region so
-      [Drain_stalled] diagnostics carry queue depth, shed counts and gate
-      state.  Raises {!Invalid_serve_config} if [workers_per_shard]
+  (** Build the front end over a created/attached sharded instance.
+      Raises {!Invalid_serve_config} if [workers_per_shard]
       exceeds the engine's Perform threads. *)
 
   val start : t -> unit

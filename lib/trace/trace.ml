@@ -235,32 +235,26 @@ let counter ~cat name v =
 let sample ~cat name cycles =
   if st.on then record_sample (cat ^ "." ^ name) cycles
 
+(* Charge one transfer to [key]'s cell of an accounting table. *)
+let bump tbl key ~bytes ~cycles =
+  let cell =
+    match Hashtbl.find_opt tbl key with
+    | Some c -> c
+    | None ->
+      let c = { c_bytes = 0; c_cycles = 0; c_ops = 0 } in
+      Hashtbl.add tbl key c;
+      c
+  in
+  cell.c_bytes <- cell.c_bytes + bytes;
+  cell.c_cycles <- cell.c_cycles + cycles;
+  cell.c_ops <- cell.c_ops + 1
+
 let nvm_transfer ~dev ~bytes ~cycles =
   if st.on then begin
     let ts = !now_fn () in
     let tid = self_noted () in
-    let cell =
-      match Hashtbl.find_opt st.nvm tid with
-      | Some c -> c
-      | None ->
-        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0 } in
-        Hashtbl.add st.nvm tid c;
-        c
-    in
-    cell.c_bytes <- cell.c_bytes + bytes;
-    cell.c_cycles <- cell.c_cycles + cycles;
-    cell.c_ops <- cell.c_ops + 1;
-    let dcell =
-      match Hashtbl.find_opt st.nvm_dev dev with
-      | Some c -> c
-      | None ->
-        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0 } in
-        Hashtbl.add st.nvm_dev dev c;
-        c
-    in
-    dcell.c_bytes <- dcell.c_bytes + bytes;
-    dcell.c_cycles <- dcell.c_cycles + cycles;
-    dcell.c_ops <- dcell.c_ops + 1;
+    bump st.nvm tid ~bytes ~cycles;
+    bump st.nvm_dev dev ~bytes ~cycles;
     emit ~ts ~tid ~kind:Ev_instant ~cat:"nvm" ~name:"persist" ~arg:bytes
   end
 
@@ -271,17 +265,7 @@ let link_transfer ~link ~bytes ~cycles =
   if st.on then begin
     let ts = !now_fn () in
     let tid = self_noted () in
-    let cell =
-      match Hashtbl.find_opt st.links link with
-      | Some c -> c
-      | None ->
-        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0 } in
-        Hashtbl.add st.links link c;
-        c
-    in
-    cell.c_bytes <- cell.c_bytes + bytes;
-    cell.c_cycles <- cell.c_cycles + cycles;
-    cell.c_ops <- cell.c_ops + 1;
+    bump st.links link ~bytes ~cycles;
     emit ~ts ~tid ~kind:Ev_instant ~cat:"link" ~name:"frame" ~arg:bytes
   end
 

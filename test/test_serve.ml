@@ -320,20 +320,41 @@ let test_tenant_mix () =
 
 (* ------------------------ drain diagnostics ------------------------------ *)
 
+(* A real stall through [Srv.drain] with a one-cycle budget: requests
+   still in flight at the deadline (the front end's own stall), and an
+   engine that has acked every write but not yet reproduced it (the
+   stall [Sh.drain] raises).  Both payloads must carry the front-end
+   context next to the engine diagnostic. *)
 let test_drain_context () =
-  let entered = ref 0 in
-  ignore
-    (Sched.run (fun () ->
-         let sh = Srv.Sh.create ~nshards:2 (SL.engine_cfg ~workers:2 ()) in
-         let srv = Srv.create ~app:(make_app entered) ~ntenants:1 sh in
-         ignore srv;
-         for s = 0 to 1 do
-           let diag = Srv.Engine.drain_diagnostic (Srv.Sh.engine sh s) in
-           check Alcotest.bool
-             (Printf.sprintf "shard %d diagnostic carries queue context" s)
-             true
-             (contains diag "queue_depth" && contains diag "shed")
-         done))
+  let stall ~await_all =
+    let entered = ref 0 in
+    let msg = ref None in
+    ignore
+      (Sched.run (fun () ->
+           let cfg = { (SL.engine_cfg ~workers:2 ()) with Config.drain_budget = 1 } in
+           let sh = Srv.Sh.create ~nshards:2 cfg in
+           let srv = Srv.create ~app:(make_app entered) ~ntenants:1 sh in
+           Srv.start srv;
+           let descs = List.init 8 (fun i -> Srv.make_desc ~tenant:0 ~session:0 (write_op i)) in
+           let accepted = List.filter (fun d -> Srv.submit srv d) descs in
+           if await_all then List.iter (fun d -> ignore (Srv.await d)) accepted;
+           match Srv.drain srv with
+           | () -> ()
+           | exception Dudetm_core.Dudetm.Drain_stalled m -> msg := Some m));
+    !msg
+  in
+  List.iter
+    (fun (what, await_all, in_flight) ->
+      match stall ~await_all with
+      | None -> Alcotest.fail (what ^ ": drain returned despite a 1-cycle budget")
+      | Some msg ->
+        List.iter
+          (fun needle ->
+            check Alcotest.bool
+              (Printf.sprintf "%s: diagnostic carries %s" what needle)
+              true (contains msg needle))
+          [ "drain stalled after 1 cycles"; "queue_depth="; "shed="; in_flight ])
+    [ ("requests in flight", false, "in_flight=8"); ("engine behind", true, "in_flight=0") ]
 
 let suite =
   [
