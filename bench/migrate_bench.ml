@@ -80,23 +80,22 @@ let run_resharding ~warm () =
   let cycles =
     Sched.run (fun () ->
         Mig.Sh.start sh;
-        let done_workers = ref 0 in
         (* Disjoint key sets (key mod nworkers) keep workers conflict-free;
            the moving range still catches every worker because buckets span
            the whole residue space. *)
-        for th = 1 to nworkers do
-          ignore
-            (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                 let i = ref 0 in
-                 while not !stop do
-                   let k = (th - 1) + (nworkers * (!i mod (nkeys / nworkers))) in
-                   (match Mig.apply mig ~thread:th ~key:k (fun v -> Int64.add v 1L) with
-                   | Some _ -> incr committed
-                   | None -> incr failed);
-                   incr i
-                 done;
-                 incr done_workers))
-        done;
+        let workers =
+          List.init nworkers (fun i ->
+              let th = i + 1 in
+              Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  let i = ref 0 in
+                  while not !stop do
+                    let k = (th - 1) + (nworkers * (!i mod (nkeys / nworkers))) in
+                    (match Mig.apply mig ~thread:th ~key:k (fun v -> Int64.add v 1L) with
+                    | Some _ -> incr committed
+                    | None -> incr failed);
+                    incr i
+                  done))
+        in
         ignore
           (Sched.spawn "monitor" ~daemon:true (fun () ->
                while true do
@@ -128,7 +127,7 @@ let run_resharding ~warm () =
                t1 := Sched.now ();
                Sched.advance warm;
                stop := true));
-        Sched.wait_until ~label:"workers done" (fun () -> !done_workers = nworkers);
+        Sched.join ~label:"workers done" workers;
         Mig.Sh.stop sh)
   in
   (* Per-window throughput from the monitor's cumulative samples. *)

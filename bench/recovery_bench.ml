@@ -23,8 +23,6 @@ module Config = Dudetm_core.Config
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 module L = Ledger
 
-exception Crashed
-
 let cfg =
   {
     Config.default with
@@ -39,25 +37,23 @@ let cfg =
 
 let run_point ~crash_cycles =
   let t = D.create cfg in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       ignore
-                         (D.atomically t ~thread:th (fun tx ->
-                              let c = D.read tx 0 in
-                              let c1 = Int64.add c 1L in
-                              D.write tx (8 + (8 * (Int64.to_int c1 land 1023))) c1;
-                              D.write tx 0 c1))
-                     done))
-            done;
-            Sched.advance crash_cycles;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         for th = 0 to cfg.Config.nthreads - 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  while true do
+                    ignore
+                      (D.atomically t ~thread:th (fun tx ->
+                           let c = D.read tx 0 in
+                           let c1 = Int64.add c 1L in
+                           D.write tx (8 + (8 * (Int64.to_int c1 land 1023))) c1;
+                           D.write tx 0 c1))
+                  done))
+         done;
+         Sched.advance crash_cycles;
+         Sched.halt ()));
   let nvm = D.nvm t in
   Nvm.crash nvm;
   let ops0 = Nvm.persist_ops nvm and bytes0 = Nvm.persisted_write_bytes nvm in

@@ -24,8 +24,6 @@ module Rep = Dudetm_replica.Replica.Make (Dudetm_tm.Tinystm)
 module D = Rep.Engine
 module L = Ledger
 
-exception Primary_killed
-
 let replica_counts = [ 0; 1; 3; 5 ]
 
 let canonical_ntxs = 1_200
@@ -75,14 +73,9 @@ type row = {
 let run_workers ~start body ~finish =
   Sched.run (fun () ->
       start ();
-      let done_workers = ref 0 in
-      for th = 0 to cfg.Config.nthreads - 1 do
-        ignore
-          (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-               body th;
-               incr done_workers))
-      done;
-      Sched.wait_until ~label:"workers done" (fun () -> !done_workers = cfg.Config.nthreads);
+      Sched.join ~label:"workers done"
+        (List.init cfg.Config.nthreads (fun th ->
+             Sched.spawn (Printf.sprintf "w%d" th) (fun () -> body th)));
       finish ())
 
 (* Unreplicated baseline: the same engine, workload and drain, no links. *)
@@ -148,19 +141,17 @@ let run_replicated ~ntxs ~k =
 let run_failover ~ntxs =
   let c = Rep.create ~rcfg:(Rep.default_config ~nreplicas:3 ()) cfg in
   let committed = ref 0 in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            Rep.start c;
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     worker (Rep.primary c) ~ntxs ~thread:th ~committed ~last_tid:(ref 0)))
-            done;
-            (* Let roughly half the run land, then pull the plug. *)
-            Sched.advance 2_000_000;
-            raise Primary_killed))
-   with Primary_killed -> ());
+  ignore
+    (Sched.run (fun () ->
+         Rep.start c;
+         for th = 0 to cfg.Config.nthreads - 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  worker (Rep.primary c) ~ntxs ~thread:th ~committed ~last_tid:(ref 0)))
+         done;
+         (* Let roughly half the run land, then pull the plug. *)
+         Sched.advance 2_000_000;
+         Sched.halt ()));
   let acked = Rep.acked c in
   let wall0 = Sys.time () in
   let prom = ref None in

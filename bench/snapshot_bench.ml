@@ -127,63 +127,57 @@ let run_leg ~nshards ~mode ~durable ~run_cycles ~check_invisible () =
   let sh = Sh.create ~nshards cfg in
   let read_txs = ref 0 and write_txs = ref 0 in
   let stop_writers = ref false in
-  let done_workers = ref 0 in
-  let nworkers = nreaders + nwriters in
   let burst = ref [] in
   ignore
     (Sched.run (fun () ->
          Sh.start sh;
-         for w = 0 to nwriters - 1 do
-           let th = nreaders + w in
-           ignore
-             (Sched.spawn (Printf.sprintf "u%d" w) (fun () ->
-                  let rng = Rng.create (cfg.Config.seed + 500 + w) in
-                  while not !stop_writers do
-                    let s = Rng.int rng nshards in
-                    (match
-                       Sh.atomically sh ~thread:th ~shards:[ s ] (fun tx ->
-                           for _ = 1 to writes_per_tx do
-                             Sh.write tx ~shard:s
-                               (slot (Rng.int rng nslots))
-                               (Rng.next_int64 rng)
-                           done)
-                     with
-                    | Some _ -> incr write_txs
-                    | None -> ());
-                    Sched.advance write_pace
-                  done;
-                  incr done_workers))
-         done;
-         for th = 0 to nreaders - 1 do
-           ignore
-             (Sched.spawn (Printf.sprintf "r%d" th) (fun () ->
-                  let rng = Rng.create (cfg.Config.seed + 100 + th) in
-                  while Sched.now () < run_cycles do
-                    let s = Rng.int rng nshards in
-                    if mode = "ro" then (
-                      match Sh.atomically_ro ~durable sh ~thread:th ~shard:s (reads rng s) with
-                      | Some _ -> incr read_txs
-                      | None -> ())
-                    else begin
-                      (match Sh.atomically sh ~thread:th ~shards:[ s ] (reads rng s) with
-                      | Some _ -> incr read_txs
-                      | None -> ());
-                      if durable then
-                        (* The pre-snapshot crash-safe read recipe: wait for
-                           the watermark to cover everything the read could
-                           have observed. *)
-                        Sh.wait_durable sh
-                          (Sh.Ack_local
-                             { shard = s; tid = Sh.Engine.last_tid (Sh.engine sh s) })
-                    end
-                  done;
-                  incr done_workers))
-         done;
-         Sched.wait_until ~label:"snapshot bench readers" (fun () ->
-             !done_workers >= nreaders);
+         let writers =
+           List.init nwriters (fun w ->
+               let th = nreaders + w in
+               Sched.spawn (Printf.sprintf "u%d" w) (fun () ->
+                   let rng = Rng.create (cfg.Config.seed + 500 + w) in
+                   while not !stop_writers do
+                     let s = Rng.int rng nshards in
+                     (match
+                        Sh.atomically sh ~thread:th ~shards:[ s ] (fun tx ->
+                            for _ = 1 to writes_per_tx do
+                              Sh.write tx ~shard:s
+                                (slot (Rng.int rng nslots))
+                                (Rng.next_int64 rng)
+                            done)
+                      with
+                     | Some _ -> incr write_txs
+                     | None -> ());
+                     Sched.advance write_pace
+                   done))
+         in
+         let readers =
+           List.init nreaders (fun th ->
+               Sched.spawn (Printf.sprintf "r%d" th) (fun () ->
+                   let rng = Rng.create (cfg.Config.seed + 100 + th) in
+                   while Sched.now () < run_cycles do
+                     let s = Rng.int rng nshards in
+                     if mode = "ro" then (
+                       match Sh.atomically_ro ~durable sh ~thread:th ~shard:s (reads rng s) with
+                       | Some _ -> incr read_txs
+                       | None -> ())
+                     else begin
+                       (match Sh.atomically sh ~thread:th ~shards:[ s ] (reads rng s) with
+                       | Some _ -> incr read_txs
+                       | None -> ());
+                       if durable then
+                         (* The pre-snapshot crash-safe read recipe: wait for
+                            the watermark to cover everything the read could
+                            have observed. *)
+                         Sh.wait_durable sh
+                           (Sh.Ack_local
+                              { shard = s; tid = Sh.Engine.last_tid (Sh.engine sh s) })
+                     end
+                   done))
+         in
+         Sched.join ~label:"snapshot bench readers" readers;
          stop_writers := true;
-         Sched.wait_until ~label:"snapshot bench writers" (fun () ->
-             !done_workers = nworkers);
+         Sched.join ~label:"snapshot bench writers" writers;
          Sh.drain sh;
          Sh.stop sh;
          (* Daemons are stopped: any device byte the burst persists is the

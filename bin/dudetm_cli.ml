@@ -505,8 +505,6 @@ let serve_cmd =
 
 (* ------------------------------- scrub -------------------------------- *)
 
-exception Crashed
-
 let scrub_cmd =
   let module Scrub = Dudetm_scrub.Scrub in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault-injection RNG seed.") in
@@ -541,25 +539,23 @@ let scrub_cmd =
     (* Exercise the device with the counter workload, then cut power
        mid-run: the scrub gets a realistic image with live log records. *)
     let crash_cycles = 50_000 + Rng.int rng 200_000 in
-    (try
-       ignore
-         (Sched.run (fun () ->
-              D.start t;
-              for th = 0 to cfg.Config.nthreads - 1 do
-                ignore
-                  (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                       while true do
-                         ignore
-                           (D.atomically t ~thread:th (fun tx ->
-                                let c = D.read tx 0 in
-                                let c1 = Int64.add c 1L in
-                                D.write tx (8 + (8 * (Int64.to_int c1 mod 64))) c1;
-                                D.write tx 0 c1))
-                       done))
-              done;
-              Sched.advance crash_cycles;
-              raise Crashed))
-     with Crashed -> ());
+    ignore
+      (Sched.run (fun () ->
+           D.start t;
+           for th = 0 to cfg.Config.nthreads - 1 do
+             ignore
+               (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    while true do
+                      ignore
+                        (D.atomically t ~thread:th (fun tx ->
+                             let c = D.read tx 0 in
+                             let c1 = Int64.add c 1L in
+                             D.write tx (8 + (8 * (Int64.to_int c1 mod 64))) c1;
+                             D.write tx 0 c1))
+                    done))
+           done;
+           Sched.advance crash_cycles;
+           Sched.halt ()));
     Nvm.crash nvm;
     let lines = Nvm.size nvm / Nvm.line_size nvm in
     for _ = 1 to faults do

@@ -15,8 +15,6 @@ module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 
-exception Crashed
-
 let cfg =
   {
     Config.default with
@@ -80,20 +78,18 @@ let round seed =
   let crash_cycles = 1_000 + Rng.int rng 400_000 in
   let evict = Rng.float rng in
   let t = D.create cfg in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       work_tx t th
-                     done))
-            done;
-            Sched.advance crash_cycles;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         for th = 0 to cfg.Config.nthreads - 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  while true do
+                    work_tx t th
+                  done))
+         done;
+         Sched.advance crash_cycles;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:evict ~rng (D.nvm t);
   let t2, report = D.attach cfg (D.nvm t) in
   let durable = report.Dudetm_core.Dudetm.durable in

@@ -45,17 +45,16 @@ let () =
              ignore (W.Kv.insert kv ~thread:0 ~key:(key_of_string k) ~value:v))
            [ ("alice", 17L); ("bob", 23L); ("carol", 99L) ];
          (* ...and a bulk load from a second thread, concurrently. *)
-         let loader_done = ref false in
-         ignore
-           (Sched.spawn "bulk-loader" (fun () ->
-                let rng = Rng.create 7 in
-                for i = 1 to 2000 do
-                  ignore
-                    (W.Kv.insert kv ~thread:1
-                       ~key:(Int64.of_int (1000 + i))
-                       ~value:(Rng.next_int64 rng))
-                done;
-                loader_done := true));
+         let loader =
+           Sched.spawn "bulk-loader" (fun () ->
+               let rng = Rng.create 7 in
+               for i = 1 to 2000 do
+                 ignore
+                   (W.Kv.insert kv ~thread:1
+                      ~key:(Int64.of_int (1000 + i))
+                      ~value:(Rng.next_int64 rng))
+               done)
+         in
          (* An update whose durability we acknowledge explicitly. *)
          (match
             ptm.Ptm.atomically ~thread:0 (fun tx ->
@@ -71,7 +70,7 @@ let () =
          (* drain/stop only after every worker has stopped issuing
             transactions — drain cannot know about transactions that have
             not begun yet. *)
-         Sched.wait_until ~label:"bulk loader" (fun () -> !loader_done);
+         Sched.join ~label:"bulk loader" [ loader ];
          ptm.Ptm.drain ();
          ptm.Ptm.stop ()));
   Printf.printf "store populated: alice=%Ld bob=%Ld entries=%d\n"

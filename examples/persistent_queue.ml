@@ -15,8 +15,6 @@ module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 
-exception Power_failure
-
 (* Root block layout: head cell @0, tail cell @8, enqueued count @16,
    dequeued-sum @24 (an order-insensitive digest of consumed items).
    Cell layout: value @0, next @8. *)
@@ -70,30 +68,28 @@ let () =
   let t = D.create cfg in
   (* Producers enqueue distinct values 1..N; consumers drain concurrently.
      Invariant: consumed_sum + queued_sum = sum of enqueued values. *)
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for p = 0 to 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "producer-%d" p) (fun () ->
-                     let i = ref 0 in
-                     while true do
-                       incr i;
-                       enqueue t ~thread:p (Int64.of_int ((p * 1_000_000) + !i))
-                     done))
-            done;
-            for c = 2 to 3 do
-              ignore
-                (Sched.spawn (Printf.sprintf "consumer-%d" c) (fun () ->
-                     while true do
-                       ignore (dequeue t ~thread:c);
-                       Sched.advance 500
-                     done))
-            done;
-            Sched.advance 400_000;
-            raise Power_failure))
-   with Power_failure -> ());
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         for p = 0 to 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "producer-%d" p) (fun () ->
+                  let i = ref 0 in
+                  while true do
+                    incr i;
+                    enqueue t ~thread:p (Int64.of_int ((p * 1_000_000) + !i))
+                  done))
+         done;
+         for c = 2 to 3 do
+           ignore
+             (Sched.spawn (Printf.sprintf "consumer-%d" c) (fun () ->
+                  while true do
+                    ignore (dequeue t ~thread:c);
+                    Sched.advance 500
+                  done))
+         done;
+         Sched.advance 400_000;
+         Sched.halt ()));
   print_endline "-- power failure mid-run (30% of dirty cache lines leak) --";
   Nvm.crash ~evict_fraction:0.3 ~rng:(Rng.create 9) (D.nvm t);
   let t2, report = D.attach cfg (D.nvm t) in

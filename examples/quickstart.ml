@@ -59,21 +59,17 @@ let () =
          with
         | Some _ -> ()
         | None -> assert false);
-        let remaining = ref 2000 in
-        for thread = 0 to 3 do
-          ignore
-            (Sched.spawn (Printf.sprintf "teller-%d" thread) (fun () ->
-                 let rng = Rng.create (100 + thread) in
-                 for _ = 1 to 500 do
-                   let src = Rng.int rng accounts and dst = Rng.int rng accounts in
-                   let amount = Int64.of_int (1 + Rng.int rng 150) in
-                   (match transfer t ~thread ~src ~dst ~amount with
-                   | Some _ -> incr committed
-                   | None -> incr aborted (* insufficient funds *));
-                   decr remaining
-                 done))
-        done;
-        Sched.wait_until ~label:"tellers" (fun () -> !remaining = 0);
+        Sched.join ~label:"tellers"
+          (List.init 4 (fun thread ->
+               Sched.spawn (Printf.sprintf "teller-%d" thread) (fun () ->
+                   let rng = Rng.create (100 + thread) in
+                   for _ = 1 to 500 do
+                     let src = Rng.int rng accounts and dst = Rng.int rng accounts in
+                     let amount = Int64.of_int (1 + Rng.int rng 150) in
+                     (match transfer t ~thread ~src ~dst ~amount with
+                     | Some _ -> incr committed
+                     | None -> incr aborted (* insufficient funds *))
+                   done)));
         (* Wait until every committed transfer is persistent and reproduced
            to NVM home locations. *)
         D.drain t;

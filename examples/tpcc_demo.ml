@@ -14,8 +14,6 @@ module B = Dudetm_baselines
 module W = Dudetm_workloads
 module Ptm = B.Ptm_intf
 
-exception Power_failure
-
 let cfg =
   {
     Config.default with
@@ -40,22 +38,20 @@ let () =
   let committed = ref 0 in
 
   (* Run New Order transactions on four terminals until the power fails. *)
-  (try
-     ignore
-       (Sched.run (fun () ->
-            ptm.Ptm.start ();
-            for thread = 0 to 3 do
-              ignore
-                (Sched.spawn (Printf.sprintf "terminal-%d" thread) (fun () ->
-                     let rng = Rng.create (2024 + thread) in
-                     while true do
-                       ignore (W.Tpcc.new_order tpcc ~thread ~rng ());
-                       incr committed
-                     done))
-            done;
-            Sched.advance 4_000_000 (* ~1.2 simulated ms *);
-            raise Power_failure))
-   with Power_failure -> ());
+  ignore
+    (Sched.run (fun () ->
+         ptm.Ptm.start ();
+         for thread = 0 to 3 do
+           ignore
+             (Sched.spawn (Printf.sprintf "terminal-%d" thread) (fun () ->
+                  let rng = Rng.create (2024 + thread) in
+                  while true do
+                    ignore (W.Tpcc.new_order tpcc ~thread ~rng ());
+                    incr committed
+                  done))
+         done;
+         Sched.advance 4_000_000 (* ~1.2 simulated ms *);
+         Sched.halt ()));
   Printf.printf "committed %d New Order transactions before the crash\n" !committed;
   print_district_summary tpcc;
 

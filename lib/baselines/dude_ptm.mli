@@ -8,9 +8,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   (** Create a DudeTM instance and its interface record.  The underlying
       [D.t] is returned for tests that need crash/recovery access. *)
 
-  val of_instance : ?name:string -> D.t -> Ptm_intf.t * D.t
-  (** Wrap an existing instance (e.g. one produced by recovery). *)
-
   val attach_ptm :
     ?name:string ->
     Dudetm_core.Config.t ->

@@ -227,20 +227,16 @@ let first_failing c ~mutant ~scan at =
 (* ------------------------------------------------------------------ *)
 
 (* Fibers [name-0 .. name-(n-1)] each run [work i k] for k = 1..txs;
-   [watch], given their completion, may spawn a fiber that follows them
-   and returns its own.  Returns once all have finished. *)
-let workers ?(watch = fun _ () -> true) name n ~txs work =
-  let finished = ref 0 in
-  for i = 0 to n - 1 do
-    ignore
-      (Sched.spawn (Printf.sprintf "%s-%d" name i) (fun () ->
-           for k = 1 to txs do
-             work i k
-           done;
-           incr finished))
-  done;
-  let watched = watch (fun () -> !finished = n) in
-  Sched.wait_until ~label:(name ^ "s done") (fun () -> !finished = n && watched ())
+   [also] may spawn fibers after them.  Returns once all have finished. *)
+let workers ?(also = fun () -> []) name n ~txs work =
+  let ids =
+    List.init n (fun i ->
+        Sched.spawn (Printf.sprintf "%s-%d" name i) (fun () ->
+            for k = 1 to txs do
+              work i k
+            done))
+  in
+  Sched.join ~label:(name ^ "s done") (ids @ also ())
 
 (* A durable-ID sampler: the largest ID seen and the first regression. *)
 let monotone () =
@@ -1398,51 +1394,53 @@ let snapshot_run ctx at =
   let _, regressed, sample = monotone () in
   arm ctx nvm ~sample:(fun () -> sample (p.Ptm.durable_id ()));
   let pair_writes q va vb = [ ((q, sn_slot_a q), va); ((q, sn_slot_b q), vb) ] in
+  (* The reader stops once the last write has returned: the moment its
+     writer fiber ends. *)
+  let writes_left = ref (nwriters * txs) in
   let write th i =
     let pair = (th + (nwriters * i)) mod snapshot_npairs in
-    match
-      p.Ptm.atomically ~thread:th (fun tx ->
-          let v = Int64.add (tx.Ptm.read (sn_slot_a pair)) 1L in
-          tx.Ptm.write (sn_slot_a pair) v;
-          tx.Ptm.write (sn_slot_b pair) v;
-          History.attempt h ~worker:th ~pos:(fun _ -> Int64.to_int v) (pair_writes pair v v))
-    with
+    (match
+       p.Ptm.atomically ~thread:th (fun tx ->
+           let v = Int64.add (tx.Ptm.read (sn_slot_a pair)) 1L in
+           tx.Ptm.write (sn_slot_a pair) v;
+           tx.Ptm.write (sn_slot_b pair) v;
+           History.attempt h ~worker:th ~pos:(fun _ -> Int64.to_int v) (pair_writes pair v v))
+     with
     | Some _ -> History.commit h ~worker:th ()
-    | None -> History.abandon h ~worker:th
+    | None -> History.abandon h ~worker:th);
+    decr writes_left
   in
-  let reader writers_done =
-    let reader_done = ref false in
-    ignore
-      (Sched.spawn "snapshot-reader" (fun () ->
-           let durable = ref false in
-           while not (writers_done ()) do
-             durable := not !durable;
-             (* All [a] halves first, then all [b] halves: a writer
-                committing pair [q] anywhere in between bumps both stripes
-                past the epoch, so the [b] read triggers an extension —
-                which must revalidate the recorded [a] (and restart), or
-                tear. *)
-             match
-               p.Ptm.atomically_ro ~durable:!durable ~thread:(nthreads - 1) (fun tx ->
-                   let read slot = Array.init snapshot_npairs (fun q -> tx.Ptm.read (slot q)) in
-                   let va = read sn_slot_a in
-                   let vb = read sn_slot_b in
-                   (va, vb))
-             with
-             | Some ((va, vb), epoch) ->
-               tally ctx "snapshot reads" 1;
-               History.read h ~epoch ~durable:!durable
-                 (List.concat (List.init snapshot_npairs (fun q -> pair_writes q va.(q) vb.(q))))
-             | None -> ()
-           done;
-           reader_done := true));
-    fun () -> !reader_done
+  let reader () =
+    [
+      Sched.spawn "snapshot-reader" (fun () ->
+          let durable = ref false in
+          while !writes_left > 0 do
+            durable := not !durable;
+            (* All [a] halves first, then all [b] halves: a writer
+               committing pair [q] anywhere in between bumps both stripes
+               past the epoch, so the [b] read triggers an extension —
+               which must revalidate the recorded [a] (and restart), or
+               tear. *)
+            match
+              p.Ptm.atomically_ro ~durable:!durable ~thread:(nthreads - 1) (fun tx ->
+                  let read slot = Array.init snapshot_npairs (fun q -> tx.Ptm.read (slot q)) in
+                  let va = read sn_slot_a in
+                  let vb = read sn_slot_b in
+                  (va, vb))
+            with
+            | Some ((va, vb), epoch) ->
+              tally ctx "snapshot reads" 1;
+              History.read h ~epoch ~durable:!durable
+                (List.concat (List.init snapshot_npairs (fun q -> pair_writes q va.(q) vb.(q))))
+            | None -> ()
+          done);
+    ]
   in
   let completed =
     guard ctx (fun () ->
         Sched.run (fun () ->
             p.Ptm.start ();
-            workers "snapshot-writer" nwriters ~txs ~watch:reader write;
+            workers "snapshot-writer" nwriters ~txs ~also:reader write;
             p.Ptm.drain ();
             p.Ptm.stop ()))
   in

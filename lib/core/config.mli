@@ -128,8 +128,6 @@ val badline_size : t -> int
 val rjournal_base : t -> int
 (** Base of the double-slot CRC-sealed recovery intent journal. *)
 
-val rjournal_size : t -> int
-
 val hjournal_base : t -> int
 (** Base of the migration handoff journal: two double-slot CRC-sealed
     records (handoff phase at [+0], partition descriptor at [+256]) used by

@@ -36,6 +36,3 @@ val set_bytes : t -> int -> bytes -> unit
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 
 val fill : t -> int -> int -> char -> unit
-
-val check_aligned : int -> unit
-(** Raise [Invalid_argument] unless the address is 8-byte aligned. *)

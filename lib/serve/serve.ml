@@ -370,7 +370,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     in
     Sched.wait_until ~label:"serve drain" (fun () ->
         t.in_flight = 0 || Sched.global_now () >= deadline);
-    if t.in_flight <> 0 then raise (stalled t (Engine.drain_diagnostic (Sh.engine t.sh 0)));
+    if t.in_flight <> 0 then raise (stalled t (Sh.drain_diagnostic t.sh));
     try Sh.drain t.sh with Dudetm_core.Dudetm.Drain_stalled diag -> raise (stalled t diag)
 
   let stop t =

@@ -50,9 +50,6 @@ type config = {
 
 val default_config : config
 
-val validate_config : config -> unit
-(** Raises {!Invalid_serve_config} on inconsistent thresholds. *)
-
 module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   module Sh : module type of Dudetm_shard.Shard.Make (Tm)
 

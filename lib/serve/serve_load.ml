@@ -81,7 +81,6 @@ let run ?scfg ?(theta = 0.99) ?(ro_permille = 500) ?(seed = 11) ~nshards ~ntenan
   let tenant_lat = Array.init ntenants (fun _ -> Stats.Latency.create ()) in
   let done_reqs = ref 0 and shed = ref 0 and aborted = ref 0 in
   let blocked = ref 0 in
-  let sessions_done = ref 0 in
   let total_sessions = ntenants * sessions in
   let on_reply d =
     match Srv.reply d with
@@ -105,37 +104,33 @@ let run ?scfg ?(theta = 0.99) ?(ro_permille = 500) ?(seed = 11) ~nshards ~ntenan
   let elapsed =
     Sched.run (fun () ->
         Srv.start srv;
-        for tenant = 0 to ntenants - 1 do
-          for s = 0 to sessions - 1 do
-            ignore
-              (Sched.spawn
-                 (Printf.sprintf "client-%d-%d" tenant s)
-                 (fun () ->
-                   let rng =
-                     Rng.create (seed + (tenant * 131) + (s * 7919))
-                   in
-                   let sess = Srv.session srv ~tenant ~sid:s in
-                   (match mode with
-                   | Closed { think } ->
-                     Srv.run_closed sess rng ~reqs ~think
-                       ~gen:(gen tenant) ~on_reply
-                   | Open { ktps } ->
-                     (* Total offered rate [ktps] split evenly over every
-                        session: per-session mean inter-arrival gap in
-                        cycles. *)
-                     let mean_gap =
-                       int_of_float
-                         (float_of_int total_sessions *. Cycles.per_second
-                         /. (ktps *. 1000.0))
-                     in
-                     Srv.run_open sess rng ~reqs
-                       ~mean_gap:(max 1 mean_gap) ~gen:(gen tenant) ~on_reply);
-                   blocked := !blocked + Srv.session_blocked sess;
-                   incr sessions_done))
-          done
-        done;
-        Sched.wait_until ~label:"serve load sessions" (fun () ->
-            !sessions_done = total_sessions);
+        Sched.join ~label:"serve load sessions"
+          (List.concat
+             (List.init ntenants (fun tenant ->
+                  List.init sessions (fun s ->
+                    Sched.spawn
+                      (Printf.sprintf "client-%d-%d" tenant s)
+                      (fun () ->
+                        let rng =
+                          Rng.create (seed + (tenant * 131) + (s * 7919))
+                        in
+                        let sess = Srv.session srv ~tenant ~sid:s in
+                        (match mode with
+                        | Closed { think } ->
+                          Srv.run_closed sess rng ~reqs ~think
+                            ~gen:(gen tenant) ~on_reply
+                        | Open { ktps } ->
+                          (* Total offered rate [ktps] split evenly over every
+                             session: per-session mean inter-arrival gap in
+                             cycles. *)
+                          let mean_gap =
+                            int_of_float
+                              (float_of_int total_sessions *. Cycles.per_second
+                              /. (ktps *. 1000.0))
+                          in
+                          Srv.run_open sess rng ~reqs
+                            ~mean_gap:(max 1 mean_gap) ~gen:(gen tenant) ~on_reply);
+                        blocked := !blocked + Srv.session_blocked sess)))));
         Srv.stop srv)
   in
   let offered =

@@ -428,9 +428,16 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      combined-mode persist daemon only flushes a partial trailing group
      once draining is set, and one region's replay gate can require exactly
      that trailing flush on a sibling. *)
+  let drain_diagnostic t =
+    String.concat "; "
+      (List.init (Array.length t.engines) (fun s ->
+           Printf.sprintf "shard %d: %s" s (Engine.drain_diagnostic t.engines.(s))))
+
   let drain t =
     Array.iter Engine.begin_drain t.engines;
-    Array.iter Engine.drain t.engines;
+    (try Array.iter Engine.drain t.engines
+     with Dudetm_core.Dudetm.Drain_stalled _ ->
+       raise (Dudetm_core.Dudetm.Drain_stalled (drain_diagnostic t)));
     advance_frontier t
 
   let stop t =

@@ -85,7 +85,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   val drain : t -> unit
   (** Mark every region draining first, then block until each has retired
       all committed transactions (including cross-shard fragments gated on
-      siblings). *)
+      siblings).  A region that stalls raises
+      {!Dudetm_core.Dudetm.Drain_stalled} with {!drain_diagnostic}. *)
+
+  val drain_diagnostic : t -> string
+  (** Every region's engine drain diagnostic, each prefixed [shard <i>: ]
+      and joined by ["; "]. *)
 
   val stop : t -> unit
   (** {!drain}, then stop every region's daemons. *)

@@ -101,53 +101,48 @@ let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000
   let ntxs_run = per * workers in
   let commit_latency = Stats.Latency.create () in
   let cross_txs = ref 0 in
-  let done_ = Array.make workers 0 in
   let start = ref 0 in
   let stop_ = ref 0 in
   ignore
     (Sched.run (fun () ->
          Sh.start sh;
          start := Sched.now ();
-         for w = 0 to workers - 1 do
-           ignore
-             (Sched.spawn
-                (Printf.sprintf "shard-worker-%d" w)
-                (fun () ->
-                  let rng = Rng.create (seed + w) in
-                  for _ = 1 to per do
-                    Sched.advance think;
-                    let k = Rng.int rng nkeys in
-                    let home = Partition.shard_of part (Int64.of_int k) in
-                    let cross = nshards > 1 && Rng.int rng 100 < cross_pct in
-                    let t0 = Sched.now () in
-                    if cross then begin
-                      (* Draw a partner key on a different shard; the hash
-                         partition spreads keys, so this terminates fast. *)
-                      let rec partner () =
-                        let k2 = Rng.int rng nkeys in
-                        let s2 = Partition.shard_of part (Int64.of_int k2) in
-                        if s2 = home then partner () else (k2, s2)
-                      in
-                      let k2, s2 = partner () in
-                      incr cross_txs;
-                      ignore
-                        (Sh.atomically sh ~thread:w ~shards:[ home; s2 ] (fun tx ->
-                             let a = Sh.read tx ~shard:home (slot_off k) in
-                             let b = Sh.read tx ~shard:s2 (slot_off k2) in
-                             Sh.write tx ~shard:home (slot_off k) (Int64.sub a 1L);
-                             Sh.write tx ~shard:s2 (slot_off k2) (Int64.add b 1L)))
-                    end
-                    else
-                      ignore
-                        (Sh.atomically sh ~thread:w ~shards:[ home ] (fun tx ->
-                             let v = Sh.read tx ~shard:home (slot_off k) in
-                             Sh.write tx ~shard:home (slot_off k) (Int64.add v 1L)));
-                    Stats.Latency.record commit_latency (Sched.now () - t0);
-                    done_.(w) <- done_.(w) + 1
-                  done))
-         done;
-         Sched.wait_until ~label:"shard bench done" (fun () ->
-             Array.for_all (fun c -> c = per) done_);
+         Sched.join ~label:"shard bench done"
+           (List.init workers (fun w ->
+                Sched.spawn
+                  (Printf.sprintf "shard-worker-%d" w)
+                  (fun () ->
+                    let rng = Rng.create (seed + w) in
+                    for _ = 1 to per do
+                      Sched.advance think;
+                      let k = Rng.int rng nkeys in
+                      let home = Partition.shard_of part (Int64.of_int k) in
+                      let cross = nshards > 1 && Rng.int rng 100 < cross_pct in
+                      let t0 = Sched.now () in
+                      if cross then begin
+                        (* Draw a partner key on a different shard; the hash
+                           partition spreads keys, so this terminates fast. *)
+                        let rec partner () =
+                          let k2 = Rng.int rng nkeys in
+                          let s2 = Partition.shard_of part (Int64.of_int k2) in
+                          if s2 = home then partner () else (k2, s2)
+                        in
+                        let k2, s2 = partner () in
+                        incr cross_txs;
+                        ignore
+                          (Sh.atomically sh ~thread:w ~shards:[ home; s2 ] (fun tx ->
+                               let a = Sh.read tx ~shard:home (slot_off k) in
+                               let b = Sh.read tx ~shard:s2 (slot_off k2) in
+                               Sh.write tx ~shard:home (slot_off k) (Int64.sub a 1L);
+                               Sh.write tx ~shard:s2 (slot_off k2) (Int64.add b 1L)))
+                      end
+                      else
+                        ignore
+                          (Sh.atomically sh ~thread:w ~shards:[ home ] (fun tx ->
+                               let v = Sh.read tx ~shard:home (slot_off k) in
+                               Sh.write tx ~shard:home (slot_off k) (Int64.add v 1L)));
+                      Stats.Latency.record commit_latency (Sched.now () - t0)
+                    done)));
          (* End-to-end durable: the run is over only when every committed
             transaction has been persisted and replayed on its shard. *)
          Sh.drain sh;

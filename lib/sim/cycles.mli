@@ -4,11 +4,8 @@
     nominal 3.4 GHz core (the paper's Xeon E5-2643 v4).  This module holds the
     conversion helpers between cycles, wall-clock time and NVM bandwidth. *)
 
-val ghz : float
-(** Nominal core frequency in GHz (3.4, as in the paper's testbed). *)
-
 val per_second : float
-(** Cycles per second, i.e. [ghz *. 1e9]. *)
+(** Cycles per second of the nominal 3.4 GHz core. *)
 
 val of_ns : float -> int
 (** [of_ns t] is the number of cycles covering [t] nanoseconds. *)

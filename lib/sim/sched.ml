@@ -1,6 +1,7 @@
 exception Deadlock of string
 exception Killed
 exception Lost_wakeup of string
+exception Halted
 
 module Trace = Dudetm_trace.Trace
 
@@ -71,6 +72,7 @@ type sched = {
   mutable dlen : int;
   mutable nparked : int;
   mutable parks : int;  (* parks so far: the next park's stamp *)
+  joined : cond list;  (* one cond: [finish] signals it, [join] parks on it *)
   strategy : strategy;
 }
 
@@ -270,7 +272,8 @@ let finish s t =
   | _ ->
     t.state <- Finished;
     Trace.instant_at ~ts:t.clock ~tid:t.id ~cat:"sched" "finish" 0;
-    if not t.daemon then s.live_non_daemon <- s.live_non_daemon - 1
+    if not t.daemon then s.live_non_daemon <- s.live_non_daemon - 1;
+    List.iter signal s.joined
 
 (* A predicate runs with no thread current, so [now]/[self] read 0 in it. *)
 let wait s t pred label on k =
@@ -465,6 +468,7 @@ let run ?(strategy = Min_clock) main =
       dlen = 0;
       nparked = 0;
       parks = 0;
+      joined = [ cond () ];
       strategy;
     }
   in
@@ -489,7 +493,9 @@ let run ?(strategy = Min_clock) main =
      in
      loop ();
      kill_daemons s
-   with e ->
+   with
+   | Halted -> ()
+   | e ->
      release ();
      raise e);
   release ();
@@ -519,6 +525,20 @@ let wait_until ?(on = []) ?(label = "?") pred =
   with Effect.Unhandled _ ->
     if not (pred ()) then
       raise (Deadlock (Printf.sprintf "wait_until %S outside a simulation" label))
+
+let join ?(label = "join") ids =
+  match !current with
+  | Some s when s.running != nobody ->
+    if List.exists (fun id -> id < 0 || id >= s.nthreads) ids then
+      invalid_arg "Sched.join: unknown id";
+    let finished id = match s.all.(id).state with Finished -> true | _ -> false in
+    wait_until ~on:s.joined ~label (fun () -> List.for_all finished ids)
+  | _ -> invalid_arg "Sched.join outside a simulation"
+
+let halt () =
+  match !current with
+  | Some s when s.running != nobody -> raise Halted
+  | _ -> invalid_arg "Sched.halt outside a simulation"
 
 let now () = match !current with None -> 0 | Some s -> s.running.clock
 

@@ -93,6 +93,28 @@ exception Killed
 (** Raised inside a daemon thread when the simulation shuts down.  Daemon
     loops may catch it to run cleanup; it is absorbed by the scheduler. *)
 
+val join : ?label:string -> int list -> unit
+(** [join ids] blocks the calling thread until every thread in [ids] (as
+    returned by {!spawn}) has returned or been cancelled.  It is woken by
+    thread completion, not polled: the joiner parks on one
+    scheduler-owned {!cond} that each finishing thread signals (a no-op
+    that allocates nothing while no thread is joining).  Parking keeps
+    the exact drag, so every resume and clock is the same as a
+    {!wait_until} polling a "done" counter that each thread bumps as its
+    last act.  [label] (default ["join"]) names the wait in {!Deadlock}
+    reports.  Raises [Invalid_argument] outside {!run} or on an id that
+    was never spawned. *)
+
+val halt : unit -> 'a
+(** [halt ()] ends the current {!run} at once — a power cut at the
+    caller's clock: no thread runs again, daemons are not cancelled (no
+    {!Killed} cleanup runs), and [run] returns normally with the simulated
+    time so far.  The exception it raises unwinds the caller's stack
+    first, so [Fun.protect] finalisers on that stack do run.  It is for
+    time cuts ([advance n; halt ()]); a cut raised from a persist hook
+    whose caller must tell a cut run from a finished one should keep its
+    own exception.  Raises [Invalid_argument] outside a thread of {!run}. *)
+
 val advance : int -> unit
 (** [advance n] charges the calling thread [n] cycles and yields to the
     scheduler.  Outside {!run} it is a no-op, so cost-annotated library code

@@ -1,7 +1,7 @@
 (** B+-tree over the persistent heap (Section 5.1's B+-Tree benchmark and
     the table storage for TPC-C, TATP and the YCSB key-value store).
 
-    Maps 64-bit keys to 64-bit values.  Nodes hold up to {!fanout} keys;
+    Maps 64-bit keys to 64-bit values.  Nodes hold up to 14 keys;
     leaves are chained.  All node accesses go through the transactional
     API, so operations compose into larger transactions (TPC-C updates
     several trees atomically).
@@ -14,10 +14,6 @@
     omits B+-tree results for NVML. *)
 
 type t
-
-val fanout : int
-
-val node_size : int
 
 val create_tx : Dudetm_baselines.Ptm_intf.t -> Dudetm_baselines.Ptm_intf.tx -> t
 (** Allocate an empty tree inside an enclosing transaction; returns the
@@ -42,8 +38,6 @@ val lookup_tx : t -> Dudetm_baselines.Ptm_intf.tx -> key:int64 -> int64 option
 val update_tx : t -> Dudetm_baselines.Ptm_intf.tx -> key:int64 -> value:int64 -> bool
 (** Overwrite an existing key's value with one transactional write;
     [false] if absent. *)
-
-val delete_tx : t -> Dudetm_baselines.Ptm_intf.tx -> key:int64 -> bool
 
 val fold_range_tx :
   t ->

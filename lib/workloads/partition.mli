@@ -61,10 +61,7 @@ val with_owner : t -> blo:int -> bhi:int -> owner:int -> t
 
 val descriptor_words : int
 (** Number of u64 words {!encode} produces for [Hash] and [Range] (3);
-    [Buckets] descriptors append one packed owner byte per bucket — see
-    {!encoded_words}. *)
-
-val encoded_words : t -> int
+    [Buckets] descriptors append one packed owner byte per bucket. *)
 
 val encode : t -> int64 array
 (** Persistable descriptor; store it (e.g. in the root block) so

@@ -29,22 +29,18 @@ let counter_on (ptm : Ptm.t) =
   ignore
     (Sched.run (fun () ->
          ptm.Ptm.start ();
-         let remaining = ref (4 * per) in
-         for th = 0 to 3 do
-           ignore
-             (Sched.spawn (string_of_int th) (fun () ->
-                  for _ = 1 to per do
-                    let wset = if ptm.Ptm.requires_static then Some [ 0 ] else None in
-                    (match
-                       ptm.Ptm.atomically ~thread:th ?wset (fun tx ->
-                           tx.Ptm.write 0 (Int64.add (tx.Ptm.read 0) 1L))
-                     with
-                    | Some _ -> ()
-                    | None -> Alcotest.fail "unexpected abort");
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"counter" (fun () -> !remaining = 0);
+         Sched.join ~label:"counter"
+           (List.init 4 (fun th ->
+                Sched.spawn (string_of_int th) (fun () ->
+                    for _ = 1 to per do
+                      let wset = if ptm.Ptm.requires_static then Some [ 0 ] else None in
+                      (match
+                         ptm.Ptm.atomically ~thread:th ?wset (fun tx ->
+                             tx.Ptm.write 0 (Int64.add (tx.Ptm.read 0) 1L))
+                       with
+                      | Some _ -> ()
+                      | None -> Alcotest.fail "unexpected abort")
+                    done)));
          ptm.Ptm.drain ();
          ptm.Ptm.stop ()));
   ptm.Ptm.peek 0
@@ -177,32 +173,28 @@ let test_nvml_commit_is_durable () =
 
 (* --------------------------- crash recovery -------------------------- *)
 
-exception Crashed
-
 let test_mnemosyne_recovery () =
   (* Commit transactions, crash mid-run with evictions, recover: the redo
      logs reconstruct every committed transaction; torn tails are
      dropped. *)
   let t = B.Mnemosyne.create { B.Mnemosyne.default_config with B.Mnemosyne.heap_size = heap } in
   let ptm = B.Mnemosyne.ptm_of t in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            for th = 0 to 3 do
-              ignore
-                (Sched.spawn (string_of_int th) (fun () ->
-                     while true do
-                       ignore
-                         (ptm.Ptm.atomically ~thread:th (fun tx ->
-                              let c = tx.Ptm.read 0 in
-                              let c1 = Int64.add c 1L in
-                              tx.Ptm.write (8 * (1 + (Int64.to_int c1 land 63))) c1;
-                              tx.Ptm.write 0 c1))
-                     done))
-            done;
-            Sched.advance 150_000;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         for th = 0 to 3 do
+           ignore
+             (Sched.spawn (string_of_int th) (fun () ->
+                  while true do
+                    ignore
+                      (ptm.Ptm.atomically ~thread:th (fun tx ->
+                           let c = tx.Ptm.read 0 in
+                           let c1 = Int64.add c 1L in
+                           tx.Ptm.write (8 * (1 + (Int64.to_int c1 land 63))) c1;
+                           tx.Ptm.write 0 c1))
+                  done))
+         done;
+         Sched.advance 150_000;
+         Sched.halt ()));
   let committed = ptm.Ptm.last_tid () in
   Nvm.crash ~evict_fraction:0.4 ~rng:(Rng.create 11) (B.Mnemosyne.nvm t);
   let replayed = B.Mnemosyne.recover t in
@@ -222,18 +214,16 @@ let test_nvml_recovery_rolls_back_inflight () =
   ignore (ptm.Ptm.atomically ~thread:0 ~wset:[ 0 ] (fun tx -> tx.Ptm.write 0 5L));
   (* ...then a crash in the middle of a second one: its undo log is
      persisted, its in-place writes partially so. *)
-  (try
-     ignore
-       (Sched.run (fun () ->
-            ignore
-              (Sched.spawn "w" (fun () ->
-                   ignore
-                     (ptm.Ptm.atomically ~thread:0 ~wset:[ 0; 8 ] (fun tx ->
-                          tx.Ptm.write 0 99L;
-                          Sched.wait_until ~label:"never" (fun () -> false)))));
-            Sched.advance 100_000;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         ignore
+           (Sched.spawn "w" (fun () ->
+                ignore
+                  (ptm.Ptm.atomically ~thread:0 ~wset:[ 0; 8 ] (fun tx ->
+                       tx.Ptm.write 0 99L;
+                       Sched.wait_until ~label:"never" (fun () -> false)))));
+         Sched.advance 100_000;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:0.8 ~rng:(Rng.create 13) (B.Nvml.nvm t);
   let rolled_back = B.Nvml.recover t in
   check Alcotest.int "one in-flight transaction rolled back" 1 rolled_back;

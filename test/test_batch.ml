@@ -162,17 +162,13 @@ let test_watermark_per_batch () =
   ignore
     (Sched.run (fun () ->
          D.start t;
-         let done_ = ref 0 in
-         for th = 0 to cfg.Config.nthreads - 1 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to 30 do
-                    Sched.advance 20;
-                    counter_tx t th
-                  done;
-                  incr done_))
-         done;
-         Sched.wait_until ~label:"workers" (fun () -> !done_ = cfg.Config.nthreads);
+         Sched.join ~label:"workers"
+           (List.init cfg.Config.nthreads (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    for _ = 1 to 30 do
+                      Sched.advance 20;
+                      counter_tx t th
+                    done)));
          D.drain t;
          D.stop t));
   Nvm.set_persist_hook (D.nvm t) None;
@@ -241,22 +237,18 @@ let test_bursty_deadline_respects_bound () =
   ignore
     (Sched.run (fun () ->
          D.start t;
-         let done_ = ref 0 in
-         for th = 0 to cfg.Config.nthreads - 1 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  let rng = Rng.create (17 + th) in
-                  for burst = 1 to 8 do
-                    (* A burst of back-to-back commits, then a lull well
-                       past the deadline. *)
-                    for _ = 1 to 1 + Rng.int rng 6 do
-                      counter_tx t th
-                    done;
-                    Sched.advance (if burst mod 2 = 0 then 2_000 else Rng.int rng 100)
-                  done;
-                  incr done_))
-         done;
-         Sched.wait_until ~label:"workers" (fun () -> !done_ = cfg.Config.nthreads);
+         Sched.join ~label:"workers"
+           (List.init cfg.Config.nthreads (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    let rng = Rng.create (17 + th) in
+                    for burst = 1 to 8 do
+                      (* A burst of back-to-back commits, then a lull well
+                         past the deadline. *)
+                      for _ = 1 to 1 + Rng.int rng 6 do
+                        counter_tx t th
+                      done;
+                      Sched.advance (if burst mod 2 = 0 then 2_000 else Rng.int rng 100)
+                    done)));
          D.drain t;
          D.stop t));
   let st = D.stats t in
@@ -294,18 +286,13 @@ let test_pipeline_overlap_in_trace () =
       ignore
         (Sched.run (fun () ->
              D.start t;
-             let done_ = ref 0 in
-             for th = 0 to cfg.Config.nthreads - 1 do
-               ignore
-                 (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                      for _ = 1 to 60 do
-                        Sched.advance 20;
-                        counter_tx t th
-                      done;
-                      incr done_))
-             done;
-             Sched.wait_until ~label:"workers" (fun () ->
-                 !done_ = cfg.Config.nthreads);
+             Sched.join ~label:"workers"
+               (List.init cfg.Config.nthreads (fun th ->
+                    Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                        for _ = 1 to 60 do
+                          Sched.advance 20;
+                          counter_tx t th
+                        done)));
              D.drain t;
              D.stop t));
       let overlap = Trace.span_overlap ~cat:"persist" "combine" "flush" in

@@ -25,8 +25,6 @@ module History = Dudetm_check.History
 
 let check = Alcotest.check
 
-exception Crashed
-
 (* ----------------------------- generator ------------------------------ *)
 
 type op =
@@ -81,32 +79,27 @@ let observe (ptm : Ptm.t) kv ~thread op =
 let run_system ?strategy ~nthreads ~ops_per_thread ~op_seed (ptm : Ptm.t) =
   let kv = ref None in
   let obs = Array.make nthreads [] in
-  let done_ = Array.make nthreads false in
   ignore
     (Sched.run ?strategy (fun () ->
          ptm.Ptm.start ();
          let t = W.Kv.setup ptm W.Kv.Hash ~capacity:4096 in
          kv := Some t;
-         for th = 0 to nthreads - 1 do
-           ignore
-             (Sched.spawn
-                (Printf.sprintf "w%d" th)
-                (fun () ->
-                  let ops =
-                    gen_ops ~seed:(op_seed + th) ~n:ops_per_thread ~key_lo:(1 + (th * 1000))
-                      ~key_hi:((th * 1000) + 200)
-                  in
-                  obs.(th) <-
-                    List.rev
-                      (List.fold_left
-                         (fun acc op ->
-                           Sched.advance 30;
-                           observe ptm t ~thread:th op :: acc)
-                         [] ops);
-                  done_.(th) <- true))
-         done;
-         Sched.wait_until ~label:"differential workers" (fun () ->
-             Array.for_all Fun.id done_);
+         Sched.join ~label:"differential workers"
+           (List.init nthreads (fun th ->
+                Sched.spawn
+                  (Printf.sprintf "w%d" th)
+                  (fun () ->
+                    let ops =
+                      gen_ops ~seed:(op_seed + th) ~n:ops_per_thread ~key_lo:(1 + (th * 1000))
+                        ~key_hi:((th * 1000) + 200)
+                    in
+                    obs.(th) <-
+                      List.rev
+                        (List.fold_left
+                           (fun acc op ->
+                             Sched.advance 30;
+                             observe ptm t ~thread:th op :: acc)
+                           [] ops))));
          ptm.Ptm.drain ();
          ptm.Ptm.stop ()));
   let kv = Option.get !kv in
@@ -182,42 +175,40 @@ let test_crash_recovery_prefix () =
       (* Every committed write, all threads: a history over the tid order
          with one location per key. *)
       let h = History.create () and tids = ref [] in
-      (try
-         ignore
-           (Sched.run (fun () ->
-                ptm.Ptm.start ();
-                let kv = W.Kv.setup ~desc:desc_addr ptm W.Kv.Hash ~capacity:1024 in
-                (* Let setup become durable before the workload so the
-                   crash can never land inside table construction. *)
-                Sched.wait_until ~label:"setup durable" (fun () ->
-                    ptm.Ptm.durable_id () >= ptm.Ptm.last_tid ());
-                for th = 0 to dude_cfg.Config.nthreads - 1 do
-                  ignore
-                    (Sched.spawn
-                       (Printf.sprintf "w%d" th)
-                       (fun () ->
-                         let rng = Rng.create (seed + th) in
-                         while true do
-                           let key = Int64.of_int (1 + (th * 500) + Rng.int rng 100) in
-                           let value = Rng.next_int64 rng in
-                           (match
-                              ptm.Ptm.atomically ~thread:th (fun tx ->
-                                  if Rng.bool rng then W.Kv.insert_tx kv tx ~key ~value
-                                  else W.Kv.update_tx kv tx ~key ~value)
-                            with
-                           | Some (true, tid) ->
-                             tids := tid :: !tids;
-                             History.attempt h ~worker:th ~ack:(History.At (0, tid))
-                               ~pos:(fun _ -> tid)
-                               [ ((0, Int64.to_int key), value) ];
-                             History.commit h ~worker:th ()
-                           | Some (false, _) | None -> ());
-                           Sched.advance 40
-                         done))
-                done;
-                Sched.advance crash_cycles;
-                raise Crashed))
-       with Crashed -> ());
+      ignore
+        (Sched.run (fun () ->
+             ptm.Ptm.start ();
+             let kv = W.Kv.setup ~desc:desc_addr ptm W.Kv.Hash ~capacity:1024 in
+             (* Let setup become durable before the workload so the
+                crash can never land inside table construction. *)
+             Sched.wait_until ~label:"setup durable" (fun () ->
+                 ptm.Ptm.durable_id () >= ptm.Ptm.last_tid ());
+             for th = 0 to dude_cfg.Config.nthreads - 1 do
+               ignore
+                 (Sched.spawn
+                    (Printf.sprintf "w%d" th)
+                    (fun () ->
+                      let rng = Rng.create (seed + th) in
+                      while true do
+                        let key = Int64.of_int (1 + (th * 500) + Rng.int rng 100) in
+                        let value = Rng.next_int64 rng in
+                        (match
+                           ptm.Ptm.atomically ~thread:th (fun tx ->
+                               if Rng.bool rng then W.Kv.insert_tx kv tx ~key ~value
+                               else W.Kv.update_tx kv tx ~key ~value)
+                         with
+                        | Some (true, tid) ->
+                          tids := tid :: !tids;
+                          History.attempt h ~worker:th ~ack:(History.At (0, tid))
+                            ~pos:(fun _ -> tid)
+                            [ ((0, Int64.to_int key), value) ];
+                          History.commit h ~worker:th ()
+                        | Some (false, _) | None -> ());
+                        Sched.advance 40
+                      done))
+             done;
+             Sched.advance crash_cycles;
+             Sched.halt ()));
       Nvm.crash ~evict_fraction:evict ~rng:(Rng.create seed) (D.nvm d);
       let ptm2, _, report = B.Dude_ptm.Stm.attach_ptm dude_cfg (D.nvm d) in
       let durable = report.Dudetm_core.Dudetm.durable in

@@ -12,8 +12,6 @@ module Dh = Dudetm_core.Dudetm.Make (Dudetm_tm.Htm)
 
 let check = Alcotest.check
 
-exception Crashed
-
 let small_cfg ?(nthreads = 3) ?(mode = Config.Async) ?(vlog_capacity = 512)
     ?(plog_size = 1 lsl 14) ?(persist = Config.default.Config.persist) ?shadow_frames () =
   {
@@ -54,16 +52,12 @@ let run_counter_workload ?(cfg = small_cfg ()) ~txs_per_thread () =
   ignore
     (Sched.run (fun () ->
          D.start t;
-         let remaining = ref (cfg.Config.nthreads * txs_per_thread) in
-         for th = 0 to cfg.Config.nthreads - 1 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to txs_per_thread do
-                    counter_tx t th;
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"workload" (fun () -> !remaining = 0);
+         Sched.join ~label:"workload"
+           (List.init cfg.Config.nthreads (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    for _ = 1 to txs_per_thread do
+                      counter_tx t th
+                    done)));
          D.drain t;
          D.stop t));
   t
@@ -82,15 +76,13 @@ let test_durable_monotone_contiguous () =
   ignore
     (Sched.run (fun () ->
          D.start t;
-         let remaining = ref 150 in
-         for th = 0 to 2 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to 50 do
-                    counter_tx t th;
-                    decr remaining
-                  done))
-         done;
+         let workers =
+           List.init 3 (fun th ->
+               Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                   for _ = 1 to 50 do
+                     counter_tx t th
+                   done))
+         in
          ignore
            (Sched.spawn ~daemon:true "monitor" (fun () ->
                 let last = ref 0 in
@@ -101,7 +93,7 @@ let test_durable_monotone_contiguous () =
                   last := d;
                   Sched.advance 50
                 done));
-         Sched.wait_until ~label:"done" (fun () -> !remaining = 0);
+         Sched.join ~label:"done" workers;
          D.drain t;
          D.stop t));
   check Alcotest.int "durable id monotone and bounded by last tid" 0 !violations
@@ -112,24 +104,20 @@ let test_sync_mode_durable_at_return () =
   ignore
     (Sched.run (fun () ->
          D.start t;
-         let remaining = ref 60 in
-         for th = 0 to 2 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to 20 do
-                    (match
-                       D.atomically t ~thread:th (fun tx ->
-                           let c = D.read tx 0 in
-                           D.write tx 0 (Int64.add c 1L))
-                     with
-                    | Some (_, tid) ->
-                      if D.durable_id t < tid then
-                        Alcotest.fail "Sync transaction returned before durable"
-                    | None -> Alcotest.fail "unexpected abort");
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"done" (fun () -> !remaining = 0);
+         Sched.join ~label:"done"
+           (List.init 3 (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    for _ = 1 to 20 do
+                      (match
+                         D.atomically t ~thread:th (fun tx ->
+                             let c = D.read tx 0 in
+                             D.write tx 0 (Int64.add c 1L))
+                       with
+                      | Some (_, tid) ->
+                        if D.durable_id t < tid then
+                          Alcotest.fail "Sync transaction returned before durable"
+                      | None -> Alcotest.fail "unexpected abort")
+                    done)));
          D.drain t;
          D.stop t));
   check Alcotest.int "all durable" 60 (D.durable_id t)
@@ -212,20 +200,18 @@ let test_pmem_exhausted () =
 
 let crash_at ~cfg ~cycles ~evict ~seed =
   let t = D.create cfg in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       counter_tx t th
-                     done))
-            done;
-            Sched.advance cycles;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         for th = 0 to cfg.Config.nthreads - 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  while true do
+                    counter_tx t th
+                  done))
+         done;
+         Sched.advance cycles;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:evict ~rng:(Rng.create seed) (D.nvm t);
   let t2, report = D.attach cfg (D.nvm t) in
   (t, t2, report)
@@ -257,16 +243,12 @@ let test_crash_recover_continue () =
   ignore
     (Sched.run (fun () ->
          D.start t2;
-         let remaining = ref 30 in
-         for th = 0 to cfg.Config.nthreads - 1 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to 10 do
-                    counter_tx t2 th;
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"done" (fun () -> !remaining = 0);
+         Sched.join ~label:"done"
+           (List.init cfg.Config.nthreads (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    for _ = 1 to 10 do
+                      counter_tx t2 th
+                    done)));
          D.drain t2;
          D.stop t2));
   check Alcotest.int64 "counter extended past recovery point"
@@ -330,20 +312,18 @@ let prop_crash_consistency_sync =
    torn record, never discard a valid one. *)
 let crash_no_attach ~cfg ~cycles ~seed =
   let t = D.create cfg in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       counter_tx t th
-                     done))
-            done;
-            Sched.advance cycles;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         for th = 0 to cfg.Config.nthreads - 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  while true do
+                    counter_tx t th
+                  done))
+         done;
+         Sched.advance cycles;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:0.0 ~rng:(Rng.create seed) (D.nvm t);
   t
 
@@ -420,21 +400,19 @@ let test_acknowledged_txs_survive () =
   let cfg = small_cfg () in
   let t = D.create cfg in
   let acked = ref 0 in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for th = 0 to cfg.Config.nthreads - 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       counter_tx t th;
-                       acked := max !acked (D.durable_id t)
-                     done))
-            done;
-            Sched.advance 80_000;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         for th = 0 to cfg.Config.nthreads - 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  while true do
+                    counter_tx t th;
+                    acked := max !acked (D.durable_id t)
+                  done))
+         done;
+         Sched.advance 80_000;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:0.0 ~rng:(Rng.create 3) (D.nvm t);
   let _, report = D.attach cfg (D.nvm t) in
   check Alcotest.bool "acknowledged prefix survived" true
@@ -445,28 +423,26 @@ let test_crash_with_allocations () =
      the allocator must not hand out overlapping blocks after recovery. *)
   let cfg = small_cfg ~nthreads:2 () in
   let t = D.create cfg in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            D.start t;
-            for th = 0 to 1 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       ignore
-                         (D.atomically t ~thread:th (fun tx ->
-                              let head = D.read tx (D.root_base t) in
-                              let cell = D.pmalloc tx 16 in
-                              D.write tx (cell + 8) head;
-                              let n = D.read tx 8 in
-                              D.write tx cell (Int64.add n 1L);
-                              D.write tx 8 (Int64.add n 1L);
-                              D.write tx (D.root_base t) (Int64.of_int cell)))
-                     done))
-            done;
-            Sched.advance 150_000;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         for th = 0 to 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  while true do
+                    ignore
+                      (D.atomically t ~thread:th (fun tx ->
+                           let head = D.read tx (D.root_base t) in
+                           let cell = D.pmalloc tx 16 in
+                           D.write tx (cell + 8) head;
+                           let n = D.read tx 8 in
+                           D.write tx cell (Int64.add n 1L);
+                           D.write tx 8 (Int64.add n 1L);
+                           D.write tx (D.root_base t) (Int64.of_int cell)))
+                  done))
+         done;
+         Sched.advance 150_000;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:0.4 ~rng:(Rng.create 9) (D.nvm t);
   let t2, _ = D.attach cfg (D.nvm t) in
   (* Walk the recovered list; cells hold distinct values n..1. *)
@@ -505,19 +481,15 @@ let test_htm_backend_pipeline () =
   ignore
     (Sched.run (fun () ->
          Dh.start t;
-         let remaining = ref 150 in
-         for th = 0 to 2 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to 50 do
-                    ignore
-                      (Dh.atomically t ~thread:th (fun tx ->
-                           let c = Dh.read tx 0 in
-                           Dh.write tx 0 (Int64.add c 1L)));
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"done" (fun () -> !remaining = 0);
+         Sched.join ~label:"done"
+           (List.init 3 (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    for _ = 1 to 50 do
+                      ignore
+                        (Dh.atomically t ~thread:th (fun tx ->
+                             let c = Dh.read tx 0 in
+                             Dh.write tx 0 (Int64.add c 1L)))
+                    done)));
          Dh.drain t;
          Dh.stop t));
   check Alcotest.int64 "HTM-backed counter correct" 150L (Dh.heap_read_u64 t 0);
@@ -526,23 +498,21 @@ let test_htm_backend_pipeline () =
 let test_htm_crash_recovery () =
   let cfg = small_cfg () in
   let t = Dh.create cfg in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            Dh.start t;
-            for th = 0 to 2 do
-              ignore
-                (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                     while true do
-                       ignore
-                         (Dh.atomically t ~thread:th (fun tx ->
-                              let c = Dh.read tx 0 in
-                              Dh.write tx 0 (Int64.add c 1L)))
-                     done))
-            done;
-            Sched.advance 90_000;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         Dh.start t;
+         for th = 0 to 2 do
+           ignore
+             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                  while true do
+                    ignore
+                      (Dh.atomically t ~thread:th (fun tx ->
+                           let c = Dh.read tx 0 in
+                           Dh.write tx 0 (Int64.add c 1L)))
+                  done))
+         done;
+         Sched.advance 90_000;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:0.5 ~rng:(Rng.create 6) (Dh.nvm t);
   let t2, report = Dh.attach cfg (Dh.nvm t) in
   check Alcotest.int64 "HTM recovery: counter equals durable id"

@@ -10,8 +10,6 @@ module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 
 let check = Alcotest.check
 
-exception Crashed
-
 let base_cfg =
   {
     Config.default with
@@ -34,16 +32,12 @@ let run_fixed cfg ~txs_per_thread =
   let cycles =
     Sched.run (fun () ->
         D.start t;
-        let remaining = ref (cfg.Config.nthreads * txs_per_thread) in
-        for th = 0 to cfg.Config.nthreads - 1 do
-          ignore
-            (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                 for _ = 1 to txs_per_thread do
-                   counter_tx t th;
-                   decr remaining
-                 done))
-        done;
-        Sched.wait_until ~label:"done" (fun () -> !remaining = 0);
+        Sched.join ~label:"done"
+          (List.init cfg.Config.nthreads (fun th ->
+               Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                   for _ = 1 to txs_per_thread do
+                     counter_tx t th
+                   done)));
         D.drain t;
         D.stop t)
   in
@@ -81,20 +75,18 @@ let test_repeated_crash_chain () =
   let t = ref (D.create cfg) in
   let expect = ref 0 in
   for gen = 1 to 5 do
-    (try
-       ignore
-         (Sched.run (fun () ->
-              D.start !t;
-              for th = 0 to cfg.Config.nthreads - 1 do
-                ignore
-                  (Sched.spawn (Printf.sprintf "g%d-w%d" gen th) (fun () ->
-                       while true do
-                         counter_tx !t th
-                       done))
-              done;
-              Sched.advance (40_000 * gen);
-              raise Crashed))
-     with Crashed -> ());
+    ignore
+      (Sched.run (fun () ->
+           D.start !t;
+           for th = 0 to cfg.Config.nthreads - 1 do
+             ignore
+               (Sched.spawn (Printf.sprintf "g%d-w%d" gen th) (fun () ->
+                    while true do
+                      counter_tx !t th
+                    done))
+           done;
+           Sched.advance (40_000 * gen);
+           Sched.halt ()));
     Nvm.crash ~evict_fraction:0.3 ~rng:(Rng.create gen) (D.nvm !t);
     let t2, report = D.attach cfg (D.nvm !t) in
     let d = report.Dudetm_core.Dudetm.durable in
@@ -125,16 +117,12 @@ let test_paged_shadow_pipeline_and_recovery () =
   ignore
     (Sched.run (fun () ->
          D.start t;
-         let remaining = ref (3 * 120) in
-         for th = 0 to 2 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to 120 do
-                    paged_tx t th;
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"done" (fun () -> !remaining = 0);
+         Sched.join ~label:"done"
+           (List.init 3 (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    for _ = 1 to 120 do
+                      paged_tx t th
+                    done)));
          D.drain t;
          D.stop t));
   check Alcotest.int64 "paged run correct" 360L (D.heap_read_u64 t 0);

@@ -52,17 +52,14 @@ let body tx =
   E.write tx (slot c1) (Int64.of_int c1);
   E.write tx 0 (Int64.of_int c1)
 
-let spawn_workers prim ~nthreads ~txs ~committed ~done_workers =
-  for th = 0 to nthreads - 1 do
-    ignore
-      (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-           for _ = 1 to txs do
-             match E.atomically prim ~thread:th body with
-             | Some (_, tid) when tid > 0 -> committed := max !committed tid
-             | _ -> ()
-           done;
-           incr done_workers))
-  done
+let spawn_workers prim ~nthreads ~txs ~committed =
+  List.init nthreads (fun th ->
+      Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+          for _ = 1 to txs do
+            match E.atomically prim ~thread:th body with
+            | Some (_, tid) when tid > 0 -> committed := max !committed tid
+            | _ -> ()
+          done))
 
 (* ------------------------------- wire ---------------------------------- *)
 
@@ -221,9 +218,7 @@ let test_k1_matches_unreplicated () =
   ignore
     (Sched.run (fun () ->
          E.start plain;
-         let committed = ref 0 and done_workers = ref 0 in
-         spawn_workers plain ~nthreads:1 ~txs ~committed ~done_workers;
-         Sched.wait_until ~label:"plain done" (fun () -> !done_workers = 1);
+         Sched.join ~label:"plain done" (spawn_workers plain ~nthreads:1 ~txs ~committed:(ref 0));
          E.drain plain;
          E.stop plain));
   (* K=1 cluster: every ack must be primary-local durability, immediately. *)
@@ -274,9 +269,7 @@ let test_faulty_links_end_to_end () =
   ignore
     (Sched.run (fun () ->
          Rep.start c;
-         let done_workers = ref 0 in
-         spawn_workers prim ~nthreads:2 ~txs:10 ~committed ~done_workers;
-         Sched.wait_until ~label:"workers done" (fun () -> !done_workers = 2);
+         Sched.join ~label:"workers done" (spawn_workers prim ~nthreads:2 ~txs:10 ~committed);
          (match Rep.drain c with
          | Rep.Quorum -> ()
          | Rep.Degraded_quorum d -> Alcotest.failf "retransmit failed to reach quorum: %s" d);
@@ -315,8 +308,6 @@ let test_faulty_links_end_to_end () =
 
 (* -------------------- promotion truncates to quorum ---------------------- *)
 
-exception Primary_died
-
 (* At K=5 a transaction is quorum-acked once durable on the primary plus
    two replicas, so promotion's safe cut is the second-largest replica
    prefix — a lone replica that ran ahead of the quorum gets its
@@ -332,34 +323,32 @@ let test_promotion_truncates_to_quorum_prefix () =
     | Some (_, tid) when tid > 0 -> committed := max !committed tid
     | _ -> ()
   in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            Rep.start c;
-            (* Phase 1: a quorum-acked prefix on every replica. *)
-            for _ = 1 to 8 do
-              commit_one ()
-            done;
-            (match Rep.drain c with
-            | Rep.Quorum -> ()
-            | Rep.Degraded_quorum d -> Alcotest.failf "healthy drain degraded: %s" d);
-            (* Phase 2: cut off every replica but 0.  The quorum watermark
-               freezes; only replica 0 keeps receiving the tail. *)
-            for i = 1 to 4 do
-              Rep.set_partitioned c i true
-            done;
-            for _ = 1 to 24 do
-              commit_one ()
-            done;
-            let guard = ref 0 in
-            while E.durable_id (Rep.replica c 0) < !committed && !guard < 1_000 do
-              incr guard;
-              Sched.advance 5_000
-            done;
-            check Alcotest.int "replica 0 sealed the whole tail" !committed
-              (E.durable_id (Rep.replica c 0));
-            raise Primary_died))
-   with Primary_died -> ());
+  ignore
+    (Sched.run (fun () ->
+         Rep.start c;
+         (* Phase 1: a quorum-acked prefix on every replica. *)
+         for _ = 1 to 8 do
+           commit_one ()
+         done;
+         (match Rep.drain c with
+         | Rep.Quorum -> ()
+         | Rep.Degraded_quorum d -> Alcotest.failf "healthy drain degraded: %s" d);
+         (* Phase 2: cut off every replica but 0.  The quorum watermark
+            freezes; only replica 0 keeps receiving the tail. *)
+         for i = 1 to 4 do
+           Rep.set_partitioned c i true
+         done;
+         for _ = 1 to 24 do
+           commit_one ()
+         done;
+         let guard = ref 0 in
+         while E.durable_id (Rep.replica c 0) < !committed && !guard < 1_000 do
+           incr guard;
+           Sched.advance 5_000
+         done;
+         check Alcotest.int "replica 0 sealed the whole tail" !committed
+           (E.durable_id (Rep.replica c 0));
+         Sched.halt ()));
   let acked = Rep.acked c in
   check Alcotest.bool "watermark froze below the committed tail" true
     (acked < !committed);
@@ -517,9 +506,7 @@ let test_trace_spans_and_link_accounting () =
   ignore
     (Sched.run (fun () ->
          Rep.start c;
-         let done_workers = ref 0 in
-         spawn_workers prim ~nthreads:1 ~txs:8 ~committed ~done_workers;
-         Sched.wait_until ~label:"worker done" (fun () -> !done_workers = 1);
+         Sched.join ~label:"worker done" (spawn_workers prim ~nthreads:1 ~txs:8 ~committed);
          ignore (Rep.drain c);
          Rep.sync_followers c;
          Rep.stop c));

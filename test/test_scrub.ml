@@ -36,21 +36,17 @@ let quiescent_image ?(txs = 10) () =
   ignore
     (Sched.run (fun () ->
          D.start t;
-         let remaining = ref (scfg.Config.nthreads * txs) in
-         for th = 0 to scfg.Config.nthreads - 1 do
-           ignore
-             (Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
-                  for _ = 1 to txs do
-                    ignore
-                      (D.atomically t ~thread:th (fun tx ->
-                           let c = D.read tx (D.root_base t) in
-                           let c1 = Int64.add c 1L in
-                           D.write tx (8 + (8 * (Int64.to_int c1 mod 8))) c1;
-                           D.write tx (D.root_base t) c1));
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"workload" (fun () -> !remaining = 0);
+         Sched.join ~label:"workload"
+           (List.init scfg.Config.nthreads (fun th ->
+                Sched.spawn (Printf.sprintf "w%d" th) (fun () ->
+                    for _ = 1 to txs do
+                      ignore
+                        (D.atomically t ~thread:th (fun tx ->
+                             let c = D.read tx (D.root_base t) in
+                             let c1 = Int64.add c 1L in
+                             D.write tx (8 + (8 * (Int64.to_int c1 mod 8))) c1;
+                             D.write tx (D.root_base t) c1))
+                    done)));
          D.drain t;
          D.stop t));
   Nvm.crash (D.nvm t);

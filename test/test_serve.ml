@@ -85,9 +85,9 @@ let slot_of_key key = 64 + (8 * Int64.to_int key)
 
 (* [entered] counts application-body entries: a shed request that ever
    reaches the engine would bump it. *)
-let make_app entered =
+let make_app ?(shard = 0) entered =
   {
-    Srv.shard_of = (fun _ -> 0);
+    Srv.shard_of = (fun _ -> shard);
     write =
       (fun tx ~shard ~key ~payload ->
         incr entered;
@@ -324,16 +324,17 @@ let test_tenant_mix () =
    still in flight at the deadline (the front end's own stall), and an
    engine that has acked every write but not yet reproduced it (the
    stall [Sh.drain] raises).  Both payloads must carry the front-end
-   context next to the engine diagnostic. *)
+   context next to every shard's engine diagnostic, each labelled with its
+   shard — also when all traffic lands on shard 1. *)
 let test_drain_context () =
-  let stall ~await_all =
+  let stall ~await_all ~shard =
     let entered = ref 0 in
     let msg = ref None in
     ignore
       (Sched.run (fun () ->
            let cfg = { (SL.engine_cfg ~workers:2 ()) with Config.drain_budget = 1 } in
            let sh = Srv.Sh.create ~nshards:2 cfg in
-           let srv = Srv.create ~app:(make_app entered) ~ntenants:1 sh in
+           let srv = Srv.create ~app:(make_app ~shard entered) ~ntenants:1 sh in
            Srv.start srv;
            let descs = List.init 8 (fun i -> Srv.make_desc ~tenant:0 ~session:0 (write_op i)) in
            let accepted = List.filter (fun d -> Srv.submit srv d) descs in
@@ -344,8 +345,8 @@ let test_drain_context () =
     !msg
   in
   List.iter
-    (fun (what, await_all, in_flight) ->
-      match stall ~await_all with
+    (fun (what, await_all, shard, needles) ->
+      match stall ~await_all ~shard with
       | None -> Alcotest.fail (what ^ ": drain returned despite a 1-cycle budget")
       | Some msg ->
         List.iter
@@ -353,8 +354,15 @@ let test_drain_context () =
             check Alcotest.bool
               (Printf.sprintf "%s: diagnostic carries %s" what needle)
               true (contains msg needle))
-          [ "drain stalled after 1 cycles"; "queue_depth="; "shed="; in_flight ])
-    [ ("requests in flight", false, "in_flight=8"); ("engine behind", true, "in_flight=0") ]
+          ([ "shard 0: drain stalled after 1 cycles"; "shard 1: drain stalled after 1 cycles";
+             "queue_depth="; "shed=" ]
+          @ needles))
+    [
+      ("requests in flight", false, 0, [ "in_flight=8" ]);
+      ("engine behind", true, 0, [ "in_flight=0"; "shard 0: drain stalled after 1 cycles: last_tid=8" ]);
+      ("requests in flight on shard 1", false, 1, [ "in_flight=8" ]);
+      ("engine behind on shard 1", true, 1, [ "in_flight=0"; "shard 1: drain stalled after 1 cycles: last_tid=8" ]);
+    ]
 
 let suite =
   [

@@ -246,25 +246,25 @@ let test_recover_and_continue () =
    the quiesce is released, then runs. *)
 let test_single_waits_out_quiesce () =
   let sh = Sh.create ~nshards:2 (small_cfg ()) in
-  let cross_end = ref 0 and single_start = ref (-1) and single_done = ref false in
+  let cross_end = ref 0 and single_start = ref (-1) in
   ignore
     (Sched.run (fun () ->
          Sh.start sh;
-         ignore
-           (Sched.spawn "single" (fun () ->
-                Sched.advance 10;
-                ignore
-                  (Sh.atomically sh ~thread:1 ~shards:[ 0 ] (fun tx ->
-                       single_start := Sched.now ();
-                       Sh.write tx ~shard:0 local_off 1L));
-                single_done := true));
+         let single =
+           Sched.spawn "single" (fun () ->
+               Sched.advance 10;
+               ignore
+                 (Sh.atomically sh ~thread:1 ~shards:[ 0 ] (fun tx ->
+                      single_start := Sched.now ();
+                      Sh.write tx ~shard:0 local_off 1L)))
+         in
          ignore
            (Sh.atomically sh ~thread:0 ~shards:[ 0; 1 ] (fun tx ->
                 Sched.advance 1_000;
                 Sh.write tx ~shard:0 balance_off 1L;
                 Sh.write tx ~shard:1 balance_off 1L));
          cross_end := Sched.now ();
-         Sched.wait_until ~label:"single done" (fun () -> !single_done);
+         Sched.join ~label:"single done" [ single ];
          Sh.stop sh));
   check Alcotest.bool "the single-shard body ran after the quiesce" true
     (!single_start >= !cross_end)

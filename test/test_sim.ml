@@ -162,7 +162,7 @@ let test_deadlock_report_spawn_order () =
 
 (* ---- differential test: Sched against a linear-scan reference ---- *)
 
-type op = Adv of int | Incr of int | Wait_ge of int * int | Spawn of bool * op list
+type op = Adv of int | Incr of int | Wait_ge of int * int | Join | Halt | Spawn of bool * op list
 
 let rec show_ops ops =
   String.concat "; "
@@ -171,6 +171,8 @@ let rec show_ops ops =
          | Adv k -> Printf.sprintf "adv %d" k
          | Incr c -> Printf.sprintf "incr c%d" c
          | Wait_ge (c, v) -> Printf.sprintf "wait c%d>=%d" c v
+         | Join -> "join"
+         | Halt -> "halt"
          | Spawn (d, body) ->
            Printf.sprintf "%s [%s]" (if d then "daemon" else "spawn") (show_ops body))
        ops)
@@ -178,11 +180,13 @@ let rec show_ops ops =
 let gen_prog =
   let open QCheck2.Gen in
   let leaf =
-    oneof
+    frequency
       [
-        map (fun k -> Adv k) (int_range (-1) 12);
-        map (fun c -> Incr c) (int_bound 2);
-        map2 (fun c v -> Wait_ge (c, v)) (int_bound 2) (int_bound 2);
+        (3, map (fun k -> Adv k) (int_range (-1) 12));
+        (3, map (fun c -> Incr c) (int_bound 2));
+        (3, map2 (fun c v -> Wait_ge (c, v)) (int_bound 2) (int_bound 2));
+        (2, pure Join);
+        (1, pure Halt);
       ]
   in
   fix
@@ -199,13 +203,15 @@ let label c v = Printf.sprintf "c%d>=%d" c v
 
 (* The program on the real scheduler; every resume logs (self, now).  With
    [parked], every wait parks on its counter's cond and every increment
-   signals it. *)
+   signals it.  A [Join] joins the threads its own thread spawned so far;
+   a [Halt] ends the run. *)
 let run_sched ?(parked = false) strategy prog =
   let counters = Array.make 3 0 and log = ref [] in
   let conds = Array.init 3 (fun _ -> Sched.cond ()) in
   let on = Array.map (fun c -> if parked then [ c ] else []) conds in
   let note () = log := (Sched.self (), Sched.now ()) :: !log in
   let rec exec ops =
+    let kids = ref [] in
     List.iter
       (function
         | Adv k ->
@@ -217,11 +223,16 @@ let run_sched ?(parked = false) strategy prog =
         | Wait_ge (c, v) ->
           Sched.wait_until ~on:on.(c) ~label:(label c v) (fun () -> counters.(c) >= v);
           note ()
+        | Join ->
+          Sched.join !kids;
+          note ()
+        | Halt -> Sched.halt ()
         | Spawn (daemon, body) ->
-          ignore
-            (Sched.spawn ~daemon "f" (fun () ->
-                 note ();
-                 exec body)))
+          kids :=
+            Sched.spawn ~daemon "f" (fun () ->
+                note ();
+                exec body)
+            :: !kids)
       ops
   in
   let outcome =
@@ -233,7 +244,7 @@ let run_sched ?(parked = false) strategy prog =
 (* The reference: scan every thread for the least (clock, id), evaluate
    each predicate twice (to pick, then to drag), sort the candidates for a
    Choice strategy. *)
-type rstate = Fresh | Paused | Blocked of int * int | Done
+type rstate = Fresh | Paused | Blocked of int * int | Joining | Done
 
 type rthread = {
   rid : int;
@@ -241,17 +252,25 @@ type rthread = {
   mutable clock : int;
   mutable code : op list;
   mutable st : rstate;
+  mutable kids : rthread list;
 }
 
 let run_reference strategy prog =
   let counters = Array.make 3 0 and log = ref [] in
   let threads = ref [] and live = ref 0 and watermark = ref 0 and steps = ref 0 in
+  let halted = ref false in
   let add daemon clock code =
-    threads := !threads @ [ { rid = List.length !threads; daemon; clock; code; st = Fresh } ];
-    if not daemon then incr live
+    let t = { rid = List.length !threads; daemon; clock; code; st = Fresh; kids = [] } in
+    threads := !threads @ [ t ];
+    if not daemon then incr live;
+    t
   in
   let ready t =
-    match t.st with Fresh | Paused -> true | Blocked (c, v) -> counters.(c) >= v | Done -> false
+    match t.st with
+    | Fresh | Paused -> true
+    | Blocked (c, v) -> counters.(c) >= v
+    | Joining -> List.for_all (fun k -> k.st = Done) t.kids
+    | Done -> false
   in
   let rec exec t =
     match t.code with
@@ -273,25 +292,33 @@ let run_reference strategy prog =
           exec t
         end
         else t.st <- Blocked (c, v)
+      | Join ->
+        t.st <- Joining;
+        if ready t then begin
+          log := (t.rid, t.clock) :: !log;
+          exec t
+        end
+      | Halt -> halted := true
       | Spawn (daemon, body) ->
-        add daemon t.clock body;
+        t.kids <- add daemon t.clock body :: t.kids;
         exec t)
   in
   let less a b = (a.clock, a.rid) < (b.clock, b.rid) in
   let report () =
     List.filter_map
       (fun t ->
+        let waiting l =
+          Some (Printf.sprintf "%d:%s waiting on %s" t.rid (if t.rid = 0 then "main" else "f") l)
+        in
         match t.st with
-        | Blocked (c, v) ->
-          Some
-            (Printf.sprintf "%d:%s waiting on %s" t.rid (if t.rid = 0 then "main" else "f")
-               (label c v))
+        | Blocked (c, v) -> waiting (label c v)
+        | Joining -> waiting "join"
         | _ -> None)
       !threads
     |> String.concat "; "
   in
   let rec loop () =
-    if !live = 0 then Ok !watermark
+    if !live = 0 || !halted then Ok !watermark
     else
       let cands = List.filter ready !threads in
       let pick =
@@ -313,7 +340,7 @@ let run_reference strategy prog =
         List.iter
           (fun t ->
             match t.st with
-            | Blocked _ when (not (ready t)) && t.clock < w.clock -> t.clock <- w.clock
+            | (Blocked _ | Joining) when (not (ready t)) && t.clock < w.clock -> t.clock <- w.clock
             | _ -> ())
           !threads;
         watermark := max !watermark w.clock;
@@ -321,7 +348,7 @@ let run_reference strategy prog =
         exec w;
         loop ()
   in
-  add false 0 prog;
+  ignore (add false 0 prog);
   let outcome = loop () in
   (List.rev !log, outcome)
 

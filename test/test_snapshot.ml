@@ -67,58 +67,54 @@ let test_differential_oracle () =
       let commits = ref [] in
       let snaps = ref [] in
       let nwriters = 2 and nreaders = 2 in
-      let writers_done = ref 0 and readers_done = ref 0 in
       ignore
         (Sched.run ~strategy:(Sched.random_priority ~seed:sched_seed) (fun () ->
              ptm.Ptm.start ();
-             for th = 0 to nwriters - 1 do
-               ignore
-                 (Sched.spawn
-                    (Printf.sprintf "w%d" th)
-                    (fun () ->
-                      let rng = Rng.create (op_seed + th) in
-                      for _ = 1 to 40 do
-                        let a1 = slot (Rng.int rng nslots)
-                        and a2 = slot (Rng.int rng nslots) in
-                        let v1 = Rng.next_int64 rng and v2 = Rng.next_int64 rng in
-                        (match
-                           ptm.Ptm.atomically ~thread:th (fun tx ->
-                               tx.Ptm.write a1 v1;
-                               tx.Ptm.write a2 v2)
-                         with
-                        | Some ((), tid) -> commits := (tid, [ (a1, v1); (a2, v2) ]) :: !commits
-                        | None -> ());
-                        Sched.advance (50 + Rng.int rng 200)
-                      done;
-                      incr writers_done))
-             done;
-             for r = 0 to nreaders - 1 do
-               let durable = r = 1 in
-               let th = nwriters + r in
-               ignore
-                 (Sched.spawn
-                    (Printf.sprintf "ro%d" r)
-                    (fun () ->
-                      let rng = Rng.create (op_seed + 100 + r) in
-                      let last_epoch = ref 0 in
-                      for _ = 1 to 25 do
-                        (match
-                           ptm.Ptm.atomically_ro ~durable ~thread:th (fun tx ->
-                               List.init nslots (fun i -> (slot i, tx.Ptm.read (slot i))))
-                         with
-                        | Some (vals, epoch) ->
-                          if epoch < !last_epoch then
-                            Alcotest.failf "reader %d: epoch %d after epoch %d" r epoch
-                              !last_epoch;
-                          last_epoch := epoch;
-                          snaps := (r, durable, epoch, ptm.Ptm.durable_id (), vals) :: !snaps
-                        | None -> Alcotest.fail "snapshot aborted unexpectedly");
-                        Sched.advance (100 + Rng.int rng 300)
-                      done;
-                      incr readers_done))
-             done;
-             Sched.wait_until ~label:"snapshot differential workers" (fun () ->
-                 !writers_done = nwriters && !readers_done = nreaders);
+             let writers =
+               List.init nwriters (fun th ->
+                   Sched.spawn
+                     (Printf.sprintf "w%d" th)
+                     (fun () ->
+                       let rng = Rng.create (op_seed + th) in
+                       for _ = 1 to 40 do
+                         let a1 = slot (Rng.int rng nslots)
+                         and a2 = slot (Rng.int rng nslots) in
+                         let v1 = Rng.next_int64 rng and v2 = Rng.next_int64 rng in
+                         (match
+                            ptm.Ptm.atomically ~thread:th (fun tx ->
+                                tx.Ptm.write a1 v1;
+                                tx.Ptm.write a2 v2)
+                          with
+                         | Some ((), tid) -> commits := (tid, [ (a1, v1); (a2, v2) ]) :: !commits
+                         | None -> ());
+                         Sched.advance (50 + Rng.int rng 200)
+                       done))
+             in
+             let readers =
+               List.init nreaders (fun r ->
+                   let durable = r = 1 in
+                   let th = nwriters + r in
+                   Sched.spawn
+                     (Printf.sprintf "ro%d" r)
+                     (fun () ->
+                       let rng = Rng.create (op_seed + 100 + r) in
+                       let last_epoch = ref 0 in
+                       for _ = 1 to 25 do
+                         (match
+                            ptm.Ptm.atomically_ro ~durable ~thread:th (fun tx ->
+                                List.init nslots (fun i -> (slot i, tx.Ptm.read (slot i))))
+                          with
+                         | Some (vals, epoch) ->
+                           if epoch < !last_epoch then
+                             Alcotest.failf "reader %d: epoch %d after epoch %d" r epoch
+                               !last_epoch;
+                           last_epoch := epoch;
+                           snaps := (r, durable, epoch, ptm.Ptm.durable_id (), vals) :: !snaps
+                         | None -> Alcotest.fail "snapshot aborted unexpectedly");
+                         Sched.advance (100 + Rng.int rng 300)
+                       done))
+             in
+             Sched.join ~label:"snapshot differential workers" (writers @ readers);
              ptm.Ptm.drain ();
              (* A pure-RO phase is log-free and ID-free: no engine
                 transaction, no redo entry. *)
@@ -200,51 +196,50 @@ let test_mid_migration_reads () =
   let mig = Mig.create sh ~part ~nkeys:mig_nkeys ~slot_of:mig_slot in
   let committed = Array.make mig_nkeys 0 in
   let stop = ref false in
-  let writer_done = ref false and reader_done = ref false in
   ignore
     (Sched.run (fun () ->
          Sh.start sh;
-         ignore
-           (Sched.spawn "writer" (fun () ->
-                let rng = Rng.create 21 in
-                while not !stop do
-                  let key =
-                    if Rng.int rng 2 = 0 then 2 + Rng.int rng 2 else Rng.int rng mig_nkeys
-                  in
-                  (match Mig.apply mig ~thread:0 ~key (fun v -> Int64.add v 1L) with
-                  | Some _ -> committed.(key) <- committed.(key) + 1
-                  | None -> ());
-                  Sched.advance 200
-                done;
-                writer_done := true));
-         ignore
-           (Sched.spawn "reader" (fun () ->
-                let last_durable = Array.make mig_nkeys 0 in
-                while not !stop do
-                  for key = 0 to mig_nkeys - 1 do
-                    let before = committed.(key) in
-                    let v, _epoch = Mig.read_key_ro mig ~thread:1 key in
-                    let after = committed.(key) in
-                    let v = Int64.to_int v in
-                    if v < before || v > after then
-                      Alcotest.failf
-                        "volatile snapshot of key %d read %d outside the committed window \
-                         [%d, %d]"
-                        key v before after;
-                    let vd, _ed = Mig.read_key_ro ~durable:true mig ~thread:1 key in
-                    let vd = Int64.to_int vd in
-                    if vd > committed.(key) then
-                      Alcotest.failf "durable snapshot of key %d read %d beyond %d committed"
-                        key vd
-                        committed.(key);
-                    if vd < last_durable.(key) then
-                      Alcotest.failf "durable snapshot of key %d went backwards (%d after %d)"
-                        key vd last_durable.(key);
-                    last_durable.(key) <- vd
-                  done;
-                  Sched.advance 500
-                done;
-                reader_done := true));
+         let writer =
+           Sched.spawn "writer" (fun () ->
+               let rng = Rng.create 21 in
+               while not !stop do
+                 let key =
+                   if Rng.int rng 2 = 0 then 2 + Rng.int rng 2 else Rng.int rng mig_nkeys
+                 in
+                 (match Mig.apply mig ~thread:0 ~key (fun v -> Int64.add v 1L) with
+                 | Some _ -> committed.(key) <- committed.(key) + 1
+                 | None -> ());
+                 Sched.advance 200
+               done)
+         in
+         let reader =
+           Sched.spawn "reader" (fun () ->
+               let last_durable = Array.make mig_nkeys 0 in
+               while not !stop do
+                 for key = 0 to mig_nkeys - 1 do
+                   let before = committed.(key) in
+                   let v, _epoch = Mig.read_key_ro mig ~thread:1 key in
+                   let after = committed.(key) in
+                   let v = Int64.to_int v in
+                   if v < before || v > after then
+                     Alcotest.failf
+                       "volatile snapshot of key %d read %d outside the committed window \
+                        [%d, %d]"
+                       key v before after;
+                   let vd, _ed = Mig.read_key_ro ~durable:true mig ~thread:1 key in
+                   let vd = Int64.to_int vd in
+                   if vd > committed.(key) then
+                     Alcotest.failf "durable snapshot of key %d read %d beyond %d committed"
+                       key vd
+                       committed.(key);
+                   if vd < last_durable.(key) then
+                     Alcotest.failf "durable snapshot of key %d went backwards (%d after %d)"
+                       key vd last_durable.(key);
+                   last_durable.(key) <- vd
+                 done;
+                 Sched.advance 500
+               done)
+         in
          (* Hand bucket 1 (keys 2 and 3) from shard 1 to shard 3 live. *)
          Mig.begin_migration mig ~src:1 ~dst:3 ~blo:1 ~bhi:2;
          while not (Mig.copy_step ~chunk:1 mig ~thread:2) do
@@ -259,8 +254,7 @@ let test_mid_migration_reads () =
          (* Let the workers overlap the post-flip routing too. *)
          Sched.advance 20_000;
          stop := true;
-         Sched.wait_until ~label:"mid-migration workers" (fun () ->
-             !writer_done && !reader_done);
+         Sched.join ~label:"mid-migration workers" [ writer; reader ];
          Sh.drain sh;
          for key = 0 to mig_nkeys - 1 do
            let v, _ = Mig.read_key_ro mig ~thread:1 key in
@@ -388,20 +382,19 @@ let prop_snapshot_consistency =
       ignore
         (Sched.run ~strategy:(Sched.random_priority ~seed) (fun () ->
              let tm = Tinystm.create ~seed store in
-             let writer_done = ref false in
-             ignore
-               (Sched.spawn "writer" (fun () ->
-                    let rng = Rng.create (seed + 1) in
-                    for i = 1 to 20 do
-                      let p = Rng.int rng npairs in
-                      let v = Int64.of_int i in
-                      ignore
-                        (Tinystm.run tm (fun tx ->
-                             Tinystm.write tx (pair_a p) v;
-                             Tinystm.write tx (pair_b p) v));
-                      Sched.advance (20 + Rng.int rng 100)
-                    done;
-                    writer_done := true));
+             let writer =
+               Sched.spawn "writer" (fun () ->
+                   let rng = Rng.create (seed + 1) in
+                   for i = 1 to 20 do
+                     let p = Rng.int rng npairs in
+                     let v = Int64.of_int i in
+                     ignore
+                       (Tinystm.run tm (fun tx ->
+                            Tinystm.write tx (pair_a p) v;
+                            Tinystm.write tx (pair_b p) v));
+                     Sched.advance (20 + Rng.int rng 100)
+                   done)
+             in
              let last_epoch = ref 0 in
              for _ = 1 to 15 do
                (match
@@ -426,7 +419,7 @@ let prop_snapshot_consistency =
                | None -> ok := false);
                Sched.advance 50
              done;
-             Sched.wait_until ~label:"snapshot prop writer" (fun () -> !writer_done)));
+             Sched.join ~label:"snapshot prop writer" [ writer ]));
       !ok)
 
 let prop_durable_epoch_bounded =
@@ -439,17 +432,16 @@ let prop_durable_epoch_bounded =
       ignore
         (Sched.run ~strategy:(Sched.random_priority ~seed) (fun () ->
              ptm.Ptm.start ();
-             let writer_done = ref false in
-             ignore
-               (Sched.spawn "writer" (fun () ->
-                    let rng = Rng.create seed in
-                    for i = 1 to 15 do
-                      ignore
-                        (ptm.Ptm.atomically ~thread:0 (fun tx ->
-                             tx.Ptm.write (slot (i mod nslots)) (Int64.of_int i)));
-                      Sched.advance (50 + Rng.int rng 200)
-                    done;
-                    writer_done := true));
+             let writer =
+               Sched.spawn "writer" (fun () ->
+                   let rng = Rng.create seed in
+                   for i = 1 to 15 do
+                     ignore
+                       (ptm.Ptm.atomically ~thread:0 (fun tx ->
+                            tx.Ptm.write (slot (i mod nslots)) (Int64.of_int i)));
+                     Sched.advance (50 + Rng.int rng 200)
+                   done)
+             in
              for _ = 1 to 10 do
                (match
                   ptm.Ptm.atomically_ro ~durable:true ~thread:1 (fun tx ->
@@ -459,7 +451,7 @@ let prop_durable_epoch_bounded =
                | None -> ok := false);
                Sched.advance 100
              done;
-             Sched.wait_until ~label:"durable prop writer" (fun () -> !writer_done);
+             Sched.join ~label:"durable prop writer" [ writer ];
              ptm.Ptm.drain ();
              ptm.Ptm.stop ()));
       !ok)

@@ -166,27 +166,23 @@ let run_kv_workload ?strategy ?(seed = 400) () =
   let ptm, d = B.Dude_ptm.Stm.ptm small_cfg in
   let kv = W.Kv.setup ptm W.Kv.Hash ~capacity:1024 in
   let nthreads = small_cfg.Config.nthreads in
-  let done_ = Array.make nthreads false in
   let total =
     Sched.run ?strategy (fun () ->
         ptm.Ptm.start ();
-        for th = 0 to nthreads - 1 do
-          ignore
-            (Sched.spawn
-               (Printf.sprintf "w%d" th)
-               (fun () ->
-                 let rng = Rng.create (seed + th) in
-                 for _ = 1 to 150 do
-                   let key = Int64.of_int (1 + Rng.int rng 255) in
-                   (match Rng.int rng 4 with
-                   | 0 | 1 -> ignore (W.Kv.lookup kv ~thread:th ~key)
-                   | 2 -> ignore (W.Kv.insert kv ~thread:th ~key ~value:(Rng.next_int64 rng))
-                   | _ -> ignore (W.Kv.update kv ~thread:th ~key ~value:(Rng.next_int64 rng)));
-                   Sched.advance 50
-                 done;
-                 done_.(th) <- true))
-        done;
-        Sched.wait_until ~label:"workers" (fun () -> Array.for_all Fun.id done_);
+        Sched.join ~label:"workers"
+          (List.init nthreads (fun th ->
+               Sched.spawn
+                 (Printf.sprintf "w%d" th)
+                 (fun () ->
+                   let rng = Rng.create (seed + th) in
+                   for _ = 1 to 150 do
+                     let key = Int64.of_int (1 + Rng.int rng 255) in
+                     (match Rng.int rng 4 with
+                     | 0 | 1 -> ignore (W.Kv.lookup kv ~thread:th ~key)
+                     | 2 -> ignore (W.Kv.insert kv ~thread:th ~key ~value:(Rng.next_int64 rng))
+                     | _ -> ignore (W.Kv.update kv ~thread:th ~key ~value:(Rng.next_int64 rng)));
+                     Sched.advance 50
+                   done)));
         ptm.Ptm.drain ();
         ptm.Ptm.stop ())
   in

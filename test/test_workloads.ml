@@ -12,8 +12,6 @@ module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 
 let check = Alcotest.check
 
-exception Crashed
-
 let volatile ?(heap = 8 * 1024 * 1024) () = B.Volatile_stm.ptm ~heap_size:heap ()
 
 (* ------------------------------- zipf -------------------------------- *)
@@ -368,17 +366,13 @@ let run_tpcc ptm ~storage ~txs =
   ignore
     (Sched.run (fun () ->
          ptm.Ptm.start ();
-         let remaining = ref (4 * txs) in
-         for th = 0 to 3 do
-           ignore
-             (Sched.spawn (string_of_int th) (fun () ->
-                  let rng = Rng.create (61 + th) in
-                  for _ = 1 to txs do
-                    ignore (W.Tpcc.new_order t ~thread:th ~rng ());
-                    decr remaining
-                  done))
-         done;
-         Sched.wait_until ~label:"tpcc" (fun () -> !remaining = 0);
+         Sched.join ~label:"tpcc"
+           (List.init 4 (fun th ->
+                Sched.spawn (string_of_int th) (fun () ->
+                    let rng = Rng.create (61 + th) in
+                    for _ = 1 to txs do
+                      ignore (W.Tpcc.new_order t ~thread:th ~rng ())
+                    done)));
          ptm.Ptm.drain ();
          ptm.Ptm.stop ()));
   t
@@ -433,21 +427,19 @@ let tpcc_crash_roundtrip ~storage ~crash_cycles ~evict ~seed () =
   in
   let ptm, d = B.Dude_ptm.Stm.ptm cfg in
   let t = W.Tpcc.setup ptm ~storage ~items:100 ~expected_orders:2048 () in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            ptm.Ptm.start ();
-            for th = 0 to 3 do
-              ignore
-                (Sched.spawn (string_of_int th) (fun () ->
-                     let rng = Rng.create (seed + th) in
-                     while true do
-                       ignore (W.Tpcc.transaction t ~thread:th ~rng ())
-                     done))
-            done;
-            Sched.advance crash_cycles;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         ptm.Ptm.start ();
+         for th = 0 to 3 do
+           ignore
+             (Sched.spawn (string_of_int th) (fun () ->
+                  let rng = Rng.create (seed + th) in
+                  while true do
+                    ignore (W.Tpcc.transaction t ~thread:th ~rng ())
+                  done))
+         done;
+         Sched.advance crash_cycles;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:evict ~rng:(Rng.create seed) (D.nvm d);
   let ptm2, _, report = B.Dude_ptm.Stm.attach_ptm cfg (D.nvm d) in
   let t2 = W.Tpcc.attach ptm2 in
@@ -462,17 +454,13 @@ let test_tpcc_payment_and_mix () =
       ignore
         (Sched.run (fun () ->
              ptm.Ptm.start ();
-             let remaining = ref 4 in
-             for th = 0 to 3 do
-               ignore
-                 (Sched.spawn (string_of_int th) (fun () ->
-                      let rng = Rng.create (101 + th) in
-                      for _ = 1 to 40 do
-                        ignore (W.Tpcc.transaction t ~thread:th ~rng ())
-                      done;
-                      decr remaining))
-             done;
-             Sched.wait_until ~label:"mix" (fun () -> !remaining = 0);
+             Sched.join ~label:"mix"
+               (List.init 4 (fun th ->
+                    Sched.spawn (string_of_int th) (fun () ->
+                        let rng = Rng.create (101 + th) in
+                        for _ = 1 to 40 do
+                          ignore (W.Tpcc.transaction t ~thread:th ~rng ())
+                        done)));
              ptm.Ptm.drain ();
              ptm.Ptm.stop ()));
       W.Tpcc.consistency_check t)
@@ -513,21 +501,19 @@ let test_tpcc_recover_and_extend () =
   in
   let ptm, d = B.Dude_ptm.Stm.ptm cfg in
   let t = W.Tpcc.setup ptm ~storage:W.Kv.Tree ~items:100 () in
-  (try
-     ignore
-       (Sched.run (fun () ->
-            ptm.Ptm.start ();
-            for th = 0 to 1 do
-              ignore
-                (Sched.spawn (string_of_int th) (fun () ->
-                     let rng = Rng.create (91 + th) in
-                     while true do
-                       ignore (W.Tpcc.new_order t ~thread:th ~rng ())
-                     done))
-            done;
-            Sched.advance 1_500_000;
-            raise Crashed))
-   with Crashed -> ());
+  ignore
+    (Sched.run (fun () ->
+         ptm.Ptm.start ();
+         for th = 0 to 1 do
+           ignore
+             (Sched.spawn (string_of_int th) (fun () ->
+                  let rng = Rng.create (91 + th) in
+                  while true do
+                    ignore (W.Tpcc.new_order t ~thread:th ~rng ())
+                  done))
+         done;
+         Sched.advance 1_500_000;
+         Sched.halt ()));
   Nvm.crash ~evict_fraction:0.2 ~rng:(Rng.create 7) (D.nvm d);
   let ptm2, _, _ = B.Dude_ptm.Stm.attach_ptm cfg (D.nvm d) in
   let t2 = W.Tpcc.attach ptm2 in
