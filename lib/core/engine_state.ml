@@ -136,6 +136,7 @@ type 'tm t = {
   wake_seal : Sched.cond;  (* a sealed batch left [prepared] *)
   wake_durable : Sched.cond;  (* [durable] advanced *)
   wake_repro : Sched.cond;  (* a record was published: queued, durable, ring used *)
+  wake_applied : Sched.cond;  (* [applied_cell] advanced: the shadow's swap-in gate *)
   persist_on : Sched.cond list array;
   flush_on : Sched.cond list;
   seal_on : Sched.cond list;
@@ -151,7 +152,7 @@ let store_of_view = function
   | Flat mem -> { Tm_intf.load = Mem.get_u64 mem; store = Mem.set_u64 mem }
   | Paged sh -> { Tm_intf.load = Shadow.load_u64 sh; store = Shadow.store_u64 sh }
 
-let make_view cfg nvm applied_cell =
+let make_view cfg nvm applied_cell wake_applied =
   match cfg.Config.shadow_frames with
   | None ->
     let mem = Mem.create cfg.Config.heap_size in
@@ -159,12 +160,13 @@ let make_view cfg nvm applied_cell =
     Flat mem
   | Some frames ->
     let scfg = Shadow.default_config cfg.Config.shadow_mode ~frames in
-    Paged (Shadow.create scfg ~nvm ~applied_id:(fun () -> !applied_cell))
+    Paged (Shadow.create scfg ~nvm ~applied_id:(fun () -> !applied_cell) ~wake_applied)
 
 let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator
     ~repro_alloc =
   let applied_cell = ref tid_base in
-  let view = make_view cfg nvm applied_cell in
+  let wake_applied = Sched.cond () in
+  let view = make_view cfg nvm applied_cell wake_applied in
   let tm = ops.create ~seed:cfg.Config.seed (store_of_view view) in
   (* The per-thread cutter's adaptive bound starts at its cap; combined
      persist cuts at [group] and never reads it. *)
@@ -231,6 +233,7 @@ let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~alloca
     wake_seal;
     wake_durable;
     wake_repro;
+    wake_applied;
     persist_on = Array.map (fun c -> [ c; wake_stop ]) wake_persist;
     flush_on = [ wake_flush; wake_stop ];
     seal_on = [ wake_seal; wake_stop ];

@@ -151,6 +151,7 @@ let apply_item t it ranges =
     redo_entries t.nvm t.repro_alloc ~extents:t.dirty_extents ~ranges
       ~frontier:t.cross_frontier it.entries;
   t.applied_cell := it.hi;
+  Sched.signal t.wake_applied;
   if it.last_of_record then
     t.pending_recycle <- (it.region, it.end_off, it.rec_next_seq) :: t.pending_recycle
 

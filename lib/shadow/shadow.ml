@@ -34,6 +34,7 @@ type t = {
   cfg : config;
   nvm : Nvm.t;
   applied_id : unit -> int;
+  applied_on : Sched.cond list;  (* [wake_applied]: signalled when [applied_id] advances *)
   dram : Mem.t;  (* frames * page_size bytes *)
   pt : Page_table.t;
   refcount : int array;  (* per frame *)
@@ -43,7 +44,7 @@ type t = {
   npages : int;
 }
 
-let create cfg ~nvm ~applied_id =
+let create cfg ~nvm ~applied_id ~wake_applied =
   let page_size = 1 lsl cfg.page_bits in
   let size = Nvm.size nvm in
   if size mod page_size <> 0 then invalid_arg "Shadow.create: NVM size not page-aligned";
@@ -53,6 +54,7 @@ let create cfg ~nvm ~applied_id =
     cfg;
     nvm;
     applied_id;
+    applied_on = [ wake_applied ];
     dram = Mem.create (cfg.frames * page_size);
     pt = Page_table.create ~pages:npages ~frames:cfg.frames;
     refcount = Array.make cfg.frames 0;
@@ -103,7 +105,7 @@ let fault_in t page =
         (* Reproduce has not yet applied the last transaction that wrote
            this page: loading it from NVM now would resurrect stale data. *)
         Stats.incr t.stats "swapin_waits";
-        Sched.wait_until ~label:"shadow: swap-in behind reproduce" (fun () ->
+        Sched.wait_until ~on:t.applied_on ~label:"shadow: swap-in behind reproduce" (fun () ->
             t.touching_id.(page) <= t.applied_id ());
         acquire ()
       end
@@ -170,6 +172,7 @@ let clear t =
     t.refcount.(f) <- 0
   done;
   Array.fill t.touching_id 0 t.npages 0;
+  List.iter Sched.signal t.applied_on;
   Mem.fill t.dram 0 (Mem.size t.dram) '\000'
 
 let stats t = t.stats

@@ -43,10 +43,17 @@ val default_config : mode -> frames:int -> config
 
 type t
 
-val create : config -> nvm:Dudetm_nvm.Nvm.t -> applied_id:(unit -> int) -> t
-(** [create cfg ~nvm ~applied_id] mirrors the whole device address space.
-    [applied_id ()] must return the ID of the last transaction Reproduce
-    has fully applied to NVM (the swap-in gate). *)
+val create :
+  config ->
+  nvm:Dudetm_nvm.Nvm.t ->
+  applied_id:(unit -> int) ->
+  wake_applied:Dudetm_sim.Sched.cond ->
+  t
+(** [create cfg ~nvm ~applied_id ~wake_applied] mirrors the whole device
+    address space.  [applied_id ()] must return the ID of the last
+    transaction Reproduce has fully applied to NVM (the swap-in gate); a
+    swap-in behind it parks on [wake_applied], which must be signalled
+    after each advance of [applied_id ()]. *)
 
 val config : t -> config
 

@@ -60,6 +60,7 @@ type sched = {
   mutable wlen : int;
   mutable running : thread;  (* [nobody] between resumes and while predicates run *)
   mutable held : thread;  (* [nobody] when no thread is held *)
+  mutable decided : int;  (* id of the winner [advance] decided and lost to; -1 when none *)
   mutable live_non_daemon : int;
   mutable watermark : int;
   mutable steps : int;  (* decision points (>= 2 runnable) so far *)
@@ -346,8 +347,8 @@ let drag_waiters s w =
 let min_of a b = if b == nobody || (a != nobody && less a b) then a else b
 
 (* Every runnable thread, sorted by (clock, id). *)
-let candidates s =
-  let acc = ref (if s.held == nobody then [] else [ s.held ]) in
+let candidates s held =
+  let acc = ref (if held == nobody then [] else [ held ]) in
   for i = 0 to s.hlen - 1 do
     acc := s.heap.(i) :: !acc
   done;
@@ -356,47 +357,58 @@ let candidates s =
   done;
   Array.of_list (List.sort (fun a b -> compare (a.clock, a.id) (b.clock, b.id)) !acc)
 
-(* Pick the next thread to resume.  Min_clock takes the runnable thread with
-   the smallest (clock, id) — conservative discrete-event order.  A Choice
-   strategy is consulted at every decision point (>= 2 runnable threads)
-   with the candidates sorted in that same order, so index 0 degenerates to
-   Min_clock and any other index is a legal preemption.  The winner leaves
-   its heap slot or waiter slot, and a held thread that lost goes back into
-   the heap (in the winner's slot when that was the heap's). *)
-let pick s =
+(* Decide the next thread to resume, polling every waiter once.  Min_clock
+   takes the runnable thread with the smallest (clock, id) — conservative
+   discrete-event order.  A Choice strategy is consulted at every decision
+   point (>= 2 runnable threads) with the candidates sorted in that same
+   order, so index 0 degenerates to Min_clock and any other index is a
+   legal preemption. *)
+let decide s held =
   if !audit then audit_parked s;
   let first_ready = poll s in
+  match s.strategy with
+  | Min_clock -> min_of held (min_of (if s.hlen > 0 then s.heap.(0) else nobody) first_ready)
+  | Choice choose -> (
+    match candidates s held with
+    | [||] -> nobody
+    | [| t |] -> t
+    | sorted ->
+      let n = Array.length sorted in
+      let step = s.steps in
+      s.steps <- step + 1;
+      let i = choose ~step ~candidates:n in
+      sorted.(if i < 0 || i >= n then 0 else i))
+
+(* Act on a decision over the answers [decide] cached.  The winner leaves
+   its heap slot or waiter slot, and a held thread that lost goes back
+   into the heap (in the winner's slot when that was the heap's). *)
+let commit s w held =
+  push_drag s w.clock;
+  drag_waiters s w;
+  (if w != held then
+     match w.state with
+     | Waiting _ ->
+       remove_waiter s w;
+       if held != nobody then heap_push s held
+     | _ -> if held != nobody then heap_replace s w.slot held else heap_remove s w.slot);
+  if w.clock > s.watermark then s.watermark <- w.clock
+
+(* The decision [advance] made, or a fresh one. *)
+let pick s =
+  let held = s.held in
+  if held != nobody then s.held <- nobody;
   let w =
-    match s.strategy with
-    | Min_clock ->
-      min_of s.held (min_of (if s.hlen > 0 then s.heap.(0) else nobody) first_ready)
-    | Choice choose -> (
-      match candidates s with
-      | [||] -> nobody
-      | [| t |] -> t
-      | sorted ->
-        let n = Array.length sorted in
-        let step = s.steps in
-        s.steps <- step + 1;
-        let i = choose ~step ~candidates:n in
-        sorted.(if i < 0 || i >= n then 0 else i))
+    if s.decided >= 0 then begin
+      let w = s.all.(s.decided) in
+      s.decided <- -1;
+      w
+    end
+    else decide s held
   in
-  if w != nobody then begin
-    push_drag s w.clock;
-    drag_waiters s w;
-    let held = s.held in
-    s.held <- nobody;
-    if w != held then
-      match w.state with
-      | Waiting _ ->
-        remove_waiter s w;
-        if held != nobody then heap_push s held
-      | _ -> if held != nobody then heap_replace s w.slot held else heap_remove s w.slot
-  end;
+  if w != nobody then commit s w held;
   w
 
 let resume s t =
-  if t.clock > s.watermark then s.watermark <- t.clock;
   let st = t.state in
   t.state <- Running;
   s.running <- t;
@@ -404,7 +416,8 @@ let resume s t =
   | Not_started f -> Effect.Deep.match_with f () (handler s t)
   | Paused k | Waiting { k; _ } -> Effect.Deep.continue k ()
   | Running | Finished -> assert false);
-  s.running <- nobody
+  (* A thread that lost its own pick or blocked has cleared it already. *)
+  if s.running != nobody then s.running <- nobody
 
 let blocked_report s =
   Array.sub s.all 0 s.nthreads
@@ -459,6 +472,7 @@ let run ?(strategy = Min_clock) main =
       wlen = 0;
       running = nobody;
       held = nobody;
+      decided = -1;
       live_non_daemon = 1;
       watermark = 0;
       steps = 0;
@@ -501,12 +515,30 @@ let run ?(strategy = Min_clock) main =
   release ();
   s.watermark
 
+(* Under Min_clock the pick is decided here, with the advancing thread as
+   the held one: when it wins, the pick is committed and it keeps running
+   without the [Yield] round trip; when it loses, the run loop commits the
+   same decision, so no waiter is polled twice in one pick.  A Choice
+   strategy counts decision points and yields at every advance; so does a
+   daemon's cleanup once the run is ending. *)
 let advance n =
   match !current with
   | Some s when s.running != nobody ->
     let t = s.running in
     t.clock <- t.clock + max 0 n;
-    Effect.perform Yield
+    (match s.strategy with
+    | Min_clock when s.live_non_daemon > 0 ->
+      s.running <- nobody;
+      let w = decide s t in
+      if w == t then begin
+        s.running <- t;
+        commit s t t
+      end
+      else begin
+        s.decided <- w.id;
+        Effect.perform Yield
+      end
+    | _ -> Effect.perform Yield)
   | _ -> ()
 
 let yield () = advance 1

@@ -77,10 +77,11 @@ let test_pt_has_victim_keeps_hand () =
 
 (* ------------------------------ shadow ------------------------------- *)
 
-let make_shadow ?(frames = 4) ?(mode = Shadow.Software) ?(applied = ref max_int) () =
+let make_shadow ?(frames = 4) ?(mode = Shadow.Software) ?(applied = ref max_int)
+    ?(wake_applied = Sched.cond ()) () =
   let nvm = Nvm.create ~charge_time:false Pmem_config.default ~size:65536 in
   let cfg = Shadow.default_config mode ~frames in
-  (Shadow.create cfg ~nvm ~applied_id:(fun () -> !applied), nvm, applied)
+  (Shadow.create cfg ~nvm ~applied_id:(fun () -> !applied) ~wake_applied, nvm, applied)
 
 let test_shadow_reads_nvm_content () =
   let sh, nvm, _ = make_shadow () in
@@ -140,8 +141,8 @@ let test_shadow_all_pinned_waits () =
 let test_touching_gate () =
   (* A page whose touching ID is ahead of Reproduce must not swap in until
      the watermark catches up. *)
-  let applied = ref 0 in
-  let sh, nvm, _ = make_shadow ~frames:2 ~applied () in
+  let applied = ref 0 and wake_applied = Sched.cond () in
+  let sh, nvm, _ = make_shadow ~frames:2 ~applied ~wake_applied () in
   ignore (Shadow.load_u64 sh 0);
   Shadow.set_touching sh ~page:0 ~tid:5;
   (* Evict page 0 by touching other pages. *)
@@ -157,7 +158,8 @@ let test_touching_gate () =
          ignore
            (Sched.spawn "reproduce" (fun () ->
                 Sched.advance 10_000;
-                applied := 5 (* ...and then announces it *)))));
+                applied := 5 (* ...and then announces it *);
+                Sched.signal wake_applied))));
   check Alcotest.bool "swap-in waited for reproduce" true
     (Stats.get (Shadow.stats sh) "swapin_waits" > 0);
   check Alcotest.int64 "reader saw the reproduced value" 42L !seen

@@ -127,7 +127,68 @@ let test_predicates_read_zero () =
          Sched.advance 100;
          flag := true));
   check Alcotest.bool "polled more than once" true (List.length !seen >= 2);
-  List.iter (check Alcotest.(pair int int) "now/self in a predicate" (0, 0)) !seen
+  List.iter (check Alcotest.(pair int int) "now/self in a predicate" (0, 0)) !seen;
+  (* The same from picks decided inside [advance]: thread 2 advances alone
+     while the waiter is polled, and reads its own clock and id after. *)
+  let flag = ref false and seen = ref [] and ticks = ref [] in
+  ignore
+    (Sched.run (fun () ->
+         ignore
+           (Sched.spawn "waiter" (fun () ->
+                Sched.wait_until ~label:"flag" (fun () ->
+                    seen := (Sched.now (), Sched.self ()) :: !seen;
+                    !flag)));
+         ignore
+           (Sched.spawn "ticker" (fun () ->
+                for _ = 1 to 3 do
+                  Sched.advance 10;
+                  ticks := (Sched.now (), Sched.self ()) :: !ticks
+                done;
+                flag := true))));
+  (* At the wait, the pick after it blocks, the ticker's three advances and
+     the pick after the ticker returns. *)
+  check Alcotest.int "polled at every pick" 6 (List.length !seen);
+  List.iter (check Alcotest.(pair int int) "now/self in a predicate" (0, 0)) !seen;
+  check
+    Alcotest.(list (pair int int))
+    "the ticker reads its own clock and id" [ (10, 2); (20, 2); (30, 2) ] (List.rev !ticks)
+
+(* A polled waiter's predicate runs once when the wait starts and then
+   exactly once per pick, whether the pick is decided inside [advance] and
+   the advancing thread keeps running, or another thread wins and the run
+   loop acts on the decision already made. *)
+let test_poll_once_per_pick () =
+  let calls = ref 0 and flag = ref false in
+  let waiter () =
+    Sched.wait_until ~label:"flag" (fun () ->
+        incr calls;
+        !flag)
+  in
+  let advances k = for _ = 1 to k do Sched.advance 10 done in
+  (* main wins every pick from its 2nd to its 10th advance; at its 11th
+     the waiter, ready, wins.  Picks while waiting: the one after the wait
+     blocks, and main's advances 2 to 11. *)
+  ignore
+    (Sched.run (fun () ->
+         ignore (Sched.spawn "waiter" waiter);
+         advances 10;
+         flag := true;
+         advances 1));
+  check Alcotest.int "advancing thread keeps winning" (1 + 1 + 10) !calls;
+  (* main and "other" alternate, each losing every advance to the other
+     (a heap thread wins), until main's 4th advance loses to the ready
+     waiter.  Picks while waiting: the one after the wait blocks (other
+     wins), then main's advances 2 to 4 and other's 1 to 3. *)
+  calls := 0;
+  flag := false;
+  ignore
+    (Sched.run (fun () ->
+         ignore (Sched.spawn "waiter" waiter);
+         ignore (Sched.spawn "other" (fun () -> advances 3));
+         advances 3;
+         flag := true;
+         advances 1));
+  check Alcotest.int "a heap thread or the ready waiter wins" (1 + 1 + 3 + 3) !calls
 
 let test_killed_daemon_reads_own_clock () =
   let cleanup = ref (-1, -1) in
@@ -455,7 +516,9 @@ let test_poll_bounded () =
     (run ~budget:0 ~step:10 ~ready_at:max_int)
 
 (* A state change without its signal leaves a parked waiter on a true
-   predicate; the audit names it at the next pick. *)
+   predicate; the audit names it at the next pick.  In the first case
+   that pick is main's own second advance, which main alone can win: the
+   audit runs on picks taken inside [advance] too. *)
 let test_lost_wakeup_audited () =
   Sched.audit_wakeups true;
   let c = Sched.cond () and flag = ref false in
@@ -495,6 +558,7 @@ let suite =
     Alcotest.test_case "simulation is deterministic" `Quick test_determinism;
     Alcotest.test_case "helpers degrade gracefully outside run" `Quick test_outside_run_fallbacks;
     Alcotest.test_case "now/self read 0 inside predicates" `Quick test_predicates_read_zero;
+    Alcotest.test_case "a polled predicate runs once per pick" `Quick test_poll_once_per_pick;
     Alcotest.test_case "killed daemon's cleanup reads its own clock" `Quick
       test_killed_daemon_reads_own_clock;
     Alcotest.test_case "deadlock report lists waiters in spawn order" `Quick
