@@ -7,10 +7,18 @@
 # of `perfbench/main.exe --workload WORKLOAD --seed 1 --seconds SECONDS`
 # (default 3), one run per side, alternating which side runs first.  For
 # every end-to-end metric of BENCHMARK.json it prints each side's median
-# and quartiles over the pairs, and how many pairs the change won (ties
-# count for neither side).  "gain" marks a metric where the change won
-# at least nine tenths of the pairs and the medians differ by more than
-# the parent's interquartile range; "loss" marks the same the other way.
+# and quartiles over the pairs, how many pairs the change won (ties
+# count for neither side), and a verdict:
+#   gain        the change won at least nine tenths of the pairs and its
+#               median is better by more than the parent's interquartile
+#               range;
+#   regress     the change's median is worse than the parent's by more
+#               than the metric's BENCHMARK.json bound (a fraction of the
+#               parent's median);
+#   unresolved  not a regression, but the parent's interquartile range is
+#               wider than the bound, so one could not be told apart, and
+#               not every change run reads better than every parent run;
+#   -           within the bound.
 # Each run's metrics go to stderr as they come, and all of them to
 # $HOST_PAIRS_OUT (default: a temporary file, removed at exit) as
 # "side pair metric value" lines.
@@ -30,12 +38,13 @@ for dir in "$parent" "$change"; do
     (cd "$dir" && dune build ./perfbench/main.exe) || exit 1
 done
 
-# name<TAB>better for each end-to-end metric.
+# name<TAB>better<TAB>bound for each end-to-end metric.
 directions=$(awk '
     /"end_to_end"/ { on = 1 }
     /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-    on && /"better"/ { gsub(/[",]/, "", $2); print name "\t" $2 }' "$bench")
+    on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); print name "\t" better "\t" $2 }' "$bench")
 
 if [ -n "${HOST_PAIRS_OUT:-}" ]; then
     out=$HOST_PAIRS_OUT
@@ -90,29 +99,31 @@ stats() {
 
 printf '%s, %d pairs at --seconds %s, seed 1\n' "$workload" "$pairs" "$seconds"
 printf '%-20s %38s %38s %8s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "wins"
-echo "$directions" | while IFS=$'\t' read -r metric better; do
+echo "$directions" | while IFS=$'\t' read -r metric better bound; do
     values() { awk -v s="$1" -v m="$metric" '$1 == s && $3 == m { print $4 }' "$out"; }
     [ -n "$(values parent)" ] || continue
     read -r pm pq1 pq3 <<<"$(values parent | stats)"
     read -r cm cq1 cq3 <<<"$(values change | stats)"
-    wins=$(awk -v m="$metric" -v b="$better" '
-        $3 == m { x[$1, $2] = $4; p[$2] = 1 }
+    # Wins, then the verdict.  Run values are negated when lower is
+    # better, so a larger value always reads better.
+    read -r won verdict <<<"$(awk -v m="$metric" -v b="$better" -v bound="$bound" -v n="$pairs" \
+        -v pm="$pm" -v cm="$cm" -v iqr="$(awk -v a="$pq3" -v c="$pq1" 'BEGIN { print a - c }')" '
+        $3 == m {
+            v = b == "lower" ? -$4 : $4
+            x[$1, $2] = v; p[$2] = 1
+            if ($1 == "parent" && (!("p" in hi) || v > hi["p"])) hi["p"] = v
+            if ($1 == "change" && (!("c" in lo) || v < lo["c"])) lo["c"] = v
+        }
         END {
-            for (k in p) {
-                d = x["change", k] - x["parent", k]
-                if ((b == "lower" && d < 0) || (b == "higher" && d > 0)) w++
-                else if (d != 0) l++
-            }
-            printf "%d %d\n", w, l
-        }' "$out")
-    read -r won lost <<<"$wins"
-    verdict=$(awk -v pm="$pm" -v cm="$cm" -v iqr="$(awk -v a="$pq3" -v b="$pq1" 'BEGIN { print a - b }')" \
-        -v won="$won" -v lost="$lost" -v n="$pairs" 'BEGIN {
-            d = cm - pm; if (d < 0) d = -d
-            if (d > iqr && 10 * won >= 9 * n) print "gain"
-            else if (d > iqr && 10 * lost >= 9 * n) print "loss"
-            else print "-"
-        }')
+            for (k in p) if (x["change", k] > x["parent", k]) w++
+            d = b == "lower" ? pm - cm : cm - pm
+            ref = pm < 0 ? -pm : pm
+            if (d > iqr && 10 * w >= 9 * n) verdict = "gain"
+            else if (-d > bound * ref) verdict = "regress"
+            else if (iqr > bound * ref && lo["c"] <= hi["p"]) verdict = "unresolved"
+            else verdict = "-"
+            printf "%d %s\n", w, verdict
+        }' "$out")"
     printf '%-20s %12s [%10s, %10s] %12s [%10s, %10s] %4s/%-3s %s\n' "$metric" "$pm" "$pq1" "$pq3" \
         "$cm" "$cq1" "$cq3" "$won" "$pairs" "$verdict"
 done

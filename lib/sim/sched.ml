@@ -416,8 +416,7 @@ let resume s t =
   | Not_started f -> Effect.Deep.match_with f () (handler s t)
   | Paused k | Waiting { k; _ } -> Effect.Deep.continue k ()
   | Running | Finished -> assert false);
-  (* A thread that lost its own pick or blocked has cleared it already. *)
-  if s.running != nobody then s.running <- nobody
+  s.running <- nobody
 
 let blocked_report s =
   Array.sub s.all 0 s.nthreads
@@ -515,19 +514,17 @@ let run ?(strategy = Min_clock) main =
   release ();
   s.watermark
 
-(* Under Min_clock the pick is decided here, with the advancing thread as
-   the held one: when it wins, the pick is committed and it keeps running
-   without the [Yield] round trip; when it loses, the run loop commits the
-   same decision, so no waiter is polled twice in one pick.  A Choice
-   strategy counts decision points and yields at every advance; so does a
-   daemon's cleanup once the run is ending. *)
+(* The pick is decided here, with the advancing thread as the held one:
+   when it wins, the pick is committed and it keeps running without the
+   [Yield] round trip; when it loses, the run loop commits the same
+   decision, so no waiter is polled twice in one pick.  A daemon's cleanup
+   once the run is ending just yields. *)
 let advance n =
   match !current with
   | Some s when s.running != nobody ->
     let t = s.running in
     t.clock <- t.clock + max 0 n;
-    (match s.strategy with
-    | Min_clock when s.live_non_daemon > 0 ->
+    if s.live_non_daemon > 0 then begin
       s.running <- nobody;
       let w = decide s t in
       if w == t then begin
@@ -538,7 +535,8 @@ let advance n =
         s.decided <- w.id;
         Effect.perform Yield
       end
-    | _ -> Effect.perform Yield)
+    end
+    else Effect.perform Yield
   | _ -> ()
 
 let yield () = advance 1

@@ -15,11 +15,10 @@
 
     {b Cost model.}  Runnable threads sit in a binary min-heap on
     [(clock, id)], so a resume costs O(log n) heap work — none when the
-    thread that just advanced still has the least [(clock, id)].  Under
-    {!Min_clock}, {!advance} makes its scheduling decision in place and
-    switches only when another thread wins it: a thread that wins again
-    keeps running, with no effect round trip.  Blocked
-    threads either sit in a waiter array or are {e parked} on the
+    thread that just advanced still has the least [(clock, id)].
+    {!advance} makes its scheduling decision in place and switches only
+    when another thread wins it: a thread that wins again keeps running,
+    with no effect round trip.  Blocked threads either sit in a waiter array or are {e parked} on the
     {!cond}s they named with [~on].  Each scheduling decision polls every
     waiter in the array exactly once, caches the answer, and drags the
     not-ready waiters' clocks in a second, predicate-free pass.  The array
@@ -120,11 +119,11 @@ val halt : unit -> 'a
 
 val advance : int -> unit
 (** [advance n] charges the calling thread [n] cycles and is a scheduling
-    decision.  Under {!Min_clock} it switches only when another thread
-    wins the pick; when the caller wins, it returns at once, the pick done
-    exactly as if it had yielded (every waiter polled once, the not-ready
-    ones dragged, the {!audit_wakeups} check run).  A {!Choice} strategy
-    yields at every advance, since each one may be a decision point.
+    decision.  It switches only when another thread wins the pick; when
+    the caller wins, it returns at once, the pick done exactly as if it
+    had yielded (every waiter polled once, the not-ready ones dragged, the
+    {!audit_wakeups} check run, a {!Choice} strategy consulted at a
+    decision point).
     Outside {!run} it is a no-op, so cost-annotated library code can also
     be exercised by plain unit tests. *)
 
