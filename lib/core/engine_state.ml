@@ -141,6 +141,7 @@ type 'tm t = {
   flush_on : Sched.cond list;
   seal_on : Sched.cond list;
   durable_on : Sched.cond list;
+  space_on : Sched.cond list array;  (* per ring: its space cond, [wake_stop] *)
   mutable repro_on : Sched.cond list;  (* plus the replay gate's conds *)
 }
 
@@ -238,6 +239,7 @@ let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~alloca
     flush_on = [ wake_flush; wake_stop ];
     seal_on = [ wake_seal; wake_stop ];
     durable_on = [ wake_durable ];
+    space_on = Array.map (fun p -> [ Plog.space_cond p; wake_stop ]) plogs;
     repro_on = [ wake_repro; wake_stop ];
   }
 
@@ -298,9 +300,20 @@ let spawn_daemon t name loop =
 (* Durable-ID bookkeeping                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Publish a flushed record's IDs.  IDs that run on from [durable] (every
+   combined record's do) advance it directly; only an ID beyond a gap —
+   a per-thread record that overtook an older one — waits in
+   [flushed_set] until the gap closes. *)
+let rec note_ids t = function
+  | [] -> ()
+  | tid :: rest ->
+    if tid = t.durable + 1 then t.durable <- tid
+    else if tid > t.durable then Hashtbl.replace t.flushed_set tid ();
+    note_ids t rest
+
 let note_flushed t tids =
   let before = t.durable in
-  List.iter (fun tid -> Hashtbl.replace t.flushed_set tid ()) tids;
+  note_ids t tids;
   while Hashtbl.mem t.flushed_set (t.durable + 1) do
     Hashtbl.remove t.flushed_set (t.durable + 1);
     t.durable <- t.durable + 1

@@ -98,11 +98,12 @@ let note_cut t cut =
 (* Append one sealed record to ring [region] and publish it: the NVM
    write, the drain-pace sample, the flush counters, the record's replay
    items, the durable-ID advance and the replication tap.  Serves the
-   per-thread flush, the combined flusher and follower ingest.  A
+   per-thread flush, the combined flusher and follower ingest; [tids] are
+   the record's transaction IDs ({!Log_entry.tids} of [entries]).  A
    [shipped] record was already fenced and published by the primary's
    Persist step: no mutant guard applies to it, and it opens no
    [persist.flush] span of its own. *)
-let commit_record ?(shipped = false) t region payload entries =
+let commit_record ~shipped t region payload entries ~tids =
   let plog = t.plogs.(region) in
   let append () =
     (* Seeded mutant (checker self-test only): skip the record's persist
@@ -119,7 +120,6 @@ let commit_record ?(shipped = false) t region payload entries =
   Stats.incr t.stats "flush_records";
   Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
   stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
-  let tids = Log_entry.tids entries in
   let items = record_items t.cfg ~tids entries in
   let n = List.length items in
   List.iteri
@@ -147,22 +147,22 @@ let commit_record ?(shipped = false) t region payload entries =
   | None, _ | Some _, [] -> ()
 
 (* Seal a cut batch of [n] input entries into a record payload: encode
-   it once and, under [compress], LZ-compress it once, charging the
-   compression CPU and counting both sizes.  The frame keeps whichever
-   body is smaller. *)
+   it once, flag byte and entries in one buffer, and, under [compress],
+   LZ-compress its body once, charging the compression CPU and counting
+   both sizes.  The payload keeps whichever body is smaller. *)
 let seal t ~n ~compress entries =
   stat_max t.stats "batch_hwm_entries" n;
-  let body = Log_entry.encode_list entries in
-  if not compress then Log_entry.frame_payload body
+  let plain = Log_entry.encode_plain entries in
+  if not compress then plain
   else
     Trace.span ~cat:"persist" "compress" (fun () ->
+        let len = Bytes.length plain - 1 in
         Sched.advance
-          (int_of_float
-             (float_of_int (Bytes.length body) *. t.cfg.Config.compress_cost_per_byte));
-        let comp = Lz.compress body in
-        Stats.add t.stats "compress_in_bytes" (Bytes.length body);
+          (int_of_float (float_of_int len *. t.cfg.Config.compress_cost_per_byte));
+        let comp = Lz.compress ~pos:1 ~len plain in
+        Stats.add t.stats "compress_in_bytes" len;
         Stats.add t.stats "compress_out_bytes" (Bytes.length comp);
-        Log_entry.frame_payload ~compressed:comp body)
+        Log_entry.frame_compressed plain comp)
 
 (* The cut of a volatile log's committed entries [hd, cm): the last
    transaction boundary within the entry cap and [bytes_avail], but always
@@ -205,7 +205,8 @@ let flush_thread t i ~wait_space =
     let cut =
       if cut > hd || not wait_space then cut
       else begin
-        Sched.wait_until ~label:"plog space" (fun () -> budget () >= need1 || t.stop_flag);
+        Sched.wait_until ~on:t.space_on.(i) ~label:"plog space" (fun () ->
+            budget () >= need1 || t.stop_flag);
         fst (scan ())
       end
     in
@@ -219,7 +220,8 @@ let flush_thread t i ~wait_space =
           let entries = List.init (cut - hd) (fun k -> Vlog.get vlog (hd + k)) in
           let n = List.length entries in
           Sched.advance (t.cfg.Config.flush_cost_per_entry * n);
-          commit_record t i (seal t ~n ~compress:false entries) entries;
+          commit_record ~shipped:false t i (seal t ~n ~compress:false entries) entries
+            ~tids:(Log_entry.tids entries);
           Vlog.consume_to vlog cut;
           true)
   end
@@ -437,9 +439,10 @@ let flush_loop t =
       let pb = Queue.pop t.prepared in
       Sched.signal t.wake_seal;
       let need = Plog.record_overhead + Bytes.length pb.pb_payload in
-      Sched.wait_until ~label:"plog space (combined)" (fun () ->
+      Sched.wait_until ~on:t.space_on.(0) ~label:"plog space (combined)" (fun () ->
           Plog.free_space t.plogs.(0) >= need);
-      commit_record t 0 pb.pb_payload pb.pb_entries;
+      commit_record ~shipped:false t 0 pb.pb_payload pb.pb_entries
+        ~tids:(Log_entry.tids pb.pb_entries);
       loop ()
     end
     else if t.stop_flag && t.combiner_done then ()
@@ -488,6 +491,6 @@ let ingest_record t payload =
          the frame buffered and retries once recycling frees space. *)
       false
     else begin
-      commit_record ~shipped:true t 0 payload entries;
+      commit_record ~shipped:true t 0 payload entries ~tids;
       true
     end

@@ -47,15 +47,21 @@ let encode_into buf pos = function
     Bytes.set_int64_le buf (pos + 17) (Int64.of_int tid);
     pos + 25
 
+let rec encode_from buf pos = function
+  | [] -> pos
+  | e :: rest -> encode_from buf (encode_into buf pos e) rest
+
+let list_size entries = List.fold_left (fun acc e -> acc + encoded_size e) 0 entries
+
 let encode_list entries =
-  let total = List.fold_left (fun acc e -> acc + encoded_size e) 0 entries in
+  let total = list_size entries in
   let buf = Bytes.create total in
-  let pos = List.fold_left (fun pos e -> encode_into buf pos e) 0 entries in
+  let pos = encode_from buf 0 entries in
   assert (pos = total);
   buf
 
-let decode_list buf =
-  let n = Bytes.length buf in
+(* Decode the entries in [buf]'s bytes [\[pos, n)]. *)
+let decode_range buf pos n =
   let u64 pos = Int64.to_int (Bytes.get_int64_le buf pos) in
   let rec go pos acc =
     if pos = n then List.rev acc
@@ -80,7 +86,9 @@ let decode_list buf =
           (Cross { gtid = u64 (pos + 1); mask = u64 (pos + 9); tid = u64 (pos + 17) } :: acc)
       | c -> invalid_arg (Printf.sprintf "Log_entry.decode_list: bad tag %C" c)
   in
-  go 0 []
+  go pos []
+
+let decode_list buf = decode_range buf 0 (Bytes.length buf)
 
 let tids entries =
   List.filter_map (function Tx_end { tid } -> Some tid | _ -> None) entries
@@ -97,20 +105,34 @@ let flag_plain = 'P'
 
 let flag_compressed = 'C'
 
-let frame_payload ?compressed body =
-  match compressed with
-  | Some comp when Bytes.length comp < Bytes.length body ->
-    Bytes.cat (Bytes.make 1 flag_compressed) comp
-  | Some _ | None -> Bytes.cat (Bytes.make 1 flag_plain) body
+(* A plain payload is built in one buffer: the flag byte, then the
+   entries encoded straight after it. *)
+let encode_plain entries =
+  let total = 1 + list_size entries in
+  let buf = Bytes.create total in
+  Bytes.set buf 0 flag_plain;
+  let pos = encode_from buf 1 entries in
+  assert (pos = total);
+  buf
+
+let frame_compressed plain comp =
+  if Bytes.length comp < Bytes.length plain - 1 then begin
+    let buf = Bytes.create (1 + Bytes.length comp) in
+    Bytes.set buf 0 flag_compressed;
+    Bytes.blit comp 0 buf 1 (Bytes.length comp);
+    buf
+  end
+  else plain
 
 let encode_payload ?(compress = false) entries =
-  let body = encode_list entries in
-  frame_payload ?compressed:(if compress then Some (Lz.compress body) else None) body
+  let plain = encode_plain entries in
+  if not compress then plain
+  else frame_compressed plain (Lz.compress ~pos:1 ~len:(Bytes.length plain - 1) plain)
 
 let decode_payload payload =
-  if Bytes.length payload < 1 then invalid_arg "Log_entry.decode_payload: empty payload";
-  let body = Bytes.sub payload 1 (Bytes.length payload - 1) in
+  let n = Bytes.length payload in
+  if n < 1 then invalid_arg "Log_entry.decode_payload: empty payload";
   match Bytes.get payload 0 with
-  | c when c = flag_plain -> decode_list body
-  | c when c = flag_compressed -> decode_list (Lz.decompress body)
+  | c when c = flag_plain -> decode_range payload 1 n
+  | c when c = flag_compressed -> decode_list (Lz.decompress ~pos:1 ~len:(n - 1) payload)
   | c -> invalid_arg (Printf.sprintf "Log_entry.decode_payload: bad flag %C" c)

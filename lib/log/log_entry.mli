@@ -40,11 +40,16 @@ val tids : t list -> int list
 val cross_seals : t list -> (int * int * int) list
 (** [(gtid, mask, tid)] of all [Cross] seals, in order of appearance. *)
 
-val frame_payload : ?compressed:bytes -> bytes -> bytes
-(** [frame_payload ?compressed body] frames an already-encoded body
-    ({!encode_list}) as a persistent-record payload: a one-byte plain /
-    LZ-compressed flag followed by [compressed] when it is shorter than
-    [body], else by [body] itself. *)
+val encode_plain : t list -> bytes
+(** Serialize entries as an uncompressed persistent-record payload: the
+    one-byte plain flag followed by {!encode_list}'s bytes, encoded into
+    one buffer. *)
+
+val frame_compressed : bytes -> bytes -> bytes
+(** [frame_compressed plain comp] is the compressed payload — the one-byte
+    LZ flag followed by [comp] — when [comp] is shorter than [plain]'s
+    body, else [plain] itself.  [plain] is an {!encode_plain} payload and
+    [comp] the LZ compression of its body (bytes [1..]). *)
 
 val encode_payload : ?compress:bool -> t list -> bytes
 (** Serialize entries as a persistent-record payload: a one-byte plain /
@@ -53,5 +58,7 @@ val encode_payload : ?compress:bool -> t list -> bytes
 
 val decode_payload : bytes -> t list
 (** Inverse of {!encode_payload}; raises [Invalid_argument] on a bad flag
-    or malformed body.  Shared by engine recovery and the scrub subsystem
-    so every reader of persisted records agrees on the framing. *)
+    or malformed body.  A plain body is decoded in place, without copying
+    it out of the payload.  Shared by engine recovery, follower ingest and
+    the scrub subsystem so every reader of persisted records agrees on the
+    framing. *)

@@ -59,14 +59,15 @@ let emit_sequence out src ~lit_off ~lit_len ~match_off ~match_len =
     if mat_nib = 15 then emit_len out (match_len - min_match - 15)
   end
 
-let compress src =
-  let n = Bytes.length src in
-  let out = Out.create (n / 2) in
-  if n = 0 then Bytes.create 0
+let compress ?(pos = 0) ?len src =
+  let len = match len with Some l -> l | None -> Bytes.length src - pos in
+  let n = pos + len in
+  let out = Out.create (len / 2) in
+  if len = 0 then Bytes.create 0
   else begin
     let table = Array.make (1 lsl hash_bits) (-1) in
-    let anchor = ref 0 in
-    let i = ref 0 in
+    let anchor = ref pos in
+    let i = ref pos in
     (* The last [min_match] bytes can never start a match. *)
     let limit = n - min_match in
     while !i <= limit do
@@ -97,10 +98,11 @@ let compress src =
     Out.contents out
   end
 
-let decompress src =
-  let n = Bytes.length src in
-  let out = Out.create (2 * n) in
-  let pos = ref 0 in
+let decompress ?(pos = 0) ?len src =
+  let len = match len with Some l -> l | None -> Bytes.length src - pos in
+  let n = pos + len in
+  let out = Out.create (2 * len) in
+  let pos = ref pos in
   let byte () =
     if !pos >= n then invalid_arg "Lz.decompress: truncated input";
     let c = Char.code (Bytes.get src !pos) in

@@ -13,10 +13,13 @@
     followed by the literals, and, unless the sequence ends the stream, a
     2-byte little-endian match offset and the match-length extension. *)
 
-val compress : bytes -> bytes
+val compress : ?pos:int -> ?len:int -> bytes -> bytes
+(** [compress ?pos ?len src] compresses [src]'s bytes [\[pos, pos + len)]
+    (default: all of [src]) into a fresh buffer. *)
 
-val decompress : bytes -> bytes
-(** Inverse of {!compress}.  Raises [Invalid_argument] on malformed
+val decompress : ?pos:int -> ?len:int -> bytes -> bytes
+(** Inverse of {!compress}, over [src]'s bytes [\[pos, pos + len)]
+    (default: all of [src]).  Raises [Invalid_argument] on malformed
     input. *)
 
 val ratio : bytes -> float

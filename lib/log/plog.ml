@@ -1,4 +1,5 @@
 module Nvm = Dudetm_nvm.Nvm
+module Sched = Dudetm_sim.Sched
 module Trace = Dudetm_trace.Trace
 
 type t = {
@@ -9,6 +10,8 @@ type t = {
   mutable tail : int;
   mutable head_seq : int;  (* seq of the record at [head] *)
   mutable seq : int;  (* seq of the next record to append *)
+  hdr : bytes;  (* [append]'s header scratch: len, seq, crc *)
+  space : Sched.cond;  (* [recycle_to] freed ring space *)
 }
 
 type record = { seq : int; payload : bytes; end_off : int }
@@ -28,15 +31,15 @@ let magic = 0x44554445504C4F47L  (* "DUDEPLOG" *)
 
 let data_base t = t.base + header_size
 
-(* Wrapped access: a record may straddle the end of the data area. *)
-let write_wrapped t off b =
-  let len = Bytes.length b in
+(* Wrapped access: a record may straddle the end of the data area.
+   Stores [b]'s bytes [\[pos, pos + len)] at monotone offset [off]. *)
+let store_wrapped t off b ~pos ~len =
   let s = off mod t.dcap in
-  if s + len <= t.dcap then Nvm.store_bytes t.nvm (data_base t + s) b
+  if s + len <= t.dcap then Nvm.store_sub t.nvm (data_base t + s) b ~pos ~len
   else begin
     let first = t.dcap - s in
-    Nvm.store_bytes t.nvm (data_base t + s) (Bytes.sub b 0 first);
-    Nvm.store_bytes t.nvm (data_base t) (Bytes.sub b first (len - first))
+    Nvm.store_sub t.nvm (data_base t + s) b ~pos ~len:first;
+    Nvm.store_sub t.nvm (data_base t) b ~pos:(pos + first) ~len:(len - first)
   end
 
 let read_wrapped t off len =
@@ -65,9 +68,22 @@ let persist_wrapped t off len =
 let persist_header t =
   Sealed.Image.write t.nvm ~off:t.base [| magic; Int64.of_int t.head; Int64.of_int t.head_seq |]
 
+let make nvm ~base ~dcap ~head ~head_seq =
+  {
+    nvm;
+    base;
+    dcap;
+    head;
+    tail = head;
+    head_seq;
+    seq = head_seq;
+    hdr = Bytes.create record_overhead;
+    space = Sched.cond ();
+  }
+
 let format nvm ~base ~size =
   if size <= header_size + record_overhead then invalid_arg "Plog.format: region too small";
-  let t = { nvm; base; dcap = size - header_size; head = 0; tail = 0; head_seq = 0; seq = 0 } in
+  let t = make nvm ~base ~dcap:(size - header_size) ~head:0 ~head_seq:0 in
   persist_header t;
   t
 
@@ -201,14 +217,14 @@ let attach_scan nvm ~base ~size =
   | None ->
     (* Header corrupt or poisoned: every record is unreachable.  Reformat
        with a seq jump past any stale frame so the ring stays usable. *)
-    let t = { nvm; base; dcap; head = 0; tail = 0; head_seq = 0; seq = 0 } in
+    let t = make nvm ~base ~dcap ~head:0 ~head_seq:0 in
     let next = salvage_next_seq t in
     t.head_seq <- next;
     t.seq <- next;
     persist_header t;
     (t, { records = []; corrupted_records = 1; quarantined_lines = 0; header_lost = true })
   | Some (head, head_seq) ->
-    let t = { nvm; base; dcap; head; tail = head; head_seq; seq = head_seq } in
+    let t = make nvm ~base ~dcap ~head ~head_seq in
     let records = ref [] in
     let corrupted = ref 0 in
     let qlines = ref [] in
@@ -265,11 +281,12 @@ let append ?(persist = true) t payload =
   let len = Bytes.length payload in
   let total = record_overhead + len in
   if total > free_space t then invalid_arg "Plog.append: no space";
-  let frame = Bytes.create total in
-  let crc = frame_crc frame ~len ~seq:t.seq payload in
-  Bytes.set_int64_le frame 16 (Int64.of_int32 crc);
-  Bytes.blit payload 0 frame record_overhead len;
-  write_wrapped t t.tail frame;
+  (* The header and the payload go straight into the ring: the same bytes,
+     lines and CRC as one staged [header | payload] frame, without it. *)
+  let crc = frame_crc t.hdr ~len ~seq:t.seq payload in
+  Bytes.set_int64_le t.hdr 16 (Int64.of_int32 crc);
+  store_wrapped t t.tail t.hdr ~pos:0 ~len:record_overhead;
+  store_wrapped t (t.tail + record_overhead) payload ~pos:0 ~len;
   (* The CRC seals the record: one persist ordering makes the whole group
      of transactions durable, torn writes fail validation on recovery.
      [persist:false] skips that fence and exists only for the seeded
@@ -287,8 +304,11 @@ let recycle_to t ~end_off ~next_seq =
   t.head <- end_off;
   t.head_seq <- next_seq;
   persist_header t;
+  Sched.signal t.space;
   Trace.instant ~cat:"plog" "recycle" end_off;
   Trace.counter ~cat:"plog" "used" (used_space t)
+
+let space_cond t = t.space
 
 let tail_off t = t.tail
 

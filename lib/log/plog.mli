@@ -74,7 +74,10 @@ val free_space : t -> int
 val used_space : t -> int
 
 val append : ?persist:bool -> t -> bytes -> record
-(** Write one record and persist it (single persist ordering).  The caller
+(** Write one record and persist it (single persist ordering).  The
+    header and then the payload are stored straight into the ring (split
+    at its end when the record wraps); the record returned keeps
+    [payload] itself, not a copy.  The caller
     must check {!free_space} ([record_overhead + length]) first; appending
     without space raises [Invalid_argument].  [persist] (default true)
     exists only for the seeded checker-validation mutant
@@ -85,7 +88,12 @@ val append : ?persist:bool -> t -> bytes -> record
 val recycle_to : t -> end_off:int -> next_seq:int -> unit
 (** Advance the persistent head past all records before [end_off]: they
     have been reproduced to their home locations and may be overwritten.
-    Persists the header (the only persist ordering Reproduce needs). *)
+    Persists the header (the only persist ordering Reproduce needs) and
+    signals {!space_cond}. *)
+
+val space_cond : t -> Dudetm_sim.Sched.cond
+(** Signalled by {!recycle_to}, the only call that adds free space: a
+    writer waiting for room parks on it. *)
 
 val tail_off : t -> int
 

@@ -9,12 +9,17 @@ type t = {
   mutable tail : int;
   mutable total_appended : int;
   mutable producer_blocks : int;
+  (* Signalled wherever [length] falls: the producer blocked on a full
+     buffer parks on it. *)
+  space : Sched.cond;
+  space_on : Sched.cond list;
 }
 
 let dummy = Log_entry.Tx_end { tid = 0 }
 
 let create ?(unbounded = false) ~capacity () =
   if capacity < 2 then invalid_arg "Vlog.create: capacity too small";
+  let space = Sched.cond () in
   {
     arr = Array.make capacity dummy;
     cap = capacity;
@@ -24,6 +29,8 @@ let create ?(unbounded = false) ~capacity () =
     tail = 0;
     total_appended = 0;
     producer_blocks = 0;
+    space;
+    space_on = [ space ];
   }
 
 let capacity t = t.cap
@@ -60,7 +67,7 @@ let append t e =
       invalid_arg "Vlog.append: transaction exceeds the buffer capacity"
     else begin
       t.producer_blocks <- t.producer_blocks + 1;
-      Sched.wait_until ~label:"vlog full" (fun () -> length t < t.cap)
+      Sched.wait_until ~on:t.space_on ~label:"vlog full" (fun () -> length t < t.cap)
     end;
   push t e
 
@@ -69,12 +76,15 @@ let append_end t ~tid =
     if t.unbounded then grow t
     else begin
       t.producer_blocks <- t.producer_blocks + 1;
-      Sched.wait_until ~label:"vlog full (end mark)" (fun () -> length t < t.cap)
+      Sched.wait_until ~on:t.space_on ~label:"vlog full (end mark)" (fun () ->
+          length t < t.cap)
     end;
   push t (Log_entry.Tx_end { tid });
   t.committed <- t.tail
 
-let pop_current_tx t = t.tail <- t.committed
+let pop_current_tx t =
+  t.tail <- t.committed;
+  Sched.signal t.space
 
 let current_tx_entries t = t.tail - t.committed
 
@@ -88,12 +98,14 @@ let get t pos =
 
 let consume_to t pos =
   if pos < t.head || pos > t.committed then invalid_arg "Vlog.consume_to: bad position";
-  t.head <- pos
+  t.head <- pos;
+  Sched.signal t.space
 
 let clear t =
   t.head <- 0;
   t.committed <- 0;
-  t.tail <- 0
+  t.tail <- 0;
+  Sched.signal t.space
 
 let total_appended t = t.total_appended
 

@@ -4,8 +4,11 @@
     The Perform thread appends entries and an end mark at commit; a Persist
     thread consumes committed entries from the head.  When the buffer is
     full, {!append} blocks the Perform thread until Persist frees space —
-    the paper's DUDETM mode.  An unbounded buffer never blocks — the
-    paper's DUDETM-Inf configuration.
+    the paper's DUDETM mode.  The blocked producer is parked on a wake
+    condition that every call shrinking the buffer ({!consume_to},
+    {!pop_current_tx}, {!clear}) signals, so it is not polled.  An
+    unbounded buffer never blocks — the paper's DUDETM-Inf
+    configuration.
 
     Cursors are monotone entry counters, not wrapped indices, so absolute
     positions can be exchanged between producer and consumer without

@@ -33,6 +33,10 @@ val get_into : t -> int -> bytes -> unit
 
 val set_bytes : t -> int -> bytes -> unit
 
+val set_sub : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [set_sub t off b ~pos ~len] copies [b]'s bytes [\[pos, pos + len)] to
+    [off]. *)
+
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 
 val fill : t -> int -> int -> char -> unit

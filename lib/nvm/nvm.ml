@@ -20,13 +20,22 @@ type decay = {
    crash survival), but each line also remembers how many payload bytes
    were actually stored into it since its last flush.  Persist-cost
    accounting uses those byte counts — the paper's emulation charges
-   [total write size / bandwidth], not whole-line traffic. *)
+   [total write size / bandwidth], not whole-line traffic.
+
+   The counts live in a flat table, one byte per line (0 = clean), so a
+   store to an already-dirty line allocates nothing.  [dirty] is only the
+   set of dirty lines: a line joins it when it turns dirty and leaves it
+   at its flush.  The set stays a [Hashtbl] because [crash ~evict_fraction]
+   draws each dirty line's survival from the seeded RNG in the table's
+   fold order; another container would fold in another order and change
+   which lines survive a replayed crash. *)
 type t = {
   cfg : Pmem_config.t;
   label : string;  (* trace device identity; shards label theirs "shard<i>" *)
   latest : Mem.t;
   persisted : Mem.t;
-  dirty : (int, int ref) Hashtbl.t;  (* line number -> dirty payload bytes *)
+  dirty_bytes : Bytes.t;  (* per line: payload bytes stored since its flush *)
+  dirty : (int, unit) Hashtbl.t;  (* the lines with a nonzero count *)
   channel : Resource.t;
   charge_time : bool;
   mutable write_bytes : int;
@@ -52,11 +61,14 @@ type t = {
 let create ?(charge_time = true) ?(label = "nvm") cfg ~size =
   if size mod cfg.Pmem_config.line_size <> 0 then
     invalid_arg "Nvm.create: size must be a multiple of the line size";
+  if cfg.Pmem_config.line_size > 255 then
+    invalid_arg "Nvm.create: line size must fit a one-byte dirty count";
   {
     cfg;
     label;
     latest = Mem.create size;
     persisted = Mem.create size;
+    dirty_bytes = Bytes.make (size / cfg.Pmem_config.line_size) '\000';
     dirty = Hashtbl.create 4096;
     channel = Resource.create_gbps cfg.Pmem_config.bandwidth_gbps;
     charge_time;
@@ -87,6 +99,10 @@ let line t addr = addr / t.cfg.Pmem_config.line_size
 
 let line_size t = t.cfg.Pmem_config.line_size
 
+let dirty_count t l = Bytes.get_uint8 t.dirty_bytes l
+
+let is_dirty t l = dirty_count t l > 0
+
 (* ------------------------------------------------------------------ *)
 (* Media faults                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -106,7 +122,7 @@ let check_poison_load t addr len =
   if Hashtbl.length t.poisoned > 0 && len > 0 then begin
     let first = line t addr and last = line t (addr + len - 1) in
     for l = first to last do
-      if Hashtbl.mem t.poisoned l && not (Hashtbl.mem t.dirty l) then
+      if Hashtbl.mem t.poisoned l && not (is_dirty t l) then
         raise (Media_error (l * t.cfg.Pmem_config.line_size))
     done
   end
@@ -117,7 +133,7 @@ let flip_persisted_bit t ~off ~bit =
   Mem.set_u8 t.persisted off b';
   (* A clean line's cached copy mirrors the media, so the corruption is
      immediately visible to loads too. *)
-  if not (Hashtbl.mem t.dirty (line t off)) then Mem.set_u8 t.latest off b'
+  if not (is_dirty t (line t off)) then Mem.set_u8 t.latest off b'
 
 let inject_fault t fault =
   (match fault with
@@ -202,9 +218,9 @@ let mark_dirty t off len =
   let first = line t off and last = line t (off + len - 1) in
   for l = first to last do
     let lo = max off (l * ls) and hi = min (off + len) ((l + 1) * ls) in
-    match Hashtbl.find_opt t.dirty l with
-    | Some c -> c := min ls (!c + hi - lo)
-    | None -> Hashtbl.add t.dirty l (ref (hi - lo))
+    let c = dirty_count t l in
+    if c = 0 then Hashtbl.add t.dirty l ();
+    Bytes.set_uint8 t.dirty_bytes l (min ls (c + hi - lo))
   done
 
 let load_u64 t addr =
@@ -236,9 +252,11 @@ let load_into_mem t off dst ~dst_off ~len =
   check_poison_load t off len;
   Mem.blit ~src:t.latest ~src_off:off ~dst ~dst_off ~len
 
-let store_bytes t off b =
-  Mem.set_bytes t.latest off b;
-  if Bytes.length b > 0 then mark_dirty t off (Bytes.length b)
+let store_sub t off b ~pos ~len =
+  Mem.set_sub t.latest off b ~pos ~len;
+  if len > 0 then mark_dirty t off len
+
+let store_bytes t off b = store_sub t off b ~pos:0 ~len:(Bytes.length b)
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
@@ -246,7 +264,7 @@ let store_bytes t off b =
 
 let flush_line t l =
   let ls = t.cfg.Pmem_config.line_size in
-  let payload = match Hashtbl.find_opt t.dirty l with Some c -> !c | None -> 0 in
+  let payload = dirty_count t l in
   if Hashtbl.mem t.stuck l then
     (* Stuck-at line: the write reaches the device but never sticks; a
        subsequent media read returns the stale content, so reload the cache
@@ -259,6 +277,7 @@ let flush_line t l =
     Hashtbl.remove t.poisoned l
   end;
   Hashtbl.remove t.dirty l;
+  Bytes.set_uint8 t.dirty_bytes l 0;
   t.write_bytes <- t.write_bytes + payload;
   payload
 
@@ -283,7 +302,7 @@ let flush_range t ~off ~len =
   if len > 0 then begin
     let first = line t off and last = line t (off + len - 1) in
     for l = first to last do
-      if Hashtbl.mem t.dirty l then begin
+      if is_dirty t l then begin
         bytes := !bytes + flush_line t l;
         fire_hook t
       end
@@ -309,7 +328,7 @@ let crash ?(evict_fraction = 0.0) ?rng t =
   | Some rng when evict_fraction > 0.0 ->
     let survivors =
       Hashtbl.fold
-        (fun l _ acc -> if Rng.float rng < evict_fraction then l :: acc else acc)
+        (fun l () acc -> if Rng.float rng < evict_fraction then l :: acc else acc)
         t.dirty []
     in
     (* Evicted lines reach NVM without any ordering guarantee; the subset
@@ -318,6 +337,7 @@ let crash ?(evict_fraction = 0.0) ?rng t =
     List.iter (fun l -> ignore (flush_line t l)) survivors;
     t.last_crash_survivors <- survivors
   | _ -> t.last_crash_survivors <- []);
+  Hashtbl.iter (fun l () -> Bytes.set_uint8 t.dirty_bytes l 0) t.dirty;
   Hashtbl.reset t.dirty;
   Mem.blit_from ~src:t.persisted t.latest;
   Resource.reset t.channel

@@ -126,6 +126,11 @@ val load_into_mem : t -> int -> Mem.t -> dst_off:int -> len:int -> unit
 
 val store_bytes : t -> int -> bytes -> unit
 
+val store_sub : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [store_sub t off b ~pos ~len] stores [b]'s bytes [\[pos, pos + len)]
+    at [off], as {!store_bytes} of that slice would, without copying the
+    slice out first. *)
+
 (** {1 Persistence} *)
 
 val persist : t -> off:int -> len:int -> unit
@@ -143,7 +148,11 @@ val persist_ranges : t -> (int * int) list -> unit
     to persist a whole batch of reproduced writes at once. *)
 
 val dirty_lines : t -> int
-(** Number of lines currently dirty (not yet persisted). *)
+(** Number of lines currently dirty (not yet persisted).  Each line's
+    dirty byte count sits in a flat per-line table, so storing into an
+    already-dirty line allocates nothing; the dirty lines also form a
+    [Hashtbl] set, kept because {!crash}'s seeded eviction draws walk it
+    in its fold order, which a replayed crash must reproduce. *)
 
 val set_persist_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a callback fired at every persist boundary: once when

@@ -43,7 +43,9 @@ val create : label:string -> config -> t
 
 val send : t -> bytes -> unit
 (** Enqueue a frame; never blocks.  Applies the fault model and charges the
-    serialized channel (accounted via [Trace.link_transfer]). *)
+    serialized channel (accounted via [Trace.link_transfer]).  The frame
+    is never mutated — the corruption fault flips a bit in a copy — so one
+    encoded frame may be sent on several links. *)
 
 val recv : t -> bytes option
 (** Next frame whose delivery time has been reached by the calling fiber's

@@ -151,6 +151,28 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Quorum watermark                                                    *)
   (* ------------------------------------------------------------------ *)
 
+  (* The [k]-th largest [acked_hi] over [reps] (1 <= k <= length), from
+     index [i] on: the first value with fewer than [k] entries above it
+     and at least [k] at or above it.  Quadratic in the replica count and
+     allocation-free, where copying the vector and sorting it was neither. *)
+  let rec kth_largest_acked reps k i =
+    let v = reps.(i).acked_hi in
+    let above = ref 0 and at_least = ref 0 in
+    for j = 0 to Array.length reps - 1 do
+      let w = reps.(j).acked_hi in
+      if w > v then incr above;
+      if w >= v then incr at_least
+    done;
+    if !above < k && !at_least >= k then v else kth_largest_acked reps k (i + 1)
+
+  (* Retire retained batches at or below [min_hi] (oldest first). *)
+  let rec prune shipments min_hi =
+    if (not (Queue.is_empty shipments)) && (Queue.peek shipments).Dudetm.ship_hi <= min_hi
+    then begin
+      ignore (Queue.pop shipments);
+      prune shipments min_hi
+    end
+
   (* acked = min(primary durable, (q-1)-th largest replica durable): the
      transaction is sealed on the primary plus at least q-1 replicas.  The
      Skip_quorum_gate mutant (checker self-test) acknowledges at the
@@ -161,12 +183,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       if Dudetm_sim.Inject.armed Skip_quorum_gate then d
       else begin
         let need = acks_needed t in
-        if need = 0 then d
-        else begin
-          let his = Array.map (fun r -> r.acked_hi) t.reps in
-          Array.sort (fun a b -> compare b a) his;
-          min d his.(need - 1)
-        end
+        if need = 0 then d else min d (kth_largest_acked t.reps need 0)
       end
     in
     if wm > t.acked_watermark then begin
@@ -182,14 +199,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         (fun acc r -> if r.cut_off then acc else min acc r.acked_hi)
         max_int t.reps
     in
-    let rec prune () =
-      match Queue.peek_opt t.shipments with
-      | Some s when s.Dudetm.ship_hi <= min_hi ->
-        ignore (Queue.pop t.shipments);
-        prune ()
-      | _ -> ()
-    in
-    prune ()
+    prune t.shipments min_hi
 
   let acked t = t.acked_watermark
 
@@ -207,17 +217,18 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Primary side: ship, ack intake, retransmit                          *)
   (* ------------------------------------------------------------------ *)
 
-  let send_batch t r s =
-    Link.send r.down
-      (Wire.encode
-         (Wire.Batch
-            {
-              seq = s.Dudetm.ship_seq;
-              lo = s.Dudetm.ship_lo;
-              hi = s.Dudetm.ship_hi;
-              acked = t.acked_watermark;
-              payload = s.Dudetm.ship_payload;
-            }))
+  let encode_batch t s =
+    Wire.encode
+      (Wire.Batch
+         {
+           seq = s.Dudetm.ship_seq;
+           lo = s.Dudetm.ship_lo;
+           hi = s.Dudetm.ship_hi;
+           acked = t.acked_watermark;
+           payload = s.Dudetm.ship_payload;
+         })
+
+  let send_batch t r s = Link.send r.down (encode_batch t s)
 
   (* Bounded retention: the retransmit queue may not outgrow
      [max_retained].  When it would, the oldest batches are dropped and
@@ -254,8 +265,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Queue.push s t.shipments;
     enforce_retention t;
     Stats.incr t.stats "batches_shipped";
-    (* A cut-off replica would only hoard the new frames out of order. *)
-    Array.iter (fun r -> if not r.cut_off then send_batch t r s) t.reps
+    (* One frame for every down link: [Link.send] never mutates a frame.
+       A cut-off replica would only hoard the new frames out of order. *)
+    let b = encode_batch t s in
+    Array.iter (fun r -> if not r.cut_off then Link.send r.down b) t.reps
 
   let backoff t k =
     let ceiling = min t.rcfg.retry_cap (t.rcfg.retry_base lsl min k 16) in

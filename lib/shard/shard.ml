@@ -81,25 +81,33 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* The global frontier (pure readers + one impure advancer)            *)
   (* ------------------------------------------------------------------ *)
 
+  (* The frontier readers below run in every wait predicate and replay
+     gate that polls GF, so they allocate nothing: top-level recursion
+     with explicit arguments, no option, closure or ref. *)
+
+  let rec frags_durable engines = function
+    | [] -> true
+    | (s, tid) :: rest -> Engine.durable_id engines.(s) >= tid && frags_durable engines rest
+
   (* Is sibling set [g] fully durable?  Pure: reads durable counters only.
      A gtid absent from the registry was pruned at a frontier advance, so
      it is already known durable. *)
   let set_durable t g =
-    match Hashtbl.find_opt t.reg g with
-    | None -> true
-    | Some Pending -> false
-    | Some (Sealed { frags; _ }) ->
-      List.for_all (fun (s, tid) -> Engine.durable_id t.engines.(s) >= tid) frags
+    match Hashtbl.find t.reg g with
+    | exception Not_found -> true
+    | Pending -> false
+    | Sealed { frags; _ } -> frags_durable t.engines frags
+
+  let rec frontier_from t g =
+    if g < t.next_gtid && set_durable t (g + 1) then frontier_from t (g + 1) else g
 
   (* GF as of now, without mutating anything (safe in wait conditions). *)
-  let pure_frontier t =
-    let rec go g = if g < t.next_gtid && set_durable t (g + 1) then go (g + 1) else g in
-    go t.frontier
+  let pure_frontier t = frontier_from t t.frontier
+
+  let rec durable_from t g' g = g' > g || (set_durable t g' && durable_from t (g' + 1) g)
 
   (* Every set in (frontier, g] durable?  The engines' replay gate. *)
-  let is_durable_upto t g =
-    let rec go g' = g' > g || (set_durable t g' && go (g' + 1)) in
-    go (t.frontier + 1)
+  let is_durable_upto t g = durable_from t (t.frontier + 1) g
 
   (* Publish GF and prune the registry below it.  Impure: never call from a
      wait predicate. *)
@@ -110,22 +118,27 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     done;
     t.frontier <- gf
 
+  let rec cut_below s acc = function
+    | [] -> acc
+    | (s', tid) :: rest -> cut_below s (if s' = s && tid - 1 < acc then tid - 1 else acc) rest
+
+  (* The registry holds exactly the gtids in (frontier, next_gtid], and
+     GF >= frontier: the sets beyond GF are the live ones. *)
+  let rec effective_from t s g acc =
+    if g > t.next_gtid then acc
+    else
+      effective_from t s (g + 1)
+        (match Hashtbl.find t.reg g with
+        | Pending -> acc
+        | Sealed { frags; _ } -> cut_below s acc frags)
+
   (* Effective (acknowledgeable) durable ID of shard [s]: its engine's
      durable counter, cut just below its first fragment beyond GF — such a
      fragment can still be discarded by the recovery vote (directly, or by
      the contiguity cascade of an earlier incomplete set), so nothing at or
      above it may be acknowledged yet. *)
   let pure_effective t s =
-    let acc = ref (Engine.durable_id t.engines.(s)) in
-    (* The registry holds exactly the gtids in (frontier, next_gtid], and
-       GF >= frontier: the sets beyond GF are the live ones. *)
-    for g = pure_frontier t + 1 to t.next_gtid do
-      match Hashtbl.find t.reg g with
-      | Pending -> ()
-      | Sealed { frags; _ } ->
-        List.iter (fun (s', tid) -> if s' = s && tid - 1 < !acc then acc := tid - 1) frags
-    done;
-    !acc
+    effective_from t s (pure_frontier t + 1) (Engine.durable_id t.engines.(s))
 
   (* ------------------------------------------------------------------ *)
   (* Construction                                                        *)

@@ -4,6 +4,7 @@ module Log_entry = Dudetm_log.Log_entry
 module Vlog = Dudetm_log.Vlog
 module Checksum = Dudetm_log.Checksum
 module Combine = Dudetm_log.Combine
+module Lz = Dudetm_log.Lz
 module Sched = Dudetm_sim.Sched
 
 let check = Alcotest.check
@@ -52,6 +53,58 @@ let test_tids_extraction () =
     ]
   in
   check Alcotest.(list int) "tids in order" [ 5; 6 ] (Log_entry.tids entries)
+
+(* A record payload is the flag byte and the entries in one buffer; the
+   decoder reads a plain body in place.  The framing is the one recovery
+   has always read: flag, then [encode_list]'s bytes or their LZ
+   compression. *)
+let prop_payload_roundtrip =
+  QCheck2.Test.make ~name:"log payload: framing unchanged, decoded in place" ~count:300
+    QCheck2.Gen.(pair (list_size (int_range 0 100) entry_gen) bool)
+    (fun (entries, compress) ->
+      let payload = Log_entry.encode_payload ~compress entries in
+      let body = Log_entry.encode_list entries in
+      let comp = Lz.compress body in
+      let expected =
+        if compress && Bytes.length comp < Bytes.length body then
+          Bytes.cat (Bytes.of_string "C") comp
+        else Bytes.cat (Bytes.of_string "P") body
+      in
+      Bytes.equal payload expected && Log_entry.decode_payload payload = entries)
+
+let test_payload_decode_in_place () =
+  (* A compressible run: the LZ flag is taken and decodes back. *)
+  let entries =
+    List.concat
+      (List.init 40 (fun i ->
+           [
+             Log_entry.Write { addr = 8 * (i mod 4); value = 7L };
+             Log_entry.Tx_end { tid = i + 1 };
+           ]))
+  in
+  let lz = Log_entry.encode_payload ~compress:true entries in
+  check Alcotest.char "compressible body takes the LZ flag" 'C' (Bytes.get lz 0);
+  check Alcotest.bool "LZ payload round-trips" true (Log_entry.decode_payload lz = entries);
+  let plain = Log_entry.encode_plain entries in
+  check Alcotest.char "plain flag" 'P' (Bytes.get plain 0);
+  check Alcotest.bool "plain payload round-trips" true (Log_entry.decode_payload plain = entries);
+  check Alcotest.bool "frame_compressed keeps plain when LZ does not shrink" true
+    (Log_entry.frame_compressed plain (Bytes.make (Bytes.length plain) 'x') == plain);
+  Alcotest.check_raises "empty payload"
+    (Invalid_argument "Log_entry.decode_payload: empty payload") (fun () ->
+      ignore (Log_entry.decode_payload Bytes.empty));
+  Alcotest.check_raises "bad flag unchanged"
+    (Invalid_argument "Log_entry.decode_payload: bad flag 'Z'") (fun () ->
+      ignore (Log_entry.decode_payload (Bytes.of_string "Zxxxx")));
+  Alcotest.check_raises "truncated plain body unchanged"
+    (Invalid_argument "Log_entry.decode_list: truncated Write") (fun () ->
+      ignore (Log_entry.decode_payload (Bytes.of_string "PWshort")));
+  Alcotest.check_raises "truncated end mark unchanged"
+    (Invalid_argument "Log_entry.decode_list: truncated Tx_end") (fun () ->
+      ignore (Log_entry.decode_payload (Bytes.sub plain 0 (Bytes.length plain - 1))));
+  Alcotest.check_raises "truncated LZ body unchanged"
+    (Invalid_argument "Lz.decompress: truncated literals") (fun () ->
+      ignore (Log_entry.decode_payload (Bytes.of_string "C\xF0a")))
 
 (* ------------------------------- vlog -------------------------------- *)
 
@@ -319,6 +372,9 @@ let suite =
     Alcotest.test_case "entry encoding sizes" `Quick test_encode_sizes;
     Alcotest.test_case "decode rejects garbage" `Quick test_decode_rejects_garbage;
     Alcotest.test_case "tids extraction" `Quick test_tids_extraction;
+    QCheck_alcotest.to_alcotest prop_payload_roundtrip;
+    Alcotest.test_case "payload decodes in place, errors unchanged" `Quick
+      test_payload_decode_in_place;
     Alcotest.test_case "vlog basics" `Quick test_vlog_basic;
     Alcotest.test_case "vlog abort pops attempt" `Quick test_vlog_abort_pop;
     Alcotest.test_case "vlog wraps around" `Quick test_vlog_wraparound;

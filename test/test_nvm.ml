@@ -297,6 +297,196 @@ let prop_persist_crash_prefix =
         (fun w -> Nvm.load_u64 d (w * 8) = model.(w))
         (Array.init 64 (fun i -> i)))
 
+(* Reference copy of the device's dirty-line bookkeeping as it was before
+   the flat count table: a [Hashtbl] from line to a ref of its dirty byte
+   count.  Its fold order drives the crash's seeded eviction draws. *)
+module Ref_dirty = struct
+  type t = {
+    ls : int;
+    latest : Bytes.t;
+    persisted : Bytes.t;
+    dirty : (int, int ref) Hashtbl.t;
+    poisoned : (int, unit) Hashtbl.t;
+    mutable write_bytes : int;
+    mutable survivors : int list;
+  }
+
+  let create ~size ~ls =
+    {
+      ls;
+      latest = Bytes.make size '\000';
+      persisted = Bytes.make size '\000';
+      dirty = Hashtbl.create 4096;
+      poisoned = Hashtbl.create 8;
+      write_bytes = 0;
+      survivors = [];
+    }
+
+  let store t off b =
+    Bytes.blit b 0 t.latest off (Bytes.length b);
+    let len = Bytes.length b in
+    if len > 0 then
+      for l = off / t.ls to (off + len - 1) / t.ls do
+        let lo = max off (l * t.ls) and hi = min (off + len) ((l + 1) * t.ls) in
+        match Hashtbl.find_opt t.dirty l with
+        | Some c -> c := min t.ls (!c + hi - lo)
+        | None -> Hashtbl.add t.dirty l (ref (hi - lo))
+      done
+
+  let flush_line t l =
+    let payload = match Hashtbl.find_opt t.dirty l with Some c -> !c | None -> 0 in
+    Bytes.blit t.latest (l * t.ls) t.persisted (l * t.ls) t.ls;
+    Hashtbl.remove t.poisoned l;
+    Hashtbl.remove t.dirty l;
+    t.write_bytes <- t.write_bytes + payload
+
+  let persist t ~off ~len =
+    if len > 0 then
+      for l = off / t.ls to (off + len - 1) / t.ls do
+        if Hashtbl.mem t.dirty l then flush_line t l
+      done
+
+  let crash t ~evict_fraction ~rng =
+    if evict_fraction > 0.0 then begin
+      let survivors =
+        Hashtbl.fold
+          (fun l _ acc -> if Rng.float rng < evict_fraction then l :: acc else acc)
+          t.dirty []
+      in
+      let survivors = List.sort compare survivors in
+      List.iter (flush_line t) survivors;
+      t.survivors <- survivors
+    end
+    else t.survivors <- [];
+    Hashtbl.reset t.dirty;
+    Bytes.blit t.persisted 0 t.latest 0 (Bytes.length t.latest)
+
+  (* A load of [\[off, off + len)] reaches the media on a clean line. *)
+  let load_fails t off len =
+    let rec go l =
+      l <= (off + len - 1) / t.ls
+      && ((Hashtbl.mem t.poisoned l && not (Hashtbl.mem t.dirty l)) || go (l + 1))
+    in
+    go (off / t.ls)
+end
+
+type nvm_op =
+  | Store_u64 of int * int
+  | Store_bytes of int * string
+  | Store_span of int * int
+  | Persist of int * int
+  | Persist_ranges of (int * int) list
+  | Crash of float * int
+  | Load of int
+
+(* The device against the reference table over random op sequences: the
+   same write bytes, dirty-line count and crash survivors after every op,
+   the same poisoned-load verdicts, and the same persisted image.  Spans
+   of up to 2048 lines dirty thousands of the device's 16384 lines, so
+   lines share hash buckets and the table resizes: the eviction draws then
+   depend on the order lines joined the set, not just on which did. *)
+let prop_dirty_table_matches_reference =
+  let size = 1 lsl 20 in
+  let range = QCheck2.Gen.(pair (int_range 0 (size - 1)) (int_range 0 (1 lsl 16))) in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, map2 (fun w v -> Store_u64 (w, v)) (int_range 0 ((size / 8) - 1)) nat);
+          ( 4,
+            map2
+              (fun o s -> Store_bytes (o, s))
+              (int_range 0 (size - 1))
+              (string_size (int_range 0 200)) );
+          ( 2,
+            map2
+              (fun o n -> Store_span (o, n))
+              (int_range 0 (size - 1))
+              (int_range 1 (1 lsl 17)) );
+          (2, map (fun (o, l) -> Persist (o, l)) range);
+          (1, map (fun rs -> Persist_ranges rs) (list_size (int_range 0 4) range));
+          (1, map2 (fun f seed -> Crash (f, seed)) (oneofl [ 0.0; 0.3; 0.7; 1.0 ]) nat);
+          (2, map (fun o -> Load o) (int_range 0 ((size / 8) - 1)));
+        ])
+  in
+  QCheck2.Test.make ~name:"nvm: flat dirty table matches the reference table" ~count:100
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 4) (int_range 0 ((size / 64) - 1)))
+        (list_size (int_range 1 120) op))
+    (fun (poison, ops) ->
+      let d = device ~size () in
+      let ls = Nvm.line_size d in
+      let r = Ref_dirty.create ~size ~ls in
+      List.iter
+        (fun l ->
+          Nvm.inject_fault d (Nvm.Poison { line = l });
+          Hashtbl.replace r.Ref_dirty.poisoned l ())
+        poison;
+      let clip off len = (off, min len (size - off)) in
+      let agree what =
+        if Nvm.persisted_write_bytes d <> r.Ref_dirty.write_bytes then
+          QCheck2.Test.fail_reportf "%s: write bytes %d, reference %d" what
+            (Nvm.persisted_write_bytes d) r.Ref_dirty.write_bytes;
+        if Nvm.dirty_lines d <> Hashtbl.length r.Ref_dirty.dirty then
+          QCheck2.Test.fail_reportf "%s: %d dirty lines, reference %d" what (Nvm.dirty_lines d)
+            (Hashtbl.length r.Ref_dirty.dirty)
+      in
+      List.iter
+        (function
+          | Store_u64 (w, v) ->
+            Nvm.store_u64 d (w * 8) (Int64.of_int v);
+            let b = Bytes.create 8 in
+            Bytes.set_int64_le b 0 (Int64.of_int v);
+            Ref_dirty.store r (w * 8) b;
+            agree "store_u64"
+          | Store_bytes (off, s) ->
+            let off = min off (size - String.length s) in
+            Nvm.store_bytes d off (Bytes.of_string s);
+            Ref_dirty.store r off (Bytes.of_string s);
+            agree "store_bytes"
+          | Store_span (off, n) ->
+            let n = min n (size - off) in
+            let b = Bytes.make n (Char.chr (n land 0xff)) in
+            Nvm.store_bytes d off b;
+            Ref_dirty.store r off b;
+            agree "store span"
+          | Persist (off, len) ->
+            let off, len = clip off len in
+            Nvm.persist d ~off ~len;
+            Ref_dirty.persist r ~off ~len;
+            agree "persist"
+          | Persist_ranges rs ->
+            let rs = List.map (fun (o, l) -> clip o l) rs in
+            Nvm.persist_ranges d rs;
+            List.iter (fun (off, len) -> Ref_dirty.persist r ~off ~len) rs;
+            agree "persist_ranges"
+          | Crash (evict_fraction, seed) ->
+            Nvm.crash ~evict_fraction ~rng:(Rng.create seed) d;
+            Ref_dirty.crash r ~evict_fraction ~rng:(Rng.create seed);
+            agree "crash";
+            if Nvm.last_crash_survivors d <> r.Ref_dirty.survivors then
+              QCheck2.Test.fail_reportf "crash survivors differ from the reference"
+          | Load w ->
+            let fails =
+              match Nvm.load_u64 d (w * 8) with _ -> false | exception Nvm.Media_error _ -> true
+            in
+            if fails <> Ref_dirty.load_fails r (w * 8) 8 then
+              QCheck2.Test.fail_reportf "load at %d: media error %b, reference %b" (w * 8) fails
+                (not fails))
+        ops;
+      let expected_poison =
+        List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) r.Ref_dirty.poisoned [])
+      in
+      Nvm.poisoned_lines d = expected_poison
+      && List.for_all
+           (fun l ->
+             List.mem l expected_poison
+             || Bytes.equal
+                  (Nvm.persisted_bytes d (l * ls) ls)
+                  (Bytes.sub r.Ref_dirty.persisted (l * ls) ls))
+           (List.init (size / ls) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "store/load" `Quick test_store_load;
@@ -323,5 +513,6 @@ let suite =
     Alcotest.test_case "unaligned access rejected" `Quick test_mem_alignment;
     QCheck_alcotest.to_alcotest prop_persist_crash_prefix;
     QCheck_alcotest.to_alcotest prop_into_matches_bytes;
+    QCheck_alcotest.to_alcotest prop_dirty_table_matches_reference;
     Alcotest.test_case "in-place readers keep the poison rules" `Quick test_into_poison_rules;
   ]

@@ -2,6 +2,7 @@
    wraparound, recycling. *)
 
 module Plog = Dudetm_log.Plog
+module Checksum = Dudetm_log.Checksum
 module Nvm = Dudetm_nvm.Nvm
 module Pmem_config = Dudetm_nvm.Pmem_config
 module Rng = Dudetm_sim.Rng
@@ -273,6 +274,88 @@ let prop_wraparound_roundtrip =
              r.Plog.seq = seq && Bytes.equal r.Plog.payload p)
            records expected)
 
+(* [append] stores the header and the payload straight into the ring.  At
+   every distance from the ring end — header split, payload split, or
+   neither — the ring must hold the bytes and CRC of the old staged frame
+   ([len | seq | crc | payload] built in one buffer, then stored in two
+   pieces at the wrap), with the same dirty lines in the same order (a
+   seeded evicting crash keeps the same survivors), and [attach] must
+   scan the record back. *)
+let test_straddling_append_matches_staged_frame () =
+  let size = 512 in
+  let dcap = size - Plog.header_size in
+  let p = Bytes.init 40 (fun i -> Char.chr (65 + i)) in
+  let len = Bytes.length p and total = Plog.record_overhead + Bytes.length p in
+  let at_tail d nvm =
+    let t = Plog.format nvm ~base:0 ~size in
+    let r = Plog.append t (Bytes.make (dcap - d - Plog.record_overhead) 'f') in
+    Plog.recycle_to t ~end_off:r.Plog.end_off ~next_seq:1;
+    t
+  in
+  for d = 1 to total + 8 do
+    let nvm = device () and staged = device () in
+    let t = at_tail d nvm in
+    ignore (at_tail d staged);
+    let r = Plog.append ~persist:false t p in
+    let frame = Bytes.create total in
+    Bytes.set_int64_le frame 0 (Int64.of_int len);
+    Bytes.set_int64_le frame 8 1L;
+    let crc = Checksum.crc32 ~init:(Checksum.crc32 frame 0 16) p 0 len in
+    Bytes.set_int64_le frame 16 (Int64.of_int32 crc);
+    Bytes.blit p 0 frame Plog.record_overhead len;
+    let s = dcap - d and first = min d total in
+    Nvm.store_bytes staged (Plog.header_size + s) (Bytes.sub frame 0 first);
+    if first < total then
+      Nvm.store_bytes staged Plog.header_size (Bytes.sub frame first (total - first));
+    let what = Printf.sprintf "%d bytes before the ring end" d in
+    check Alcotest.int (what ^ ": seq") 1 r.Plog.seq;
+    check Alcotest.bool (what ^ ": same ring bytes and CRC") true
+      (Bytes.equal (Nvm.load_bytes nvm 0 size) (Nvm.load_bytes staged 0 size));
+    check Alcotest.int (what ^ ": same dirty lines") (Nvm.dirty_lines staged)
+      (Nvm.dirty_lines nvm);
+    Nvm.crash ~evict_fraction:0.5 ~rng:(Rng.create d) nvm;
+    Nvm.crash ~evict_fraction:0.5 ~rng:(Rng.create d) staged;
+    check Alcotest.(list int) (what ^ ": same eviction survivors")
+      (Nvm.last_crash_survivors staged) (Nvm.last_crash_survivors nvm);
+    let sealed = device () in
+    ignore (Plog.append (at_tail d sealed) p);
+    Nvm.crash sealed;
+    match Plog.attach sealed ~base:0 ~size with
+    | _, [ r ] ->
+      check Alcotest.int (what ^ ": attach seq") 1 r.Plog.seq;
+      check Alcotest.bytes (what ^ ": attach payload") p r.Plog.payload
+    | _, records -> Alcotest.failf "%s: attach found %d records" what (List.length records)
+  done
+
+(* Words allocated by [f ()] on the minor heap.  [Gc.minor_words] reads
+   the allocation pointer itself; [Gc.counters] only advances at a minor
+   collection, so over a short loop it misses most of what was allocated.
+   Every buffer the allocation guards (here and in [Test_replica]) look
+   for is small enough to be allocated on the minor heap. *)
+let allocated f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* [append] stores the caller's payload into the ring without staging a
+   [header | payload] frame: a 512-byte record must not allocate a
+   record-sized buffer (68 words).  What it does allocate is mostly the
+   dirty-line set's entries for the record's nine lines. *)
+let test_append_allocation_guard () =
+  let nvm = device () in
+  let t = Plog.format nvm ~base:0 ~size:65536 in
+  let p = Bytes.make 512 'r' in
+  ignore (Plog.append t p);
+  let per_append =
+    allocated (fun () ->
+        for _ = 1 to 100 do
+          ignore (Plog.append t p)
+        done)
+    /. 100.
+  in
+  if per_append >= 100. then
+    Alcotest.failf "%.1f words allocated per append (limit 100)" per_append
+
 let suite =
   [
     Alcotest.test_case "append then attach" `Quick test_append_attach;
@@ -294,4 +377,7 @@ let suite =
       test_header_loss_reformats_with_salvaged_seq;
     QCheck_alcotest.to_alcotest prop_random_appends_survive;
     QCheck_alcotest.to_alcotest prop_wraparound_roundtrip;
+    Alcotest.test_case "straddling append stores the staged frame" `Quick
+      test_straddling_append_matches_staged_frame;
+    Alcotest.test_case "append allocates no frame" `Quick test_append_allocation_guard;
   ]

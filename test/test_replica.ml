@@ -14,6 +14,8 @@ module Stats = Dudetm_sim.Stats
 module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module Wire = Dudetm_log.Wire
+module Log_entry = Dudetm_log.Log_entry
+module Plog = Dudetm_log.Plog
 module Trace = Dudetm_trace.Trace
 module Check = Dudetm_check.Check
 module Link = Dudetm_replica.Link
@@ -255,6 +257,83 @@ let test_k1_matches_unreplicated () =
   check Alcotest.int "follower sealed the full prefix" (E.durable_id prim) (E.durable_id r0);
   check Alcotest.int "follower replayed the full prefix" (E.durable_id prim) (E.applied_id r0)
 
+(* ------------------------- follower ingest ----------------------------- *)
+
+(* A follower ingests a shipped record by decoding its entries in place
+   and appending the payload itself to ring 0: beyond what decoding the
+   entries allocates, an ingest copies no payload and builds its ID list
+   once.  Each record is 16 writes and one end mark (283 bytes, 36 words
+   per copy); the rest is the ring's dirty-line set and the replay item. *)
+let test_ingest_allocation_guard () =
+  let n = 40 in
+  let record tid =
+    Log_entry.encode_payload
+      (List.init 16 (fun a -> Log_entry.Write { addr = 8 * a; value = Int64.of_int (tid + a) })
+      @ [ Log_entry.Tx_end { tid } ])
+  in
+  let payloads = Array.init (n + 1) (fun i -> record (i + 1)) in
+  let decode =
+    Test_plog.allocated (fun () ->
+        for i = 1 to n do
+          ignore (Log_entry.decode_payload payloads.(i))
+        done)
+  in
+  let eng = E.create (cfg ()) in
+  let ingest = ref 0. in
+  ignore
+    (Sched.run (fun () ->
+         ignore (E.ingest_record eng payloads.(0));
+         ingest :=
+           Test_plog.allocated (fun () ->
+               for i = 1 to n do
+                 if not (E.ingest_record eng payloads.(i)) then Alcotest.fail "ring full"
+               done)));
+  check Alcotest.int "every record sealed" (n + 1) (E.durable_id eng);
+  let beyond = (!ingest -. decode) /. float_of_int n in
+  if beyond >= 100. then
+    Alcotest.failf "%.1f words allocated per ingest beyond decoding (limit 100)" beyond
+
+(* A follower appends each shipped payload itself to its ring 0, so over
+   a run long enough to wrap the ring several times every follower's ring
+   0 data area — records, CRCs and the stale bytes of earlier laps — stays
+   byte-identical to the primary's.  The ring header is left out: it holds
+   each ring's own recycle cursor, which moves with that node's
+   Reproduce. *)
+let check_rings_identical c what =
+  let cf = E.config (Rep.primary c) in
+  let base = Config.plog_base cf 0 + Plog.header_size in
+  let len = cf.Config.plog_size - Plog.header_size in
+  let ring e = Nvm.load_bytes (E.nvm e) base len in
+  let prim = ring (Rep.primary c) in
+  for i = 0 to Rep.nreplicas c - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "%s: replica %d ring 0 equals the primary's" what i)
+      true
+      (Bytes.equal prim (ring (Rep.replica c i)))
+  done
+
+let test_follower_rings_identical () =
+  let cf = { (cfg ()) with Config.plog_size = 1 lsl 12 } in
+  let c = Rep.create ~rcfg:(rcfg 3) cf in
+  let prim = Rep.primary c in
+  let committed = ref 0 in
+  ignore
+    (Sched.run (fun () ->
+         Rep.start c;
+         Sched.join ~label:"workers done" (spawn_workers prim ~nthreads:2 ~txs:400 ~committed);
+         (match Rep.drain c with
+         | Rep.Quorum -> ()
+         | Rep.Degraded_quorum d -> Alcotest.failf "clean links degraded: %s" d);
+         Rep.sync_followers c;
+         Rep.stop c));
+  let st = E.stats prim in
+  let written =
+    Stats.get st "flush_payload_bytes" + (Stats.get st "flush_records" * 24)
+  in
+  check Alcotest.bool "the ring wrapped more than twice" true
+    (written > 2 * cf.Config.plog_size);
+  check_rings_identical c "clean links"
+
 (* ------------------- hostile links, end to end -------------------------- *)
 
 let test_faulty_links_end_to_end () =
@@ -285,6 +364,7 @@ let test_faulty_links_end_to_end () =
       (Printf.sprintf "replica %d replayed the full prefix" i)
       !committed (E.applied_id r)
   done;
+  check_rings_identical c "hostile links";
   (* The replayed state lives in each replica's persistent heap; promotion
      recovers it and must reproduce the full committed prefix. *)
   let eng, prom = Rep.promote c in
@@ -586,6 +666,10 @@ let suite =
       test_link_partition_drops;
     Alcotest.test_case "replica: quorum math" `Quick test_quorum_math;
     Alcotest.test_case "replica: config validation" `Quick test_create_validates;
+    Alcotest.test_case "replica: follower ingest copies no payload" `Quick
+      test_ingest_allocation_guard;
+    Alcotest.test_case "replica: follower rings equal the primary's" `Quick
+      test_follower_rings_identical;
     Alcotest.test_case "replica: K=1 degenerates to the unreplicated engine" `Quick
       test_k1_matches_unreplicated;
     Alcotest.test_case "replica: hostile links — dedup, CRC, retransmit, converge" `Quick
