@@ -33,9 +33,10 @@ let run ?(scale = 1.0) () =
              1000, which at 8 threads manufactures stock-row conflicts the
              paper's setup does not have.  Use 10k here. *)
           let bench =
-            tpcc_bench ~storage:W.Kv.Tree
-              ~ntxs:(int_of_float (float_of_int (250 * n) *. scale))
-              ~items:10_000 ?district_of_thread ()
+            {
+              (tpcc_bench ~storage:W.Kv.Tree ~items:10_000 ?district_of_thread ()) with
+              ntxs = int_of_float (float_of_int (250 * n) *. scale);
+            }
           in
           let r = run_bench (s.make n) bench in
           if n = 1 then base := r.ktps;
@@ -47,4 +48,5 @@ let run ?(scale = 1.0) () =
   Option.iter (report_commit_latency "DUDETM, 4 threads") !dude_r
 
 let tiny () =
-  ignore (run_bench (make_system ~nthreads:2 Dude) (tpcc_bench ~storage:W.Kv.Tree ~ntxs:60 ()))
+  ignore
+    (run_bench (make_system ~nthreads:2 Dude) { (tpcc_bench ~storage:W.Kv.Tree ()) with ntxs = 60 })

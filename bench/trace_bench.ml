@@ -17,7 +17,7 @@ let canonical_ntxs = 2_000
 let profile led ~bandwidth =
   let ptm = make_system ~nthreads:4 ~latency:1000 ~bandwidth Dude in
   Trace.enable ~capacity:65536 ();
-  let r = run_bench ptm (kv_bench ~ntxs:canonical_ntxs ()) in
+  let r = run_bench ptm { (kv_bench ()) with ntxs = canonical_ntxs } in
   let phases = Trace.phases () in
   let accts = Trace.nvm_accts () in
   let violations = Trace.validate () in
@@ -105,5 +105,5 @@ let run ?scale:(_ = 1.0) led =
 
 let tiny () =
   Trace.enable ~capacity:4096 ();
-  ignore (run_bench (make_system Dude) (kv_bench ~ntxs:400 ()));
+  ignore (run_bench (make_system Dude) { (kv_bench ()) with ntxs = 400 });
   Trace.disable ()

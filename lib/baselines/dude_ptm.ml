@@ -49,9 +49,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let ptm ?name cfg = of_instance ?name (D.create cfg)
 
-  let attach_ptm ?name cfg nvm =
+  let attach_ptm cfg nvm =
     let t, report = D.attach cfg nvm in
-    let p, t = of_instance ?name t in
+    let p, t = of_instance t in
     (p, t, report)
 end
 

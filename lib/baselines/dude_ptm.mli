@@ -9,11 +9,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       [D.t] is returned for tests that need crash/recovery access. *)
 
   val attach_ptm :
-    ?name:string ->
     Dudetm_core.Config.t ->
     Dudetm_nvm.Nvm.t ->
     Ptm_intf.t * D.t * Dudetm_core.Dudetm.recovery_report
-  (** Recover from a crashed device and wrap the result. *)
+  (** Recover from a crashed device and wrap the result, named
+      ["DudeTM"]. *)
 end
 
 module Stm : module type of Make (Dudetm_tm.Tinystm)

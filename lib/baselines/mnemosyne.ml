@@ -4,34 +4,35 @@ module Stats = Dudetm_sim.Stats
 module K = Dudetm_tm.Stm_kernel
 module Tm_intf = Dudetm_tm.Tm_intf
 module Alloc = Dudetm_core.Alloc
+module Config = Dudetm_core.Config
 module Trace = Dudetm_trace.Trace
 
 type config = {
   heap_size : int;
-  root_size : int;
   nthreads : int;
   pmem : Dudetm_nvm.Pmem_config.t;
   log_size : int;
-  tm_costs : Tm_intf.costs;
-  instrument_cost : int;
-  redirect_cost : int;
-  clflush_penalty : int;
   seed : int;
 }
 
 let default_config =
   {
     heap_size = 16 * 1024 * 1024;
-    root_size = 4096;
     nthreads = 4;
     pmem = Dudetm_nvm.Pmem_config.default;
     log_size = 1 lsl 20;
-    tm_costs = Tm_intf.default_costs;
-    instrument_cost = 140;
-    redirect_cost = 40;
-    clflush_penalty = 180;
     seed = 42;
   }
+
+(* Calibration (EXPERIMENTS.md), in cycles, on top of the TM's default
+   barrier costs: the Intel STM compiler's instrumentation per access, the
+   write-set hash probe per read, and the cache refill per line CLFLUSH
+   invalidated. *)
+let instrument_cost = 140
+
+let redirect_cost = 40
+
+let clflush_penalty = 180
 
 type t = {
   cfg : config;
@@ -69,9 +70,9 @@ let create cfg =
     cfg;
     nvm;
     stm =
-      K.create ~costs:cfg.tm_costs ~seed:cfg.seed
+      K.create ~seed:cfg.seed
         { Tm_intf.load = Nvm.load_u64 nvm; store = Nvm.store_u64 nvm };
-    allocator = Alloc.create ~base:cfg.root_size ~size:(cfg.heap_size - cfg.root_size);
+    allocator = Alloc.create ~base:Config.root_size ~size:(cfg.heap_size - Config.root_size);
     log_cursor = Array.make cfg.nthreads 0;
     dirty_data = Hashtbl.create 4096;
     durable = 0;
@@ -81,19 +82,19 @@ let create cfg =
 (* Every transactional access pays the STM compiler's instrumentation on
    top of the barrier; every read first probes the write set. *)
 let mread t w addr =
-  Sched.advance (t.cfg.tm_costs.Tm_intf.read_cost + t.cfg.instrument_cost);
+  Sched.advance (Tm_intf.default_costs.read_cost + instrument_cost);
   Stats.incr t.stm.K.stats "reads";
-  Sched.advance t.cfg.redirect_cost;
+  Sched.advance redirect_cost;
   K.wb_read w addr
 
 let mwrite t w addr value =
-  Sched.advance (t.cfg.tm_costs.Tm_intf.write_cost + t.cfg.instrument_cost);
+  Sched.advance (Tm_intf.default_costs.write_cost + instrument_cost);
   Stats.incr t.stm.K.stats "writes";
   K.wb_write w addr value
 
-(* Redo-log record: 16 bytes per (addr, value) pair, plus a 16-byte
-   header/commit mark.  When the region fills up we must make the in-place
-   data durable and truncate. *)
+(* Redo-log record ({!Word_record}): 16 bytes per (addr, value) pair, plus
+   a 16-byte header/commit mark.  When the region fills up we must make the
+   in-place data durable and truncate. *)
 let truncate_log t thread =
   let ranges = Hashtbl.fold (fun addr () acc -> (addr, 8) :: acc) t.dirty_data [] in
   Nvm.persist_ranges t.nvm ranges;
@@ -110,28 +111,21 @@ let truncate_log t thread =
    decouples away — then apply the writes in place.  Runs with the write
    set locked, after the version is drawn. *)
 let persist_and_apply t ~thread (w : K.wb) wv =
-  let n = List.length w.worder in
   (* The span makes the stall directly comparable to DudeTM's
      off-critical-path persist.flush. *)
   Trace.span_begin ~cat:"persist" "log_persist";
-  let record_bytes = 16 + (16 * n) in
+  let record_bytes = Word_record.size (List.length w.worder) in
   if t.log_cursor.(thread) + record_bytes + 8 > t.cfg.log_size then truncate_log t thread;
   (* Record plus a zeroed tombstone header: the tombstone stops a
      recovery scan before it can reach stale records from a previous lap
-     of the region. *)
-  let buf = Bytes.create (record_bytes + 8) in
-  (* Unsealed header: the version shifted left, commit bit clear — the
-     same encoding the seal completes by setting bit 0.  Writing the raw
-     version here would leave odd versions looking sealed, so a crash
-     mid-record-persist could replay a torn transaction. *)
-  Bytes.set_int64_le buf 0 (Int64.of_int (wv lsl 1));
-  Bytes.set_int64_le buf 8 (Int64.of_int n);
-  List.iteri
-    (fun i addr ->
-      Bytes.set_int64_le buf (16 + (16 * i)) (Int64.of_int addr);
-      Bytes.set_int64_le buf (24 + (16 * i)) (Hashtbl.find w.wbuf addr))
-    w.worder;
-  Bytes.set_int64_le buf record_bytes 0L;
+     of the region.  Unsealed header: the version shifted left, commit bit
+     clear — the same encoding the seal completes by setting bit 0.
+     Writing the raw version here would leave odd versions looking sealed,
+     so a crash mid-record-persist could replay a torn transaction. *)
+  let buf =
+    Word_record.encode ~tombstone:true ~header:(Int64.of_int (wv lsl 1)) w.worder
+      (Hashtbl.find w.wbuf)
+  in
   let off = log_base t thread + t.log_cursor.(thread) in
   Nvm.store_bytes t.nvm off buf;
   Nvm.persist t.nvm ~off ~len:(record_bytes + 8);
@@ -143,7 +137,7 @@ let persist_and_apply t ~thread (w : K.wb) wv =
   t.log_cursor.(thread) <- t.log_cursor.(thread) + record_bytes;
   (* CLFLUSH invalidated the freshly written log lines: charge the
      refill penalty. *)
-  Sched.advance (t.cfg.clflush_penalty * ((record_bytes + 63) / 64));
+  Sched.advance (clflush_penalty * ((record_bytes + 63) / 64));
   Trace.span_end ~cat:"persist" "log_persist";
   (* Apply in place; these stores may linger in cache (the log covers
      them). *)
@@ -158,7 +152,7 @@ let persist_and_apply t ~thread (w : K.wb) wv =
    oversized transaction leaves no lock held and no hole in the durable
    prefix. *)
 let commit t ~thread (w : K.wb) =
-  if 16 + (16 * List.length w.worder) + 8 > t.cfg.log_size then
+  if Word_record.size (List.length w.worder) + 8 > t.cfg.log_size then
     invalid_arg "Mnemosyne: transaction log too large";
   K.wb_commit w ~publish:(fun stm ->
       let wv = K.tick stm in
@@ -236,31 +230,23 @@ let nvm t = t.nvm
    unsealed tail record is ignored (its transaction never committed). *)
 let recover t =
   let records = ref [] in
+  let load = Nvm.load_u64 t.nvm in
   for thread = 0 to t.cfg.nthreads - 1 do
-    let base = log_base t thread in
-    let pos = ref 0 in
-    let continue = ref true in
-    while !continue do
-      if !pos + 16 > t.cfg.log_size then continue := false
-      else begin
-        let h = Int64.to_int (Nvm.load_u64 t.nvm (base + !pos)) in
-        if h land 1 = 0 then continue := false
-        else begin
-          let wv = h lsr 1 in
-          let n = Int64.to_int (Nvm.load_u64 t.nvm (base + !pos + 8)) in
-          if n < 0 || !pos + 16 + (16 * n) > t.cfg.log_size then continue := false
-          else begin
-            let writes =
-              List.init n (fun i ->
-                  ( Int64.to_int (Nvm.load_u64 t.nvm (base + !pos + 16 + (16 * i))),
-                    Nvm.load_u64 t.nvm (base + !pos + 24 + (16 * i)) ))
-            in
-            records := (wv, writes) :: !records;
-            pos := !pos + 16 + (16 * n)
-          end
-        end
+    let rec scan pos =
+      if pos + 16 <= t.cfg.log_size then begin
+        let off = log_base t thread + pos in
+        let h = Int64.to_int (load off) in
+        if h land 1 = 1 then
+          match Word_record.count load ~off ~room:(t.cfg.log_size - pos) with
+          | None -> ()
+          | Some n ->
+            let writes = ref [] in
+            Word_record.iter load ~off n (fun addr value -> writes := (addr, value) :: !writes);
+            records := (h lsr 1, List.rev !writes) :: !records;
+            scan (pos + Word_record.size n)
       end
-    done
+    in
+    scan 0
   done;
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) !records in
   let ranges = ref [] in

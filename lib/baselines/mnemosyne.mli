@@ -15,24 +15,25 @@
     The STM underneath is {!Dudetm_tm.Stm_kernel}'s write-back path — the
     same versioned-lock protocol, commit-time locking and retry loop as
     {!Dudetm_tm.Tinystm_wb}; this module adds only the instrumentation
-    costs and the synchronous log persist.  A transaction whose redo
-    record cannot fit the log region raises [Invalid_argument] before it
-    locks anything. *)
+    costs and the synchronous log persist.  The redo record is a
+    {!Word_record}.  A transaction whose redo record cannot fit the log
+    region raises [Invalid_argument] before it locks anything. *)
 
 type config = {
   heap_size : int;
-  root_size : int;
   nthreads : int;
   pmem : Dudetm_nvm.Pmem_config.t;
   log_size : int;  (** per-thread redo-log region, bytes *)
-  tm_costs : Dudetm_tm.Tm_intf.costs;
-  instrument_cost : int;  (** extra cycles per instrumented access *)
-  redirect_cost : int;  (** write-set hash lookup on each read *)
-  clflush_penalty : int;  (** cache-invalidation refill cost per flushed line *)
   seed : int;
 }
+(** The costs are the calibration in EXPERIMENTS.md, not settings:
+    {!Dudetm_tm.Tm_intf.default_costs} per access plus 140 cycles of
+    instrumentation, a 40-cycle write-set probe on each read, and a
+    180-cycle refill per flushed log line.  The heap's first
+    {!Dudetm_core.Config.root_size} bytes are the root area. *)
 
 val default_config : config
+(** 16 MiB heap, 4 threads, 1 MiB log per thread, seed 42. *)
 
 type t
 

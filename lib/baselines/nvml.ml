@@ -3,41 +3,42 @@ module Sched = Dudetm_sim.Sched
 module Stats = Dudetm_sim.Stats
 module Lock_table = Dudetm_tm.Lock_table
 module Alloc = Dudetm_core.Alloc
+module Config = Dudetm_core.Config
 module Trace = Dudetm_trace.Trace
 
 type config = {
   heap_size : int;
-  root_size : int;
   nthreads : int;
   pmem : Dudetm_nvm.Pmem_config.t;
   log_size : int;
-  tx_overhead : int;
-  undo_entry_cost : int;
-  alloc_cost : int;
-  read_cost : int;
-  write_cost : int;
   seed : int;
 }
 
 let default_config =
   {
     heap_size = 16 * 1024 * 1024;
-    root_size = 4096;
     nthreads = 4;
     pmem = Dudetm_nvm.Pmem_config.default;
     log_size = 1 lsl 18;
-    (* ~1.14M empty tx/s/thread at 3.4 GHz is ~2980 cycles per empty
-       transaction; most of it is metadata allocation. *)
-    tx_overhead = 2600;
-    (* TX_ADD-style snapshotting work per undo entry. *)
-    undo_entry_cost = 150;
-    (* pmemobj-style transactional allocation measures in microseconds:
-       metadata updates plus their flushes. *)
-    alloc_cost = 10000;
-    read_cost = 4;
-    write_cost = 8;
     seed = 42;
   }
+
+(* Calibration (EXPERIMENTS.md), in cycles.  ~1.14M empty tx/s/thread at
+   3.4 GHz is ~2980 cycles per empty transaction; most of it is metadata
+   allocation. *)
+let tx_overhead = 2600
+
+(* TX_ADD-style snapshotting work per undo entry. *)
+let undo_entry_cost = 150
+
+(* pmemobj-style transactional allocation measures in microseconds:
+   metadata updates plus their flushes. *)
+let alloc_cost = 10000
+
+(* Plain loads and stores: no instrumentation. *)
+let read_cost = 4
+
+let write_cost = 8
 
 type t = {
   cfg : config;
@@ -61,7 +62,7 @@ let create cfg =
     locks = Lock_table.create ();
     clock = 0;
     next_uid = 1;
-    allocator = Alloc.create ~base:cfg.root_size ~size:(cfg.heap_size - cfg.root_size);
+    allocator = Alloc.create ~base:Config.root_size ~size:(cfg.heap_size - Config.root_size);
     stats = Stats.create ();
   }
 
@@ -84,28 +85,30 @@ let release_locks t ~version held =
       Lock_table.release_to t.locks ~stripe ~version:v)
     held
 
+(* NVML's allocator is persistent and slow; the paper moves allocations
+   out of the measured paths where it can, but TPC-C-style transactions
+   must allocate rows. *)
+let palloc t size =
+  Sched.advance alloc_cost;
+  match Alloc.alloc t.allocator size with
+  | None -> failwith "Nvml: out of persistent memory"
+  | Some off -> off
+
 let atomically_impl t ~thread ~wset f =
   Trace.span ~cat:"perform" "tx" @@ fun () ->
-  Sched.advance (t.cfg.tx_overhead + (t.cfg.undo_entry_cost * List.length wset));
+  Sched.advance (tx_overhead + (undo_entry_cost * List.length wset));
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
   let wset = List.sort_uniq compare wset in
   let n = List.length wset in
   (* Reject an undo record the log region cannot hold before taking any
      lock, so the failure leaves every stripe free. *)
-  if 16 + (16 * n) > t.cfg.log_size then invalid_arg "Nvml: write set exceeds log region";
+  if Word_record.size n > t.cfg.log_size then invalid_arg "Nvml: write set exceeds log region";
   let stripes = List.sort_uniq compare (List.map (Lock_table.stripe_of_addr t.locks) wset) in
   let held = acquire_locks t ~uid stripes in
   (* Undo-log all old values at once: one persist ordering (the static-
      transaction trick that makes NVML competitive, Section 2.2). *)
-  let record = Bytes.create (16 + (16 * n)) in
-  Bytes.set_int64_le record 0 (Int64.of_int uid);
-  Bytes.set_int64_le record 8 (Int64.of_int n);
-  List.iteri
-    (fun i addr ->
-      Bytes.set_int64_le record (16 + (16 * i)) (Int64.of_int addr);
-      Bytes.set_int64_le record (24 + (16 * i)) (Nvm.load_u64 t.nvm addr))
-    wset;
+  let record = Word_record.encode ~tombstone:false ~header:(Int64.of_int uid) wset (Nvm.load_u64 t.nvm) in
   let lb = log_base t thread in
   Trace.span_begin ~cat:"persist" "undo_log";
   Nvm.store_bytes t.nvm lb record;
@@ -115,37 +118,27 @@ let atomically_impl t ~thread ~wset f =
   List.iter (fun a -> Hashtbl.replace in_set a ()) wset;
   let written = ref [] in
   let rollback () =
-    List.iteri
-      (fun i addr -> Nvm.store_u64 t.nvm addr (Bytes.get_int64_le record (24 + (16 * i))))
-      wset;
+    Word_record.iter (Bytes.get_int64_le record) ~off:0 n (Nvm.store_u64 t.nvm);
     Nvm.persist_ranges t.nvm (List.map (fun a -> (a, 8)) wset)
   in
   let ptx =
     {
       Ptm_intf.read =
         (fun addr ->
-          Sched.advance t.cfg.read_cost;
+          Sched.advance read_cost;
           Nvm.load_u64 t.nvm addr);
       write =
         (fun addr value ->
-          Sched.advance t.cfg.write_cost;
+          Sched.advance write_cost;
           if not (Hashtbl.mem in_set addr) then
             invalid_arg "Nvml: write outside the declared write set";
           Nvm.store_u64 t.nvm addr value;
           written := (addr, 8) :: !written);
       abort = (fun () -> raise Ptm_intf.Aborted);
-      pmalloc =
-        (fun size ->
-          (* NVML's allocator is persistent and slow; the paper moves
-             allocations out of the measured paths where it can, but
-             TPC-C-style transactions must allocate rows. *)
-          Sched.advance t.cfg.alloc_cost;
-          match Alloc.alloc t.allocator size with
-          | None -> failwith "Nvml: out of persistent memory"
-          | Some off -> off);
+      pmalloc = palloc t;
       pfree =
         (fun ~off ~len ->
-          Sched.advance (t.cfg.alloc_cost / 2);
+          Sched.advance (alloc_cost / 2);
           Alloc.free t.allocator ~off ~len);
     }
   in
@@ -197,13 +190,7 @@ let ptm_of ?(name = "NVML") t =
     stop = (fun () -> ());
     nvm = Some t.nvm;
     counters = (fun () -> Stats.to_list t.stats);
-    prealloc =
-      Some
-        (fun size ->
-          Sched.advance t.cfg.alloc_cost;
-          match Alloc.alloc t.allocator size with
-          | None -> failwith "Nvml: out of persistent memory"
-          | Some off -> off);
+    prealloc = Some (palloc t);
   }
 
 let ptm ?name cfg = ptm_of ?name (create cfg)
@@ -219,18 +206,15 @@ let recover t =
   for thread = 0 to t.cfg.nthreads - 1 do
     let lb = log_base t thread in
     if Nvm.load_u64 t.nvm lb <> 0L then begin
-      let n = Int64.to_int (Nvm.load_u64 t.nvm (lb + 8)) in
-      if n >= 0 && 16 + (16 * n) <= t.cfg.log_size then begin
+      (match Word_record.count (Nvm.load_u64 t.nvm) ~off:lb ~room:t.cfg.log_size with
+      | None -> ()
+      | Some n ->
         let ranges = ref [] in
-        for i = 0 to n - 1 do
-          let addr = Int64.to_int (Nvm.load_u64 t.nvm (lb + 16 + (16 * i))) in
-          let old_value = Nvm.load_u64 t.nvm (lb + 24 + (16 * i)) in
-          Nvm.store_u64 t.nvm addr old_value;
-          ranges := (addr, 8) :: !ranges
-        done;
+        Word_record.iter (Nvm.load_u64 t.nvm) ~off:lb n (fun addr old_value ->
+            Nvm.store_u64 t.nvm addr old_value;
+            ranges := (addr, 8) :: !ranges);
         Nvm.persist_ranges t.nvm !ranges;
-        incr rolled_back
-      end;
+        incr rolled_back);
       Nvm.store_u64 t.nvm lb 0L;
       Nvm.persist t.nvm ~off:lb ~len:8
     end

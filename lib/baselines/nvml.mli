@@ -3,7 +3,8 @@
 
     Undo logging with {e static} transactions: the caller declares the
     write set up front, so all old values are logged and persisted with a
-    single persist ordering at transaction begin.  NVML transactions give
+    single persist ordering at transaction begin, as one {!Word_record}
+    undo record.  NVML transactions give
     no isolation; concurrency control is the application's job, modelled
     here as striped blocking locks acquired in sorted order over the
     declared write set.  Each transaction also pays NVML's dynamic
@@ -15,19 +16,20 @@
 
 type config = {
   heap_size : int;
-  root_size : int;
   nthreads : int;
   pmem : Dudetm_nvm.Pmem_config.t;
   log_size : int;  (** per-thread undo-log region, bytes *)
-  tx_overhead : int;  (** metadata/undo allocation cycles per transaction *)
-  undo_entry_cost : int;  (** snapshotting work per declared write-set word *)
-  alloc_cost : int;  (** transactional persistent allocation, cycles *)
-  read_cost : int;  (** plain load — no instrumentation *)
-  write_cost : int;
   seed : int;
 }
+(** The costs are the calibration in EXPERIMENTS.md, not settings: 2600
+    cycles of metadata/undo allocation per transaction plus 150 per
+    declared write-set word, 10000 per transactional persistent
+    allocation, and uninstrumented 4-cycle loads and 8-cycle stores.  The
+    heap's first {!Dudetm_core.Config.root_size} bytes are the root
+    area. *)
 
 val default_config : config
+(** 16 MiB heap, 4 threads, 256 KiB log per thread, seed 42. *)
 
 type t
 

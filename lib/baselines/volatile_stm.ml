@@ -82,11 +82,10 @@ end
 module Stm_engine = Engine (Dudetm_tm.Tinystm)
 module Htm_engine = Engine (Dudetm_tm.Htm)
 
-let ptm ?(name = "Volatile-STM") ?(heap_size = 16 * 1024 * 1024) ?(nthreads = 4) ?(seed = 42) ()
-    =
-  Stm_engine.make ~name ~heap_size ~nthreads ~tm_create:(Dudetm_tm.Tinystm.create ~seed)
+let ptm ?(heap_size = 16 * 1024 * 1024) ?(nthreads = 4) () =
+  Stm_engine.make ~name:"Volatile-STM" ~heap_size ~nthreads
+    ~tm_create:(fun store -> Dudetm_tm.Tinystm.create store)
 
-let ptm_htm ?(name = "Volatile-HTM") ?(heap_size = 16 * 1024 * 1024) ?(nthreads = 4) ?(seed = 42)
-    ?(tid_conflicts = false) () =
-  Htm_engine.make ~name ~heap_size ~nthreads
-    ~tm_create:(Dudetm_tm.Htm.create_htm ~seed ~tid_conflicts)
+let ptm_htm ?(heap_size = 16 * 1024 * 1024) () =
+  Htm_engine.make ~name:"Volatile-HTM" ~heap_size ~nthreads:4
+    ~tm_create:(fun store -> Dudetm_tm.Htm.create_htm store)

@@ -21,14 +21,13 @@ let pmem ?(latency = 1000) ?(bandwidth = 1.0) () =
   { Pmem_config.default with Pmem_config.persist_latency = latency; bandwidth_gbps = bandwidth }
 
 let dude_config ?(mode = Config.Async) ?(nthreads = 4) ?(latency = 1000) ?(bandwidth = 1.0)
-    ?shadow_frames ?(heap = heap_size) () =
+    ?(heap = heap_size) () =
   {
     Config.default with
     Config.heap_size = heap;
     nthreads;
     mode;
     pmem = pmem ~latency ~bandwidth ();
-    shadow_frames;
   }
 
 type system = Dude | Dude_inf | Dude_sync | Dude_sync_pcm | Volatile | Mnemosyne | Nvml
@@ -87,11 +86,11 @@ type bench = {
   setup : Ptm.t -> (thread:int -> rng:Rng.t -> int);
 }
 
-let hashtable_bench ?(ntxs = 12_000) () =
+let hashtable_bench () =
   {
     bname = "HashTable";
     think = 900;
-    ntxs;
+    ntxs = 12_000;
     static_ok = true;
     setup =
       (fun ptm ->
@@ -102,11 +101,11 @@ let hashtable_bench ?(ntxs = 12_000) () =
           0);
   }
 
-let bptree_bench ?(ntxs = 8_000) () =
+let bptree_bench () =
   {
     bname = "B+tree";
     think = 300;
-    ntxs;
+    ntxs = 8_000;
     static_ok = false;
     setup =
       (fun ptm ->
@@ -117,11 +116,11 @@ let bptree_bench ?(ntxs = 8_000) () =
           0);
   }
 
-let kv_bench ?(storage = W.Kv.Hash) ?(ntxs = 12_000) () =
+let kv_bench ?(storage = W.Kv.Hash) () =
   {
     bname = (match storage with W.Kv.Hash -> "KV (hash)" | W.Kv.Tree -> "KV (B+tree)");
     think = 600;
-    ntxs;
+    ntxs = 12_000;
     static_ok = storage = W.Kv.Hash;
     setup =
       (fun ptm ->
@@ -137,11 +136,11 @@ let kv_bench ?(storage = W.Kv.Hash) ?(ntxs = 12_000) () =
           0);
   }
 
-let tatp_bench ~storage ?(ntxs = 12_000) () =
+let tatp_bench ~storage () =
   {
     bname = (match storage with W.Kv.Hash -> "TATP (hash)" | W.Kv.Tree -> "TATP (B+tree)");
     think = (match storage with W.Kv.Hash -> 1200 | W.Kv.Tree -> 300);
-    ntxs;
+    ntxs = 12_000;
     static_ok = storage = W.Kv.Hash;
     setup =
       (fun ptm ->
@@ -151,8 +150,7 @@ let tatp_bench ~storage ?(ntxs = 12_000) () =
           0);
   }
 
-let tpcc_bench ~storage ?(ntxs = 800) ?(items = 1000) ?district_of_thread ?(mixed = false)
-    () =
+let tpcc_bench ~storage ?(items = 1000) ?district_of_thread ?(mixed = false) () =
   {
     bname =
       (match (storage, mixed) with
@@ -161,7 +159,7 @@ let tpcc_bench ~storage ?(ntxs = 800) ?(items = 1000) ?district_of_thread ?(mixe
       | W.Kv.Hash, true -> "TPC-C mix (hash)"
       | W.Kv.Tree, true -> "TPC-C mix (B+tree)");
     think = (if mixed then 30_000 else 60_000);
-    ntxs;
+    ntxs = 800;
     static_ok = storage = W.Kv.Hash;
     setup =
       (fun ptm ->
@@ -196,7 +194,7 @@ type result = {
   commit_latency : Stats.Latency.r;
 }
 
-let run_bench ?(seed = 9000) ?(measure_latency = false) (ptm : Ptm.t) bench =
+let run_bench ?(measure_latency = false) (ptm : Ptm.t) bench =
   let nthreads = ptm.Ptm.nthreads in
   let per = bench.ntxs / nthreads in
   let ntxs_run = per * nthreads in
@@ -229,7 +227,7 @@ let run_bench ?(seed = 9000) ?(measure_latency = false) (ptm : Ptm.t) bench =
              (Sched.spawn
                 (Printf.sprintf "worker-%d" th)
                 (fun () ->
-                  let rng = Rng.create (seed + th) in
+                  let rng = Rng.create (9000 + th) in
                   (* The durability-acknowledgement protocol of Section 5.3:
                      remember (commit tid, begin time); after each
                      transaction, acknowledge everything at or below the

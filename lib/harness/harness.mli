@@ -18,14 +18,11 @@ val system_name : system -> string
 val heap_size : int
 (** Persistent heap used by the benchmark systems (32 MiB). *)
 
-val pmem : ?latency:int -> ?bandwidth:float -> unit -> Dudetm_nvm.Pmem_config.t
-
 val dude_config :
   ?mode:Dudetm_core.Config.mode ->
   ?nthreads:int ->
   ?latency:int ->
   ?bandwidth:float ->
-  ?shadow_frames:int ->
   ?heap:int ->
   unit ->
   Dudetm_core.Config.t
@@ -36,10 +33,10 @@ val make_system :
 (** {1 Benchmarks} *)
 
 (** A benchmark: name, per-transaction application compute cost ([think], a
-    calibration constant documented in EXPERIMENTS.md), default transaction
-    count, whether NVML's static transactions can run it, and a setup
-    returning the per-transaction body (which reports its commit ID, or
-    0). *)
+    calibration constant documented in EXPERIMENTS.md), transaction count
+    (callers set another by record update), whether NVML's static
+    transactions can run it, and a setup returning the per-transaction body
+    (which reports its commit ID, or 0). *)
 type bench = {
   bname : string;
   think : int;
@@ -48,20 +45,19 @@ type bench = {
   setup : Dudetm_baselines.Ptm_intf.t -> (thread:int -> rng:Dudetm_sim.Rng.t -> int);
 }
 
-val hashtable_bench : ?ntxs:int -> unit -> bench
+val hashtable_bench : unit -> bench
 
-val bptree_bench : ?ntxs:int -> unit -> bench
+val bptree_bench : unit -> bench
 
-val kv_bench : ?storage:Dudetm_workloads.Kv.kind -> ?ntxs:int -> unit -> bench
+val kv_bench : ?storage:Dudetm_workloads.Kv.kind -> unit -> bench
 (** Mixed key-value microbenchmark (50% lookups / 30% inserts / 20%
     updates, uniform 64K key space) — the workload driven by the
     [dudetm trace] profiling subcommand.  [storage] defaults to hash. *)
 
-val tatp_bench : storage:Dudetm_workloads.Kv.kind -> ?ntxs:int -> unit -> bench
+val tatp_bench : storage:Dudetm_workloads.Kv.kind -> unit -> bench
 
 val tpcc_bench :
   storage:Dudetm_workloads.Kv.kind ->
-  ?ntxs:int ->
   ?items:int ->
   ?district_of_thread:(int -> int) ->
   ?mixed:bool ->
@@ -95,10 +91,10 @@ type result = {
           [dtmEnd] return, think time excluded) — always populated *)
 }
 
-val run_bench :
-  ?seed:int -> ?measure_latency:bool -> Dudetm_baselines.Ptm_intf.t -> bench -> result
+val run_bench : ?measure_latency:bool -> Dudetm_baselines.Ptm_intf.t -> bench -> result
 (** Run [bench] on [nthreads] simulated worker threads, measure from setup
-    end to last commit, then drain.  Deterministic for a given seed. *)
+    end to last commit, then drain.  Deterministic: worker [i] draws from
+    the fixed seed [9000 + i]. *)
 
 (** {1 Output helpers} *)
 

@@ -30,8 +30,6 @@ let set_u64 t addr v =
 
 let get_into t off dst = Bytes.blit t off dst 0 (Bytes.length dst)
 
-let set_bytes t off b = Bytes.blit b 0 t off (Bytes.length b)
-
 let set_sub t off b ~pos ~len = Bytes.blit b pos t off len
 
 let blit ~src ~src_off ~dst ~dst_off ~len = Bytes.blit src src_off dst dst_off len

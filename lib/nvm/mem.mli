@@ -31,8 +31,6 @@ val get_into : t -> int -> bytes -> unit
 (** [get_into t off dst] copies [Bytes.length dst] bytes at [off] into
     [dst]. *)
 
-val set_bytes : t -> int -> bytes -> unit
-
 val set_sub : t -> int -> bytes -> pos:int -> len:int -> unit
 (** [set_sub t off b ~pos ~len] copies [b]'s bytes [\[pos, pos + len)] to
     [off]. *)

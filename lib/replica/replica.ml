@@ -7,6 +7,9 @@ module Config = Dudetm_core.Config
 module Dudetm = Dudetm_core.Dudetm
 module Trace = Dudetm_trace.Trace
 
+(* Max batches retransmitted to one follower per round. *)
+let window = 8
+
 module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   module Engine = Dudetm.Make (Tm)
 
@@ -24,23 +27,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   type config = {
     nreplicas : int;
     link : Link.config;
-    retry_base : int;
-    retry_cap : int;
-    window : int;
     max_retained : int;
   }
 
   let default_config ?(nreplicas = 3) () =
-    let link = Link.default_config in
     {
       nreplicas;
-      link;
-      (* The retransmit timer must outlast a healthy round trip (two
-         latencies plus both ends' poll steps), then back off like the
-         PR 3 daemon supervisor: doubling per silent round, capped. *)
-      retry_base = 8 * link.Link.latency;
-      retry_cap = 64 * link.Link.latency;
-      window = 8;
+      link = Link.default_config;
       (* A partitioned follower must not pin unbounded primary DRAM: past
          this many retained batches the laggard is cut off instead. *)
       max_retained = 4096;
@@ -270,8 +263,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let b = encode_batch t s in
     Array.iter (fun r -> if not r.cut_off then Link.send r.down b) t.reps
 
+  (* The retransmit timer must outlast a healthy round trip over the link
+     in use (two latencies plus both ends' poll steps), then back off like
+     the engine's daemon supervisor: doubling per silent round, capped. *)
   let backoff t k =
-    let ceiling = min t.rcfg.retry_cap (t.rcfg.retry_base lsl min k 16) in
+    let lat = t.rcfg.link.Link.latency in
+    let ceiling = min (64 * lat) ((8 * lat) lsl min k 16) in
     let half = max 1 ((ceiling + 1) / 2) in
     half + Rng.int t.retry_rng half
 
@@ -302,7 +299,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
              Queue.iter
                (fun s ->
                  if s.Dudetm.ship_hi > r.acked_hi then begin
-                   if !sent >= t.rcfg.window then raise Exit;
+                   if !sent >= window then raise Exit;
                    send_batch t r s;
                    incr sent
                  end)

@@ -62,12 +62,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
 
   type config = {
     nreplicas : int;  (** K ≥ 1 *)
-    link : Link.config;  (** both directions of every primary↔replica pair *)
-    retry_base : int;
-        (** retransmit backoff base (cycles); doubles per silent round,
-            capped — the PR 3 supervisor backoff shape *)
-    retry_cap : int;
-    window : int;  (** max batches retransmitted per round *)
+    link : Link.config;
+        (** both directions of every primary↔replica pair.  The
+            retransmit timer follows it: 8 × [latency] cycles, doubling
+            per silent round up to 64 × [latency] (the daemon supervisor's
+            backoff shape); each round resends at most 8 batches. *)
     max_retained : int;
         (** retransmit-retention bound (batches, 0 = unbounded): past it
             the oldest batches are dropped and any replica still needing
@@ -79,8 +78,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   }
 
   val default_config : ?nreplicas:int -> unit -> config
-  (** 3 replicas; retransmit timer derived from the link latency;
-      [max_retained = 4096]. *)
+  (** 3 replicas over {!Link.default_config}; [max_retained = 4096]. *)
 
   (** {1 Lifecycle} *)
 

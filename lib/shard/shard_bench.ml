@@ -70,8 +70,11 @@ let engine_counters sh ~nshards =
        ])
   @ List.map (fun k -> (k, over (stat k) max)) [ "batch_hwm_entries"; "batch_bound_hwm" ]
 
+(* Application compute between one worker's transactions. *)
+let think_cycles = 50
+
 let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000)
-    ?(workers = 8) ?(think = 50) ?batch_min ?batch_max ?batch_deadline ~nshards
+    ?(workers = 8) ?batch_min ?batch_max ?batch_deadline ~nshards
     ~cross_pct () =
   if nshards < 1 then invalid_arg "Shard_bench.run: nshards must be >= 1";
   if cross_pct < 0 || cross_pct > 100 then
@@ -114,7 +117,7 @@ let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000
                   (fun () ->
                     let rng = Rng.create (seed + w) in
                     for _ = 1 to per do
-                      Sched.advance think;
+                      Sched.advance think_cycles;
                       let k = Rng.int rng nkeys in
                       let home = Partition.shard_of part (Int64.of_int k) in
                       let cross = nshards > 1 && Rng.int rng 100 < cross_pct in

@@ -35,7 +35,6 @@ val run :
   ?persist_latency:int ->
   ?ntxs:int ->
   ?workers:int ->
-  ?think:int ->
   ?batch_min:int ->
   ?batch_max:int ->
   ?batch_deadline:int ->
@@ -44,12 +43,12 @@ val run :
   unit ->
   result
 (** Defaults: seed 42, 0.25 GB/s per-shard write bandwidth, 500-cycle
-    persists, 2000 transactions over 8 workers, 50-cycle think time.  The
-    low per-shard bandwidth makes the persist pipeline the bottleneck at
-    one shard, so shard scaling is visible.  With [nshards = 1],
-    [cross_pct] is ignored (there is no second shard).  Raises
-    [Invalid_argument] on [nshards < 1] or [cross_pct] outside
-    [\[0, 100\]]. *)
+    persists, 2000 transactions over 8 workers.  Every worker thinks a
+    fixed 50 cycles before each transaction.  The low per-shard bandwidth
+    makes the persist pipeline the bottleneck at one shard, so shard
+    scaling is visible.  With [nshards = 1], [cross_pct] is ignored (there
+    is no second shard).  Raises [Invalid_argument] on [nshards < 1] or
+    [cross_pct] outside [\[0, 100\]]. *)
 
 (** Defaults for the batch knobs come from {!Dudetm_core.Config.default};
     the shard bench sweeps them at one shard to map the batching

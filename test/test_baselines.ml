@@ -302,6 +302,47 @@ let test_oversized_tx_rejected_before_locking () =
   oversized_leaves_no_locks
     (B.Nvml.ptm { B.Nvml.default_config with B.Nvml.heap_size = heap; log_size = 2048 })
 
+(* ---------------------------- log records ---------------------------- *)
+
+(* Both baselines write one [header | n | (addr, value) × n] record per
+   transaction into a per-thread log region.  Pin the bytes a fixed
+   two-transaction run leaves there, both the cached and the persisted
+   image, plus the persist count, so a change to the record codec that
+   moves a byte or a persist shows up. *)
+let log_region_digest ptm ~heap_size ~log_size =
+  let nvm = Option.get ptm.Ptm.nvm in
+  ignore
+    (Sched.run (fun () ->
+         List.iter
+           (fun writes ->
+             let wset = if ptm.Ptm.requires_static then Some (List.map fst writes) else None in
+             match
+               ptm.Ptm.atomically ~thread:1 ?wset (fun tx ->
+                   List.iter (fun (a, v) -> tx.Ptm.write a v) writes)
+             with
+             | Some _ -> ()
+             | None -> Alcotest.fail "aborted")
+           [ [ (4096, 11L); (4160, 22L); (8192, 33L) ]; [ (4160, 44L); (12288, 55L) ] ]));
+  let len = 2 * log_size in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s|%s|%d"
+          (Bytes.to_string (Nvm.load_bytes nvm heap_size len))
+          (Bytes.to_string (Nvm.persisted_bytes nvm heap_size len))
+          (Nvm.persist_ops nvm)))
+
+let test_log_record_bytes () =
+  let heap_size = 1 lsl 16 and log_size = 1024 in
+  check Alcotest.string "mnemosyne: log region"
+    "2440ff24b84920009efd8e564a809cc6"
+    (log_region_digest ~heap_size ~log_size
+       (B.Mnemosyne.ptm
+          { B.Mnemosyne.default_config with B.Mnemosyne.heap_size; nthreads = 2; log_size }));
+  check Alcotest.string "nvml: log region"
+    "200fe1aaaf159bfbd6543bcfdc9f386d"
+    (log_region_digest ~heap_size ~log_size
+       (B.Nvml.ptm { B.Nvml.default_config with B.Nvml.heap_size; nthreads = 2; log_size }))
+
 let suite =
   [
     Alcotest.test_case "all systems agree on the counter" `Quick test_all_systems_agree;
@@ -321,4 +362,5 @@ let suite =
       test_mnemosyne_truncation_then_recovery;
     Alcotest.test_case "oversized transaction rejected before locking" `Quick
       test_oversized_tx_rejected_before_locking;
+    Alcotest.test_case "log records: bytes pinned" `Quick test_log_record_bytes;
   ]

@@ -327,15 +327,21 @@ let test_straddling_append_matches_staged_frame () =
     | _, records -> Alcotest.failf "%s: attach found %d records" what (List.length records)
   done
 
-(* Words allocated by [f ()] on the minor heap.  [Gc.minor_words] reads
-   the allocation pointer itself; [Gc.counters] only advances at a minor
-   collection, so over a short loop it misses most of what was allocated.
-   Every buffer the allocation guards (here and in [Test_replica]) look
-   for is small enough to be allocated on the minor heap. *)
+(* Words allocated by [f ()] on either heap, for the allocation guards
+   here, in [Test_replica] and in [Test_shadow].  On OCaml 5.1
+   [Gc.counters] only advances at a minor collection, and [Gc.minor_words]
+   misses a buffer too large for the minor heap (a 4 KiB page goes
+   straight to the major heap).  So each reading first empties the minor
+   heap; then minor + major - promoted counts every word once. *)
 let allocated f =
-  let before = Gc.minor_words () in
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
   f ();
-  Gc.minor_words () -. before
+  words () -. before
 
 (* [append] stores the caller's payload into the ring without staging a
    [header | payload] frame: a 512-byte record must not allocate a

@@ -386,6 +386,39 @@ let test_faulty_links_end_to_end () =
   in
   check Alcotest.bool "links injected corruption" true (corrupted > 0)
 
+(* The retransmit timer follows the link in use: over [fast_link] every
+   backoff is at most 64 × its latency, well under the default link's
+   8 × 20,000-cycle floor. *)
+let test_retransmit_timer_follows_link () =
+  let c = Rep.create ~rcfg:(rcfg 3) (cfg ()) in
+  let prim = Rep.primary c in
+  let committed = ref 0 in
+  ignore
+    (Sched.run (fun () ->
+         Rep.start c;
+         (* Replica 0's down link drops every frame for a while: the
+            primary retransmits to it round after round. *)
+         Rep.set_partitioned c 0 true;
+         Sched.join ~label:"workers done" (spawn_workers prim ~nthreads:2 ~txs:10 ~committed);
+         Sched.advance 1_000_000;
+         Rep.set_partitioned c 0 false;
+         (match Rep.drain c with
+         | Rep.Quorum -> ()
+         | Rep.Degraded_quorum d -> Alcotest.failf "healed drain degraded: %s" d);
+         Rep.sync_followers c;
+         Rep.stop c));
+  check Alcotest.int "replica 0 caught up after the heal" !committed
+    (E.durable_id (Rep.replica c 0));
+  let st = Rep.stats c in
+  let rounds = Stats.get st "retransmit_rounds" in
+  check Alcotest.bool "the primary retransmitted" true (rounds > 0);
+  let cap = 64 * fast_link.Link.latency * rounds in
+  check Alcotest.bool
+    (Printf.sprintf "backoff %d cycles over %d rounds within 64 x latency each (%d)"
+       (Stats.get st "backoff_cycles") rounds cap)
+    true
+    (Stats.get st "backoff_cycles" <= cap)
+
 (* -------------------- promotion truncates to quorum ---------------------- *)
 
 (* At K=5 a transaction is quorum-acked once durable on the primary plus
@@ -664,6 +697,8 @@ let suite =
       test_link_faults_deterministic;
     Alcotest.test_case "replica: partitioned link drops at the sender" `Quick
       test_link_partition_drops;
+    Alcotest.test_case "replica: retransmit timer follows the link" `Quick
+      test_retransmit_timer_follows_link;
     Alcotest.test_case "replica: quorum math" `Quick test_quorum_math;
     Alcotest.test_case "replica: config validation" `Quick test_create_validates;
     Alcotest.test_case "replica: follower ingest copies no payload" `Quick

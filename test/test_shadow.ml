@@ -242,15 +242,13 @@ let test_fault_allocation_guard () =
   let sh, _, _ = make_shadow ~frames:4 () in
   ignore (Shadow.load_u64 sh 0);
   let faults0 = Stats.get (Shadow.stats sh) "faults" in
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+  let per_fault =
+    Test_plog.allocated (fun () ->
+        for i = 1 to 100 do
+          ignore (Shadow.load_u64 sh (i mod 16 * 4096))
+        done)
+    /. 100.
   in
-  let before = words () in
-  for i = 1 to 100 do
-    ignore (Shadow.load_u64 sh (i mod 16 * 4096))
-  done;
-  let per_fault = (words () -. before) /. 100. in
   check Alcotest.int "every access faulted" 100 (Stats.get (Shadow.stats sh) "faults" - faults0);
   if per_fault >= 64. then Alcotest.failf "%.1f words allocated per fault (limit 64)" per_fault
 
