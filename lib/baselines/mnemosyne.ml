@@ -190,7 +190,7 @@ let atomically_impl t ~thread f =
     ~abandon:(fun w -> K.abandon w.K.tx)
     (fun w -> f (ptx w))
 
-let ptm_of ?(name = "Mnemosyne") t =
+let ptm_of t =
   let atomically : 'a. thread:int -> ?wset:int list -> (Ptm_intf.tx -> 'a) -> ('a * int) option
       =
     fun ~thread ?wset:_ f -> atomically_impl t ~thread f
@@ -203,7 +203,7 @@ let ptm_of ?(name = "Mnemosyne") t =
     fun ~durable:_ ~thread f -> atomically_impl t ~thread f
   in
   {
-    Ptm_intf.name;
+    Ptm_intf.name = "Mnemosyne";
     requires_static = false;
     nthreads = t.cfg.nthreads;
     root_base = 0;
@@ -220,7 +220,7 @@ let ptm_of ?(name = "Mnemosyne") t =
     prealloc = None;
   }
 
-let ptm ?name cfg = ptm_of ?name (create cfg)
+let ptm cfg = ptm_of (create cfg)
 
 let nvm t = t.nvm
 

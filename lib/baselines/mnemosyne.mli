@@ -39,9 +39,9 @@ type t
 
 val create : config -> t
 
-val ptm_of : ?name:string -> t -> Ptm_intf.t
+val ptm_of : t -> Ptm_intf.t
 
-val ptm : ?name:string -> config -> Ptm_intf.t
+val ptm : config -> Ptm_intf.t
 
 val nvm : t -> Dudetm_nvm.Nvm.t
 

@@ -11,7 +11,6 @@ type config = {
   nthreads : int;
   pmem : Dudetm_nvm.Pmem_config.t;
   log_size : int;
-  seed : int;
 }
 
 let default_config =
@@ -20,7 +19,6 @@ let default_config =
     nthreads = 4;
     pmem = Dudetm_nvm.Pmem_config.default;
     log_size = 1 lsl 18;
-    seed = 42;
   }
 
 (* Calibration (EXPERIMENTS.md), in cycles.  ~1.14M empty tx/s/thread at
@@ -163,7 +161,7 @@ let atomically_impl t ~thread ~wset f =
     Stats.incr t.stats "user_aborts";
     None
 
-let ptm_of ?(name = "NVML") t =
+let ptm_of t =
   let atomically : 'a. thread:int -> ?wset:int list -> (Ptm_intf.tx -> 'a) -> ('a * int) option
       =
     fun ~thread ?(wset = []) f -> atomically_impl t ~thread ~wset f
@@ -176,7 +174,7 @@ let ptm_of ?(name = "NVML") t =
     fun ~durable:_ ~thread f -> atomically_impl t ~thread ~wset:[] f
   in
   {
-    Ptm_intf.name;
+    Ptm_intf.name = "NVML";
     requires_static = true;
     nthreads = t.cfg.nthreads;
     root_base = 0;
@@ -193,7 +191,7 @@ let ptm_of ?(name = "NVML") t =
     prealloc = Some (palloc t);
   }
 
-let ptm ?name cfg = ptm_of ?name (create cfg)
+let ptm cfg = ptm_of (create cfg)
 
 let nvm t = t.nvm
 

@@ -19,7 +19,6 @@ type config = {
   nthreads : int;
   pmem : Dudetm_nvm.Pmem_config.t;
   log_size : int;  (** per-thread undo-log region, bytes *)
-  seed : int;
 }
 (** The costs are the calibration in EXPERIMENTS.md, not settings: 2600
     cycles of metadata/undo allocation per transaction plus 150 per
@@ -29,15 +28,15 @@ type config = {
     area. *)
 
 val default_config : config
-(** 16 MiB heap, 4 threads, 256 KiB log per thread, seed 42. *)
+(** 16 MiB heap, 4 threads, 256 KiB log per thread. *)
 
 type t
 
 val create : config -> t
 
-val ptm_of : ?name:string -> t -> Ptm_intf.t
+val ptm_of : t -> Ptm_intf.t
 
-val ptm : ?name:string -> config -> Ptm_intf.t
+val ptm : config -> Ptm_intf.t
 (** [requires_static] is true: pass the transaction's write set through
     [atomically ~wset].  Writing an address outside the declared set raises
     [Invalid_argument]. *)

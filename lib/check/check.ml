@@ -329,7 +329,6 @@ let nvml_instance () =
         Nvml.heap_size = 1 lsl 16;
         nthreads = 3;
         log_size = 1 lsl 13;
-        seed = 7;
       }
   in
   baseline_instance (Nvml.ptm_of n) (Nvml.nvm n) (fun () -> ignore (Nvml.recover n))

@@ -131,7 +131,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let set_ship_hook t hook = t.ship_hook <- hook
   let set_replay_gate = Reproduce.set_replay_gate
   let item_hi (it : item) = it.hi
-  let item_cross_gtid = Reproduce.item_cross_gtid
+  let item_cross_gtid (it : item) = it.cross
 
   (* ------------------------------------------------------------------ *)
   (* Perform step: the transaction API                                   *)

@@ -82,14 +82,15 @@ val scan_items :
   Config.t ->
   Dudetm_log.Plog.record list ->
   ckpt_upto:int ->
-  (int * int * Dudetm_log.Log_entry.t list) list * (int, unit) Hashtbl.t * int
+  Engine_state.item list * (int, unit) Hashtbl.t * int
 (** [scan_items cfg records ~ckpt_upto] turns surviving ring records into
-    replay items [(lo, hi, entries)], sorted: one per transaction under
+    replay items, sorted by ID range: one per transaction under
     {!Config.Per_thread}, one per record under {!Config.Combined} (the
-    rule the live Persist step queues by).  Also returns every transaction
-    ID the records carry and the durable ID: the largest contiguous
-    extension of the checkpoint [ckpt_upto].  Engine recovery and the
-    offline scrub both filter replay through it. *)
+    rule the live Persist step queues by), each pointing into its
+    record's plain body.  Also returns every transaction ID the records
+    carry and the durable ID: the largest contiguous extension of the
+    checkpoint [ckpt_upto].  Engine recovery and the offline scrub both
+    filter replay through it. *)
 
 module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   type t
@@ -275,9 +276,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
 
   val item_cross_gtid : item -> int
   (** The highest cross-shard global ID sealed into the item's [Cross]
-      entries, or 0 when it carries no fragment.  Read from the log record
-      itself, so a fragment can never pass a gate keyed on it before the
-      sharding layer knows its sibling set. *)
+      entries, or 0 when it carries no fragment: a field, found by the
+      scan of the log record itself when the record is committed, so a
+      fragment can never pass a gate keyed on it before the sharding layer
+      knows its sibling set. *)
 
   val set_replay_gate : t -> on:Dudetm_sim.Sched.cond list -> (item -> bool) option -> unit
   (** Install the replay gate: Reproduce applies the next item only once

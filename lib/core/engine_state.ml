@@ -37,25 +37,51 @@ type shipment = {
 type view = Flat of Mem.t | Paged of Shadow.t
 
 (* A unit of Reproduce work: one whole combined record, or one
-   transaction of a plain record.  [lo..hi] is its contiguous global
-   transaction-ID range (lo = hi for plain items). *)
+   transaction of a plain record, read in place from the record's plain
+   body.  [lo..hi] is its contiguous global transaction-ID range (lo = hi
+   for plain items); its entries are [body]'s bytes [\[pos, stop)],
+   [nentries] of them, and [cross] is the highest cross-shard global ID
+   sealed among them (0: none).  The last item of a committed record
+   carries the record's ring position for recycling; [end_off] is -1 on
+   every other item and on recovery's. *)
 type item = {
   lo : int;
   hi : int;
-  entries : Log_entry.t list;
+  body : bytes;
+  pos : int;
+  stop : int;
+  nentries : int;
+  cross : int;
   region : int;
-  end_off : int;
-  rec_next_seq : int;
-  last_of_record : bool;
+  mutable end_off : int;
+  mutable rec_next_seq : int;
 }
+
+(* Home addresses replay stored but has not yet persisted, oldest first:
+   the first [len] slots of a buffer that only grows, so a replayed write
+   conses nothing. *)
+type addrs = { mutable buf : int array; mutable len : int }
+
+let addrs () = { buf = Array.make 64 0; len = 0 }
+
+let push_addr a addr =
+  if a.len = Array.length a.buf then begin
+    let grown = Array.make (2 * a.len) 0 in
+    Array.blit a.buf 0 grown 0 a.len;
+    a.buf <- grown
+  end;
+  a.buf.(a.len) <- addr;
+  a.len <- a.len + 1
 
 (* A sealed-but-unflushed batch in the pipelined (combined) persist
    path: the combiner has merged, combined and encoded it; the flusher
    still has to write it to NVM.  Lives in [t] so a combiner restart
-   never re-seals (or drops) a batch already handed to the flusher. *)
+   never re-seals (or drops) a batch already handed to the flusher.
+   [pb_plain] is its uncompressed payload, [pb_payload] itself unless
+   LZ shrank it. *)
 type prepared_batch = {
-  pb_entries : Log_entry.t list;  (* combined, end marks included *)
   pb_payload : bytes;
+  pb_plain : bytes;
 }
 
 (* How the engine makes its TM: {!Dudetm.Make} passes its TM's [create]
@@ -92,7 +118,7 @@ type 'tm t = {
      a supervisor restart resumes exactly where the failed daemon left
      off: staged-but-unflushed combined transactions, the next group ID,
      and reproduced-but-unpersisted dirty ranges all survive. *)
-  staging : (int, Log_entry.t list) Hashtbl.t;  (* combined persist: tid -> body *)
+  staging : (int, Log_entry.t list) Hashtbl.t;  (* combined persist: tid -> body, reversed *)
   mutable next_flush : int;  (* combined persist: next group's first tid *)
   prepared : prepared_batch Queue.t;  (* sealed batches awaiting NVM flush *)
   mutable combiner_done : bool;  (* combiner exited; flusher may too *)
@@ -105,7 +131,7 @@ type 'tm t = {
   mutable batch_ewma : float;  (* smoothed backlog-at-flush estimate *)
   mutable durable_waiters : int;  (* threads blocked in [wait_durable] *)
   mutable drain_pace : float;  (* measured NVM drain cost, cycles/entry *)
-  repro_ranges : (int * int) list ref;  (* applied but not yet persisted *)
+  repro_addrs : addrs;  (* applied but not yet persisted *)
   mutable cross_frontier : int;  (* max replayed cross-shard gtid *)
   (* Durable-only snapshot watermark, installed by layers that gate
      durability beyond the local device (shard effective IDs, replication
@@ -217,7 +243,7 @@ let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~alloca
     batch_ewma = float_of_int bound;
     durable_waiters = 0;
     drain_pace = 0.0;
-    repro_ranges = ref [];
+    repro_addrs = addrs ();
     cross_frontier = 0;
     ro_watermark = None;
     ship_hook = None;
@@ -300,20 +326,23 @@ let spawn_daemon t name loop =
 (* Durable-ID bookkeeping                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Publish a flushed record's IDs.  IDs that run on from [durable] (every
-   combined record's do) advance it directly; only an ID beyond a gap —
-   a per-thread record that overtook an older one — waits in
-   [flushed_set] until the gap closes. *)
+(* Publish a flushed record's IDs: each item's [lo..hi] range, in record
+   order.  IDs that run on from [durable] (every combined record's do)
+   advance it directly; only an ID beyond a gap — a per-thread record
+   that overtook an older one — waits in [flushed_set] until the gap
+   closes. *)
 let rec note_ids t = function
   | [] -> ()
-  | tid :: rest ->
-    if tid = t.durable + 1 then t.durable <- tid
-    else if tid > t.durable then Hashtbl.replace t.flushed_set tid ();
+  | it :: rest ->
+    for tid = it.lo to it.hi do
+      if tid = t.durable + 1 then t.durable <- tid
+      else if tid > t.durable then Hashtbl.replace t.flushed_set tid ()
+    done;
     note_ids t rest
 
-let note_flushed t tids =
+let note_flushed t items =
   let before = t.durable in
-  note_ids t tids;
+  note_ids t items;
   while Hashtbl.mem t.flushed_set (t.durable + 1) do
     Hashtbl.remove t.flushed_set (t.durable + 1);
     t.durable <- t.durable + 1

@@ -9,28 +9,65 @@ open Engine_state
 module Combine = Dudetm_log.Combine
 module Lz = Dudetm_log.Lz
 
-(* Split a committed entry run into (tid, entries-including-end-mark)
-   groups. *)
-let split_txs entries =
-  let rec go cur acc = function
-    | [] ->
-      assert (cur = []);
-      List.rev acc
-    | (Log_entry.Tx_end { tid } as e) :: rest -> go [] ((tid, List.rev (e :: cur)) :: acc) rest
-    | e :: rest -> go (e :: cur) acc rest
+(* The replay-item rule, shared by the live Persist path, follower
+   ingest, engine recovery and the offline scrub: a per-thread record
+   replays transaction by transaction; a combined record is one unit over
+   its contiguous ID range, because its last-write-wins body cannot be
+   split back into transactions.  One in-place pass over the record's
+   plain body ([body] from [pos0]) finds each item's entry bounds, entry
+   count and highest cross-shard global ID; items come back in record
+   order, none yet holding the record's ring position. *)
+let scan_record cfg ~region body pos0 =
+  let stop = Bytes.length body in
+  let per_tx =
+    match cfg.Config.persist with Config.Per_thread _ -> true | Config.Combined _ -> false
   in
-  go [] [] entries
+  let items = ref [] and start = ref pos0 and n = ref 0 and cross = ref 0 in
+  let ntids = ref 0 and lo = ref 0 and hi = ref 0 in
+  let p = ref pos0 in
+  while !p < stop do
+    let tag = Log_entry.tag_at body !p ~stop in
+    let next = !p + Log_entry.tag_size tag in
+    incr n;
+    (match tag with
+    | Log_entry.Cross_tag -> cross := max !cross (Log_entry.field body !p 0)
+    | Log_entry.Tx_end_tag ->
+      let tid = Log_entry.field body !p 0 in
+      if per_tx then begin
+        let it =
+          { lo = tid; hi = tid; body; pos = !start; stop = next; nentries = !n; cross = !cross;
+            region; end_off = -1; rec_next_seq = -1 }
+        in
+        items := it :: !items;
+        start := next;
+        n := 0;
+        cross := 0
+      end
+      else begin
+        if !ntids = 0 then begin
+          lo := tid;
+          hi := tid
+        end
+        else hi := max !hi tid;
+        incr ntids
+      end
+    | Log_entry.Write_tag | Log_entry.Alloc_tag | Log_entry.Free_tag -> ());
+    p := next
+  done;
+  if per_tx then begin
+    (* A per-thread record ends on a transaction boundary. *)
+    assert (!n = 0);
+    List.rev !items
+  end
+  else if !ntids = 0 then []
+  else
+    [ { lo = !lo; hi = !hi; body; pos = pos0; stop; nentries = !n; cross = !cross; region;
+        end_off = -1; rec_next_seq = -1 } ]
 
-(* The replay-item rule, shared by the live Persist path, engine recovery
-   and the offline scrub: a per-thread record replays transaction by
-   transaction; a combined record is one unit over its contiguous ID range,
-   because its last-write-wins body cannot be split back into
-   transactions. *)
-let record_items cfg ~tids entries =
-  match (cfg.Config.persist, tids) with
-  | Config.Per_thread _, _ -> List.map (fun (tid, es) -> (tid, tid, es)) (split_txs entries)
-  | Config.Combined _, [] -> []
-  | Config.Combined _, first :: _ -> [ (first, List.fold_left max first tids, entries) ]
+(* A record's transaction-ID range: its items' lowest and highest IDs. *)
+let id_lo items = List.fold_left (fun acc it -> min acc it.lo) max_int items
+
+let id_hi items = List.fold_left (fun acc it -> max acc it.hi) min_int items
 
 (* ------------------------------------------------------------------ *)
 (* Bounded adaptive group commit                                       *)
@@ -95,15 +132,26 @@ let note_cut t cut =
     | Deadline -> "batch_deadline_flushes"
     | Drain -> "batch_drain_flushes")
 
+(* Queue a committed record's replay items; the last carries the
+   record's ring position. *)
+let rec queue_items q (record : Plog.record) = function
+  | [] -> ()
+  | [ last ] ->
+    last.end_off <- record.Plog.end_off;
+    last.rec_next_seq <- record.Plog.seq + 1;
+    Queue.push last q
+  | it :: rest ->
+    Queue.push it q;
+    queue_items q record rest
+
 (* Append one sealed record to ring [region] and publish it: the NVM
    write, the drain-pace sample, the flush counters, the record's replay
-   items, the durable-ID advance and the replication tap.  Serves the
-   per-thread flush, the combined flusher and follower ingest; [tids] are
-   the record's transaction IDs ({!Log_entry.tids} of [entries]).  A
-   [shipped] record was already fenced and published by the primary's
-   Persist step: no mutant guard applies to it, and it opens no
-   [persist.flush] span of its own. *)
-let commit_record ~shipped t region payload entries ~tids =
+   items ({!scan_record} of its plain body), the durable-ID advance and
+   the replication tap.  Serves the per-thread flush, the combined
+   flusher and follower ingest.  A [shipped] record was already fenced
+   and published by the primary's Persist step: no mutant guard applies
+   to it, and it opens no [persist.flush] span of its own. *)
+let commit_record ~shipped t region payload items =
   let plog = t.plogs.(region) in
   let append () =
     (* Seeded mutant (checker self-test only): skip the record's persist
@@ -116,43 +164,34 @@ let commit_record ~shipped t region payload entries ~tids =
   t.flush_started_at <- t_io;
   let record = if shipped then append () else Trace.span ~cat:"persist" "flush" append in
   t.flush_started_at <- -1;
-  note_drain_pace t ~entries:(List.length entries) ~cycles:(Sched.now () - t_io);
+  note_drain_pace t
+    ~entries:(List.fold_left (fun acc it -> acc + it.nentries) 0 items)
+    ~cycles:(Sched.now () - t_io);
   Stats.incr t.stats "flush_records";
   Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
   stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
-  let items = record_items t.cfg ~tids entries in
-  let n = List.length items in
-  List.iteri
-    (fun idx (lo, hi, entries) ->
-      Queue.push
-        {
-          lo;
-          hi;
-          entries;
-          region;
-          end_off = record.Plog.end_off;
-          rec_next_seq = record.Plog.seq + 1;
-          last_of_record = idx = n - 1;
-        }
-        t.queues.(region))
-    items;
+  queue_items t.queues.(region) record items;
   (* Under the Skip_batch_seal mutant the combiner already published
      these IDs at seal time. *)
-  if shipped || not (Inject.armed Skip_batch_seal) then note_flushed t tids;
+  if shipped || not (Inject.armed Skip_batch_seal) then note_flushed t items;
   Sched.signal t.wake_repro;
-  match (t.ship_hook, tids) with
-  | Some ship, first :: _ ->
-    let lo = List.fold_left min first tids and hi = List.fold_left max first tids in
-    ship { ship_seq = record.Plog.seq; ship_lo = lo; ship_hi = hi; ship_payload = payload }
+  match (t.ship_hook, items) with
+  | Some ship, _ :: _ ->
+    ship
+      {
+        ship_seq = record.Plog.seq;
+        ship_lo = id_lo items;
+        ship_hi = id_hi items;
+        ship_payload = payload;
+      }
   | None, _ | Some _, [] -> ()
 
-(* Seal a cut batch of [n] input entries into a record payload: encode
-   it once, flag byte and entries in one buffer, and, under [compress],
-   LZ-compress its body once, charging the compression CPU and counting
-   both sizes.  The payload keeps whichever body is smaller. *)
-let seal t ~n ~compress entries =
+(* Seal a cut batch of [n] input entries, already encoded into the plain
+   payload [plain]: under [compress], LZ-compress its body once, charging
+   the compression CPU and counting both sizes.  The payload keeps
+   whichever body is smaller. *)
+let seal t ~n ~compress plain =
   stat_max t.stats "batch_hwm_entries" n;
-  let plain = Log_entry.encode_plain entries in
   if not compress then plain
   else
     Trace.span ~cat:"persist" "compress" (fun () ->
@@ -163,6 +202,20 @@ let seal t ~n ~compress entries =
         Stats.add t.stats "compress_in_bytes" len;
         Stats.add t.stats "compress_out_bytes" (Bytes.length comp);
         Log_entry.frame_compressed plain comp)
+
+(* A volatile log's entries [\[hd, cut)], encoded into one plain
+   payload. *)
+let encode_vlog vlog ~hd ~cut =
+  let len = ref 0 in
+  for k = hd to cut - 1 do
+    len := !len + Log_entry.encoded_size (Vlog.get vlog k)
+  done;
+  let buf = Log_entry.plain_payload !len in
+  let pos = ref 1 in
+  for k = hd to cut - 1 do
+    pos := Log_entry.encode_into buf !pos (Vlog.get vlog k)
+  done;
+  buf
 
 (* The cut of a volatile log's committed entries [hd, cm): the last
    transaction boundary within the entry cap and [bytes_avail], but always
@@ -217,11 +270,11 @@ let flush_thread t i ~wait_space =
          covers the whole unit (CPU work, NVM write, bookkeeping); the
          inner [persist.flush] isolates the NVM record write. *)
       Trace.span ~cat:"persist" "batch" (fun () ->
-          let entries = List.init (cut - hd) (fun k -> Vlog.get vlog (hd + k)) in
-          let n = List.length entries in
+          let n = cut - hd in
           Sched.advance (t.cfg.Config.flush_cost_per_entry * n);
-          commit_record ~shipped:false t i (seal t ~n ~compress:false entries) entries
-            ~tids:(Log_entry.tids entries);
+          let plain = encode_vlog vlog ~hd ~cut in
+          commit_record ~shipped:false t i (seal t ~n ~compress:false plain)
+            (scan_record t.cfg ~region:i plain 1);
           Vlog.consume_to vlog cut;
           true)
   end
@@ -313,21 +366,32 @@ let plain_loop p ~daemons ~min_entries ~max_entries t =
    -nobody work without adding overlap. *)
 let max_prepared = 2
 
+(* Feed a staged transaction body (newest entry first) in log order. *)
+let rec feed_oldest_first builder = function
+  | [] -> ()
+  | e :: older ->
+    feed_oldest_first builder older;
+    Combine.feed builder e
+
 let combined_loop ~group ~compress t =
   let staging = t.staging in
   let builder = Combine.builder () in
+  (* One pass per volatile log: each committed transaction's body is
+     staged at its end mark, which the seal re-adds. *)
   let drain_vlogs () =
     Array.iter
       (fun vlog ->
         let hd = Vlog.head vlog and cm = Vlog.committed vlog in
         if cm > hd then begin
-          let entries = List.init (cm - hd) (fun k -> Vlog.get vlog (hd + k)) in
-          List.iter
-            (fun (tid, es) ->
-              (* strip the end mark; re-added when the group is built *)
-              let body = List.filter (function Log_entry.Tx_end _ -> false | _ -> true) es in
-              Hashtbl.replace staging tid body)
-            (split_txs entries);
+          let body = ref [] in
+          for k = hd to cm - 1 do
+            match Vlog.get vlog k with
+            | Log_entry.Tx_end { tid } ->
+              Hashtbl.replace staging tid !body;
+              body := []
+            | e -> body := e :: !body
+          done;
+          assert (!body = []);
           Vlog.consume_to vlog cm
         end)
       t.vlogs
@@ -344,21 +408,20 @@ let combined_loop ~group ~compress t =
         let lo = t.next_flush in
         let hi = lo + take - 1 in
         let overlapping = t.flush_started_at >= 0 in
-        let combined, cstats =
+        let plain, cstats =
           Trace.span ~cat:"persist" "combine" (fun () ->
-              List.iter
-                (fun tid ->
-                  Combine.feed_list builder (Hashtbl.find staging tid);
-                  Combine.feed builder (Log_entry.Tx_end { tid }))
-                (List.init take (fun k -> lo + k));
-              let r = Combine.seal builder in
+              for tid = lo to hi do
+                feed_oldest_first builder (Hashtbl.find staging tid);
+                Combine.feed builder (Log_entry.Tx_end { tid })
+              done;
+              let r = Combine.seal_payload builder in
               Sched.advance
                 (t.cfg.Config.flush_cost_per_entry * (snd r).Combine.entries_in);
               r)
         in
         Stats.add t.stats "combine_writes_in" cstats.Combine.writes_in;
         Stats.add t.stats "combine_writes_out" cstats.Combine.writes_out;
-        let payload = seal t ~n:cstats.Combine.entries_in ~compress combined in
+        let payload = seal t ~n:cstats.Combine.entries_in ~compress plain in
         let need = Plog.record_overhead + Bytes.length payload in
         if need > Plog.data_capacity t.plogs.(0) then
           invalid_arg "Dudetm: combined group exceeds the persistent log ring";
@@ -371,14 +434,16 @@ let combined_loop ~group ~compress t =
             Trace.instant ~cat:"persist" "pipe_overlap" hidden
           end
         end;
-        Queue.push { pb_entries = combined; pb_payload = payload } t.prepared;
+        Queue.push { pb_payload = payload; pb_plain = plain } t.prepared;
         Sched.signal t.wake_flush;
-        List.iter (fun k -> Hashtbl.remove staging (lo + k)) (List.init take (fun k -> k));
+        for tid = lo to hi do
+          Hashtbl.remove staging tid
+        done;
         (* Seeded mutant (checker self-test only): acknowledge the batch
            at seal time — its record has not reached NVM, so a crash in
            the pipeline window loses acknowledged transactions. *)
         if Inject.armed Skip_batch_seal then
-          note_flushed t (List.init take (fun k -> lo + k));
+          note_flushed t (scan_record t.cfg ~region:0 plain 1);
         t.next_flush <- hi + 1;
         t.open_at.(0) <- -1)
   in
@@ -441,8 +506,8 @@ let flush_loop t =
       let need = Plog.record_overhead + Bytes.length pb.pb_payload in
       Sched.wait_until ~on:t.space_on.(0) ~label:"plog space (combined)" (fun () ->
           Plog.free_space t.plogs.(0) >= need);
-      commit_record ~shipped:false t 0 pb.pb_payload pb.pb_entries
-        ~tids:(Log_entry.tids pb.pb_entries);
+      commit_record ~shipped:false t 0 pb.pb_payload
+        (scan_record t.cfg ~region:0 pb.pb_plain 1);
       loop ()
     end
     else if t.stop_flag && t.combiner_done then ()
@@ -474,13 +539,11 @@ let spawn t =
    sequence numbers as the primary's ring 0, which is what makes
    promotion plain [attach] recovery. *)
 let ingest_record t payload =
-  let entries = Log_entry.decode_payload payload in
-  let tids = Log_entry.tids entries in
-  match tids with
+  let body, pos = Log_entry.plain_body payload in
+  match scan_record t.cfg ~region:0 body pos with
   | [] -> true
-  | first :: _ ->
-    let lo = List.fold_left min first tids in
-    let hi = List.fold_left max first tids in
+  | items ->
+    let lo = id_lo items and hi = id_hi items in
     if lo <> t.durable + 1 then
       invalid_arg
         (Printf.sprintf
@@ -491,6 +554,6 @@ let ingest_record t payload =
          the frame buffered and retries once recycling frees space. *)
       false
     else begin
-      commit_record ~shipped:true t 0 payload entries ~tids;
+      commit_record ~shipped:true t 0 payload items;
       true
     end

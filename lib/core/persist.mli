@@ -9,15 +9,14 @@
     one record path that appends, publishes durability and feeds
     Reproduce and the replication tap. *)
 
-val record_items :
-  Config.t ->
-  tids:int list ->
-  Dudetm_log.Log_entry.t list ->
-  (int * int * Dudetm_log.Log_entry.t list) list
-(** The replay-item rule for one record's entries, as [(lo, hi, entries)]:
-    one item per transaction under {!Config.Per_thread}, one item over the
-    record's contiguous ID range under {!Config.Combined}.  Shared by the
-    live Persist path, recovery and the offline scrub. *)
+val scan_record : Config.t -> region:int -> bytes -> int -> Engine_state.item list
+(** [scan_record cfg ~region body pos] is the replay-item rule for one
+    record of ring [region] whose plain body is [body] from [pos] (see
+    {!Dudetm_log.Log_entry.plain_body}): one item per transaction under
+    {!Config.Per_thread}, one item over the record's contiguous ID range
+    under {!Config.Combined}, each pointing into [body], in record order.
+    One in-place pass, no entry decoded.  Shared by the live Persist
+    path, follower ingest, recovery and the offline scrub. *)
 
 val flush_thread : _ Engine_state.t -> int -> wait_space:bool -> bool
 (** [flush_thread t i ~wait_space] writes the longest prefix of whole

@@ -4,15 +4,31 @@
 
 open Engine_state
 
+(* Today's replay order: by ID range, then, for records holding the same
+   range, by their entries as [compare] orders decoded lists. *)
+let compare_items a b =
+  match Int.compare a.lo b.lo with
+  | 0 -> (
+    match Int.compare a.hi b.hi with
+    | 0 -> Log_entry.compare_range a.body a.pos a.stop b.body b.pos b.stop
+    | c -> c)
+  | c -> c
+
+(* Recovery never queues its items, so they name no ring. *)
 let scan_items cfg records ~ckpt_upto =
   let all_tids = Hashtbl.create 1024 in
   let items =
     List.concat_map
       (fun (record : Plog.record) ->
-        let entries = Log_entry.decode_payload record.Plog.payload in
-        let tids = Log_entry.tids entries in
-        List.iter (fun tid -> Hashtbl.replace all_tids tid ()) tids;
-        Persist.record_items cfg ~tids entries)
+        let body, pos = Log_entry.plain_body record.Plog.payload in
+        let items = Persist.scan_record cfg ~region:(-1) body pos in
+        List.iter
+          (fun it ->
+            for tid = it.lo to it.hi do
+              Hashtbl.replace all_tids tid ()
+            done)
+          items;
+        items)
       records
   in
   (* Durable ID: largest contiguous extension of the checkpoint. *)
@@ -20,7 +36,22 @@ let scan_items cfg records ~ckpt_upto =
   while Hashtbl.mem all_tids (!d + 1) do
     incr d
   done;
-  (List.sort compare items, all_tids, !d)
+  (List.sort compare_items items, all_tids, !d)
+
+(* [(gtid, mask, tid)] of an item's fragment seals, in body order. *)
+let cross_seals it =
+  let seals = ref [] and p = ref it.pos in
+  while !p < it.stop do
+    let tag = Log_entry.tag_at it.body !p ~stop:it.stop in
+    (match tag with
+    | Log_entry.Cross_tag ->
+      let f = Log_entry.field it.body !p in
+      seals := (f 0, f 1, f 2) :: !seals
+    | Log_entry.Write_tag | Log_entry.Alloc_tag | Log_entry.Free_tag | Log_entry.Tx_end_tag
+      -> ());
+    p := !p + Log_entry.tag_size tag
+  done;
+  List.rev !seals
 
 (* Recovery state between the non-destructive scan ([prepare]) and the
    destructive replay ([commit]).  The sharding layer prepares every
@@ -39,7 +70,7 @@ type prepared = {
   p_plogs : Plog.t array;
   p_corrupted : int;
   p_quarantined : int;
-  p_items : (int * int * Log_entry.t list) list;  (* (lo, hi, entries), sorted *)
+  p_items : item list;  (* sorted *)
   p_all_tids : (int, unit) Hashtbl.t;
   p_durable : int;  (* candidate durable ID, before any cross-shard vote *)
   p_fragments : (int * int * int) list;  (* scanned (gtid, mask, tid) seals *)
@@ -83,7 +114,7 @@ let prepare cfg nvm =
       (List.concat_map (fun (_, scan) -> scan.Plog.records) (Array.to_list attached))
       ~ckpt_upto:c
   in
-  let fragments = List.concat_map (fun (_, _, es) -> Log_entry.cross_seals es) items in
+  let fragments = List.concat_map cross_seals items in
   {
     p_cfg = cfg;
     p_nvm = nvm;
@@ -138,18 +169,12 @@ let commit ops ?durable_cut p =
         invalid_arg "Dudetm.attach_commit: durable cut beyond the scanned prefix";
       max c cut
   in
-  let keep, dropped =
-    List.partition (fun (lo, hi, _) -> lo > c && hi <= d) p.p_items
-  in
+  let keep, dropped = List.partition (fun it -> it.lo > c && it.hi <= d) p.p_items in
   let discarded_txs =
     Hashtbl.fold (fun tid () acc -> if tid > d then acc + 1 else acc) p.p_all_tids 0
   in
-  let discarded_records =
-    List.length (List.filter (fun (lo, _, _) -> lo > d) dropped)
-  in
-  let replayed_txs =
-    List.fold_left (fun acc (lo, hi, _) -> acc + (hi - lo + 1)) 0 keep
-  in
+  let discarded_records = List.length (List.filter (fun it -> it.lo > d) dropped) in
+  let replayed_txs = List.fold_left (fun acc it -> acc + (it.hi - it.lo + 1)) 0 keep in
   (* The recovery verdict is fully determined before any heap mutation.
      If a previous attach sealed a verdict for the same durable ID and
      then crashed mid-recovery, adopt it: the report converges to the
@@ -172,16 +197,15 @@ let commit ops ?durable_cut p =
   in
   if p.p_use_journal then Rjournal.write p.p_rjournal (Rjournal.Replay verdict);
   (* Replay in transaction-ID order. *)
-  let ranges = ref [] in
+  let replayed = addrs () in
   let replayed_extents = Hashtbl.create 64 in
   let frontier =
     List.fold_left
-      (fun frontier (_, _, entries) ->
-        Reproduce.redo_entries nvm repro_alloc ~extents:replayed_extents ~ranges ~frontier
-          entries)
+      (fun frontier it ->
+        Reproduce.redo nvm repro_alloc ~extents:replayed_extents replayed ~frontier it)
       p.p_frontier keep
   in
-  Nvm.persist_ranges nvm !ranges;
+  Nvm.persist_words nvm replayed.buf replayed.len;
   (* Reproduce may have written these same extents after the last
      checkpoint without refreshing their directory entries (that happens
      at checkpoint time); the replay just rewrote them, so reseal their

@@ -6,7 +6,7 @@ val scan_items :
   Config.t ->
   Dudetm_log.Plog.record list ->
   ckpt_upto:int ->
-  (int * int * Dudetm_log.Log_entry.t list) list * (int, unit) Hashtbl.t * int
+  Engine_state.item list * (int, unit) Hashtbl.t * int
 (** Replay items of the surviving records, sorted, every transaction ID
     they carry, and the durable ID: the largest contiguous extension of
     [ckpt_upto].  See [Dudetm.scan_items]. *)

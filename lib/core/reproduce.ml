@@ -5,38 +5,32 @@
 
 open Engine_state
 
-(* Redo one replay item's entries onto the device: home stores (queued in
-   [ranges] for the caller's persist ordering, their CRC extents marked in
-   [extents]), allocator replay, and the cross-shard frontier raised to
-   the highest sealed global ID.  Returns the new frontier.  Shared by
-   Reproduce and recovery replay. *)
-let redo_entries nvm alloc ~extents ~ranges ~frontier entries =
-  List.fold_left
-    (fun frontier e ->
-      match e with
-      | Log_entry.Write { addr; value } ->
-        Nvm.store_u64 nvm addr value;
-        ranges := (addr, 8) :: !ranges;
-        Hashtbl.replace extents (addr / Config.crc_extent) ();
-        Hashtbl.replace extents ((addr + 7) / Config.crc_extent) ();
-        frontier
-      | Log_entry.Alloc { off; len } ->
-        Alloc.reserve alloc ~off ~len;
-        frontier
-      | Log_entry.Free { off; len } ->
-        Alloc.free alloc ~off ~len;
-        frontier
-      | Log_entry.Cross { gtid; _ } -> max frontier gtid
-      | Log_entry.Tx_end _ -> frontier)
-    frontier entries
-
-(* Highest cross-shard global ID sealed into an item's entries (0 when
-   the item carries no fragment).  Gating on the max is enough: fragment
-   admissibility is monotone in the global ID. *)
-let item_cross_gtid it =
-  List.fold_left
-    (fun acc e -> match e with Log_entry.Cross { gtid; _ } -> max acc gtid | _ -> acc)
-    0 it.entries
+(* The one redo routine, shared by Reproduce and recovery replay: apply
+   one replay item's entries, read in place from its record's body, onto
+   the device — home stores (their addresses queued in [addrs] for the
+   caller's persist ordering, their CRC extents marked in [extents]),
+   allocator replay, and the cross-shard frontier raised to the item's
+   highest sealed global ID.  Returns the new frontier. *)
+let redo nvm alloc ~extents addrs ~frontier it =
+  let body = it.body and stop = it.stop in
+  let p = ref it.pos in
+  while !p < stop do
+    let tag = Log_entry.tag_at body !p ~stop in
+    (match tag with
+    | Log_entry.Write_tag ->
+      let addr = Log_entry.field body !p 0 in
+      Nvm.store_sub nvm addr body ~pos:(Log_entry.field_pos !p 1) ~len:8;
+      push_addr addrs addr;
+      Hashtbl.replace extents (addr / Config.crc_extent) ();
+      Hashtbl.replace extents ((addr + 7) / Config.crc_extent) ()
+    | Log_entry.Alloc_tag ->
+      Alloc.reserve alloc ~off:(Log_entry.field body !p 0) ~len:(Log_entry.field body !p 1)
+    | Log_entry.Free_tag ->
+      Alloc.free alloc ~off:(Log_entry.field body !p 0) ~len:(Log_entry.field body !p 1)
+    | Log_entry.Cross_tag | Log_entry.Tx_end_tag -> ());
+    p := !p + Log_entry.tag_size tag
+  done;
+  max frontier it.cross
 
 (* Reproduce's wait list is built here, once: the gate comes with the
    conds of the state it reads.  Before [start] only, so a parked
@@ -84,17 +78,17 @@ let recycle_pressure t =
   t.pending_recycle <> []
   && Array.exists (fun p -> Plog.free_space p < Plog.data_capacity p / 4) t.plogs
 
-(* Persist every reproduced-but-unpersisted heap range and advance the
-   persisted-data watermark.  The ranges live in [t] so a daemon restart
-   between applying items and persisting them cannot drop the fence: the
-   restarted daemon (or the checkpoint below) still flushes them before
-   any checkpoint covers the applied IDs.  The Unfenced_reproduce mutant
-   (checker self-test only) skips the fence. *)
+(* Persist every reproduced-but-unpersisted home word, newest first, and
+   advance the persisted-data watermark.  The addresses live in [t] so a
+   daemon restart between applying items and persisting them cannot drop
+   the fence: the restarted daemon (or the checkpoint below) still
+   flushes them before any checkpoint covers the applied IDs.  The
+   Unfenced_reproduce mutant (checker self-test only) skips the fence. *)
 let flush_reproduced t =
-  if !(t.repro_ranges) <> [] then begin
-    if not (Inject.armed Unfenced_reproduce) then
-      Nvm.persist_ranges t.nvm !(t.repro_ranges);
-    t.repro_ranges := []
+  let a = t.repro_addrs in
+  if a.len > 0 then begin
+    if not (Inject.armed Unfenced_reproduce) then Nvm.persist_words t.nvm a.buf a.len;
+    a.len <- 0
   end;
   t.persisted_data <- applied t
 
@@ -105,7 +99,7 @@ let do_checkpoint t =
   flush_reproduced t;
   (* Refresh the CRC directory for every heap extent this checkpoint
      covers.  Reproduce has already persisted those extents (the round's
-     persist_ranges precedes the checkpoint), so latest = persisted there
+     persist_words precedes the checkpoint), so latest = persisted there
      and the recomputed CRCs seal exactly the checkpointed content. *)
   let extents = Hashtbl.fold (fun e () acc -> e :: acc) t.dirty_extents [] in
   Hashtbl.reset t.dirty_extents;
@@ -144,15 +138,14 @@ let pop_next_item t =
    round applies a whole batch of items under a single persist ordering,
    which is what keeps one background thread ahead of many Perform
    threads. *)
-let apply_item t it ranges =
-  let n = List.length it.entries in
-  Sched.advance (t.cfg.Config.reproduce_cost_per_entry * n);
+let apply_item t it =
+  Sched.advance (t.cfg.Config.reproduce_cost_per_entry * it.nentries);
   t.cross_frontier <-
-    redo_entries t.nvm t.repro_alloc ~extents:t.dirty_extents ~ranges
-      ~frontier:t.cross_frontier it.entries;
+    redo t.nvm t.repro_alloc ~extents:t.dirty_extents t.repro_addrs
+      ~frontier:t.cross_frontier it;
   t.applied_cell := it.hi;
   Sched.signal t.wake_applied;
-  if it.last_of_record then
+  if it.end_off >= 0 then
     t.pending_recycle <- (it.region, it.end_off, it.rec_next_seq) :: t.pending_recycle
 
 let round t =
@@ -160,7 +153,7 @@ let round t =
   let batch = ref 0 in
   while can_apply t && !batch < t.cfg.Config.reproduce_batch do
     maybe_fault t "reproduce";
-    apply_item t (pop_next_item t) t.repro_ranges;
+    apply_item t (pop_next_item t);
     incr batch
   done;
   (* One persist ordering covers the whole round's reproduced data. *)

@@ -3,21 +3,21 @@
     reproduced data, checkpoints the allocator and watermark, and recycles
     the rings. *)
 
-val redo_entries :
+val redo :
   Dudetm_nvm.Nvm.t ->
   Alloc.t ->
   extents:(int, unit) Hashtbl.t ->
-  ranges:(int * int) list ref ->
+  Engine_state.addrs ->
   frontier:int ->
-  Dudetm_log.Log_entry.t list ->
+  Engine_state.item ->
   int
-(** Redo one replay item's entries onto the device: home stores (queued
-    in [ranges] for the caller's persist ordering, their CRC extents marked
-    in [extents]) and allocator replay.  Returns [frontier] raised to the
-    highest sealed cross-shard global ID.  Shared with recovery replay. *)
-
-val item_cross_gtid : Engine_state.item -> int
-(** Highest cross-shard global ID sealed into the item (0: none). *)
+(** The one redo routine: apply one replay item's entries, read in place
+    from its record's body, onto the device — home stores (their
+    addresses queued in the buffer for the caller's persist ordering,
+    which {!Dudetm_nvm.Nvm.persist_words} issues newest first; their CRC
+    extents marked in [extents]) and allocator replay.  Returns [frontier]
+    raised to the item's highest sealed cross-shard global ID.  Shared
+    with recovery replay. *)
 
 val set_replay_gate :
   _ Engine_state.t ->

@@ -19,6 +19,7 @@ type builder = {
   mutable ends : Log_entry.t list;  (* reversed *)
   mutable writes_in : int;
   mutable entries_in : int;
+  mutable bytes_out : int;  (* encoded size of the combined batch *)
 }
 
 let builder () =
@@ -29,6 +30,7 @@ let builder () =
     ends = [];
     writes_in = 0;
     entries_in = 0;
+    bytes_out = 0;
   }
 
 let pending b = b.entries_in
@@ -38,27 +40,46 @@ let feed b e =
   match e with
   | Log_entry.Write { addr; value } ->
     b.writes_in <- b.writes_in + 1;
-    if not (Hashtbl.mem b.last_value addr) then b.order <- addr :: b.order;
+    if not (Hashtbl.mem b.last_value addr) then begin
+      b.order <- addr :: b.order;
+      b.bytes_out <- b.bytes_out + Log_entry.encoded_size e
+    end;
     Hashtbl.replace b.last_value addr value
   | Log_entry.Alloc _ | Log_entry.Free _ | Log_entry.Cross _ ->
-    b.allocs <- e :: b.allocs
-  | Log_entry.Tx_end _ -> b.ends <- e :: b.ends
+    b.allocs <- e :: b.allocs;
+    b.bytes_out <- b.bytes_out + Log_entry.encoded_size e
+  | Log_entry.Tx_end _ ->
+    b.ends <- e :: b.ends;
+    b.bytes_out <- b.bytes_out + Log_entry.encoded_size e
 
 let feed_list b es = List.iter (feed b) es
 
-let seal b =
-  let writes =
-    List.rev_map
-      (fun addr -> Log_entry.Write { addr; value = Hashtbl.find b.last_value addr })
-      b.order
-  in
-  let combined = writes @ List.rev b.allocs @ List.rev b.ends in
+(* Encode, in feed order, the final writes of a reversed address list
+   and the entries of a reversed entry list. *)
+let rec encode_writes b buf pos = function
+  | [] -> pos
+  | addr :: earlier ->
+    let pos = encode_writes b buf pos earlier in
+    Log_entry.encode_write buf pos ~addr ~value:(Hashtbl.find b.last_value addr)
+
+let rec encode_rev buf pos = function
+  | [] -> pos
+  | e :: earlier -> Log_entry.encode_into buf (encode_rev buf pos earlier) e
+
+(* The one sealing routine: encode the combined batch — each address with
+   its final value, allocation events and fragment seals, then end marks —
+   straight into a plain payload, then reset the builder. *)
+let seal_payload b =
+  let buf = Log_entry.plain_payload b.bytes_out in
+  let pos = encode_rev buf (encode_rev buf (encode_writes b buf 1 b.order) b.allocs) b.ends in
+  assert (pos = Bytes.length buf);
+  let writes_out = Hashtbl.length b.last_value in
   let stats =
     {
       writes_in = b.writes_in;
-      writes_out = List.length writes;
+      writes_out;
       entries_in = b.entries_in;
-      entries_out = List.length combined;
+      entries_out = writes_out + List.length b.allocs + List.length b.ends;
     }
   in
   Hashtbl.reset b.last_value;
@@ -67,7 +88,12 @@ let seal b =
   b.ends <- [];
   b.writes_in <- 0;
   b.entries_in <- 0;
-  (combined, stats)
+  b.bytes_out <- 0;
+  (buf, stats)
+
+let seal b =
+  let payload, stats = seal_payload b in
+  (Log_entry.decode_payload payload, stats)
 
 let combine group =
   let b = builder () in

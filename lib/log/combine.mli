@@ -46,6 +46,12 @@ val feed_list : builder -> Log_entry.t list -> unit
 val pending : builder -> int
 (** Entries fed into the open batch since the last {!seal}. *)
 
+val seal_payload : builder -> bytes * stats
+(** Close the open batch: encode the combined batch — what [combine] would
+    return on the fed entries — straight into a plain record payload
+    (the bytes of {!Log_entry.encode_plain}), and reset the builder for
+    the next batch. *)
+
 val seal : builder -> Log_entry.t list * stats
-(** Close the open batch: returns the same result [combine] would on the
-    fed entries, and resets the builder for the next batch. *)
+(** {!seal_payload}, decoded: the same result [combine] would return on
+    the fed entries. *)

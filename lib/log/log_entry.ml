@@ -20,12 +20,14 @@ let encoded_size = function
   | Tx_end _ -> 9
   | Cross _ -> 25
 
+let encode_write buf pos ~addr ~value =
+  Bytes.set buf pos 'W';
+  Bytes.set_int64_le buf (pos + 1) (Int64.of_int addr);
+  Bytes.set_int64_le buf (pos + 9) value;
+  pos + 17
+
 let encode_into buf pos = function
-  | Write { addr; value } ->
-    Bytes.set buf pos 'W';
-    Bytes.set_int64_le buf (pos + 1) (Int64.of_int addr);
-    Bytes.set_int64_le buf (pos + 9) value;
-    pos + 17
+  | Write { addr; value } -> encode_write buf pos ~addr ~value
   | Alloc { off; len } ->
     Bytes.set buf pos 'A';
     Bytes.set_int64_le buf (pos + 1) (Int64.of_int off);
@@ -60,43 +62,72 @@ let encode_list entries =
   assert (pos = total);
   buf
 
+(* Reading an encoded body in place: the tag of the entry at [pos], its
+   size, and its 8-byte fields. *)
+type tag = Write_tag | Alloc_tag | Free_tag | Tx_end_tag | Cross_tag
+
+let tag_size = function
+  | Write_tag | Alloc_tag | Free_tag -> 17
+  | Tx_end_tag -> 9
+  | Cross_tag -> 25
+
+let tag_at buf pos ~stop =
+  let tag =
+    match Bytes.get buf pos with
+    | 'W' -> Write_tag
+    | 'A' -> Alloc_tag
+    | 'F' -> Free_tag
+    | 'E' -> Tx_end_tag
+    | 'X' -> Cross_tag
+    | c -> invalid_arg (Printf.sprintf "Log_entry.decode_list: bad tag %C" c)
+  in
+  if pos + tag_size tag > stop then
+    invalid_arg
+      ("Log_entry.decode_list: truncated "
+      ^
+      match tag with
+      | Write_tag -> "Write"
+      | Alloc_tag -> "Alloc"
+      | Free_tag -> "Free"
+      | Tx_end_tag -> "Tx_end"
+      | Cross_tag -> "Cross");
+  tag
+
+let field_pos pos i = pos + 1 + (8 * i)
+
+let field buf pos i = Int64.to_int (Bytes.get_int64_le buf (field_pos pos i))
+
+let entry_at buf pos = function
+  | Write_tag -> Write { addr = field buf pos 0; value = Bytes.get_int64_le buf (field_pos pos 1) }
+  | Alloc_tag -> Alloc { off = field buf pos 0; len = field buf pos 1 }
+  | Free_tag -> Free { off = field buf pos 0; len = field buf pos 1 }
+  | Tx_end_tag -> Tx_end { tid = field buf pos 0 }
+  | Cross_tag -> Cross { gtid = field buf pos 0; mask = field buf pos 1; tid = field buf pos 2 }
+
 (* Decode the entries in [buf]'s bytes [\[pos, n)]. *)
 let decode_range buf pos n =
-  let u64 pos = Int64.to_int (Bytes.get_int64_le buf pos) in
   let rec go pos acc =
     if pos = n then List.rev acc
-    else if pos > n then invalid_arg "Log_entry.decode_list: truncated entry"
     else
-      match Bytes.get buf pos with
-      | 'W' ->
-        if pos + 17 > n then invalid_arg "Log_entry.decode_list: truncated Write";
-        go (pos + 17) (Write { addr = u64 (pos + 1); value = Bytes.get_int64_le buf (pos + 9) } :: acc)
-      | 'A' ->
-        if pos + 17 > n then invalid_arg "Log_entry.decode_list: truncated Alloc";
-        go (pos + 17) (Alloc { off = u64 (pos + 1); len = u64 (pos + 9) } :: acc)
-      | 'F' ->
-        if pos + 17 > n then invalid_arg "Log_entry.decode_list: truncated Free";
-        go (pos + 17) (Free { off = u64 (pos + 1); len = u64 (pos + 9) } :: acc)
-      | 'E' ->
-        if pos + 9 > n then invalid_arg "Log_entry.decode_list: truncated Tx_end";
-        go (pos + 9) (Tx_end { tid = u64 (pos + 1) } :: acc)
-      | 'X' ->
-        if pos + 25 > n then invalid_arg "Log_entry.decode_list: truncated Cross";
-        go (pos + 25)
-          (Cross { gtid = u64 (pos + 1); mask = u64 (pos + 9); tid = u64 (pos + 17) } :: acc)
-      | c -> invalid_arg (Printf.sprintf "Log_entry.decode_list: bad tag %C" c)
+      let tag = tag_at buf pos ~stop:n in
+      go (pos + tag_size tag) (entry_at buf pos tag :: acc)
   in
   go pos []
+
+(* Entry by entry, as [compare] orders the decoded lists. *)
+let rec compare_range a pa sa b pb sb =
+  if pa = sa then if pb = sb then 0 else -1
+  else if pb = sb then 1
+  else
+    let ta = tag_at a pa ~stop:sa and tb = tag_at b pb ~stop:sb in
+    match compare (entry_at a pa ta) (entry_at b pb tb) with
+    | 0 -> compare_range a (pa + tag_size ta) sa b (pb + tag_size tb) sb
+    | c -> c
 
 let decode_list buf = decode_range buf 0 (Bytes.length buf)
 
 let tids entries =
   List.filter_map (function Tx_end { tid } -> Some tid | _ -> None) entries
-
-let cross_seals entries =
-  List.filter_map
-    (function Cross { gtid; mask; tid } -> Some (gtid, mask, tid) | _ -> None)
-    entries
 
 (* Record-payload framing shared by the engine's Persist step and every
    reader of persisted records (recovery, scrub): one flag byte marking the
@@ -105,14 +136,17 @@ let flag_plain = 'P'
 
 let flag_compressed = 'C'
 
+let plain_payload len =
+  let buf = Bytes.create (1 + len) in
+  Bytes.set buf 0 flag_plain;
+  buf
+
 (* A plain payload is built in one buffer: the flag byte, then the
    entries encoded straight after it. *)
 let encode_plain entries =
-  let total = 1 + list_size entries in
-  let buf = Bytes.create total in
-  Bytes.set buf 0 flag_plain;
+  let buf = plain_payload (list_size entries) in
   let pos = encode_from buf 1 entries in
-  assert (pos = total);
+  assert (pos = Bytes.length buf);
   buf
 
 let frame_compressed plain comp =
@@ -129,10 +163,14 @@ let encode_payload ?(compress = false) entries =
   if not compress then plain
   else frame_compressed plain (Lz.compress ~pos:1 ~len:(Bytes.length plain - 1) plain)
 
-let decode_payload payload =
+let plain_body payload =
   let n = Bytes.length payload in
   if n < 1 then invalid_arg "Log_entry.decode_payload: empty payload";
   match Bytes.get payload 0 with
-  | c when c = flag_plain -> decode_range payload 1 n
-  | c when c = flag_compressed -> decode_list (Lz.decompress ~pos:1 ~len:(n - 1) payload)
+  | c when c = flag_plain -> (payload, 1)
+  | c when c = flag_compressed -> (Lz.decompress ~pos:1 ~len:(n - 1) payload, 0)
   | c -> invalid_arg (Printf.sprintf "Log_entry.decode_payload: bad flag %C" c)
+
+let decode_payload payload =
+  let body, pos = plain_body payload in
+  decode_range body pos (Bytes.length body)

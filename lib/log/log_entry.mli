@@ -34,11 +34,49 @@ val decode_list : bytes -> t list
 (** Inverse of {!encode_list}.  Raises [Invalid_argument] on malformed
     input (recovery only calls it on checksummed payloads). *)
 
+val encode_into : bytes -> int -> t -> int
+(** [encode_into buf pos e] writes [e]'s encoding at [pos] and returns the
+    position just after it. *)
+
+val encode_write : bytes -> int -> addr:int -> value:int64 -> int
+(** [encode_into] of a [Write], from its fields. *)
+
+(** {1 Reading an encoded body in place}
+
+    Replay walks a record's bytes instead of a decoded list: the entry at
+    [pos] is read by its tag and fields. *)
+
+type tag = Write_tag | Alloc_tag | Free_tag | Tx_end_tag | Cross_tag
+
+val tag_at : bytes -> int -> stop:int -> tag
+(** The tag of the entry at [pos] of a body ending at [stop].  Raises
+    [Invalid_argument], as {!decode_list} does, on an unknown tag or an
+    entry running past [stop]. *)
+
+val tag_size : tag -> int
+(** The encoded size of an entry with this tag. *)
+
+val field : bytes -> int -> int -> int
+(** [field buf pos i] is field [i] of the entry at [pos]: a [Write]'s
+    addr (0) and value (1), an [Alloc]'s or [Free]'s off and len, a
+    [Tx_end]'s tid, a [Cross]'s gtid, mask and tid. *)
+
+val field_pos : int -> int -> int
+(** [field_pos pos i]: where field [i] of the entry at [pos] starts (its
+    8 bytes are little-endian). *)
+
+val compare_range : bytes -> int -> int -> bytes -> int -> int -> int
+(** [compare_range a pa sa b pb sb] orders the entries of [a]'s bytes
+    [\[pa, sa)] against [b]'s [\[pb, sb)] exactly as [compare] orders their
+    decoded lists. *)
+
 val tids : t list -> int list
 (** Transaction IDs of all [Tx_end] marks, in order of appearance. *)
 
-val cross_seals : t list -> (int * int * int) list
-(** [(gtid, mask, tid)] of all [Cross] seals, in order of appearance. *)
+val plain_payload : int -> bytes
+(** [plain_payload len] is a fresh uncompressed payload with room for a
+    [len]-byte body: the plain flag is set, the body (from position 1) is
+    the caller's to encode. *)
 
 val encode_plain : t list -> bytes
 (** Serialize entries as an uncompressed persistent-record payload: the
@@ -56,9 +94,14 @@ val encode_payload : ?compress:bool -> t list -> bytes
     LZ-compressed flag followed by the body.  With [compress] the body is
     LZ-compressed only when that actually shrinks it. *)
 
+val plain_body : bytes -> bytes * int
+(** [plain_body payload] is [(buf, pos)]: the payload's entries are
+    [buf]'s bytes [\[pos, Bytes.length buf)].  A plain payload is its own
+    body (from position 1); an LZ one is decompressed once, into a fresh
+    buffer.  Raises [Invalid_argument] on an empty payload or a bad flag.
+    Shared by engine recovery, follower ingest and the scrub subsystem so
+    every reader of persisted records agrees on the framing. *)
+
 val decode_payload : bytes -> t list
-(** Inverse of {!encode_payload}; raises [Invalid_argument] on a bad flag
-    or malformed body.  A plain body is decoded in place, without copying
-    it out of the payload.  Shared by engine recovery, follower ingest and
-    the scrub subsystem so every reader of persisted records agrees on the
-    framing. *)
+(** Inverse of {!encode_payload}: {!plain_body}, decoded; raises
+    [Invalid_argument] on a bad flag or malformed body. *)

@@ -319,6 +319,14 @@ let persist_ranges t ranges =
   let bytes = List.fold_left (fun acc (off, len) -> acc + flush_range t ~off ~len) 0 ranges in
   charge t bytes
 
+let persist_words t addrs n =
+  fire_hook t;
+  let bytes = ref 0 in
+  for i = n - 1 downto 0 do
+    bytes := !bytes + flush_range t ~off:addrs.(i) ~len:8
+  done;
+  charge t !bytes
+
 let persist_all t = persist t ~off:0 ~len:(size t)
 
 let dirty_lines t = Hashtbl.length t.dirty

@@ -144,8 +144,13 @@ val persist_all : t -> unit
 val persist_ranges : t -> (int * int) list -> unit
 (** [persist_ranges t ranges] flushes every dirty line covered by any of the
     [(off, len)] ranges under a {e single} persist ordering: one latency,
-    one bandwidth booking for the total flushed bytes.  Used by Reproduce
-    to persist a whole batch of reproduced writes at once. *)
+    one bandwidth booking for the total flushed bytes. *)
+
+val persist_words : t -> int array -> int -> unit
+(** [persist_words t addrs n] is [persist_ranges] over the 8-byte words at
+    [addrs.(n - 1)], ..., [addrs.(0)], in that order (newest first), with
+    no range list built.  Used by Reproduce and recovery to persist a
+    whole batch of replayed writes at once. *)
 
 val dirty_lines : t -> int
 (** Number of lines currently dirty (not yet persisted).  Each line's
@@ -156,13 +161,14 @@ val dirty_lines : t -> int
 
 val set_persist_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a callback fired at every persist boundary: once when
-    a persist ordering is issued ({!persist}, {!persist_ranges}) and once
-    after each dirty line is copied into the persisted image.  The
-    systematic crash checker ([lib/check]) counts these firings and raises
-    from the hook to cut power at an exact persist/fence/line boundary —
-    crashing between two firings leaves exactly the lines flushed so far
-    durable, i.e. a torn persist.  The hook does not fire during {!crash}
-    eviction or while no hook is installed. *)
+    a persist ordering is issued ({!persist}, {!persist_ranges},
+    {!persist_words}) and once after each dirty line is copied into the
+    persisted image.  The systematic crash checker ([lib/check]) counts
+    these firings and raises from the hook to cut power at an exact
+    persist/fence/line boundary — crashing between two firings leaves
+    exactly the lines flushed so far durable, i.e. a torn persist.  The
+    hook does not fire during {!crash} eviction or while no hook is
+    installed. *)
 
 (** {1 Crash and recovery} *)
 

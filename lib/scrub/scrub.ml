@@ -6,6 +6,7 @@ module Checkpoint = Dudetm_core.Checkpoint
 module Crcdir = Dudetm_core.Crcdir
 module Badline = Dudetm_core.Badline
 module Rjournal = Dudetm_core.Rjournal
+module Engine_state = Dudetm_core.Engine_state
 module Trace = Dudetm_trace.Trace
 
 type report = {
@@ -68,7 +69,7 @@ let live_items cfg scans ~ckpt_upto =
     List.concat_map (fun (scan : Plog.scan) -> scan.Plog.records) (Array.to_list scans)
   in
   let items, _, d = Dudetm_core.Dudetm.scan_items cfg records ~ckpt_upto in
-  List.filter (fun (lo, hi, _) -> lo > ckpt_upto && hi <= d) items
+  List.filter (fun (it : Engine_state.item) -> it.lo > ckpt_upto && it.hi <= d) items
 
 (* Per-extent live writes: addr -> value maps in replay order (later
    transactions win), keyed by the extent each write lands in. *)
@@ -80,16 +81,21 @@ let live_writes_by_extent items =
     | None -> Hashtbl.add by_extent extent (ref [ w ])
   in
   List.iter
-    (fun (_, _, entries) ->
-      List.iter
-        (fun e ->
-          match e with
-          | Log_entry.Write { addr; value } ->
-            add (addr / Config.crc_extent) (addr, value);
-            if (addr + 7) / Config.crc_extent <> addr / Config.crc_extent then
-              add ((addr + 7) / Config.crc_extent) (addr, value)
-          | _ -> ())
-        entries)
+    (fun (it : Engine_state.item) ->
+      let p = ref it.pos in
+      while !p < it.stop do
+        let tag = Log_entry.tag_at it.body !p ~stop:it.stop in
+        (match tag with
+        | Log_entry.Write_tag ->
+          let addr = Log_entry.field it.body !p 0 in
+          let value = Bytes.get_int64_le it.body (Log_entry.field_pos !p 1) in
+          add (addr / Config.crc_extent) (addr, value);
+          if (addr + 7) / Config.crc_extent <> addr / Config.crc_extent then
+            add ((addr + 7) / Config.crc_extent) (addr, value)
+        | Log_entry.Alloc_tag | Log_entry.Free_tag | Log_entry.Tx_end_tag | Log_entry.Cross_tag
+          -> ());
+        p := !p + Log_entry.tag_size tag
+      done)
     items;
   by_extent
 

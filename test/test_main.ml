@@ -31,6 +31,7 @@ let () =
       ("migrate", Test_migrate.suite);
       ("differential", Test_differential.suite);
       ("replica", Test_replica.suite);
+      ("replay", Test_replay.suite);
       ("snapshot", Test_snapshot.suite);
       ("serve", Test_serve.suite);
       ("ledger", Test_ledger.suite);

@@ -16,6 +16,10 @@ module Config = Dudetm_core.Config
 module Wire = Dudetm_log.Wire
 module Log_entry = Dudetm_log.Log_entry
 module Plog = Dudetm_log.Plog
+module Alloc = Dudetm_core.Alloc
+module Engine_state = Dudetm_core.Engine_state
+module Persist = Dudetm_core.Persist
+module Reproduce = Dudetm_core.Reproduce
 module Trace = Dudetm_trace.Trace
 module Check = Dudetm_check.Check
 module Link = Dudetm_replica.Link
@@ -259,18 +263,19 @@ let test_k1_matches_unreplicated () =
 
 (* ------------------------- follower ingest ----------------------------- *)
 
-(* A follower ingests a shipped record by decoding its entries in place
-   and appending the payload itself to ring 0: beyond what decoding the
-   entries allocates, an ingest copies no payload and builds its ID list
-   once.  Each record is 16 writes and one end mark (283 bytes, 36 words
-   per copy); the rest is the ring's dirty-line set and the replay item. *)
+(* A follower ingests a shipped record without decoding it: one in-place
+   scan of the payload finds the replay item and its IDs, and the payload
+   itself is appended to ring 0.  So a whole ingest — scan, ring append,
+   dirty-line set, replay item — allocates less than decoding the record
+   into an entry list alone does.  Each record is 16 writes and one end
+   mark (283 bytes, 36 words per copy). *)
+let record tid =
+  Log_entry.encode_payload
+    (List.init 16 (fun a -> Log_entry.Write { addr = 8 * a; value = Int64.of_int (tid + a) })
+    @ [ Log_entry.Tx_end { tid } ])
+
 let test_ingest_allocation_guard () =
   let n = 40 in
-  let record tid =
-    Log_entry.encode_payload
-      (List.init 16 (fun a -> Log_entry.Write { addr = 8 * a; value = Int64.of_int (tid + a) })
-      @ [ Log_entry.Tx_end { tid } ])
-  in
   let payloads = Array.init (n + 1) (fun i -> record (i + 1)) in
   let decode =
     Test_plog.allocated (fun () ->
@@ -289,9 +294,46 @@ let test_ingest_allocation_guard () =
                  if not (E.ingest_record eng payloads.(i)) then Alcotest.fail "ring full"
                done)));
   check Alcotest.int "every record sealed" (n + 1) (E.durable_id eng);
-  let beyond = (!ingest -. decode) /. float_of_int n in
-  if beyond >= 100. then
-    Alcotest.failf "%.1f words allocated per ingest beyond decoding (limit 100)" beyond
+  let per_ingest = !ingest /. float_of_int n and per_decode = decode /. float_of_int n in
+  if per_ingest >= per_decode then
+    Alcotest.failf "%.1f words allocated per ingest, not below decoding alone (%.1f)"
+      per_ingest per_decode
+
+(* Reproduce redoes an item straight from its record's bytes: each write
+   is stored from the body and its address queued in a flat buffer, so
+   applying a 16-write item and persisting it allocates fewer words than
+   the item has writes (the list path consed an [(addr, 8)] range per
+   write, six words).  What remains is the dirty-line set's entries. *)
+let test_redo_allocation_guard () =
+  let n = 40 in
+  let cf = cfg () in
+  let item tid =
+    let body, pos = Log_entry.plain_body (record tid) in
+    match Persist.scan_record cf ~region:0 body pos with
+    | [ it ] -> it
+    | _ -> Alcotest.fail "one combined record, one item"
+  in
+  let items = Array.init (n + 1) (fun i -> item (i + 1)) in
+  let nvm = Nvm.create ~charge_time:false Dudetm_nvm.Pmem_config.default ~size:(1 lsl 16) in
+  let alloc = Alloc.create ~base:Config.root_size ~size:((1 lsl 16) - Config.root_size) in
+  let extents = Hashtbl.create 16 and addrs = Engine_state.addrs () in
+  let apply it =
+    ignore (Reproduce.redo nvm alloc ~extents addrs ~frontier:0 it);
+    Nvm.persist_words nvm addrs.Engine_state.buf addrs.Engine_state.len;
+    addrs.Engine_state.len <- 0
+  in
+  apply items.(0);
+  let per_item =
+    Test_plog.allocated (fun () ->
+        for i = 1 to n do
+          apply items.(i)
+        done)
+    /. float_of_int n
+  in
+  check Alcotest.int64 "last item's first write is home" (Int64.of_int (n + 1))
+    (Nvm.persisted_u64 nvm 0);
+  if per_item >= 16. then
+    Alcotest.failf "%.1f words allocated applying one 16-write item (limit 16)" per_item
 
 (* A follower appends each shipped payload itself to its ring 0, so over
    a run long enough to wrap the ring several times every follower's ring
@@ -703,6 +745,8 @@ let suite =
     Alcotest.test_case "replica: config validation" `Quick test_create_validates;
     Alcotest.test_case "replica: follower ingest copies no payload" `Quick
       test_ingest_allocation_guard;
+    Alcotest.test_case "replica: Reproduce redoes an item from its bytes" `Quick
+      test_redo_allocation_guard;
     Alcotest.test_case "replica: follower rings equal the primary's" `Quick
       test_follower_rings_identical;
     Alcotest.test_case "replica: K=1 degenerates to the unreplicated engine" `Quick
