@@ -355,10 +355,11 @@ let note_flushed t items =
 let wait_durable t tid =
   if t.durable < tid then begin
     t.durable_waiters <- t.durable_waiters + 1;
-    Fun.protect
-      ~finally:(fun () -> t.durable_waiters <- t.durable_waiters - 1)
-      (fun () ->
-        Sched.wait_until ~on:t.durable_on ~label:"durable id" (fun () -> t.durable >= tid))
+    match Sched.wait_until ~on:t.durable_on ~label:"durable id" (fun () -> t.durable >= tid) with
+    | () -> t.durable_waiters <- t.durable_waiters - 1
+    | exception e ->
+      t.durable_waiters <- t.durable_waiters - 1;
+      raise e
   end
 
 (* ------------------------------------------------------------------ *)

@@ -379,22 +379,22 @@ let combined_loop ~group ~compress t =
   (* One pass per volatile log: each committed transaction's body is
      staged at its end mark, which the seal re-adds. *)
   let drain_vlogs () =
-    Array.iter
-      (fun vlog ->
-        let hd = Vlog.head vlog and cm = Vlog.committed vlog in
-        if cm > hd then begin
-          let body = ref [] in
-          for k = hd to cm - 1 do
-            match Vlog.get vlog k with
-            | Log_entry.Tx_end { tid } ->
-              Hashtbl.replace staging tid !body;
-              body := []
-            | e -> body := e :: !body
-          done;
-          assert (!body = []);
-          Vlog.consume_to vlog cm
-        end)
-      t.vlogs
+    for i = 0 to Array.length t.vlogs - 1 do
+      let vlog = t.vlogs.(i) in
+      let hd = Vlog.head vlog and cm = Vlog.committed vlog in
+      if cm > hd then begin
+        let body = ref [] in
+        for k = hd to cm - 1 do
+          match Vlog.get vlog k with
+          | Log_entry.Tx_end { tid } ->
+            Hashtbl.replace staging tid !body;
+            body := []
+          | e -> body := e :: !body
+        done;
+        assert (!body = []);
+        Vlog.consume_to vlog cm
+      end
+    done
   in
   let contiguous () =
     let n = ref 0 in

@@ -53,10 +53,6 @@ let next_region t =
   done;
   !r
 
-(* The next queued replay item, if its turn has come (pure: no pop). *)
-let peek_next_item t =
-  match next_region t with -1 -> None | r -> Some (Queue.peek t.queues.(r))
-
 (* May Reproduce apply the next transaction?  The replay gate is pure
    (it only reads sibling shards' durable counters or a quorum
    watermark), so it is safe inside [Sched.wait_until] conditions. *)
@@ -67,10 +63,10 @@ let can_apply t =
      [pop_next_item] asserts does not hold; wait for the item instead of
      crashing the daemon — the campaign must catch the mutant as a
      durability violation at a power cut, not as an engine exception. *)
-  && ((not (Inject.armed Skip_batch_seal)) || peek_next_item t <> None)
+  && ((not (Inject.armed Skip_batch_seal)) || next_region t >= 0)
   && (match t.replay_gate with
      | Some gate -> (
-       match peek_next_item t with Some it -> gate it | None -> true)
+       match next_region t with -1 -> true | r -> gate (Queue.peek t.queues.(r)))
      | None -> true)
 
 (* Recycling is due early once some ring runs below a quarter free. *)

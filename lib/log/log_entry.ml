@@ -5,15 +5,6 @@ type t =
   | Tx_end of { tid : int }
   | Cross of { gtid : int; mask : int; tid : int }
 
-let pp ppf = function
-  | Write { addr; value } -> Format.fprintf ppf "W[0x%x]=%Ld" addr value
-  | Alloc { off; len } -> Format.fprintf ppf "A[0x%x,+%d]" off len
-  | Free { off; len } -> Format.fprintf ppf "F[0x%x,+%d]" off len
-  | Tx_end { tid } -> Format.fprintf ppf "End(%d)" tid
-  | Cross { gtid; mask; tid } -> Format.fprintf ppf "X(g%d,m0x%x,t%d)" gtid mask tid
-
-let equal a b = a = b
-
 let encoded_size = function
   | Write _ -> 17
   | Alloc _ | Free _ -> 17

@@ -20,10 +20,6 @@ type t =
           every sibling shard in [mask] holds its own durable seal for
           [gtid]. *)
 
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool
-
 val encoded_size : t -> int
 (** Size of the binary encoding in bytes (tag byte + fields). *)
 

@@ -5,27 +5,31 @@ exception Halted
 
 module Trace = Dudetm_trace.Trace
 
+(* A switch allocates only the continuation [perform] captures: a
+   paused or waiting thread keeps it, and a waiting one its predicate,
+   label and conds, in its own record.  The states are constants, so
+   [state] is an immediate type and storing one needs no write barrier. *)
 type thread = {
   id : int;
   name : string;
   daemon : bool;
   mutable clock : int;
   mutable state : state;
+  mutable start : unit -> unit;  (* Not_started; else [ignore] *)
+  mutable k : (unit, unit) Effect.Deep.continuation;  (* Paused or Waiting; else [no_k] *)
+  mutable pred : unit -> bool;  (* Waiting; else [no_pred] *)
+  mutable label : string;  (* the last wait's *)
+  mutable on : cond list;  (* Waiting; else [] *)
   mutable slot : int;  (* index in the run heap or in the waiter array *)
   mutable parked : int;  (* picks done when it parked; -1 when not parked *)
   mutable park_seq : int;  (* stamp of its current park in its conds' entries *)
 }
 
 and state =
-  | Not_started of (unit -> unit)
+  | Not_started
   | Running
-  | Paused of (unit, unit) Effect.Deep.continuation
-  | Waiting of {
-      pred : unit -> bool;
-      label : string;
-      on : cond list;
-      k : (unit, unit) Effect.Deep.continuation;
-    }
+  | Paused
+  | Waiting
   | Finished
 
 (* The threads parked on a cond, each stamped with the [park_seq] of the
@@ -40,7 +44,24 @@ and cond = {
 
 type _ Effect.t +=
   | Yield : unit Effect.t
-  | Wait : (unit -> bool) * string * cond list -> unit Effect.t
+  | Wait : unit Effect.t
+
+(* The continuation a thread holds while it is neither paused nor
+   waiting: one captured here, once, and never resumed. *)
+let no_k =
+  let open Effect.Deep in
+  let captured : (unit, unit) continuation option ref = ref None in
+  try_with Effect.perform Yield
+    {
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Yield -> Some (fun (k : (unit, unit) continuation) -> captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
+
+let no_pred () = false
 
 type strategy =
   | Min_clock
@@ -77,11 +98,13 @@ type sched = {
   strategy : strategy;
 }
 
+let new_thread ~id ~name ~daemon ~clock ~state start =
+  { id; name; daemon; clock; state; start; k = no_k; pred = no_pred; label = ""; on = [];
+    slot = -1; parked = -1; park_seq = 0 }
+
 (* The placeholder for "no thread": [now]/[self] read its clock and id (both
    0) outside any thread, and [advance] leaves its clock alone. *)
-let nobody =
-  { id = 0; name = "main"; daemon = true; clock = 0; state = Finished; slot = -1;
-    parked = -1; park_seq = 0 }
+let nobody = new_thread ~id:0 ~name:"main" ~daemon:true ~clock:0 ~state:Finished ignore
 
 (* The simulation is single-OS-thread by construction, so one global current
    scheduler is safe and keeps the public API free of a [t] parameter. *)
@@ -259,10 +282,7 @@ let push_drag s clock =
 let audit_parked s =
   for i = 0 to s.nthreads - 1 do
     let t = s.all.(i) in
-    if t.parked >= 0 then
-      match t.state with
-      | Waiting { pred; label; _ } -> if pred () then raise (Lost_wakeup label)
-      | _ -> ()
+    if t.parked >= 0 && t.pred () then raise (Lost_wakeup t.label)
   done
 
 (* [finish] runs on the scheduler's own stack (retc/exnc/kill_daemons):
@@ -276,25 +296,23 @@ let finish s t =
     if not t.daemon then s.live_non_daemon <- s.live_non_daemon - 1;
     List.iter signal s.joined
 
-(* A predicate runs with no thread current, so [now]/[self] read 0 in it. *)
-let wait s t pred label on k =
-  s.running <- nobody;
-  if pred () then begin
-    s.running <- t;
-    Effect.Deep.continue k ()
-  end
-  else begin
-    t.state <- Waiting { pred; label; on; k };
-    match on with [] -> add_waiter s t | _ -> park s t on
-  end
-
+(* Both answers are built once per thread, so handling a [Yield] or a
+   [Wait] allocates nothing beyond the continuation. *)
 let handler s t =
   let open Effect.Deep in
   let yielded =
     Some
       (fun (k : (unit, unit) continuation) ->
-        t.state <- Paused k;
+        t.k <- k;
+        t.state <- Paused;
         s.held <- t)
+  in
+  let waited =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        t.k <- k;
+        t.state <- Waiting;
+        match t.on with [] -> add_waiter s t | on -> park s t on)
   in
   {
     retc = (fun () -> finish s t);
@@ -311,7 +329,7 @@ let handler s t =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
         | Yield -> yielded
-        | Wait (pred, label, on) -> Some (fun k -> wait s t pred label on k)
+        | Wait -> waited
         | _ -> None);
   }
 
@@ -321,7 +339,7 @@ let poll s =
   let best = ref nobody in
   for i = 0 to s.wlen - 1 do
     let t = s.waiters.(i) in
-    let r = match t.state with Waiting { pred; _ } -> pred () | _ -> assert false in
+    let r = t.pred () in
     s.ready.(i) <- r;
     if r && (!best == nobody || less t !best) then best := t
   done;
@@ -336,11 +354,11 @@ let drag_waiters s w =
     if not s.ready.(i) then begin
       let t = s.waiters.(i) in
       if t.clock < w.clock then t.clock <- w.clock;
-      match t.state with
-      | Waiting { on = _ :: _ as on; _ } ->
+      match t.on with
+      | [] -> ()
+      | on ->
         remove_waiter s t;
         park s t on
-      | _ -> ()
     end
   done
 
@@ -387,7 +405,7 @@ let commit s w held =
   drag_waiters s w;
   (if w != held then
      match w.state with
-     | Waiting _ ->
+     | Waiting ->
        remove_waiter s w;
        if held != nobody then heap_push s held
      | _ -> if held != nobody then heap_replace s w.slot held else heap_remove s w.slot);
@@ -408,13 +426,28 @@ let pick s =
   if w != nobody then commit s w held;
   w
 
+(* The thread's continuation, its record cleared so that it holds no
+   dead closure while it runs (a paused thread's predicate is already
+   cleared, which saves it two write barriers). *)
+let take_k t =
+  let k = t.k in
+  t.k <- no_k;
+  if t.pred != no_pred then begin
+    t.pred <- no_pred;
+    t.on <- []
+  end;
+  k
+
 let resume s t =
   let st = t.state in
   t.state <- Running;
   s.running <- t;
   (match st with
-  | Not_started f -> Effect.Deep.match_with f () (handler s t)
-  | Paused k | Waiting { k; _ } -> Effect.Deep.continue k ()
+  | Not_started ->
+    let f = t.start in
+    t.start <- ignore;
+    Effect.Deep.match_with f () (handler s t)
+  | Paused | Waiting -> Effect.Deep.continue (take_k t) ()
   | Running | Finished -> assert false);
   s.running <- nobody
 
@@ -423,8 +456,7 @@ let blocked_report s =
   |> Array.to_list
   |> List.filter_map (fun t ->
          match t.state with
-         | Waiting { label; _ } ->
-           Some (Printf.sprintf "%d:%s waiting on %s" t.id t.name label)
+         | Waiting -> Some (Printf.sprintf "%d:%s waiting on %s" t.id t.name t.label)
          | _ -> None)
   |> String.concat "; "
 
@@ -434,11 +466,11 @@ let kill_daemons s =
     let t = s.all.(i) in
     if t.parked >= 0 then settle s t;
     match t.state with
-    | Not_started _ -> finish s t
-    | Paused k | Waiting { k; _ } ->
+    | Not_started -> finish s t
+    | Paused | Waiting ->
       t.state <- Running;
       s.running <- t;
-      (try Effect.Deep.discontinue k Killed with Killed -> ());
+      (try Effect.Deep.discontinue (take_k t) Killed with Killed -> ());
       s.running <- nobody;
       finish s t
     | Running | Finished -> ()
@@ -456,10 +488,7 @@ let random_priority ~seed =
 
 let run ?(strategy = Min_clock) main =
   if !current <> None then invalid_arg "Sched.run: nested simulations are not supported";
-  let t0 =
-    { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main; slot = -1;
-      parked = -1; park_seq = 0 }
-  in
+  let t0 = new_thread ~id:0 ~name:"main" ~daemon:false ~clock:0 ~state:Not_started main in
   let s =
     {
       all = [| t0 |];
@@ -550,9 +579,32 @@ let poll ~budget ~step ready =
   done;
   !elapsed
 
+(* The first evaluation runs inline, with no thread current (so
+   [now]/[self] read 0 in it, as at every poll): a predicate that holds
+   returns at once and performs nothing, and a raising one leaves the
+   caller current.  Only a false one parks its state in the thread and
+   performs the constant [Wait].  A label is a constant of its call site,
+   so a thread waiting at one site stores it (a write barrier) once. *)
 let wait_until ?(on = []) ?(label = "?") pred =
-  try Effect.perform (Wait (pred, label, on))
-  with Effect.Unhandled _ ->
+  match !current with
+  | Some s when s.running != nobody ->
+    let t = s.running in
+    s.running <- nobody;
+    let ready =
+      match pred () with
+      | r -> r
+      | exception e ->
+        s.running <- t;
+        raise e
+    in
+    s.running <- t;
+    if not ready then begin
+      t.pred <- pred;
+      if t.label != label then t.label <- label;
+      t.on <- on;
+      Effect.perform Wait
+    end
+  | _ ->
     if not (pred ()) then
       raise (Deadlock (Printf.sprintf "wait_until %S outside a simulation" label))
 
@@ -579,10 +631,7 @@ let spawn ?(daemon = false) name f =
   | Some s when s.running != nobody ->
     let parent = s.running in
     let id = s.nthreads in
-    let t =
-      { id; name; daemon; clock = parent.clock; state = Not_started f; slot = -1;
-        parked = -1; park_seq = 0 }
-    in
+    let t = new_thread ~id ~name ~daemon ~clock:parent.clock ~state:Not_started f in
     s.all <- grow s.all id nobody;
     s.all.(id) <- t;
     s.nthreads <- id + 1;

@@ -34,6 +34,13 @@
     entry under {!Min_clock}, whose winner clocks never decrease).
     Parking and signalling allocate nothing in steady state.
 
+    A switch allocates only the continuation that OCaml's [perform]
+    captures.  A {!wait_until} whose predicate already holds performs no
+    effect: it returns after that one evaluation, allocating nothing.  A
+    wait that blocks keeps its predicate, label and conds in the thread's
+    own record and performs a constant effect, and a losing {!advance}
+    keeps its continuation there too.
+
     {b The [~on] contract.}  A waiter that names conds must be woken by
     them: every change to state its predicate reads that can make the
     predicate true must {!signal} one of its conds before the next
@@ -159,7 +166,9 @@ val wait_until : ?on:cond list -> ?label:string -> (unit -> bool) -> unit
     array, and the scheduler acts on that one cached answer, so a
     predicate with a side effect changes the simulation.  [p] runs with no
     thread current: {!now} and {!self} read 0 inside it, {!advance} is a
-    no-op and {!spawn} raises.  While blocked, the thread's clock follows
+    no-op and {!spawn} raises.  When the first evaluation holds, the call
+    returns with no switch, and when it raises, the exception reaches the
+    caller, still current.  While blocked, the thread's clock follows
     simulated time.
 
     With [~on] (build the list once, with the conds, not per call) a

@@ -221,6 +221,105 @@ let test_deadlock_report_spawn_order () =
                [ ("a", 30, "x"); ("b", 10, "y"); ("c", 20, "z") ];
              Sched.wait_until ~label:"end" never)))
 
+(* A switch allocates only the continuation [perform] captures: a wait
+   that blocks keeps its predicate, label and conds in the thread, and a
+   losing [advance] its continuation.  Each figure is the difference of
+   two runs, so the run's own setup cancels out. *)
+let per_round run =
+  let words n = Test_plog.allocated (fun () -> ignore (Sched.run (fun () -> run n))) in
+  (words 1100 -. words 100) /. 1000.
+
+(* One round: the waiter parks on [c], main sets the flag, signals and
+   loses its next advance to the woken waiter, which clears the flag and
+   parks again. *)
+let park_signal_rounds n =
+  let c = Sched.cond () and flag = ref false in
+  let on = [ c ] and ready () = !flag in
+  ignore
+    (Sched.spawn "waiter" (fun () ->
+         for _ = 1 to n do
+           Sched.wait_until ~on ~label:"flag" ready;
+           flag := false
+         done));
+  for _ = 1 to n do
+    Sched.advance 10;
+    flag := true;
+    Sched.signal c;
+    Sched.advance 10
+  done
+
+(* Two threads at the same pace: every advance loses to the other. *)
+let losing_advances n =
+  let steps () = for _ = 1 to n do Sched.advance 10 done in
+  ignore (Sched.spawn "other" steps);
+  steps ()
+
+let ready_waits n =
+  let always () = true in
+  for _ = 1 to n do
+    Sched.wait_until ~label:"ready" always
+  done
+
+(* A continuation is one block: 2 words on OCaml 5.1, 3 on 5.2.  A round
+   holds two (the wait's and the losing advance's) and the caller's boxed
+   [~on], a pair of losing advances two continuations, and a ready wait
+   nothing.  The limits leave room for 5.2's continuations and none for
+   an effect, closure or state boxed per switch. *)
+let test_switch_allocation_guard () =
+  let round = per_round park_signal_rounds in
+  if round > 10. then Alcotest.failf "%.1f words per park/signal round (limit 10)" round;
+  let pair = per_round losing_advances in
+  if pair > 6. then Alcotest.failf "%.1f words per pair of losing advances (limit 6)" pair;
+  let ready = per_round ready_waits in
+  if ready > 0.5 then Alcotest.failf "%.1f words per ready wait (limit 0.5)" ready
+
+(* A predicate that already holds causes no switch: inserting ready waits
+   changes no pick, no decision point and no clock, under either
+   strategy, and the predicate still reads [now]/[self] as 0.  A
+   predicate that raises leaves its caller current. *)
+let test_ready_wait_no_switch () =
+  let trace strategy ~waits =
+    let log = ref [] and seen = ref [] in
+    let ready () =
+      seen := (Sched.now (), Sched.self ()) :: !seen;
+      true
+    in
+    let body pace () =
+      for _ = 1 to 5 do
+        Sched.advance pace;
+        if waits then Sched.wait_until ~label:"ready" ready;
+        log := (Sched.self (), Sched.now ()) :: !log
+      done
+    in
+    let total =
+      Sched.run ~strategy (fun () ->
+          List.iter (fun pace -> ignore (Sched.spawn "t" (body pace))) [ 7; 11; 13 ];
+          body 5 ())
+    in
+    (total, List.rev !log, !seen)
+  in
+  List.iter
+    (fun strategy ->
+      let total, log, _ = trace strategy ~waits:false in
+      let total', log', seen = trace strategy ~waits:true in
+      check Alcotest.int "same end time" total total';
+      check Alcotest.(list (pair int int)) "same picks and clocks" log log';
+      check Alcotest.int "each ready wait evaluated once" 20 (List.length seen);
+      List.iter (check Alcotest.(pair int int) "now/self in a ready predicate" (0, 0)) seen)
+    [ Sched.min_clock; Sched.random_priority ~seed:3 ];
+  let after = ref (-1, -1) in
+  ignore
+    (Sched.run (fun () ->
+         ignore
+           (Sched.spawn "raiser" (fun () ->
+                Sched.advance 30;
+                (match Sched.wait_until ~label:"raises" (fun () -> failwith "pred") with
+                | () -> Alcotest.fail "a raising predicate returned"
+                | exception Failure _ -> ());
+                Sched.advance 10;
+                after := (Sched.now (), Sched.self ())))));
+  check Alcotest.(pair int int) "caller current after a raising predicate" (40, 1) !after
+
 (* ---- differential test: Sched against a linear-scan reference ---- *)
 
 type op = Adv of int | Incr of int | Wait_ge of int * int | Join | Halt | Spawn of bool * op list
@@ -563,6 +662,9 @@ let suite =
       test_killed_daemon_reads_own_clock;
     Alcotest.test_case "deadlock report lists waiters in spawn order" `Quick
       test_deadlock_report_spawn_order;
+    Alcotest.test_case "a switch allocates only its continuation" `Quick
+      test_switch_allocation_guard;
+    Alcotest.test_case "a ready wait performs no switch" `Quick test_ready_wait_no_switch;
     QCheck_alcotest.to_alcotest prop_sched_matches_reference;
     Alcotest.test_case "rng int bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
