@@ -247,7 +247,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
 
   val wake_durable : t -> Dudetm_sim.Sched.cond
   (** Signalled each time {!durable_id} advances: a layer whose wait (or
-      replay gate) reads this engine's durable ID names it in [~on]. *)
+      replay gate) reads this engine's durable ID names it in its conds. *)
 
   val set_ro_watermark : t -> (unit -> int) option -> unit
   (** Install the watermark durable-only snapshots pin at, in engine tid
@@ -290,8 +290,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       checkpoint floor below any legal promotion-time durable cut).  The
       predicate must be pure — it runs inside scheduler wait conditions —
       and [on] must hold a cond signalled on every change to the state it
-      reads (Reproduce parks on them: the [~on] contract of
-      {!Dudetm_sim.Sched.wait_until}).  Raises [Invalid_argument] once the
+      reads (Reproduce parks on them: the contract of
+      {!Dudetm_sim.Sched.wait_on}).  Raises [Invalid_argument] once the
       engine is started. *)
 
   val cross_frontier : t -> int

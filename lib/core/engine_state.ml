@@ -154,8 +154,8 @@ type 'tm t = {
   mutable draining : bool;
   mutable started : bool;
   stats : Stats.t;
-  (* Wake conditions of the daemons' and callers' waits, and the [~on]
-     list of each wait, built once here (see [Sched.wait_until]). *)
+  (* Wake conditions of the daemons' and callers' waits, and the cond
+     list of each wait, built once here (see [Sched.wait_on]). *)
   wake_stop : Sched.cond;  (* [stop_flag] or [draining] set *)
   wake_persist : Sched.cond array;  (* per Persist daemon: a commit into one of its vlogs *)
   wake_flush : Sched.cond;  (* a sealed batch queued, or the combiner exited *)
@@ -355,7 +355,7 @@ let note_flushed t items =
 let wait_durable t tid =
   if t.durable < tid then begin
     t.durable_waiters <- t.durable_waiters + 1;
-    match Sched.wait_until ~on:t.durable_on ~label:"durable id" (fun () -> t.durable >= tid) with
+    match Sched.wait_on t.durable_on ~label:"durable id" (fun () -> t.durable >= tid) with
     | () -> t.durable_waiters <- t.durable_waiters - 1
     | exception e ->
       t.durable_waiters <- t.durable_waiters - 1;

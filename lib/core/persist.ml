@@ -258,7 +258,7 @@ let flush_thread t i ~wait_space =
     let cut =
       if cut > hd || not wait_space then cut
       else begin
-        Sched.wait_until ~on:t.space_on.(i) ~label:"plog space" (fun () ->
+        Sched.wait_on t.space_on.(i) ~label:"plog space" (fun () ->
             budget () >= need1 || t.stop_flag);
         fst (scan ())
       end
@@ -339,7 +339,7 @@ let plain_loop p ~daemons ~min_entries ~max_entries t =
       end
       else if t.stop_flag then ()
       else begin
-        Sched.wait_until ~on:t.persist_on.(p) ~label:"persist: waiting for logs" (fun () ->
+        Sched.wait_on t.persist_on.(p) ~label:"persist: waiting for logs" (fun () ->
             t.stop_flag || List.exists has_data mine);
         Sched.yield ();
         loop ()
@@ -457,7 +457,7 @@ let combined_loop ~group ~compress t =
       (t.draining || t.stop_flag) && avail > 0 && last_tid t < t.next_flush + avail
     in
     if Queue.length t.prepared >= max_prepared then begin
-      Sched.wait_until ~on:t.seal_on ~label:"persist: pipeline full" (fun () ->
+      Sched.wait_on t.seal_on ~label:"persist: pipeline full" (fun () ->
           Queue.length t.prepared < max_prepared || t.stop_flag);
       Sched.yield ();
       loop ()
@@ -484,7 +484,7 @@ let combined_loop ~group ~compress t =
       loop ()
     end
     else begin
-      Sched.wait_until ~on:t.persist_on.(0) ~label:"persist: waiting for group" (fun () ->
+      Sched.wait_on t.persist_on.(0) ~label:"persist: waiting for group" (fun () ->
           t.stop_flag || t.draining
           || Array.exists (fun v -> Vlog.committed v > Vlog.head v) t.vlogs);
       Sched.yield ();
@@ -504,7 +504,7 @@ let flush_loop t =
       let pb = Queue.pop t.prepared in
       Sched.signal t.wake_seal;
       let need = Plog.record_overhead + Bytes.length pb.pb_payload in
-      Sched.wait_until ~on:t.space_on.(0) ~label:"plog space (combined)" (fun () ->
+      Sched.wait_on t.space_on.(0) ~label:"plog space (combined)" (fun () ->
           Plog.free_space t.plogs.(0) >= need);
       commit_record ~shipped:false t 0 pb.pb_payload
         (scan_record t.cfg ~region:0 pb.pb_plain 1);
@@ -512,7 +512,7 @@ let flush_loop t =
     end
     else if t.stop_flag && t.combiner_done then ()
     else begin
-      Sched.wait_until ~on:t.flush_on ~label:"flush: waiting for sealed batch" (fun () ->
+      Sched.wait_on t.flush_on ~label:"flush: waiting for sealed batch" (fun () ->
           (not (Queue.is_empty t.prepared)) || (t.stop_flag && t.combiner_done));
       Sched.yield ();
       loop ()

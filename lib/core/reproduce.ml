@@ -171,7 +171,7 @@ let loop t =
       if t.pending_recycle <> [] || t.checkpointed < t.persisted_data then do_checkpoint t
     end
     else begin
-      Sched.wait_until ~on:t.repro_on ~label:"reproduce: waiting for durable" (fun () ->
+      Sched.wait_on t.repro_on ~label:"reproduce: waiting for durable" (fun () ->
           t.stop_flag || can_apply t || recycle_pressure t);
       if (not (can_apply t)) && recycle_pressure t then do_checkpoint t;
       Sched.yield ();

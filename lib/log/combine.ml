@@ -8,9 +8,8 @@ type stats = {
 (* Incremental builder: one open batch.  The hash table holds the
    last-written value per address; [order] remembers first-occurrence
    address order so sealing is deterministic.  Sealing drains the builder,
-   so one builder is reused across consecutive batches — each seal is
-   equivalent to [combine] over exactly the entries fed since the previous
-   seal, which is what makes an arbitrary batch partition of a log prefix
+   so one builder is reused across consecutive batches — each seal
+   combines exactly the entries fed since the previous seal, which is what makes an arbitrary batch partition of a log prefix
    compose to the same replayed state as one monolithic combine. *)
 type builder = {
   last_value : (int, int64) Hashtbl.t;
@@ -94,8 +93,3 @@ let seal_payload b =
 let seal b =
   let payload, stats = seal_payload b in
   (Log_entry.decode_payload payload, stats)
-
-let combine group =
-  let b = builder () in
-  feed_list b group;
-  seal b

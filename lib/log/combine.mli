@@ -16,22 +16,19 @@ type stats = {
   entries_out : int;
 }
 
-val combine : Log_entry.t list -> Log_entry.t list * stats
-(** [combine group] returns the combined entry list — deduplicated writes
-    (first-occurrence address order, each carrying its final value),
-    allocation events in original order, then all end marks — plus
-    statistics.  Replaying the result atomically is state-equivalent to
-    replaying [group]. *)
-
 (** {1 Incremental per-batch combination}
 
     Group commit feeds committed entries into a builder as they arrive and
     seals one batch at a time, so the combine work for batch [k+1] can run
-    while batch [k]'s NVM transfer is still in flight.  Sealing drains the
+    while batch [k]'s NVM transfer is still in flight.  A sealed batch is
+    the fed entries combined: deduplicated writes (first-occurrence
+    address order, each carrying its final value), allocation events in
+    original order, then all end marks.  Replaying it atomically is
+    state-equivalent to replaying the fed entries.  Sealing drains the
     builder; the sequence of sealed batches replays (in order) to exactly
-    the state one monolithic [combine] over the concatenation would
-    produce, because last-write-wins within a batch composes with
-    replay-in-order across batches. *)
+    the state one monolithic combine over the concatenation would produce,
+    because last-write-wins within a batch composes with replay-in-order
+    across batches. *)
 
 type builder
 
@@ -47,11 +44,9 @@ val pending : builder -> int
 (** Entries fed into the open batch since the last {!seal}. *)
 
 val seal_payload : builder -> bytes * stats
-(** Close the open batch: encode the combined batch — what [combine] would
-    return on the fed entries — straight into a plain record payload
-    (the bytes of {!Log_entry.encode_plain}), and reset the builder for
-    the next batch. *)
+(** Close the open batch: encode the combined batch straight into a plain
+    record payload (the bytes of {!Log_entry.encode_plain} of the combined
+    entries), and reset the builder for the next batch. *)
 
 val seal : builder -> Log_entry.t list * stats
-(** {!seal_payload}, decoded: the same result [combine] would return on
-    the fed entries. *)
+(** {!seal_payload}, decoded: the combined entries. *)

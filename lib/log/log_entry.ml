@@ -46,13 +46,6 @@ let rec encode_from buf pos = function
 
 let list_size entries = List.fold_left (fun acc e -> acc + encoded_size e) 0 entries
 
-let encode_list entries =
-  let total = list_size entries in
-  let buf = Bytes.create total in
-  let pos = encode_from buf 0 entries in
-  assert (pos = total);
-  buf
-
 (* Reading an encoded body in place: the tag of the entry at [pos], its
    size, and its 8-byte fields. *)
 type tag = Write_tag | Alloc_tag | Free_tag | Tx_end_tag | Cross_tag
@@ -114,11 +107,6 @@ let rec compare_range a pa sa b pb sb =
     match compare (entry_at a pa ta) (entry_at b pb tb) with
     | 0 -> compare_range a (pa + tag_size ta) sa b (pb + tag_size tb) sb
     | c -> c
-
-let decode_list buf = decode_range buf 0 (Bytes.length buf)
-
-let tids entries =
-  List.filter_map (function Tx_end { tid } -> Some tid | _ -> None) entries
 
 (* Record-payload framing shared by the engine's Persist step and every
    reader of persisted records (recovery, scrub): one flag byte marking the

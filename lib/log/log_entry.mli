@@ -23,13 +23,6 @@ type t =
 val encoded_size : t -> int
 (** Size of the binary encoding in bytes (tag byte + fields). *)
 
-val encode_list : t list -> bytes
-(** Serialize entries back-to-back (the persistent-log record payload). *)
-
-val decode_list : bytes -> t list
-(** Inverse of {!encode_list}.  Raises [Invalid_argument] on malformed
-    input (recovery only calls it on checksummed payloads). *)
-
 val encode_into : bytes -> int -> t -> int
 (** [encode_into buf pos e] writes [e]'s encoding at [pos] and returns the
     position just after it. *)
@@ -46,8 +39,8 @@ type tag = Write_tag | Alloc_tag | Free_tag | Tx_end_tag | Cross_tag
 
 val tag_at : bytes -> int -> stop:int -> tag
 (** The tag of the entry at [pos] of a body ending at [stop].  Raises
-    [Invalid_argument], as {!decode_list} does, on an unknown tag or an
-    entry running past [stop]. *)
+    [Invalid_argument] on an unknown tag or an entry running past
+    [stop]. *)
 
 val tag_size : tag -> int
 (** The encoded size of an entry with this tag. *)
@@ -66,9 +59,6 @@ val compare_range : bytes -> int -> int -> bytes -> int -> int -> int
     [\[pa, sa)] against [b]'s [\[pb, sb)] exactly as [compare] orders their
     decoded lists. *)
 
-val tids : t list -> int list
-(** Transaction IDs of all [Tx_end] marks, in order of appearance. *)
-
 val plain_payload : int -> bytes
 (** [plain_payload len] is a fresh uncompressed payload with room for a
     [len]-byte body: the plain flag is set, the body (from position 1) is
@@ -76,8 +66,8 @@ val plain_payload : int -> bytes
 
 val encode_plain : t list -> bytes
 (** Serialize entries as an uncompressed persistent-record payload: the
-    one-byte plain flag followed by {!encode_list}'s bytes, encoded into
-    one buffer. *)
+    one-byte plain flag followed by the entries' encodings back to back,
+    in one buffer. *)
 
 val frame_compressed : bytes -> bytes -> bytes
 (** [frame_compressed plain comp] is the compressed payload — the one-byte

@@ -67,7 +67,7 @@ let append t e =
       invalid_arg "Vlog.append: transaction exceeds the buffer capacity"
     else begin
       t.producer_blocks <- t.producer_blocks + 1;
-      Sched.wait_until ~on:t.space_on ~label:"vlog full" (fun () -> length t < t.cap)
+      Sched.wait_on t.space_on ~label:"vlog full" (fun () -> length t < t.cap)
     end;
   push t e
 
@@ -76,7 +76,7 @@ let append_end t ~tid =
     if t.unbounded then grow t
     else begin
       t.producer_blocks <- t.producer_blocks + 1;
-      Sched.wait_until ~on:t.space_on ~label:"vlog full (end mark)" (fun () ->
+      Sched.wait_on t.space_on ~label:"vlog full (end mark)" (fun () ->
           length t < t.cap)
     end;
   push t (Log_entry.Tx_end { tid });

@@ -6,12 +6,6 @@ let create size =
 
 let size = Bytes.length
 
-let copy = Bytes.copy
-
-let blit_from ~src t =
-  if Bytes.length src <> Bytes.length t then invalid_arg "Mem.blit_from: size mismatch";
-  Bytes.blit src 0 t 0 (Bytes.length src)
-
 let check_aligned addr =
   if addr land 7 <> 0 then
     invalid_arg (Printf.sprintf "Mem: unaligned 64-bit access at 0x%x" addr)
@@ -29,6 +23,8 @@ let set_u64 t addr v =
   Bytes.set_int64_le t addr v
 
 let get_into t off dst = Bytes.blit t off dst 0 (Bytes.length dst)
+
+let get_sub t off b ~pos ~len = Bytes.blit t off b pos len
 
 let set_sub t off b ~pos ~len = Bytes.blit b pos t off len
 

@@ -12,14 +12,12 @@ val create : int -> t
 
 val size : t -> int
 
-val copy : t -> t
-
-val blit_from : src:t -> t -> unit
-(** [blit_from ~src dst] overwrites [dst] with [src]; sizes must match. *)
-
 val get_u8 : t -> int -> int
 
 val set_u8 : t -> int -> int -> unit
+
+val check_aligned : int -> unit
+(** Raises [Invalid_argument] unless the address is 8-byte aligned. *)
 
 val get_u64 : t -> int -> int64
 (** Aligned little-endian 64-bit load.  Raises [Invalid_argument] on
@@ -30,6 +28,10 @@ val set_u64 : t -> int -> int64 -> unit
 val get_into : t -> int -> bytes -> unit
 (** [get_into t off dst] copies [Bytes.length dst] bytes at [off] into
     [dst]. *)
+
+val get_sub : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [get_sub t off b ~pos ~len] copies [len] bytes at [off] to [b]'s bytes
+    [\[pos, pos + len)]. *)
 
 val set_sub : t -> int -> bytes -> pos:int -> len:int -> unit
 (** [set_sub t off b ~pos ~len] copies [b]'s bytes [\[pos, pos + len)] to

@@ -16,33 +16,43 @@ type decay = {
   decay_rng : Rng.t;
 }
 
-(* Dirty state is tracked per cache line (the granularity of eviction and
+(* The device keeps one full image, [image]: what CPU loads observe,
+   stores still in the volatile cache hierarchy included.  A clean line's
+   image bytes are the media's, so the persisted content differs from the
+   image only on dirty lines, and for each of those the device keeps the
+   line's persisted pre-image: the bytes the first store since the line's
+   last flush overwrote.  Pre-images sit in [pre], an arena of line-sized
+   slots that flushes hand back through the [free] stack; the dirty table
+   maps each dirty line to its slot.
+
+   Dirty state is tracked per cache line (the granularity of eviction and
    crash survival), but each line also remembers how many payload bytes
    were actually stored into it since its last flush.  Persist-cost
    accounting uses those byte counts — the paper's emulation charges
-   [total write size / bandwidth], not whole-line traffic.
-
-   The counts live in a flat table, one byte per line (0 = clean), so a
-   store to an already-dirty line allocates nothing.  [dirty] is only the
-   set of dirty lines: a line joins it when it turns dirty and leaves it
-   at its flush.  The set stays a [Hashtbl] because [crash ~evict_fraction]
-   draws each dirty line's survival from the seeded RNG in the table's
-   fold order; another container would fold in another order and change
-   which lines survive a replayed crash. *)
+   [total write size / bandwidth], not whole-line traffic.  The counts live
+   in a flat table, one byte per line (0 = clean), so a store to an
+   already-dirty line allocates nothing.  A line joins [dirty] when it
+   turns dirty and leaves it at its flush.  It stays a [Hashtbl]
+   because [crash ~evict_fraction] draws each dirty line's survival from
+   the seeded RNG in the table's fold order; another container would fold
+   in another order and change which lines survive a replayed crash. *)
 type t = {
   cfg : Pmem_config.t;
   label : string;  (* trace device identity; shards label theirs "shard<i>" *)
-  latest : Mem.t;
-  persisted : Mem.t;
+  image : Mem.t;
   dirty_bytes : Bytes.t;  (* per line: payload bytes stored since its flush *)
-  dirty : (int, unit) Hashtbl.t;  (* the lines with a nonzero count *)
+  dirty : (int, int) Hashtbl.t;  (* each line with a nonzero count -> its pre-image slot *)
+  mutable pre : Mem.t;  (* pre-image slots, [line_size] bytes each *)
+  mutable free : int array;  (* slots handed back, a stack of [nfree] *)
+  mutable nfree : int;
+  mutable nslots : int;  (* slots handed out at least once *)
   channel : Resource.t;
   charge_time : bool;
   mutable write_bytes : int;
   mutable persist_ops : int;
   (* Fired at every persist boundary: once when an ordering is issued and
-     once after each dirty line reaches the persisted image.  The systematic
-     crash checker raises from here to cut power at an exact boundary. *)
+     once after each dirty line reaches the media.  The systematic crash
+     checker raises from here to cut power at an exact boundary. *)
   mutable persist_hook : (unit -> unit) option;
   (* Media-fault state.  [poisoned] lines raise {!Media_error} on any read
      that reaches the media (loads of non-dirty lines, persisted reads);
@@ -59,17 +69,23 @@ type t = {
 }
 
 let create ?(charge_time = true) ?(label = "nvm") cfg ~size =
-  if size mod cfg.Pmem_config.line_size <> 0 then
-    invalid_arg "Nvm.create: size must be a multiple of the line size";
-  if cfg.Pmem_config.line_size > 255 then
-    invalid_arg "Nvm.create: line size must fit a one-byte dirty count";
+  let ls = cfg.Pmem_config.line_size in
+  if size mod ls <> 0 then invalid_arg "Nvm.create: size must be a multiple of the line size";
+  if ls > 255 || ls mod 8 <> 0 then
+    invalid_arg "Nvm.create: line size must be a multiple of 8 below 256";
+  (* Room for the lines a workload typically dirties between two persists;
+     the arena doubles past that. *)
+  let slots0 = max 1 (min 256 (size / ls)) in
   {
     cfg;
     label;
-    latest = Mem.create size;
-    persisted = Mem.create size;
-    dirty_bytes = Bytes.make (size / cfg.Pmem_config.line_size) '\000';
+    image = Mem.create size;
+    dirty_bytes = Bytes.make (size / ls) '\000';
     dirty = Hashtbl.create 4096;
+    pre = Mem.create (slots0 * ls);
+    free = Array.make slots0 0;
+    nfree = 0;
+    nslots = 0;
     channel = Resource.create_gbps cfg.Pmem_config.bandwidth_gbps;
     charge_time;
     write_bytes = 0;
@@ -89,7 +105,7 @@ let set_persist_hook t hook = t.persist_hook <- hook
 
 let fire_hook t = match t.persist_hook with Some f -> f () | None -> ()
 
-let size t = Mem.size t.latest
+let size t = Mem.size t.image
 
 let label t = t.label
 
@@ -102,6 +118,40 @@ let line_size t = t.cfg.Pmem_config.line_size
 let dirty_count t l = Bytes.get_uint8 t.dirty_bytes l
 
 let is_dirty t l = dirty_count t l > 0
+
+let slot_off t slot = slot * t.cfg.Pmem_config.line_size
+
+(* Where the persisted copy of byte [off] of dirty line [l] sits in [pre]. *)
+let pre_off t l off = slot_off t (Hashtbl.find t.dirty l) + off - (l * t.cfg.Pmem_config.line_size)
+
+(* Take a slot (a freed one first) and copy line [l]'s image into it: called
+   before the first store since the line's flush lands. *)
+let save_pre_image t l =
+  let ls = t.cfg.Pmem_config.line_size in
+  let slot =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      let s = t.nslots in
+      if s = Array.length t.free then begin
+        (* No slot is free here, so the new stack starts empty too. *)
+        let pre = Mem.create (2 * s * ls) in
+        Mem.blit ~src:t.pre ~src_off:0 ~dst:pre ~dst_off:0 ~len:(s * ls);
+        t.pre <- pre;
+        t.free <- Array.make (2 * s) 0
+      end;
+      t.nslots <- s + 1;
+      s
+    end
+  in
+  Mem.blit ~src:t.image ~src_off:(l * ls) ~dst:t.pre ~dst_off:(slot_off t slot) ~len:ls;
+  slot
+
+let free_slot t slot =
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1
 
 (* ------------------------------------------------------------------ *)
 (* Media faults                                                        *)
@@ -127,13 +177,13 @@ let check_poison_load t addr len =
     done
   end
 
+(* A dirty line's media content is its pre-image, which the cached copy
+   shadows.  A clean line's cached copy mirrors the media, so the corruption
+   is immediately visible to loads too. *)
 let flip_persisted_bit t ~off ~bit =
-  let b = Mem.get_u8 t.persisted off in
-  let b' = b lxor (1 lsl (bit land 7)) in
-  Mem.set_u8 t.persisted off b';
-  (* A clean line's cached copy mirrors the media, so the corruption is
-     immediately visible to loads too. *)
-  if not (is_dirty t (line t off)) then Mem.set_u8 t.latest off b'
+  let l = line t off in
+  let flip mem at = Mem.set_u8 mem at (Mem.get_u8 mem at lxor (1 lsl (bit land 7))) in
+  if is_dirty t l then flip t.pre (pre_off t l off) else flip t.image off
 
 let inject_fault t fault =
   (match fault with
@@ -213,35 +263,39 @@ let note_media_repaired t n = t.faults_repaired <- t.faults_repaired + n
 (* Volatile-side access                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Runs before a store's [len > 0] bytes land at [off]: each clean line the
+   store covers saves its image, the media's content, as its pre-image. *)
 let mark_dirty t off len =
+  if off < 0 || off + len > size t then invalid_arg "Nvm: store out of range";
   let ls = t.cfg.Pmem_config.line_size in
   let first = line t off and last = line t (off + len - 1) in
   for l = first to last do
     let lo = max off (l * ls) and hi = min (off + len) ((l + 1) * ls) in
     let c = dirty_count t l in
-    if c = 0 then Hashtbl.add t.dirty l ();
+    if c = 0 then Hashtbl.add t.dirty l (save_pre_image t l);
     Bytes.set_uint8 t.dirty_bytes l (min ls (c + hi - lo))
   done
 
 let load_u64 t addr =
   check_poison_load t addr 8;
-  Mem.get_u64 t.latest addr
+  Mem.get_u64 t.image addr
 
 let store_u64 t addr v =
-  Mem.set_u64 t.latest addr v;
-  mark_dirty t addr 8
+  Mem.check_aligned addr;
+  mark_dirty t addr 8;
+  Mem.set_u64 t.image addr v
 
 let load_u8 t addr =
   check_poison_load t addr 1;
-  Mem.get_u8 t.latest addr
+  Mem.get_u8 t.image addr
 
 let store_u8 t addr v =
-  Mem.set_u8 t.latest addr v;
-  mark_dirty t addr 1
+  mark_dirty t addr 1;
+  Mem.set_u8 t.image addr v
 
 let load_into t off dst =
   check_poison_load t off (Bytes.length dst);
-  Mem.get_into t.latest off dst
+  Mem.get_into t.image off dst
 
 let load_bytes t off len =
   let b = Bytes.create len in
@@ -250,11 +304,12 @@ let load_bytes t off len =
 
 let load_into_mem t off dst ~dst_off ~len =
   check_poison_load t off len;
-  Mem.blit ~src:t.latest ~src_off:off ~dst ~dst_off ~len
+  Mem.blit ~src:t.image ~src_off:off ~dst ~dst_off ~len
 
 let store_sub t off b ~pos ~len =
-  Mem.set_sub t.latest off b ~pos ~len;
-  if len > 0 then mark_dirty t off len
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Nvm.store_sub";
+  if len > 0 then mark_dirty t off len;
+  Mem.set_sub t.image off b ~pos ~len
 
 let store_bytes t off b = store_sub t off b ~pos:0 ~len:(Bytes.length b)
 
@@ -262,20 +317,22 @@ let store_bytes t off b = store_sub t off b ~pos:0 ~len:(Bytes.length b)
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The line's image becomes its media content, so its pre-image slot goes
+   back to the arena.  The fault tables are read only when nonempty. *)
 let flush_line t l =
   let ls = t.cfg.Pmem_config.line_size in
   let payload = dirty_count t l in
-  if Hashtbl.mem t.stuck l then
+  let slot = Hashtbl.find t.dirty l in
+  if Hashtbl.length t.stuck > 0 && Hashtbl.mem t.stuck l then
     (* Stuck-at line: the write reaches the device but never sticks; a
        subsequent media read returns the stale content, so reload the cache
-       from the (unchanged) persisted image to make that observable. *)
-    Mem.blit ~src:t.persisted ~src_off:(l * ls) ~dst:t.latest ~dst_off:(l * ls) ~len:ls
-  else begin
-    Mem.blit ~src:t.latest ~src_off:(l * ls) ~dst:t.persisted ~dst_off:(l * ls) ~len:ls;
+       from the (unchanged) pre-image to make that observable. *)
+    Mem.blit ~src:t.pre ~src_off:(slot_off t slot) ~dst:t.image ~dst_off:(l * ls) ~len:ls
+  else if Hashtbl.length t.poisoned > 0 then
     (* Rewriting a whole line clears its poison (the model for repairing an
        uncorrectable location by writing fresh data over it). *)
-    Hashtbl.remove t.poisoned l
-  end;
+    Hashtbl.remove t.poisoned l;
+  free_slot t slot;
   Hashtbl.remove t.dirty l;
   Bytes.set_uint8 t.dirty_bytes l 0;
   t.write_bytes <- t.write_bytes + payload;
@@ -336,7 +393,7 @@ let crash ?(evict_fraction = 0.0) ?rng t =
   | Some rng when evict_fraction > 0.0 ->
     let survivors =
       Hashtbl.fold
-        (fun l () acc -> if Rng.float rng < evict_fraction then l :: acc else acc)
+        (fun l _ acc -> if Rng.float rng < evict_fraction then l :: acc else acc)
         t.dirty []
     in
     (* Evicted lines reach NVM without any ordering guarantee; the subset
@@ -345,20 +402,42 @@ let crash ?(evict_fraction = 0.0) ?rng t =
     List.iter (fun l -> ignore (flush_line t l)) survivors;
     t.last_crash_survivors <- survivors
   | _ -> t.last_crash_survivors <- []);
-  Hashtbl.iter (fun l () -> Bytes.set_uint8 t.dirty_bytes l 0) t.dirty;
+  (* Every line still dirty loses its cached bytes: its pre-image comes back. *)
+  let ls = t.cfg.Pmem_config.line_size in
+  Hashtbl.iter
+    (fun l slot ->
+      Mem.blit ~src:t.pre ~src_off:(slot_off t slot) ~dst:t.image ~dst_off:(l * ls) ~len:ls;
+      Bytes.set_uint8 t.dirty_bytes l 0)
+    t.dirty;
   Hashtbl.reset t.dirty;
-  Mem.blit_from ~src:t.persisted t.latest;
+  t.nfree <- 0;
+  t.nslots <- 0;
   Resource.reset t.channel
 
 let last_crash_survivors t = t.last_crash_survivors
 
 let persisted_u64 t addr =
   check_poison_media t addr 8;
-  Mem.get_u64 t.persisted addr
+  let l = line t addr in
+  (* A negative [addr] falls in line 0: [Mem] rejects it. *)
+  if addr >= 0 && is_dirty t l then Mem.get_u64 t.pre (pre_off t l addr)
+  else Mem.get_u64 t.image addr
 
+(* The image, with each dirty line's share of the range read from its
+   pre-image instead. *)
 let persisted_into t off dst =
-  check_poison_media t off (Bytes.length dst);
-  Mem.get_into t.persisted off dst
+  let len = Bytes.length dst in
+  check_poison_media t off len;
+  Mem.get_into t.image off dst;
+  if len > 0 && Hashtbl.length t.dirty > 0 then begin
+    let ls = t.cfg.Pmem_config.line_size in
+    for l = line t off to line t (off + len - 1) do
+      if is_dirty t l then begin
+        let lo = max off (l * ls) and hi = min (off + len) ((l + 1) * ls) in
+        Mem.get_sub t.pre (pre_off t l lo) dst ~pos:(lo - off) ~len:(hi - lo)
+      end
+    done
+  end
 
 let persisted_bytes t off len =
   let b = Bytes.create len in
@@ -368,13 +447,7 @@ let persisted_bytes t off len =
 let persisted_bytes_equal t off b =
   let len = Bytes.length b in
   if off < 0 || off + len > size t then false
-  else begin
-    check_poison_media t off len;
-    let rec go i =
-      i >= len || (Mem.get_u8 t.persisted (off + i) = Char.code (Bytes.get b i) && go (i + 1))
-    in
-    go 0
-  end
+  else Bytes.equal (persisted_bytes t off len) b
 
 let persisted_write_bytes t = t.write_bytes
 

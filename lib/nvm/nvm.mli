@@ -1,20 +1,27 @@
 (** Simulated persistent-memory device.
 
-    The device keeps two images: [latest], what CPU loads observe (including
-    stores still sitting in the volatile cache hierarchy), and [persisted],
-    what survives a crash.  A {!store_u64} only updates [latest] and marks
-    the covering cache line dirty; data reaches [persisted] exclusively via
-    {!persist}, which models [CLWB]+[SFENCE] over a byte range and charges
-    the paper's [max(latency, bytes/bandwidth)] cost against a serialized
-    bandwidth channel.
+    A device has two views of its bytes: what CPU loads observe (including
+    stores still sitting in the volatile cache hierarchy), and the
+    persisted content, what survives a crash.  They differ only on dirty
+    cache lines, so the device keeps one full image, the loads' view, and
+    for each dirty line its persisted pre-image: the line's bytes before
+    the first store since its last flush.  A {!store_u64} saves the
+    pre-image of every clean line it covers, then updates the image and
+    marks the lines dirty.  Data becomes persisted exclusively via
+    {!persist}, which models [CLWB]+[SFENCE] over a byte range (a flushed
+    line's pre-image is dropped) and charges the paper's
+    [max(latency, bytes/bandwidth)] cost against a serialized bandwidth
+    channel.  So a device costs its size plus one line per dirty line.
 
-    {!crash} drops the volatile side.  To model the CPU's {e uncontrolled}
-    cache evictions — the hazard DudeTM's design sidesteps by never storing
-    dirty data to NVM addresses directly — a crash can also leak a random
-    subset of dirty lines into the persisted image.
+    {!crash} drops the volatile side: each dirty line gets its pre-image
+    back, at a cost in dirty lines, not in device size.  To model the
+    CPU's {e uncontrolled} cache evictions — the hazard DudeTM's design
+    sidesteps by never storing dirty data to NVM addresses directly — a
+    crash can also leak a random subset of dirty lines into the persisted
+    content.
 
     Beyond clean power cuts, the device also models {e media faults}
-    ({!inject_fault}): silent bit rot in the persisted image, stuck-at
+    ({!inject_fault}): silent bit rot in the persisted content, stuck-at
     lines that ignore writes, and poisoned (uncorrectable) lines whose
     reads raise {!Media_error} — plus an optional seeded background-decay
     process.  Media faults survive crashes; they are properties of the
@@ -28,7 +35,7 @@ exception Media_error of int
     Models the machine-check a real platform raises on an uncorrectable
     NVM read. *)
 
-(** A media fault applied to the {e persisted} image. *)
+(** A media fault applied to the {e persisted} content. *)
 type fault =
   | Bit_rot of { off : int; bit : int }
       (** Silently flip bit [bit land 7] of persisted byte [off]. *)
@@ -46,7 +53,8 @@ val create : ?charge_time:bool -> ?label:string -> Pmem_config.t -> size:int -> 
     persistent.  [charge_time] (default true) controls whether persists
     advance the simulated clock.  [label] (default ["nvm"]) names the
     device in trace per-device accounting; the sharding layer labels each
-    region's device ["shard<i>"]. *)
+    region's device ["shard<i>"].  Raises [Invalid_argument] unless [size]
+    is a multiple of the line size, itself a multiple of 8 below 256. *)
 
 val size : t -> int
 
@@ -60,7 +68,7 @@ val line_size : t -> int
 (** {1 Media faults} *)
 
 val inject_fault : t -> fault -> unit
-(** Apply one fault to the persisted image (counted by
+(** Apply one fault to the persisted content (counted by
     {!media_faults_injected}).  [Bit_rot] is also reflected into the
     volatile image when the covering line is clean, since a clean cache
     line mirrors the media. *)
@@ -110,14 +118,14 @@ val load_bytes : t -> int -> int -> bytes
 (** [load_bytes t off len] is a fresh buffer filled by {!load_into}. *)
 
 val load_into : t -> int -> bytes -> unit
-(** [load_into t off dst] fills all of [dst] with the latest image at
+(** [load_into t off dst] fills all of [dst] with the image at
     [\[off, off + Bytes.length dst)], as a CPU load would see it: a dirty
     line is served from the cache, so only a poisoned {e clean} line raises
     {!Media_error} (before [dst] is touched).  Lets a caller reuse one
     buffer per read. *)
 
 val load_into_mem : t -> int -> Mem.t -> dst_off:int -> len:int -> unit
-(** [load_into_mem t off dst ~dst_off ~len] copies the latest image at
+(** [load_into_mem t off dst ~dst_off ~len] copies the image at
     [\[off, off + len)] straight into [dst] at [dst_off], with
     {!load_into}'s poison contract: a poisoned {e clean} line raises
     {!Media_error} before [dst] is touched.  One blit, no intermediate
@@ -134,8 +142,8 @@ val store_sub : t -> int -> bytes -> pos:int -> len:int -> unit
 (** {1 Persistence} *)
 
 val persist : t -> off:int -> len:int -> unit
-(** Flush every dirty line intersecting [\[off, off+len)] to the persisted
-    image and drain the store queue.  Charges
+(** Flush every dirty line intersecting [\[off, off+len)] to the media
+    and drain the store queue.  Charges
     [max(persist_latency, dirty_bytes / bandwidth)] cycles, with the
     bandwidth component serialized across all users of the device. *)
 
@@ -156,56 +164,57 @@ val dirty_lines : t -> int
 (** Number of lines currently dirty (not yet persisted).  Each line's
     dirty byte count sits in a flat per-line table, so storing into an
     already-dirty line allocates nothing; the dirty lines also form a
-    [Hashtbl] set, kept because {!crash}'s seeded eviction draws walk it
-    in its fold order, which a replayed crash must reproduce. *)
+    [Hashtbl] from line to pre-image slot, kept because {!crash}'s seeded
+    eviction draws walk it in its fold order, which a replayed crash must
+    reproduce. *)
 
 val set_persist_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a callback fired at every persist boundary: once when
     a persist ordering is issued ({!persist}, {!persist_ranges},
-    {!persist_words}) and once after each dirty line is copied into the
-    persisted image.  The systematic crash checker ([lib/check]) counts
-    these firings and raises from the hook to cut power at an exact
-    persist/fence/line boundary — crashing between two firings leaves
-    exactly the lines flushed so far durable, i.e. a torn persist.  The
-    hook does not fire during {!crash} eviction or while no hook is
-    installed. *)
+    {!persist_words}) and once after each dirty line reaches the media.
+    The systematic crash checker ([lib/check]) counts these firings and
+    raises from the hook to cut power at an exact persist/fence/line
+    boundary — crashing between two firings leaves exactly the lines
+    flushed so far durable, i.e. a torn persist.  The hook does not fire
+    during {!crash} eviction or while no hook is installed. *)
 
 (** {1 Crash and recovery} *)
 
 val crash : ?evict_fraction:float -> ?rng:Dudetm_sim.Rng.t -> t -> unit
 (** Simulate a power failure: each dirty line independently survives with
     probability [evict_fraction] (default 0 — none survive, the adversarial
-    tests sweep this), then all volatile state is discarded and [latest] is
-    reloaded from the persisted image.  Media faults (poison, stuck lines)
+    tests sweep this), then all volatile state is discarded: every other
+    dirty line gets its pre-image back.  Media faults (poison, stuck lines)
     persist across the crash. *)
 
 val last_crash_survivors : t -> int list
-(** The dirty lines that leaked into the persisted image during the most
+(** The dirty lines that leaked into the persisted content during the most
     recent {!crash}, ascending.  Together with the eviction RNG seed this
     makes evicting crashes exactly replayable (the checker records both in
     its failure one-liners). *)
 
 val persisted_u64 : t -> int -> int64
-(** Read the persisted image directly (for tests and recovery checks).
-    Raises {!Media_error} on a poisoned line. *)
+(** Read the persisted content directly (for tests and recovery checks): a
+    dirty line's pre-image, a clean line's image.  Raises {!Media_error}
+    on a poisoned line. *)
 
 val persisted_bytes : t -> int -> int -> bytes
 (** Read a persisted byte range (scrub and checksum audits): a fresh buffer
     filled by {!persisted_into}. *)
 
 val persisted_into : t -> int -> bytes -> unit
-(** [persisted_into t off dst] fills all of [dst] with the persisted image
+(** [persisted_into t off dst] fills all of [dst] with the persisted content
     at [\[off, off + Bytes.length dst)].  Raises {!Media_error} (before
     [dst] is touched) if any covered line is poisoned, dirty or not: the
     read goes to the media. *)
 
 val persisted_bytes_equal : t -> int -> bytes -> bool
-(** [persisted_bytes_equal t off b] checks the persisted image against [b]. *)
+(** [persisted_bytes_equal t off b] checks the persisted content against [b]. *)
 
 (** {1 Accounting} *)
 
 val persisted_write_bytes : t -> int
-(** Total bytes ever flushed to the persisted image (the paper's "NVM write
+(** Total bytes ever flushed to the media (the paper's "NVM write
     traffic"). *)
 
 val persist_ops : t -> int

@@ -192,7 +192,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let key_of = function Write { key; _ } -> key | Read { key; _ } -> key
 
-  (* Wake the threads parked on an [~on] list. *)
+  (* Wake the threads parked on a [Sched.wait_on] list. *)
   let wake on = List.iter Sched.signal on
 
   let finish t d rep =
@@ -246,7 +246,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     end
 
   let await d =
-    Sched.wait_until ~on:d.replied_on ~label:"serve reply" (fun () ->
+    Sched.wait_on d.replied_on ~label:"serve reply" (fun () ->
         d.owner = By_session && d.rep <> R_pending);
     d.rep
 
@@ -303,7 +303,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let deficit = Array.make t.ntenants 0 in
     while not t.stopping do
       if shard_depth t shard = 0 then
-        Sched.wait_until ~on:t.dispatch_on.(shard) ~label:"serve dispatch" (fun () ->
+        Sched.wait_on t.dispatch_on.(shard) ~label:"serve dispatch" (fun () ->
             t.stopping || shard_depth t shard > 0)
       else begin
         let progressed = ref false in
@@ -330,7 +330,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      so the pending queue is already sorted and each wait is monotone. *)
   let acker t ~shard () =
     while true do
-      Sched.wait_until ~on:t.ack_on.(shard) ~label:"serve ack" (fun () ->
+      Sched.wait_on t.ack_on.(shard) ~label:"serve ack" (fun () ->
           not (Queue.is_empty t.pending.(shard)));
       let d, ack = Queue.peek t.pending.(shard) in
       Sh.wait_durable t.sh ack;

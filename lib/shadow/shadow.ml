@@ -105,7 +105,7 @@ let fault_in t page =
         (* Reproduce has not yet applied the last transaction that wrote
            this page: loading it from NVM now would resurrect stale data. *)
         Stats.incr t.stats "swapin_waits";
-        Sched.wait_until ~on:t.applied_on ~label:"shadow: swap-in behind reproduce" (fun () ->
+        Sched.wait_on t.applied_on ~label:"shadow: swap-in behind reproduce" (fun () ->
             t.touching_id.(page) <= t.applied_id ());
         acquire ()
       end

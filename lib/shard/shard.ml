@@ -56,7 +56,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     reg : (int, frag_set) Hashtbl.t;  (* gtid -> sibling set, > frontier *)
     mutable frontier : int;  (* GF: all sets <= this are fully durable *)
     stats : Stats.t;
-    (* Wake conditions and the [~on] list of each wait, built once. *)
+    (* Wake conditions and the cond list of each wait, built once. *)
     wake_blocked : Sched.cond array;  (* per shard: a quiesce released it *)
     wake_cross : Sched.cond;  (* the cross lock was released *)
     wake_quiesce : Sched.cond;  (* some shard's in-flight count reached 0 *)
@@ -262,7 +262,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      the quiesce honest: a cross transaction proceeds only once every
      in-flight single-shard transaction on a touched region has finished. *)
   let run_single t ~thread s f =
-    Sched.wait_until ~on:t.blocked_on.(s) ~label:"shard blocked" (fun () -> not t.blocked.(s));
+    Sched.wait_on t.blocked_on.(s) ~label:"shard blocked" (fun () -> not t.blocked.(s));
     t.active.(s) <- t.active.(s) + 1;
     Fun.protect ~finally:(fun () ->
         t.active.(s) <- t.active.(s) - 1;
@@ -291,7 +291,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      gtids stay dense and the frontier never waits on a hole. *)
   let run_cross t ~thread shards f =
     let mask = List.fold_left (fun m s -> m lor (1 lsl s)) 0 shards in
-    Sched.wait_until ~on:t.cross_on ~label:"shard cross lock" (fun () -> not t.cross_lock);
+    Sched.wait_on t.cross_on ~label:"shard cross lock" (fun () -> not t.cross_lock);
     t.cross_lock <- true;
     List.iter (fun s -> t.blocked.(s) <- true) shards;
     Fun.protect
@@ -304,7 +304,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         t.cross_lock <- false;
         Sched.signal t.wake_cross)
     @@ fun () ->
-    Sched.wait_until ~on:t.quiesce_on ~label:"shard quiesce"
+    Sched.wait_on t.quiesce_on ~label:"shard quiesce"
       (fun () -> List.for_all (fun s -> t.active.(s) = 0) shards);
     Stats.incr t.stats "cross_txs";
     let tx =
@@ -425,11 +425,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let wait_durable t = function
     | Ack_read_only -> ()
     | Ack_local { shard; tid } ->
-      Sched.wait_until ~on:t.frontier_on ~label:"shard durable" (fun () ->
+      Sched.wait_on t.frontier_on ~label:"shard durable" (fun () ->
           pure_effective t shard >= tid);
       advance_frontier t
     | Ack_cross { gtid } ->
-      Sched.wait_until ~on:t.frontier_on ~label:"shard cross durable" (fun () ->
+      Sched.wait_on t.frontier_on ~label:"shard cross durable" (fun () ->
           pure_frontier t >= gtid);
       advance_frontier t
 

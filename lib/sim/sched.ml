@@ -584,8 +584,9 @@ let poll ~budget ~step ready =
    returns at once and performs nothing, and a raising one leaves the
    caller current.  Only a false one parks its state in the thread and
    performs the constant [Wait].  A label is a constant of its call site,
-   so a thread waiting at one site stores it (a write barrier) once. *)
-let wait_until ?(on = []) ?(label = "?") pred =
+   so a thread waiting at one site stores it (a write barrier) once.  [on]
+   is [[]] for a polled wait. *)
+let wait on label pred =
   match !current with
   | Some s when s.running != nobody ->
     let t = s.running in
@@ -608,13 +609,18 @@ let wait_until ?(on = []) ?(label = "?") pred =
     if not (pred ()) then
       raise (Deadlock (Printf.sprintf "wait_until %S outside a simulation" label))
 
+let wait_until ?(label = "?") pred = wait [] label pred
+
+let wait_on on ?(label = "?") pred =
+  match on with [] -> invalid_arg "Sched.wait_on: no cond" | _ -> wait on label pred
+
 let join ?(label = "join") ids =
   match !current with
   | Some s when s.running != nobody ->
     if List.exists (fun id -> id < 0 || id >= s.nthreads) ids then
       invalid_arg "Sched.join: unknown id";
     let finished id = match s.all.(id).state with Finished -> true | _ -> false in
-    wait_until ~on:s.joined ~label (fun () -> List.for_all finished ids)
+    wait s.joined label (fun () -> List.for_all finished ids)
   | _ -> invalid_arg "Sched.join outside a simulation"
 
 let halt () =

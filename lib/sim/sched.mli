@@ -8,25 +8,26 @@
     deterministically.
 
     Threads communicate through shared mutable state and synchronise with
-    {!wait_until}.  A thread is charged simulated time explicitly via
-    {!advance}; while blocked, its clock tracks global simulated time so
-    waiting is charged as busy-polling, which is how the paper's
-    implementation waits too.
+    {!wait_until} and {!wait_on}.  A thread is charged simulated time
+    explicitly via {!advance}; while blocked, its clock tracks global
+    simulated time so waiting is charged as busy-polling, which is how the
+    paper's implementation waits too.
 
     {b Cost model.}  Runnable threads sit in a binary min-heap on
     [(clock, id)], so a resume costs O(log n) heap work — none when the
     thread that just advanced still has the least [(clock, id)].
     {!advance} makes its scheduling decision in place and switches only
     when another thread wins it: a thread that wins again keeps running,
-    with no effect round trip.  Blocked threads either sit in a waiter array or are {e parked} on the
-    {!cond}s they named with [~on].  Each scheduling decision polls every
-    waiter in the array exactly once, caches the answer, and drags the
-    not-ready waiters' clocks in a second, predicate-free pass.  The array
-    holds only the waiters without [~on] and the parked threads a
-    {!signal} woke since the last pick; a woken waiter whose predicate is
-    still false parks again.  So a pick costs one poll per such waiter, and
-    the number of times a predicate runs depends on the schedule and on
-    the signals; this is why predicates must be pure (see {!wait_until}).
+    with no effect round trip.  Blocked threads either sit in a waiter
+    array or are {e parked} on the {!cond}s they named in {!wait_on}.
+    Each scheduling decision polls every waiter in the array exactly
+    once, caches the answer, and drags the not-ready waiters' clocks in a
+    second, predicate-free pass.  The array holds only the {!wait_until}
+    waiters and the parked threads a {!signal} woke since the last pick;
+    a woken waiter whose predicate is still false parks again.  So a pick
+    costs one poll per such waiter, and the number of times a predicate
+    runs depends on the schedule and on the signals; this is why
+    predicates must be pure (see {!wait_until}).
     A parked thread costs nothing per pick: when it is woken (or the run
     ends) it gets, in one step, the clock drag of every pick it missed —
     the largest winner clock among them, read from a stack of
@@ -35,13 +36,13 @@
     Parking and signalling allocate nothing in steady state.
 
     A switch allocates only the continuation that OCaml's [perform]
-    captures.  A {!wait_until} whose predicate already holds performs no
+    captures.  A wait whose predicate already holds performs no
     effect: it returns after that one evaluation, allocating nothing.  A
     wait that blocks keeps its predicate, label and conds in the thread's
     own record and performs a constant effect, and a losing {!advance}
     keeps its continuation there too.
 
-    {b The [~on] contract.}  A waiter that names conds must be woken by
+    {b The {!wait_on} contract.}  A waiter that names conds must be woken by
     them: every change to state its predicate reads that can make the
     predicate true must {!signal} one of its conds before the next
     scheduling decision.  Extra signals are harmless (the woken thread is
@@ -49,7 +50,7 @@
     on a true predicate — a lost wakeup, which the test runner's
     {!audit_wakeups} self-check reports as {!Lost_wakeup}.  A predicate
     that reads {!global_now} (or anything else that changes without a
-    signal) must not use [~on]. *)
+    signal) must use {!wait_until}. *)
 
 exception Deadlock of string
 (** Raised when no thread can make progress: every live non-daemon thread is
@@ -159,7 +160,7 @@ val signal : cond -> unit
     change that can make a predicate waiting on [c] true.  A no-op when
     nothing is parked on [c]. *)
 
-val wait_until : ?on:cond list -> ?label:string -> (unit -> bool) -> unit
+val wait_until : ?label:string -> (unit -> bool) -> unit
 (** [wait_until p] blocks the calling thread until [p ()] is true.  [p] must
     be a pure read of shared state: it is evaluated once when called and
     then exactly once per scheduling decision while it sits in the waiter
@@ -171,14 +172,18 @@ val wait_until : ?on:cond list -> ?label:string -> (unit -> bool) -> unit
     caller, still current.  While blocked, the thread's clock follows
     simulated time.
 
-    With [~on] (build the list once, with the conds, not per call) a
-    false predicate parks the thread instead of leaving it in the waiter
-    array, and only a {!signal} of one of the conds brings it back: see
-    the [~on] contract above.  Parking never changes the schedule — the
-    order of resumes and every clock are the same as without [~on].
+    A blocked thread sits in the waiter array and is polled at every
+    scheduling decision.  Outside {!run}, returns immediately if [p ()]
+    holds and raises {!Deadlock} otherwise. *)
 
-    Outside {!run}, returns immediately if [p ()] holds and raises
-    {!Deadlock} otherwise. *)
+val wait_on : cond list -> ?label:string -> (unit -> bool) -> unit
+(** [wait_on conds p] is {!wait_until}[ p], except that a false predicate
+    parks the thread instead of leaving it in the waiter array, and only a
+    {!signal} of one of [conds] brings it back: see the {!wait_on}
+    contract above.  Build [conds] once, with the conds, not per call.
+    Parking never changes the schedule — the order of resumes and every
+    clock are the same as under {!wait_until}.  Raises [Invalid_argument]
+    when [conds] is empty. *)
 
 exception Lost_wakeup of string
 (** Raised by the {!audit_wakeups} self-check, with the waiter's label. *)

@@ -76,7 +76,7 @@ let partition l cuts =
 let prop_partition_equivalence =
   QCheck2.Test.make ~name:"batch: any partition combines+replays like a full drain"
     ~count:300 gen_group_and_cuts (fun (group, cuts) ->
-      let full, _ = Combine.combine group in
+      let full, _ = Log_list.combine group in
       let b = Combine.builder () in
       let chunked =
         List.concat_map
@@ -121,7 +121,7 @@ let test_builder_reuse () =
   Combine.feed b (Log_entry.Tx_end { tid = 3 });
   let s2, st2 = Combine.seal b in
   check Alcotest.int "second batch counts only its own entries" 2 st2.Combine.entries_in;
-  let full, _ = Combine.combine group in
+  let full, _ = Log_list.combine group in
   check Alcotest.bool "first seal equals monolithic combine" true (s1 = full);
   check Alcotest.int "second seal holds only the new write + end" 2 (List.length s2)
 

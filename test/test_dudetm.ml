@@ -340,8 +340,7 @@ let prop_torn_tail_recovery =
       let record_tids (r : Dudetm_log.Plog.record) =
         let p = r.Dudetm_log.Plog.payload in
         if Bytes.get p 0 <> 'P' then Alcotest.fail "unexpected payload flag";
-        Dudetm_log.Log_entry.tids
-          (Dudetm_log.Log_entry.decode_list (Bytes.sub p 1 (Bytes.length p - 1)))
+        Log_list.tids (Dudetm_log.Log_entry.decode_payload p)
       in
       let dcap = cfg.Config.plog_size - Dudetm_log.Plog.header_size in
       (* A record may only tear while its transactions are still waiting to

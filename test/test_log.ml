@@ -26,7 +26,7 @@ let prop_encode_roundtrip =
   QCheck2.Test.make ~name:"log entries: encode/decode roundtrip" ~count:300
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 100) entry_gen)
     (fun entries ->
-      Log_entry.decode_list (Log_entry.encode_list entries) = entries)
+      Log_list.decode_list (Log_list.encode_list entries) = entries)
 
 let test_encode_sizes () =
   let w = Log_entry.Write { addr = 8; value = 1L } in
@@ -34,14 +34,14 @@ let test_encode_sizes () =
   check Alcotest.int "write entry is 17 bytes" 17 (Log_entry.encoded_size w);
   check Alcotest.int "end mark is 9 bytes" 9 (Log_entry.encoded_size e);
   check Alcotest.int "encode_list concatenates" 26
-    (Bytes.length (Log_entry.encode_list [ w; e ]))
+    (Bytes.length (Log_list.encode_list [ w; e ]))
 
 let test_decode_rejects_garbage () =
   Alcotest.check_raises "bad tag rejected" (Invalid_argument "Log_entry.decode_list: bad tag 'Z'")
-    (fun () -> ignore (Log_entry.decode_list (Bytes.of_string "Zxxxxxxxxxxxxxxxx")));
+    (fun () -> ignore (Log_list.decode_list (Bytes.of_string "Zxxxxxxxxxxxxxxxx")));
   Alcotest.check_raises "truncation rejected"
     (Invalid_argument "Log_entry.decode_list: truncated Write") (fun () ->
-      ignore (Log_entry.decode_list (Bytes.of_string "Wshort")))
+      ignore (Log_list.decode_list (Bytes.of_string "Wshort")))
 
 let test_tids_extraction () =
   let entries =
@@ -52,7 +52,7 @@ let test_tids_extraction () =
       Log_entry.Tx_end { tid = 6 };
     ]
   in
-  check Alcotest.(list int) "tids in order" [ 5; 6 ] (Log_entry.tids entries)
+  check Alcotest.(list int) "tids in order" [ 5; 6 ] (Log_list.tids entries)
 
 (* A record payload is the flag byte and the entries in one buffer; the
    decoder reads a plain body in place.  The framing is the one recovery
@@ -63,7 +63,7 @@ let prop_payload_roundtrip =
     QCheck2.Gen.(pair (list_size (int_range 0 100) entry_gen) bool)
     (fun (entries, compress) ->
       let payload = Log_entry.encode_payload ~compress entries in
-      let body = Log_entry.encode_list entries in
+      let body = Log_list.encode_list entries in
       let comp = Lz.compress body in
       let expected =
         if compress && Bytes.length comp < Bytes.length body then
@@ -283,11 +283,11 @@ let test_combine_last_writer_wins () =
       Log_entry.Tx_end { tid = 2 };
     ]
   in
-  let combined, stats = Combine.combine group in
+  let combined, stats = Log_list.combine group in
   check Alcotest.int "writes in" 3 stats.Combine.writes_in;
   check Alcotest.int "writes out" 2 stats.Combine.writes_out;
   check Alcotest.bool "replay equivalent" true (replay group = replay combined);
-  check Alcotest.(list int) "all tids preserved" [ 1; 2 ] (Log_entry.tids combined)
+  check Alcotest.(list int) "all tids preserved" [ 1; 2 ] (Log_list.tids combined)
 
 let test_combine_preserves_alloc_order () =
   let group =
@@ -298,7 +298,7 @@ let test_combine_preserves_alloc_order () =
       Log_entry.Tx_end { tid = 1 };
     ]
   in
-  let combined, _ = Combine.combine group in
+  let combined, _ = Log_list.combine group in
   let allocs =
     List.filter
       (function Log_entry.Alloc _ | Log_entry.Free _ -> true | _ -> false)
@@ -317,10 +317,10 @@ let prop_combine_replay_equivalent =
   QCheck2.Test.make ~name:"combine: replay-equivalent to the original group" ~count:300
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 120) entry_gen)
     (fun group ->
-      let combined, stats = Combine.combine group in
+      let combined, stats = Log_list.combine group in
       replay group = replay combined
       && stats.Combine.writes_out <= stats.Combine.writes_in
-      && Log_entry.tids combined = Log_entry.tids group)
+      && Log_list.tids combined = Log_list.tids group)
 
 (* Adversarial structured groups: every transaction draws its writes from a
    tiny address pool, so consecutive transactions overlap heavily (the case
@@ -352,19 +352,19 @@ let prop_combine_adversarial_overlap =
     ~name:"combine: overlapping and empty transactions stay replay-equivalent"
     ~count:500 adversarial_group_gen
     (fun group ->
-      let combined, stats = Combine.combine group in
+      let combined, stats = Log_list.combine group in
       let write_addrs =
         List.filter_map
           (function Log_entry.Write { addr; _ } -> Some addr | _ -> None)
           combined
       in
       replay group = replay combined
-      && Log_entry.tids combined = Log_entry.tids group
+      && Log_list.tids combined = Log_list.tids group
       && List.length write_addrs = List.length (List.sort_uniq compare write_addrs)
       && stats.Combine.writes_out = List.length write_addrs
       (* A combined group must also survive the wire format: recovery sees
          it only through encode/decode. *)
-      && Log_entry.decode_list (Log_entry.encode_list combined) = combined)
+      && Log_list.decode_list (Log_list.encode_list combined) = combined)
 
 let suite =
   [

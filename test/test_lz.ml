@@ -49,7 +49,7 @@ let test_log_payload_ratio () =
     List.init 2000 (fun i ->
         Log_entry.Write { addr = 4096 + (8 * (i mod 500)); value = Int64.of_int (i mod 17) })
   in
-  let payload = Log_entry.encode_list entries in
+  let payload = Log_list.encode_list entries in
   check Alcotest.bool "log payload compresses >40%" true (Lz.ratio payload > 0.4)
 
 let test_malformed_rejected () =

@@ -297,9 +297,10 @@ let prop_persist_crash_prefix =
         (fun w -> Nvm.load_u64 d (w * 8) = model.(w))
         (Array.init 64 (fun i -> i)))
 
-(* Reference copy of the device's dirty-line bookkeeping as it was before
-   the flat count table: a [Hashtbl] from line to a ref of its dirty byte
-   count.  Its fold order drives the crash's seeded eviction draws. *)
+(* Reference copy of the device as it was before the flat count table and
+   the pre-image slots: two full images, [latest] and [persisted], and a
+   [Hashtbl] from line to a ref of its dirty byte count.  Its fold order
+   drives the crash's seeded eviction draws. *)
 module Ref_dirty = struct
   type t = {
     ls : int;
@@ -307,6 +308,7 @@ module Ref_dirty = struct
     persisted : Bytes.t;
     dirty : (int, int ref) Hashtbl.t;
     poisoned : (int, unit) Hashtbl.t;
+    stuck : (int, unit) Hashtbl.t;
     mutable write_bytes : int;
     mutable survivors : int list;
   }
@@ -318,6 +320,7 @@ module Ref_dirty = struct
       persisted = Bytes.make size '\000';
       dirty = Hashtbl.create 4096;
       poisoned = Hashtbl.create 8;
+      stuck = Hashtbl.create 8;
       write_bytes = 0;
       survivors = [];
     }
@@ -335,8 +338,11 @@ module Ref_dirty = struct
 
   let flush_line t l =
     let payload = match Hashtbl.find_opt t.dirty l with Some c -> !c | None -> 0 in
-    Bytes.blit t.latest (l * t.ls) t.persisted (l * t.ls) t.ls;
-    Hashtbl.remove t.poisoned l;
+    if Hashtbl.mem t.stuck l then Bytes.blit t.persisted (l * t.ls) t.latest (l * t.ls) t.ls
+    else begin
+      Bytes.blit t.latest (l * t.ls) t.persisted (l * t.ls) t.ls;
+      Hashtbl.remove t.poisoned l
+    end;
     Hashtbl.remove t.dirty l;
     t.write_bytes <- t.write_bytes + payload
 
@@ -361,6 +367,11 @@ module Ref_dirty = struct
     Hashtbl.reset t.dirty;
     Bytes.blit t.persisted 0 t.latest 0 (Bytes.length t.latest)
 
+  let bit_rot t ~off ~bit =
+    let flip b = Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor (1 lsl (bit land 7))) in
+    flip t.persisted;
+    if not (Hashtbl.mem t.dirty (off / t.ls)) then flip t.latest
+
   (* A load of [\[off, off + len)] reaches the media on a clean line. *)
   let load_fails t off len =
     let rec go l =
@@ -368,6 +379,11 @@ module Ref_dirty = struct
       && ((Hashtbl.mem t.poisoned l && not (Hashtbl.mem t.dirty l)) || go (l + 1))
     in
     go (off / t.ls)
+
+  (* A persisted read of [\[off, off + len)] reaches the media on every line. *)
+  let persisted_fails t off len =
+    let rec go l = l <= (off + len - 1) / t.ls && (Hashtbl.mem t.poisoned l || go (l + 1)) in
+    len > 0 && go (off / t.ls)
 end
 
 type nvm_op =
@@ -378,16 +394,23 @@ type nvm_op =
   | Persist_ranges of (int * int) list
   | Crash of float * int
   | Load of int
+  | Bit_rot of int * int
+  | Stuck of int
 
-(* The device against the reference table over random op sequences: the
-   same write bytes, dirty-line count and crash survivors after every op,
-   the same poisoned-load verdicts, and the same persisted image.  Spans
-   of up to 2048 lines dirty thousands of the device's 16384 lines, so
-   lines share hash buckets and the table resizes: the eviction draws then
-   depend on the order lines joined the set, not just on which did. *)
+(* The device against the two-image reference over random op sequences:
+   after every op the same write bytes, dirty-line count and crash
+   survivors, and the same [persisted_u64] and [persisted_into] reads (or
+   media errors) at a probe word and range; the same loads and poisoned-
+   load verdicts; and at the end the same persisted content on every line
+   and, on every clean line, an image equal to it.  Bit rot and stuck
+   lines hit dirty and clean lines alike.  Spans of up to 2048 lines dirty
+   thousands of the device's 16384 lines, so lines share hash buckets and
+   the table resizes: the eviction draws then depend on the order lines
+   joined the set, not just on which did. *)
 let prop_dirty_table_matches_reference =
   let size = 1 lsl 20 in
   let range = QCheck2.Gen.(pair (int_range 0 (size - 1)) (int_range 0 (1 lsl 16))) in
+  let probe = QCheck2.Gen.(pair (int_range 0 ((size / 8) - 1)) range) in
   let op =
     QCheck2.Gen.(
       frequency
@@ -407,13 +430,15 @@ let prop_dirty_table_matches_reference =
           (1, map (fun rs -> Persist_ranges rs) (list_size (int_range 0 4) range));
           (1, map2 (fun f seed -> Crash (f, seed)) (oneofl [ 0.0; 0.3; 0.7; 1.0 ]) nat);
           (2, map (fun o -> Load o) (int_range 0 ((size / 8) - 1)));
+          (2, map2 (fun o b -> Bit_rot (o, b)) (int_range 0 (size - 1)) (int_range 0 7));
+          (1, map (fun l -> Stuck l) (int_range 0 ((size / 64) - 1)));
         ])
   in
   QCheck2.Test.make ~name:"nvm: flat dirty table matches the reference table" ~count:100
     QCheck2.Gen.(
       pair
         (list_size (int_range 0 4) (int_range 0 ((size / 64) - 1)))
-        (list_size (int_range 1 120) op))
+        (list_size (int_range 1 120) (pair op probe)))
     (fun (poison, ops) ->
       let d = device ~size () in
       let ls = Nvm.line_size d in
@@ -424,7 +449,27 @@ let prop_dirty_table_matches_reference =
           Hashtbl.replace r.Ref_dirty.poisoned l ())
         poison;
       let clip off len = (off, min len (size - off)) in
-      let agree what =
+      let persisted_read what off len read expect =
+        match read () with
+        | v ->
+          if Ref_dirty.persisted_fails r off len then
+            QCheck2.Test.fail_reportf "%s at %d: read, reference media error" what off;
+          if v <> expect () then QCheck2.Test.fail_reportf "%s at %d differs" what off
+        | exception Nvm.Media_error _ ->
+          if not (Ref_dirty.persisted_fails r off len) then
+            QCheck2.Test.fail_reportf "%s at %d: media error, reference none" what off
+      in
+      let agree what (w, (off, len)) =
+        let off, len = clip off len in
+        persisted_read "persisted_u64" (w * 8) 8
+          (fun () -> Nvm.persisted_u64 d (w * 8))
+          (fun () -> Bytes.get_int64_le r.Ref_dirty.persisted (w * 8));
+        persisted_read "persisted_into" off len
+          (fun () ->
+            let b = Bytes.create len in
+            Nvm.persisted_into d off b;
+            b)
+          (fun () -> Bytes.sub r.Ref_dirty.persisted off len);
         if Nvm.persisted_write_bytes d <> r.Ref_dirty.write_bytes then
           QCheck2.Test.fail_reportf "%s: write bytes %d, reference %d" what
             (Nvm.persisted_write_bytes d) r.Ref_dirty.write_bytes;
@@ -433,7 +478,9 @@ let prop_dirty_table_matches_reference =
             (Hashtbl.length r.Ref_dirty.dirty)
       in
       List.iter
-        (function
+        (fun (op, probe) ->
+          let agree what = agree what probe in
+          match op with
           | Store_u64 (w, v) ->
             Nvm.store_u64 d (w * 8) (Int64.of_int v);
             let b = Bytes.create 8 in
@@ -469,11 +516,25 @@ let prop_dirty_table_matches_reference =
               QCheck2.Test.fail_reportf "crash survivors differ from the reference"
           | Load w ->
             let fails =
-              match Nvm.load_u64 d (w * 8) with _ -> false | exception Nvm.Media_error _ -> true
+              match Nvm.load_u64 d (w * 8) with
+              | v ->
+                if v <> Bytes.get_int64_le r.Ref_dirty.latest (w * 8) then
+                  QCheck2.Test.fail_reportf "load at %d differs" (w * 8);
+                false
+              | exception Nvm.Media_error _ -> true
             in
             if fails <> Ref_dirty.load_fails r (w * 8) 8 then
               QCheck2.Test.fail_reportf "load at %d: media error %b, reference %b" (w * 8) fails
-                (not fails))
+                (not fails);
+            agree "load"
+          | Bit_rot (off, bit) ->
+            Nvm.inject_fault d (Nvm.Bit_rot { off; bit });
+            Ref_dirty.bit_rot r ~off ~bit;
+            agree "bit rot"
+          | Stuck l ->
+            Nvm.inject_fault d (Nvm.Stuck_line { line = l });
+            Hashtbl.replace r.Ref_dirty.stuck l ();
+            agree "stuck line")
         ops;
       let expected_poison =
         List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) r.Ref_dirty.poisoned [])
@@ -482,10 +543,23 @@ let prop_dirty_table_matches_reference =
       && List.for_all
            (fun l ->
              List.mem l expected_poison
-             || Bytes.equal
-                  (Nvm.persisted_bytes d (l * ls) ls)
-                  (Bytes.sub r.Ref_dirty.persisted (l * ls) ls))
+             ||
+             let persisted = Bytes.sub r.Ref_dirty.persisted (l * ls) ls
+             and image = Nvm.load_bytes d (l * ls) ls in
+             Bytes.equal (Nvm.persisted_bytes d (l * ls) ls) persisted
+             && Bytes.equal image (Bytes.sub r.Ref_dirty.latest (l * ls) ls)
+             && (Hashtbl.mem r.Ref_dirty.dirty l || Bytes.equal image persisted))
            (List.init (size / ls) Fun.id))
+
+(* A device keeps one full image: a fresh 1 MiB device, with its dirty
+   counts, dirty table and pre-image slots, stays under 1.1 images. *)
+let test_one_image () =
+  let size = 1 lsl 20 in
+  let words = Obj.reachable_words (Obj.repr (device ~size ())) in
+  let image = size / (Sys.word_size / 8) in
+  if float_of_int words >= 1.1 *. float_of_int image then
+    Alcotest.failf "a fresh device holds %d words, %.3f images" words
+      (float_of_int words /. float_of_int image)
 
 let suite =
   [
@@ -515,4 +589,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_into_matches_bytes;
     QCheck_alcotest.to_alcotest prop_dirty_table_matches_reference;
     Alcotest.test_case "in-place readers keep the poison rules" `Quick test_into_poison_rules;
+    Alcotest.test_case "a device keeps one image" `Quick test_one_image;
   ]

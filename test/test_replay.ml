@@ -30,7 +30,7 @@ let split_txs entries =
 let ref_items ~combined entries =
   if not combined then List.map (fun (tid, es) -> (tid, tid, es)) (split_txs entries)
   else
-    match Log_entry.tids entries with
+    match Log_list.tids entries with
     | [] -> []
     | first :: _ as tids -> [ (first, List.fold_left max first tids, entries) ]
 
@@ -266,7 +266,7 @@ let prop_recovery_order =
       let decoded (it : Engine_state.item) =
         ( it.Engine_state.lo,
           it.hi,
-          Log_entry.decode_list (Bytes.sub it.body it.pos (it.stop - it.pos)) )
+          Log_list.decode_list (Bytes.sub it.body it.pos (it.stop - it.pos)) )
       in
       let expected =
         List.sort compare
