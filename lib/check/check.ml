@@ -21,8 +21,6 @@ exception Failed of string
 
 let fail reason = raise (Failed reason)
 
-let judge = function None -> () | Some reason -> fail reason
-
 type budget = Smoke | Quick | Scaled of int | Deep
 
 (* Unset or empty selects the default; any other value must be valid. *)
@@ -58,57 +56,144 @@ type failure = {
   reason : string;
 }
 
-type 'sys ctx = {
-  devices : 'sys -> Nvm.t array;
-  mutant : Inject.mutant;
-  vector : int list;
-  mutable lives : int list;  (* boundaries of each finished life, latest first *)
-  mutable armed : Nvm.t array;
-  mutable sites : int;
-  mutable tallies : (string * int) list;
-}
-
 (* Counters in first-seen order, e.g. the serve campaign's acked requests. *)
 let add_tally tallies (k, n) =
   if List.mem_assoc k tallies then
     List.map (fun (k', m) -> (k', if k' = k then m + n else m)) tallies
   else tallies @ [ (k, n) ]
 
-let tally ctx k n = ctx.tallies <- add_tally ctx.tallies (k, n)
-
-let disarm ctx =
-  if Array.length ctx.armed > 0 then begin
-    Array.iter (fun n -> Nvm.set_persist_hook n None) ctx.armed;
-    ctx.armed <- [||];
-    ctx.lives <- ctx.sites :: ctx.lives
-  end
-
-(* Start the next life of the system: the persist hook on every device of
-   [sys] counts boundaries, runs [sample] (a watermark read at the
-   boundary captures exactly what was acknowledged when the power goes
-   out), and cuts power at this life's entry of the cut vector. *)
-let arm ?(sample = ignore) ctx sys =
-  disarm ctx;
-  let cut = Option.value (List.nth_opt ctx.vector (List.length ctx.lives)) ~default:0 in
-  let devs = ctx.devices sys in
-  ctx.sites <- 0;
-  ctx.armed <- devs;
-  let hook () =
-    ctx.sites <- ctx.sites + 1;
-    sample ();
-    if ctx.sites = cut then raise Crash_now
+(* Fibers [name-0 .. name-(n-1)] each run [work i k] for k = 1..txs;
+   [also] may spawn fibers after them.  Returns once all have finished. *)
+let workers ?(also = fun () -> []) name n ~txs work =
+  let ids =
+    List.init n (fun i ->
+        Sched.spawn (Printf.sprintf "%s-%d" name i) (fun () ->
+            for k = 1 to txs do
+              work i k
+            done))
   in
-  Array.iter (fun n -> Nvm.set_persist_hook n (Some hook)) devs
+  Sched.join ~label:(name ^ "s done") (ids @ also ())
 
-(* [Some v] when [f] completed, [None] when the power was cut; engine
-   failures become the run's verdict.  The life is always disarmed. *)
-let guard ?(what = "engine") ctx f =
-  match Fun.protect ~finally:(fun () -> disarm ctx) f with
-  | v -> Some v
-  | exception Crash_now -> None
-  | exception (Failed _ as e) -> raise e
-  | exception Sched.Deadlock msg -> fail ("deadlock: " ^ msg)
-  | exception e -> fail (what ^ " raised " ^ Printexc.to_string e)
+(* The lives of one case.  A campaign supplies its built system [sys],
+   its [devices], its [drive], its [watermark] (History watermarks, read
+   at every boundary), its [attach] after a power loss ([None]: nothing
+   recovered yet) and its [read] of the recovered image.  Life 1 drives
+   [sys] and cuts power at [vector]'s first entry (0 or none: uncut), the
+   next life at the next.  When a drive ends, a [quiescent] return
+   acknowledges every commit, every device loses power (leaking dirty
+   lines under [evict]) and the attached image is judged against the
+   history, then against recovery's [durable] report.  A cut system is
+   rebased on the recovered cut and driven again while [drives] allows;
+   otherwise the campaign's [verdict] has the last word.  Facts: [setup]
+   starts every drive, before its life is armed unless an attach armed
+   it, and [stop] ends it once disarmed.  [arm_attach] says which attaches
+   open a life: [`Never] (the next drive arms it), [`Always], or
+   [`After_first_cut] — only the attach after life 1's cut, and no drive
+   after it is armed.  A watermark that goes down fails the case, named
+   by [name]. *)
+let lives ~vector ?(setup = ignore) ?(stop = ignore) ?(watermark = fun _ _ -> ())
+    ?(name = fun _ -> "durable id") ?(durable = fun _ -> None) ?(verdict = fun _ v -> v)
+    ?(quiescent = fun () -> true) ?(tallies = fun () -> []) ?(strategy = Sched.min_clock) ?evict
+    ?(arm_attach = `Never) ?(drives = 1) ~devices ~attach ~read h sys drive =
+  let finished = ref [] and sites = ref 0 and armed = ref [||] in
+  let live = ref (Some sys) in
+  (* The history keeps each watermark's largest value this life. *)
+  let see w v =
+    let top = History.watermark h w in
+    if v < top then fail (Printf.sprintf "%s regressed from %d to %d" (name w) top v);
+    History.observe h w v
+  in
+  let observe () = match !live with Some s -> watermark s see | None -> () in
+  let disarm () =
+    if Array.length !armed > 0 then begin
+      Array.iter (fun n -> Nvm.set_persist_hook n None) !armed;
+      armed := [||];
+      finished := !sites :: !finished
+    end
+  in
+  let arm s =
+    disarm ();
+    let cut = Option.value (List.nth_opt vector (List.length !finished)) ~default:0 in
+    sites := 0;
+    armed := devices s;
+    let hook () =
+      incr sites;
+      observe ();
+      if !sites = cut then raise Crash_now
+    in
+    Array.iter (fun n -> Nvm.set_persist_hook n (Some hook)) !armed
+  in
+  (* [Some v] when [f] returned, [None] when the power was cut. *)
+  let guard what f =
+    match f () with
+    | v -> Some v
+    | exception e -> (
+      disarm ();
+      match e with
+      | Crash_now -> None
+      | Failed _ -> raise e
+      | Sched.Deadlock msg -> fail ("deadlock: " ^ msg)
+      | e -> fail (what ^ " raised " ^ Printexc.to_string e))
+  in
+  let crash s =
+    live := None;
+    Array.iter
+      (Nvm.crash ?evict_fraction:(Option.map fst evict)
+         ?rng:(Option.map (fun (_, seed) -> Rng.create seed) evict))
+      (devices s)
+  in
+  let judge s =
+    let cut, v = History.check h ~read:(read s) in
+    let k = History.position cut 0 in
+    match (v, durable s) with
+    | None, Some d when d <> k ->
+      (cut, Some (Printf.sprintf "recovery reports durable id %d but the data image shows %d" d k))
+    | _ -> (cut, v)
+  in
+  let survivors s =
+    match List.concat_map Nvm.last_crash_survivors (Array.to_list (devices s)) with
+    | _ when evict = None -> ""
+    | [] -> " (no dirty lines survived the cut)"
+    | l -> " (surviving lines: " ^ String.concat "," (List.map string_of_int l) ^ ")"
+  in
+  (* The [n]th drive; an attach may have armed its life already. *)
+  let rec go n s =
+    let completed =
+      guard "engine" (fun () ->
+          Sched.run ~strategy (fun () ->
+              setup s;
+              if Array.length !armed = 0 && (n = 1 || arm_attach <> `After_first_cut) then arm s;
+              drive s;
+              disarm ();
+              stop s))
+    in
+    observe ();
+    if completed <> None && quiescent () then History.quiesce h;
+    crash s;
+    recover ~again:(completed = None && n < drives) n s
+  and recover ~again n s =
+    (match arm_attach with
+    | `Always -> arm s
+    | `After_first_cut when again && List.length !finished = 1 -> arm s
+    | `After_first_cut | `Never -> ());
+    match guard "recovery" (fun () -> attach s) with
+    | None ->
+      crash s;
+      recover ~again n s
+    | Some None -> recover ~again n s
+    | Some (Some s') when again ->
+      live := Some s';
+      let cut, v = judge s' in
+      Option.iter fail v;
+      History.truncate h cut;
+      go (n + 1) s'
+    | Some (Some s') ->
+      disarm ();
+      verdict s' (snd (judge s')) |> Option.map (fun r -> r ^ survivors s')
+  in
+  let v = try go 1 sys with Failed reason -> Some reason in
+  disarm ();
+  (v, List.rev !finished, tallies ())
 
 (* Up to [n] boundaries out of [1..s], always covering both ends. *)
 let sample_sites ~s ~n =
@@ -133,14 +218,13 @@ type kind = Fixed of string | Each of string list | Sweep | Case
 
 type coord = { flag : string; kind : kind; valid : string -> bool }
 
-(* [run] executes the lives of one case and returns its verdict. *)
-type 'sys campaign = {
+(* [run] executes the lives of one case under a cut vector. *)
+type campaign = {
   name : string;
   doc : string;
   coords : coord list;
   depth : int;
-  devices : 'sys -> Nvm.t array;
-  run : 'sys ctx -> params -> string option;
+  run : params -> int list -> string option * int list * (string * int) list;
   plan : budget -> params -> (params -> int list -> int) -> point Seq.t;
   post : (string * int) list -> string option;
   shrink : (params -> (int list * string) option) -> failure -> failure;
@@ -159,15 +243,7 @@ type result = Pass of report | Fail of failure
 exception Found of failure
 
 (* The case's lives run with its mutant armed, and only they. *)
-let case c ~mutant at vector =
-  let ctx =
-    { devices = c.devices; mutant; vector; lives = []; armed = [||]; sites = 0; tallies = [] }
-  in
-  let verdict =
-    try Inject.with_ ~mutant (fun () -> c.run ctx at) with Failed reason -> Some reason
-  in
-  disarm ctx;
-  (verdict, List.rev ctx.lives, ctx.tallies)
+let case c ~mutant at vector = Inject.with_ ~mutant (fun () -> c.run at vector)
 
 let sweep ?(log = ignore) c ~mutant ~given points =
   let runs = ref 0 and boundaries = ref 0 and tallies = ref [] in
@@ -223,55 +299,12 @@ let first_failing c ~mutant ~scan at =
   | Fail f -> Some (f.cuts, f.reason)
 
 (* ------------------------------------------------------------------ *)
-(* The life scaffold                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Fibers [name-0 .. name-(n-1)] each run [work i k] for k = 1..txs;
-   [also] may spawn fibers after them.  Returns once all have finished. *)
-let workers ?(also = fun () -> []) name n ~txs work =
-  let ids =
-    List.init n (fun i ->
-        Sched.spawn (Printf.sprintf "%s-%d" name i) (fun () ->
-            for k = 1 to txs do
-              work i k
-            done))
-  in
-  Sched.join ~label:(name ^ "s done") (ids @ also ())
-
-(* A durable-ID sampler: the largest ID seen and the first regression. *)
-let monotone () =
-  let top = ref 0 and regressed = ref None in
-  let sample d =
-    if d < !top && !regressed = None then
-      regressed := Some (Printf.sprintf "durable id regressed from %d to %d" !top d);
-    if d > !top then top := d
-  in
-  (top, regressed, sample)
-
-(* Power off every device, then recover; a raising recovery is the verdict. *)
-let recover ?(crash = fun n -> Nvm.crash n) devs attach =
-  Array.iter crash devs;
-  try attach () with
-  | Failed _ as e -> raise e
-  | e -> fail ("recovery raised " ^ Printexc.to_string e)
-
-(* The recovered image judged against the history, then recovery's own
-   durable report against the cut the image shows on stream 0. *)
-let judge_image ?(who = "recovery") ?durable h ~read =
-  let cut, verdict = History.check h ~read in
-  let k = History.position cut 0 in
-  match (verdict, durable) with
-  | None, Some d when d <> k ->
-    (cut, Some (Printf.sprintf "%s reports durable id %d but the data image shows %d" who d k))
-  | _ -> (cut, verdict)
-
-(* ------------------------------------------------------------------ *)
 (* Systems under test                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type recovered = { rec_durable : int option; rec_peek : int -> int64 }
-
-type instance = { ptm : Ptm.t; nvm : Nvm.t; recover : unit -> recovered }
+(* A system under test; [durable] is its recovery's own durable report
+   (none before a recovery, and for systems that recover in place). *)
+type instance = { ptm : Ptm.t; nvm : Nvm.t; recover : unit -> instance; durable : int option }
 
 (* Small layouts keep a single checked run in the low milliseconds: the
    budgets below run hundreds of them. *)
@@ -296,17 +329,18 @@ let dude_cfg ~combine =
 let dude_instance ptm attach cfg =
   let p, _ = ptm cfg in
   let nvm = Option.get p.Ptm.nvm in
-  let recover () =
+  let rec recover () =
     let p2, _, report = attach cfg nvm in
-    { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
+    { ptm = p2; nvm; recover; durable = Some report.Dudetm.durable }
   in
-  { ptm = p; nvm; recover }
+  { ptm = p; nvm; recover; durable = None }
 
 let stm_instance = dude_instance Dude_ptm.Stm.ptm Dude_ptm.Stm.attach_ptm
 
 (* Mnemosyne and NVML recover in place and report no durable ID. *)
 let baseline_instance ptm nvm recover =
-  { ptm; nvm; recover = (fun () -> recover (); { rec_durable = None; rec_peek = ptm.Ptm.peek }) }
+  let rec inst = { ptm; nvm; recover = (fun () -> recover (); inst); durable = None } in
+  inst
 
 let mnemosyne_instance () =
   let m =
@@ -366,12 +400,6 @@ let counter_tx h ~worker ~stamp read write =
   History.attempt h ~worker ~ack:(History.At (0, c1)) ~pos:(fun _ -> c1)
     (List.map (fun (a, v) -> ((0, a), v)) ws)
 
-let ptm_counter h (p : Ptm.t) ?wset ~stamp th =
-  let body tx = counter_tx h ~worker:th ~stamp tx.Ptm.read tx.Ptm.write in
-  match p.Ptm.atomically ~thread:th ?wset body with
-  | Some _ -> History.commit h ~worker:th ()
-  | None -> History.abandon h ~worker:th
-
 (* Stamps and declared write set of each explore workload. *)
 let workload_of_name = function
   | "counter" -> (stamp8, None)
@@ -382,67 +410,59 @@ let workload_of_name = function
   | "counter1" -> ((fun _ -> []), Some [ 0 ])
   | s -> invalid_arg ("Check: unknown workload " ^ s)
 
-(* ------------------------------------------------------------------ *)
-(* One workload life and the crash oracle                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Run [threads] counter workers of [txs] transactions each on [inst]
-   under [strategy] as one life (power cut at the life's entry of the cut
-   vector), then the device loses all volatile state and the system
-   recovers.  [evict = Some (fraction, seed)] leaks a seeded random subset
-   of dirty cache lines into the persisted image at the power cut; a
-   failure names the surviving lines.  The verdict: durable-ID sanity,
-   then the history — atomicity, durability of everything acknowledged
-   (everything, at quiescence) — then recovery's own durable ID against
-   the image.  Torn log records are covered implicitly: a recovery that
-   accepts one replays garbage, which no cut of the history explains. *)
-let workload_life ?evict ?(strategy = Sched.min_clock) ?(stamp = stamp8) ?wset ctx ~quiescent
-    ~threads ~txs inst =
-  let p = inst.ptm in
-  let h = History.create () in
-  let _, monitor, sample = monotone () in
-  (* Armed only now: device formatting happens before any transaction
-     exists, so its persists are not crash candidates. *)
-  arm ctx inst.nvm ~sample:(fun () -> History.observe h 0 (p.Ptm.durable_id ()));
-  let main () =
+(* The lives of an instance: its one device, its recovery, its heap, its
+   durable ID as the watermark and its recovery's durable report.  Each
+   drive starts it, runs worker fibers doing [work i k] for k = 1..txs
+   ([also] spawns after them), then drains and stops it.  The work
+   defaults to the counter family, with a monitor fiber beside it that
+   polls the durable ID between boundaries too: it may never go down nor
+   pass the last issued tid, a verdict that comes before the history's
+   ([verdict] comes after both).  Torn log records
+   are covered implicitly: a recovery that accepts one replays garbage,
+   which no cut of the history explains. *)
+let instance_lives ~vector ?(h = History.create ()) ?(monitor = true) ?wset ?(stamp = stamp8)
+    ?work ?also ?(verdict = Fun.id) ?(attach = fun i -> Some (i.recover ()))
+    ?(durable = fun i -> i.durable) ?tallies ?strategy ?evict ?arm_attach ?drives ~threads ~txs
+    inst =
+  let alarm = ref None in
+  let counter (p : Ptm.t) th _ =
+    match
+      p.Ptm.atomically ~thread:th ?wset (fun tx ->
+          counter_tx h ~worker:th ~stamp tx.Ptm.read tx.Ptm.write)
+    with
+    | Some _ -> History.commit h ~worker:th ()
+    | None -> History.abandon h ~worker:th
+  in
+  let drive i =
+    let p = i.ptm in
     p.Ptm.start ();
-    ignore
-      (Sched.spawn ~daemon:true "check-monitor" (fun () ->
-           try
-             while true do
-               let d = p.Ptm.durable_id () in
-               let l = p.Ptm.last_tid () in
-               sample d;
-               if d > l && !monitor = None then
-                 monitor := Some (Printf.sprintf "durable id %d ahead of last issued tid %d" d l);
-               History.observe h 0 d;
-               Sched.advance 100
-             done
-           with Sched.Killed -> ()));
-    workers "check-worker" threads ~txs (fun th _ -> ptm_counter h p ?wset ~stamp th);
+    if monitor then
+      ignore
+        (Sched.spawn ~daemon:true "check-monitor" (fun () ->
+             let last = ref 0 in
+             try
+               while true do
+                 let d = p.Ptm.durable_id () in
+                 let l = p.Ptm.last_tid () in
+                 if !alarm = None then
+                   if d < !last then
+                     alarm := Some (Printf.sprintf "durable id regressed from %d to %d" !last d)
+                   else if d > l then
+                     alarm := Some (Printf.sprintf "durable id %d ahead of last issued tid %d" d l);
+                 last := max !last d;
+                 Sched.advance 100
+               done
+             with Sched.Killed -> ()));
+    workers ?also "check-worker" threads ~txs (Option.value work ~default:(counter p));
     p.Ptm.drain ();
     p.Ptm.stop ()
   in
-  ignore (guard ctx (fun () -> Sched.run ~strategy main));
-  (* Nothing ran since the cut, so this still reads the pre-crash value. *)
-  History.observe h 0 (p.Ptm.durable_id ());
-  if quiescent then History.quiesce h;
-  let crash n =
-    match evict with
-    | None -> Nvm.crash n
-    | Some (fraction, seed) -> Nvm.crash ~evict_fraction:fraction ~rng:(Rng.create seed) n
-  in
-  let recov = recover ~crash [| inst.nvm |] inst.recover in
-  let note =
-    match (evict, Nvm.last_crash_survivors inst.nvm) with
-    | None, _ -> ""
-    | Some _, [] -> " (no dirty lines survived the cut)"
-    | Some _, l -> " (surviving lines: " ^ String.concat "," (List.map string_of_int l) ^ ")"
-  in
-  (match !monitor with
-  | Some _ as m -> m
-  | None -> snd (judge_image ?durable:recov.rec_durable h ~read:(fun (_, a) -> recov.rec_peek a)))
-  |> Option.map (fun r -> r ^ note)
+  lives ~vector ~attach ~durable ?tallies ?strategy ?evict ?arm_attach ?drives
+    ~devices:(fun i -> [| i.nvm |])
+    ~read:(fun i (_, a) -> i.ptm.Ptm.peek a)
+    ~watermark:(fun i see -> see 0 (i.ptm.Ptm.durable_id ()))
+    ~verdict:(fun _ v -> verdict (match !alarm with Some _ as m -> m | None -> v))
+    h inst drive
 
 (* ------------------------------------------------------------------ *)
 (* explore: systems x workloads x schedules                           *)
@@ -511,15 +531,14 @@ let evict_of at =
   let f = float_of_string (param at "evict") in
   if f > 0. then Some (f, int_param at "evict-seed") else None
 
-let explore_run ctx at =
+let explore_run at vector =
   let stamp, wset = workload_of_name (param at "workload") in
-  let threads = int_param at "threads" and txs = int_param at "txs" in
   let evict = evict_of at in
   let strategy = strategy_of (param at "sched") in
   let seeded, instance = List.assoc (param at "system") systems in
   let life () =
-    workload_life ?evict ~strategy ~stamp ?wset ctx ~quiescent:(ctx.vector = [] && evict = None)
-      ~threads ~txs (instance ())
+    instance_lives ~vector ~stamp ?wset ~strategy ?evict
+      ~threads:(int_param at "threads") ~txs:(int_param at "txs") (instance ())
   in
   if seeded then life () else Inject.with_ ~mutant:No_fault life
 
@@ -673,31 +692,32 @@ let inject_faults cfg nvm ~mode ~seed ~descrs =
    silently wrong": the recovered state must either verify like any crash
    run, or the damage must have been *reported* — by the scrub (non-clean
    report) or by recovery itself (corrupted records / quarantined lines). *)
-let media_run ctx at =
+let media_run at vector =
   let cfg = dude_cfg ~combine:false in
-  let inst = stm_instance cfg in
-  let descrs = ref [] and reported = ref false in
-  let recover () =
-    tally ctx "faults injected"
-      (inject_faults cfg inst.nvm ~mode:(param at "faults") ~seed:(int_param at "media-seed")
-         ~descrs);
-    let sr = Scrub.scrub ~repair:true ~probe_stuck:true cfg inst.nvm in
+  let descrs = ref [] and reported = ref false and faults = ref 0 in
+  let attach i =
+    faults :=
+      inject_faults cfg i.nvm ~mode:(param at "faults") ~seed:(int_param at "media-seed") ~descrs;
+    let sr = Scrub.scrub ~repair:true ~probe_stuck:true cfg i.nvm in
     if not (Scrub.clean sr) then reported := true;
     if sr.Scrub.ckpt = `Fatal then
       (* Both checkpoint slots destroyed: the instance is lost, but
          loudly — that counts as reported, never as silent. *)
-      { rec_durable = Some 0; rec_peek = (fun _ -> 0L) }
+      Some { i with ptm = { i.ptm with Ptm.peek = (fun _ -> 0L) }; durable = Some 0 }
     else begin
-      let p2, _, report = Dude_ptm.Stm.attach_ptm cfg inst.nvm in
+      let p2, _, report = Dude_ptm.Stm.attach_ptm cfg i.nvm in
       if report.Dudetm.corrupted_records > 0 || report.Dudetm.quarantined_lines > 0 then
         reported := true;
-      { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
+      Some { i with ptm = p2; durable = Some report.Dudetm.durable }
     end
   in
-  match workload_life ctx ~quiescent:false ~threads:3 ~txs:4 { inst with recover } with
-  | Some reason when not !reported ->
-    Some (Printf.sprintf "%s (injected: %s)" reason (String.concat " " (List.rev !descrs)))
-  | _ -> None
+  instance_lives ~vector ~attach
+    ~tallies:(fun () -> [ ("faults injected", !faults) ])
+    ~verdict:(function
+      | Some reason when not !reported ->
+        Some (Printf.sprintf "%s (injected: %s)" reason (String.concat " " (List.rev !descrs)))
+      | _ -> None)
+    ~threads:3 ~txs:4 (stm_instance cfg)
 
 (* Per seed: heap rot at quiescence, mixed faults at quiescence, and mixed
    faults at a seed-derived crash boundary. *)
@@ -753,57 +773,54 @@ let report_to_string (r : Dudetm.recovery_report) =
    every interrupted recovery of the same image must converge to. *)
 let baselines = Hashtbl.create 8
 
-(* Life 0 runs the workload and cuts it at crash-at (0: quiescence).  Its
-   recovery is life 1, the named leg — attach, or the offline scrub with
-   repair and stuck-line probes — cut at crash2; every cut life is
-   followed by another attach life (cut at crash3), and the first attach
-   that completes gives the final verdict.  It must equal the baseline
-   field for field and pass the crash oracle. *)
-let recovery_run ctx at =
+(* Life 1 runs the workload and cuts it at crash-at (0: quiescence).  Its
+   recovery is life 2, the named leg — attach, or the offline scrub with
+   repair and stuck-line probes — cut at crash2; every attach opens a life
+   (cut at crash3 after the leg), and the first attach that completes
+   gives the final verdict.  Its report must equal the uninterrupted
+   recovery's field for field, and its image pass the crash oracle. *)
+let recovery_run at vector =
   let cfg = dude_cfg ~combine:false in
-  let crash = Option.value (List.nth_opt ctx.vector 0) ~default:0 in
-  let image ctx attach =
-    let inst = stm_instance cfg in
-    workload_life ctx ~quiescent:(crash = 0) ~threads:3 ~txs:4
-      { inst with recover = (fun () -> attach inst.nvm) }
+  let image ?verdict leg vector final =
+    let legs = ref leg in
+    let attach i =
+      let leg = !legs in
+      legs := "attach";
+      if leg = "scrub" then begin
+        ignore (Scrub.scrub ~repair:true ~probe_stuck:true cfg i.nvm);
+        None
+      end
+      else begin
+        let p2, _, report = Dude_ptm.Stm.attach_ptm cfg i.nvm in
+        final := Some report;
+        Some { i with ptm = p2; durable = Some report.Dudetm.durable }
+      end
+    in
+    instance_lives ~vector ~attach ~arm_attach:`Always ?verdict ~threads:3 ~txs:4 (stm_instance cfg)
+  in
+  let crash = List.filteri (fun i _ -> i = 0) vector in
+  let key = (List.find_opt (fun (m, _, _) -> Inject.armed m) Inject.catalogue, crash) in
+  let baseline () =
+    match Hashtbl.find_opt baselines key with
+    | Some b -> b
+    | None -> (
+      (* The same image recovered once: its lives are not this case's. *)
+      let b = ref None in
+      let v, _, _ = image "attach" crash b in
+      match !b with
+      | Some b ->
+        Hashtbl.add baselines key b;
+        b
+      | None -> fail (Option.value v ~default:"uninterrupted recovery failed"))
   in
   let final = ref None in
-  let recovered ((p2 : Ptm.t), _, report) =
-    final := Some report;
-    { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek }
-  in
-  let baseline =
-    match Hashtbl.find_opt baselines (ctx.mutant, crash) with
-    | Some b -> b
-    | None ->
-      (* Its own context: the baseline image's life is not a life of this run. *)
-      ignore
-        (image { ctx with vector = [ crash ]; lives = []; armed = [||]; tallies = [] } (fun nvm ->
-             recovered (Dude_ptm.Stm.attach_ptm cfg nvm)));
-      let b = Option.get !final in
-      Hashtbl.add baselines (ctx.mutant, crash) b;
-      b
-  in
-  let rec life nvm leg =
-    arm ctx nvm;
-    match
-      guard ~what:leg ctx (fun () ->
-          if leg = "attach" then Some (Dude_ptm.Stm.attach_ptm cfg nvm)
-          else (ignore (Scrub.scrub ~repair:true ~probe_stuck:true cfg nvm); None))
-    with
-    | Some (Some r) -> recovered r
-    | Some None -> life nvm "attach"
-    | None ->
-      Nvm.crash nvm;
-      life nvm "attach"
-  in
-  let verdict = image ctx (fun nvm -> life nvm (param at "leg")) in
-  match !final with
-  | Some report when report <> baseline ->
-    Some
-      (Printf.sprintf "recovery verdict diverged: interrupted %s, uninterrupted %s"
-         (report_to_string report) (report_to_string baseline))
-  | _ -> verdict
+  image (param at "leg") vector final ~verdict:(fun v ->
+      match !final with
+      | Some report when report <> baseline () ->
+        Some
+          (Printf.sprintf "recovery verdict diverged: interrupted %s, uninterrupted %s"
+             (report_to_string report) (report_to_string (baseline ())))
+      | _ -> v)
 
 (* Quiescence plus seed-derived first cuts; per leg every (attach) or a
    sample of (scrub) recovery-time boundaries, then two deep.  The scrub
@@ -839,18 +856,15 @@ let recovery_plan budget at count =
    supervisor restarting crashed daemons from their persistent positions,
    every run must still satisfy the ordinary crash oracle (and a quiescent
    run must still drain completely) — only the restart counters may move. *)
-let daemons_run ctx at =
+let daemons_run at vector =
   Inject.with_ ~daemon_fault_rate:(float_of_string (param at "fault-rate")) @@ fun () ->
   let seed = int_param at "daemon-seed" in
   let inst = stm_instance { (dude_cfg ~combine:false) with Config.seed = 7 + seed } in
-  let recover () =
-    let counters = inst.ptm.Ptm.counters () in
-    let count k = Option.value (List.assoc_opt k counters) ~default:0 in
-    tally ctx "faults injected" (count "daemon_faults");
-    tally ctx "restarts" (count "daemon_restarts");
-    inst.recover ()
-  in
-  workload_life ctx ~quiescent:(ctx.vector = []) ~threads:3 ~txs:4 { inst with recover }
+  let count k = Option.value (List.assoc_opt k (inst.ptm.Ptm.counters ())) ~default:0 in
+  instance_lives ~vector
+    ~tallies:(fun () ->
+      [ ("faults injected", count "daemon_faults"); ("restarts", count "daemon_restarts") ])
+    ~threads:3 ~txs:4 inst
 
 let daemons_plan budget at _ =
   Seq.map
@@ -874,8 +888,6 @@ let daemons_post tallies =
 module Mig = Dudetm_shard.Migrate.Make (Dudetm_tm.Tinystm)
 module Shard = Mig.Sh
 
-let shard_devices sh = Array.init (Shard.nshards sh) (Shard.nvm sh)
-
 (* Word layout inside every shard's root block (mirrors test_shard.ml):
    0       balance — cross-shard transfers preserve the global sum
    8       single-shard local counter
@@ -895,9 +907,13 @@ let shard_ack nshards = function
   | Shard.Ack_cross { gtid } -> History.At (nshards, gtid)
   | Shard.Ack_read_only -> History.Never
 
-let observe_vector h sh =
-  History.observe h (Shard.nshards sh) (Shard.global_frontier sh);
-  Array.iteri (History.observe h) (Shard.effective_vector sh)
+(* The frontier, then each shard's effective ID. *)
+let vector_watermark sh see =
+  see (Shard.nshards sh) (Shard.global_frontier sh);
+  Array.iteri see (Shard.effective_vector sh)
+
+let vector_name nshards w =
+  if w = nshards then "frontier" else Printf.sprintf "shard %d effective id" w
 
 (* Sequential mixed transfers and local bumps, one power cut counted
    across every shard's device.  Each shard is a stream of the history,
@@ -905,10 +921,12 @@ let observe_vector h sh =
    transaction.  The vector watermark sampled at each boundary is what
    was acknowledged when the power went out: recovery may not fall below
    it, on the frontier or on any shard's durable ID. *)
-let shards_run ctx at =
+let shards_run at vector =
   let nshards = int_param at "shard-count" and txs = int_param at "txs" in
   if nshards < 2 then invalid_arg "Check: --shards needs at least two shards";
-  let sh = Shard.create ~nshards (dude_cfg ~combine:false) in
+  let cfg = dude_cfg ~combine:false in
+  let sh = Shard.create ~nshards cfg in
+  let nvms = Array.init nshards (Shard.nvm sh) in
   let h = History.create () and next = Array.make nshards 0 in
   let tx ~thread shards body =
     let run tx =
@@ -926,60 +944,58 @@ let shards_run ctx at =
       History.commit h ~worker:0 ~ack:(shard_ack nshards ack) ()
     | None -> History.abandon h ~worker:0
   in
-  let completed =
-    guard ctx (fun () ->
-        Sched.run (fun () ->
-            Shard.start sh;
-            for s = 0 to nshards - 1 do
-              tx ~thread:0 [ s ] (fun write _ -> write s shb_balance shb_initial)
-            done;
-            arm ctx ~sample:(fun () -> observe_vector h sh) sh;
-            for k = 1 to txs do
-              let a = k mod nshards and b = (k + 1) mod nshards in
-              (* Bloat [b]'s next flush record first.  Persist drains a
-                 thread's whole backlog into one record and publishes its
-                 durable IDs at a single fence, so queue depth alone creates
-                 no skew — record size does: [b]'s fence lands well after
-                 [a]'s tiny fragment record is durable (and applicable),
-                 opening the window the replay gate must cover. *)
-              tx ~thread:(k mod 3) [ b ] (fun write read ->
-                  for i = 0 to 63 do
-                    write b (1024 + (8 * i)) (Int64.of_int (k + i))
-                  done;
-                  write b shb_local (Int64.add (read b shb_local) 1L));
-              tx ~thread:(k mod 3) [ a; b ] (fun write read ->
-                  let ba = read a shb_balance in
-                  let bb = read b shb_balance in
-                  write a shb_balance (Int64.sub ba 5L);
-                  write b shb_balance (Int64.add bb 5L);
-                  write a (shb_pair b) (Int64.of_int k);
-                  write b (shb_pair a) (Int64.of_int k))
-            done;
-            disarm ctx;
-            Shard.stop sh))
+  let setup _ =
+    Shard.start sh;
+    for s = 0 to nshards - 1 do
+      tx ~thread:0 [ s ] (fun write _ -> write s shb_balance shb_initial)
+    done
   in
-  if completed <> None then History.quiesce h;
-  let sh =
-    if completed <> None then sh
-    else
-      recover (shard_devices sh) (fun () ->
-          fst (Shard.attach ~nshards (Shard.config sh) (shard_devices sh)))
+  let drive _ =
+    for k = 1 to txs do
+      let a = k mod nshards and b = (k + 1) mod nshards in
+      (* Bloat [b]'s next flush record first.  Persist drains a thread's
+         whole backlog into one record and publishes its durable IDs at a
+         single fence, so queue depth alone creates no skew — record size
+         does: [b]'s fence lands well after [a]'s tiny fragment record is
+         durable (and applicable), opening the window the replay gate must
+         cover. *)
+      tx ~thread:(k mod 3) [ b ] (fun write read ->
+          for i = 0 to 63 do
+            write b (1024 + (8 * i)) (Int64.of_int (k + i))
+          done;
+          write b shb_local (Int64.add (read b shb_local) 1L));
+      tx ~thread:(k mod 3) [ a; b ] (fun write read ->
+          let ba = read a shb_balance in
+          let bb = read b shb_balance in
+          write a shb_balance (Int64.sub ba 5L);
+          write b shb_balance (Int64.add bb 5L);
+          write a (shb_pair b) (Int64.of_int k);
+          write b (shb_pair a) (Int64.of_int k))
+    done
   in
-  let durable s = Shard.Engine.durable_id (Shard.engine sh s) and acked = History.watermark h in
-  match History.check h ~read:(fun (s, a) -> Shard.Engine.heap_read_u64 (Shard.engine sh s) a) with
-  | _, (Some _ as v) -> v
-  | _ when Shard.global_frontier sh < acked nshards ->
-    Some
-      (Printf.sprintf "acked cross tx lost: recovered frontier %d < acknowledged %d"
-         (Shard.global_frontier sh) (acked nshards))
-  | _ ->
-    List.init nshards Fun.id
-    |> List.find_map (fun s ->
-           if durable s >= acked s then None
-           else
-             Some
-               (Printf.sprintf "acked tx lost on shard %d: durable %d < acknowledged %d" s
-                  (durable s) (acked s)))
+  let acked = History.watermark h in
+  let verdict sh = function
+    | Some _ as v -> v
+    | None when Shard.global_frontier sh < acked nshards ->
+      Some
+        (Printf.sprintf "acked cross tx lost: recovered frontier %d < acknowledged %d"
+           (Shard.global_frontier sh) (acked nshards))
+    | None ->
+      List.init nshards Fun.id
+      |> List.find_map (fun s ->
+             let durable = Shard.Engine.durable_id (Shard.engine sh s) in
+             if durable >= acked s then None
+             else
+               Some
+                 (Printf.sprintf "acked tx lost on shard %d: durable %d < acknowledged %d" s durable
+                    (acked s)))
+  in
+  lives ~vector ~setup ~stop:Shard.stop ~watermark:vector_watermark ~name:(vector_name nshards)
+    ~verdict
+    ~devices:(fun _ -> nvms)
+    ~attach:(fun _ -> Some (fst (Shard.attach ~nshards cfg nvms)))
+    ~read:(fun sh (s, a) -> Shard.Engine.heap_read_u64 (Shard.engine sh s) a)
+    h sh drive
 
 (* A clean run, then cuts at a sample of its boundaries. *)
 let cut_plan ?deep budget at _ =
@@ -1008,38 +1024,9 @@ let batch_cfg =
    recovered engine and cut its second life — a recovery that mends the
    torn batch by writing state it never re-fences survives the first cut
    and loses data at the second. *)
-let batch_run ctx at =
-  let txs = int_param at "txs" in
-  let cfg = batch_cfg in
-  let p1, _ = Dude_ptm.Stm.ptm cfg in
-  let nvm = Option.get p1.Ptm.nvm in
-  let h = History.create () in
-  let life (p : Ptm.t) =
-    let acked, regressed, sample = monotone () in
-    arm ctx nvm ~sample:(fun () -> sample (p.Ptm.durable_id ()));
-    let completed =
-      guard ctx (fun () ->
-          Sched.run (fun () ->
-              p.Ptm.start ();
-              workers "batch-worker" cfg.Config.nthreads ~txs (fun th _ ->
-                  ptm_counter h p ~stamp:stamp8 th);
-              p.Ptm.drain ();
-              p.Ptm.stop ()))
-    in
-    judge !regressed;
-    History.observe h 0 (max !acked (p.Ptm.durable_id ()));
-    if completed <> None then History.quiesce h;
-    let p2, _, report = recover [| nvm |] (fun () -> Dude_ptm.Stm.attach_ptm cfg nvm) in
-    let cut, verdict =
-      judge_image ~durable:report.Dudetm.durable h ~read:(fun (_, a) -> p2.Ptm.peek a)
-    in
-    judge verdict;
-    History.truncate h cut;
-    (p2, completed <> None)
-  in
-  let p2, quiescent = life p1 in
-  if not quiescent then ignore (life p2);
-  None
+let batch_run at vector =
+  instance_lives ~vector ~monitor:false ~drives:2 ~threads:batch_cfg.Config.nthreads
+    ~txs:(int_param at "txs") (stm_instance batch_cfg)
 
 (* ------------------------------------------------------------------ *)
 (* replica: primary killed, replica promoted                          *)
@@ -1074,7 +1061,7 @@ let replica_faults =
    the quorum is the primary alone, so acks promise primary-local
    durability only and failover makes no no-loss promise: only the
    prefix-consistency checks apply. *)
-let replica_run ctx at =
+let replica_run at vector =
   let nreplicas = int_param at "replicas" and txs = int_param at "txs" in
   let scenario = param at "scenario" in
   let cfg = { batch_cfg with Config.plog_size = 1 lsl 14 } in
@@ -1088,58 +1075,61 @@ let replica_run ctx at =
   let c = Rep.create ~rcfg:{ (Rep.default_config ~nreplicas ()) with Rep.link } cfg in
   let prim = Rep.primary c in
   let h = History.create () and drained_quorum = ref false in
-  let _, regressed, sample = monotone () in
-  arm ctx prim ~sample:(fun () -> sample (Rep.Engine.durable_id prim));
-  let completed =
-    guard ~what:"cluster" ctx (fun () ->
-        Sched.run (fun () ->
-            Rep.start c;
-            if scenario = "partition" then
-              (* Partition the last replica mid-run, heal it later: crash
-                 points before the heal exercise quorum-minus-one, points
-                 after it exercise retransmit-driven catch-up. *)
-              ignore
-                (Sched.spawn ~daemon:true "partitioner" (fun () ->
-                     try
-                       Sched.advance 40_000;
-                       Rep.set_partitioned c (nreplicas - 1) true;
-                       Sched.advance 400_000;
-                       Rep.set_partitioned c (nreplicas - 1) false
-                     with Sched.Killed -> ()));
-            workers "replica-worker" cfg.Config.nthreads ~txs (fun th i ->
-                match
-                  Rep.Engine.atomically prim ~thread:th (fun tx ->
-                      counter_tx h ~worker:th ~stamp:stamp8 (Rep.Engine.read tx)
-                        (Rep.Engine.write tx))
-                with
-                | Some (_, tid) ->
-                  History.commit h ~worker:th ();
-                  (* Exercise the bounded quorum wait on a sample of
-                     commits; the rest stay decoupled. *)
-                  if tid > 0 && i mod 4 = 0 then ignore (Rep.wait_acked c tid)
-                | None -> History.abandon h ~worker:th);
-            drained_quorum := Rep.drain c = Rep.Quorum;
-            Rep.sync_followers c;
-            Rep.stop c))
-  in
-  judge !regressed;
-  (* The watermark is monotone, so its value now is its value at the cut:
-     exactly what was ever acknowledged as quorum-durable. *)
-  let acked = Rep.acked c in
   let guarded = Rep.quorum_needed ~nreplicas > 1 in
-  if guarded then History.observe h 0 acked;
-  if completed <> None && !drained_quorum then History.quiesce h;
-  match Rep.promote c with
-  | exception e -> fail ("promotion raised " ^ Printexc.to_string e)
-  | _, prom when guarded && acked > prom.Rep.quorum_prefix ->
-    Some
-      (Printf.sprintf "acked watermark %d passed the quorum prefix %d (candidates %s)" acked
-         prom.Rep.quorum_prefix
-         (String.concat "," (Array.to_list (Array.map string_of_int prom.Rep.candidates))))
-  | eng, prom ->
-    snd
-      (judge_image ~who:"promotion" ~durable:prom.Rep.report.Dudetm.durable h
-         ~read:(fun (_, a) -> Rep.Engine.heap_read_u64 eng a))
+  let drive _ =
+    Rep.start c;
+    if scenario = "partition" then
+      (* Partition the last replica mid-run, heal it later: crash
+         points before the heal exercise quorum-minus-one, points
+         after it exercise retransmit-driven catch-up. *)
+      ignore
+        (Sched.spawn ~daemon:true "partitioner" (fun () ->
+             try
+               Sched.advance 40_000;
+               Rep.set_partitioned c (nreplicas - 1) true;
+               Sched.advance 400_000;
+               Rep.set_partitioned c (nreplicas - 1) false
+             with Sched.Killed -> ()));
+    workers "replica-worker" cfg.Config.nthreads ~txs (fun th i ->
+        match
+          Rep.Engine.atomically prim ~thread:th (fun tx ->
+              counter_tx h ~worker:th ~stamp:stamp8 (Rep.Engine.read tx)
+                (Rep.Engine.write tx))
+        with
+        | Some (_, tid) ->
+          History.commit h ~worker:th ();
+          (* Exercise the bounded quorum wait on a sample of
+             commits; the rest stay decoupled. *)
+          if tid > 0 && i mod 4 = 0 then ignore (Rep.wait_acked c tid)
+        | None -> History.abandon h ~worker:th);
+    drained_quorum := Rep.drain c = Rep.Quorum;
+    Rep.sync_followers c;
+    Rep.stop c
+  in
+  (* The system is the promoted engine, once the primary is killed. *)
+  let verdict s v =
+    let prom = snd (Option.get s) and acked = History.watermark h 0 in
+    if guarded && acked > prom.Rep.quorum_prefix then
+      Some
+        (Printf.sprintf "acked watermark %d passed the quorum prefix %d (candidates %s)" acked
+           prom.Rep.quorum_prefix
+           (String.concat "," (Array.to_list (Array.map string_of_int prom.Rep.candidates))))
+    else v
+  in
+  (* The quorum watermark is monotone: its value at a boundary is what
+     was ever acknowledged as quorum-durable.  The primary's durable ID,
+     a stream no commit is acknowledged on, must not go down either. *)
+  lives ~vector ~verdict
+    ~watermark:(fun _ see ->
+      see 1 (Rep.Engine.durable_id prim);
+      if guarded then see 0 (Rep.acked c))
+    ~name:(function 0 -> "quorum watermark" | _ -> "primary durable id")
+    ~durable:(fun s -> Some (snd (Option.get s)).Rep.report.Dudetm.durable)
+    ~quiescent:(fun () -> !drained_quorum)
+    ~devices:(fun _ -> [| Rep.Engine.nvm prim |])
+    ~attach:(fun _ -> Some (Some (Rep.promote c)))
+    ~read:(fun s (_, a) -> Rep.Engine.heap_read_u64 (fst (Option.get s)) a)
+    h None drive
 
 (* Per link scenario, the site budget split across the scenarios swept. *)
 let replica_plan budget at _ =
@@ -1172,13 +1162,11 @@ let replica_plan budget at _ =
    that cut; after the completed schedule every increment counts, and
    every moved range's source slots are recycled to zero.
 
-   The second life is armed before the first re-attach, so its cut can
-   land inside recovery itself — between the roll-forward seals of a
-   half-flipped handoff — and the third attach must still converge.  The
-   [Skip_handoff_seal] mutant flips volatile routing without sealing the
-   handoff record or the new descriptor; any cut after the first flip
-   recovers the stale descriptor, routes the moved range back to the
-   source, and loses the destination's acknowledged writes. *)
+   The [Skip_handoff_seal] mutant flips volatile routing without sealing
+   the handoff record or the new descriptor; any cut after the first
+   flip, or the recovery of the completed schedule, recovers the stale
+   descriptor, routes the moved range back to the source, and loses the
+   destination's acknowledged writes. *)
 
 module Handoff = Dudetm_shard.Handoff
 module Partition = Dudetm_workloads.Partition
@@ -1233,19 +1221,20 @@ let mg_converged sh mig =
       (fun k -> List.find_map (stray k) (List.init migrate_nshards Fun.id))
       (List.init migrate_nkeys Fun.id)
 
+(* One increment of every key. *)
+let mg_round h mig =
+  for k = 0 to migrate_nkeys - 1 do
+    mg_bump h mig ~thread:(k mod 3) k
+  done
+
 (* The deterministic resharding schedule under traffic: per move, a full
    round of increments, then chunked copy interleaved with double-writes
    in the moving range and traffic outside it, the flip, a post-flip
    commit routed to the new owner, and chunked cleanup under traffic. *)
 let mg_schedule h mig =
-  let round () =
-    for k = 0 to migrate_nkeys - 1 do
-      mg_bump h mig ~thread:(k mod 3) k
-    done
-  in
   List.iter
     (fun (src, dst, b) ->
-      round ();
+      mg_round h mig;
       Mig.begin_migration mig ~src ~dst ~blo:b ~bhi:(b + 1);
       let kin = 2 * b and kout = ((2 * b) + 5) mod migrate_nkeys in
       let fin = ref false in
@@ -1262,7 +1251,7 @@ let mg_schedule h mig =
         mg_bump h mig ~thread:1 kout
       done)
     mg_moves;
-  round ()
+  mg_round h mig
 
 (* After a re-attach: finish any pending cleanup, re-run every move the
    descriptor still shows unfinished, then one more round to prove the
@@ -1279,15 +1268,16 @@ let mg_complete h mig =
     (fun (src, dst, b) ->
       if owners.(b) = src then Mig.migrate ~chunk:1 mig ~thread:0 ~src ~dst ~blo:b ~bhi:(b + 1))
     mg_moves;
-  for k = 0 to migrate_nkeys - 1 do
-    mg_bump h mig ~thread:(k mod 3) k
-  done
+  mg_round h mig
 
-(* First life: the schedule, cut at crash-at.  Second life, armed before
-   the re-attach: attach and completion, cut at crash2.  After a second
-   cut, an unarmed attach and completion.  Every attach is judged by the
-   history; the returned state also by the fixpoint. *)
-let migrate_run ctx _ =
+(* First life: the schedule, cut at crash-at.  The attach after that cut
+   opens the second life, so a cut can land inside recovery itself —
+   between the roll-forward seals of a half-flipped handoff — and the
+   recovered instance completes the schedule in it (cut at crash2).
+   After a second cut, or after the uncut schedule, the attach and any
+   completion run unarmed.  Every attach is judged by the history, the
+   last also by the fixpoint. *)
+let migrate_run _ vector =
   let cfg = dude_cfg ~combine:false in
   let part =
     Partition.buckets ~nshards:migrate_nshards ~lo:0L ~hi:(Int64.of_int migrate_nkeys)
@@ -1297,70 +1287,22 @@ let migrate_run ctx _ =
   let mig = Mig.create sh ~part ~nkeys:migrate_nkeys ~slot_of:mg_slot in
   let nvms = Array.init migrate_nshards (Shard.nvm sh) in
   let h = History.create () in
-  (* The vector watermark of the live instance: per-shard effective IDs,
-     then the frontier. *)
-  let live = ref (Some sh) in
-  let sample () = Option.iter (observe_vector h) !live in
-  let crash () =
-    live := None;
-    Array.iter Nvm.crash nvms
-  in
-  let attach () =
+  let attach _ =
     let sh2, _ = Shard.attach ~nshards:migrate_nshards cfg nvms in
     let mig2, _ = Mig.attach sh2 ~nkeys:migrate_nkeys ~slot_of:mg_slot in
-    let cut, verdict = History.check h ~read:(mg_read sh2 mig2) in
-    judge verdict;
-    History.truncate h cut;
-    live := Some sh2;
-    (sh2, mig2)
+    Some (sh2, mig2)
   in
-  let complete (sh2, mig2) =
-    Sched.run (fun () ->
-        Shard.start sh2;
-        mg_complete h mig2;
-        disarm ctx;
-        Shard.stop sh2)
-  in
-  let first =
-    guard ctx (fun () ->
-        Sched.run (fun () ->
-            Shard.start sh;
-            arm ctx ~sample sh;
-            mg_schedule h mig;
-            disarm ctx;
-            Shard.stop sh))
-  in
-  let sh, mig =
-    if first <> None then (sh, mig)
-    else begin
-      crash ();
-      arm ctx ~sample sh;
-      let second () =
-        let s = attach () in
-        ignore (complete s);
-        s
-      in
-      match guard ~what:"recovered engine" ctx second with
-      | Some s -> s
-      | None ->
-        (* No further cuts: attach once more and finish the schedule. *)
-        crash ();
-        let s =
-          try attach () with
-          | Failed _ as e -> raise e
-          | e -> fail ("re-recovery raised " ^ Printexc.to_string e)
-        in
-        (match complete s with
-        | _ -> ()
-        | exception Sched.Deadlock msg -> fail ("deadlock after re-recovery: " ^ msg)
-        | exception e -> fail ("re-recovered engine raised " ^ Printexc.to_string e));
-        s
-    end
-  in
-  History.quiesce h;
-  match History.check h ~read:(mg_read sh mig) with
-  | _, (Some _ as v) -> v
-  | _, None -> mg_converged sh mig
+  (* The first life runs the schedule; a recovered instance completes it. *)
+  let drive (_, m) = if m == mig then mg_schedule h mig else mg_complete h m in
+  lives ~vector ~arm_attach:`After_first_cut ~drives:3
+    ~setup:(fun (sh, _) -> Shard.start sh)
+    ~stop:(fun (sh, _) -> Shard.stop sh)
+    ~watermark:(fun (sh, _) -> vector_watermark sh)
+    ~name:(vector_name migrate_nshards)
+    ~verdict:(fun (sh, mig) v -> if v = None then mg_converged sh mig else v)
+    ~devices:(fun _ -> nvms) ~attach
+    ~read:(fun (sh, mig) -> mg_read sh mig)
+    h (sh, mig) drive
 
 (* ------------------------------------------------------------------ *)
 (* snapshot: read-only snapshots across power cuts                    *)
@@ -1382,16 +1324,13 @@ let sn_slot_a p = 8 + (16 * p)
 
 let sn_slot_b p = sn_slot_a p + 8
 
-let snapshot_run ctx at =
+let snapshot_run at vector =
   let txs = int_param at "txs" in
-  let cfg = batch_cfg in
-  let nthreads = cfg.Config.nthreads in
+  let nthreads = batch_cfg.Config.nthreads in
   let nwriters = nthreads - 1 in
-  let p, _ = Dude_ptm.Stm.ptm cfg in
-  let nvm = Option.get p.Ptm.nvm in
-  let h = History.create () in
-  let _, regressed, sample = monotone () in
-  arm ctx nvm ~sample:(fun () -> sample (p.Ptm.durable_id ()));
+  let inst = stm_instance batch_cfg in
+  let p = inst.ptm in
+  let h = History.create () and reads = ref 0 in
   let pair_writes q va vb = [ ((q, sn_slot_a q), va); ((q, sn_slot_b q), vb) ] in
   (* The reader stops once the last write has returned: the moment its
      writer fiber ends. *)
@@ -1428,25 +1367,19 @@ let snapshot_run ctx at =
                   (va, vb))
             with
             | Some ((va, vb), epoch) ->
-              tally ctx "snapshot reads" 1;
+              incr reads;
               History.read h ~epoch ~durable:!durable
                 (List.concat (List.init snapshot_npairs (fun q -> pair_writes q va.(q) vb.(q))))
             | None -> ()
           done);
     ]
   in
-  let completed =
-    guard ctx (fun () ->
-        Sched.run (fun () ->
-            p.Ptm.start ();
-            workers "snapshot-writer" nwriters ~txs ~also:reader write;
-            p.Ptm.drain ();
-            p.Ptm.stop ()))
-  in
-  judge !regressed;
-  if completed <> None then History.quiesce h;
-  let p2, _, _ = recover [| nvm |] (fun () -> Dude_ptm.Stm.attach_ptm cfg nvm) in
-  snd (History.check h ~read:(fun (_, a) -> p2.Ptm.peek a))
+  (* The streams are pairs, so the engine's durable report is not
+     compared. *)
+  instance_lives ~vector ~h ~monitor:false ~work:write ~also:reader
+    ~durable:(fun _ -> None)
+    ~tallies:(fun () -> [ ("snapshot reads", !reads) ])
+    ~threads:nwriters ~txs inst
 
 (* ------------------------------------------------------------------ *)
 (* serve: the serving front end, acked-prefix oracle                  *)
@@ -1507,11 +1440,10 @@ let serve_app =
         if Int64.equal a b then a else -1L);
   }
 
-let serve_run ctx at =
+let serve_run at vector =
   let txs = int_param at "txs" in
   let cfg = Dudetm_serve.Serve_load.engine_cfg ~workers:serve_scfg.Serve.workers_per_shard () in
   let sh = Srv.Sh.create ~nshards:serve_nshards cfg in
-  arm ctx sh;
   let srv = Srv.create ~scfg:serve_scfg ~app:serve_app ~ntenants:serve_ntenants sh in
   let h = History.create () and acked = ref 0 and shed = ref 0 in
   let desc p op = Srv.make_desc ~tenant:(p mod serve_ntenants) ~session:p op in
@@ -1549,27 +1481,22 @@ let serve_run ctx at =
         | _ -> ()
     end
   in
-  let completed =
-    guard ctx (fun () ->
-        Sched.run (fun () ->
-            Srv.start srv;
-            workers "serve-client" serve_npairs ~txs client;
-            Srv.stop srv))
-  in
-  tally ctx "acked requests" !acked;
-  tally ctx "shed" !shed;
-  if completed <> None then History.quiesce h;
   let nvms = Array.init serve_nshards (Srv.Sh.nvm sh) in
-  let sh2 = recover nvms (fun () -> fst (Srv.Sh.attach ~nshards:serve_nshards cfg nvms)) in
-  snd
-    (History.check h ~read:(fun (p, a) ->
-         Srv.Engine.heap_read_u64 (Srv.Sh.engine sh2 (sv_shard_of p)) a))
+  let drive _ =
+    Srv.start srv;
+    workers "serve-client" serve_npairs ~txs client;
+    Srv.stop srv
+  in
+  lives ~vector
+    ~tallies:(fun () -> [ ("acked requests", !acked); ("shed", !shed) ])
+    ~devices:(fun _ -> nvms)
+    ~attach:(fun _ -> Some (fst (Srv.Sh.attach ~nshards:serve_nshards cfg nvms)))
+    ~read:(fun sh (p, a) -> Srv.Engine.heap_read_u64 (Srv.Sh.engine sh (sv_shard_of p)) a)
+    h sh drive
 
 (* ------------------------------------------------------------------ *)
 (* The campaign table and the replay grammar                          *)
 (* ------------------------------------------------------------------ *)
-
-let one_dev n = [| n |]
 
 let int_ok v = match int_of_string_opt v with Some n -> n >= 0 | None -> false
 
@@ -1579,16 +1506,14 @@ let one_of l v = List.mem v l
 
 let coord ?(valid = int_ok) flag kind = { flag; kind; valid }
 
-type t = Campaign : 'sys campaign -> t
-
 (* One life deep, no post-check and no shrinking unless given. *)
 let campaign ?(doc = "") ?(coords = []) ?(depth = 1) ?(post = fun _ -> None)
-    ?(shrink = fun _ f -> f) ~devices name run plan =
-  Campaign { name; doc; coords; depth; devices; run; plan; post; shrink }
+    ?(shrink = fun _ f -> f) name run plan =
+  { name; doc; coords; depth; run; plan; post; shrink }
 
 let campaigns =
   [
-    campaign "explore" explore_run explore_plan ~devices:one_dev ~shrink:explore_shrink
+    campaign "explore" explore_run explore_plan ~shrink:explore_shrink
       ~coords:
         [
           coord "system" (Each (List.map fst systems)) ~valid:(fun s -> List.mem_assoc s systems);
@@ -1599,7 +1524,7 @@ let campaigns =
           coord "evict" (Fixed "0") ~valid:float_ok;
           coord "evict-seed" (Fixed "1");
         ];
-    campaign "media" media_run media_plan ~devices:one_dev
+    campaign "media" media_run media_plan
       ~doc:
         "Inject seeded bit rot, poison and stuck lines into the persisted image after crashes, \
          scrub, recover: every corruption must be repaired or reported."
@@ -1609,28 +1534,27 @@ let campaigns =
           coord "media-seed" Case;
           coord "faults" Case ~valid:(one_of [ "heap"; "mixed" ]);
         ];
-    campaign "recovery" recovery_run recovery_plan ~devices:one_dev ~depth:3
+    campaign "recovery" recovery_run recovery_plan ~depth:3
       ~doc:
         "Cut power inside attach and scrub, and inside the recovery of a crashed recovery: \
          every leg must converge to the uninterrupted recovery."
       ~coords:[ coord "leg" Case ~valid:(one_of [ "attach"; "scrub" ]) ];
-    campaign "daemons" daemons_run daemons_plan ~devices:one_dev ~post:daemons_post
+    campaign "daemons" daemons_run daemons_plan ~post:daemons_post
       ~doc:
         "Inject seeded transient Persist/Reproduce faults: supervised restarts may move only \
          the restart counters, never the recovered state."
       ~coords:[ coord "daemon-seed" Case; coord "fault-rate" (Fixed "0.25") ~valid:float_ok ];
-    campaign "shards" shards_run (cut_plan ?deep:None) ~devices:shard_devices
+    campaign "shards" shards_run (cut_plan ?deep:None)
       ~doc:
         "Cut power during cross-shard transfers on every shard's device: every transfer must \
          be all-or-nothing and every vector-watermark acknowledgement must survive."
       ~coords:[ coord "shard-count" (Fixed "3"); coord "txs" (Fixed "10") ];
-    campaign "batch" batch_run (cut_plan ~deep:15) ~devices:one_dev ~depth:2
+    campaign "batch" batch_run (cut_plan ~deep:15) ~depth:2
       ~doc:
         "Cut power at the boundaries of the pipelined group commit, then re-crash the \
          recovered engine: recovery must be exactly the acknowledged durable prefix."
       ~coords:[ coord "txs" (Fixed "12") ];
     campaign "replica" replica_run replica_plan
-      ~devices:(fun prim -> [| Rep.Engine.nvm prim |])
       ~doc:
         "Kill the primary while the redo log ships to K replicas over clean, faulty and \
          partitioned links, promote: no quorum-acked transaction may be lost."
@@ -1641,24 +1565,22 @@ let campaigns =
           coord "scenario" Sweep ~valid:(one_of replica_scenarios);
         ];
     campaign "migrate" migrate_run (cut_plan ~deep:20) ~depth:2
-      ~devices:(fun sh -> Array.init migrate_nshards (Shard.nvm sh))
       ~doc:
         "Cut power during a live 4->8 resharding, and inside recovery's own handoff seals: \
          every key on exactly one shard, no acknowledged write lost.";
-    campaign "snapshot" snapshot_run (cut_plan ?deep:None) ~devices:one_dev
+    campaign "snapshot" snapshot_run (cut_plan ?deep:None)
       ~doc:
         "Run volatile and durable snapshot readers against pair writers through power cuts: \
          read-sets never tear, durable-mode values survive recovery."
       ~coords:[ coord "txs" (Fixed "12") ];
     campaign "serve" serve_run (cut_plan ?deep:None)
-      ~devices:(fun sh -> Array.init serve_nshards (Srv.Sh.nvm sh))
       ~doc:
         "Drive requests through the serving front end's queue, admission gate and \
          durable-watermark acker through power cuts: no acknowledged request lost."
       ~coords:[ coord "txs" (Fixed "10") ];
   ]
 
-let campaign_docs = List.map (fun (Campaign c) -> (c.name, c.doc)) campaigns
+let campaign_docs = List.map (fun c -> (c.name, c.doc)) campaigns
 
 let coordinates =
   [
@@ -1694,7 +1616,7 @@ let coordinates =
 let cut_flags = [ "crash-at"; "crash2"; "crash3" ]
 
 let find name =
-  match List.find_opt (fun (Campaign c) -> c.name = name) campaigns with
+  match List.find_opt (fun c -> c.name = name) campaigns with
   | Some c -> c
   | None -> invalid_arg ("Check: unknown campaign " ^ name)
 
@@ -1737,21 +1659,17 @@ let coordinate c args =
   (at, if replay then Some vector else None)
 
 let expand name args =
-  let (Campaign c) = find name in
+  let c = find name in
   match coordinate c args with
   | _, Some _ -> [ args ]
   | _, None -> (
-    match
-      List.find_opt
-        (fun co ->
-          (match co.kind with Each _ -> true | _ -> false) && not (List.mem_assoc co.flag args))
-        c.coords
-    with
-    | Some { flag; kind = Each choices; _ } -> List.map (fun v -> args @ [ (flag, v) ]) choices
-    | _ -> [ args ])
+    let each co = match co.kind with Each vs -> Some (co.flag, vs) | _ -> None in
+    match List.find_map each (List.filter (fun co -> not (List.mem_assoc co.flag args)) c.coords) with
+    | Some (flag, choices) -> List.map (fun v -> args @ [ (flag, v) ]) choices
+    | None -> [ args ])
 
 let run ?(log = ignore) ?(budget = budget_of_env ()) ?(mutant = Inject.No_fault) name args =
-  let (Campaign c) = find name in
+  let c = find name in
   match coordinate c args with
   | at, Some vector -> (
     let verdict, lives, tallies = case c ~mutant at vector in
@@ -1771,7 +1689,7 @@ let run ?(log = ignore) ?(budget = budget_of_env ()) ?(mutant = Inject.No_fault)
     | Pass r -> Pass r)
 
 let replay_line (f : failure) =
-  let (Campaign c) = find f.campaign in
+  let c = find f.campaign in
   let flag k v = Printf.sprintf " --%s %s" k v in
   String.concat ""
     ((if c.name = "explore" then "dudetm check" else "dudetm check --" ^ c.name)
@@ -1807,7 +1725,7 @@ let summary = function
   | Fail f ->
     Printf.sprintf "%s campaign: FAIL: %s\n  replay: %s" f.campaign f.reason (replay_line f)
   | Pass r ->
-    let (Campaign c) = find r.campaign in
+    let c = find r.campaign in
     let named =
       List.filter_map
         (fun co ->

@@ -1,15 +1,25 @@
-(** Crash-consistency campaigns over one kernel and one oracle.
+(** Crash-consistency campaigns over one life kernel and one oracle.
 
-    A {e campaign} is one record: its [name]; the [devices] of a system
-    instance; [run], which executes the lives of the system under a {e cut
-    vector} and returns their verdict; and the [plan], the sweep.  The
-    kernel alone arms the {!Dudetm_nvm.Nvm.set_persist_hook} over the
-    device set: the hook fires at every persist boundary — when a persist
-    ordering is issued and after each cache line reaches the persisted
-    image — so a cut lands between any two line flushes, torn persists
-    included.  Each life counts its boundaries and cuts power at its entry
-    of the cut vector (0: the life runs uncut); [Crash_now], scheduler
-    deadlocks and engine exceptions become the run's verdict.
+    A {e campaign} is a name, a sweep [plan] and a [run] that builds one
+    case's system and hands the kernel five things: its build (devices and
+    stack), its drive (the workload fibers), its watermark reader, its
+    attach (recovery, or replica's promotion) and its read of the
+    recovered image for the judge.  The kernel does the rest, so no
+    campaign arms or cuts a life itself.  It alone arms the
+    {!Dudetm_nvm.Nvm.set_persist_hook} over the device set: the hook fires
+    at every persist boundary — when a persist ordering is issued and
+    after each cache line reaches the persisted image — so a cut lands
+    between any two line flushes, torn persists included.  Each life
+    counts its boundaries, reads the watermark at each (what was
+    acknowledged when the power goes out; a watermark that goes down
+    fails the case), and cuts power at its entry of
+    the {e cut vector} (0: the life runs uncut).  Every drive ends in a
+    power loss, an attach and a judgement, cut or not; a cut system is
+    rebased on its recovered cut and driven again where the campaign goes
+    two or three deep.  [Crash_now] ends a life; scheduler deadlocks and
+    engine exceptions become the run's verdict.  The kernel also owns the
+    schedule (min-clock unless explore names one) and the crash (explore's
+    eviction of dirty lines).
 
     Every campaign records its commits into a {!History} and judges each
     recovered image by {!History.check}: the image must be the replay of a
@@ -18,7 +28,7 @@
     unreturned attempt.  Beside it stay only checks that do not judge
     recovered state: recovery's durable report against the image, the
     recovery verdict against the uninterrupted baseline, the replica
-    watermark against the quorum prefix, durable-ID monotonicity, media's
+    watermark against the quorum prefix, watermark monotonicity, media's
     "reported" relaxation, migrate's convergence and daemons' post-check.
 
     The plan is a sequence of points (parameter settings).  Per point, a

@@ -148,17 +148,26 @@ let fields_plausible t fields ~s ~scanned ~min_seq =
 
 (* The first valid frame at a monotone offset in [from, head + dcap -
    record_overhead], searched byte by byte.  Most offsets hold payload or
-   zeroes, so each is first prechecked with {!fields_plausible}; only an
-   offset whose len and seq fields would wrap the ring end skips the
-   precheck and takes the full wrapped probe.  Verdicts are those of
-   [probe_frame] at every offset. *)
+   zeroes, so each is first prechecked: its len and seq fields are read
+   from one copy of the data area or, when a poisoned line fails that
+   read, in place by {!fields_plausible}.  Only an offset whose fields
+   would wrap the ring end skips the precheck and takes the full wrapped
+   probe.  Verdicts are those of [probe_frame] at every offset. *)
 let resync t ~from ~min_seq =
   let limit = t.head + t.dcap - record_overhead in
   let fields = Bytes.create 16 in
+  let area = try Some (Nvm.load_bytes t.nvm (data_base t) t.dcap) with Nvm.Media_error _ -> None in
+  let plausible s ~scanned =
+    match area with
+    | None -> fields_plausible t fields ~s ~scanned ~min_seq
+    | Some a ->
+      let len = Int64.to_int (Bytes.get_int64_le a s) in
+      let seq = Int64.to_int (Bytes.get_int64_le a (s + 8)) in
+      fields_in_range t ~scanned ~len ~seq ~min_seq
+  in
   let rec go off s =
     if off > limit then None
-    else if s + 16 <= t.dcap && not (fields_plausible t fields ~s ~scanned:(off - t.head) ~min_seq)
-    then go (off + 1) (s + 1)
+    else if s + 16 <= t.dcap && not (plausible s ~scanned:(off - t.head)) then go (off + 1) (s + 1)
     else
       match probe_frame t ~off ~min_seq with
       | Some r -> Some (off, r)

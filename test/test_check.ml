@@ -177,6 +177,41 @@ let test_crash2_needs_crash_at () =
 let test_foreign_coordinates () =
   rejected "--leg/--scenario on shards" "shards" [ ("leg", "attach"); ("scenario", "faulty") ]
 
+(* Every campaign's uncut case: the life runs to quiescence, every device
+   loses power, and the recovered image must keep every commit.  Shards
+   and migrate recover it too, not only the campaigns whose lives always
+   end in a crash. *)
+let test_uncut_cases () =
+  let needs =
+    [
+      ("explore", [ ("system", "dude"); ("workload", "counter"); ("sched", "default") ]);
+      ("media", [ ("media-seed", "1"); ("faults", "heap") ]);
+      ("recovery", [ ("leg", "attach") ]);
+      ("daemons", [ ("daemon-seed", "1") ]);
+      ("replica", [ ("scenario", "clean") ]);
+    ]
+  in
+  Alcotest.(check int) "ten campaigns" 10 (List.length Check.campaign_docs);
+  List.iter
+    (fun (campaign, _) ->
+      let args = Option.value (List.assoc_opt campaign needs) ~default:[] @ [ ("crash-at", "0") ] in
+      let r = expect_pass campaign args in
+      Alcotest.(check int) (campaign ^ ": one run") 1 r.Check.runs;
+      Alcotest.(check bool) (campaign ^ ": counted boundaries") true (r.Check.boundaries > 0))
+    Check.campaign_docs
+
+(* The uncut schedule's own recovery catches a mutant: with the handoff
+   seal skipped, a transaction acknowledged before the schedule ended is
+   gone once every device loses power, though the live instance still
+   shows it. *)
+let test_migrate_uncut_recovery () =
+  match run ~mutant:Inject.Skip_handoff_seal "migrate" [ ("crash-at", "0") ] with
+  | Check.Pass _ -> Alcotest.fail "skip-handoff-seal escaped the recovery of the uncut schedule"
+  | Check.Fail f ->
+    Alcotest.(check (list int)) "no cut" [] f.Check.cuts;
+    Alcotest.(check bool) ("an acknowledged transaction lost: " ^ f.Check.reason) true
+      (contains f.Check.reason "acknowledged transaction" && contains f.Check.reason " lost")
+
 (* -------------------------------------------------------------------- *)
 (* Media-fault campaign                                                   *)
 (* -------------------------------------------------------------------- *)
@@ -277,6 +312,10 @@ let suite =
     Alcotest.test_case "grammar: --crash2 needs a fired --crash-at" `Quick
       test_crash2_needs_crash_at;
     Alcotest.test_case "grammar: undeclared coordinates rejected" `Quick test_foreign_coordinates;
+    Alcotest.test_case "every campaign's uncut case recovers every commit" `Quick
+      test_uncut_cases;
+    Alcotest.test_case "migrate: the uncut schedule's recovery is judged" `Quick
+      test_migrate_uncut_recovery;
     Alcotest.test_case "media campaign: clean engine never silently wrong" `Quick
       test_media_clean_engine;
     Alcotest.test_case "media campaign: skip-crc-verify mutant caught" `Quick
