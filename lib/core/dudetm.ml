@@ -37,34 +37,76 @@ let scan_items = Recovery.scan_items
 let pmalloc_cost = 120
 
 module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
-  type t = Tm.t S.t
-
   type item = S.item
 
   type prepared = Recovery.prepared
 
-  (* A transaction body runs against either a full TM transaction or a
-     read-only snapshot; the handle decides which fast path [read] takes
-     and makes [write] on a snapshot a typed error. *)
-  type txh = Rw of Tm.tx | Snap of Tm.ro
+  (* An engine's state holds the attempt in flight on each thread, so the
+     engine and the handle are one recursive definition. *)
+  type t = (Tm.t, tx) S.t
 
-  type tx = {
-    t : t;
-    thread : int;
-    tm_tx : txh;
-    (* Pinned shadow pages and pages written (for touching IDs), each page
-       once, newest first.  A transaction touches a handful of pages, so a
-       [List.mem] scan dedupes them without a per-attempt hash table. *)
-    mutable touched_list : int list;
-    mutable wrote_list : int list;
-    mutable allocs : (int * int) list;  (* this attempt's pmallocs *)
-    mutable frees : (int * int) list;  (* deferred pfrees *)
-    mutable cross_seal : (int * int) option;  (* (gtid, mask) to seal at commit *)
-  }
+  (* The handle of one attempt: a full TM transaction or a read-only
+     snapshot.  The constructor decides which fast path [read] takes and
+     makes [write] on a snapshot a typed error; a snapshot's handle holds
+     only what a snapshot uses.  [live] turns false once the attempt has
+     ended (committed, retried or aborted): every call through the handle
+     checks it before any side effect.  [touched] lists the pinned shadow
+     pages and [wrote] the pages written (for touching IDs), each page
+     once, newest first.  A transaction touches a handful of pages, so a
+     [List.mem] scan dedupes them without a per-attempt hash table. *)
+  and tx =
+    | Rw of {
+        t : t;
+        thread : int;
+        tm_tx : Tm.tx;
+        mutable live : bool;
+        mutable touched : int list;
+        mutable wrote : int list;
+        mutable allocs : (int * int) list;  (* this attempt's pmallocs *)
+        mutable frees : (int * int) list;  (* deferred pfrees *)
+        mutable cross_seal : (int * int) option;  (* (gtid, mask) to seal at commit *)
+      }
+    | Snap of { t : t; ro : Tm.ro; mutable live : bool; mutable touched : int list }
+
+  let page_addr sh page = page lsl (Shadow.config sh).Shadow.page_bits
+
+  let rec unpin_pages view = function
+    | [] -> ()
+    | page :: rest ->
+      (match view with Paged sh -> Shadow.unpin sh (page_addr sh page) | Flat _ -> ());
+      unpin_pages view rest
+
+  (* End the attempt's handle and unpin its pages: once per attempt, at
+     its commit or its undo. *)
+  let unpin_all = function
+    | Rw r ->
+      r.live <- false;
+      unpin_pages r.t.view r.touched
+    | Snap s ->
+      s.live <- false;
+      unpin_pages s.t.view s.touched
+
+  let rec free_all allocator = function
+    | [] -> ()
+    | (off, len) :: rest ->
+      Alloc.free allocator ~off ~len;
+      free_all allocator rest
+
+  (* Undo a discarded attempt and end its handle: a read-write attempt
+     drops its log entries and refunds its pmallocs; every attempt unpins
+     its pages.  The engine's per-thread retry hooks run it. *)
+  let undo dtx =
+    (match dtx with
+    | Rw r ->
+      Vlog.pop_current_tx r.t.vlogs.(r.thread);
+      free_all r.t.allocator r.allocs
+    | Snap _ -> ());
+    unpin_all dtx
 
   let tm_ops =
     { S.create = (fun ~seed -> Tm.create ~costs:Tm_intf.default_costs ~seed);
-      last_tid = Tm.last_tid }
+      last_tid = Tm.last_tid;
+      undo }
 
   (* ------------------------------------------------------------------ *)
   (* Lifecycle                                                           *)
@@ -127,7 +169,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let wait_durable = S.wait_durable
   let wake_durable t = t.wake_durable
   let cross_frontier t = t.cross_frontier
-  let set_ro_watermark t wm = t.ro_watermark <- wm
+  let set_ro_watermark t ~on wm =
+    t.ro_pin <-
+      Some
+        (match wm with
+        | None -> local_pin t
+        | Some f -> { Tm_intf.watermark = (fun () -> f () - t.tid_base); on })
   let set_ship_hook t hook = t.ship_hook <- hook
   let set_replay_gate = Reproduce.set_replay_gate
   let item_hi (it : item) = it.hi
@@ -137,64 +184,67 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Perform step: the transaction API                                   *)
   (* ------------------------------------------------------------------ *)
 
-  let page_addr sh page = page lsl (Shadow.config sh).Shadow.page_bits
+  (* A handle whose attempt has ended raises before it touches anything:
+     no page pinned, no cycle charged, no log entry appended, no space
+     reserved. *)
+  let check_live dtx what =
+    match dtx with
+    | Rw { live = true; _ } | Snap { live = true; _ } -> ()
+    | Rw _ | Snap _ -> invalid_arg (what ^ ": transaction not active")
 
-  let unpin_all dtx =
-    (match dtx.t.view with
-    | Flat _ -> ()
-    | Paged sh -> List.iter (fun page -> Shadow.unpin sh (page_addr sh page)) dtx.touched_list);
-    dtx.touched_list <- [];
-    dtx.wrote_list <- []
-
-  let touch dtx addr ~wrote =
-    match dtx.t.view with
-    | Flat _ -> ()
-    | Paged sh ->
-      let page = Shadow.page_of sh addr in
-      (* Record the page only once it is pinned: a fault that raises
-         (a poisoned line) must leave nothing for [unpin_all] to undo. *)
-      if not (List.mem page dtx.touched_list) then begin
-        Shadow.pin sh addr;
-        dtx.touched_list <- page :: dtx.touched_list
-      end;
-      if wrote && not (List.mem page dtx.wrote_list) then
-        dtx.wrote_list <- page :: dtx.wrote_list
+  (* [touched] with [addr]'s page pinned: the page is recorded only once
+     it is pinned, so a fault that raises (a poisoned line) leaves nothing
+     for [unpin_all] to undo. *)
+  let pin_page sh touched addr =
+    let page = Shadow.page_of sh addr in
+    if List.mem page touched then touched
+    else begin
+      Shadow.pin sh addr;
+      page :: touched
+    end
 
   let read dtx addr =
-    touch dtx addr ~wrote:false;
-    match dtx.tm_tx with
-    | Rw tm_tx -> Tm.read tm_tx addr
-    | Snap ro -> Tm.ro_read ro addr
+    check_live dtx "Dudetm.read";
+    match dtx with
+    | Rw r ->
+      (match r.t.view with Flat _ -> () | Paged sh -> r.touched <- pin_page sh r.touched addr);
+      Tm.read r.tm_tx addr
+    | Snap s ->
+      (match s.t.view with Flat _ -> () | Paged sh -> s.touched <- pin_page sh s.touched addr);
+      Tm.ro_read s.ro addr
 
-  (* The write-side TM handle; a snapshot transaction attempting any
-     mutation gets the typed violation (there is nothing to roll back —
-     snapshots own no locks and logged nothing), and a frozen instance
-     rejects it with its reason. *)
-  let require_rw dtx =
-    match (dtx.tm_tx, dtx.t.read_only) with
-    | Snap _, _ -> raise Read_only_violation
-    | Rw _, Some reason -> raise (Read_only reason)
-    | Rw tm_tx, None -> tm_tx
-
+  (* Every mutation refuses a snapshot's handle with the typed violation
+     (there is nothing to roll back — snapshots own no locks and logged
+     nothing), and a frozen instance's with the reason it was frozen. *)
   let write dtx addr value =
-    let tm_tx = require_rw dtx in
-    touch dtx addr ~wrote:true;
-    Trace.sample ~cat:"perform" "log_append" dtx.t.cfg.Config.log_append_cost;
-    Sched.advance dtx.t.cfg.Config.log_append_cost;
-    Vlog.append dtx.t.vlogs.(dtx.thread) (Log_entry.Write { addr; value });
-    Stats.incr dtx.t.stats "log_entries";
-    Tm.write tm_tx addr value
+    check_live dtx "Dudetm.write";
+    match dtx with
+    | Snap _ -> raise Read_only_violation
+    | Rw { t = { read_only = Some reason; _ }; _ } -> raise (Read_only reason)
+    | Rw r ->
+      let t = r.t in
+      (match t.view with
+      | Flat _ -> ()
+      | Paged sh ->
+        r.touched <- pin_page sh r.touched addr;
+        let page = Shadow.page_of sh addr in
+        if not (List.mem page r.wrote) then r.wrote <- page :: r.wrote);
+      Trace.sample ~cat:"perform" "log_append" t.cfg.Config.log_append_cost;
+      Sched.advance t.cfg.Config.log_append_cost;
+      Vlog.append t.vlogs.(r.thread) (Log_entry.Write { addr; value });
+      Stats.incr t.stats "log_entries";
+      Tm.write r.tm_tx addr value
 
   let abort dtx =
-    match dtx.tm_tx with
-    | Rw tm_tx -> Tm.user_abort tm_tx
-    | Snap ro -> Tm.ro_abort ro
+    check_live dtx "Dudetm.abort";
+    match dtx with Rw r -> Tm.user_abort r.tm_tx | Snap s -> Tm.ro_abort s.ro
 
   (* Request a cross-shard fragment seal: if this transaction commits with
      writes, a [Cross { gtid; mask; tid }] entry is logged just before its
      end mark.  Called by the sharding layer once the body has finished and
      the set of shards actually written is known. *)
-  let seal_cross dtx ~gtid ~mask = dtx.cross_seal <- Some (gtid, mask)
+  let seal_cross dtx ~gtid ~mask =
+    match dtx with Rw r -> r.cross_seal <- Some (gtid, mask) | Snap _ -> raise Read_only_violation
 
   (* Allocation backpressure: concurrent transactions return space at
      commit ([pfree]) and abort (refunds), so a full heap is often
@@ -228,33 +278,44 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let pmalloc dtx n =
     if n <= 0 then invalid_arg "Dudetm.pmalloc: non-positive size";
-    ignore (require_rw dtx);
-    Sched.advance pmalloc_cost;
-    match alloc_with_backpressure dtx.t n with
-    | None -> raise Pmem_exhausted
-    | Some off ->
-      dtx.allocs <- (off, n) :: dtx.allocs;
-      Vlog.append dtx.t.vlogs.(dtx.thread) (Log_entry.Alloc { off; len = n });
-      (* Zero the first word transactionally: initializes the block and
-         guarantees the transaction is a write transaction, so the Alloc
-         entry is always sealed under a real transaction ID. *)
-      write dtx off 0L;
-      off
+    check_live dtx "Dudetm.pmalloc";
+    match dtx with
+    | Snap _ -> raise Read_only_violation
+    | Rw { t = { read_only = Some reason; _ }; _ } -> raise (Read_only reason)
+    | Rw r -> (
+      Sched.advance pmalloc_cost;
+      match alloc_with_backpressure r.t n with
+      | None -> raise Pmem_exhausted
+      | Some off ->
+        r.allocs <- (off, n) :: r.allocs;
+        Vlog.append r.t.vlogs.(r.thread) (Log_entry.Alloc { off; len = n });
+        (* Zero the first word transactionally: initializes the block and
+           guarantees the transaction is a write transaction, so the Alloc
+           entry is always sealed under a real transaction ID. *)
+        write dtx off 0L;
+        off)
 
   let pfree dtx ~off ~len =
     if len <= 0 then invalid_arg "Dudetm.pfree: non-positive size";
-    ignore (require_rw dtx);
-    write dtx off 0L;
-    Vlog.append dtx.t.vlogs.(dtx.thread) (Log_entry.Free { off; len });
-    dtx.frees <- (off, len) :: dtx.frees
+    check_live dtx "Dudetm.pfree";
+    match dtx with
+    | Snap _ -> raise Read_only_violation
+    | Rw { t = { read_only = Some reason; _ }; _ } -> raise (Read_only reason)
+    | Rw r ->
+      write dtx off 0L;
+      Vlog.append r.t.vlogs.(r.thread) (Log_entry.Free { off; len });
+      r.frees <- (off, len) :: r.frees
 
   (* Backpressure: true when some ring is occupied beyond the configured
-     high-water fraction. *)
-  let ring_pressure t =
-    let hwm = t.cfg.Config.bp_hwm_fraction in
-    Array.exists
-      (fun p -> float_of_int (Plog.used_space p) >= hwm *. float_of_int (Plog.data_capacity p))
-      t.plogs
+     high-water fraction.  A top-level scan: the admission gate and every
+     write transaction ask, so the answer allocates nothing. *)
+  let rec pressure_from plogs hwm i =
+    i < Array.length plogs
+    && (float_of_int (Plog.used_space plogs.(i))
+        >= hwm *. float_of_int (Plog.data_capacity plogs.(i))
+       || pressure_from plogs hwm (i + 1))
+
+  let ring_pressure t = pressure_from t.plogs t.cfg.Config.bp_hwm_fraction 0
 
   (* Admission control applies only to a started, running asynchronous
      engine with a wait budget, and stands down once it drains or stops. *)
@@ -324,73 +385,64 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       end
     end
 
-  (* One transaction attempt, recorded in [attempt] so that a conflict
-     retry (or the end of a snapshot) can undo it with [discard]. *)
-  let begin_attempt t ~thread attempt tm_tx =
+  (* One transaction attempt, recorded in its thread's slot so that a
+     conflict retry (or the end of a snapshot) can undo it. *)
+  let begin_rw t ~thread tm_tx =
     let dtx =
-      {
-        t;
-        thread;
-        tm_tx;
-        touched_list = [];
-        wrote_list = [];
-        allocs = [];
-        frees = [];
-        cross_seal = None;
-      }
+      Rw { t; thread; tm_tx; live = true; touched = []; wrote = []; allocs = []; frees = [];
+           cross_seal = None }
     in
-    attempt := Some dtx;
+    t.attempts.(thread) <- Some dtx;
     dtx
 
-  (* Undo the recorded attempt: a read-write attempt drops its log entries
-     and refunds its pmallocs; every attempt unpins its pages. *)
-  let discard attempt =
-    (match !attempt with
-    | Some dtx ->
-      (match dtx.tm_tx with
-      | Rw _ ->
-        Vlog.pop_current_tx dtx.t.vlogs.(dtx.thread);
-        List.iter (fun (off, len) -> Alloc.free dtx.t.allocator ~off ~len) dtx.allocs
-      | Snap _ -> ());
-      unpin_all dtx
-    | None -> ());
-    attempt := None
+  let begin_snap t ~thread ro =
+    let dtx = Snap { t; ro; live = true; touched = [] } in
+    t.snapshots.(thread) <- Some dtx;
+    dtx
+
+  (* A thread runs one transaction and one snapshot at a time on an
+     engine: its volatile log and its attempt slots are its own. *)
+  let check_idle slots ~thread what =
+    match slots.(thread) with
+    | Some _ -> invalid_arg (what ^ ": the thread is already inside one on this engine")
+    | None -> ()
+
+  let rec set_touching sh tid = function
+    | [] -> ()
+    | page :: rest ->
+      Shadow.set_touching sh ~page ~tid;
+      set_touching sh tid rest
 
   let atomically_body t ~thread f =
     let vlog = t.vlogs.(thread) in
-    let attempt = ref None in
     let outcome =
-      Tm.run
-        ~on_retry:(fun () -> discard attempt)
-        t.tm
-        (fun tm_tx -> f (begin_attempt t ~thread attempt (Rw tm_tx)))
+      Tm.run ?on_retry:t.retry_attempt.(thread) t.tm (fun tm_tx -> f (begin_rw t ~thread tm_tx))
     in
-    match outcome with
-    | None -> None
-    | Some (value, raw_tid) ->
-      let dtx = match !attempt with Some d -> d | None -> assert false in
-      attempt := None;
+    match (outcome, t.attempts.(thread)) with
+    | None, _ -> None
+    | Some _, (None | Some (Snap _)) -> assert false
+    | Some (value, raw_tid), Some (Rw r as dtx) ->
+      t.attempts.(thread) <- None;
+      (* The handle ends at the commit point: what follows may yield. *)
+      r.live <- false;
       Stats.incr t.stats "txs";
       if raw_tid = 0 then begin
         assert (Vlog.current_tx_entries vlog = 0);
         unpin_all dtx;
-        Some (value, 0)
+        outcome
       end
       else begin
         let tid = t.tid_base + raw_tid in
-        List.iter (fun (off, len) -> Alloc.free t.allocator ~off ~len) dtx.frees;
+        free_all t.allocator r.frees;
         (* The fragment seal rides in the redo log just before the end
            mark, so it is CRC-sealed with the fragment's writes and recovery
            sees (gtid, mask, tid) in the same durable record. *)
-        (match dtx.cross_seal with
+        (match r.cross_seal with
         | Some (gtid, mask) -> Vlog.append vlog (Log_entry.Cross { gtid; mask; tid })
         | None -> ());
         Vlog.append_end vlog ~tid;
         Sched.signal t.wake_persist.(thread mod Array.length t.wake_persist);
-        (match t.view with
-        | Flat _ -> ()
-        | Paged sh ->
-          List.iter (fun page -> Shadow.set_touching sh ~page ~tid) dtx.wrote_list);
+        (match t.view with Flat _ -> () | Paged sh -> set_touching sh tid r.wrote);
         unpin_all dtx;
         (match t.cfg.Config.mode with
         | Config.Sync ->
@@ -399,7 +451,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           wait_durable t tid;
           Trace.span_end ~cat:"perform" "sync_wait"
         | Config.Async | Config.Inf -> ());
-        Some (value, tid)
+        (* The TM's result already carries the engine ID unless recovery
+           moved the ID base. *)
+        if tid = raw_tid then outcome else Some (value, tid)
       end
 
   (* The perform span is opened/closed with explicit begin/end on every exit
@@ -409,6 +463,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let atomically t ~thread f =
     if thread < 0 || thread >= t.cfg.Config.nthreads then
       invalid_arg "Dudetm.atomically: bad thread index";
+    check_idle t.attempts ~thread "Dudetm.atomically";
     throttle_on_pressure t;
     pace_admission t ~thread;
     Trace.span_begin ~cat:"perform" "tx";
@@ -430,31 +485,24 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let atomically_ro ?(durable = false) t ~thread f =
     if thread < 0 || thread >= t.cfg.Config.nthreads then
       invalid_arg "Dudetm.atomically_ro: bad thread index";
-    let pin =
-      if durable then
-        Some
-          (fun () ->
-            (match t.ro_watermark with Some f -> f () | None -> t.durable) - t.tid_base)
-      else None
-    in
+    check_idle t.snapshots ~thread "Dudetm.atomically_ro";
+    let pin = if durable then t.ro_pin else None in
     Trace.span_begin ~cat:"perform" "ro_tx";
-    let attempt = ref None in
-    let cleanup () = discard attempt in
     match
-      Tm.run_ro ?pin ~on_retry:cleanup t.tm (fun ro ->
-          f (begin_attempt t ~thread attempt (Snap ro)))
+      Tm.run_ro ?pin ?on_retry:t.retry_snapshot.(thread) t.tm (fun ro ->
+          f (begin_snap t ~thread ro))
     with
     | outcome -> (
-      cleanup ();
+      S.discard tm_ops t.snapshots thread;
       Trace.span_end ~cat:"perform" "ro_tx";
       match outcome with
       | Some (value, raw_epoch) ->
         Stats.incr t.stats "ro_txs";
         if durable then Stats.incr t.stats "ro_durable_txs";
-        Some (value, t.tid_base + raw_epoch)
+        if t.tid_base = 0 then outcome else Some (value, t.tid_base + raw_epoch)
       | None -> None)
     | exception e ->
-      cleanup ();
+      S.discard tm_ops t.snapshots thread;
       Trace.span_end ~cat:"perform" "ro_tx";
       raise e
 

@@ -179,14 +179,25 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   (** Ask daemons to exit once drained (they are daemons, so this is only
       needed when an experiment wants their final counters flushed). *)
 
-  (** {1 Transactions (the paper's five-call API)} *)
+  (** {1 Transactions (the paper's five-call API)}
+
+      {b Handle lifetime.}  A [tx] handle belongs to one attempt of one
+      transaction.  Once that attempt ends — it commits, a conflict
+      retries it, or it aborts — every call through the handle ([read],
+      [write], [abort], [pmalloc], [pfree]) raises [Invalid_argument]
+      before any side effect: no shadow page is pinned, no cycle is
+      charged, no log entry is appended and no heap space is reserved, so
+      a stale handle leaves no trace in any later transaction. *)
 
   val atomically : t -> thread:int -> (tx -> 'a) -> ('a * int) option
   (** [atomically t ~thread f] is [dtmBegin]; [f] runs transactionally with
       automatic conflict retry.  Returns [Some (result, tid)] after commit
       ([tid = 0] for read-only transactions) or [None] if [f] aborted via
       {!abort}.  [thread] indexes the calling Perform thread's log buffer
-      (0 to [nthreads-1]); each simulated thread must use its own index. *)
+      (0 to [nthreads-1]); each simulated thread must use its own index.
+      Raises [Invalid_argument] when [thread] is already inside a
+      read-write transaction on this engine: its volatile log holds one
+      transaction at a time. *)
 
   val atomically_ro :
     ?durable:bool -> t -> thread:int -> (tx -> 'a) -> ('a * int) option
@@ -207,7 +218,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       moment of the read; a read observing newer state waits — bounded by
       the group-commit deadline — for durability to catch up.  Fresh-epoch
       mode ([durable = false], the default) may observe committed state
-      that is not yet durable. *)
+      that is not yet durable.  Raises [Invalid_argument] when [thread] is
+      already inside a snapshot on this engine (a snapshot inside a
+      read-write transaction is fine). *)
 
   val read : tx -> int -> int64
   (** [dtmRead]. *)
@@ -249,14 +262,17 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   (** Signalled each time {!durable_id} advances: a layer whose wait (or
       replay gate) reads this engine's durable ID names it in its conds. *)
 
-  val set_ro_watermark : t -> (unit -> int) option -> unit
+  val set_ro_watermark : t -> on:Dudetm_sim.Sched.cond list -> (unit -> int) option -> unit
   (** Install the watermark durable-only snapshots pin at, in engine tid
       space.  Layers that gate durability beyond the local device use
       this: the sharding layer installs per-shard {e effective} durable
       IDs (cross-shard fragments held back until their siblings are
       durable), the replication layer its quorum watermark.  The thunk
-      must be a pure read — snapshot readers poll it from scheduler wait
-      conditions.  [None] restores the default (the local durable ID). *)
+      must be a pure read — it runs inside scheduler wait predicates — and
+      [on] must hold a cond signalled on every change that can raise it: a
+      snapshot waiting for the watermark parks on them (the contract of
+      {!Dudetm_sim.Sched.wait_on}).  [None] restores the default, the
+      local durable ID woken by {!wake_durable}, and ignores [on]. *)
 
   (** {1 Cross-shard transactions (sharding layer hooks)} *)
 

@@ -84,14 +84,16 @@ type prepared_batch = {
   pb_plain : bytes;
 }
 
-(* How the engine makes its TM: {!Dudetm.Make} passes its TM's [create]
-   and [last_tid]. *)
-type 'tm tm_ops = {
+(* What {!Dudetm.Make} supplies: its TM's [create] and [last_tid], and
+   [undo], which rolls back the engine-side state of a transaction
+   handle ['h] whose attempt is discarded. *)
+type ('tm, 'h) tm_ops = {
   create : seed:int -> Tm_intf.store -> 'tm;
   last_tid : 'tm -> int;
+  undo : 'h -> unit;
 }
 
-type 'tm t = {
+type ('tm, 'h) t = {
   cfg : Config.t;
   nvm : Nvm.t;
   view : view;
@@ -133,11 +135,19 @@ type 'tm t = {
   mutable drain_pace : float;  (* measured NVM drain cost, cycles/entry *)
   repro_addrs : addrs;  (* applied but not yet persisted *)
   mutable cross_frontier : int;  (* max replayed cross-shard gtid *)
-  (* Durable-only snapshot watermark, installed by layers that gate
-     durability beyond the local device (shard effective IDs, replication
-     quorum).  Thunk returns an engine-space tid; [None]: the local
-     durable ID.  Must be a pure read — snapshot readers poll it. *)
-  mutable ro_watermark : (unit -> int) option;
+  (* The pin durable-only snapshots take, in the TM's ID space: the local
+     durable ID on [wake_durable] until a layer that gates durability
+     beyond the local device (shard effective IDs, replication quorum)
+     installs its own watermark and conds.  Built once, so a snapshot
+     passes it as it is. *)
+  mutable ro_pin : Tm_intf.pin option;
+  (* The attempt in flight on each Perform thread, read-write and
+     snapshot apart, and per thread the retry hook that undoes it: built
+     once, so no transaction allocates a hook or a cell of its own. *)
+  attempts : 'h option array;
+  snapshots : 'h option array;
+  retry_attempt : (unit -> unit) option array;
+  retry_snapshot : (unit -> unit) option array;
   (* Replication tap, installed by lib/replica: fires on the Persist
      daemon right after a log record's NVM persist completes (the batch
      is sealed locally). *)
@@ -173,6 +183,18 @@ type 'tm t = {
 
 let applied t = !(t.applied_cell)
 
+(* Undo the attempt in flight on [thread], if any, and free its slot. *)
+let discard ops slots thread =
+  match slots.(thread) with
+  | Some h ->
+    slots.(thread) <- None;
+    ops.undo h
+  | None -> ()
+
+(* The local durable ID as a snapshot pin. *)
+let local_pin t =
+  { Tm_intf.watermark = (fun () -> t.durable - t.tid_base); on = t.durable_on }
+
 let last_tid t = t.tid_base + t.tm_last_tid ()
 
 let store_of_view = function
@@ -189,7 +211,7 @@ let make_view cfg nvm applied_cell wake_applied =
     let scfg = Shadow.default_config cfg.Config.shadow_mode ~frames in
     Paged (Shadow.create scfg ~nvm ~applied_id:(fun () -> !applied_cell) ~wake_applied)
 
-let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator
+let make ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator
     ~repro_alloc =
   let applied_cell = ref tid_base in
   let wake_applied = Sched.cond () in
@@ -206,6 +228,11 @@ let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~alloca
   let wake_seal = Sched.cond () and wake_durable = Sched.cond () in
   let wake_repro = Sched.cond () in
   let wake_persist = Array.init daemons (fun _ -> Sched.cond ()) in
+  let attempts = Array.make cfg.Config.nthreads None in
+  let snapshots = Array.make cfg.Config.nthreads None in
+  let hooks slots =
+    Array.init cfg.Config.nthreads (fun th -> Some (fun () -> discard ops slots th))
+  in
   {
     cfg;
     nvm;
@@ -245,7 +272,11 @@ let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~alloca
     drain_pace = 0.0;
     repro_addrs = addrs ();
     cross_frontier = 0;
-    ro_watermark = None;
+    ro_pin = None;
+    attempts;
+    snapshots;
+    retry_attempt = hooks attempts;
+    retry_snapshot = hooks snapshots;
     ship_hook = None;
     replay_gate = None;
     fault_rng = Rng.create ((cfg.Config.seed * 31) + 0x5eed);
@@ -268,6 +299,16 @@ let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~alloca
     space_on = Array.map (fun p -> [ Plog.space_cond p; wake_stop ]) plogs;
     repro_on = [ wake_repro; wake_stop ];
   }
+
+(* [make], then the default snapshot pin, which reads the record's own
+   durable ID. *)
+let build ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator
+    ~repro_alloc =
+  let t =
+    make ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator ~repro_alloc
+  in
+  t.ro_pin <- Some (local_pin t);
+  t
 
 (* Record a high-water mark: counters are monotone, so push the counter
    up to [v] when it is a new maximum. *)

@@ -18,18 +18,18 @@ val scan_record : Config.t -> region:int -> bytes -> int -> Engine_state.item li
     One in-place pass, no entry decoded.  Shared by the live Persist
     path, follower ingest, recovery and the offline scrub. *)
 
-val flush_thread : _ Engine_state.t -> int -> wait_space:bool -> bool
+val flush_thread : (_, _) Engine_state.t -> int -> wait_space:bool -> bool
 (** [flush_thread t i ~wait_space] writes the longest prefix of whole
     transactions in thread [i]'s volatile log that fits the adaptive entry
     bound and ring [i]'s free space as one record.  With [wait_space] it
     first waits for the ring to fit one transaction (synchronous mode).
     Returns whether a record was written. *)
 
-val spawn : _ Engine_state.t -> unit
+val spawn : (_, _) Engine_state.t -> unit
 (** Spawn the supervised Persist daemons of the configured policy: one
     per-thread cutter per [daemons], or the combiner and flusher pair. *)
 
-val ingest_record : _ Engine_state.t -> bytes -> bool
+val ingest_record : (_, _) Engine_state.t -> bytes -> bool
 (** Follower ingest: append a shipped payload to ring 0 and publish it as
     the flusher would.  [false] when the ring lacks space; raises
     [Invalid_argument] when the batch does not extend the durable

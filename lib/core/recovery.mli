@@ -26,6 +26,9 @@ val prepared_fragments : prepared -> (int * int * int) list
 val prepared_checkpoint_upto : prepared -> int
 
 val commit :
-  'tm Engine_state.tm_ops -> ?durable_cut:int -> prepared -> 'tm Engine_state.t * Rjournal.report
+  ('tm, 'h) Engine_state.tm_ops ->
+  ?durable_cut:int ->
+  prepared ->
+  ('tm, 'h) Engine_state.t * Rjournal.report
 (** See [Dudetm.Make.attach_commit]; [ops] makes the returned instance's
     TM. *)

@@ -20,12 +20,12 @@ val redo :
     with recovery replay. *)
 
 val set_replay_gate :
-  _ Engine_state.t ->
+  (_, _) Engine_state.t ->
   on:Dudetm_sim.Sched.cond list ->
   (Engine_state.item -> bool) option ->
   unit
 (** Install the replay gate and the conds Reproduce parks on with it.
     Raises [Invalid_argument] once the engine is started. *)
 
-val spawn : _ Engine_state.t -> unit
+val spawn : (_, _) Engine_state.t -> unit
 (** Spawn the supervised Reproduce daemon. *)

@@ -66,6 +66,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     reps : rep array;
     shipments : Dudetm.shipment Queue.t;  (* retained in DRAM until acked by every replica *)
     mutable acked_watermark : int;  (* quorum watermark, monotone *)
+    wake_watermark : Sched.cond;  (* [acked_watermark] rose *)
     mutable last_broadcast : int;
     mutable last_broadcast_at : int;
     mutable degraded : string option;
@@ -123,6 +124,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         reps;
         shipments = Queue.create ();
         acked_watermark = 0;
+        wake_watermark = Sched.cond ();
         last_broadcast = 0;
         last_broadcast_at = 0;
         degraded = None;
@@ -136,8 +138,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        watermark, not the primary-local durable ID: a value is readable in
        durable mode only once it would survive a failover (the promotion
        truncates to the quorum prefix).  The thunk is a pure field read,
-       as the snapshot pin wait requires. *)
-    Engine.set_ro_watermark prim (Some (fun () -> t.acked_watermark));
+       as the snapshot pin wait requires, and [recompute] signals the cond
+       each time the watermark rises. *)
+    Engine.set_ro_watermark prim ~on:[ t.wake_watermark ] (Some (fun () -> t.acked_watermark));
     t
 
   (* ------------------------------------------------------------------ *)
@@ -181,6 +184,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     in
     if wm > t.acked_watermark then begin
       t.acked_watermark <- wm;
+      Sched.signal t.wake_watermark;
       Trace.instant ~cat:"replica" "ack" wm
     end;
     if t.degraded <> None && t.acked_watermark >= d then t.degraded <- None;

@@ -154,10 +154,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       ack_on = Array.init nshards (fun _ -> [ Sched.cond () ]);
     }
 
-  let engine_pressure t =
-    let n = Sh.nshards t.sh in
-    let rec any s = s < n && (Engine.ring_pressure (Sh.engine t.sh s) || any (s + 1)) in
-    any 0
+  (* Does any shard's engine report ring pressure?  A top-level scan, so
+     the question every submit asks allocates nothing. *)
+  let rec pressure_from sh s =
+    s < Sh.nshards sh && (Engine.ring_pressure (Sh.engine sh s) || pressure_from sh (s + 1))
+
+  let engine_pressure t = pressure_from t.sh 0
 
   (* ------------------------- descriptors ---------------------------- *)
 

@@ -12,8 +12,10 @@ val pages : t -> int
 
 val frames : t -> int
 
-val frame_of : t -> int -> int option
-(** [frame_of t page] is the frame backing [page], if resident. *)
+val frame_of : t -> int -> int
+(** [frame_of t page] is the frame backing [page], or [-1] if it is not
+    resident: the lookup every shadow access makes, so it allocates no
+    option. *)
 
 val page_of_frame : t -> int -> int option
 
@@ -27,8 +29,9 @@ val map : t -> page:int -> frame:int -> unit
 val unmap_frame : t -> int -> unit
 (** Release the frame's mapping (page becomes non-resident, frame free). *)
 
-val free_frame : t -> int option
-(** The next frame {!map} claims (one with no mapping), if any. *)
+val free_frame : t -> int
+(** The next frame {!map} claims (one with no mapping), or [-1] if every
+    frame is mapped. *)
 
 val clock_victim : t -> skip:(int -> bool) -> int option
 (** Next mapped frame under the clock hand with [skip frame = false]; the

@@ -38,6 +38,7 @@ type t = {
   dram : Mem.t;  (* frames * page_size bytes *)
   pt : Page_table.t;
   refcount : int array;  (* per frame *)
+  pinned : int -> bool;  (* frame -> its refcount is positive; built once *)
   touching_id : int array;  (* per logical page *)
   stats : Stats.t;
   page_size : int;
@@ -50,6 +51,7 @@ let create cfg ~nvm ~applied_id ~wake_applied =
   if size mod page_size <> 0 then invalid_arg "Shadow.create: NVM size not page-aligned";
   let npages = size / page_size in
   if cfg.frames < 1 then invalid_arg "Shadow.create: no frames";
+  let refcount = Array.make cfg.frames 0 in
   {
     cfg;
     nvm;
@@ -57,7 +59,8 @@ let create cfg ~nvm ~applied_id ~wake_applied =
     applied_on = [ wake_applied ];
     dram = Mem.create (cfg.frames * page_size);
     pt = Page_table.create ~pages:npages ~frames:cfg.frames;
-    refcount = Array.make cfg.frames 0;
+    refcount;
+    pinned = (fun f -> refcount.(f) > 0);
     touching_id = Array.make npages 0;
     stats = Stats.create ();
     page_size;
@@ -75,8 +78,7 @@ let copy_cost t = int_of_float (ceil (float_of_int t.page_size *. t.cfg.copy_cyc
    May yield (hardware mode charges a TLB shootdown), so callers must
    re-validate all state afterwards. *)
 let evict_one t =
-  let skip f = t.refcount.(f) > 0 in
-  match Page_table.clock_victim t.pt ~skip with
+  match Page_table.clock_victim t.pt ~skip:t.pinned with
   | Some frame ->
     Page_table.unmap_frame t.pt frame;
     Stats.incr t.stats "evictions";
@@ -90,46 +92,49 @@ let evict_one t =
 (* Swap a page in.  Every step up to the final free-frame claim may yield
    (cost charges, the touching-ID gate, shootdowns), so the loop
    re-validates residency, frame availability and the touching gate until
-   the final check -> copy -> map sequence runs without a yield point. *)
+   the final check -> copy -> map sequence runs without a yield point.  A
+   top-level loop with explicit arguments, so a fault allocates no closure
+   of its own. *)
+let rec acquire t page =
+  let frame = Page_table.frame_of t.pt page in
+  if frame >= 0 then frame (* a peer faulted it in while we yielded *)
+  else if t.touching_id.(page) > t.applied_id () then begin
+    (* Reproduce has not yet applied the last transaction that wrote
+       this page: loading it from NVM now would resurrect stale data. *)
+    Stats.incr t.stats "swapin_waits";
+    Sched.wait_on t.applied_on ~label:"shadow: swap-in behind reproduce" (fun () ->
+        t.touching_id.(page) <= t.applied_id ());
+    acquire t page
+  end
+  else begin
+    let frame = Page_table.free_frame t.pt in
+    if frame >= 0 then begin
+      (* No yield from here to [map]: the claim is atomic. *)
+      Nvm.load_into_mem t.nvm (page * t.page_size) t.dram ~dst_off:(frame * t.page_size)
+        ~len:t.page_size;
+      Page_table.map t.pt ~page ~frame;
+      frame
+    end
+    else begin
+      if not (evict_one t) then
+        (* Every mapped frame is pinned: wait for an unpin. *)
+        Sched.wait_until ~label:"shadow: all frames pinned" (fun () ->
+            Page_table.free_frame t.pt >= 0 || Page_table.has_victim t.pt ~skip:t.pinned);
+      acquire t page
+    end
+  end
+
 let fault_in t page =
   Stats.incr t.stats "faults";
   let trap =
     match t.cfg.mode with Software -> t.cfg.sw_fault_cost | Hardware -> t.cfg.hw_fault_cost
   in
   Sched.advance (trap + copy_cost t);
-  let rec acquire () =
-    match Page_table.frame_of t.pt page with
-    | Some frame -> frame  (* a peer faulted it in while we yielded *)
-    | None ->
-      if t.touching_id.(page) > t.applied_id () then begin
-        (* Reproduce has not yet applied the last transaction that wrote
-           this page: loading it from NVM now would resurrect stale data. *)
-        Stats.incr t.stats "swapin_waits";
-        Sched.wait_on t.applied_on ~label:"shadow: swap-in behind reproduce" (fun () ->
-            t.touching_id.(page) <= t.applied_id ());
-        acquire ()
-      end
-      else begin
-        match Page_table.free_frame t.pt with
-        | Some frame ->
-          (* No yield from here to [map]: the claim is atomic. *)
-          Nvm.load_into_mem t.nvm (page * t.page_size) t.dram ~dst_off:(frame * t.page_size)
-            ~len:t.page_size;
-          Page_table.map t.pt ~page ~frame;
-          frame
-        | None ->
-          if not (evict_one t) then
-            (* Every mapped frame is pinned: wait for an unpin. *)
-            Sched.wait_until ~label:"shadow: all frames pinned" (fun () ->
-                Page_table.free_frame t.pt <> None
-                || Page_table.has_victim t.pt ~skip:(fun f -> t.refcount.(f) > 0));
-          acquire ()
-      end
-  in
-  acquire ()
+  acquire t page
 
 let frame_for t page =
-  match Page_table.frame_of t.pt page with Some f -> f | None -> fault_in t page
+  let f = Page_table.frame_of t.pt page in
+  if f >= 0 then f else fault_in t page
 
 let translate t addr =
   if t.cfg.mode = Software then Sched.advance t.cfg.sw_access_cost;
@@ -148,12 +153,10 @@ let pin t addr =
   t.refcount.(frame) <- t.refcount.(frame) + 1
 
 let unpin t addr =
-  let page = page_of t addr in
-  match Page_table.frame_of t.pt page with
-  | Some frame ->
-    if t.refcount.(frame) <= 0 then invalid_arg "Shadow.unpin: not pinned";
-    t.refcount.(frame) <- t.refcount.(frame) - 1
-  | None -> invalid_arg "Shadow.unpin: page not resident"
+  let frame = Page_table.frame_of t.pt (page_of t addr) in
+  if frame < 0 then invalid_arg "Shadow.unpin: page not resident";
+  if t.refcount.(frame) <= 0 then invalid_arg "Shadow.unpin: not pinned";
+  t.refcount.(frame) <- t.refcount.(frame) - 1
 
 let pinned_pages t = Array.fold_left (fun acc r -> if r > 0 then acc + 1 else acc) 0 t.refcount
 

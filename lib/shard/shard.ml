@@ -69,13 +69,18 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     frontier_on : Sched.cond list;
   }
 
-  type tx = {
+  (* A cross-shard transaction's state, built once per transaction. *)
+  type cross = {
     sh : t;
     dtxs : Engine.tx option array;  (* open sub-transaction per shard *)
     shards_mask : int;  (* declared shards *)
     mutable written_mask : int;  (* shards actually written *)
     mutable gtid : int;  (* 0 until a fragment seal is drawn *)
   }
+
+  (* A single-shard transaction (or snapshot) is its home engine's
+     transaction and nothing more: no per-shard array, no mask, no seal. *)
+  type tx = Single of { sh : t; shard : int; dtx : Engine.tx } | Cross of cross
 
   (* ------------------------------------------------------------------ *)
   (* The global frontier (pure readers + one impure advancer)            *)
@@ -165,7 +170,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      is side-effect free, as the snapshot pin wait requires. *)
   let install_ro_watermarks t =
     Array.iteri
-      (fun s e -> Engine.set_ro_watermark e (Some (fun () -> pure_effective t s)))
+      (fun s e ->
+        Engine.set_ro_watermark e ~on:t.frontier_on (Some (fun () -> pure_effective t s)))
       t.engines
 
   let check_nshards nshards =
@@ -225,31 +231,38 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Transactions                                                        *)
   (* ------------------------------------------------------------------ *)
 
-  let check_shard tx s =
-    if s < 0 || s >= tx.sh.nshards then invalid_arg "Shard: bad shard index";
-    if tx.shards_mask land (1 lsl s) = 0 then
-      invalid_arg "Shard: transaction touched an undeclared shard"
+  let check_shard sh ~mask s =
+    if s < 0 || s >= sh.nshards then invalid_arg "Shard: bad shard index";
+    if mask land (1 lsl s) = 0 then invalid_arg "Shard: transaction touched an undeclared shard"
+
+  let cross_dtx c s =
+    check_shard c.sh ~mask:c.shards_mask s;
+    match c.dtxs.(s) with Some d -> d | None -> assert false
 
   let dtx_of tx s =
-    check_shard tx s;
-    match tx.dtxs.(s) with Some d -> d | None -> assert false
+    match tx with
+    | Single { sh; shard; dtx } ->
+      check_shard sh ~mask:(1 lsl shard) s;
+      dtx
+    | Cross c -> cross_dtx c s
+
+  (* The sub-transaction a mutation of [s] goes through; a cross-shard
+     transaction also records [s] as written. *)
+  let written_dtx tx s =
+    match tx with
+    | Single _ -> dtx_of tx s
+    | Cross c ->
+      let d = cross_dtx c s in
+      c.written_mask <- c.written_mask lor (1 lsl s);
+      d
 
   let read tx ~shard addr = Engine.read (dtx_of tx shard) addr
 
-  let write tx ~shard addr v =
-    let d = dtx_of tx shard in
-    tx.written_mask <- tx.written_mask lor (1 lsl shard);
-    Engine.write d addr v
+  let write tx ~shard addr v = Engine.write (written_dtx tx shard) addr v
 
-  let pmalloc tx ~shard len =
-    let d = dtx_of tx shard in
-    tx.written_mask <- tx.written_mask lor (1 lsl shard);
-    Engine.pmalloc d len
+  let pmalloc tx ~shard len = Engine.pmalloc (written_dtx tx shard) len
 
-  let pfree tx ~shard ~off ~len =
-    let d = dtx_of tx shard in
-    tx.written_mask <- tx.written_mask lor (1 lsl shard);
-    Engine.pfree d ~off ~len
+  let pfree tx ~shard ~off ~len = Engine.pfree (written_dtx tx shard) ~off ~len
 
   let abort _tx = raise Cross_abort
 
@@ -257,30 +270,33 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
     go mask 0
 
+  let leave_single t s =
+    t.active.(s) <- t.active.(s) - 1;
+    if t.active.(s) = 0 then Sched.signal t.wake_quiesce
+
   (* Single-shard fast path: an ordinary engine transaction, throttled only
      by a cross-shard quiesce of its home region.  The active counter keeps
      the quiesce honest: a cross transaction proceeds only once every
      in-flight single-shard transaction on a touched region has finished. *)
   let run_single t ~thread s f =
-    Sched.wait_on t.blocked_on.(s) ~label:"shard blocked" (fun () -> not t.blocked.(s));
+    if t.blocked.(s) then
+      Sched.wait_on t.blocked_on.(s) ~label:"shard blocked" (fun () -> not t.blocked.(s));
     t.active.(s) <- t.active.(s) + 1;
-    Fun.protect ~finally:(fun () ->
-        t.active.(s) <- t.active.(s) - 1;
-        if t.active.(s) = 0 then Sched.signal t.wake_quiesce)
-    @@ fun () ->
-    let tx =
-      { sh = t; dtxs = Array.make t.nshards None; shards_mask = 1 lsl s;
-        written_mask = 0; gtid = 0 }
-    in
     match
-      Engine.atomically t.engines.(s) ~thread (fun dtx ->
-          tx.dtxs.(s) <- Some dtx;
-          f tx)
+      Engine.atomically t.engines.(s) ~thread (fun dtx -> f (Single { sh = t; shard = s; dtx }))
     with
-    | Some (v, 0) -> Some (v, Ack_read_only)
-    | Some (v, tid) -> Some (v, Ack_local { shard = s; tid })
-    | None -> None
-    | exception Cross_abort -> None
+    | outcome -> (
+      leave_single t s;
+      match outcome with
+      | Some (v, 0) -> Some (v, Ack_read_only)
+      | Some (v, tid) -> Some (v, Ack_local { shard = s; tid })
+      | None -> None)
+    | exception Cross_abort ->
+      leave_single t s;
+      None
+    | exception e ->
+      leave_single t s;
+      raise e
 
   (* Cross-shard path.  Under the global mutex, with the touched regions
      quiesced, sub-transactions nest in ascending shard order; the user body
@@ -307,10 +323,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Sched.wait_on t.quiesce_on ~label:"shard quiesce"
       (fun () -> List.for_all (fun s -> t.active.(s) = 0) shards);
     Stats.incr t.stats "cross_txs";
-    let tx =
+    let c =
       { sh = t; dtxs = Array.make t.nshards None; shards_mask = mask;
         written_mask = 0; gtid = 0 }
     in
+    let tx = Cross c in
     let frags = ref [] in
     let rec open_levels = function
       | [] ->
@@ -319,22 +336,22 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
            written fragment with a fresh global ID before any level
            commits, so each fragment's redo record carries its sibling
            mask. *)
-        if popcount tx.written_mask >= 2 then begin
+        if popcount c.written_mask >= 2 then begin
           let g = t.next_gtid + 1 in
           t.next_gtid <- g;
-          tx.gtid <- g;
+          c.gtid <- g;
           Hashtbl.replace t.reg g Pending;
           List.iter
             (fun s ->
-              if tx.written_mask land (1 lsl s) <> 0 then
-                Engine.seal_cross (dtx_of tx s) ~gtid:g ~mask:tx.written_mask)
+              if c.written_mask land (1 lsl s) <> 0 then
+                Engine.seal_cross (cross_dtx c s) ~gtid:g ~mask:c.written_mask)
             shards
         end;
         v
       | s :: rest -> (
         match
           Engine.atomically t.engines.(s) ~thread (fun dtx ->
-              tx.dtxs.(s) <- Some dtx;
+              c.dtxs.(s) <- Some dtx;
               open_levels rest)
         with
         | Some (v, tid) ->
@@ -350,13 +367,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       (* Every level committed.  Registration closes the Pending window:
          until now the frontier (and therefore every region's replay gate
          and acknowledgement watermark) treated gtid as not-yet-durable. *)
-      if tx.gtid > 0 then begin
-        let fs = List.filter (fun (s, _) -> tx.written_mask land (1 lsl s) <> 0) !frags in
-        Hashtbl.replace t.reg tx.gtid (Sealed { mask = tx.written_mask; frags = fs });
+      if c.gtid > 0 then begin
+        let fs = List.filter (fun (s, _) -> c.written_mask land (1 lsl s) <> 0) !frags in
+        Hashtbl.replace t.reg c.gtid (Sealed { mask = c.written_mask; frags = fs });
         Sched.signal t.wake_reg
       end;
       let ack =
-        if tx.gtid > 0 then Ack_cross { gtid = tx.gtid }
+        if c.gtid > 0 then Ack_cross { gtid = c.gtid }
         else
           match !frags with
           | [ (s, tid) ] -> Ack_local { shard = s; tid }
@@ -381,24 +398,23 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     if shard < 0 || shard >= t.nshards then
       invalid_arg "Shard.atomically_ro: bad shard index";
     Stats.incr t.stats "ro_txs";
-    let tx =
-      { sh = t; dtxs = Array.make t.nshards None; shards_mask = 1 lsl shard;
-        written_mask = 0; gtid = 0 }
-    in
     match
       Engine.atomically_ro ?durable t.engines.(shard) ~thread (fun dtx ->
-          tx.dtxs.(shard) <- Some dtx;
-          f tx)
+          f (Single { sh = t; shard; dtx }))
     with
-    | Some (v, epoch) -> Some (v, epoch)
-    | None -> None
+    | outcome -> outcome
     | exception Cross_abort -> None
 
+  let rec check_indices t = function
+    | [] -> ()
+    | s :: rest ->
+      if s < 0 || s >= t.nshards then invalid_arg "Shard.atomically: bad shard index";
+      check_indices t rest
+
   let atomically t ~thread ~shards f =
-    let shards = List.sort_uniq compare shards in
-    List.iter
-      (fun s -> if s < 0 || s >= t.nshards then invalid_arg "Shard.atomically: bad shard index")
-      shards;
+    (* A one-shard list, the common case, needs no sort. *)
+    let shards = match shards with [ _ ] -> shards | _ -> List.sort_uniq compare shards in
+    check_indices t shards;
     match shards with
     | [] -> invalid_arg "Shard.atomically: empty shard list"
     | [ s ] ->

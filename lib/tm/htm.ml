@@ -311,13 +311,13 @@ let run_ro ?pin ?on_retry tm f =
     let epoch = tm.clock in
     (match pin with
     | None -> ()
-    | Some w ->
+    | Some { Tm_intf.watermark; on } ->
       (* Durable-only mode: hold the result until the watermark covers the
          commit-point clock, so everything the transaction observed is
          crash-surviving when it returns.  Bounded by the group-commit
          deadline. *)
-      if w () < epoch then
-        Sched.wait_until ~label:"htm ro durable pin" (fun () -> w () >= epoch));
+      if watermark () < epoch then
+        Sched.wait_on on ~label:"htm ro durable pin" (fun () -> watermark () >= epoch));
     Stats.incr tm.stats "snapshot_commits";
     Some (v, epoch)
 

@@ -11,9 +11,9 @@
     - {e fresh-epoch} ([pin = None]): the epoch starts at the current
       clock and extends toward it — reads see the newest committed state,
       which may not be durable yet.
-    - {e durable-only} ([pin = Some watermark], DUMBO-style): the epoch
-      may never exceed the watermark; a read observing a newer stripe
-      waits for durability to catch up.  Every returned value was written
+    - {e durable-only} ([pin = Some p], DUMBO-style): the epoch may never
+      exceed [p.watermark ()]; a read observing a newer stripe waits for
+      durability to catch up, parked on [p.on].  Every returned value was written
       by a transaction at or below the watermark at the moment of the
       read, i.e. state that survives a power cut — possibly stale.
 
@@ -24,7 +24,7 @@
 type ro
 (** A running read-only snapshot. *)
 
-val begin_ro : ?pin:(unit -> int) -> Stm_kernel.t -> ro
+val begin_ro : ?pin:Tm_intf.pin -> Stm_kernel.t -> ro
 (** Open a snapshot.  [pin] selects durable-only mode. *)
 
 val read : ro -> int -> int64
@@ -45,7 +45,7 @@ val finish : ro -> int
     consistent cut at the epoch. *)
 
 val run :
-  ?pin:(unit -> int) ->
+  ?pin:Tm_intf.pin ->
   ?on_retry:(unit -> unit) ->
   Stm_kernel.t ->
   (ro -> 'a) ->

@@ -39,10 +39,14 @@ let create ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(bits = 20) store =
 (* The stripe's committed version, or -1 while an attempt owns it. *)
 let version t stripe = Lock_table.version t.locks stripe
 
+(* A read or held set, newest first: one block per entry, where a list of
+   pairs spends a pair and a cons cell. *)
+type versions = Nil | Entry of { stripe : int; version : int; next : versions }
+
 let rec held_version held stripe =
   match held with
-  | [] -> -1
-  | (s, prev) :: rest -> if s = stripe then prev else held_version rest stripe
+  | Nil -> -1
+  | Entry e -> if e.stripe = stripe then e.version else held_version e.next stripe
 
 (* A read-set entry is still valid if its stripe carries the version we
    observed, or we hold the stripe and its saved pre-acquisition version
@@ -54,11 +58,11 @@ let rec held_version held stripe =
    schedule explorer, lib/check).  Snapshots hold nothing, so to them an
    owned stripe always invalidates. *)
 let rec valid t ~held = function
-  | [] -> true
-  | (stripe, v) :: rest ->
+  | Nil -> true
+  | Entry { stripe; version = v; next } ->
     (let cur = Lock_table.version t.locks stripe in
      if cur >= 0 then cur = v else held_version held stripe = v)
-    && valid t ~held rest
+    && valid t ~held next
 
 (* Draw the next commit version: contiguous across write transactions. *)
 let tick t =
@@ -68,13 +72,16 @@ let tick t =
 
 (* ---------------------------- write paths ----------------------------- *)
 
+(* Write-through's undo list, newest first. *)
+type undo = No_undo | Undo of { addr : int; old : int64; next : undo }
+
 type tx = {
   tm : t;
   uid : int;
   mutable rv : int;  (* snapshot (read version) *)
-  mutable reads : (int * int) list;  (* (stripe, observed version) *)
-  mutable held : (int * int) list;  (* (stripe, pre-acquisition version), newest first *)
-  mutable undo : (int * int64) list;  (* write-through: (addr, old value), newest first *)
+  mutable reads : versions;  (* observed versions *)
+  mutable held : versions;  (* pre-acquisition versions *)
+  mutable undo : undo;
   mutable active : bool;
 }
 
@@ -82,9 +89,27 @@ let begin_tx tm =
   Sched.advance tm.costs.Tm_intf.begin_cost;
   let uid = tm.next_uid in
   tm.next_uid <- uid + 1;
-  { tm; uid; rv = tm.clock; reads = []; held = []; undo = []; active = true }
+  { tm; uid; rv = tm.clock; reads = Nil; held = Nil; undo = No_undo; active = true }
 
 let check_active tx what = if not tx.active then invalid_arg (what ^ ": transaction not active")
+
+let rec restore store = function
+  | No_undo -> ()
+  | Undo u ->
+    store.Tm_intf.store u.addr u.old;
+    restore store u.next
+
+let rec release_saved locks = function
+  | Nil -> ()
+  | Entry e ->
+    Lock_table.release_to locks ~stripe:e.stripe ~version:e.version;
+    release_saved locks e.next
+
+let rec release_at locks version = function
+  | Nil -> ()
+  | Entry e ->
+    Lock_table.release_to locks ~stripe:e.stripe ~version;
+    release_at locks version e.next
 
 (* Restore written words newest-first (so the oldest value of a
    multiply-written address lands last), then hand every held stripe back
@@ -92,10 +117,8 @@ let check_active tx what = if not tx.active then invalid_arg (what ^ ": transact
    only possible yield points, and they happen while the stripes are
    still locked. *)
 let rollback tx =
-  List.iter (fun (addr, v) -> tx.tm.store.Tm_intf.store addr v) tx.undo;
-  List.iter
-    (fun (stripe, version) -> Lock_table.release_to tx.tm.locks ~stripe ~version)
-    tx.held;
+  restore tx.tm.store tx.undo;
+  release_saved tx.tm.locks tx.held;
   tx.active <- false
 
 let abandon tx = if tx.active then rollback tx
@@ -118,7 +141,7 @@ let lock tx stripe =
   else
     match Lock_table.acquire tx.tm.locks ~stripe ~uid:tx.uid with
     | Some prev ->
-      tx.held <- (stripe, prev) :: tx.held;
+      tx.held <- Entry { stripe; version = prev; next = tx.held };
       true
     | None -> false
 
@@ -137,7 +160,7 @@ let read tx addr =
     let value = tm.store.Tm_intf.load addr in
     if v > tx.rv then
       if valid tm ~held:tx.held tx.reads then tx.rv <- tm.clock else conflict tx;
-    tx.reads <- (stripe, v) :: tx.reads;
+    tx.reads <- Entry { stripe; version = v; next = tx.reads };
     value
 
 (* The commit-time routine: charge the commit, lock [stripes] (the
@@ -155,7 +178,7 @@ let commit ?(publish = tick) tx ~writes ~stripes =
   end
   else if lock_all tx stripes && valid tm ~held:tx.held tx.reads then begin
     let wv = publish tm in
-    List.iter (fun (stripe, _) -> Lock_table.release_to tm.locks ~stripe ~version:wv) tx.held;
+    release_at tm.locks wv tx.held;
     Stats.incr tm.stats "commits";
     tx.active <- false;
     wv

@@ -33,28 +33,34 @@ val version : t -> int -> int
 (** [version t stripe]: the stripe's committed version, or [-1] while an
     attempt owns it. *)
 
-val valid : t -> held:(int * int) list -> (int * int) list -> bool
-(** [valid t ~held reads]: every [(stripe, observed version)] of [reads]
-    still carries that version — or is held by the caller and its saved
+(** A read or held set, newest first: each entry a stripe and a version
+    in one block. *)
+type versions = Nil | Entry of { stripe : int; version : int; next : versions }
+
+val valid : t -> held:versions -> versions -> bool
+(** [valid t ~held reads]: every stripe of [reads] still carries its
+    observed version — or is held by the caller and its saved
     pre-acquisition version (from [held]) matches.  One rule for the three
     cases: before commit, at commit (seeing through our own locks) and in a
-    snapshot ([held = []]: an owned stripe always invalidates). *)
+    snapshot ([held = Nil]: an owned stripe always invalidates). *)
 
 val tick : t -> int
 (** Draw the next commit version (advance the clock and return it). *)
 
 (** {1 Write paths} *)
 
+(** Write-through's undo list: each written address and the value it
+    held before, newest first. *)
+type undo = No_undo | Undo of { addr : int; old : int64; next : undo }
+
 type tx = {
   tm : t;
   uid : int;
   mutable rv : int;  (** snapshot (read version) *)
-  mutable reads : (int * int) list;  (** (stripe, observed version) *)
-  mutable held : (int * int) list;
-      (** (stripe, pre-acquisition version) of every stripe locked, newest
-          first *)
-  mutable undo : (int * int64) list;
-      (** write-through only: (addr, old value), newest first *)
+  mutable reads : versions;  (** each read stripe and its observed version *)
+  mutable held : versions;
+      (** each stripe locked and its pre-acquisition version *)
+  mutable undo : undo;  (** write-through only *)
   mutable active : bool;
 }
 

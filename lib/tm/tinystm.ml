@@ -27,16 +27,18 @@ let write (tx : tx) addr value =
   Stats.incr tx.tm.stats "writes";
   let store = tx.tm.store in
   if not (K.lock tx (Lock_table.stripe_of_addr tx.tm.locks addr)) then K.conflict tx;
-  tx.undo <- (addr, store.Tm_intf.load addr) :: tx.undo;
+  tx.undo <- K.Undo { addr; old = store.Tm_intf.load addr; next = tx.undo };
   store.Tm_intf.store addr value
 
 let user_abort = K.user_abort
+
+let rec undo_length n = function K.No_undo -> n | K.Undo u -> undo_length (n + 1) u.next
 
 (* Every write pushed one undo entry, so the undo list counts the writes
    the commit charges for. *)
 let commit (tx : tx) =
   K.check_active tx "Tinystm.commit";
-  K.commit tx ~writes:(List.length tx.undo) ~stripes:[]
+  K.commit tx ~writes:(undo_length 0 tx.undo) ~stripes:[]
 
 let run ?on_retry tm f =
   K.run ?on_retry tm K.Write ~start:K.begin_tx ~finish:commit ~abandon:K.abandon f

@@ -54,6 +54,18 @@ exception Read_only_violation
     transactions never acquire locks or log, so there is nothing to roll
     back — the violation is a programming error, not a conflict. *)
 
+(** A durable-only snapshot's pin: the watermark its epoch may not pass
+    and the conds that wake a reader waiting for the watermark to rise. *)
+type pin = {
+  watermark : unit -> int;
+      (** The watermark, in the TM's own ID space.  A pure read: it runs
+          inside a scheduler wait predicate. *)
+  on : Dudetm_sim.Sched.cond list;
+      (** Signalled after every change that can raise [watermark ()]; a
+          reader that must wait for it parks on them
+          ({!Dudetm_sim.Sched.wait_on}'s contract).  Never empty. *)
+}
+
 module type S = sig
   type t
   (** Shared TM state: clock, lock metadata, statistics. *)
@@ -93,7 +105,7 @@ module type S = sig
       locks, logging, or drawing a commit ID. *)
 
   val run_ro :
-    ?pin:(unit -> int) ->
+    ?pin:pin ->
     ?on_retry:(unit -> unit) ->
     t ->
     (ro -> 'a) ->
@@ -102,8 +114,10 @@ module type S = sig
       returns [Some (result, epoch)] where [epoch] is the clock value the
       read-set is consistent at, or [None] if [f] called {!ro_abort}.
       [pin] caps the epoch at an externally supplied watermark (the
-      durable-only mode: reads observing newer state wait for the
-      watermark to catch up). *)
+      durable-only mode): a read observing newer state waits for
+      [pin.watermark ()] to catch up, parked on [pin.on], so the layer
+      that owns the watermark must signal one of those conds each time
+      it rises. *)
 
   val ro_read : ro -> int -> int64
 

@@ -259,6 +259,109 @@ let test_crash_recover_continue () =
   check Alcotest.int "second recovery sees all txs" (d + 30) report3.Dudetm_core.Dudetm.durable;
   verify_counter_state t3 report3
 
+(* A handle used after its attempt ends raises before any side effect.
+   A stale write used to reach the thread's volatile log before the TM
+   refused it, so the orphan entry committed inside the thread's next
+   transaction and recovery brought [8192] back as 666; a stale pmalloc
+   reserved heap space and logged an Alloc entry the same way. *)
+let test_stale_handle_leaves_no_trace () =
+  let cfg = small_cfg () in
+  let t = D.create cfg in
+  let stale f =
+    match f () with
+    | _ -> Alcotest.fail "a stale handle was accepted"
+    | exception Invalid_argument _ -> ()
+  in
+  let first = ref 0 and next = ref 0 in
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         (match D.atomically t ~thread:0 (fun tx -> D.pmalloc tx 64) with
+         | Some (off, _) -> first := off
+         | None -> assert false);
+         let kept = ref None in
+         ignore
+           (D.atomically t ~thread:0 (fun tx ->
+                kept := Some tx;
+                D.write tx 4096 1L));
+         let tx = Option.get !kept in
+         stale (fun () -> D.write tx 8192 666L);
+         stale (fun () -> ignore (D.pmalloc tx 64));
+         stale (fun () -> D.pfree tx ~off:!first ~len:64);
+         stale (fun () -> ignore (D.read tx 4096));
+         stale (fun () -> D.abort tx);
+         (match
+            D.atomically t ~thread:0 (fun tx ->
+                D.write tx 4104 2L;
+                D.pmalloc tx 64)
+          with
+         | Some (off, _) -> next := off
+         | None -> assert false);
+         D.drain t;
+         D.stop t));
+  check Alcotest.int64 "the stale write never reached the heap" 0L (D.heap_read_u64 t 8192);
+  check Alcotest.int64 "the stale abort restored nothing" 1L (D.heap_read_u64 t 4096);
+  check Alcotest.int "the stale pmalloc reserved nothing" (!first + 64) !next;
+  Nvm.crash (D.nvm t);
+  let t2, _ = D.attach cfg (D.nvm t) in
+  check Alcotest.int64 "nor did recovery replay it" 0L (D.heap_read_u64 t2 8192);
+  check Alcotest.int64 "the next transaction survived" 2L (D.heap_read_u64 t2 4104)
+
+(* A stale read on a paged engine pins no shadow frame: with two frames,
+   two pinned-forever pages would leave a later transaction waiting for a
+   frame that never frees. *)
+let test_stale_read_pins_nothing () =
+  let cfg = small_cfg ~shadow_frames:2 () in
+  let t = D.create cfg in
+  let scfg = Dudetm_shadow.Shadow.default_config cfg.Config.shadow_mode ~frames:2 in
+  let page = 1 lsl scfg.Dudetm_shadow.Shadow.page_bits in
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         let kept = ref None in
+         ignore (D.atomically t ~thread:0 (fun tx -> kept := Some tx));
+         let tx = Option.get !kept in
+         for p = 1 to 2 do
+           match D.read tx (p * page) with
+           | _ -> Alcotest.fail "a stale read was accepted"
+           | exception Invalid_argument _ -> ()
+         done;
+         ignore
+           (D.atomically t ~thread:0 (fun tx ->
+                D.write tx (3 * page) 3L;
+                D.write tx (4 * page) 4L));
+         D.drain t;
+         D.stop t));
+  check Alcotest.int64 "both frames were free" 4L (D.heap_read_u64 t (4 * page))
+
+(* A thread's volatile log and attempt slots hold one transaction (and
+   one snapshot) at a time: a nested one on the same engine and thread is
+   refused, while a snapshot inside a read-write transaction runs. *)
+let test_nested_on_one_thread () =
+  let t = D.create (small_cfg ()) in
+  ignore
+    (Sched.run (fun () ->
+         D.start t;
+         let refused f =
+           match f () with
+           | _ -> Alcotest.fail "a nested transaction was accepted"
+           | exception Invalid_argument _ -> ()
+         in
+         ignore
+           (D.atomically t ~thread:0 (fun tx ->
+                D.write tx 4096 1L;
+                refused (fun () -> D.atomically t ~thread:0 (fun tx -> D.write tx 4104 2L));
+                match D.atomically_ro t ~thread:0 (fun ro -> D.read ro 64) with
+                | Some _ ->
+                  refused (fun () ->
+                      D.atomically_ro t ~thread:0 (fun _ ->
+                          D.atomically_ro t ~thread:0 (fun ro -> D.read ro 64)))
+                | None -> Alcotest.fail "snapshot aborted"));
+         D.drain t;
+         D.stop t));
+  check Alcotest.int64 "the outer transaction committed" 1L (D.heap_read_u64 t 4096);
+  check Alcotest.int64 "the refused one left nothing" 0L (D.heap_read_u64 t 4104)
+
 let test_recovery_empty_instance () =
   let cfg = small_cfg () in
   let t = D.create cfg in
@@ -542,6 +645,9 @@ let suite =
     Alcotest.test_case "crash and recover" `Quick test_crash_recover_basic;
     Alcotest.test_case "recover, continue, crash again" `Quick test_crash_recover_continue;
     Alcotest.test_case "recovery of an empty instance" `Quick test_recovery_empty_instance;
+    Alcotest.test_case "a stale handle leaves no trace" `Quick test_stale_handle_leaves_no_trace;
+    Alcotest.test_case "a stale read pins no frame" `Quick test_stale_read_pins_nothing;
+    Alcotest.test_case "one transaction per thread and engine" `Quick test_nested_on_one_thread;
     QCheck_alcotest.to_alcotest prop_crash_consistency;
     QCheck_alcotest.to_alcotest prop_crash_consistency_combined;
     QCheck_alcotest.to_alcotest prop_crash_consistency_paged;

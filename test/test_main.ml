@@ -35,4 +35,5 @@ let () =
       ("snapshot", Test_snapshot.suite);
       ("serve", Test_serve.suite);
       ("ledger", Test_ledger.suite);
+      ("txalloc", Test_txalloc.suite);
     ]

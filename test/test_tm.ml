@@ -469,14 +469,15 @@ let golden_row stats ~clock ~cycles =
 let contended_run (module Tm : TM) ~readers =
   let mem = Bytes.make 8192 '\000' in
   let tm = Tm.create ~seed:7 (Tm_intf.mem_store mem) in
-  let watermark = ref 0 in
+  let watermark = ref 0 and raised = Sched.cond () in
   let cycles =
     Sched.run (fun () ->
         ignore
           (Sched.spawn ~daemon:true "watermark" (fun () ->
                while true do
                  Sched.advance 700;
-                 watermark := Tm.last_tid tm
+                 watermark := Tm.last_tid tm;
+                 Sched.signal raised
                done));
         for w = 0 to 3 do
           ignore
@@ -497,7 +498,11 @@ let contended_run (module Tm : TM) ~readers =
         for r = 0 to readers - 1 do
           ignore
             (Sched.spawn (Printf.sprintf "r%d" r) (fun () ->
-                 let pin = if r mod 2 = 1 then Some (fun () -> !watermark) else None in
+                 let pin =
+                   if r mod 2 = 1 then
+                     Some { Tm_intf.watermark = (fun () -> !watermark); on = [ raised ] }
+                   else None
+                 in
                  for _ = 1 to 40 do
                    match
                      Tm.run_ro ?pin tm (fun ro ->
