@@ -72,8 +72,8 @@ let acquire_locks t ~uid stripes =
       Sched.wait_until ~label:"nvml lock" (fun () ->
           Lock_table.version t.locks stripe >= 0);
       match Lock_table.acquire t.locks ~stripe ~uid with
-      | Some prev -> (stripe, prev)
-      | None -> assert false)
+      | -1 -> assert false
+      | prev -> (stripe, prev))
     stripes
 
 let release_locks t ~version held =

@@ -44,8 +44,6 @@ let lines t = t.lines
 
 let count t = List.length t.lines
 
-let capacity t = t.capacity
-
 let full t = count t >= t.capacity
 
 let add t l =

@@ -30,8 +30,3 @@ val mem : t -> int -> bool
 val lines : t -> int list
 (** Recorded bad lines, ascending. *)
 
-val count : t -> int
-
-val capacity : t -> int
-
-val full : t -> bool

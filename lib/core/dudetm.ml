@@ -168,7 +168,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let last_tid = S.last_tid
   let wait_durable = S.wait_durable
   let wake_durable t = t.wake_durable
-  let cross_frontier t = t.cross_frontier
   let set_ro_watermark t ~on wm =
     t.ro_pin <-
       Some

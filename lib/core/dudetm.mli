@@ -310,10 +310,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       {!Dudetm_sim.Sched.wait_on}).  Raises [Invalid_argument] once the
       engine is started. *)
 
-  val cross_frontier : t -> int
-  (** Highest cross-shard global transaction ID this region has replayed
-      (volatile mirror of the checkpointed frontier). *)
-
   (** {1 Replicated durability (replication layer hooks)}
 
       [lib/replica] runs one primary (a normal started instance) plus K

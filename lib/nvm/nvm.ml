@@ -10,12 +10,6 @@ type fault =
   | Stuck_line of { line : int }
   | Poison of { line : int }
 
-type decay = {
-  decay_rate : float;  (* expected corrupted lines per epoch / total lines *)
-  decay_epoch : int;  (* simulated cycles per decay epoch *)
-  decay_rng : Rng.t;
-}
-
 (* The device keeps one full image, [image]: what CPU loads observe,
    stores still in the volatile cache hierarchy included.  A clean line's
    image bytes are the media's, so the persisted content differs from the
@@ -63,8 +57,6 @@ type t = {
   mutable faults_injected : int;
   mutable faults_detected : int;
   mutable faults_repaired : int;
-  mutable decay : decay option;
-  mutable decay_last_epoch : int;
   mutable last_crash_survivors : int list;
 }
 
@@ -96,8 +88,6 @@ let create ?(charge_time = true) ?(label = "nvm") cfg ~size =
     faults_injected = 0;
     faults_detected = 0;
     faults_repaired = 0;
-    decay = None;
-    decay_last_epoch = 0;
     last_crash_survivors = [];
   }
 
@@ -106,10 +96,6 @@ let set_persist_hook t hook = t.persist_hook <- hook
 let fire_hook t = match t.persist_hook with Some f -> f () | None -> ()
 
 let size t = Mem.size t.image
-
-let label t = t.label
-
-let config t = t.cfg
 
 let line t addr = addr / t.cfg.Pmem_config.line_size
 
@@ -207,47 +193,6 @@ let is_stuck t ~line:l = Hashtbl.mem t.stuck l
 let poisoned_lines t = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) t.poisoned [])
 
 let stuck_lines t = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) t.stuck [])
-
-let set_decay t spec =
-  t.decay <-
-    Option.map
-      (fun (rate, epoch, seed) ->
-        if rate < 0.0 || rate > 1.0 then invalid_arg "Nvm.set_decay: rate must be in [0,1]";
-        if epoch <= 0 then invalid_arg "Nvm.set_decay: epoch must be positive";
-        { decay_rate = rate; decay_epoch = epoch; decay_rng = Rng.create seed })
-      spec;
-  t.decay_last_epoch <- (match t.decay with
-    | Some d -> Sched.global_now () / d.decay_epoch
-    | None -> 0)
-
-(* One decay epoch: each persisted line independently rots with probability
-   [decay_rate] (sampled as an expected count, at least the fractional
-   remainder), flipping one random bit. *)
-let decay_epoch_once t (d : decay) =
-  let lines = size t / line_size t in
-  let expect = d.decay_rate *. float_of_int lines in
-  let n =
-    int_of_float expect
-    + (if Rng.float d.decay_rng < expect -. Float.of_int (int_of_float expect) then 1 else 0)
-  in
-  for _ = 1 to n do
-    let l = Rng.int d.decay_rng lines in
-    let off = (l * line_size t) + Rng.int d.decay_rng (line_size t) in
-    flip_persisted_bit t ~off ~bit:(Rng.int d.decay_rng 8);
-    t.faults_injected <- t.faults_injected + 1
-  done
-
-let decay_tick t = match t.decay with Some d -> decay_epoch_once t d | None -> ()
-
-let run_decay t =
-  match t.decay with
-  | None -> ()
-  | Some d ->
-    let epoch = Sched.global_now () / d.decay_epoch in
-    while t.decay_last_epoch < epoch do
-      t.decay_last_epoch <- t.decay_last_epoch + 1;
-      decay_epoch_once t d
-    done
 
 let media_faults_injected t = t.faults_injected
 
@@ -350,8 +295,7 @@ let charge t bytes =
     Trace.nvm_transfer ~dev:t.label ~bytes ~cycles:cost;
     Sched.advance cost
   end
-  else Trace.nvm_transfer ~dev:t.label ~bytes ~cycles:0;
-  run_decay t
+  else Trace.nvm_transfer ~dev:t.label ~bytes ~cycles:0
 
 let flush_range t ~off ~len =
   if len < 0 || off < 0 || off + len > size t then invalid_arg "Nvm.persist: bad range";

@@ -23,9 +23,8 @@
     Beyond clean power cuts, the device also models {e media faults}
     ({!inject_fault}): silent bit rot in the persisted content, stuck-at
     lines that ignore writes, and poisoned (uncorrectable) lines whose
-    reads raise {!Media_error} — plus an optional seeded background-decay
-    process.  Media faults survive crashes; they are properties of the
-    device, not of the cache. *)
+    reads raise {!Media_error}.  Media faults survive crashes; they are
+    properties of the device, not of the cache. *)
 
 type t
 
@@ -58,11 +57,6 @@ val create : ?charge_time:bool -> ?label:string -> Pmem_config.t -> size:int -> 
 
 val size : t -> int
 
-val label : t -> string
-(** The trace device label given at {!create}. *)
-
-val config : t -> Pmem_config.t
-
 val line_size : t -> int
 
 (** {1 Media faults} *)
@@ -82,17 +76,8 @@ val poisoned_lines : t -> int list
 
 val stuck_lines : t -> int list
 
-val set_decay : t -> (float * int * int) option -> unit
-(** [set_decay t (Some (rate, epoch, seed))] turns on seeded background
-    decay: every [epoch] simulated cycles, an expected [rate] fraction of
-    persisted lines suffers a random single-bit flip.  Decay is evaluated
-    lazily at persist boundaries.  [None] turns it off. *)
-
-val decay_tick : t -> unit
-(** Force one decay epoch immediately (tests and campaigns). *)
-
 val media_faults_injected : t -> int
-(** Faults injected so far, including background decay. *)
+(** Faults injected so far. *)
 
 val media_faults_detected : t -> int
 

@@ -16,5 +16,3 @@ val default : t
 
 val pcm : t
 (** 3500-cycle latency variant. *)
-
-val pp : Format.formatter -> t -> unit

@@ -470,15 +470,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   (* ------------------------ introspection --------------------------- *)
 
-  let shard t = t.sh
-
   let config t = t.cfg
 
-  let depth t = t.depth
-
   let depth_hwm t = t.depth_hwm
-
-  let in_flight t = t.in_flight
 
   let gate t = t.gate
 

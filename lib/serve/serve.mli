@@ -147,15 +147,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
 
   (** {1 Introspection} *)
 
-  val shard : t -> Sh.t
-
   val config : t -> config
 
-  val depth : t -> int
-
   val depth_hwm : t -> int
-
-  val in_flight : t -> int
 
   val gate : t -> Admission.t
 

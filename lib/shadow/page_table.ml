@@ -21,8 +21,6 @@ let create ~pages ~frames =
     resident = 0;
   }
 
-let pages t = Array.length t.page_to_frame
-
 let frames t = Array.length t.frame_to_page
 
 let frame_of t page = t.page_to_frame.(page)

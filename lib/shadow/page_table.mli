@@ -8,10 +8,6 @@ type t
 
 val create : pages:int -> frames:int -> t
 
-val pages : t -> int
-
-val frames : t -> int
-
 val frame_of : t -> int -> int
 (** [frame_of t page] is the frame backing [page], or [-1] if it is not
     resident: the lookup every shadow access makes, so it allocates no

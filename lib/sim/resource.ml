@@ -8,8 +8,6 @@ let create ~cycles_per_byte = { cpb = cycles_per_byte; free_at = 0; total_bytes 
 
 let create_gbps bw = create ~cycles_per_byte:(Cycles.per_byte_of_gbps bw)
 
-let cycles_per_byte t = t.cpb
-
 let transfer t ~now ~bytes ~latency =
   let bytes = max 0 bytes in
   let bw_cycles =

@@ -14,8 +14,6 @@ val create : cycles_per_byte:float -> t
 val create_gbps : float -> t
 (** [create_gbps bw] is a channel of [bw] GB/s at the nominal clock. *)
 
-val cycles_per_byte : t -> float
-
 val transfer : t -> now:int -> bytes:int -> latency:int -> int
 (** [transfer r ~now ~bytes ~latency] books a transfer of [bytes] starting at
     simulated time [now] and returns the number of cycles the caller must

@@ -9,9 +9,6 @@ type t
 val create : int -> t
 (** [create seed] makes a generator from a 63-bit seed. *)
 
-val copy : t -> t
-(** Independent copy with the same current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

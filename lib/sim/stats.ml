@@ -40,8 +40,6 @@ module Latency = struct
     r.len <- r.len + 1;
     r.sorted <- false
 
-  let count r = r.len
-
   let ensure_sorted r =
     if not r.sorted then begin
       let live = Array.sub r.samples 0 r.len in

@@ -25,8 +25,6 @@ module Latency : sig
   val record : r -> int -> unit
   (** Record one latency sample, in cycles. *)
 
-  val count : r -> int
-
   val percentile : r -> float -> int
   (** [percentile r p] with [p] in [\[0,100\]]; 0 when empty. *)
 

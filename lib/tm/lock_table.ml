@@ -32,8 +32,6 @@ let create ?(bits = 20) () =
     mask = (1 lsl bits) - 1;
   }
 
-let stripes t = t.mask + 1
-
 (* Words are 8-byte aligned; mix higher bits in so that adjacent structure
    fields do not all collide into consecutive stripes. *)
 let stripe_of_addr t addr =
@@ -73,10 +71,10 @@ let owner t stripe =
 
 let acquire t ~stripe ~uid =
   let w = raw t stripe in
-  if w land 1 = 1 then None
+  if w land 1 = 1 then -1
   else begin
     set t stripe ((uid lsl 1) lor 1);
-    Some (w lsr 1)
+    w lsr 1
   end
 
 let release_to t ~stripe ~version = set t stripe (version lsl 1)

@@ -20,8 +20,6 @@ val create : ?bits:int -> unit -> t
     costs [max 1 (2^bits / 4096)] words up front; each chunk of
     [min 4096 2^bits] stripes is allocated when first written. *)
 
-val stripes : t -> int
-
 val stripe_of_addr : t -> int -> int
 (** Map a byte address of an aligned word to its stripe. *)
 
@@ -38,11 +36,12 @@ val owner : t -> int -> int
 (** [owner t stripe] is the uid owning the stripe, or [-1] if it is
     free. *)
 
-val acquire : t -> stripe:int -> uid:int -> int option
-(** Try to lock the stripe for attempt [uid].  Returns [Some v] (the
-    previous version, needed to restore on abort) on success, [None] if the
-    stripe is owned by another attempt.  Re-acquiring a stripe already owned
-    by [uid] returns [None] — callers must check {!read_word} first. *)
+val acquire : t -> stripe:int -> uid:int -> int
+(** Try to lock the stripe for attempt [uid].  Returns the previous version
+    (needed to restore on abort) on success, or [-1], as {!version} does,
+    if the stripe is owned by another attempt.  Re-acquiring a stripe
+    already owned by [uid] returns [-1] — callers must check {!owner}
+    first. *)
 
 val release_to : t -> stripe:int -> version:int -> unit
 (** Unlock a stripe, installing [version] (commit) or restoring the saved

@@ -140,10 +140,10 @@ let lock tx stripe =
   if owner >= 0 then owner = tx.uid
   else
     match Lock_table.acquire tx.tm.locks ~stripe ~uid:tx.uid with
-    | Some prev ->
+    | -1 -> false
+    | prev ->
       tx.held <- Entry { stripe; version = prev; next = tx.held };
       true
-    | None -> false
 
 let rec lock_all tx = function [] -> true | stripe :: rest -> lock tx stripe && lock_all tx rest
 

@@ -45,8 +45,6 @@ let run ?on_retry tm f =
 
 let last_tid (tm : t) = tm.clock
 
-let clock = last_tid
-
 let stats (tm : t) = tm.stats
 
 type ro = Snapshot.ro

@@ -23,5 +23,3 @@ val create_with_bits :
 (** Like [create], with an explicit lock-table size of [2^bits] stripes
     (used by the lock-table ablation benchmark). *)
 
-val clock : t -> int
-(** Current value of the global version clock (equals {!last_tid}). *)

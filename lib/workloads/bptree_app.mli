@@ -15,10 +15,6 @@
 
 type t
 
-val create_tx : Dudetm_baselines.Ptm_intf.t -> Dudetm_baselines.Ptm_intf.tx -> t
-(** Allocate an empty tree inside an enclosing transaction; returns the
-    handle (which embeds the address of the root pointer cell). *)
-
 val create : Dudetm_baselines.Ptm_intf.t -> t
 (** Allocate an empty tree in its own transaction. *)
 

@@ -64,8 +64,6 @@ let attach ?desc ptm =
     invalid_arg "Hashtable_app.attach: descriptor does not hold a table";
   { ptm; base; capacity; mask = capacity - 1 }
 
-let capacity t = t.capacity
-
 (* Probe within a transaction: first slot that is empty or holds [key].
    Raises [Not_found] after a full cycle (table full). *)
 let probe_tx t read ~key =

@@ -21,8 +21,6 @@ val attach : ?desc:int -> Dudetm_baselines.Ptm_intf.t -> t
 (** Re-open a table from its persisted descriptor (e.g. after crash
     recovery). *)
 
-val capacity : t -> int
-
 val insert : t -> thread:int -> key:int64 -> value:int64 -> bool
 (** Insert or overwrite.  [false] if the table is full.  Keys must be
     non-zero. *)
@@ -43,8 +41,6 @@ val update_tx : t -> Dudetm_baselines.Ptm_intf.tx -> key:int64 -> value:int64 ->
 val plan_insert : t -> key:int64 -> int list
 (** Write set an insert of [key] would need right now (static planning);
     also used by composite static transactions (TPC-C on NVML). *)
-
-val plan_update : t -> key:int64 -> int list
 
 val peek_lookup : t -> key:int64 -> int64 option
 (** Non-transactional lookup against the current volatile image. *)

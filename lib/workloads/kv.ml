@@ -30,13 +30,6 @@ let attach ?desc ptm kind =
   | Hash -> H (Hashtable_app.attach ~desc:d ptm)
   | Tree -> T (Bptree_app.of_handle ptm (Int64.to_int (ptm.Ptm.peek d)))
 
-let create_tx ptm tx kind ~capacity =
-  match kind with
-  | Tree -> T (Bptree_app.create_tx ptm tx)
-  | Hash ->
-    ignore capacity;
-    invalid_arg "Kv.create_tx: hash tables must be built with Kv.setup"
-
 let insert_tx t tx ~key ~value =
   match t with
   | H h -> Hashtable_app.insert_tx h tx ~key ~value
@@ -80,8 +73,3 @@ let plan_insert t ~key =
   match t with
   | H h -> Hashtable_app.plan_insert h ~key
   | T _ -> invalid_arg "Kv.plan_insert: trees do not support static transactions"
-
-let plan_update t ~key =
-  match t with
-  | H h -> Hashtable_app.plan_update h ~key
-  | T _ -> invalid_arg "Kv.plan_update: trees do not support static transactions"

@@ -15,10 +15,6 @@ val setup : ?desc:int -> Dudetm_baselines.Ptm_intf.t -> kind -> capacity:int -> 
 val attach : ?desc:int -> Dudetm_baselines.Ptm_intf.t -> kind -> t
 (** Re-open a table from its persisted descriptor. *)
 
-val create_tx : Dudetm_baselines.Ptm_intf.t -> Dudetm_baselines.Ptm_intf.tx -> kind -> capacity:int -> t
-(** Build a table inside an enclosing transaction (tree only supports
-    this; hash tables of non-trivial capacity should use {!setup}). *)
-
 val insert_tx : t -> Dudetm_baselines.Ptm_intf.tx -> key:int64 -> value:int64 -> bool
 
 val lookup_tx : t -> Dudetm_baselines.Ptm_intf.tx -> key:int64 -> int64 option
@@ -35,5 +31,3 @@ val peek_lookup : t -> key:int64 -> int64 option
 
 val plan_insert : t -> key:int64 -> int list
 (** Static write-set planning; hash storage only (raises otherwise). *)
-
-val plan_update : t -> key:int64 -> int list

@@ -16,7 +16,6 @@ let () =
 
 type scheme =
   | Hash
-  | Range of { lo : int64; hi : int64 }
   | Buckets of { lo : int64; hi : int64; owners : int array }
 
 type t = { scheme : scheme; nshards : int }
@@ -28,11 +27,6 @@ let check_nshards nshards =
 let hashed ~nshards =
   check_nshards nshards;
   { scheme = Hash; nshards }
-
-let range ~nshards ~lo ~hi =
-  check_nshards nshards;
-  if Int64.compare lo hi >= 0 then invalid_arg "Partition.range: empty key range";
-  { scheme = Range { lo; hi }; nshards }
 
 let buckets ~nshards ~lo ~hi ~owners =
   check_nshards nshards;
@@ -80,23 +74,22 @@ let bucket_of t key =
   | Hash ->
     let h = Int64.to_int (Int64.shift_right_logical (mix64 key) 3) in
     h mod t.nshards
-  | Range { lo; hi } -> width_index ~lo ~hi ~n:t.nshards key
   | Buckets { lo; hi; owners } -> width_index ~lo ~hi ~n:(Array.length owners) key
 
 let shard_of t key =
   match t.scheme with
-  | Hash | Range _ -> bucket_of t key
+  | Hash -> bucket_of t key
   | Buckets { owners; _ } -> owners.(bucket_of t key)
 
 let nbuckets t =
   match t.scheme with
-  | Hash | Range _ -> t.nshards
+  | Hash -> t.nshards
   | Buckets { owners; _ } -> Array.length owners
 
 let owners t =
   match t.scheme with
   | Buckets { owners; _ } -> Array.copy owners
-  | Hash | Range _ -> invalid_arg "Partition.owners: not a bucket partition"
+  | Hash -> invalid_arg "Partition.owners: not a bucket partition"
 
 let with_owner t ~blo ~bhi ~owner =
   match t.scheme with
@@ -111,16 +104,16 @@ let with_owner t ~blo ~bhi ~owner =
       owners.(b) <- owner
     done;
     { t with scheme = Buckets { lo; hi; owners } }
-  | Hash | Range _ -> invalid_arg "Partition.with_owner: not a bucket partition"
+  | Hash -> invalid_arg "Partition.with_owner: not a bucket partition"
 
 (* ------------------------------------------------------------------ *)
 (* Persistent descriptor                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Head word: low 2 bits are the scheme kind (0 hash, 1 range, 2 buckets),
-   bits 2..17 the shard count, bits 18..33 the bucket count.  Hash and
-   Range descriptors are the historical fixed 3 words; Buckets appends one
-   packed owner byte per bucket (8 per word). *)
+(* Head word: low 2 bits are the scheme kind (0 hash, 2 buckets; kind 1
+   does not decode), bits 2..17 the shard count, bits 18..33 the bucket
+   count.  Hash descriptors are the historical fixed 3 words; Buckets
+   appends one packed owner byte per bucket (8 per word). *)
 
 let descriptor_words = 3
 
@@ -131,13 +124,12 @@ let owner_words nb = (nb + 7) / 8
 
 let encoded_words t =
   match t.scheme with
-  | Hash | Range _ -> descriptor_words
+  | Hash -> descriptor_words
   | Buckets { owners; _ } -> descriptor_words + owner_words (Array.length owners)
 
 let encode t =
   match t.scheme with
   | Hash -> [| head ~kind:0 ~nshards:t.nshards ~nbuckets:0; 0L; 0L |]
-  | Range { lo; hi } -> [| head ~kind:1 ~nshards:t.nshards ~nbuckets:0; lo; hi |]
   | Buckets { lo; hi; owners } ->
     let nb = Array.length owners in
     let w = Array.make (descriptor_words + owner_words nb) 0L in
@@ -160,7 +152,6 @@ let decode w =
   check_nshards nshards;
   match kind with
   | 0 when Array.length w = descriptor_words -> { scheme = Hash; nshards }
-  | 1 when Array.length w = descriptor_words -> range ~nshards ~lo:w.(1) ~hi:w.(2)
   | 2 when nb >= 1 && Array.length w = descriptor_words + owner_words nb ->
     let ow =
       Array.init nb (fun b ->

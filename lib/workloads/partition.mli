@@ -2,15 +2,15 @@
 
     Maps 64-bit keys to shard indices as a pure function of a small
     descriptor, so the KV, YCSB and hash-table drivers place every key on
-    the same shard before and after a crash.  Three schemes: [Hash]
+    the same shard before and after a crash.  Two schemes: [Hash]
     spreads keys with a fixed splitmix64 finalizer (platform-independent,
-    no dependence on OCaml's polymorphic hash); [Range] carves [\[lo, hi)]
-    into equal-width contiguous buckets, one per shard; [Buckets] carves
+    no dependence on OCaml's polymorphic hash); [Buckets] carves
     [\[lo, hi)] into equal-width buckets each carrying an explicit owner
-    shard — the unit of ownership live migration moves.  Keys outside a
-    range clamp to the edge buckets.
+    shard — the unit of ownership live migration moves.  Keys outside the
+    range clamp to the edge buckets; owners [\[|0; ...; n-1|\]] give each
+    shard one contiguous slice.
 
-    Range arithmetic is unsigned 64-bit throughout, so the full keyspace
+    Bucket arithmetic is unsigned 64-bit throughout, so the full keyspace
     [\[min_int, max_int)] — whose span wraps signed subtraction —
     partitions correctly. *)
 
@@ -20,15 +20,11 @@ exception Invalid_partition of string
 
 type scheme =
   | Hash
-  | Range of { lo : int64; hi : int64 }
   | Buckets of { lo : int64; hi : int64; owners : int array }
 
 type t
 
 val hashed : nshards:int -> t
-
-val range : nshards:int -> lo:int64 -> hi:int64 -> t
-(** Raises [Invalid_argument] when [lo >= hi]. *)
 
 val buckets : nshards:int -> lo:int64 -> hi:int64 -> owners:int array -> t
 (** Equal-width buckets over [\[lo, hi)] with bucket [b] owned by shard
@@ -39,8 +35,8 @@ val shard_of : t -> int64 -> int
 (** Stable shard assignment in [0, nshards). *)
 
 val bucket_of : t -> int64 -> int
-(** Stable bucket index in [0, {!nbuckets}).  For [Hash] and [Range] the
-    bucket {e is} the shard. *)
+(** Stable bucket index in [0, {!nbuckets}).  For [Hash] the bucket {e is}
+    the shard. *)
 
 val nshards : t -> int
 
@@ -59,12 +55,9 @@ val with_owner : t -> blo:int -> bhi:int -> owner:int -> t
 
 (** {1 Persistent descriptor} *)
 
-val descriptor_words : int
-(** Number of u64 words {!encode} produces for [Hash] and [Range] (3);
-    [Buckets] descriptors append one packed owner byte per bucket. *)
-
 val encode : t -> int64 array
-(** Persistable descriptor; store it (e.g. in the root block) so
+(** Persistable descriptor: 3 words for [Hash]; [Buckets] appends one
+    packed owner byte per bucket.  Store it (e.g. in the root block) so
     {!decode} rebuilds the identical mapping after re-attach. *)
 
 val decode : int64 array -> t

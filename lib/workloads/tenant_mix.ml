@@ -32,12 +32,6 @@ let create ?(theta = 0.99) ?(ro_permille = 500) ~ntenants ~keys_per_tenant
   in
   { part; tenants }
 
-let ntenants t = Array.length t.tenants
-
-let keys_per_tenant t = t.tenants.(0).keys
-
-let partition t = t.part
-
 let sample_key t ~tenant rng =
   let tn = t.tenants.(tenant) in
   let rank = Zipf.sample tn.zipf rng in

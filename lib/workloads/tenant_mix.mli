@@ -23,12 +23,6 @@ val create :
     uses {!Partition.hashed}.  Raises [Invalid_argument] on non-positive
     sizes or [ro_permille] outside [\[0, 1000]]. *)
 
-val ntenants : t -> int
-
-val keys_per_tenant : t -> int
-
-val partition : t -> Partition.t
-
 val sample_key : t -> tenant:int -> Dudetm_sim.Rng.t -> int64
 (** A key in the tenant's range, Zipf-skewed towards the range base. *)
 

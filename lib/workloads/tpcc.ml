@@ -27,12 +27,6 @@ type t = {
   new_orders : Kv.t array;
 }
 
-let districts t = t.districts
-
-let items t = t.items
-
-let customers t = t.customers
-
 let customer_rec t ~d ~c = t.customer_base + (24 * (((d - 1) * t.customers) + (c - 1)))
 
 let item_price_addr t i = t.item_base + (16 * (i - 1))

@@ -30,16 +30,10 @@ val attach : Dudetm_baselines.Ptm_intf.t -> t
 (** Re-open a TPC-C database from its persisted root directory (after
     recovery).  Raises [Invalid_argument] if none exists. *)
 
-val districts : t -> int
-
-val items : t -> int
-
 val new_order : t -> thread:int -> rng:Dudetm_sim.Rng.t -> ?district:int -> unit -> int
 (** Run one New Order transaction and return its commit ID.  [district]
     pins the district (the low-conflict variant assigns district
     [thread + 1]); otherwise it is drawn uniformly. *)
-
-val customers : t -> int
 
 val payment : t -> thread:int -> rng:Dudetm_sim.Rng.t -> ?district:int -> unit -> int
 (** TPC-C Payment (extension beyond the paper's New-Order-only driver):

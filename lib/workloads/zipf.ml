@@ -1,6 +1,5 @@
 type t = {
   n : int;
-  theta : float;
   cdf : float array;  (* cdf.(i) = P(rank <= i) *)
 }
 
@@ -17,11 +16,9 @@ let create ~n ~theta =
   for i = 0 to n - 1 do
     cdf.(i) <- cdf.(i) /. total
   done;
-  { n; theta; cdf }
+  { n; cdf }
 
 let n t = t.n
-
-let theta t = t.theta
 
 let sample t rng =
   let u = Dudetm_sim.Rng.float rng in

@@ -12,8 +12,6 @@ val create : n:int -> theta:float -> t
 
 val n : t -> int
 
-val theta : t -> float
-
 val sample : t -> Dudetm_sim.Rng.t -> int
 (** A rank in [\[0, n)]; rank 0 is the most popular. *)
 

@@ -177,22 +177,6 @@ let test_stuck_line_drops_writes () =
   check Alcotest.bool "stuck survives crash" true (Nvm.is_stuck d ~line:1);
   check Alcotest.(list int) "stuck_lines" [ 1 ] (Nvm.stuck_lines d)
 
-let test_background_decay () =
-  let d = device ~size:65536 () in
-  for i = 0 to 1023 do
-    Nvm.store_u64 d (i * 64) 1L
-  done;
-  Nvm.persist_all d;
-  Nvm.set_decay d (Some (0.25, 1_000, 42));
-  let before = Nvm.media_faults_injected d in
-  Nvm.decay_tick d;
-  check Alcotest.bool "decay injects seeded faults" true
-    (Nvm.media_faults_injected d > before);
-  Nvm.set_decay d None;
-  let stable = Nvm.media_faults_injected d in
-  Nvm.decay_tick d;
-  check Alcotest.int "decay off injects nothing" stable (Nvm.media_faults_injected d)
-
 let test_crash_survivors_recorded () =
   let d = device ~size:65536 () in
   Nvm.store_u64 d 0 1L;
@@ -582,7 +566,6 @@ let suite =
       test_poison_raises_and_rewrite_repairs;
     Alcotest.test_case "poison survives crash" `Quick test_poison_survives_crash;
     Alcotest.test_case "stuck line drops writes" `Quick test_stuck_line_drops_writes;
-    Alcotest.test_case "seeded background decay" `Quick test_background_decay;
     Alcotest.test_case "crash survivors recorded" `Quick test_crash_survivors_recorded;
     Alcotest.test_case "unaligned access rejected" `Quick test_mem_alignment;
     QCheck_alcotest.to_alcotest prop_persist_crash_prefix;

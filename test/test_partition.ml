@@ -1,17 +1,36 @@
 (* Keyspace partitioner tests: determinism, balance, range edges, and
    stability of shard assignment across a crash + re-attach (the
    descriptor persisted in a shard's root block survives and decodes to
-   the identical mapping). *)
+   the identical mapping).  One contiguous slice per shard is
+   [identity]: equal-width buckets owned [0, 1, ..., n-1]. *)
 
 module Sched = Dudetm_sim.Sched
 module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module Partition = Dudetm_workloads.Partition
 module Sh = Dudetm_shard.Shard.Make (Dudetm_tm.Tinystm)
+module Checksum = Dudetm_log.Checksum
 
 let check = Alcotest.check
 
 let sample_keys = List.init 512 (fun i -> Int64.of_int ((i * 7919) + 13))
+
+let identity ~nshards ~lo ~hi =
+  Partition.buckets ~nshards ~lo ~hi ~owners:(Array.init nshards Fun.id)
+
+(* The retired range scheme's placement, kept as the reference [identity]
+   must reproduce: [n] equal-width slices of [lo, hi), one per shard, in
+   unsigned 64-bit arithmetic, with keys outside the range clamped to the
+   edge slices. *)
+let range_ref ~lo ~hi ~n key =
+  if Int64.compare key lo <= 0 then 0
+  else if Int64.compare key hi >= 0 then n - 1
+  else begin
+    let w = Int64.unsigned_div (Int64.sub hi lo) (Int64.of_int n) in
+    let w = if w = 0L then 1L else w in
+    let idx = Int64.unsigned_div (Int64.sub key lo) w in
+    if Int64.unsigned_compare idx (Int64.of_int (n - 1)) >= 0 then n - 1 else Int64.to_int idx
+  end
 
 let test_hash_deterministic_and_balanced () =
   let p = Partition.hashed ~nshards:8 in
@@ -32,7 +51,7 @@ let test_hash_deterministic_and_balanced () =
     counts
 
 let test_range_edges () =
-  let p = Partition.range ~nshards:4 ~lo:0L ~hi:400L in
+  let p = identity ~nshards:4 ~lo:0L ~hi:400L in
   check Alcotest.int "lo maps to first" 0 (Partition.shard_of p 0L);
   check Alcotest.int "below lo clamps" 0 (Partition.shard_of p (-5L));
   check Alcotest.int "hi clamps to last" 3 (Partition.shard_of p 400L);
@@ -57,7 +76,7 @@ let test_descriptor_roundtrip () =
           check Alcotest.int "same assignment after decode" (Partition.shard_of p k)
             (Partition.shard_of p' k))
         sample_keys)
-    [ Partition.hashed ~nshards:5; Partition.range ~nshards:7 ~lo:(-100L) ~hi:10_000L ];
+    [ Partition.hashed ~nshards:5; identity ~nshards:7 ~lo:(-100L) ~hi:10_000L ];
   (try
      ignore (Partition.decode [| 1L |]);
      Alcotest.fail "short descriptor should be rejected"
@@ -79,7 +98,7 @@ let test_stable_across_reattach () =
       checkpoint_records = 2;
     }
   in
-  let p = Partition.range ~nshards ~lo:0L ~hi:1_000_000L in
+  let p = identity ~nshards ~lo:0L ~hi:1_000_000L in
   let before = List.map (Partition.shard_of p) sample_keys in
   let sh = Sh.create ~nshards cfg in
   ignore
@@ -98,7 +117,7 @@ let test_stable_across_reattach () =
   Array.init nshards (Sh.nvm sh) |> Array.iter Nvm.crash;
   let sh2, _ = Sh.attach ~nshards cfg (Array.init nshards (Sh.nvm sh)) in
   let words =
-    Array.init Partition.descriptor_words (fun i ->
+    Array.init (Array.length (Partition.encode p)) (fun i ->
         Sh.Engine.heap_read_u64 (Sh.engine sh2 0) (8 * i))
   in
   let p' = Partition.decode words in
@@ -114,8 +133,8 @@ let rejects name f =
 
 let test_degenerate_ranges () =
   (* Empty ranges and empty/bad owner tables are rejected eagerly. *)
-  rejects "empty range" (fun () -> Partition.range ~nshards:4 ~lo:10L ~hi:10L);
-  rejects "inverted range" (fun () -> Partition.range ~nshards:4 ~lo:10L ~hi:3L);
+  rejects "empty range" (fun () -> identity ~nshards:4 ~lo:10L ~hi:10L);
+  rejects "inverted range" (fun () -> identity ~nshards:4 ~lo:10L ~hi:3L);
   rejects "empty bucket range" (fun () ->
       Partition.buckets ~nshards:4 ~lo:7L ~hi:7L ~owners:[| 0 |]);
   rejects "no buckets" (fun () ->
@@ -132,7 +151,7 @@ let test_degenerate_ranges () =
   check Alcotest.int "one bucket" 1 (Partition.nbuckets single);
   (* Full keyspace [min_int, max_int): the span wraps signed subtraction,
      so this exercises the unsigned width arithmetic. *)
-  let full = Partition.range ~nshards:4 ~lo:Int64.min_int ~hi:Int64.max_int in
+  let full = identity ~nshards:4 ~lo:Int64.min_int ~hi:Int64.max_int in
   check Alcotest.int "min_int lands on the first shard" 0
     (Partition.shard_of full Int64.min_int);
   check Alcotest.int "max_int-1 lands on the last shard" 3
@@ -180,6 +199,57 @@ let test_buckets_seal_unseal () =
   invalid "short sealed descriptor" (fun () -> Partition.unseal (Array.sub s 0 2));
   invalid "truncated owner table" (fun () ->
       Partition.unseal (Array.sub s 0 (Array.length s - 1)))
+
+(* A kind-1 (range) descriptor, sealed with a valid CRC, no longer routes:
+   [decode] rejects it, and so does [unseal] before any mapping exists. *)
+let test_range_descriptor_rejected () =
+  let words = [| Int64.of_int ((4 lsl 2) lor 1); 0L; 400L |] in
+  rejects "kind-1 descriptor" (fun () -> Partition.decode words);
+  let b = Bytes.create 24 in
+  Array.iteri (fun i w -> Bytes.set_int64_le b (8 * i) w) words;
+  let sealed = Array.append words [| Int64.of_int32 (Checksum.crc32 b 0 24) |] in
+  invalid "sealed kind-1 descriptor" (fun () -> Partition.unseal ~expect_nshards:4 sealed)
+
+(* Identity buckets place every key where the range scheme did, over any
+   [lo < hi] (the full keyspace [min_int, max_int) included), any shard
+   count, and keys inside the range, on its edges and clamped from
+   outside it. *)
+let prop_identity_matches_range =
+  let open QCheck2.Gen in
+  let edge = oneofl [ Int64.min_int; -1L; 0L; 1L; Int64.max_int ] in
+  let bound = frequency [ (6, int64); (1, edge) ] in
+  let range =
+    frequency
+      [
+        (1, return (Int64.min_int, Int64.max_int));
+        ( 6,
+          map
+            (fun (a, b) ->
+              if Int64.compare a b < 0 then (a, b)
+              else if Int64.compare b a < 0 then (b, a)
+              else if a = Int64.max_int then (Int64.pred a, a)
+              else (a, Int64.succ a))
+            (pair bound bound) );
+      ]
+  in
+  let key (lo, hi) =
+    let span = Int64.sub hi lo in
+    frequency
+      [
+        (4, map (fun x -> Int64.add lo (Int64.unsigned_rem x span)) int64);
+        (2, int64);
+        (1, oneofl [ lo; Int64.pred hi; hi; Int64.pred lo; Int64.succ hi ]);
+        (1, edge);
+      ]
+  in
+  QCheck2.Test.make ~name:"identity buckets place keys as the range scheme did" ~count:2000
+    ~print:(fun (((lo, hi), n), k) -> Printf.sprintf "lo=%Ld hi=%Ld n=%d key=%Ld" lo hi n k)
+    (range >>= fun r ->
+     pair (pair (return r) (frequency [ (4, int_range 1 16); (1, int_range 17 512) ])) (key r))
+    (fun (((lo, hi), n), k) ->
+      let p = identity ~nshards:n ~lo ~hi in
+      let expect = range_ref ~lo ~hi ~n k in
+      Partition.shard_of p k = expect && Partition.bucket_of p k = expect)
 
 (* -------------------- split, then merge, across re-attach ----------------- *)
 
@@ -241,4 +311,7 @@ let suite =
       test_buckets_seal_unseal;
     Alcotest.test_case "split-then-merge roundtrip across re-attach" `Quick
       test_split_merge_roundtrip_across_reattach;
+    Alcotest.test_case "range descriptors no longer decode" `Quick
+      test_range_descriptor_rejected;
+    QCheck_alcotest.to_alcotest prop_identity_matches_range;
   ]

@@ -22,13 +22,12 @@ let test_lock_table_acquire_release () =
   (match Lock_table.read_word t s with
   | Lock_table.Version 0 -> ()
   | _ -> Alcotest.fail "fresh stripe should be Version 0");
-  (match Lock_table.acquire t ~stripe:s ~uid:7 with
-  | Some 0 -> ()
-  | _ -> Alcotest.fail "acquire should return previous version 0");
+  check Alcotest.int "acquire returns the previous version 0" 0
+    (Lock_table.acquire t ~stripe:s ~uid:7);
   (match Lock_table.read_word t s with
   | Lock_table.Owned 7 -> ()
   | _ -> Alcotest.fail "stripe should be owned by 7");
-  check Alcotest.bool "second acquire fails" true (Lock_table.acquire t ~stripe:s ~uid:8 = None);
+  check Alcotest.int "second acquire fails" (-1) (Lock_table.acquire t ~stripe:s ~uid:8);
   Lock_table.release_to t ~stripe:s ~version:42;
   match Lock_table.read_word t s with
   | Lock_table.Version 42 -> ()
@@ -76,11 +75,11 @@ let prop_lock_table_matches_flat =
           match op with
           | 0 ->
             let expected =
-              if flat.(s) land 1 = 1 then None
+              if flat.(s) land 1 = 1 then -1
               else begin
                 let prev = flat.(s) lsr 1 in
                 flat.(s) <- (v lsl 1) lor 1;
-                Some prev
+                prev
               end
             in
             Lock_table.acquire t ~stripe:s ~uid:v = expected && agree s
@@ -108,8 +107,8 @@ let test_lock_table_allocates_on_write () =
   check Alcotest.int "reads materialise nothing" fresh (words ());
   Lock_table.release_to t ~stripe:12345 ~version:3;
   check Alcotest.int "one write materialises one chunk" (fresh + 4096 + 1) (words ());
-  check Alcotest.bool "same-chunk acquire succeeds" true
-    (Lock_table.acquire t ~stripe:(12345 lxor 1) ~uid:9 = Some 0);
+  check Alcotest.int "same-chunk acquire succeeds" 0
+    (Lock_table.acquire t ~stripe:(12345 lxor 1) ~uid:9);
   check Alcotest.int "a second write into the chunk allocates nothing" (fresh + 4096 + 1)
     (words ());
   check Alcotest.bool "the written stripe keeps its version" true

@@ -7,6 +7,8 @@
    an empty reading counts, per call. *)
 
 module Config = Dudetm_core.Config
+module Tm_intf = Dudetm_tm.Tm_intf
+module Tinystm = Dudetm_tm.Tinystm
 module Serve = Dudetm_serve.Serve
 module SL = Dudetm_serve.Serve_load
 module Srv = SL.Srv
@@ -83,8 +85,20 @@ let test_atomically_write () =
   write ();
   guard "Sh.atomically (one write, flat, 1 shard)" ~limit:100. (per_call 300 write)
 
+(* A one-write TinySTM transaction took 26 words: the begin record (8),
+   the held-stripe entry (4), an option around the stripe's old version
+   from [Lock_table.acquire] (2), the undo entry (4), the boxed old value
+   (3) and the result (5).  The lock table now answers with a plain int,
+   so the option is gone. *)
+let test_tinystm_write () =
+  let tm = Tinystm.create (Tm_intf.mem_store (Bytes.make 4096 '\000')) in
+  let write () = ignore (Tinystm.run tm (fun tx -> Tinystm.write tx 64 5L)) in
+  write ();
+  guard "Tinystm.run (one write)" ~limit:24. (per_call 1000 write)
+
 let suite =
   [
+    Alcotest.test_case "a one-write TinySTM transaction" `Quick test_tinystm_write;
     Alcotest.test_case "ring pressure allocates nothing" `Quick test_ring_pressure;
     Alcotest.test_case "a read's submit" `Quick test_submit_read;
     Alcotest.test_case "a one-read snapshot" `Quick test_atomically_ro;
