@@ -13,11 +13,11 @@ let magic = 0x4244554445424144L  (* "BDUDEBAD" *)
 (* On-device image: the Sealed.Image [magic | count | line[capacity] |
    crc], (3 + capacity) * 8 bytes; unused line words are zero. *)
 let persist_table t =
-  let w = Array.make (2 + t.capacity) 0L in
-  w.(0) <- magic;
-  w.(1) <- Int64.of_int (List.length t.lines);
-  List.iteri (fun i l -> w.(2 + i) <- Int64.of_int l) t.lines;
-  Image.write t.nvm ~off:t.base w
+  let b = Bytes.make (8 * (3 + t.capacity)) '\000' in
+  Bytes.set_int64_le b 0 magic;
+  Bytes.set_int64_le b 8 (Int64.of_int (List.length t.lines));
+  List.iteri (fun i l -> Bytes.set_int64_le b (8 * (2 + i)) (Int64.of_int l)) t.lines;
+  Image.write t.nvm ~off:t.base b
 
 let format nvm cfg =
   let t =

@@ -50,7 +50,22 @@ let attach nvm ~base ~size =
     ({ twin; max_extents = max_extents_of ~size }, state_of w)
   | _ -> invalid_arg "Checkpoint.attach: no valid checkpoint"
 
-let write t st = Twin.write t.twin (words_of ~max_extents:t.max_extents st)
+let rec set_extents twin i = function
+  | [] -> ()
+  | (off, len) :: rest ->
+    Twin.set_word twin i off;
+    Twin.set_word twin (i + 1) len;
+    set_extents twin (i + 2) rest
+
+(* The words go straight into the slot buffer: [words_of]'s record
+   without its array. *)
+let write t st =
+  let n = List.length st.free_extents in
+  if n > t.max_extents then invalid_arg "Checkpoint: free list exceeds slot capacity";
+  Twin.set_word t.twin 0 st.reproduced_upto;
+  Twin.set_word t.twin 1 st.cross_frontier;
+  set_extents t.twin 2 st.free_extents;
+  Twin.commit t.twin ~words:(2 + (2 * n))
 
 let max_extents t = t.max_extents
 

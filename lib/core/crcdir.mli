@@ -23,16 +23,39 @@ val attach : Dudetm_nvm.Nvm.t -> Config.t -> t
 
 val n_extents : t -> int
 
-val update : t -> int list -> unit
-(** [update t extents] recomputes the listed extents' CRCs from the
-    device's latest image and persists the touched slots under a single
-    persist ordering.  Called at checkpoint time, when Reproduce has
-    already persisted those extents (latest = persisted there). *)
+(** {1 Dirty extents}
 
-val compute_latest : t -> int -> int32
+    The extents a replay rewrote since the directory last covered them:
+    a set that allocates nothing once its arrays have grown to fit. *)
+
+type dirty
+
+val dirty : buckets:int -> dirty
+(** An empty set that lists its extents as a [Hashtbl.create buckets]
+    table filled in the same order would (see {!update}). *)
+
+val mark : dirty -> int -> unit
+(** Add an extent index; marking it again changes nothing. *)
+
+val marked : dirty -> int
+(** How many extents the set holds. *)
+
+val dirty_extents : dirty -> int list
+(** The set's extents in the order {!update} refreshes them: the list
+    [Hashtbl.fold (fun e () acc -> e :: acc)] builds from that table. *)
+
+val update : t -> dirty -> unit
+(** [update t d] recomputes the CRCs of [d]'s extents from the device's
+    latest image and persists the touched slots under a single persist
+    ordering, then empties [d].  The extents go in {!dirty_extents}'s
+    order, which fixes which slot lines turn dirty first and the flush
+    order.  Called at checkpoint time, when Reproduce has already
+    persisted those extents (latest = persisted there). *)
+
+val compute_latest : t -> int -> int
 (** CRC of the extent's current latest-image content. *)
 
-val compute_persisted : t -> int -> int32
+val compute_persisted : t -> int -> int
 (** CRC of the extent's persisted content; raises [Nvm.Media_error] if the
     extent contains a poisoned line. *)
 

@@ -25,13 +25,6 @@ type recovery_report = Rjournal.report = {
   quarantined_lines : int;
 }
 
-type shipment = S.shipment = {
-  ship_seq : int;
-  ship_lo : int;
-  ship_hi : int;
-  ship_payload : bytes;
-}
-
 let scan_items = Recovery.scan_items
 
 let pmalloc_cost = 120
@@ -359,7 +352,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      Inactive until the first record flush ([drain_pace] = 0) and below
      the quarter-capacity low-water mark, so unsaturated runs never pay. *)
   let pace_admission t ~thread =
-    if admission_active t && t.drain_pace > 0.0 then begin
+    if admission_active t && t.drain_pace.(0) > 0.0 then begin
       let vlog = t.vlogs.(thread) in
       if not (Vlog.unbounded vlog) then begin
         (* Pace against the global backlog, not just this thread's vlog:
@@ -373,7 +366,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         let over = backlog - low in
         if over > 0 then begin
           let delay =
-            int_of_float (float_of_int over *. t.drain_pace /. float_of_int n)
+            int_of_float (float_of_int over *. t.drain_pace.(0) /. float_of_int n)
           in
           if delay > 0 then begin
             Stats.incr t.stats "pace_events";

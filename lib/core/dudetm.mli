@@ -66,18 +66,6 @@ type recovery_report = Rjournal.report = {
 (** The recovery verdict, as sealed in the recovery journal; see
     {!Rjournal.report} for each counter. *)
 
-type shipment = {
-  ship_seq : int;  (** the record's ring sequence number: the replication
-                       stream's dedup/retransmit key *)
-  ship_lo : int;  (** first transaction ID sealed in the record *)
-  ship_hi : int;  (** last transaction ID sealed in the record *)
-  ship_payload : bytes;  (** the exact payload bytes persisted to ring 0 *)
-}
-(** One sealed log record as handed to the replication layer
-    ([lib/replica]): the group-commit batch of PR 6, reused verbatim as
-    the wire unit.  A follower ingesting the payload reproduces a
-    byte-identical record at the same sequence number in its own ring. *)
-
 val scan_items :
   Config.t ->
   Dudetm_log.Plog.record list ->
@@ -319,16 +307,26 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       daemon ({!start_follower}), gated by {!set_replay_gate} to the
       cluster's quorum-acknowledged watermark. *)
 
-  val set_ship_hook : t -> (shipment -> unit) option -> unit
+  val set_ship_hook :
+    t -> (seq:int -> lo:int -> hi:int -> bytes -> pos:int -> len:int -> unit) option -> unit
   (** Install the primary-side ship tap: fires on the Persist daemon
       immediately after a log record's NVM persist completes (and its
       durable IDs are published) — the earliest point at which the batch is
-      sealed locally and may be offered to replicas.  The callback must not
+      sealed locally and may be offered to replicas.  It is handed the
+      group-commit batch, reused verbatim as the wire unit: the record's
+      ring sequence number [seq] (the replication stream's
+      dedup/retransmit key), its contiguous transaction-ID range
+      [lo..hi] and its payload, the buffer's bytes [\[pos, pos + len)]
+      exactly as persisted to ring 0 (the buffer must not be mutated).  A
+      follower ingesting the payload reproduces a byte-identical record
+      at the same sequence number in its own ring.  The callback must not
       block (the replication layer enqueues onto simulated links). *)
 
-  val ingest_record : t -> bytes -> bool
-  (** Follower-side flusher tail: append the shipped payload to ring 0,
-      queue the replay item and advance the local durable watermark.
+  val ingest_record : t -> bytes -> pos:int -> len:int -> bool
+  (** Follower-side flusher tail: append the shipped payload, the
+      buffer's bytes [\[pos, pos + len)] (a received frame's payload, read
+      in place), to ring 0, queue the replay item and advance the local
+      durable watermark.
       Returns [false] (and does nothing) when the ring lacks space — the
       caller keeps the frame buffered and retries after Reproduce recycles.
       Raises [Invalid_argument] if the batch does not extend the follower's

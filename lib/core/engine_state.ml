@@ -22,18 +22,6 @@ exception Drain_stalled of string
 
 exception Daemon_fault of string
 
-(* One sealed log record as handed to the replication layer: the
-   group-commit batch, reused verbatim as the wire unit.  [seq] is the
-   record's ring sequence number (the replication stream's dedup key),
-   [lo..hi] its contiguous transaction-ID range, [payload] the exact
-   CRC-coverable bytes the primary persisted. *)
-type shipment = {
-  ship_seq : int;
-  ship_lo : int;
-  ship_hi : int;
-  ship_payload : bytes;
-}
-
 type view = Flat of Mem.t | Paged of Shadow.t
 
 (* A unit of Reproduce work: one whole combined record, or one
@@ -43,7 +31,9 @@ type view = Flat of Mem.t | Paged of Shadow.t
    [nentries] of them, and [cross] is the highest cross-shard global ID
    sealed among them (0: none).  The last item of a committed record
    carries the record's ring position for recycling; [end_off] is -1 on
-   every other item and on recovery's. *)
+   every other item and on recovery's.  A record's items are chained in
+   record order through [next], the last one's being [no_item], so a
+   scan hands them on without a list. *)
 type item = {
   lo : int;
   hi : int;
@@ -55,7 +45,15 @@ type item = {
   region : int;
   mutable end_off : int;
   mutable rec_next_seq : int;
+  mutable next : item;
 }
+
+let rec no_item =
+  { lo = 0; hi = 0; body = Bytes.empty; pos = 0; stop = 0; nentries = 0; cross = 0;
+    region = -1; end_off = -1; rec_next_seq = -1; next = no_item }
+
+(* The chain from [it] on, as a list. *)
+let rec item_list it = if it == no_item then [] else it :: item_list it.next
 
 (* Home addresses replay stored but has not yet persisted, oldest first:
    the first [len] slots of a buffer that only grows, so a replayed write
@@ -106,7 +104,7 @@ type ('tm, 'h) t = {
   rjournal : Rjournal.t;
   crcdir : Crcdir.t;
   badlines : Badline.t;
-  dirty_extents : (int, unit) Hashtbl.t;  (* heap extents Reproduce touched since last checkpoint *)
+  dirty_extents : Crcdir.dirty;  (* heap extents Reproduce touched since last checkpoint *)
   allocator : Alloc.t;  (* current, serves pmalloc *)
   repro_alloc : Alloc.t;  (* allocator state as of [applied] *)
   applied_cell : int ref;  (* = applied; shared with the shadow's gate *)
@@ -115,7 +113,15 @@ type ('tm, 'h) t = {
   mutable persisted_data : int;  (* data persisted for all tids <= this *)
   mutable checkpointed : int;
   queues : item Queue.t array;  (* per region, lo ascending *)
-  mutable pending_recycle : (int * int * int) list;  (* region, end_off, next_seq *)
+  (* What the next checkpoint recycles, per region: the furthest replayed
+     record's end offset (-1: nothing) and next sequence number, and the
+     count of [recycle_notes] when it was noted, which orders the regions'
+     recycles.  [recycle_notes] counts the records replayed since the
+     last checkpoint. *)
+  recycle_end : int array;
+  recycle_seq : int array;
+  recycle_at : int array;
+  mutable recycle_notes : int;
   (* Daemon working state lives in [t], not in daemon-local closures, so
      a supervisor restart resumes exactly where the failed daemon left
      off: staged-but-unflushed combined transactions, the next group ID,
@@ -132,7 +138,9 @@ type ('tm, 'h) t = {
   mutable batch_bound : int;  (* adaptive entries-per-record bound *)
   mutable batch_ewma : float;  (* smoothed backlog-at-flush estimate *)
   mutable durable_waiters : int;  (* threads blocked in [wait_durable] *)
-  mutable drain_pace : float;  (* measured NVM drain cost, cycles/entry *)
+  (* The measured NVM drain cost, cycles/entry, in the one cell of a flat
+     float array, so an update boxes nothing. *)
+  drain_pace : float array;
   repro_addrs : addrs;  (* applied but not yet persisted *)
   mutable cross_frontier : int;  (* max replayed cross-shard gtid *)
   (* The pin durable-only snapshots take, in the TM's ID space: the local
@@ -150,8 +158,10 @@ type ('tm, 'h) t = {
   retry_snapshot : (unit -> unit) option array;
   (* Replication tap, installed by lib/replica: fires on the Persist
      daemon right after a log record's NVM persist completes (the batch
-     is sealed locally). *)
-  mutable ship_hook : (shipment -> unit) option;
+     is sealed locally), handed the record's sequence number, its ID
+     range and its payload as a byte range. *)
+  mutable ship_hook :
+    (seq:int -> lo:int -> hi:int -> bytes -> pos:int -> len:int -> unit) option;
   (* Replay gate over the next replay item, installed by the layer that
      owns a cross-engine durability rule: the sharding layer holds back
      a cross-shard fragment until every sibling is durable, a follower
@@ -250,7 +260,7 @@ let make ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocat
     rjournal;
     crcdir;
     badlines;
-    dirty_extents = Hashtbl.create 256;
+    dirty_extents = Crcdir.dirty ~buckets:256;
     allocator;
     repro_alloc;
     applied_cell;
@@ -259,7 +269,10 @@ let make ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocat
     persisted_data = tid_base;
     checkpointed = tid_base;
     queues = Array.init (Array.length plogs) (fun _ -> Queue.create ());
-    pending_recycle = [];
+    recycle_end = Array.make (Array.length plogs) (-1);
+    recycle_seq = Array.make (Array.length plogs) 0;
+    recycle_at = Array.make (Array.length plogs) 0;
+    recycle_notes = 0;
     staging = Hashtbl.create 1024;
     next_flush = tid_base + 1;
     prepared = Queue.create ();
@@ -269,7 +282,7 @@ let make ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocat
     batch_bound = bound;
     batch_ewma = float_of_int bound;
     durable_waiters = 0;
-    drain_pace = 0.0;
+    drain_pace = [| 0.0 |];
     repro_addrs = addrs ();
     cross_frontier = 0;
     ro_pin = None;
@@ -372,14 +385,14 @@ let spawn_daemon t name loop =
    advance it directly; only an ID beyond a gap — a per-thread record
    that overtook an older one — waits in [flushed_set] until the gap
    closes. *)
-let rec note_ids t = function
-  | [] -> ()
-  | it :: rest ->
+let rec note_ids t it =
+  if it != no_item then begin
     for tid = it.lo to it.hi do
       if tid = t.durable + 1 then t.durable <- tid
       else if tid > t.durable then Hashtbl.replace t.flushed_set tid ()
     done;
-    note_ids t rest
+    note_ids t it.next
+  end
 
 let note_flushed t items =
   let before = t.durable in
@@ -423,7 +436,7 @@ let drain_diagnostic t =
      bp_throttle_cycles=%d pmalloc_waits=%d read_only=%s"
     t.cfg.Config.drain_budget (last_tid t) t.durable (applied t) t.checkpointed vlog_backlog
     (String.concat "," (List.map ring (Array.to_list t.plogs)))
-    (List.length t.pending_recycle)
+    t.recycle_notes
     (Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues)
     t.stop_flag
     (Stats.get t.stats "daemon_restarts")

@@ -14,15 +14,20 @@ module Lz = Dudetm_log.Lz
    replays transaction by transaction; a combined record is one unit over
    its contiguous ID range, because its last-write-wins body cannot be
    split back into transactions.  One in-place pass over the record's
-   plain body ([body] from [pos0]) finds each item's entry bounds, entry
-   count and highest cross-shard global ID; items come back in record
-   order, none yet holding the record's ring position. *)
-let scan_record cfg ~region body pos0 =
-  let stop = Bytes.length body in
+   plain body ([body]'s bytes [\[pos0, stop)]) finds each item's entry
+   bounds, entry count and highest cross-shard global ID; the items come
+   back chained in record order (the first, or [no_item]), none yet
+   holding the record's ring position. *)
+let item ~region body ~lo ~hi ~pos ~stop ~nentries ~cross =
+  { lo; hi; body; pos; stop; nentries; cross; region; end_off = -1; rec_next_seq = -1;
+    next = no_item }
+
+let scan_record cfg ~region body pos0 stop =
   let per_tx =
     match cfg.Config.persist with Config.Per_thread _ -> true | Config.Combined _ -> false
   in
-  let items = ref [] and start = ref pos0 and n = ref 0 and cross = ref 0 in
+  let first = ref no_item and last = ref no_item in
+  let start = ref pos0 and n = ref 0 and cross = ref 0 in
   let ntids = ref 0 and lo = ref 0 and hi = ref 0 in
   let p = ref pos0 in
   while !p < stop do
@@ -35,10 +40,10 @@ let scan_record cfg ~region body pos0 =
       let tid = Log_entry.field body !p 0 in
       if per_tx then begin
         let it =
-          { lo = tid; hi = tid; body; pos = !start; stop = next; nentries = !n; cross = !cross;
-            region; end_off = -1; rec_next_seq = -1 }
+          item ~region body ~lo:tid ~hi:tid ~pos:!start ~stop:next ~nentries:!n ~cross:!cross
         in
-        items := it :: !items;
+        if !first == no_item then first := it else !last.next <- it;
+        last := it;
         start := next;
         n := 0;
         cross := 0
@@ -57,17 +62,18 @@ let scan_record cfg ~region body pos0 =
   if per_tx then begin
     (* A per-thread record ends on a transaction boundary. *)
     assert (!n = 0);
-    List.rev !items
+    !first
   end
-  else if !ntids = 0 then []
-  else
-    [ { lo = !lo; hi = !hi; body; pos = pos0; stop; nentries = !n; cross = !cross; region;
-        end_off = -1; rec_next_seq = -1 } ]
+  else if !ntids = 0 then no_item
+  else item ~region body ~lo:!lo ~hi:!hi ~pos:pos0 ~stop ~nentries:!n ~cross:!cross
 
-(* A record's transaction-ID range: its items' lowest and highest IDs. *)
-let id_lo items = List.fold_left (fun acc it -> min acc it.lo) max_int items
+(* A record's transaction-ID range, its items' lowest and highest IDs,
+   and its entry count. *)
+let rec id_lo acc it = if it == no_item then acc else id_lo (min acc it.lo) it.next
 
-let id_hi items = List.fold_left (fun acc it -> max acc it.hi) min_int items
+let rec id_hi acc it = if it == no_item then acc else id_hi (max acc it.hi) it.next
+
+let rec entries acc it = if it == no_item then acc else entries (acc + it.nentries) it.next
 
 (* ------------------------------------------------------------------ *)
 (* Bounded adaptive group commit                                       *)
@@ -98,9 +104,9 @@ let note_batch_fill t ~min_entries ~max_entries pending =
 let note_drain_pace t ~entries ~cycles =
   if entries > 0 && cycles >= 0 then begin
     let per = float_of_int cycles /. float_of_int entries in
-    t.drain_pace <-
-      (if t.drain_pace <= 0.0 then per
-       else (0.75 *. t.drain_pace) +. (0.25 *. per))
+    t.drain_pace.(0) <-
+      (if t.drain_pace.(0) <= 0.0 then per
+       else (0.75 *. t.drain_pace.(0)) +. (0.25 *. per))
   end
 
 (* The batch clock.  Slot [i]'s batch opens (is stamped [now]) when it
@@ -134,57 +140,53 @@ let note_cut t cut =
 
 (* Queue a committed record's replay items; the last carries the
    record's ring position. *)
-let rec queue_items q (record : Plog.record) = function
-  | [] -> ()
-  | [ last ] ->
-    last.end_off <- record.Plog.end_off;
-    last.rec_next_seq <- record.Plog.seq + 1;
-    Queue.push last q
-  | it :: rest ->
-    Queue.push it q;
-    queue_items q record rest
+let rec queue_items q plog it =
+  if it.next == no_item then begin
+    it.end_off <- Plog.tail_off plog;
+    it.rec_next_seq <- Plog.next_seq plog
+  end;
+  Queue.push it q;
+  if it.next != no_item then queue_items q plog it.next
 
-(* Append one sealed record to ring [region] and publish it: the NVM
-   write, the drain-pace sample, the flush counters, the record's replay
-   items ({!scan_record} of its plain body), the durable-ID advance and
-   the replication tap.  Serves the per-thread flush, the combined
-   flusher and follower ingest.  A [shipped] record was already fenced
-   and published by the primary's Persist step: no mutant guard applies
-   to it, and it opens no [persist.flush] span of its own. *)
-let commit_record ~shipped t region payload items =
+(* A passed optional argument is a fresh [Some]: [~persist] is passed only
+   in the mutant's case. *)
+let append plog ~persist b ~pos ~len =
+  if persist then Plog.append plog b ~pos ~len else Plog.append ~persist:false plog b ~pos ~len
+
+(* Append one sealed record, [b]'s bytes [\[pos, pos + len)], to ring
+   [region] and publish it: the NVM write, the drain-pace sample, the
+   flush counters, the record's replay items (chained from [items], the
+   {!scan_record} of its plain body), the durable-ID advance and the
+   replication tap.  Serves the per-thread flush, the combined flusher
+   and follower ingest.  A [shipped] record was already fenced and
+   published by the primary's Persist step: no mutant guard applies to
+   it, and it opens no [persist.flush] span of its own. *)
+let commit_record ~shipped t region b ~pos ~len items =
   let plog = t.plogs.(region) in
-  let append () =
-    (* Seeded mutant (checker self-test only): skip the record's persist
-       fence, so the durable ID published below covers a record still
-       sitting in the cache — a crash loses transactions the application
-       already acknowledged. *)
-    Plog.append ~persist:(shipped || not (Inject.armed Early_durable_publish)) plog payload
-  in
+  (* Seeded mutant (checker self-test only): skip the record's persist
+     fence, so the durable ID published below covers a record still
+     sitting in the cache — a crash loses transactions the application
+     already acknowledged. *)
+  let persist = shipped || not (Inject.armed Early_durable_publish) in
+  let seq = Plog.next_seq plog in
   let t_io = Sched.now () in
   t.flush_started_at <- t_io;
-  let record = if shipped then append () else Trace.span ~cat:"persist" "flush" append in
+  if shipped || not (Trace.enabled ()) then append plog ~persist b ~pos ~len
+  else Trace.span ~cat:"persist" "flush" (fun () -> append plog ~persist b ~pos ~len);
   t.flush_started_at <- -1;
-  note_drain_pace t
-    ~entries:(List.fold_left (fun acc it -> acc + it.nentries) 0 items)
-    ~cycles:(Sched.now () - t_io);
+  note_drain_pace t ~entries:(entries 0 items) ~cycles:(Sched.now () - t_io);
   Stats.incr t.stats "flush_records";
-  Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
+  Stats.add t.stats "flush_payload_bytes" len;
   stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
-  queue_items t.queues.(region) record items;
+  if items != no_item then queue_items t.queues.(region) plog items;
   (* Under the Skip_batch_seal mutant the combiner already published
      these IDs at seal time. *)
   if shipped || not (Inject.armed Skip_batch_seal) then note_flushed t items;
   Sched.signal t.wake_repro;
-  match (t.ship_hook, items) with
-  | Some ship, _ :: _ ->
-    ship
-      {
-        ship_seq = record.Plog.seq;
-        ship_lo = id_lo items;
-        ship_hi = id_hi items;
-        ship_payload = payload;
-      }
-  | None, _ | Some _, [] -> ()
+  match t.ship_hook with
+  | Some ship when items != no_item ->
+    ship ~seq ~lo:(id_lo max_int items) ~hi:(id_hi min_int items) b ~pos ~len
+  | Some _ | None -> ()
 
 (* Seal a cut batch of [n] input entries, already encoded into the plain
    payload [plain]: under [compress], LZ-compress its body once, charging
@@ -241,6 +243,16 @@ let find_cut vlog ~hd ~cm ~cap bytes_avail =
    with Exit -> ());
   (!cut, !first)
 
+(* Write thread [i]'s volatile-log entries [\[hd, cut)] as one record. *)
+let flush_cut t i vlog ~hd ~cut =
+  let n = cut - hd in
+  Sched.advance (t.cfg.Config.flush_cost_per_entry * n);
+  let plain = encode_vlog vlog ~hd ~cut in
+  let payload = seal t ~n ~compress:false plain in
+  commit_record ~shipped:false t i payload ~pos:0 ~len:(Bytes.length payload)
+    (scan_record t.cfg ~region:i plain 1 (Bytes.length plain));
+  Vlog.consume_to vlog cut
+
 (* Flush the longest prefix of whole transactions from thread [i]'s
    volatile log that fits the adaptive entry bound and the persistent
    ring's free space.  Returns true if a record was written. *)
@@ -264,19 +276,16 @@ let flush_thread t i ~wait_space =
       end
     in
     if cut = hd then false
-    else
+    else begin
       (* The Fun.protect-based [Trace.span] keeps the trace balanced even
          when the scheduler kills this daemon mid-flush.  [persist.batch]
          covers the whole unit (CPU work, NVM write, bookkeeping); the
          inner [persist.flush] isolates the NVM record write. *)
-      Trace.span ~cat:"persist" "batch" (fun () ->
-          let n = cut - hd in
-          Sched.advance (t.cfg.Config.flush_cost_per_entry * n);
-          let plain = encode_vlog vlog ~hd ~cut in
-          commit_record ~shipped:false t i (seal t ~n ~compress:false plain)
-            (scan_record t.cfg ~region:i plain 1);
-          Vlog.consume_to vlog cut;
-          true)
+      if Trace.enabled () then
+        Trace.span ~cat:"persist" "batch" (fun () -> flush_cut t i vlog ~hd ~cut)
+      else flush_cut t i vlog ~hd ~cut;
+      true
+    end
   end
 
 let plain_loop p ~daemons ~min_entries ~max_entries t =
@@ -403,49 +412,56 @@ let combined_loop ~group ~compress t =
     done;
     !n
   in
+  (* Merge transactions [lo..hi] and combine them into one payload. *)
+  let combine lo hi =
+    for tid = lo to hi do
+      feed_oldest_first builder (Hashtbl.find staging tid);
+      Combine.feed builder (Log_entry.Tx_end { tid })
+    done;
+    let r = Combine.seal_payload builder in
+    Sched.advance (t.cfg.Config.flush_cost_per_entry * (snd r).Combine.entries_in);
+    r
+  in
+  let seal_take take =
+    let lo = t.next_flush in
+    let hi = lo + take - 1 in
+    let overlapping = t.flush_started_at >= 0 in
+    let plain, cstats =
+      if Trace.enabled () then
+        Trace.span ~cat:"persist" "combine" (fun () -> combine lo hi)
+      else combine lo hi
+    in
+    Stats.add t.stats "combine_writes_in" cstats.Combine.writes_in;
+    Stats.add t.stats "combine_writes_out" cstats.Combine.writes_out;
+    let payload = seal t ~n:cstats.Combine.entries_in ~compress plain in
+    let need = Plog.record_overhead + Bytes.length payload in
+    if need > Plog.data_capacity t.plogs.(0) then
+      invalid_arg "Dudetm: combined group exceeds the persistent log ring";
+    (* This seal ran while the flusher held the channel: the cycles
+       spent combining were hidden behind batch [k]'s transfer. *)
+    if overlapping && t.flush_started_at >= 0 then begin
+      let hidden = Sched.now () - t.flush_started_at in
+      if hidden > 0 then begin
+        Stats.add t.stats "pipe_overlap_cycles" hidden;
+        Trace.instant ~cat:"persist" "pipe_overlap" hidden
+      end
+    end;
+    Queue.push { pb_payload = payload; pb_plain = plain } t.prepared;
+    Sched.signal t.wake_flush;
+    for tid = lo to hi do
+      Hashtbl.remove staging tid
+    done;
+    (* Seeded mutant (checker self-test only): acknowledge the batch
+       at seal time — its record has not reached NVM, so a crash in
+       the pipeline window loses acknowledged transactions. *)
+    if Inject.armed Skip_batch_seal then
+      note_flushed t (scan_record t.cfg ~region:0 plain 1 (Bytes.length plain));
+    t.next_flush <- hi + 1;
+    t.open_at.(0) <- -1
+  in
   let seal_batch take =
-    Trace.span ~cat:"persist" "batch" (fun () ->
-        let lo = t.next_flush in
-        let hi = lo + take - 1 in
-        let overlapping = t.flush_started_at >= 0 in
-        let plain, cstats =
-          Trace.span ~cat:"persist" "combine" (fun () ->
-              for tid = lo to hi do
-                feed_oldest_first builder (Hashtbl.find staging tid);
-                Combine.feed builder (Log_entry.Tx_end { tid })
-              done;
-              let r = Combine.seal_payload builder in
-              Sched.advance
-                (t.cfg.Config.flush_cost_per_entry * (snd r).Combine.entries_in);
-              r)
-        in
-        Stats.add t.stats "combine_writes_in" cstats.Combine.writes_in;
-        Stats.add t.stats "combine_writes_out" cstats.Combine.writes_out;
-        let payload = seal t ~n:cstats.Combine.entries_in ~compress plain in
-        let need = Plog.record_overhead + Bytes.length payload in
-        if need > Plog.data_capacity t.plogs.(0) then
-          invalid_arg "Dudetm: combined group exceeds the persistent log ring";
-        (* This seal ran while the flusher held the channel: the cycles
-           spent combining were hidden behind batch [k]'s transfer. *)
-        if overlapping && t.flush_started_at >= 0 then begin
-          let hidden = Sched.now () - t.flush_started_at in
-          if hidden > 0 then begin
-            Stats.add t.stats "pipe_overlap_cycles" hidden;
-            Trace.instant ~cat:"persist" "pipe_overlap" hidden
-          end
-        end;
-        Queue.push { pb_payload = payload; pb_plain = plain } t.prepared;
-        Sched.signal t.wake_flush;
-        for tid = lo to hi do
-          Hashtbl.remove staging tid
-        done;
-        (* Seeded mutant (checker self-test only): acknowledge the batch
-           at seal time — its record has not reached NVM, so a crash in
-           the pipeline window loses acknowledged transactions. *)
-        if Inject.armed Skip_batch_seal then
-          note_flushed t (scan_record t.cfg ~region:0 plain 1);
-        t.next_flush <- hi + 1;
-        t.open_at.(0) <- -1)
+    if Trace.enabled () then Trace.span ~cat:"persist" "batch" (fun () -> seal_take take)
+    else seal_take take
   in
   let rec loop () =
     maybe_fault t "persist";
@@ -504,10 +520,12 @@ let flush_loop t =
       let pb = Queue.pop t.prepared in
       Sched.signal t.wake_seal;
       let need = Plog.record_overhead + Bytes.length pb.pb_payload in
-      Sched.wait_on t.space_on.(0) ~label:"plog space (combined)" (fun () ->
-          Plog.free_space t.plogs.(0) >= need);
-      commit_record ~shipped:false t 0 pb.pb_payload
-        (scan_record t.cfg ~region:0 pb.pb_plain 1);
+      (* A ready wait returns at once; testing first skips its closure. *)
+      if Plog.free_space t.plogs.(0) < need then
+        Sched.wait_on t.space_on.(0) ~label:"plog space (combined)" (fun () ->
+            Plog.free_space t.plogs.(0) >= need);
+      commit_record ~shipped:false t 0 pb.pb_payload ~pos:0 ~len:(Bytes.length pb.pb_payload)
+        (scan_record t.cfg ~region:0 pb.pb_plain 1 (Bytes.length pb.pb_plain));
       loop ()
     end
     else if t.stop_flag && t.combiner_done then ()
@@ -537,23 +555,31 @@ let spawn t =
    queue the replay item and advance the local durable watermark.  The
    follower's ring therefore holds byte-identical records at the same
    sequence numbers as the primary's ring 0, which is what makes
-   promotion plain [attach] recovery. *)
-let ingest_record t payload =
-  let body, pos = Log_entry.plain_body payload in
-  match scan_record t.cfg ~region:0 body pos with
-  | [] -> true
-  | items ->
-    let lo = id_lo items and hi = id_hi items in
+   promotion plain [attach] recovery.  The payload is [b]'s bytes
+   [\[pos, pos + len)], read where it arrived: a plain payload's items
+   point into [b] itself. *)
+let ingest_record t b ~pos ~len =
+  let items =
+    if len > 0 && Log_entry.is_plain b pos then
+      scan_record t.cfg ~region:0 b (pos + 1) (pos + len)
+    else
+      let body, bpos = Log_entry.plain_body (Bytes.sub b pos len) in
+      scan_record t.cfg ~region:0 body bpos (Bytes.length body)
+  in
+  if items == no_item then true
+  else begin
+    let lo = id_lo max_int items in
     if lo <> t.durable + 1 then
       invalid_arg
         (Printf.sprintf
            "Dudetm.ingest_record: batch [%d,%d] breaks the contiguous durable prefix at %d"
-           lo hi t.durable);
-    if Plog.free_space t.plogs.(0) < Plog.record_overhead + Bytes.length payload + 1 then
+           lo (id_hi min_int items) t.durable);
+    if Plog.free_space t.plogs.(0) < Plog.record_overhead + len + 1 then
       (* Ring full (replay gated or Reproduce behind): the caller keeps
          the frame buffered and retries once recycling frees space. *)
       false
     else begin
-      commit_record ~shipped:true t 0 payload items;
+      commit_record ~shipped:true t 0 b ~pos ~len items;
       true
     end
+  end

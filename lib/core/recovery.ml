@@ -21,7 +21,9 @@ let scan_items cfg records ~ckpt_upto =
     List.concat_map
       (fun (record : Plog.record) ->
         let body, pos = Log_entry.plain_body record.Plog.payload in
-        let items = Persist.scan_record cfg ~region:(-1) body pos in
+        let items =
+          item_list (Persist.scan_record cfg ~region:(-1) body pos (Bytes.length body))
+        in
         List.iter
           (fun it ->
             for tid = it.lo to it.hi do
@@ -198,7 +200,7 @@ let commit ops ?durable_cut p =
   if p.p_use_journal then Rjournal.write p.p_rjournal (Rjournal.Replay verdict);
   (* Replay in transaction-ID order. *)
   let replayed = addrs () in
-  let replayed_extents = Hashtbl.create 64 in
+  let replayed_extents = Crcdir.dirty ~buckets:64 in
   let frontier =
     List.fold_left
       (fun frontier it ->
@@ -211,7 +213,7 @@ let commit ops ?durable_cut p =
      at checkpoint time); the replay just rewrote them, so reseal their
      CRCs now. *)
   let crcdir = Crcdir.attach nvm cfg in
-  Crcdir.update crcdir (Hashtbl.fold (fun e () acc -> e :: acc) replayed_extents []);
+  Crcdir.update crcdir replayed_extents;
   Checkpoint.write p.p_ckpt
     { Checkpoint.reproduced_upto = d; cross_frontier = frontier;
       free_extents = Alloc.extents repro_alloc };

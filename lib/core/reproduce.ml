@@ -21,8 +21,8 @@ let redo nvm alloc ~extents addrs ~frontier it =
       let addr = Log_entry.field body !p 0 in
       Nvm.store_sub nvm addr body ~pos:(Log_entry.field_pos !p 1) ~len:8;
       push_addr addrs addr;
-      Hashtbl.replace extents (addr / Config.crc_extent) ();
-      Hashtbl.replace extents ((addr + 7) / Config.crc_extent) ()
+      Crcdir.mark extents (addr / Config.crc_extent);
+      Crcdir.mark extents ((addr + 7) / Config.crc_extent)
     | Log_entry.Alloc_tag ->
       Alloc.reserve alloc ~off:(Log_entry.field body !p 0) ~len:(Log_entry.field body !p 1)
     | Log_entry.Free_tag ->
@@ -71,7 +71,7 @@ let can_apply t =
 
 (* Recycling is due early once some ring runs below a quarter free. *)
 let recycle_pressure t =
-  t.pending_recycle <> []
+  t.recycle_notes > 0
   && Array.exists (fun p -> Plog.free_space p < Plog.data_capacity p / 4) t.plogs
 
 (* Persist every reproduced-but-unpersisted home word, newest first, and
@@ -88,8 +88,48 @@ let flush_reproduced t =
   end;
   t.persisted_data <- applied t
 
-let do_checkpoint t =
-  Trace.span ~cat:"reproduce" "checkpoint" @@ fun () ->
+(* Recycle each ring up to its furthest replayed record, in the order a
+   table keyed by region visits them when each region was added the first
+   time a newest-first walk of the notes met it ([Hashtbl.create 8], then
+   [Hashtbl.iter]): by the region's bucket under the table's final size
+   (16 buckets at first, doubled past two entries per bucket), then,
+   within a bucket, oldest note first.  That order fixes the header
+   persists' sequence, so it is kept bit for bit. *)
+let recycle_rings t =
+  let nregions = Array.length t.plogs in
+  let pending = ref 0 in
+  for r = 0 to nregions - 1 do
+    if t.recycle_end.(r) >= 0 then incr pending
+  done;
+  let size = ref 16 in
+  while !pending > 2 * !size do
+    size := 2 * !size
+  done;
+  for b = 0 to !size - 1 do
+    (* This bucket's regions, oldest note first. *)
+    let after = ref (-1) and continue = ref true in
+    while !continue do
+      let pick = ref (-1) in
+      for r = 0 to nregions - 1 do
+        if
+          t.recycle_end.(r) >= 0
+          && Hashtbl.hash r land (!size - 1) = b
+          && t.recycle_at.(r) > !after
+          && (!pick < 0 || t.recycle_at.(r) < t.recycle_at.(!pick))
+        then pick := r
+      done;
+      if !pick < 0 then continue := false
+      else begin
+        let r = !pick in
+        after := t.recycle_at.(r);
+        Plog.recycle_to t.plogs.(r) ~end_off:t.recycle_end.(r) ~next_seq:t.recycle_seq.(r)
+      end
+    done
+  done;
+  Array.fill t.recycle_end 0 nregions (-1);
+  t.recycle_notes <- 0
+
+let checkpoint_body t =
   (* A daemon restart may have left applied items whose data persist is
      still pending; fence them before the checkpoint can cover them. *)
   flush_reproduced t;
@@ -97,29 +137,20 @@ let do_checkpoint t =
      covers.  Reproduce has already persisted those extents (the round's
      persist_words precedes the checkpoint), so latest = persisted there
      and the recomputed CRCs seal exactly the checkpointed content. *)
-  let extents = Hashtbl.fold (fun e () acc -> e :: acc) t.dirty_extents [] in
-  Hashtbl.reset t.dirty_extents;
-  Crcdir.update t.crcdir extents;
+  Crcdir.update t.crcdir t.dirty_extents;
   Checkpoint.write t.ckpt
     {
       Checkpoint.reproduced_upto = t.persisted_data;
       cross_frontier = t.cross_frontier;
       free_extents = Alloc.extents t.repro_alloc;
     };
-  (* Recycle each ring up to its furthest completed record. *)
-  let per_region = Hashtbl.create 8 in
-  List.iter
-    (fun (region, end_off, seq) ->
-      match Hashtbl.find_opt per_region region with
-      | Some (e, _) when e >= end_off -> ()
-      | _ -> Hashtbl.replace per_region region (end_off, seq))
-    t.pending_recycle;
-  Hashtbl.iter
-    (fun region (end_off, next_seq) ->
-      Plog.recycle_to t.plogs.(region) ~end_off ~next_seq)
-    per_region;
-  t.pending_recycle <- [];
+  recycle_rings t;
   t.checkpointed <- t.persisted_data
+
+let checkpoint t =
+  if Trace.enabled () then
+    Trace.span ~cat:"reproduce" "checkpoint" (fun () -> checkpoint_body t)
+  else checkpoint_body t
 
 let pop_next_item t =
   match next_region t with
@@ -141,11 +172,14 @@ let apply_item t it =
       ~frontier:t.cross_frontier it;
   t.applied_cell := it.hi;
   Sched.signal t.wake_applied;
-  if it.end_off >= 0 then
-    t.pending_recycle <- (it.region, it.end_off, it.rec_next_seq) :: t.pending_recycle
+  if it.end_off >= 0 then begin
+    t.recycle_notes <- t.recycle_notes + 1;
+    t.recycle_end.(it.region) <- it.end_off;
+    t.recycle_seq.(it.region) <- it.rec_next_seq;
+    t.recycle_at.(it.region) <- t.recycle_notes
+  end
 
-let round t =
-  Trace.span ~cat:"reproduce" "replay" @@ fun () ->
+let round_body t =
   let batch = ref 0 in
   while can_apply t && !batch < t.cfg.Config.reproduce_batch do
     maybe_fault t "reproduce";
@@ -155,25 +189,29 @@ let round t =
   (* One persist ordering covers the whole round's reproduced data. *)
   if !batch > 0 then flush_reproduced t
 
+let round t =
+  if Trace.enabled () then Trace.span ~cat:"reproduce" "replay" (fun () -> round_body t)
+  else round_body t
+
 let loop t =
   let rec loop () =
     maybe_fault t "reproduce";
     if can_apply t then begin
       round t;
-      if List.length t.pending_recycle >= t.cfg.Config.checkpoint_records || recycle_pressure t
-      then do_checkpoint t;
+      if t.recycle_notes >= t.cfg.Config.checkpoint_records || recycle_pressure t then
+        checkpoint t;
       loop ()
     end
     else if t.stop_flag then begin
       (* Quiesced — or stopped while a cross-shard fragment is still
          gated on a sibling shard; either way checkpoint what is applied
          and exit (the gated suffix replays at the next attach). *)
-      if t.pending_recycle <> [] || t.checkpointed < t.persisted_data then do_checkpoint t
+      if t.recycle_notes > 0 || t.checkpointed < t.persisted_data then checkpoint t
     end
     else begin
       Sched.wait_on t.repro_on ~label:"reproduce: waiting for durable" (fun () ->
           t.stop_flag || can_apply t || recycle_pressure t);
-      if (not (can_apply t)) && recycle_pressure t then do_checkpoint t;
+      if (not (can_apply t)) && recycle_pressure t then checkpoint t;
       Sched.yield ();
       loop ()
     end

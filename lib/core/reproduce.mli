@@ -6,7 +6,7 @@
 val redo :
   Dudetm_nvm.Nvm.t ->
   Alloc.t ->
-  extents:(int, unit) Hashtbl.t ->
+  extents:Crcdir.dirty ->
   Engine_state.addrs ->
   frontier:int ->
   Engine_state.item ->
@@ -26,6 +26,17 @@ val set_replay_gate :
   unit
 (** Install the replay gate and the conds Reproduce parks on with it.
     Raises [Invalid_argument] once the engine is started. *)
+
+val round : (_, _) Engine_state.t -> unit
+(** One replay round: apply up to [reproduce_batch] items while the next
+    may be applied, then persist their data under one persist ordering.
+    Allocates nothing for an item whose heap extents are already marked
+    dirty. *)
+
+val checkpoint : (_, _) Engine_state.t -> unit
+(** Fence the reproduced data, refresh the CRC directory for the dirty
+    extents, write the checkpoint and recycle every ring up to its
+    furthest replayed record. *)
 
 val spawn : (_, _) Engine_state.t -> unit
 (** Spawn the supervised Reproduce daemon. *)

@@ -25,9 +25,9 @@ let tbl i = Array.unsafe_get tables i
 
 let u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xffffffff
 
-let crc32 ?(init = 0l) b off len =
+let chain init b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Checksum.crc32";
-  let c = ref (Int32.to_int (Int32.lognot init) land 0xffffffff) in
+  let c = ref (lnot init land 0xffffffff) in
   let i = ref off in
   let stop8 = off + (len land lnot 7) in
   while !i < stop8 do
@@ -46,6 +46,10 @@ let crc32 ?(init = 0l) b off len =
   for j = stop8 to off + len - 1 do
     c := tbl ((!c lxor Char.code (Bytes.get b j)) land 0xff) lxor (!c lsr 8)
   done;
-  Int32.lognot (Int32.of_int !c)
+  lnot !c land 0xffffffff
 
-let crc32_bytes b = crc32 b 0 (Bytes.length b)
+let crc32 b off len = chain 0 b off len
+
+let crc32_bytes b = chain 0 b 0 (Bytes.length b)
+
+let set_slot b off c = Bytes.set_int64_le b off (Int64.of_int32 (Int32.of_int c))

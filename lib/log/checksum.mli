@@ -9,14 +9,25 @@
     once at module initialisation, eight bytes folded per step, and a
     bytewise tail.  It is the same function as the classic one-table
     bytewise loop, bit for bit, for every buffer, offset, length and
-    [init]. *)
+    chained start. *)
 
-val crc32 : ?init:int32 -> bytes -> int -> int -> int32
-(** [crc32 b off len] checksums [len] bytes of [b] starting at [off].
-    [init] chains checksums across fragments (default the CRC of the empty
-    string, [0l]): [crc32 ~init:(crc32 b 0 k) b k n] equals [crc32 b 0
-    (k + n)].  Raises [Invalid_argument] unless [0 <= off], [0 <= len] and
+val crc32 : bytes -> int -> int -> int
+(** [crc32 b off len] checksums [len] bytes of [b] starting at [off], as a
+    native [int] in [\[0, 2^32)] (no [Int32] box).  Raises
+    [Invalid_argument] unless [0 <= off], [0 <= len] and
     [off + len <= Bytes.length b]. *)
 
-val crc32_bytes : bytes -> int32
+val chain : int -> bytes -> int -> int -> int
+(** [chain init b off len] continues the checksum [init] of earlier
+    fragments over [len] more bytes: [chain (crc32 b 0 k) b k n] equals
+    [crc32 b 0 (k + n)], and [chain 0] is [crc32] (0 is the CRC of the
+    empty string). *)
+
+val crc32_bytes : bytes -> int
 (** Whole-buffer convenience. *)
+
+val set_slot : bytes -> int -> int -> unit
+(** [set_slot b off crc] stores [crc] as the 64-bit slot word the
+    on-device formats keep at [b]'s byte [off]: its 32 bits sign-extended,
+    the bytes [Int64.of_int32] gave when the CRC was an [int32].  Only the
+    low 32 bits are ever compared.  Nothing is boxed. *)

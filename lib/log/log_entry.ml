@@ -142,6 +142,8 @@ let encode_payload ?(compress = false) entries =
   if not compress then plain
   else frame_compressed plain (Lz.compress ~pos:1 ~len:(Bytes.length plain - 1) plain)
 
+let is_plain b pos = Bytes.get b pos = flag_plain
+
 let plain_body payload =
   let n = Bytes.length payload in
   if n < 1 then invalid_arg "Log_entry.decode_payload: empty payload";

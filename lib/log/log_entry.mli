@@ -88,6 +88,10 @@ val plain_body : bytes -> bytes * int
     Shared by engine recovery, follower ingest and the scrub subsystem so
     every reader of persisted records agrees on the framing. *)
 
+val is_plain : bytes -> int -> bool
+(** [is_plain b pos]: the payload starting at [b]'s byte [pos] is plain,
+    so its body is [b] itself from [pos + 1], read in place. *)
+
 val decode_payload : bytes -> t list
 (** Inverse of {!encode_payload}: {!plain_body}, decoded; raises
     [Invalid_argument] on a bad flag or malformed body. *)

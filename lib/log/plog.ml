@@ -11,6 +11,7 @@ type t = {
   mutable head_seq : int;  (* seq of the record at [head] *)
   mutable seq : int;  (* seq of the next record to append *)
   hdr : bytes;  (* [append]'s header scratch: len, seq, crc *)
+  himg : bytes;  (* [persist_header]'s image scratch *)
   space : Sched.cond;  (* [recycle_to] freed ring space *)
 }
 
@@ -66,7 +67,10 @@ let persist_wrapped t off len =
    rewritten at every recycle — the CRC lets recovery distinguish a
    corrupted header from an unformatted region. *)
 let persist_header t =
-  Sealed.Image.write t.nvm ~off:t.base [| magic; Int64.of_int t.head; Int64.of_int t.head_seq |]
+  Bytes.set_int64_le t.himg 0 magic;
+  Bytes.set_int64_le t.himg 8 (Int64.of_int t.head);
+  Bytes.set_int64_le t.himg 16 (Int64.of_int t.head_seq);
+  Sealed.Image.write t.nvm ~off:t.base t.himg
 
 let make nvm ~base ~dcap ~head ~head_seq =
   {
@@ -78,6 +82,7 @@ let make nvm ~base ~dcap ~head ~head_seq =
     head_seq;
     seq = head_seq;
     hdr = Bytes.create record_overhead;
+    himg = Bytes.create 32;
     space = Sched.cond ();
   }
 
@@ -89,13 +94,16 @@ let format nvm ~base ~size =
 
 (* Encode [len] and [seq] into bytes 0..16 of [frame] and return the
    record CRC: those 16 bytes checksummed in place, chained over the
-   payload.  On a frame read back from the ring this re-encodes the decoded
-   fields, so a flip of bit 63 (which [Int64.to_int] drops) checksums as
-   the decoded value. *)
-let frame_crc frame ~len ~seq payload =
+   payload, [b]'s bytes [\[pos, pos + len)].  On a frame read back from
+   the ring this re-encodes the decoded fields, so a flip of bit 63 (which
+   [Int64.to_int] drops) checksums as the decoded value. *)
+let frame_crc frame ~seq b ~pos ~len =
   Bytes.set_int64_le frame 0 (Int64.of_int len);
   Bytes.set_int64_le frame 8 (Int64.of_int seq);
-  Checksum.crc32 ~init:(Checksum.crc32 frame 0 16) payload 0 (Bytes.length payload)
+  Checksum.chain (Checksum.crc32 frame 0 16) b pos len
+
+(* The stored crc slot's 32 bits. *)
+let stored_crc frame = Int64.to_int (Bytes.get_int64_le frame 16) land 0xffffffff
 
 (* How far past a corrupted record the scan searches for the next valid
    frame, in records: bounds the seq gap a resync will accept so stale
@@ -123,13 +131,13 @@ let probe_frame t ~off ~min_seq =
     | frame ->
       let len = Int64.to_int (Bytes.get_int64_le frame 0) in
       let seq = Int64.to_int (Bytes.get_int64_le frame 8) in
-      let crc = Int64.to_int32 (Bytes.get_int64_le frame 16) in
+      let crc = stored_crc frame in
       if not (fields_in_range t ~scanned ~len ~seq ~min_seq) then None
       else begin
         match read_wrapped t (off + record_overhead) len with
         | exception Nvm.Media_error _ -> None
         | payload ->
-          if frame_crc frame ~len ~seq payload <> crc then None
+          if frame_crc frame ~seq payload ~pos:0 ~len <> crc then None
           else Some { seq; payload; end_off = off + record_overhead + len }
       end
 
@@ -210,11 +218,11 @@ let salvage_next_seq t =
     | frame ->
       let len = Int64.to_int (Bytes.get_int64_le frame 0) in
       let seq = Int64.to_int (Bytes.get_int64_le frame 8) in
-      let crc = Int64.to_int32 (Bytes.get_int64_le frame 16) in
+      let crc = stored_crc frame in
       if len >= 0 && len <= t.dcap - record_overhead && seq > !best then begin
         match read_wrapped t (off + record_overhead) len with
         | exception Nvm.Media_error _ -> ()
-        | payload -> if frame_crc frame ~len ~seq payload = crc then best := seq
+        | payload -> if frame_crc frame ~seq payload ~pos:0 ~len = crc then best := seq
       end
   done;
   !best + 1
@@ -286,27 +294,25 @@ let used_space t = t.tail - t.head
 
 let free_space t = t.dcap - used_space t
 
-let append ?(persist = true) t payload =
-  let len = Bytes.length payload in
+let append ?(persist = true) t b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Plog.append: bad range";
   let total = record_overhead + len in
   if total > free_space t then invalid_arg "Plog.append: no space";
   (* The header and the payload go straight into the ring: the same bytes,
      lines and CRC as one staged [header | payload] frame, without it. *)
-  let crc = frame_crc t.hdr ~len ~seq:t.seq payload in
-  Bytes.set_int64_le t.hdr 16 (Int64.of_int32 crc);
+  let crc = frame_crc t.hdr ~seq:t.seq b ~pos ~len in
+  Checksum.set_slot t.hdr 16 crc;
   store_wrapped t t.tail t.hdr ~pos:0 ~len:record_overhead;
-  store_wrapped t (t.tail + record_overhead) payload ~pos:0 ~len;
+  store_wrapped t (t.tail + record_overhead) b ~pos ~len;
   (* The CRC seals the record: one persist ordering makes the whole group
      of transactions durable, torn writes fail validation on recovery.
      [persist:false] skips that fence and exists only for the seeded
      checker-validation mutant (Inject.Early_durable_publish). *)
   if persist then persist_wrapped t t.tail total;
-  let r = { seq = t.seq; payload; end_off = t.tail + total } in
   t.tail <- t.tail + total;
   t.seq <- t.seq + 1;
   Trace.instant ~cat:"plog" "append" total;
-  Trace.counter ~cat:"plog" "used" (used_space t);
-  r
+  Trace.counter ~cat:"plog" "used" (used_space t)
 
 let recycle_to t ~end_off ~next_seq =
   if end_off < t.head || end_off > t.tail then invalid_arg "Plog.recycle_to: bad offset";

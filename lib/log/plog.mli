@@ -73,15 +73,18 @@ val free_space : t -> int
 
 val used_space : t -> int
 
-val append : ?persist:bool -> t -> bytes -> record
-(** Write one record and persist it (single persist ordering).  The
+val append : ?persist:bool -> t -> bytes -> pos:int -> len:int -> unit
+(** [append t b ~pos ~len] writes one record whose payload is [b]'s bytes
+    [\[pos, pos + len)] and persists it (single persist ordering).  The
     header and then the payload are stored straight into the ring (split
-    at its end when the record wraps); the record returned keeps
-    [payload] itself, not a copy.  The caller
-    must check {!free_space} ([record_overhead + length]) first; appending
-    without space raises [Invalid_argument].  [persist] (default true)
-    exists only for the seeded checker-validation mutant
-    ({!Dudetm_sim.Inject.Early_durable_publish}): [false] leaves the
+    at its end when the record wraps), so a payload that sits inside a
+    larger buffer — a replication frame — is appended where it is.  The
+    record takes sequence number {!next_seq} and ends at the new
+    {!tail_off}; nothing is allocated for it.  The caller must check
+    {!free_space} ([record_overhead + len]) first; appending without
+    space raises [Invalid_argument], as does a range outside [b].
+    [persist] (default true) exists only for the seeded checker-validation
+    mutant ({!Dudetm_sim.Inject.Early_durable_publish}): [false] leaves the
     record volatile, so a durable ID covering it is published before the
     record's persist fence. *)
 
@@ -96,5 +99,7 @@ val space_cond : t -> Dudetm_sim.Sched.cond
     writer waiting for room parks on it. *)
 
 val tail_off : t -> int
+(** The monotone offset one past the last record appended. *)
 
 val next_seq : t -> int
+(** The sequence number the next record takes. *)

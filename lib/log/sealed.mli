@@ -6,7 +6,7 @@
     A record is a run of little-endian 64-bit words followed by one crc
     word: the {!Checksum.crc32} of every byte before it, stored
     sign-extended (only its low 32 bits are compared).  A record is written
-    with one [store_bytes] and one [persist] over exactly its bytes, so
+    with one store and one [persist] over exactly its bytes, so
     {b its byte length is its persist cost}: the lines it dirties, the bytes
     the persist flushes and the persist boundaries a crash can cut.  A
     caller that changes a record's word count moves every one of those
@@ -20,8 +20,13 @@
     rewritten in place.  A torn rewrite fails its CRC; what a lost image
     means is the caller's decision. *)
 module Image : sig
-  val write : Dudetm_nvm.Nvm.t -> off:int -> int64 array -> unit
-  (** Seal the words and persist them at [off] (one persist ordering). *)
+  val write : Dudetm_nvm.Nvm.t -> off:int -> bytes -> unit
+  (** [write nvm ~off b] seals an image built in the caller's buffer and
+      persists it at [off] (one persist ordering): [b]'s first [8n]
+      bytes hold the [n] little-endian words, and its length,
+      [8 * (n + 1)], leaves the crc word's room.  Seals in place, so a
+      writer that keeps its buffer rewrites the image allocating
+      nothing. *)
 
   val read : ?persisted:bool -> Dudetm_nvm.Nvm.t -> off:int -> words:int -> int64 array option
   (** The [words] words of the image at [off]; [None] when torn, rotted or
@@ -51,6 +56,15 @@ module Twin : sig
   val write : t -> int64 array -> unit
   (** Seal [words] into the older slot at the next seq and persist it.
       Raises [Invalid_argument] if they exceed {!max_words}. *)
+
+  val set_word : t -> int -> int -> unit
+  (** [set_word t i w] puts word [i] of the next record, [Int64.of_int w],
+      straight into the writer's slot buffer (kept across writes, grown
+      when a record outgrows it), so a writer that knows its words need
+      not build an array of them, nor box one. *)
+
+  val commit : t -> words:int -> unit
+  (** {!write} of the first [words] words set by {!set_word}. *)
 
   val scrub :
     ?repair:bool ->

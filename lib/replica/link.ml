@@ -25,21 +25,19 @@ type config = {
 
 let default_config = { latency = 20_000; bandwidth_gbps = 10.0; faults = no_faults; seed = 1 }
 
-type frame = { deliver_at : int; stamp : int; payload : bytes }
-
-let no_frame = { deliver_at = 0; stamp = 0; payload = Bytes.empty }
-
 type t = {
   label : string;
   cfg : config;
   channel : Resource.t;
   rng : Rng.t;
-  (* In-flight frames: a binary min-heap on (deliver_at, stamp) in
-     [heap.(0 .. size - 1)]; slots past [size] hold [no_frame], so a
-     delivered frame is not retained.  Stamps count sends and are unique,
-     so the order is total: same-cycle frames leave in send order and
-     delivery is deterministic, faults included. *)
-  mutable heap : frame array;
+  (* In-flight frames: a binary min-heap on (deliver_at, stamp) over the
+     parallel arrays' first [size] slots; slots past [size] hold
+     [Bytes.empty], so a delivered frame is not retained.  Stamps count
+     sends and are unique, so the order is total: same-cycle frames leave
+     in send order and delivery is deterministic, faults included. *)
+  mutable deliver_at : int array;
+  mutable stamp : int array;
+  mutable frames : bytes array;
   mutable size : int;
   mutable next_stamp : int;
   mutable partitioned : bool;
@@ -52,52 +50,77 @@ let create ~label cfg =
     cfg;
     channel = Resource.create_gbps cfg.bandwidth_gbps;
     rng = Rng.create (cfg.seed lxor Hashtbl.hash label lxor 0x11fa57);
-    heap = Array.make 16 no_frame;
+    deliver_at = Array.make 16 0;
+    stamp = Array.make 16 0;
+    frames = Array.make 16 Bytes.empty;
     size = 0;
     next_stamp = 0;
     partitioned = false;
     stats = Stats.create ();
   }
 
-let before a b = a.deliver_at < b.deliver_at || (a.deliver_at = b.deliver_at && a.stamp < b.stamp)
+(* Slot [i] leaves before the frame [(at, st)]. *)
+let before t i at st = t.deliver_at.(i) < at || (t.deliver_at.(i) = at && t.stamp.(i) < st)
 
-let rec sift_up h i f =
+let move t ~src ~dst =
+  t.deliver_at.(dst) <- t.deliver_at.(src);
+  t.stamp.(dst) <- t.stamp.(src);
+  t.frames.(dst) <- t.frames.(src)
+
+let place t i at st f =
+  t.deliver_at.(i) <- at;
+  t.stamp.(i) <- st;
+  t.frames.(i) <- f
+
+let rec sift_up t i at st f =
   let p = (i - 1) / 2 in
-  if i > 0 && before f h.(p) then begin
-    h.(i) <- h.(p);
-    sift_up h p f
+  if i > 0 && not (before t p at st) then begin
+    move t ~src:p ~dst:i;
+    sift_up t p at st f
   end
-  else h.(i) <- f
+  else place t i at st f
 
-let rec sift_down h n i f =
+let rec sift_down t n i at st f =
   let l = (2 * i) + 1 in
-  if l >= n then h.(i) <- f
+  if l >= n then place t i at st f
   else begin
-    let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
-    if before h.(c) f then begin
-      h.(i) <- h.(c);
-      sift_down h n c f
+    let c =
+      if l + 1 < n && before t (l + 1) t.deliver_at.(l) t.stamp.(l) then l + 1 else l
+    in
+    if before t c at st then begin
+      move t ~src:c ~dst:i;
+      sift_down t n c at st f
     end
-    else h.(i) <- f
+    else place t i at st f
   end
+
+let grow a fill =
+  let g = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 g 0 (Array.length a);
+  g
 
 let insert t deliver_at payload =
   t.next_stamp <- t.next_stamp + 1;
-  if t.size = Array.length t.heap then begin
-    let h = Array.make (2 * t.size) no_frame in
-    Array.blit t.heap 0 h 0 t.size;
-    t.heap <- h
+  if t.size = Array.length t.frames then begin
+    t.deliver_at <- grow t.deliver_at 0;
+    t.stamp <- grow t.stamp 0;
+    t.frames <- grow t.frames Bytes.empty
   end;
   t.size <- t.size + 1;
-  sift_up t.heap (t.size - 1) { deliver_at; stamp = t.next_stamp; payload }
+  sift_up t (t.size - 1) deliver_at t.next_stamp payload
 
 let pop t =
-  let top = t.heap.(0) in
+  let top = t.frames.(0) in
   t.size <- t.size - 1;
-  let last = t.heap.(t.size) in
-  t.heap.(t.size) <- no_frame;
-  if t.size > 0 then sift_down t.heap t.size 0 last;
+  let n = t.size in
+  let at = t.deliver_at.(n) and st = t.stamp.(n) and last = t.frames.(n) in
+  t.frames.(n) <- Bytes.empty;
+  if n > 0 then sift_down t n 0 at st last;
   top
+
+(* Does a fault of probability [p] strike?  A fault-free link draws
+   nothing. *)
+let roll t p = p > 0.0 && Rng.float t.rng < p
 
 let send t b =
   Stats.incr t.stats "frames_sent";
@@ -105,8 +128,7 @@ let send t b =
   if t.partitioned then Stats.incr t.stats "frames_dropped_partition"
   else begin
     let f = t.cfg.faults in
-    let roll p = p > 0.0 && Rng.float t.rng < p in
-    if roll f.drop then Stats.incr t.stats "frames_dropped"
+    if roll t f.drop then Stats.incr t.stats "frames_dropped"
     else begin
       let bytes = Bytes.length b in
       let now = Sched.now () in
@@ -114,7 +136,7 @@ let send t b =
       Trace.link_transfer ~link:t.label ~bytes ~cycles:cost;
       let at = now + cost in
       let at =
-        if roll f.delay then begin
+        if roll t f.delay then begin
           Stats.incr t.stats "frames_delayed";
           at + f.delay_cycles
         end
@@ -123,14 +145,14 @@ let send t b =
       (* A reordered frame is simply held back long enough for traffic sent
          after it to overtake it. *)
       let at =
-        if roll f.reorder then begin
+        if roll t f.reorder then begin
           Stats.incr t.stats "frames_reordered";
           at + (3 * t.cfg.latency)
         end
         else at
       in
       let payload =
-        if roll f.corrupt then begin
+        if roll t f.corrupt then begin
           Stats.incr t.stats "frames_corrupted";
           let c = Bytes.copy b in
           let i = Rng.int t.rng (Bytes.length c) in
@@ -141,7 +163,7 @@ let send t b =
         else b
       in
       insert t at payload;
-      if roll f.duplicate then begin
+      if roll t f.duplicate then begin
         Stats.incr t.stats "frames_duplicated";
         insert t (at + t.cfg.latency) payload
       end
@@ -149,11 +171,11 @@ let send t b =
   end
 
 let recv t =
-  if t.size > 0 && t.heap.(0).deliver_at <= Sched.now () then begin
+  if t.size > 0 && t.deliver_at.(0) <= Sched.now () then begin
     Stats.incr t.stats "frames_delivered";
-    Some (pop t).payload
+    pop t
   end
-  else None
+  else Bytes.empty
 
 let set_partitioned t p = t.partitioned <- p
 

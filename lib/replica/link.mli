@@ -9,7 +9,9 @@
     wire frame's CRC must catch at the receiver).
 
     Sends never block the sender (the primary's Persist daemon must not
-    stall on a slow replica); receivers poll {!recv}, which releases frames
+    stall on a slow replica); the in-flight frames wait in a heap of
+    parallel arrays, so a send keeps no record per frame beyond the frame
+    itself.  Receivers poll {!recv}, which releases frames
     in delivery-time order once the receiving fiber's clock has reached
     each frame's deliver-at stamp.  A partitioned link drops every frame at
     the send side until healed. *)
@@ -47,9 +49,11 @@ val send : t -> bytes -> unit
     is never mutated — the corruption fault flips a bit in a copy — so one
     encoded frame may be sent on several links. *)
 
-val recv : t -> bytes option
+val recv : t -> bytes
 (** Next frame whose delivery time has been reached by the calling fiber's
-    clock, in delivery order; [None] when nothing is deliverable yet. *)
+    clock, in delivery order; the empty buffer when nothing is deliverable
+    yet (no frame is empty).  Allocates nothing: the frame returned is the
+    one sent (or its corrupted copy). *)
 
 val set_partitioned : t -> bool -> unit
 

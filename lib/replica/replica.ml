@@ -47,8 +47,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     up : Link.t;  (* replica -> primary: cumulative Ack frames *)
     known_acked : int ref;  (* replica side: replay-gate watermark *)
     wake_acked : Sched.cond;  (* replica side: [known_acked] rose *)
-    pendingq : (int, Dudetm.shipment) Hashtbl.t;  (* replica side: out-of-order, by lo *)
-    mutable deferred : Dudetm.shipment option;  (* next in line, awaiting ring space *)
+    pendingq : (int, bytes) Hashtbl.t;  (* replica side: out-of-order batch frames, by lo *)
+    mutable deferred : bytes;  (* the in-line batch frame awaiting ring space, or empty *)
     mutable ingested_seq : int;  (* replica side: last ring seq ingested *)
     mutable last_acked : int;  (* replica side: durable ID last ack'd *)
     mutable reack : bool;  (* replica side: saw a dup; re-send the ack *)
@@ -64,7 +64,15 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     rcfg : config;
     prim : Engine.t;
     reps : rep array;
-    shipments : Dudetm.shipment Queue.t;  (* retained in DRAM until acked by every replica *)
+    (* The batch frames shipped, oldest first, retained in DRAM until
+       acked by every replica: [retained.(first .. first + count - 1)],
+       indices modulo the array's length; a freed slot holds the empty
+       frame.  [shipped_hi] is the highest [hi] ever shipped: the newest
+       retained frame's, while any is retained. *)
+    mutable retained : bytes array;
+    mutable first : int;
+    mutable count : int;
+    mutable shipped_hi : int;
     mutable acked_watermark : int;  (* quorum watermark, monotone *)
     wake_watermark : Sched.cond;  (* [acked_watermark] rose *)
     mutable last_broadcast : int;
@@ -106,7 +114,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
             known_acked = ref 0;
             wake_acked = Sched.cond ();
             pendingq = Hashtbl.create 64;
-            deferred = None;
+            deferred = Bytes.empty;
             ingested_seq = -1;
             last_acked = 0;
             reack = false;
@@ -122,7 +130,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         rcfg;
         prim;
         reps;
-        shipments = Queue.create ();
+        retained = Array.make 64 Bytes.empty;
+        first = 0;
+        count = 0;
+        shipped_hi = 0;
         acked_watermark = 0;
         wake_watermark = Sched.cond ();
         last_broadcast = 0;
@@ -161,12 +172,34 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     done;
     if !above < k && !at_least >= k then v else kth_largest_acked reps k (i + 1)
 
+  (* The retained frame [i] places from the oldest. *)
+  let nth t i = t.retained.((t.first + i) mod Array.length t.retained)
+
+  let retain t f =
+    let cap = Array.length t.retained in
+    if t.count = cap then begin
+      let g = Array.make (2 * cap) Bytes.empty in
+      for i = 0 to t.count - 1 do
+        g.(i) <- nth t i
+      done;
+      t.retained <- g;
+      t.first <- 0
+    end;
+    t.retained.((t.first + t.count) mod Array.length t.retained) <- f;
+    t.count <- t.count + 1
+
+  let drop_oldest t =
+    let f = t.retained.(t.first) in
+    t.retained.(t.first) <- Bytes.empty;
+    t.first <- (t.first + 1) mod Array.length t.retained;
+    t.count <- t.count - 1;
+    f
+
   (* Retire retained batches at or below [min_hi] (oldest first). *)
-  let rec prune shipments min_hi =
-    if (not (Queue.is_empty shipments)) && (Queue.peek shipments).Dudetm.ship_hi <= min_hi
-    then begin
-      ignore (Queue.pop shipments);
-      prune shipments min_hi
+  let rec prune t min_hi =
+    if t.count > 0 && Wire.hi (nth t 0) <= min_hi then begin
+      ignore (drop_oldest t);
+      prune t min_hi
     end
 
   (* acked = min(primary durable, (q-1)-th largest replica durable): the
@@ -196,7 +229,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         (fun acc r -> if r.cut_off then acc else min acc r.acked_hi)
         max_int t.reps
     in
-    prune t.shipments min_hi
+    prune t min_hi
 
   let acked t = t.acked_watermark
 
@@ -214,18 +247,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Primary side: ship, ack intake, retransmit                          *)
   (* ------------------------------------------------------------------ *)
 
-  let encode_batch t s =
-    Wire.encode
-      (Wire.Batch
-         {
-           seq = s.Dudetm.ship_seq;
-           lo = s.Dudetm.ship_lo;
-           hi = s.Dudetm.ship_hi;
-           acked = t.acked_watermark;
-           payload = s.Dudetm.ship_payload;
-         })
-
-  let send_batch t r s = Link.send r.down (encode_batch t s)
+  (* A retained frame again, stamped with today's watermark. *)
+  let send_batch t r f =
+    Link.send r.down
+      (Wire.encode_batch ~seq:(Wire.seq f) ~lo:(Wire.lo f) ~hi:(Wire.hi f)
+         ~acked:t.acked_watermark f ~pos:Wire.payload_pos ~len:(Wire.payload_len f))
 
   (* Bounded retention: the retransmit queue may not outgrow
      [max_retained].  When it would, the oldest batches are dropped and
@@ -237,12 +263,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let enforce_retention t =
     let cap = t.rcfg.max_retained in
     if cap > 0 then
-      while Queue.length t.shipments > cap do
-        let s = Queue.pop t.shipments in
+      while t.count > cap do
+        let f = drop_oldest t in
         Stats.incr t.stats "retention_drops";
         Array.iter
           (fun r ->
-            if (not r.cut_off) && r.acked_hi < s.Dudetm.ship_hi then begin
+            if (not r.cut_off) && r.acked_hi < Wire.hi f then begin
               r.cut_off <- true;
               Stats.incr t.stats "replicas_cut_off";
               Trace.instant ~cat:"replica" "cut_off" r.idx;
@@ -251,21 +277,30 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
                   (Printf.sprintf
                      "Replica_lag: replica %d cut off at acked=%d — batch [%d,%d] \
                       dropped by the %d-batch retransmit retention; resync required"
-                     r.idx r.acked_hi s.Dudetm.ship_lo s.Dudetm.ship_hi cap)
+                     r.idx r.acked_hi (Wire.lo f) (Wire.hi f) cap)
             end)
           t.reps
       done
 
-  let on_ship t s =
-    Trace.span ~cat:"replica" "ship" @@ fun () ->
+  let ship t ~seq ~lo ~hi b ~pos ~len =
     recompute t;
-    Queue.push s t.shipments;
+    (* One frame for every down link: [Link.send] never mutates a frame,
+       and the frame is what the primary retains for retransmission. *)
+    let f = Wire.encode_batch ~seq ~lo ~hi ~acked:t.acked_watermark b ~pos ~len in
+    retain t f;
+    t.shipped_hi <- hi;
     enforce_retention t;
     Stats.incr t.stats "batches_shipped";
-    (* One frame for every down link: [Link.send] never mutates a frame.
-       A cut-off replica would only hoard the new frames out of order. *)
-    let b = encode_batch t s in
-    Array.iter (fun r -> if not r.cut_off then Link.send r.down b) t.reps
+    (* A cut-off replica would only hoard the new frames out of order. *)
+    for i = 0 to Array.length t.reps - 1 do
+      let r = t.reps.(i) in
+      if not r.cut_off then Link.send r.down f
+    done
+
+  let on_ship t ~seq ~lo ~hi b ~pos ~len =
+    if Trace.enabled () then
+      Trace.span ~cat:"replica" "ship" (fun () -> ship t ~seq ~lo ~hi b ~pos ~len)
+    else ship t ~seq ~lo ~hi b ~pos ~len
 
   (* The retransmit timer must outlast a healthy round trip over the link
      in use (two latencies plus both ends' poll steps), then back off like
@@ -276,47 +311,45 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let half = max 1 ((ceiling + 1) / 2) in
     half + Rng.int t.retry_rng half
 
+  (* Resend up to [window] of the lowest batches [r] has not acked. *)
+  let resend t r =
+    let sent = ref 0 and i = ref 0 in
+    while !i < t.count && !sent < window do
+      let f = nth t !i in
+      if Wire.hi f > r.acked_hi then begin
+        send_batch t r f;
+        incr sent
+      end;
+      incr i
+    done;
+    !sent
+
   (* Resend the lowest unacked batches to every replica whose timer has
-     expired, with capped exponential backoff per silent round. *)
+     expired, with capped exponential backoff per silent round.  Retained
+     frames are in shipping order, so a replica is behind exactly when
+     the newest one's [hi] is above its ack. *)
   let retransmit t =
     let now = Sched.now () in
-    Array.iter
-      (fun r ->
-        let behind =
-          (not r.cut_off)
-          &&
-          match Queue.peek_opt t.shipments with
-          | None -> false
-          | Some _ ->
-            Queue.fold (fun acc s -> acc || s.Dudetm.ship_hi > r.acked_hi) false t.shipments
-        in
-        if not behind then begin
-          r.retries <- 0;
-          r.next_retry <- 0
-        end
-        else if r.next_retry = 0 then
-          (* Arm: give the in-flight copy a full round trip first. *)
-          r.next_retry <- now + backoff t 0
-        else if now >= r.next_retry then begin
-          let sent = ref 0 in
-          (try
-             Queue.iter
-               (fun s ->
-                 if s.Dudetm.ship_hi > r.acked_hi then begin
-                   if !sent >= window then raise Exit;
-                   send_batch t r s;
-                   incr sent
-                 end)
-               t.shipments
-           with Exit -> ());
-          Stats.add t.stats "retransmits" !sent;
-          Stats.incr t.stats "retransmit_rounds";
-          r.retries <- r.retries + 1;
-          let b = backoff t r.retries in
-          Stats.add t.stats "backoff_cycles" b;
-          r.next_retry <- now + b
-        end)
-      t.reps
+    for i = 0 to Array.length t.reps - 1 do
+      let r = t.reps.(i) in
+      let behind = (not r.cut_off) && t.count > 0 && t.shipped_hi > r.acked_hi in
+      if not behind then begin
+        r.retries <- 0;
+        r.next_retry <- 0
+      end
+      else if r.next_retry = 0 then
+        (* Arm: give the in-flight copy a full round trip first. *)
+        r.next_retry <- now + backoff t 0
+      else if now >= r.next_retry then begin
+        let sent = resend t r in
+        Stats.add t.stats "retransmits" sent;
+        Stats.incr t.stats "retransmit_rounds";
+        r.retries <- r.retries + 1;
+        let b = backoff t r.retries in
+        Stats.add t.stats "backoff_cycles" b;
+        r.next_retry <- now + b
+      end
+    done
 
   (* Watermark-only broadcast: opens follower replay gates when no data
      frame is pending (the tail of a run), re-sent periodically so a lost
@@ -331,34 +364,37 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       t.last_broadcast <- t.acked_watermark;
       t.last_broadcast_at <- now;
       Stats.incr t.stats "watermark_broadcasts";
-      let b = Wire.encode (Wire.Watermark { acked = t.acked_watermark }) in
-      Array.iter (fun r -> Link.send r.down b) t.reps
+      let f = Wire.encode_watermark ~acked:t.acked_watermark in
+      for i = 0 to Array.length t.reps - 1 do
+        Link.send t.reps.(i).down f
+      done
+    end
+
+  (* Take in every ack [r] has delivered, each read in place. *)
+  let rec drain_acks t r =
+    let b = Link.recv r.up in
+    if Bytes.length b > 0 then begin
+      (match Wire.check b with
+      | Wire.Ack_frame ->
+        Stats.incr t.stats "acks_received";
+        let durable = Wire.durable b in
+        if durable > r.acked_hi then begin
+          r.acked_hi <- durable;
+          r.retries <- 0;
+          r.next_retry <- 0
+        end
+      | Wire.Batch_frame | Wire.Watermark_frame -> ()
+      | Wire.Invalid -> Stats.incr t.stats "crc_rejected");
+      drain_acks t r
     end
 
   let ack_loop t =
     let step = max 1 (t.rcfg.link.Link.latency / 2) in
     let rec loop () =
       if not t.stopped then begin
-        Array.iter
-          (fun r ->
-            let rec drain_link () =
-              match Link.recv r.up with
-              | None -> ()
-              | Some b ->
-                (match Wire.decode b with
-                | Some (Wire.Ack { seq = _; durable }) ->
-                  Stats.incr t.stats "acks_received";
-                  if durable > r.acked_hi then begin
-                    r.acked_hi <- durable;
-                    r.retries <- 0;
-                    r.next_retry <- 0
-                  end
-                | Some _ -> ()
-                | None -> Stats.incr t.stats "crc_rejected");
-                drain_link ()
-            in
-            drain_link ())
-          t.reps;
+        for i = 0 to Array.length t.reps - 1 do
+          drain_acks t t.reps.(i)
+        done;
         recompute t;
         retransmit t;
         broadcast_watermark t;
@@ -372,33 +408,38 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Replica side: ingest in order, ack cumulatively                     *)
   (* ------------------------------------------------------------------ *)
 
+  (* Ingest batch frame [f]'s payload where it lies in the frame. *)
+  let apply r f = Engine.ingest_record r.eng f ~pos:Wire.payload_pos ~len:(Wire.payload_len f)
+
   (* Apply every in-line batch the ring can take right now. *)
   let rec pump t r =
     let d = Engine.durable_id r.eng in
-    match r.deferred with
-    | Some s when s.Dudetm.ship_hi <= d ->
-      (* A duplicate slipped in line; drop it. *)
-      r.deferred <- None;
-      pump t r
-    | Some s ->
-      if
-        Trace.span ~cat:"replica" "apply" (fun () ->
-            Engine.ingest_record r.eng s.Dudetm.ship_payload)
+    let f = r.deferred in
+    if Bytes.length f > 0 then begin
+      if Wire.hi f <= d then begin
+        (* A duplicate slipped in line; drop it. *)
+        r.deferred <- Bytes.empty;
+        pump t r
+      end
+      else if
+        if Trace.enabled () then Trace.span ~cat:"replica" "apply" (fun () -> apply r f)
+        else apply r f
       then begin
-        r.deferred <- None;
-        if s.Dudetm.ship_seq > r.ingested_seq then r.ingested_seq <- s.Dudetm.ship_seq;
+        r.deferred <- Bytes.empty;
+        if Wire.seq f > r.ingested_seq then r.ingested_seq <- Wire.seq f;
         Stats.incr t.stats "batches_applied";
         pump t r
       end
       (* else: ring full — keep it deferred, retry after Reproduce
          checkpoints and recycles. *)
-    | None -> (
-      match Hashtbl.find_opt r.pendingq (d + 1) with
-      | Some s ->
+    end
+    else
+      match Hashtbl.find r.pendingq (d + 1) with
+      | f ->
         Hashtbl.remove r.pendingq (d + 1);
-        r.deferred <- Some s;
+        r.deferred <- f;
         pump t r
-      | None -> ())
+      | exception Not_found -> ()
 
   let learn_acked r acked =
     if acked > !(r.known_acked) then begin
@@ -406,50 +447,50 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       Sched.signal r.wake_acked
     end
 
+  (* One frame off the down link, read in place: a batch waits in line
+     (or, out of order, in [pendingq]) as the frame itself. *)
   let on_frame t r b =
-    match Wire.decode b with
-    | None -> Stats.incr t.stats "crc_rejected"
-    | Some (Wire.Watermark { acked }) -> learn_acked r acked
-    | Some (Wire.Ack _) -> ()
-    | Some (Wire.Batch { seq; lo; hi; acked; payload }) ->
-      learn_acked r acked;
+    match Wire.check b with
+    | Wire.Invalid -> Stats.incr t.stats "crc_rejected"
+    | Wire.Watermark_frame -> learn_acked r (Wire.acked b)
+    | Wire.Ack_frame -> ()
+    | Wire.Batch_frame ->
+      learn_acked r (Wire.acked b);
       let d = Engine.durable_id r.eng in
-      if hi <= d then begin
+      let lo = Wire.lo b in
+      if Wire.hi b <= d then begin
         (* Dedup by batch sequence: already sealed here; re-ack so a lost
            ack cannot retransmit forever. *)
         Stats.incr t.stats "dup_frames";
         r.reack <- true
       end
-      else begin
-        let s = { Dudetm.ship_seq = seq; ship_lo = lo; ship_hi = hi; ship_payload = payload } in
-        if lo > d + 1 then begin
-          Stats.incr t.stats "ooo_frames";
-          Hashtbl.replace r.pendingq lo s
-        end
-        else if r.deferred = None then r.deferred <- Some s
-        else Hashtbl.replace r.pendingq lo s
+      else if lo > d + 1 then begin
+        Stats.incr t.stats "ooo_frames";
+        Hashtbl.replace r.pendingq lo b
       end
+      else if Bytes.length r.deferred = 0 then r.deferred <- b
+      else Hashtbl.replace r.pendingq lo b
 
   let send_ack r =
     let d = Engine.durable_id r.eng in
     if d <> r.last_acked || r.reack then begin
       r.last_acked <- d;
       r.reack <- false;
-      Link.send r.up (Wire.encode (Wire.Ack { seq = r.ingested_seq; durable = d }))
+      Link.send r.up (Wire.encode_ack ~seq:r.ingested_seq ~durable:d)
+    end
+
+  let rec drain_frames t r =
+    let b = Link.recv r.down in
+    if Bytes.length b > 0 then begin
+      on_frame t r b;
+      drain_frames t r
     end
 
   let net_loop t r =
     let step = max 1 (t.rcfg.link.Link.latency / 2) in
     let rec loop () =
       if not t.stopped then begin
-        let rec drain_link () =
-          match Link.recv r.down with
-          | None -> ()
-          | Some b ->
-            on_frame t r b;
-            drain_link ()
-        in
-        drain_link ();
+        drain_frames t r;
         pump t r;
         send_ack r;
         Sched.advance step;
@@ -502,7 +543,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        retransmits=%d retransmit_rounds=%d backoff_cycles=%d replicas=[%s]"
       (quorum t)
       (Array.length t.reps + 1)
-      t.cfg.Config.ack_timeout d t.acked_watermark (Queue.length t.shipments)
+      t.cfg.Config.ack_timeout d t.acked_watermark t.count
       (Stats.get t.stats "retransmits")
       (Stats.get t.stats "retransmit_rounds")
       (Stats.get t.stats "backoff_cycles")
@@ -579,7 +620,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let cut_off t = Array.map (fun r -> r.cut_off) t.reps
 
-  let retained t = Queue.length t.shipments
+  let retained t = t.count
 
   let set_partitioned t i p =
     let r = t.reps.(i) in

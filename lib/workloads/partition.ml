@@ -170,7 +170,7 @@ let crc_of_words w n =
   for i = 0 to n - 1 do
     Bytes.set_int64_le b (8 * i) w.(i)
   done;
-  Int64.of_int32 (Checksum.crc32 b 0 (8 * n))
+  Int64.of_int32 (Int32.of_int (Checksum.crc32 b 0 (8 * n)))
 
 let seal t =
   let w = encode t in

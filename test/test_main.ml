@@ -36,4 +36,5 @@ let () =
       ("serve", Test_serve.suite);
       ("ledger", Test_ledger.suite);
       ("txalloc", Test_txalloc.suite);
+      ("recalloc", Test_recalloc.suite);
     ]

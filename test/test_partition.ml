@@ -207,7 +207,7 @@ let test_range_descriptor_rejected () =
   rejects "kind-1 descriptor" (fun () -> Partition.decode words);
   let b = Bytes.create 24 in
   Array.iteri (fun i w -> Bytes.set_int64_le b (8 * i) w) words;
-  let sealed = Array.append words [| Int64.of_int32 (Checksum.crc32 b 0 24) |] in
+  let sealed = Array.append words [| Int64.of_int32 (Int32.of_int (Checksum.crc32 b 0 24)) |] in
   invalid "sealed kind-1 descriptor" (fun () -> Partition.unseal ~expect_nshards:4 sealed)
 
 (* Identity buckets place every key where the range scheme did, over any

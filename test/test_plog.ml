@@ -13,11 +13,17 @@ let device () = Nvm.create ~charge_time:false Pmem_config.default ~size:65536
 
 let payload s = Bytes.of_string s
 
+(* One [Plog.append] of the whole of [p], as the record it wrote. *)
+let append ?persist t p =
+  let seq = Plog.next_seq t in
+  Plog.append ?persist t p ~pos:0 ~len:(Bytes.length p);
+  { Plog.seq; payload = p; end_off = Plog.tail_off t }
+
 let test_append_attach () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
-  let r1 = Plog.append t (payload "first") in
-  let r2 = Plog.append t (payload "second") in
+  let r1 = append t (payload "first") in
+  let r2 = append t (payload "second") in
   check Alcotest.int "seq 0" 0 r1.Plog.seq;
   check Alcotest.int "seq 1" 1 r2.Plog.seq;
   Nvm.crash nvm;
@@ -29,7 +35,7 @@ let test_append_attach () =
 let test_torn_record_discarded () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
-  ignore (Plog.append t (payload "good"));
+  ignore (append t (payload "good"));
   (* Write a record's bytes without persisting: only a random subset of its
      lines may survive the crash — a torn record. *)
   let start_tail = Plog.tail_off t in
@@ -45,8 +51,8 @@ let test_stale_records_not_resurrected () =
      mistake them for live records (sequence numbers prevent it). *)
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
-  let r1 = Plog.append t (payload "will be recycled") in
-  let r2 = Plog.append t (payload "also recycled") in
+  let r1 = append t (payload "will be recycled") in
+  let r2 = append t (payload "also recycled") in
   ignore r1;
   Plog.recycle_to t ~end_off:r2.Plog.end_off ~next_seq:2;
   Nvm.crash nvm;
@@ -60,10 +66,10 @@ let test_wraparound () =
   (* Repeatedly append and recycle so records straddle the ring boundary. *)
   for i = 0 to 30 do
     let p = payload (Printf.sprintf "record-%02d-%s" i (String.make 40 'p')) in
-    let r = Plog.append t p in
+    let r = append t p in
     Plog.recycle_to t ~end_off:r.Plog.end_off ~next_seq:(r.Plog.seq + 1)
   done;
-  let final = Plog.append t (payload "final") in
+  let final = append t (payload "final") in
   Nvm.crash nvm;
   let _, records = Plog.attach nvm ~base:0 ~size:512 in
   check Alcotest.int "final record recovered after many wraps" 1 (List.length records);
@@ -75,7 +81,7 @@ let test_free_space_accounting () =
   let t = Plog.format nvm ~base:0 ~size:1024 in
   let cap = Plog.data_capacity t in
   check Alcotest.int "initially empty" cap (Plog.free_space t);
-  let r = Plog.append t (payload "0123456789") in
+  let r = append t (payload "0123456789") in
   check Alcotest.int "used = overhead + payload" (Plog.record_overhead + 10) (Plog.used_space t);
   Plog.recycle_to t ~end_off:r.Plog.end_off ~next_seq:1;
   check Alcotest.int "recycle frees space" cap (Plog.free_space t)
@@ -84,7 +90,7 @@ let test_append_without_space_rejected () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:256 in
   Alcotest.check_raises "oversized append rejected" (Invalid_argument "Plog.append: no space")
-    (fun () -> ignore (Plog.append t (Bytes.make 4096 'x')))
+    (fun () -> ignore (append t (Bytes.make 4096 'x')))
 
 let test_attach_bad_magic () =
   let nvm = device () in
@@ -97,7 +103,7 @@ let test_crash_before_header_persist_keeps_old_head () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
   for i = 1 to 5 do
-    ignore (Plog.append t (payload (string_of_int i)))
+    ignore (append t (payload (string_of_int i)))
   done;
   Nvm.crash nvm;
   let _, records = Plog.attach nvm ~base:0 ~size:4096 in
@@ -113,9 +119,9 @@ let payload_byte_off t (r : Plog.record) j =
 let test_midring_corruption_quarantined () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
-  let r1 = Plog.append t (payload "the doomed record") in
-  let r2 = Plog.append t (payload "second") in
-  let r3 = Plog.append t (payload "third") in
+  let r1 = append t (payload "the doomed record") in
+  let r2 = append t (payload "second") in
+  let r3 = append t (payload "third") in
   ignore r2;
   Nvm.inject_fault nvm (Nvm.Bit_rot { off = payload_byte_off t r1 3; bit = 5 });
   Nvm.crash nvm;
@@ -137,11 +143,11 @@ let test_resync_across_ring_end () =
     let nvm = device () in
     let t = Plog.format nvm ~base:0 ~size in
     let dcap = Plog.data_capacity t in
-    let filler = Plog.append t (Bytes.make (dcap - k - 56) 'f') in
+    let filler = append t (Bytes.make (dcap - k - 56) 'f') in
     Plog.recycle_to t ~end_off:filler.Plog.end_off ~next_seq:(filler.Plog.seq + 1);
-    let doomed = Plog.append t (payload "doomed!!") in
-    let straddler = Plog.append t (payload "straddler") in
-    let after = Plog.append t (payload "after") in
+    let doomed = append t (payload "doomed!!") in
+    let straddler = append t (payload "straddler") in
+    let after = append t (payload "after") in
     check Alcotest.int
       (Printf.sprintf "k=%d: header starts k bytes before the ring end" k)
       (dcap - k)
@@ -161,8 +167,8 @@ let test_last_record_corruption_is_torn_tail () =
      tail: it is discarded like one, without being counted as corruption. *)
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
-  let r1 = Plog.append t (payload "first") in
-  let r2 = Plog.append t (payload "last, to be damaged") in
+  let r1 = append t (payload "first") in
+  let r2 = append t (payload "last, to be damaged") in
   Nvm.inject_fault nvm (Nvm.Bit_rot { off = payload_byte_off t r2 0; bit = 1 });
   Nvm.crash nvm;
   let _, scan = Plog.attach_scan nvm ~base:0 ~size:4096 in
@@ -174,9 +180,9 @@ let test_poisoned_record_quarantined () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
   (* A >64-byte first record keeps the second record clear of line 1. *)
-  let r1 = Plog.append t (Bytes.make 100 'a') in
-  let r2 = Plog.append t (payload "second") in
-  let r3 = Plog.append t (payload "third") in
+  let r1 = append t (Bytes.make 100 'a') in
+  let r2 = append t (payload "second") in
+  let r3 = append t (payload "third") in
   ignore r1;
   Nvm.crash nvm;
   Nvm.inject_fault nvm (Nvm.Poison { line = 1 });
@@ -189,8 +195,8 @@ let test_poisoned_record_quarantined () =
 let test_header_loss_reformats_with_salvaged_seq () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
-  ignore (Plog.append t (payload "zero"));
-  ignore (Plog.append t (payload "one"));
+  ignore (append t (payload "zero"));
+  ignore (append t (payload "one"));
   (* Flip a bit inside the sealed header: its CRC check must fail. *)
   Nvm.inject_fault nvm (Nvm.Bit_rot { off = 8; bit = 0 });
   Nvm.crash nvm;
@@ -204,7 +210,7 @@ let test_header_loss_reformats_with_salvaged_seq () =
      in the ring, or a later lap could resurrect them. *)
   check Alcotest.int "salvaged next_seq past all stale frames" 2 (Plog.next_seq t');
   (* The reformatted ring is usable again. *)
-  let r = Plog.append t' (payload "fresh start") in
+  let r = append t' (payload "fresh start") in
   check Alcotest.int "fresh record continues the sequence" 2 r.Plog.seq
 
 let prop_random_appends_survive =
@@ -217,7 +223,7 @@ let prop_random_appends_survive =
       List.iter
         (fun p ->
           if Plog.free_space t >= Plog.record_overhead + String.length p then
-            ignore (Plog.append t (Bytes.of_string p)))
+            ignore (append t (Bytes.of_string p)))
         payloads;
       Nvm.crash nvm;
       let _, records = Plog.attach nvm ~base:0 ~size:8192 in
@@ -262,7 +268,7 @@ let prop_wraparound_roundtrip =
             let seq, _, end_off = Queue.pop live in
             Plog.recycle_to t ~end_off ~next_seq:(seq + 1)
           done;
-          let r = Plog.append t p in
+          let r = append t p in
           Queue.push (r.Plog.seq, p, r.Plog.end_off) live)
         sizes;
       Nvm.crash nvm;
@@ -288,7 +294,7 @@ let test_straddling_append_matches_staged_frame () =
   let len = Bytes.length p and total = Plog.record_overhead + Bytes.length p in
   let at_tail d nvm =
     let t = Plog.format nvm ~base:0 ~size in
-    let r = Plog.append t (Bytes.make (dcap - d - Plog.record_overhead) 'f') in
+    let r = append t (Bytes.make (dcap - d - Plog.record_overhead) 'f') in
     Plog.recycle_to t ~end_off:r.Plog.end_off ~next_seq:1;
     t
   in
@@ -296,12 +302,12 @@ let test_straddling_append_matches_staged_frame () =
     let nvm = device () and staged = device () in
     let t = at_tail d nvm in
     ignore (at_tail d staged);
-    let r = Plog.append ~persist:false t p in
+    let r = append ~persist:false t p in
     let frame = Bytes.create total in
     Bytes.set_int64_le frame 0 (Int64.of_int len);
     Bytes.set_int64_le frame 8 1L;
-    let crc = Checksum.crc32 ~init:(Checksum.crc32 frame 0 16) p 0 len in
-    Bytes.set_int64_le frame 16 (Int64.of_int32 crc);
+    let crc = Checksum.chain (Checksum.crc32 frame 0 16) p 0 len in
+    Bytes.set_int64_le frame 16 (Int64.of_int32 (Int32.of_int crc));
     Bytes.blit p 0 frame Plog.record_overhead len;
     let s = dcap - d and first = min d total in
     Nvm.store_bytes staged (Plog.header_size + s) (Bytes.sub frame 0 first);
@@ -318,7 +324,7 @@ let test_straddling_append_matches_staged_frame () =
     check Alcotest.(list int) (what ^ ": same eviction survivors")
       (Nvm.last_crash_survivors staged) (Nvm.last_crash_survivors nvm);
     let sealed = device () in
-    ignore (Plog.append (at_tail d sealed) p);
+    ignore (append (at_tail d sealed) p);
     Nvm.crash sealed;
     match Plog.attach sealed ~base:0 ~size with
     | _, [ r ] ->
@@ -351,19 +357,52 @@ let test_append_allocation_guard () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:65536 in
   let p = Bytes.make 512 'r' in
-  ignore (Plog.append t p);
+  Plog.append t p ~pos:0 ~len:512;
   let per_append =
     allocated (fun () ->
         for _ = 1 to 100 do
-          ignore (Plog.append t p)
+          Plog.append t p ~pos:0 ~len:512
         done)
     /. 100.
   in
   if per_append >= 100. then
     Alcotest.failf "%.1f words allocated per append (limit 100)" per_append
 
+(* A payload inside a larger buffer — a replication frame — is appended
+   where it lies: the ring holds the bytes, CRC and dirty lines of the
+   same record appended from its own copy, and [attach] reads it back.  A
+   range outside the buffer is refused before anything is stored. *)
+let test_append_range () =
+  let frame = Bytes.init 100 (fun i -> Char.chr (i + 1)) in
+  let pos = 41 and len = 59 in
+  let ranged = device () and copied = device () in
+  let t = Plog.format ranged ~base:0 ~size:4096 in
+  let c = Plog.format copied ~base:0 ~size:4096 in
+  Plog.append t frame ~pos ~len;
+  ignore (append c (Bytes.sub frame pos len));
+  check Alcotest.int "same tail" (Plog.tail_off c) (Plog.tail_off t);
+  check Alcotest.int "same next seq" (Plog.next_seq c) (Plog.next_seq t);
+  check Alcotest.bool "same ring bytes" true
+    (Bytes.equal (Nvm.load_bytes ranged 0 4096) (Nvm.load_bytes copied 0 4096));
+  check Alcotest.int "same dirty lines" (Nvm.dirty_lines copied) (Nvm.dirty_lines ranged);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d refused" pos len)
+        (Invalid_argument "Plog.append: bad range")
+        (fun () -> Plog.append t frame ~pos ~len))
+    [ (-1, 4); (0, -1); (60, 41); (101, 0) ];
+  check Alcotest.int "nothing appended by a refused range" (Plog.tail_off c) (Plog.tail_off t);
+  Nvm.crash ranged;
+  match Plog.attach ranged ~base:0 ~size:4096 with
+  | _, [ r ] ->
+    check Alcotest.int "seq" 0 r.Plog.seq;
+    check Alcotest.bytes "payload" (Bytes.sub frame pos len) r.Plog.payload
+  | _, records -> Alcotest.failf "attach found %d records" (List.length records)
+
 let suite =
   [
+    Alcotest.test_case "append of a byte range" `Quick test_append_range;
     Alcotest.test_case "append then attach" `Quick test_append_attach;
     Alcotest.test_case "torn record discarded" `Quick test_torn_record_discarded;
     Alcotest.test_case "stale records not resurrected" `Quick test_stale_records_not_resurrected;

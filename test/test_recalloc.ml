@@ -1,0 +1,276 @@
+(* What a record allocates, call by call, on the background path: reading
+   a received frame, follower ingest, the ring append, a Reproduce round
+   and a checkpoint.
+
+   Like the transaction guards ([Test_txalloc]) each measures one call on
+   an unstarted stack outside [Sched.run] (no daemon adds words and
+   [Sched.advance] is a no-op), as [Test_plog.allocated] over a loop of
+   calls, less what an empty reading counts, per call.  What a record
+   keeps is allowed: its replay item (12 words) and queue cell (3), and
+   the device model's dirty-table entry (4 words) for each line a store
+   turns dirty, counted from the lines the call covers. *)
+
+module Config = Dudetm_core.Config
+module Crcdir = Dudetm_core.Crcdir
+module Engine_state = Dudetm_core.Engine_state
+module Persist = Dudetm_core.Persist
+module Recovery = Dudetm_core.Recovery
+module Reproduce = Dudetm_core.Reproduce
+module Nvm = Dudetm_nvm.Nvm
+module Pmem_config = Dudetm_nvm.Pmem_config
+module Log_entry = Dudetm_log.Log_entry
+module Plog = Dudetm_log.Plog
+module Wire = Dudetm_log.Wire
+module Trace = Dudetm_trace.Trace
+module E = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
+
+let check = Alcotest.check
+
+let per_call n f =
+  let loop = Test_plog.allocated (fun () -> for i = 1 to n do f i done) in
+  (loop -. Test_plog.allocated ignore) /. float_of_int n
+
+let guard what ~limit words =
+  if words > limit then Alcotest.failf "%s: %.1f words allocated (limit %.1f)" what words limit
+
+let dirty_entry = 4.
+
+let item_words = 12.
+
+let queue_cell = 3.
+
+(* Lines of a [line_size]-byte grid that bytes [\[off, off + len)] cover. *)
+let lines ~line_size ~off ~len = ((off + len - 1) / line_size) - (off / line_size) + 1
+
+(* An engine state over a freshly formatted device, as recovery hands it
+   back: nothing started, no TM behind it. *)
+let state cfg =
+  let nvm = E.nvm (E.create cfg) in
+  let ops =
+    { Engine_state.create = (fun ~seed:_ _ -> ()); last_tid = (fun () -> 0); undo = ignore }
+  in
+  (fst (Recovery.commit ops (Recovery.prepare cfg nvm)), nvm)
+
+(* The serve stacks' engine: combined persist, one ring. *)
+let combined = Dudetm_serve.Serve_load.engine_cfg ~workers:2 ()
+
+(* Transaction [tid]'s combined record: its writes (one 8-byte word at
+   each address) and its end mark, the primary's frame around it. *)
+let frame ~tid addrs =
+  let p =
+    Log_entry.encode_payload
+      (List.map (fun addr -> Log_entry.Write { addr; value = Int64.of_int tid }) addrs
+      @ [ Log_entry.Tx_end { tid } ])
+  in
+  Wire.encode_batch ~seq:(tid - 1) ~lo:tid ~hi:tid ~acked:0 p ~pos:0 ~len:(Bytes.length p)
+
+let ingest s f =
+  if not (Persist.ingest_record s f ~pos:Wire.payload_pos ~len:(Wire.payload_len f)) then
+    Alcotest.fail "ring full"
+
+(* The lines the next ring-0 record of [len] payload bytes covers. *)
+let record_lines s nvm ~len =
+  let plog = s.Engine_state.plogs.(0) in
+  let base = Config.plog_base s.Engine_state.cfg 0 + Plog.header_size in
+  let off = base + (Plog.tail_off plog mod Plog.data_capacity plog) in
+  lines ~line_size:(Nvm.line_size nvm) ~off ~len:(Plog.record_overhead + len)
+
+(* A received frame is checked and its fields read where they lie.  The
+   variant decoder this replaced built the frame, its [Some] and a copy of
+   a batch's payload: 16 words for a batch of a 27-byte payload, 8 for an
+   ack, 7 for a watermark. *)
+let test_frame_read () =
+  let b = frame ~tid:5 [ 64 ] in
+  let ack = Wire.encode_ack ~seq:4 ~durable:5 and wm = Wire.encode_watermark ~acked:4 in
+  let sink = ref 0 in
+  let read f =
+    match Wire.check f with
+    | Wire.Batch_frame ->
+      sink := !sink + Wire.seq f + Wire.lo f + Wire.hi f + Wire.acked f + Wire.payload_len f
+    | Wire.Ack_frame -> sink := !sink + Wire.seq f + Wire.durable f
+    | Wire.Watermark_frame -> sink := !sink + Wire.acked f
+    | Wire.Invalid -> Alcotest.fail "a sealed frame was rejected"
+  in
+  guard "reading a Batch frame" ~limit:0. (per_call 1000 (fun _ -> read b));
+  guard "reading an Ack frame" ~limit:0. (per_call 1000 (fun _ -> read ack));
+  guard "reading a Watermark frame" ~limit:0. (per_call 1000 (fun _ -> read wm));
+  check Alcotest.bool "fields read" true (!sink > 0)
+
+(* Follower ingest of a combined record keeps its item and queue cell and
+   appends the payload from the frame itself: 22.1 words per 27-byte
+   record, 7.1 of them dirty-table entries.  Ingesting the same payload
+   took 49.1 words (the item list, the CRC's boxes, the ring record, the
+   append closure, the drain pace's boxed float), after the 16 of the
+   frame's decode. *)
+let test_follower_ingest () =
+  let n = 200 in
+  let frames = Array.init (n + 1) (fun i -> frame ~tid:(i + 1) [ 64 ]) in
+  let len = Wire.payload_len frames.(0) in
+  (* A dry run over a twin state counts the lines each record covers. *)
+  let covered = ref 0 in
+  let twin, nvm = state combined in
+  ingest twin frames.(0);
+  for i = 1 to n do
+    covered := !covered + record_lines twin nvm ~len;
+    ingest twin frames.(i)
+  done;
+  let s, _ = state combined in
+  ingest s frames.(0);
+  let words = per_call n (fun i -> ingest s frames.(i)) in
+  check Alcotest.int "every record durable" (n + 1) s.Engine_state.durable;
+  check Alcotest.int "every item queued" (n + 1) (Queue.length s.Engine_state.queues.(0));
+  guard "follower ingest of one combined record"
+    ~limit:(item_words +. queue_cell +. (dirty_entry *. float_of_int !covered /. float_of_int n))
+    words
+
+(* The ring append stores the header and the caller's bytes in place and
+   returns nothing to allocate.  A 40-byte record took 16.0 words, 12
+   beyond its one dirty line: the CRC's boxes and its [~init] option, the
+   sign-extended slot word's box, the record returned. *)
+let test_plog_append () =
+  let nvm = Nvm.create ~charge_time:false Pmem_config.default ~size:65536 in
+  let t = Plog.format nvm ~base:0 ~size:65536 in
+  let p = Bytes.make 40 'r' in
+  Plog.append t p ~pos:0 ~len:40;
+  (* 24 + 40 bytes from a line boundary: one line per record. *)
+  check Alcotest.int "records start on a line" 0 ((Plog.header_size + Plog.tail_off t) mod 64);
+  guard "Plog.append (one record, one line)" ~limit:dirty_entry
+    (per_call 500 (fun _ -> Plog.append t p ~pos:0 ~len:40))
+
+(* A Reproduce round of one item whose heap extent is already marked
+   dirty: redo from the frame's bytes, the applied watermark, the recycle
+   note and one persist ordering.  Its store dirties one home line.  It
+   took 15.0 words, 11 beyond that line: the span closure, the recycle
+   note's tuple and its list cell. *)
+let test_reproduce_round () =
+  let s, _ = state { combined with Config.reproduce_batch = 1 } in
+  let n = 200 in
+  for i = 0 to n do
+    ingest s (frame ~tid:(i + 1) [ 64 ])
+  done;
+  Reproduce.round s;
+  let words = per_call n (fun _ -> Reproduce.round s) in
+  check Alcotest.int "every item applied" (n + 1) (Engine_state.applied s);
+  guard "one Reproduce round of one item" ~limit:dirty_entry words
+
+(* A checkpoint of [k] dirty extents writes their CRC slots (one line), the
+   checkpoint record (one line) and the recycled ring's header (one line);
+   beyond those it allocates its 4-word state record: 16 words.  It took
+   254.0 words for 8 extents: the extent list, its range list, the CRCs'
+   and slot words' boxes, the word array and its boxes, the slot buffer,
+   the recycle table, the header image and the span closure. *)
+let test_checkpoint () =
+  let s, _ = state combined in
+  let k = 8 in
+  let addrs = List.init k (fun e -> 4096 + (e * Config.crc_extent)) in
+  let n = 50 in
+  let words = ref 0. in
+  for i = 0 to n do
+    ingest s (frame ~tid:(i + 1) addrs);
+    Reproduce.round s;
+    check Alcotest.int "k extents dirty" k (Crcdir.marked s.Engine_state.dirty_extents);
+    let w = Test_plog.allocated (fun () -> Reproduce.checkpoint s) in
+    if i > 0 then words := !words +. w
+  done;
+  let words = (!words -. (float_of_int n *. Test_plog.allocated ignore)) /. float_of_int n in
+  check Alcotest.int "checkpointed" (n + 1) s.Engine_state.checkpointed;
+  guard (Printf.sprintf "a checkpoint of %d extents" k) ~limit:(4. +. (3. *. dirty_entry)) words
+
+(* The checkpoint recycles the rings in the order the table it replaced
+   visited them: a [Hashtbl.create 8] filled by a newest-first walk of the
+   recycle notes, one entry per region at its furthest record, then
+   [Hashtbl.iter].  Each region holds two records and is recycled past
+   the first, so the ring's "used" counter after each recycle names the
+   region; up to 40 regions, past the table's first resize. *)
+let prop_recycle_order =
+  let gen =
+    QCheck2.Gen.(
+      let* nregions = int_range 1 40 in
+      let+ notes = list_size (int_range 1 80) (int_range 0 (nregions - 1)) in
+      (nregions, notes))
+  in
+  QCheck2.Test.make ~name:"recalloc: rings recycle in the replaced table's order" ~count:60 gen
+    (fun (nregions, notes) ->
+      let cfg =
+        { combined with
+          Config.nthreads = nregions;
+          heap_size = 1 lsl 16;
+          plog_size = 4096;
+          persist = Config.Per_thread { daemons = 1; min_entries = 1; max_entries = 8 } }
+      in
+      let s, _ = state cfg in
+      let first_end = Array.make nregions 0 in
+      for r = 0 to nregions - 1 do
+        let plog = s.Engine_state.plogs.(r) in
+        let one = Bytes.make 8 'a' and two = Bytes.make (10 + r) 'b' in
+        Plog.append plog one ~pos:0 ~len:8;
+        first_end.(r) <- Plog.tail_off plog;
+        Plog.append plog two ~pos:0 ~len:(Bytes.length two)
+      done;
+      (* The old pending list, newest first, and the new cells. *)
+      let pending = ref [] in
+      List.iter
+        (fun r ->
+          pending := (r, first_end.(r), 1) :: !pending;
+          s.Engine_state.recycle_notes <- s.Engine_state.recycle_notes + 1;
+          s.Engine_state.recycle_end.(r) <- first_end.(r);
+          s.Engine_state.recycle_seq.(r) <- 1;
+          s.Engine_state.recycle_at.(r) <- s.Engine_state.recycle_notes)
+        notes;
+      let table = Hashtbl.create 8 in
+      List.iter
+        (fun (r, e, q) ->
+          match Hashtbl.find_opt table r with
+          | Some (e', _) when e' >= e -> ()
+          | _ -> Hashtbl.replace table r (e, q))
+        !pending;
+      let expected = ref [] in
+      Hashtbl.iter
+        (fun r _ -> expected := (Plog.record_overhead + 10 + r) :: !expected)
+        table;
+      Trace.enable ();
+      Fun.protect ~finally:Trace.disable (fun () ->
+          Reproduce.checkpoint s;
+          List.map snd (Trace.counter_series ~cat:"plog" "used") = List.rev !expected))
+
+(* The dirty-extent set lists its extents as the table it replaced did:
+   for each epoch (an [update] empties the set, as [Hashtbl.reset] emptied
+   the table), the list a consing [Hashtbl.fold] builds from a
+   [Hashtbl.create buckets] table filled in the same order, duplicates
+   included, up to 400 extents (several resizes). *)
+let prop_dirty_order =
+  let gen =
+    QCheck2.Gen.(
+      pair (oneofl [ 1; 16; 64; 256 ])
+        (list_size (int_range 1 3) (list_size (int_range 0 400) (int_range 0 511))))
+  in
+  QCheck2.Test.make ~name:"recalloc: dirty extents list as the replaced table" ~count:100 gen
+    (fun (buckets, epochs) ->
+      let s, _ = state combined in
+      let d = Crcdir.dirty ~buckets in
+      List.for_all
+        (fun marks ->
+          let h = Hashtbl.create buckets in
+          List.iter
+            (fun e ->
+              Crcdir.mark d e;
+              Hashtbl.replace h e ())
+            marks;
+          let same =
+            Crcdir.marked d = Hashtbl.length h
+            && Crcdir.dirty_extents d = Hashtbl.fold (fun e () acc -> e :: acc) h []
+          in
+          Crcdir.update s.Engine_state.crcdir d;
+          same && Crcdir.marked d = 0)
+        epochs)
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_dirty_order;
+    Alcotest.test_case "reading a frame in place" `Quick test_frame_read;
+    Alcotest.test_case "follower ingest of one record" `Quick test_follower_ingest;
+    Alcotest.test_case "a ring append" `Quick test_plog_append;
+    Alcotest.test_case "a Reproduce round of one item" `Quick test_reproduce_round;
+    Alcotest.test_case "a checkpoint of k extents" `Quick test_checkpoint;
+    QCheck_alcotest.to_alcotest prop_recycle_order;
+  ]

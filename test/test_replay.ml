@@ -11,6 +11,7 @@ module Nvm = Dudetm_nvm.Nvm
 module Rng = Dudetm_sim.Rng
 module Config = Dudetm_core.Config
 module Alloc = Dudetm_core.Alloc
+module Crcdir = Dudetm_core.Crcdir
 module Engine_state = Dudetm_core.Engine_state
 module Persist = Dudetm_core.Persist
 module Reproduce = Dudetm_core.Reproduce
@@ -141,10 +142,11 @@ let payload_of_plain ~compress plain =
   else Log_entry.frame_compressed plain (Lz.compress ~pos:1 ~len:(Bytes.length plain - 1) plain)
 
 (* One replay target: a device with a persist-hook log, an allocator and
-   the extents replay marks. *)
+   the extents replay marks: the body path's set, the list path's table. *)
 type side = {
   nvm : Nvm.t;
   alloc : Alloc.t;
+  dirty : Crcdir.dirty;
   extents : (int, unit) Hashtbl.t;
   hooks : string list ref;
 }
@@ -157,9 +159,10 @@ let side () =
        (fun () ->
          hooks := Digest.bytes (Nvm.persisted_bytes nvm 0 device_size) :: !hooks));
   { nvm; alloc = Alloc.create ~base:heap_base ~size:(device_size - heap_base);
-    extents = Hashtbl.create 16; hooks }
+    dirty = Crcdir.dirty ~buckets:16; extents = Hashtbl.create 16; hooks }
 
-let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h [])
+(* The table's extents as a consing fold lists them. *)
+let fold_keys h = Hashtbl.fold (fun k () acc -> k :: acc) h []
 
 let cfg ~combined ~compress =
   {
@@ -186,11 +189,14 @@ let prop_replay_equivalence =
           (* The last record's stores stay unpersisted for the crash. *)
           let persist = i < List.length payloads - 1 in
           let body, pos = Log_entry.plain_body payload in
-          let items = Persist.scan_record cfg ~region:0 body pos in
+          let items =
+            Engine_state.item_list
+              (Persist.scan_record cfg ~region:0 body pos (Bytes.length body))
+          in
           List.iter
             (fun it ->
               bf :=
-                Reproduce.redo body_side.nvm body_side.alloc ~extents:body_side.extents addrs
+                Reproduce.redo body_side.nvm body_side.alloc ~extents:body_side.dirty addrs
                   ~frontier:!bf it)
             items;
           if persist then begin
@@ -224,7 +230,8 @@ let prop_replay_equivalence =
           (List.length !(body_side.hooks)) (List.length !(list_side.hooks));
       if Alloc.extents body_side.alloc <> Alloc.extents list_side.alloc then
         QCheck2.Test.fail_reportf "allocator extents differ";
-      if sorted_keys body_side.extents <> sorted_keys list_side.extents then
+      (* The same extents, listed in the same order. *)
+      if Crcdir.dirty_extents body_side.dirty <> fold_keys list_side.extents then
         QCheck2.Test.fail_reportf "marked CRC extents differ";
       (* A seeded crash evicts dirty lines in the dirty set's fold order:
          equal survivors mean equal dirty sets, inserted in the same

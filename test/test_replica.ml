@@ -14,9 +14,11 @@ module Stats = Dudetm_sim.Stats
 module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module Wire = Dudetm_log.Wire
+module Checksum = Dudetm_log.Checksum
 module Log_entry = Dudetm_log.Log_entry
 module Plog = Dudetm_log.Plog
 module Alloc = Dudetm_core.Alloc
+module Crcdir = Dudetm_core.Crcdir
 module Engine_state = Dudetm_core.Engine_state
 module Persist = Dudetm_core.Persist
 module Reproduce = Dudetm_core.Reproduce
@@ -69,24 +71,60 @@ let spawn_workers prim ~nthreads ~txs ~committed =
 
 (* ------------------------------- wire ---------------------------------- *)
 
+(* The receive path before frames were read in place: a variant-returning
+   decoder, kept here as the reference {!Wire.check} and its field
+   readers must agree with. *)
+let ref_decode b =
+  let len = Bytes.length b in
+  let u64 off = Int64.to_int (Bytes.get_int64_le b off) in
+  if len < 5 then None
+  else if Bytes.get_int32_le b 0 <> Int32.of_int (Checksum.crc32 b 4 (len - 4)) then None
+  else
+    match Char.code (Bytes.get b 4) with
+    | 1 ->
+      if len < 41 then None
+      else begin
+        let plen = Int32.to_int (Bytes.get_int32_le b 37) in
+        if plen < 0 || len <> 41 + plen then None
+        else
+          Some
+            (Wire.Batch
+               { seq = u64 5; lo = u64 13; hi = u64 21; acked = u64 29;
+                 payload = Bytes.sub b 41 plen })
+      end
+    | 2 -> if len <> 21 then None else Some (Wire.Ack { seq = u64 5; durable = u64 13 })
+    | 3 -> if len <> 13 then None else Some (Wire.Watermark { acked = u64 5 })
+    | _ -> None
+
+(* A frame read in place, as the variant the reference decoder builds. *)
+let read_in_place b =
+  match Wire.check b with
+  | Wire.Invalid -> None
+  | Wire.Batch_frame ->
+    Some
+      (Wire.Batch
+         { seq = Wire.seq b; lo = Wire.lo b; hi = Wire.hi b; acked = Wire.acked b;
+           payload = Bytes.sub b Wire.payload_pos (Wire.payload_len b) })
+  | Wire.Ack_frame -> Some (Wire.Ack { seq = Wire.seq b; durable = Wire.durable b })
+  | Wire.Watermark_frame -> Some (Wire.Watermark { acked = Wire.acked b })
+
 let test_wire_roundtrip () =
   let payload = Bytes.of_string "redo-record-payload-bytes" in
-  (match Wire.decode (Wire.encode (Wire.Batch { seq = 5; lo = 3; hi = 9; acked = 2; payload })) with
-  | Some (Wire.Batch f) ->
-    check Alcotest.int "seq" 5 f.seq;
-    check Alcotest.int "lo" 3 f.lo;
-    check Alcotest.int "hi" 9 f.hi;
-    check Alcotest.int "acked" 2 f.acked;
-    check Alcotest.string "payload" (Bytes.to_string payload) (Bytes.to_string f.payload)
-  | _ -> Alcotest.fail "batch frame did not survive the roundtrip");
-  (match Wire.decode (Wire.encode (Wire.Ack { seq = 41; durable = 40 })) with
-  | Some (Wire.Ack a) ->
-    check Alcotest.int "ack seq" 41 a.seq;
-    check Alcotest.int "ack durable" 40 a.durable
-  | _ -> Alcotest.fail "ack frame did not survive the roundtrip");
-  match Wire.decode (Wire.encode (Wire.Watermark { acked = 17 })) with
-  | Some (Wire.Watermark w) -> check Alcotest.int "watermark" 17 w.acked
-  | _ -> Alcotest.fail "watermark frame did not survive the roundtrip"
+  let b = Wire.encode (Wire.Batch { seq = 5; lo = 3; hi = 9; acked = 2; payload }) in
+  check Alcotest.bool "batch frame kind" true (Wire.check b = Wire.Batch_frame);
+  check Alcotest.int "seq" 5 (Wire.seq b);
+  check Alcotest.int "lo" 3 (Wire.lo b);
+  check Alcotest.int "hi" 9 (Wire.hi b);
+  check Alcotest.int "acked" 2 (Wire.acked b);
+  check Alcotest.string "payload" (Bytes.to_string payload)
+    (Bytes.sub_string b Wire.payload_pos (Wire.payload_len b));
+  let a = Wire.encode (Wire.Ack { seq = 41; durable = 40 }) in
+  check Alcotest.bool "ack frame kind" true (Wire.check a = Wire.Ack_frame);
+  check Alcotest.int "ack seq" 41 (Wire.seq a);
+  check Alcotest.int "ack durable" 40 (Wire.durable a);
+  let w = Wire.encode (Wire.Watermark { acked = 17 }) in
+  check Alcotest.bool "watermark frame kind" true (Wire.check w = Wire.Watermark_frame);
+  check Alcotest.int "watermark" 17 (Wire.acked w)
 
 let test_wire_crc_rejects_any_flip () =
   let b = Wire.encode (Wire.Batch { seq = 1; lo = 1; hi = 4; acked = 0; payload = Bytes.of_string "payload" }) in
@@ -94,15 +132,46 @@ let test_wire_crc_rejects_any_flip () =
     for bit = 0 to 7 do
       let c = Bytes.copy b in
       Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor (1 lsl bit)));
-      if Wire.decode c <> None then
+      if Wire.check c <> Wire.Invalid then
         Alcotest.failf "flip of byte %d bit %d went undetected" i bit
     done
   done;
   check Alcotest.bool "truncated frame rejected" true
-    (Wire.decode (Bytes.sub b 0 (Bytes.length b - 1)) = None);
+    (Wire.check (Bytes.sub b 0 (Bytes.length b - 1)) = Wire.Invalid);
   check Alcotest.bool "extended frame rejected" true
-    (Wire.decode (Bytes.cat b (Bytes.make 1 '\000')) = None);
-  check Alcotest.bool "tiny frame rejected" true (Wire.decode (Bytes.make 3 'x') = None)
+    (Wire.check (Bytes.cat b (Bytes.make 1 '\000')) = Wire.Invalid);
+  check Alcotest.bool "tiny frame rejected" true (Wire.check (Bytes.make 3 'x') = Wire.Invalid)
+
+(* The in-place reader agrees with the reference decoder on random frames
+   of every kind (fields over the whole int range, payloads of 0..64
+   bytes), and on every single-bit flip, every truncation and a one- to
+   three-byte extension of each. *)
+let prop_wire_in_place_matches_reference =
+  let gen_frame =
+    QCheck2.Gen.(
+      let* k = int_range 0 2 in
+      let* seq = int and* lo = int and* hi = int and* acked = int in
+      let+ payload = string_size (int_range 0 64) in
+      match k with
+      | 0 -> Wire.Batch { seq; lo; hi; acked; payload = Bytes.of_string payload }
+      | 1 -> Wire.Ack { seq; durable = lo }
+      | _ -> Wire.Watermark { acked })
+  in
+  let gen = QCheck2.Gen.(pair gen_frame (string_size (int_range 1 3))) in
+  QCheck2.Test.make ~name:"wire: the in-place reader equals the reference decoder" ~count:200
+    gen (fun (frame, tail) ->
+      let b = Wire.encode frame in
+      let agree c = read_in_place c = ref_decode c in
+      let ok = ref (agree b && ref_decode b = Some frame) in
+      for i = 0 to (8 * Bytes.length b) - 1 do
+        let c = Bytes.copy b in
+        Bytes.set c (i / 8) (Char.chr (Char.code (Bytes.get c (i / 8)) lxor (1 lsl (i mod 8))));
+        if not (agree c) then ok := false
+      done;
+      for n = 0 to Bytes.length b - 1 do
+        if not (agree (Bytes.sub b 0 n)) then ok := false
+      done;
+      !ok && agree (Bytes.cat b (Bytes.of_string tail)))
 
 (* ------------------------------- link ----------------------------------- *)
 
@@ -135,12 +204,13 @@ let link_fault_run ?(corrupt = 0.0) ?(n = 200) () =
            balanced ()
          done;
          while Link.in_flight l > 0 do
-           (match Link.recv l with
-           | Some b ->
-             received := Bytes.get b 0 :: !received;
-             deliveries :=
-               (Sched.now (), String.sub (Digest.to_hex (Digest.bytes b)) 0 8) :: !deliveries
-           | None -> Sched.advance 500);
+           (let b = Link.recv l in
+            if Bytes.length b > 0 then begin
+              received := Bytes.get b 0 :: !received;
+              deliveries :=
+                (Sched.now (), String.sub (Digest.to_hex (Digest.bytes b)) 0 8) :: !deliveries
+            end
+            else Sched.advance 500);
            balanced ()
          done));
   check Alcotest.int "steps where in_flight <> sent - dropped + duplicated - delivered" 0
@@ -287,11 +357,12 @@ let test_ingest_allocation_guard () =
   let ingest = ref 0. in
   ignore
     (Sched.run (fun () ->
-         ignore (E.ingest_record eng payloads.(0));
+         let ingest_all p = E.ingest_record eng p ~pos:0 ~len:(Bytes.length p) in
+         ignore (ingest_all payloads.(0));
          ingest :=
            Test_plog.allocated (fun () ->
                for i = 1 to n do
-                 if not (E.ingest_record eng payloads.(i)) then Alcotest.fail "ring full"
+                 if not (ingest_all payloads.(i)) then Alcotest.fail "ring full"
                done)));
   check Alcotest.int "every record sealed" (n + 1) (E.durable_id eng);
   let per_ingest = !ingest /. float_of_int n and per_decode = decode /. float_of_int n in
@@ -309,14 +380,16 @@ let test_redo_allocation_guard () =
   let cf = cfg () in
   let item tid =
     let body, pos = Log_entry.plain_body (record tid) in
-    match Persist.scan_record cf ~region:0 body pos with
+    match
+      Engine_state.item_list (Persist.scan_record cf ~region:0 body pos (Bytes.length body))
+    with
     | [ it ] -> it
     | _ -> Alcotest.fail "one combined record, one item"
   in
   let items = Array.init (n + 1) (fun i -> item (i + 1)) in
   let nvm = Nvm.create ~charge_time:false Dudetm_nvm.Pmem_config.default ~size:(1 lsl 16) in
   let alloc = Alloc.create ~base:Config.root_size ~size:((1 lsl 16) - Config.root_size) in
-  let extents = Hashtbl.create 16 and addrs = Engine_state.addrs () in
+  let extents = Crcdir.dirty ~buckets:16 and addrs = Engine_state.addrs () in
   let apply it =
     ignore (Reproduce.redo nvm alloc ~extents addrs ~frontier:0 it);
     Nvm.persist_words nvm addrs.Engine_state.buf addrs.Engine_state.len;
@@ -733,6 +806,7 @@ let test_campaign_catches_skip_quorum_gate () =
 let suite =
   [
     Alcotest.test_case "replica: wire frames roundtrip" `Quick test_wire_roundtrip;
+    QCheck_alcotest.to_alcotest prop_wire_in_place_matches_reference;
     Alcotest.test_case "replica: CRC rejects any single-bit flip" `Quick
       test_wire_crc_rejects_any_flip;
     Alcotest.test_case "replica: link faults are seeded and deterministic" `Quick

@@ -210,7 +210,10 @@ let test_record_lengths () =
    a rewrite not yet persisted shows in the one and not the other. *)
 let test_image_readers () =
   let nvm = device () in
-  Image.write nvm ~off:64 [| 1L; 2L |];
+  let b = Bytes.create 24 in
+  Bytes.set_int64_le b 0 1L;
+  Bytes.set_int64_le b 8 2L;
+  Image.write nvm ~off:64 b;
   Nvm.store_u64 nvm 64 9L;
   check words "cache read sees the unsealed store" None (Image.read nvm ~off:64 ~words:2);
   check words "media read sees the sealed image" (Some [| 1L; 2L |])
