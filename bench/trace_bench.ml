@@ -56,7 +56,9 @@ let profile led ~bandwidth =
   List.iter
     (fun a -> acct "nvm" ("device:" ^ a.Trace.nd_dev) a.nd_bytes a.nd_cycles a.nd_ops)
     (Trace.nvm_dev_accts ());
-  (* Ring occupancy samples, keyed by index (timestamps may repeat). *)
+  (* The one unlabelled [plog/used] counter, keyed by index (timestamps
+     may repeat).  [Plog.append] and [Plog.recycle_to] sample it for every
+     ring, so the rows interleave all of the engine's rings. *)
   add ~layer:"plog"
     (L.ints "bytes"
        (List.mapi

@@ -10,27 +10,11 @@ type t = {
 }
 
 (* A set of extent indices: [marked.(0 .. count - 1)] in marking order,
-   [seen] one bit per extent.  [counts] and [order] are [update]'s
-   scratch.  Every array only grows, so a set in steady use allocates
-   nothing. *)
-type dirty = {
-  buckets : int;
-  mutable seen : Bytes.t;
-  mutable marked : int array;
-  mutable count : int;
-  mutable counts : int array;
-  mutable order : int array;
-}
+   [seen] one bit per extent.  Both only grow, so a set in steady use
+   allocates nothing. *)
+type dirty = { mutable seen : Bytes.t; mutable marked : int array; mutable count : int }
 
-(* [Hashtbl.create n]'s bucket count. *)
-let dirty ~buckets =
-  let b = ref 16 in
-  while !b < buckets do
-    b := 2 * !b
-  done;
-  { buckets = !b; seen = Bytes.empty; marked = [||]; count = 0; counts = [||]; order = [||] }
-
-let grow a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+let dirty () = { seen = Bytes.empty; marked = [||]; count = 0 }
 
 (* Flip extent [e]'s bit in [seen]. *)
 let flip d e =
@@ -57,46 +41,7 @@ let mark d e =
 
 let marked d = d.count
 
-(* Put [order.(0 .. count - 1)] in the order [Hashtbl.fold] visits a
-   [Hashtbl.create buckets] table the same extents were added to in
-   marking order: bucket by bucket — [Hashtbl.hash e] under the table's
-   final size, doubled from [buckets] whenever it held more than two
-   entries a bucket — and newest first within a bucket (an add prepends
-   to its bucket; a resize keeps each bucket's order).  A counting sort:
-   nothing allocated once the scratch has grown. *)
-let sort d =
-  let n = d.count in
-  let size = ref d.buckets in
-  while n > 2 * !size do
-    size := 2 * !size
-  done;
-  let mask = !size - 1 in
-  d.counts <- grow d.counts (!size + 1);
-  d.order <- grow d.order n;
-  Array.fill d.counts 0 (!size + 1) 0;
-  for k = 0 to n - 1 do
-    let b = Hashtbl.hash d.marked.(k) land mask in
-    d.counts.(b + 1) <- d.counts.(b + 1) + 1
-  done;
-  for b = 1 to !size do
-    d.counts.(b) <- d.counts.(b) + d.counts.(b - 1)
-  done;
-  for k = n - 1 downto 0 do
-    let e = d.marked.(k) in
-    let b = Hashtbl.hash e land mask in
-    d.order.(d.counts.(b)) <- e;
-    d.counts.(b) <- d.counts.(b) + 1
-  done
-
-let clear d =
-  for k = 0 to d.count - 1 do
-    flip d d.marked.(k)
-  done;
-  d.count <- 0
-
-let dirty_extents d =
-  sort d;
-  List.init d.count (fun k -> d.order.(d.count - 1 - k))
+let dirty_extents d = List.init d.count (fun k -> d.marked.(d.count - 1 - k))
 
 let n_extents t = t.n
 
@@ -117,21 +62,20 @@ let set_slot t i crc =
   Checksum.set_slot t.word 0 crc;
   Nvm.store_sub t.nvm (slot_off t i) t.word ~pos:0 ~len:8
 
-(* The extents in the reverse of the fold's order — the order of the
-   list a fold that conses builds, which fixes which slot lines turn
-   dirty first and the order they are flushed in. *)
+(* Newest first; each cell of [marked] is reused for its extent's slot
+   offset once the slot is stored. *)
 let update t d =
   let n = d.count in
   if n > 0 then begin
-    sort d;
     for k = n - 1 downto 0 do
-      let i = d.order.(k) in
+      let i = d.marked.(k) in
+      flip d i;
       set_slot t i (compute_latest t i);
-      d.order.(k) <- slot_off t i
+      d.marked.(k) <- slot_off t i
     done;
     (* [persist_words] walks its buffer from the top down. *)
-    Nvm.persist_words t.nvm d.order n;
-    clear d
+    Nvm.persist_words t.nvm d.marked n;
+    d.count <- 0
   end
 
 let verify_extent t i =

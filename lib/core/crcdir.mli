@@ -30,9 +30,8 @@ val n_extents : t -> int
 
 type dirty
 
-val dirty : buckets:int -> dirty
-(** An empty set that lists its extents as a [Hashtbl.create buckets]
-    table filled in the same order would (see {!update}). *)
+val dirty : unit -> dirty
+(** An empty set. *)
 
 val mark : dirty -> int -> unit
 (** Add an extent index; marking it again changes nothing. *)
@@ -41,16 +40,15 @@ val marked : dirty -> int
 (** How many extents the set holds. *)
 
 val dirty_extents : dirty -> int list
-(** The set's extents in the order {!update} refreshes them: the list
-    [Hashtbl.fold (fun e () acc -> e :: acc)] builds from that table. *)
+(** The set's extents in the order {!update} refreshes them: newest
+    marked first. *)
 
 val update : t -> dirty -> unit
 (** [update t d] recomputes the CRCs of [d]'s extents from the device's
-    latest image and persists the touched slots under a single persist
-    ordering, then empties [d].  The extents go in {!dirty_extents}'s
-    order, which fixes which slot lines turn dirty first and the flush
-    order.  Called at checkpoint time, when Reproduce has already
-    persisted those extents (latest = persisted there). *)
+    latest image, newest marked first, and persists the touched slots
+    under a single persist ordering, then empties [d].  Called at
+    checkpoint time, when Reproduce has already persisted those extents
+    (latest = persisted there). *)
 
 val compute_latest : t -> int -> int
 (** CRC of the extent's current latest-image content. *)

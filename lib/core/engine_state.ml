@@ -114,13 +114,11 @@ type ('tm, 'h) t = {
   mutable checkpointed : int;
   queues : item Queue.t array;  (* per region, lo ascending *)
   (* What the next checkpoint recycles, per region: the furthest replayed
-     record's end offset (-1: nothing) and next sequence number, and the
-     count of [recycle_notes] when it was noted, which orders the regions'
-     recycles.  [recycle_notes] counts the records replayed since the
-     last checkpoint. *)
+     record's end offset (-1: nothing) and next sequence number.
+     [recycle_notes] counts the records replayed since the last
+     checkpoint. *)
   recycle_end : int array;
   recycle_seq : int array;
-  recycle_at : int array;
   mutable recycle_notes : int;
   (* Daemon working state lives in [t], not in daemon-local closures, so
      a supervisor restart resumes exactly where the failed daemon left
@@ -260,7 +258,7 @@ let make ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocat
     rjournal;
     crcdir;
     badlines;
-    dirty_extents = Crcdir.dirty ~buckets:256;
+    dirty_extents = Crcdir.dirty ();
     allocator;
     repro_alloc;
     applied_cell;
@@ -271,7 +269,6 @@ let make ops cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocat
     queues = Array.init (Array.length plogs) (fun _ -> Queue.create ());
     recycle_end = Array.make (Array.length plogs) (-1);
     recycle_seq = Array.make (Array.length plogs) 0;
-    recycle_at = Array.make (Array.length plogs) 0;
     recycle_notes = 0;
     staging = Hashtbl.create 1024;
     next_flush = tid_base + 1;

@@ -200,7 +200,7 @@ let commit ops ?durable_cut p =
   if p.p_use_journal then Rjournal.write p.p_rjournal (Rjournal.Replay verdict);
   (* Replay in transaction-ID order. *)
   let replayed = addrs () in
-  let replayed_extents = Crcdir.dirty ~buckets:64 in
+  let replayed_extents = Crcdir.dirty () in
   let frontier =
     List.fold_left
       (fun frontier it ->

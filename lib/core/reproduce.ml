@@ -88,45 +88,15 @@ let flush_reproduced t =
   end;
   t.persisted_data <- applied t
 
-(* Recycle each ring up to its furthest replayed record, in the order a
-   table keyed by region visits them when each region was added the first
-   time a newest-first walk of the notes met it ([Hashtbl.create 8], then
-   [Hashtbl.iter]): by the region's bucket under the table's final size
-   (16 buckets at first, doubled past two entries per bucket), then,
-   within a bucket, oldest note first.  That order fixes the header
-   persists' sequence, so it is kept bit for bit. *)
+(* Recycle each noted ring up to its furthest replayed record, in region
+   order. *)
 let recycle_rings t =
-  let nregions = Array.length t.plogs in
-  let pending = ref 0 in
-  for r = 0 to nregions - 1 do
-    if t.recycle_end.(r) >= 0 then incr pending
+  for r = 0 to Array.length t.plogs - 1 do
+    if t.recycle_end.(r) >= 0 then begin
+      Plog.recycle_to t.plogs.(r) ~end_off:t.recycle_end.(r) ~next_seq:t.recycle_seq.(r);
+      t.recycle_end.(r) <- -1
+    end
   done;
-  let size = ref 16 in
-  while !pending > 2 * !size do
-    size := 2 * !size
-  done;
-  for b = 0 to !size - 1 do
-    (* This bucket's regions, oldest note first. *)
-    let after = ref (-1) and continue = ref true in
-    while !continue do
-      let pick = ref (-1) in
-      for r = 0 to nregions - 1 do
-        if
-          t.recycle_end.(r) >= 0
-          && Hashtbl.hash r land (!size - 1) = b
-          && t.recycle_at.(r) > !after
-          && (!pick < 0 || t.recycle_at.(r) < t.recycle_at.(!pick))
-        then pick := r
-      done;
-      if !pick < 0 then continue := false
-      else begin
-        let r = !pick in
-        after := t.recycle_at.(r);
-        Plog.recycle_to t.plogs.(r) ~end_off:t.recycle_end.(r) ~next_seq:t.recycle_seq.(r)
-      end
-    done
-  done;
-  Array.fill t.recycle_end 0 nregions (-1);
   t.recycle_notes <- 0
 
 let checkpoint_body t =
@@ -175,8 +145,7 @@ let apply_item t it =
   if it.end_off >= 0 then begin
     t.recycle_notes <- t.recycle_notes + 1;
     t.recycle_end.(it.region) <- it.end_off;
-    t.recycle_seq.(it.region) <- it.rec_next_seq;
-    t.recycle_at.(it.region) <- t.recycle_notes
+    t.recycle_seq.(it.region) <- it.rec_next_seq
   end
 
 let round_body t =

@@ -209,7 +209,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
             List.iter (fun (addr, value) -> Nvm.store_u64 nvm addr value) ws;
             Nvm.persist_ranges nvm (List.map (fun (addr, _) -> (addr, 8)) ws);
             check_written_back nvm badlines ws ~stuck_remapped ~table_full;
-            let one = Crcdir.dirty ~buckets:1 in
+            let one = Crcdir.dirty () in
             Crcdir.mark one e;
             Crcdir.update crcdir one;
             incr extents_repaired;

@@ -32,6 +32,8 @@ and t = {
   mutable next_uid : int;
   running : (int, tx) Hashtbl.t;  (* uid -> active hardware txs *)
   mutable lock_owner : int;  (* 0 = fallback lock free *)
+  lock_freed : Sched.cond;  (* [lock_owner] returned to 0 *)
+  lock_freed_on : Sched.cond list;
   stats : Stats.t;
   rng : Rng.t;
 }
@@ -41,6 +43,7 @@ let read_capacity_lines = 8192
 
 let create_htm ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(capacity_lines = 448)
     ?(max_retries = 5) ?(tid_conflicts = false) store =
+  let lock_freed = Sched.cond () in
   {
     store;
     costs;
@@ -51,6 +54,8 @@ let create_htm ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(capacity_lines = 
     next_uid = 1;
     running = Hashtbl.create 16;
     lock_owner = 0;
+    lock_freed;
+    lock_freed_on = [ lock_freed ];
     stats = Stats.create ();
     rng = Rng.create seed;
   }
@@ -151,10 +156,14 @@ let write tx addr value =
     tx.nwrites <- tx.nwrites + 1
   end
 
+let free_lock tm =
+  tm.lock_owner <- 0;
+  Sched.signal tm.lock_freed
+
 let user_abort tx =
   if tx.fallback then begin
     List.iter (fun (addr, v) -> tx.tm.store.Tm_intf.store addr v) tx.undo;
-    tx.tm.lock_owner <- 0;
+    free_lock tx.tm;
     drop tx
   end
   else drop tx;
@@ -185,7 +194,7 @@ let commit tx =
   if tx.fallback then begin
     Sched.advance tm.costs.Tm_intf.commit_base;
     let tid = if tx.nwrites = 0 then 0 else (tm.clock <- tm.clock + 1; tm.clock) in
-    tm.lock_owner <- 0;
+    free_lock tm;
     drop tx;
     if tx.nwrites = 0 then Stats.incr tm.stats "read_only_commits"
     else Stats.incr tm.stats "commits";
@@ -217,7 +226,7 @@ let commit tx =
 let run ?(on_retry = fun () -> ()) tm f =
   let run_fallback () =
     Stats.incr tm.stats "fallbacks";
-    Sched.wait_until ~label:"htm fallback lock" (fun () -> tm.lock_owner = 0);
+    Sched.wait_on tm.lock_freed_on ~label:"htm fallback lock" (fun () -> tm.lock_owner = 0);
     Trace.span_begin ~cat:"tm" "fallback";
     let tx = fresh_tx tm ~fallback:true in
     tm.lock_owner <- tx.uid;
@@ -239,7 +248,7 @@ let run ?(on_retry = fun () -> ()) tm f =
     | exception e ->
       if tx.active then begin
         List.iter (fun (addr, v) -> tm.store.Tm_intf.store addr v) tx.undo;
-        tm.lock_owner <- 0;
+        free_lock tm;
         drop tx
       end;
       on_retry ();
@@ -249,7 +258,8 @@ let run ?(on_retry = fun () -> ()) tm f =
   let rec attempt round =
     if round >= tm.max_retries then run_fallback ()
     else begin
-      Sched.wait_until ~label:"htm begin (fallback held)" (fun () -> tm.lock_owner = 0);
+      Sched.wait_on tm.lock_freed_on ~label:"htm begin (fallback held)" (fun () ->
+          tm.lock_owner = 0);
       Trace.span_begin ~cat:"tm" "attempt";
       let tx = begin_tx tm in
       match

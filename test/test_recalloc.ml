@@ -176,21 +176,20 @@ let test_checkpoint () =
   check Alcotest.int "checkpointed" (n + 1) s.Engine_state.checkpointed;
   guard (Printf.sprintf "a checkpoint of %d extents" k) ~limit:(4. +. (3. *. dirty_entry)) words
 
-(* The checkpoint recycles the rings in the order the table it replaced
-   visited them: a [Hashtbl.create 8] filled by a newest-first walk of the
-   recycle notes, one entry per region at its furthest record, then
-   [Hashtbl.iter].  Each region holds two records and is recycled past
-   the first, so the ring's "used" counter after each recycle names the
-   region; up to 40 regions, past the table's first resize. *)
-let prop_recycle_order =
+(* A checkpoint recycles each noted ring up to its furthest noted record,
+   in ascending region order, and leaves the other rings alone.  Region
+   [r] holds one record per note on it, then a last one of [10 + r]
+   bytes that no note reaches, so the ring's "used" counter after its
+   recycle names the region and shows the furthest note was taken. *)
+let prop_recycle =
   let gen =
     QCheck2.Gen.(
       let* nregions = int_range 1 40 in
-      let+ notes = list_size (int_range 1 80) (int_range 0 (nregions - 1)) in
+      let+ notes = list_size (int_range 0 80) (int_range 0 (nregions - 1)) in
       (nregions, notes))
   in
-  QCheck2.Test.make ~name:"recalloc: rings recycle in the replaced table's order" ~count:60 gen
-    (fun (nregions, notes) ->
+  QCheck2.Test.make ~name:"recalloc: a checkpoint recycles noted rings in region order"
+    ~count:60 gen (fun (nregions, notes) ->
       let cfg =
         { combined with
           Config.nthreads = nregions;
@@ -199,78 +198,81 @@ let prop_recycle_order =
           persist = Config.Per_thread { daemons = 1; min_entries = 1; max_entries = 8 } }
       in
       let s, _ = state cfg in
-      let first_end = Array.make nregions 0 in
-      for r = 0 to nregions - 1 do
-        let plog = s.Engine_state.plogs.(r) in
-        let one = Bytes.make 8 'a' and two = Bytes.make (10 + r) 'b' in
-        Plog.append plog one ~pos:0 ~len:8;
-        first_end.(r) <- Plog.tail_off plog;
-        Plog.append plog two ~pos:0 ~len:(Bytes.length two)
-      done;
-      (* The old pending list, newest first, and the new cells. *)
-      let pending = ref [] in
+      let ends =
+        Array.init nregions (fun r ->
+            let plog = s.Engine_state.plogs.(r) in
+            let n = List.length (List.filter (( = ) r) notes) in
+            let ends =
+              Array.init n (fun _ ->
+                  Plog.append plog (Bytes.make 8 'a') ~pos:0 ~len:8;
+                  Plog.tail_off plog)
+            in
+            Plog.append plog (Bytes.make (10 + r) 'b') ~pos:0 ~len:(10 + r);
+            ends)
+      in
+      let taken = Array.make nregions 0 in
       List.iter
         (fun r ->
-          pending := (r, first_end.(r), 1) :: !pending;
           s.Engine_state.recycle_notes <- s.Engine_state.recycle_notes + 1;
-          s.Engine_state.recycle_end.(r) <- first_end.(r);
-          s.Engine_state.recycle_seq.(r) <- 1;
-          s.Engine_state.recycle_at.(r) <- s.Engine_state.recycle_notes)
+          s.Engine_state.recycle_end.(r) <- ends.(r).(taken.(r));
+          taken.(r) <- taken.(r) + 1;
+          s.Engine_state.recycle_seq.(r) <- taken.(r))
         notes;
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun (r, e, q) ->
-          match Hashtbl.find_opt table r with
-          | Some (e', _) when e' >= e -> ()
-          | _ -> Hashtbl.replace table r (e, q))
-        !pending;
-      let expected = ref [] in
-      Hashtbl.iter
-        (fun r _ -> expected := (Plog.record_overhead + 10 + r) :: !expected)
-        table;
-      Trace.enable ();
-      Fun.protect ~finally:Trace.disable (fun () ->
-          Reproduce.checkpoint s;
-          List.map snd (Trace.counter_series ~cat:"plog" "used") = List.rev !expected))
+      let last = Plog.record_overhead + 10 in
+      let expected =
+        List.filter_map
+          (fun r -> if taken.(r) > 0 then Some (last + r) else None)
+          (List.init nregions Fun.id)
+      in
+      let series =
+        Trace.enable ();
+        Fun.protect ~finally:Trace.disable (fun () ->
+            Reproduce.checkpoint s;
+            List.map snd (Trace.counter_series ~cat:"plog" "used"))
+      in
+      let untouched r =
+        taken.(r) > 0
+        || Plog.used_space s.Engine_state.plogs.(r) = last + r
+      in
+      series = expected
+      && List.for_all untouched (List.init nregions Fun.id)
+      && s.Engine_state.recycle_notes = 0
+      && Array.for_all (( = ) (-1)) s.Engine_state.recycle_end)
 
-(* The dirty-extent set lists its extents as the table it replaced did:
-   for each epoch (an [update] empties the set, as [Hashtbl.reset] emptied
-   the table), the list a consing [Hashtbl.fold] builds from a
-   [Hashtbl.create buckets] table filled in the same order, duplicates
-   included, up to 400 extents (several resizes). *)
-let prop_dirty_order =
+(* The dirty-extent set against a list: each epoch marks extents, some
+   more than once; the set holds each once, counts them, and lists them
+   newest marked first; [update] empties it for the next epoch, which
+   marks some of the same extents again. *)
+let prop_dirty_set =
   let gen =
-    QCheck2.Gen.(
-      pair (oneofl [ 1; 16; 64; 256 ])
-        (list_size (int_range 1 3) (list_size (int_range 0 400) (int_range 0 511))))
+    QCheck2.Gen.(list_size (int_range 1 4) (list_size (int_range 0 400) (int_range 0 511)))
   in
-  QCheck2.Test.make ~name:"recalloc: dirty extents list as the replaced table" ~count:100 gen
-    (fun (buckets, epochs) ->
+  QCheck2.Test.make ~name:"recalloc: the dirty set holds each extent once, in marking order"
+    ~count:100 gen (fun epochs ->
       let s, _ = state combined in
-      let d = Crcdir.dirty ~buckets in
+      let d = Crcdir.dirty () in
       List.for_all
         (fun marks ->
-          let h = Hashtbl.create buckets in
+          let held = ref [] in
           List.iter
             (fun e ->
               Crcdir.mark d e;
-              Hashtbl.replace h e ())
+              if not (List.mem e !held) then held := e :: !held)
             marks;
           let same =
-            Crcdir.marked d = Hashtbl.length h
-            && Crcdir.dirty_extents d = Hashtbl.fold (fun e () acc -> e :: acc) h []
+            Crcdir.marked d = List.length !held && Crcdir.dirty_extents d = !held
           in
           Crcdir.update s.Engine_state.crcdir d;
-          same && Crcdir.marked d = 0)
+          same && Crcdir.marked d = 0 && Crcdir.dirty_extents d = [])
         epochs)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_dirty_order;
+    QCheck_alcotest.to_alcotest prop_dirty_set;
     Alcotest.test_case "reading a frame in place" `Quick test_frame_read;
     Alcotest.test_case "follower ingest of one record" `Quick test_follower_ingest;
     Alcotest.test_case "a ring append" `Quick test_plog_append;
     Alcotest.test_case "a Reproduce round of one item" `Quick test_reproduce_round;
     Alcotest.test_case "a checkpoint of k extents" `Quick test_checkpoint;
-    QCheck_alcotest.to_alcotest prop_recycle_order;
+    QCheck_alcotest.to_alcotest prop_recycle;
   ]

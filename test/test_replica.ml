@@ -389,7 +389,7 @@ let test_redo_allocation_guard () =
   let items = Array.init (n + 1) (fun i -> item (i + 1)) in
   let nvm = Nvm.create ~charge_time:false Dudetm_nvm.Pmem_config.default ~size:(1 lsl 16) in
   let alloc = Alloc.create ~base:Config.root_size ~size:((1 lsl 16) - Config.root_size) in
-  let extents = Crcdir.dirty ~buckets:16 and addrs = Engine_state.addrs () in
+  let extents = Crcdir.dirty () and addrs = Engine_state.addrs () in
   let apply it =
     ignore (Reproduce.redo nvm alloc ~extents addrs ~frontier:0 it);
     Nvm.persist_words nvm addrs.Engine_state.buf addrs.Engine_state.len;

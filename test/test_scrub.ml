@@ -183,7 +183,7 @@ let test_crcdir_seal_and_verify () =
   let e1 = 5 and e2 = 9 in
   Nvm.store_bytes nvm ((e1 * ext) + 3) (Bytes.of_string "fresh extent bytes");
   Nvm.store_u64 nvm (e2 * ext) 0x1234L;
-  let set = Crcdir.dirty ~buckets:2 in
+  let set = Crcdir.dirty () in
   List.iter (Crcdir.mark set) [ e1; e2 ];
   Crcdir.update dir set;
   List.iter
