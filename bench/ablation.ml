@@ -179,9 +179,3 @@ let run ?(scale = 1.0) () =
   ablation_lock_table ~scale;
   ablation_access_mode ~scale;
   empty_tx_rate ~scale
-
-let tiny () =
-  ignore
-    (run_dude
-       { (dude_config ()) with Config.reproduce_batch = 8 }
-       { (hashtable_bench ()) with ntxs = 400 })

@@ -34,7 +34,3 @@ let run ?(scale = 1.0) () =
         systems;
       Option.iter (report_commit_latency "DUDETM @1GB/s") !dude_r)
     (all_benches ())
-
-let tiny () =
-  let b = { (hashtable_bench ()) with ntxs = 400 } in
-  List.iter (fun sys -> ignore (run_bench (make_system sys) b)) [ Volatile; Dude; Dude_sync ]

@@ -66,5 +66,3 @@ let run ?(full = false) () =
         (100.0 *. ratio) (pp_ktps r.ktps) p50;
       report_commit_latency (Printf.sprintf "group %d" group) r)
     (groups ~full ())
-
-let tiny () = ignore (run_one ~group:10 ~compress:true)

@@ -81,5 +81,3 @@ let run ?(scale = 1.0) () =
         thetas)
     [ Shadow.Software; Shadow.Hardware ];
   Option.iter (report_commit_latency "software, th 0.99, 100%") !full_shadow_r
-
-let tiny () = ignore (run_point ~mode:Shadow.Software ~frames:512 ~theta:0.99 ~ntxs:300)

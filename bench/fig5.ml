@@ -46,7 +46,3 @@ let run ?(scale = 1.0) () =
       print_newline ())
     series;
   Option.iter (report_commit_latency "DUDETM, 4 threads") !dude_r
-
-let tiny () =
-  ignore
-    (run_bench (make_system ~nthreads:2 Dude) { (tpcc_bench ~storage:W.Kv.Tree ()) with ntxs = 60 })

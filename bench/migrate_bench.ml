@@ -201,5 +201,3 @@ let run ?(scale = 1.0) led =
     (L.ints "count" [ ("double_writes", g.g_double_writes); ("copy_txs", g.g_copy_txs) ]);
   L.gate led ~scenario ~layer:"bench" "failed" (L.Exactly 0.0);
   L.gate led ~scenario ~layer:"bench" "dip_fraction" (L.At_most 0.20)
-
-let tiny () = ignore (run_resharding ~warm:100_000 ())

@@ -93,5 +93,3 @@ let run ?(scale = 1.0) led =
         (Printf.sprintf "%.2f ms" (Cycles.to_us cycles /. 1000.0))
         r.durable r.replayed_txs r.discarded_txs (wall *. 1e3))
     [ 50_000; 200_000; 800_000; 3_200_000 ]
-
-let tiny () = ignore (run_point ~crash_cycles:20_000)

@@ -215,5 +215,3 @@ let run ?(scale = 1.0) led =
       ("truncated_txs", "txs", L.Int prom.Rep.truncated_txs);
       ("cycles", "cycles", L.Int fo_cycles); ("sim_us", "us", L.Float (Cycles.to_us fo_cycles));
     ]
-
-let tiny () = ignore (run_replicated ~ntxs:100 ~k:1)

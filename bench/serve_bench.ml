@@ -158,9 +158,3 @@ let run ?(scale = 1.0) led =
           (int_of_float (slo_multiple *. float_of_int (max 1 base_p99)))
       | None -> ())
     [ 1; 8 ]
-
-let tiny () =
-  ignore
-    (SL.run ~seed:11 ~nshards:1 ~ntenants:2 ~sessions:2 ~reqs:40
-       ~mode:(SL.Closed { think = 200 })
-       ())

@@ -101,5 +101,3 @@ let run ?(scale = 1.0) led =
       SB.run ~ntxs ~batch_min:(min 16 b) ~batch_max:b ~nshards:1 ~cross_pct:0 ());
   sweep "deadline sweep at 1 shard (bounds = default)" "deadline" deadlines (fun d ->
       SB.run ~ntxs ~batch_deadline:d ~nshards:1 ~cross_pct:0 ())
-
-let tiny () = ignore (SB.run ~ntxs:200 ~nshards:2 ~cross_pct:10 ())

@@ -255,6 +255,3 @@ let run ?(scale = 1.0) led =
             (L.Exactly (if metric = "ro_txs" then float_of_int ro_burst_txs else 0.0)))
         ro_d.l_burst)
     [ 1; 8 ]
-
-let tiny () =
-  ignore (run_leg ~nshards:1 ~mode:"ro" ~durable:false ~run_cycles:120_000 ~check_invisible:false ())

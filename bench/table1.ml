@@ -17,6 +17,3 @@ let run ?(scale = 1.0) () =
       Printf.printf "%-18s %12.2f M/s %14s %16.1f  %s\n%!" bench.bname (writes_per_sec /. 1e6)
         (pp_ktps r.ktps) writes_per_tx (pp_commit_latency r))
     (all_benches ())
-
-let tiny () =
-  ignore (run_bench (make_system Dude) { (tatp_bench ~storage:Dudetm_workloads.Kv.Hash ()) with ntxs = 400 })

@@ -28,6 +28,3 @@ let run ?(scale = 1.0) () =
       print_newline ();
       Option.iter (report_commit_latency ("DUDETM " ^ bench.bname)) !dude_r)
     (all_benches ())
-
-let tiny () =
-  ignore (run_bench (make_system Mnemosyne) { (hashtable_bench ()) with ntxs = 400 })

@@ -32,8 +32,3 @@ let run ?(scale = 1.0) () =
       print_newline ())
     percentiles;
   List.iter (fun (s, r) -> report_commit_latency (system_name s) r) results
-
-let tiny () =
-  ignore
-    (run_bench ~measure_latency:true (make_system Dude)
-       { (tpcc_bench ~storage:Dudetm_workloads.Kv.Hash ()) with ntxs = 80 })

@@ -90,9 +90,3 @@ let run ?(scale = 1.0) () =
     (pp_ktps rm.ktps) (aborts rm.counters);
   Printf.printf "  stock HTM (counter conflicts):          %s, %d aborts\n"
     (pp_ktps rs.ktps) (aborts rs.counters)
-
-let tiny () =
-  ignore
-    (run_bench
-       (fst (B.Dude_ptm.Htm_based.ptm ~name:"DUDETM-HTM" (dude_config ())))
-       { (hashtable_bench ()) with ntxs = 400 })

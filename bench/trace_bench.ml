@@ -104,8 +104,3 @@ let run ?scale:(_ = 1.0) led =
         (pct r1.run_cycles a.Trace.nv_cycles))
     ac1;
   List.iter (fun v -> Printf.printf "trace violation: %s\n" v) (v1 @ v16)
-
-let tiny () =
-  Trace.enable ~capacity:4096 ();
-  ignore (run_bench (make_system Dude) { (kv_bench ()) with ntxs = 400 });
-  Trace.disable ()

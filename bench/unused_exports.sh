@@ -3,10 +3,13 @@
 #
 #   bench/unused_exports.sh            print the inventory
 #   bench/unused_exports.sh --check    diff it against bench/unused_exports.txt
+#   bench/unused_exports.sh --tests    print the exports only tests reach
 #
 # Prints every `val` declared in lib/**/*.mli that nothing references
 # outside its own module, as "Module.name" (a val inside a nested module
-# signature prints as "Module.Sub.name"), sorted.  A reference is, in
+# signature prints as "Module.Sub.name"), sorted.  With --tests it prints
+# instead every such val that files under test reference and nothing
+# else outside its own module does.  A reference is, in
 # any .ml or .mli file under lib, bin, bench, perfbench, examples or test
 # other than the module's own two files:
 #   - a qualified use "Q.name", where Q is the module, an enclosing
@@ -23,9 +26,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 mode=${1:-print}
 case "$mode" in
-print | --check) ;;
+print | --check | --tests) ;;
 *)
-    echo "usage: $0 [--check]" >&2
+    echo "usage: $0 [--check | --tests]" >&2
     exit 2
     ;;
 esac
@@ -36,6 +39,7 @@ import re, sys, os
 from collections import defaultdict
 
 files = [l.strip() for l in sys.stdin if l.strip()]
+tests_only = sys.argv[1] == "--tests"
 
 def strip_comments(src):
     out, depth, i, n = [], 0, 0, len(src)
@@ -148,20 +152,21 @@ for f, top, subs, name in decls:
     qs = quals(top, subs)
     qual = re.compile(r"\b(?:" + "|".join(sorted(map(re.escape, qs))) + r")\s*\.\s*" + re.escape(name) + r"\b(?!\x27)")
     word = re.compile(r"(?<![\w.\x27])" + re.escape(name) + r"\b(?!\x27)")
-    used = False
+    users = set()
     for g in files:
         if g in own:
             continue
         t = text[g]
         if qual.search(t) or (opens[g] & qs and word.search(t)):
-            used = True
-            break
-    if not used:
+            users.add("test" if g.startswith("test/") else "other")
+            if "other" in users:
+                break
+    if users == ({"test"} if tests_only else set()):
         unused.append(".".join((top,) + subs + (name,)))
 
 for u in sorted(set(unused)):
     print(u)
-'
+' "$mode"
 }
 if [ "$mode" = --check ]; then
     diff -u --label bench/unused_exports.txt --label source bench/unused_exports.txt <(inventory | LC_ALL=C sort)

@@ -52,6 +52,3 @@ let run ?(scale = 1.0) () =
       print_newline ();
       Option.iter (report_commit_latency ("DUDETM " ^ name)) !dude_r)
     mixes
-
-let tiny () =
-  ignore (run_bench (make_system Dude) (bench_of W.Ycsb.workload_a ~ntxs:400))

@@ -72,7 +72,8 @@ val scan_items :
   ckpt_upto:int ->
   Engine_state.item list * (int, unit) Hashtbl.t * int
 (** [scan_items cfg records ~ckpt_upto] turns surviving ring records into
-    replay items, sorted by ID range: one per transaction under
+    replay items, sorted by ID range (items of one range keep their
+    record order): one per transaction under
     {!Config.Per_thread}, one per record under {!Config.Combined} (the
     rule the live Persist step queues by), each pointing into its
     record's plain body.  Also returns every transaction ID the records

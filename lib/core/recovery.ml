@@ -4,14 +4,11 @@
 
 open Engine_state
 
-(* Today's replay order: by ID range, then, for records holding the same
-   range, by their entries as [compare] orders decoded lists. *)
+(* Replay order is transaction-ID order: by ID range, and items holding
+   the same range keep their scan order (the sort is stable). *)
 let compare_items a b =
   match Int.compare a.lo b.lo with
-  | 0 -> (
-    match Int.compare a.hi b.hi with
-    | 0 -> Log_entry.compare_range a.body a.pos a.stop b.body b.pos b.stop
-    | c -> c)
+  | 0 -> Int.compare a.hi b.hi
   | c -> c
 
 (* Recovery never queues its items, so they name no ring. *)
@@ -38,7 +35,7 @@ let scan_items cfg records ~ckpt_upto =
   while Hashtbl.mem all_tids (!d + 1) do
     incr d
   done;
-  (List.sort compare_items items, all_tids, !d)
+  (List.stable_sort compare_items items, all_tids, !d)
 
 (* [(gtid, mask, tid)] of an item's fragment seals, in body order. *)
 let cross_seals it =

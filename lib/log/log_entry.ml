@@ -98,16 +98,6 @@ let decode_range buf pos n =
   in
   go pos []
 
-(* Entry by entry, as [compare] orders the decoded lists. *)
-let rec compare_range a pa sa b pb sb =
-  if pa = sa then if pb = sb then 0 else -1
-  else if pb = sb then 1
-  else
-    let ta = tag_at a pa ~stop:sa and tb = tag_at b pb ~stop:sb in
-    match compare (entry_at a pa ta) (entry_at b pb tb) with
-    | 0 -> compare_range a (pa + tag_size ta) sa b (pb + tag_size tb) sb
-    | c -> c
-
 (* Record-payload framing shared by the engine's Persist step and every
    reader of persisted records (recovery, scrub): one flag byte marking the
    body as plain or LZ-compressed, then the serialized entries. *)

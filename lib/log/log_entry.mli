@@ -54,11 +54,6 @@ val field_pos : int -> int -> int
 (** [field_pos pos i]: where field [i] of the entry at [pos] starts (its
     8 bytes are little-endian). *)
 
-val compare_range : bytes -> int -> int -> bytes -> int -> int -> int
-(** [compare_range a pa sa b pb sb] orders the entries of [a]'s bytes
-    [\[pa, sa)] against [b]'s [\[pb, sb)] exactly as [compare] orders their
-    decoded lists. *)
-
 val plain_payload : int -> bytes
 (** [plain_payload len] is a fresh uncompressed payload with room for a
     [len]-byte body: the plain flag is set, the body (from position 1) is

@@ -10,7 +10,7 @@ type t = {
   mutable tail : int;
   mutable head_seq : int;  (* seq of the record at [head] *)
   mutable seq : int;  (* seq of the next record to append *)
-  hdr : bytes;  (* [append]'s header scratch: len, seq, crc *)
+  hdr : bytes;  (* [append]'s header scratch (len, seq, crc), a scan's CRC scratch *)
   himg : bytes;  (* [persist_header]'s image scratch *)
   space : Sched.cond;  (* [recycle_to] freed ring space *)
 }
@@ -41,17 +41,6 @@ let store_wrapped t off b ~pos ~len =
     let first = t.dcap - s in
     Nvm.store_sub t.nvm (data_base t + s) b ~pos ~len:first;
     Nvm.store_sub t.nvm (data_base t) b ~pos:(pos + first) ~len:(len - first)
-  end
-
-let read_wrapped t off len =
-  let s = off mod t.dcap in
-  if s + len <= t.dcap then Nvm.load_bytes t.nvm (data_base t + s) len
-  else begin
-    let first = t.dcap - s in
-    let b = Bytes.create len in
-    Bytes.blit (Nvm.load_bytes t.nvm (data_base t + s) first) 0 b 0 first;
-    Bytes.blit (Nvm.load_bytes t.nvm (data_base t) (len - first)) 0 b first (len - first);
-    b
   end
 
 let persist_wrapped t off len =
@@ -102,92 +91,77 @@ let frame_crc frame ~seq b ~pos ~len =
   Bytes.set_int64_le frame 8 (Int64.of_int seq);
   Checksum.chain (Checksum.crc32 frame 0 16) b pos len
 
-(* The stored crc slot's 32 bits. *)
-let stored_crc frame = Int64.to_int (Bytes.get_int64_le frame 16) land 0xffffffff
-
 (* How far past a corrupted record the scan searches for the next valid
    frame, in records: bounds the seq gap a resync will accept so stale
    frames from long-dead laps are never mistaken for live records. *)
 let max_resync_gap = 64
 
-(* A frame [scanned] bytes past the head is plausible when its length fits
-   the remaining ring space and its seq sits in [min_seq, min_seq +
-   max_resync_gap]. *)
-let fields_in_range t ~scanned ~len ~seq ~min_seq =
+(* The data area as a scan reads it, once: [img] holds it twice over, so a
+   frame that wraps the ring end is contiguous at its slot, and [bad] lists
+   the slot ranges [\[lo, hi)] where a load raises (poisoned clean lines),
+   which the copy holds as zeroes.  A scan writes nothing, so each verdict
+   taken from the copy is the one a direct read of the ring would give. *)
+type area = { img : bytes; bad : (int * int) list }
+
+let read_area t =
+  let dcap = t.dcap and db = data_base t in
+  let area, bad =
+    try (Nvm.load_bytes t.nvm db dcap, [])
+    with Nvm.Media_error _ ->
+      let area = Bytes.make dcap '\000' and ls = Nvm.line_size t.nvm in
+      let rec lines lo bad =
+        if lo >= dcap then bad
+        else
+          let hi = min dcap ((((db + lo) / ls) + 1) * ls - db) in
+          lines hi
+            (match Nvm.load_bytes t.nvm (db + lo) (hi - lo) with
+            | b ->
+              Bytes.blit b 0 area lo (hi - lo);
+              bad
+            | exception Nvm.Media_error _ -> (lo, hi) :: bad)
+      in
+      (area, lines 0 [])
+  in
+  { img = Bytes.cat area area; bad }
+
+let field a s = Int64.to_int (Bytes.get_int64_le a.img s)
+
+(* Whether the frame at slot [s], whose fields read [len] and [seq],
+   loads without a media error and matches its stored CRC: the part of
+   {!valid} the header-loss salvage shares. *)
+let sealed t a s ~len ~seq =
+  let e = s + record_overhead + len in
+  List.for_all
+    (fun (lo, hi) -> (e <= lo || hi <= s) && (e <= lo + t.dcap || hi + t.dcap <= s))
+    a.bad
+  && frame_crc t.hdr ~seq a.img ~pos:(s + record_overhead) ~len = field a (s + 16) land 0xffffffff
+
+(* The one validity check of a frame: the frame at slot [s], [scanned]
+   bytes past the head, is a record when its length fits the remaining
+   ring space, its seq sits in [\[min_seq, min_seq + max_resync_gap]] and
+   it is sealed. *)
+let valid t a ~s ~scanned ~min_seq =
+  let len = field a s and seq = field a (s + 8) in
   len >= 0
   && scanned + record_overhead + len <= t.dcap
   && seq >= min_seq
   && seq <= min_seq + max_resync_gap
+  && sealed t a s ~len ~seq
 
-(* Validate a candidate frame at monotone offset [off]: its len and seq
-   must be in range and the payload CRC must match.  Reads that hit
-   poisoned lines count as invalid. *)
-let probe_frame t ~off ~min_seq =
-  let scanned = off - t.head in
-  if scanned + record_overhead > t.dcap then None
-  else
-    match read_wrapped t off record_overhead with
-    | exception Nvm.Media_error _ -> None
-    | frame ->
-      let len = Int64.to_int (Bytes.get_int64_le frame 0) in
-      let seq = Int64.to_int (Bytes.get_int64_le frame 8) in
-      let crc = stored_crc frame in
-      if not (fields_in_range t ~scanned ~len ~seq ~min_seq) then None
-      else begin
-        match read_wrapped t (off + record_overhead) len with
-        | exception Nvm.Media_error _ -> None
-        | payload ->
-          if frame_crc frame ~seq payload ~pos:0 ~len <> crc then None
-          else Some { seq; payload; end_off = off + record_overhead + len }
-      end
-
-(* {!fields_in_range} on the len and seq fields of the frame at data-area
-   slot [s], read in place into [fields] (16 bytes) without allocating.
-   [false] implies [probe_frame] rejects the frame: a poisoned read here is
-   a poisoned frame read, and otherwise both see the same bytes.  The
-   caller guarantees [s + 16 <= dcap]. *)
-let fields_plausible t fields ~s ~scanned ~min_seq =
-  match Nvm.load_into t.nvm (data_base t + s) fields with
-  | exception Nvm.Media_error _ -> false
-  | () ->
-    let len = Int64.to_int (Bytes.get_int64_le fields 0) in
-    let seq = Int64.to_int (Bytes.get_int64_le fields 8) in
-    fields_in_range t ~scanned ~len ~seq ~min_seq
-
-(* The first valid frame at a monotone offset in [from, head + dcap -
-   record_overhead], searched byte by byte.  Most offsets hold payload or
-   zeroes, so each is first prechecked: its len and seq fields are read
-   from one copy of the data area or, when a poisoned line fails that
-   read, in place by {!fields_plausible}.  Only an offset whose fields
-   would wrap the ring end skips the precheck and takes the full wrapped
-   probe.  Verdicts are those of [probe_frame] at every offset. *)
-let resync t ~from ~min_seq =
-  let limit = t.head + t.dcap - record_overhead in
-  let fields = Bytes.create 16 in
-  let area = try Some (Nvm.load_bytes t.nvm (data_base t) t.dcap) with Nvm.Media_error _ -> None in
-  let plausible s ~scanned =
-    match area with
-    | None -> fields_plausible t fields ~s ~scanned ~min_seq
-    | Some a ->
-      let len = Int64.to_int (Bytes.get_int64_le a s) in
-      let seq = Int64.to_int (Bytes.get_int64_le a (s + 8)) in
-      fields_in_range t ~scanned ~len ~seq ~min_seq
-  in
-  let rec go off s =
-    if off > limit then None
-    else if s + 16 <= t.dcap && not (plausible s ~scanned:(off - t.head)) then go (off + 1) (s + 1)
-    else
-      match probe_frame t ~off ~min_seq with
-      | Some r -> Some (off, r)
-      | None -> go (off + 1) (if s + 1 = t.dcap then 0 else s + 1)
-  in
-  go from (from mod t.dcap)
+(* The first monotone offset from [off] to [head + dcap - record_overhead]
+   that holds a valid frame, searched byte by byte.  Its slot [s] is
+   carried along unwrapped: every frame the search can accept still ends
+   inside the doubled copy. *)
+let rec resync t a ~off ~s ~min_seq =
+  if off - t.head + record_overhead > t.dcap then None
+  else if valid t a ~s ~scanned:(off - t.head) ~min_seq then Some off
+  else resync t a ~off:(off + 1) ~s:(s + 1) ~min_seq
 
 (* Distinct device lines covered by monotone data-area range [lo, hi). *)
 let lines_of_range t ~lo ~hi acc =
   let ls = Nvm.line_size t.nvm in
   let add acc addr_lo addr_hi =
-    let rec go l acc = if l * ls >= addr_hi then acc else go (l + 1) ((l, ()) :: acc) in
+    let rec go l acc = if l * ls >= addr_hi then acc else go (l + 1) (l :: acc) in
     go (addr_lo / ls) acc
   in
   let len = hi - lo in
@@ -210,20 +184,12 @@ let read_header nvm base =
    never collide with stale, still-intact frames from before the loss, so
    the fresh seq starts past the largest plausible seq found anywhere in
    the data area. *)
-let salvage_next_seq t =
+let salvage_next_seq t a =
   let best = ref 0 in
-  for off = 0 to t.dcap - record_overhead do
-    match read_wrapped t off record_overhead with
-    | exception Nvm.Media_error _ -> ()
-    | frame ->
-      let len = Int64.to_int (Bytes.get_int64_le frame 0) in
-      let seq = Int64.to_int (Bytes.get_int64_le frame 8) in
-      let crc = stored_crc frame in
-      if len >= 0 && len <= t.dcap - record_overhead && seq > !best then begin
-        match read_wrapped t (off + record_overhead) len with
-        | exception Nvm.Media_error _ -> ()
-        | payload -> if frame_crc frame ~seq payload ~pos:0 ~len = crc then best := seq
-      end
+  for s = 0 to t.dcap - record_overhead do
+    let len = field a s and seq = field a (s + 8) in
+    if len >= 0 && len <= t.dcap - record_overhead && seq > !best && sealed t a s ~len ~seq then
+      best := seq
   done;
   !best + 1
 
@@ -235,58 +201,50 @@ let attach_scan nvm ~base ~size =
     (* Header corrupt or poisoned: every record is unreachable.  Reformat
        with a seq jump past any stale frame so the ring stays usable. *)
     let t = make nvm ~base ~dcap ~head:0 ~head_seq:0 in
-    let next = salvage_next_seq t in
+    let next = salvage_next_seq t (read_area t) in
     t.head_seq <- next;
     t.seq <- next;
     persist_header t;
     (t, { records = []; corrupted_records = 1; quarantined_lines = 0; header_lost = true })
   | Some (head, head_seq) ->
     let t = make nvm ~base ~dcap ~head ~head_seq in
-    let records = ref [] in
-    let corrupted = ref 0 in
-    let qlines = ref [] in
-    let continue = ref true in
-    while !continue do
-      match probe_frame t ~off:t.tail ~min_seq:t.seq with
-      | Some r ->
-        records := r :: !records;
-        t.tail <- r.end_off;
-        t.seq <- r.seq + 1
-      | None ->
+    let a = read_area t in
+    let records = ref [] and corrupted = ref 0 and qlines = ref [] in
+    let take off =
+      let s = off mod dcap in
+      let len = field a s and seq = field a (s + 8) in
+      let end_off = off + record_overhead + len in
+      records := { seq; payload = Bytes.sub a.img (s + record_overhead) len; end_off } :: !records;
+      t.tail <- end_off;
+      t.seq <- seq + 1
+    in
+    let rec walk () =
+      if valid t a ~s:(t.tail mod dcap) ~scanned:(t.tail - head) ~min_seq:t.seq then begin
+        take t.tail;
+        walk ()
+      end
+      else
         (* Either the torn tail of the ring, or a corrupted record
            mid-ring.  Search forward for the next valid frame with a later
            seq; finding one proves the invalid bytes were a once-sealed
            record (or records) damaged in place — quarantine the gap. *)
-        (match resync t ~from:(t.tail + 1) ~min_seq:(t.seq + 1) with
-        | None -> continue := false
-        | Some (at, r) ->
-          corrupted := !corrupted + (r.seq - t.seq);
+        let from = t.tail + 1 in
+        match resync t a ~off:from ~s:(from mod dcap) ~min_seq:(t.seq + 1) with
+        | None -> ()
+        | Some at ->
+          corrupted := !corrupted + (field a ((at mod dcap) + 8) - t.seq);
           qlines := lines_of_range t ~lo:t.tail ~hi:at !qlines;
-          records := r :: !records;
-          t.tail <- r.end_off;
-          t.seq <- r.seq + 1)
-    done;
-    let quarantined_lines =
-      let h = Hashtbl.create 16 in
-      List.iter (fun (l, ()) -> Hashtbl.replace h l ()) !qlines;
-      Hashtbl.length h
+          take at;
+          walk ()
     in
+    walk ();
     ( t,
       {
         records = List.rev !records;
         corrupted_records = !corrupted;
-        quarantined_lines;
+        quarantined_lines = List.length (List.sort_uniq Int.compare !qlines);
         header_lost = false;
       } )
-
-let attach nvm ~base ~size =
-  (* Refuse an unreadable header WITHOUT the reformatting side effect of
-     {!attach_scan}: a caller that wants the strict contract must not find
-     the ring silently re-initialized under the raised exception. *)
-  if size <= header_size + record_overhead then invalid_arg "Plog.attach: region too small";
-  if read_header nvm base = None then invalid_arg "Plog.attach: bad magic";
-  let t, scan = attach_scan nvm ~base ~size in
-  (t, scan.records)
 
 let data_capacity t = t.dcap
 

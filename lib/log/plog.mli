@@ -13,11 +13,12 @@
     be mistaken for live records.
 
     Beyond the torn tail a clean crash can leave, media faults can damage a
-    record {e mid-ring} or destroy the header itself.  {!attach_scan}
-    tolerates both: it resynchronizes past corrupted records (quarantining
-    the damaged bytes and reporting how many sealed records were lost) and
-    reformats a ring whose header is unreadable, salvaging a safe next
-    sequence number so stale frames are never resurrected. *)
+    record {e mid-ring} or destroy the header itself.  {!attach_scan}, the
+    one way back in, tolerates both: it resynchronizes past corrupted
+    records (quarantining the damaged bytes and reporting how many sealed
+    records were lost) and reformats a ring whose header is unreadable,
+    salvaging a safe next sequence number so stale frames are never
+    resurrected. *)
 
 type t
 
@@ -51,21 +52,21 @@ val format : Dudetm_nvm.Nvm.t -> base:int -> size:int -> t
 (** Initialize an empty ring over [\[base, base+size)] of the device and
     persist its header. *)
 
-val attach : Dudetm_nvm.Nvm.t -> base:int -> size:int -> t * record list
+val attach_scan : Dudetm_nvm.Nvm.t -> base:int -> size:int -> t * scan
 (** Re-open a ring after a crash: reads the persistent head cursor, scans
     and validates records, repositions the tail after the last valid
-    record, and returns the surviving records in order.  Raises
-    [Invalid_argument] if the header is unreadable (use {!attach_scan} to
-    tolerate that). *)
-
-val attach_scan : Dudetm_nvm.Nvm.t -> base:int -> size:int -> t * scan
-(** Media-fault-tolerant {!attach}.  A record that fails validation
-    mid-ring (CRC mismatch, poisoned line, implausible frame) does not end
-    the scan: the scanner searches forward for the next valid frame with a
-    later sequence number, quarantines the damaged gap, and continues — so
-    one corrupted record loses that record, not the whole ring suffix.  A
-    ring whose header fails its magic/CRC check is reformatted with a
-    salvaged sequence number ([header_lost = true]). *)
+    record, and returns the surviving records in order.  The scan reads
+    the data area once, marking where a load would raise (a poisoned clean
+    line).  One check validates every frame from that copy, for the
+    forward walk and the resync search alike; the header-loss salvage
+    shares its checksum.  A
+    record that fails validation mid-ring (CRC mismatch, poisoned line,
+    implausible frame) does not end the scan: the scanner searches forward
+    for the next valid frame with a later sequence number, quarantines the
+    damaged gap, and continues — so one corrupted record loses that
+    record, not the whole ring suffix.  A ring whose header fails its
+    magic/CRC check is reformatted with a salvaged sequence number
+    ([header_lost = true]). *)
 
 val data_capacity : t -> int
 

@@ -67,12 +67,10 @@ module Latency = struct
       float_of_int !sum /. float_of_int r.len
     end
 
-  let log2_bucket = Dudetm_trace.Trace.bucket_of
-
   let log2_histogram r =
     let counts = Array.make 63 0 in
     for i = 0 to r.len - 1 do
-      let b = log2_bucket r.samples.(i) in
+      let b = Dudetm_trace.Trace.bucket_of r.samples.(i) in
       counts.(b) <- counts.(b) + 1
     done;
     let out = ref [] in

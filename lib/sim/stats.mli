@@ -30,10 +30,6 @@ module Latency : sig
 
   val mean : r -> float
 
-  val log2_bucket : int -> int
-  (** Bucket index for one sample: 0 for values [<= 1], else
-      [floor (log2 v)] — the trace's own {!Dudetm_trace.Trace.bucket_of}. *)
-
   val log2_histogram : r -> (int * int) list
   (** Sparse log2 histogram of the recorded samples: [(bucket, count)]
       pairs in increasing bucket order, where bucket [b] covers

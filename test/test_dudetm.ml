@@ -458,7 +458,9 @@ let prop_torn_tail_recovery =
       done;
       for ring = 0 to Config.plog_regions cfg - 1 do
         let base = Config.plog_base cfg ring in
-        let _, records = Dudetm_log.Plog.attach nvm ~base ~size:cfg.Config.plog_size in
+        let _, scan = Dudetm_log.Plog.attach_scan nvm ~base ~size:cfg.Config.plog_size in
+        check Alcotest.bool "ring header intact" false scan.Dudetm_log.Plog.header_lost;
+        let records = scan.Dudetm_log.Plog.records in
         let corrupt = mask land (1 lsl ring) <> 0 in
         let rec keep = function
           | [] -> ()

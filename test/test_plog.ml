@@ -19,6 +19,12 @@ let append ?persist t p =
   Plog.append ?persist t p ~pos:0 ~len:(Bytes.length p);
   { Plog.seq; payload = p; end_off = Plog.tail_off t }
 
+(* Re-open a ring whose header must have survived: its surviving records. *)
+let attach nvm ~base ~size =
+  let t, scan = Plog.attach_scan nvm ~base ~size in
+  check Alcotest.bool "header intact" false scan.Plog.header_lost;
+  (t, scan.Plog.records)
+
 let test_append_attach () =
   let nvm = device () in
   let t = Plog.format nvm ~base:0 ~size:4096 in
@@ -27,7 +33,7 @@ let test_append_attach () =
   check Alcotest.int "seq 0" 0 r1.Plog.seq;
   check Alcotest.int "seq 1" 1 r2.Plog.seq;
   Nvm.crash nvm;
-  let _, records = Plog.attach nvm ~base:0 ~size:4096 in
+  let _, records = attach nvm ~base:0 ~size:4096 in
   check Alcotest.int "both records survive" 2 (List.length records);
   check Alcotest.bytes "payload 1" (payload "first") (List.nth records 0).Plog.payload;
   check Alcotest.bytes "payload 2" (payload "second") (List.nth records 1).Plog.payload
@@ -43,7 +49,7 @@ let test_torn_record_discarded () =
   let frame = Bytes.make 40 'X' in
   Nvm.store_bytes nvm (64 + (Plog.tail_off t mod 4032)) frame;
   Nvm.crash ~evict_fraction:0.5 ~rng:(Rng.create 3) nvm;
-  let _, records = Plog.attach nvm ~base:0 ~size:4096 in
+  let _, records = attach nvm ~base:0 ~size:4096 in
   check Alcotest.int "only the sealed record survives" 1 (List.length records)
 
 let test_stale_records_not_resurrected () =
@@ -56,7 +62,7 @@ let test_stale_records_not_resurrected () =
   ignore r1;
   Plog.recycle_to t ~end_off:r2.Plog.end_off ~next_seq:2;
   Nvm.crash nvm;
-  let t', records = Plog.attach nvm ~base:0 ~size:4096 in
+  let t', records = attach nvm ~base:0 ~size:4096 in
   check Alcotest.int "no stale records" 0 (List.length records);
   check Alcotest.int "next seq continues" 2 (Plog.next_seq t')
 
@@ -71,7 +77,7 @@ let test_wraparound () =
   done;
   let final = append t (payload "final") in
   Nvm.crash nvm;
-  let _, records = Plog.attach nvm ~base:0 ~size:512 in
+  let _, records = attach nvm ~base:0 ~size:512 in
   check Alcotest.int "final record recovered after many wraps" 1 (List.length records);
   check Alcotest.int "final seq" final.Plog.seq (List.nth records 0).Plog.seq;
   check Alcotest.bytes "final payload" (payload "final") (List.nth records 0).Plog.payload
@@ -92,11 +98,6 @@ let test_append_without_space_rejected () =
   Alcotest.check_raises "oversized append rejected" (Invalid_argument "Plog.append: no space")
     (fun () -> ignore (append t (Bytes.make 4096 'x')))
 
-let test_attach_bad_magic () =
-  let nvm = device () in
-  Alcotest.check_raises "unformatted region rejected" (Invalid_argument "Plog.attach: bad magic")
-    (fun () -> ignore (Plog.attach nvm ~base:0 ~size:4096))
-
 let test_crash_before_header_persist_keeps_old_head () =
   (* recycle_to persists the header; a crash right after append but before
      any recycle must re-expose all records. *)
@@ -106,7 +107,7 @@ let test_crash_before_header_persist_keeps_old_head () =
     ignore (append t (payload (string_of_int i)))
   done;
   Nvm.crash nvm;
-  let _, records = Plog.attach nvm ~base:0 ~size:4096 in
+  let _, records = attach nvm ~base:0 ~size:4096 in
   check Alcotest.int "all five records re-exposed" 5 (List.length records)
 
 (* --------------------------- media faults ----------------------------- *)
@@ -200,9 +201,6 @@ let test_header_loss_reformats_with_salvaged_seq () =
   (* Flip a bit inside the sealed header: its CRC check must fail. *)
   Nvm.inject_fault nvm (Nvm.Bit_rot { off = 8; bit = 0 });
   Nvm.crash nvm;
-  Alcotest.check_raises "plain attach refuses the lost header"
-    (Invalid_argument "Plog.attach: bad magic") (fun () ->
-      ignore (Plog.attach nvm ~base:0 ~size:4096));
   let t', scan = Plog.attach_scan nvm ~base:0 ~size:4096 in
   check Alcotest.bool "header loss detected" true scan.Plog.header_lost;
   check Alcotest.int "every record lost" 0 (List.length scan.Plog.records);
@@ -226,7 +224,7 @@ let prop_random_appends_survive =
             ignore (append t (Bytes.of_string p)))
         payloads;
       Nvm.crash nvm;
-      let _, records = Plog.attach nvm ~base:0 ~size:8192 in
+      let _, records = attach nvm ~base:0 ~size:8192 in
       let expected =
         let rec go space acc = function
           | [] -> List.rev acc
@@ -272,7 +270,7 @@ let prop_wraparound_roundtrip =
           Queue.push (r.Plog.seq, p, r.Plog.end_off) live)
         sizes;
       Nvm.crash nvm;
-      let _, records = Plog.attach nvm ~base:0 ~size in
+      let _, records = attach nvm ~base:0 ~size in
       let expected = List.of_seq (Queue.to_seq live) in
       List.length records = List.length expected
       && List.for_all2
@@ -326,7 +324,7 @@ let test_straddling_append_matches_staged_frame () =
     let sealed = device () in
     ignore (append (at_tail d sealed) p);
     Nvm.crash sealed;
-    match Plog.attach sealed ~base:0 ~size with
+    match attach sealed ~base:0 ~size with
     | _, [ r ] ->
       check Alcotest.int (what ^ ": attach seq") 1 r.Plog.seq;
       check Alcotest.bytes (what ^ ": attach payload") p r.Plog.payload
@@ -394,11 +392,292 @@ let test_append_range () =
     [ (-1, 4); (0, -1); (60, 41); (101, 0) ];
   check Alcotest.int "nothing appended by a refused range" (Plog.tail_off c) (Plog.tail_off t);
   Nvm.crash ranged;
-  match Plog.attach ranged ~base:0 ~size:4096 with
+  match attach ranged ~base:0 ~size:4096 with
   | _, [ r ] ->
     check Alcotest.int "seq" 0 r.Plog.seq;
     check Alcotest.bytes "payload" (Bytes.sub frame pos len) r.Plog.payload
   | _, records -> Alcotest.failf "attach found %d records" (List.length records)
+
+(* ------------------------ differential ring scan ------------------------ *)
+
+(* The ring scan as it read the device before it read one copy of the data
+   area: every frame loaded through [read_wrapped], [resync] prechecking
+   each offset's fields from an area copy or, when a poisoned line fails
+   that copy, in place, and a salvage loop of its own.  Kept here as the
+   reference {!Plog.attach_scan} must agree with. *)
+module Ref = struct
+  type ring = { nvm : Nvm.t; db : int; dcap : int; head : int }
+
+  let read_wrapped r off len =
+    let s = off mod r.dcap in
+    if s + len <= r.dcap then Nvm.load_bytes r.nvm (r.db + s) len
+    else begin
+      let first = r.dcap - s in
+      let b = Bytes.create len in
+      Bytes.blit (Nvm.load_bytes r.nvm (r.db + s) first) 0 b 0 first;
+      Bytes.blit (Nvm.load_bytes r.nvm r.db (len - first)) 0 b first (len - first);
+      b
+    end
+
+  let frame_crc frame ~seq payload ~len =
+    Bytes.set_int64_le frame 0 (Int64.of_int len);
+    Bytes.set_int64_le frame 8 (Int64.of_int seq);
+    Checksum.chain (Checksum.crc32 frame 0 16) payload 0 len
+
+  let stored_crc frame = Int64.to_int (Bytes.get_int64_le frame 16) land 0xffffffff
+
+  let max_resync_gap = 64
+
+  let fields_in_range r ~scanned ~len ~seq ~min_seq =
+    len >= 0
+    && scanned + Plog.record_overhead + len <= r.dcap
+    && seq >= min_seq
+    && seq <= min_seq + max_resync_gap
+
+  let probe_frame r ~off ~min_seq =
+    let scanned = off - r.head in
+    if scanned + Plog.record_overhead > r.dcap then None
+    else
+      match read_wrapped r off Plog.record_overhead with
+      | exception Nvm.Media_error _ -> None
+      | frame ->
+        let len = Int64.to_int (Bytes.get_int64_le frame 0) in
+        let seq = Int64.to_int (Bytes.get_int64_le frame 8) in
+        let crc = stored_crc frame in
+        if not (fields_in_range r ~scanned ~len ~seq ~min_seq) then None
+        else begin
+          match read_wrapped r (off + Plog.record_overhead) len with
+          | exception Nvm.Media_error _ -> None
+          | payload ->
+            if frame_crc frame ~seq payload ~len <> crc then None
+            else Some { Plog.seq; payload; end_off = off + Plog.record_overhead + len }
+        end
+
+  let fields_plausible r fields ~s ~scanned ~min_seq =
+    match Nvm.load_into r.nvm (r.db + s) fields with
+    | exception Nvm.Media_error _ -> false
+    | () ->
+      let len = Int64.to_int (Bytes.get_int64_le fields 0) in
+      let seq = Int64.to_int (Bytes.get_int64_le fields 8) in
+      fields_in_range r ~scanned ~len ~seq ~min_seq
+
+  let resync r ~from ~min_seq =
+    let limit = r.head + r.dcap - Plog.record_overhead in
+    let fields = Bytes.create 16 in
+    let area = try Some (Nvm.load_bytes r.nvm r.db r.dcap) with Nvm.Media_error _ -> None in
+    let plausible s ~scanned =
+      match area with
+      | None -> fields_plausible r fields ~s ~scanned ~min_seq
+      | Some a ->
+        let len = Int64.to_int (Bytes.get_int64_le a s) in
+        let seq = Int64.to_int (Bytes.get_int64_le a (s + 8)) in
+        fields_in_range r ~scanned ~len ~seq ~min_seq
+    in
+    let rec go off s =
+      if off > limit then None
+      else if s + 16 <= r.dcap && not (plausible s ~scanned:(off - r.head)) then go (off + 1) (s + 1)
+      else
+        match probe_frame r ~off ~min_seq with
+        | Some rc -> Some (off, rc)
+        | None -> go (off + 1) (if s + 1 = r.dcap then 0 else s + 1)
+    in
+    go from (from mod r.dcap)
+
+  let lines_of_range r ~lo ~hi acc =
+    let ls = Nvm.line_size r.nvm in
+    let add acc addr_lo addr_hi =
+      let rec go l acc = if l * ls >= addr_hi then acc else go (l + 1) (l :: acc) in
+      go (addr_lo / ls) acc
+    in
+    let len = hi - lo in
+    if len <= 0 then acc
+    else begin
+      let s = lo mod r.dcap in
+      if s + len <= r.dcap then add acc (r.db + s) (r.db + s + len)
+      else
+        let first = r.dcap - s in
+        add (add acc (r.db + s) (r.db + s + first)) r.db (r.db + len - first)
+    end
+
+  let salvage_next_seq r =
+    let best = ref 0 in
+    for off = 0 to r.dcap - Plog.record_overhead do
+      match read_wrapped r off Plog.record_overhead with
+      | exception Nvm.Media_error _ -> ()
+      | frame ->
+        let len = Int64.to_int (Bytes.get_int64_le frame 0) in
+        let seq = Int64.to_int (Bytes.get_int64_le frame 8) in
+        let crc = stored_crc frame in
+        if len >= 0 && len <= r.dcap - Plog.record_overhead && seq > !best then begin
+          match read_wrapped r (off + Plog.record_overhead) len with
+          | exception Nvm.Media_error _ -> ()
+          | payload -> if frame_crc frame ~seq payload ~len = crc then best := seq
+        end
+    done;
+    !best + 1
+
+  (* The scan's verdicts: records, corrupted records, quarantined lines,
+     header lost, next seq and tail offset.  Reads only. *)
+  let scan nvm ~base ~size =
+    let r0 = { nvm; db = base + Plog.header_size; dcap = size - Plog.header_size; head = 0 } in
+    match Dudetm_log.Sealed.Image.read nvm ~off:base ~words:3 with
+    | Some [| m; head; head_seq |] when m = 0x44554445504C4F47L ->
+      let r = { r0 with head = Int64.to_int head } in
+      let rec walk tail seq records corrupted qlines =
+        match probe_frame r ~off:tail ~min_seq:seq with
+        | Some rc -> walk rc.Plog.end_off (rc.Plog.seq + 1) (rc :: records) corrupted qlines
+        | None -> (
+          match resync r ~from:(tail + 1) ~min_seq:(seq + 1) with
+          | None ->
+            let qlines = List.length (List.sort_uniq compare qlines) in
+            (List.rev records, corrupted, qlines, false, seq, tail)
+          | Some (at, rc) ->
+            walk rc.Plog.end_off (rc.Plog.seq + 1) (rc :: records)
+              (corrupted + (rc.Plog.seq - seq))
+              (lines_of_range r ~lo:tail ~hi:at qlines))
+      in
+      walk r.head (Int64.to_int head_seq) [] 0 []
+    | _ -> ([], 1, 0, true, salvage_next_seq r0, 0)
+end
+
+(* One damage to a crashed ring, after its appends and crash.  A planted
+   frame's length is [dcap - 24 + k] for [k <= 1] (the salvage bound and
+   one past it) or [k - 2]; its seq is the next one plus [q] for [q <
+   1000] (the resync window's edges among them), else [q] itself. *)
+type damage =
+  | Rot of int * int  (** flip bit [b] of data-area byte [pos] *)
+  | Poison_at of int  (** poison the line under data-area byte [pos]; -1 is the last *)
+  | Plant of int * int * int  (** seal a frame at slot [s], length kind [k], seq kind [q] *)
+  | Plant_tail of int * int
+      (** seal the next record at the tail, [d] bytes longer than fits, seq kind [q] *)
+  | Lose_header of bool  (** rot the header, or poison its line *)
+
+let gen_damage =
+  QCheck2.Gen.(
+    let seq_kind = oneof [ int_range (-2) 3; int_range 62 67; int_range 1000 1100 ] in
+    frequency
+      [
+        (3, map2 (fun p b -> Rot (p, b)) (int_bound 4095) (int_bound 7));
+        (3, map (fun p -> Poison_at p) (int_bound 4095));
+        (2, oneofl [ Poison_at 0; Poison_at (-1) ]);
+        ( 4,
+          map3
+            (fun s k q -> Plant (s, k, q))
+            (int_bound 4095)
+            (frequency [ (3, int_range (-1) 1); (2, int_range 2 42) ])
+            seq_kind );
+        (2, map2 (fun d q -> Plant_tail (d, q)) (int_range (-1) 1) seq_kind);
+        (2, map (fun b -> Lose_header b) bool);
+      ])
+
+(* Store [b] at monotone data-area offset [off], wrapped, and persist it. *)
+let store_wrapped nvm ~db ~dcap off b =
+  Bytes.iteri (fun i c -> Nvm.store_u8 nvm (db + ((off + i) mod dcap)) (Char.code c)) b;
+  Nvm.persist_all nvm
+
+(* Seal a [len]-byte frame with [seq] at monotone offset [off]: its payload
+   is whatever the ring holds there (for [len = dcap - 23], its own first
+   byte). *)
+let plant nvm ~db ~dcap off ~len ~seq =
+  let fields = Bytes.create 16 in
+  Bytes.set_int64_le fields 0 (Int64.of_int len);
+  Bytes.set_int64_le fields 8 (Int64.of_int seq);
+  store_wrapped nvm ~db ~dcap off fields;
+  let payload =
+    Bytes.init len (fun i -> Char.chr (Nvm.load_u8 nvm (db + ((off + 24 + i) mod dcap))))
+  in
+  let crc = Bytes.create 8 in
+  Checksum.set_slot crc 0 (Checksum.chain (Checksum.crc32 fields 0 16) payload 0 len);
+  store_wrapped nvm ~db ~dcap (off + 16) crc
+
+(* Random rings — several laps of appends and recycles, a torn tail left by
+   an evicting crash, then bit rot, poisoned clean lines (the first and
+   last lines of the area among them), frames planted at the length and
+   seq bounds, and a lost header — scanned by [Plog.attach_scan] and by
+   the reference reader: every verdict agrees. *)
+let prop_scan_matches_reference =
+  QCheck2.Test.make ~name:"plog: one-copy scan gives the direct reader's verdicts" ~count:1000
+    QCheck2.Gen.(
+      tup4
+        (pair (int_bound 24) (int_range 40 900))
+        (pair (list_size (int_range 1 40) (int_range 0 150)) (int_range 1 6))
+        (pair (int_bound 3) small_nat)
+        (list_size (int_bound 5) gen_damage))
+    (fun ((bw, dcap), (sizes, keep), (torn, seed), damage) ->
+      let nvm = device () in
+      let base = 8 * bw and size = Plog.header_size + dcap in
+      let db = base + Plog.header_size and ls = Nvm.line_size nvm in
+      let t = Plog.format nvm ~base ~size in
+      let live = Queue.create () in
+      let push i len ~persist =
+        (* Mostly zero payloads, so the zeroes the scan's copy holds for a
+           poisoned line can look intact. *)
+        let p =
+          Bytes.init len (fun j ->
+              if (i + j) mod 37 = 0 then Char.chr (1 + ((i * j) mod 250)) else '\000')
+        in
+        while
+          Queue.length live > 0
+          && (Plog.free_space t < Plog.record_overhead + len || Queue.length live > keep)
+        do
+          let seq, end_off = Queue.pop live in
+          Plog.recycle_to t ~end_off ~next_seq:(seq + 1)
+        done;
+        if Plog.free_space t >= Plog.record_overhead + len then begin
+          let r = append ~persist t p in
+          Queue.push (r.Plog.seq, r.Plog.end_off) live
+        end
+      in
+      List.iteri (fun i len -> push i len ~persist:true) sizes;
+      for i = 1 to torn do
+        push (100 + i) (17 * i) ~persist:false
+      done;
+      Nvm.crash ~evict_fraction:0.5 ~rng:(Rng.create seed) nvm;
+      let line pos = (db + (pos mod dcap)) / ls in
+      let seq q = if q < 1000 then Plog.next_seq t + q else q in
+      List.iter
+        (function
+          | Rot (pos, bit) -> Nvm.inject_fault nvm (Nvm.Bit_rot { off = db + (pos mod dcap); bit })
+          | Poison_at pos ->
+            Nvm.inject_fault nvm (Nvm.Poison { line = line (if pos < 0 then dcap - 1 else pos) })
+          | Plant (s, k, q) ->
+            let len = if k <= 1 then dcap - Plog.record_overhead + k else k - 2 in
+            if len >= 0 then plant nvm ~db ~dcap (s mod dcap) ~len ~seq:(seq q)
+          | Plant_tail (d, q) ->
+            let len = Plog.free_space t - Plog.record_overhead + d in
+            if len >= 0 then plant nvm ~db ~dcap (Plog.tail_off t) ~len ~seq:(seq q)
+          | Lose_header rot ->
+            Nvm.inject_fault nvm
+              (if rot then Nvm.Bit_rot { off = base + 8; bit = 0 }
+               else Nvm.Poison { line = base / ls }))
+        (* Frames are planted first: planting reads the ring. *)
+        (let plants, faults =
+           List.partition (function Plant _ | Plant_tail _ -> true | _ -> false) damage
+         in
+         plants @ faults);
+      let expected = Ref.scan nvm ~base ~size in
+      let t', scan = Plog.attach_scan nvm ~base ~size in
+      let got =
+        ( scan.Plog.records,
+          scan.Plog.corrupted_records,
+          scan.Plog.quarantined_lines,
+          scan.Plog.header_lost,
+          Plog.next_seq t',
+          Plog.tail_off t' )
+      in
+      let show (records, corrupted, qlines, lost, next_seq, tail) =
+        Printf.sprintf
+          "records [%s], corrupted %d, quarantined %d, header lost %b, next seq %d, tail %d"
+          (String.concat "; "
+             (List.map
+                (fun (r : Plog.record) ->
+                  Printf.sprintf "%d:%d@%d" r.Plog.seq (Bytes.length r.Plog.payload) r.Plog.end_off)
+                records))
+          corrupted qlines lost next_seq tail
+      in
+      if got <> expected then
+        QCheck2.Test.fail_reportf "attach_scan: %s\nreference:   %s" (show got) (show expected);
+      true)
 
 let suite =
   [
@@ -409,7 +688,6 @@ let suite =
     Alcotest.test_case "ring wraparound" `Quick test_wraparound;
     Alcotest.test_case "free-space accounting" `Quick test_free_space_accounting;
     Alcotest.test_case "append without space rejected" `Quick test_append_without_space_rejected;
-    Alcotest.test_case "attach requires formatted region" `Quick test_attach_bad_magic;
     Alcotest.test_case "crash before recycle re-exposes records" `Quick
       test_crash_before_header_persist_keeps_old_head;
     Alcotest.test_case "mid-ring corruption quarantined" `Quick
@@ -422,6 +700,7 @@ let suite =
       test_header_loss_reformats_with_salvaged_seq;
     QCheck_alcotest.to_alcotest prop_random_appends_survive;
     QCheck_alcotest.to_alcotest prop_wraparound_roundtrip;
+    QCheck_alcotest.to_alcotest prop_scan_matches_reference;
     Alcotest.test_case "straddling append stores the staged frame" `Quick
       test_straddling_append_matches_staged_frame;
     Alcotest.test_case "append allocates no frame" `Quick test_append_allocation_guard;

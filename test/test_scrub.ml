@@ -100,9 +100,10 @@ let test_repair_from_live_records () =
      re-covers the extent, so scrub replays it and reseals. *)
   let t = D.create scfg in
   let nvm = D.nvm t in
-  let plog, _ =
-    Plog.attach nvm ~base:(Config.plog_base scfg 0) ~size:scfg.Config.plog_size
+  let plog, scan =
+    Plog.attach_scan nvm ~base:(Config.plog_base scfg 0) ~size:scfg.Config.plog_size
   in
+  check Alcotest.bool "ring header intact" false scan.Plog.header_lost;
   let payload =
     Log_entry.encode_payload
       [ Log_entry.Write { addr = 512; value = 77L }; Log_entry.Tx_end { tid = 1 } ]

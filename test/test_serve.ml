@@ -267,10 +267,10 @@ let test_mutant_never_sheds () =
 (* ------------------------- log2 histograms ------------------------------- *)
 
 let test_log2_histogram () =
-  check Alcotest.int "bucket of 1" 0 (Stats.Latency.log2_bucket 1);
-  check Alcotest.int "bucket of 2" 1 (Stats.Latency.log2_bucket 2);
-  check Alcotest.int "bucket of 3" 1 (Stats.Latency.log2_bucket 3);
-  check Alcotest.int "bucket of 1000" 9 (Stats.Latency.log2_bucket 1000);
+  check Alcotest.int "bucket of 1" 0 (Dudetm_trace.Trace.bucket_of 1);
+  check Alcotest.int "bucket of 2" 1 (Dudetm_trace.Trace.bucket_of 2);
+  check Alcotest.int "bucket of 3" 1 (Dudetm_trace.Trace.bucket_of 3);
+  check Alcotest.int "bucket of 1000" 9 (Dudetm_trace.Trace.bucket_of 1000);
   let r = Stats.Latency.create () in
   List.iter (Stats.Latency.record r) [ 1; 2; 3; 1000 ];
   check
