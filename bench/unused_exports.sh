@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Inventory of exports no other module calls.
 #
-#   bench/unused_exports.sh            print the inventory
-#   bench/unused_exports.sh --check    diff it against bench/unused_exports.txt
-#   bench/unused_exports.sh --tests    print the exports only tests reach
+#   bench/unused_exports.sh                print the inventory
+#   bench/unused_exports.sh --check        diff it against bench/unused_exports.txt
+#   bench/unused_exports.sh --tests        print the exports only tests reach
+#   bench/unused_exports.sh --check-tests  diff those against bench/test_only_exports.txt
 #
 # Prints every `val` declared in lib/**/*.mli that nothing references
 # outside its own module, as "Module.name" (a val inside a nested module
@@ -26,9 +27,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 mode=${1:-print}
 case "$mode" in
-print | --check | --tests) ;;
+print | --check | --tests | --check-tests) ;;
 *)
-    echo "usage: $0 [--check | --tests]" >&2
+    echo "usage: $0 [--check | --tests | --check-tests]" >&2
     exit 2
     ;;
 esac
@@ -166,10 +167,14 @@ for f, top, subs, name in decls:
 
 for u in sorted(set(unused)):
     print(u)
-' "$mode"
+' "$1"
 }
-if [ "$mode" = --check ]; then
-    diff -u --label bench/unused_exports.txt --label source bench/unused_exports.txt <(inventory | LC_ALL=C sort)
-else
-    inventory | LC_ALL=C sort
-fi
+# Diffs the committed file $1 against the inventory of kind $2.
+check() {
+    diff -u --label "$1" --label source "$1" <(inventory "$2" | LC_ALL=C sort)
+}
+case "$mode" in
+--check) check bench/unused_exports.txt print ;;
+--check-tests) check bench/test_only_exports.txt --tests ;;
+*) inventory "$mode" | LC_ALL=C sort ;;
+esac

@@ -276,8 +276,8 @@ let check_cmd =
       value
       & vflag None
           [
-            ( Some Check.Quick,
-              info [ "quick" ] ~doc:"Use the bounded budget, ignoring DUDETM_CHECK_*." );
+            ( Some (Check.Scaled 1),
+              info [ "quick" ] ~doc:"Use the base budget, ignoring DUDETM_CHECK_*." );
             (Some Check.Deep, info [ "deep" ] ~doc:"Use the deep exploration budget.");
           ])
   in

@@ -40,7 +40,6 @@ type t = {
   stm : K.t;
   allocator : Alloc.t;
   log_cursor : int array;  (* bytes used in each thread's log region *)
-  dirty_data : (int, unit) Hashtbl.t;  (* heap words updated since last truncation *)
   (* The version clock advances when a commit {e starts} (so concurrent
      committers draw distinct versions), but a transaction is only durable
      once its record's commit mark is sealed.  [durable] is the largest
@@ -74,7 +73,6 @@ let create cfg =
         { Tm_intf.load = Nvm.load_u64 nvm; store = Nvm.store_u64 nvm };
     allocator = Alloc.create ~base:Config.root_size ~size:(cfg.heap_size - Config.root_size);
     log_cursor = Array.make cfg.nthreads 0;
-    dirty_data = Hashtbl.create 4096;
     durable = 0;
     sealed = Hashtbl.create 64;
   }
@@ -92,13 +90,17 @@ let mwrite t w addr value =
   Stats.incr t.stm.K.stats "writes";
   K.wb_write w addr value
 
+(* One ordering over the whole heap.  Only in-place applies and
+   recovery's replay store to the heap, so its dirty lines are exactly the
+   lines those stores dirtied since the last such ordering or crash: the
+   device flushes them, in ascending line order, and charges their bytes. *)
+let persist_heap t = Nvm.persist t.nvm ~off:0 ~len:t.cfg.heap_size
+
 (* Redo-log record ({!Word_record}): 16 bytes per (addr, value) pair, plus
    a 16-byte header/commit mark.  When the region fills up we must make the
    in-place data durable and truncate. *)
 let truncate_log t thread =
-  let ranges = Hashtbl.fold (fun addr () acc -> (addr, 8) :: acc) t.dirty_data [] in
-  Nvm.persist_ranges t.nvm ranges;
-  Hashtbl.reset t.dirty_data;
+  persist_heap t;
   (* Make the recycled records unreachable before reusing the region: a
      zeroed first header stops the recovery scan. *)
   Nvm.store_u64 t.nvm (log_base t thread) 0L;
@@ -141,11 +143,7 @@ let persist_and_apply t ~thread (w : K.wb) wv =
   Trace.span_end ~cat:"persist" "log_persist";
   (* Apply in place; these stores may linger in cache (the log covers
      them). *)
-  List.iter
-    (fun addr ->
-      Nvm.store_u64 t.nvm addr (Hashtbl.find w.wbuf addr);
-      Hashtbl.replace t.dirty_data addr ())
-    w.worder
+  List.iter (fun addr -> Nvm.store_u64 t.nvm addr (Hashtbl.find w.wbuf addr)) w.worder
 
 (* A record that cannot fit the log region even after truncation is
    rejected before any stripe is locked or any version drawn, so a failed
@@ -249,17 +247,10 @@ let recover t =
     scan 0
   done;
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) !records in
-  let ranges = ref [] in
   List.iter
-    (fun (_, writes) ->
-      List.iter
-        (fun (addr, value) ->
-          Nvm.store_u64 t.nvm addr value;
-          ranges := (addr, 8) :: !ranges)
-        writes)
+    (fun (_, writes) -> List.iter (fun (addr, value) -> Nvm.store_u64 t.nvm addr value) writes)
     sorted;
-  Nvm.persist_ranges t.nvm !ranges;
-  Hashtbl.reset t.dirty_data;
+  persist_heap t;
   for thread = 0 to t.cfg.nthreads - 1 do
     Nvm.store_u64 t.nvm (log_base t thread) 0L;
     Nvm.persist t.nvm ~off:(log_base t thread) ~len:8;

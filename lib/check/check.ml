@@ -21,7 +21,7 @@ exception Failed of string
 
 let fail reason = raise (Failed reason)
 
-type budget = Smoke | Quick | Scaled of int | Deep
+type budget = Smoke | Scaled of int | Deep
 
 (* Unset or empty selects the default; any other value must be valid. *)
 let budget_of_env () =
@@ -37,7 +37,7 @@ let budget_of_env () =
   if deep = Some "1" then Deep else Scaled (Option.fold ~none:1 ~some:int_of_string scale)
 
 (* Power cuts per clean run for the cut-sweep campaigns. *)
-let cut_sites = function Deep -> 600 | Scaled m -> 60 * m | Smoke | Quick -> 60
+let cut_sites = function Deep -> 600 | Scaled m -> 60 * m | Smoke -> 60
 
 type params = (string * string) list
 
@@ -476,7 +476,7 @@ type explore_budget = {
   exhaustive_depth : int;
 }
 
-let rec explore_budget = function
+let explore_budget = function
   | Smoke ->
     {
       crash_sites = 25;
@@ -485,7 +485,6 @@ let rec explore_budget = function
       exhaustive_runs = 12;
       exhaustive_depth = 5;
     }
-  | Quick -> explore_budget (Scaled 1)
   | Scaled m ->
     {
       crash_sites = 40 * m;
@@ -746,7 +745,7 @@ type recovery_budget = {
 }
 
 let recovery_budget = function
-  | Smoke | Quick ->
+  | Smoke ->
     {
       rec_seeds = 1;
       rec_attach_sites = 16;
@@ -872,7 +871,7 @@ let daemons_plan budget at _ =
       point
         (set "daemon-seed" (string_of_int s) at)
         ~single:(fun c -> [ 1 + (s * 7919 mod max 1 c) ]))
-    (Seq.init (match budget with Smoke | Quick -> 2 | _ -> 4) succ)
+    (Seq.init (match budget with Smoke -> 2 | _ -> 4) succ)
 
 (* A sweep in which no daemon ever restarted proves nothing. *)
 let daemons_post tallies =

@@ -47,8 +47,9 @@
 
 type budget =
   | Smoke  (** the bounded numbers of the test suite *)
-  | Quick  (** [dudetm check --quick]: the base numbers, environment ignored *)
-  | Scaled of int  (** the base numbers times [n] *)
+  | Scaled of int
+      (** the base numbers times [n]; [dudetm check --quick] runs [Scaled 1],
+          environment ignored *)
   | Deep  (** [dudetm check --deep] *)
 
 val budget_of_env : unit -> budget

@@ -105,24 +105,28 @@ type area = { img : bytes; bad : (int * int) list }
 
 let read_area t =
   let dcap = t.dcap and db = data_base t in
-  let area, bad =
-    try (Nvm.load_bytes t.nvm db dcap, [])
+  let img = Bytes.create (2 * dcap) in
+  let bad =
+    try
+      Nvm.load_sub t.nvm db img ~pos:0 ~len:dcap;
+      []
     with Nvm.Media_error _ ->
-      let area = Bytes.make dcap '\000' and ls = Nvm.line_size t.nvm in
+      let ls = Nvm.line_size t.nvm in
       let rec lines lo bad =
         if lo >= dcap then bad
         else
           let hi = min dcap ((((db + lo) / ls) + 1) * ls - db) in
           lines hi
-            (match Nvm.load_bytes t.nvm (db + lo) (hi - lo) with
-            | b ->
-              Bytes.blit b 0 area lo (hi - lo);
-              bad
-            | exception Nvm.Media_error _ -> (lo, hi) :: bad)
+            (match Nvm.load_sub t.nvm (db + lo) img ~pos:lo ~len:(hi - lo) with
+            | () -> bad
+            | exception Nvm.Media_error _ ->
+              Bytes.fill img lo (hi - lo) '\000';
+              (lo, hi) :: bad)
       in
-      (area, lines 0 [])
+      lines 0 []
   in
-  { img = Bytes.cat area area; bad }
+  Bytes.blit img 0 img dcap dcap;
+  { img; bad }
 
 let field a s = Int64.to_int (Bytes.get_int64_le a.img s)
 

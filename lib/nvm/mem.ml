@@ -29,5 +29,3 @@ let get_sub t off b ~pos ~len = Bytes.blit t off b pos len
 let set_sub t off b ~pos ~len = Bytes.blit b pos t off len
 
 let blit ~src ~src_off ~dst ~dst_off ~len = Bytes.blit src src_off dst dst_off len
-
-let fill t off len c = Bytes.fill t off len c

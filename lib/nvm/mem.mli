@@ -38,5 +38,3 @@ val set_sub : t -> int -> bytes -> pos:int -> len:int -> unit
     [off]. *)
 
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
-
-val fill : t -> int -> int -> char -> unit

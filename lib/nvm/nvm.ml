@@ -16,8 +16,8 @@ type fault =
    image only on dirty lines, and for each of those the device keeps the
    line's persisted pre-image: the bytes the first store since the line's
    last flush overwrote.  Pre-images sit in [pre], an arena of line-sized
-   slots that flushes hand back through the [free] stack; the dirty table
-   maps each dirty line to its slot.
+   slots that flushes hand back through the [free] stack; [slots] holds
+   each dirty line's slot, 4 bytes a line.
 
    Dirty state is tracked per cache line (the granularity of eviction and
    crash survival), but each line also remembers how many payload bytes
@@ -25,17 +25,15 @@ type fault =
    accounting uses those byte counts — the paper's emulation charges
    [total write size / bandwidth], not whole-line traffic.  The counts live
    in a flat table, one byte per line (0 = clean), so a store to an
-   already-dirty line allocates nothing.  A line joins [dirty] when it
-   turns dirty and leaves it at its flush.  It stays a [Hashtbl]
-   because [crash ~evict_fraction] draws each dirty line's survival from
-   the seeded RNG in the table's fold order; another container would fold
-   in another order and change which lines survive a replayed crash. *)
+   already-dirty line allocates nothing; that table is the one record of
+   which lines are dirty, and [ndirty] counts its nonzero entries. *)
 type t = {
   cfg : Pmem_config.t;
   label : string;  (* trace device identity; shards label theirs "shard<i>" *)
   image : Mem.t;
   dirty_bytes : Bytes.t;  (* per line: payload bytes stored since its flush *)
-  dirty : (int, int) Hashtbl.t;  (* each line with a nonzero count -> its pre-image slot *)
+  slots : Bytes.t;  (* per dirty line: its pre-image slot, 4 bytes a line *)
+  mutable ndirty : int;  (* lines with a nonzero count *)
   mutable pre : Mem.t;  (* pre-image slots, [line_size] bytes each *)
   mutable free : int array;  (* slots handed back, a stack of [nfree] *)
   mutable nfree : int;
@@ -73,7 +71,8 @@ let create ?(charge_time = true) ?(label = "nvm") cfg ~size =
     label;
     image = Mem.create size;
     dirty_bytes = Bytes.make (size / ls) '\000';
-    dirty = Hashtbl.create 4096;
+    slots = Bytes.create (size / ls * 4);
+    ndirty = 0;
     pre = Mem.create (slots0 * ls);
     free = Array.make slots0 0;
     nfree = 0;
@@ -107,8 +106,10 @@ let is_dirty t l = dirty_count t l > 0
 
 let slot_off t slot = slot * t.cfg.Pmem_config.line_size
 
+let slot_of t l = Int32.to_int (Bytes.get_int32_le t.slots (4 * l))
+
 (* Where the persisted copy of byte [off] of dirty line [l] sits in [pre]. *)
-let pre_off t l off = slot_off t (Hashtbl.find t.dirty l) + off - (l * t.cfg.Pmem_config.line_size)
+let pre_off t l off = slot_off t (slot_of t l) + off - (l * t.cfg.Pmem_config.line_size)
 
 (* Take a slot (a freed one first) and copy line [l]'s image into it: called
    before the first store since the line's flush lands. *)
@@ -217,7 +218,10 @@ let mark_dirty t off len =
   for l = first to last do
     let lo = max off (l * ls) and hi = min (off + len) ((l + 1) * ls) in
     let c = dirty_count t l in
-    if c = 0 then Hashtbl.add t.dirty l (save_pre_image t l);
+    if c = 0 then begin
+      Bytes.set_int32_le t.slots (4 * l) (Int32.of_int (save_pre_image t l));
+      t.ndirty <- t.ndirty + 1
+    end;
     Bytes.set_uint8 t.dirty_bytes l (min ls (c + hi - lo))
   done
 
@@ -230,17 +234,12 @@ let store_u64 t addr v =
   mark_dirty t addr 8;
   Mem.set_u64 t.image addr v
 
-let load_u8 t addr =
-  check_poison_load t addr 1;
-  Mem.get_u8 t.image addr
+let load_sub t off b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Nvm.load_sub";
+  check_poison_load t off len;
+  Mem.get_sub t.image off b ~pos ~len
 
-let store_u8 t addr v =
-  mark_dirty t addr 1;
-  Mem.set_u8 t.image addr v
-
-let load_into t off dst =
-  check_poison_load t off (Bytes.length dst);
-  Mem.get_into t.image off dst
+let load_into t off dst = load_sub t off dst ~pos:0 ~len:(Bytes.length dst)
 
 let load_bytes t off len =
   let b = Bytes.create len in
@@ -267,7 +266,7 @@ let store_bytes t off b = store_sub t off b ~pos:0 ~len:(Bytes.length b)
 let flush_line t l =
   let ls = t.cfg.Pmem_config.line_size in
   let payload = dirty_count t l in
-  let slot = Hashtbl.find t.dirty l in
+  let slot = slot_of t l in
   if Hashtbl.length t.stuck > 0 && Hashtbl.mem t.stuck l then
     (* Stuck-at line: the write reaches the device but never sticks; a
        subsequent media read returns the stale content, so reload the cache
@@ -278,7 +277,7 @@ let flush_line t l =
        uncorrectable location by writing fresh data over it). *)
     Hashtbl.remove t.poisoned l;
   free_slot t slot;
-  Hashtbl.remove t.dirty l;
+  t.ndirty <- t.ndirty - 1;
   Bytes.set_uint8 t.dirty_bytes l 0;
   t.write_bytes <- t.write_bytes + payload;
   payload
@@ -328,32 +327,32 @@ let persist_words t addrs n =
   done;
   charge t !bytes
 
-let persist_all t = persist t ~off:0 ~len:(size t)
+let dirty_lines t = t.ndirty
 
-let dirty_lines t = Hashtbl.length t.dirty
-
+(* Evicted lines reach NVM without any ordering guarantee; the subset
+   choice is the adversarial part.  One pass in ascending line order, up to
+   the last dirty line, draws each dirty line's survival, then flushes it
+   or gives it its pre-image back. *)
 let crash ?(evict_fraction = 0.0) ?rng t =
-  (match rng with
-  | Some rng when evict_fraction > 0.0 ->
-    let survivors =
-      Hashtbl.fold
-        (fun l _ acc -> if Rng.float rng < evict_fraction then l :: acc else acc)
-        t.dirty []
-    in
-    (* Evicted lines reach NVM without any ordering guarantee; the subset
-       choice is the adversarial part. *)
-    let survivors = List.sort compare survivors in
-    List.iter (fun l -> ignore (flush_line t l)) survivors;
-    t.last_crash_survivors <- survivors
-  | _ -> t.last_crash_survivors <- []);
-  (* Every line still dirty loses its cached bytes: its pre-image comes back. *)
+  let draw = match rng with Some rng when evict_fraction > 0.0 -> Some rng | _ -> None in
   let ls = t.cfg.Pmem_config.line_size in
-  Hashtbl.iter
-    (fun l slot ->
-      Mem.blit ~src:t.pre ~src_off:(slot_off t slot) ~dst:t.image ~dst_off:(l * ls) ~len:ls;
-      Bytes.set_uint8 t.dirty_bytes l 0)
-    t.dirty;
-  Hashtbl.reset t.dirty;
+  let survivors = ref [] and left = ref t.ndirty and l = ref 0 in
+  while !left > 0 do
+    if is_dirty t !l then begin
+      decr left;
+      match draw with
+      | Some rng when Rng.float rng < evict_fraction ->
+        ignore (flush_line t !l);
+        survivors := !l :: !survivors
+      | _ ->
+        Mem.blit ~src:t.pre ~src_off:(slot_off t (slot_of t !l)) ~dst:t.image ~dst_off:(!l * ls)
+          ~len:ls;
+        Bytes.set_uint8 t.dirty_bytes !l 0
+    end;
+    incr l
+  done;
+  t.last_crash_survivors <- List.rev !survivors;
+  t.ndirty <- 0;
   t.nfree <- 0;
   t.nslots <- 0;
   Resource.reset t.channel
@@ -373,7 +372,7 @@ let persisted_into t off dst =
   let len = Bytes.length dst in
   check_poison_media t off len;
   Mem.get_into t.image off dst;
-  if len > 0 && Hashtbl.length t.dirty > 0 then begin
+  if len > 0 && t.ndirty > 0 then begin
     let ls = t.cfg.Pmem_config.line_size in
     for l = line t off to line t (off + len - 1) do
       if is_dirty t l then begin
@@ -387,11 +386,6 @@ let persisted_bytes t off len =
   let b = Bytes.create len in
   persisted_into t off b;
   b
-
-let persisted_bytes_equal t off b =
-  let len = Bytes.length b in
-  if off < 0 || off + len > size t then false
-  else Bytes.equal (persisted_bytes t off len) b
 
 let persisted_write_bytes t = t.write_bytes
 

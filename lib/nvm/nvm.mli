@@ -95,19 +95,19 @@ val load_u64 : t -> int -> int64
 
 val store_u64 : t -> int -> int64 -> unit
 
-val load_u8 : t -> int -> int
-
-val store_u8 : t -> int -> int -> unit
-
 val load_bytes : t -> int -> int -> bytes
 (** [load_bytes t off len] is a fresh buffer filled by {!load_into}. *)
 
 val load_into : t -> int -> bytes -> unit
-(** [load_into t off dst] fills all of [dst] with the image at
-    [\[off, off + Bytes.length dst)], as a CPU load would see it: a dirty
-    line is served from the cache, so only a poisoned {e clean} line raises
-    {!Media_error} (before [dst] is touched).  Lets a caller reuse one
-    buffer per read. *)
+(** [load_into t off dst] is {!load_sub} into all of [dst].  Lets a caller
+    reuse one buffer per read. *)
+
+val load_sub : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [load_sub t off b ~pos ~len] fills [b]'s bytes [\[pos, pos + len)]
+    with the image at [\[off, off + len)], as a CPU load would see it: a
+    dirty line is served from the cache, so only a poisoned {e clean} line
+    raises {!Media_error} (before [b] is touched).  The mirror of
+    {!store_sub}. *)
 
 val load_into_mem : t -> int -> Mem.t -> dst_off:int -> len:int -> unit
 (** [load_into_mem t off dst ~dst_off ~len] copies the image at
@@ -132,8 +132,6 @@ val persist : t -> off:int -> len:int -> unit
     [max(persist_latency, dirty_bytes / bandwidth)] cycles, with the
     bandwidth component serialized across all users of the device. *)
 
-val persist_all : t -> unit
-
 val persist_ranges : t -> (int * int) list -> unit
 (** [persist_ranges t ranges] flushes every dirty line covered by any of the
     [(off, len)] ranges under a {e single} persist ordering: one latency,
@@ -147,11 +145,8 @@ val persist_words : t -> int array -> int -> unit
 
 val dirty_lines : t -> int
 (** Number of lines currently dirty (not yet persisted).  Each line's
-    dirty byte count sits in a flat per-line table, so storing into an
-    already-dirty line allocates nothing; the dirty lines also form a
-    [Hashtbl] from line to pre-image slot, kept because {!crash}'s seeded
-    eviction draws walk it in its fold order, which a replayed crash must
-    reproduce. *)
+    dirty byte count and pre-image slot sit in flat per-line tables, so
+    storing into an already-dirty line allocates nothing. *)
 
 val set_persist_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a callback fired at every persist boundary: once when
@@ -169,8 +164,11 @@ val crash : ?evict_fraction:float -> ?rng:Dudetm_sim.Rng.t -> t -> unit
 (** Simulate a power failure: each dirty line independently survives with
     probability [evict_fraction] (default 0 — none survive, the adversarial
     tests sweep this), then all volatile state is discarded: every other
-    dirty line gets its pre-image back.  Media faults (poison, stuck lines)
-    persist across the crash. *)
+    dirty line gets its pre-image back.  The survivors are drawn from [rng]
+    one dirty line at a time in ascending line order, so they depend only
+    on the set of dirty lines and the seed, never on the order the lines
+    turned dirty.  Media faults (poison, stuck lines) persist across the
+    crash. *)
 
 val last_crash_survivors : t -> int list
 (** The dirty lines that leaked into the persisted content during the most
@@ -192,9 +190,6 @@ val persisted_into : t -> int -> bytes -> unit
     at [\[off, off + Bytes.length dst)].  Raises {!Media_error} (before
     [dst] is touched) if any covered line is poisoned, dirty or not: the
     read goes to the media. *)
-
-val persisted_bytes_equal : t -> int -> bytes -> bool
-(** [persisted_bytes_equal t off b] checks the persisted content against [b]. *)
 
 (** {1 Accounting} *)
 

@@ -36,8 +36,6 @@ let observe t ~depth ~pressure =
     end);
   t.state
 
-let admits t ~depth ~pressure = observe t ~depth ~pressure = Open
-
 let state t = t.state
 
 let trips t = t.trips

@@ -18,11 +18,9 @@ val create : trip:int -> untrip:int -> t
 (** Raises {!Invalid_admission} unless [0 <= untrip < trip]. *)
 
 val observe : t -> depth:int -> pressure:bool -> state
-(** Feed one observation and return the (possibly updated) state. *)
-
-val admits : t -> depth:int -> pressure:bool -> bool
-(** [observe t ... = Open].  The write-admission decision: [false] means
-    shed with a typed [Overloaded] reply instead of queueing. *)
+(** Feed one observation and return the (possibly updated) state: the
+    write-admission decision.  [Shedding] means shed with a typed
+    [Overloaded] reply instead of queueing. *)
 
 val state : t -> state
 

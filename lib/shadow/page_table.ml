@@ -25,10 +25,6 @@ let frames t = Array.length t.frame_to_page
 
 let frame_of t page = t.page_to_frame.(page)
 
-let page_of_frame t frame =
-  let p = t.frame_to_page.(frame) in
-  if p < 0 then None else Some p
-
 let resident t = t.resident
 
 let map t ~page ~frame =

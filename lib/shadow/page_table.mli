@@ -13,8 +13,6 @@ val frame_of : t -> int -> int
     resident: the lookup every shadow access makes, so it allocates no
     option. *)
 
-val page_of_frame : t -> int -> int option
-
 val resident : t -> int
 (** Number of mapped frames. *)
 

@@ -167,15 +167,4 @@ let set_touching t ~page ~tid =
 
 let touching t ~page = t.touching_id.(page)
 
-let clear t =
-  for f = 0 to t.cfg.frames - 1 do
-    (match Page_table.page_of_frame t.pt f with
-    | Some _ -> Page_table.unmap_frame t.pt f
-    | None -> ());
-    t.refcount.(f) <- 0
-  done;
-  Array.fill t.touching_id 0 t.npages 0;
-  List.iter Sched.signal t.applied_on;
-  Mem.fill t.dram 0 (Mem.size t.dram) '\000'
-
 let stats t = t.stats

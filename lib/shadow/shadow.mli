@@ -91,11 +91,6 @@ val set_touching : t -> page:int -> tid:int -> unit
 
 val touching : t -> page:int -> int
 
-(** {1 Crash} *)
-
-val clear : t -> unit
-(** Drop all shadow contents and mappings (DRAM does not survive a crash). *)
-
 (** {1 Maintenance and statistics} *)
 
 val stats : t -> Dudetm_sim.Stats.t

@@ -173,45 +173,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           Sh.write tx ~shard:s off v;
           v)
 
-  let read_key t ~thread key =
-    if key < 0 || key >= t.nkeys then invalid_arg "Migrate: key out of range";
-    let s = Partition.shard_of t.part (Int64.of_int key) in
-    match
-      Sh.atomically t.sh ~thread ~shards:[ s ] (fun tx ->
-          Sh.read tx ~shard:s (t.slot_of key))
-    with
-    | Some (v, _) -> v
-    | None -> assert false
-
-  (* Snapshot read of one key, routed through the epoch-stamped partition
-     descriptor.  During the Copy double-write window the descriptor still
-     names the source, which stays authoritative until the flip — so a
-     snapshot reader needs no double-read and no window bookkeeping.  The
-     routing decision is re-checked after the snapshot finishes: snapshot
-     readers are invisible to the flip's quiesce (they hold no stripes and
-     are not counted in [range_active]), so a flip can move the key while
-     the read is in flight, after which cleanup may zero the source slot.
-     Routing only ever changes at a flip, and a flip bumps the descriptor;
-     if the owner shard changed under us, the value may be from the wrong
-     side of the flip — retry on the new owner. *)
-  let read_key_ro ?durable t ~thread key =
-    if key < 0 || key >= t.nkeys then invalid_arg "Migrate: key out of range";
-    let rec go () =
-      let s = Partition.shard_of t.part (Int64.of_int key) in
-      match
-        Sh.atomically_ro ?durable t.sh ~thread ~shard:s (fun tx ->
-            Sh.read tx ~shard:s (t.slot_of key))
-      with
-      | Some (v, epoch) ->
-        if Partition.shard_of t.part (Int64.of_int key) = s then (v, epoch)
-        else begin
-          Stats.incr (Sh.stats t.sh) "ro_reroutes";
-          go ()
-        end
-      | None -> assert false
-    in
-    go ()
-
   (* ------------------------------------------------------------------ *)
   (* The migration itself                                                *)
   (* ------------------------------------------------------------------ *)

@@ -75,19 +75,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       the double-write window.  Blocks while a flip is sealing the key's
       range.  Returns the written value and the ack to wait on. *)
 
-  val read_key : t -> thread:int -> int -> int64
-
-  val read_key_ro : ?durable:bool -> t -> thread:int -> int -> int64 * int
-  (** Read-only snapshot read of one key ({!Sh.atomically_ro} on its
-      owner), routed through the epoch-stamped partition descriptor; the
-      source shard stays authoritative throughout the Copy double-write
-      window.  If a flip moves the key while the snapshot is in flight
-      (snapshot readers are invisible to the flip's quiesce), the read is
-      retried on the new owner — counted as ["ro_reroutes"] in
-      [Sh.stats].  Returns the value and the snapshot epoch on the owner
-      shard; with [~durable:true] the epoch pins at that shard's vector
-      watermark entry. *)
-
   (** {1 Driving a migration} *)
 
   val begin_migration : t -> src:int -> dst:int -> blo:int -> bhi:int -> unit

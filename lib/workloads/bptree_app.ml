@@ -183,21 +183,6 @@ let insert_tx t (tx : Ptm.tx) ~key ~value =
   in
   descend root
 
-let delete_tx t (tx : Ptm.tx) ~key =
-  let read = tx.Ptm.read and write = tx.Ptm.write in
-  let root = Int64.to_int (read t.root_ptr) in
-  let leaf, n = find_leaf read root key in
-  let pos = lower_bound read leaf n key in
-  if pos < n && read (key_addr leaf pos) = key then begin
-    for i = pos to n - 2 do
-      write (key_addr leaf i) (read (key_addr leaf (i + 1)));
-      write (slot_addr leaf i) (read (slot_addr leaf (i + 1)))
-    done;
-    write leaf (header_of ~leaf:true ~n:(n - 1));
-    true
-  end
-  else false
-
 (* Fold over bindings with lo <= key <= hi, in key order, following the
    leaf chain. *)
 let fold_range_tx t (tx : Ptm.tx) ~lo ~hi ~init ~f =
@@ -222,21 +207,6 @@ let fold_range_tx t (tx : Ptm.tx) ~lo ~hi ~init ~f =
   in
   walk leaf init
 
-let min_binding_tx t (tx : Ptm.tx) =
-  let read = tx.Ptm.read in
-  let rec leftmost node =
-    let h = read node in
-    if is_leaf h then node else leftmost (Int64.to_int (read (slot_addr node 0)))
-  in
-  let rec first_nonempty leaf =
-    if leaf = 0 then None
-    else
-      let h = read leaf in
-      if nkeys h > 0 then Some (read (key_addr leaf 0), read (slot_addr leaf 0))
-      else first_nonempty (Int64.to_int (read (next_addr leaf)))
-  in
-  first_nonempty (leftmost (Int64.to_int (read t.root_ptr)))
-
 let run_tx t ~thread f =
   match t.ptm.Ptm.atomically ~thread f with Some (r, _) -> r | None -> assert false
 
@@ -245,8 +215,6 @@ let insert t ~thread ~key ~value = run_tx t ~thread (fun tx -> insert_tx t tx ~k
 let lookup t ~thread ~key = run_tx t ~thread (fun tx -> lookup_tx t tx ~key)
 
 let update t ~thread ~key ~value = run_tx t ~thread (fun tx -> update_tx t tx ~key ~value)
-
-let delete t ~thread ~key = run_tx t ~thread (fun tx -> delete_tx t tx ~key)
 
 (* --------------------------- test support --------------------------- *)
 

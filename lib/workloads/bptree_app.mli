@@ -6,9 +6,7 @@
     API, so operations compose into larger transactions (TPC-C updates
     several trees atomically).
 
-    Deletion is implemented without rebalancing (keys are removed from
-    leaves; underfull nodes persist), which matches the insert/update-only
-    workloads of the paper and keeps recovery invariants simple.
+    There is no deletion: the paper's workloads insert and update only.
 
     Not supported on static-transaction systems (NVML): the paper likewise
     omits B+-tree results for NVML. *)
@@ -46,8 +44,6 @@ val fold_range_tx :
 (** Fold over the bindings with [lo <= key <= hi] in ascending key order
     (YCSB scan operations). *)
 
-val min_binding_tx : t -> Dudetm_baselines.Ptm_intf.tx -> (int64 * int64) option
-
 (** {1 Whole-transaction conveniences} *)
 
 val insert : t -> thread:int -> key:int64 -> value:int64 -> unit
@@ -55,8 +51,6 @@ val insert : t -> thread:int -> key:int64 -> value:int64 -> unit
 val lookup : t -> thread:int -> key:int64 -> int64 option
 
 val update : t -> thread:int -> key:int64 -> value:int64 -> bool
-
-val delete : t -> thread:int -> key:int64 -> bool
 
 (** {1 Test support} *)
 

@@ -24,13 +24,6 @@ let setup ptm ~records ~theta ?(read_fraction = 0.5) () =
     order;
   t
 
-let transaction t ~thread ~rng =
-  let rank = Zipf.sample t.zipf rng in
-  let key = key_of rank in
-  if Rng.float rng < t.read_fraction then ignore (Bptree_app.lookup t.tree ~thread ~key)
-  else
-    ignore (Bptree_app.update t.tree ~thread ~key ~value:(Int64.logand (Rng.next_int64 rng) 0xFFFFFFFL))
-
 let update_only t ~thread ~rng =
   let rank = Zipf.sample t.zipf rng in
   ignore

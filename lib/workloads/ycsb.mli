@@ -17,14 +17,14 @@ val setup :
   t
 (** Loads keys [1..records]. *)
 
-val transaction : t -> thread:int -> rng:Dudetm_sim.Rng.t -> unit
-
 val update_only : t -> thread:int -> rng:Dudetm_sim.Rng.t -> unit
 (** One update transaction (Figure 4's workload). *)
 
 val transaction_tid : t -> thread:int -> rng:Dudetm_sim.Rng.t -> int
-(** Like {!transaction}, but reports the commit ID (0 for reads) so the
-    caller can track durability acknowledgement latency. *)
+(** One session-store transaction: a lookup with probability
+    [read_fraction], else an update of a Zipfian key.  Returns the commit
+    ID (0 for reads) so the caller can track durability acknowledgement
+    latency. *)
 
 (** {1 Standard YCSB core workloads (extension beyond the paper)} *)
 

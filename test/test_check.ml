@@ -111,7 +111,7 @@ let test_sched_spec_roundtrip () =
 
 (* The one budget reader honours DUDETM_CHECK_BUDGET. *)
 let test_budget_knob () =
-  let base = Check.explore_budget Check.Quick in
+  let base = Check.explore_budget (Check.Scaled 1) in
   Unix.putenv "DUDETM_CHECK_BUDGET" "2";
   let scaled = Check.explore_budget (Check.budget_of_env ()) in
   Unix.putenv "DUDETM_CHECK_BUDGET" "";

@@ -12,6 +12,10 @@ module Dh = Dudetm_core.Dudetm.Make (Dudetm_tm.Htm)
 
 let check = Alcotest.check
 
+(* Invert the byte at [off] in the image; the caller persists it. *)
+let flip_byte nvm off =
+  Nvm.store_bytes nvm off (Bytes.map (fun c -> Char.chr (Char.code c lxor 0xff)) (Nvm.load_bytes nvm off 1))
+
 let small_cfg ?(nthreads = 3) ?(mode = Config.Async) ?(vlog_capacity = 512)
     ?(plog_size = 1 lsl 14) ?(persist = Config.default.Config.persist) ?shadow_frames () =
   {
@@ -475,7 +479,7 @@ let prop_torn_tail_recovery =
               base + Dudetm_log.Plog.header_size
               + ((last.Dudetm_log.Plog.end_off - 1) mod dcap)
             in
-            Nvm.store_u8 nvm off (Nvm.load_u8 nvm off lxor 0xff);
+            flip_byte nvm off;
             Nvm.persist nvm ~off ~len:1
           | r :: rest ->
             List.iter (fun tid -> surviving := IS.add tid !surviving) (record_tids r);

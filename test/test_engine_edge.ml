@@ -162,7 +162,7 @@ let test_paged_poisoned_read () =
   for w = 0 to (ls / 8) - 1 do
     Nvm.store_u64 nvm ((bad * ls) + (w * 8)) 7L
   done;
-  Nvm.persist_all nvm;
+  Nvm.persist nvm ~off:0 ~len:(Nvm.size nvm);
   check Alcotest.(list (option int64)) "both reads after repair" [ Some 7L; Some 7L ] [ run ro; run rw ]
 
 let test_combined_group_sizes () =

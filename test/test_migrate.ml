@@ -57,6 +57,9 @@ let devices sh = Array.init nshards (Sh.nvm sh)
 
 let heap_word sh shard k = Sh.Engine.heap_read_u64 (Sh.engine sh shard) (slot_of k)
 
+(* Key [k] as its descriptor-routed owner's heap holds it. *)
+let read_key sh mig k = heap_word sh (Mig.owner mig k) k
+
 (* --------------------------- clean migration ----------------------------- *)
 
 let test_clean_migration () =
@@ -74,7 +77,7 @@ let test_clean_migration () =
            check Alcotest.int
              (Printf.sprintf "key %d readable after the handoff" k)
              (k + 1)
-             (Int64.to_int (Mig.read_key mig ~thread:0 k))
+             (Int64.to_int (read_key sh mig k))
          done;
          Sh.drain sh;
          Sh.stop sh));
@@ -121,7 +124,7 @@ let test_copy_crash_rolls_back () =
            check Alcotest.int
              (Printf.sprintf "key %d survived the rollback" k)
              (k + 1)
-             (Int64.to_int (Mig.read_key mig3 ~thread:0 k))
+             (Int64.to_int (read_key sh3 mig3 k))
          done;
          Sh.drain sh3;
          Sh.stop sh3))
@@ -177,7 +180,7 @@ let test_sealed_record_applied_twice () =
            check Alcotest.int
              (Printf.sprintf "key %d correct after twice-applied handoff" k)
              (k + 1)
-             (Int64.to_int (Mig.read_key mig3 ~thread:0 k))
+             (Int64.to_int (read_key sh3 mig3 k))
          done;
          Sh.drain sh3;
          Sh.stop sh3));

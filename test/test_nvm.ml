@@ -88,7 +88,7 @@ let test_store_bytes_roundtrip () =
   Nvm.store_bytes d 100 b;
   check Alcotest.bytes "load_bytes roundtrip" b (Nvm.load_bytes d 100 (Bytes.length b));
   Nvm.persist d ~off:100 ~len:(Bytes.length b);
-  check Alcotest.bool "persisted image matches" true (Nvm.persisted_bytes_equal d 100 b)
+  check Alcotest.bytes "persisted image matches" b (Nvm.persisted_bytes d 100 (Bytes.length b))
 
 let test_persist_ranges_single_ordering () =
   let d = device ~size:65536 () in
@@ -117,8 +117,8 @@ let test_dirty_lines_tracking () =
   Nvm.store_u64 d 8 1L (* same line *);
   Nvm.store_u64 d 64 1L;
   check Alcotest.int "two dirty lines" 2 (Nvm.dirty_lines d);
-  Nvm.persist_all d;
-  check Alcotest.int "clean after persist_all" 0 (Nvm.dirty_lines d)
+  Nvm.persist d ~off:0 ~len:(Nvm.size d);
+  check Alcotest.int "clean after a whole-device persist" 0 (Nvm.dirty_lines d)
 
 (* ---------------------------- media faults ---------------------------- *)
 
@@ -176,6 +176,21 @@ let test_stuck_line_drops_writes () =
   Nvm.crash d;
   check Alcotest.bool "stuck survives crash" true (Nvm.is_stuck d ~line:1);
   check Alcotest.(list int) "stuck_lines" [ 1 ] (Nvm.stuck_lines d)
+
+(* Which lines survive an evicting crash depends on the dirty set and the
+   seed, not on the order the lines turned dirty. *)
+let test_eviction_order_independent () =
+  let survivors order =
+    let d = device ~size:(1 lsl 20) () in
+    List.iter (fun i -> Nvm.store_u64 d ((i * 7 mod 16384) * 64) 1L) order;
+    Nvm.crash ~evict_fraction:0.5 ~rng:(Rng.create 7) d;
+    Nvm.last_crash_survivors d
+  in
+  let up = List.init 10_000 Fun.id in
+  let s = survivors up in
+  check Alcotest.bool "some lines survive, some do not" true
+    (s <> [] && List.length s < 10_000);
+  check Alcotest.(list int) "same survivors either way" s (survivors (List.rev up))
 
 let test_crash_survivors_recorded () =
   let d = device ~size:65536 () in
@@ -283,8 +298,9 @@ let prop_persist_crash_prefix =
 
 (* Reference copy of the device as it was before the flat count table and
    the pre-image slots: two full images, [latest] and [persisted], and a
-   [Hashtbl] from line to a ref of its dirty byte count.  Its fold order
-   drives the crash's seeded eviction draws. *)
+   [Hashtbl] from line to a ref of its dirty byte count.  Its crash draws
+   each dirty line's survival in ascending line order, the device's
+   contract. *)
 module Ref_dirty = struct
   type t = {
     ls : int;
@@ -338,12 +354,8 @@ module Ref_dirty = struct
 
   let crash t ~evict_fraction ~rng =
     if evict_fraction > 0.0 then begin
-      let survivors =
-        Hashtbl.fold
-          (fun l _ acc -> if Rng.float rng < evict_fraction then l :: acc else acc)
-          t.dirty []
-      in
-      let survivors = List.sort compare survivors in
+      let dirty = List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) t.dirty []) in
+      let survivors = List.filter (fun _ -> Rng.float rng < evict_fraction) dirty in
       List.iter (flush_line t) survivors;
       t.survivors <- survivors
     end
@@ -388,9 +400,8 @@ type nvm_op =
    load verdicts; and at the end the same persisted content on every line
    and, on every clean line, an image equal to it.  Bit rot and stuck
    lines hit dirty and clean lines alike.  Spans of up to 2048 lines dirty
-   thousands of the device's 16384 lines, so lines share hash buckets and
-   the table resizes: the eviction draws then depend on the order lines
-   joined the set, not just on which did. *)
+   thousands of the device's 16384 lines, so a crash draws over long runs
+   of dirty lines between long clean ones. *)
 let prop_dirty_table_matches_reference =
   let size = 1 lsl 20 in
   let range = QCheck2.Gen.(pair (int_range 0 (size - 1)) (int_range 0 (1 lsl 16))) in
@@ -567,6 +578,8 @@ let suite =
     Alcotest.test_case "poison survives crash" `Quick test_poison_survives_crash;
     Alcotest.test_case "stuck line drops writes" `Quick test_stuck_line_drops_writes;
     Alcotest.test_case "crash survivors recorded" `Quick test_crash_survivors_recorded;
+    Alcotest.test_case "eviction draws ignore the dirtying order" `Quick
+      test_eviction_order_independent;
     Alcotest.test_case "unaligned access rejected" `Quick test_mem_alignment;
     QCheck_alcotest.to_alcotest prop_persist_crash_prefix;
     QCheck_alcotest.to_alcotest prop_into_matches_bytes;

@@ -572,8 +572,8 @@ let gen_damage =
 
 (* Store [b] at monotone data-area offset [off], wrapped, and persist it. *)
 let store_wrapped nvm ~db ~dcap off b =
-  Bytes.iteri (fun i c -> Nvm.store_u8 nvm (db + ((off + i) mod dcap)) (Char.code c)) b;
-  Nvm.persist_all nvm
+  Bytes.iteri (fun i _ -> Nvm.store_sub nvm (db + ((off + i) mod dcap)) b ~pos:i ~len:1) b;
+  Nvm.persist nvm ~off:0 ~len:(Nvm.size nvm)
 
 (* Seal a [len]-byte frame with [seq] at monotone offset [off]: its payload
    is whatever the ring holds there (for [len = dcap - 23], its own first
@@ -584,7 +584,7 @@ let plant nvm ~db ~dcap off ~len ~seq =
   Bytes.set_int64_le fields 8 (Int64.of_int seq);
   store_wrapped nvm ~db ~dcap off fields;
   let payload =
-    Bytes.init len (fun i -> Char.chr (Nvm.load_u8 nvm (db + ((off + 24 + i) mod dcap))))
+    Bytes.init len (fun i -> Bytes.get (Nvm.load_bytes nvm (db + ((off + 24 + i) mod dcap)) 1) 0)
   in
   let crc = Bytes.create 8 in
   Checksum.set_slot crc 0 (Checksum.chain (Checksum.crc32 fields 0 16) payload 0 len);

@@ -6,9 +6,9 @@
    an unstarted stack outside [Sched.run] (no daemon adds words and
    [Sched.advance] is a no-op), as [Test_plog.allocated] over a loop of
    calls, less what an empty reading counts, per call.  What a record
-   keeps is allowed: its replay item (12 words) and queue cell (3), and
-   the device model's dirty-table entry (4 words) for each line a store
-   turns dirty, counted from the lines the call covers. *)
+   keeps is allowed: its replay item (12 words) and queue cell (3).  A
+   store that turns a line dirty allocates nothing: the device keeps its
+   dirty lines in flat per-line tables. *)
 
 module Config = Dudetm_core.Config
 module Crcdir = Dudetm_core.Crcdir
@@ -33,14 +33,9 @@ let per_call n f =
 let guard what ~limit words =
   if words > limit then Alcotest.failf "%s: %.1f words allocated (limit %.1f)" what words limit
 
-let dirty_entry = 4.
-
 let item_words = 12.
 
 let queue_cell = 3.
-
-(* Lines of a [line_size]-byte grid that bytes [\[off, off + len)] cover. *)
-let lines ~line_size ~off ~len = ((off + len - 1) / line_size) - (off / line_size) + 1
 
 (* An engine state over a freshly formatted device, as recovery hands it
    back: nothing started, no TM behind it. *)
@@ -68,13 +63,6 @@ let ingest s f =
   if not (Persist.ingest_record s f ~pos:Wire.payload_pos ~len:(Wire.payload_len f)) then
     Alcotest.fail "ring full"
 
-(* The lines the next ring-0 record of [len] payload bytes covers. *)
-let record_lines s nvm ~len =
-  let plog = s.Engine_state.plogs.(0) in
-  let base = Config.plog_base s.Engine_state.cfg 0 + Plog.header_size in
-  let off = base + (Plog.tail_off plog mod Plog.data_capacity plog) in
-  lines ~line_size:(Nvm.line_size nvm) ~off ~len:(Plog.record_overhead + len)
-
 (* A received frame is checked and its fields read where they lie.  The
    variant decoder this replaced built the frame, its [Some] and a copy of
    a batch's payload: 16 words for a batch of a 27-byte payload, 8 for an
@@ -97,31 +85,21 @@ let test_frame_read () =
   check Alcotest.bool "fields read" true (!sink > 0)
 
 (* Follower ingest of a combined record keeps its item and queue cell and
-   appends the payload from the frame itself: 22.1 words per 27-byte
-   record, 7.1 of them dirty-table entries.  Ingesting the same payload
+   appends the payload from the frame itself: 15 words per 27-byte
+   record (22.1 while the device kept a [Hashtbl] entry per dirty line).
+   Ingesting the same payload
    took 49.1 words (the item list, the CRC's boxes, the ring record, the
    append closure, the drain pace's boxed float), after the 16 of the
    frame's decode. *)
 let test_follower_ingest () =
   let n = 200 in
   let frames = Array.init (n + 1) (fun i -> frame ~tid:(i + 1) [ 64 ]) in
-  let len = Wire.payload_len frames.(0) in
-  (* A dry run over a twin state counts the lines each record covers. *)
-  let covered = ref 0 in
-  let twin, nvm = state combined in
-  ingest twin frames.(0);
-  for i = 1 to n do
-    covered := !covered + record_lines twin nvm ~len;
-    ingest twin frames.(i)
-  done;
   let s, _ = state combined in
   ingest s frames.(0);
   let words = per_call n (fun i -> ingest s frames.(i)) in
   check Alcotest.int "every record durable" (n + 1) s.Engine_state.durable;
   check Alcotest.int "every item queued" (n + 1) (Queue.length s.Engine_state.queues.(0));
-  guard "follower ingest of one combined record"
-    ~limit:(item_words +. queue_cell +. (dirty_entry *. float_of_int !covered /. float_of_int n))
-    words
+  guard "follower ingest of one combined record" ~limit:(item_words +. queue_cell) words
 
 (* The ring append stores the header and the caller's bytes in place and
    returns nothing to allocate.  A 40-byte record took 16.0 words, 12
@@ -134,7 +112,7 @@ let test_plog_append () =
   Plog.append t p ~pos:0 ~len:40;
   (* 24 + 40 bytes from a line boundary: one line per record. *)
   check Alcotest.int "records start on a line" 0 ((Plog.header_size + Plog.tail_off t) mod 64);
-  guard "Plog.append (one record, one line)" ~limit:dirty_entry
+  guard "Plog.append (one record, one line)" ~limit:0.
     (per_call 500 (fun _ -> Plog.append t p ~pos:0 ~len:40))
 
 (* A Reproduce round of one item whose heap extent is already marked
@@ -151,11 +129,11 @@ let test_reproduce_round () =
   Reproduce.round s;
   let words = per_call n (fun _ -> Reproduce.round s) in
   check Alcotest.int "every item applied" (n + 1) (Engine_state.applied s);
-  guard "one Reproduce round of one item" ~limit:dirty_entry words
+  guard "one Reproduce round of one item" ~limit:0. words
 
 (* A checkpoint of [k] dirty extents writes their CRC slots (one line), the
-   checkpoint record (one line) and the recycled ring's header (one line);
-   beyond those it allocates its 4-word state record: 16 words.  It took
+   checkpoint record (one line) and the recycled ring's header (one line)
+   and allocates only its 4-word state record.  It took
    254.0 words for 8 extents: the extent list, its range list, the CRCs'
    and slot words' boxes, the word array and its boxes, the slot buffer,
    the recycle table, the header image and the span closure. *)
@@ -174,7 +152,19 @@ let test_checkpoint () =
   done;
   let words = (!words -. (float_of_int n *. Test_plog.allocated ignore)) /. float_of_int n in
   check Alcotest.int "checkpointed" (n + 1) s.Engine_state.checkpointed;
-  guard (Printf.sprintf "a checkpoint of %d extents" k) ~limit:(4. +. (3. *. dirty_entry)) words
+  guard (Printf.sprintf "a checkpoint of %d extents" k) ~limit:4. words
+
+(* A ring scan reads the data area once, into one buffer that holds it
+   twice over, so a frame wrapping the ring end is contiguous.  Loading the
+   area into a buffer of its own and then concatenating it with itself
+   took three times the area. *)
+let test_attach_scan () =
+  let size = 2 lsl 20 in
+  let nvm = Nvm.create ~charge_time:false Pmem_config.default ~size in
+  let dcap = Plog.data_capacity (Plog.format nvm ~base:0 ~size) in
+  let bytes = 8. *. Test_plog.allocated (fun () -> ignore (Plog.attach_scan nvm ~base:0 ~size)) in
+  if bytes > float_of_int ((2 * dcap) + 4096) then
+    Alcotest.failf "attach_scan of a %d-byte data area allocated %.0f bytes" dcap bytes
 
 (* A checkpoint recycles each noted ring up to its furthest noted record,
    in ascending region order, and leaves the other rings alone.  Region
@@ -274,5 +264,6 @@ let suite =
     Alcotest.test_case "a ring append" `Quick test_plog_append;
     Alcotest.test_case "a Reproduce round of one item" `Quick test_reproduce_round;
     Alcotest.test_case "a checkpoint of k extents" `Quick test_checkpoint;
+    Alcotest.test_case "a ring scan allocates its doubled copy" `Quick test_attach_scan;
     QCheck_alcotest.to_alcotest prop_recycle;
   ]

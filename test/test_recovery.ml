@@ -87,6 +87,10 @@ let test_rjournal_roundtrip () =
   Alcotest.(check bool) "probe intent readable" true
     (Rjournal.read (Rjournal.attach nvm ~base) = Rjournal.Probe { line = 3; original = 42L })
 
+(* Invert the byte at [off] in the image; the caller persists it. *)
+let flip_byte nvm off =
+  Nvm.store_bytes nvm off (Bytes.map (fun c -> Char.chr (Char.code c lxor 0xff)) (Nvm.load_bytes nvm off 1))
+
 let test_rjournal_torn_slot () =
   let cfg = small_cfg in
   let nvm = run_and_crash ~txs:1 cfg in
@@ -107,14 +111,14 @@ let test_rjournal_torn_slot () =
   (* The probe landed in the second slot (sequence 3).  Tear it: a torn
      intent write must leave the previously sealed verdict in force. *)
   let torn = base + 128 + 20 in
-  Nvm.store_u8 nvm torn (Nvm.load_u8 nvm torn lxor 0xff);
+  flip_byte nvm torn;
   Nvm.persist nvm ~off:torn ~len:1;
   Alcotest.(check bool) "torn slot falls back to sealed verdict" true
     (Rjournal.read (Rjournal.attach nvm ~base) = Rjournal.Replay v);
   (* Tear the other slot too: with no valid slot at all, no intent can
      ever have been sealed, so the journal self-heals to Idle. *)
   let torn0 = base + 20 in
-  Nvm.store_u8 nvm torn0 (Nvm.load_u8 nvm torn0 lxor 0xff);
+  flip_byte nvm torn0;
   Nvm.persist nvm ~off:torn0 ~len:1;
   Alcotest.(check bool) "both torn self-heals to idle" true
     (Rjournal.read (Rjournal.attach nvm ~base) = Rjournal.Idle)

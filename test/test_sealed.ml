@@ -143,7 +143,7 @@ let extent nvm ~off ~max =
 let filled () =
   let nvm = device () in
   Nvm.store_bytes nvm 0 (Bytes.make 65536 '\xAA');
-  Nvm.persist_all nvm;
+  Nvm.persist nvm ~off:0 ~len:(Nvm.size nvm);
   nvm
 
 let test_record_lengths () =
@@ -201,7 +201,7 @@ let test_record_lengths () =
   let nvm = Nvm.create ~charge_time:false Pmem_config.default ~size:(Config.nvm_size cfg) in
   let base = Config.badline_base cfg in
   Nvm.store_bytes nvm base (Bytes.make (Config.badline_size cfg) '\xAA');
-  Nvm.persist_all nvm;
+  Nvm.persist nvm ~off:0 ~len:(Nvm.size nvm);
   ignore (Badline.format nvm cfg);
   check Alcotest.int "badline table" ((3 + Config.badline_capacity) * 8)
     (extent nvm ~off:base ~max:(Config.badline_size cfg))

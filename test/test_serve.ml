@@ -63,12 +63,12 @@ let test_admission_no_flap () =
 let test_admission_pressure () =
   let g = Admission.create ~trip:100 ~untrip:10 in
   check Alcotest.bool "ring pressure trips at depth 0" false
-    (Admission.admits g ~depth:0 ~pressure:true);
+    (Admission.observe g ~depth:0 ~pressure:true = Admission.Open);
   (* Depth below untrip but pressure still on: stays shedding. *)
   check Alcotest.bool "holds while pressure lasts" false
-    (Admission.admits g ~depth:0 ~pressure:true);
+    (Admission.observe g ~depth:0 ~pressure:true = Admission.Open);
   check Alcotest.bool "reopens when pressure clears" true
-    (Admission.admits g ~depth:0 ~pressure:false)
+    (Admission.observe g ~depth:0 ~pressure:false = Admission.Open)
 
 let test_admission_invalid () =
   let raised =

@@ -8,9 +8,6 @@
      epoch, in both fresh-epoch and durable-only modes — and a pure-RO
      phase must move neither the engine's transaction counter nor its
      redo-log entry counter (log-free, persist-free);
-   - snapshot reads during a live shard migration, routed through the
-     epoch-stamped partition descriptor across the Copy double-write
-     window, the flip and the cleanup;
    - quorum-pinned durable reads on a replicated cluster: the epoch never
      exceeds the acked watermark, even under a full partition;
    - quickcheck-style properties over scheduler seeds: epoch monotonicity
@@ -29,11 +26,8 @@ module Tm_intf = Dudetm_tm.Tm_intf
 module Tinystm = Dudetm_tm.Tinystm
 module Snapshot = Dudetm_tm.Snapshot
 module Link = Dudetm_replica.Link
-module Partition = Dudetm_workloads.Partition
 module B = Dudetm_baselines
 module Ptm = B.Ptm_intf
-module Mig = Dudetm_shard.Migrate.Make (Dudetm_tm.Tinystm)
-module Sh = Mig.Sh
 module Rep = Dudetm_replica.Replica.Make (Dudetm_tm.Tinystm)
 module E = Rep.Engine
 
@@ -159,114 +153,6 @@ let test_differential_oracle () =
             vals)
         !snaps)
     [ (42, 1); (43, 2); (44, 3) ]
-
-(* ------------------ snapshot reads during live migration ----------------- *)
-
-let mig_nshards = 4
-
-let mig_nkeys = 8
-
-let mig_slot k = 8 * k
-
-let mig_cfg =
-  {
-    Config.default with
-    Config.heap_size = 1 lsl 16;
-    nthreads = 3;
-    vlog_capacity = 256;
-    plog_size = 1 lsl 14;
-    meta_size = 8192;
-    checkpoint_records = 2;
-    seed = 11;
-  }
-
-(* A writer increments keys (biased toward the migrating bucket) while the
-   main fiber drives a full bucket handoff and a snapshot reader reads
-   every key in both modes throughout.  Each key's value is exactly its
-   committed-increment count, so every volatile snapshot must land inside
-   the [before, after] commit-count window around the read, and durable
-   snapshots must be monotone per key and never beyond the committed
-   count.  After the drain both modes converge on the final counts. *)
-let test_mid_migration_reads () =
-  let part =
-    Partition.buckets ~nshards:mig_nshards ~lo:0L ~hi:(Int64.of_int mig_nkeys)
-      ~owners:[| 0; 1; 2; 3 |]
-  in
-  let sh = Sh.create ~nshards:mig_nshards mig_cfg in
-  let mig = Mig.create sh ~part ~nkeys:mig_nkeys ~slot_of:mig_slot in
-  let committed = Array.make mig_nkeys 0 in
-  let stop = ref false in
-  ignore
-    (Sched.run (fun () ->
-         Sh.start sh;
-         let writer =
-           Sched.spawn "writer" (fun () ->
-               let rng = Rng.create 21 in
-               while not !stop do
-                 let key =
-                   if Rng.int rng 2 = 0 then 2 + Rng.int rng 2 else Rng.int rng mig_nkeys
-                 in
-                 (match Mig.apply mig ~thread:0 ~key (fun v -> Int64.add v 1L) with
-                 | Some _ -> committed.(key) <- committed.(key) + 1
-                 | None -> ());
-                 Sched.advance 200
-               done)
-         in
-         let reader =
-           Sched.spawn "reader" (fun () ->
-               let last_durable = Array.make mig_nkeys 0 in
-               while not !stop do
-                 for key = 0 to mig_nkeys - 1 do
-                   let before = committed.(key) in
-                   let v, _epoch = Mig.read_key_ro mig ~thread:1 key in
-                   let after = committed.(key) in
-                   let v = Int64.to_int v in
-                   if v < before || v > after then
-                     Alcotest.failf
-                       "volatile snapshot of key %d read %d outside the committed window \
-                        [%d, %d]"
-                       key v before after;
-                   let vd, _ed = Mig.read_key_ro ~durable:true mig ~thread:1 key in
-                   let vd = Int64.to_int vd in
-                   if vd > committed.(key) then
-                     Alcotest.failf "durable snapshot of key %d read %d beyond %d committed"
-                       key vd
-                       committed.(key);
-                   if vd < last_durable.(key) then
-                     Alcotest.failf "durable snapshot of key %d went backwards (%d after %d)"
-                       key vd last_durable.(key);
-                   last_durable.(key) <- vd
-                 done;
-                 Sched.advance 500
-               done)
-         in
-         (* Hand bucket 1 (keys 2 and 3) from shard 1 to shard 3 live. *)
-         Mig.begin_migration mig ~src:1 ~dst:3 ~blo:1 ~bhi:2;
-         while not (Mig.copy_step ~chunk:1 mig ~thread:2) do
-           Sched.advance 2_000
-         done;
-         Mig.flip mig;
-         while not (Mig.cleanup_step ~chunk:1 mig ~thread:2) do
-           Sched.advance 2_000
-         done;
-         check Alcotest.int "bucket 1 flipped to shard 3" 3
-           (Partition.owners (Mig.partition mig)).(1);
-         (* Let the workers overlap the post-flip routing too. *)
-         Sched.advance 20_000;
-         stop := true;
-         Sched.join ~label:"mid-migration workers" [ writer; reader ];
-         Sh.drain sh;
-         for key = 0 to mig_nkeys - 1 do
-           let v, _ = Mig.read_key_ro mig ~thread:1 key in
-           check Alcotest.int
-             (Printf.sprintf "key %d volatile snapshot after drain" key)
-             committed.(key) (Int64.to_int v);
-           let vd, _ = Mig.read_key_ro ~durable:true mig ~thread:1 key in
-           check Alcotest.int
-             (Printf.sprintf "key %d durable snapshot after drain" key)
-             committed.(key) (Int64.to_int vd)
-         done;
-         Sh.stop sh))
 
 (* -------------- quorum-pinned reads on a replicated cluster -------------- *)
 
@@ -574,8 +460,6 @@ let suite =
   [
     Alcotest.test_case "snapshot: differential oracle, both modes" `Slow
       test_differential_oracle;
-    Alcotest.test_case "snapshot: reads during a live migration" `Slow
-      test_mid_migration_reads;
     Alcotest.test_case "snapshot: quorum-pinned reads on a replicated cluster" `Quick
       test_replica_quorum_reads;
     Alcotest.test_case "snapshot: Skip_snapshot_validate mutant tears" `Quick
