@@ -84,7 +84,7 @@ end) =
 struct
   include Dudetm_tm.Tinystm
 
-  let create ?costs ?seed store = create_with_bits ?costs ?seed ~bits:Bits.bits store
+  let create ?seed store = create_with_bits ?seed ~bits:Bits.bits store
 end
 
 module Dude_16 = B.Dude_ptm.Make (Stm_bits (struct let bits = 16 end))

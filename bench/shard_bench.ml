@@ -21,6 +21,7 @@
 
 open Dudetm_harness.Harness
 module SB = Dudetm_shard.Shard_bench
+module Config = Dudetm_core.Config
 module L = Ledger
 
 let cross_pcts = [ 0; 5; 20 ]
@@ -79,7 +80,7 @@ let run ?(scale = 1.0) led =
       Printf.printf "%-8d %-8s %12s %8.2fx %10d   %-34s %6.1fx\n" r.SB.sb_nshards
         (string_of_int r.SB.sb_cross_pct ^ "%") (pp_ktps r.SB.sb_ktps)
         (r.SB.sb_ktps /. base.SB.sb_ktps)
-        r.SB.sb_cross_txs (SB.pp_commit_latency r) (tail_ratio r);
+        r.SB.sb_cross_txs (Dudetm_sim.Stats.Latency.pp r.SB.sb_commit_latency) (tail_ratio r);
       record led ~base r
         ~scenario:(Printf.sprintf "shard/n=%d/cross=%d%%" r.SB.sb_nshards r.SB.sb_cross_pct))
     rows;
@@ -97,7 +98,16 @@ let run ?(scale = 1.0) led =
         record led ~base r ~scenario:(Printf.sprintf "shard/n=1/%s=%d" name v))
       values
   in
+  let bounds b cfg =
+    match cfg.Config.persist with
+    | Config.Per_thread p ->
+      { cfg with
+        Config.persist = Config.Per_thread { p with min_entries = min 16 b; max_entries = b } }
+    | Config.Combined _ -> cfg
+  in
   sweep "batch-bound sweep at 1 shard (deadline = default)" "batch_max" batch_maxes (fun b ->
-      SB.run ~ntxs ~batch_min:(min 16 b) ~batch_max:b ~nshards:1 ~cross_pct:0 ());
+      SB.run ~ntxs ~tune:(bounds b) ~nshards:1 ~cross_pct:0 ());
   sweep "deadline sweep at 1 shard (bounds = default)" "deadline" deadlines (fun d ->
-      SB.run ~ntxs ~batch_deadline:d ~nshards:1 ~cross_pct:0 ())
+      SB.run ~ntxs
+        ~tune:(fun cfg -> { cfg with Config.batch_deadline = d })
+        ~nshards:1 ~cross_pct:0 ())

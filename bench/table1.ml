@@ -15,5 +15,5 @@ let run ?(scale = 1.0) () =
       let writes_per_tx = float_of_int r.writes /. float_of_int r.ntxs_run in
       let writes_per_sec = writes_per_tx *. r.ktps *. 1e3 in
       Printf.printf "%-18s %12.2f M/s %14s %16.1f  %s\n%!" bench.bname (writes_per_sec /. 1e6)
-        (pp_ktps r.ktps) writes_per_tx (pp_commit_latency r))
+        (pp_ktps r.ktps) writes_per_tx (Dudetm_sim.Stats.Latency.pp r.commit_latency))
     (all_benches ())

@@ -15,7 +15,7 @@ module Config = Dudetm_core.Config
 module Htm_stock = struct
   include Dudetm_tm.Htm
 
-  let create ?costs ?seed store = create_htm ?costs ?seed ~tid_conflicts:true store
+  let create ?seed store = create_htm ?seed ~tid_conflicts:true store
 end
 
 module Dude_htm_stock = B.Dude_ptm.Make (Htm_stock)

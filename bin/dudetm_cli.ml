@@ -369,7 +369,7 @@ let shard_cmd =
       Printf.printf "  durable throughput: %s (first commit through drain)\n"
         (H.pp_ktps r.SB.sb_ktps);
       Printf.printf "  cycles:           %d\n" r.SB.sb_cycles;
-      Printf.printf "  commit latency:   %s\n" (SB.pp_commit_latency r);
+      Printf.printf "  commit latency:   %s\n" (Stats.Latency.pp r.SB.sb_commit_latency);
       if dev_accts <> [] then begin
         let total_bytes =
           List.fold_left (fun acc a -> acc + a.Trace.nd_bytes) 0 dev_accts
@@ -472,11 +472,8 @@ let serve_cmd =
         r.SL.r_done;
       Printf.printf "  shed:             %d (typed Overloaded replies)\n" r.SL.r_shed;
       Printf.printf "  aborted:          %d\n" r.SL.r_aborted;
-      let p l q = Dudetm_sim.Stats.Latency.percentile l q in
-      Printf.printf "  write latency:    p50 %d / p95 %d / p99 %d cyc\n"
-        (p r.SL.r_lat_write 50.0) (p r.SL.r_lat_write 95.0) (p r.SL.r_lat_write 99.0);
-      Printf.printf "  read latency:     p50 %d / p95 %d / p99 %d cyc\n"
-        (p r.SL.r_lat_read 50.0) (p r.SL.r_lat_read 95.0) (p r.SL.r_lat_read 99.0);
+      Printf.printf "  write latency:    %s\n" (Stats.Latency.pp r.SL.r_lat_write);
+      Printf.printf "  read latency:     %s\n" (Stats.Latency.pp r.SL.r_lat_read);
       Printf.printf "  admission gate:   %d trips, %d reopens, queue hwm %d\n"
         r.SL.r_gate_trips r.SL.r_gate_untrips r.SL.r_depth_hwm;
       Printf.printf "  per tenant:       %-8s %10s %8s %12s\n" "tenant" "done" "shed"
@@ -485,7 +482,7 @@ let serve_cmd =
         (fun i d ->
           Printf.printf "                    %-8d %10d %8d %12d\n" i d
             r.SL.r_tenant_shed.(i)
-            (p r.SL.r_tenant_lat.(i) 99.0))
+            (Stats.Latency.percentile r.SL.r_tenant_lat.(i) 99.0))
         r.SL.r_tenant_done;
       `Ok ()
     end

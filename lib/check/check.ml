@@ -400,6 +400,14 @@ let counter_tx h ~worker ~stamp read write =
   History.attempt h ~worker ~ack:(History.At (0, c1)) ~pos:(fun _ -> c1)
     (List.map (fun (a, v) -> ((0, a), v)) ws)
 
+(* Record a driver's outcome for the worker's attempt: commit on [Some r]
+   (with the ack [ack r], if given), abandon on [None].  Returns it. *)
+let outcome h ~worker ?ack r =
+  (match r with
+  | Some v -> History.commit h ~worker ?ack:(Option.map (fun f -> f v) ack) ()
+  | None -> History.abandon h ~worker);
+  r
+
 (* Stamps and declared write set of each explore workload. *)
 let workload_of_name = function
   | "counter" -> (stamp8, None)
@@ -426,12 +434,10 @@ let instance_lives ~vector ?(h = History.create ()) ?(monitor = true) ?wset ?(st
     inst =
   let alarm = ref None in
   let counter (p : Ptm.t) th _ =
-    match
-      p.Ptm.atomically ~thread:th ?wset (fun tx ->
-          counter_tx h ~worker:th ~stamp tx.Ptm.read tx.Ptm.write)
-    with
-    | Some _ -> History.commit h ~worker:th ()
-    | None -> History.abandon h ~worker:th
+    ignore
+      (outcome h ~worker:th
+         (p.Ptm.atomically ~thread:th ?wset (fun tx ->
+              counter_tx h ~worker:th ~stamp tx.Ptm.read tx.Ptm.write)))
   in
   let drive i =
     let p = i.ptm in
@@ -937,11 +943,9 @@ let shards_run at vector =
         (fun s a -> Shard.read tx ~shard:s a);
       History.attempt h ~worker:0 ~pos:(fun s -> next.(s) + 1) (List.rev !ws)
     in
-    match Shard.atomically sh ~thread ~shards run with
-    | Some ((), ack) ->
-      List.iter (fun s -> next.(s) <- next.(s) + 1) shards;
-      History.commit h ~worker:0 ~ack:(shard_ack nshards ack) ()
-    | None -> History.abandon h ~worker:0
+    let ack ((), a) = shard_ack nshards a in
+    if Option.is_some (outcome h ~worker:0 ~ack (Shard.atomically sh ~thread ~shards run))
+    then List.iter (fun s -> next.(s) <- next.(s) + 1) shards
   in
   let setup _ =
     Shard.start sh;
@@ -1091,16 +1095,15 @@ let replica_run at vector =
              with Sched.Killed -> ()));
     workers "replica-worker" cfg.Config.nthreads ~txs (fun th i ->
         match
-          Rep.Engine.atomically prim ~thread:th (fun tx ->
-              counter_tx h ~worker:th ~stamp:stamp8 (Rep.Engine.read tx)
-                (Rep.Engine.write tx))
+          outcome h ~worker:th
+            (Rep.Engine.atomically prim ~thread:th (fun tx ->
+                 counter_tx h ~worker:th ~stamp:stamp8 (Rep.Engine.read tx)
+                   (Rep.Engine.write tx)))
         with
-        | Some (_, tid) ->
-          History.commit h ~worker:th ();
-          (* Exercise the bounded quorum wait on a sample of
-             commits; the rest stay decoupled. *)
-          if tid > 0 && i mod 4 = 0 then ignore (Rep.wait_acked c tid)
-        | None -> History.abandon h ~worker:th);
+        (* Exercise the bounded quorum wait on a sample of commits; the
+           rest stay decoupled. *)
+        | Some (_, tid) when tid > 0 && i mod 4 = 0 -> ignore (Rep.wait_acked c tid)
+        | _ -> ());
     drained_quorum := Rep.drain c = Rep.Quorum;
     Rep.sync_followers c;
     Rep.stop c
@@ -1190,9 +1193,8 @@ let mg_bump h mig ~thread k =
     History.attempt h ~worker:0 ~pos:(fun _ -> Int64.to_int v) [ ((k, 0), v) ];
     v
   in
-  match Mig.apply mig ~thread ~key:k bump with
-  | Some (_, ack) -> History.commit h ~worker:0 ~ack:(shard_ack migrate_nshards ack) ()
-  | None -> History.abandon h ~worker:0
+  let ack (_, a) = shard_ack migrate_nshards a in
+  ignore (outcome h ~worker:0 ~ack (Mig.apply mig ~thread ~key:k bump))
 
 let mg_peek sh s k = Shard.Engine.heap_read_u64 (Shard.engine sh s) (mg_slot k)
 
@@ -1336,15 +1338,13 @@ let snapshot_run at vector =
   let writes_left = ref (nwriters * txs) in
   let write th i =
     let pair = (th + (nwriters * i)) mod snapshot_npairs in
-    (match
-       p.Ptm.atomically ~thread:th (fun tx ->
-           let v = Int64.add (tx.Ptm.read (sn_slot_a pair)) 1L in
-           tx.Ptm.write (sn_slot_a pair) v;
-           tx.Ptm.write (sn_slot_b pair) v;
-           History.attempt h ~worker:th ~pos:(fun _ -> Int64.to_int v) (pair_writes pair v v))
-     with
-    | Some _ -> History.commit h ~worker:th ()
-    | None -> History.abandon h ~worker:th);
+    ignore
+      (outcome h ~worker:th
+         (p.Ptm.atomically ~thread:th (fun tx ->
+              let v = Int64.add (tx.Ptm.read (sn_slot_a pair)) 1L in
+              tx.Ptm.write (sn_slot_a pair) v;
+              tx.Ptm.write (sn_slot_b pair) v;
+              History.attempt h ~worker:th ~pos:(fun _ -> Int64.to_int v) (pair_writes pair v v))));
     decr writes_left
   in
   let reader () =

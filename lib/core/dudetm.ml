@@ -97,7 +97,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     unpin_all dtx
 
   let tm_ops =
-    { S.create = (fun ~seed -> Tm.create ~costs:Tm_intf.default_costs ~seed);
+    { S.create = (fun ~seed -> Tm.create ~seed);
       last_tid = Tm.last_tid;
       undo }
 

@@ -107,7 +107,6 @@ let prepare cfg nvm =
   let quarantined_lines =
     Array.fold_left (fun acc (_, s) -> acc + s.Plog.quarantined_lines) 0 attached
   in
-  if corrupted_records > 0 then Nvm.note_media_detected nvm corrupted_records;
   let items, all_tids, d =
     scan_items cfg
       (List.concat_map (fun (_, scan) -> scan.Plog.records) (Array.to_list attached))

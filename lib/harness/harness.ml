@@ -293,12 +293,8 @@ let ktps ~txs ~cycles =
 
 let pp_ktps v = if v >= 1000.0 then Printf.sprintf "%.2f MTPS" (v /. 1000.0) else Printf.sprintf "%.1f KTPS" v
 
-let pp_commit_latency r =
-  let p q = Stats.Latency.percentile r.commit_latency q in
-  Printf.sprintf "p50 %d / p95 %d / p99 %d cyc" (p 50.0) (p 95.0) (p 99.0)
-
 let report_commit_latency label r =
-  Printf.printf "  commit latency %-24s %s\n%!" label (pp_commit_latency r)
+  Printf.printf "  commit latency %-24s %s\n%!" label (Stats.Latency.pp r.commit_latency)
 
 (* ------------------------------ ledger ------------------------------- *)
 

@@ -105,9 +105,6 @@ val ktps : txs:int -> cycles:int -> float
 
 val pp_ktps : float -> string
 
-val pp_commit_latency : result -> string
-(** ["p50 .. / p95 .. / p99 .. cyc"] over {!result.commit_latency}. *)
-
 val report_commit_latency : string -> result -> unit
 (** One-line commit-latency percentile report, used by every bench
     experiment. *)

@@ -7,7 +7,6 @@ type t = {
   mutable head : int;  (* monotone counters; slot = counter mod cap *)
   mutable committed : int;
   mutable tail : int;
-  mutable total_appended : int;
   mutable producer_blocks : int;
   (* Signalled wherever [length] falls: the producer blocked on a full
      buffer parks on it. *)
@@ -27,7 +26,6 @@ let create ?(unbounded = false) ~capacity () =
     head = 0;
     committed = 0;
     tail = 0;
-    total_appended = 0;
     producer_blocks = 0;
     space;
     space_on = [ space ];
@@ -52,8 +50,7 @@ let grow t =
 
 let push t e =
   t.arr.(slot t t.tail) <- e;
-  t.tail <- t.tail + 1;
-  t.total_appended <- t.total_appended + 1
+  t.tail <- t.tail + 1
 
 let append t e =
   (match e with
@@ -106,7 +103,5 @@ let clear t =
   t.committed <- 0;
   t.tail <- 0;
   Sched.signal t.space
-
-let total_appended t = t.total_appended
 
 let producer_blocks t = t.producer_blocks

@@ -65,7 +65,5 @@ val length : t -> int
 val clear : t -> unit
 (** Discard everything (the buffer is volatile: a crash empties it). *)
 
-val total_appended : t -> int
-
 val producer_blocks : t -> int
 (** Number of times {!append} had to block on a full buffer. *)

@@ -52,9 +52,6 @@ type t = {
      content.  Both survive crashes: they are properties of the media. *)
   poisoned : (int, unit) Hashtbl.t;
   stuck : (int, unit) Hashtbl.t;
-  mutable faults_injected : int;
-  mutable faults_detected : int;
-  mutable faults_repaired : int;
   mutable last_crash_survivors : int list;
 }
 
@@ -84,9 +81,6 @@ let create ?(charge_time = true) ?(label = "nvm") cfg ~size =
     persist_hook = None;
     poisoned = Hashtbl.create 8;
     stuck = Hashtbl.create 8;
-    faults_injected = 0;
-    faults_detected = 0;
-    faults_repaired = 0;
     last_crash_survivors = [];
   }
 
@@ -173,7 +167,7 @@ let flip_persisted_bit t ~off ~bit =
   if is_dirty t l then flip t.pre (pre_off t l off) else flip t.image off
 
 let inject_fault t fault =
-  (match fault with
+  match fault with
   | Bit_rot { off; bit } ->
     if off < 0 || off >= size t then invalid_arg "Nvm.inject_fault: offset out of range";
     flip_persisted_bit t ~off ~bit
@@ -184,8 +178,7 @@ let inject_fault t fault =
   | Poison { line = l } ->
     if l < 0 || l >= size t / line_size t then
       invalid_arg "Nvm.inject_fault: line out of range";
-    Hashtbl.replace t.poisoned l ());
-  t.faults_injected <- t.faults_injected + 1
+    Hashtbl.replace t.poisoned l ()
 
 let is_poisoned t ~line:l = Hashtbl.mem t.poisoned l
 
@@ -194,16 +187,6 @@ let is_stuck t ~line:l = Hashtbl.mem t.stuck l
 let poisoned_lines t = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) t.poisoned [])
 
 let stuck_lines t = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) t.stuck [])
-
-let media_faults_injected t = t.faults_injected
-
-let media_faults_detected t = t.faults_detected
-
-let media_faults_repaired t = t.faults_repaired
-
-let note_media_detected t n = t.faults_detected <- t.faults_detected + n
-
-let note_media_repaired t n = t.faults_repaired <- t.faults_repaired + n
 
 (* ------------------------------------------------------------------ *)
 (* Volatile-side access                                                *)

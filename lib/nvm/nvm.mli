@@ -62,10 +62,9 @@ val line_size : t -> int
 (** {1 Media faults} *)
 
 val inject_fault : t -> fault -> unit
-(** Apply one fault to the persisted content (counted by
-    {!media_faults_injected}).  [Bit_rot] is also reflected into the
-    volatile image when the covering line is clean, since a clean cache
-    line mirrors the media. *)
+(** Apply one fault to the persisted content.  [Bit_rot] is also
+    reflected into the volatile image when the covering line is clean,
+    since a clean cache line mirrors the media. *)
 
 val is_poisoned : t -> line:int -> bool
 
@@ -75,19 +74,6 @@ val poisoned_lines : t -> int list
 (** Currently poisoned lines, ascending (ground truth, for tests). *)
 
 val stuck_lines : t -> int list
-
-val media_faults_injected : t -> int
-(** Faults injected so far. *)
-
-val media_faults_detected : t -> int
-
-val media_faults_repaired : t -> int
-
-val note_media_detected : t -> int -> unit
-(** Bump the detected-fault counter: called by layers (recovery, scrub)
-    that recognise corruption via checksums or {!Media_error}. *)
-
-val note_media_repaired : t -> int -> unit
 
 (** {1 Volatile-side access (CPU loads/stores)} *)
 

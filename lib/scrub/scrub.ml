@@ -132,10 +132,6 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
   let rjournal = Rjournal.attach nvm ~base:(Config.rjournal_base cfg) in
   if use_journal then Rjournal.undo_probe rjournal;
   let poison_cleared = if repair then clear_poison nvm else 0 in
-  if poison_cleared > 0 then begin
-    Nvm.note_media_detected nvm poison_cleared;
-    Nvm.note_media_repaired nvm poison_cleared
-  end;
   let ckpt_status =
     Checkpoint.scrub ~repair nvm ~base:(Config.meta_base cfg) ~size:cfg.Config.meta_size
   in
@@ -157,7 +153,6 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
   let ring_quarantined_lines =
     Array.fold_left (fun acc s -> acc + s.Plog.quarantined_lines) 0 scans
   in
-  if ring_corrupted_records > 0 then Nvm.note_media_detected nvm ring_corrupted_records;
   if ckpt_status = `Fatal then
     {
       ckpt = `Fatal;
@@ -173,7 +168,6 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
       rings_reformatted;
     }
   else begin
-    if ckpt_status = `Repaired then Nvm.note_media_repaired nvm 1;
     let _, state =
       Checkpoint.attach nvm ~base:(Config.meta_base cfg) ~size:cfg.Config.meta_size
     in
@@ -196,7 +190,6 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
         match Crcdir.verify_extent crcdir e with
         | `Ok -> incr extents_ok
         | `Mismatch | `Poisoned -> (
-          Nvm.note_media_detected nvm 1;
           let live = Hashtbl.find_opt by_extent e in
           match (repair, live) with
           | true, Some writes ->
@@ -212,8 +205,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
             let one = Crcdir.dirty () in
             Crcdir.mark one e;
             Crcdir.update crcdir one;
-            incr extents_repaired;
-            Nvm.note_media_repaired nvm 1
+            incr extents_repaired
           | _ ->
             (* No live record covers this extent, so its checkpointed
                content is unreconstructible from the logs: a real data
@@ -241,7 +233,6 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
           Nvm.store_u64 nvm (l * ls) pattern;
           Nvm.persist nvm ~off:(l * ls) ~len:8;
           if Nvm.persisted_u64 nvm (l * ls) <> pattern then begin
-            Nvm.note_media_detected nvm 1;
             if Badline.add badlines l then incr stuck_remapped else table_full := true
           end
           else begin

@@ -74,30 +74,11 @@ let engine_counters sh ~nshards =
 let think_cycles = 50
 
 let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000)
-    ?(workers = 8) ?batch_min ?batch_max ?batch_deadline ~nshards
-    ~cross_pct () =
+    ?(workers = 8) ?(tune = Fun.id) ~nshards ~cross_pct () =
   if nshards < 1 then invalid_arg "Shard_bench.run: nshards must be >= 1";
   if cross_pct < 0 || cross_pct > 100 then
     invalid_arg "Shard_bench.run: cross_pct must be in [0, 100]";
-  let cfg = shard_cfg ~workers ~bandwidth ~persist_latency in
-  let persist =
-    match cfg.Config.persist with
-    | Config.Per_thread p ->
-      Config.Per_thread
-        {
-          p with
-          min_entries = Option.value batch_min ~default:p.min_entries;
-          max_entries = Option.value batch_max ~default:p.max_entries;
-        }
-    | combined -> combined
-  in
-  let cfg =
-    {
-      cfg with
-      Config.persist;
-      batch_deadline = Option.value batch_deadline ~default:cfg.Config.batch_deadline;
-    }
-  in
+  let cfg = tune (shard_cfg ~workers ~bandwidth ~persist_latency) in
   let part = Partition.hashed ~nshards in
   let sh = Sh.create ~nshards cfg in
   let per = ntxs / workers in
@@ -164,7 +145,3 @@ let run ?(seed = 42) ?(bandwidth = 0.25) ?(persist_latency = 500) ?(ntxs = 2_000
     sb_commit_latency = commit_latency;
     sb_engine = engine_counters sh ~nshards;
   }
-
-let pp_commit_latency r =
-  let p q = Stats.Latency.percentile r.sb_commit_latency q in
-  Printf.sprintf "p50 %d / p95 %d / p99 %d cyc" (p 50.0) (p 95.0) (p 99.0)

@@ -35,9 +35,7 @@ val run :
   ?persist_latency:int ->
   ?ntxs:int ->
   ?workers:int ->
-  ?batch_min:int ->
-  ?batch_max:int ->
-  ?batch_deadline:int ->
+  ?tune:(Dudetm_core.Config.t -> Dudetm_core.Config.t) ->
   nshards:int ->
   cross_pct:int ->
   unit ->
@@ -47,12 +45,8 @@ val run :
     fixed 50 cycles before each transaction.  The low per-shard bandwidth
     makes the persist pipeline the bottleneck at one shard, so shard
     scaling is visible.  With [nshards = 1], [cross_pct] is ignored (there
-    is no second shard).  Raises [Invalid_argument] on [nshards < 1] or
-    [cross_pct] outside [\[0, 100\]]. *)
-
-(** Defaults for the batch knobs come from {!Dudetm_core.Config.default};
-    the shard bench sweeps them at one shard to map the batching
-    latency/throughput trade-off. *)
-
-val pp_commit_latency : result -> string
-(** ["p50 %d / p95 %d / p99 %d cyc"]. *)
+    is no second shard).  [tune] edits the engine configuration before the
+    shards are built (default: none); the shard bench uses it to sweep the
+    batch bounds and the group-commit deadline at one shard, mapping the
+    batching latency/throughput trade-off.  Raises [Invalid_argument] on
+    [nshards < 1] or [cross_pct] outside [\[0, 100\]]. *)

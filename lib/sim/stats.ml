@@ -79,6 +79,10 @@ module Latency = struct
     done;
     !out
 
+  let pp r =
+    let p = percentile r in
+    Printf.sprintf "p50 %d / p95 %d / p99 %d cyc" (p 50.0) (p 95.0) (p 99.0)
+
   let reset r =
     r.len <- 0;
     r.sorted <- false

@@ -30,6 +30,9 @@ module Latency : sig
 
   val mean : r -> float
 
+  val pp : r -> string
+  (** ["p50 %d / p95 %d / p99 %d cyc"]: every latency report prints this. *)
+
   val log2_histogram : r -> (int * int) list
   (** Sparse log2 histogram of the recorded samples: [(bucket, count)]
       pairs in increasing bucket order, where bucket [b] covers

@@ -24,7 +24,6 @@ type tx = {
 
 and t = {
   store : Tm_intf.store;
-  costs : Tm_intf.costs;
   capacity_lines : int;
   max_retries : int;
   tid_conflicts : bool;
@@ -41,12 +40,11 @@ and t = {
 (* L2-assisted read tracking: read-set lines before a capacity abort. *)
 let read_capacity_lines = 8192
 
-let create_htm ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(capacity_lines = 448)
+let create_htm ?(seed = 42) ?(capacity_lines = 448)
     ?(max_retries = 5) ?(tid_conflicts = false) store =
   let lock_freed = Sched.cond () in
   {
     store;
-    costs;
     capacity_lines;
     max_retries;
     tid_conflicts;
@@ -60,14 +58,14 @@ let create_htm ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(capacity_lines = 
     rng = Rng.create seed;
   }
 
-let create ?costs ?seed store = create_htm ?costs ?seed store
+let create ?seed store = create_htm ?seed store
 
 (* Hardware transactional reads cost nearly the same as instrumented ones
    (the memory access dominates); writes shed the software write barrier.
    Derived from the software costs so STM/HTM comparisons share one
    calibration. *)
-let hw_read_cost c = max 1 (c.Tm_intf.read_cost - 5)
-let hw_write_cost c = max 2 (c.Tm_intf.write_cost / 5)
+let hw_read_cost = max 1 (Tm_intf.default_costs.read_cost - 5)
+let hw_write_cost = max 2 (Tm_intf.default_costs.write_cost / 5)
 
 let fresh_tx tm ~fallback =
   let uid = tm.next_uid in
@@ -91,7 +89,7 @@ let fresh_tx tm ~fallback =
   tx
 
 let begin_tx tm =
-  Sched.advance (max 1 (tm.costs.Tm_intf.begin_cost / 2));
+  Sched.advance (max 1 (Tm_intf.default_costs.begin_cost / 2));
   fresh_tx tm ~fallback:false
 
 let drop tx =
@@ -102,7 +100,7 @@ let hw_abort tx kind =
   Stats.incr tx.tm.stats "aborts";
   Stats.incr tx.tm.stats kind;
   drop tx;
-  Sched.advance tx.tm.costs.Tm_intf.abort_cost;
+  Sched.advance Tm_intf.default_costs.abort_cost;
   raise (if kind = "capacity_aborts" then Capacity else Retry)
 
 (* A hardware transaction subscribes to the fallback lock word at begin:
@@ -116,11 +114,11 @@ let check_doomed tx =
 let read tx addr =
   if not tx.active then invalid_arg "Htm.read: transaction not active";
   if tx.fallback then begin
-    Sched.advance (hw_read_cost tx.tm.costs);
+    Sched.advance hw_read_cost;
     tx.tm.store.Tm_intf.load addr
   end
   else begin
-    Sched.advance (hw_read_cost tx.tm.costs);
+    Sched.advance hw_read_cost;
     check_doomed tx;
     Stats.incr tx.tm.stats "reads";
     let line = line_of_addr addr in
@@ -136,7 +134,7 @@ let read tx addr =
 
 let write tx addr value =
   if not tx.active then invalid_arg "Htm.write: transaction not active";
-  Sched.advance (hw_write_cost tx.tm.costs);
+  Sched.advance hw_write_cost;
   if tx.fallback then begin
     tx.undo <- (addr, tx.tm.store.Tm_intf.load addr) :: tx.undo;
     tx.tm.store.Tm_intf.store addr value;
@@ -192,7 +190,7 @@ let commit tx =
   if not tx.active then invalid_arg "Htm.commit: transaction not active";
   let tm = tx.tm in
   if tx.fallback then begin
-    Sched.advance tm.costs.Tm_intf.commit_base;
+    Sched.advance Tm_intf.default_costs.commit_base;
     let tid = if tx.nwrites = 0 then 0 else (tm.clock <- tm.clock + 1; tm.clock) in
     free_lock tm;
     drop tx;
@@ -201,7 +199,7 @@ let commit tx =
     tid
   end
   else begin
-    Sched.advance (max 1 (tm.costs.Tm_intf.commit_base / 2));
+    Sched.advance (max 1 (Tm_intf.default_costs.commit_base / 2));
     check_doomed tx;
     if tx.nwrites = 0 then begin
       Stats.incr tm.stats "read_only_commits";

@@ -17,7 +17,6 @@
 include Tm_intf.S
 
 val create_htm :
-  ?costs:Tm_intf.costs ->
   ?seed:int ->
   ?capacity_lines:int ->
   ?max_retries:int ->

@@ -33,7 +33,7 @@ type ro = {
 }
 
 let begin_ro ?pin (tm : K.t) =
-  Sched.advance tm.costs.Tm_intf.begin_cost;
+  Sched.advance Tm_intf.default_costs.begin_cost;
   let epoch =
     match pin with
     | Some p -> min (p.Tm_intf.watermark ()) tm.clock
@@ -112,9 +112,9 @@ let rec read_stripe ro addr stripe =
 let read ro addr =
   if not ro.active then invalid_arg "Snapshot.read: snapshot not active";
   let tm = ro.tm in
-  Sched.advance tm.costs.Tm_intf.read_cost;
+  Sched.advance Tm_intf.default_costs.read_cost;
   Stats.incr tm.stats "snapshot_reads";
-  Trace.sample ~cat:"snapshot" "read" tm.costs.Tm_intf.read_cost;
+  Trace.sample ~cat:"snapshot" "read" Tm_intf.default_costs.read_cost;
   read_stripe ro addr (Lock_table.stripe_of_addr tm.locks addr)
 
 let abort ro =

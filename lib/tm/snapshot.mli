@@ -18,7 +18,7 @@
       read, i.e. state that survives a power cut — possibly stale.
 
     The snapshot reads through the {!Stm_kernel} state of the TM it runs
-    on (lock table, clock, costs, stats and backoff RNG), so it needs no
+    on (lock table, clock, stats and backoff RNG), so it needs no
     view of its own; its restart is the kernel's retry loop. *)
 
 type ro

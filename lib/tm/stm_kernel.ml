@@ -18,18 +18,16 @@ exception Retry
 type t = {
   store : Tm_intf.store;
   locks : Lock_table.t;
-  costs : Tm_intf.costs;
   mutable clock : int;
   mutable next_uid : int;
   stats : Stats.t;
   rng : Rng.t;
 }
 
-let create ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(bits = 20) store =
+let create ?(seed = 42) ?(bits = 20) store =
   {
     store;
     locks = Lock_table.create ~bits ();
-    costs;
     clock = 0;
     next_uid = 1;
     stats = Stats.create ();
@@ -86,7 +84,7 @@ type tx = {
 }
 
 let begin_tx tm =
-  Sched.advance tm.costs.Tm_intf.begin_cost;
+  Sched.advance Tm_intf.default_costs.begin_cost;
   let uid = tm.next_uid in
   tm.next_uid <- uid + 1;
   { tm; uid; rv = tm.clock; reads = Nil; held = Nil; undo = No_undo; active = true }
@@ -126,7 +124,7 @@ let abandon tx = if tx.active then rollback tx
 let conflict tx =
   Stats.incr tx.tm.stats "aborts";
   rollback tx;
-  Sched.advance tx.tm.costs.Tm_intf.abort_cost;
+  Sched.advance Tm_intf.default_costs.abort_cost;
   raise Retry
 
 let user_abort tx =
@@ -170,7 +168,8 @@ let read tx addr =
    every held stripe at it.  A read-only attempt commits with ID 0. *)
 let commit ?(publish = tick) tx ~writes ~stripes =
   let tm = tx.tm in
-  Sched.advance (tm.costs.Tm_intf.commit_base + (tm.costs.Tm_intf.commit_per_write * writes));
+  let c = Tm_intf.default_costs in
+  Sched.advance (c.commit_base + (c.commit_per_write * writes));
   if writes = 0 then begin
     Stats.incr tm.stats "read_only_commits";
     tx.active <- false;

@@ -2,9 +2,9 @@
     once for every STM in the repository.
 
     It owns the shared state (lock table, global version clock, attempt
-    uids, costs, statistics and the backoff RNG), the one read-set
-    validation, the one commit-time routine and the one retry loop with its
-    capped randomized backoff.  Callers keep only their access mode and
+    uids, statistics and the backoff RNG), the one read-set validation, the
+    one commit-time routine and the one retry loop with its capped
+    randomized backoff.  Callers keep only their access mode and
     cost model: {!Tinystm} (write-through: encounter-time locking and an
     undo list), {!Tinystm_wb} and the Mnemosyne baseline (write-back, via
     {!wb}), and {!Snapshot} (read-only: pin and extend).
@@ -19,15 +19,15 @@ exception Retry
 type t = {
   store : Tm_intf.store;
   locks : Lock_table.t;
-  costs : Tm_intf.costs;
   mutable clock : int;  (** the global version clock = last commit ID *)
   mutable next_uid : int;
   stats : Dudetm_sim.Stats.t;
   rng : Dudetm_sim.Rng.t;  (** backoff draws *)
 }
 
-val create : ?costs:Tm_intf.costs -> ?seed:int -> ?bits:int -> Tm_intf.store -> t
-(** Defaults: {!Tm_intf.default_costs}, seed 42, [2^20] stripes. *)
+val create : ?seed:int -> ?bits:int -> Tm_intf.store -> t
+(** Defaults: seed 42, [2^20] stripes.  Every access mode charges
+    {!Tm_intf.default_costs}. *)
 
 val version : t -> int -> int
 (** [version t stripe]: the stripe's committed version, or [-1] while an

@@ -9,21 +9,21 @@ type t = K.t
 
 type tx = K.tx
 
-let create_with_bits ?costs ?seed ~bits store = K.create ?costs ?seed ~bits store
+let create_with_bits ?seed ~bits store = K.create ?seed ~bits store
 
-let create ?costs ?seed store = K.create ?costs ?seed store
+let create ?seed store = K.create ?seed store
 
 let begin_tx = K.begin_tx
 
 let read (tx : tx) addr =
   K.check_active tx "Tinystm.read";
-  Sched.advance tx.tm.costs.Tm_intf.read_cost;
+  Sched.advance Tm_intf.default_costs.read_cost;
   Stats.incr tx.tm.stats "reads";
   K.read tx addr
 
 let write (tx : tx) addr value =
   K.check_active tx "Tinystm.write";
-  Sched.advance tx.tm.costs.Tm_intf.write_cost;
+  Sched.advance Tm_intf.default_costs.write_cost;
   Stats.incr tx.tm.stats "writes";
   let store = tx.tm.store in
   if not (K.lock tx (Lock_table.stripe_of_addr tx.tm.locks addr)) then K.conflict tx;

@@ -18,8 +18,7 @@
 
 include Tm_intf.S with type t = Stm_kernel.t
 
-val create_with_bits :
-  ?costs:Tm_intf.costs -> ?seed:int -> bits:int -> Tm_intf.store -> t
+val create_with_bits : ?seed:int -> bits:int -> Tm_intf.store -> t
 (** Like [create], with an explicit lock-table size of [2^bits] stripes
     (used by the lock-table ablation benchmark). *)
 

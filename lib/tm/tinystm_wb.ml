@@ -12,21 +12,21 @@ type tx = K.wb
 (* The write-set hash probe write-back access adds to every read. *)
 let redirect_cost = 18
 
-let create ?costs ?seed store = K.create ?costs ?seed store
+let create ?seed store = K.create ?seed store
 
 let begin_tx = K.begin_wb
 
 let read (w : tx) addr =
   let tm = w.tx.tm in
   K.check_active w.tx "Tinystm_wb.read";
-  Sched.advance (tm.costs.Tm_intf.read_cost + redirect_cost);
+  Sched.advance (Tm_intf.default_costs.read_cost + redirect_cost);
   Stats.incr tm.stats "reads";
   K.wb_read w addr
 
 let write (w : tx) addr value =
   let tm = w.tx.tm in
   K.check_active w.tx "Tinystm_wb.write";
-  Sched.advance tm.costs.Tm_intf.write_cost;
+  Sched.advance Tm_intf.default_costs.write_cost;
   Stats.incr tm.stats "writes";
   K.wb_write w addr value
 

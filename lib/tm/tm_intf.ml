@@ -73,7 +73,7 @@ module type S = sig
   type tx
   (** A running transaction attempt. *)
 
-  val create : ?costs:costs -> ?seed:int -> store -> t
+  val create : ?seed:int -> store -> t
 
   val begin_tx : t -> tx
 

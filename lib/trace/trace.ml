@@ -429,9 +429,6 @@ let span_overlap ~cat a b =
 let events () = st.cursor
 let dropped () = max 0 (st.cursor - Array.length st.ring)
 
-let open_span_count () =
-  Hashtbl.fold (fun _ s acc -> acc + List.length !s) st.stacks 0
-
 let validate () =
   let out = ref [] in
   let addf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in

@@ -194,10 +194,8 @@ val dropped : unit -> int
 val validate : unit -> string list
 (** Check the collected trace's structural invariants: no orphan or
     mismatched span closes, per-thread cycle-monotone timestamps, and no
-    span left open.  Returns human-readable violations ([[]] = clean). *)
-
-val open_span_count : unit -> int
-(** Spans currently open across all threads (0 after a balanced run). *)
+    span left open (one violation per open span).  Returns human-readable
+    violations ([[]] = clean). *)
 
 (** {1 Export} *)
 

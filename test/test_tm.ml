@@ -116,9 +116,9 @@ let test_lock_table_allocates_on_write () =
 
 (* --------------------------- generic TM tests ------------------------ *)
 
-let mem_tm (type t) (module Tm : Tm_intf.S with type t = t) ?costs () =
+let mem_tm (type t) (module Tm : Tm_intf.S with type t = t) () =
   let mem = Bytes.make 8192 '\000' in
-  (Tm.create ?costs (Tm_intf.mem_store mem), mem)
+  (Tm.create (Tm_intf.mem_store mem), mem)
 
 module type TM = Tm_intf.S
 
